@@ -142,6 +142,67 @@ mod tests {
         ));
     }
 
+    /// `(tree, leaves)` over `n` distinct keys `0, 1, …`.
+    fn loaded(n: u64, frames: usize) -> (BPlusTree, u64) {
+        let entries: Vec<(f64, u64)> = (0..n).map(|i| (i as f64, i)).collect();
+        let per_leaf = (LEAF_CAPACITY as f64 * FILL) as u64;
+        let t = BPlusTree::bulk_load(pool(frames), &entries).unwrap();
+        (t, n.div_ceil(per_leaf))
+    }
+
+    #[test]
+    fn scan_costs_one_fetch_per_leaf() {
+        let n = 60_000u64;
+        let (t, leaves) = loaded(n, 1024);
+        let height = t.height() as u64;
+        assert!(height >= 3 && leaves > 200, "h {height}, {leaves} leaves");
+        let stats = t.io_stats();
+        let fetches = |f: &dyn Fn()| {
+            let before = stats.accesses();
+            f();
+            stats.accesses() - before
+        };
+
+        assert_eq!(fetches(&|| drop(t.seek(n as f64 / 2.0).unwrap())), height);
+        let forward = fetches(&|| {
+            let mut c = t.seek(f64::MIN).unwrap();
+            let mut seen = 0;
+            while t.cursor_next(&mut c).unwrap().is_some() {
+                seen += 1;
+            }
+            assert_eq!(seen, n);
+        });
+        assert_eq!(forward, height + leaves - 1);
+        let backward = fetches(&|| {
+            let mut c = t.seek(f64::MAX).unwrap();
+            let mut seen = 0;
+            while t.cursor_prev(&mut c).unwrap().is_some() {
+                seen += 1;
+            }
+            assert_eq!(seen, n);
+        });
+        assert_eq!(backward, height + leaves - 1);
+    }
+
+    #[test]
+    fn pinned_leaf_survives_eviction() {
+        // One frame: every fetch evicts the leaf the cursor stands on.
+        let n = 5_000u64;
+        let (t, _) = loaded(n, 1);
+        let mut c = t.seek(f64::MIN).unwrap();
+        let mut mid = t.seek(n as f64 / 2.0).unwrap();
+        for i in 0..n {
+            assert_eq!(t.cursor_next(&mut c).unwrap(), Some((i as f64, i)));
+        }
+        assert_eq!(t.cursor_next(&mut c).unwrap(), None);
+        // A cursor parked across all that traffic still reads its leaf.
+        assert_eq!(t.cursor_next(&mut mid).unwrap(), Some((2500.0, 2500)));
+        for i in (0..n).rev() {
+            assert_eq!(t.cursor_prev(&mut c).unwrap(), Some((i as f64, i)));
+        }
+        assert_eq!(t.cursor_prev(&mut c).unwrap(), None);
+    }
+
     #[test]
     fn inserts_after_bulk_load() {
         let entries: Vec<(f64, u64)> = (0..1000).map(|i| (i as f64 * 2.0, i)).collect();

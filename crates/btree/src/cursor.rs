@@ -1,47 +1,48 @@
 //! Cursor handle for leaf-chain iteration.
 
-use mmdr_storage::PageId;
+use mmdr_storage::Page;
+use std::sync::Arc;
 
-/// A position in the leaf chain: "the gap before slot `slot` of leaf
-/// `leaf`".
+/// A position in the leaf chain: "the gap before slot `slot`" of the leaf
+/// the cursor stands on.
 ///
-/// Cursors hold no page references — the tree owns the buffer pool — so a
-/// cursor is advanced by [`crate::BPlusTree::cursor_next`] /
-/// [`crate::BPlusTree::cursor_prev`], which take the tree mutably. A cursor
-/// is invalidated by inserts (the slot may shift); iDistance's search phase
-/// never interleaves inserts with scans, matching this contract.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// A cursor *pins* its leaf: it holds the `Arc<Page>` image the pool handed
+/// out when the cursor arrived there, and
+/// [`cursor_next`](crate::BPlusTree::cursor_next) /
+/// [`cursor_prev`](crate::BPlusTree::cursor_prev) read keys and rids from
+/// that image. The pool is fetched once per leaf visited — when
+/// [`seek`](crate::BPlusTree::seek) lands on it or a step crosses to a
+/// sibling — never per entry. The pin is an immutable image, not a latch:
+/// the pool may evict the frame underneath it, and writes are
+/// copy-on-write, so **a cursor positioned before a write keeps reading
+/// its pre-write leaf; re-seek after any insert or delete**. Dropping the
+/// cursor before writing also spares the write its page copy.
+///
+/// Cloning yields an independent cursor over the same pinned image.
+#[derive(Debug, Clone)]
 pub struct Cursor {
-    leaf: PageId,
-    slot: usize,
-}
-
-impl Cursor {
-    pub(crate) fn new(leaf: PageId, slot: usize) -> Self {
-        Self { leaf, slot }
-    }
-
-    pub(crate) fn position(&self) -> (PageId, usize) {
-        (self.leaf, self.slot)
-    }
-
-    pub(crate) fn set(&mut self, leaf: PageId, slot: usize) {
-        self.leaf = leaf;
-        self.slot = slot;
-    }
+    pub(crate) leaf: Arc<Page>,
+    pub(crate) slot: usize,
 }
 
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use crate::BPlusTree;
+    use mmdr_storage::{BufferPool, DiskManager};
 
     #[test]
-    fn cursor_is_a_value_type() {
-        let a = Cursor::new(3, 7);
-        let mut b = a;
-        b.set(4, 0);
-        assert_eq!(a.position(), (3, 7));
-        assert_eq!(b.position(), (4, 0));
-        assert_ne!(a, b);
+    fn cloned_cursor_advances_independently() {
+        let entries: Vec<(f64, u64)> = (0..1000).map(|i| (i as f64, i)).collect();
+        let pool = BufferPool::new(DiskManager::new(), 16).unwrap();
+        let t = BPlusTree::bulk_load(pool, &entries).unwrap();
+        let mut a = t.seek(500.0).unwrap();
+        let mut b = a.clone();
+        // Each walks its own way, across leaf boundaries, from the same gap.
+        for i in 0..400 {
+            assert_eq!(t.cursor_next(&mut a).unwrap(), Some(entries[500 + i]));
+            assert_eq!(t.cursor_prev(&mut b).unwrap(), Some(entries[499 - i]));
+        }
+        assert_eq!(t.cursor_next(&mut b).unwrap(), Some(entries[100]));
+        assert_eq!(t.cursor_prev(&mut a).unwrap(), Some(entries[899]));
     }
 }

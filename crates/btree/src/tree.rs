@@ -210,7 +210,9 @@ impl BPlusTree {
         Ok(Some((up, right)))
     }
 
-    /// Positions a cursor at the first entry with key `>= key`.
+    /// Positions a cursor at the first entry with key `>= key`, pinned to
+    /// the leaf the descent ended on: one pool fetch per level, and none
+    /// again until the cursor crosses to a sibling.
     ///
     /// The cursor may be exhausted immediately (every key is smaller); both
     /// [`cursor_next`](Self::cursor_next) and
@@ -219,77 +221,67 @@ impl BPlusTree {
         if !key.is_finite() {
             return Err(Error::InvalidKey);
         }
-        // Each level clones one `Arc<Page>` out of the pool; no pool lock is
-        // held while the node is examined, so concurrent seeks proceed in
-        // parallel. The fetch count per step matches the closure-based path
-        // (one access per node visit) to keep `pages_touched` stable.
-        let mut node = self.root;
-        for _ in 0..self.height.saturating_sub(1) {
-            let page = self.pool.page(node)?;
+        // No pool lock is held while a node is examined, so concurrent
+        // seeks proceed in parallel.
+        let mut page = self.pool.page(self.root)?;
+        for _ in 1..self.height {
             let idx = Internal::child_index(&page, key);
-            node = Internal::child(&page, idx);
+            page = self.pool.page(Internal::child(&page, idx))?;
         }
-        let leaf_page = self.pool.page(node)?;
-        if !is_leaf(&leaf_page) {
+        if !is_leaf(&page) {
             return Err(Error::Corrupt("descent did not end at a leaf"));
         }
-        let slot = Leaf::lower_bound(&*self.pool.page(node)?, key);
-        Ok(Cursor::new(node, slot))
+        let slot = Leaf::lower_bound(&page, key);
+        Ok(Cursor { leaf: page, slot })
     }
 
     /// Returns the entry at the cursor and advances it forward (ascending
-    /// keys). `None` when past the last entry.
+    /// keys). `None` when past the last entry; the cursor then stays on the
+    /// last leaf, so [`cursor_prev`](Self::cursor_prev) still walks back.
     pub fn cursor_next(&self, cursor: &mut Cursor) -> Result<Option<(f64, u64)>> {
         loop {
-            let (leaf, slot) = cursor.position();
-            if leaf == NIL_PAGE {
-                return Ok(None);
-            }
-            // Two fetches per yielded entry (bounds, then payload), matching
-            // the historical access count so I/O plots stay comparable.
-            let page = self.pool.page(leaf)?;
-            let (n, next) = (Leaf::count(&page), Leaf::next(&page));
-            if slot < n {
-                let page = self.pool.page(leaf)?;
-                let entry = (Leaf::key(&page, slot), Leaf::rid(&page, slot));
-                cursor.set(leaf, slot + 1);
+            let leaf = &cursor.leaf;
+            if cursor.slot < Leaf::count(leaf) {
+                let entry = (Leaf::key(leaf, cursor.slot), Leaf::rid(leaf, cursor.slot));
+                cursor.slot += 1;
                 return Ok(Some(entry));
+            }
+            let next = Leaf::next(leaf);
+            if next == NIL_PAGE {
+                return Ok(None);
             }
             // Crossing a leaf boundary: hint the pool so a demand-read
             // source can start on the next leaf before the miss lands.
             // Free on resident pools, and never a logical access.
-            if next != NIL_PAGE {
-                let _ = self.pool.prefetch(next);
-            }
-            cursor.set(next, 0);
+            let _ = self.pool.prefetch(next);
+            cursor.leaf = self.pool.page(next)?;
+            cursor.slot = 0;
         }
     }
 
     /// Returns the entry *before* the cursor and moves it backward
-    /// (descending keys). `None` when before the first entry.
+    /// (descending keys). `None` when before the first entry; the cursor
+    /// then stays on the first leaf.
     ///
     /// `cursor_next` and `cursor_prev` are symmetric around the cursor gap:
     /// after a `seek(k)`, `cursor_prev` yields entries `< k` and
     /// `cursor_next` yields entries `>= k`.
     pub fn cursor_prev(&self, cursor: &mut Cursor) -> Result<Option<(f64, u64)>> {
         loop {
-            let (leaf, slot) = cursor.position();
-            if leaf == NIL_PAGE {
-                return Ok(None);
+            if cursor.slot > 0 {
+                cursor.slot -= 1;
+                let leaf = &cursor.leaf;
+                return Ok(Some((
+                    Leaf::key(leaf, cursor.slot),
+                    Leaf::rid(leaf, cursor.slot),
+                )));
             }
-            if slot > 0 {
-                let page = self.pool.page(leaf)?;
-                let entry = (Leaf::key(&page, slot - 1), Leaf::rid(&page, slot - 1));
-                cursor.set(leaf, slot - 1);
-                return Ok(Some(entry));
-            }
-            let prev = Leaf::prev(&*self.pool.page(leaf)?);
+            let prev = Leaf::prev(&cursor.leaf);
             if prev == NIL_PAGE {
-                cursor.set(NIL_PAGE, 0);
                 return Ok(None);
             }
-            let prev_n = Leaf::count(&*self.pool.page(prev)?);
-            cursor.set(prev, prev_n);
+            cursor.leaf = self.pool.page(prev)?;
+            cursor.slot = Leaf::count(&cursor.leaf);
         }
     }
 

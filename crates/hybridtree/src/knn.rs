@@ -129,18 +129,15 @@ impl HybridTree {
             if best.is_full() && node.mindist_sq > best.worst_dist().expect("full heap") {
                 break; // no remaining region can beat the k-th best
             }
-            // Each fetch clones an `Arc<Page>` out of the pool: no pool lock
-            // is held while distances are computed, so concurrent KNN
-            // workers proceed in parallel. The per-record refetch mirrors
-            // the historical access count (`pages_touched` is part of the
-            // golden I/O accounting); it is a guaranteed buffer hit.
-            let leaf = is_leaf(&*self.pool.page(node.page)?);
-            if leaf {
-                let n = count(&*self.pool.page(node.page)?);
+            // One fetch per visited node: the `Arc<Page>` image is held
+            // for the whole node and no pool lock is held while distances
+            // are computed, so concurrent KNN workers proceed in parallel.
+            let page = self.pool.page(node.page)?;
+            if is_leaf(&page) {
+                let n = count(&page);
                 self.search.record_dists(n as u64);
                 let mut refined = 0;
                 for i in 0..n {
-                    let page = self.pool.page(node.page)?;
                     let rid = Leaf::rid(&page, dim, i);
                     if dead(rid) {
                         continue;
@@ -161,10 +158,8 @@ impl HybridTree {
                 continue;
             }
             // Internal: push each child with its refined region.
-            let page = self.pool.page(node.page)?;
             let (split_dim, n_children) = (Internal::split_dim(&page), count(&page));
             for i in 0..n_children {
-                let page = self.pool.page(node.page)?;
                 let b_lo = if i == 0 {
                     f64::NEG_INFINITY
                 } else {
@@ -273,7 +268,8 @@ impl HybridTree {
             if mindist_sq(query, &lo, &hi).sqrt() > limit {
                 continue;
             }
-            if is_leaf(&*self.pool.page(page)?) {
+            let node_page = self.pool.page(page)?;
+            if is_leaf(&node_page) {
                 // The next stack entry is the next region in walk order —
                 // for bulk-loaded trees, the right sibling leaf. Hint it
                 // before scanning this leaf so a demand-read source can
@@ -283,11 +279,10 @@ impl HybridTree {
                 if let Some((next, _, _)) = stack.last() {
                     let _ = self.pool.prefetch(*next);
                 }
-                let n = count(&*self.pool.page(page)?);
+                let n = count(&node_page);
                 self.search.record_dists(n as u64);
                 let mut refined = 0;
                 for i in 0..n {
-                    let node_page = self.pool.page(page)?;
                     let rid = Leaf::rid(&node_page, dim, i);
                     if dead(rid) {
                         continue;
@@ -302,7 +297,6 @@ impl HybridTree {
                 self.search.record_refined(refined);
                 continue;
             }
-            let node_page = self.pool.page(page)?;
             let (split_dim, n_children) = (Internal::split_dim(&node_page), count(&node_page));
             // Every child of this qualifying region is about to be pushed,
             // and bulk-loaded siblings sit on consecutive pages: hint the
@@ -316,7 +310,6 @@ impl HybridTree {
                 let _ = self.pool.prefetch(Internal::child(&node_page, 0));
             }
             for i in (0..n_children).rev() {
-                let node_page = self.pool.page(page)?;
                 let b_lo = if i == 0 {
                     f64::NEG_INFINITY
                 } else {

@@ -1,7 +1,7 @@
 //! Building the extended iDistance index from a reduction result.
 
 use crate::error::{Error, Result};
-use crate::vector_heap::VectorHeap;
+use crate::vector_heap::{HeapReader, VectorHeap};
 use mmdr_btree::BPlusTree;
 use mmdr_core::ReductionResult;
 use mmdr_index::{DeltaLayer, SearchCounters};
@@ -378,7 +378,6 @@ impl IDistanceIndex {
             return Err(Error::InvalidQuery);
         }
         let n_parts = self.partitions.len();
-        let mut scratch: Vec<f64> = Vec::new();
         for part in 0..n_parts {
             if self.partitions[part].count == 0 {
                 continue;
@@ -388,17 +387,21 @@ impl IDistanceIndex {
                 None => mmdr_linalg::l2_dist(point, &self.partitions[part].centroid),
             };
             let key = part as f64 * self.c + dist;
-            // Scan the exact-key duplicate run for the matching record.
-            let mut cursor = self.tree.seek(key)?;
+            // Scan the exact-key duplicate run for the matching record. The
+            // cursor and the reader pin page images; both are gone before
+            // the writes below, which then mutate their pages in place.
             let mut victim = None;
-            while let Some((k, rid)) = self.tree.cursor_next(&mut cursor)? {
-                if k > key {
-                    break;
-                }
-                let (_, pid) = self.heap.get_into(rid, &mut scratch)?;
-                if pid == point_id {
-                    victim = Some(rid);
-                    break;
+            {
+                let mut cursor = self.tree.seek(key)?;
+                let mut reader = HeapReader::default();
+                while let Some((k, rid)) = self.tree.cursor_next(&mut cursor)? {
+                    if k > key {
+                        break;
+                    }
+                    if self.heap.read(&mut reader, rid)?.1 == point_id {
+                        victim = Some(rid);
+                        break;
+                    }
                 }
             }
             if let Some(rid) = victim {

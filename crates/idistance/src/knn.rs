@@ -2,6 +2,7 @@
 
 use crate::error::{Error, Result};
 use crate::index::IDistanceIndex;
+use crate::vector_heap::{HeapReader, TOMBSTONE};
 use mmdr_btree::Cursor;
 use mmdr_index::{KnnHeap, SearchFilter, QUERY_CHUNK};
 use mmdr_linalg::{map_ranges_with, ParConfig};
@@ -11,8 +12,9 @@ use mmdr_linalg::{map_ranges_with, ParConfig};
 /// the allocator.
 #[derive(Debug, Default)]
 pub struct QueryScratch {
-    /// Candidate-coordinate fetch buffer (the KNN hot path).
-    coords: Vec<f64>,
+    /// Candidate fetches (the KNN hot path): the heap is clustered in key
+    /// order, so an annulus walk reads each heap page through one pin.
+    reader: HeapReader,
 }
 
 impl QueryScratch {
@@ -111,6 +113,12 @@ impl IDistanceIndex {
         if k == 0 || self.is_empty() {
             return Ok(Vec::new());
         }
+        // The scratch outlives this `&self` borrow: whatever it pinned last
+        // time may since have been written, or belong to another index.
+        let reader = &mut scratch.reader;
+        reader.unpin();
+        // Counted here, recorded once when the search ends.
+        let (mut dists, mut refined) = (0u64, 0u64);
 
         // Precompute per-partition geometry.
         let mut searches = Vec::with_capacity(self.partitions.len());
@@ -209,9 +217,30 @@ impl IDistanceIndex {
                 best.push(mmdr_linalg::reduced_dist(proj_sq, q_local, coords), id);
                 delta_seen += 1;
             });
-            self.search.record_dists(delta_seen);
-            self.search.record_refined(delta_seen);
+            dists += delta_seen;
+            refined += delta_seen;
         }
+
+        // One candidate: read its reduced vector through the pinned heap
+        // page, evaluate it, and offer it to the heap if it is visible.
+        let mut offer = |rid: u64, s: (usize, f64, &[f64]), best: &mut KnnHeap| -> Result<()> {
+            let (part, proj_sq, q_local) = s;
+            let (heap_part, point_id, coords) = self.heap.read(reader, rid)?;
+            debug_assert_eq!(
+                heap_part as usize, part,
+                "key slot and heap partition agree"
+            );
+            let dist = mmdr_linalg::reduced_dist(proj_sq, q_local, coords);
+            dists += 1;
+            if point_id == TOMBSTONE {
+                return Ok(());
+            }
+            refined += 1;
+            if !tombs.contains(&point_id) && filter.is_none_or(|f| f.passes(point_id)) {
+                best.push(dist, point_id);
+            }
+            Ok(())
+        };
 
         loop {
             let mut any_active = false;
@@ -252,26 +281,30 @@ impl IDistanceIndex {
                 if !s.started {
                     // Seek the query's image (clamped into the sphere); the
                     // inward cursor walks toward the centroid, the outward
-                    // cursor away from it.
+                    // cursor away from it, both from the one pinned leaf.
                     let center = base + s.dist_q.min(max_r);
                     let cur = self.tree.seek(center)?;
-                    s.inward = Some(cur);
+                    s.inward = Some(cur.clone());
                     s.outward = Some(cur);
                     s.started = true;
                 }
+                let image = base + s.dist_q;
+                let geometry = (part, s.proj_sq, s.q_local.as_slice());
 
-                // Outward: ascending keys up to hi_key (and < next slot).
-                if let Some(mut cur) = s.outward.take() {
-                    while let Some((key, rid)) = self.tree.cursor_next(&mut cur)? {
+                // Outward: ascending keys up to hi_key (and < next slot). A
+                // cursor stays in place across rounds and is dropped once
+                // it runs off the tree or the partition's slot.
+                if let Some(cur) = &mut s.outward {
+                    let exhausted = loop {
+                        let Some((key, rid)) = self.tree.cursor_next(cur)? else {
+                            break true;
+                        };
                         if key >= slot_end || key > hi_key + 1e-12 {
                             // Past the partition or past the annulus: back
                             // the cursor up so the entry is re-seen when the
                             // radius grows.
-                            let _ = self.tree.cursor_prev(&mut cur)?;
-                            if key < slot_end {
-                                s.outward = Some(cur);
-                            }
-                            break;
+                            self.tree.cursor_prev(cur)?;
+                            break key >= slot_end;
                         }
                         // Key-gap lower bound: |‖p‖ − ‖q‖| ≤ ‖p − q‖, so an
                         // entry whose ring distance already exceeds the
@@ -280,62 +313,38 @@ impl IDistanceIndex {
                         // ties would make the answer set depend on the
                         // heap's trajectory, and merged-vs-fresh parity
                         // requires trajectory independence.
-                        let ring_gap = key - (base + s.dist_q);
+                        let ring_gap = key - image;
                         let lb = (s.proj_sq + ring_gap * ring_gap).sqrt();
                         if best.is_full() && lb > best.worst_dist().expect("full heap") {
-                            s.outward = Some(cur);
                             continue;
                         }
-                        let (dist, point_id) = candidate_distance(
-                            self,
-                            rid,
-                            &s.q_local,
-                            s.proj_sq,
-                            s.part,
-                            &mut scratch.coords,
-                        )?;
-                        if point_id != crate::vector_heap::TOMBSTONE
-                            && !tombs.contains(&point_id)
-                            && filter.is_none_or(|f| f.passes(point_id))
-                        {
-                            best.push(dist, point_id);
-                        }
-                        s.outward = Some(cur);
+                        offer(rid, geometry, &mut best)?;
+                    };
+                    if exhausted {
+                        s.outward = None;
                     }
                 }
                 // Inward: descending keys down to lo_key.
-                if let Some(mut cur) = s.inward.take() {
-                    while let Some((key, rid)) = self.tree.cursor_prev(&mut cur)? {
+                if let Some(cur) = &mut s.inward {
+                    let exhausted = loop {
+                        let Some((key, rid)) = self.tree.cursor_prev(cur)? else {
+                            break true;
+                        };
                         if key < base || key < lo_key - 1e-12 {
-                            let _ = self.tree.cursor_next(&mut cur)?;
-                            if key >= base {
-                                s.inward = Some(cur);
-                            }
-                            break;
+                            self.tree.cursor_next(cur)?;
+                            break key < base;
                         }
                         // Same key-gap lower bound as the outward walk
                         // (strict, for trajectory independence).
-                        let ring_gap = (base + s.dist_q) - key;
+                        let ring_gap = image - key;
                         let lb = (s.proj_sq + ring_gap * ring_gap).sqrt();
                         if best.is_full() && lb > best.worst_dist().expect("full heap") {
-                            s.inward = Some(cur);
                             continue;
                         }
-                        let (dist, point_id) = candidate_distance(
-                            self,
-                            rid,
-                            &s.q_local,
-                            s.proj_sq,
-                            s.part,
-                            &mut scratch.coords,
-                        )?;
-                        if point_id != crate::vector_heap::TOMBSTONE
-                            && !tombs.contains(&point_id)
-                            && filter.is_none_or(|f| f.passes(point_id))
-                        {
-                            best.push(dist, point_id);
-                        }
-                        s.inward = Some(cur);
+                        offer(rid, geometry, &mut best)?;
+                    };
+                    if exhausted {
+                        s.inward = None;
                     }
                 }
                 if s.inward.is_some() || s.outward.is_some() {
@@ -363,6 +372,8 @@ impl IDistanceIndex {
             step *= 2.0;
         }
 
+        self.search.record_dists(dists);
+        self.search.record_refined(refined);
         Ok(best.into_sorted_vec())
     }
 
@@ -391,32 +402,6 @@ impl IDistanceIndex {
         }
         Ok(out)
     }
-}
-
-/// Distance from the query to the candidate's reduced representation, plus
-/// the candidate's original point id. `scratch` avoids a per-candidate
-/// allocation.
-fn candidate_distance(
-    index: &IDistanceIndex,
-    rid: u64,
-    q_local: &[f64],
-    proj_sq: f64,
-    expected_part: usize,
-    scratch: &mut Vec<f64>,
-) -> Result<(f64, u64)> {
-    let (part, point_id) = index.heap.get_into(rid, scratch)?;
-    debug_assert_eq!(
-        part as usize, expected_part,
-        "key slot and heap partition agree"
-    );
-    index.search.record_dists(1);
-    if point_id != crate::vector_heap::TOMBSTONE {
-        index.search.record_refined(1);
-    }
-    Ok((
-        mmdr_linalg::reduced_dist(proj_sq, q_local, scratch),
-        point_id,
-    ))
 }
 
 #[cfg(test)]

@@ -55,4 +55,4 @@ pub use knn::QueryScratch;
 // re-exported because every backend consumer needs them together.
 pub use mmdr_index::{QueryStats, VectorIndex};
 pub use seqscan::SeqScan;
-pub use vector_heap::{VectorHeap, TOMBSTONE};
+pub use vector_heap::{HeapReader, VectorHeap, TOMBSTONE};

@@ -8,6 +8,7 @@
 use crate::error::{Error, Result};
 use crate::index::IDistanceIndex;
 use crate::seqscan::SeqScan;
+use crate::vector_heap::{HeapReader, TOMBSTONE};
 use mmdr_index::SearchFilter;
 
 impl IDistanceIndex {
@@ -50,6 +51,9 @@ impl IDistanceIndex {
         let mut out = Vec::new();
         let n_parts = self.partitions.len();
         let tombs = self.delta.tombstones();
+        let mut reader = HeapReader::default();
+        // Counted here, recorded once when the search ends.
+        let (mut dists, mut refined) = (0u64, 0u64);
         // Delta rows are scanned exactly (they are few between merges);
         // `out` is sorted at the end, so interleaving order is irrelevant.
         if self.delta.live_rows() > 0 {
@@ -78,8 +82,8 @@ impl IDistanceIndex {
                     out.push((dist, id));
                 }
             });
-            self.search.record_dists(delta_seen);
-            self.search.record_refined(delta_hits);
+            dists += delta_seen;
+            refined += delta_hits;
         }
         for part in 0..n_parts {
             let info = &self.partitions[part];
@@ -129,27 +133,28 @@ impl IDistanceIndex {
             };
 
             let mut cursor = self.tree.seek(lo_key)?;
-            let mut scratch: Vec<f64> = Vec::new();
             while let Some((key, rid)) = self.tree.cursor_next(&mut cursor)? {
                 if key > hi_key + 1e-12 || key >= slot_end {
                     break;
                 }
-                let (heap_part, point_id) = self.heap.get_into(rid, &mut scratch)?;
+                let (heap_part, point_id, coords) = self.heap.read(&mut reader, rid)?;
                 debug_assert_eq!(heap_part as usize, part);
-                if point_id == crate::vector_heap::TOMBSTONE
+                if point_id == TOMBSTONE
                     || tombs.contains(&point_id)
                     || filter.is_some_and(|f| !f.passes(point_id))
                 {
                     continue;
                 }
-                self.search.record_dists(1);
-                let dist = mmdr_linalg::reduced_dist(proj_sq, &q_local, &scratch);
+                dists += 1;
+                let dist = mmdr_linalg::reduced_dist(proj_sq, &q_local, coords);
                 if dist <= radius + 1e-12 {
-                    self.search.record_refined(1);
+                    refined += 1;
                     out.push((dist, point_id));
                 }
             }
         }
+        self.search.record_dists(dists);
+        self.search.record_refined(refined);
         out.sort_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal));
         Ok(out)
     }

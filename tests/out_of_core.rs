@@ -211,6 +211,51 @@ fn tiny_pool_demand_paged_answers_are_bit_identical() {
     }
 }
 
+/// `pages_touched` counts pool fetches, and the scan path makes one per
+/// page it visits (a B⁺-tree leaf, a heap page), not one per entry: far
+/// fewer than the candidates it evaluates, and the same number whether the
+/// pool holds every page or four.
+#[test]
+fn idistance_fetches_once_per_page_visited_whatever_the_pool() {
+    let data = dataset();
+    let model = fit(&data);
+    let file = TempFile::new("fetches");
+    let built = build_index(Backend::IDistance, &data, &model, 64).unwrap();
+    save(&file.0, &built, &model).unwrap();
+    drop(built);
+
+    let resident = open_resident(&file.0).unwrap();
+    let paged = open_with(&file.0, &lazy_opts(4)).unwrap();
+    let step = (data.rows() / 9).max(1);
+    for qi in 0..9 {
+        let q = data.row(qi * step);
+        let cost = |opened: &Opened| {
+            let idx = opened.index.as_dyn();
+            let before = idx.query_stats();
+            let hits = idx.knn(q, 50).unwrap();
+            (hits, idx.query_stats().since(&before))
+        };
+        let (ref_hits, ref_cost) = cost(&resident);
+        let (hits, paged_cost) = cost(&paged);
+        assert_answers_identical(&ref_hits, &hits, &format!("query {qi}"));
+        assert!(
+            ref_cost.pages_touched * 4 < ref_cost.dist_computations,
+            "query {qi}: {} fetches for {} candidates",
+            ref_cost.pages_touched,
+            ref_cost.dist_computations
+        );
+        assert_eq!(
+            ref_cost.pages_touched, paged_cost.pages_touched,
+            "query {qi}: fetch count depends on the pool"
+        );
+        assert_eq!(ref_cost.physical_reads, 0, "query {qi}: resident open");
+        assert!(
+            paged_cost.physical_reads > 0,
+            "query {qi}: 4 frames held it all"
+        );
+    }
+}
+
 #[test]
 fn damaged_page_is_a_typed_error_and_pool_recovers() {
     let data = dataset();

@@ -3,7 +3,8 @@
 # run the full workspace test suite, then re-run the parallel-determinism,
 # golden-recall, persistence and serve-parity suites explicitly (they are
 # the acceptance gates for the parallel layer, the snapshot store and the
-# query server), and finish with a live server smoke test over a socket.
+# query server), run a live server smoke test over a socket, and finish by
+# building and smoking the benchmark package against the current crates.
 #
 # Usage: tools/verify.sh [--release]
 set -euo pipefail
@@ -431,5 +432,14 @@ if ! grep -q '^shutdown:' "$SMOKE/route.log"; then
     echo "verify: FAIL — router exited without its shutdown summary" >&2
     exit 1
 fi
+
+echo "== benchmark smoke gate =="
+# benchmark/ is a package of its own (own [workspace], path dependencies on
+# crates/*), so nothing above compiles it. Build it against the crates as
+# they are now and smoke all six workloads, untraced and traced: a crate
+# API change that breaks the benchmark, or a run that is no longer
+# `correct`, fails here and not in the driver. Always a release build (the
+# benchmark's own command line), whatever profile the gates above used.
+benchmark/check.sh
 
 echo "verify: OK"
