@@ -120,18 +120,11 @@ impl ReductionResult {
                 actual: point.len(),
             });
         }
-        let mut best = None;
-        let mut best_d = f64::INFINITY;
-        for (ci, cluster) in self.clusters.iter().enumerate() {
-            let d = cluster.subspace.proj_dist(point)?;
-            if d < best_d {
-                best_d = d;
-                best = Some(ci);
-            }
-        }
-        Ok(match best {
-            Some(ci) if best_d <= beta => (PointAssignment::Cluster(ci), best_d),
-            _ => (PointAssignment::Outlier, best_d),
+        let subspaces = self.clusters.iter().map(|c| &c.subspace);
+        Ok(match ReducedSubspace::nearest(subspaces, point)? {
+            Some((ci, _, d)) if d <= beta => (PointAssignment::Cluster(ci), d),
+            Some((_, _, d)) => (PointAssignment::Outlier, d),
+            None => (PointAssignment::Outlier, f64::INFINITY),
         })
     }
 

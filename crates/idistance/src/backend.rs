@@ -7,9 +7,7 @@
 //! binaries and the CLI's `--backend` flag both go through this factory.
 
 use crate::error::Result;
-use crate::gldr::GlobalLdrIndex;
-use crate::index::{IDistanceConfig, IDistanceIndex};
-use crate::seqscan::SeqScan;
+use crate::layout::{build_index, data_rows, partition_ids, PartitionRows};
 use mmdr_core::ReductionResult;
 use mmdr_hybridtree::HybridTree;
 use mmdr_index::VectorIndex;
@@ -84,43 +82,36 @@ pub fn build_backend(
     model: &ReductionResult,
     buffer_pages: usize,
 ) -> Result<Box<dyn VectorIndex>> {
-    Ok(match backend {
-        Backend::SeqScan => Box::new(SeqScan::build(data, model, buffer_pages)?),
-        Backend::IDistance => Box::new(IDistanceIndex::build(
-            data,
-            model,
-            IDistanceConfig {
-                buffer_pages: buffer_pages.max(2),
-                ..Default::default()
-            },
-        )?),
-        Backend::Hybrid => Box::new(build_restored_hybrid(data, model, buffer_pages)?),
-        Backend::Gldr => Box::new(GlobalLdrIndex::build(data, model, buffer_pages)?),
-    })
+    Ok(build_index(backend, data, model, buffer_pages)?.into_boxed())
 }
 
 /// Builds the `hybrid` backend's tree: the restored representations
 /// `restore(project(P))` indexed at original dimensionality, so the tree's
 /// plain L2 metric coincides with the reduced-representation distance the
-/// other backends compute piecewise. Exposed so the persistence layer can
-/// build the same concrete tree it snapshots.
+/// other backends compute piecewise.
 pub fn build_restored_hybrid(
     data: &Matrix,
     model: &ReductionResult,
     buffer_pages: usize,
 ) -> Result<HybridTree> {
-    let mut restored = Matrix::zeros(0, 0);
+    let rows = &mut data_rows(Backend::Hybrid, data, model)?;
+    load_hybrid(model, buffer_pages, rows)
+}
+
+/// The one writer of the `hybrid` backend's stored form (see
+/// [`crate::layout`]): every partition's restored rows in one tree.
+pub(crate) fn load_hybrid(
+    model: &ReductionResult,
+    buffer_pages: usize,
+    rows: &mut PartitionRows<'_>,
+) -> Result<HybridTree> {
+    let mut restored = Matrix::zeros(0, model.dim);
     let mut rids = Vec::with_capacity(model.num_points);
-    for cluster in &model.clusters {
-        for &pid in &cluster.members {
-            let local = cluster.subspace.project(data.row(pid))?;
-            restored.push_row(&cluster.subspace.restore(&local)?)?;
-            rids.push(pid as u64);
+    for part in partition_ids(model) {
+        for (id, coords) in rows(part)? {
+            restored.push_row(&coords)?;
+            rids.push(id);
         }
-    }
-    for &pid in &model.outliers {
-        restored.push_row(data.row(pid))?;
-        rids.push(pid as u64);
     }
     let pool = BufferPool::new(DiskManager::new(), buffer_pages.max(1))?;
     let mut tree = HybridTree::bulk_load(pool, &restored, &rids)?;
@@ -131,7 +122,7 @@ pub fn build_restored_hybrid(
 /// Installs the `hybrid` backend's ingest hook on `tree`: vectors inserted
 /// through [`mmdr_index::MutableVectorIndex`] are converted to their
 /// restored representation `restore(project(P))` with exactly the
-/// arithmetic [`build_restored_hybrid`] uses, so a delta row's stored
+/// arithmetic every [loader door](crate::layout) uses, so a delta row's stored
 /// coordinates are bit-identical to what a from-scratch build over the
 /// union would store. The snapshot layer calls this after reopening a
 /// hybrid tree (hooks are code, not data — they are not persisted).

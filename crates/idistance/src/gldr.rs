@@ -2,7 +2,9 @@
 //! data" — one multidimensional Hybrid tree per cluster plus a cluster
 //! array (paper §6.2).
 
+use crate::backend::Backend;
 use crate::error::{Error, Result};
+use crate::layout::{data_rows, partition_ids, PartitionRows};
 use mmdr_core::ReductionResult;
 use mmdr_hybridtree::HybridTree;
 use mmdr_index::{DeltaLayer, KnnHeap, SearchCounters, SearchFilter};
@@ -54,55 +56,47 @@ impl GlobalLdrIndex {
     /// Builds one hybrid tree per cluster from the reduction result. All
     /// trees share I/O and search counters; `buffer_pages` is split evenly.
     pub fn build(data: &Matrix, model: &ReductionResult, buffer_pages: usize) -> Result<Self> {
-        if data.cols() != model.dim {
-            return Err(Error::DimensionMismatch {
-                expected: model.dim,
-                actual: data.cols(),
-            });
-        }
+        let rows = &mut data_rows(Backend::Gldr, data, model)?;
+        Self::load(model, buffer_pages, rows)
+    }
+
+    /// The one writer of the forest's stored form (see [`crate::layout`]):
+    /// one tree per cluster over its rows' local coordinates, pruned by
+    /// the largest local norm, plus a tree over the raw outliers when
+    /// there are any.
+    pub(crate) fn load(
+        model: &ReductionResult,
+        buffer_pages: usize,
+        rows: &mut PartitionRows<'_>,
+    ) -> Result<Self> {
         let stats = IoStats::new();
-        let search = SearchCounters::new();
-        let n_structures = model.clusters.len() + 1;
-        let pages_each = (buffer_pages / n_structures).max(1);
+        let pages_each = (buffer_pages / (model.clusters.len() + 1)).max(1);
         let mut clusters = Vec::with_capacity(model.clusters.len());
-        for cluster in &model.clusters {
-            let mut locals = Matrix::zeros(0, 0);
-            let mut rids = Vec::with_capacity(cluster.members.len());
+        let mut outlier_tree = None;
+        let mut len = 0;
+        for part in partition_ids(model) {
+            let subspace = part.map(|ci| &model.clusters[ci].subspace);
+            let width = subspace.map_or(model.dim, |s| s.reduced_dim());
+            let mut points = Matrix::zeros(0, width);
+            let mut rids = Vec::new();
             let mut max_radius: f64 = 0.0;
-            for &pid in &cluster.members {
-                let local = cluster.subspace.project(data.row(pid))?;
-                max_radius = max_radius.max(mmdr_linalg::l2_norm(&local));
-                locals.push_row(&local)?;
-                rids.push(pid as u64);
+            for (id, coords) in rows(part)? {
+                max_radius = max_radius.max(mmdr_linalg::l2_norm(&coords));
+                points.push_row(&coords)?;
+                rids.push(id);
             }
+            if subspace.is_none() && rids.is_empty() {
+                continue; // no outliers, no outlier tree
+            }
+            len += rids.len();
             let pool = BufferPool::new(DiskManager::with_stats(Arc::clone(&stats)), pages_each)?;
-            let mut tree = HybridTree::bulk_load(pool, &locals, &rids)?;
-            tree.share_search_counters(Arc::clone(&search));
-            clusters.push(ClusterIndex {
-                subspace: cluster.subspace.clone(),
-                tree,
-                max_radius,
-            });
+            let tree = HybridTree::bulk_load(pool, &points, &rids)?;
+            match subspace {
+                Some(subspace) => clusters.push((subspace.clone(), tree, max_radius)),
+                None => outlier_tree = Some(tree),
+            }
         }
-        let outlier_tree = if model.outliers.is_empty() {
-            None
-        } else {
-            let rows = data.select_rows(&model.outliers);
-            let rids: Vec<u64> = model.outliers.iter().map(|&i| i as u64).collect();
-            let pool = BufferPool::new(DiskManager::with_stats(Arc::clone(&stats)), pages_each)?;
-            let mut tree = HybridTree::bulk_load(pool, &rows, &rids)?;
-            tree.share_search_counters(Arc::clone(&search));
-            Some(tree)
-        };
-        Ok(Self {
-            clusters,
-            outlier_tree,
-            dim: model.dim,
-            len: model.num_points,
-            stats,
-            search,
-            delta: DeltaLayer::new(),
-        })
+        Self::from_parts(clusters, outlier_tree, model.dim, len, stats)
     }
 
     /// Reassembles a gLDR forest from snapshot parts: per-cluster

@@ -1,6 +1,8 @@
 //! Building the extended iDistance index from a reduction result.
 
+use crate::backend::Backend;
 use crate::error::{Error, Result};
+use crate::layout::{data_rows, partition_ids, KeySpace, PartitionRows};
 use crate::vector_heap::{HeapReader, VectorHeap};
 use mmdr_btree::BPlusTree;
 use mmdr_core::ReductionResult;
@@ -94,133 +96,99 @@ impl IDistanceIndex {
         if config.buffer_pages < 2 {
             return Err(Error::InvalidConfig("buffer_pages must be >= 2"));
         }
-        if !(config.initial_radius_fraction > 0.0 && config.radius_step_fraction > 0.0) {
-            return Err(Error::InvalidConfig("radius fractions must be > 0"));
-        }
-        let dim = model.dim;
-        if data.cols() != dim {
-            return Err(Error::DimensionMismatch {
-                expected: dim,
-                actual: data.cols(),
-            });
-        }
+        let rows = &mut data_rows(Backend::IDistance, data, model)?;
+        let buffer_pages = config.buffer_pages;
+        let keys = KeySpace::fitted(config, model, |id| Some(data.row(id as usize)))?;
+        Self::load(model, buffer_pages, keys, rows)
+    }
+
+    /// The one writer of the index's stored form (see [`crate::layout`]):
+    /// partition `i` is cluster `i`, the last one the outlier home (always
+    /// present so inserts have somewhere to go), each keyed by
+    /// `y = i·c + dist(P, Oᵢ)` — the norm of the local coordinates in a
+    /// cluster, the distance to `keys.reference` among the outliers. The
+    /// tree and the heap split `buffer_pages` behind one I/O ledger.
+    pub(crate) fn load(
+        model: &ReductionResult,
+        buffer_pages: usize,
+        keys: KeySpace,
+        rows: &mut PartitionRows<'_>,
+    ) -> Result<Self> {
+        let KeySpace {
+            config,
+            reference,
+            c_floor,
+        } = keys;
         let stats = IoStats::new();
-        let tree_pool = BufferPool::new(
-            DiskManager::with_stats(Arc::clone(&stats)),
-            (config.buffer_pages / 2).max(1),
-        )?;
-        let heap_pool = BufferPool::new(
-            DiskManager::with_stats(Arc::clone(&stats)),
-            (config.buffer_pages / 2).max(1),
-        )?;
-        let mut heap = VectorHeap::new(heap_pool);
+        let pool = || {
+            BufferPool::new(
+                DiskManager::with_stats(Arc::clone(&stats)),
+                (buffer_pages / 2).max(1),
+            )
+        };
+        let tree_pool = pool()?;
+        let mut heap = VectorHeap::new(pool()?);
 
         let mut partitions: Vec<PartitionInfo> = Vec::with_capacity(model.clusters.len() + 1);
-        // (partition, local distance, rid) triples; keyed after c is known.
+        // (partition, key distance, rid) triples; keyed after c is known.
         let mut staged: Vec<(usize, f64, u64)> = Vec::with_capacity(model.num_points);
-
-        for (i, cluster) in model.clusters.iter().enumerate() {
+        for part in partition_ids(model) {
+            let i = partitions.len();
+            let cluster = part.map(|ci| &model.clusters[ci]);
+            let rows = rows(part)?;
+            let mut order: Vec<(f64, usize)> = rows
+                .iter()
+                .enumerate()
+                .map(|(at, (_, coords))| match cluster {
+                    Some(_) => (mmdr_linalg::l2_norm(coords), at),
+                    None => (mmdr_linalg::l2_dist(coords, &reference), at),
+                })
+                .collect();
+            // Append in ascending key order: the heap then becomes a
+            // *clustered* file — the KNN annulus scan touches heap pages in
+            // the same order as tree leaves, so each page is read once
+            // instead of ping-ponging.
+            order.sort_by(|a, b| a.0.partial_cmp(&b.0).unwrap_or(std::cmp::Ordering::Equal));
             let mut min_radius = f64::INFINITY;
             let mut max_radius: f64 = 0.0;
-            // Compute local coordinates first and append in ascending key
-            // order: the heap then becomes a *clustered* file — the KNN
-            // annulus scan touches heap pages in the same order as tree
-            // leaves, so each page is read once instead of ping-ponging.
-            let mut locals: Vec<(f64, u64, Vec<f64>)> = cluster
-                .members
-                .iter()
-                .map(|&pid| {
-                    let local = cluster.subspace.project(data.row(pid))?;
-                    let dist = mmdr_linalg::l2_norm(&local);
-                    Ok((dist, pid as u64, local))
-                })
-                .collect::<Result<_>>()?;
-            locals.sort_by(|a, b| a.0.partial_cmp(&b.0).unwrap_or(std::cmp::Ordering::Equal));
-            for (dist, pid, local) in locals {
+            for (dist, at) in order {
                 min_radius = min_radius.min(dist);
                 max_radius = max_radius.max(dist);
-                let rid = heap.append(i as u32, pid, &local)?;
+                let (id, coords) = &rows[at];
+                let rid = heap.append(i as u32, *id, coords)?;
                 staged.push((i, dist, rid));
             }
             partitions.push(PartitionInfo {
-                centroid: cluster.subspace.centroid().to_vec(),
-                subspace: Some(cluster.subspace.clone()),
-                covariance: Some(cluster.covariance.clone()),
+                subspace: cluster.map(|c| c.subspace.clone()),
+                centroid: match cluster {
+                    Some(c) => c.subspace.centroid().to_vec(),
+                    None => reference.clone(),
+                },
+                covariance: cluster.map(|c| c.covariance.clone()),
                 min_radius: if min_radius.is_finite() {
                     min_radius
                 } else {
                     0.0
                 },
                 max_radius,
-                count: cluster.members.len(),
+                count: rows.len(),
             });
         }
-
-        // Outlier partition (always present so inserts have a home):
-        // reference point = mean of outliers, falling back to the data mean.
-        let outlier_part = partitions.len();
-        let reference = if model.outliers.is_empty() {
-            mmdr_linalg::mean_vector(data)?
-        } else {
-            let rows = data.select_rows(&model.outliers);
-            mmdr_linalg::mean_vector(&rows)?
-        };
-        let mut min_radius = f64::INFINITY;
-        let mut max_radius: f64 = 0.0;
-        let mut outlier_order: Vec<(f64, usize)> = model
-            .outliers
-            .iter()
-            .map(|&pid| (mmdr_linalg::l2_dist(data.row(pid), &reference), pid))
-            .collect();
-        outlier_order.sort_by(|a, b| a.0.partial_cmp(&b.0).unwrap_or(std::cmp::Ordering::Equal));
-        for (dist, pid) in outlier_order {
-            min_radius = min_radius.min(dist);
-            max_radius = max_radius.max(dist);
-            let rid = heap.append(outlier_part as u32, pid as u64, data.row(pid))?;
-            staged.push((outlier_part, dist, rid));
-        }
-        partitions.push(PartitionInfo {
-            subspace: None,
-            centroid: reference,
-            covariance: None,
-            min_radius: if min_radius.is_finite() {
-                min_radius
-            } else {
-                0.0
-            },
-            max_radius,
-            count: model.outliers.len(),
-        });
 
         // Range-partitioning constant: strictly larger than any in-partition
         // distance so ranges [i·c, (i+1)·c) never overlap; the margin leaves
         // headroom for dynamic inserts that stretch a cluster.
         let widest = partitions.iter().map(|p| p.max_radius).fold(0.0, f64::max);
-        let c = config.c.unwrap_or(2.0 * widest + 1.0);
-        #[allow(clippy::neg_cmp_op_on_partial_ord)] // !(a > b) also rejects NaN
-        if !(c > widest) {
-            return Err(Error::InvalidConfig("c must exceed every partition radius"));
-        }
-
+        let c = config.c.unwrap_or(2.0 * widest + 1.0).max(c_floor);
         let mut entries: Vec<(f64, u64)> = staged
             .into_iter()
             .map(|(part, dist, rid)| (part as f64 * c + dist, rid))
             .collect();
         entries.sort_by(|a, b| a.0.partial_cmp(&b.0).unwrap_or(std::cmp::Ordering::Equal));
         let tree = BPlusTree::bulk_load(tree_pool, &entries)?;
-
-        Ok(Self {
-            tree,
-            heap,
-            partitions,
-            c,
-            dim,
-            config,
-            stats,
-            search: SearchCounters::new(),
-            len: model.num_points,
-            delta: DeltaLayer::new(),
-        })
+        // `from_parts` rejects an unusable `config`, including a `c` that
+        // does not exceed every partition radius.
+        Self::from_parts(tree, heap, partitions, c, model.dim, config)
     }
 
     /// Reassembles an index from parts restored from a snapshot: a
@@ -435,36 +403,16 @@ impl IDistanceIndex {
             return Err(Error::InvalidQuery);
         }
         // Assignment: nearest subspace within β, else outlier.
-        let mut best: Option<(usize, f64)> = None;
-        for (i, part) in self.partitions.iter().enumerate() {
-            let Some(subspace) = &part.subspace else {
-                continue;
-            };
-            let pd = subspace.proj_dist(point)?;
-            if pd <= self.config.beta && best.is_none_or(|(_, d)| pd < d) {
-                best = Some((i, pd));
-            }
-        }
-        let outlier_part = self.partitions.len() - 1;
-        let (part_idx, local, dist) = match best {
-            Some((i, _)) => {
-                let subspace = self.partitions[i].subspace.as_ref().expect("cluster");
-                let local = subspace.project(point)?;
-                let dist = mmdr_linalg::l2_norm(&local);
-                if dist < self.c {
-                    (i, local, dist)
-                } else {
-                    let reference = &self.partitions[outlier_part].centroid;
-                    let dist = mmdr_linalg::l2_dist(point, reference);
-                    (outlier_part, point.to_vec(), dist)
-                }
-            }
-            None => {
-                let reference = &self.partitions[outlier_part].centroid;
-                let dist = mmdr_linalg::l2_dist(point, reference);
-                (outlier_part, point.to_vec(), dist)
-            }
-        };
+        let clusters = self.partitions.iter().filter_map(|p| p.subspace.as_ref());
+        let routed = crate::ingest::route(clusters, self.config.beta, point)?
+            .map(|(i, local)| (i, mmdr_linalg::l2_norm(&local), local))
+            .filter(|&(_, dist, _)| dist < self.c);
+        let (part_idx, dist, local) = routed.unwrap_or_else(|| {
+            let outlier_part = self.partitions.len() - 1;
+            let reference = &self.partitions[outlier_part].centroid;
+            let dist = mmdr_linalg::l2_dist(point, reference);
+            (outlier_part, dist, point.to_vec())
+        });
         let rid = self.heap.append(part_idx as u32, point_id, &local)?;
         let key = part_idx as f64 * self.c + dist;
         self.tree.insert(key, rid)?;

@@ -2,14 +2,13 @@
 //! point to its partition, and the [`MutableVectorIndex`] implementations
 //! over each backend's delta layer.
 //!
-//! Routing mirrors [`mmdr_core::ReductionResult::assign_point`] exactly —
-//! the cluster whose subspace is nearest (strict-`<` argmin in cluster
-//! order), demoted to the outlier partition when every `ProjDist` exceeds
-//! `β`. The ingest engine extends the reduction model with the same rule
-//! at merge time, so a row's partition (and therefore its stored
-//! representation and its query distance) is identical in the serving
-//! delta, in the folded snapshot, and in a from-scratch build over the
-//! union of rows.
+//! Routing is [`mmdr_core::ReductionResult::assign_point`]'s rule — both
+//! call [`ReducedSubspace::nearest`], demoting to the outlier partition
+//! when every `ProjDist` exceeds `β`. The ingest engine extends the
+//! reduction model with the same rule at merge time, so a row's partition
+//! (and therefore its stored representation and its query distance) is
+//! identical in the serving delta, in the folded snapshot, and in a
+//! from-scratch build over the union of rows.
 
 use crate::error::Result;
 use crate::gldr::GlobalLdrIndex;
@@ -26,24 +25,14 @@ pub const DEFAULT_BETA: f64 = 0.1;
 /// Routes a new point over `clusters` (in model order): `Some((ci,
 /// local))` — the nearest subspace within `β`, with the point's local
 /// coordinates in it — or `None` for the outlier partition (store the
-/// point raw). Bit-compatible with `ReductionResult::assign_point`
-/// followed by `subspace.project`.
+/// point raw).
 pub(crate) fn route<'a>(
     clusters: impl Iterator<Item = &'a ReducedSubspace>,
     beta: f64,
     point: &[f64],
 ) -> Result<Option<(usize, Vec<f64>)>> {
-    let mut best: Option<(usize, &'a ReducedSubspace)> = None;
-    let mut best_d = f64::INFINITY;
-    for (ci, subspace) in clusters.enumerate() {
-        let d = subspace.proj_dist(point)?;
-        if d < best_d {
-            best_d = d;
-            best = Some((ci, subspace));
-        }
-    }
-    match best {
-        Some((ci, subspace)) if best_d <= beta => Ok(Some((ci, subspace.project(point)?))),
+    match ReducedSubspace::nearest(clusters, point)? {
+        Some((ci, subspace, d)) if d <= beta => Ok(Some((ci, subspace.project(point)?))),
         _ => Ok(None),
     }
 }

@@ -39,6 +39,7 @@ mod gldr;
 mod index;
 mod ingest;
 mod knn;
+mod layout;
 mod range;
 mod seqscan;
 mod vector_heap;
@@ -50,6 +51,9 @@ pub use gldr::GlobalLdrIndex;
 pub use index::{IDistanceConfig, IDistanceIndex, PartitionInfo};
 pub use ingest::DEFAULT_BETA;
 pub use knn::QueryScratch;
+pub use layout::{
+    build_index, load, load_exact, restored_rows, stored_rows, BuiltIndex, KeySpace, Row,
+};
 // The shared query-layer types live in `mmdr-index` (the KnnHeap moved
 // there in PR 2 — import it from `mmdr_index` directly); these two are
 // re-exported because every backend consumer needs them together.

@@ -2,7 +2,9 @@
 //! paper plots alongside the indexes in Figure 9 ("direct sequential scan"
 //! in reduced subspaces).
 
+use crate::backend::Backend;
 use crate::error::{Error, Result};
+use crate::layout::{data_rows, partition_ids, PartitionRows};
 use crate::vector_heap::VectorHeap;
 use mmdr_core::ReductionResult;
 use mmdr_index::{DeltaLayer, KnnHeap, SearchCounters, SearchFilter};
@@ -29,43 +31,36 @@ pub struct SeqScan {
 impl SeqScan {
     /// Lays the reduced dataset out in heap pages.
     pub fn build(data: &Matrix, model: &ReductionResult, buffer_pages: usize) -> Result<Self> {
-        if data.cols() != model.dim {
-            return Err(Error::DimensionMismatch {
-                expected: model.dim,
-                actual: data.cols(),
-            });
-        }
+        let rows = &mut data_rows(Backend::SeqScan, data, model)?;
+        Self::load(model, buffer_pages, rows)
+    }
+
+    /// The one writer of the scan's stored form: each partition's rows
+    /// appended in the order given, partition `i` being cluster `i` and
+    /// the last one the outliers (see [`crate::layout`]).
+    pub(crate) fn load(
+        model: &ReductionResult,
+        buffer_pages: usize,
+        rows: &mut PartitionRows<'_>,
+    ) -> Result<Self> {
         let pool = BufferPool::new(DiskManager::new(), buffer_pages.max(1))?;
         let mut heap = VectorHeap::new(pool);
-        let mut subspaces = Vec::with_capacity(model.clusters.len() + 1);
-        for (i, cluster) in model.clusters.iter().enumerate() {
-            for &pid in &cluster.members {
-                let local = cluster.subspace.project(data.row(pid))?;
-                heap.append(i as u32, pid as u64, &local)?;
+        for part in partition_ids(model) {
+            let partition = part.unwrap_or(model.clusters.len()) as u32;
+            for (id, coords) in rows(part)? {
+                heap.append(partition, id, &coords)?;
             }
-            subspaces.push(Some(cluster.subspace.clone()));
         }
-        let outlier_part = subspaces.len();
-        for &pid in &model.outliers {
-            heap.append(outlier_part as u32, pid as u64, data.row(pid))?;
-        }
-        subspaces.push(None);
-        Ok(Self {
-            heap,
-            subspaces,
-            dim: model.dim,
-            len: model.num_points,
-            search: SearchCounters::new(),
-            delta: DeltaLayer::new(),
-        })
+        Self::from_parts(heap, model)
     }
 
     /// Reattaches a scan to a heap restored from a snapshot. The partition
     /// subspaces are rebuilt from the reduction model the snapshot stores
     /// (cluster order is the heap's partition order, exactly as
-    /// [`build`](Self::build) laid it out).
+    /// [`load`](Self::load) laid it out). The heap holds live rows only,
+    /// so it may be smaller than the model's id space.
     pub fn from_parts(heap: VectorHeap, model: &ReductionResult) -> Result<Self> {
-        if heap.len() != model.num_points as u64 {
+        if heap.len() > model.num_points as u64 {
             return Err(Error::InvalidConfig("heap size disagrees with the model"));
         }
         let mut subspaces: Vec<Option<ReducedSubspace>> =
@@ -75,10 +70,10 @@ impl SeqScan {
         }
         subspaces.push(None);
         Ok(Self {
+            len: heap.len() as usize,
             heap,
             subspaces,
             dim: model.dim,
-            len: model.num_points,
             search: SearchCounters::new(),
             delta: DeltaLayer::new(),
         })

@@ -11,12 +11,29 @@ pub fn mean_vector(data: &Matrix) -> Result<Vec<f64>> {
     if data.rows() == 0 {
         return Err(Error::Empty);
     }
-    let mut mean = vec![0.0; data.cols()];
-    for row in data.iter_rows() {
+    mean_rows(data.iter_rows())
+}
+
+/// [`mean_vector`] over any sequence of equal-length rows, with the same
+/// arithmetic (sum in iteration order, then one multiplication by `1/N`),
+/// so a mean taken over rows that live outside a [`Matrix`] is
+/// bit-identical to one taken over a matrix holding them in that order.
+pub fn mean_rows<'a>(rows: impl IntoIterator<Item = &'a [f64]>) -> Result<Vec<f64>> {
+    let mut rows = rows.into_iter().peekable();
+    let mut mean = vec![0.0; rows.peek().ok_or(Error::Empty)?.len()];
+    let mut n = 0usize;
+    for row in rows {
+        if row.len() != mean.len() {
+            return Err(Error::DimensionMismatch {
+                op: "mean_rows",
+                lhs: (n, mean.len()),
+                rhs: (1, row.len()),
+            });
+        }
         crate::vector::add_assign(&mut mean, row);
+        n += 1;
     }
-    let inv_n = 1.0 / data.rows() as f64;
-    crate::vector::scale_assign(&mut mean, inv_n);
+    crate::vector::scale_assign(&mut mean, 1.0 / n as f64);
     Ok(mean)
 }
 

@@ -140,24 +140,26 @@ impl ReducedSubspace {
         Ok(local.iter().map(|c| c * c).sum::<f64>().sqrt())
     }
 
-    /// The attach stage's projection primitive over a row batch: local
-    /// coordinates for each `d`-dimensional row, with exactly the per-row
-    /// arithmetic of [`project`](Self::project) (so attaching rows to a
-    /// model one at a time or in bulk is bit-identical).
-    pub fn project_rows<'a, I>(&self, rows: I) -> Result<Vec<Vec<f64>>>
-    where
-        I: IntoIterator<Item = &'a [f64]>,
-    {
-        rows.into_iter().map(|r| self.project(r)).collect()
-    }
-
-    /// Batch counterpart of [`restore`](Self::restore): the restored
-    /// (on-flat) representation of each local-coordinate row.
-    pub fn restore_rows<'a, I>(&self, locals: I) -> Result<Vec<Vec<f64>>>
-    where
-        I: IntoIterator<Item = &'a [f64]>,
-    {
-        locals.into_iter().map(|l| self.restore(l)).collect()
+    /// The subspace of `subspaces` nearest to `point`, as `(position,
+    /// subspace, ProjDist)`: the strict-`<` argmin in iteration order, so
+    /// ties go to the earliest. `None` when `subspaces` is empty. This is
+    /// the one routing rule — model assignment and every backend's ingest
+    /// path call it, so a row lands in the same partition wherever it is
+    /// routed.
+    pub fn nearest<'a>(
+        subspaces: impl IntoIterator<Item = &'a ReducedSubspace>,
+        point: &[f64],
+    ) -> Result<Option<(usize, &'a ReducedSubspace, f64)>> {
+        let mut best = None;
+        let mut best_d = f64::INFINITY;
+        for (i, subspace) in subspaces.into_iter().enumerate() {
+            let d = subspace.proj_dist(point)?;
+            if d < best_d {
+                best_d = d;
+                best = Some((i, subspace));
+            }
+        }
+        Ok(best.map(|(i, subspace)| (i, subspace, best_d)))
     }
 }
 
@@ -234,22 +236,6 @@ mod tests {
         assert_eq!(s.reduced_dim(), 1);
         assert_eq!(s.centroid(), &[1.0, 2.0]);
         assert_eq!(s.basis().shape(), (2, 1));
-    }
-
-    #[test]
-    fn batch_helpers_match_per_row_calls() {
-        let s = x_axis_subspace();
-        let rows: Vec<Vec<f64>> = vec![vec![5.0, 2.0], vec![-1.0, 7.0]];
-        let locals = s.project_rows(rows.iter().map(Vec::as_slice)).unwrap();
-        for (row, local) in rows.iter().zip(&locals) {
-            assert_eq!(local, &s.project(row).unwrap());
-        }
-        let restored = s.restore_rows(locals.iter().map(Vec::as_slice)).unwrap();
-        for (local, r) in locals.iter().zip(&restored) {
-            assert_eq!(r, &s.restore(local).unwrap());
-        }
-        // Errors propagate from the first bad row.
-        assert!(s.project_rows([&[1.0][..]]).is_err());
     }
 
     #[test]

@@ -67,14 +67,10 @@
 
 use crate::error::{PersistError, Result};
 use crate::refit::{attach, materialize_rows, refit_model};
-use crate::snapshot::{build_index, open_with, save_with_attrs, BuiltIndex, OpenOptions};
+use crate::snapshot::{build_index, open_with, save_with_attrs, OpenOptions};
 use crate::wal::{remove_wal, WalWriter, DEFAULT_WAL_SEGMENT_BYTES};
 use mmdr_core::{MmdrParams, PointAssignment, ReductionResult};
-use mmdr_hybridtree::HybridTree;
-use mmdr_idistance::{
-    Backend, GlobalLdrIndex, IDistanceConfig, IDistanceIndex, PartitionInfo, SeqScan, VectorHeap,
-    TOMBSTONE,
-};
+use mmdr_idistance::{load, stored_rows, Backend, BuiltIndex, IDistanceConfig, KeySpace, Row};
 use mmdr_index::{
     DriftEstimator, IngestOp, IngestStats, LiveIndex, PinnedEpoch, QueryStats, SearchCounters,
     VectorIndex,
@@ -84,8 +80,8 @@ use mmdr_query::{
     decode_row, encode_row, run_filtered_knn, run_filtered_range, AttrSketches, AttrStore,
     AttrValue, PlannedFilter, Planner,
 };
-use mmdr_storage::{BufferPool, DiskManager, IoStats, PoolStats};
-use std::collections::{BTreeMap, HashMap, HashSet};
+use mmdr_storage::{IoStats, PoolStats};
+use std::collections::{BTreeMap, HashSet};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
@@ -107,7 +103,7 @@ pub fn wal_path(snapshot: &Path) -> PathBuf {
 ///
 /// Deletes never modify the model. The member lists only ever grow, which
 /// keeps cluster order, subspaces and partition numbering stable across
-/// merges; the fold writes heap sentinels for (or simply omits) dead ids.
+/// merges; the fold simply omits dead ids.
 pub fn extend_model(model: &mut ReductionResult, ops: &[IngestOp], beta: f64) -> Result<()> {
     for op in ops {
         let IngestOp::Insert { id, vector } = op else {
@@ -142,12 +138,17 @@ fn split_ops(ops: &[IngestOp]) -> (BTreeMap<u64, Vec<f64>>, HashSet<u64>) {
     (inserted, dead)
 }
 
-// ---- folds ----------------------------------------------------------------
+// ---- the fold door --------------------------------------------------------
 
 /// Folds queued operations into fresh base structures for `base`'s
-/// backend, under the already-[extended](extend_model) `model`. The result
-/// has an empty delta and answers bit-identically to a from-scratch build
-/// over the union of surviving rows.
+/// backend, under the already-[extended](extend_model) `model` — the merge
+/// door of [`mmdr_idistance::load`]. An id resolves to nothing when it is
+/// dead, to the exact inserted vector when `ops` inserted it, and
+/// otherwise to the row the base stores for it (absent if an earlier merge
+/// already folded it out). The result has an empty delta and answers
+/// bit-identically to a from-scratch build over the union of surviving
+/// rows; folding no operations reproduces the base's snapshot byte for
+/// byte.
 pub fn fold(
     base: &BuiltIndex,
     model: &ReductionResult,
@@ -155,344 +156,36 @@ pub fn fold(
     buffer_pages: usize,
 ) -> Result<BuiltIndex> {
     let (inserted, dead) = split_ops(ops);
-    let beta = base.ingest_beta();
-    Ok(match base {
-        BuiltIndex::SeqScan(s) => {
-            BuiltIndex::SeqScan(fold_seqscan(s, model, &inserted, &dead, buffer_pages)?)
-        }
-        BuiltIndex::IDistance(i) => BuiltIndex::IDistance(Box::new(fold_idistance(
-            i,
-            model,
-            &inserted,
-            &dead,
-            buffer_pages,
-        )?)),
-        BuiltIndex::Hybrid(t) => {
-            BuiltIndex::Hybrid(fold_hybrid(t, model, &inserted, &dead, buffer_pages, beta)?)
-        }
-        BuiltIndex::Gldr(g) => {
-            BuiltIndex::Gldr(fold_gldr(g, model, &inserted, &dead, buffer_pages, beta)?)
-        }
-    })
-}
-
-/// Collects a heap's live rows into an id-keyed map (sentinel records from
-/// earlier folds are skipped).
-fn heap_rows(heap: &VectorHeap) -> Result<HashMap<u64, Vec<f64>>> {
-    let mut base = HashMap::with_capacity(heap.len() as usize);
-    heap.scan(|_part, pid, coords| {
-        if pid != TOMBSTONE {
-            base.insert(pid, coords.to_vec());
-        }
-    })?;
-    Ok(base)
-}
-
-/// SeqScan fold: one heap record per model id, in model order.
-/// [`SeqScan::from_parts`] requires `heap.len() == model.num_points`, so
-/// dead ids keep a sentinel record (partition-width zeros under the
-/// [`TOMBSTONE`] point id) that scans skip.
-fn fold_seqscan(
-    scan: &SeqScan,
-    model: &ReductionResult,
-    inserted: &BTreeMap<u64, Vec<f64>>,
-    dead: &HashSet<u64>,
-    buffer_pages: usize,
-) -> Result<SeqScan> {
-    let base = heap_rows(scan.heap())?;
-    let pool = BufferPool::new(DiskManager::new(), buffer_pages.max(1))?;
-    let mut heap = VectorHeap::new(pool);
-    for (ci, cluster) in model.clusters.iter().enumerate() {
-        let zeros = vec![0.0; cluster.reduced_dim()];
-        for &pid in &cluster.members {
-            let id = pid as u64;
-            if dead.contains(&id) {
-                heap.append(ci as u32, TOMBSTONE, &zeros)?;
-            } else if let Some(v) = inserted.get(&id) {
-                let local = cluster.subspace.project(v)?;
-                heap.append(ci as u32, id, &local)?;
-            } else if let Some(coords) = base.get(&id) {
-                heap.append(ci as u32, id, coords)?;
-            } else {
-                // Folded out by an earlier merge: keep the sentinel.
-                heap.append(ci as u32, TOMBSTONE, &zeros)?;
-            }
-        }
-    }
-    let outlier_part = model.clusters.len() as u32;
-    let zeros = vec![0.0; model.dim];
-    for &pid in &model.outliers {
-        let id = pid as u64;
-        if dead.contains(&id) {
-            heap.append(outlier_part, TOMBSTONE, &zeros)?;
-        } else if let Some(v) = inserted.get(&id) {
-            heap.append(outlier_part, id, v)?;
-        } else if let Some(coords) = base.get(&id) {
-            heap.append(outlier_part, id, coords)?;
-        } else {
-            heap.append(outlier_part, TOMBSTONE, &zeros)?;
-        }
-    }
-    Ok(SeqScan::from_parts(heap, model)?)
-}
-
-/// iDistance fold: live rows only, re-appended per partition in ascending
-/// key-distance order (the build path's clustered layout), radii
-/// recomputed over survivors. The outlier partition keeps its *original*
-/// reference point — answers never depend on it, only keys and annulus
-/// bounds do, and those stay internally consistent as long as every
-/// distance is measured against the same reference.
-fn fold_idistance(
-    idx: &IDistanceIndex,
-    model: &ReductionResult,
-    inserted: &BTreeMap<u64, Vec<f64>>,
-    dead: &HashSet<u64>,
-    buffer_pages: usize,
-) -> Result<IDistanceIndex> {
-    let base = heap_rows(idx.heap())?;
-    let stats = IoStats::new();
-    let tree_pool = BufferPool::new(
-        DiskManager::with_stats(Arc::clone(&stats)),
-        (buffer_pages / 2).max(1),
-    )?;
-    let heap_pool = BufferPool::new(
-        DiskManager::with_stats(Arc::clone(&stats)),
-        (buffer_pages / 2).max(1),
-    )?;
-    let mut heap = VectorHeap::new(heap_pool);
-    let mut partitions: Vec<PartitionInfo> = Vec::with_capacity(model.clusters.len() + 1);
-    let mut staged: Vec<(usize, f64, u64)> = Vec::new();
-
-    let fold_partition = |part: usize,
-                          rows: &mut Vec<(f64, u64, Vec<f64>)>,
-                          heap: &mut VectorHeap,
-                          staged: &mut Vec<(usize, f64, u64)>|
-     -> Result<(f64, f64)> {
-        rows.sort_by(|a, b| a.0.partial_cmp(&b.0).unwrap_or(std::cmp::Ordering::Equal));
-        let mut min_radius = f64::INFINITY;
-        let mut max_radius: f64 = 0.0;
-        for (dist, pid, coords) in rows.iter() {
-            min_radius = min_radius.min(*dist);
-            max_radius = max_radius.max(*dist);
-            let rid = heap.append(part as u32, *pid, coords)?;
-            staged.push((part, *dist, rid));
-        }
-        Ok((
-            if min_radius.is_finite() {
-                min_radius
-            } else {
-                0.0
+    let mut stored = stored_rows(base)?;
+    // iDistance keeps the base's key space: the outlier reference is
+    // inherited, and `c` — which already carries any build-time override —
+    // widens if a new row stretched a radius past the old margin, never
+    // shrinks.
+    let keys = match base {
+        BuiltIndex::IDistance(idx) => Some(KeySpace {
+            config: IDistanceConfig {
+                c: None,
+                ..idx.config().clone()
             },
-            max_radius,
-        ))
+            reference: idx
+                .partitions()
+                .last()
+                .expect("every iDistance index has an outlier home")
+                .centroid
+                .clone(),
+            c_floor: idx.c(),
+        }),
+        _ => None,
     };
-
-    for (ci, cluster) in model.clusters.iter().enumerate() {
-        let mut rows: Vec<(f64, u64, Vec<f64>)> = Vec::with_capacity(cluster.members.len());
-        for &pid in &cluster.members {
-            let id = pid as u64;
-            if dead.contains(&id) {
-                continue;
-            }
-            let local = if let Some(v) = inserted.get(&id) {
-                cluster.subspace.project(v)?
-            } else if let Some(coords) = base.get(&id) {
-                coords.clone()
-            } else {
-                continue;
-            };
-            rows.push((mmdr_linalg::l2_norm(&local), id, local));
-        }
-        let count = rows.len();
-        let (min_radius, max_radius) = fold_partition(ci, &mut rows, &mut heap, &mut staged)?;
-        partitions.push(PartitionInfo {
-            subspace: Some(cluster.subspace.clone()),
-            centroid: cluster.subspace.centroid().to_vec(),
-            covariance: Some(cluster.covariance.clone()),
-            min_radius,
-            max_radius,
-            count,
-        });
-    }
-
-    let outlier_part = model.clusters.len();
-    let reference = idx
-        .partitions()
-        .last()
-        .expect("every iDistance index has an outlier home")
-        .centroid
-        .clone();
-    let mut rows: Vec<(f64, u64, Vec<f64>)> = Vec::with_capacity(model.outliers.len());
-    for &pid in &model.outliers {
-        let id = pid as u64;
+    Ok(load(base.backend(), model, buffer_pages, keys, |id| {
         if dead.contains(&id) {
-            continue;
-        }
-        let coords = if let Some(v) = inserted.get(&id) {
-            v.clone()
-        } else if let Some(coords) = base.get(&id) {
-            coords.clone()
+            None
+        } else if let Some(vector) = inserted.get(&id) {
+            Some(Row::Exact(vector))
         } else {
-            continue;
-        };
-        rows.push((mmdr_linalg::l2_dist(&coords, &reference), id, coords));
-    }
-    let count = rows.len();
-    let (min_radius, max_radius) = fold_partition(outlier_part, &mut rows, &mut heap, &mut staged)?;
-    partitions.push(PartitionInfo {
-        subspace: None,
-        centroid: reference,
-        covariance: None,
-        min_radius,
-        max_radius,
-        count,
-    });
-
-    // Keys must fit their partition slot: widen `c` if a new row stretched
-    // a radius past the old margin, never shrink it.
-    let widest = partitions.iter().map(|p| p.max_radius).fold(0.0, f64::max);
-    let c = idx.c().max(2.0 * widest + 1.0);
-    let mut entries: Vec<(f64, u64)> = staged
-        .into_iter()
-        .map(|(part, dist, rid)| (part as f64 * c + dist, rid))
-        .collect();
-    entries.sort_by(|a, b| a.0.partial_cmp(&b.0).unwrap_or(std::cmp::Ordering::Equal));
-    let tree = mmdr_btree::BPlusTree::bulk_load(tree_pool, &entries)?;
-    Ok(IDistanceIndex::from_parts(
-        tree,
-        heap,
-        partitions,
-        c,
-        model.dim,
-        idx.config().clone(),
-    )?)
-}
-
-/// Hybrid fold: surviving base rows are exported verbatim (they are
-/// already restored representations), inserted rows are restored with the
-/// build path's arithmetic, and a fresh tree is bulk-loaded.
-fn fold_hybrid(
-    tree: &HybridTree,
-    model: &ReductionResult,
-    inserted: &BTreeMap<u64, Vec<f64>>,
-    dead: &HashSet<u64>,
-    buffer_pages: usize,
-    beta: f64,
-) -> Result<HybridTree> {
-    let mut restored = Matrix::zeros(0, model.dim);
-    let mut rids: Vec<u64> = Vec::new();
-    for (rid, coords) in tree.export_rows()? {
-        if dead.contains(&rid) {
-            continue;
+            stored.remove(&id).map(Row::Stored)
         }
-        restored.push_row(&coords)?;
-        rids.push(rid);
-    }
-    for (&id, v) in inserted {
-        let row = match model.assign_point(v, beta)? {
-            PointAssignment::Cluster(ci) => {
-                let subspace = &model.clusters[ci].subspace;
-                subspace.restore(&subspace.project(v)?)?
-            }
-            PointAssignment::Outlier => v.clone(),
-        };
-        restored.push_row(&row)?;
-        rids.push(id);
-    }
-    let pool = BufferPool::new(DiskManager::new(), buffer_pages.max(1))?;
-    let mut out = HybridTree::bulk_load(pool, &restored, &rids)?;
-    mmdr_idistance::install_restored_prep(&mut out, model);
-    Ok(out)
-}
-
-/// gLDR fold: each cluster tree is rebuilt from its surviving exported
-/// rows plus the inserts routed to that cluster; pruning radii are
-/// recomputed over survivors (they may shrink — still a valid lower bound
-/// for every live row).
-fn fold_gldr(
-    g: &GlobalLdrIndex,
-    model: &ReductionResult,
-    inserted: &BTreeMap<u64, Vec<f64>>,
-    dead: &HashSet<u64>,
-    buffer_pages: usize,
-    beta: f64,
-) -> Result<GlobalLdrIndex> {
-    if g.num_cluster_trees() != model.clusters.len() {
-        return Err(PersistError::malformed(format!(
-            "gLDR forest has {} cluster trees but the model has {} clusters",
-            g.num_cluster_trees(),
-            model.clusters.len()
-        )));
-    }
-    // Route every inserted row once.
-    let mut per_cluster: Vec<Vec<(u64, Vec<f64>)>> = vec![Vec::new(); model.clusters.len()];
-    let mut outlier_rows: Vec<(u64, Vec<f64>)> = Vec::new();
-    for (&id, v) in inserted {
-        match model.assign_point(v, beta)? {
-            PointAssignment::Cluster(ci) => {
-                per_cluster[ci].push((id, model.clusters[ci].subspace.project(v)?));
-            }
-            PointAssignment::Outlier => outlier_rows.push((id, v.clone())),
-        }
-    }
-
-    let stats = IoStats::new();
-    let n_structures = model.clusters.len() + 1;
-    let pages_each = (buffer_pages / n_structures).max(1);
-    let mut clusters = Vec::with_capacity(model.clusters.len());
-    let mut len = 0usize;
-    for (ci, cluster) in model.clusters.iter().enumerate() {
-        let mut locals = Matrix::zeros(0, cluster.reduced_dim());
-        let mut rids: Vec<u64> = Vec::new();
-        let mut max_radius: f64 = 0.0;
-        for (rid, coords) in g.cluster_tree(ci).0.export_rows()? {
-            if dead.contains(&rid) {
-                continue;
-            }
-            max_radius = max_radius.max(mmdr_linalg::l2_norm(&coords));
-            locals.push_row(&coords)?;
-            rids.push(rid);
-        }
-        for (id, local) in &per_cluster[ci] {
-            max_radius = max_radius.max(mmdr_linalg::l2_norm(local));
-            locals.push_row(local)?;
-            rids.push(*id);
-        }
-        len += rids.len();
-        let pool = BufferPool::new(DiskManager::with_stats(Arc::clone(&stats)), pages_each)?;
-        let tree = HybridTree::bulk_load(pool, &locals, &rids)?;
-        clusters.push((cluster.subspace.clone(), tree, max_radius));
-    }
-
-    let mut rows = Matrix::zeros(0, model.dim);
-    let mut rids: Vec<u64> = Vec::new();
-    if let Some(t) = g.outlier_tree() {
-        for (rid, coords) in t.export_rows()? {
-            if dead.contains(&rid) {
-                continue;
-            }
-            rows.push_row(&coords)?;
-            rids.push(rid);
-        }
-    }
-    for (id, v) in &outlier_rows {
-        rows.push_row(v)?;
-        rids.push(*id);
-    }
-    len += rids.len();
-    let outlier_tree = if rids.is_empty() {
-        None
-    } else {
-        let pool = BufferPool::new(DiskManager::with_stats(Arc::clone(&stats)), pages_each)?;
-        Some(HybridTree::bulk_load(pool, &rows, &rids)?)
-    };
-    Ok(GlobalLdrIndex::from_parts(
-        clusters,
-        outlier_tree,
-        model.dim,
-        len,
-        stats,
-    )?)
+    })?)
 }
 
 // ---- epochs ---------------------------------------------------------------
@@ -1139,11 +832,38 @@ impl EngineCore {
             Some(&attrs_snapshot),
         )?;
 
-        // Swap phase: replay the tail that arrived during the fold into
-        // the new epoch, drop fully-folded WAL segments, and publish.
+        // Swap phase. The folded prefix is durable in the snapshot, so
+        // whole WAL segments containing only folded records are unlinked;
+        // the segment straddling the fold boundary is kept (replay-skip
+        // makes its folded records harmless). No byte of the tail is
+        // rewritten.
+        self.publish(folded, model, ops.len(), &attrs_snapshot, |w, _, _| {
+            w.wal.truncate_folded(ops.len() as u64)?;
+            w.merges += 1;
+            w.merges_since_refit += 1;
+            Ok(())
+        })
+    }
+
+    /// The swap phase a merge and a re-fit share, run under the writer
+    /// lock once the new base structures are durable in the snapshot:
+    /// replay the tail that arrived after the first `folded_ops` pending
+    /// operations into `folded`'s delta (its backends route with `model`),
+    /// let `settle` bring the WAL and the writer's counters in line with
+    /// the new snapshot — the only step that differs; it sees the tail and
+    /// its attribute rows — then re-sketch under `model`, swap the serving
+    /// epoch and seal the retired one. Returns the new epoch number.
+    fn publish(
+        &self,
+        folded: BuiltIndex,
+        model: ReductionResult,
+        folded_ops: usize,
+        attrs_snapshot: &AttrStore,
+        settle: impl FnOnce(&mut WriterState, &[IngestOp], &[Option<Vec<u8>>]) -> Result<()>,
+    ) -> Result<u64> {
         let mut w = self.writer.lock().unwrap_or_else(|p| p.into_inner());
-        let tail: Vec<IngestOp> = w.pending[ops.len()..].to_vec();
-        let tail_attrs: Vec<Option<Vec<u8>>> = w.pending_attrs[ops.len()..].to_vec();
+        let tail: Vec<IngestOp> = w.pending[folded_ops..].to_vec();
+        let tail_attrs: Vec<Option<Vec<u8>>> = w.pending_attrs[folded_ops..].to_vec();
         for op in &tail {
             match op {
                 IngestOp::Insert { id, vector } => {
@@ -1160,20 +880,14 @@ impl EngineCore {
                 }
             }
         }
-        // The folded prefix is durable in the snapshot, so whole WAL
-        // segments containing only folded records are unlinked; the
-        // segment straddling the fold boundary is kept (replay-skip makes
-        // its folded records harmless). No byte of the tail is rewritten.
-        w.wal.truncate_folded(ops.len() as u64)?;
+        settle(&mut w, &tail, &tail_attrs)?;
         w.pending = tail;
         w.pending_attrs = tail_attrs;
         w.model = model;
-        w.merges += 1;
-        w.merges_since_refit += 1;
         w.epoch_no += 1;
-        // Re-sketch under the extended model: folded inserts joined the
-        // member lists, so cluster skipping starts covering them.
-        let sketches = build_sketches(&attrs_snapshot, &w.model)?;
+        // Folded inserts joined the member lists, so cluster skipping
+        // starts covering them.
+        let sketches = build_sketches(attrs_snapshot, &w.model)?;
         *self.sketches.write().unwrap_or_else(|p| p.into_inner()) = sketches;
         let fresh = Arc::new(Epoch {
             number: w.epoch_no,
@@ -1283,58 +997,33 @@ impl EngineCore {
             Some(&attrs_snapshot),
         )?;
 
-        // Swap phase: replay the tail that arrived during the fit into
-        // the new epoch (its backends route with the new model), rewrite
-        // the WAL down to the tail under the new epoch's mark, rebase the
-        // drift estimator onto the new clusters, and publish.
-        let mut w = self.writer.lock().unwrap_or_else(|p| p.into_inner());
-        let tail: Vec<IngestOp> = w.pending[ops.len()..].to_vec();
-        let tail_attrs: Vec<Option<Vec<u8>>> = w.pending_attrs[ops.len()..].to_vec();
-        for op in &tail {
-            match op {
-                IngestOp::Insert { id, vector } => {
-                    folded
-                        .as_mutable()
-                        .insert(*id, vector)
-                        .map_err(PersistError::from)?;
-                }
-                IngestOp::Delete { id } => {
-                    let _ = folded
-                        .as_mutable()
-                        .delete(*id)
-                        .map_err(PersistError::from)?;
-                }
-            }
-        }
-        w.wal = WalWriter::rewrite_records(
-            w.wal.path(),
-            &tail,
-            &tail_attrs,
-            new_model_epoch,
-            self.wal_segment_bytes,
-        )?;
-        w.pending = tail;
-        w.pending_attrs = tail_attrs;
-        w.drift = DriftEstimator::new(
+        // Swap phase: rewrite the WAL down to the tail under the new
+        // epoch's mark and rebase the drift estimator onto the new
+        // clusters.
+        let drift = DriftEstimator::new(
             model.clusters.iter().map(|c| c.mpe).collect(),
             self.refit_params.max_mpe,
         );
-        w.model = model;
-        w.model_epoch = new_model_epoch;
-        w.refits += 1;
-        w.merges_since_refit = 0;
-        w.epoch_no += 1;
-        let sketches = build_sketches(&attrs_snapshot, &w.model)?;
-        *self.sketches.write().unwrap_or_else(|p| p.into_inner()) = sketches;
-        let fresh = Arc::new(Epoch {
-            number: w.epoch_no,
-            built: folded,
-        });
-        let retired = {
-            let mut serving = self.serving.write().unwrap_or_else(|p| p.into_inner());
-            std::mem::replace(&mut *serving, fresh)
-        };
-        retired.built.as_mutable().seal();
+        self.publish(
+            folded,
+            model,
+            ops.len(),
+            &attrs_snapshot,
+            |w, tail, tail_attrs| {
+                w.wal = WalWriter::rewrite_records(
+                    w.wal.path(),
+                    tail,
+                    tail_attrs,
+                    new_model_epoch,
+                    self.wal_segment_bytes,
+                )?;
+                w.drift = drift;
+                w.model_epoch = new_model_epoch;
+                w.refits += 1;
+                w.merges_since_refit = 0;
+                Ok(())
+            },
+        )?;
         Ok(new_model_epoch)
     }
 }
@@ -1449,10 +1138,15 @@ mod tests {
     }
 
     fn dataset() -> Matrix {
+        dataset_of(120)
+    }
+
+    /// Two line-shaped clusters of `per_cluster` rows each, interleaved.
+    fn dataset_of(per_cluster: usize) -> Matrix {
         let mut rows = Vec::new();
         let jit = |i: usize, s: f64| ((i as f64 * 0.618_033_988 + s).fract() - 0.5) * 0.02;
-        for i in 0..120 {
-            let t = i as f64 / 119.0;
+        for i in 0..per_cluster {
+            let t = i as f64 / (per_cluster - 1) as f64;
             rows.push(vec![t, 0.3 * t, jit(i, 0.5), jit(i, 0.7)]);
             rows.push(vec![
                 5.0 + jit(i, 0.1),
@@ -1655,7 +1349,9 @@ mod tests {
 
     #[test]
     fn delete_heavy_stream_compacts_on_tombstone_ratio() {
-        let data = dataset();
+        // Tall enough that every partition spans several heap pages, so
+        // folding a third of the rows out frees whole pages.
+        let data = dataset_of(360);
         let model = model_for(&data);
         let dir = tmp_dir("tombstones");
         let path = dir.join("idx.mmdr");
@@ -1673,9 +1369,10 @@ mod tests {
             },
         )
         .unwrap();
-        // Delete a third of the base rows: 80 tombstones ≥ 25% of the
-        // 160 surviving rows (and past the floor).
-        for id in 0..80u64 {
+        let created_bytes = std::fs::metadata(&path).unwrap().len();
+        // Delete a third of the base rows: 240 tombstones ≥ 25% of the
+        // 480 surviving rows (and past the floor).
+        for id in 0..240u64 {
             engine.delete(id * 3).unwrap();
         }
         // The trigger is asynchronous: wait for the spawned merge.
@@ -1694,9 +1391,19 @@ mod tests {
         );
         // The fold consumed the tombstones accumulated before it ran;
         // only deletes that arrived after the trigger can remain.
-        assert!(stats.tombstones < 80, "tombstones {}", stats.tombstones);
+        assert!(stats.tombstones < 240, "tombstones {}", stats.tombstones);
         let hits = engine.pin().index.knn(data.row(0), 10).unwrap();
-        assert!(hits.iter().all(|&(_, id)| id % 3 != 0 || id >= 240));
+        assert!(hits.iter().all(|&(_, id)| id % 3 != 0));
+        // Compaction is real: once every delete is folded, the dead rows
+        // are gone from the base — counted out and written out.
+        engine.quiesce();
+        engine.flush().unwrap();
+        assert_eq!(engine.pin().index.len(), 480);
+        let compacted_bytes = std::fs::metadata(&path).unwrap().len();
+        assert!(
+            compacted_bytes < created_bytes,
+            "snapshot must shrink: {created_bytes} -> {compacted_bytes} bytes"
+        );
         let _ = std::fs::remove_dir_all(&dir);
     }
 

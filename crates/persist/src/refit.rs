@@ -21,99 +21,32 @@
 //!    engine's stable point ids. Dead ids are parked in the outlier set so
 //!    the model stays a partition of `0..next_id` and the id-based WAL
 //!    replay-skip rule keeps working after a crash.
-//! 3. [`attach`] — build fresh base structures for a backend from a model
-//!    and an id-keyed row set, using the same per-row arithmetic as the
-//!    from-scratch build path ([`mmdr_pca::ReducedSubspace::project_rows`]
-//!    / [`restore_rows`](mmdr_pca::ReducedSubspace::restore_rows) are the
-//!    batch primitives). Attach is *member-driven*: it iterates the model's
-//!    member lists rather than re-routing rows, so the fit's partition is
-//!    authoritative.
+//! 3. [`attach`] — load fresh base structures for a backend from a model
+//!    and an id-keyed row set, through the same loader as the from-scratch
+//!    build ([`mmdr_idistance::load_exact`]): the result is byte for byte
+//!    what a build over the same rows would save. Loading is
+//!    *member-driven*: it iterates the model's member lists rather than
+//!    re-routing rows, so the fit's partition is authoritative.
 //!
 //! `fit(rows)` then `attach(model, rows)` over the same rows produces an
 //! index whose answers are exact by construction: every live row is
 //! present exactly once, in the representation the model was fitted on.
 
 use crate::error::{PersistError, Result};
-use crate::snapshot::BuiltIndex;
 use mmdr_core::{MmdrParams, ReductionResult, ScalableMmdr};
-use mmdr_hybridtree::HybridTree;
-use mmdr_idistance::{
-    GlobalLdrIndex, IDistanceConfig, IDistanceIndex, PartitionInfo, SeqScan, VectorHeap, TOMBSTONE,
-};
+use mmdr_idistance::{BuiltIndex, IDistanceConfig};
 use mmdr_linalg::Matrix;
-use mmdr_storage::{BufferPool, DiskManager, IoStats};
 use std::collections::BTreeMap;
-use std::sync::Arc;
 
 /// Exports every live base row of `index` in its restored representation,
-/// keyed by point id. Sentinel records from earlier folds are skipped;
-/// delta rows are not included (the engine overlays pending operations,
-/// which carry exact full-dimensional vectors).
+/// keyed by point id: [`mmdr_idistance::stored_rows`] restored under
+/// `model`. Delta rows are not included (the engine overlays pending
+/// operations, which carry exact full-dimensional vectors).
 pub fn materialize_rows(
     index: &BuiltIndex,
     model: &ReductionResult,
 ) -> Result<BTreeMap<u64, Vec<f64>>> {
-    let mut rows = BTreeMap::new();
-    match index {
-        // SeqScan and iDistance store local coordinates per partition:
-        // partition i < clusters.len() is cluster i, the last partition
-        // holds outliers raw.
-        BuiltIndex::SeqScan(s) => materialize_heap(s.heap(), model, &mut rows)?,
-        BuiltIndex::IDistance(i) => materialize_heap(i.heap(), model, &mut rows)?,
-        // The hybrid tree stores restored representations already.
-        BuiltIndex::Hybrid(t) => {
-            for (rid, coords) in t.export_rows()? {
-                rows.insert(rid, coords);
-            }
-        }
-        // gLDR stores locals per cluster tree, outliers raw.
-        BuiltIndex::Gldr(g) => {
-            for (ci, cluster) in model.clusters.iter().enumerate() {
-                let exported = g.cluster_tree(ci).0.export_rows()?;
-                let locals: Vec<&[f64]> = exported.iter().map(|(_, c)| c.as_slice()).collect();
-                let restored = cluster.subspace.restore_rows(locals)?;
-                for ((rid, _), row) in exported.into_iter().zip(restored) {
-                    rows.insert(rid, row);
-                }
-            }
-            if let Some(t) = g.outlier_tree() {
-                for (rid, coords) in t.export_rows()? {
-                    rows.insert(rid, coords);
-                }
-            }
-        }
-    }
-    Ok(rows)
-}
-
-/// Restores a partitioned heap's live rows (shared by SeqScan and
-/// iDistance, whose heaps have identical layout).
-fn materialize_heap(
-    heap: &VectorHeap,
-    model: &ReductionResult,
-    rows: &mut BTreeMap<u64, Vec<f64>>,
-) -> Result<()> {
-    let mut scan_err = None;
-    heap.scan(|part, pid, coords| {
-        if pid == TOMBSTONE || scan_err.is_some() {
-            return;
-        }
-        let restored = if (part as usize) < model.clusters.len() {
-            model.clusters[part as usize].subspace.restore(coords)
-        } else {
-            Ok(coords.to_vec())
-        };
-        match restored {
-            Ok(r) => {
-                rows.insert(pid, r);
-            }
-            Err(e) => scan_err = Some(e),
-        }
-    })?;
-    match scan_err {
-        Some(e) => Err(e.into()),
-        None => Ok(()),
-    }
+    Ok(mmdr_idistance::restored_rows(index, model)?)
 }
 
 /// Fits a fresh model over `rows` with the Scalable MMDR algorithm and
@@ -160,10 +93,11 @@ pub fn refit_model(
 }
 
 /// Builds fresh base structures for `backend` from a fitted model and the
-/// id-keyed restored rows it was fitted over — the attach stage. Ids the
-/// model lists but `rows` lacks (parked dead ids) get sentinel records
-/// where the layout demands one and are omitted elsewhere, exactly like
-/// the merge fold treats dead ids.
+/// id-keyed restored rows it was fitted over — the attach door of
+/// [`mmdr_idistance::load`], which is the build door over a row map
+/// instead of a matrix. Ids the model lists but `rows` lacks (parked dead
+/// ids) are absent from the result, exactly like the merge fold treats
+/// dead ids.
 pub fn attach(
     backend: mmdr_idistance::Backend,
     model: &ReductionResult,
@@ -171,264 +105,12 @@ pub fn attach(
     buffer_pages: usize,
     idistance_config: IDistanceConfig,
 ) -> Result<BuiltIndex> {
-    use mmdr_idistance::Backend;
-    Ok(match backend {
-        Backend::SeqScan => BuiltIndex::SeqScan(attach_seqscan(model, rows, buffer_pages)?),
-        Backend::IDistance => BuiltIndex::IDistance(Box::new(attach_idistance(
-            model,
-            rows,
-            buffer_pages,
-            idistance_config,
-        )?)),
-        Backend::Hybrid => BuiltIndex::Hybrid(attach_hybrid(model, rows, buffer_pages)?),
-        Backend::Gldr => BuiltIndex::Gldr(attach_gldr(model, rows, buffer_pages)?),
-    })
-}
-
-/// Projects a cluster's member rows into its subspace, in member order.
-/// Absent ids yield `None` (their slot keeps whatever sentinel the caller
-/// chooses).
-fn member_locals(
-    cluster: &mmdr_core::EllipsoidCluster,
-    rows: &BTreeMap<u64, Vec<f64>>,
-) -> Result<Vec<Option<Vec<f64>>>> {
-    let present: Vec<&[f64]> = cluster
-        .members
-        .iter()
-        .filter_map(|&pid| rows.get(&(pid as u64)).map(Vec::as_slice))
-        .collect();
-    let mut locals = cluster.subspace.project_rows(present)?.into_iter();
-    cluster
-        .members
-        .iter()
-        .map(|&pid| {
-            Ok(if rows.contains_key(&(pid as u64)) {
-                Some(locals.next().expect("one local per present member"))
-            } else {
-                None
-            })
-        })
-        .collect()
-}
-
-fn attach_seqscan(
-    model: &ReductionResult,
-    rows: &BTreeMap<u64, Vec<f64>>,
-    buffer_pages: usize,
-) -> Result<SeqScan> {
-    let pool = BufferPool::new(DiskManager::new(), buffer_pages.max(1))?;
-    let mut heap = VectorHeap::new(pool);
-    for (ci, cluster) in model.clusters.iter().enumerate() {
-        let zeros = vec![0.0; cluster.reduced_dim()];
-        for (&pid, local) in cluster.members.iter().zip(member_locals(cluster, rows)?) {
-            match local {
-                Some(local) => heap.append(ci as u32, pid as u64, &local)?,
-                None => heap.append(ci as u32, TOMBSTONE, &zeros)?,
-            };
-        }
-    }
-    let outlier_part = model.clusters.len() as u32;
-    let zeros = vec![0.0; model.dim];
-    for &pid in &model.outliers {
-        match rows.get(&(pid as u64)) {
-            Some(v) => heap.append(outlier_part, pid as u64, v)?,
-            None => heap.append(outlier_part, TOMBSTONE, &zeros)?,
-        };
-    }
-    Ok(SeqScan::from_parts(heap, model)?)
-}
-
-fn attach_idistance(
-    model: &ReductionResult,
-    rows: &BTreeMap<u64, Vec<f64>>,
-    buffer_pages: usize,
-    config: IDistanceConfig,
-) -> Result<IDistanceIndex> {
-    let stats = IoStats::new();
-    let tree_pool = BufferPool::new(
-        DiskManager::with_stats(Arc::clone(&stats)),
-        (buffer_pages / 2).max(1),
-    )?;
-    let heap_pool = BufferPool::new(
-        DiskManager::with_stats(Arc::clone(&stats)),
-        (buffer_pages / 2).max(1),
-    )?;
-    let mut heap = VectorHeap::new(heap_pool);
-    let mut partitions: Vec<PartitionInfo> = Vec::with_capacity(model.clusters.len() + 1);
-    let mut staged: Vec<(usize, f64, u64)> = Vec::new();
-
-    let mut load_partition = |part: usize,
-                              mut part_rows: Vec<(f64, u64, Vec<f64>)>,
-                              heap: &mut VectorHeap|
-     -> Result<(f64, f64, usize)> {
-        part_rows.sort_by(|a, b| a.0.partial_cmp(&b.0).unwrap_or(std::cmp::Ordering::Equal));
-        let mut min_radius = f64::INFINITY;
-        let mut max_radius: f64 = 0.0;
-        let count = part_rows.len();
-        for (dist, pid, coords) in &part_rows {
-            min_radius = min_radius.min(*dist);
-            max_radius = max_radius.max(*dist);
-            let rid = heap.append(part as u32, *pid, coords)?;
-            staged.push((part, *dist, rid));
-        }
-        Ok((
-            if min_radius.is_finite() {
-                min_radius
-            } else {
-                0.0
-            },
-            max_radius,
-            count,
-        ))
-    };
-
-    for (ci, cluster) in model.clusters.iter().enumerate() {
-        let part_rows: Vec<(f64, u64, Vec<f64>)> = cluster
-            .members
-            .iter()
-            .zip(member_locals(cluster, rows)?)
-            .filter_map(|(&pid, local)| local.map(|l| (mmdr_linalg::l2_norm(&l), pid as u64, l)))
-            .collect();
-        let (min_radius, max_radius, count) = load_partition(ci, part_rows, &mut heap)?;
-        partitions.push(PartitionInfo {
-            subspace: Some(cluster.subspace.clone()),
-            centroid: cluster.subspace.centroid().to_vec(),
-            covariance: Some(cluster.covariance.clone()),
-            min_radius,
-            max_radius,
-            count,
-        });
-    }
-
-    // The outlier partition needs a reference point; a re-fit has no prior
-    // one to inherit, so derive it deterministically from the live outlier
-    // rows (their mean, or the origin when there are none). Answers never
-    // depend on the reference — only keys and annulus bounds do.
-    let outlier_rows: Vec<(&u64, &Vec<f64>)> = model
-        .outliers
-        .iter()
-        .filter_map(|&pid| rows.get_key_value(&(pid as u64)))
-        .collect();
-    let mut reference = vec![0.0; model.dim];
-    if !outlier_rows.is_empty() {
-        for (_, v) in &outlier_rows {
-            for (r, x) in reference.iter_mut().zip(v.iter()) {
-                *r += x;
-            }
-        }
-        for r in &mut reference {
-            *r /= outlier_rows.len() as f64;
-        }
-    }
-    let part_rows: Vec<(f64, u64, Vec<f64>)> = outlier_rows
-        .into_iter()
-        .map(|(&pid, v)| (mmdr_linalg::l2_dist(v, &reference), pid, v.clone()))
-        .collect();
-    let outlier_part = model.clusters.len();
-    let (min_radius, max_radius, count) = load_partition(outlier_part, part_rows, &mut heap)?;
-    partitions.push(PartitionInfo {
-        subspace: None,
-        centroid: reference,
-        covariance: None,
-        min_radius,
-        max_radius,
-        count,
-    });
-
-    let widest = partitions.iter().map(|p| p.max_radius).fold(0.0, f64::max);
-    let c = 2.0 * widest + 1.0;
-    let mut entries: Vec<(f64, u64)> = staged
-        .into_iter()
-        .map(|(part, dist, rid)| (part as f64 * c + dist, rid))
-        .collect();
-    entries.sort_by(|a, b| a.0.partial_cmp(&b.0).unwrap_or(std::cmp::Ordering::Equal));
-    let tree = mmdr_btree::BPlusTree::bulk_load(tree_pool, &entries)?;
-    Ok(IDistanceIndex::from_parts(
-        tree, heap, partitions, c, model.dim, config,
-    )?)
-}
-
-fn attach_hybrid(
-    model: &ReductionResult,
-    rows: &BTreeMap<u64, Vec<f64>>,
-    buffer_pages: usize,
-) -> Result<HybridTree> {
-    // Member-driven: project + restore each cluster's rows onto its new
-    // flat; outliers stay raw. Loaded in ascending id order so the layout
-    // is a pure function of (model, rows).
-    let mut restored_by_id: BTreeMap<u64, Vec<f64>> = BTreeMap::new();
-    for cluster in &model.clusters {
-        for (&pid, local) in cluster.members.iter().zip(member_locals(cluster, rows)?) {
-            if let Some(local) = local {
-                restored_by_id.insert(pid as u64, cluster.subspace.restore(&local)?);
-            }
-        }
-    }
-    for &pid in &model.outliers {
-        if let Some(v) = rows.get(&(pid as u64)) {
-            restored_by_id.insert(pid as u64, v.clone());
-        }
-    }
-    let mut restored = Matrix::zeros(0, model.dim);
-    let mut rids: Vec<u64> = Vec::with_capacity(restored_by_id.len());
-    for (rid, row) in restored_by_id {
-        restored.push_row(&row)?;
-        rids.push(rid);
-    }
-    let pool = BufferPool::new(DiskManager::new(), buffer_pages.max(1))?;
-    let mut out = HybridTree::bulk_load(pool, &restored, &rids)?;
-    mmdr_idistance::install_restored_prep(&mut out, model);
-    Ok(out)
-}
-
-fn attach_gldr(
-    model: &ReductionResult,
-    rows: &BTreeMap<u64, Vec<f64>>,
-    buffer_pages: usize,
-) -> Result<GlobalLdrIndex> {
-    let stats = IoStats::new();
-    let n_structures = model.clusters.len() + 1;
-    let pages_each = (buffer_pages / n_structures).max(1);
-    let mut clusters = Vec::with_capacity(model.clusters.len());
-    let mut len = 0usize;
-    for cluster in &model.clusters {
-        let mut locals = Matrix::zeros(0, cluster.reduced_dim());
-        let mut rids: Vec<u64> = Vec::new();
-        let mut max_radius: f64 = 0.0;
-        for (&pid, local) in cluster.members.iter().zip(member_locals(cluster, rows)?) {
-            if let Some(local) = local {
-                max_radius = max_radius.max(mmdr_linalg::l2_norm(&local));
-                locals.push_row(&local)?;
-                rids.push(pid as u64);
-            }
-        }
-        len += rids.len();
-        let pool = BufferPool::new(DiskManager::with_stats(Arc::clone(&stats)), pages_each)?;
-        let tree = HybridTree::bulk_load(pool, &locals, &rids)?;
-        clusters.push((cluster.subspace.clone(), tree, max_radius));
-    }
-
-    let mut raw = Matrix::zeros(0, model.dim);
-    let mut rids: Vec<u64> = Vec::new();
-    for &pid in &model.outliers {
-        if let Some(v) = rows.get(&(pid as u64)) {
-            raw.push_row(v)?;
-            rids.push(pid as u64);
-        }
-    }
-    len += rids.len();
-    let outlier_tree = if rids.is_empty() {
-        None
-    } else {
-        let pool = BufferPool::new(DiskManager::with_stats(Arc::clone(&stats)), pages_each)?;
-        Some(HybridTree::bulk_load(pool, &raw, &rids)?)
-    };
-    Ok(GlobalLdrIndex::from_parts(
-        clusters,
-        outlier_tree,
-        model.dim,
-        len,
-        stats,
+    Ok(mmdr_idistance::load_exact(
+        backend,
+        model,
+        buffer_pages,
+        idistance_config,
+        |id| rows.get(&id).map(Vec::as_slice),
     )?)
 }
 

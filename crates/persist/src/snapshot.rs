@@ -30,10 +30,8 @@ use crate::format::{self, section_id, Section, SectionEntry};
 use crate::model_codec;
 use mmdr_core::ReductionResult;
 use mmdr_hybridtree::HybridTree;
-use mmdr_idistance::{
-    build_restored_hybrid, Backend, GlobalLdrIndex, IDistanceConfig, IDistanceIndex, SeqScan,
-    VectorHeap, VectorIndex,
-};
+pub use mmdr_idistance::BuiltIndex;
+use mmdr_idistance::{Backend, GlobalLdrIndex, IDistanceIndex, SeqScan, VectorHeap};
 use mmdr_linalg::Matrix;
 use mmdr_query::AttrStore;
 use mmdr_storage::{crc32, BufferPool, DiskManager, FileSource, IoStats, Page, PageId, PAGE_SIZE};
@@ -42,98 +40,20 @@ use std::os::unix::fs::FileExt;
 use std::path::Path;
 use std::sync::Arc;
 
-/// A constructed index holding its concrete type, so it can be both
-/// queried (as a [`VectorIndex`]) and snapshotted (which needs access to
-/// the concrete trees and heaps).
-#[derive(Debug)]
-pub enum BuiltIndex {
-    /// Sequential scan over reduced heap pages.
-    SeqScan(SeqScan),
-    /// Extended iDistance (B⁺-tree + heap file). Boxed: the index struct
-    /// is several hundred bytes, far larger than the other variants.
-    IDistance(Box<IDistanceIndex>),
-    /// One hybrid tree over the restored representations.
-    Hybrid(HybridTree),
-    /// Per-cluster hybrid forest (gLDR).
-    Gldr(GlobalLdrIndex),
-}
-
-impl BuiltIndex {
-    /// Which backend this is.
-    pub fn backend(&self) -> Backend {
-        match self {
-            BuiltIndex::SeqScan(_) => Backend::SeqScan,
-            BuiltIndex::IDistance(_) => Backend::IDistance,
-            BuiltIndex::Hybrid(_) => Backend::Hybrid,
-            BuiltIndex::Gldr(_) => Backend::Gldr,
-        }
-    }
-
-    /// Queries the index through the uniform trait without consuming it.
-    pub fn as_dyn(&self) -> &dyn VectorIndex {
-        match self {
-            BuiltIndex::SeqScan(i) => i,
-            BuiltIndex::IDistance(i) => i.as_ref(),
-            BuiltIndex::Hybrid(i) => i,
-            BuiltIndex::Gldr(i) => i,
-        }
-    }
-
-    /// Consumes the enum into the boxed trait object the query executors
-    /// take — the same shape [`mmdr_idistance::build_backend`] returns.
-    pub fn into_boxed(self) -> Box<dyn VectorIndex> {
-        match self {
-            BuiltIndex::SeqScan(i) => Box::new(i),
-            BuiltIndex::IDistance(i) => i,
-            BuiltIndex::Hybrid(i) => Box::new(i),
-            BuiltIndex::Gldr(i) => Box::new(i),
-        }
-    }
-
-    /// Mutates the index through the uniform ingest trait — every backend
-    /// layers a delta on top of its immutable base structures.
-    pub fn as_mutable(&self) -> &dyn mmdr_index::MutableVectorIndex {
-        match self {
-            BuiltIndex::SeqScan(i) => i,
-            BuiltIndex::IDistance(i) => i.as_ref(),
-            BuiltIndex::Hybrid(i) => i,
-            BuiltIndex::Gldr(i) => i,
-        }
-    }
-
-    /// The β this backend routes inserted points with (cluster-vs-outlier
-    /// test). iDistance carries its own configured β; the other backends
-    /// use the paper's Table 1 default.
-    pub fn ingest_beta(&self) -> f64 {
-        match self {
-            BuiltIndex::IDistance(i) => i.config().beta,
-            _ => mmdr_idistance::DEFAULT_BETA,
-        }
-    }
-}
-
-/// Builds the chosen backend as a [`BuiltIndex`] — the snapshot-aware
-/// sibling of [`mmdr_idistance::build_backend`], kept here because saving
-/// needs the concrete type a `Box<dyn VectorIndex>` erases.
+/// Builds the chosen backend as a [`BuiltIndex`] — the build door of
+/// [`mmdr_idistance::load`], with this crate's error type.
 pub fn build_index(
     backend: Backend,
     data: &Matrix,
     model: &ReductionResult,
     buffer_pages: usize,
 ) -> Result<BuiltIndex> {
-    Ok(match backend {
-        Backend::SeqScan => BuiltIndex::SeqScan(SeqScan::build(data, model, buffer_pages)?),
-        Backend::IDistance => BuiltIndex::IDistance(Box::new(IDistanceIndex::build(
-            data,
-            model,
-            IDistanceConfig {
-                buffer_pages: buffer_pages.max(2),
-                ..Default::default()
-            },
-        )?)),
-        Backend::Hybrid => BuiltIndex::Hybrid(build_restored_hybrid(data, model, buffer_pages)?),
-        Backend::Gldr => BuiltIndex::Gldr(GlobalLdrIndex::build(data, model, buffer_pages)?),
-    })
+    Ok(mmdr_idistance::build_index(
+        backend,
+        data,
+        model,
+        buffer_pages,
+    )?)
 }
 
 fn backend_tag(b: Backend) -> u32 {

@@ -273,7 +273,10 @@ fn damaged_page_is_a_typed_error_and_pool_recovers() {
     // Corrupt a byte deep in the PAGES section (the file tail), then open
     // demand-paged: the open succeeds — it never reads that section — and
     // the full-range scan that eventually faults the damaged page in gets
-    // a typed checksum error, not a panic and not a wrong answer.
+    // a typed checksum error, not a panic and not a wrong answer. The
+    // successful open is also the structural gate that a lazy open stays
+    // ~O(superblock): the eager decoder checks every page's CRC up front,
+    // so an `open_with` that reached it could not open this file.
     let mut broken = clean.clone();
     let pos = broken.len() - 10;
     broken[pos] ^= 0x01;
