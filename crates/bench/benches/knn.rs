@@ -3,7 +3,7 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use mmdr_bench::{eval, workloads, Method};
-use mmdr_idistance::{GlobalLdrIndex, IDistanceConfig, IDistanceIndex, SeqScan};
+use mmdr_idistance::{GlobalLdrIndex, IDistanceConfig, IDistanceIndex, SeqScan, VectorIndex};
 use std::hint::black_box;
 
 fn bench_knn_schemes(c: &mut Criterion) {

@@ -1,6 +1,6 @@
 use mmdr::core::{Mmdr, MmdrParams};
 use mmdr::datagen::{generate_correlated, sample_queries, CorrelatedConfig};
-use mmdr::idistance::{IDistanceConfig, IDistanceIndex, SeqScan};
+use mmdr::idistance::{IDistanceConfig, IDistanceIndex, SeqScan, VectorIndex};
 fn main() {
     let ds = generate_correlated(&CorrelatedConfig::paper_style(4_000, 32, 6, 6, 30.0, 17));
     let model = Mmdr::new(MmdrParams::default()).fit(&ds.data).unwrap();

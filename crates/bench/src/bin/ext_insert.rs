@@ -10,7 +10,7 @@
 
 use mmdr_bench::{eval, workloads, Args, Method, Report};
 use mmdr_datagen::{exact_knn, precision, sample_queries};
-use mmdr_idistance::{IDistanceConfig, IDistanceIndex};
+use mmdr_idistance::{IDistanceConfig, IDistanceIndex, VectorIndex};
 use std::time::Instant;
 
 fn main() {

@@ -20,9 +20,6 @@ pub struct Args {
     /// Directory for index snapshots (`--index-dir`): harnesses reuse a
     /// saved index when a matching snapshot exists instead of rebuilding.
     pub index_dir: Option<String>,
-    /// Buffer-pool shard count override (`--pool-shards`): 0/absent = auto
-    /// (sized from the machine's parallelism).
-    pub pool_shards: Option<usize>,
 }
 
 impl Default for Args {
@@ -35,7 +32,6 @@ impl Default for Args {
             seed: 0,
             dataset: None,
             index_dir: None,
-            pool_shards: None,
         }
     }
 }
@@ -61,16 +57,9 @@ impl Args {
                 }
                 "--dataset" => out.dataset = Some(take_value(&mut it, "--dataset")?),
                 "--index-dir" => out.index_dir = Some(take_value(&mut it, "--index-dir")?),
-                "--pool-shards" => {
-                    out.pool_shards = Some(
-                        take_value(&mut it, "--pool-shards")?
-                            .parse()
-                            .map_err(bad("--pool-shards"))?,
-                    )
-                }
                 other => {
                     return Err(format!(
-                        "unknown flag {other}; known: --quick --paper --n N --queries Q --k K --seed S --dataset NAME --index-dir DIR --pool-shards P"
+                        "unknown flag {other}; known: --quick --paper --n N --queries Q --k K --seed S --dataset NAME --index-dir DIR"
                     ))
                 }
             }
@@ -79,16 +68,10 @@ impl Args {
     }
 
     /// Parses the process arguments, exiting with the usage message on
-    /// error. Applies the `--pool-shards` override process-wide so every
-    /// pool the harness builds picks it up.
+    /// error.
     pub fn from_env() -> Self {
         match Self::parse(std::env::args().skip(1)) {
-            Ok(a) => {
-                if let Some(shards) = a.pool_shards {
-                    mmdr_storage::set_default_pool_shards(shards);
-                }
-                a
-            }
+            Ok(a) => a,
             Err(msg) => {
                 eprintln!("{msg}");
                 std::process::exit(2);
@@ -149,8 +132,6 @@ mod tests {
             "histogram",
             "--index-dir",
             "/tmp/idx",
-            "--pool-shards",
-            "8",
         ])
         .unwrap();
         assert_eq!(a.scale, 2);
@@ -160,7 +141,6 @@ mod tests {
         assert_eq!(a.seed, 9);
         assert_eq!(a.dataset.as_deref(), Some("histogram"));
         assert_eq!(a.index_dir.as_deref(), Some("/tmp/idx"));
-        assert_eq!(a.pool_shards, Some(8));
         assert_eq!(a.pick(1, 2, 3), 3);
         assert_eq!(parse(&["--quick"]).unwrap().pick(1, 2, 3), 1);
     }
@@ -170,7 +150,5 @@ mod tests {
         assert!(parse(&["--bogus"]).is_err());
         assert!(parse(&["--n"]).is_err());
         assert!(parse(&["--n", "abc"]).is_err());
-        assert!(parse(&["--pool-shards"]).is_err());
-        assert!(parse(&["--pool-shards", "x"]).is_err());
     }
 }

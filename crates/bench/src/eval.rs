@@ -2,7 +2,7 @@
 
 use mmdr_core::{Gdr, Ldr, LdrParams, Mmdr, MmdrParams, ReductionResult};
 use mmdr_datagen::{exact_knn, precision};
-use mmdr_idistance::SeqScan;
+use mmdr_idistance::{SeqScan, VectorIndex};
 use mmdr_linalg::Matrix;
 
 /// The three reduction methods the evaluation compares.

@@ -25,6 +25,8 @@ use dataset::DatasetFile;
 use mmdr_core::{Gdr, Ldr, LdrParams, Mmdr, MmdrParams, ParConfig, ReductionResult};
 use mmdr_datagen::{generate_correlated, generate_histograms, CorrelatedConfig, HistogramConfig};
 use mmdr_idistance::{build_backend, Backend};
+use mmdr_index::{LiveIndex as _, Query, Target, VectorIndex};
+use mmdr_persist::SnapshotLive;
 use std::collections::HashMap;
 use std::process::ExitCode;
 
@@ -80,11 +82,11 @@ USAGE:
   mmdr convert  (--csv FILE --out FILE | --data FILE --out-csv FILE)
   mmdr reduce   --data FILE --out FILE [--method mmdr|ldr|gdr] [--dim D] [--clusters K] [--beta B] [--seed S] [--threads N]
   mmdr info     --model FILE
-  mmdr build-index --data FILE --model FILE --out FILE [--backend seqscan|idistance|hybrid|gldr] [--buffer-pages N] [--pool-shards P] [--attrs FILE]
-  mmdr query    --data FILE --model FILE (--row I[,J,…] | --point \"x,y,…\") [--k K] [--radius R] [--threads N] [--backend seqscan|idistance|hybrid|gldr] [--pool-shards P] [--hex true]
-  mmdr query    --index-file FILE (--row I[,J,…] --data FILE | --point \"x,y,…\") [--k K] [--radius R] [--filter \"EXPR\"] [--threads N] [--pool-shards P] [--pool-pages N] [--readahead N] [--hex true]
-  mmdr shard-split --data FILE --model FILE --out-dir DIR --shards N [--backend seqscan|idistance|hybrid|gldr] [--buffer-pages N] [--pool-shards P] [--attrs FILE]
-  mmdr serve    --index-file FILE [--wal true] [--merge-threshold N] [--refit-threshold X] [--refit-cooldown-merges N] [--wal-segment-bytes N] [--host H] [--port P] [--workers W] [--queue-depth N] [--coalesce N] [--max-inflight N] [--io-timeout-ms MS] [--batch-threads N] [--pool-shards P] [--pool-pages N] [--readahead N]
+  mmdr build-index --data FILE --model FILE --out FILE [--backend seqscan|idistance|hybrid|gldr] [--buffer-pages N] [--attrs FILE]
+  mmdr query    --data FILE --model FILE (--row I[,J,…] | --point \"x,y,…\") [--k K] [--radius R] [--threads N] [--backend seqscan|idistance|hybrid|gldr] [--hex true]
+  mmdr query    --index-file FILE (--row I[,J,…] --data FILE | --point \"x,y,…\") [--k K] [--radius R] [--filter \"EXPR\"] [--threads N] [--pool-pages N] [--readahead N] [--hex true]
+  mmdr shard-split --data FILE --model FILE --out-dir DIR --shards N [--backend seqscan|idistance|hybrid|gldr] [--buffer-pages N] [--attrs FILE]
+  mmdr serve    --index-file FILE [--wal true] [--merge-threshold N] [--refit-threshold X] [--refit-cooldown-merges N] [--wal-segment-bytes N] [--host H] [--port P] [--workers W] [--queue-depth N] [--coalesce N] [--max-inflight N] [--io-timeout-ms MS] [--batch-threads N] [--pool-pages N] [--readahead N]
   mmdr route    --manifest FILE --shard-addr HOST:PORT,HOST:PORT,… [--host H] [--port P] [--workers W] [--queue-depth N] [--coalesce N] [--max-inflight N] [--io-timeout-ms MS] [--batch-threads N] [--shard-timeout-ms MS]
   mmdr ingest   --index-file FILE (--data FILE | --point \"x,y,…\") [--delete I[,J,…]] [--flush true] [--refit true] [--merge-threshold N] [--refit-threshold X] [--refit-cooldown-merges N] [--wal-segment-bytes N] [--pool-pages N]
   mmdr remote-query (--addr | --router) HOST:PORT (--row I[,J,…] --data FILE | --point \"x,y,…\") [--k K] [--radius R] [--filter \"EXPR\"] [--hex true] [--verbose true]
@@ -95,8 +97,6 @@ Results are independent of --threads: clustering, PCA and batch queries use
 fixed-size work chunks merged in a fixed order, so any thread count produces
 bit-identical output. Every --backend answers with the same
 reduced-representation distances; they differ only in I/O and CPU cost.
---pool-shards sets the buffer pool's lock-stripe count (default: sized from
-the machine's parallelism); it changes contention, never answers.
 
 build-index saves a checksummed binary snapshot of a built index; query
 --index-file reopens it without rebuilding (the snapshot pins the backend
@@ -387,16 +387,6 @@ fn cmd_info(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-/// Applies `--pool-shards` process-wide so every buffer pool built by this
-/// invocation uses the requested lock-stripe count (0 = auto).
-fn apply_pool_shards(flags: &HashMap<String, String>) -> Result<(), String> {
-    let shards = get_parse(flags, "pool-shards", 0usize)?;
-    if shards > 0 {
-        mmdr_storage::set_default_pool_shards(shards);
-    }
-    Ok(())
-}
-
 /// Snapshot-open knobs shared by `query --index-file` and `serve`:
 /// `--pool-pages` caps every restored buffer pool's frame count (the
 /// out-of-core working set) and `--readahead` sets the sequential prefetch
@@ -438,17 +428,8 @@ fn apply_io_timeout(
 fn cmd_build_index(args: &[String]) -> Result<(), String> {
     let flags = parse_flags(
         args,
-        &[
-            "data",
-            "model",
-            "out",
-            "backend",
-            "buffer-pages",
-            "pool-shards",
-            "attrs",
-        ],
+        &["data", "model", "out", "backend", "buffer-pages", "attrs"],
     )?;
-    apply_pool_shards(&flags)?;
     let data = DatasetFile::load(require(&flags, "data")?)?;
     let model = load_model(require(&flags, "model")?)?;
     let out = require(&flags, "out")?;
@@ -491,11 +472,9 @@ fn cmd_shard_split(args: &[String]) -> Result<(), String> {
             "shards",
             "backend",
             "buffer-pages",
-            "pool-shards",
             "attrs",
         ],
     )?;
-    apply_pool_shards(&flags)?;
     let data = DatasetFile::load(require(&flags, "data")?)?;
     let model = load_model(require(&flags, "model")?)?;
     let attrs = match flags.get("attrs") {
@@ -606,15 +585,50 @@ fn parse_queries(
     }
 }
 
-/// Prints one answer list. With `hex`, distances print as raw IEEE-754 bit
-/// patterns — `query --hex` and `remote-query --hex` output can be diffed
-/// to check bit-exact parity, which `.6` decimals would mask.
-fn print_hits(hits: &[(f64, u64)], hex: bool) {
-    for (dist, id) in hits {
-        if hex {
-            outln!("  #{id:<8} dist {:016x}", dist.to_bits());
-        } else {
-            outln!("  #{id:<8} dist {dist:.6}");
+/// `--k K` (default 10) or `--radius R`, parsed once for the local and
+/// remote query paths alike.
+fn parse_target(flags: &HashMap<String, String>, queries: usize) -> Result<Target, String> {
+    let Some(radius) = flags.get("radius") else {
+        return Ok(Target::Knn(get_parse(flags, "k", 10usize)?));
+    };
+    if queries != 1 {
+        return Err("--radius works with a single query".into());
+    }
+    let radius: f64 = radius.parse().map_err(|_| "--radius: not a number")?;
+    if radius.is_nan() || radius < 0.0 {
+        return Err(format!("--radius must be non-negative, got {radius}"));
+    }
+    Ok(Target::Range(radius))
+}
+
+/// Prints one answer block per query. With `hex`, distances print as raw
+/// IEEE-754 bit patterns — `query --hex` and `remote-query --hex` output
+/// can be diffed to check bit-exact parity, which `.6` decimals would mask.
+fn print_answers(answers: &[Vec<(f64, u64)>], target: Target, hex: bool) {
+    for (qi, hits) in answers.iter().enumerate() {
+        let shown = match target {
+            Target::Knn(k) if answers.len() > 1 => {
+                outln!("query {qi}: {k}-NN:");
+                hits.len()
+            }
+            Target::Knn(k) => {
+                outln!("{k}-NN:");
+                hits.len()
+            }
+            Target::Range(radius) => {
+                outln!("{} points within radius {radius}:", hits.len());
+                hits.len().min(50)
+            }
+        };
+        for (dist, id) in &hits[..shown] {
+            if hex {
+                outln!("  #{id:<8} dist {:016x}", dist.to_bits());
+            } else {
+                outln!("  #{id:<8} dist {dist:.6}");
+            }
+        }
+        if hits.len() > shown {
+            outln!("  … and {} more", hits.len() - shown);
         }
     }
 }
@@ -647,6 +661,7 @@ fn validate_query_shape(
 }
 
 fn cmd_query(args: &[String]) -> Result<(), String> {
+    use std::sync::Arc;
     let flags = parse_flags(
         args,
         &[
@@ -660,13 +675,11 @@ fn cmd_query(args: &[String]) -> Result<(), String> {
             "threads",
             "backend",
             "index-file",
-            "pool-shards",
             "pool-pages",
             "readahead",
             "hex",
         ],
     )?;
-    apply_pool_shards(&flags)?;
     let hex = get_bool(&flags, "hex")?;
     let index_file = flags.get("index-file");
     if index_file.is_some() && (flags.contains_key("model") || flags.contains_key("backend")) {
@@ -681,23 +694,35 @@ fn cmd_query(args: &[String]) -> Result<(), String> {
     };
     let queries = parse_queries(&flags, data.as_ref())?;
     let par = ParConfig::threads(get_parse(&flags, "threads", 1usize)?);
+    let target = parse_target(&flags, queries.len())?;
 
-    if let Some(filter) = flags.get("filter") {
-        let path = index_file
-            .ok_or("--filter evaluates against a snapshot's ATTRS payload; give --index-file")?;
-        return query_filtered(&flags, path, filter, &queries, hex);
-    }
-
-    let index = match index_file {
+    // `live` is the filtered door: the snapshot's index together with its
+    // ATTRS payload, behind the same predicate → planner → execution
+    // pipeline the servers run.
+    let (index, live): (Arc<dyn VectorIndex>, _) = match index_file {
         Some(path) => {
             // Reopen the snapshot demand-paged: no rebuild, answers
             // bit-identical to one at any --pool-pages setting.
-            mmdr_persist::open_with(path, &open_options(&flags)?)
-                .map_err(|e| e.to_string())?
-                .index
-                .into_boxed()
+            let opened =
+                mmdr_persist::open_with(path, &open_options(&flags)?).map_err(|e| e.to_string())?;
+            let index: Arc<dyn VectorIndex> = Arc::from(opened.index.into_boxed());
+            let live = match flags.get("filter") {
+                Some(filter) => {
+                    let live = SnapshotLive::new(Arc::clone(&index), &opened.model, opened.attrs)
+                        .map_err(|e| e.to_string())?;
+                    Some((live, filter))
+                }
+                None => None,
+            };
+            (index, live)
         }
         None => {
+            if flags.contains_key("filter") {
+                return Err(
+                    "--filter evaluates against a snapshot's ATTRS payload; give --index-file"
+                        .into(),
+                );
+            }
             if flags.contains_key("pool-pages") || flags.contains_key("readahead") {
                 return Err(
                     "--pool-pages/--readahead tune a reopened snapshot; they require --index-file"
@@ -712,42 +737,27 @@ fn cmd_query(args: &[String]) -> Result<(), String> {
                 Some(s) => s.parse()?,
                 None => Backend::IDistance,
             };
-            build_backend(backend, data, &model, 256).map_err(|e| e.to_string())?
+            let built = build_backend(backend, data, &model, 256).map_err(|e| e.to_string())?;
+            (Arc::from(built), None)
         }
     };
     index.reset_stats(); // count query work only, not construction I/O
-    if let Some(radius) = flags.get("radius") {
-        if queries.len() != 1 {
-            return Err("--radius works with a single query".into());
-        }
-        let radius: f64 = radius.parse().map_err(|_| "--radius: not a number")?;
-        if radius.is_nan() || radius < 0.0 {
-            return Err(format!("--radius must be non-negative, got {radius}"));
-        }
-        validate_query_shape(&queries, index.dim(), index.len(), 1)?;
-        let hits = index
-            .range_search(&queries[0], radius)
-            .map_err(|e| e.to_string())?;
-        outln!("{} points within radius {radius}:", hits.len());
-        print_hits(&hits[..hits.len().min(50)], hex);
-        if hits.len() > 50 {
-            outln!("  … and {} more", hits.len() - 50);
-        }
-    } else {
-        let k = get_parse(&flags, "k", 10usize)?;
-        validate_query_shape(&queries, index.dim(), index.len(), k)?;
-        let results = index
-            .batch_knn(&queries, k, &par)
-            .map_err(|e| e.to_string())?;
-        for (qi, hits) in results.iter().enumerate() {
-            if results.len() > 1 {
-                outln!("query {qi}: {k}-NN:");
-            } else {
-                outln!("{k}-NN:");
-            }
-            print_hits(hits, hex);
-        }
+    let k = match target {
+        Target::Knn(k) => k,
+        Target::Range(_) => 1,
+    };
+    validate_query_shape(&queries, index.dim(), index.len(), k)?;
+    let answers = match &live {
+        Some((live, filter)) => queries
+            .iter()
+            .map(|q| live.filtered(q, target, filter))
+            .collect(),
+        None => mmdr_index::batch_queries(&queries, &par, |q, scratch| {
+            index.search(&Query::new(q, target), scratch)
+        }),
     }
+    .map_err(|e| e.to_string())?;
+    print_answers(&answers, target, hex);
     let stats = index.query_stats();
     outln!(
         "[{}] {} dist computations, {} candidates refined, {} page accesses ({} reads)",
@@ -765,78 +775,19 @@ fn cmd_query(args: &[String]) -> Result<(), String> {
             stats.read_errors
         );
     }
-    Ok(())
-}
-
-/// `query --filter`: reopens the snapshot together with its ATTRS payload
-/// and answers through the same predicate → planner → execution pipeline
-/// the servers run, then prints which strategies the planner chose.
-fn query_filtered(
-    flags: &HashMap<String, String>,
-    path: &str,
-    filter: &str,
-    queries: &[Vec<f64>],
-    hex: bool,
-) -> Result<(), String> {
-    use mmdr_index::LiveIndex as _;
-    let opened = mmdr_persist::open_with(path, &open_options(flags)?).map_err(|e| e.to_string())?;
-    let index: std::sync::Arc<dyn mmdr_index::VectorIndex> =
-        std::sync::Arc::from(opened.index.into_boxed());
-    index.reset_stats();
-    let live =
-        mmdr_persist::SnapshotLive::new(std::sync::Arc::clone(&index), &opened.model, opened.attrs)
-            .map_err(|e| e.to_string())?;
-    if let Some(radius) = flags.get("radius") {
-        if queries.len() != 1 {
-            return Err("--radius works with a single query".into());
-        }
-        let radius: f64 = radius.parse().map_err(|_| "--radius: not a number")?;
-        if radius.is_nan() || radius < 0.0 {
-            return Err(format!("--radius must be non-negative, got {radius}"));
-        }
-        validate_query_shape(queries, index.dim(), index.len(), 1)?;
-        let hits = live
-            .filtered_range(&queries[0], radius, filter)
-            .map_err(|e| e.to_string())?;
-        outln!("{} points within radius {radius}:", hits.len());
-        print_hits(&hits[..hits.len().min(50)], hex);
-        if hits.len() > 50 {
-            outln!("  … and {} more", hits.len() - 50);
-        }
-    } else {
-        let k = get_parse(flags, "k", 10usize)?;
-        validate_query_shape(queries, index.dim(), index.len(), k)?;
-        for (qi, q) in queries.iter().enumerate() {
-            let hits = live.filtered_knn(q, k, filter).map_err(|e| e.to_string())?;
-            if queries.len() > 1 {
-                outln!("query {qi}: {k}-NN:");
-            } else {
-                outln!("{k}-NN:");
-            }
-            print_hits(&hits, hex);
-        }
+    if let Some((live, _)) = &live {
+        let p = live.planner_snapshot();
+        outln!(
+            "[planner] {} post-filter, {} pushdown, {} prefilter-rank",
+            p.post_filter,
+            p.pushdown,
+            p.prefilter_rank
+        );
     }
-    let stats = index.query_stats();
-    outln!(
-        "[{}] {} dist computations, {} candidates refined, {} page accesses ({} reads)",
-        index.name(),
-        stats.dist_computations,
-        stats.candidates_refined,
-        stats.pages_touched,
-        stats.page_reads
-    );
-    let p = live.planner_snapshot();
-    outln!(
-        "[planner] {} post-filter, {} pushdown, {} prefilter-rank",
-        p.post_filter,
-        p.pushdown,
-        p.prefilter_rank
-    );
     Ok(())
 }
 
 fn cmd_serve(args: &[String]) -> Result<(), String> {
-    use mmdr_index::LiveIndex as _;
     use mmdr_serve::{Server, ServerConfig};
     let flags = parse_flags(
         args,
@@ -850,7 +801,6 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
             "max-inflight",
             "io-timeout-ms",
             "batch-threads",
-            "pool-shards",
             "pool-pages",
             "readahead",
             "wal",
@@ -860,7 +810,6 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
             "wal-segment-bytes",
         ],
     )?;
-    apply_pool_shards(&flags)?;
     let index_file = require(&flags, "index-file")?;
     let host = flags.get("host").map(String::as_str).unwrap_or("127.0.0.1");
     let port = get_parse(&flags, "port", 0u16)?;
@@ -1135,7 +1084,6 @@ fn print_ingest_stats(s: &mmdr_serve::IngestWire) {
 /// WAL). Without --flush the WAL holds the writes until the next merge —
 /// a reopen (ingest, serve --wal, or the engine's replay) restores them.
 fn cmd_ingest(args: &[String]) -> Result<(), String> {
-    use mmdr_index::LiveIndex as _;
     let flags = parse_flags(
         args,
         &[
@@ -1150,10 +1098,8 @@ fn cmd_ingest(args: &[String]) -> Result<(), String> {
             "refit-cooldown-merges",
             "wal-segment-bytes",
             "pool-pages",
-            "pool-shards",
         ],
     )?;
-    apply_pool_shards(&flags)?;
     let index_file = require(&flags, "index-file")?;
     if !["data", "point", "delete", "flush"]
         .iter()
@@ -1403,51 +1349,16 @@ fn cmd_remote_query(args: &[String]) -> Result<(), String> {
         None
     };
     let filter = flags.get("filter").map(String::as_str);
-    if let Some(radius) = flags.get("radius") {
-        if queries.len() != 1 {
-            return Err("--radius works with a single query".into());
-        }
-        let radius: f64 = radius.parse().map_err(|_| "--radius: not a number")?;
-        if radius.is_nan() || radius < 0.0 {
-            return Err(format!("--radius must be non-negative, got {radius}"));
-        }
-        let hits = match filter {
-            Some(f) => client.filtered_range(&queries[0], radius, f),
-            None => client.range(&queries[0], radius),
-        }
-        .map_err(|e| e.to_string())?;
-        outln!("{} points within radius {radius}:", hits.len());
-        print_hits(&hits[..hits.len().min(50)], hex);
-        if hits.len() > 50 {
-            outln!("  … and {} more", hits.len() - 50);
-        }
-    } else {
-        let k = get_parse(&flags, "k", 10usize)?;
-        if k == 0 {
-            return Err("--k must be at least 1".into());
-        }
-        // Answer blocks print identically to `query`, so parity is a diff.
-        if queries.len() > 1 {
-            if filter.is_some() {
-                return Err(
-                    "--filter sends one query at a time; give a single --row/--point".into(),
-                );
-            }
-            let results = client.batch_knn(&queries, k).map_err(|e| e.to_string())?;
-            for (qi, hits) in results.iter().enumerate() {
-                outln!("query {qi}: {k}-NN:");
-                print_hits(hits, hex);
-            }
-        } else {
-            let hits = match filter {
-                Some(f) => client.filtered_knn(&queries[0], k, f),
-                None => client.knn(&queries[0], k),
-            }
-            .map_err(|e| e.to_string())?;
-            outln!("{k}-NN:");
-            print_hits(&hits, hex);
-        }
+    let target = parse_target(&flags, queries.len())?;
+    // Answer blocks print identically to `query`, so parity is a diff.
+    let answers = match (target, &queries[..]) {
+        (Target::Knn(0), _) => return Err("--k must be at least 1".into()),
+        (_, [q]) => client.search(q, target, filter).map(|hits| vec![hits]),
+        (Target::Knn(k), _) if filter.is_none() => client.batch_knn(&queries, k),
+        _ => return Err("--filter sends one query at a time; give a single --row/--point".into()),
     }
+    .map_err(|e| e.to_string())?;
+    print_answers(&answers, target, hex);
     if let Some(before) = before {
         let after = client.stats().map_err(|e| e.to_string())?;
         print_attribution(&before, &after);

@@ -1,7 +1,9 @@
 //! [`VectorIndex`] implementation for the hybrid tree.
 
 use crate::tree::HybridTree;
-use mmdr_index::{DeltaStats, MutableVectorIndex, SearchCounters, SearchFilter, VectorIndex};
+use mmdr_index::{
+    DeltaStats, MutableVectorIndex, Query, Scratch, SearchCounters, Target, VectorIndex,
+};
 use mmdr_storage::{IoStats, PoolStats};
 use std::sync::Arc;
 
@@ -32,30 +34,11 @@ impl VectorIndex for HybridTree {
         HybridTree::dim(self)
     }
 
-    fn knn(&self, query: &[f64], k: usize) -> mmdr_index::Result<Vec<(f64, u64)>> {
-        Ok(HybridTree::knn(self, query, k)?)
-    }
-
-    fn range_search(&self, query: &[f64], radius: f64) -> mmdr_index::Result<Vec<(f64, u64)>> {
-        Ok(HybridTree::range_search(self, query, radius)?)
-    }
-
-    fn knn_filtered(
-        &self,
-        query: &[f64],
-        k: usize,
-        filter: &SearchFilter,
-    ) -> mmdr_index::Result<Vec<(f64, u64)>> {
-        Ok(self.knn_gated(query, k, None, Some(filter))?)
-    }
-
-    fn range_search_filtered(
-        &self,
-        query: &[f64],
-        radius: f64,
-        filter: &SearchFilter,
-    ) -> mmdr_index::Result<Vec<(f64, u64)>> {
-        Ok(self.range_search_gated(query, radius, None, Some(filter))?)
+    fn search(&self, q: &Query<'_>, _: &mut Scratch) -> mmdr_index::Result<Vec<(f64, u64)>> {
+        Ok(match q.target {
+            Target::Knn(k) => self.knn_gated(q.vector, k, None, q.filter),
+            Target::Range(radius) => self.range_search_gated(q.vector, radius, None, q.filter),
+        }?)
     }
 
     fn io_stats(&self) -> Arc<IoStats> {
@@ -107,10 +90,10 @@ mod tests {
     }
 
     #[test]
-    fn trait_object_queries_match_inherent() {
+    fn trait_object_queries_match_the_gated_search() {
         let t = tree();
         let q = [0.4, 0.5, 0.6, 0.7];
-        let direct = t.knn(&q, 5).unwrap();
+        let direct = t.knn_gated(&q, 5, None, None).unwrap();
         let via_trait = {
             let dyn_ref: &dyn VectorIndex = &t;
             dyn_ref.knn(&q, 5).unwrap()

@@ -61,27 +61,14 @@ impl HybridTree {
     /// (buffered) page access; leaf distances are early-abandoned against
     /// the k-th best, which cannot change the result set (a candidate at
     /// the bound is still summed in full and tie-broken by rid).
-    pub fn knn(&self, query: &[f64], k: usize) -> Result<Vec<(f64, u64)>> {
-        self.knn_impl(query, k, None, None)
-    }
-
-    /// [`knn`](Self::knn) with two optional row gates: a set of rids to
-    /// hide (the gLDR forest keeps one tombstone set at its own level and
-    /// passes it down to every cluster tree, so deleted members never
-    /// surface) and a [`SearchFilter`] whose failing rows never enter the
-    /// answer heap (the pushdown contract — results are bit-identical to
+    ///
+    /// Two optional row gates: a set of rids to hide (the gLDR forest
+    /// keeps one tombstone set at its own level and passes it down to
+    /// every cluster tree, so deleted members never surface) and a
+    /// [`SearchFilter`] whose failing rows never enter the answer heap
+    /// (the pushdown contract — results are bit-identical to
     /// post-filtering the ungated ranking).
     pub fn knn_gated(
-        &self,
-        query: &[f64],
-        k: usize,
-        skip: Option<&HashSet<u64>>,
-        filter: Option<&SearchFilter>,
-    ) -> Result<Vec<(f64, u64)>> {
-        self.knn_impl(query, k, skip, filter)
-    }
-
-    fn knn_impl(
         &self,
         query: &[f64],
         k: usize,
@@ -197,25 +184,10 @@ impl HybridTree {
 
     /// Every point within `radius` of `query`, as `(distance, rid)` sorted
     /// ascending by `(distance, rid)`. Uses the same `MINDIST` region
-    /// pruning as [`knn`](Self::knn) and the same boundary tolerance as the
-    /// other backends (`dist ≤ radius + 1e-12`).
-    pub fn range_search(&self, query: &[f64], radius: f64) -> Result<Vec<(f64, u64)>> {
-        self.range_search_impl(query, radius, None, None)
-    }
-
-    /// [`range_search`](Self::range_search) with the same optional row
-    /// gates as [`knn_gated`](Self::knn_gated).
+    /// pruning and the same optional row gates as
+    /// [`knn_gated`](Self::knn_gated), and the same boundary tolerance as
+    /// the other backends (`dist ≤ radius + 1e-12`).
     pub fn range_search_gated(
-        &self,
-        query: &[f64],
-        radius: f64,
-        skip: Option<&HashSet<u64>>,
-        filter: Option<&SearchFilter>,
-    ) -> Result<Vec<(f64, u64)>> {
-        self.range_search_impl(query, radius, skip, filter)
-    }
-
-    fn range_search_impl(
         &self,
         query: &[f64],
         radius: f64,
@@ -353,6 +325,7 @@ fn mindist_sq(q: &[f64], lo: &[f64], hi: &[f64]) -> f64 {
 mod tests {
     use super::*;
     use crate::tree::HybridTree;
+    use mmdr_index::VectorIndex;
     use mmdr_linalg::Matrix;
     use mmdr_storage::{BufferPool, DiskManager};
 

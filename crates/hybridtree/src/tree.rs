@@ -333,6 +333,7 @@ fn max_spread_dim(points: &Matrix, order: &[usize], dim: usize) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mmdr_index::VectorIndex;
     use mmdr_storage::DiskManager;
 
     fn pool(pages: usize) -> BufferPool {

@@ -278,26 +278,14 @@ impl GlobalLdrIndex {
     /// and skipped once they cannot improve on the k-th candidate; ties at
     /// the k-th distance are still visited so the smaller point id wins,
     /// keeping the result deterministic across backends.
-    pub fn knn(&self, query: &[f64], k: usize) -> Result<Vec<(f64, u64)>> {
-        self.knn_impl(query, k, None)
-    }
-
-    /// [`knn`](Self::knn) restricted to rows passing `filter`. Exact
-    /// pushdown: failing rows never enter the candidate heap, so they never
-    /// tighten the per-cluster pruning bound; dead clusters (per the
-    /// filter's sketch hints) are skipped without touching their trees.
-    /// Delta rows are never cluster-skipped — sketches only cover merged
-    /// base rows — and are gated per-row by the bitmap instead.
-    pub fn knn_filtered(
-        &self,
-        query: &[f64],
-        k: usize,
-        filter: &SearchFilter,
-    ) -> Result<Vec<(f64, u64)>> {
-        self.knn_impl(query, k, Some(filter))
-    }
-
-    fn knn_impl(
+    ///
+    /// With a `filter` this is exact pushdown: failing rows never enter
+    /// the candidate heap, so they never tighten the per-cluster pruning
+    /// bound; dead clusters (per the filter's sketch hints) are skipped
+    /// without touching their trees. Delta rows are never cluster-skipped
+    /// — sketches only cover merged base rows — and are gated per-row by
+    /// the bitmap instead.
+    pub(crate) fn knn_impl(
         &self,
         query: &[f64],
         k: usize,
@@ -372,24 +360,9 @@ impl GlobalLdrIndex {
     /// Every point whose reduced representation lies within `radius` of
     /// `query`, as `(distance, point_id)` sorted ascending by `(distance,
     /// point_id)`. Same boundary tolerance as the other backends
-    /// (`dist ≤ radius + 1e-12`).
-    pub fn range_search(&self, query: &[f64], radius: f64) -> Result<Vec<(f64, u64)>> {
-        self.range_impl(query, radius, None)
-    }
-
-    /// [`range_search`](Self::range_search) restricted to rows passing
-    /// `filter` (same pushdown semantics as
-    /// [`knn_filtered`](Self::knn_filtered)).
-    pub fn range_search_filtered(
-        &self,
-        query: &[f64],
-        radius: f64,
-        filter: &SearchFilter,
-    ) -> Result<Vec<(f64, u64)>> {
-        self.range_impl(query, radius, Some(filter))
-    }
-
-    fn range_impl(
+    /// (`dist ≤ radius + 1e-12`), same pushdown semantics as
+    /// [`knn_impl`](Self::knn_impl).
+    pub(crate) fn range_impl(
         &self,
         query: &[f64],
         radius: f64,
@@ -472,6 +445,7 @@ impl GlobalLdrIndex {
 mod tests {
     use super::*;
     use mmdr_core::{Ldr, LdrParams};
+    use mmdr_index::VectorIndex;
 
     fn two_cluster_data() -> Matrix {
         let mut rows = Vec::new();

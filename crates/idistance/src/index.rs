@@ -3,10 +3,10 @@
 use crate::backend::Backend;
 use crate::error::{Error, Result};
 use crate::layout::{data_rows, partition_ids, KeySpace, PartitionRows};
-use crate::vector_heap::{HeapReader, VectorHeap};
+use crate::vector_heap::VectorHeap;
 use mmdr_btree::BPlusTree;
 use mmdr_core::ReductionResult;
-use mmdr_index::{DeltaLayer, SearchCounters};
+use mmdr_index::{DeltaLayer, Scratch, SearchCounters};
 use mmdr_linalg::Matrix;
 use mmdr_pca::ReducedSubspace;
 use mmdr_storage::{BufferPool, DiskManager, IoStats};
@@ -361,7 +361,7 @@ impl IDistanceIndex {
             let mut victim = None;
             {
                 let mut cursor = self.tree.seek(key)?;
-                let mut reader = HeapReader::default();
+                let mut reader = Scratch::default();
                 while let Some((k, rid)) = self.tree.cursor_next(&mut cursor)? {
                     if k > key {
                         break;
@@ -429,6 +429,7 @@ impl IDistanceIndex {
 mod tests {
     use super::*;
     use mmdr_core::{Mmdr, MmdrParams};
+    use mmdr_index::VectorIndex;
 
     fn dataset() -> Matrix {
         let rows: Vec<Vec<f64>> = (0..200)

@@ -1,28 +1,10 @@
-//! Iterative-enlargement KNN search (paper §5), serial and batched.
+//! Iterative-enlargement KNN search (paper §5).
 
 use crate::error::{Error, Result};
 use crate::index::IDistanceIndex;
-use crate::vector_heap::{HeapReader, TOMBSTONE};
+use crate::vector_heap::TOMBSTONE;
 use mmdr_btree::Cursor;
-use mmdr_index::{KnnHeap, SearchFilter, QUERY_CHUNK};
-use mmdr_linalg::{map_ranges_with, ParConfig};
-
-/// Reusable per-query buffers. [`IDistanceIndex::knn`] allocates one per
-/// call; batch workers keep one per thread so repeated queries do not churn
-/// the allocator.
-#[derive(Debug, Default)]
-pub struct QueryScratch {
-    /// Candidate fetches (the KNN hot path): the heap is clustered in key
-    /// order, so an annulus walk reads each heap page through one pin.
-    reader: HeapReader,
-}
-
-impl QueryScratch {
-    /// An empty scratch; buffers grow to steady state over the first query.
-    pub fn new() -> Self {
-        Self::default()
-    }
-}
+use mmdr_index::{KnnHeap, Scratch, SearchFilter};
 
 /// Per-partition search state: two cursors walking the key annulus inward
 /// (descending keys) and outward (ascending keys) from the query's image.
@@ -53,53 +35,18 @@ impl IDistanceIndex {
     /// Distances are `‖q − restore(Pᵢ)‖` — exact for outliers, exact to the
     /// reduced representation for cluster members — so results from
     /// different axis systems are directly comparable.
-    pub fn knn(&self, query: &[f64], k: usize) -> Result<Vec<(f64, u64)>> {
-        self.knn_with_scratch(query, k, &mut QueryScratch::new())
-    }
-
-    /// [`knn`](Self::knn) with caller-provided buffers, for callers issuing
-    /// many queries (each [`batch_knn`](Self::batch_knn) worker holds one
-    /// [`QueryScratch`] across its whole share of the batch).
-    pub fn knn_with_scratch(
-        &self,
-        query: &[f64],
-        k: usize,
-        scratch: &mut QueryScratch,
-    ) -> Result<Vec<(f64, u64)>> {
-        self.knn_impl(query, k, None, scratch)
-    }
-
-    /// [`knn`](Self::knn) restricted to rows passing `filter`. Exact
-    /// pushdown: failing rows never enter the candidate heap, so they never
-    /// tighten the enlargement radius; partitions the filter's sketch hints
-    /// prove dead are never cursor-walked. Delta rows are gated per-row by
-    /// the bitmap only (sketches cover merged base rows).
-    pub fn knn_filtered(
-        &self,
-        query: &[f64],
-        k: usize,
-        filter: &SearchFilter,
-    ) -> Result<Vec<(f64, u64)>> {
-        self.knn_impl(query, k, Some(filter), &mut QueryScratch::new())
-    }
-
-    /// [`knn_filtered`](Self::knn_filtered) with caller-provided buffers.
-    pub fn knn_filtered_with_scratch(
-        &self,
-        query: &[f64],
-        k: usize,
-        filter: &SearchFilter,
-        scratch: &mut QueryScratch,
-    ) -> Result<Vec<(f64, u64)>> {
-        self.knn_impl(query, k, Some(filter), scratch)
-    }
-
-    fn knn_impl(
+    ///
+    /// With a `filter` this is exact pushdown: failing rows never enter
+    /// the candidate heap, so they never tighten the enlargement radius;
+    /// partitions the filter's sketch hints prove dead are never
+    /// cursor-walked. Delta rows are gated per-row by the bitmap only
+    /// (sketches cover merged base rows).
+    pub(crate) fn knn_impl(
         &self,
         query: &[f64],
         k: usize,
         filter: Option<&SearchFilter>,
-        scratch: &mut QueryScratch,
+        reader: &mut Scratch,
     ) -> Result<Vec<(f64, u64)>> {
         if query.len() != self.dim {
             return Err(Error::DimensionMismatch {
@@ -115,7 +62,6 @@ impl IDistanceIndex {
         }
         // The scratch outlives this `&self` borrow: whatever it pinned last
         // time may since have been written, or belong to another index.
-        let reader = &mut scratch.reader;
         reader.unpin();
         // Counted here, recorded once when the search ends.
         let (mut dists, mut refined) = (0u64, 0u64);
@@ -376,32 +322,6 @@ impl IDistanceIndex {
         self.search.record_refined(refined);
         Ok(best.into_sorted_vec())
     }
-
-    /// Answers every query in `queries`, fanning the batch across
-    /// `par.num_threads` scoped worker threads. Results come back in input
-    /// order, and each row is exactly what [`knn`](Self::knn) returns for
-    /// that query — workers share the index immutably and fetch pages as
-    /// shared `Arc<Page>` handles from the sharded buffer pool (no pool
-    /// lock is held across a distance computation), so thread count affects
-    /// only wall-clock time, never answers.
-    pub fn batch_knn(
-        &self,
-        queries: &[Vec<f64>],
-        k: usize,
-        par: &ParConfig,
-    ) -> Result<Vec<Vec<(f64, u64)>>> {
-        let chunk_results = map_ranges_with(queries.len(), QUERY_CHUNK, par, |range| {
-            let mut scratch = QueryScratch::new();
-            range
-                .map(|i| self.knn_with_scratch(&queries[i], k, &mut scratch))
-                .collect::<Result<Vec<_>>>()
-        });
-        let mut out = Vec::with_capacity(queries.len());
-        for chunk in chunk_results {
-            out.extend(chunk?);
-        }
-        Ok(out)
-    }
 }
 
 #[cfg(test)]
@@ -409,6 +329,7 @@ mod tests {
     use crate::index::{IDistanceConfig, IDistanceIndex};
     use crate::seqscan::SeqScan;
     use mmdr_core::{Mmdr, MmdrParams};
+    use mmdr_index::VectorIndex;
     use mmdr_linalg::Matrix;
 
     /// Two separated clusters flat in different dimension pairs, plus a few

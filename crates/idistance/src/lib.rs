@@ -16,7 +16,8 @@
 //! reduced point payloads live in paged heap files behind the same I/O
 //! counters.
 //!
-//! KNN search ([`IDistanceIndex::knn`]) follows the paper's iterative
+//! KNN search (a [`mmdr_index::Target::Knn`] through
+//! [`VectorIndex::search`]) follows the paper's iterative
 //! enlargement: start from a small radius, search each qualifying
 //! partition's key annulus `[i·c + dist(qᵢ,Oᵢ) − R, i·c + dist(qᵢ,Oᵢ) + R]`
 //! (the three cases — contains / intersects / disjoint — fall out of the
@@ -50,7 +51,6 @@ pub use error::{Error, Result};
 pub use gldr::GlobalLdrIndex;
 pub use index::{IDistanceConfig, IDistanceIndex, PartitionInfo};
 pub use ingest::DEFAULT_BETA;
-pub use knn::QueryScratch;
 pub use layout::{
     build_index, load, load_exact, restored_rows, stored_rows, BuiltIndex, KeySpace, Row,
 };
@@ -59,4 +59,4 @@ pub use layout::{
 // re-exported because every backend consumer needs them together.
 pub use mmdr_index::{QueryStats, VectorIndex};
 pub use seqscan::SeqScan;
-pub use vector_heap::{HeapReader, VectorHeap, TOMBSTONE};
+pub use vector_heap::{VectorHeap, TOMBSTONE};

@@ -7,34 +7,20 @@
 
 use crate::error::{Error, Result};
 use crate::index::IDistanceIndex;
-use crate::seqscan::SeqScan;
-use crate::vector_heap::{HeapReader, TOMBSTONE};
-use mmdr_index::SearchFilter;
+use crate::vector_heap::TOMBSTONE;
+use mmdr_index::{Scratch, SearchFilter};
 
 impl IDistanceIndex {
     /// Returns every point whose reduced representation lies within
     /// `radius` of `query`, as `(distance, point_id)` sorted ascending.
-    pub fn range_search(&self, query: &[f64], radius: f64) -> Result<Vec<(f64, u64)>> {
-        self.range_impl(query, radius, None)
-    }
-
-    /// [`range_search`](Self::range_search) restricted to rows passing
-    /// `filter`: failing rows never enter the answer set, dead partitions
-    /// (per the filter's sketch hints) are not cursor-walked at all.
-    pub fn range_search_filtered(
-        &self,
-        query: &[f64],
-        radius: f64,
-        filter: &SearchFilter,
-    ) -> Result<Vec<(f64, u64)>> {
-        self.range_impl(query, radius, Some(filter))
-    }
-
-    fn range_impl(
+    /// Rows failing `filter` never enter the answer set; partitions its
+    /// sketch hints prove dead are not cursor-walked at all.
+    pub(crate) fn range_impl(
         &self,
         query: &[f64],
         radius: f64,
         filter: Option<&SearchFilter>,
+        reader: &mut Scratch,
     ) -> Result<Vec<(f64, u64)>> {
         if query.len() != self.dim {
             return Err(Error::DimensionMismatch {
@@ -51,7 +37,8 @@ impl IDistanceIndex {
         let mut out = Vec::new();
         let n_parts = self.partitions.len();
         let tombs = self.delta.tombstones();
-        let mut reader = HeapReader::default();
+        // Same reason as in `knn_impl`: the pin may be stale, or another's.
+        reader.unpin();
         // Counted here, recorded once when the search ends.
         let (mut dists, mut refined) = (0u64, 0u64);
         // Delta rows are scanned exactly (they are few between merges);
@@ -137,7 +124,7 @@ impl IDistanceIndex {
                 if key > hi_key + 1e-12 || key >= slot_end {
                     break;
                 }
-                let (heap_part, point_id, coords) = self.heap.read(&mut reader, rid)?;
+                let (heap_part, point_id, coords) = self.heap.read(reader, rid)?;
                 debug_assert_eq!(heap_part as usize, part);
                 if point_id == TOMBSTONE
                     || tombs.contains(&point_id)
@@ -160,42 +147,12 @@ impl IDistanceIndex {
     }
 }
 
-impl SeqScan {
-    /// Range search by full scan — the reference the index is tested
-    /// against.
-    pub fn range_search(&self, query: &[f64], radius: f64) -> Result<Vec<(f64, u64)>> {
-        if !(radius >= 0.0 && radius.is_finite()) {
-            return Err(Error::InvalidRadius);
-        }
-        // Reuse knn with k = everything, then cut at the radius: simple and
-        // obviously correct (this type exists to be a reference).
-        let mut hits = self.knn(query, self.len())?;
-        hits.retain(|&(d, _)| d <= radius + 1e-12);
-        Ok(hits)
-    }
-
-    /// Filtered range search by full scan, same reference role as
-    /// [`range_search`](Self::range_search).
-    pub fn range_search_filtered(
-        &self,
-        query: &[f64],
-        radius: f64,
-        filter: &SearchFilter,
-    ) -> Result<Vec<(f64, u64)>> {
-        if !(radius >= 0.0 && radius.is_finite()) {
-            return Err(Error::InvalidRadius);
-        }
-        let mut hits = self.knn_filtered(query, self.len(), filter)?;
-        hits.retain(|&(d, _)| d <= radius + 1e-12);
-        Ok(hits)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use crate::index::{IDistanceConfig, IDistanceIndex};
     use crate::seqscan::SeqScan;
     use mmdr_core::{Mmdr, MmdrParams};
+    use mmdr_index::VectorIndex;
     use mmdr_linalg::Matrix;
 
     fn build() -> (Matrix, IDistanceIndex, SeqScan) {

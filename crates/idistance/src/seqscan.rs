@@ -101,7 +101,7 @@ impl SeqScan {
 
     /// Number of visible points: the snapshot rows plus live delta rows.
     /// Base rows masked by a tombstone still count (the heap keeps their
-    /// record); [`knn`](Self::knn) filters them from answers.
+    /// record); searches filter them from answers.
     pub fn len(&self) -> usize {
         self.len + self.delta.live_rows()
     }
@@ -132,26 +132,12 @@ impl SeqScan {
     }
 
     /// KNN by scanning every page; distances are to the reduced
-    /// representations, identical semantics to
-    /// [`crate::IDistanceIndex::knn`].
-    pub fn knn(&self, query: &[f64], k: usize) -> Result<Vec<(f64, u64)>> {
-        self.knn_impl(query, k, None)
-    }
-
-    /// [`knn`](Self::knn) restricted to rows passing `filter`. The scan
-    /// still touches every page (this backend is the exhaustive baseline),
-    /// but failing rows are gated before the candidate heap, so the result
-    /// is the exact top-k of the passing subset.
-    pub fn knn_filtered(
-        &self,
-        query: &[f64],
-        k: usize,
-        filter: &SearchFilter,
-    ) -> Result<Vec<(f64, u64)>> {
-        self.knn_impl(query, k, Some(filter))
-    }
-
-    fn knn_impl(
+    /// representations, identical semantics to [`crate::IDistanceIndex`].
+    /// The scan touches every page whatever the `filter` (this backend is
+    /// the exhaustive baseline), but failing rows are gated before the
+    /// candidate heap, so the result is the exact top-k of the passing
+    /// subset.
+    pub(crate) fn knn_impl(
         &self,
         query: &[f64],
         k: usize,
@@ -209,12 +195,30 @@ impl SeqScan {
         self.search.record_refined(seen);
         Ok(best.into_sorted_vec())
     }
+
+    /// Range search by full scan — the reference the index is tested
+    /// against: rank everything, then cut at the radius. Simple and
+    /// obviously correct.
+    pub(crate) fn range_impl(
+        &self,
+        query: &[f64],
+        radius: f64,
+        filter: Option<&SearchFilter>,
+    ) -> Result<Vec<(f64, u64)>> {
+        if !(radius >= 0.0 && radius.is_finite()) {
+            return Err(Error::InvalidRadius);
+        }
+        let mut hits = self.knn_impl(query, self.len(), filter)?;
+        hits.retain(|&(d, _)| d <= radius + 1e-12);
+        Ok(hits)
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use mmdr_core::{Mmdr, MmdrParams};
+    use mmdr_index::VectorIndex;
 
     fn flat_data() -> Matrix {
         let rows: Vec<Vec<f64>> = (0..200)

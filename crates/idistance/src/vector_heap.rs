@@ -12,12 +12,13 @@
 //!
 //! Record ids encode the location directly (`rid = page_id << 16 | slot`),
 //! so no in-memory directory is needed. Records are read through a
-//! [`HeapReader`], which pins the page it last read: a scan in rid order
+//! [`Scratch`], which pins the page it last read: a scan in rid order
 //! costs one (buffered) page access per heap page, not per record — the
 //! unit the I/O experiments count.
 
 use crate::error::{Error, Result};
-use mmdr_storage::{BufferPool, IoStats, Page, PageId, PAGE_SIZE};
+use mmdr_index::Scratch;
+use mmdr_storage::{BufferPool, IoStats, PageId, PAGE_SIZE};
 use std::sync::Arc;
 
 const HEADER: usize = 8;
@@ -25,27 +26,6 @@ const HEADER: usize = 8;
 /// Sentinel point id marking a deleted record (see
 /// [`VectorHeap::tombstone`]).
 pub const TOMBSTONE: u64 = u64::MAX;
-
-/// Read state for [`VectorHeap::read`]: the heap page the last record came
-/// from, pinned as the immutable `Arc<Page>` image the pool handed out, and
-/// the buffer records are decoded into. Consecutive reads from one page
-/// fetch the pool once.
-///
-/// The pin is a pre-write image (heap writes are copy-on-write) of one
-/// particular heap: [`unpin`](Self::unpin) a reader that is kept across
-/// anything that may append to, tombstone or swap the heap it read from.
-#[derive(Debug, Default)]
-pub struct HeapReader {
-    pin: Option<(PageId, Arc<Page>)>,
-    coords: Vec<f64>,
-}
-
-impl HeapReader {
-    /// Drops the pinned page (the decode buffer keeps its capacity).
-    pub fn unpin(&mut self) {
-        self.pin = None;
-    }
-}
 
 /// Paged storage of `(point_id, coords)` records grouped by partition.
 #[derive(Debug)]
@@ -174,18 +154,15 @@ impl VectorHeap {
     /// concurrent KNN workers refine candidates from the same page in
     /// parallel. This is the KNN hot path — thousands of candidates per
     /// query, a few dozen per heap page.
-    pub fn read<'r>(&self, reader: &'r mut HeapReader, rid: u64) -> Result<(u32, u64, &'r [f64])> {
+    pub fn read<'r>(&self, reader: &'r mut Scratch, rid: u64) -> Result<(u32, u64, &'r [f64])> {
         let page = rid >> 16;
         let slot = (rid & 0xFFFF) as usize;
-        let p = match &mut reader.pin {
-            Some((pinned, p)) if *pinned == page => &*p,
-            pin => {
-                if page >= self.pool.num_pages() as u64 {
-                    return Err(Error::BadRecordId(rid));
-                }
-                &pin.insert((page, self.pool.page(page)?)).1
+        let (p, coords) = reader.page(page, || {
+            if page >= self.pool.num_pages() as u64 {
+                return Err(Error::BadRecordId(rid));
             }
-        };
+            Ok(self.pool.page(page)?)
+        })?;
         let partition = p.get_u32(0).expect("header");
         let dim = p.get_u16(4).expect("header") as usize;
         let count = p.get_u16(6).expect("header") as usize;
@@ -194,11 +171,11 @@ impl VectorHeap {
         }
         let base = HEADER + slot * (8 + 8 * dim);
         let point_id = p.get_u64(base).expect("record in page");
-        reader.coords.resize(dim, 0.0);
-        for (j, c) in reader.coords.iter_mut().enumerate() {
+        coords.resize(dim, 0.0);
+        for (j, c) in coords.iter_mut().enumerate() {
             *c = p.get_f64(base + 8 + 8 * j).expect("record in page");
         }
-        Ok((partition, point_id, &reader.coords))
+        Ok((partition, point_id, coords))
     }
 
     /// Marks a record dead. Tombstoned records keep their slot (rids are
@@ -226,7 +203,7 @@ impl VectorHeap {
 
     /// Fetches one record by itself: `(partition, point_id, coords)`.
     pub fn get(&self, rid: u64) -> Result<(u32, u64, Vec<f64>)> {
-        let mut reader = HeapReader::default();
+        let mut reader = Scratch::default();
         let (partition, point_id, coords) = self.read(&mut reader, rid)?;
         Ok((partition, point_id, coords.to_vec()))
     }

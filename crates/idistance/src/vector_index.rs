@@ -2,10 +2,8 @@
 
 use crate::gldr::GlobalLdrIndex;
 use crate::index::IDistanceIndex;
-use crate::knn::QueryScratch;
 use crate::seqscan::SeqScan;
-use mmdr_index::{SearchCounters, SearchFilter, VectorIndex, QUERY_CHUNK};
-use mmdr_linalg::{map_ranges_with, ParConfig};
+use mmdr_index::{Query, Scratch, SearchCounters, Target, VectorIndex};
 use mmdr_storage::{IoStats, PoolStats};
 use std::sync::Arc;
 
@@ -35,52 +33,11 @@ impl VectorIndex for IDistanceIndex {
         IDistanceIndex::dim(self)
     }
 
-    fn knn(&self, query: &[f64], k: usize) -> mmdr_index::Result<Vec<(f64, u64)>> {
-        Ok(IDistanceIndex::knn(self, query, k)?)
-    }
-
-    fn range_search(&self, query: &[f64], radius: f64) -> mmdr_index::Result<Vec<(f64, u64)>> {
-        Ok(IDistanceIndex::range_search(self, query, radius)?)
-    }
-
-    fn knn_filtered(
-        &self,
-        query: &[f64],
-        k: usize,
-        filter: &SearchFilter,
-    ) -> mmdr_index::Result<Vec<(f64, u64)>> {
-        Ok(IDistanceIndex::knn_filtered(self, query, k, filter)?)
-    }
-
-    fn range_search_filtered(
-        &self,
-        query: &[f64],
-        radius: f64,
-        filter: &SearchFilter,
-    ) -> mmdr_index::Result<Vec<(f64, u64)>> {
-        Ok(IDistanceIndex::range_search_filtered(
-            self, query, radius, filter,
-        )?)
-    }
-
-    fn batch_knn_filtered(
-        &self,
-        queries: &[Vec<f64>],
-        k: usize,
-        filter: &SearchFilter,
-        par: &ParConfig,
-    ) -> mmdr_index::Result<Vec<Vec<(f64, u64)>>> {
-        let chunk_results = map_ranges_with(queries.len(), QUERY_CHUNK, par, |range| {
-            let mut scratch = QueryScratch::new();
-            range
-                .map(|i| self.knn_filtered_with_scratch(&queries[i], k, filter, &mut scratch))
-                .collect::<crate::Result<Vec<_>>>()
-        });
-        let mut out = Vec::with_capacity(queries.len());
-        for chunk in chunk_results {
-            out.extend(chunk?);
-        }
-        Ok(out)
+    fn search(&self, q: &Query<'_>, scratch: &mut Scratch) -> mmdr_index::Result<Vec<(f64, u64)>> {
+        Ok(match q.target {
+            Target::Knn(k) => self.knn_impl(q.vector, k, q.filter, scratch),
+            Target::Range(radius) => self.range_impl(q.vector, radius, q.filter, scratch),
+        }?)
     }
 
     fn io_stats(&self) -> Arc<IoStats> {
@@ -93,28 +50,6 @@ impl VectorIndex for IDistanceIndex {
 
     fn pool_stats(&self) -> Vec<PoolStats> {
         vec![self.tree().pool().snapshot(), self.heap().pool().snapshot()]
-    }
-
-    /// Overrides the provided executor only to hold one [`QueryScratch`]
-    /// per worker chunk instead of one per query; chunking, ordering and
-    /// per-query results are identical to the default.
-    fn batch_knn(
-        &self,
-        queries: &[Vec<f64>],
-        k: usize,
-        par: &ParConfig,
-    ) -> mmdr_index::Result<Vec<Vec<(f64, u64)>>> {
-        let chunk_results = map_ranges_with(queries.len(), QUERY_CHUNK, par, |range| {
-            let mut scratch = QueryScratch::new();
-            range
-                .map(|i| self.knn_with_scratch(&queries[i], k, &mut scratch))
-                .collect::<crate::Result<Vec<_>>>()
-        });
-        let mut out = Vec::with_capacity(queries.len());
-        for chunk in chunk_results {
-            out.extend(chunk?);
-        }
-        Ok(out)
     }
 }
 
@@ -131,30 +66,11 @@ impl VectorIndex for SeqScan {
         SeqScan::dim(self)
     }
 
-    fn knn(&self, query: &[f64], k: usize) -> mmdr_index::Result<Vec<(f64, u64)>> {
-        Ok(SeqScan::knn(self, query, k)?)
-    }
-
-    fn range_search(&self, query: &[f64], radius: f64) -> mmdr_index::Result<Vec<(f64, u64)>> {
-        Ok(SeqScan::range_search(self, query, radius)?)
-    }
-
-    fn knn_filtered(
-        &self,
-        query: &[f64],
-        k: usize,
-        filter: &SearchFilter,
-    ) -> mmdr_index::Result<Vec<(f64, u64)>> {
-        Ok(SeqScan::knn_filtered(self, query, k, filter)?)
-    }
-
-    fn range_search_filtered(
-        &self,
-        query: &[f64],
-        radius: f64,
-        filter: &SearchFilter,
-    ) -> mmdr_index::Result<Vec<(f64, u64)>> {
-        Ok(SeqScan::range_search_filtered(self, query, radius, filter)?)
+    fn search(&self, q: &Query<'_>, _: &mut Scratch) -> mmdr_index::Result<Vec<(f64, u64)>> {
+        Ok(match q.target {
+            Target::Knn(k) => self.knn_impl(q.vector, k, q.filter),
+            Target::Range(radius) => self.range_impl(q.vector, radius, q.filter),
+        }?)
     }
 
     fn io_stats(&self) -> Arc<IoStats> {
@@ -183,32 +99,11 @@ impl VectorIndex for GlobalLdrIndex {
         GlobalLdrIndex::dim(self)
     }
 
-    fn knn(&self, query: &[f64], k: usize) -> mmdr_index::Result<Vec<(f64, u64)>> {
-        Ok(GlobalLdrIndex::knn(self, query, k)?)
-    }
-
-    fn range_search(&self, query: &[f64], radius: f64) -> mmdr_index::Result<Vec<(f64, u64)>> {
-        Ok(GlobalLdrIndex::range_search(self, query, radius)?)
-    }
-
-    fn knn_filtered(
-        &self,
-        query: &[f64],
-        k: usize,
-        filter: &SearchFilter,
-    ) -> mmdr_index::Result<Vec<(f64, u64)>> {
-        Ok(GlobalLdrIndex::knn_filtered(self, query, k, filter)?)
-    }
-
-    fn range_search_filtered(
-        &self,
-        query: &[f64],
-        radius: f64,
-        filter: &SearchFilter,
-    ) -> mmdr_index::Result<Vec<(f64, u64)>> {
-        Ok(GlobalLdrIndex::range_search_filtered(
-            self, query, radius, filter,
-        )?)
+    fn search(&self, q: &Query<'_>, _: &mut Scratch) -> mmdr_index::Result<Vec<(f64, u64)>> {
+        Ok(match q.target {
+            Target::Knn(k) => self.knn_impl(q.vector, k, q.filter),
+            Target::Range(radius) => self.range_impl(q.vector, radius, q.filter),
+        }?)
     }
 
     fn io_stats(&self) -> Arc<IoStats> {
@@ -235,7 +130,7 @@ mod tests {
     use super::*;
     use crate::index::IDistanceConfig;
     use mmdr_core::{Mmdr, MmdrParams};
-    use mmdr_linalg::Matrix;
+    use mmdr_linalg::{Matrix, ParConfig};
 
     fn dataset() -> Matrix {
         let mut rows = Vec::new();
@@ -282,28 +177,6 @@ mod tests {
     }
 
     #[test]
-    fn scratch_batch_override_matches_serial() {
-        let data = dataset();
-        let model = Mmdr::new(MmdrParams {
-            max_ec: 4,
-            ..Default::default()
-        })
-        .fit(&data)
-        .unwrap();
-        let index = IDistanceIndex::build(&data, &model, IDistanceConfig::default()).unwrap();
-        let queries: Vec<Vec<f64>> = (0..20).map(|i| data.row(i * 9).to_vec()).collect();
-        let serial: Vec<Vec<(f64, u64)>> = queries
-            .iter()
-            .map(|q| IDistanceIndex::knn(&index, q, 7).unwrap())
-            .collect();
-        for threads in [1, 2, 4] {
-            let batch =
-                VectorIndex::batch_knn(&index, &queries, 7, &ParConfig::threads(threads)).unwrap();
-            assert_eq!(batch, serial, "threads={threads}");
-        }
-    }
-
-    #[test]
     fn errors_translate() {
         let data = dataset();
         let model = Mmdr::new(MmdrParams {
@@ -330,7 +203,7 @@ mod tests {
     fn batch_queries_executor_is_usable_directly() {
         let queries = vec![vec![1.0], vec![2.0]];
         let doubled =
-            mmdr_index::batch_queries(&queries, &ParConfig::threads(2), |q| Ok(q[0] * 2.0))
+            mmdr_index::batch_queries(&queries, &ParConfig::threads(2), |q, _| Ok(q[0] * 2.0))
                 .unwrap();
         assert_eq!(doubled, vec![2.0, 4.0]);
     }

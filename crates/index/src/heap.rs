@@ -39,11 +39,16 @@ pub struct KnnHeap {
 }
 
 impl KnnHeap {
+    /// Slots reserved up front. `k` arrives unvalidated from the wire and
+    /// from callers that mean "everything" (`usize::MAX`, `len`), so the
+    /// reservation is bounded; the heap grows to `min(k, rows offered)`.
+    const MAX_RESERVED: usize = 1024;
+
     /// An empty heap retaining at most `k` candidates.
     pub fn new(k: usize) -> Self {
         Self {
             k,
-            heap: BinaryHeap::with_capacity(k + 1),
+            heap: BinaryHeap::with_capacity(k.min(Self::MAX_RESERVED) + 1),
         }
     }
 
@@ -136,6 +141,19 @@ mod tests {
         assert!(h.is_full());
         assert_eq!(h.k(), 0);
         assert!(h.into_sorted_vec().is_empty());
+    }
+
+    #[test]
+    fn an_unbounded_k_reserves_little_and_keeps_everything_offered() {
+        let mut h = KnnHeap::new(usize::MAX);
+        assert!(h.heap.capacity() < 1 << 16);
+        for id in (0..5000u64).rev() {
+            h.push(id as f64, id);
+        }
+        assert!(!h.is_full());
+        let all = h.into_sorted_vec();
+        assert_eq!(all.len(), 5000);
+        assert!(all.windows(2).all(|w| w[0] < w[1]));
     }
 
     #[test]

@@ -7,18 +7,22 @@
 //! hybrid-tree *gLDR* scheme. [`VectorIndex`] is the contract that makes
 //! that comparison apples-to-apples:
 //!
-//! - **`&self` queries.** Read-only searches never require exclusive
-//!   access, so one index can serve concurrent workers.
-//! - **Deterministic answers.** `knn` returns `(distance, point_id)`
-//!   ascending by distance with ties broken toward the smaller point id
-//!   (the [`KnnHeap`] ordering), so two backends measuring the same metric
+//! - **One door.** [`VectorIndex::search`] answers a [`Query`] — k nearest
+//!   or everything within a radius ([`Target`]), filtered or not — through
+//!   `&self` and the caller's [`Scratch`], so one index can serve
+//!   concurrent workers. `knn`, `range_search` and `batch_knn` are names
+//!   for it.
+//! - **Deterministic answers.** `(distance, point_id)` ascending by
+//!   distance with ties broken toward the smaller point id (the
+//!   [`KnnHeap`] ordering), so two backends measuring the same metric
 //!   agree on the full result list, not just the id set.
-//! - **A shared batch executor.** [`VectorIndex::batch_knn`] is a provided
-//!   method: queries are split into fixed-size chunks and fanned across
-//!   scoped worker threads, with results merged in input order. Each answer
-//!   row is exactly the serial `knn` result for that query, so the thread
-//!   count changes wall-clock time, never answers — every backend inherits
-//!   the bit-identical-to-serial guarantee without writing threading code.
+//! - **A shared batch executor.** [`batch_queries`] splits queries into
+//!   fixed-size chunks and fans them across scoped worker threads, one
+//!   `Scratch` per chunk, with results merged in input order. Each answer
+//!   row is exactly the serial `search` result for that query, so the
+//!   thread count changes wall-clock time, never answers — every backend
+//!   inherits the bit-identical-to-serial guarantee without writing
+//!   threading code.
 //! - **Uniform measurement.** [`QueryStats`] snapshots distance
 //!   computations, logical page/node touches, physical page reads, and
 //!   candidates refined from the same counters ([`SearchCounters`] +
@@ -28,6 +32,7 @@ mod error;
 mod filter;
 mod heap;
 mod mutable;
+mod query;
 mod stats;
 mod traits;
 
@@ -38,5 +43,6 @@ pub use mutable::{
     DeltaLayer, DeltaStats, DriftEstimator, IngestOp, IngestStats, LiveIndex, MutableVectorIndex,
     PinnedEpoch, ReadOnlyLive, MIN_DRIFT_SAMPLES,
 };
+pub use query::{Query, Scratch, Target};
 pub use stats::{QueryStats, SearchCounters};
 pub use traits::{ball_lower_bound, batch_queries, ShardStats, VectorIndex, QUERY_CHUNK};

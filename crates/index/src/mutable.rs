@@ -24,6 +24,7 @@
 //! crate.
 
 use crate::error::{Error, Result};
+use crate::query::Target;
 use crate::traits::VectorIndex;
 use std::collections::{BTreeMap, HashSet};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -392,22 +393,15 @@ pub trait LiveIndex: Send + Sync {
         Vec::new()
     }
 
-    /// Attribute-filtered KNN: `predicate` is the filter's canonical text
+    /// Attribute-filtered search: `predicate` is the filter's canonical text
     /// (e.g. `label = "news" && score >= 10`), compiled server-side against
     /// the handle's attribute store and planned per query. Exact: the
     /// result equals post-filtering the unfiltered full ranking. The
     /// default — handles with no attribute store — is a typed rejection.
-    fn filtered_knn(&self, _query: &[f64], _k: usize, _predicate: &str) -> Result<Vec<(f64, u64)>> {
-        Err(Error::FiltersUnavailable)
-    }
-
-    /// Attribute-filtered range search (see [`filtered_knn`]'s contract).
-    ///
-    /// [`filtered_knn`]: LiveIndex::filtered_knn
-    fn filtered_range(
+    fn filtered(
         &self,
-        _query: &[f64],
-        _radius: f64,
+        _vector: &[f64],
+        _target: Target,
         _predicate: &str,
     ) -> Result<Vec<(f64, u64)>> {
         Err(Error::FiltersUnavailable)
@@ -570,6 +564,7 @@ mod tests {
 
     #[test]
     fn read_only_live_rejects_writes() {
+        use crate::query::{Query, Scratch};
         use crate::stats::SearchCounters;
         use mmdr_storage::IoStats;
 
@@ -584,10 +579,7 @@ mod tests {
             fn dim(&self) -> usize {
                 1
             }
-            fn knn(&self, _q: &[f64], _k: usize) -> Result<Vec<(f64, u64)>> {
-                Ok(Vec::new())
-            }
-            fn range_search(&self, _q: &[f64], _r: f64) -> Result<Vec<(f64, u64)>> {
+            fn search(&self, _: &Query<'_>, _: &mut Scratch) -> Result<Vec<(f64, u64)>> {
                 Ok(Vec::new())
             }
             fn io_stats(&self) -> Arc<IoStats> {

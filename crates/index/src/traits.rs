@@ -1,14 +1,14 @@
 //! The [`VectorIndex`] trait and the shared batch-query executor.
 
 use crate::error::Result;
-use crate::filter::SearchFilter;
+use crate::query::{Query, Scratch, Target};
 use crate::stats::{QueryStats, SearchCounters};
 use mmdr_linalg::{map_ranges_with, ParConfig};
 use mmdr_storage::{IoStats, PoolStats};
 use std::sync::Arc;
 
-/// Queries per work chunk in [`VectorIndex::batch_knn`]. Much smaller than
-/// the dataset-side `PAR_CHUNK`: one query is already substantial work, and
+/// Queries per work chunk in [`batch_queries`]. Much smaller than the
+/// dataset-side `PAR_CHUNK`: one query is already substantial work, and
 /// small chunks keep the dynamic scheduler's load balanced. Chunk
 /// boundaries never depend on the thread count, so neither do answers.
 pub const QUERY_CHUNK: usize = 8;
@@ -17,17 +17,26 @@ pub const QUERY_CHUNK: usize = 8;
 ///
 /// # Contract
 ///
-/// - Queries take `&self`: implementations keep any per-query scratch on
-///   the stack or behind interior mutability, never in the index API.
-/// - `knn` returns `(distance, point_id)` sorted ascending by distance,
-///   ties broken toward the smaller point id (the [`crate::KnnHeap`]
-///   ordering). `range_search` returns every hit within the radius, sorted
-///   the same way.
+/// - [`search`](VectorIndex::search) is the one method that answers a
+///   query. [`knn`](VectorIndex::knn),
+///   [`range_search`](VectorIndex::range_search) and
+///   [`batch_knn`](VectorIndex::batch_knn) are names for it and must not
+///   be overridden.
+/// - `search` takes `&self`: whatever a query carries from one call to the
+///   next lives in the caller's [`Scratch`], never in the index. An
+///   implementation that reads through the scratch unpins it first — what
+///   it pinned last time may since have been written, or belong to another
+///   index — so any `Scratch`, fresh or used, gives the same answer.
+/// - Answers are `(distance, point_id)` sorted ascending by distance, ties
+///   broken toward the smaller point id (the [`crate::KnnHeap`] ordering);
+///   a range search returns every hit within the radius in that order. A
+///   [`Query::filter`] is honoured exactly (see its contract) or rejected
+///   with [`FiltersUnavailable`](crate::Error::FiltersUnavailable).
 /// - Answers are deterministic functions of `(index contents, query)` —
 ///   in particular they must not depend on buffer-pool state or on how
 ///   many other queries run concurrently. This is what lets
-///   [`batch_knn`](VectorIndex::batch_knn) promise bit-identical-to-serial
-///   results at every thread count.
+///   [`batch_queries`] promise bit-identical-to-serial results at every
+///   thread count.
 /// - Cost accounting flows through the shared counters: page/node touches
 ///   via [`io_stats`](VectorIndex::io_stats) (the buffer pool records
 ///   them), distance computations and refined candidates via
@@ -48,13 +57,34 @@ pub trait VectorIndex: Send + Sync {
         self.len() == 0
     }
 
-    /// The k nearest neighbours of `query`, ascending by
-    /// `(distance, point_id)`.
-    fn knn(&self, query: &[f64], k: usize) -> Result<Vec<(f64, u64)>>;
+    /// Answers `query`, ascending by `(distance, point_id)`.
+    fn search(&self, query: &Query<'_>, scratch: &mut Scratch) -> Result<Vec<(f64, u64)>>;
 
-    /// Every point within `radius` of `query`, ascending by
-    /// `(distance, point_id)`.
-    fn range_search(&self, query: &[f64], radius: f64) -> Result<Vec<(f64, u64)>>;
+    /// The k nearest neighbours of `query`.
+    fn knn(&self, query: &[f64], k: usize) -> Result<Vec<(f64, u64)>> {
+        self.search(&Query::new(query, Target::Knn(k)), &mut Scratch::default())
+    }
+
+    /// Every point within `radius` of `query`.
+    fn range_search(&self, query: &[f64], radius: f64) -> Result<Vec<(f64, u64)>> {
+        self.search(
+            &Query::new(query, Target::Range(radius)),
+            &mut Scratch::default(),
+        )
+    }
+
+    /// [`knn`](VectorIndex::knn) for every query in `queries`, through
+    /// [`batch_queries`].
+    fn batch_knn(
+        &self,
+        queries: &[Vec<f64>],
+        k: usize,
+        par: &ParConfig,
+    ) -> Result<Vec<Vec<(f64, u64)>>> {
+        batch_queries(queries, par, |q, s| {
+            self.search(&Query::new(q, Target::Knn(k)), s)
+        })
+    }
 
     /// Handle to the backend's logical-I/O counters.
     fn io_stats(&self) -> Arc<IoStats>;
@@ -81,78 +111,6 @@ pub trait VectorIndex: Send + Sync {
     fn reset_stats(&self) {
         self.io_stats().reset();
         self.search_counters().reset();
-    }
-
-    /// Answers every query in `queries`, fanning the batch across
-    /// `par.num_threads` scoped worker threads.
-    ///
-    /// Results come back in input order and each row is exactly what
-    /// [`knn`](VectorIndex::knn) returns for that query — thread count
-    /// affects only wall-clock time, never answers. Workers read pages as
-    /// shared `Arc<Page>` handles out of the sharded buffer pool, so they
-    /// hold no pool lock while computing distances and do not serialize on
-    /// page access. Backends with reusable per-thread scratch may override
-    /// this, but must preserve the determinism guarantee (the conformance
-    /// suite checks it at 1/2/4/8 threads).
-    fn batch_knn(
-        &self,
-        queries: &[Vec<f64>],
-        k: usize,
-        par: &ParConfig,
-    ) -> Result<Vec<Vec<(f64, u64)>>> {
-        batch_queries(queries, par, |q| self.knn(q, k))
-    }
-
-    /// The k nearest neighbours of `query` among rows passing `filter`,
-    /// ascending by `(distance, point_id)`.
-    ///
-    /// The contract is exact pushdown: the result is bit-identical (ids and
-    /// f64 distance bits) to ranking every indexed row, dropping rows that
-    /// fail the filter, and truncating to `k`. The default does literally
-    /// that; backends override it to gate rows before they enter the answer
-    /// heap so filtered rows never tighten termination radii or touch pages
-    /// they can prune.
-    fn knn_filtered(
-        &self,
-        query: &[f64],
-        k: usize,
-        filter: &SearchFilter,
-    ) -> Result<Vec<(f64, u64)>> {
-        let full = self.knn(query, self.len())?;
-        Ok(full
-            .into_iter()
-            .filter(|&(_, id)| filter.passes(id))
-            .take(k)
-            .collect())
-    }
-
-    /// Every point within `radius` of `query` passing `filter`, ascending by
-    /// `(distance, point_id)`. Same exactness contract as
-    /// [`knn_filtered`](VectorIndex::knn_filtered).
-    fn range_search_filtered(
-        &self,
-        query: &[f64],
-        radius: f64,
-        filter: &SearchFilter,
-    ) -> Result<Vec<(f64, u64)>> {
-        let full = self.range_search(query, radius)?;
-        Ok(full
-            .into_iter()
-            .filter(|&(_, id)| filter.passes(id))
-            .collect())
-    }
-
-    /// Answers every query in `queries` under one shared `filter`, with the
-    /// same chunking, ordering, and bit-identical-to-serial guarantee as
-    /// [`batch_knn`](VectorIndex::batch_knn).
-    fn batch_knn_filtered(
-        &self,
-        queries: &[Vec<f64>],
-        k: usize,
-        filter: &SearchFilter,
-        par: &ParConfig,
-    ) -> Result<Vec<Vec<(f64, u64)>>> {
-        batch_queries(queries, par, |q| self.knn_filtered(q, k, filter))
     }
 
     /// Cumulative scatter-gather attribution, when this index fronts
@@ -205,19 +163,27 @@ pub fn ball_lower_bound(query: &[f64], center: &[f64], radius: f64) -> f64 {
     (mmdr_linalg::l2_dist(query, center) - radius).max(0.0)
 }
 
-/// The chunk-and-merge batch executor behind
-/// [`VectorIndex::batch_knn`]: splits `queries` into fixed
-/// [`QUERY_CHUNK`]-sized chunks, answers each chunk with `run` (workers
-/// pull chunks dynamically), and concatenates the per-chunk results in
-/// input order. Exposed for backends that override `batch_knn` with a
-/// per-worker scratch but want the identical scheduling.
+/// The batch executor: splits `queries` into fixed [`QUERY_CHUNK`]-sized
+/// chunks, fans the chunks across `par.num_threads` scoped worker threads
+/// (workers pull chunks dynamically), answers each chunk's queries in turn
+/// with `run` and one [`Scratch`] for the chunk, and concatenates the
+/// results in input order.
+///
+/// With `run` a call to [`VectorIndex::search`], each row is exactly the
+/// serial answer for that query: thread count affects only wall-clock
+/// time. Workers read pages as shared `Arc<Page>` handles out of the
+/// sharded buffer pool, so they hold no pool lock while computing
+/// distances and do not serialize on page access.
 pub fn batch_queries<R: Send>(
     queries: &[Vec<f64>],
     par: &ParConfig,
-    run: impl Fn(&[f64]) -> Result<R> + Sync,
+    run: impl Fn(&[f64], &mut Scratch) -> Result<R> + Sync,
 ) -> Result<Vec<R>> {
     let chunk_results = map_ranges_with(queries.len(), QUERY_CHUNK, par, |range| {
-        range.map(|i| run(&queries[i])).collect::<Result<Vec<_>>>()
+        let mut scratch = Scratch::default();
+        range
+            .map(|i| run(&queries[i], &mut scratch))
+            .collect::<Result<Vec<_>>>()
     });
     let mut out = Vec::with_capacity(queries.len());
     for chunk in chunk_results {
@@ -259,30 +225,26 @@ mod tests {
         fn dim(&self) -> usize {
             1
         }
-        fn knn(&self, query: &[f64], k: usize) -> Result<Vec<(f64, u64)>> {
-            if query.len() != 1 {
+        fn search(&self, query: &Query<'_>, _: &mut Scratch) -> Result<Vec<(f64, u64)>> {
+            let [q] = *query.vector else {
                 return Err(Error::DimensionMismatch {
                     expected: 1,
-                    actual: query.len(),
+                    actual: query.vector.len(),
                 });
-            }
+            };
+            let (k, radius) = match query.target {
+                Target::Knn(k) => (k, f64::INFINITY),
+                Target::Range(radius) => (usize::MAX, radius),
+            };
             let mut heap = KnnHeap::new(k);
             for (i, &p) in self.points.iter().enumerate() {
-                heap.push((p - query[0]).abs(), i as u64);
+                let d = (p - q).abs();
+                if d <= radius && query.filter.is_none_or(|f| f.passes(i as u64)) {
+                    heap.push(d, i as u64);
+                }
             }
             self.search.record_dists(self.points.len() as u64);
             Ok(heap.into_sorted_vec())
-        }
-        fn range_search(&self, query: &[f64], radius: f64) -> Result<Vec<(f64, u64)>> {
-            let mut hits: Vec<(f64, u64)> = self
-                .points
-                .iter()
-                .enumerate()
-                .map(|(i, &p)| ((p - query[0]).abs(), i as u64))
-                .filter(|&(d, _)| d <= radius)
-                .collect();
-            hits.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
-            Ok(hits)
         }
         fn io_stats(&self) -> Arc<IoStats> {
             Arc::clone(&self.io)

@@ -72,14 +72,11 @@ use crate::wal::{remove_wal, WalWriter, DEFAULT_WAL_SEGMENT_BYTES};
 use mmdr_core::{MmdrParams, PointAssignment, ReductionResult};
 use mmdr_idistance::{load, stored_rows, Backend, BuiltIndex, IDistanceConfig, KeySpace, Row};
 use mmdr_index::{
-    DriftEstimator, IngestOp, IngestStats, LiveIndex, PinnedEpoch, QueryStats, SearchCounters,
-    VectorIndex,
+    DriftEstimator, IngestOp, IngestStats, LiveIndex, PinnedEpoch, Query, QueryStats, Scratch,
+    SearchCounters, Target, VectorIndex,
 };
 use mmdr_linalg::Matrix;
-use mmdr_query::{
-    decode_row, encode_row, run_filtered_knn, run_filtered_range, AttrSketches, AttrStore,
-    AttrValue, PlannedFilter, Planner,
-};
+use mmdr_query::{decode_row, encode_row, AttrSketches, AttrStore, AttrValue, Planner};
 use mmdr_storage::{IoStats, PoolStats};
 use std::collections::{BTreeMap, HashSet};
 use std::path::{Path, PathBuf};
@@ -221,40 +218,8 @@ impl VectorIndex for Epoch {
     fn dim(&self) -> usize {
         self.built.as_dyn().dim()
     }
-    fn knn(&self, query: &[f64], k: usize) -> mmdr_index::Result<Vec<(f64, u64)>> {
-        self.built.as_dyn().knn(query, k)
-    }
-    fn range_search(&self, query: &[f64], radius: f64) -> mmdr_index::Result<Vec<(f64, u64)>> {
-        self.built.as_dyn().range_search(query, radius)
-    }
-    fn knn_filtered(
-        &self,
-        query: &[f64],
-        k: usize,
-        filter: &mmdr_index::SearchFilter,
-    ) -> mmdr_index::Result<Vec<(f64, u64)>> {
-        self.built.as_dyn().knn_filtered(query, k, filter)
-    }
-    fn range_search_filtered(
-        &self,
-        query: &[f64],
-        radius: f64,
-        filter: &mmdr_index::SearchFilter,
-    ) -> mmdr_index::Result<Vec<(f64, u64)>> {
-        self.built
-            .as_dyn()
-            .range_search_filtered(query, radius, filter)
-    }
-    fn batch_knn_filtered(
-        &self,
-        queries: &[Vec<f64>],
-        k: usize,
-        filter: &mmdr_index::SearchFilter,
-        par: &mmdr_linalg::ParConfig,
-    ) -> mmdr_index::Result<Vec<Vec<(f64, u64)>>> {
-        self.built
-            .as_dyn()
-            .batch_knn_filtered(queries, k, filter, par)
+    fn search(&self, q: &Query<'_>, scratch: &mut Scratch) -> mmdr_index::Result<Vec<(f64, u64)>> {
+        self.built.as_dyn().search(q, scratch)
     }
     fn io_stats(&self) -> Arc<IoStats> {
         self.built.as_dyn().io_stats()
@@ -267,14 +232,6 @@ impl VectorIndex for Epoch {
     }
     fn query_stats(&self) -> QueryStats {
         self.built.as_dyn().query_stats()
-    }
-    fn batch_knn(
-        &self,
-        queries: &[Vec<f64>],
-        k: usize,
-        par: &mmdr_linalg::ParConfig,
-    ) -> mmdr_index::Result<Vec<Vec<(f64, u64)>>> {
-        self.built.as_dyn().batch_knn(queries, k, par)
     }
 }
 
@@ -639,31 +596,6 @@ impl IngestEngine {
             .read()
             .unwrap_or_else(|p| p.into_inner())
             .clone()
-    }
-
-    /// Parses `predicate`, compiles it against the live attribute store
-    /// into a row bitmap, prunes clusters through the current sketches,
-    /// and lets the planner pick a strategy (`k = None` plans a range
-    /// query, which always pushes down).
-    fn plan_filtered(
-        &self,
-        predicate: &str,
-        n: u64,
-        k: Option<usize>,
-    ) -> mmdr_index::Result<PlannedFilter> {
-        // Sketches first, attrs second — both taken and released in turn,
-        // never nested, so no ordering against the writer path matters.
-        let sketches = self.attr_sketches();
-        self.with_attrs(|store| {
-            crate::live::plan_filtered(
-                &self.core.planner,
-                store,
-                sketches.as_deref(),
-                predicate,
-                n,
-                k,
-            )
-        })
     }
 
     /// The planner's decision counters (mirrored into `QueryStats` by the
@@ -1090,33 +1022,28 @@ impl LiveIndex for IngestEngine {
         w.drift.drift()
     }
 
-    fn filtered_knn(
+    fn filtered(
         &self,
-        query: &[f64],
-        k: usize,
+        vector: &[f64],
+        target: Target,
         predicate: &str,
     ) -> mmdr_index::Result<Vec<(f64, u64)>> {
         // Pin once: plan and execution see the same epoch. The bitmap is
         // id-keyed, and a merge never renumbers ids, so a concurrent swap
         // cannot skew the filter either way.
         let pin = LiveIndex::pin(self);
-        let plan = self.plan_filtered(predicate, pin.index.len() as u64, Some(k))?;
-        let before = pin.index.query_stats().page_reads;
-        let hits = run_filtered_knn(pin.index.as_ref(), query, k, &plan)?;
-        let pages = pin.index.query_stats().page_reads.saturating_sub(before);
-        self.core.planner.observe(plan.strategy, pages);
-        Ok(hits)
-    }
-
-    fn filtered_range(
-        &self,
-        query: &[f64],
-        radius: f64,
-        predicate: &str,
-    ) -> mmdr_index::Result<Vec<(f64, u64)>> {
-        let pin = LiveIndex::pin(self);
-        let plan = self.plan_filtered(predicate, pin.index.len() as u64, None)?;
-        run_filtered_range(pin.index.as_ref(), query, radius, &plan)
+        // Sketches first, attrs second — both taken and released in turn,
+        // never nested, so no ordering against the writer path matters.
+        let sketches = self.attr_sketches();
+        crate::live::filtered(
+            &self.core.planner,
+            self.core.attrs.read().unwrap_or_else(|p| p.into_inner()),
+            sketches.as_deref(),
+            pin.index.as_ref(),
+            vector,
+            target,
+            predicate,
+        )
     }
 
     fn planner_counts(&self) -> [u64; 3] {

@@ -1,10 +1,10 @@
-//! Read-only filtered serving over a static snapshot.
+//! Filtered serving: the one predicate → bitmap → plan → run → observe
+//! body, and the read-only handle over a static snapshot that uses it.
 //!
 //! [`SnapshotLive`] is the attribute-aware counterpart of
 //! [`mmdr_index::ReadOnlyLive`]: it serves a reopened snapshot's index
 //! read-only (writes are typed rejections) while answering
-//! [`LiveIndex::filtered_knn`] / [`LiveIndex::filtered_range`] through the
-//! same predicate → bitmap → planner pipeline the WAL-backed
+//! [`LiveIndex::filtered`] through the same pipeline the WAL-backed
 //! [`IngestEngine`](crate::IngestEngine) runs — so `mmdr serve` without
 //! `--wal` supports `--filter` queries whenever the snapshot carries an
 //! ATTRS section.
@@ -12,37 +12,54 @@
 use crate::ingest::build_sketches;
 use crate::Result;
 use mmdr_core::ReductionResult;
-use mmdr_index::{IngestStats, LiveIndex, PinnedEpoch, VectorIndex};
-use mmdr_query::{
-    run_filtered_knn, run_filtered_range, AttrSketches, AttrStore, PlannedFilter, Planner,
-    Predicate,
-};
+use mmdr_index::{IngestStats, LiveIndex, PinnedEpoch, Query, Scratch, Target, VectorIndex};
+use mmdr_query::{run_filtered_knn, AttrSketches, AttrStore, Planner, Predicate};
+use std::ops::Deref;
 use std::sync::Arc;
 
-/// Parses `predicate`, compiles it against `store` into a row bitmap,
-/// prunes clusters through `sketches`, and plans (`k = None` plans a range
-/// query). Shared by the engine and [`SnapshotLive`]; a store with no
-/// columns is the typed
+/// Answers one filtered query against `index`: parses `predicate`,
+/// compiles it against `store` into a row bitmap, prunes clusters through
+/// `sketches`, lets `planner` pick a strategy, runs it, and feeds the
+/// pages a KNN read back into the planner's cost history. Shared by the
+/// engine and [`SnapshotLive`]; a store with no columns is the typed
 /// [`FiltersUnavailable`](mmdr_index::Error::FiltersUnavailable) rejection.
-pub(crate) fn plan_filtered(
+///
+/// `store` may be a lock guard: it is released once the plan exists,
+/// before the search runs.
+pub(crate) fn filtered(
     planner: &Planner,
-    store: &AttrStore,
+    store: impl Deref<Target = AttrStore>,
     sketches: Option<&AttrSketches>,
+    index: &dyn VectorIndex,
+    vector: &[f64],
+    target: Target,
     predicate: &str,
-    n: u64,
-    k: Option<usize>,
-) -> mmdr_index::Result<PlannedFilter> {
+) -> mmdr_index::Result<Vec<(f64, u64)>> {
     if store.is_empty() {
         return Err(mmdr_index::Error::FiltersUnavailable);
     }
-    let pred = Predicate::parse(predicate).map_err(mmdr_index::Error::from)?;
-    pred.validate(store).map_err(mmdr_index::Error::from)?;
-    let rows = pred.compile(store).map_err(mmdr_index::Error::from)?;
-    match k {
-        Some(k) => planner.plan_knn(pred, rows, sketches, n, k),
-        None => planner.plan_range(pred, rows, sketches),
+    let pred = Predicate::parse(predicate)?;
+    pred.validate(&store)?;
+    let rows = pred.compile(&store)?;
+    let plan = planner.plan(pred, rows, sketches, index.len() as u64, target)?;
+    drop(store);
+    match target {
+        Target::Knn(k) => {
+            let before = index.query_stats().page_reads;
+            let hits = run_filtered_knn(index, vector, k, &plan)?;
+            let pages = index.query_stats().page_reads.saturating_sub(before);
+            planner.observe(plan.strategy, pages);
+            Ok(hits)
+        }
+        Target::Range(_) => {
+            let query = Query {
+                vector,
+                target,
+                filter: Some(&plan.filter),
+            };
+            index.search(&query, &mut Scratch::default())
+        }
     }
-    .map_err(mmdr_index::Error::from)
 }
 
 /// A read-only [`LiveIndex`] over a static snapshot with filtered-search
@@ -109,42 +126,21 @@ impl LiveIndex for SnapshotLive {
         }
     }
 
-    fn filtered_knn(
+    fn filtered(
         &self,
-        query: &[f64],
-        k: usize,
+        vector: &[f64],
+        target: Target,
         predicate: &str,
     ) -> mmdr_index::Result<Vec<(f64, u64)>> {
-        let plan = plan_filtered(
+        filtered(
             &self.planner,
             &self.attrs,
             self.sketches.as_deref(),
+            self.index.as_ref(),
+            vector,
+            target,
             predicate,
-            self.index.len() as u64,
-            Some(k),
-        )?;
-        let before = self.index.query_stats().page_reads;
-        let hits = run_filtered_knn(self.index.as_ref(), query, k, &plan)?;
-        let pages = self.index.query_stats().page_reads.saturating_sub(before);
-        self.planner.observe(plan.strategy, pages);
-        Ok(hits)
-    }
-
-    fn filtered_range(
-        &self,
-        query: &[f64],
-        radius: f64,
-        predicate: &str,
-    ) -> mmdr_index::Result<Vec<(f64, u64)>> {
-        let plan = plan_filtered(
-            &self.planner,
-            &self.attrs,
-            self.sketches.as_deref(),
-            predicate,
-            self.index.len() as u64,
-            None,
-        )?;
-        run_filtered_range(self.index.as_ref(), query, radius, &plan)
+        )
     }
 
     fn planner_counts(&self) -> [u64; 3] {

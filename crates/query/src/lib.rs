@@ -29,8 +29,7 @@ mod sketch;
 pub use attrs::{decode_row, encode_row, AttrStore, AttrType, AttrValue};
 pub use error::{Error, Result};
 pub use planner::{
-    run_filtered_knn, run_filtered_range, PlannedFilter, Planner, PlannerCounters, PlannerSnapshot,
-    Strategy,
+    run_filtered_knn, PlannedFilter, Planner, PlannerCounters, PlannerSnapshot, Strategy,
 };
 pub use predicate::{Op, Predicate, Term};
 pub use sketch::{AttrSketches, ColumnSketch, PartitionSketch};

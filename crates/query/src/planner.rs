@@ -7,11 +7,11 @@
 //!   doubled `k`, drop non-matching hits. Cheapest when the filter barely
 //!   rejects anything: the unfiltered search touches almost the same pages
 //!   and skips the bitmap plumbing.
-//! * [`Strategy::Pushdown`] — `knn_filtered` with the compiled bitmap plus
-//!   sketch-derived cluster hints. The default: rejected rows never enter
-//!   the heap, pruned clusters are never read.
+//! * [`Strategy::Pushdown`] — `search` with the compiled bitmap plus
+//!   sketch-derived cluster hints as the query's filter. The default:
+//!   rejected rows never enter the heap, pruned clusters are never read.
 //! * [`Strategy::PrefilterRank`] — when the passing set is tiny, rank the
-//!   whole set (`knn_filtered` with `k = matches`) and truncate. Sidesteps
+//!   whole set (a filtered `search` with `k = matches`) and truncate. Sidesteps
 //!   the early-termination machinery entirely for point-lookup-like
 //!   filters.
 //!
@@ -27,7 +27,7 @@
 use crate::error::Result;
 use crate::predicate::Predicate;
 use crate::sketch::AttrSketches;
-use mmdr_index::{RowFilter, SearchFilter, VectorIndex};
+use mmdr_index::{Query, RowFilter, Scratch, SearchFilter, Target, VectorIndex};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
@@ -125,20 +125,33 @@ impl Planner {
         &self.counters
     }
 
-    /// Compiles `predicate` against the store behind `sketches`, prunes
-    /// clusters, and picks a KNN strategy for `(n, k)`. `sketches` is
-    /// `None` when the index has no cluster structure to hint (plain
-    /// SeqScan, shard-less serving).
-    pub fn plan_knn(
+    /// Attaches the sketch-derived cluster hints for `predicate` to its
+    /// compiled bitmap `rows` and picks a strategy for `target` over `n`
+    /// rows. `sketches` is `None` when the index has no cluster structure
+    /// to hint (plain SeqScan, shard-less serving). A range query always
+    /// pushes down: it has no k to double, so PostFilter has no cost edge
+    /// and PrefilterRank degenerates into the same scan; cluster pruning
+    /// still applies.
+    pub fn plan(
         &self,
         predicate: Predicate,
         rows: RowFilter,
         sketches: Option<&AttrSketches>,
         n: u64,
-        k: usize,
+        target: Target,
     ) -> Result<PlannedFilter> {
-        let (filter, matches) = Self::build_filter(&predicate, rows, sketches)?;
-        let strategy = self.choose(n, k, matches);
+        let matches = rows.count();
+        let filter = match sketches {
+            Some(sk) => {
+                let (alive, outliers_alive) = sk.prune(&predicate)?;
+                SearchFilter::with_clusters(rows, alive, outliers_alive)
+            }
+            None => SearchFilter::from_rows(rows),
+        };
+        let strategy = match target {
+            Target::Knn(k) => self.choose(n, k, matches),
+            Target::Range(_) => Strategy::Pushdown,
+        };
         self.counters.record(strategy);
         Ok(PlannedFilter {
             predicate,
@@ -148,47 +161,23 @@ impl Planner {
         })
     }
 
-    /// Plans a filtered range query: always Pushdown — range search has no
-    /// k to double, so PostFilter has no cost edge and PrefilterRank
-    /// degenerates into the same scan. Cluster pruning still applies.
-    pub fn plan_range(
+    /// [`plan`](Self::plan) for a KNN query.
+    pub fn plan_knn(
         &self,
         predicate: Predicate,
         rows: RowFilter,
         sketches: Option<&AttrSketches>,
+        n: u64,
+        k: usize,
     ) -> Result<PlannedFilter> {
-        let (filter, matches) = Self::build_filter(&predicate, rows, sketches)?;
-        self.counters.record(Strategy::Pushdown);
-        Ok(PlannedFilter {
-            predicate,
-            filter,
-            matches,
-            strategy: Strategy::Pushdown,
-        })
-    }
-
-    /// Bitmap + sketch-derived cluster hints, shared by both planners.
-    fn build_filter(
-        predicate: &Predicate,
-        rows: RowFilter,
-        sketches: Option<&AttrSketches>,
-    ) -> Result<(SearchFilter, u64)> {
-        let matches = rows.count();
-        let filter = match sketches {
-            Some(sk) => {
-                let (alive, outliers_alive) = sk.prune(predicate)?;
-                SearchFilter::with_clusters(rows, alive, outliers_alive)
-            }
-            None => SearchFilter::from_rows(rows),
-        };
-        Ok((filter, matches))
+        self.plan(predicate, rows, sketches, n, Target::Knn(k))
     }
 
     /// Pure strategy rule (no counter side effects):
     /// tiny passing sets rank outright, near-pass-everything filters run
     /// unfiltered and drop, everything else pushes down.
     pub fn choose(&self, n: u64, k: usize, matches: u64) -> Strategy {
-        if matches <= (4 * k as u64).max(64) {
+        if matches <= (k as u64).saturating_mul(4).max(64) {
             return Strategy::PrefilterRank;
         }
         if n == 0 {
@@ -245,12 +234,20 @@ pub fn run_filtered_knn(
     plan: &PlannedFilter,
 ) -> mmdr_index::Result<Vec<(f64, u64)>> {
     let want = k.min(plan.matches as usize);
+    let filtered = |k| {
+        let query = Query {
+            vector: query,
+            target: Target::Knn(k),
+            filter: Some(&plan.filter),
+        };
+        index.search(&query, &mut Scratch::default())
+    };
     match plan.strategy {
-        Strategy::Pushdown => index.knn_filtered(query, k, &plan.filter),
+        Strategy::Pushdown => filtered(k),
         Strategy::PrefilterRank => {
             // Rank the whole passing set, keep the front. Exact because the
             // filtered top-m is a prefix-superset of the filtered top-k.
-            let mut all = index.knn_filtered(query, plan.matches as usize, &plan.filter)?;
+            let mut all = filtered(plan.matches as usize)?;
             all.truncate(k);
             Ok(all)
         }
@@ -259,7 +256,7 @@ pub fn run_filtered_knn(
             // unfiltered top-fetch IS the filtered top-k once it has k hits
             // or the index is exhausted.
             let n = index.len();
-            let mut fetch = (2 * k).max(16).min(n);
+            let mut fetch = k.saturating_mul(2).max(16).min(n);
             loop {
                 let full = index.knn(query, fetch)?;
                 let exhausted = full.len() < fetch || fetch >= n;
@@ -275,16 +272,6 @@ pub fn run_filtered_knn(
             }
         }
     }
-}
-
-/// Executes a filtered range query (always pushdown).
-pub fn run_filtered_range(
-    index: &dyn VectorIndex,
-    query: &[f64],
-    radius: f64,
-    plan: &PlannedFilter,
-) -> mmdr_index::Result<Vec<(f64, u64)>> {
-    index.range_search_filtered(query, radius, &plan.filter)
 }
 
 #[cfg(test)]
@@ -345,9 +332,8 @@ mod tests {
         let tiny = RowFilter::from_fn(1000, |id| id < 8);
         let plan2 = p.plan_knn(pred.clone(), tiny, None, 1000, 10).unwrap();
         assert_eq!(plan2.strategy, Strategy::PrefilterRank);
-        let ranged = p
-            .plan_range(pred, RowFilter::from_fn(1000, |id| id % 2 == 0), None)
-            .unwrap();
+        let half = RowFilter::from_fn(1000, |id| id % 2 == 0);
+        let ranged = p.plan(pred, half, None, 1000, Target::Range(1.0)).unwrap();
         assert_eq!(ranged.strategy, Strategy::Pushdown);
         assert_eq!(ranged.matches, 500);
         let snap = p.counters().snapshot();

@@ -9,16 +9,19 @@
 //!
 //! # Query protocol
 //!
-//! For a KNN the router computes, per shard, a lower bound on any distance
-//! the shard could contribute: the minimum over the shard's manifest balls
-//! of `max(0, ‖q − center‖ − radius)` — the triangle-inequality bound
-//! iDistance applies per cluster intra-process, lifted to the network.
-//! Shards are visited **sequentially in ascending-bound order**; before
-//! each hop, a shard whose (epsilon-deflated) bound strictly exceeds the
-//! current k-th distance is pruned, so the radius tightens as partial
-//! heaps return and trailing shards are usually never contacted. Partials
-//! are merged through the same tie-deterministic [`KnnHeap`] every backend
-//! uses, with local ids remapped to global row ids via the manifest.
+//! For every query the router computes, per shard, a lower bound on any
+//! distance the shard could contribute: the minimum over the shard's
+//! manifest balls of `max(0, ‖q − center‖ − radius)` — the
+//! triangle-inequality bound iDistance applies per cluster intra-process,
+//! lifted to the network. Shards are visited **sequentially in
+//! ascending-bound order**; before each hop, a shard whose
+//! (epsilon-deflated) bound strictly exceeds the search radius — the
+//! current k-th distance for a KNN, which tightens as partial heaps
+//! return, so trailing shards are usually never contacted; the given
+//! radius for a range search — is pruned. Partials are merged through the
+//! same tie-deterministic [`KnnHeap`] every backend uses, with local ids
+//! remapped to global row ids via the manifest. One loop
+//! ([`Router::scatter`]) does this for KNN and range, plain and filtered.
 //!
 //! # Bit-identity
 //!
@@ -44,8 +47,8 @@
 #![warn(missing_docs)]
 
 use mmdr_index::{
-    Error, IngestStats, KnnHeap, LiveIndex, PinnedEpoch, Result, SearchCounters, ShardStats,
-    VectorIndex,
+    Error, IngestStats, KnnHeap, LiveIndex, PinnedEpoch, Query, Result, Scratch, SearchCounters,
+    ShardStats, Target, VectorIndex,
 };
 use mmdr_persist::{Manifest, ShardEntry};
 use mmdr_serve::{Client, ServeError};
@@ -340,30 +343,48 @@ impl Router {
         ))
     }
 
-    /// Attribute-filtered KNN across shards: the predicate travels to each
-    /// contacted shard as its canonical text, each shard compiles it
-    /// against its *own* attribute store (shard-split re-indexes the ATTRS
-    /// section to local ids, so shard-local bitmaps are self-contained),
-    /// and filtered partials merge through the same [`KnnHeap`] as plain
-    /// KNN. Ball pruning stays sound: a filter only shrinks a shard's
-    /// candidate set, so the unfiltered lower bound still under-estimates
-    /// every distance the shard could contribute.
-    pub fn filtered_knn(&self, query: &[f64], k: usize, filter: &str) -> Result<Vec<(f64, u64)>> {
+    /// Answers `target` around `query` across the shards, restricted to
+    /// rows passing `predicate` when one is given.
+    ///
+    /// A predicate travels to each contacted shard as its canonical text;
+    /// each shard compiles it against its *own* attribute store
+    /// (shard-split re-indexes the ATTRS section to local ids, so
+    /// shard-local bitmaps are self-contained), and filtered partials
+    /// merge like plain ones. Ball pruning stays sound: a filter only
+    /// shrinks a shard's candidate set, so the unfiltered lower bound
+    /// still under-estimates every distance the shard could contribute.
+    pub fn scatter(
+        &self,
+        query: &[f64],
+        target: Target,
+        predicate: Option<&str>,
+    ) -> Result<Vec<(f64, u64)>> {
         self.validate(query)?;
+        // A range search is a KNN that keeps everything and whose radius
+        // starts where a KNN's ends up.
+        let (k, radius) = match target {
+            Target::Knn(k) => (k, f64::INFINITY),
+            Target::Range(r) if r.is_finite() && r >= 0.0 => (usize::MAX, r),
+            Target::Range(_) => return Err(Error::InvalidRadius),
+        };
         self.queries.fetch_add(1, Ordering::Relaxed);
         if k == 0 {
             return Ok(Vec::new());
         }
         let mut heap = KnnHeap::new(k);
         for (lb, i) in self.scatter_order(query) {
-            let prunable = heap
+            // Prune only on *strictly* greater: an equal-distance,
+            // smaller-id candidate could still displace the current worst,
+            // and a shard whose bound equals the radius may hold a hit.
+            let reach = heap
                 .worst_dist()
-                .is_some_and(|worst| heap.is_full() && deflate(lb) > worst);
-            if prunable {
+                .filter(|_| heap.is_full())
+                .unwrap_or(radius);
+            if deflate(lb) > reach {
                 self.pruned.fetch_add(1, Ordering::Relaxed);
                 continue;
             }
-            let partial = self.shard_op(i, |c| c.filtered_knn(query, k, filter))?;
+            let partial = self.shard_op(i, |c| c.search(query, target, predicate))?;
             self.contacted.fetch_add(1, Ordering::Relaxed);
             self.shards[i]
                 .partials
@@ -373,38 +394,6 @@ impl Router {
             }
         }
         Ok(heap.into_sorted_vec())
-    }
-
-    /// Attribute-filtered range search across shards (same predicate
-    /// forwarding and pruning soundness as [`filtered_knn`](Self::filtered_knn)).
-    pub fn filtered_range(
-        &self,
-        query: &[f64],
-        radius: f64,
-        filter: &str,
-    ) -> Result<Vec<(f64, u64)>> {
-        self.validate(query)?;
-        if !radius.is_finite() || radius < 0.0 {
-            return Err(Error::InvalidRadius);
-        }
-        self.queries.fetch_add(1, Ordering::Relaxed);
-        let mut hits: Vec<(f64, u64)> = Vec::new();
-        for (lb, i) in self.scatter_order(query) {
-            if deflate(lb) > radius {
-                self.pruned.fetch_add(1, Ordering::Relaxed);
-                continue;
-            }
-            let partial = self.shard_op(i, |c| c.filtered_range(query, radius, filter))?;
-            self.contacted.fetch_add(1, Ordering::Relaxed);
-            self.shards[i]
-                .partials
-                .fetch_add(partial.len() as u64, Ordering::Relaxed);
-            for (dist, local) in partial {
-                hits.push((dist, self.global_id(i, local)?));
-            }
-        }
-        hits.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
-        Ok(hits)
     }
 
     fn validate(&self, query: &[f64]) -> Result<()> {
@@ -434,59 +423,14 @@ impl VectorIndex for Router {
         self.manifest.dim
     }
 
-    fn knn(&self, query: &[f64], k: usize) -> Result<Vec<(f64, u64)>> {
-        self.validate(query)?;
-        self.queries.fetch_add(1, Ordering::Relaxed);
-        if k == 0 {
-            return Ok(Vec::new());
+    /// A row bitmap is keyed by ids one attribute store assigned and does
+    /// not travel; filtered queries go through [`Router::scatter`] with
+    /// the predicate's text ([`RouterLive`] does).
+    fn search(&self, q: &Query<'_>, _: &mut Scratch) -> Result<Vec<(f64, u64)>> {
+        if q.filter.is_some() {
+            return Err(Error::FiltersUnavailable);
         }
-        let mut heap = KnnHeap::new(k);
-        for (lb, i) in self.scatter_order(query) {
-            // Prune only on *strictly* greater: an equal-distance,
-            // smaller-id candidate could still displace the current worst.
-            let prunable = heap
-                .worst_dist()
-                .is_some_and(|worst| heap.is_full() && deflate(lb) > worst);
-            if prunable {
-                self.pruned.fetch_add(1, Ordering::Relaxed);
-                continue;
-            }
-            let partial = self.shard_op(i, |c| c.knn(query, k))?;
-            self.contacted.fetch_add(1, Ordering::Relaxed);
-            self.shards[i]
-                .partials
-                .fetch_add(partial.len() as u64, Ordering::Relaxed);
-            for (dist, local) in partial {
-                heap.push(dist, self.global_id(i, local)?);
-            }
-        }
-        Ok(heap.into_sorted_vec())
-    }
-
-    fn range_search(&self, query: &[f64], radius: f64) -> Result<Vec<(f64, u64)>> {
-        self.validate(query)?;
-        if !radius.is_finite() || radius < 0.0 {
-            return Err(Error::InvalidRadius);
-        }
-        self.queries.fetch_add(1, Ordering::Relaxed);
-        let mut hits: Vec<(f64, u64)> = Vec::new();
-        for (lb, i) in self.scatter_order(query) {
-            // A shard whose bound exceeds the radius holds no hits at all.
-            if deflate(lb) > radius {
-                self.pruned.fetch_add(1, Ordering::Relaxed);
-                continue;
-            }
-            let partial = self.shard_op(i, |c| c.range(query, radius))?;
-            self.contacted.fetch_add(1, Ordering::Relaxed);
-            self.shards[i]
-                .partials
-                .fetch_add(partial.len() as u64, Ordering::Relaxed);
-            for (dist, local) in partial {
-                hits.push((dist, self.global_id(i, local)?));
-            }
-        }
-        hits.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
-        Ok(hits)
+        self.scatter(q.vector, q.target, None)
     }
 
     fn io_stats(&self) -> Arc<IoStats> {
@@ -519,9 +463,8 @@ impl VectorIndex for Router {
 }
 
 /// The serving adapter for a router front: a read-only [`LiveIndex`] that
-/// forwards filtered queries to [`Router::filtered_knn`] /
-/// [`Router::filtered_range`] instead of rejecting them the way
-/// [`mmdr_index::ReadOnlyLive`] would. `mmdr route` fronts shards with
+/// forwards filtered queries to [`Router::scatter`] instead of rejecting
+/// them the way [`mmdr_index::ReadOnlyLive`] would. `mmdr route` fronts shards with
 /// this, so `remote-query --filter` works through the router unchanged.
 pub struct RouterLive {
     router: Arc<Router>,
@@ -561,17 +504,8 @@ impl LiveIndex for RouterLive {
         }
     }
 
-    fn filtered_knn(&self, query: &[f64], k: usize, predicate: &str) -> Result<Vec<(f64, u64)>> {
-        self.router.filtered_knn(query, k, predicate)
-    }
-
-    fn filtered_range(
-        &self,
-        query: &[f64],
-        radius: f64,
-        predicate: &str,
-    ) -> Result<Vec<(f64, u64)>> {
-        self.router.filtered_range(query, radius, predicate)
+    fn filtered(&self, vector: &[f64], target: Target, predicate: &str) -> Result<Vec<(f64, u64)>> {
+        self.router.scatter(vector, target, Some(predicate))
     }
 }
 

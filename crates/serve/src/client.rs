@@ -1,7 +1,7 @@
 //! Synchronous client for the mmdr-serve wire protocol.
 //!
 //! One [`Client`] wraps one TCP connection. The blocking methods
-//! ([`Client::knn`], [`Client::range`], …) send a request and wait for its
+//! ([`Client::search`], [`Client::batch_knn`], …) send a request and wait for its
 //! response; the split [`Client::send`]/[`Client::recv`] pair lets a load
 //! generator pipeline several requests per connection and match responses
 //! by request id. Admission-control rejections surface as the typed
@@ -9,6 +9,7 @@
 
 use crate::error::{Result, ServeError};
 use crate::wire::{self, RemoteStats, Request, Response};
+use mmdr_index::Target;
 use std::io;
 use std::net::{TcpStream, ToSocketAddrs};
 use std::time::{Duration, Instant};
@@ -17,6 +18,13 @@ use std::time::{Duration, Instant};
 pub struct Client {
     stream: TcpStream,
     next_id: u64,
+}
+
+/// `k` as the wire carries it. A `k` past `u32::MAX` means "everything" on
+/// any index a server can hold, so it saturates instead of wrapping
+/// (`1 << 32` must not ask for 0 neighbours).
+fn wire_k(k: usize) -> u32 {
+    u32::try_from(k).unwrap_or(u32::MAX)
 }
 
 impl Client {
@@ -86,78 +94,57 @@ impl Client {
         })
     }
 
-    /// `k` nearest neighbours of `query`: `(distance, id)` ascending,
-    /// bit-identical to an in-process [`knn`](mmdr_index::VectorIndex::knn)
-    /// on the same index.
-    pub fn knn(&mut self, query: &[f64], k: usize) -> Result<Vec<(f64, u64)>> {
-        let req = Request::Knn {
-            query: query.to_vec(),
-            k: k as u32,
+    /// Answers `target` around `query`: `(distance, id)` ascending,
+    /// bit-identical to the in-process
+    /// [`search`](mmdr_index::VectorIndex::search) — or, with a `filter`,
+    /// [`filtered`](mmdr_index::LiveIndex::filtered) — on the same index.
+    /// A filter is a predicate in the `--filter` surface syntax (e.g.
+    /// `label = "news" && score >= 10`), compiled and planned server-side.
+    pub fn search(
+        &mut self,
+        query: &[f64],
+        target: Target,
+        filter: Option<&str>,
+    ) -> Result<Vec<(f64, u64)>> {
+        let query = query.to_vec();
+        let req = match (target, filter.map(str::to_string)) {
+            (Target::Knn(k), None) => Request::Knn {
+                query,
+                k: wire_k(k),
+            },
+            (Target::Knn(k), Some(filter)) => Request::FilteredKnn {
+                query,
+                k: wire_k(k),
+                filter,
+            },
+            (Target::Range(radius), None) => Request::Range { query, radius },
+            (Target::Range(radius), Some(filter)) => Request::FilteredRange {
+                query,
+                radius,
+                filter,
+            },
         };
         Self::expect(self.call(&req)?, |r| match r {
             Response::Neighbors(hits) => Some(hits),
             _ => None,
         })
+    }
+
+    /// The `k` nearest neighbours of `query`.
+    pub fn knn(&mut self, query: &[f64], k: usize) -> Result<Vec<(f64, u64)>> {
+        self.search(query, Target::Knn(k), None)
     }
 
     /// Every indexed point within `radius` of `query`.
     pub fn range(&mut self, query: &[f64], radius: f64) -> Result<Vec<(f64, u64)>> {
-        let req = Request::Range {
-            query: query.to_vec(),
-            radius,
-        };
-        Self::expect(self.call(&req)?, |r| match r {
-            Response::Neighbors(hits) => Some(hits),
-            _ => None,
-        })
-    }
-
-    /// Attribute-filtered KNN: `filter` is a predicate in the `--filter`
-    /// surface syntax (e.g. `label = "news" && score >= 10`), compiled and
-    /// planned server-side. Bit-identical to the in-process
-    /// [`filtered_knn`](mmdr_index::LiveIndex::filtered_knn) on the same
-    /// index.
-    pub fn filtered_knn(
-        &mut self,
-        query: &[f64],
-        k: usize,
-        filter: &str,
-    ) -> Result<Vec<(f64, u64)>> {
-        let req = Request::FilteredKnn {
-            query: query.to_vec(),
-            k: k as u32,
-            filter: filter.to_string(),
-        };
-        Self::expect(self.call(&req)?, |r| match r {
-            Response::Neighbors(hits) => Some(hits),
-            _ => None,
-        })
-    }
-
-    /// Attribute-filtered range search (see
-    /// [`filtered_knn`](Self::filtered_knn) for the filter syntax).
-    pub fn filtered_range(
-        &mut self,
-        query: &[f64],
-        radius: f64,
-        filter: &str,
-    ) -> Result<Vec<(f64, u64)>> {
-        let req = Request::FilteredRange {
-            query: query.to_vec(),
-            radius,
-            filter: filter.to_string(),
-        };
-        Self::expect(self.call(&req)?, |r| match r {
-            Response::Neighbors(hits) => Some(hits),
-            _ => None,
-        })
+        self.search(query, Target::Range(radius), None)
     }
 
     /// One round trip answering many KNN queries with a shared `k`.
     pub fn batch_knn(&mut self, queries: &[Vec<f64>], k: usize) -> Result<Vec<Vec<(f64, u64)>>> {
         let req = Request::BatchKnn {
             queries: queries.to_vec(),
-            k: k as u32,
+            k: wire_k(k),
         };
         Self::expect(self.call(&req)?, |r| match r {
             Response::Batch(rows) => Some(rows),

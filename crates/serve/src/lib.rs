@@ -34,7 +34,7 @@ pub use wire::{IngestWire, RemoteStats, Request, Response, ServerCounters, WireE
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mmdr_index::{KnnHeap, SearchCounters, VectorIndex};
+    use mmdr_index::{KnnHeap, Query, Scratch, SearchCounters, Target, VectorIndex};
     use mmdr_storage::IoStats;
     use std::sync::Arc;
 
@@ -55,44 +55,31 @@ mod tests {
         fn dim(&self) -> usize {
             2
         }
-        fn knn(&self, query: &[f64], k: usize) -> mmdr_index::Result<Vec<(f64, u64)>> {
-            if query.len() != 2 {
+        fn search(&self, q: &Query<'_>, _: &mut Scratch) -> mmdr_index::Result<Vec<(f64, u64)>> {
+            if q.vector.len() != 2 {
                 return Err(mmdr_index::Error::DimensionMismatch {
                     expected: 2,
-                    actual: query.len(),
+                    actual: q.vector.len(),
                 });
             }
+            let (k, radius) = match q.target {
+                Target::Knn(k) => (k, f64::INFINITY),
+                Target::Range(radius) => (usize::MAX, radius),
+            };
             let mut heap = KnnHeap::new(k);
             for (i, p) in self.points.iter().enumerate() {
                 let d = p
                     .iter()
-                    .zip(query)
+                    .zip(q.vector)
                     .map(|(a, b)| (a - b) * (a - b))
                     .sum::<f64>()
                     .sqrt();
-                heap.push(d, i as u64);
+                if d <= radius {
+                    heap.push(d, i as u64);
+                }
             }
             self.search.record_dists(self.points.len() as u64);
             Ok(heap.into_sorted_vec())
-        }
-        fn range_search(&self, query: &[f64], radius: f64) -> mmdr_index::Result<Vec<(f64, u64)>> {
-            let mut hits: Vec<(f64, u64)> = self
-                .points
-                .iter()
-                .enumerate()
-                .map(|(i, p)| {
-                    let d = p
-                        .iter()
-                        .zip(query)
-                        .map(|(a, b)| (a - b) * (a - b))
-                        .sum::<f64>()
-                        .sqrt();
-                    (d, i as u64)
-                })
-                .filter(|&(d, _)| d <= radius)
-                .collect();
-            hits.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
-            Ok(hits)
         }
         fn io_stats(&self) -> Arc<IoStats> {
             Arc::clone(&self.io)

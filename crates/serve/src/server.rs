@@ -35,7 +35,7 @@ use crate::stats::ServerStats;
 use crate::wire::{
     self, opcode, RemoteStats, Request, Response, ServerCounters, WireError, MAX_FRAME,
 };
-use mmdr_index::{LiveIndex, ReadOnlyLive, VectorIndex};
+use mmdr_index::{LiveIndex, ReadOnlyLive, Target, VectorIndex};
 use mmdr_linalg::ParConfig;
 use std::io::{self, ErrorKind, Read};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
@@ -125,14 +125,9 @@ enum JobOp {
         queries: Vec<Vec<f64>>,
         k: usize,
     },
-    FilteredKnn {
+    Filtered {
         query: Vec<f64>,
-        k: usize,
-        filter: String,
-    },
-    FilteredRange {
-        query: Vec<f64>,
-        radius: f64,
+        target: Target,
         filter: String,
     },
     Insert {
@@ -150,8 +145,10 @@ impl JobOp {
             JobOp::Knn { .. } => opcode::KNN,
             JobOp::Range { .. } => opcode::RANGE,
             JobOp::Batch { .. } => opcode::BATCH_KNN,
-            JobOp::FilteredKnn { .. } => opcode::FILTERED_KNN,
-            JobOp::FilteredRange { .. } => opcode::FILTERED_RANGE,
+            JobOp::Filtered { target, .. } => match target {
+                Target::Knn(_) => opcode::FILTERED_KNN,
+                Target::Range(_) => opcode::FILTERED_RANGE,
+            },
             JobOp::Insert { .. } => opcode::INSERT,
             JobOp::Delete { .. } => opcode::DELETE,
             JobOp::Flush => opcode::FLUSH,
@@ -550,9 +547,9 @@ fn handle_frame(shared: &Arc<Shared>, conn: &Arc<Conn>, payload: &[u8]) -> bool 
                 shared,
                 conn,
                 id,
-                JobOp::FilteredKnn {
+                JobOp::Filtered {
                     query,
-                    k: k as usize,
+                    target: Target::Knn(k as usize),
                     filter,
                 },
             )
@@ -567,9 +564,9 @@ fn handle_frame(shared: &Arc<Shared>, conn: &Arc<Conn>, payload: &[u8]) -> bool 
                 shared,
                 conn,
                 id,
-                JobOp::FilteredRange {
+                JobOp::Filtered {
                     query,
-                    radius,
+                    target: Target::Range(radius),
                     filter,
                 },
             )
@@ -660,6 +657,7 @@ fn worker_loop(shared: &Arc<Shared>) {
             conn,
             op,
         } = job;
+        let op_byte = op.opcode();
         match op {
             JobOp::Knn { query, k } if shared.config.coalesce > 1 => {
                 coalesce_and_run(shared, request_id, conn, query, k, &par);
@@ -690,25 +688,18 @@ fn worker_loop(shared: &Arc<Shared>) {
                 };
                 send_and_release(&conn, request_id, opcode::BATCH_KNN, &resp);
             }
-            JobOp::FilteredKnn { query, k, filter } => {
-                // The engine pins internally (plan and search against one
-                // epoch); no coalescing — filtered answers never batch.
-                let resp = match guarded(|| shared.index.filtered_knn(&query, k, &filter)) {
-                    Ok(hits) => Response::Neighbors(hits),
-                    Err(msg) => Response::Error(msg),
-                };
-                send_and_release(&conn, request_id, opcode::FILTERED_KNN, &resp);
-            }
-            JobOp::FilteredRange {
+            JobOp::Filtered {
                 query,
-                radius,
+                target,
                 filter,
             } => {
-                let resp = match guarded(|| shared.index.filtered_range(&query, radius, &filter)) {
+                // The engine pins internally (plan and search against one
+                // epoch); no coalescing — filtered answers never batch.
+                let resp = match guarded(|| shared.index.filtered(&query, target, &filter)) {
                     Ok(hits) => Response::Neighbors(hits),
                     Err(msg) => Response::Error(msg),
                 };
-                send_and_release(&conn, request_id, opcode::FILTERED_RANGE, &resp);
+                send_and_release(&conn, request_id, op_byte, &resp);
             }
             JobOp::Insert { vector } => {
                 let resp = match guarded(|| shared.index.insert(&vector)) {

@@ -15,44 +15,24 @@ use crate::error::{Error, Result};
 use crate::page::{Page, PageId};
 use crate::stats::IoStats;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, RwLock, RwLockReadGuard, RwLockWriteGuard};
-
-/// Process-wide shard-count override set by the `--pool-shards` flag.
-/// `0` means "auto": size shards from the machine's parallelism.
-static DEFAULT_POOL_SHARDS: AtomicUsize = AtomicUsize::new(0);
-
-/// Overrides the shard count used by every subsequently constructed
-/// [`BufferPool`] (`0` restores auto sizing). The value is rounded up to a
-/// power of two and clamped so each shard keeps at least one frame.
-pub fn set_default_pool_shards(shards: usize) {
-    DEFAULT_POOL_SHARDS.store(shards, Ordering::Relaxed);
-}
-
-/// The current process-wide shard-count override (`0` = auto).
-pub fn default_pool_shards() -> usize {
-    DEFAULT_POOL_SHARDS.load(Ordering::Relaxed)
-}
 
 fn next_pow2(n: usize) -> usize {
     n.max(1).next_power_of_two()
 }
 
-/// Shard count for a pool of `capacity` frames: the configured override, or
-/// `next_pow2(threads · 4)`, halved until every shard owns ≥ 1 frame.
+/// Shard count for a pool of `capacity` frames: `requested`, or
+/// `next_pow2(threads · 4)` when it is 0, halved until every shard owns
+/// ≥ 1 frame.
 fn resolve_shards(capacity: usize, requested: usize) -> usize {
     let base = if requested > 0 {
         requested
     } else {
-        let configured = default_pool_shards();
-        if configured > 0 {
-            configured
-        } else {
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1)
-                * 4
-        }
+        std::thread::available_parallelism()
+            .map(|n| n.get())
+            .unwrap_or(1)
+            * 4
     };
     let mut shards = next_pow2(base);
     while shards > capacity {
@@ -219,8 +199,7 @@ pub struct BufferPool {
 
 impl BufferPool {
     /// Wraps a disk with a sharded cache of `capacity` pages. The shard
-    /// count defaults to `next_pow2(threads · 4)` (or the process-wide
-    /// [`set_default_pool_shards`] override), clamped so every shard owns at
+    /// count is `next_pow2(threads · 4)`, clamped so every shard owns at
     /// least one frame.
     pub fn new(disk: DiskManager, capacity: usize) -> Result<Self> {
         Self::with_shards(disk, capacity, 0)

@@ -30,9 +30,7 @@ mod page;
 mod source;
 mod stats;
 
-pub use buffer_pool::{
-    default_pool_shards, set_default_pool_shards, BufferPool, PoolStats, ShardCounters,
-};
+pub use buffer_pool::{BufferPool, PoolStats, ShardCounters};
 pub use crc32::{crc32, Crc32};
 pub use disk::DiskManager;
 pub use error::{Error, Result};

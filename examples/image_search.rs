@@ -11,7 +11,7 @@
 
 use mmdr::core::{Mmdr, MmdrParams};
 use mmdr::datagen::{exact_knn, generate_histograms, precision, HistogramConfig};
-use mmdr::idistance::{IDistanceConfig, IDistanceIndex, SeqScan};
+use mmdr::idistance::{IDistanceConfig, IDistanceIndex, SeqScan, VectorIndex};
 
 fn main() {
     // A scaled-down Corel stand-in: 10 000 "images", 64 color bins.

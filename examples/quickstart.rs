@@ -8,7 +8,7 @@
 use mmdr::core::{Mmdr, MmdrParams};
 use mmdr::datagen::{exact_knn, precision, sample_queries};
 use mmdr::datagen::{generate_correlated, CorrelatedConfig};
-use mmdr::idistance::{IDistanceConfig, IDistanceIndex};
+use mmdr::idistance::{IDistanceConfig, IDistanceIndex, VectorIndex};
 
 fn main() {
     // 1. A synthetic workload: 5 000 points in 32-d, five clusters that are

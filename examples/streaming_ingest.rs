@@ -8,7 +8,7 @@
 
 use mmdr::core::{Mmdr, MmdrParams, ScalableMmdr};
 use mmdr::datagen::{generate_correlated, sample_queries, CorrelatedConfig};
-use mmdr::idistance::{IDistanceConfig, IDistanceIndex};
+use mmdr::idistance::{IDistanceConfig, IDistanceIndex, VectorIndex};
 use std::time::Instant;
 
 fn main() {

@@ -12,11 +12,16 @@
 //!    loop at every thread count (the shared-executor guarantee).
 //! 3. **Range search** — identical hit sets for a radius away from any
 //!    distance boundary.
+//! 4. **One door** — the same holds through `search` for {KNN, range} ×
+//!    {unfiltered, filtered}, and no answer depends on the `Scratch` it was
+//!    computed with: a fresh one per query and one reused across every
+//!    query, across two indexes and across a delta insert, agree bit for
+//!    bit.
 
 use mmdr::core::{Mmdr, MmdrParams, ParConfig};
 use mmdr::datagen::{generate_correlated, sample_queries, CorrelatedConfig};
-use mmdr::idistance::{build_backend, Backend};
-use mmdr::index::VectorIndex;
+use mmdr::idistance::{build_backend, build_index, Backend};
+use mmdr::index::{batch_queries, Query, RowFilter, Scratch, SearchFilter, Target, VectorIndex};
 
 const K: usize = 10;
 const BUFFER_PAGES: usize = 128;
@@ -47,6 +52,39 @@ fn build_all(fx: &Fixture) -> Vec<Box<dyn VectorIndex>> {
         .into_iter()
         .map(|b| build_backend(b, &fx.data, &fx.model, BUFFER_PAGES).expect("build backend"))
         .collect()
+}
+
+/// A bitmap with no cluster hints that fails every third id.
+fn two_thirds(capacity: usize) -> SearchFilter {
+    SearchFilter::from_rows(RowFilter::from_fn(capacity as u64, |id| id % 3 != 0))
+}
+
+/// {KNN, range} × {unfiltered, filtered} around `vector`.
+fn query_kinds<'a>(vector: &'a [f64], radius: f64, filter: &'a SearchFilter) -> [Query<'a>; 4] {
+    let kind = |target, filter| Query {
+        vector,
+        target,
+        filter,
+    };
+    [
+        kind(Target::Knn(K), None),
+        kind(Target::Knn(K), Some(filter)),
+        kind(Target::Range(radius), None),
+        kind(Target::Range(radius), Some(filter)),
+    ]
+}
+
+/// A radius halfway between the K-th and (K+1)-th distance of `index`, so
+/// no backend straddles a boundary within float noise. If the two
+/// distances tie, nudging the midpoint changes nothing — every backend
+/// keeps ties (`dist <= radius + eps`), so answers still agree.
+fn radius_between_ranks(index: &dyn VectorIndex, q: &[f64]) -> f64 {
+    let probe = index.knn(q, K + 1).unwrap();
+    (probe[K - 1].0 + probe[K].0) / 2.0
+}
+
+fn bits(hits: Vec<(f64, u64)>) -> Vec<(u64, u64)> {
+    hits.into_iter().map(|(d, id)| (d.to_bits(), id)).collect()
 }
 
 /// Asserts `results` is ascending by the full `(distance, point_id)` tuple.
@@ -122,18 +160,132 @@ fn batch_knn_is_bit_identical_to_serial_at_every_thread_count() {
 }
 
 #[test]
+fn the_executor_is_bit_identical_to_serial_search_for_every_query_kind() {
+    let fx = fixture();
+    let filter = two_thirds(fx.data.rows());
+    for index in build_all(&fx) {
+        let radius = radius_between_ranks(index.as_ref(), &fx.queries[0]);
+        for kind in query_kinds(&[], radius, &filter) {
+            let ask = |q: &[f64], scratch: &mut Scratch| {
+                index.search(&Query { vector: q, ..kind }, scratch)
+            };
+            let serial: Vec<_> = fx
+                .queries
+                .iter()
+                .map(|q| bits(ask(q, &mut Scratch::default()).unwrap()))
+                .collect();
+            for threads in [1usize, 2, 4, 8] {
+                let batch = batch_queries(&fx.queries, &ParConfig::threads(threads), ask).unwrap();
+                assert_eq!(
+                    batch.into_iter().map(bits).collect::<Vec<_>>(),
+                    serial,
+                    "{} {:?} filtered {} at {threads} threads: batch diverges from serial",
+                    index.name(),
+                    kind.target,
+                    kind.filter.is_some()
+                );
+            }
+        }
+    }
+}
+
+/// Answers the four query kinds for every fixture query, alternating
+/// between index `a` and an index `b` over other data, before and after
+/// rows are inserted into `a`'s delta; with one `Scratch` for the whole
+/// sequence, or a fresh one per query.
+fn scratch_sequence(
+    backend: Backend,
+    fx: &Fixture,
+    other: &Fixture,
+    radii: &[f64],
+    reuse: bool,
+) -> Vec<Vec<(f64, u64)>> {
+    let a = build_index(backend, &fx.data, &fx.model, BUFFER_PAGES).expect("build a");
+    let b = build_index(backend, &other.data, &other.model, BUFFER_PAGES).expect("build b");
+    let n = fx.data.rows();
+    let inserted = 40;
+    let filter = two_thirds(n + inserted);
+    let mut shared = Scratch::default();
+    let mut answers = Vec::new();
+    let mut ask_all = || {
+        for (q, &radius) in fx.queries.iter().zip(radii) {
+            for query in query_kinds(q, radius, &filter) {
+                for index in [a.as_dyn(), b.as_dyn()] {
+                    let mut fresh = Scratch::default();
+                    let scratch = if reuse { &mut shared } else { &mut fresh };
+                    answers.push(index.search(&query, scratch).unwrap());
+                }
+            }
+        }
+    };
+    ask_all();
+    for i in 0..inserted {
+        a.as_mutable()
+            .insert((n + i) as u64, other.data.row(i))
+            .expect("delta insert");
+    }
+    ask_all();
+    answers
+}
+
+#[test]
+fn search_parity_holds_whatever_scratch_a_query_is_given() {
+    let fx = fixture();
+    let ds = generate_correlated(&CorrelatedConfig::paper_style(900, 32, 4, 6, 30.0, 77));
+    let other = Fixture {
+        model: Mmdr::new(MmdrParams::default()).fit(&ds.data).unwrap(),
+        data: ds.data,
+        queries: Vec::new(),
+    };
+    let scan = build_backend(Backend::all()[0], &fx.data, &fx.model, BUFFER_PAGES).unwrap();
+    let radii: Vec<f64> = fx
+        .queries
+        .iter()
+        .map(|q| radius_between_ranks(scan.as_ref(), q))
+        .collect();
+
+    let mut reference: Option<Vec<Vec<(f64, u64)>>> = None;
+    for backend in Backend::all() {
+        let fresh = scratch_sequence(backend, &fx, &other, &radii, false);
+        let reused = scratch_sequence(backend, &fx, &other, &radii, true);
+        assert_eq!(fresh.len(), 4 * 4 * fx.queries.len());
+        for (i, (f, r)) in fresh.iter().zip(&reused).enumerate() {
+            assert_eq!(
+                bits(f.clone()),
+                bits(r.clone()),
+                "{} answer {i}: a reused Scratch changed the answer",
+                backend.name()
+            );
+            assert_sorted(backend.name(), i, f);
+        }
+        // The same matrix, against the sequential scan's answers.
+        let want = reference.get_or_insert_with(|| fresh.clone());
+        for (i, (got, want)) in fresh.iter().zip(want.iter()).enumerate() {
+            let ids = |hits: &[(f64, u64)]| hits.iter().map(|&(_, id)| id).collect::<Vec<_>>();
+            assert_eq!(
+                ids(got),
+                ids(want),
+                "{} answer {i}: ids differ from scan",
+                backend.name()
+            );
+            for ((gd, _), (wd, _)) in got.iter().zip(want) {
+                assert!(
+                    (gd - wd).abs() < 1e-9,
+                    "{} answer {i}: distance drift {gd} vs {wd}",
+                    backend.name()
+                );
+            }
+        }
+    }
+}
+
+#[test]
 fn range_search_agrees_across_backends() {
     let fx = fixture();
     let backends = build_all(&fx);
 
     for (qi, q) in fx.queries.iter().take(5).enumerate() {
-        // Pick a radius halfway between the K-th and (K+1)-th scan distance
-        // so no backend straddles a boundary within float noise. If the two
-        // distances tie, nudging the midpoint changes nothing — every
-        // backend keeps ties (`dist <= radius + eps`), so answers still
-        // agree.
-        let probe = backends[0].knn(q, K + 1).unwrap();
-        let radius = (probe[K - 1].0 + probe[K].0) / 2.0;
+        let radius = radius_between_ranks(backends[0].as_ref(), q);
 
         let want = backends[0].range_search(q, radius).unwrap();
         assert!(!want.is_empty(), "query {qi}: degenerate radius {radius}");

@@ -3,7 +3,7 @@
 
 use mmdr::core::{Gdr, Ldr, LdrParams, Mmdr, MmdrParams, ReductionResult};
 use mmdr::datagen::{exact_knn, generate_correlated, precision, sample_queries, CorrelatedConfig};
-use mmdr::idistance::SeqScan;
+use mmdr::idistance::{SeqScan, VectorIndex};
 use mmdr::linalg::Matrix;
 
 fn locally_correlated() -> Matrix {

@@ -3,7 +3,7 @@
 
 use mmdr::core::{Mmdr, MmdrParams};
 use mmdr::datagen::{exact_knn, generate_correlated, precision, sample_queries, CorrelatedConfig};
-use mmdr::idistance::{IDistanceConfig, IDistanceIndex, SeqScan};
+use mmdr::idistance::{IDistanceConfig, IDistanceIndex, SeqScan, VectorIndex};
 
 fn workload() -> mmdr::datagen::GeneratedDataset {
     generate_correlated(&CorrelatedConfig::paper_style(4_000, 32, 6, 6, 30.0, 17))

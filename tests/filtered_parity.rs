@@ -10,7 +10,7 @@
 
 use mmdr_core::{Mmdr, MmdrParams, ReductionResult};
 use mmdr_idistance::Backend;
-use mmdr_index::LiveIndex;
+use mmdr_index::{LiveIndex, Target};
 use mmdr_linalg::Matrix;
 use mmdr_persist::{IngestEngine, IngestOptions, SnapshotLive};
 use mmdr_query::{AttrStore, AttrType, AttrValue, Predicate};
@@ -203,7 +203,7 @@ fn snapshot_filtered_knn_matches_post_filtered_oracle() {
             let mut serial = Vec::new();
             for (qi, q) in qs.iter().enumerate() {
                 let want = oracle_knn(live.as_ref(), &attrs, &pred, q, 9);
-                let got = live.filtered_knn(q, 9, pred_text).unwrap();
+                let got = live.filtered(q, Target::Knn(9), pred_text).unwrap();
                 assert_bit_eq(
                     &got,
                     &want,
@@ -219,7 +219,7 @@ fn snapshot_filtered_knn_matches_post_filtered_oracle() {
                             let qs = &qs;
                             scope.spawn(move || {
                                 qs.iter()
-                                    .map(|q| live.filtered_knn(q, 9, pred_text).unwrap())
+                                    .map(|q| live.filtered(q, Target::Knn(9), pred_text).unwrap())
                                     .collect::<Vec<_>>()
                             })
                         })
@@ -265,7 +265,7 @@ fn snapshot_filtered_range_matches_post_filtered_oracle() {
             for (qi, q) in qs.iter().enumerate() {
                 for radius in [0.5, 3.0] {
                     let want = oracle_range(&live, &attrs, &pred, q, radius);
-                    let got = live.filtered_range(q, radius, pred_text).unwrap();
+                    let got = live.filtered(q, Target::Range(radius), pred_text).unwrap();
                     assert_bit_eq(
                         &got,
                         &want,
@@ -324,7 +324,7 @@ fn mutated_engine_filtered_knn_matches_oracle_pre_and_post_merge() {
                 for (qi, q) in qs.iter().enumerate() {
                     let want = engine
                         .with_attrs(|live_store| oracle_knn(&engine, live_store, &pred, q, 7));
-                    let got = engine.filtered_knn(q, 7, pred_text).unwrap();
+                    let got = engine.filtered(q, Target::Knn(7), pred_text).unwrap();
                     assert_bit_eq(
                         &got,
                         &want,
@@ -355,7 +355,7 @@ fn filters_without_attrs_are_a_typed_error() {
     let index: Arc<dyn mmdr_index::VectorIndex> = Arc::from(opened.index.into_boxed());
     let live = SnapshotLive::new(index, &opened.model, opened.attrs).unwrap();
     let q = data.row(0).to_vec();
-    match live.filtered_knn(&q, 3, "views < 10") {
+    match live.filtered(&q, Target::Knn(3), "views < 10") {
         Err(mmdr_index::Error::FiltersUnavailable) => {}
         other => panic!("expected FiltersUnavailable, got {other:?}"),
     }
@@ -393,7 +393,7 @@ proptest! {
             let index: Arc<dyn mmdr_index::VectorIndex> = Arc::from(built.into_boxed());
             let live = SnapshotLive::new(index, &model, Some(store.clone())).unwrap();
             let want = oracle_knn(&live, &store, &pred, &q, k);
-            let got = live.filtered_knn(&q, k, &pred_text).unwrap();
+            let got = live.filtered(&q, Target::Knn(k), &pred_text).unwrap();
             assert_bit_eq(&got, &want, &format!("{} `{pred_text}`", backend.name()));
         }
     }

@@ -5,7 +5,7 @@
 
 use mmdr::core::{Mmdr, MmdrParams, ParConfig};
 use mmdr::datagen::{generate_correlated, sample_queries, CorrelatedConfig};
-use mmdr::idistance::{IDistanceConfig, IDistanceIndex, SeqScan};
+use mmdr::idistance::{IDistanceConfig, IDistanceIndex, SeqScan, VectorIndex};
 
 const K: usize = 10;
 

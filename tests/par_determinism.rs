@@ -8,7 +8,7 @@
 use mmdr::cluster::{kmeans, EllipticalConfig, EllipticalKMeans, KMeansConfig};
 use mmdr::core::{Mmdr, MmdrParams, ParConfig};
 use mmdr::datagen::{generate_correlated, sample_queries, CorrelatedConfig};
-use mmdr::idistance::{IDistanceConfig, IDistanceIndex};
+use mmdr::idistance::{IDistanceConfig, IDistanceIndex, VectorIndex};
 use mmdr::linalg::Matrix;
 
 const THREADS: [usize; 4] = [1, 2, 4, 8];

@@ -3,7 +3,7 @@
 
 use mmdr::core::{Mmdr, MmdrParams};
 use mmdr::datagen::exact_knn;
-use mmdr::idistance::{IDistanceConfig, IDistanceIndex, SeqScan};
+use mmdr::idistance::{IDistanceConfig, IDistanceIndex, SeqScan, VectorIndex};
 use mmdr::linalg::Matrix;
 use proptest::prelude::*;
 

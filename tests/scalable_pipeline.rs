@@ -3,7 +3,7 @@
 
 use mmdr::core::{Mmdr, MmdrParams, ParConfig, ScalableMmdr};
 use mmdr::datagen::{exact_knn, generate_correlated, precision, sample_queries, CorrelatedConfig};
-use mmdr::idistance::SeqScan;
+use mmdr::idistance::{SeqScan, VectorIndex};
 
 #[test]
 fn streaming_matches_in_memory_quality() {

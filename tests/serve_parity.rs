@@ -147,6 +147,36 @@ fn all_four_backends_answer_bit_identically_over_the_wire() {
     }
 }
 
+/// `k` is outside input: a well-formed frame may carry `u32::MAX`, and an
+/// in-process caller `usize::MAX`. Both mean "everything reachable" and
+/// must cost memory in proportion to the rows there are, not to `k`.
+#[test]
+fn an_unbounded_k_returns_every_row_in_process_and_over_the_wire() {
+    let data = dataset(291);
+    assert_eq!(data.rows(), 600);
+    let model = fit(&data);
+    let q = data.row(17).to_vec();
+    for backend in Backend::all() {
+        let (index, handle) = serve_backend(backend, &data, &model, ServerConfig::default());
+        let local = index.knn(&q, usize::MAX).unwrap();
+        assert_eq!(local.len(), 600, "{}: in-process", backend.name());
+        assert!(
+            local.windows(2).all(|w| w[0] <= w[1]),
+            "{}: not ascending",
+            backend.name()
+        );
+        // Past `u32::MAX` the client saturates: the frame carries u32::MAX.
+        let mut client = Client::connect(handle.local_addr()).unwrap();
+        for k in [u32::MAX as usize, 1 << 32, usize::MAX] {
+            let remote = client.knn(&q, k).unwrap();
+            assert_bit_identical(&local, &remote, &format!("{} k = {k}", backend.name()));
+        }
+        let batch = client.batch_knn(std::slice::from_ref(&q), 1 << 32).unwrap();
+        assert_bit_identical(&local, &batch[0], &format!("{} batch", backend.name()));
+        handle.shutdown();
+    }
+}
+
 #[test]
 fn stats_echo_the_open_configuration_for_homogeneity_checks() {
     let data = dataset(40);
