@@ -15,7 +15,7 @@ use std::sync::Arc;
 /// sibling — never per entry. The pin is an immutable image, not a latch:
 /// the pool may evict the frame underneath it, and writes are
 /// copy-on-write, so **a cursor positioned before a write keeps reading
-/// its pre-write leaf; re-seek after any insert or delete**. Dropping the
+/// its pre-write leaf; re-seek after any insert**. Dropping the
 /// cursor before writing also spares the write its page copy.
 ///
 /// Cloning yields an independent cursor over the same pinned image.

@@ -31,7 +31,6 @@
 
 mod bulk;
 mod cursor;
-mod delete;
 mod error;
 mod node;
 mod tree;

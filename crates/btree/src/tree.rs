@@ -99,20 +99,6 @@ impl BPlusTree {
         self.pool.num_pages()
     }
 
-    pub(crate) fn root_page(&self) -> PageId {
-        self.root
-    }
-
-    pub(crate) fn dec_len(&mut self) {
-        self.len -= 1;
-    }
-
-    /// Replaces the root with one of its children (root shrink on delete).
-    pub(crate) fn hoist_root(&mut self, child: PageId) {
-        self.root = child;
-        self.height -= 1;
-    }
-
     pub(crate) fn set_root(&mut self, root: PageId, height: usize, len: usize) {
         self.root = root;
         self.height = height;

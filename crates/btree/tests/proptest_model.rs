@@ -97,49 +97,3 @@ proptest! {
         prop_assert_eq!(prev.map(|(k, _)| k), expected_prev);
     }
 }
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(32))]
-
-    /// Interleaved inserts and deletes stay in lockstep with the reference
-    /// multiset.
-    #[test]
-    fn insert_delete_mix_matches_model(
-        ops in proptest::collection::vec((0u32..32, proptest::bool::ANY), 1..300),
-        pool_pages in 2usize..24,
-    ) {
-        let mut tree = BPlusTree::new(pool(pool_pages)).unwrap();
-        let mut model: Vec<(f64, u64)> = Vec::new();
-        let mut rid = 0u64;
-        for (key, is_insert) in ops {
-            let key = key as f64;
-            if is_insert || model.is_empty() {
-                tree.insert(key, rid).unwrap();
-                model.push((key, rid));
-                rid += 1;
-            } else {
-                // Delete the model entry whose key is nearest to `key` so
-                // deletes usually hit.
-                let pos = model
-                    .iter()
-                    .enumerate()
-                    .min_by(|a, b| {
-                        ((a.1).0 - key).abs().partial_cmp(&((b.1).0 - key).abs()).unwrap()
-                    })
-                    .map(|(i, _)| i)
-                    .unwrap();
-                let (k, r) = model.swap_remove(pos);
-                prop_assert!(tree.delete(k, r).unwrap());
-            }
-        }
-        prop_assert_eq!(tree.len(), model.len());
-        tree.check_invariants().unwrap();
-        let got: Vec<f64> = tree
-            .range(f64::MIN, f64::MAX)
-            .unwrap()
-            .into_iter()
-            .map(|(k, _)| k)
-            .collect();
-        prop_assert_eq!(got, model_range(&model, f64::MIN, f64::MAX));
-    }
-}

@@ -86,9 +86,9 @@ USAGE:
   mmdr query    --data FILE --model FILE (--row I[,J,…] | --point \"x,y,…\") [--k K] [--radius R] [--threads N] [--backend seqscan|idistance|hybrid|gldr] [--hex true]
   mmdr query    --index-file FILE (--row I[,J,…] --data FILE | --point \"x,y,…\") [--k K] [--radius R] [--filter \"EXPR\"] [--threads N] [--pool-pages N] [--readahead N] [--hex true]
   mmdr shard-split --data FILE --model FILE --out-dir DIR --shards N [--backend seqscan|idistance|hybrid|gldr] [--buffer-pages N] [--attrs FILE]
-  mmdr serve    --index-file FILE [--wal true] [--merge-threshold N] [--refit-threshold X] [--refit-cooldown-merges N] [--wal-segment-bytes N] [--host H] [--port P] [--workers W] [--queue-depth N] [--coalesce N] [--max-inflight N] [--io-timeout-ms MS] [--batch-threads N] [--pool-pages N] [--readahead N]
+  mmdr serve    --index-file FILE [--wal true] [--merge-threshold N] [--refit-threshold X] [--host H] [--port P] [--workers W] [--queue-depth N] [--coalesce N] [--max-inflight N] [--io-timeout-ms MS] [--batch-threads N] [--pool-pages N] [--readahead N]
   mmdr route    --manifest FILE --shard-addr HOST:PORT,HOST:PORT,… [--host H] [--port P] [--workers W] [--queue-depth N] [--coalesce N] [--max-inflight N] [--io-timeout-ms MS] [--batch-threads N] [--shard-timeout-ms MS]
-  mmdr ingest   --index-file FILE (--data FILE | --point \"x,y,…\") [--delete I[,J,…]] [--flush true] [--refit true] [--merge-threshold N] [--refit-threshold X] [--refit-cooldown-merges N] [--wal-segment-bytes N] [--pool-pages N]
+  mmdr ingest   --index-file FILE (--data FILE | --point \"x,y,…\") [--delete I[,J,…]] [--flush true] [--refit true] [--merge-threshold N] [--refit-threshold X] [--pool-pages N]
   mmdr remote-query (--addr | --router) HOST:PORT (--row I[,J,…] --data FILE | --point \"x,y,…\") [--k K] [--radius R] [--filter \"EXPR\"] [--hex true] [--verbose true]
   mmdr remote-query (--addr | --router) HOST:PORT --op ping|stats|shutdown
   mmdr remote-insert --addr HOST:PORT (--data FILE | --point \"x,y,…\") [--delete I[,J,…]] [--flush true]
@@ -163,10 +163,8 @@ match — the choice never changes answers, which stay bit-identical to
 a sequential scan of matching rows, serially, threaded, and through
 route. Planner decisions show in query output and STATS.
 
-serve --wal rotates its log into --wal-segment-bytes segments (default
-16 MiB) so merges reclaim space by deleting whole sealed segments;
---refit-cooldown-merges makes drift-triggered re-fits wait N merges
-after the previous one before firing again.";
+serve --wal rotates its log into 16 MiB segments so merges reclaim space
+by deleting whole sealed segments.";
 
 /// Parses `--flag value` pairs into a map, rejecting unknown flags.
 fn parse_flags(args: &[String], allowed: &[&str]) -> Result<HashMap<String, String>, String> {
@@ -806,8 +804,6 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
             "wal",
             "merge-threshold",
             "refit-threshold",
-            "refit-cooldown-merges",
-            "wal-segment-bytes",
         ],
     )?;
     let index_file = require(&flags, "index-file")?;
@@ -844,16 +840,8 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
         );
         std::sync::Arc::new(engine)
     } else {
-        for wal_only in [
-            "refit-threshold",
-            "refit-cooldown-merges",
-            "wal-segment-bytes",
-        ] {
-            if flags.contains_key(wal_only) {
-                return Err(format!(
-                    "--{wal_only} applies to writable serving; add --wal true"
-                ));
-            }
+        if flags.contains_key("refit-threshold") {
+            return Err("--refit-threshold applies to writable serving; add --wal true".into());
         }
         let opened = mmdr_persist::open_with(index_file, &open_options(&flags)?)
             .map_err(|e| e.to_string())?;
@@ -1032,19 +1020,10 @@ fn open_engine(
             mmdr_persist::DEFAULT_MERGE_THRESHOLD,
         )?,
         refit_threshold: get_parse(flags, "refit-threshold", 0.0f64)?,
-        refit_cooldown_merges: get_parse(flags, "refit-cooldown-merges", 0u64)?,
-        wal_segment_bytes: get_parse(
-            flags,
-            "wal-segment-bytes",
-            mmdr_persist::DEFAULT_WAL_SEGMENT_BYTES,
-        )?,
         ..Default::default()
     };
     if opts.refit_threshold < 0.0 || opts.refit_threshold.is_nan() {
         return Err("--refit-threshold must be non-negative".into());
-    }
-    if opts.wal_segment_bytes == 0 {
-        return Err("--wal-segment-bytes must be at least 1".into());
     }
     if let Some(v) = flags.get("pool-pages") {
         let pages: usize = v
@@ -1095,8 +1074,6 @@ fn cmd_ingest(args: &[String]) -> Result<(), String> {
             "refit",
             "merge-threshold",
             "refit-threshold",
-            "refit-cooldown-merges",
-            "wal-segment-bytes",
             "pool-pages",
         ],
     )?;

@@ -10,13 +10,20 @@ pub type Result<T> = std::result::Result<T, Error>;
 pub enum Error {
     /// The storage layer failed.
     Storage(mmdr_storage::Error),
-    /// Points and record ids disagree in count, or a point has the wrong
-    /// dimensionality.
+    /// A bulk load was handed points and record ids that disagree in
+    /// count.
     InputMismatch {
         /// Number of points supplied.
         points: usize,
         /// Number of record ids supplied.
         rids: usize,
+    },
+    /// A query has the wrong dimensionality.
+    DimensionMismatch {
+        /// The tree's dimensionality.
+        expected: usize,
+        /// The query's.
+        actual: usize,
     },
     /// The dimensionality is zero or too large for a single leaf entry to
     /// fit a page.
@@ -38,6 +45,9 @@ impl fmt::Display for Error {
             Error::Storage(e) => write!(f, "storage failure: {e}"),
             Error::InputMismatch { points, rids } => {
                 write!(f, "{points} points but {rids} record ids")
+            }
+            Error::DimensionMismatch { expected, actual } => {
+                write!(f, "dimension mismatch: expected {expected}, got {actual}")
             }
             Error::UnsupportedDimensionality { dim } => {
                 write!(f, "dimensionality {dim} is unsupported (must fit a page)")
@@ -73,6 +83,12 @@ mod tests {
         assert!(Error::InputMismatch { points: 3, rids: 2 }
             .to_string()
             .contains("3"));
+        assert!(Error::DimensionMismatch {
+            expected: 32,
+            actual: 31
+        }
+        .to_string()
+        .contains("expected 32, got 31"));
         assert!(Error::UnsupportedDimensionality { dim: 600 }
             .to_string()
             .contains("600"));

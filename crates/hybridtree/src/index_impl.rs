@@ -1,19 +1,16 @@
 //! [`VectorIndex`] implementation for the hybrid tree.
 
 use crate::tree::HybridTree;
-use mmdr_index::{
-    DeltaStats, MutableVectorIndex, Query, Scratch, SearchCounters, Target, VectorIndex,
-};
+use mmdr_index::{DeltaStats, MutableVectorIndex, Query, Scratch, SearchCounters, VectorIndex};
 use mmdr_storage::{IoStats, PoolStats};
 use std::sync::Arc;
 
 impl From<crate::Error> for mmdr_index::Error {
     fn from(e: crate::Error) -> Self {
         match e {
-            crate::Error::InputMismatch { points, rids } => mmdr_index::Error::DimensionMismatch {
-                expected: points,
-                actual: rids,
-            },
+            crate::Error::DimensionMismatch { expected, actual } => {
+                mmdr_index::Error::DimensionMismatch { expected, actual }
+            }
             crate::Error::InvalidQuery => mmdr_index::Error::InvalidQuery,
             crate::Error::InvalidRadius => mmdr_index::Error::InvalidRadius,
             other => mmdr_index::Error::backend(other),
@@ -35,10 +32,7 @@ impl VectorIndex for HybridTree {
     }
 
     fn search(&self, q: &Query<'_>, _: &mut Scratch) -> mmdr_index::Result<Vec<(f64, u64)>> {
-        Ok(match q.target {
-            Target::Knn(k) => self.knn_gated(q.vector, k, None, q.filter),
-            Target::Range(radius) => self.range_search_gated(q.vector, radius, None, q.filter),
-        }?)
+        Ok(self.search_gated(q.vector, q.target, None, q.filter)?)
     }
 
     fn io_stats(&self) -> Arc<IoStats> {
@@ -79,6 +73,7 @@ impl MutableVectorIndex for HybridTree {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mmdr_index::Target;
     use mmdr_linalg::Matrix;
     use mmdr_storage::{BufferPool, DiskManager};
 
@@ -93,7 +88,7 @@ mod tests {
     fn trait_object_queries_match_the_gated_search() {
         let t = tree();
         let q = [0.4, 0.5, 0.6, 0.7];
-        let direct = t.knn_gated(&q, 5, None, None).unwrap();
+        let direct = t.search_gated(&q, Target::Knn(5), None, None).unwrap();
         let via_trait = {
             let dyn_ref: &dyn VectorIndex = &t;
             dyn_ref.knn(&q, 5).unwrap()
@@ -108,9 +103,25 @@ mod tests {
     fn errors_translate() {
         let t = tree();
         let err = VectorIndex::knn(&t, &[0.0; 2], 1).unwrap_err();
-        assert!(matches!(err, mmdr_index::Error::DimensionMismatch { .. }));
+        assert!(matches!(
+            err,
+            mmdr_index::Error::DimensionMismatch {
+                expected: 4,
+                actual: 2
+            }
+        ));
         let err = VectorIndex::range_search(&t, &[0.0; 4], -1.0).unwrap_err();
         assert!(matches!(err, mmdr_index::Error::InvalidRadius));
+    }
+
+    #[test]
+    fn a_bulk_load_count_mismatch_is_not_a_dimension_mismatch() {
+        let pool = BufferPool::new(DiskManager::new(), 8).unwrap();
+        let err: mmdr_index::Error = HybridTree::bulk_load(pool, &Matrix::zeros(3, 4), &[1, 2])
+            .unwrap_err()
+            .into();
+        assert!(matches!(err, mmdr_index::Error::Backend(_)), "{err}");
+        assert!(err.to_string().contains("3 points but 2 record ids"));
     }
 
     #[test]

@@ -3,8 +3,8 @@
 use crate::error::{Error, Result};
 use crate::node::{count, is_leaf, Internal, Leaf};
 use crate::tree::HybridTree;
-use mmdr_index::{KnnHeap, SearchFilter};
-use mmdr_storage::PageId;
+use mmdr_index::{KnnHeap, SearchFilter, Target};
+use mmdr_storage::{Page, PageId};
 use std::cmp::Ordering;
 use std::collections::{BinaryHeap, HashSet};
 
@@ -38,54 +38,73 @@ impl Ord for Frontier {
     }
 }
 
+// Two walks behind one entry, on purpose. A KNN pops regions best-first and
+// ranks *squared* distances, so a leaf row's sum can be abandoned part-way
+// against the k-th best; a range search has to visit every qualifying
+// region anyway, so it takes them in sibling (page) order — what keeps a
+// demand-paged pool's readahead window warm, pinned by
+// `tests/out_of_core.rs::hybrid_range_walk_readahead_hits_rise` — and
+// compares *rooted* distances with the radius. One collector for both could
+// not return the same bits; they share the row gate and `child_region`.
 impl HybridTree {
-    fn validate(&self, query: &[f64]) -> Result<()> {
+    /// Answers `target` around `query` by L2 distance: `(distance, rid)`
+    /// pairs sorted ascending by distance, ties broken toward the smaller
+    /// rid; a range search uses the same boundary tolerance as the other
+    /// backends (`dist ≤ radius + 1e-12`).
+    ///
+    /// Two optional row gates: a set of rids to hide (the gLDR forest
+    /// keeps one tombstone set at its own level and passes it down to
+    /// every cluster tree, so deleted members never surface) and a
+    /// [`SearchFilter`] whose failing rows never enter the answer
+    /// (the pushdown contract — results are bit-identical to
+    /// post-filtering the ungated ranking).
+    pub fn search_gated(
+        &self,
+        query: &[f64],
+        target: Target,
+        skip: Option<&HashSet<u64>>,
+        filter: Option<&SearchFilter>,
+    ) -> Result<Vec<(f64, u64)>> {
         if query.len() != self.dim {
-            return Err(Error::InputMismatch {
-                points: self.dim,
-                rids: query.len(),
+            return Err(Error::DimensionMismatch {
+                expected: self.dim,
+                actual: query.len(),
             });
         }
         if query.iter().any(|c| !c.is_finite()) {
             return Err(Error::InvalidQuery);
         }
-        Ok(())
-    }
-
-    /// Finds the `k` nearest neighbours of `query` by L2 distance.
-    ///
-    /// Returns `(distance, rid)` pairs sorted ascending by distance, ties
-    /// broken toward the smaller rid. The classic best-first algorithm: a
-    /// frontier ordered by region `MINDIST`, pruned against the current
-    /// k-th best distance. Every page popped from the frontier costs one
-    /// (buffered) page access; leaf distances are early-abandoned against
-    /// the k-th best, which cannot change the result set (a candidate at
-    /// the bound is still summed in full and tie-broken by rid).
-    ///
-    /// Two optional row gates: a set of rids to hide (the gLDR forest
-    /// keeps one tombstone set at its own level and passes it down to
-    /// every cluster tree, so deleted members never surface) and a
-    /// [`SearchFilter`] whose failing rows never enter the answer heap
-    /// (the pushdown contract — results are bit-identical to
-    /// post-filtering the ungated ranking).
-    pub fn knn_gated(
-        &self,
-        query: &[f64],
-        k: usize,
-        skip: Option<&HashSet<u64>>,
-        filter: Option<&SearchFilter>,
-    ) -> Result<Vec<(f64, u64)>> {
-        self.validate(query)?;
-        if k == 0 || self.is_empty() {
+        if matches!(target, Target::Range(r) if !(r >= 0.0 && r.is_finite())) {
+            return Err(Error::InvalidRadius);
+        }
+        if target == Target::Knn(0) || self.is_empty() {
             return Ok(Vec::new());
         }
-        let dim = self.dim;
         let tombs = self.delta.tombstones();
         let dead = |rid: u64| {
             tombs.contains(&rid)
                 || skip.is_some_and(|s| s.contains(&rid))
                 || filter.is_some_and(|f| !f.passes(rid))
         };
+        match target {
+            Target::Knn(k) => self.knn_walk(query, k, dead),
+            Target::Range(radius) => self.range_walk(query, radius, dead),
+        }
+    }
+
+    /// The classic best-first algorithm: a frontier ordered by region
+    /// `MINDIST`, pruned against the current k-th best distance. Every
+    /// page popped from the frontier costs one (buffered) page access;
+    /// leaf distances are early-abandoned against the k-th best, which
+    /// cannot change the result set (a candidate at the bound is still
+    /// summed in full and tie-broken by rid).
+    fn knn_walk(
+        &self,
+        query: &[f64],
+        k: usize,
+        dead: impl Fn(u64) -> bool,
+    ) -> Result<Vec<(f64, u64)>> {
+        let dim = self.dim;
         let mut frontier = BinaryHeap::new();
         frontier.push(Frontier {
             mindist_sq: 0.0,
@@ -113,7 +132,7 @@ impl HybridTree {
         }
 
         while let Some(node) = frontier.pop() {
-            if best.is_full() && node.mindist_sq > best.worst_dist().expect("full heap") {
+            if node.mindist_sq > best.reach() {
                 break; // no remaining region can beat the k-th best
             }
             // One fetch per visited node: the `Arc<Page>` image is held
@@ -130,13 +149,7 @@ impl HybridTree {
                         continue;
                     }
                     Leaf::coords_into(&page, dim, i, &mut coords);
-                    let d = match best.worst_dist() {
-                        Some(w) if best.is_full() => {
-                            mmdr_linalg::l2_dist_sq_within(query, &coords, w)
-                        }
-                        _ => Some(mmdr_linalg::l2_dist_sq(query, &coords)),
-                    };
-                    if let Some(d) = d {
+                    if let Some(d) = mmdr_linalg::l2_dist_sq_within(query, &coords, best.reach()) {
                         best.push(d, rid);
                         refined += 1;
                     }
@@ -145,25 +158,10 @@ impl HybridTree {
                 continue;
             }
             // Internal: push each child with its refined region.
-            let (split_dim, n_children) = (Internal::split_dim(&page), count(&page));
-            for i in 0..n_children {
-                let b_lo = if i == 0 {
-                    f64::NEG_INFINITY
-                } else {
-                    Internal::boundary(&page, i - 1)
-                };
-                let b_hi = if i + 1 == n_children {
-                    f64::INFINITY
-                } else {
-                    Internal::boundary(&page, i)
-                };
-                let child = Internal::child(&page, i);
-                let mut lo = node.lo.clone();
-                let mut hi = node.hi.clone();
-                lo[split_dim] = lo[split_dim].max(b_lo);
-                hi[split_dim] = hi[split_dim].min(b_hi);
+            for i in 0..count(&page) {
+                let (child, lo, hi) = child_region(&page, i, &node.lo, &node.hi);
                 let mindist_sq = mindist_sq(query, &lo, &hi);
-                if best.is_full() && mindist_sq > best.worst_dist().expect("full heap") {
+                if mindist_sq > best.reach() {
                     continue;
                 }
                 frontier.push(Frontier {
@@ -182,37 +180,19 @@ impl HybridTree {
             .collect())
     }
 
-    /// Every point within `radius` of `query`, as `(distance, rid)` sorted
-    /// ascending by `(distance, rid)`. Uses the same `MINDIST` region
-    /// pruning and the same optional row gates as
-    /// [`knn_gated`](Self::knn_gated), and the same boundary tolerance as
-    /// the other backends (`dist ≤ radius + 1e-12`).
-    pub fn range_search_gated(
+    /// Every row within `radius`, by the same `MINDIST` region pruning.
+    fn range_walk(
         &self,
         query: &[f64],
         radius: f64,
-        skip: Option<&HashSet<u64>>,
-        filter: Option<&SearchFilter>,
+        dead: impl Fn(u64) -> bool,
     ) -> Result<Vec<(f64, u64)>> {
-        self.validate(query)?;
-        if !(radius >= 0.0 && radius.is_finite()) {
-            return Err(Error::InvalidRadius);
-        }
-        if self.is_empty() {
-            return Ok(Vec::new());
-        }
         let dim = self.dim;
-        let limit = radius + 1e-12;
-        let tombs = self.delta.tombstones();
-        let dead = |rid: u64| {
-            tombs.contains(&rid)
-                || skip.is_some_and(|s| s.contains(&rid))
-                || filter.is_some_and(|f| !f.passes(rid))
-        };
-        let mut out = Vec::new();
+        let mut out = KnnHeap::for_target(Target::Range(radius));
+        let limit = out.reach();
         let mut coords = vec![0.0; dim];
 
-        // Delta rows, scanned exactly; `out` is sorted at the end.
+        // Delta rows, scanned exactly; the answer is sorted on the way out.
         let mut delta_seen: u64 = 0;
         let mut delta_hits: u64 = 0;
         self.delta.for_each(|id, row| {
@@ -220,7 +200,7 @@ impl HybridTree {
                 delta_seen += 1;
                 let d = mmdr_linalg::l2_dist(query, row);
                 if d <= limit {
-                    out.push((d, id));
+                    out.push(d, id);
                     delta_hits += 1;
                 }
             }
@@ -262,14 +242,14 @@ impl HybridTree {
                     Leaf::coords_into(&node_page, dim, i, &mut coords);
                     let d = mmdr_linalg::l2_dist(query, &coords);
                     if d <= limit {
-                        out.push((d, rid));
+                        out.push(d, rid);
                         refined += 1;
                     }
                 }
                 self.search.record_refined(refined);
                 continue;
             }
-            let (split_dim, n_children) = (Internal::split_dim(&node_page), count(&node_page));
+            let n_children = count(&node_page);
             // Every child of this qualifying region is about to be pushed,
             // and bulk-loaded siblings sit on consecutive pages: hint the
             // pool at the first child so a demand-read source pulls the
@@ -277,32 +257,31 @@ impl HybridTree {
             // reverse so the stack pops them in leaf-sibling order —
             // ascending page ids under bulk load — which keeps the
             // sequential-readahead window warm across the walk. Answer
-            // order is unaffected: `out` is sorted at the end.
+            // order is unaffected: the answer is sorted on the way out.
             if n_children > 0 {
                 let _ = self.pool.prefetch(Internal::child(&node_page, 0));
             }
             for i in (0..n_children).rev() {
-                let b_lo = if i == 0 {
-                    f64::NEG_INFINITY
-                } else {
-                    Internal::boundary(&node_page, i - 1)
-                };
-                let b_hi = if i + 1 == n_children {
-                    f64::INFINITY
-                } else {
-                    Internal::boundary(&node_page, i)
-                };
-                let child = Internal::child(&node_page, i);
-                let mut lo = lo.clone();
-                let mut hi = hi.clone();
-                lo[split_dim] = lo[split_dim].max(b_lo);
-                hi[split_dim] = hi[split_dim].min(b_hi);
-                stack.push((child, lo, hi));
+                stack.push(child_region(&node_page, i, &lo, &hi));
             }
         }
-        out.sort_by(|a, b| a.partial_cmp(b).unwrap_or(Ordering::Equal));
-        Ok(out)
+        Ok(out.into_sorted_vec())
     }
+}
+
+/// Child `i` of an internal node and the kd region it covers: the parent's
+/// `(lo, hi)` box narrowed along the node's split dimension to the child's
+/// boundary pair.
+fn child_region(page: &Page, i: usize, lo: &[f64], hi: &[f64]) -> (PageId, Vec<f64>, Vec<f64>) {
+    let split_dim = Internal::split_dim(page);
+    let (mut lo, mut hi) = (lo.to_vec(), hi.to_vec());
+    if i > 0 {
+        lo[split_dim] = lo[split_dim].max(Internal::boundary(page, i - 1));
+    }
+    if i + 1 < count(page) {
+        hi[split_dim] = hi[split_dim].min(Internal::boundary(page, i));
+    }
+    (Internal::child(page, i), lo, hi)
 }
 
 /// Squared `MINDIST` from a point to an axis-aligned box.

@@ -4,10 +4,11 @@
 
 use crate::backend::Backend;
 use crate::error::{Error, Result};
+use crate::knn::{check_query, query_geometry};
 use crate::layout::{data_rows, partition_ids, PartitionRows};
 use mmdr_core::ReductionResult;
 use mmdr_hybridtree::HybridTree;
-use mmdr_index::{DeltaLayer, KnnHeap, SearchCounters, SearchFilter};
+use mmdr_index::{DeltaLayer, KnnHeap, SearchCounters, SearchFilter, Target};
 use mmdr_linalg::Matrix;
 use mmdr_pca::ReducedSubspace;
 use mmdr_storage::{BufferPool, DiskManager, IoStats};
@@ -24,13 +25,20 @@ struct ClusterIndex {
 }
 
 /// One cluster's query geometry: the lower bound on any member's
-/// reduced-representation distance, the query's local coordinates and the
-/// squared projection distance to the subspace.
+/// reduced-representation distance, plus the cluster's
+/// [`query_geometry`].
 struct ClusterProbe {
     lower_bound: f64,
-    cluster: usize,
     q_local: Vec<f64>,
     proj_sq: f64,
+}
+
+impl ClusterProbe {
+    /// The reduced-representation distance of a row at `local_dist` from
+    /// the query within the subspace.
+    fn rejoin(&self, local_dist: f64) -> f64 {
+        (self.proj_sq + local_dist * local_dist).sqrt()
+    }
 }
 
 /// The gLDR scheme: per-cluster hybrid trees searched with lower-bound
@@ -236,48 +244,30 @@ impl GlobalLdrIndex {
         total
     }
 
-    fn validate(&self, query: &[f64]) -> Result<()> {
-        if query.len() != self.dim {
-            return Err(Error::DimensionMismatch {
-                expected: self.dim,
-                actual: query.len(),
-            });
-        }
-        if query.iter().any(|x| !x.is_finite()) {
-            return Err(Error::InvalidQuery);
-        }
-        Ok(())
+    /// Per-cluster query geometry, in cluster order: the lower bound is
+    /// the distance to the subspace combined with the radial gap to the
+    /// populated sphere.
+    fn cluster_probes(&self, query: &[f64]) -> Result<Vec<ClusterProbe>> {
+        self.clusters
+            .iter()
+            .map(|c| {
+                let (q_local, proj_sq) = query_geometry(Some(&c.subspace), query)?;
+                let gap = (mmdr_linalg::l2_norm(&q_local) - c.max_radius).max(0.0);
+                Ok(ClusterProbe {
+                    lower_bound: (proj_sq + gap * gap).sqrt(),
+                    q_local,
+                    proj_sq,
+                })
+            })
+            .collect()
     }
 
-    /// Per-cluster query geometry, sorted by ascending lower bound (the
-    /// distance to the subspace combined with the radial gap to the
-    /// populated sphere).
-    fn cluster_order(&self, query: &[f64]) -> Result<Vec<ClusterProbe>> {
-        let mut order = Vec::with_capacity(self.clusters.len());
-        for (i, c) in self.clusters.iter().enumerate() {
-            let local = c.subspace.project(query)?;
-            let pd = c.subspace.proj_dist(query)?;
-            let gap = (mmdr_linalg::l2_norm(&local) - c.max_radius).max(0.0);
-            order.push(ClusterProbe {
-                lower_bound: (pd * pd + gap * gap).sqrt(),
-                cluster: i,
-                q_local: local,
-                proj_sq: pd * pd,
-            });
-        }
-        order.sort_by(|a, b| {
-            a.lower_bound
-                .partial_cmp(&b.lower_bound)
-                .unwrap_or(Ordering::Equal)
-        });
-        Ok(order)
-    }
-
-    /// KNN with the same reduced-representation distance semantics as the
-    /// other schemes. Clusters are visited in ascending lower-bound order
-    /// and skipped once they cannot improve on the k-th candidate; ties at
-    /// the k-th distance are still visited so the smaller point id wins,
-    /// keeping the result deterministic across backends.
+    /// Answers `target` with the same reduced-representation distance
+    /// semantics as the other schemes. Clusters are visited in ascending
+    /// lower-bound order and skipped once nothing in them can enter the
+    /// answer — beyond the k-th candidate, beyond a range's radius; ties
+    /// at the k-th distance are still visited so the smaller point id
+    /// wins, keeping the result deterministic across backends.
     ///
     /// With a `filter` this is exact pushdown: failing rows never enter
     /// the candidate heap, so they never tighten the per-cluster pruning
@@ -285,19 +275,19 @@ impl GlobalLdrIndex {
     /// without touching their trees. Delta rows are never cluster-skipped
     /// — sketches only cover merged base rows — and are gated per-row by
     /// the bitmap instead.
-    pub(crate) fn knn_impl(
+    pub(crate) fn search_impl(
         &self,
         query: &[f64],
-        k: usize,
+        target: Target,
         filter: Option<&SearchFilter>,
     ) -> Result<Vec<(f64, u64)>> {
-        self.validate(query)?;
-        if k == 0 || self.is_empty() {
+        check_query(self.dim, query, target)?;
+        if target == Target::Knn(0) || self.is_empty() {
             return Ok(Vec::new());
         }
-        let order = self.cluster_order(query)?;
+        let probes = self.cluster_probes(query)?;
         let tombs = self.delta.tombstones();
-        let mut best = KnnHeap::new(k);
+        let mut best = KnnHeap::for_target(target);
         // Delta rows enter the heap before any tree search: their cluster
         // distances mimic the tree path bit-for-bit (local distance via
         // √(Σd²), then recombined with the projection component), so a row
@@ -305,139 +295,67 @@ impl GlobalLdrIndex {
         // folded into a tree. Pushing them first also keeps the stored
         // cluster radii valid for pruning — the lower bounds only ever
         // gate tree rows.
-        if self.delta.live_rows() > 0 {
-            let mut geo: Vec<(&[f64], f64)> = vec![(&[], 0.0); self.clusters.len()];
-            for p in &order {
-                geo[p.cluster] = (p.q_local.as_slice(), p.proj_sq);
+        let mut delta_seen: u64 = 0;
+        self.delta.for_each(|id, (cluster, row)| {
+            if filter.is_some_and(|f| !f.passes(id)) {
+                return;
             }
-            let mut delta_seen: u64 = 0;
-            self.delta.for_each(|id, (cluster, row)| {
-                if filter.is_some_and(|f| !f.passes(id)) {
-                    return;
-                }
+            best.push(
                 match cluster {
-                    Some(ci) => {
-                        let (q_local, proj_sq) = geo[*ci];
-                        let local_dist = mmdr_linalg::l2_dist_sq(q_local, row).sqrt();
-                        best.push((proj_sq + local_dist * local_dist).sqrt(), id);
-                        delta_seen += 1;
-                    }
-                    None => {
-                        best.push(mmdr_linalg::l2_dist_sq(query, row).sqrt(), id);
-                        delta_seen += 1;
-                    }
-                }
-            });
+                    Some(ci) => probes[*ci].rejoin(mmdr_linalg::l2_dist(&probes[*ci].q_local, row)),
+                    None => mmdr_linalg::l2_dist(query, row),
+                },
+                id,
+            );
+            delta_seen += 1;
+        });
+        if delta_seen > 0 {
             self.search.record_dists(delta_seen);
             self.search.record_refined(delta_seen);
         }
-        for probe in &order {
-            if filter.is_some_and(|f| !f.cluster_alive(probe.cluster)) {
+
+        let mut order: Vec<usize> = (0..probes.len()).collect();
+        order.sort_by(|&a, &b| {
+            probes[a]
+                .lower_bound
+                .partial_cmp(&probes[b].lower_bound)
+                .unwrap_or(Ordering::Equal)
+        });
+        for ci in order {
+            let probe = &probes[ci];
+            if filter.is_some_and(|f| !f.cluster_alive(ci)) {
                 continue; // sketch proved no base row of this cluster passes
             }
-            if best.is_full() && probe.lower_bound > best.worst_dist().expect("full heap") {
-                continue; // cannot improve (nor tie-break: lb strictly worse)
+            if probe.lower_bound > best.reach() {
+                continue; // cannot enter (nor tie-break: lb strictly worse)
             }
-            for (local_dist, pid) in self.clusters[probe.cluster].tree.knn_gated(
-                &probe.q_local,
-                k,
-                Some(&tombs),
-                filter,
-            )? {
-                best.push((probe.proj_sq + local_dist * local_dist).sqrt(), pid);
+            // Distance decomposes as √(proj_sq + local²): a range's radius
+            // leaves √(radius² − proj_sq) for the within-subspace part.
+            let local_target = match target {
+                Target::Knn(k) => Target::Knn(k),
+                Target::Range(radius) => {
+                    let local_r_sq = radius * radius - probe.proj_sq;
+                    if local_r_sq < 0.0 {
+                        continue;
+                    }
+                    Target::Range(local_r_sq.sqrt())
+                }
+            };
+            let tree = &self.clusters[ci].tree;
+            for (local_dist, pid) in
+                tree.search_gated(&probe.q_local, local_target, Some(&tombs), filter)?
+            {
+                best.push(probe.rejoin(local_dist), pid);
             }
         }
         if let Some(t) = &self.outlier_tree {
             if filter.is_none_or(|f| f.outliers_alive()) {
-                for (dist, pid) in t.knn_gated(query, k, Some(&tombs), filter)? {
+                for (dist, pid) in t.search_gated(query, target, Some(&tombs), filter)? {
                     best.push(dist, pid);
                 }
             }
         }
         Ok(best.into_sorted_vec())
-    }
-
-    /// Every point whose reduced representation lies within `radius` of
-    /// `query`, as `(distance, point_id)` sorted ascending by `(distance,
-    /// point_id)`. Same boundary tolerance as the other backends
-    /// (`dist ≤ radius + 1e-12`), same pushdown semantics as
-    /// [`knn_impl`](Self::knn_impl).
-    pub(crate) fn range_impl(
-        &self,
-        query: &[f64],
-        radius: f64,
-        filter: Option<&SearchFilter>,
-    ) -> Result<Vec<(f64, u64)>> {
-        self.validate(query)?;
-        if !(radius >= 0.0 && radius.is_finite()) {
-            return Err(Error::InvalidRadius);
-        }
-        let limit = radius + 1e-12;
-        let order = self.cluster_order(query)?;
-        let tombs = self.delta.tombstones();
-        let mut out = Vec::new();
-        // Delta rows, scanned exactly; `out` is sorted at the end. Cluster
-        // rows mimic the tree path's distance arithmetic bit-for-bit.
-        if self.delta.live_rows() > 0 {
-            let mut geo: Vec<(&[f64], f64)> = vec![(&[], 0.0); self.clusters.len()];
-            for p in &order {
-                geo[p.cluster] = (p.q_local.as_slice(), p.proj_sq);
-            }
-            let mut delta_seen: u64 = 0;
-            let mut delta_hits: u64 = 0;
-            self.delta.for_each(|id, (cluster, row)| {
-                if filter.is_some_and(|f| !f.passes(id)) {
-                    return;
-                }
-                delta_seen += 1;
-                let dist = match cluster {
-                    Some(ci) => {
-                        let (q_local, proj_sq) = geo[*ci];
-                        let local_dist = mmdr_linalg::l2_dist_sq(q_local, row).sqrt();
-                        (proj_sq + local_dist * local_dist).sqrt()
-                    }
-                    None => mmdr_linalg::l2_dist(query, row),
-                };
-                if dist <= limit {
-                    out.push((dist, id));
-                    delta_hits += 1;
-                }
-            });
-            self.search.record_dists(delta_seen);
-            self.search.record_refined(delta_hits);
-        }
-        for probe in &order {
-            if filter.is_some_and(|f| !f.cluster_alive(probe.cluster)) {
-                continue;
-            }
-            if probe.lower_bound > limit {
-                continue;
-            }
-            // Distance decomposes as √(proj_sq + local²): solve for the
-            // within-subspace radius.
-            let local_r_sq = radius * radius - probe.proj_sq;
-            if local_r_sq < 0.0 {
-                continue;
-            }
-            for (local_dist, pid) in self.clusters[probe.cluster].tree.range_search_gated(
-                &probe.q_local,
-                local_r_sq.sqrt(),
-                Some(&tombs),
-                filter,
-            )? {
-                let dist = (probe.proj_sq + local_dist * local_dist).sqrt();
-                if dist <= limit {
-                    out.push((dist, pid));
-                }
-            }
-        }
-        if let Some(t) = &self.outlier_tree {
-            if filter.is_none_or(|f| f.outliers_alive()) {
-                out.extend(t.range_search_gated(query, radius, Some(&tombs), filter)?);
-            }
-        }
-        out.sort_by(|a, b| a.partial_cmp(b).unwrap_or(Ordering::Equal));
-        Ok(out)
     }
 }
 

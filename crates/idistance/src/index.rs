@@ -6,7 +6,7 @@ use crate::layout::{data_rows, partition_ids, KeySpace, PartitionRows};
 use crate::vector_heap::VectorHeap;
 use mmdr_btree::BPlusTree;
 use mmdr_core::ReductionResult;
-use mmdr_index::{DeltaLayer, Scratch, SearchCounters};
+use mmdr_index::{DeltaLayer, SearchCounters};
 use mmdr_linalg::Matrix;
 use mmdr_pca::ReducedSubspace;
 use mmdr_storage::{BufferPool, DiskManager, IoStats};
@@ -326,63 +326,6 @@ impl IDistanceIndex {
         self.tree.num_pages() + self.heap.num_pages()
     }
 
-    /// Removes a previously indexed point, given its coordinates and id.
-    /// Returns `true` when the point was found and removed.
-    ///
-    /// The point's key is recomputed per partition (projection arithmetic is
-    /// deterministic, so the stored key is reproduced bit-for-bit); the
-    /// matching `(key, rid)` entry is deleted from the B⁺-tree and the heap
-    /// record is tombstoned. Partition radii are left as conservative
-    /// bounds — they only ever over-approximate, which keeps searches
-    /// correct.
-    pub fn remove(&mut self, point: &[f64], point_id: u64) -> Result<bool> {
-        if point.len() != self.dim {
-            return Err(Error::DimensionMismatch {
-                expected: self.dim,
-                actual: point.len(),
-            });
-        }
-        if point.iter().any(|x| !x.is_finite()) {
-            return Err(Error::InvalidQuery);
-        }
-        let n_parts = self.partitions.len();
-        for part in 0..n_parts {
-            if self.partitions[part].count == 0 {
-                continue;
-            }
-            let dist = match &self.partitions[part].subspace {
-                Some(subspace) => mmdr_linalg::l2_norm(&subspace.project(point)?),
-                None => mmdr_linalg::l2_dist(point, &self.partitions[part].centroid),
-            };
-            let key = part as f64 * self.c + dist;
-            // Scan the exact-key duplicate run for the matching record. The
-            // cursor and the reader pin page images; both are gone before
-            // the writes below, which then mutate their pages in place.
-            let mut victim = None;
-            {
-                let mut cursor = self.tree.seek(key)?;
-                let mut reader = Scratch::default();
-                while let Some((k, rid)) = self.tree.cursor_next(&mut cursor)? {
-                    if k > key {
-                        break;
-                    }
-                    if self.heap.read(&mut reader, rid)?.1 == point_id {
-                        victim = Some(rid);
-                        break;
-                    }
-                }
-            }
-            if let Some(rid) = victim {
-                self.tree.delete(key, rid)?;
-                self.heap.tombstone(rid)?;
-                self.partitions[part].count -= 1;
-                self.len -= 1;
-                return Ok(true);
-            }
-        }
-        Ok(false)
-    }
-
     /// Dynamically inserts a new point (paper §5's third auxiliary array
     /// exists for this path).
     ///
@@ -393,15 +336,7 @@ impl IDistanceIndex {
     /// routed to the outlier partition instead, preserving the mapping
     /// invariant.
     pub fn insert(&mut self, point: &[f64], point_id: u64) -> Result<()> {
-        if point.len() != self.dim {
-            return Err(Error::DimensionMismatch {
-                expected: self.dim,
-                actual: point.len(),
-            });
-        }
-        if point.iter().any(|x| !x.is_finite()) {
-            return Err(Error::InvalidQuery);
-        }
+        crate::ingest::validate_vector(self.dim, point)?;
         // Assignment: nearest subspace within β, else outlier.
         let clusters = self.partitions.iter().filter_map(|p| p.subspace.as_ref());
         let routed = crate::ingest::route(clusters, self.config.beta, point)?
@@ -529,41 +464,16 @@ mod tests {
     }
 
     #[test]
-    fn remove_makes_points_invisible() {
+    fn a_record_carrying_the_tombstone_id_never_surfaces() {
+        // What an in-place delete by an older build left in a snapshot.
         let (data, mut index) = build();
-        let victim = 50usize;
-        assert!(index.remove(data.row(victim), victim as u64).unwrap());
-        assert!(
-            !index.remove(data.row(victim), victim as u64).unwrap(),
-            "already gone"
-        );
-        assert_eq!(index.len(), 199);
-        // KNN over everything never returns the removed id.
-        let hits = index.knn(data.row(victim), 199).unwrap();
-        assert_eq!(hits.len(), 199);
-        assert!(hits.iter().all(|&(_, id)| id != victim as u64));
-        // Range search agrees.
-        let hits = index.range_search(data.row(victim), 1e6).unwrap();
-        assert!(hits.iter().all(|&(_, id)| id != victim as u64));
-    }
-
-    #[test]
-    fn remove_then_insert_roundtrip() {
-        let (data, mut index) = build();
-        let p = data.row(10).to_vec();
-        assert!(index.remove(&p, 10).unwrap());
-        index.insert(&p, 10).unwrap();
-        assert_eq!(index.len(), 200);
-        let hits = index.knn(&p, 3).unwrap();
-        assert!(hits.iter().any(|&(_, id)| id == 10));
-    }
-
-    #[test]
-    fn remove_validates_input() {
-        let (_, mut index) = build();
-        assert!(index.remove(&[0.0], 1).is_err());
-        assert!(index.remove(&[f64::NAN; 4], 1).is_err());
-        assert!(!index.remove(&[9.9; 4], 12345).unwrap(), "unknown point");
+        let p = data.row(50).to_vec();
+        index.insert(&p, crate::TOMBSTONE).unwrap();
+        let hits = index.knn(&p, 500).unwrap();
+        assert_eq!(hits.len(), 200);
+        assert!(hits.iter().all(|&(_, id)| id != crate::TOMBSTONE));
+        let hits = index.range_search(&p, 1e6).unwrap();
+        assert_eq!(hits.len(), 200);
     }
 
     #[test]

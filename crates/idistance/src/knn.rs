@@ -1,24 +1,55 @@
-//! Iterative-enlargement KNN search (paper §5).
+//! The one search loop of the extended iDistance index (paper §5): a KNN
+//! query "examines increasingly larger sphere in each iteration"; a range
+//! query is the single iteration whose sphere is given.
 
 use crate::error::{Error, Result};
 use crate::index::IDistanceIndex;
 use crate::vector_heap::TOMBSTONE;
 use mmdr_btree::Cursor;
-use mmdr_index::{KnnHeap, Scratch, SearchFilter};
+use mmdr_index::{KnnHeap, Scratch, SearchFilter, Target};
+use mmdr_pca::ReducedSubspace;
+
+/// Validates a query the way every scheme in this crate does: the vector
+/// as an ingested one is, a range's radius finite and non-negative.
+pub(crate) fn check_query(dim: usize, query: &[f64], target: Target) -> Result<()> {
+    crate::ingest::validate_vector(dim, query)?;
+    match target {
+        Target::Range(radius) if !(radius >= 0.0 && radius.is_finite()) => {
+            Err(Error::InvalidRadius)
+        }
+        _ => Ok(()),
+    }
+}
+
+/// The query as one partition sees it: its local coordinates in the
+/// partition's axis system and its squared distance to the affine
+/// subspace — the query itself and 0 for the outlier partition, which has
+/// no subspace. [`mmdr_linalg::reduced_dist`] over this pair and a stored
+/// row is the distance every scheme reports.
+pub(crate) fn query_geometry(
+    subspace: Option<&ReducedSubspace>,
+    query: &[f64],
+) -> Result<(Vec<f64>, f64)> {
+    Ok(match subspace {
+        Some(subspace) => {
+            let local = subspace.project(query)?;
+            let pd = subspace.proj_dist(query)?;
+            (local, pd * pd)
+        }
+        None => (query.to_vec(), 0.0),
+    })
+}
 
 /// Per-partition search state: two cursors walking the key annulus inward
 /// (descending keys) and outward (ascending keys) from the query's image.
-struct PartitionSearch {
+struct PartitionSearch<'a> {
     /// Partition index.
     part: usize,
     /// `dist(qᵢ, Oᵢ)` within the subspace (or full-dim for outliers).
     dist_q: f64,
-    /// Squared distance from `q` to the partition's affine subspace
-    /// (0 for the outlier partition).
+    /// The partition's [`query_geometry`].
+    q_local: &'a [f64],
     proj_sq: f64,
-    /// Local coordinates of the query in the partition's axis system (the
-    /// full point for the outlier partition).
-    q_local: Vec<f64>,
     /// Tightest possible distance from `q` to any member (triangle
     /// inequality bound `‖Q−P‖ ≥ ‖Qⱼ−Oⱼ‖ − Rⱼ`, extended with the
     /// projection component).
@@ -29,8 +60,8 @@ struct PartitionSearch {
 }
 
 impl IDistanceIndex {
-    /// Finds the K nearest neighbours of `query` among the reduced
-    /// representations. Returns `(distance, point_id)` ascending.
+    /// Answers `target` around `query` among the reduced representations,
+    /// as `(distance, point_id)` ascending.
     ///
     /// Distances are `‖q − restore(Pᵢ)‖` — exact for outliers, exact to the
     /// reduced representation for cluster members — so results from
@@ -41,23 +72,15 @@ impl IDistanceIndex {
     /// partitions the filter's sketch hints prove dead are never
     /// cursor-walked. Delta rows are gated per-row by the bitmap only
     /// (sketches cover merged base rows).
-    pub(crate) fn knn_impl(
+    pub(crate) fn search_impl(
         &self,
         query: &[f64],
-        k: usize,
+        target: Target,
         filter: Option<&SearchFilter>,
         reader: &mut Scratch,
     ) -> Result<Vec<(f64, u64)>> {
-        if query.len() != self.dim {
-            return Err(Error::DimensionMismatch {
-                expected: self.dim,
-                actual: query.len(),
-            });
-        }
-        if query.iter().any(|x| !x.is_finite()) {
-            return Err(Error::InvalidQuery);
-        }
-        if k == 0 || self.is_empty() {
+        check_query(self.dim, query, target)?;
+        if target == Target::Knn(0) || self.is_empty() {
             return Ok(Vec::new());
         }
         // The scratch outlives this `&self` borrow: whatever it pinned last
@@ -66,101 +89,94 @@ impl IDistanceIndex {
         // Counted here, recorded once when the search ends.
         let (mut dists, mut refined) = (0u64, 0u64);
 
-        // Precompute per-partition geometry.
-        let mut searches = Vec::with_capacity(self.partitions.len());
+        // Partition `i` is cluster `i` in build order; the last
+        // (subspace-less) partition holds the outliers. An empty partition,
+        // or one the filter's sketch proves dead, gets no PartitionSearch,
+        // so its pages are never touched.
+        let walked = |i: usize| {
+            let part = &self.partitions[i];
+            part.count > 0
+                && !filter.is_some_and(|f| match part.subspace {
+                    Some(_) => !f.cluster_alive(i),
+                    None => !f.outliers_alive(),
+                })
+        };
+        // Delta rows are scored against their partition's geometry too, and
+        // one may be a partition's first point: while any exist, every
+        // partition needs its geometry, walked or not.
+        let delta_live = self.delta.live_rows() > 0;
+        let mut geo = Vec::with_capacity(self.partitions.len());
         for (i, part) in self.partitions.iter().enumerate() {
-            if part.count == 0 {
+            geo.push(if delta_live || walked(i) {
+                Some(query_geometry(part.subspace.as_ref(), query)?)
+            } else {
+                None
+            });
+        }
+        let mut searches = Vec::with_capacity(self.partitions.len());
+        for (i, (part, geometry)) in self.partitions.iter().zip(&geo).enumerate() {
+            let Some((q_local, proj_sq)) = geometry else {
                 continue;
-            }
-            // Partition `i` is cluster `i` in build order; the last
-            // (subspace-less) partition holds the outliers. A dead partition
-            // gets no PartitionSearch, so its pages are never touched.
-            if filter.is_some_and(|f| match part.subspace {
-                Some(_) => !f.cluster_alive(i),
-                None => !f.outliers_alive(),
-            }) {
-                continue;
-            }
-            let (q_local, proj_sq) = match &part.subspace {
-                Some(subspace) => {
-                    let local = subspace.project(query)?;
-                    let pd = subspace.proj_dist(query)?;
-                    (local, pd * pd)
-                }
-                None => (query.to_vec(), 0.0),
             };
+            if !walked(i) {
+                continue;
+            }
             let dist_q = match &part.subspace {
-                Some(_) => mmdr_linalg::l2_norm(&q_local),
+                Some(_) => mmdr_linalg::l2_norm(q_local),
                 None => mmdr_linalg::l2_dist(query, &part.centroid),
             };
             // Radial gap to the populated annulus [min_radius, max_radius].
             let gap = (dist_q - part.max_radius)
                 .max(part.min_radius - dist_q)
                 .max(0.0);
-            let lower_bound = (proj_sq + gap * gap).sqrt();
             searches.push(PartitionSearch {
                 part: i,
                 dist_q,
-                proj_sq,
                 q_local,
-                lower_bound,
+                proj_sq: *proj_sq,
+                lower_bound: (proj_sq + gap * gap).sqrt(),
                 inward: None,
                 outward: None,
                 started: false,
             });
         }
 
-        // Radius granularity scales with the widest data sphere, not with
-        // `c` (which includes the non-overlap margin and would make each
-        // enlargement sweep most of a partition at once).
-        let widest = self
-            .partitions
-            .iter()
-            .map(|p| p.max_radius)
-            .fold(0.0f64, f64::max)
-            .max(f64::MIN_POSITIVE);
-        let mut step = widest * self.config().radius_step_fraction;
-        let mut radius = widest * self.config().initial_radius_fraction;
-        let mut best = KnnHeap::new(k);
+        let mut best = KnnHeap::for_target(target);
+        let (mut radius, mut step) = match target {
+            Target::Knn(_) => {
+                // Radius granularity scales with the widest data sphere,
+                // not with `c` (which includes the non-overlap margin and
+                // would make each enlargement sweep most of a partition at
+                // once).
+                let widest = self
+                    .partitions
+                    .iter()
+                    .map(|p| p.max_radius)
+                    .fold(0.0f64, f64::max)
+                    .max(f64::MIN_POSITIVE);
+                (
+                    widest * self.config().initial_radius_fraction,
+                    widest * self.config().radius_step_fraction,
+                )
+            }
+            // The sphere is given: the first round already reaches as far
+            // as anything wanted lies, so it is the only one.
+            Target::Range(_) => (best.reach(), 0.0),
+        };
 
         // Delta rows are scanned exactly before the enlargement loop (the
-        // final top-k is independent of push order). A snapshot-empty
-        // partition has no `PartitionSearch`, so compute the query's
-        // geometry for such partitions separately — a delta row may be a
-        // partition's first point.
+        // final answer is independent of push order).
         let tombs = self.delta.tombstones();
-        if self.delta.live_rows() > 0 {
-            let mut geo: Vec<Option<(&[f64], f64)>> = vec![None; self.partitions.len()];
-            for s in &searches {
-                geo[s.part] = Some((s.q_local.as_slice(), s.proj_sq));
-            }
-            let mut computed: Vec<Option<(Vec<f64>, f64)>> = vec![None; self.partitions.len()];
-            for (pi, part) in self.partitions.iter().enumerate() {
-                if geo[pi].is_none() {
-                    computed[pi] = Some(match &part.subspace {
-                        Some(subspace) => {
-                            let local = subspace.project(query)?;
-                            let pd = subspace.proj_dist(query)?;
-                            (local, pd * pd)
-                        }
-                        None => (query.to_vec(), 0.0),
-                    });
-                }
-            }
+        if delta_live {
             let mut delta_seen: u64 = 0;
             self.delta.for_each(|id, (part, coords)| {
                 if filter.is_some_and(|f| !f.passes(id)) {
                     return;
                 }
-                let pi = *part as usize;
-                let (q_local, proj_sq) = match geo[pi] {
-                    Some(pair) => pair,
-                    None => {
-                        let c = computed[pi].as_ref().expect("geometry computed above");
-                        (c.0.as_slice(), c.1)
-                    }
-                };
-                best.push(mmdr_linalg::reduced_dist(proj_sq, q_local, coords), id);
+                let (q_local, proj_sq) = geo[*part as usize]
+                    .as_ref()
+                    .expect("every partition has geometry while delta rows exist");
+                best.push(mmdr_linalg::reduced_dist(*proj_sq, q_local, coords), id);
                 delta_seen += 1;
             });
             dists += delta_seen;
@@ -225,17 +241,28 @@ impl IDistanceIndex {
                 };
 
                 if !s.started {
-                    // Seek the query's image (clamped into the sphere); the
-                    // inward cursor walks toward the centroid, the outward
-                    // cursor away from it, both from the one pinned leaf.
-                    let center = base + s.dist_q.min(max_r);
-                    let cur = self.tree.seek(center)?;
-                    s.inward = Some(cur.clone());
-                    s.outward = Some(cur);
                     s.started = true;
+                    match target {
+                        // Seek the query's image (clamped into the sphere);
+                        // the inward cursor walks toward the centroid, the
+                        // outward cursor away from it, both from the one
+                        // pinned leaf, each as far as the round's annulus.
+                        Target::Knn(_) => {
+                            let cur = self.tree.seek(base + s.dist_q.min(max_r))?;
+                            s.inward = Some(cur.clone());
+                            s.outward = Some(cur);
+                        }
+                        // The annulus will not grow: the outward cursor
+                        // alone crosses all of it from its low edge (the
+                        // inward walk's bounds), so the leaf chain is read
+                        // in one direction and its readahead holds.
+                        Target::Range(_) => {
+                            s.outward = Some(self.tree.seek((lo_key - 1e-12).max(base))?);
+                        }
+                    }
                 }
                 let image = base + s.dist_q;
-                let geometry = (part, s.proj_sq, s.q_local.as_slice());
+                let geometry = (part, s.proj_sq, s.q_local);
 
                 // Outward: ascending keys up to hi_key (and < next slot). A
                 // cursor stays in place across rounds and is dropped once
@@ -254,14 +281,14 @@ impl IDistanceIndex {
                         }
                         // Key-gap lower bound: |‖p‖ − ‖q‖| ≤ ‖p − q‖, so an
                         // entry whose ring distance already exceeds the
-                        // current k-th best cannot win — skip the heap
-                        // fetch entirely. Strictly greater only: skipping
-                        // ties would make the answer set depend on the
-                        // heap's trajectory, and merged-vs-fresh parity
-                        // requires trajectory independence.
+                        // heap's reach (the current k-th best, a range's
+                        // radius) cannot enter — skip the heap fetch
+                        // entirely. Strictly greater only: skipping ties
+                        // would make the answer set depend on the heap's
+                        // trajectory, and merged-vs-fresh parity requires
+                        // trajectory independence.
                         let ring_gap = key - image;
-                        let lb = (s.proj_sq + ring_gap * ring_gap).sqrt();
-                        if best.is_full() && lb > best.worst_dist().expect("full heap") {
+                        if (s.proj_sq + ring_gap * ring_gap).sqrt() > best.reach() {
                             continue;
                         }
                         offer(rid, geometry, &mut best)?;
@@ -283,8 +310,7 @@ impl IDistanceIndex {
                         // Same key-gap lower bound as the outward walk
                         // (strict, for trajectory independence).
                         let ring_gap = image - key;
-                        let lb = (s.proj_sq + ring_gap * ring_gap).sqrt();
-                        if best.is_full() && lb > best.worst_dist().expect("full heap") {
+                        if (s.proj_sq + ring_gap * ring_gap).sqrt() > best.reach() {
                             continue;
                         }
                         offer(rid, geometry, &mut best)?;
@@ -298,13 +324,11 @@ impl IDistanceIndex {
                 }
             }
 
-            // Stop when the k-th candidate is certainly final: no unseen
-            // point can be closer than the current radius.
-            if best.is_full() {
-                let kth = best.worst_dist().expect("full heap");
-                if kth <= radius {
-                    break;
-                }
+            // Stop when the answer is certainly final: everything within
+            // `radius` has been seen, and nothing farther than the heap's
+            // reach (the k-th candidate once there are k) can enter.
+            if best.reach() <= radius {
+                break;
             }
             if !any_active {
                 break; // everything searched
@@ -455,5 +479,72 @@ mod tests {
         let (data, index, _) = build_pair();
         let r = index.knn(data.row(0), 10_000).unwrap();
         assert_eq!(r.len(), data.rows());
+    }
+
+    /// Two flat clusters under the default parameters: the range tests'
+    /// own fixture (probe ids index into its 400 rows).
+    fn range_fixture() -> (Matrix, IDistanceIndex, SeqScan) {
+        let mut rows = Vec::new();
+        let jit = |i: usize, s: f64| ((i as f64 * 0.618_033_988 + s).fract() - 0.5) * 0.02;
+        for i in 0..200 {
+            let t = i as f64 / 199.0;
+            rows.push(vec![t, 0.4 * t, jit(i, 0.3), jit(i, 0.6)]);
+            rows.push(vec![
+                5.0 + jit(i, 0.1),
+                5.0 - jit(i, 0.8),
+                5.0 + t,
+                5.0 + 0.7 * t,
+            ]);
+        }
+        let data = Matrix::from_rows(&rows).unwrap();
+        let model = Mmdr::new(MmdrParams::default()).fit(&data).unwrap();
+        let index = IDistanceIndex::build(&data, &model, IDistanceConfig::default()).unwrap();
+        let scan = SeqScan::build(&data, &model, 128).unwrap();
+        (data, index, scan)
+    }
+
+    #[test]
+    fn range_matches_scan_reference() {
+        let (data, index, scan) = range_fixture();
+        for &probe in &[0usize, 7, 201, 399] {
+            for &radius in &[0.05, 0.2, 1.0, 10.0] {
+                let q = data.row(probe);
+                let a = index.range_search(q, radius).unwrap();
+                let b = scan.range_search(q, radius).unwrap();
+                assert_eq!(a.len(), b.len(), "probe {probe} radius {radius}");
+                for (x, y) in a.iter().zip(&b) {
+                    assert!((x.0 - y.0).abs() < 1e-9);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn zero_radius_finds_exact_reps_only() {
+        let (_, index, _) = range_fixture();
+        // Outliers (stored exactly) match at radius 0; cluster members sit
+        // at their ProjDist, so a radius of 0 on a generic query returns
+        // nothing or exact representations only.
+        let far = vec![100.0; 4];
+        assert!(index.range_search(&far, 0.0).unwrap().is_empty());
+    }
+
+    #[test]
+    fn range_validates_inputs() {
+        let (_, index, _) = range_fixture();
+        assert!(index.range_search(&[0.0], 1.0).is_err());
+        assert!(index.range_search(&[0.0; 4], f64::NAN).is_err());
+        assert!(index.range_search(&[0.0; 4], -1.0).is_err());
+    }
+
+    #[test]
+    fn growing_radius_is_monotone() {
+        let (data, index, _) = range_fixture();
+        let q = data.row(10);
+        let small = index.range_search(q, 0.1).unwrap().len();
+        let big = index.range_search(q, 2.0).unwrap().len();
+        assert!(big >= small);
+        let all = index.range_search(q, 1e6).unwrap().len();
+        assert_eq!(all, data.rows());
     }
 }

@@ -23,7 +23,9 @@
 //! (the three cases — contains / intersects / disjoint — fall out of the
 //! annulus ∩ `[min_radius, max_radius]` intersection), and stop when the
 //! k-th candidate's distance is below the current radius. The triangle
-//! inequality `‖Q−P‖ ≥ ‖Qⱼ−Oⱼ‖ − Rⱼ` prunes unreachable partitions.
+//! inequality `‖Q−P‖ ≥ ‖Qⱼ−Oⱼ‖ − Rⱼ` prunes unreachable partitions. A
+//! range query ([`mmdr_index::Target::Range`]) is the same loop's single
+//! round: its radius is given, so the first pass is the last.
 //!
 //! Comparison schemes for the Figure 9/10 experiments:
 //! - [`SeqScan`] — sequential scan of the reduced heap pages.
@@ -41,7 +43,6 @@ mod index;
 mod ingest;
 mod knn;
 mod layout;
-mod range;
 mod seqscan;
 mod vector_heap;
 mod vector_index;

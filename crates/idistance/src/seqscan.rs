@@ -4,10 +4,11 @@
 
 use crate::backend::Backend;
 use crate::error::{Error, Result};
+use crate::knn::{check_query, query_geometry};
 use crate::layout::{data_rows, partition_ids, PartitionRows};
 use crate::vector_heap::VectorHeap;
 use mmdr_core::ReductionResult;
-use mmdr_index::{DeltaLayer, KnnHeap, SearchCounters, SearchFilter};
+use mmdr_index::{DeltaLayer, KnnHeap, SearchCounters, SearchFilter, Target};
 use mmdr_linalg::Matrix;
 use mmdr_pca::ReducedSubspace;
 use mmdr_storage::{BufferPool, DiskManager, IoStats};
@@ -143,30 +144,15 @@ impl SeqScan {
         k: usize,
         filter: Option<&SearchFilter>,
     ) -> Result<Vec<(f64, u64)>> {
-        if query.len() != self.dim {
-            return Err(Error::DimensionMismatch {
-                expected: self.dim,
-                actual: query.len(),
-            });
-        }
-        if query.iter().any(|x| !x.is_finite()) {
-            return Err(Error::InvalidQuery);
-        }
+        check_query(self.dim, query, Target::Knn(k))?;
         if k == 0 || self.is_empty() {
             return Ok(Vec::new());
         }
-        // Precompute the query's local coordinates per partition.
-        let mut q_locals: Vec<(Vec<f64>, f64)> = Vec::with_capacity(self.subspaces.len());
-        for subspace in &self.subspaces {
-            match subspace {
-                Some(s) => {
-                    let local = s.project(query)?;
-                    let pd = s.proj_dist(query)?;
-                    q_locals.push((local, pd * pd));
-                }
-                None => q_locals.push((query.to_vec(), 0.0)),
-            }
-        }
+        let q_locals = self
+            .subspaces
+            .iter()
+            .map(|subspace| query_geometry(subspace.as_ref(), query))
+            .collect::<Result<Vec<_>>>()?;
         let mut best = KnnHeap::new(k);
         let mut seen: u64 = 0;
         // Delta rows first (order is irrelevant to the final top-k): they
@@ -205,9 +191,7 @@ impl SeqScan {
         radius: f64,
         filter: Option<&SearchFilter>,
     ) -> Result<Vec<(f64, u64)>> {
-        if !(radius >= 0.0 && radius.is_finite()) {
-            return Err(Error::InvalidRadius);
-        }
+        check_query(self.dim, query, Target::Range(radius))?;
         let mut hits = self.knn_impl(query, self.len(), filter)?;
         hits.retain(|&(d, _)| d <= radius + 1e-12);
         Ok(hits)

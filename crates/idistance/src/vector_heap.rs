@@ -23,8 +23,10 @@ use std::sync::Arc;
 
 const HEADER: usize = 8;
 
-/// Sentinel point id marking a deleted record (see
-/// [`VectorHeap::tombstone`]).
+/// Sentinel point id marking a dead record. Nothing writes it any more
+/// (live deletes are tombstones in the delta, folded out by the loader),
+/// but a snapshot from a build that deleted in place may hold one, so
+/// every reader skips it.
 pub const TOMBSTONE: u64 = u64::MAX;
 
 /// Paged storage of `(point_id, coords)` records grouped by partition.
@@ -178,29 +180,6 @@ impl VectorHeap {
         Ok((partition, point_id, coords))
     }
 
-    /// Marks a record dead. Tombstoned records keep their slot (rids are
-    /// positional) but report the sentinel point id [`TOMBSTONE`]; scans
-    /// and fetch paths skip them. Returns the record's former point id, or
-    /// an error if the rid does not resolve.
-    pub fn tombstone(&mut self, rid: u64) -> Result<u64> {
-        let page = rid >> 16;
-        let slot = (rid & 0xFFFF) as usize;
-        if page >= self.pool.num_pages() as u64 {
-            return Err(Error::BadRecordId(rid));
-        }
-        self.pool.with_page_mut(page, |p| {
-            let dim = p.get_u16(4).expect("header") as usize;
-            let count = p.get_u16(6).expect("header") as usize;
-            if slot >= count {
-                return Err(Error::BadRecordId(rid));
-            }
-            let base = HEADER + slot * (8 + 8 * dim);
-            let old = p.get_u64(base).expect("record in page");
-            p.put_u64(base, TOMBSTONE).map_err(Error::Storage)?;
-            Ok(old)
-        })?
-    }
-
     /// Fetches one record by itself: `(partition, point_id, coords)`.
     pub fn get(&self, rid: u64) -> Result<(u32, u64, Vec<f64>)> {
         let mut reader = Scratch::default();
@@ -334,6 +313,17 @@ mod tests {
         .unwrap();
         seen.sort_unstable();
         assert_eq!(seen, (0..100).collect::<Vec<u64>>());
+    }
+
+    #[test]
+    fn scan_skips_a_record_carrying_the_tombstone_id() {
+        let mut h = heap(8);
+        h.append(0, 1, &[1.0]).unwrap();
+        h.append(0, TOMBSTONE, &[2.0]).unwrap();
+        h.append(0, 3, &[3.0]).unwrap();
+        let mut seen = Vec::new();
+        h.scan(|_, pid, _| seen.push(pid)).unwrap();
+        assert_eq!(seen, vec![1, 3]);
     }
 
     #[test]

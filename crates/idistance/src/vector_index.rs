@@ -34,10 +34,7 @@ impl VectorIndex for IDistanceIndex {
     }
 
     fn search(&self, q: &Query<'_>, scratch: &mut Scratch) -> mmdr_index::Result<Vec<(f64, u64)>> {
-        Ok(match q.target {
-            Target::Knn(k) => self.knn_impl(q.vector, k, q.filter, scratch),
-            Target::Range(radius) => self.range_impl(q.vector, radius, q.filter, scratch),
-        }?)
+        Ok(self.search_impl(q.vector, q.target, q.filter, scratch)?)
     }
 
     fn io_stats(&self) -> Arc<IoStats> {
@@ -100,10 +97,7 @@ impl VectorIndex for GlobalLdrIndex {
     }
 
     fn search(&self, q: &Query<'_>, _: &mut Scratch) -> mmdr_index::Result<Vec<(f64, u64)>> {
-        Ok(match q.target {
-            Target::Knn(k) => self.knn_impl(q.vector, k, q.filter),
-            Target::Range(radius) => self.range_impl(q.vector, radius, q.filter),
-        }?)
+        Ok(self.search_impl(q.vector, q.target, q.filter)?)
     }
 
     fn io_stats(&self) -> Arc<IoStats> {

@@ -1,5 +1,7 @@
-//! Bounded top-k candidate heap shared by every backend.
+//! The one result set of every search: the k best candidates of a KNN
+//! query, or everything within a range query's radius.
 
+use crate::query::Target;
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
@@ -29,12 +31,14 @@ impl Ord for Candidate {
 }
 
 /// Bounded max-heap of the k best `(distance, point_id)` candidates seen so
-/// far. Ties on distance break toward the smaller point id, so the winner
-/// set is deterministic regardless of insertion order — the property the
-/// backend-conformance suite's exact-parity assertions rest on.
-#[derive(Default)]
+/// far that lie within a distance limit. Ties on distance break toward the
+/// smaller point id, so the winner set is deterministic regardless of
+/// insertion order — the property the backend-conformance suite's
+/// exact-parity assertions rest on.
 pub struct KnnHeap {
     k: usize,
+    /// Farthest distance a candidate may have: `∞` for a KNN target.
+    limit: f64,
     heap: BinaryHeap<Candidate>,
 }
 
@@ -46,8 +50,23 @@ impl KnnHeap {
 
     /// An empty heap retaining at most `k` candidates.
     pub fn new(k: usize) -> Self {
+        Self::for_target(Target::Knn(k))
+    }
+
+    /// An empty heap that ends up holding `target`'s answer once every row
+    /// has been offered: the `k` best for `Knn(k)`, everything within
+    /// `radius + 1e-12` for `Range(radius)` — the boundary tolerance of
+    /// every backend, so a row at the radius to the last bit is a hit
+    /// whichever order its distance was summed in. A range's radius is the
+    /// caller's to validate.
+    pub fn for_target(target: Target) -> Self {
+        let (k, limit) = match target {
+            Target::Knn(k) => (k, f64::INFINITY),
+            Target::Range(radius) => (usize::MAX, radius + 1e-12),
+        };
         Self {
             k,
+            limit,
             heap: BinaryHeap::with_capacity(k.min(Self::MAX_RESERVED) + 1),
         }
     }
@@ -78,10 +97,23 @@ impl KnnHeap {
         self.heap.peek().map(|c| c.dist)
     }
 
-    /// Offers a candidate; it is kept only if the heap is not yet full or it
-    /// beats the current worst (distance, then point id).
+    /// The farthest distance that can still enter: the k-th best once k
+    /// candidates are held, the limit before. A search may skip, unseen,
+    /// whatever it can prove lies strictly beyond it — never what ties it,
+    /// which a smaller point id could still win.
+    pub fn reach(&self) -> f64 {
+        if self.is_full() {
+            self.worst_dist().unwrap_or(f64::NEG_INFINITY)
+        } else {
+            self.limit
+        }
+    }
+
+    /// Offers a candidate; it is kept only if it lies within the limit and
+    /// the heap is not yet full or it beats the current worst (distance,
+    /// then point id).
     pub fn push(&mut self, dist: f64, point_id: u64) {
-        if self.k == 0 {
+        if self.k == 0 || dist > self.limit {
             return;
         }
         if self.heap.len() == self.k {
@@ -154,6 +186,40 @@ mod tests {
         let all = h.into_sorted_vec();
         assert_eq!(all.len(), 5000);
         assert!(all.windows(2).all(|w| w[0] < w[1]));
+    }
+
+    #[test]
+    fn a_range_target_keeps_everything_within_its_radius() {
+        let mut h = KnnHeap::for_target(Target::Range(2.0));
+        assert_eq!(h.reach(), 2.0 + 1e-12);
+        for (d, id) in [
+            (2.5, 1),
+            (2.0, 2),
+            (0.5, 3),
+            (2.0 + 1e-13, 4),
+            (2.0 + 1e-11, 5),
+        ] {
+            h.push(d, id);
+        }
+        assert!(!h.is_full());
+        assert_eq!(h.reach(), 2.0 + 1e-12, "a range's reach is its radius");
+        assert_eq!(
+            h.into_sorted_vec(),
+            vec![(0.5, 3), (2.0, 2), (2.0 + 1e-13, 4)]
+        );
+    }
+
+    #[test]
+    fn reach_is_unbounded_until_k_are_held_then_the_kth() {
+        let mut h = KnnHeap::for_target(Target::Knn(2));
+        assert_eq!(h.reach(), f64::INFINITY);
+        h.push(3.0, 1);
+        assert_eq!(h.reach(), f64::INFINITY);
+        h.push(1.0, 2);
+        assert_eq!(h.reach(), 3.0);
+        h.push(2.0, 3);
+        assert_eq!(h.reach(), 2.0);
+        assert_eq!(KnnHeap::new(0).reach(), f64::NEG_INFINITY);
     }
 
     #[test]

@@ -1,8 +1,8 @@
-//! Property tests for [`KnnHeap`], the k-bounded candidate heap at the core
-//! of every KNN search: pop order, k-bounding, and insertion-order
-//! independence.
+//! Property tests for [`KnnHeap`], the result set at the core of every
+//! search: pop order, k-bounding, the distance limit of a range target,
+//! and insertion-order independence.
 
-use mmdr_index::KnnHeap;
+use mmdr_index::{KnnHeap, Target};
 use proptest::prelude::*;
 
 /// Candidate stream: distances in a bounded range (ties likely), small ids.
@@ -12,14 +12,35 @@ fn candidates() -> impl Strategy<Value = Vec<(f64, u64)>> {
 
 /// The k smallest candidates under (distance, id) order — the reference a
 /// correct heap must reproduce.
-fn reference_top_k(mut cands: Vec<(f64, u64)>, k: usize) -> Vec<(f64, u64)> {
+fn reference_top_k(cands: Vec<(f64, u64)>, k: usize) -> Vec<(f64, u64)> {
+    reference_answer(cands, Target::Knn(k))
+}
+
+/// `target`'s answer over `cands`: sort, cut at the limit, truncate to k.
+fn reference_answer(mut cands: Vec<(f64, u64)>, target: Target) -> Vec<(f64, u64)> {
+    let (k, limit) = match target {
+        Target::Knn(k) => (k, f64::INFINITY),
+        Target::Range(radius) => (usize::MAX, radius + 1e-12),
+    };
     cands.sort_by(|a, b| {
         a.0.partial_cmp(&b.0)
             .expect("finite distances")
             .then(a.1.cmp(&b.1))
     });
+    cands.retain(|&(d, _)| d <= limit);
     cands.truncate(k);
     cands
+}
+
+/// Either kind of target, sized so both the k-bound and the limit bite.
+fn targets() -> impl Strategy<Value = Target> {
+    (proptest::bool::ANY, 0usize..20, 0.0f64..10.0).prop_map(|(knn, k, radius)| {
+        if knn {
+            Target::Knn(k)
+        } else {
+            Target::Range(radius)
+        }
+    })
 }
 
 proptest! {
@@ -88,6 +109,38 @@ proptest! {
             let expect = retained.last().map(|&(d, _)| d);
             prop_assert_eq!(heap.worst_dist(), expect);
             prop_assert_eq!(heap.is_full(), retained.len() == k);
+        }
+    }
+
+    /// A heap built for a target ends up holding that target's answer,
+    /// whatever order the candidates are offered in; and `reach()` never
+    /// understates: a candidate a push goes on to keep was within it.
+    #[test]
+    fn a_targeted_heap_is_sort_cut_truncate_in_any_offer_order(
+        cands in candidates(),
+        target in targets(),
+        rotate in 0usize..120,
+    ) {
+        let mut seen = std::collections::HashSet::new();
+        let mut cands: Vec<(f64, u64)> = cands
+            .into_iter()
+            .filter(|&(_, id)| seen.insert(id))
+            .collect();
+        let expect = reference_answer(cands.clone(), target);
+        let shift = rotate % cands.len().max(1);
+        cands.rotate_left(shift);
+        for offers in [cands.clone(), cands.iter().rev().copied().collect()] {
+            let mut heap = KnnHeap::for_target(target);
+            let mut offered = Vec::new();
+            for &(d, id) in &offers {
+                let reach = heap.reach();
+                heap.push(d, id);
+                offered.push((d, id));
+                if reference_answer(offered.clone(), target).contains(&(d, id)) {
+                    prop_assert!(d <= reach, "kept {d} beyond reach {reach}");
+                }
+            }
+            prop_assert_eq!(heap.into_sorted_vec(), expect.clone());
         }
     }
 

@@ -274,16 +274,6 @@ pub struct IngestOptions {
     /// Parameters for the background Scalable MMDR re-fit. `None` uses
     /// [`MmdrParams::default`].
     pub refit_params: Option<MmdrParams>,
-    /// WAL segment size: appends rotate to a fresh `<wal>.N` segment once
-    /// the active one reaches this many bytes, so a merge can discard
-    /// fully-folded history by unlinking whole segments instead of
-    /// rewriting one ever-growing file. Clamped to at least one byte.
-    pub wal_segment_bytes: u64,
-    /// Minimum number of merges that must fold between two drift-triggered
-    /// re-fits. `0` (the default) lets drift re-fit back-to-back; the
-    /// first re-fit is never delayed, and explicit
-    /// [`IngestEngine::refit`] calls ignore the cooldown entirely.
-    pub refit_cooldown_merges: u64,
 }
 
 impl Default for IngestOptions {
@@ -293,8 +283,6 @@ impl Default for IngestOptions {
             merge_threshold: DEFAULT_MERGE_THRESHOLD,
             refit_threshold: 0.0,
             refit_params: None,
-            wal_segment_bytes: DEFAULT_WAL_SEGMENT_BYTES,
-            refit_cooldown_merges: 0,
         }
     }
 }
@@ -320,9 +308,6 @@ struct WriterState {
     next_id: u64,
     epoch_no: u64,
     merges: u64,
-    /// Merges folded since the last re-fit (any kind); the drift trigger's
-    /// cooldown counts these.
-    merges_since_refit: u64,
     /// How many background re-fits produced the current model; stamped
     /// into every saved snapshot and rewritten WAL.
     model_epoch: u64,
@@ -339,8 +324,6 @@ struct EngineCore {
     merge_threshold: usize,
     refit_threshold: f64,
     refit_params: MmdrParams,
-    refit_cooldown_merges: u64,
-    wal_segment_bytes: u64,
     serving: RwLock<Arc<Epoch>>,
     /// The attribute payload store. Lock order: `writer` first when both
     /// are held (writes mutate under the writer lock); queries take only
@@ -387,14 +370,6 @@ fn to_query_err(e: PersistError) -> mmdr_index::Error {
 
 pub(crate) fn attr_err(e: mmdr_query::Error) -> PersistError {
     PersistError::from(mmdr_index::Error::from(e))
-}
-
-/// Whether the drift trigger may fire: always before the first re-fit,
-/// afterwards only once `cooldown` merges have folded since the last one.
-/// Two back-to-back over-threshold signals therefore yield one re-fit when
-/// the cooldown is non-zero.
-fn refit_cooldown_open(refits: u64, merges_since_refit: u64, cooldown: u64) -> bool {
-    refits == 0 || merges_since_refit >= cooldown
 }
 
 /// Sketches the store over the model's base-row partitions; `None` when
@@ -469,7 +444,7 @@ impl IngestEngine {
                 ..OpenOptions::default()
             },
         )?;
-        let (wal, replay) = WalWriter::open_with_limit(wal_path(&path), opts.wal_segment_bytes)?;
+        let (wal, replay) = WalWriter::open(wal_path(&path))?;
         if replay.model_epoch > opened.model_epoch {
             // Someone restored an old snapshot next to a newer log: the
             // log's operations were acknowledged against a model this
@@ -527,8 +502,6 @@ impl IngestEngine {
             merge_threshold: opts.merge_threshold,
             refit_threshold: opts.refit_threshold,
             refit_params,
-            refit_cooldown_merges: opts.refit_cooldown_merges,
-            wal_segment_bytes: opts.wal_segment_bytes,
             serving: RwLock::new(Arc::new(Epoch {
                 number: 0,
                 built: opened.index,
@@ -544,7 +517,6 @@ impl IngestEngine {
                 next_id,
                 epoch_no: 0,
                 merges: 0,
-                merges_since_refit: 0,
                 model_epoch: opened.model_epoch,
                 refits: 0,
                 drift,
@@ -772,7 +744,6 @@ impl EngineCore {
         self.publish(folded, model, ops.len(), &attrs_snapshot, |w, _, _| {
             w.wal.truncate_folded(ops.len() as u64)?;
             w.merges += 1;
-            w.merges_since_refit += 1;
             Ok(())
         })
     }
@@ -845,7 +816,6 @@ impl EngineCore {
         let drifted = {
             let w = self.writer.lock().unwrap_or_else(|p| p.into_inner());
             w.drift.max_drift() > self.refit_threshold
-                && refit_cooldown_open(w.refits, w.merges_since_refit, self.refit_cooldown_merges)
         };
         if !drifted {
             return;
@@ -947,12 +917,11 @@ impl EngineCore {
                     tail,
                     tail_attrs,
                     new_model_epoch,
-                    self.wal_segment_bytes,
+                    DEFAULT_WAL_SEGMENT_BYTES,
                 )?;
                 w.drift = drift;
                 w.model_epoch = new_model_epoch;
                 w.refits += 1;
-                w.merges_since_refit = 0;
                 Ok(())
             },
         )?;
@@ -1595,127 +1564,6 @@ mod tests {
             sketches.columns,
             vec!["label".to_string(), "score".to_string()]
         );
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    /// Pokes the drift estimator past any threshold, deterministically —
-    /// the organic path (routed inserts far off a fitted flat) depends on
-    /// fit geometry this test must not.
-    fn force_drift(engine: &IngestEngine) {
-        let mut w = engine.core.writer.lock().unwrap();
-        for _ in 0..64 {
-            w.drift.record(0, 1.0e3);
-        }
-    }
-
-    #[test]
-    fn refit_cooldown_suppresses_back_to_back_refits() {
-        // The gate itself: the first re-fit is never delayed; afterwards
-        // the configured number of merges must fold first.
-        assert!(refit_cooldown_open(0, 0, 5));
-        assert!(!refit_cooldown_open(1, 0, 2));
-        assert!(!refit_cooldown_open(1, 1, 2));
-        assert!(refit_cooldown_open(1, 2, 2));
-        assert!(refit_cooldown_open(3, 0, 0));
-
-        let data = dataset();
-        let model = model_for(&data);
-        let dir = tmp_dir("cooldown");
-        let path = dir.join("idx.mmdr");
-        let engine = IngestEngine::create(
-            &path,
-            Backend::SeqScan,
-            &data,
-            &model,
-            128,
-            IngestOptions {
-                merge_threshold: 0,
-                refit_threshold: 1.0,
-                refit_cooldown_merges: 1,
-                refit_params: Some(MmdrParams {
-                    max_ec: 4,
-                    ..Default::default()
-                }),
-                ..Default::default()
-            },
-        )
-        .unwrap();
-        for v in new_rows(8) {
-            engine.insert(&v).unwrap();
-        }
-        // First over-threshold signal: re-fits immediately.
-        force_drift(&engine);
-        engine.core.maybe_spawn_refit();
-        for _ in 0..200 {
-            engine.quiesce();
-            if engine.ingest_stats().refits >= 1 {
-                break;
-            }
-            std::thread::sleep(std::time::Duration::from_millis(10));
-        }
-        assert_eq!(engine.ingest_stats().refits, 1);
-        // Second immediate over-threshold signal: no merge has folded
-        // since the re-fit, so the cooldown must swallow it.
-        force_drift(&engine);
-        engine.core.maybe_spawn_refit();
-        engine.quiesce();
-        assert_eq!(
-            engine.ingest_stats().refits,
-            1,
-            "two back-to-back signals must yield one re-fit"
-        );
-        // One folded merge opens the gate again.
-        engine.insert(&new_rows(1)[0]).unwrap();
-        engine.flush().unwrap();
-        force_drift(&engine);
-        engine.core.maybe_spawn_refit();
-        for _ in 0..200 {
-            engine.quiesce();
-            if engine.ingest_stats().refits >= 2 {
-                break;
-            }
-            std::thread::sleep(std::time::Duration::from_millis(10));
-        }
-        assert_eq!(engine.ingest_stats().refits, 2);
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn tiny_wal_segments_rotate_and_collapse_on_flush() {
-        let data = dataset();
-        let model = model_for(&data);
-        let dir = tmp_dir("segments");
-        let path = dir.join("idx.mmdr");
-        let opts = IngestOptions {
-            merge_threshold: 0,
-            // A 4-dim insert frame is ~53 bytes, so this forces a rotation
-            // every handful of operations.
-            wal_segment_bytes: 256,
-            ..Default::default()
-        };
-        let engine =
-            IngestEngine::create(&path, Backend::SeqScan, &data, &model, 128, opts.clone())
-                .unwrap();
-        for v in new_rows(40) {
-            engine.insert(&v).unwrap();
-        }
-        let seg1 = {
-            let mut p = wal_path(&path).into_os_string();
-            p.push(".1");
-            PathBuf::from(p)
-        };
-        assert!(seg1.exists(), "appends past the limit must rotate");
-        // A crash-style reopen replays across every segment in order.
-        drop(engine);
-        let engine = IngestEngine::open(&path, opts.clone()).unwrap();
-        let stats = engine.ingest_stats();
-        assert_eq!(stats.delta_rows, 40);
-        assert_eq!(stats.next_id, data.rows() as u64 + 40);
-        // A full fold collapses the log back to one empty base segment.
-        engine.flush().unwrap();
-        assert_eq!(engine.ingest_stats().wal_bytes, 0);
-        assert!(!seg1.exists(), "folded segments must be unlinked");
-        assert_eq!(engine.pin().index.len(), data.rows() + 40);
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -60,8 +60,8 @@ pub use manifest::{
 pub use mmdr_storage::{crc32, Crc32};
 pub use refit::{attach, materialize_rows, refit_model};
 pub use snapshot::{
-    build_index, open, open_expecting, open_expecting_with, open_or_build, open_resident,
-    open_with, save, save_with_attrs, save_with_epoch, scrub, BuiltIndex, OpenOptions, Opened,
+    build_index, open, open_expecting, open_or_build, open_resident, open_with, save,
+    save_with_attrs, scrub, BuiltIndex, OpenOptions, Opened,
 };
 pub use wal::{
     decode_op, decode_record, decode_wal, encode_op, encode_record, replay_wal, WalReplay,

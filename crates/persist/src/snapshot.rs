@@ -417,23 +417,13 @@ fn encode(
 /// decides a winner — the target is always one saver's complete image,
 /// never an interleaving.
 pub fn save(path: impl AsRef<Path>, index: &BuiltIndex, model: &ReductionResult) -> Result<()> {
-    save_with_epoch(path, index, model, 0)
+    save_with_attrs(path, index, model, 0, None)
 }
 
 /// [`save`] that stamps the snapshot with its model epoch — the version
-/// counter a background re-fit bumps. Epoch 0 produces a byte-identical
-/// legacy snapshot.
-pub fn save_with_epoch(
-    path: impl AsRef<Path>,
-    index: &BuiltIndex,
-    model: &ReductionResult,
-    model_epoch: u64,
-) -> Result<()> {
-    save_with_attrs(path, index, model, model_epoch, None)
-}
-
-/// [`save_with_epoch`] that additionally embeds a per-row attribute store
-/// as an ATTRS section. `None` (or an empty store) writes no section, so
+/// counter a background re-fit bumps; epoch 0 produces a byte-identical
+/// legacy snapshot — and embeds a per-row attribute store as an ATTRS
+/// section. `None` (or an empty store) writes no section, so
 /// attribute-less snapshots stay byte-identical to the legacy image.
 pub fn save_with_attrs(
     path: impl AsRef<Path>,
@@ -811,16 +801,6 @@ fn expect_backend(opened: Opened, backend: Backend) -> Result<Opened> {
 /// backend.
 pub fn open_expecting(path: impl AsRef<Path>, backend: Backend) -> Result<Opened> {
     expect_backend(open(path)?, backend)
-}
-
-/// Like [`open_with`], additionally checking the snapshot stores the
-/// expected backend.
-pub fn open_expecting_with(
-    path: impl AsRef<Path>,
-    backend: Backend,
-    opts: &OpenOptions,
-) -> Result<Opened> {
-    expect_backend(open_with(path, opts)?, backend)
 }
 
 /// Cache-style helper for harnesses: reuse a matching snapshot at `path`

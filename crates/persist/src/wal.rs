@@ -457,8 +457,10 @@ impl WalWriter {
         Self::open_with_limit(path, DEFAULT_WAL_SEGMENT_BYTES)
     }
 
-    /// [`open`](Self::open) with an explicit segment byte limit.
-    pub fn open_with_limit(
+    /// [`open`](Self::open) with an explicit segment byte limit (the seam
+    /// the rotation tests use; every caller outside them rotates at
+    /// [`DEFAULT_WAL_SEGMENT_BYTES`]).
+    pub(crate) fn open_with_limit(
         path: impl AsRef<Path>,
         segment_limit: u64,
     ) -> Result<(Self, WalReplay)> {
@@ -500,31 +502,16 @@ impl WalWriter {
     }
 
     /// Atomically replaces the log with exactly `ops` (the unfolded tail
-    /// after a merge or re-fit): temp file, fsync, rename onto the base
-    /// segment, then stale higher segments are unlinked newest-first (so a
-    /// crash mid-cleanup leaves a contiguous run whose extra records are
-    /// exact duplicates of the tail — replay is idempotent over them). The
-    /// returned writer appends after the rewritten records. Equivalent to
-    /// [`rewrite_with_model_epoch`](Self::rewrite_with_model_epoch) at
-    /// model epoch 0 (no mark record — the pre-mark format).
-    pub fn rewrite(path: impl AsRef<Path>, ops: &[IngestOp]) -> Result<Self> {
-        Self::rewrite_with_model_epoch(path, ops, 0)
-    }
-
-    /// [`rewrite`](Self::rewrite) that stamps the log with the model epoch
-    /// of the snapshot it pairs with. A non-zero epoch writes one mark
-    /// record at the head; epoch 0 produces a byte-identical legacy log.
-    pub fn rewrite_with_model_epoch(
-        path: impl AsRef<Path>,
-        ops: &[IngestOp],
-        model_epoch: u64,
-    ) -> Result<Self> {
-        Self::rewrite_records(path, ops, &[], model_epoch, DEFAULT_WAL_SEGMENT_BYTES)
-    }
-
-    /// The fully general rewrite: tail ops with optional per-op attribute
-    /// payloads (`attrs` is empty or parallel to `ops`), a model-epoch
-    /// mark, and the segment limit the returned writer rotates at.
+    /// after a merge or re-fit) and their optional per-op attribute
+    /// payloads (`attrs` is empty or parallel to `ops`): temp file, fsync,
+    /// rename onto the base segment, then stale higher segments are
+    /// unlinked newest-first (so a crash mid-cleanup leaves a contiguous
+    /// run whose extra records are exact duplicates of the tail — replay
+    /// is idempotent over them). The log is stamped with the model epoch
+    /// of the snapshot it pairs with: a non-zero epoch writes one mark
+    /// record at the head, epoch 0 none (the pre-mark format). The
+    /// returned writer appends after the rewritten records and rotates at
+    /// `segment_limit`.
     pub fn rewrite_records(
         path: impl AsRef<Path>,
         ops: &[IngestOp],
@@ -813,7 +800,8 @@ mod tests {
         let dir = tmp_dir("me");
         let path = dir.join("m.wal");
         let tail = vec![IngestOp::Delete { id: 7 }];
-        let mut w = WalWriter::rewrite_with_model_epoch(&path, &tail, 5).unwrap();
+        let mut w =
+            WalWriter::rewrite_records(&path, &tail, &[], 5, DEFAULT_WAL_SEGMENT_BYTES).unwrap();
         w.append(&IngestOp::Delete { id: 8 }).unwrap();
         drop(w);
         let replay = replay_wal(&path).unwrap();
@@ -833,10 +821,13 @@ mod tests {
     fn epoch_zero_rewrite_is_byte_identical_to_legacy() {
         let dir = tmp_dir("me0");
         let a = dir.join("legacy.wal");
-        let b = dir.join("marked.wal");
-        drop(WalWriter::rewrite(&a, &ops()).unwrap());
-        drop(WalWriter::rewrite_with_model_epoch(&b, &ops(), 0).unwrap());
-        assert_eq!(std::fs::read(&a).unwrap(), std::fs::read(&b).unwrap());
+        drop(WalWriter::rewrite_records(&a, &ops(), &[], 0, DEFAULT_WAL_SEGMENT_BYTES).unwrap());
+        // The legacy log: one frame per op and nothing else.
+        let mut legacy = Vec::new();
+        for op in ops() {
+            legacy.extend_from_slice(&frame(&encode_op(&op)));
+        }
+        assert_eq!(std::fs::read(&a).unwrap(), legacy);
         let replay = replay_wal(&a).unwrap();
         assert_eq!(replay.model_epoch, 0);
         std::fs::remove_dir_all(&dir).unwrap();
@@ -862,7 +853,8 @@ mod tests {
         }
         drop(w);
         let tail = vec![IngestOp::Delete { id: 9 }];
-        let mut w = WalWriter::rewrite(&path, &tail).unwrap();
+        let mut w =
+            WalWriter::rewrite_records(&path, &tail, &[], 0, DEFAULT_WAL_SEGMENT_BYTES).unwrap();
         w.append(&IngestOp::Delete { id: 10 }).unwrap();
         drop(w);
         let replay = replay_wal(&path).unwrap();
@@ -988,26 +980,37 @@ mod tests {
 
     #[test]
     fn truncate_folded_of_everything_collapses_to_marked_base() {
-        let dir = tmp_dir("fold-all");
-        let path = dir.join("f.wal");
-        let mut w = WalWriter::rewrite_records(&path, &[], &[], 3, 64).unwrap();
-        for id in 0..20u64 {
-            w.append(&IngestOp::Insert {
-                id,
-                vector: vec![1.0; 4],
-            })
-            .unwrap();
+        // Epoch 0 is the engine's flush over a multi-segment log before
+        // any re-fit: no mark, so the collapsed log is empty.
+        for epoch in [0u64, 3] {
+            let dir = tmp_dir("fold-all");
+            let path = dir.join("f.wal");
+            let mut w = WalWriter::rewrite_records(&path, &[], &[], epoch, 64).unwrap();
+            for id in 0..20u64 {
+                w.append(&IngestOp::Insert {
+                    id,
+                    vector: vec![1.0; 4],
+                })
+                .unwrap();
+            }
+            assert!(w.num_segments() >= 2);
+            w.truncate_folded(20).unwrap();
+            assert_eq!(w.num_segments(), 1);
+            assert!(!segment_path(&path, 1).exists());
+            assert_eq!(w.bytes() == 0, epoch == 0);
+            let replay = replay_wal(&path).unwrap();
+            assert!(replay.ops.is_empty());
+            // The epoch mark survives the collapse — and seeds every
+            // segment a later rotation creates.
+            assert_eq!(replay.model_epoch, epoch);
+            // The collapsed writer keeps appending: a reopen replays
+            // exactly what arrived after the fold.
+            w.append(&IngestOp::Delete { id: 5 }).unwrap();
+            drop(w);
+            let (_, replay) = WalWriter::open(&path).unwrap();
+            assert_eq!(replay.ops, vec![IngestOp::Delete { id: 5 }]);
+            std::fs::remove_dir_all(&dir).unwrap();
         }
-        assert!(w.num_segments() >= 2);
-        w.truncate_folded(20).unwrap();
-        assert_eq!(w.num_segments(), 1);
-        assert!(!segment_path(&path, 1).exists());
-        let replay = replay_wal(&path).unwrap();
-        assert!(replay.ops.is_empty());
-        // The epoch mark survives the collapse — and seeds every segment a
-        // later rotation creates.
-        assert_eq!(replay.model_epoch, 3);
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

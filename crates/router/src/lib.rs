@@ -249,14 +249,6 @@ impl Router {
         &self.manifest
     }
 
-    /// Per-shard open-configuration echoes (backend, workers, pool_pages,
-    /// readahead, …) as reported by each worker's `Stats` op right now.
-    pub fn shard_configs(&self) -> Result<Vec<mmdr_serve::RemoteStats>> {
-        (0..self.shards.len())
-            .map(|i| self.shard_op(i, |c| c.stats()))
-            .collect()
-    }
-
     /// Lower bound on any distance shard `entry` can contribute to `query`.
     fn shard_lower_bound(entry: &ShardEntry, query: &[f64]) -> f64 {
         entry
@@ -359,28 +351,19 @@ impl Router {
         target: Target,
         predicate: Option<&str>,
     ) -> Result<Vec<(f64, u64)>> {
-        self.validate(query)?;
-        // A range search is a KNN that keeps everything and whose radius
-        // starts where a KNN's ends up.
-        let (k, radius) = match target {
-            Target::Knn(k) => (k, f64::INFINITY),
-            Target::Range(r) if r.is_finite() && r >= 0.0 => (usize::MAX, r),
-            Target::Range(_) => return Err(Error::InvalidRadius),
-        };
+        self.validate(query, target)?;
         self.queries.fetch_add(1, Ordering::Relaxed);
-        if k == 0 {
+        if target == Target::Knn(0) {
             return Ok(Vec::new());
         }
-        let mut heap = KnnHeap::new(k);
+        // One merge for both targets: a range search is a KNN that keeps
+        // everything and whose reach starts where a KNN's ends up.
+        let mut heap = KnnHeap::for_target(target);
         for (lb, i) in self.scatter_order(query) {
             // Prune only on *strictly* greater: an equal-distance,
             // smaller-id candidate could still displace the current worst,
             // and a shard whose bound equals the radius may hold a hit.
-            let reach = heap
-                .worst_dist()
-                .filter(|_| heap.is_full())
-                .unwrap_or(radius);
-            if deflate(lb) > reach {
+            if deflate(lb) > heap.reach() {
                 self.pruned.fetch_add(1, Ordering::Relaxed);
                 continue;
             }
@@ -396,7 +379,7 @@ impl Router {
         Ok(heap.into_sorted_vec())
     }
 
-    fn validate(&self, query: &[f64]) -> Result<()> {
+    fn validate(&self, query: &[f64], target: Target) -> Result<()> {
         if query.len() != self.manifest.dim {
             return Err(Error::DimensionMismatch {
                 expected: self.manifest.dim,
@@ -405,6 +388,9 @@ impl Router {
         }
         if query.iter().any(|v| !v.is_finite()) {
             return Err(Error::InvalidQuery);
+        }
+        if matches!(target, Target::Range(r) if !(r >= 0.0 && r.is_finite())) {
+            return Err(Error::InvalidRadius);
         }
         Ok(())
     }

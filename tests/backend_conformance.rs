@@ -311,6 +311,68 @@ fn range_search_agrees_across_backends() {
     }
 }
 
+/// The paper's sentence as a gate — a KNN query "examines increasingly
+/// larger sphere in each iteration" (§5) — for every backend, filtered or
+/// not, as built and with a live delta: a KNN answer is, bit for bit, the
+/// first k rows of the range answer at its own k-th distance.
+#[test]
+fn a_knn_answer_is_the_prefix_of_the_range_answer_at_its_kth_distance() {
+    let fx = fixture();
+    let n = fx.data.rows();
+    let inserted = 40;
+    let two_thirds = two_thirds(n + inserted);
+    let mut pairs = 0;
+    for backend in Backend::all() {
+        let built = build_index(backend, &fx.data, &fx.model, BUFFER_PAGES).expect("build");
+        for mutated in [false, true] {
+            if mutated {
+                // Rows next to stored ones, so they rank among the answers.
+                for i in 0..inserted {
+                    let near: Vec<f64> = fx.data.row(i * 7).iter().map(|x| x + 0.01).collect();
+                    built
+                        .as_mutable()
+                        .insert((n + i) as u64, &near)
+                        .expect("delta insert");
+                }
+                for id in (0..(n + inserted) as u64).step_by(17) {
+                    assert!(built.as_mutable().delete(id).expect("delta delete"));
+                }
+            }
+            for filter in [None, Some(&two_thirds)] {
+                for k in [1, 10, 37] {
+                    for (qi, q) in fx.queries.iter().enumerate() {
+                        let ask = |target| {
+                            let query = Query {
+                                vector: q,
+                                target,
+                                filter,
+                            };
+                            built
+                                .as_dyn()
+                                .search(&query, &mut Scratch::default())
+                                .unwrap()
+                        };
+                        let knn = ask(Target::Knn(k));
+                        assert_eq!(knn.len(), k);
+                        let mut range = ask(Target::Range(knn[k - 1].0));
+                        assert!(range.len() >= k);
+                        range.truncate(k);
+                        assert_eq!(
+                            bits(knn),
+                            bits(range),
+                            "{} query {qi} k {k} filtered {} mutated {mutated}",
+                            backend.name(),
+                            filter.is_some()
+                        );
+                        pairs += 1;
+                    }
+                }
+            }
+        }
+    }
+    assert_eq!(pairs, 4 * 2 * 2 * 3 * fx.queries.len());
+}
+
 #[test]
 fn query_stats_tick_for_every_backend() {
     let fx = fixture();

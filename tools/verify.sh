@@ -162,6 +162,17 @@ fi
 "$MMDR" remote-query --addr "$ADDR" --data "$SMOKE/data.json" \
     --row 0,7,42 --k 5 --hex true > "$SMOKE/remote.txt"
 diff -u "$SMOKE/direct.txt" "$SMOKE/remote.txt"
+# The other target through the same door: an unfiltered range query, at a
+# radius that cuts (18 of the 600 rows), not one that keeps everything.
+"$MMDR" query --index-file "$SMOKE/index.mmdr" --data "$SMOKE/data.json" \
+    --row 7 --radius 0.3 --hex true | grep -v '^\[' > "$SMOKE/direct_range.txt"
+if ! grep -q '^[1-9][0-9]* points within radius' "$SMOKE/direct_range.txt"; then
+    echo "verify: FAIL — the smoke range query found nothing to compare" >&2
+    exit 1
+fi
+"$MMDR" remote-query --addr "$ADDR" --data "$SMOKE/data.json" \
+    --row 7 --radius 0.3 --hex true > "$SMOKE/remote_range.txt"
+diff -u "$SMOKE/direct_range.txt" "$SMOKE/remote_range.txt"
 
 "$MMDR" remote-query --addr "$ADDR" --op ping > /dev/null
 "$MMDR" remote-query --addr "$ADDR" --op shutdown > /dev/null
@@ -336,6 +347,9 @@ RADDR="$(wait_for_addr "$SMOKE/route.log")" || {
 "$MMDR" remote-query --router "$RADDR" --data "$SMOKE/data.json" \
     --row 0,7,42 --k 5 --hex true > "$SMOKE/routed.txt"
 diff -u "$SMOKE/direct.txt" "$SMOKE/routed.txt"
+"$MMDR" remote-query --router "$RADDR" --data "$SMOKE/data.json" \
+    --row 7 --radius 0.3 --hex true > "$SMOKE/routed_range.txt"
+diff -u "$SMOKE/direct_range.txt" "$SMOKE/routed_range.txt"
 
 # Filtered scatter-gather: each shard evaluates the predicate against its
 # re-keyed local attributes, and the merged answer must match filtering
