@@ -1,8 +1,10 @@
 //! KNN query latency across the three search schemes (the Figure 10 CPU
-//! comparison as a microbenchmark) plus dynamic insertion.
+//! comparison as a microbenchmark), the per-candidate kernel of the
+//! iDistance search on its own, plus dynamic insertion.
 
-use criterion::{criterion_group, criterion_main, Criterion};
+use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use mmdr_bench::{eval, workloads, Method};
+use mmdr_btree::BPlusTree;
 use mmdr_idistance::{GlobalLdrIndex, IDistanceConfig, IDistanceIndex, SeqScan, VectorIndex};
 use std::hint::black_box;
 
@@ -48,6 +50,83 @@ fn bench_knn_schemes(c: &mut Criterion) {
     group.finish();
 }
 
+/// What one candidate of `IDistanceIndex::search_impl` costs, stage by
+/// stage, on the index's own pages: one walk over the biggest partition's
+/// key slot per sample (divide the reported time by the candidate count in
+/// the name for ns per candidate). Each stage includes the ones before it,
+/// as the search runs them: step the leaf cursor; locate the record on the
+/// pinned heap page and read its id (what a row the gate rejects costs);
+/// decode the coordinates and evaluate the distance (what a row it admits
+/// costs, short of the result heap).
+fn bench_candidate_path(c: &mut Criterion) {
+    let ds = workloads::synthetic(8_000, 64, 10, 30.0, 5);
+    let model = eval::reduce(Method::Mmdr, &ds.data, None, 10, 0);
+    let index = IDistanceIndex::build(
+        &ds.data,
+        &model,
+        IDistanceConfig {
+            buffer_pages: 1 << 14,
+            ..Default::default()
+        },
+    )
+    .unwrap();
+    let (part, info) = index
+        .partitions()
+        .iter()
+        .enumerate()
+        .filter(|(_, p)| p.subspace.is_some())
+        .max_by_key(|(_, p)| p.count)
+        .expect("the model has a cluster");
+    let subspace = info.subspace.as_ref().expect("filtered above");
+    let q = ds.data.row(17);
+    let q_local = subspace.project(q).unwrap();
+    let proj_sq = subspace.proj_dist(q).unwrap().powi(2);
+    let (lo, hi) = (part as f64 * index.c(), (part + 1) as f64 * index.c());
+    let (tree, heap) = (index.tree(), index.heap());
+
+    // The walk every stage shares: `visit` sees each entry of the slot
+    // (generic, so the stage inlines into the loop as it does in the search).
+    fn walk_slot(tree: &BPlusTree, lo: f64, hi: f64, mut visit: impl FnMut(u64)) {
+        let mut cursor = tree.seek(lo).unwrap();
+        while let Some((key, rid)) = tree.cursor_next(&mut cursor).unwrap() {
+            if key >= hi {
+                break;
+            }
+            visit(rid);
+        }
+    }
+    let mut group = c.benchmark_group("candidate_path");
+    group.sample_size(200);
+    group.bench_function(BenchmarkId::new("leaf_step", info.count), |b| {
+        b.iter(|| {
+            let mut acc = 0u64;
+            walk_slot(tree, lo, hi, |rid| acc ^= rid);
+            acc
+        })
+    });
+    group.bench_function(BenchmarkId::new("+record_id", info.count), |b| {
+        b.iter(|| {
+            let (mut pin, mut acc) = (None, 0u64);
+            walk_slot(tree, lo, hi, |rid| {
+                acc ^= heap.record(&mut pin, rid).unwrap().1.point_id()
+            });
+            acc
+        })
+    });
+    group.bench_function(BenchmarkId::new("+decode+distance", info.count), |b| {
+        b.iter(|| {
+            let (mut pin, mut coords, mut acc) = (None, Vec::new(), 0.0);
+            walk_slot(tree, lo, hi, |rid| {
+                let (_, record) = heap.record(&mut pin, rid).unwrap();
+                record.coords_into(&mut coords);
+                acc += mmdr_linalg::reduced_dist(proj_sq, black_box(&q_local), &coords);
+            });
+            acc
+        })
+    });
+    group.finish();
+}
+
 fn bench_dynamic_insert(c: &mut Criterion) {
     let ds = workloads::synthetic(4_000, 32, 6, 30.0, 9);
     let model = eval::reduce(Method::Mmdr, &ds.data, None, 10, 0);
@@ -62,5 +141,10 @@ fn bench_dynamic_insert(c: &mut Criterion) {
     });
 }
 
-criterion_group!(benches, bench_knn_schemes, bench_dynamic_insert);
+criterion_group!(
+    benches,
+    bench_knn_schemes,
+    bench_candidate_path,
+    bench_dynamic_insert
+);
 criterion_main!(benches);

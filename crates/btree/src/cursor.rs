@@ -1,5 +1,6 @@
 //! Cursor handle for leaf-chain iteration.
 
+use crate::node::Leaf;
 use mmdr_storage::Page;
 use std::sync::Arc;
 
@@ -23,6 +24,17 @@ use std::sync::Arc;
 pub struct Cursor {
     pub(crate) leaf: Arc<Page>,
     pub(crate) slot: usize,
+    /// The pinned leaf's entry count, read from its header once per pin
+    /// (the image is immutable), not once per step.
+    pub(crate) count: usize,
+}
+
+impl Cursor {
+    /// A cursor pinned to `leaf`, in the gap before `slot`.
+    pub(crate) fn pinned(leaf: Arc<Page>, slot: usize) -> Self {
+        let count = Leaf::count(&leaf);
+        Self { leaf, slot, count }
+    }
 }
 
 #[cfg(test)]

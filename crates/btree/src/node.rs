@@ -50,11 +50,13 @@ const NODE_LEAF: u8 = 0;
 const NODE_INTERNAL: u8 = 1;
 
 /// True when the page holds a leaf node.
+#[inline]
 pub fn is_leaf(page: &Page) -> bool {
     page.get_u8(TYPE_OFFSET).expect("header in page") == NODE_LEAF
 }
 
 /// Number of keys in the node.
+#[inline]
 pub fn count(page: &Page) -> usize {
     page.get_u16(COUNT_OFFSET).expect("header in page") as usize
 }
@@ -80,22 +82,30 @@ impl Leaf {
     }
 
     /// Entry count.
+    #[inline]
     pub fn count(page: &Page) -> usize {
         count(page)
     }
 
     /// Key of entry `i`.
+    #[inline]
     pub fn key(page: &Page, i: usize) -> f64 {
         debug_assert!(i < count(page));
         page.get_f64(LEAF_ENTRIES_OFFSET + i * LEAF_ENTRY_SIZE)
             .expect("entry in page")
     }
 
-    /// Record id of entry `i`.
-    pub fn rid(page: &Page, i: usize) -> u64 {
+    /// Entry `i` as `(key, rid)`: its 16 bytes taken from the page as one
+    /// slice, under one bounds check.
+    #[inline]
+    pub fn entry(page: &Page, i: usize) -> (f64, u64) {
         debug_assert!(i < count(page));
-        page.get_u64(LEAF_ENTRIES_OFFSET + i * LEAF_ENTRY_SIZE + 8)
-            .expect("entry in page")
+        let bytes = page
+            .bytes(LEAF_ENTRIES_OFFSET + i * LEAF_ENTRY_SIZE, LEAF_ENTRY_SIZE)
+            .expect("entry in page");
+        let (key, rid) = bytes.split_first_chunk().expect("16 bytes");
+        let rid = rid.first_chunk().expect("16 bytes");
+        (f64::from_le_bytes(*key), u64::from_le_bytes(*rid))
     }
 
     /// Previous leaf in the chain.
@@ -119,6 +129,7 @@ impl Leaf {
     }
 
     /// First slot whose key is `>= key` (lower bound); `count` when none.
+    #[inline]
     pub fn lower_bound(page: &Page, key: f64) -> usize {
         let n = count(page);
         let (mut lo, mut hi) = (0, n);
@@ -298,7 +309,7 @@ mod tests {
             (0..3).map(|i| Leaf::key(&p, i)).collect::<Vec<_>>(),
             vec![1.0, 2.0, 3.0]
         );
-        assert_eq!(Leaf::rid(&p, 1), 20);
+        assert_eq!(Leaf::entry(&p, 1), (2.0, 20));
     }
 
     #[test]
@@ -327,8 +338,7 @@ mod tests {
         assert_eq!(Leaf::count(&a), 5);
         assert_eq!(Leaf::count(&b), 5);
         assert_eq!(sep, 5.0);
-        assert_eq!(Leaf::key(&b, 0), 5.0);
-        assert_eq!(Leaf::rid(&b, 0), 5);
+        assert_eq!(Leaf::entry(&b, 0), (5.0, 5));
     }
 
     #[test]

@@ -218,21 +218,20 @@ impl BPlusTree {
             return Err(Error::Corrupt("descent did not end at a leaf"));
         }
         let slot = Leaf::lower_bound(&page, key);
-        Ok(Cursor { leaf: page, slot })
+        Ok(Cursor::pinned(page, slot))
     }
 
     /// Returns the entry at the cursor and advances it forward (ascending
     /// keys). `None` when past the last entry; the cursor then stays on the
     /// last leaf, so [`cursor_prev`](Self::cursor_prev) still walks back.
+    ///
+    /// A step within the pinned leaf is a slot compare and one 16-byte
+    /// read, inlined into the caller's loop; only crossing to a sibling
+    /// calls out.
+    #[inline]
     pub fn cursor_next(&self, cursor: &mut Cursor) -> Result<Option<(f64, u64)>> {
-        loop {
-            let leaf = &cursor.leaf;
-            if cursor.slot < Leaf::count(leaf) {
-                let entry = (Leaf::key(leaf, cursor.slot), Leaf::rid(leaf, cursor.slot));
-                cursor.slot += 1;
-                return Ok(Some(entry));
-            }
-            let next = Leaf::next(leaf);
+        while cursor.slot >= cursor.count {
+            let next = Leaf::next(&cursor.leaf);
             if next == NIL_PAGE {
                 return Ok(None);
             }
@@ -240,9 +239,11 @@ impl BPlusTree {
             // source can start on the next leaf before the miss lands.
             // Free on resident pools, and never a logical access.
             let _ = self.pool.prefetch(next);
-            cursor.leaf = self.pool.page(next)?;
-            cursor.slot = 0;
+            *cursor = Cursor::pinned(self.pool.page(next)?, 0);
         }
+        let entry = Leaf::entry(&cursor.leaf, cursor.slot);
+        cursor.slot += 1;
+        Ok(Some(entry))
     }
 
     /// Returns the entry *before* the cursor and moves it backward
@@ -252,23 +253,19 @@ impl BPlusTree {
     /// `cursor_next` and `cursor_prev` are symmetric around the cursor gap:
     /// after a `seek(k)`, `cursor_prev` yields entries `< k` and
     /// `cursor_next` yields entries `>= k`.
+    #[inline]
     pub fn cursor_prev(&self, cursor: &mut Cursor) -> Result<Option<(f64, u64)>> {
-        loop {
-            if cursor.slot > 0 {
-                cursor.slot -= 1;
-                let leaf = &cursor.leaf;
-                return Ok(Some((
-                    Leaf::key(leaf, cursor.slot),
-                    Leaf::rid(leaf, cursor.slot),
-                )));
-            }
+        while cursor.slot == 0 {
             let prev = Leaf::prev(&cursor.leaf);
             if prev == NIL_PAGE {
                 return Ok(None);
             }
-            cursor.leaf = self.pool.page(prev)?;
-            cursor.slot = Leaf::count(&cursor.leaf);
+            let leaf = self.pool.page(prev)?;
+            let end = Leaf::count(&leaf);
+            *cursor = Cursor::pinned(leaf, end);
         }
+        cursor.slot -= 1;
+        Ok(Some(Leaf::entry(&cursor.leaf, cursor.slot)))
     }
 
     /// Collects all `(key, rid)` entries with `lo <= key <= hi`.

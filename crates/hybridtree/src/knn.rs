@@ -140,20 +140,22 @@ impl HybridTree {
             // are computed, so concurrent KNN workers proceed in parallel.
             let page = self.pool.page(node.page)?;
             if is_leaf(&page) {
-                let n = count(&page);
-                self.search.record_dists(n as u64);
-                let mut refined = 0;
-                for i in 0..n {
+                // A distance counts once it is evaluated (abandoned
+                // part-way or not): a row the gate hides costs none.
+                let (mut dists, mut refined) = (0, 0);
+                for i in 0..count(&page) {
                     let rid = Leaf::rid(&page, dim, i);
                     if dead(rid) {
                         continue;
                     }
                     Leaf::coords_into(&page, dim, i, &mut coords);
+                    dists += 1;
                     if let Some(d) = mmdr_linalg::l2_dist_sq_within(query, &coords, best.reach()) {
                         best.push(d, rid);
                         refined += 1;
                     }
                 }
+                self.search.record_dists(dists);
                 self.search.record_refined(refined);
                 continue;
             }
@@ -231,21 +233,21 @@ impl HybridTree {
                 if let Some((next, _, _)) = stack.last() {
                     let _ = self.pool.prefetch(*next);
                 }
-                let n = count(&node_page);
-                self.search.record_dists(n as u64);
-                let mut refined = 0;
-                for i in 0..n {
+                let (mut dists, mut refined) = (0, 0);
+                for i in 0..count(&node_page) {
                     let rid = Leaf::rid(&node_page, dim, i);
                     if dead(rid) {
                         continue;
                     }
                     Leaf::coords_into(&node_page, dim, i, &mut coords);
+                    dists += 1;
                     let d = mmdr_linalg::l2_dist(query, &coords);
                     if d <= limit {
                         out.push(d, rid);
                         refined += 1;
                     }
                 }
+                self.search.record_dists(dists);
                 self.search.record_refined(refined);
                 continue;
             }
@@ -417,6 +419,33 @@ mod tests {
         assert!(counters.candidates_refined() <= counters.dist_computations());
         counters.reset();
         assert_eq!(counters.dist_computations(), 0);
+    }
+
+    #[test]
+    fn a_row_the_gate_hides_costs_no_distance() {
+        let points = random_points(300, 4, 17);
+        let rids: Vec<u64> = (0..300).collect();
+        let tree = HybridTree::bulk_load(pool(64), &points, &rids).unwrap();
+        let counters = tree.search_counters();
+        let hidden: HashSet<u64> = (0..100).collect();
+        let passing = SearchFilter::from_rows(mmdr_index::RowFilter::from_fn(300, |id| id >= 270));
+        // Every row is a candidate of both walks (k = n, an all-covering
+        // radius), so the count is exactly the rows the gate lets through.
+        for target in [Target::Knn(300), Target::Range(1e6)] {
+            for (skip, filter, evaluated) in [
+                (None, None, 300),
+                (Some(&hidden), None, 200),
+                (None, Some(&passing), 30),
+                (Some(&hidden), Some(&passing), 30),
+            ] {
+                counters.reset();
+                let hits = tree
+                    .search_gated(points.row(0), target, skip, filter)
+                    .unwrap();
+                assert_eq!(hits.len(), evaluated);
+                assert_eq!(counters.dist_computations(), evaluated as u64);
+            }
+        }
     }
 
     #[test]

@@ -251,7 +251,8 @@ impl GlobalLdrIndex {
         self.clusters
             .iter()
             .map(|c| {
-                let (q_local, proj_sq) = query_geometry(Some(&c.subspace), query)?;
+                let mut q_local = Vec::new();
+                let proj_sq = query_geometry(Some(&c.subspace), query, &mut q_local)?;
                 let gap = (mmdr_linalg::l2_norm(&q_local) - c.max_radius).max(0.0);
                 Ok(ClusterProbe {
                     lower_bound: (proj_sq + gap * gap).sqrt(),

@@ -4,10 +4,12 @@
 
 use crate::error::{Error, Result};
 use crate::index::IDistanceIndex;
-use crate::vector_heap::TOMBSTONE;
+use crate::vector_heap::{HeapPage, VectorHeap, TOMBSTONE};
 use mmdr_btree::Cursor;
 use mmdr_index::{KnnHeap, Scratch, SearchFilter, Target};
 use mmdr_pca::ReducedSubspace;
+use std::collections::HashSet;
+use std::ops::Range;
 
 /// Validates a query the way every scheme in this crate does: the vector
 /// as an ingested one is, a range's radius finite and non-negative.
@@ -22,21 +24,25 @@ pub(crate) fn check_query(dim: usize, query: &[f64], target: Target) -> Result<(
 }
 
 /// The query as one partition sees it: its local coordinates in the
-/// partition's axis system and its squared distance to the affine
-/// subspace — the query itself and 0 for the outlier partition, which has
-/// no subspace. [`mmdr_linalg::reduced_dist`] over this pair and a stored
-/// row is the distance every scheme reports.
+/// partition's axis system, appended to `locals`, and its squared distance
+/// to the affine subspace, returned — the query itself and 0 for the
+/// outlier partition, which has no subspace. One pass over the basis
+/// ([`ReducedSubspace::project_into`]). [`mmdr_linalg::reduced_dist`] over
+/// this pair and a stored row is the distance every scheme reports.
 pub(crate) fn query_geometry(
     subspace: Option<&ReducedSubspace>,
     query: &[f64],
-) -> Result<(Vec<f64>, f64)> {
+    locals: &mut Vec<f64>,
+) -> Result<f64> {
     Ok(match subspace {
         Some(subspace) => {
-            let local = subspace.project(query)?;
-            let pd = subspace.proj_dist(query)?;
-            (local, pd * pd)
+            let proj_dist = subspace.project_into(query, locals)?;
+            proj_dist * proj_dist
         }
-        None => (query.to_vec(), 0.0),
+        None => {
+            locals.extend_from_slice(query);
+            0.0
+        }
     })
 }
 
@@ -59,6 +65,50 @@ struct PartitionSearch<'a> {
     started: bool,
 }
 
+/// The per-candidate routine, from "the ring bound admits this key" to
+/// "the result set has seen it". The order is the cost: the record is
+/// located on the pinned page and only its id is read; the id is put to
+/// every test that can reject it; only a row that passed them all has its
+/// coordinates decoded and its distance evaluated.
+struct Candidates<'a> {
+    heap: &'a VectorHeap,
+    /// The heap page the last candidate came from.
+    pin: Option<HeapPage>,
+    /// Where a row that passed is decoded.
+    coords: &'a mut Vec<f64>,
+    tombs: &'a HashSet<u64>,
+    filter: Option<&'a SearchFilter>,
+    /// Distances evaluated, each one a row offered to the result set.
+    evaluated: u64,
+}
+
+impl Candidates<'_> {
+    #[inline]
+    fn offer(
+        &mut self,
+        rid: u64,
+        part: usize,
+        proj_sq: f64,
+        q_local: &[f64],
+        best: &mut KnnHeap,
+    ) -> Result<()> {
+        let (heap_part, record) = self.heap.record(&mut self.pin, rid)?;
+        debug_assert_eq!(
+            heap_part as usize, part,
+            "key slot and heap partition agree"
+        );
+        let id = record.point_id();
+        if id == TOMBSTONE || self.tombs.contains(&id) || self.filter.is_some_and(|f| !f.passes(id))
+        {
+            return Ok(());
+        }
+        record.coords_into(self.coords);
+        self.evaluated += 1;
+        best.push(mmdr_linalg::reduced_dist(proj_sq, q_local, self.coords), id);
+        Ok(())
+    }
+}
+
 impl IDistanceIndex {
     /// Answers `target` around `query` among the reduced representations,
     /// as `(distance, point_id)` ascending.
@@ -68,26 +118,21 @@ impl IDistanceIndex {
     /// different axis systems are directly comparable.
     ///
     /// With a `filter` this is exact pushdown: failing rows never enter
-    /// the candidate heap, so they never tighten the enlargement radius;
-    /// partitions the filter's sketch hints prove dead are never
-    /// cursor-walked. Delta rows are gated per-row by the bitmap only
-    /// (sketches cover merged base rows).
+    /// the candidate heap, so they never tighten the enlargement radius,
+    /// and their distance is never evaluated; partitions the filter's
+    /// sketch hints prove dead are never cursor-walked. Delta rows are
+    /// gated per-row by the bitmap only (sketches cover merged base rows).
     pub(crate) fn search_impl(
         &self,
         query: &[f64],
         target: Target,
         filter: Option<&SearchFilter>,
-        reader: &mut Scratch,
+        scratch: &mut Scratch,
     ) -> Result<Vec<(f64, u64)>> {
         check_query(self.dim, query, target)?;
         if target == Target::Knn(0) || self.is_empty() {
             return Ok(Vec::new());
         }
-        // The scratch outlives this `&self` borrow: whatever it pinned last
-        // time may since have been written, or belong to another index.
-        reader.unpin();
-        // Counted here, recorded once when the search ends.
-        let (mut dists, mut refined) = (0u64, 0u64);
 
         // Partition `i` is cluster `i` in build order; the last
         // (subspace-less) partition holds the outliers. An empty partition,
@@ -105,22 +150,30 @@ impl IDistanceIndex {
         // one may be a partition's first point: while any exist, every
         // partition needs its geometry, walked or not.
         let delta_live = self.delta.live_rows() > 0;
-        let mut geo = Vec::with_capacity(self.partitions.len());
+        // The query's local coordinates in every partition that has a
+        // geometry, back to back; per partition, where its coordinates sit
+        // and the squared distance to its subspace (`None` where nothing
+        // asks).
+        let mut locals = Vec::new();
+        let mut geo: Vec<Option<(Range<usize>, f64)>> = Vec::with_capacity(self.partitions.len());
         for (i, part) in self.partitions.iter().enumerate() {
             geo.push(if delta_live || walked(i) {
-                Some(query_geometry(part.subspace.as_ref(), query)?)
+                let start = locals.len();
+                let proj_sq = query_geometry(part.subspace.as_ref(), query, &mut locals)?;
+                Some((start..locals.len(), proj_sq))
             } else {
                 None
             });
         }
         let mut searches = Vec::with_capacity(self.partitions.len());
         for (i, (part, geometry)) in self.partitions.iter().zip(&geo).enumerate() {
-            let Some((q_local, proj_sq)) = geometry else {
+            let Some((local, proj_sq)) = geometry else {
                 continue;
             };
             if !walked(i) {
                 continue;
             }
+            let q_local = &locals[local.clone()];
             let dist_q = match &part.subspace {
                 Some(_) => mmdr_linalg::l2_norm(q_local),
                 None => mmdr_linalg::l2_dist(query, &part.centroid),
@@ -164,45 +217,31 @@ impl IDistanceIndex {
             Target::Range(_) => (best.reach(), 0.0),
         };
 
-        // Delta rows are scanned exactly before the enlargement loop (the
-        // final answer is independent of push order).
         let tombs = self.delta.tombstones();
+        let mut candidates = Candidates {
+            heap: &self.heap,
+            pin: None,
+            coords: &mut scratch.coords,
+            tombs: &tombs,
+            filter,
+            evaluated: 0,
+        };
+        // Delta rows are scanned exactly before the enlargement loop (the
+        // final answer is independent of push order), gated like tree rows:
+        // the filter first, then the distance.
         if delta_live {
-            let mut delta_seen: u64 = 0;
-            self.delta.for_each(|id, (part, coords)| {
+            self.delta.for_each(|id, (part, row)| {
                 if filter.is_some_and(|f| !f.passes(id)) {
                     return;
                 }
-                let (q_local, proj_sq) = geo[*part as usize]
+                let (local, proj_sq) = geo[*part as usize]
                     .as_ref()
                     .expect("every partition has geometry while delta rows exist");
-                best.push(mmdr_linalg::reduced_dist(*proj_sq, q_local, coords), id);
-                delta_seen += 1;
+                let dist = mmdr_linalg::reduced_dist(*proj_sq, &locals[local.clone()], row);
+                best.push(dist, id);
+                candidates.evaluated += 1;
             });
-            dists += delta_seen;
-            refined += delta_seen;
         }
-
-        // One candidate: read its reduced vector through the pinned heap
-        // page, evaluate it, and offer it to the heap if it is visible.
-        let mut offer = |rid: u64, s: (usize, f64, &[f64]), best: &mut KnnHeap| -> Result<()> {
-            let (part, proj_sq, q_local) = s;
-            let (heap_part, point_id, coords) = self.heap.read(reader, rid)?;
-            debug_assert_eq!(
-                heap_part as usize, part,
-                "key slot and heap partition agree"
-            );
-            let dist = mmdr_linalg::reduced_dist(proj_sq, q_local, coords);
-            dists += 1;
-            if point_id == TOMBSTONE {
-                return Ok(());
-            }
-            refined += 1;
-            if !tombs.contains(&point_id) && filter.is_none_or(|f| f.passes(point_id)) {
-                best.push(dist, point_id);
-            }
-            Ok(())
-        };
 
         loop {
             let mut any_active = false;
@@ -262,7 +301,7 @@ impl IDistanceIndex {
                     }
                 }
                 let image = base + s.dist_q;
-                let geometry = (part, s.proj_sq, s.q_local);
+                let (proj_sq, q_local) = (s.proj_sq, s.q_local);
 
                 // Outward: ascending keys up to hi_key (and < next slot). A
                 // cursor stays in place across rounds and is dropped once
@@ -288,10 +327,10 @@ impl IDistanceIndex {
                         // trajectory, and merged-vs-fresh parity requires
                         // trajectory independence.
                         let ring_gap = key - image;
-                        if (s.proj_sq + ring_gap * ring_gap).sqrt() > best.reach() {
+                        if (proj_sq + ring_gap * ring_gap).sqrt() > best.reach() {
                             continue;
                         }
-                        offer(rid, geometry, &mut best)?;
+                        candidates.offer(rid, part, proj_sq, q_local, &mut best)?;
                     };
                     if exhausted {
                         s.outward = None;
@@ -310,10 +349,10 @@ impl IDistanceIndex {
                         // Same key-gap lower bound as the outward walk
                         // (strict, for trajectory independence).
                         let ring_gap = image - key;
-                        if (s.proj_sq + ring_gap * ring_gap).sqrt() > best.reach() {
+                        if (proj_sq + ring_gap * ring_gap).sqrt() > best.reach() {
                             continue;
                         }
-                        offer(rid, geometry, &mut best)?;
+                        candidates.offer(rid, part, proj_sq, q_local, &mut best)?;
                     };
                     if exhausted {
                         s.inward = None;
@@ -342,19 +381,26 @@ impl IDistanceIndex {
             step *= 2.0;
         }
 
-        self.search.record_dists(dists);
-        self.search.record_refined(refined);
+        // Every row evaluated is offered to the result set, and a row the
+        // gate rejected is neither: here the two counters are one number.
+        self.search.record_dists(candidates.evaluated);
+        self.search.record_refined(candidates.evaluated);
         Ok(best.into_sorted_vec())
     }
 }
 
 #[cfg(test)]
 mod tests {
+    use super::query_geometry;
     use crate::index::{IDistanceConfig, IDistanceIndex};
     use crate::seqscan::SeqScan;
     use mmdr_core::{Mmdr, MmdrParams};
-    use mmdr_index::VectorIndex;
+    use mmdr_index::{
+        MutableVectorIndex, Query, RowFilter, Scratch, SearchFilter, Target, VectorIndex,
+    };
     use mmdr_linalg::Matrix;
+    use mmdr_pca::ReducedSubspace;
+    use proptest::prelude::*;
 
     /// Two separated clusters flat in different dimension pairs, plus a few
     /// implanted outliers.
@@ -427,14 +473,9 @@ mod tests {
 
     #[test]
     fn knn_uses_fewer_reads_than_scan() {
-        let (data, index, scan) = build_pair();
-        let istats = index.io_stats();
-        let sstats = scan.io_stats();
-        istats.reset();
-        sstats.reset();
-        // Cold-ish pools would be fairer, but even warm the access count
-        // (hits + misses) favours the index; compare logical page touches
-        // via a small pool: rebuild with pool of 2.
+        // Pools too small to keep anything (2 pages, 1 page), so a read is
+        // a page touched, whatever the build left resident.
+        let data = dataset();
         let model = Mmdr::new(MmdrParams {
             max_ec: 4,
             ..Default::default()
@@ -546,5 +587,150 @@ mod tests {
         assert!(big >= small);
         let all = index.range_search(q, 1e6).unwrap().len();
         assert_eq!(all, data.rows());
+    }
+
+    #[test]
+    fn a_filtered_search_evaluates_only_rows_that_pass() {
+        let (data, index, _) = range_fixture();
+        let base = data.rows() as u64;
+        // Delta rows beside the base rows (on and off the fitted flats),
+        // and tombstones over both kinds.
+        for i in 0..40u64 {
+            let mut row = data.row((i as usize * 7) % data.rows()).to_vec();
+            row[(i % 4) as usize] += 0.003 * (i + 1) as f64;
+            index.insert(base + i, &row).unwrap();
+        }
+        let dead: Vec<u64> = (0..30)
+            .map(|i| i * 13 + 5)
+            .chain([base + 3, base + 20])
+            .collect();
+        for &id in &dead {
+            assert!(index.delete(id).unwrap());
+        }
+        let live = |id: u64| id < base + 40 && !dead.contains(&id);
+        let counters = index.search_counters();
+        let bits = |hits: &[(f64, u64)]| -> Vec<(u64, u64)> {
+            hits.iter().map(|&(d, id)| (d.to_bits(), id)).collect()
+        };
+
+        // ~1 %, 10 % and 60 % of the rows.
+        type Pass = fn(u64) -> bool;
+        let selectivities: [Pass; 3] = [|id| id % 100 == 7, |id| id % 10 == 3, |id| id % 5 < 3];
+        for pass in selectivities {
+            let filter = SearchFilter::from_rows(RowFilter::from_fn(base + 40, pass));
+            let passing_live = (0..base + 40).filter(|&id| live(id) && pass(id)).count();
+            assert!(passing_live > 0);
+            for probe in [0usize, 7, 201, 399] {
+                let q = data.row(probe);
+                for target in [Target::Knn(10), Target::Range(0.4), Target::Range(1e6)] {
+                    // The oracle: the unfiltered answer over every live row,
+                    // then the filter, then the cut.
+                    let everything = match target {
+                        Target::Knn(_) => index.knn(q, index.len()).unwrap(),
+                        Target::Range(radius) => index.range_search(q, radius).unwrap(),
+                    };
+                    let mut want: Vec<_> =
+                        everything.into_iter().filter(|&(_, id)| pass(id)).collect();
+                    if let Target::Knn(k) = target {
+                        want.truncate(k);
+                    }
+                    let query = Query {
+                        vector: q,
+                        target,
+                        filter: Some(&filter),
+                    };
+                    let before = counters.dist_computations();
+                    let got = index.search(&query, &mut Scratch::default()).unwrap();
+                    let evaluated = counters.dist_computations() - before;
+                    assert_eq!(bits(&got), bits(&want), "probe {probe} {target:?}");
+                    assert!(got.iter().all(|&(_, id)| live(id) && pass(id)));
+                    assert!(
+                        evaluated <= passing_live as u64,
+                        "probe {probe} {target:?}: {evaluated} distances for \
+                         {passing_live} passing live rows"
+                    );
+                    if target == Target::Range(1e6) {
+                        assert_eq!(evaluated, passing_live as u64);
+                    }
+                }
+            }
+        }
+    }
+
+    /// The two passes [`query_geometry`] fused, as they were written: one
+    /// dot product per coordinate down a column of the basis, then the
+    /// residual of a second projection, clamped and rooted.
+    fn geometry_in_two_passes(subspace: &ReducedSubspace, point: &[f64]) -> (Vec<f64>, f64) {
+        let project = || -> Vec<f64> {
+            (0..subspace.reduced_dim())
+                .map(|j| {
+                    let mut s = 0.0;
+                    for (i, (&p, &c)) in point.iter().zip(subspace.centroid()).enumerate() {
+                        s += (p - c) * subspace.basis()[(i, j)];
+                    }
+                    s
+                })
+                .collect()
+        };
+        let mut total = 0.0;
+        for (p, c) in point.iter().zip(subspace.centroid()) {
+            let diff = p - c;
+            total += diff * diff;
+        }
+        let retained: f64 = project().iter().map(|c| c * c).sum();
+        let resid = total - retained;
+        let proj_dist = if resid <= 1e-12 * total {
+            0.0
+        } else {
+            resid.sqrt()
+        };
+        (project(), proj_dist * proj_dist)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// The fused geometry is the two-pass one to the last bit, for a
+        /// point off the flat and for one on it (which clamps to exactly
+        /// 0), and it appends: what `locals` held stays.
+        #[test]
+        fn fused_query_geometry_has_the_bits_of_project_then_proj_dist(
+            dim in 2usize..24,
+            reduce_by in 1usize..23,
+            raw in proptest::collection::vec(-1.0f64..1.0, 24 * 23),
+            point in proptest::collection::vec(-10.0f64..10.0, 24),
+        ) {
+            let d_r = dim.saturating_sub(reduce_by).max(1);
+            let centroid: Vec<f64> = raw.iter().take(dim).map(|x| x * 3.0).collect();
+            // An orthonormal basis: Q of a random dim × d_r matrix.
+            let columns = Matrix::from_vec(dim, d_r, raw.iter().cycle().take(dim * d_r).copied().collect());
+            let basis = mmdr_linalg::Qr::new(&columns.unwrap()).unwrap().into_parts().0;
+            let subspace = ReducedSubspace::new(centroid, basis).unwrap();
+            let off_flat = &point[..dim];
+            let on_flat = subspace.restore(&point[..d_r]).unwrap();
+            for p in [off_flat, &on_flat] {
+                let (want_local, want_sq) = geometry_in_two_passes(&subspace, p);
+                let mut locals = vec![7.0];
+                let got_sq = query_geometry(Some(&subspace), p, &mut locals).unwrap();
+                prop_assert_eq!(locals[0], 7.0);
+                prop_assert_eq!(
+                    locals[1..].iter().map(|c| c.to_bits()).collect::<Vec<_>>(),
+                    want_local.iter().map(|c| c.to_bits()).collect::<Vec<_>>()
+                );
+                prop_assert_eq!(got_sq.to_bits(), want_sq.to_bits());
+                // The unfused entry points are the same pass.
+                prop_assert_eq!(&subspace.project(p).unwrap(), &want_local);
+                prop_assert_eq!(
+                    (subspace.proj_dist(p).unwrap().powi(2)).to_bits(),
+                    want_sq.to_bits()
+                );
+            }
+            let mut locals = Vec::new();
+            prop_assert_eq!(query_geometry(Some(&subspace), &on_flat, &mut locals).unwrap(), 0.0);
+            // No subspace: the query itself, at distance 0.
+            let mut locals = Vec::new();
+            prop_assert_eq!(query_geometry(None, off_flat, &mut locals).unwrap(), 0.0);
+            prop_assert_eq!(&locals[..], off_flat);
+        }
     }
 }

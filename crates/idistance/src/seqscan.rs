@@ -151,7 +151,11 @@ impl SeqScan {
         let q_locals = self
             .subspaces
             .iter()
-            .map(|subspace| query_geometry(subspace.as_ref(), query))
+            .map(|subspace| {
+                let mut q_local = Vec::new();
+                let proj_sq = query_geometry(subspace.as_ref(), query, &mut q_local)?;
+                Ok((q_local, proj_sq))
+            })
             .collect::<Result<Vec<_>>>()?;
         let mut best = KnnHeap::new(k);
         let mut seen: u64 = 0;

@@ -11,14 +11,15 @@
 //! ```
 //!
 //! Record ids encode the location directly (`rid = page_id << 16 | slot`),
-//! so no in-memory directory is needed. Records are read through a
-//! [`Scratch`], which pins the page it last read: a scan in rid order
-//! costs one (buffered) page access per heap page, not per record — the
-//! unit the I/O experiments count.
+//! so no in-memory directory is needed. Records are read off a
+//! [`HeapPage`], the pinned image of one page with its header decoded
+//! once: a scan in rid order costs one (buffered) page access per heap
+//! page, not per record — the unit the I/O experiments count — and a
+//! record is one bounds-checked slice of that image ([`Record`]), decoded
+//! only as far as its reader goes.
 
 use crate::error::{Error, Result};
-use mmdr_index::Scratch;
-use mmdr_storage::{BufferPool, IoStats, PageId, PAGE_SIZE};
+use mmdr_storage::{BufferPool, IoStats, Page, PageId, PAGE_SIZE};
 use std::sync::Arc;
 
 const HEADER: usize = 8;
@@ -28,6 +29,76 @@ const HEADER: usize = 8;
 /// but a snapshot from a build that deleted in place may hold one, so
 /// every reader skips it.
 pub const TOMBSTONE: u64 = u64::MAX;
+
+/// One heap page as a reader holds it: the immutable image the pool handed
+/// out (a pin, not a latch — see [`mmdr_btree::Cursor`]) and its header,
+/// decoded when the page was pinned rather than once per record.
+#[derive(Debug)]
+pub struct HeapPage {
+    id: PageId,
+    image: Arc<Page>,
+    partition: u32,
+    /// Bytes per record: the id and `dim` coordinates.
+    width: usize,
+    count: usize,
+}
+
+impl HeapPage {
+    fn pin(id: PageId, image: Arc<Page>) -> Self {
+        let partition = image.get_u32(0).expect("header");
+        let dim = image.get_u16(4).expect("header") as usize;
+        let count = image.get_u16(6).expect("header") as usize;
+        Self {
+            id,
+            image,
+            partition,
+            width: 8 + 8 * dim,
+            count,
+        }
+    }
+
+    /// Record `slot`, taken from the image as one slice: the slot is
+    /// checked against the page's count and the slice against the page's
+    /// end, once, and no field read checks again. `None` for a slot the
+    /// page does not hold.
+    #[inline]
+    fn record(&self, slot: usize) -> Option<Record<'_>> {
+        if slot >= self.count {
+            return None;
+        }
+        let bytes = self
+            .image
+            .bytes(HEADER + slot * self.width, self.width)
+            .ok()?;
+        let (id, coords) = bytes.split_first_chunk()?;
+        Some(Record { id, coords })
+    }
+}
+
+/// One stored record, borrowed from its pinned page and not yet decoded:
+/// reading the id costs nothing more, and the coordinates are decoded only
+/// for a record somebody wants.
+#[derive(Debug)]
+pub struct Record<'a> {
+    id: &'a [u8; 8],
+    coords: &'a [u8],
+}
+
+impl Record<'_> {
+    /// The point id ([`TOMBSTONE`] for a dead record).
+    #[inline]
+    pub fn point_id(&self) -> u64 {
+        u64::from_le_bytes(*self.id)
+    }
+
+    /// Decodes the coordinates into `out`, replacing its contents.
+    #[inline]
+    pub fn coords_into(&self, out: &mut Vec<f64>) {
+        out.clear();
+        let (chunks, _) = self.coords.as_chunks();
+        out.extend(chunks.iter().map(|c| f64::from_le_bytes(*c)));
+    }
+}
 
 /// Paged storage of `(point_id, coords)` records grouped by partition.
 #[derive(Debug)]
@@ -149,65 +220,62 @@ impl VectorHeap {
         Ok((page << 16) | slot as u64)
     }
 
-    /// Fetches a record through `reader`: `(partition, point_id, coords)`,
-    /// the coordinates borrowed from the reader's buffer. The pool is
-    /// fetched only when `rid` lives on another page than the reader's
-    /// last read, and no pool lock is held while the record is decoded, so
-    /// concurrent KNN workers refine candidates from the same page in
-    /// parallel. This is the KNN hot path — thousands of candidates per
-    /// query, a few dozen per heap page.
-    pub fn read<'r>(&self, reader: &'r mut Scratch, rid: u64) -> Result<(u32, u64, &'r [f64])> {
-        let page = rid >> 16;
-        let slot = (rid & 0xFFFF) as usize;
-        let (p, coords) = reader.page(page, || {
-            if page >= self.pool.num_pages() as u64 {
-                return Err(Error::BadRecordId(rid));
-            }
-            Ok(self.pool.page(page)?)
-        })?;
-        let partition = p.get_u32(0).expect("header");
-        let dim = p.get_u16(4).expect("header") as usize;
-        let count = p.get_u16(6).expect("header") as usize;
-        if slot >= count {
+    /// The record `rid` names, read off `pin`: the page `rid` lives on is
+    /// fetched from the pool — and its header decoded — only when `pin`
+    /// holds another page (or none), so a run of records from one page
+    /// costs one fetch, and no pool lock is held while records are
+    /// decoded: concurrent KNN workers refine candidates from the same
+    /// page in parallel. This is the KNN hot path — thousands of
+    /// candidates per query, a few dozen per heap page.
+    ///
+    /// A pin is a pre-write image of this heap's pool: drop it (`None`)
+    /// before reading through one kept across anything that may have
+    /// written to, or swapped, the pages.
+    #[inline]
+    pub fn record<'p>(&self, pin: &'p mut Option<HeapPage>, rid: u64) -> Result<(u32, Record<'p>)> {
+        if pin.as_ref().is_none_or(|p| p.id != rid >> 16) {
+            *pin = Some(self.pin(rid)?);
+        }
+        let pinned = pin.as_ref().expect("pinned above");
+        let record = pinned
+            .record((rid & 0xFFFF) as usize)
+            .ok_or(Error::BadRecordId(rid))?;
+        Ok((pinned.partition, record))
+    }
+
+    /// Pins the page `rid` lives on.
+    fn pin(&self, rid: u64) -> Result<HeapPage> {
+        let id = rid >> 16;
+        if id >= self.pool.num_pages() as u64 {
             return Err(Error::BadRecordId(rid));
         }
-        let base = HEADER + slot * (8 + 8 * dim);
-        let point_id = p.get_u64(base).expect("record in page");
-        coords.resize(dim, 0.0);
-        for (j, c) in coords.iter_mut().enumerate() {
-            *c = p.get_f64(base + 8 + 8 * j).expect("record in page");
-        }
-        Ok((partition, point_id, coords))
+        Ok(HeapPage::pin(id, self.pool.page(id)?))
     }
 
     /// Fetches one record by itself: `(partition, point_id, coords)`.
     pub fn get(&self, rid: u64) -> Result<(u32, u64, Vec<f64>)> {
-        let mut reader = Scratch::default();
-        let (partition, point_id, coords) = self.read(&mut reader, rid)?;
-        Ok((partition, point_id, coords.to_vec()))
+        let mut pin = None;
+        let (partition, record) = self.record(&mut pin, rid)?;
+        let mut coords = Vec::new();
+        record.coords_into(&mut coords);
+        Ok((partition, record.point_id(), coords))
     }
 
     /// Iterates every record, invoking `f(partition, point_id, coords)`.
     /// Reads every heap page exactly once — the sequential-scan primitive.
     pub fn scan(&self, mut f: impl FnMut(u32, u64, &[f64])) -> Result<()> {
-        let pages = self.pool.num_pages() as u64;
         let mut coords = Vec::new();
-        for page in 0..pages {
-            let p = self.pool.page(page)?;
-            let partition = p.get_u32(0).expect("header");
-            let dim = p.get_u16(4).expect("header") as usize;
-            let count = p.get_u16(6).expect("header") as usize;
-            coords.resize(dim, 0.0);
-            for slot in 0..count {
-                let base = HEADER + slot * (8 + 8 * dim);
-                let point_id = p.get_u64(base).expect("record in page");
-                if point_id == TOMBSTONE {
+        for id in 0..self.pool.num_pages() as u64 {
+            let page = HeapPage::pin(id, self.pool.page(id)?);
+            for slot in 0..page.count {
+                let record = page
+                    .record(slot)
+                    .ok_or(Error::BadRecordId((id << 16) | slot as u64))?;
+                if record.point_id() == TOMBSTONE {
                     continue; // deleted record
                 }
-                for (j, c) in coords.iter_mut().enumerate() {
-                    *c = p.get_f64(base + 8 + 8 * j).expect("record in page");
-                }
-                f(partition, point_id, &coords);
+                record.coords_into(&mut coords);
+                f(page.partition, record.point_id(), &coords);
             }
         }
         Ok(())
@@ -218,6 +286,7 @@ impl VectorHeap {
 mod tests {
     use super::*;
     use mmdr_storage::DiskManager;
+    use proptest::prelude::*;
 
     fn heap(pages: usize) -> VectorHeap {
         VectorHeap::new(BufferPool::new(DiskManager::new(), pages).unwrap())
@@ -232,6 +301,98 @@ mod tests {
         assert_eq!(h.get(r2).unwrap(), (0, 101, vec![3.0, 4.0]));
         assert_eq!(h.len(), 2);
         assert!(!h.is_empty());
+    }
+
+    #[test]
+    fn a_run_of_records_from_one_page_fetches_it_once() {
+        let mut h = heap(16);
+        let cap = VectorHeap::page_capacity(4) as u64;
+        let rids: Vec<u64> = (0..cap + 2)
+            .map(|i| h.append(0, i, &[i as f64; 4]).unwrap())
+            .collect();
+        let stats = h.io_stats();
+        stats.reset();
+        let mut pin = None;
+        for &rid in &rids[..cap as usize] {
+            h.record(&mut pin, rid).unwrap();
+        }
+        assert_eq!(stats.accesses(), 1, "one page, one fetch");
+        // Another page is another fetch, and so is coming back…
+        for &rid in [&rids[cap as usize], &rids[0], &rids[1]] {
+            h.record(&mut pin, rid).unwrap();
+        }
+        assert_eq!(stats.accesses(), 3);
+        // …or reading again after the pin was dropped.
+        pin = None;
+        h.record(&mut pin, rids[1]).unwrap();
+        assert_eq!(stats.accesses(), 4);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// A record taken as one slice is the record the per-field typed
+        /// accessors decode, on every slot of every page — the last slot
+        /// of a full page included — and a rid past the page's count or
+        /// the heap's pages is still `BadRecordId`.
+        #[test]
+        fn record_view_equals_the_per_field_decode(
+            dim in 1usize..40,
+            full_pages in 0usize..3,
+            tail in 1usize..20,
+            bits in proptest::collection::vec(0u64..u64::MAX, 1..64),
+        ) {
+            let cap = VectorHeap::page_capacity(dim);
+            let n = full_pages * cap + tail.min(cap);
+            let mut h = heap(8);
+            // Any bit pattern is a coordinate (NaNs too): compare bits.
+            let word = |i: usize| bits[i % bits.len()].rotate_left((i / bits.len()) as u32);
+            let rids: Vec<u64> = (0..n)
+                .map(|r| {
+                    let coords: Vec<f64> =
+                        (0..dim).map(|j| f64::from_bits(word(r * dim + j))).collect();
+                    h.append(3, word(r) ^ r as u64, &coords).unwrap()
+                })
+                .collect();
+            prop_assert_eq!(h.num_pages(), n.div_ceil(cap));
+
+            let mut pin = None;
+            let mut coords = Vec::new();
+            for &rid in &rids {
+                let (page, slot) = (rid >> 16, (rid & 0xFFFF) as usize);
+                let p = h.pool().page(page).unwrap();
+                let (part, width) = (p.get_u32(0).unwrap(), p.get_u16(4).unwrap() as usize);
+                prop_assert!(slot < p.get_u16(6).unwrap() as usize);
+                let at = HEADER + slot * (8 + 8 * width);
+                let want: Vec<u64> = (0..width)
+                    .map(|j| p.get_f64(at + 8 + 8 * j).unwrap().to_bits())
+                    .collect();
+
+                let (got_part, record) = h.record(&mut pin, rid).unwrap();
+                prop_assert_eq!(got_part, part);
+                prop_assert_eq!(record.point_id(), p.get_u64(at).unwrap());
+                record.coords_into(&mut coords);
+                prop_assert_eq!(coords.iter().map(|c| c.to_bits()).collect::<Vec<_>>(), want);
+            }
+            // The last slot of a full page ends within a record of the
+            // page's end; one slot further is out of range, like any slot
+            // past a page's count and any page past the heap's.
+            let last = *rids.last().unwrap();
+            for bad in [last + 1, last | 0xFFFF, ((last >> 16) + 1) << 16, u64::MAX] {
+                prop_assert!(
+                    matches!(h.record(&mut pin, bad), Err(Error::BadRecordId(rid)) if rid == bad),
+                    "rid {bad:#x} must be refused"
+                );
+            }
+            if full_pages > 0 {
+                let full_last = (cap - 1) as u64;
+                prop_assert!(h.record(&mut pin, full_last).is_ok());
+                prop_assert!(matches!(
+                    h.record(&mut pin, full_last + 1),
+                    Err(Error::BadRecordId(_))
+                ));
+            }
+        }
     }
 
     #[test]

@@ -87,12 +87,14 @@ impl KnnHeap {
     }
 
     /// True once k candidates are held.
+    #[inline]
     pub fn is_full(&self) -> bool {
         self.heap.len() >= self.k
     }
 
     /// Distance of the worst retained candidate (the current k-th best), or
     /// `None` while empty.
+    #[inline]
     pub fn worst_dist(&self) -> Option<f64> {
         self.heap.peek().map(|c| c.dist)
     }
@@ -101,6 +103,7 @@ impl KnnHeap {
     /// candidates are held, the limit before. A search may skip, unseen,
     /// whatever it can prove lies strictly beyond it — never what ties it,
     /// which a smaller point id could still win.
+    #[inline]
     pub fn reach(&self) -> f64 {
         if self.is_full() {
             self.worst_dist().unwrap_or(f64::NEG_INFINITY)
@@ -112,6 +115,7 @@ impl KnnHeap {
     /// Offers a candidate; it is kept only if it lies within the limit and
     /// the heap is not yet full or it beats the current worst (distance,
     /// then point id).
+    #[inline]
     pub fn push(&mut self, dist: f64, point_id: u64) {
         if self.k == 0 || dist > self.limit {
             return;

@@ -2,8 +2,6 @@
 //! [`VectorIndex::search`](crate::VectorIndex::search) takes.
 
 use crate::filter::SearchFilter;
-use mmdr_storage::{Page, PageId};
-use std::sync::Arc;
 
 /// What a query asks for. The paper's §5 has one search routine — a KNN
 /// query is a range query whose radius grows until the k-th candidate is
@@ -42,71 +40,17 @@ impl<'a> Query<'a> {
     }
 }
 
-/// Read state one caller carries from query to query: the page its last
-/// record came from, pinned as the immutable image the pool handed out,
-/// and the buffer records are decoded into. A run of reads from one page
-/// fetches the pool once.
+/// What one caller lends its queries, one after another, so that a run of
+/// them need not allocate it anew: a [`batch_queries`](crate::batch_queries)
+/// chunk hands the same `Scratch` to every
+/// [`VectorIndex::search`](crate::VectorIndex::search) it makes.
 ///
-/// The pin is a pre-write image (page writes are copy-on-write) of one
-/// particular pool, and a `Scratch` outlives any `&self` borrow that kept
-/// it valid: [`unpin`](Self::unpin) before reading through a scratch that
-/// was kept across anything that may have written to, or swapped, the
-/// pages it read from. [`VectorIndex::search`](crate::VectorIndex::search)
-/// does so on entry.
+/// It holds buffers, never a page or anything else an answer could depend
+/// on: any `Scratch`, fresh or used, with this index or another, gives the
+/// same answer.
 #[derive(Debug, Default)]
 pub struct Scratch {
-    pin: Option<(PageId, Arc<Page>)>,
-    coords: Vec<f64>,
-}
-
-impl Scratch {
-    /// Drops the pinned page (the decode buffer keeps its capacity).
-    pub fn unpin(&mut self) {
-        self.pin = None;
-    }
-
-    /// The image of page `id` and the decode buffer: the pinned image when
-    /// `id` is the page last asked for, otherwise `fetch()`'s, which
-    /// becomes the pin.
-    pub fn page<E>(
-        &mut self,
-        id: PageId,
-        fetch: impl FnOnce() -> Result<Arc<Page>, E>,
-    ) -> Result<(&Page, &mut Vec<f64>), E> {
-        if !matches!(&self.pin, Some((pinned, _)) if *pinned == id) {
-            self.pin = Some((id, fetch()?));
-        }
-        let (_, page) = self.pin.as_ref().expect("pinned above");
-        Ok((page, &mut self.coords))
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use std::convert::Infallible;
-
-    #[test]
-    fn a_page_is_fetched_once_until_another_is_asked_for_or_unpinned() {
-        let mut scratch = Scratch::default();
-        let mut fetches = 0;
-        for id in [3, 3, 4, 3] {
-            scratch
-                .page(id, || {
-                    fetches += 1;
-                    Ok::<_, Infallible>(Arc::new(Page::new()))
-                })
-                .unwrap();
-        }
-        assert_eq!(fetches, 3);
-        scratch.unpin();
-        scratch
-            .page(3, || {
-                fetches += 1;
-                Ok::<_, Infallible>(Arc::new(Page::new()))
-            })
-            .unwrap();
-        assert_eq!(fetches, 4);
-        assert!(scratch.page(9, || Err::<Arc<Page>, _>("gone")).is_err());
-    }
+    /// Where a stored record's coordinates are decoded; overwritten per
+    /// record, meaningless between calls.
+    pub coords: Vec<f64>,
 }

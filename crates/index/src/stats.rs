@@ -27,8 +27,13 @@ impl SearchCounters {
         self.dist_computations.fetch_add(n, Ordering::Relaxed);
     }
 
-    /// Records `n` candidates offered to the top-k result (after any
-    /// lower-bound pruning).
+    /// Records `n` candidates offered to the result set: rows that got
+    /// past every test that could reject them unseen (lower-bound pruning,
+    /// tombstones, the filter) and reached [`KnnHeap::push`](crate::KnnHeap::push).
+    /// A row the filter or a tombstone hides is not a candidate. A scheme
+    /// that offers every row it evaluates (the sequential scan, iDistance)
+    /// ticks this once per distance; the hybrid tree abandons a distance
+    /// part-way once it exceeds the heap's reach, and ticks it for the rest.
     pub fn record_refined(&self, n: u64) {
         self.candidates_refined.fetch_add(n, Ordering::Relaxed);
     }
@@ -65,7 +70,9 @@ pub struct QueryStats {
     pub pages_touched: u64,
     /// Logical page reads (buffer misses).
     pub page_reads: u64,
-    /// Candidates that survived pruning and were offered to the top-k set.
+    /// Candidates that survived pruning, tombstones and the filter and were
+    /// offered to the result set ([`SearchCounters::record_refined`]); never
+    /// more than `dist_computations`.
     pub candidates_refined: u64,
     /// Pages physically fetched from the backing source (nonzero only for
     /// out-of-core, demand-read opens; a resident index never re-fetches).

@@ -23,10 +23,9 @@ pub const QUERY_CHUNK: usize = 8;
 ///   [`batch_knn`](VectorIndex::batch_knn) are names for it and must not
 ///   be overridden.
 /// - `search` takes `&self`: whatever a query carries from one call to the
-///   next lives in the caller's [`Scratch`], never in the index. An
-///   implementation that reads through the scratch unpins it first — what
-///   it pinned last time may since have been written, or belong to another
-///   index — so any `Scratch`, fresh or used, gives the same answer.
+///   next lives in the caller's [`Scratch`], never in the index, and is
+///   buffer space only — the pages a query pins end with it — so any
+///   `Scratch`, fresh or used, gives the same answer.
 /// - Answers are `(distance, point_id)` sorted ascending by distance, ties
 ///   broken toward the smaller point id (the [`crate::KnnHeap`] ordering);
 ///   a range search returns every hit within the radius in that order. A

@@ -71,21 +71,44 @@ impl ReducedSubspace {
     /// Projects a `d`-dimensional point into the subspace's local
     /// coordinates: `(P − O) · Φ`.
     pub fn project(&self, point: &[f64]) -> Result<Vec<f64>> {
+        let mut local = Vec::with_capacity(self.reduced_dim());
+        self.project_into(point, &mut local)?;
+        Ok(local)
+    }
+
+    /// Appends `point`'s local coordinates to `out` and returns its
+    /// distance to the flat — [`project`](Self::project) and
+    /// [`proj_dist`](Self::proj_dist) in one pass over the basis, which is
+    /// what a query pays per cluster. Row `i` of the basis is added into
+    /// every coordinate at once, so each coordinate still sums its terms in
+    /// dimension order: the bits are those of the coordinate-at-a-time sum.
+    pub fn project_into(&self, point: &[f64], out: &mut Vec<f64>) -> Result<f64> {
         if point.len() != self.original_dim() {
             return Err(Error::DimensionMismatch {
                 expected: self.original_dim(),
                 actual: point.len(),
             });
         }
-        let mut out = vec![0.0; self.reduced_dim()];
-        for (j, o) in out.iter_mut().enumerate() {
-            let mut s = 0.0;
-            for (i, (&p, &c)) in point.iter().zip(&self.centroid).enumerate() {
-                s += (p - c) * self.basis[(i, j)];
+        let start = out.len();
+        out.resize(start + self.reduced_dim(), 0.0);
+        let local = &mut out[start..];
+        let mut total = 0.0;
+        for (i, (p, c)) in point.iter().zip(&self.centroid).enumerate() {
+            let diff = p - c;
+            total += diff * diff;
+            for (o, b) in local.iter_mut().zip(self.basis.row(i)) {
+                *o += diff * b;
             }
-            *o = s;
         }
-        Ok(out)
+        let retained: f64 = local.iter().map(|c| c * c).sum();
+        // Clamp cancellation noise (see Pca::proj_dist_r) so on-flat points
+        // report exactly zero.
+        let resid = total - retained;
+        Ok(if resid <= 1e-12 * total {
+            0.0
+        } else {
+            resid.sqrt()
+        })
     }
 
     /// Maps local coordinates back to the original space:
@@ -110,27 +133,7 @@ impl ReducedSubspace {
     /// to this cluster). Points with `proj_dist(P) > β` are outliers per the
     /// MMDR β-test.
     pub fn proj_dist(&self, point: &[f64]) -> Result<f64> {
-        if point.len() != self.original_dim() {
-            return Err(Error::DimensionMismatch {
-                expected: self.original_dim(),
-                actual: point.len(),
-            });
-        }
-        let mut total = 0.0;
-        for (p, c) in point.iter().zip(&self.centroid) {
-            let diff = p - c;
-            total += diff * diff;
-        }
-        let local = self.project(point)?;
-        let retained: f64 = local.iter().map(|c| c * c).sum();
-        // Clamp cancellation noise (see Pca::proj_dist_r) so on-flat points
-        // report exactly zero.
-        let resid = total - retained;
-        Ok(if resid <= 1e-12 * total {
-            0.0
-        } else {
-            resid.sqrt()
-        })
+        self.project_into(point, &mut Vec::with_capacity(self.reduced_dim()))
     }
 
     /// Distance *within* the subspace from the projected point to the

@@ -34,6 +34,7 @@ impl std::fmt::Debug for Page {
 macro_rules! typed_accessors {
     ($get:ident, $put:ident, $ty:ty) => {
         #[doc = concat!("Reads a little-endian `", stringify!($ty), "` at `offset`.")]
+        #[inline]
         pub fn $get(&self, offset: usize) -> Result<$ty> {
             const W: usize = std::mem::size_of::<$ty>();
             let end = offset
@@ -46,6 +47,7 @@ macro_rules! typed_accessors {
         }
 
         #[doc = concat!("Writes a little-endian `", stringify!($ty), "` at `offset`.")]
+        #[inline]
         pub fn $put(&mut self, offset: usize, value: $ty) -> Result<()> {
             const W: usize = std::mem::size_of::<$ty>();
             let end = offset
@@ -72,7 +74,9 @@ impl Page {
     typed_accessors!(get_u64, put_u64, u64);
     typed_accessors!(get_f64, put_f64, f64);
 
-    /// Borrow of `len` raw bytes at `offset`.
+    /// Borrow of `len` raw bytes at `offset`: one bounds check for a whole
+    /// record, which a layout then decodes field by field without another.
+    #[inline]
     pub fn bytes(&self, offset: usize, len: usize) -> Result<&[u8]> {
         let end = offset
             .checked_add(len)
