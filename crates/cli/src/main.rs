@@ -163,8 +163,8 @@ match — the choice never changes answers, which stay bit-identical to
 a sequential scan of matching rows, serially, threaded, and through
 route. Planner decisions show in query output and STATS.
 
-serve --wal rotates its log into 16 MiB segments so merges reclaim space
-by deleting whole sealed segments.";
+serve --wal keeps one log file beside the snapshot; every merge and re-fit
+rewrites it down to the operations the new snapshot does not hold yet.";
 
 /// Parses `--flag value` pairs into a map, rejecting unknown flags.
 fn parse_flags(args: &[String], allowed: &[&str]) -> Result<HashMap<String, String>, String> {
@@ -817,10 +817,6 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
         coalesce: get_parse(&flags, "coalesce", defaults.coalesce)?,
         max_inflight: get_parse(&flags, "max-inflight", defaults.max_inflight)?,
         batch_threads: get_parse(&flags, "batch-threads", defaults.batch_threads)?,
-        // STATS echoes the open configuration so a router fronting many
-        // workers can check the cluster is homogeneous.
-        pool_pages: get_parse(&flags, "pool-pages", 0u64)?,
-        readahead: get_parse(&flags, "readahead", 0u64)?,
         ..defaults
     };
     apply_io_timeout(&flags, &mut config)?;
@@ -1228,12 +1224,6 @@ fn cmd_remote_query(args: &[String]) -> Result<(), String> {
         Some("stats") => {
             let s = client.stats().map_err(|e| e.to_string())?;
             outln!("[{}] {} points × {} dims", s.backend, s.len, s.dim);
-            outln!(
-                "open config: {} workers, pool_pages {}, readahead {}",
-                s.workers,
-                s.pool_pages,
-                s.readahead
-            );
             if let Some(sh) = &s.shard {
                 outln!(
                     "router: {} shards, {} queries, {} contacted (mean {:.2}/query), \

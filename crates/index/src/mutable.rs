@@ -373,18 +373,33 @@ pub trait LiveIndex: Send + Sync {
 
     /// Appends the vector to the WAL (fsync'd), applies it to the serving
     /// delta, and returns the assigned id. The row is durable and visible
-    /// once this returns.
-    fn insert(&self, vector: &[f64]) -> Result<u64>;
+    /// once this returns. The default — every handle but a WAL-backed
+    /// engine — is the typed [`Error::ReadOnly`] rejection, as for
+    /// [`delete`](Self::delete) and [`flush`](Self::flush).
+    fn insert(&self, _vector: &[f64]) -> Result<u64> {
+        Err(Error::ReadOnly)
+    }
 
     /// Logs and applies a delete. Returns whether visible state changed.
-    fn delete(&self, id: u64) -> Result<bool>;
+    fn delete(&self, _id: u64) -> Result<bool> {
+        Err(Error::ReadOnly)
+    }
 
     /// Forces a merge now: fold the delta into a fresh snapshot, swap
-    /// epochs, truncate the WAL. Returns the new epoch number.
-    fn flush(&self) -> Result<u64>;
+    /// epochs, trim the WAL. Returns the new epoch number.
+    fn flush(&self) -> Result<u64> {
+        Err(Error::ReadOnly)
+    }
 
-    /// Ingest-side counters (delta size, WAL bytes, epoch, merges).
-    fn ingest_stats(&self) -> IngestStats;
+    /// Ingest-side counters (delta size, WAL bytes, epoch, merges). The
+    /// default is a read-only handle's: nothing ingested, the next id is
+    /// the pinned index's row count.
+    fn ingest_stats(&self) -> IngestStats {
+        IngestStats {
+            next_id: self.pin().index.len() as u64,
+            ..IngestStats::default()
+        }
+    }
 
     /// Per-cluster model drift (streaming MPE vs. fitted MPE, in `MaxMPE`
     /// units) for engines that maintain a [`DriftEstimator`]. The default
@@ -433,25 +448,6 @@ impl LiveIndex for ReadOnlyLive {
         PinnedEpoch {
             epoch: 0,
             index: Arc::clone(&self.index),
-        }
-    }
-
-    fn insert(&self, _vector: &[f64]) -> Result<u64> {
-        Err(Error::ReadOnly)
-    }
-
-    fn delete(&self, _id: u64) -> Result<bool> {
-        Err(Error::ReadOnly)
-    }
-
-    fn flush(&self) -> Result<u64> {
-        Err(Error::ReadOnly)
-    }
-
-    fn ingest_stats(&self) -> IngestStats {
-        IngestStats {
-            next_id: self.index.len() as u64,
-            ..IngestStats::default()
         }
     }
 }

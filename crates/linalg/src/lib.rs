@@ -1,8 +1,8 @@
 //! Dense linear algebra substrate for the MMDR reproduction.
 //!
 //! Everything in this crate is implemented from scratch: a row-major
-//! [`Matrix`] type, covariance estimation, Cholesky and LU factorizations,
-//! a cyclic-Jacobi symmetric eigendecomposition, Householder QR, and
+//! [`Matrix`] type, covariance estimation, a Cholesky factorization, a
+//! cyclic-Jacobi symmetric eigendecomposition, Householder QR, and
 //! Haar-distributed random rotations.
 //!
 //! Matrices are small (the paper works with covariance matrices of up to
@@ -31,7 +31,6 @@ mod cholesky;
 mod covariance;
 mod eigen;
 mod error;
-mod lu;
 mod matrix;
 mod par;
 mod qr;
@@ -45,7 +44,6 @@ pub use covariance::{
 };
 pub use eigen::SymmetricEigen;
 pub use error::{Error, Result};
-pub use lu::Lu;
 pub use matrix::Matrix;
 pub use par::{map_ranges, map_ranges_with, ParConfig, PAR_CHUNK};
 pub use qr::Qr;

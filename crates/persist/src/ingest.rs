@@ -49,26 +49,26 @@
 //!
 //! ## Crash recovery
 //!
-//! The WAL is rewritten (not truncated in place) *after* the folded
-//! snapshot is durably renamed into place. A crash between the two leaves
-//! the old WAL alongside the new snapshot; replay-on-open skips `Insert`
-//! records whose id the snapshot's model already covers and re-applies
-//! `Delete` records, which are idempotent. A crash before the save leaves
-//! the old snapshot and the full WAL — replay reconstructs the delta
-//! exactly. Either way an acknowledged operation is never lost.
+//! Every publish — merge or re-fit — rewrites the WAL to exactly the
+//! unfolded tail (not truncated in place) *after* the folded snapshot is
+//! durably renamed into place. A crash between the two leaves the old WAL
+//! alongside the new snapshot; replay-on-open skips `Insert` records whose
+//! id the snapshot's model already covers and re-applies `Delete` records,
+//! which are idempotent. A crash before the save leaves the old snapshot
+//! and the full WAL — replay reconstructs the delta exactly. Either way an
+//! acknowledged operation is never lost.
 //!
-//! A re-fit follows the same durable-first-then-visible rule. Its
-//! snapshot carries the bumped model epoch and covers every operation up
-//! to the captured prefix (`num_points` = the id allocator at capture),
-//! so the replay-skip rule handles a crash in the save-before-rewrite
-//! window exactly as it does for a merge; the rewritten WAL leads with a
+//! A re-fit's snapshot carries the bumped model epoch and covers every
+//! operation up to the captured prefix (`num_points` = the id allocator at
+//! capture), so the replay-skip rule handles a crash in that window
+//! exactly as it does for a merge; the rewritten WAL leads with a
 //! model-epoch mark so an old snapshot restored next to a newer log is
 //! refused at open instead of replaying against the wrong model.
 
 use crate::error::{PersistError, Result};
 use crate::refit::{attach, materialize_rows, refit_model};
 use crate::snapshot::{build_index, open_with, save_with_attrs, OpenOptions};
-use crate::wal::{remove_wal, WalWriter, DEFAULT_WAL_SEGMENT_BYTES};
+use crate::wal::{remove_wal, WalRecord, WalWriter};
 use mmdr_core::{MmdrParams, PointAssignment, ReductionResult};
 use mmdr_idistance::{load, stored_rows, Backend, BuiltIndex, IDistanceConfig, KeySpace, Row};
 use mmdr_index::{
@@ -296,14 +296,11 @@ pub const DEFAULT_FOLD_PAGES: usize = 256;
 #[derive(Debug)]
 struct WriterState {
     wal: WalWriter,
-    /// Operations applied to the serving delta but not yet folded, in
-    /// arrival order. Append-only between merges; a merge folds a prefix
-    /// and keeps the tail.
-    pending: Vec<IngestOp>,
-    /// Encoded attribute rows parallel to `pending`: `Some` for inserts
-    /// that carried attributes, `None` otherwise. A re-fit's WAL rewrite
-    /// re-frames the tail from this.
-    pending_attrs: Vec<Option<Vec<u8>>>,
+    /// Records applied to the serving delta but not yet folded, in
+    /// arrival order, as they were logged (an insert's encoded attribute
+    /// row rides with it). Append-only between publishes; a publish folds
+    /// a prefix and rewrites the WAL from the tail.
+    pending: Vec<WalRecord>,
     model: ReductionResult,
     next_id: u64,
     epoch_no: u64,
@@ -315,6 +312,14 @@ struct WriterState {
     /// Streaming per-cluster drift of routed inserts against the fitted
     /// mean projection errors; rebased on every re-fit.
     drift: DriftEstimator,
+}
+
+impl WriterState {
+    /// The pending operations, without their attribute rows — what a fold
+    /// or a re-fit consumes.
+    fn pending_ops(&self) -> Vec<IngestOp> {
+        self.pending.iter().map(|r| r.op.clone()).collect()
+    }
 }
 
 #[derive(Debug)]
@@ -424,8 +429,8 @@ impl IngestEngine {
         let path = path.as_ref();
         let built = build_index(backend, data, model, buffer_pages)?;
         save_with_attrs(path, &built, model, 0, attrs)?;
-        // A stale WAL (any of its segments) next to a brand-new snapshot
-        // would replay foreign operations into it.
+        // A stale WAL next to a brand-new snapshot would replay foreign
+        // operations into it.
         remove_wal(&wal_path(path))?;
         Self::open(path, opts)
     }
@@ -455,12 +460,11 @@ impl IngestEngine {
             )));
         }
         let folded_below = opened.model.num_points as u64;
-        let mut pending: Vec<IngestOp> = Vec::new();
-        let mut pending_attrs: Vec<Option<Vec<u8>>> = Vec::new();
+        let mut pending: Vec<WalRecord> = Vec::new();
         let mut store = opened.attrs.unwrap_or_default();
         let mut next_id = folded_below;
-        for (op, op_attrs) in replay.ops.into_iter().zip(replay.attrs) {
-            match &op {
+        for record in replay.records {
+            match &record.op {
                 IngestOp::Insert { id, vector } => {
                     if *id < folded_below {
                         // Already folded into the snapshot — its attribute
@@ -472,7 +476,7 @@ impl IngestEngine {
                         .as_mutable()
                         .insert(*id, vector)
                         .map_err(PersistError::from)?;
-                    if let Some(bytes) = &op_attrs {
+                    if let Some(bytes) = &record.attrs {
                         let row = decode_row(bytes).map_err(attr_err)?;
                         store.set_row(*id, &row).map_err(attr_err)?;
                     }
@@ -487,8 +491,7 @@ impl IngestEngine {
                     store.clear_row(*id);
                 }
             }
-            pending.push(op);
-            pending_attrs.push(op_attrs);
+            pending.push(record);
         }
         let refit_params = opts.refit_params.clone().unwrap_or_default();
         let drift = DriftEstimator::new(
@@ -512,7 +515,6 @@ impl IngestEngine {
             writer: Mutex::new(WriterState {
                 wal,
                 pending,
-                pending_attrs,
                 model: opened.model,
                 next_id,
                 epoch_no: 0,
@@ -607,7 +609,7 @@ impl IngestEngine {
             // Validate the attribute row against the schema *before*
             // logging anything, so a rejected row never reaches the WAL
             // and the store mutation below cannot fail halfway.
-            let encoded = match values {
+            let attrs = match values {
                 Some(row) => {
                     self.with_attrs(|store| store.validate_row(row))
                         .map_err(mmdr_index::Error::from)?;
@@ -620,10 +622,9 @@ impl IngestEngine {
                 id,
                 vector: vector.to_vec(),
             };
+            let record = WalRecord { op, attrs };
             // Durable first, then visible: the WAL append fsyncs.
-            w.wal
-                .append_record(&op, encoded.as_deref())
-                .map_err(to_query_err)?;
+            w.wal.append_record(&record).map_err(to_query_err)?;
             let serving = self.core.serving();
             serving.built.as_mutable().insert(id, vector)?;
             if let Some(row) = values {
@@ -641,8 +642,7 @@ impl IngestEngine {
             {
                 w.drift.record(ci, proj_dist);
             }
-            w.pending.push(op);
-            w.pending_attrs.push(encoded);
+            w.pending.push(record);
             w.next_id += 1;
             id
         };
@@ -710,7 +710,7 @@ impl EngineCore {
             }
             (
                 self.serving(),
-                w.pending.clone(),
+                w.pending_ops(),
                 w.model.clone(),
                 w.model_epoch,
             )
@@ -736,39 +736,33 @@ impl EngineCore {
             Some(&attrs_snapshot),
         )?;
 
-        // Swap phase. The folded prefix is durable in the snapshot, so
-        // whole WAL segments containing only folded records are unlinked;
-        // the segment straddling the fold boundary is kept (replay-skip
-        // makes its folded records harmless). No byte of the tail is
-        // rewritten.
-        self.publish(folded, model, ops.len(), &attrs_snapshot, |w, _, _| {
-            w.wal.truncate_folded(ops.len() as u64)?;
-            w.merges += 1;
-            Ok(())
-        })
+        // Swap phase: the folded prefix is durable in the snapshot.
+        self.publish(folded, model, model_epoch, ops.len(), &attrs_snapshot)
     }
 
     /// The swap phase a merge and a re-fit share, run under the writer
-    /// lock once the new base structures are durable in the snapshot:
-    /// replay the tail that arrived after the first `folded_ops` pending
-    /// operations into `folded`'s delta (its backends route with `model`),
-    /// let `settle` bring the WAL and the writer's counters in line with
-    /// the new snapshot — the only step that differs; it sees the tail and
-    /// its attribute rows — then re-sketch under `model`, swap the serving
-    /// epoch and seal the retired one. Returns the new epoch number.
+    /// lock once the new base structures are durable in the snapshot
+    /// (saved under `model_epoch`): replay the tail that arrived after the
+    /// first `folded_ops` pending records into `folded`'s delta (its
+    /// backends route with `model`), rewrite the WAL to exactly that tail
+    /// under `model_epoch`'s mark, bring the writer's state in line — a
+    /// bumped model epoch is a re-fit, which also rebases the drift
+    /// estimator onto the new clusters — then re-sketch under `model`, swap
+    /// the serving epoch and seal the retired one. Returns the new epoch
+    /// number.
     fn publish(
         &self,
         folded: BuiltIndex,
         model: ReductionResult,
+        model_epoch: u64,
         folded_ops: usize,
         attrs_snapshot: &AttrStore,
-        settle: impl FnOnce(&mut WriterState, &[IngestOp], &[Option<Vec<u8>>]) -> Result<()>,
     ) -> Result<u64> {
-        let mut w = self.writer.lock().unwrap_or_else(|p| p.into_inner());
-        let tail: Vec<IngestOp> = w.pending[folded_ops..].to_vec();
-        let tail_attrs: Vec<Option<Vec<u8>>> = w.pending_attrs[folded_ops..].to_vec();
-        for op in &tail {
-            match op {
+        let mut guard = self.writer.lock().unwrap_or_else(|p| p.into_inner());
+        let w = &mut *guard;
+        let tail = &w.pending[folded_ops..];
+        for record in tail {
+            match &record.op {
                 IngestOp::Insert { id, vector } => {
                     folded
                         .as_mutable()
@@ -783,9 +777,18 @@ impl EngineCore {
                 }
             }
         }
-        settle(&mut w, &tail, &tail_attrs)?;
-        w.pending = tail;
-        w.pending_attrs = tail_attrs;
+        w.wal.rewrite(tail, model_epoch)?;
+        w.pending.drain(..folded_ops);
+        if model_epoch == w.model_epoch {
+            w.merges += 1;
+        } else {
+            w.drift = DriftEstimator::new(
+                model.clusters.iter().map(|c| c.mpe).collect(),
+                self.refit_params.max_mpe,
+            );
+            w.model_epoch = model_epoch;
+            w.refits += 1;
+        }
         w.model = model;
         w.epoch_no += 1;
         // Folded inserts joined the member lists, so cluster skipping
@@ -857,7 +860,7 @@ impl EngineCore {
             let w = self.writer.lock().unwrap_or_else(|p| p.into_inner());
             (
                 self.serving(),
-                w.pending.clone(),
+                w.pending_ops(),
                 w.model.clone(),
                 w.next_id,
                 w.model_epoch + 1,
@@ -899,32 +902,8 @@ impl EngineCore {
             Some(&attrs_snapshot),
         )?;
 
-        // Swap phase: rewrite the WAL down to the tail under the new
-        // epoch's mark and rebase the drift estimator onto the new
-        // clusters.
-        let drift = DriftEstimator::new(
-            model.clusters.iter().map(|c| c.mpe).collect(),
-            self.refit_params.max_mpe,
-        );
-        self.publish(
-            folded,
-            model,
-            ops.len(),
-            &attrs_snapshot,
-            |w, tail, tail_attrs| {
-                w.wal = WalWriter::rewrite_records(
-                    w.wal.path(),
-                    tail,
-                    tail_attrs,
-                    new_model_epoch,
-                    DEFAULT_WAL_SEGMENT_BYTES,
-                )?;
-                w.drift = drift;
-                w.model_epoch = new_model_epoch;
-                w.refits += 1;
-                Ok(())
-            },
-        )?;
+        // Swap phase, under the new epoch's mark.
+        self.publish(folded, model, new_model_epoch, ops.len(), &attrs_snapshot)?;
         Ok(new_model_epoch)
     }
 }
@@ -958,8 +937,7 @@ impl LiveIndex for IngestEngine {
                 .write()
                 .unwrap_or_else(|p| p.into_inner())
                 .clear_row(id);
-            w.pending.push(op);
-            w.pending_attrs.push(None);
+            w.pending.push(op.into());
             changed
         };
         self.core.maybe_spawn_merge();
@@ -1387,6 +1365,32 @@ mod tests {
             err.to_string().contains("stale snapshot"),
             "unexpected error: {err}"
         );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn legacy_log_segment_is_refused_by_open_and_swept_by_create() {
+        let data = dataset();
+        let model = model_for(&data);
+        let dir = tmp_dir("legacy-segment");
+        let path = dir.join("idx.mmdr");
+        let create = || {
+            let opts = IngestOptions::default();
+            IngestEngine::create(&path, Backend::SeqScan, &data, &model, 128, opts)
+        };
+        drop(create().unwrap());
+        // Temp files and inexact suffixes are not segments...
+        std::fs::write(dir.join("idx.mmdr.wal.tmp.7"), b"x").unwrap();
+        std::fs::write(dir.join("idx.mmdr.wal.01"), b"x").unwrap();
+        drop(IngestEngine::open(&path, IngestOptions::default()).unwrap());
+        // ...what an older build's rotation left is: `<log>.1` beside the
+        // log is refused, never skipped for a partial replay.
+        let segment = dir.join("idx.mmdr.wal.1");
+        std::fs::write(&segment, b"").unwrap();
+        let err = IngestEngine::open(&path, IngestOptions::default()).unwrap_err();
+        assert!(matches!(err, PersistError::WalCorrupt { .. }), "{err}");
+        create().unwrap();
+        assert!(!segment.exists(), "create starts from no log at all");
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -63,7 +63,4 @@ pub use snapshot::{
     build_index, open, open_expecting, open_or_build, open_resident, open_with, save,
     save_with_attrs, scrub, BuiltIndex, OpenOptions, Opened,
 };
-pub use wal::{
-    decode_op, decode_record, decode_wal, encode_op, encode_record, replay_wal, WalReplay,
-    WalWriter, DEFAULT_WAL_SEGMENT_BYTES, MAX_WAL_RECORD,
-};
+pub use wal::{decode_wal, replay_wal, WalRecord, WalReplay, WalWriter, MAX_WAL_RECORD};

@@ -12,7 +12,7 @@
 use crate::ingest::build_sketches;
 use crate::Result;
 use mmdr_core::ReductionResult;
-use mmdr_index::{IngestStats, LiveIndex, PinnedEpoch, Query, Scratch, Target, VectorIndex};
+use mmdr_index::{LiveIndex, PinnedEpoch, Query, Scratch, Target, VectorIndex};
 use mmdr_query::{run_filtered_knn, AttrSketches, AttrStore, Planner, Predicate};
 use std::ops::Deref;
 use std::sync::Arc;
@@ -104,25 +104,6 @@ impl LiveIndex for SnapshotLive {
         PinnedEpoch {
             epoch: 0,
             index: Arc::clone(&self.index),
-        }
-    }
-
-    fn insert(&self, _vector: &[f64]) -> mmdr_index::Result<u64> {
-        Err(mmdr_index::Error::ReadOnly)
-    }
-
-    fn delete(&self, _id: u64) -> mmdr_index::Result<bool> {
-        Err(mmdr_index::Error::ReadOnly)
-    }
-
-    fn flush(&self) -> mmdr_index::Result<u64> {
-        Err(mmdr_index::Error::ReadOnly)
-    }
-
-    fn ingest_stats(&self) -> IngestStats {
-        IngestStats {
-            next_id: self.index.len() as u64,
-            ..IngestStats::default()
         }
     }
 

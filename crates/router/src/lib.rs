@@ -47,8 +47,8 @@
 #![warn(missing_docs)]
 
 use mmdr_index::{
-    Error, IngestStats, KnnHeap, LiveIndex, PinnedEpoch, Query, Result, Scratch, SearchCounters,
-    ShardStats, Target, VectorIndex,
+    Error, KnnHeap, LiveIndex, PinnedEpoch, Query, Result, Scratch, SearchCounters, ShardStats,
+    Target, VectorIndex,
 };
 use mmdr_persist::{Manifest, ShardEntry};
 use mmdr_serve::{Client, ServeError};
@@ -167,8 +167,7 @@ impl Router {
     /// Connects to every shard and sanity-checks cluster homogeneity: each
     /// worker must serve the manifest's backend at the manifest's
     /// dimensionality with exactly its shard's row count (the `Stats` op
-    /// echoes all three plus the worker's open configuration). `addrs` are
-    /// in manifest shard order.
+    /// reports all three). `addrs` are in manifest shard order.
     pub fn connect(
         manifest: Manifest,
         addrs: &[String],
@@ -468,25 +467,6 @@ impl LiveIndex for RouterLive {
         PinnedEpoch {
             epoch: 0,
             index: Arc::clone(&self.router) as Arc<dyn VectorIndex>,
-        }
-    }
-
-    fn insert(&self, _vector: &[f64]) -> Result<u64> {
-        Err(Error::ReadOnly)
-    }
-
-    fn delete(&self, _id: u64) -> Result<bool> {
-        Err(Error::ReadOnly)
-    }
-
-    fn flush(&self) -> Result<u64> {
-        Err(Error::ReadOnly)
-    }
-
-    fn ingest_stats(&self) -> IngestStats {
-        IngestStats {
-            next_id: self.router.len() as u64,
-            ..IngestStats::default()
         }
     }
 

@@ -80,13 +80,6 @@ pub struct ServerConfig {
     /// Start with the worker pool paused (tests use this to assemble a
     /// deterministic backlog, then [`ServerHandle::resume`]).
     pub start_paused: bool,
-    /// `--pool-pages` the index was opened with, echoed verbatim in the
-    /// `Stats` op (0 = resident / unset). The server does not act on it;
-    /// a router uses the echo to sanity-check shard homogeneity.
-    pub pool_pages: u64,
-    /// `--readahead` the index was opened with, echoed in `Stats`
-    /// (0 = unset).
-    pub readahead: u64,
 }
 
 impl Default for ServerConfig {
@@ -103,8 +96,6 @@ impl Default for ServerConfig {
             write_timeout: Duration::from_secs(10),
             batch_threads: 1,
             start_paused: false,
-            pool_pages: 0,
-            readahead: 0,
         }
     }
 }
@@ -625,9 +616,6 @@ fn build_stats(shared: &Shared) -> RemoteStats {
         pools: pin.index.pool_stats(),
         server: shared.stats.snapshot(shared.queue.len()),
         ingest,
-        workers: shared.config.workers as u64,
-        pool_pages: shared.config.pool_pages,
-        readahead: shared.config.readahead,
         shard: pin.index.shard_stats(),
     }
 }

@@ -33,17 +33,18 @@ pub const MAGIC: u32 = 0x4D4D_4452;
 /// with a typed error instead of guessing at their layout. Version 2
 /// added the write opcodes (`INSERT`/`DELETE`/`FLUSH`), the ingest block
 /// in `STATS`, and the write counters in [`ServerCounters`]. Version 3
-/// added the open-configuration echo (`workers`, `pool_pages`,
-/// `readahead`) and the optional scatter-gather attribution block to
-/// `STATS`, so a router can sanity-check shard homogeneity at connect
-/// time and clients can observe shard pruning. Version 4 added the
+/// added the optional scatter-gather attribution block to `STATS`, so
+/// clients can observe shard pruning. Version 4 added the
 /// adaptive-maintenance block to `STATS` (`model_epoch`, `refits`, and
 /// the per-cluster drift vector in [`IngestWire`]), so operators can
 /// watch a drifting stream approach the re-fit threshold remotely.
 /// Version 5 added attribute-filtered search (`FILTERED_KNN` /
 /// `FILTERED_RANGE`, carrying the predicate as its canonical text) and
-/// the three planner-choice counters in [`QueryStatsWire`].
-pub const PROTOCOL_VERSION: u16 = 5;
+/// the three planner-choice counters in [`QueryStatsWire`]. Version 6
+/// dropped version 3's open-configuration echo (`workers`, `pool_pages`,
+/// `readahead`) from `STATS`: a router checks shard homogeneity on
+/// `backend`, `dim` and `len`, and nothing ever read the echo.
+pub const PROTOCOL_VERSION: u16 = 6;
 
 /// Hard cap on one frame's payload (16 MiB). Anything larger is rejected
 /// before allocation — the admission-control seatbelt against garbage or
@@ -264,13 +265,6 @@ pub struct RemoteStats {
     pub server: ServerCounters,
     /// Ingest-side state: delta pressure, WAL size, epoch, merges.
     pub ingest: IngestWire,
-    /// Worker threads the server was started with.
-    pub workers: u64,
-    /// `--pool-pages` the index was opened with (0 = resident / unset) —
-    /// echoed so a router can verify shard homogeneity at connect time.
-    pub pool_pages: u64,
-    /// `--readahead` the index was opened with (0 = unset).
-    pub readahead: u64,
     /// Scatter-gather attribution, present when the served index is a
     /// router front ([`mmdr_index::VectorIndex::shard_stats`]).
     pub shard: Option<ShardStats>,
@@ -762,9 +756,6 @@ fn put_stats(e: &mut Enc, s: &RemoteStats) {
     for &v in &s.ingest.cluster_drift {
         e.f64(v);
     }
-    e.u64(s.workers);
-    e.u64(s.pool_pages);
-    e.u64(s.readahead);
     match &s.shard {
         None => e.u8(0),
         Some(sh) => {
@@ -835,9 +826,6 @@ fn get_stats(d: &mut Dec<'_>) -> Result<RemoteStats, WireError> {
             (0..n).map(|_| d.f64()).collect::<Result<_, _>>()?
         },
     };
-    let workers = d.u64()?;
-    let pool_pages = d.u64()?;
-    let readahead = d.u64()?;
     let shard = match d.u8()? {
         0 => None,
         1 => {
@@ -874,9 +862,6 @@ fn get_stats(d: &mut Dec<'_>) -> Result<RemoteStats, WireError> {
         pools,
         server,
         ingest,
-        workers,
-        pool_pages,
-        readahead,
         shard,
     })
 }
@@ -1117,9 +1102,6 @@ mod tests {
                     refits: 1,
                     cluster_drift: vec![0.5, 1.25, f64::from_bits(0x3FF0_0000_0000_0001)],
                 },
-                workers: 4,
-                pool_pages: 256,
-                readahead: 8,
                 shard: None,
             })),
         );
@@ -1131,7 +1113,6 @@ mod tests {
                 backend: "router".into(),
                 len: 64,
                 dim: 8,
-                workers: 2,
                 shard: Some(ShardStats {
                     shards: 4,
                     queries: 100,

@@ -419,6 +419,71 @@ fn crash_image_reopens_to_identical_answers() {
     }
 }
 
+/// The one crash window a publish leans on: the folded snapshot is renamed
+/// into place, the process dies before the log is trimmed. Returns the
+/// uncrashed engine and an engine reopened on that image (new snapshot,
+/// log as it stood before the flush — every record in it already folded).
+fn crash_between_save_and_trim(
+    backend: Backend,
+    data: &Matrix,
+) -> (IngestEngine, IngestEngine, [TempDir; 2]) {
+    let opts = IngestOptions {
+        pool_pages: None,
+        merge_threshold: 0,
+        ..IngestOptions::default()
+    };
+    let dirs = [TempDir::new("untrimmed"), TempDir::new("untrimmed-image")];
+    let path = dirs[0].file("idx.mmdr");
+    let engine = IngestEngine::create(&path, backend, data, &fit(data), 128, opts.clone()).unwrap();
+    let rows = new_rows(3);
+    engine.insert(&rows[0]).unwrap();
+    engine.flush().unwrap();
+    engine.insert(&rows[1]).unwrap();
+    engine.insert(&rows[2]).unwrap();
+    let crash_snap = dirs[1].file("idx.mmdr");
+    std::fs::copy(wal_path(&path), wal_path(&crash_snap)).unwrap();
+    engine.flush().unwrap();
+    std::fs::copy(&path, &crash_snap).unwrap();
+    let reopened = IngestEngine::open(&crash_snap, opts).unwrap();
+    (engine, reopened, dirs)
+}
+
+/// Replay skips the inserts the snapshot already holds, so the
+/// save-then-crash-before-trim image answers exactly like the engine that
+/// never crashed — for every backend.
+#[test]
+fn crash_before_trim_image_reopens_to_identical_answers() {
+    let data = dataset(100);
+    for backend in Backend::all() {
+        let (engine, reopened, _dirs) = crash_between_save_and_trim(backend, &data);
+        let stats = reopened.ingest_stats();
+        assert_eq!((stats.delta_rows, stats.tombstones), (0, 0), "all folded");
+        assert_eq!(stats.next_id, engine.ingest_stats().next_id);
+        let (live, recovered) = (engine.pin(), reopened.pin());
+        for qi in [0usize, 7, 41, 113] {
+            let q = data.row(qi);
+            assert_bit_identical(
+                &live.index.knn(q, 10).unwrap(),
+                &recovered.index.knn(q, 10).unwrap(),
+                &format!("{}: untrimmed-log image, query {qi}", backend.name()),
+            );
+        }
+    }
+}
+
+/// A publish leaves the unfolded tail in the log and nothing else: the
+/// folded records a crash left behind are gone after the next flush, not
+/// re-read by every later reopen.
+#[test]
+fn a_flush_that_folds_everything_leaves_an_empty_log_whatever_came_before() {
+    let data = dataset(100);
+    let (_, reopened, _dirs) = crash_between_save_and_trim(Backend::IDistance, &data);
+    reopened.insert(&new_rows(4)[3]).unwrap();
+    reopened.flush().unwrap();
+    let stats = reopened.ingest_stats();
+    assert_eq!((stats.delta_rows, stats.wal_bytes), (0, 0));
+}
+
 /// The same contract over the wire: insert through the server, see it in
 /// KNN answers immediately, still see it after an explicit flush (merge +
 /// epoch swap), and see it gone after delete.

@@ -181,36 +181,23 @@ fn an_unbounded_k_returns_every_row_in_process_and_over_the_wire() {
 fn stats_echo_the_open_configuration_for_homogeneity_checks() {
     let data = dataset(40);
     let model = fit(&data);
-    // The echo fields are what a router compares across its shard workers
-    // at connect time: they must come back exactly as configured, and a
-    // single-node server must report no scatter-gather attribution.
-    let config = ServerConfig {
-        workers: 3,
-        pool_pages: 64,
-        readahead: 8,
-        ..ServerConfig::default()
-    };
-    let (index, handle) = serve_backend(Backend::IDistance, &data, &model, config);
-    let mut client = Client::connect(handle.local_addr()).unwrap();
-    let stats = client.stats().unwrap();
-    assert_eq!(stats.backend, index.name());
-    assert_eq!(stats.workers, 3);
-    assert_eq!(stats.pool_pages, 64);
-    assert_eq!(stats.readahead, 8);
-    assert!(
-        stats.shard.is_none(),
-        "single-node server must not claim shard attribution"
-    );
-    handle.shutdown();
-
-    // And the defaults echo as unset (0), not as garbage.
-    let (_, handle) = serve_backend(Backend::SeqScan, &data, &model, ServerConfig::default());
-    let mut client = Client::connect(handle.local_addr()).unwrap();
-    let stats = client.stats().unwrap();
-    assert_eq!(stats.pool_pages, 0);
-    assert_eq!(stats.readahead, 0);
-    assert_eq!(stats.workers, ServerConfig::default().workers as u64);
-    handle.shutdown();
+    // What a router compares across its shard workers at connect time —
+    // backend, dimensionality, row count — must come back exactly as
+    // served, and a single-node server must report no scatter-gather
+    // attribution.
+    for backend in [Backend::IDistance, Backend::SeqScan] {
+        let (index, handle) = serve_backend(backend, &data, &model, ServerConfig::default());
+        let mut client = Client::connect(handle.local_addr()).unwrap();
+        let stats = client.stats().unwrap();
+        assert_eq!(stats.backend, index.name());
+        assert_eq!(stats.dim as usize, index.dim());
+        assert_eq!(stats.len as usize, index.len());
+        assert!(
+            stats.shard.is_none(),
+            "single-node server must not claim shard attribution"
+        );
+        handle.shutdown();
+    }
 }
 
 #[test]

@@ -5,7 +5,8 @@
 # the acceptance gates for the parallel layer, the snapshot store and the
 # query server), run a live server smoke test over a socket, and finish by
 # building and smoking the benchmark package against the current crates and
-# comparing its four bit-stable counts with the committed values.
+# comparing its four bit-stable counts with the committed values. The last
+# line printed is the size of crates/ (tools/loc.sh), for information.
 #
 # Usage: tools/verify.sh [--release]
 set -euo pipefail
@@ -411,3 +412,6 @@ echo "== benchmark count gate =="
 tools/check_counts.sh
 
 echo "verify: OK"
+# Information, not a gate: Rust lines under crates/, the number ROADMAP's
+# size bar is stated in (tools/loc.sh prints the breakdown).
+tools/loc.sh | tail -n 1
