@@ -1,8 +1,10 @@
 //! KNN query latency across the three search schemes (the Figure 10 CPU
 //! comparison as a microbenchmark), the per-candidate kernel of the
-//! iDistance search on its own, plus dynamic insertion.
+//! iDistance search on its own, the same search under a filter with its id
+//! column empty and learned, plus dynamic insertion.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use mmdr::index::{Query, RowFilter, Scratch, SearchFilter, Target};
 use mmdr_bench::{eval, workloads, Method};
 use mmdr_btree::BPlusTree;
 use mmdr_idistance::{GlobalLdrIndex, IDistanceConfig, IDistanceIndex, SeqScan, VectorIndex};
@@ -127,6 +129,58 @@ fn bench_candidate_path(c: &mut Criterion) {
     group.finish();
 }
 
+/// A filtered 10-NN search at 1, 10 and 60 % selectivity, `cold` — the
+/// first filtered query an index sees, which pins every candidate's page
+/// as an unfiltered one does and learns it — against `warm` — the same
+/// query once the id column holds the pages in reach, pinning only for
+/// rows that pass. Every page is resident either way (the difference is
+/// fetches and id reads, not I/O), and both take another index on every
+/// call, so neither runs from a processor cache the other does not have.
+fn bench_filtered_candidate_path(c: &mut Criterion) {
+    const SAMPLES: usize = 10;
+    let ds = workloads::synthetic(8_000, 64, 10, 30.0, 5);
+    let model = eval::reduce(Method::Mmdr, &ds.data, None, 10, 0);
+    let build = || {
+        IDistanceIndex::build(
+            &ds.data,
+            &model,
+            IDistanceConfig {
+                buffer_pages: 1 << 11,
+                ..Default::default()
+            },
+        )
+        .unwrap()
+    };
+    let q = ds.data.row(17);
+    let n = ds.data.rows() as u64;
+
+    let mut group = c.benchmark_group("filtered_candidate_path");
+    group.sample_size(SAMPLES);
+    for percent in [1u64, 10, 60] {
+        let filter = SearchFilter::from_rows(RowFilter::from_fn(n, |id| id % 100 < percent));
+        let query = Query {
+            vector: q,
+            target: Target::Knn(10),
+            filter: Some(&filter),
+        };
+        let ask = |index: &IDistanceIndex| index.search(&query, &mut Scratch::default()).unwrap();
+        // One index per call (the samples and the warm-up), each asked once.
+        let mut unasked: Vec<IDistanceIndex> = (0..=SAMPLES).map(|_| build()).collect();
+        let mut asked = Vec::new();
+        group.bench_function(BenchmarkId::new("cold", format!("sel{percent}")), |b| {
+            b.iter(|| {
+                asked.push(unasked.pop().expect("one index per call"));
+                ask(asked.last().expect("pushed above"))
+            })
+        });
+        let mut again = asked.iter().cycle();
+        group.bench_function(BenchmarkId::new("warm", format!("sel{percent}")), |b| {
+            b.iter(|| ask(again.next().expect("a cycle does not end")))
+        });
+    }
+    group.finish();
+}
+
 fn bench_dynamic_insert(c: &mut Criterion) {
     let ds = workloads::synthetic(4_000, 32, 6, 30.0, 9);
     let model = eval::reduce(Method::Mmdr, &ds.data, None, 10, 0);
@@ -145,6 +199,7 @@ criterion_group!(
     benches,
     bench_knn_schemes,
     bench_candidate_path,
+    bench_filtered_candidate_path,
     bench_dynamic_insert
 );
 criterion_main!(benches);

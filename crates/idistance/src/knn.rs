@@ -70,6 +70,13 @@ struct PartitionSearch<'a> {
 /// located on the pinned page and only its id is read; the id is put to
 /// every test that can reject it; only a row that passed them all has its
 /// coordinates decoded and its distance evaluated.
+///
+/// Under a filter most rows fail, and pinning a page to learn that a row
+/// fails is the dearest step of all — so a filtered search asks the heap's
+/// id column first ([`VectorHeap::learned_id`]) and pins only for a row
+/// that passes, or for a page no filtered search has pinned before, which
+/// it thereby learns. Without a filter the column is neither read nor
+/// filled: tombstones alone reject too few rows to save a page.
 struct Candidates<'a> {
     heap: &'a VectorHeap,
     /// The heap page the last candidate came from.
@@ -83,8 +90,50 @@ struct Candidates<'a> {
 }
 
 impl Candidates<'_> {
+    /// Every test that rejects a row by its id alone.
+    #[inline]
+    fn rejects(tombs: &HashSet<u64>, filter: Option<&SearchFilter>, id: u64) -> bool {
+        id == TOMBSTONE || tombs.contains(&id) || filter.is_some_and(|f| !f.passes(id))
+    }
+
+    /// The filtered search's step before the pin: `true` when the id
+    /// column already knows that `rid` names a row the gate rejects — the
+    /// pool is not touched; otherwise `rid`'s page is pinned, and learned
+    /// if this is the first filtered search to pin it. Out of line, so
+    /// that the scan loops [`offer`](Self::offer) is inlined into carry a
+    /// test and a call for it and nothing more.
+    #[inline(never)]
+    fn fails_unpinned(&mut self, rid: u64) -> Result<bool> {
+        let known = self.heap.learned_id(rid);
+        if known.is_some_and(|id| Self::rejects(self.tombs, self.filter, id)) {
+            return Ok(true);
+        }
+        self.heap.pin_learning(&mut self.pin, rid)?;
+        Ok(false)
+    }
+
     #[inline]
     fn offer(
+        &mut self,
+        rid: u64,
+        part: usize,
+        proj_sq: f64,
+        q_local: &[f64],
+        best: &mut KnnHeap,
+    ) -> Result<()> {
+        if self.filter.is_some() && self.fails_unpinned(rid)? {
+            return Ok(());
+        }
+        self.offer_pinned(rid, part, proj_sq, q_local, best)
+    }
+
+    /// [`offer`](Self::offer) from the pin on — all of it for a search
+    /// without a filter. A function of its own so that what the filtered
+    /// step adds cannot change how this one is compiled: with that step
+    /// in the same body the coordinate decode was no longer inlined, and
+    /// unfiltered queries ran 7–10 % slower.
+    #[inline(never)]
+    fn offer_pinned(
         &mut self,
         rid: u64,
         part: usize,
@@ -98,8 +147,7 @@ impl Candidates<'_> {
             "key slot and heap partition agree"
         );
         let id = record.point_id();
-        if id == TOMBSTONE || self.tombs.contains(&id) || self.filter.is_some_and(|f| !f.passes(id))
-        {
+        if Self::rejects(self.tombs, self.filter, id) {
             return Ok(());
         }
         record.coords_into(self.coords);
@@ -392,15 +440,21 @@ impl IDistanceIndex {
 #[cfg(test)]
 mod tests {
     use super::query_geometry;
+    use crate::backend::Backend;
     use crate::index::{IDistanceConfig, IDistanceIndex};
+    use crate::layout::{data_rows, KeySpace};
     use crate::seqscan::SeqScan;
-    use mmdr_core::{Mmdr, MmdrParams};
+    use crate::vector_heap::{VectorHeap, TOMBSTONE};
+    use mmdr_core::{Mmdr, MmdrParams, ReductionResult};
     use mmdr_index::{
         MutableVectorIndex, Query, RowFilter, Scratch, SearchFilter, Target, VectorIndex,
     };
     use mmdr_linalg::Matrix;
     use mmdr_pca::ReducedSubspace;
+    use mmdr_storage::{BufferPool, DiskManager, Page, PageId, PageSource};
     use proptest::prelude::*;
+    use std::collections::HashSet;
+    use std::sync::{Arc, Barrier, Mutex, OnceLock};
 
     /// Two separated clusters flat in different dimension pairs, plus a few
     /// implanted outliers.
@@ -589,6 +643,11 @@ mod tests {
         assert_eq!(all, data.rows());
     }
 
+    /// An answer with its distances as bit patterns.
+    fn bits(hits: &[(f64, u64)]) -> Vec<(u64, u64)> {
+        hits.iter().map(|&(d, id)| (d.to_bits(), id)).collect()
+    }
+
     #[test]
     fn a_filtered_search_evaluates_only_rows_that_pass() {
         let (data, index, _) = range_fixture();
@@ -609,9 +668,6 @@ mod tests {
         }
         let live = |id: u64| id < base + 40 && !dead.contains(&id);
         let counters = index.search_counters();
-        let bits = |hits: &[(f64, u64)]| -> Vec<(u64, u64)> {
-            hits.iter().map(|&(d, id)| (d.to_bits(), id)).collect()
-        };
 
         // ~1 %, 10 % and 60 % of the rows.
         type Pass = fn(u64) -> bool;
@@ -655,6 +711,431 @@ mod tests {
                 }
             }
         }
+    }
+
+    // ---- The filtered gate's page accounting ----------------------------
+    //
+    // A heap on a one-frame pool over a source that logs its reads, started
+    // from a spare page no record lives on, shows every page a search pins,
+    // in order. The parent commit's filtered search — every admitted
+    // candidate pinned, then put to the filter — is today's *unfiltered*
+    // search over the same layout with the failing rows' ids stored as
+    // `TOMBSTONE`: the same rows rejected at the same step, by the path no
+    // filter touches.
+
+    /// Two flats of intrinsic dimension 6 in 8-d, 3 000 rows each, and a
+    /// handful of outliers: 73 rows to a heap page, some 40 pages a cluster.
+    fn paged_fixture() -> &'static (Matrix, ReductionResult) {
+        static FIXTURE: OnceLock<(Matrix, ReductionResult)> = OnceLock::new();
+        FIXTURE.get_or_init(|| {
+            let u = |i: usize, s: f64| (i as f64 * s).fract();
+            let mut rows = Vec::new();
+            for i in 0..3000 {
+                let [a, b, c, d, e, f] = [
+                    0.618_034, 0.414_214, 0.732_051, 0.236_068, 0.302_776, 0.162_278,
+                ]
+                .map(|s| u(i, s));
+                let jit = (u(i, 0.549_510) - 0.5) * 0.01;
+                rows.push(vec![a, b, c, d, e, f, jit, -jit]);
+                rows.push(vec![
+                    9.0 + jit,
+                    9.0 - jit,
+                    9.0 + a,
+                    9.0 + b,
+                    9.0 + c,
+                    9.0 + d,
+                    9.0 + e,
+                    9.0 + f,
+                ]);
+                if i % 500 == 0 {
+                    rows.push(vec![4.0 + a, 5.0 - b, 4.0, 5.0 + c, 4.0, 5.0, 4.0 - d, 5.0]);
+                }
+            }
+            let data = Matrix::from_rows(&rows).unwrap();
+            let model = Mmdr::new(MmdrParams::default()).fit(&data).unwrap();
+            (data, model)
+        })
+    }
+
+    /// A heap page source that logs the pages read from it.
+    #[derive(Debug)]
+    struct LoggedPages {
+        pages: Vec<Page>,
+        log: Arc<Mutex<Vec<PageId>>>,
+    }
+
+    impl PageSource for LoggedPages {
+        fn num_pages(&self) -> usize {
+            self.pages.len()
+        }
+
+        fn read_page(&self, page_id: PageId) -> mmdr_storage::Result<Page> {
+            self.log.lock().unwrap().push(page_id);
+            Ok(self.pages[page_id as usize].clone())
+        }
+    }
+
+    /// An index whose heap sits on a one-frame pool over [`LoggedPages`].
+    struct Watched {
+        index: IDistanceIndex,
+        log: Arc<Mutex<Vec<PageId>>>,
+        /// An extra heap page no record lives on.
+        spare: PageId,
+    }
+
+    /// What one search cost: the heap pages it pinned, in order, and its
+    /// fetches from the tree's pool, beside what it answered.
+    struct Walk {
+        hits: Vec<(u64, u64)>,
+        pins: Vec<PageId>,
+        tree_fetches: u64,
+        evaluated: u64,
+    }
+
+    impl Watched {
+        /// The paged fixture's index with `stored_id(id)` in row `id`'s
+        /// heap record (the layout does not depend on it).
+        fn build(stored_id: impl Fn(u64) -> u64) -> Self {
+            let (data, model) = paged_fixture();
+            let config = IDistanceConfig::default();
+            let buffer_pages = config.buffer_pages;
+            let rows = &mut data_rows(Backend::IDistance, data, model).unwrap();
+            let keys = KeySpace::fitted(config, model, |id| Some(data.row(id as usize))).unwrap();
+            let built = IDistanceIndex::load(model, buffer_pages, keys, &mut |part| {
+                let mut rows = rows(part)?;
+                for (id, _) in &mut rows {
+                    *id = stored_id(*id);
+                }
+                Ok(rows)
+            })
+            .unwrap();
+            Self::over(built)
+        }
+
+        /// Moves `built`'s heap onto a logged one-frame pool.
+        fn over(built: IDistanceIndex) -> Self {
+            let config = built.config().clone();
+            let IDistanceIndex {
+                tree,
+                heap,
+                partitions,
+                c,
+                dim,
+                ..
+            } = built;
+            let mut pages = heap.pool().export_pages().unwrap();
+            let spare = pages.len() as PageId;
+            pages.push(Page::new());
+            let log = Arc::new(Mutex::new(Vec::new()));
+            let source = LoggedPages {
+                pages,
+                log: Arc::clone(&log),
+            };
+            let disk = DiskManager::from_source(Box::new(source), tree.pool().stats(), 0);
+            let pool = BufferPool::new(disk, 1).unwrap();
+            let heap = VectorHeap::from_parts(pool, heap.open_page(), heap.len()).unwrap();
+            let index = IDistanceIndex::from_parts(tree, heap, partitions, c, dim, config).unwrap();
+            Self { index, log, spare }
+        }
+
+        fn walk(&self, query: &Query<'_>) -> Walk {
+            // The spare page takes the frame: the first pin is a read too.
+            self.index.heap.pool().page(self.spare).unwrap();
+            self.log.lock().unwrap().clear();
+            let tree_before = self.index.tree.pool().snapshot();
+            let before = self.index.query_stats();
+            let hits = self.index.search(query, &mut Scratch::default()).unwrap();
+            let cost = self.index.query_stats().since(&before);
+            let walk = Walk {
+                hits: bits(&hits),
+                pins: std::mem::take(&mut *self.log.lock().unwrap()),
+                tree_fetches: self
+                    .index
+                    .tree
+                    .pool()
+                    .snapshot()
+                    .since(&tree_before)
+                    .pages_touched(),
+                evaluated: cost.dist_computations,
+            };
+            assert_eq!(
+                cost.pages_touched,
+                walk.tree_fetches + walk.pins.len() as u64,
+                "pages touched are tree fetches and heap pins"
+            );
+            walk
+        }
+
+        /// `(page, id)` of every record, through the tree.
+        fn records(&self) -> Vec<(PageId, u64)> {
+            let (tree, heap) = (&self.index.tree, &self.index.heap);
+            let mut cursor = tree.seek(0.0).unwrap();
+            let mut records = Vec::new();
+            while let Some((_, rid)) = tree.cursor_next(&mut cursor).unwrap() {
+                records.push((rid >> 16, heap.get(rid).unwrap().1));
+            }
+            records
+        }
+    }
+
+    /// How many heap pages the id column holds.
+    fn pages_learned(index: &IDistanceIndex) -> usize {
+        (0..index.heap.num_pages() as u64)
+            .filter(|page| index.heap.learned_id(page << 16).is_some())
+            .count()
+    }
+
+    const PAGED_PROBES: [usize; 4] = [5, 2, 2500, 3001];
+    const PAGED_TARGETS: [Target; 2] = [Target::Knn(10), Target::Range(0.4)];
+
+    #[test]
+    fn a_filtered_search_pins_a_heap_page_only_for_a_row_that_passes() {
+        let (data, _) = paged_fixture();
+        let n = data.rows() as u64;
+        let plain = Watched::build(|id| id);
+        let records = plain.records();
+        assert_eq!(records.len() as u64, n);
+        let mut page_of = vec![0; n as usize];
+        for &(page, id) in &records {
+            page_of[id as usize] = page;
+        }
+
+        // By row, the way a predicate cuts, and by heap page — every row of
+        // a page passes or none does — where the count below is exact: ~1 %,
+        // 10 %, 60 % and 0 % either way.
+        type Pass<'a> = Box<dyn Fn(u64) -> bool + 'a>;
+        let page = |id: u64| page_of[id as usize];
+        let filters: [(&str, bool, Pass); 7] = [
+            ("1 % of rows", false, Box::new(|id| id % 100 == 7)),
+            ("10 % of rows", false, Box::new(|id| id % 10 == 3)),
+            ("60 % of rows", false, Box::new(|id| id % 5 < 3)),
+            ("1 page in 40", true, Box::new(|id| page(id) % 40 == 7)),
+            ("1 page in 10", true, Box::new(|id| page(id) % 10 == 3)),
+            ("3 pages in 5", true, Box::new(|id| page(id) % 5 < 3)),
+            ("nothing", true, Box::new(|_| false)),
+        ];
+        for (name, by_page, pass) in &filters {
+            let filter = SearchFilter::from_rows(RowFilter::from_fn(n, pass));
+            let passing_pages: HashSet<PageId> = records
+                .iter()
+                .filter(|&&(_, id)| pass(id))
+                .map(|&(page, _)| page)
+                .collect();
+            let parent = Watched::build(|id| if pass(id) { id } else { TOMBSTONE });
+            for target in PAGED_TARGETS {
+                for probe in PAGED_PROBES {
+                    let ctx = format!("{name}, {target:?}, probe {probe}");
+                    let q = data.row(probe);
+                    let all = match target {
+                        Target::Knn(_) => Target::Knn(n as usize),
+                        range => range,
+                    };
+                    let everything = plain.walk(&Query::new(q, all));
+                    let mut want: Vec<_> = everything
+                        .hits
+                        .into_iter()
+                        .filter(|&(_, id)| pass(id))
+                        .collect();
+                    if let Target::Knn(k) = target {
+                        want.truncate(k);
+                    }
+                    let was = parent.walk(&Query::new(q, target));
+                    assert_eq!(was.hits, want, "{ctx}");
+
+                    let query = Query {
+                        vector: q,
+                        target,
+                        filter: Some(&filter),
+                    };
+                    let fresh = Watched::build(|id| id);
+                    let cold = fresh.walk(&query);
+                    let warm = fresh.walk(&query);
+                    for now in [&cold, &warm] {
+                        assert_eq!(now.hits, want, "{ctx}");
+                        assert_eq!(now.tree_fetches, was.tree_fetches, "{ctx}");
+                        assert_eq!(now.evaluated, was.evaluated, "{ctx}");
+                    }
+                    // (a) Nothing learned yet: no page the parent did not pin.
+                    assert!(cold.pins.len() <= was.pins.len(), "{ctx}");
+                    assert!(cold.pins.iter().all(|p| was.pins.contains(p)), "{ctx}");
+                    // (b) Everything in reach learned: a pin is a passing row.
+                    assert!(warm.pins.len() <= cold.pins.len(), "{ctx}");
+                    assert!(warm.pins.len() as u64 <= warm.evaluated, "{ctx}");
+                    assert!(warm.pins.iter().all(|p| passing_pages.contains(p)), "{ctx}");
+                    if *by_page {
+                        // The admitted candidates on a passing page all pass:
+                        // the pins are the parent's, less the failing pages.
+                        let mut kept: Vec<PageId> = was
+                            .pins
+                            .iter()
+                            .copied()
+                            .filter(|p| passing_pages.contains(p))
+                            .collect();
+                        kept.dedup();
+                        assert_eq!(warm.pins, kept, "{ctx}");
+                        if matches!(target, Target::Range(_)) {
+                            // One direction, one visit a page.
+                            let distinct: HashSet<_> = kept.iter().collect();
+                            assert_eq!(warm.pins.len(), distinct.len(), "{ctx}");
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_search_without_a_filter_neither_reads_nor_fills_the_id_column() {
+        let (data, _) = paged_fixture();
+        let n = data.rows() as u64;
+        let watched = Watched::build(|id| id);
+        // Tombstones alone are not a filter.
+        for id in (0..n).step_by(7) {
+            assert!(watched.index.delete(id).unwrap());
+        }
+        let unfiltered = || -> Vec<Walk> {
+            PAGED_TARGETS
+                .iter()
+                .flat_map(|&target| PAGED_PROBES.map(|probe| (target, probe)))
+                .map(|(target, probe)| watched.walk(&Query::new(data.row(probe), target)))
+                .collect()
+        };
+        let before = unfiltered();
+        assert_eq!(pages_learned(&watched.index), 0);
+
+        let filter = SearchFilter::from_rows(RowFilter::from_fn(n, |id| id % 10 == 3));
+        for target in PAGED_TARGETS {
+            for probe in PAGED_PROBES {
+                watched.walk(&Query {
+                    vector: data.row(probe),
+                    target,
+                    filter: Some(&filter),
+                });
+            }
+        }
+        let learned = pages_learned(&watched.index);
+        assert!(
+            learned > 40,
+            "the filtered searches learned {learned} pages"
+        );
+
+        // What the column now holds changes nothing for them: the same
+        // pins in the same order.
+        let after = unfiltered();
+        assert_eq!(pages_learned(&watched.index), learned);
+        for (was, now) in before.iter().zip(&after) {
+            assert!(!was.pins.is_empty());
+            assert_eq!(now.hits, was.hits);
+            assert_eq!(now.pins, was.pins);
+            assert_eq!(now.tree_fetches, was.tree_fetches);
+            assert_eq!(now.evaluated, was.evaluated);
+        }
+    }
+
+    #[test]
+    fn an_append_forgets_the_page_it_writes_and_a_filtered_search_learns_it_again() {
+        let (data, model) = paged_fixture();
+        let n = data.rows() as u64;
+        let mut index = IDistanceIndex::build(data, model, IDistanceConfig::default()).unwrap();
+        let pass = |id: u64| id % 5 < 3 || id >= n;
+        let filter = SearchFilter::from_rows(RowFilter::from_fn(n + 2, pass));
+        let filtered = |index: &IDistanceIndex, q: &[f64], target| {
+            let query = Query {
+                vector: q,
+                target,
+                filter: Some(&filter),
+            };
+            bits(&index.search(&query, &mut Scratch::default()).unwrap())
+        };
+        let oracle = |index: &IDistanceIndex, q: &[f64], k: usize| {
+            let mut all = bits(&index.knn(q, index.len()).unwrap());
+            all.retain(|&(_, id)| pass(id));
+            all.truncate(k);
+            all
+        };
+        // Every page holds a row within reach of this one: all are learned.
+        filtered(&index, data.row(5), Target::Range(1e6));
+        let pages = index.heap.num_pages();
+        assert_eq!(pages_learned(&index), pages);
+
+        // Off every flat: the outliers' page, the one still open.
+        let (open, _, _) = index.heap.open_page().unwrap();
+        let outlier = vec![4.5, 4.5, 4.0, 5.5, 4.0, 5.0, 3.5, 5.0];
+        IDistanceIndex::insert(&mut index, &outlier, n).unwrap();
+        assert_eq!(index.heap.num_pages(), pages);
+        assert_eq!(index.heap.learned_id(open << 16), None);
+        assert_eq!(pages_learned(&index), pages - 1);
+        let got = filtered(&index, &outlier, Target::Knn(10));
+        assert_eq!(got, oracle(&index, &outlier, 10));
+        assert_eq!(got[0], (0.0f64.to_bits(), n));
+        let relearned: Vec<u64> = (0..)
+            .map_while(|slot| index.heap.learned_id(open << 16 | slot))
+            .collect();
+        assert_eq!(relearned.last(), Some(&n));
+        assert_eq!(relearned.len(), model.outliers.len() + 1);
+
+        // On the first flat: another partition than the open page's, so a
+        // page of its own, and nothing to forget.
+        let mut member = data.row(10).to_vec();
+        member[0] += 0.001;
+        IDistanceIndex::insert(&mut index, &member, n + 1).unwrap();
+        assert_eq!(index.heap.num_pages(), pages + 1);
+        assert_eq!(pages_learned(&index), pages);
+        let got = filtered(&index, &member, Target::Knn(10));
+        assert_eq!(got, oracle(&index, &member, 10));
+        assert!(got.iter().any(|&(_, id)| id == n + 1));
+        assert_eq!(index.heap.learned_id((pages as u64) << 16), Some(n + 1));
+        assert_eq!(pages_learned(&index), pages + 1);
+    }
+
+    #[test]
+    fn eight_threads_learning_the_same_pages_answer_as_one_does() {
+        let (data, model) = paged_fixture();
+        let n = data.rows() as u64;
+        let filters = [
+            SearchFilter::from_rows(RowFilter::from_fn(n, |id| id % 100 == 7)),
+            SearchFilter::from_rows(RowFilter::from_fn(n, |id| id % 10 == 3)),
+            SearchFilter::from_rows(RowFilter::from_fn(n, |id| id % 5 < 3)),
+        ];
+        let all = |index: &IDistanceIndex| -> Vec<Vec<(u64, u64)>> {
+            let mut answers = Vec::new();
+            for filter in &filters {
+                for target in PAGED_TARGETS {
+                    for probe in PAGED_PROBES {
+                        let query = Query {
+                            vector: data.row(probe),
+                            target,
+                            filter: Some(filter),
+                        };
+                        answers.push(bits(
+                            &index.search(&query, &mut Scratch::default()).unwrap(),
+                        ));
+                    }
+                }
+            }
+            answers
+        };
+        let build = || IDistanceIndex::build(data, model, IDistanceConfig::default()).unwrap();
+        let serial = all(&build());
+
+        // All eight leave the barrier with nothing learned and ask the same
+        // queries in the same order: they meet at the same empty slots.
+        let index = build();
+        let barrier = Barrier::new(8);
+        std::thread::scope(|scope| {
+            let workers: Vec<_> = (0..8)
+                .map(|_| {
+                    scope.spawn(|| {
+                        barrier.wait();
+                        all(&index)
+                    })
+                })
+                .collect();
+            for worker in workers {
+                assert_eq!(worker.join().unwrap(), serial);
+            }
+        });
+        assert_eq!(all(&index), serial, "and the column they left is right");
     }
 
     /// The two passes [`query_geometry`] fused, as they were written: one

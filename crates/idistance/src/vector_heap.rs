@@ -17,10 +17,16 @@
 //! page, not per record — the unit the I/O experiments count — and a
 //! record is one bounds-checked slice of that image ([`Record`]), decoded
 //! only as far as its reader goes.
+//!
+//! The one thing kept beside the pages is the **id column** a filtered
+//! search learns ([`VectorHeap::learned_id`]): the point ids of every page
+//! such a search has pinned, so the next one can put a row to its filter
+//! without pinning the page to find out which row it is.
 
 use crate::error::{Error, Result};
 use mmdr_storage::{BufferPool, IoStats, Page, PageId, PAGE_SIZE};
-use std::sync::Arc;
+use std::num::NonZeroU16;
+use std::sync::{Arc, OnceLock};
 
 const HEADER: usize = 8;
 
@@ -73,6 +79,13 @@ impl HeapPage {
         let (id, coords) = bytes.split_first_chunk()?;
         Some(Record { id, coords })
     }
+
+    /// The point ids the page holds, in slot order.
+    fn ids(&self) -> Box<[u64]> {
+        (0..self.count)
+            .map_while(|slot| Some(self.record(slot)?.point_id()))
+            .collect()
+    }
 }
 
 /// One stored record, borrowed from its pinned page and not yet decoded:
@@ -100,13 +113,33 @@ impl Record<'_> {
     }
 }
 
+/// One heap page's slot of the id column: its point ids in slot order,
+/// once a filtered search has pinned it.
+type PageIds = OnceLock<Box<[u64]>>;
+
 /// Paged storage of `(point_id, coords)` records grouped by partition.
+///
+/// The struct is the size it was before it had an id column, and a heap no
+/// filtered search reads allocates nothing for one (`open` keeps its width
+/// as the page header does, which pays for the column's pointer): 32 bytes
+/// more put the boxed `IDistanceIndex` into another allocator size class,
+/// and the benchmark process of a workload that never filters peaked
+/// 3.2 MiB higher for it.
 #[derive(Debug)]
 pub struct VectorHeap {
     pool: BufferPool,
     /// Page currently being filled, with its partition id and dim.
-    open: Option<(PageId, u32, usize)>,
+    open: Option<(PageId, u32, NonZeroU16)>,
     len: u64,
+    /// The id column, one write-once slot per heap page: empty until a
+    /// filtered search pins the page ([`pin_learning`](Self::pin_learning)),
+    /// then that page's point ids in slot order, read without a lock. It is
+    /// never scanned for, never saved, and emptied again for a page
+    /// [`append`](Self::append) writes; 8 bytes per row a filtered search
+    /// has seen is all it can grow to. The slots themselves are made by
+    /// the first such pin.
+    #[allow(clippy::box_collection)] // a thin pointer: see the struct's size
+    ids: OnceLock<Box<Vec<PageIds>>>,
 }
 
 impl VectorHeap {
@@ -116,6 +149,7 @@ impl VectorHeap {
             pool,
             open: None,
             len: 0,
+            ids: OnceLock::new(),
         }
     }
 
@@ -129,22 +163,36 @@ impl VectorHeap {
         open: Option<(PageId, u32, usize)>,
         len: u64,
     ) -> Result<Self> {
-        if let Some((page, _, dim)) = open {
-            if page as usize >= pool.num_pages() {
+        let open = match open {
+            Some((page, _, _)) if page as usize >= pool.num_pages() => {
                 return Err(Error::BadRecordId(page << 16));
             }
-            if dim == 0 || Self::page_capacity(dim) == 0 {
-                return Err(Error::InvalidConfig("record width must fit a page"));
-            }
-        }
-        Ok(Self { pool, open, len })
+            Some((page, partition, dim)) => Some((page, partition, Self::width(dim)?)),
+            None => None,
+        };
+        Ok(Self {
+            pool,
+            open,
+            len,
+            ids: OnceLock::new(),
+        })
+    }
+
+    /// `dim` as a page header holds it; an error for a record no page fits.
+    fn width(dim: usize) -> Result<NonZeroU16> {
+        u16::try_from(dim)
+            .ok()
+            .filter(|_| Self::page_capacity(dim) > 0)
+            .and_then(NonZeroU16::new)
+            .ok_or(Error::InvalidConfig("record width must fit a page"))
     }
 
     /// The partially-filled page appends currently land in, as
     /// `(page, partition, dim)` — persisted so
     /// [`from_parts`](Self::from_parts) can reattach.
     pub fn open_page(&self) -> Option<(PageId, u32, usize)> {
-        self.open
+        let (page, partition, width) = self.open?;
+        Some((page, partition, width.get() as usize))
     }
 
     /// Access to the underlying buffer pool (page export for snapshots).
@@ -181,13 +229,11 @@ impl VectorHeap {
     /// page when the partition/width changes or the page fills.
     pub fn append(&mut self, partition: u32, point_id: u64, coords: &[f64]) -> Result<u64> {
         let dim = coords.len();
-        if dim == 0 || Self::page_capacity(dim) == 0 {
-            return Err(Error::InvalidConfig("record width must fit a page"));
-        }
+        let width = Self::width(dim)?;
         let need_new = match self.open {
-            Some((page, part, pdim)) => {
+            Some((page, part, open_width)) => {
                 part != partition
-                    || pdim != dim
+                    || open_width != width
                     || self
                         .pool
                         .with_page(page, |p| p.get_u16(6).expect("header"))?
@@ -200,12 +246,17 @@ impl VectorHeap {
             let page = self.pool.allocate()?;
             self.pool.with_page_mut(page, |p| {
                 p.put_u32(0, partition).expect("header");
-                p.put_u16(4, dim as u16).expect("header");
+                p.put_u16(4, width.get()).expect("header");
                 p.put_u16(6, 0).expect("header");
             })?;
-            self.open = Some((page, partition, dim));
+            self.open = Some((page, partition, width));
         }
         let (page, _, _) = self.open.expect("just ensured");
+        // What a filtered search learned of this page is about to go stale.
+        if let Some(ids) = self.ids.get_mut() {
+            ids.resize_with(self.pool.num_pages(), OnceLock::new);
+            ids[page as usize].take();
+        }
         let slot = self.pool.with_page_mut(page, |p| -> Result<u16> {
             let slot = p.get_u16(6).expect("header");
             let base = HEADER + slot as usize * (8 + 8 * dim);
@@ -241,6 +292,33 @@ impl VectorHeap {
             .record((rid & 0xFFFF) as usize)
             .ok_or(Error::BadRecordId(rid))?;
         Ok((pinned.partition, record))
+    }
+
+    /// What a filtered search does before [`record`](Self::record): pins
+    /// the page `rid` lives on unless `pin` holds it already, and a page
+    /// pinned here also enters the id column (if no search put it there
+    /// before), read off the image just pinned — learning costs no fetch.
+    pub fn pin_learning(&self, pin: &mut Option<HeapPage>, rid: u64) -> Result<()> {
+        if pin.as_ref().is_none_or(|p| p.id != rid >> 16) {
+            let page = self.pin(rid)?;
+            let ids = self.ids.get_or_init(|| {
+                let unlearned = (0..self.pool.num_pages()).map(|_| OnceLock::new());
+                Box::new(unlearned.collect())
+            });
+            ids[page.id as usize].get_or_init(|| page.ids());
+            *pin = Some(page);
+        }
+        Ok(())
+    }
+
+    /// The point id of record `rid` if the id column holds its page —
+    /// that is, if a filtered search has pinned that page since the heap
+    /// was opened and nothing was appended to it after; `None` otherwise
+    /// (also for a slot the page does not have). Touches no page.
+    #[inline]
+    pub fn learned_id(&self, rid: u64) -> Option<u64> {
+        let page = self.ids.get()?.get((rid >> 16) as usize)?.get()?;
+        page.get((rid & 0xFFFF) as usize).copied()
     }
 
     /// Pins the page `rid` lives on.
@@ -326,6 +404,52 @@ mod tests {
         pin = None;
         h.record(&mut pin, rids[1]).unwrap();
         assert_eq!(stats.accesses(), 4);
+    }
+
+    #[test]
+    fn a_heap_is_the_size_it_was_without_an_id_column() {
+        // What `open: Option<(u64, u32, usize)>` and `len` took.
+        assert_eq!(
+            std::mem::size_of::<VectorHeap>(),
+            std::mem::size_of::<BufferPool>() + 40
+        );
+    }
+
+    #[test]
+    fn the_id_column_holds_what_pin_learning_pinned_until_an_append() {
+        let mut h = heap(16);
+        let cap = VectorHeap::page_capacity(4) as u64;
+        let rids: Vec<u64> = (0..cap + 3)
+            .map(|i| h.append(0, 100 + i, &[i as f64; 4]).unwrap())
+            .collect();
+        let (first, second) = (rids[0], rids[cap as usize]);
+        // Reading a record learns nothing…
+        let mut pin = None;
+        h.record(&mut pin, first).unwrap();
+        assert_eq!(h.learned_id(first), None);
+        // …reading it for a filtered search learns its page, for one fetch.
+        let stats = h.io_stats();
+        stats.reset();
+        pin = None;
+        h.pin_learning(&mut pin, first).unwrap();
+        assert_eq!(stats.accesses(), 1);
+        for &rid in &rids[..cap as usize] {
+            assert_eq!(h.learned_id(rid), Some(100 + (rid & 0xFFFF)));
+        }
+        assert_eq!(h.learned_id(second), None, "another page");
+        assert_eq!(h.learned_id(first | 0xFFFF), None, "no such slot");
+        assert_eq!(h.learned_id(7 << 16), None, "no such page");
+        assert_eq!(stats.accesses(), 1, "asking the column fetches nothing");
+        h.pin_learning(&mut pin, second).unwrap();
+        assert_eq!(h.learned_id(second + 2), Some(100 + cap + 2));
+        assert_eq!(h.learned_id(second + 3), None);
+        // An append forgets the page it writes, and that page only.
+        let appended = h.append(0, 999, &[0.0; 4]).unwrap();
+        assert_eq!(appended, second + 3);
+        assert_eq!(h.learned_id(second), None);
+        assert_eq!(h.learned_id(first), Some(100));
+        h.pin_learning(&mut None, second).unwrap();
+        assert_eq!(h.learned_id(appended), Some(999));
     }
 
     proptest! {

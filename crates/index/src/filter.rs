@@ -98,11 +98,23 @@ impl RowFilter {
         self.words.iter().map(|w| w.count_ones() as u64).sum()
     }
 
-    /// Intersects in place with `other` (ids passing only where both pass;
-    /// ids beyond either capacity fail).
-    pub fn intersect(&mut self, other: &RowFilter) {
-        for (i, w) in self.words.iter_mut().enumerate() {
-            *w &= other.words.get(i).copied().unwrap_or(0);
+    /// Narrows the filter in place to the ids whose value in `column`
+    /// satisfies `hit` — `column[id]` is row `id`'s value, and an id the
+    /// column does not reach fails. One pass over the column, 64 verdicts
+    /// gathered per bitmap word and ANDed into it; a word that is already
+    /// empty skips its 64 rows.
+    pub fn and_where<T: Copy>(&mut self, column: &[T], hit: impl Fn(T) -> bool) {
+        let mut chunks = column.chunks(64);
+        for word in &mut self.words {
+            let chunk = chunks.next().unwrap_or_default();
+            if *word == 0 {
+                continue;
+            }
+            let mut verdicts = 0u64;
+            for (bit, &value) in chunk.iter().enumerate() {
+                verdicts |= u64::from(hit(value)) << bit;
+            }
+            *word &= verdicts;
         }
     }
 
@@ -201,17 +213,28 @@ mod tests {
     }
 
     #[test]
-    fn from_fn_iter_and_intersect() {
+    fn from_fn_iter_and_and_where() {
         let evens = RowFilter::from_fn(100, |id| id % 2 == 0);
         assert_eq!(evens.count(), 50);
         let ids: Vec<u64> = evens.iter_ids().collect();
         assert_eq!(ids[..3], [0, 2, 4]);
         assert_eq!(ids.len(), 50);
 
+        // A column shorter than the bitmap: the ids past it fail.
+        let column: Vec<u64> = (0..70).collect();
         let mut both = evens.clone();
-        both.intersect(&RowFilter::from_fn(64, |id| id % 3 == 0));
+        both.and_where(&column, |v| v % 3 == 0);
         let ids: Vec<u64> = both.iter_ids().collect();
-        assert!(ids.iter().all(|id| id % 6 == 0 && *id < 64));
+        assert_eq!(ids, (0..70).filter(|id| id % 6 == 0).collect::<Vec<u64>>());
+        // A column longer than the bitmap sets nothing past its capacity.
+        let column: Vec<u64> = (0..200).collect();
+        let mut all = RowFilter::all(100);
+        all.and_where(&column, |_| true);
+        assert_eq!(all, RowFilter::all(100));
+        all.and_where(&column, |v| v >= 64);
+        all.and_where(&column, |v| v % 2 == 1);
+        assert_eq!(all.count(), 18);
+        assert!(all.passes(65) && !all.passes(63) && !all.passes(101));
     }
 
     #[test]

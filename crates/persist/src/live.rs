@@ -20,8 +20,10 @@ use std::sync::Arc;
 /// Answers one filtered query against `index`: parses `predicate`,
 /// compiles it against `store` into a row bitmap, prunes clusters through
 /// `sketches`, lets `planner` pick a strategy, runs it, and feeds the
-/// pages a KNN read back into the planner's cost history. Shared by the
-/// engine and [`SnapshotLive`]; a store with no columns is the typed
+/// pages a KNN touched back into the planner's cost history — touched, not
+/// read: a warm pool reads nothing whatever the strategy costs, and what a
+/// strategy saves is fetches. Shared by the engine and [`SnapshotLive`]; a
+/// store with no columns is the typed
 /// [`FiltersUnavailable`](mmdr_index::Error::FiltersUnavailable) rejection.
 ///
 /// `store` may be a lock guard: it is released once the plan exists,
@@ -45,9 +47,9 @@ pub(crate) fn filtered(
     drop(store);
     match target {
         Target::Knn(k) => {
-            let before = index.query_stats().page_reads;
+            let before = index.query_stats().pages_touched;
             let hits = run_filtered_knn(index, vector, k, &plan)?;
-            let pages = index.query_stats().page_reads.saturating_sub(before);
+            let pages = index.query_stats().pages_touched.saturating_sub(before);
             planner.observe(plan.strategy, pages);
             Ok(hits)
         }
@@ -127,5 +129,72 @@ impl LiveIndex for SnapshotLive {
     fn planner_counts(&self) -> [u64; 3] {
         let s = self.planner.counters().snapshot();
         [s.post_filter, s.pushdown, s.prefilter_rank]
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use mmdr_core::{Mmdr, MmdrParams};
+    use mmdr_idistance::Backend;
+    use mmdr_linalg::Matrix;
+    use mmdr_query::{AttrType, AttrValue};
+
+    /// The planner's threshold moves on a resident index, where no query
+    /// ever misses the pool: the cost it is fed is pages touched.
+    #[test]
+    fn cost_feedback_reaches_the_planner_on_a_resident_index() {
+        let jit = |i: usize, s: f64| ((i as f64 * 0.618_033_988 + s).fract() - 0.5) * 0.02;
+        let rows: Vec<Vec<f64>> = (0..4000)
+            .map(|i| {
+                let t = (i / 2) as f64 / 1999.0;
+                if i % 2 == 0 {
+                    vec![t, 0.3 * t, jit(i, 0.5), jit(i, 0.7)]
+                } else {
+                    vec![5.0 + jit(i, 0.1), 5.0 + jit(i, 0.9), 5.0 + t, 5.0 - 0.5 * t]
+                }
+            })
+            .collect();
+        let data = Matrix::from_rows(&rows).unwrap();
+        let model = Mmdr::new(MmdrParams {
+            max_ec: 4,
+            ..Default::default()
+        })
+        .fit(&data)
+        .unwrap();
+        let mut attrs = AttrStore::new(&[("views", AttrType::I64)]).unwrap();
+        for id in 0..data.rows() as u64 {
+            let views = AttrValue::I64((id * 37 % 100) as i64);
+            attrs.set(id, "views", &views).unwrap();
+        }
+        let built = crate::build_index(Backend::IDistance, &data, &model, 4096).unwrap();
+        let index: Arc<dyn VectorIndex> = Arc::from(built.into_boxed());
+        let live = SnapshotLive::new(Arc::clone(&index), &model, Some(attrs)).unwrap();
+        let start = live.planner.postfilter_threshold();
+        assert_eq!(start, Planner::DEFAULT_POSTFILTER_THRESHOLD);
+
+        // A handful of each strategy with a cost history: 2 % of the rows
+        // pass the first predicate (pushed down), 98 % the second
+        // (post-filtered, and done after one unfiltered 20-NN).
+        let reads_before = index.query_stats().page_reads;
+        for probe in (0..data.rows()).step_by(500) {
+            let q = data.row(probe);
+            for predicate in ["views < 2", "views >= 2"] {
+                let hits = live.filtered(q, Target::Knn(10), predicate).unwrap();
+                assert_eq!(hits.len(), 10);
+            }
+        }
+        let decided = live.planner_snapshot();
+        assert_eq!((decided.pushdown, decided.post_filter), (8, 8));
+        assert_eq!(
+            index.query_stats().page_reads,
+            reads_before,
+            "a resident index misses no page: reads say nothing about cost"
+        );
+        let moved = live.planner.postfilter_threshold();
+        assert!(
+            moved < start,
+            "sixteen observed queries left the threshold at {moved}"
+        );
     }
 }

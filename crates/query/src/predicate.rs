@@ -133,58 +133,63 @@ impl Predicate {
 
     /// Compiles the conjunction over the whole store into a row bitmap
     /// covering ids `0..capacity` (ids beyond the store's capacity fail, as
-    /// does every NULL).
+    /// does every NULL). Each term is one pass over its column's own
+    /// values ([`RowFilter::and_where`]), ANDed into the bitmap as it goes;
+    /// nothing is kept between calls, so there is nothing to invalidate
+    /// when the store changes.
     pub fn compile(&self, store: &AttrStore) -> Result<RowFilter> {
-        let capacity = store.capacity();
-        let mut rows = RowFilter::all(capacity);
+        let mut rows = RowFilter::all(store.capacity());
         for t in &self.terms {
             let col = store.column(&t.column)?;
             check_term(t, &col.data)?;
-            let mut term_rows = RowFilter::none(capacity);
-            match &col.data {
-                ColumnData::I64(v) => {
-                    for (i, x) in v.iter().enumerate() {
-                        if let Some(x) = x {
-                            if eval(t, &AttrValue::I64(*x)) {
-                                term_rows.set(i as u64);
-                            }
-                        }
-                    }
+            // Mixed numeric sides meet in f64, as in `eval`.
+            match (&col.data, &t.value) {
+                (ColumnData::I64(v), AttrValue::I64(b)) => and_cmp(&mut rows, v, t.op, |a| a, *b),
+                (ColumnData::I64(v), AttrValue::F64(b)) => {
+                    and_cmp(&mut rows, v, t.op, |a| a as f64, *b)
                 }
-                ColumnData::F64(v) => {
-                    for (i, x) in v.iter().enumerate() {
-                        if let Some(x) = x {
-                            if eval(t, &AttrValue::F64(*x)) {
-                                term_rows.set(i as u64);
-                            }
-                        }
-                    }
+                (ColumnData::F64(v), AttrValue::F64(b)) => and_cmp(&mut rows, v, t.op, |a| a, *b),
+                (ColumnData::F64(v), AttrValue::I64(b)) => {
+                    and_cmp(&mut rows, v, t.op, |a| a, *b as f64)
                 }
-                ColumnData::Tag { codes, dict } => {
+                (ColumnData::Tag { codes, dict }, AttrValue::Tag(s)) => {
                     // Resolve the literal against the dictionary once, then
-                    // compare codes.
-                    let want = match &t.value {
-                        AttrValue::Tag(s) => dict.iter().position(|d| d == s).map(|i| i as u32 + 1),
-                        _ => unreachable!("check_term enforces tag literals"),
-                    };
-                    for (i, code) in codes.iter().enumerate() {
-                        if *code == 0 {
-                            continue; // NULL
-                        }
-                        let hit = match t.op {
-                            Op::Eq => Some(*code) == want,
-                            Op::Ne => Some(*code) != want,
-                            _ => unreachable!("check_term enforces tag operators"),
-                        };
-                        if hit {
-                            term_rows.set(i as u64);
-                        }
+                    // compare codes (0 is NULL, and no literal resolves to it).
+                    let want = dict.iter().position(|d| d == s).map_or(0, |i| i as u32 + 1);
+                    match t.op {
+                        Op::Eq => rows.and_where(codes, |code| code != 0 && code == want),
+                        Op::Ne => rows.and_where(codes, |code| code != 0 && code != want),
+                        _ => unreachable!("check_term enforces tag operators"),
                     }
                 }
+                _ => unreachable!("check_term enforces the literal's type"),
             }
-            rows.intersect(&term_rows);
         }
         Ok(rows)
+    }
+}
+
+/// ANDs `stored op literal` over a numeric column into `rows`: one loop
+/// per operator, the `match` outside it. `as_literal` brings a stored value
+/// to the literal's type. A NULL fails, and so does a comparison with no
+/// order (a NaN), `!=` included — [`cmp_f64`]'s rule.
+fn and_cmp<T: Copy, V: PartialOrd + Copy>(
+    rows: &mut RowFilter,
+    column: &[Option<T>],
+    op: Op,
+    as_literal: impl Fn(T) -> V,
+    b: V,
+) {
+    let stored = |x: Option<T>| x.map(&as_literal);
+    match op {
+        Op::Eq => rows.and_where(column, |x| stored(x).is_some_and(|a| a == b)),
+        // Not `a != b`, which a NaN satisfies.
+        #[allow(clippy::double_comparisons)]
+        Op::Ne => rows.and_where(column, |x| stored(x).is_some_and(|a| a < b || a > b)),
+        Op::Lt => rows.and_where(column, |x| stored(x).is_some_and(|a| a < b)),
+        Op::Le => rows.and_where(column, |x| stored(x).is_some_and(|a| a <= b)),
+        Op::Gt => rows.and_where(column, |x| stored(x).is_some_and(|a| a > b)),
+        Op::Ge => rows.and_where(column, |x| stored(x).is_some_and(|a| a >= b)),
     }
 }
 
@@ -342,6 +347,7 @@ fn parse_literal(text: &str) -> AttrValue {
 mod tests {
     use super::*;
     use crate::attrs::AttrType;
+    use proptest::prelude::*;
 
     fn store() -> AttrStore {
         let mut s = AttrStore::new(&[
@@ -468,5 +474,91 @@ mod tests {
             .validate(&s)
             .is_err());
         assert!(Predicate::parse("tenant = 1").unwrap().validate(&s).is_ok());
+    }
+
+    #[test]
+    fn an_unordered_comparison_fails_every_operator_in_both_forms() {
+        let s = store();
+        for op in [Op::Eq, Op::Ne, Op::Lt, Op::Le, Op::Gt, Op::Ge] {
+            for column in ["price", "tenant"] {
+                let p = Predicate {
+                    terms: vec![Term {
+                        column: column.into(),
+                        op,
+                        value: AttrValue::F64(f64::NAN),
+                    }],
+                };
+                assert_eq!(p.compile(&s).unwrap().count(), 0, "{column} {op:?}");
+                assert!(!p.passes(&s, 3).unwrap(), "{column} {op:?}");
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// The compiled bitmap is [`Predicate::passes`] row by row: over
+        /// i64, f64 and tag columns with NULLs scattered through them, for
+        /// every operator, literals of either numeric type (so both
+        /// coercions run) and tags the dictionary has and has not, one to
+        /// three terms, and ids past the store's capacity.
+        #[test]
+        fn compile_is_passes_row_by_row(
+            cells in proptest::collection::vec((0u32..8, -4i64..5, -4i64..5, 0usize..3), 0..200),
+            terms in proptest::collection::vec(
+                (0usize..3, 0usize..6, -5i64..6, proptest::bool::ANY),
+                1..4,
+            ),
+        ) {
+            const TAGS: [&str; 4] = ["a", "b", "c", "zz"];
+            const OPS: [Op; 6] = [Op::Eq, Op::Ne, Op::Lt, Op::Le, Op::Gt, Op::Ge];
+            let mut s = AttrStore::new(&[
+                ("i", AttrType::I64),
+                ("f", AttrType::F64),
+                ("t", AttrType::Tag),
+            ])
+            .unwrap();
+            for (id, &(nulls, i, f, tag)) in cells.iter().enumerate() {
+                let id = id as u64;
+                if nulls & 1 == 0 {
+                    s.set(id, "i", &AttrValue::I64(i)).unwrap();
+                }
+                if nulls & 2 == 0 {
+                    s.set(id, "f", &AttrValue::F64(f as f64 * 0.5)).unwrap();
+                }
+                if nulls & 4 == 0 {
+                    s.set(id, "t", &AttrValue::Tag(TAGS[tag].into())).unwrap();
+                }
+            }
+            let terms = terms
+                .into_iter()
+                .map(|(column, op, literal, as_float)| match column {
+                    2 => Term {
+                        column: "t".into(),
+                        op: OPS[op % 2],
+                        value: AttrValue::Tag(TAGS[literal.rem_euclid(4) as usize].into()),
+                    },
+                    _ => Term {
+                        column: ["i", "f"][column].into(),
+                        op: OPS[op],
+                        value: if as_float {
+                            AttrValue::F64(literal as f64 * 0.5)
+                        } else {
+                            AttrValue::I64(literal)
+                        },
+                    },
+                })
+                .collect();
+            let p = Predicate { terms };
+            let rows = p.compile(&s).unwrap();
+            prop_assert_eq!(rows.capacity(), s.capacity());
+            for id in 0..s.capacity() + 70 {
+                prop_assert_eq!(
+                    rows.passes(id),
+                    p.passes(&s, id).unwrap(),
+                    "{} id {}", p.display(), id
+                );
+            }
+        }
     }
 }

@@ -5,12 +5,15 @@
 //! truncated to k. Id-exact and distance-bit-identical, serially and
 //! under 1/2/4/8 concurrent query threads, at 0% / ~1% / ~25% / 100%
 //! selectivity, on a static snapshot and on a mutated engine both before
-//! and after its background merge. A proptest sweep drives random
-//! predicates and queries through the same oracle.
+//! and after its background merge. Every query is asked twice: iDistance
+//! answers the first time with an id column that has yet to learn the
+//! pages in reach and the second time from one that holds them (a merge's
+//! new epoch starts over). A proptest sweep drives random predicates and
+//! queries through the same oracle.
 
 use mmdr_core::{Mmdr, MmdrParams, ReductionResult};
 use mmdr_idistance::Backend;
-use mmdr_index::{LiveIndex, Target};
+use mmdr_index::{LiveIndex, Query, Scratch, SearchFilter, Target};
 use mmdr_linalg::Matrix;
 use mmdr_persist::{IngestEngine, IngestOptions, SnapshotLive};
 use mmdr_query::{AttrStore, AttrType, AttrValue, Predicate};
@@ -203,13 +206,15 @@ fn snapshot_filtered_knn_matches_post_filtered_oracle() {
             let mut serial = Vec::new();
             for (qi, q) in qs.iter().enumerate() {
                 let want = oracle_knn(live.as_ref(), &attrs, &pred, q, 9);
-                let got = live.filtered(q, Target::Knn(9), pred_text).unwrap();
-                assert_bit_eq(
-                    &got,
-                    &want,
-                    &format!("{} `{pred_text}` q{qi}", backend.name()),
-                );
-                serial.push(got);
+                for asking in ["first", "second"] {
+                    let got = live.filtered(q, Target::Knn(9), pred_text).unwrap();
+                    assert_bit_eq(
+                        &got,
+                        &want,
+                        &format!("{} `{pred_text}` q{qi}, {asking} asking", backend.name()),
+                    );
+                }
+                serial.push(want);
             }
             for threads in [2usize, 4, 8] {
                 std::thread::scope(|scope| {
@@ -265,12 +270,17 @@ fn snapshot_filtered_range_matches_post_filtered_oracle() {
             for (qi, q) in qs.iter().enumerate() {
                 for radius in [0.5, 3.0] {
                     let want = oracle_range(&live, &attrs, &pred, q, radius);
-                    let got = live.filtered(q, Target::Range(radius), pred_text).unwrap();
-                    assert_bit_eq(
-                        &got,
-                        &want,
-                        &format!("{} `{pred_text}` q{qi} r{radius}", backend.name()),
-                    );
+                    for asking in ["first", "second"] {
+                        let got = live.filtered(q, Target::Range(radius), pred_text).unwrap();
+                        assert_bit_eq(
+                            &got,
+                            &want,
+                            &format!(
+                                "{} `{pred_text}` q{qi} r{radius}, {asking} asking",
+                                backend.name()
+                            ),
+                        );
+                    }
                 }
             }
         }
@@ -324,12 +334,17 @@ fn mutated_engine_filtered_knn_matches_oracle_pre_and_post_merge() {
                 for (qi, q) in qs.iter().enumerate() {
                     let want = engine
                         .with_attrs(|live_store| oracle_knn(&engine, live_store, &pred, q, 7));
-                    let got = engine.filtered(q, Target::Knn(7), pred_text).unwrap();
-                    assert_bit_eq(
-                        &got,
-                        &want,
-                        &format!("{} `{pred_text}` q{qi} {phase}", backend.name()),
-                    );
+                    for asking in ["first", "second"] {
+                        let got = engine.filtered(q, Target::Knn(7), pred_text).unwrap();
+                        assert_bit_eq(
+                            &got,
+                            &want,
+                            &format!(
+                                "{} `{pred_text}` q{qi} {phase}, {asking} asking",
+                                backend.name()
+                            ),
+                        );
+                    }
                 }
             }
         };
@@ -337,6 +352,61 @@ fn mutated_engine_filtered_knn_matches_oracle_pre_and_post_merge() {
         engine.flush().unwrap();
         engine.quiesce();
         check("post-merge");
+    }
+}
+
+/// The id column is iDistance's alone: a pushed-down search in the other
+/// three backends touches, query for query, the pages it touched before
+/// there was one (the counts of the commit before, recorded here), the
+/// second time it is asked as the first.
+#[test]
+fn pushdown_in_the_other_backends_touches_the_pages_it_always_did() {
+    let data = dataset(1000);
+    let model = fit(&data);
+    let store = attrs_for(data.rows());
+    let qs = queries(&data);
+    #[rustfmt::skip]
+    let recorded: [(Backend, [u64; 24]); 3] = [
+        (Backend::SeqScan, [13; 24]),
+        (Backend::Hybrid, [
+            28, 28, 18, 18, 39, 39, 44, 45, 28, 28, 13, 14,
+            39, 39, 44, 45, 28, 28, 13, 14, 39, 39, 44, 45,
+        ]),
+        (Backend::Gldr, [5, 5, 5, 5, 5, 5, 5, 5, 2, 2, 2, 2, 5, 5, 5, 5, 2, 2, 2, 2, 5, 5, 5, 5]),
+    ];
+    for (backend, want) in recorded {
+        let built = mmdr_persist::build_index(backend, &data, &model, 256).unwrap();
+        let index = built.as_dyn();
+        let mut touched = Vec::new();
+        for pred_text in [
+            "views < 10",
+            "label = alpha AND views < 600",
+            "label != delta",
+        ] {
+            let rows = Predicate::parse(pred_text)
+                .unwrap()
+                .compile(&store)
+                .unwrap();
+            let filter = SearchFilter::from_rows(rows);
+            for target in [Target::Knn(9), Target::Range(3.0)] {
+                for q in &qs {
+                    let query = Query {
+                        vector: q,
+                        target,
+                        filter: Some(&filter),
+                    };
+                    let ask = || {
+                        let before = index.query_stats();
+                        index.search(&query, &mut Scratch::default()).unwrap();
+                        index.query_stats().since(&before).pages_touched
+                    };
+                    let first = ask();
+                    assert_eq!(ask(), first, "{} `{pred_text}`", backend.name());
+                    touched.push(first);
+                }
+            }
+        }
+        assert_eq!(touched, want, "{}", backend.name());
     }
 }
 
@@ -393,8 +463,14 @@ proptest! {
             let index: Arc<dyn mmdr_index::VectorIndex> = Arc::from(built.into_boxed());
             let live = SnapshotLive::new(index, &model, Some(store.clone())).unwrap();
             let want = oracle_knn(&live, &store, &pred, &q, k);
-            let got = live.filtered(&q, Target::Knn(k), &pred_text).unwrap();
-            assert_bit_eq(&got, &want, &format!("{} `{pred_text}`", backend.name()));
+            for asking in ["first", "second"] {
+                let got = live.filtered(&q, Target::Knn(k), &pred_text).unwrap();
+                assert_bit_eq(
+                    &got,
+                    &want,
+                    &format!("{} `{pred_text}`, {asking} asking", backend.name()),
+                );
+            }
         }
     }
 }

@@ -8,6 +8,7 @@
 
 use mmdr_core::{Mmdr, MmdrParams, ParConfig, ReductionResult};
 use mmdr_idistance::Backend;
+use mmdr_index::{Query, RowFilter, Scratch, SearchFilter, Target};
 use mmdr_linalg::Matrix;
 use mmdr_persist::{build_index, open_resident, open_with, save, OpenOptions, Opened};
 use std::path::PathBuf;
@@ -253,6 +254,84 @@ fn idistance_fetches_once_per_page_visited_whatever_the_pool() {
             paged_cost.physical_reads > 0,
             "query {qi}: 4 frames held it all"
         );
+    }
+}
+
+/// A pushed-down filter answers the same the first time a query is asked
+/// and the second — iDistance's id column is empty for the one and holds
+/// every page in reach for the other — on a fresh build, a resident reopen
+/// and a demand-paged reopen with 2 and with 64 frames a pool, for every
+/// backend; and on a demand-paged open neither asking touches more pages
+/// than a resident one does: nothing is read in order to learn.
+#[test]
+fn filtered_answers_hold_cold_and_warm_in_every_open_mode() {
+    let data = dataset();
+    let model = fit(&data);
+    let n = data.rows() as u64;
+    type Pass = fn(u64) -> bool;
+    let passes: [Pass; 3] = [|id| id % 100 == 7, |id| id % 10 == 3, |id| id % 5 < 3];
+    let step = (data.rows() / 5).max(1);
+    let queries: Vec<&[f64]> = (0..5).map(|i| data.row(i * step)).collect();
+    let targets = [Target::Knn(6), Target::Range(0.8)];
+
+    for backend in Backend::all() {
+        let file = TempFile::new("filtered");
+        let built = build_index(backend, &data, &model, 64).unwrap();
+        save(&file.0, &built, &model).unwrap();
+        let resident = open_resident(&file.0).unwrap();
+        let paged_2 = open_with(&file.0, &lazy_opts(2)).unwrap();
+        let paged_64 = open_with(&file.0, &lazy_opts(64)).unwrap();
+        let opens = [
+            ("fresh build", built.as_dyn()),
+            ("resident reopen", resident.index.as_dyn()),
+            ("2-frame reopen", paged_2.index.as_dyn()),
+            ("64-frame reopen", paged_64.index.as_dyn()),
+        ];
+        for pass in passes {
+            let filter = SearchFilter::from_rows(RowFilter::from_fn(n, pass));
+            for target in targets {
+                for (qi, q) in queries.iter().enumerate() {
+                    // The oracle: the unfiltered answer over everything,
+                    // then the filter, then the cut.
+                    let everything = match target {
+                        Target::Knn(_) => resident.index.as_dyn().knn(q, n as usize),
+                        Target::Range(r) => resident.index.as_dyn().range_search(q, r),
+                    };
+                    let mut want: Vec<(f64, u64)> = everything
+                        .unwrap()
+                        .into_iter()
+                        .filter(|&(_, id)| pass(id))
+                        .collect();
+                    if let Target::Knn(k) = target {
+                        want.truncate(k);
+                    }
+                    let query = Query {
+                        vector: q,
+                        target,
+                        filter: Some(&filter),
+                    };
+                    let mut touched = Vec::new();
+                    for (open, idx) in opens {
+                        for asking in ["first", "second"] {
+                            let what = format!(
+                                "{} {open} {target:?} query {qi}, {asking} asking",
+                                backend.name()
+                            );
+                            let before = idx.query_stats();
+                            let got = idx.search(&query, &mut Scratch::default()).unwrap();
+                            touched.push(idx.query_stats().since(&before).pages_touched);
+                            assert_answers_identical(&want, &got, &what);
+                        }
+                    }
+                    // [first, second] per open: the pool changes neither.
+                    let what = format!("{} {target:?} query {qi}", backend.name());
+                    assert!(touched[1] <= touched[0], "{what}: {touched:?}");
+                    for open in touched.chunks(2).skip(1) {
+                        assert_eq!(open, &touched[..2], "{what}: {touched:?}");
+                    }
+                }
+            }
+        }
     }
 }
 
