@@ -86,8 +86,8 @@ USAGE:
   mmdr query    --data FILE --model FILE (--row I[,J,…] | --point \"x,y,…\") [--k K] [--radius R] [--threads N] [--backend seqscan|idistance|hybrid|gldr] [--hex true]
   mmdr query    --index-file FILE (--row I[,J,…] --data FILE | --point \"x,y,…\") [--k K] [--radius R] [--filter \"EXPR\"] [--threads N] [--pool-pages N] [--readahead N] [--hex true]
   mmdr shard-split --data FILE --model FILE --out-dir DIR --shards N [--backend seqscan|idistance|hybrid|gldr] [--buffer-pages N] [--attrs FILE]
-  mmdr serve    --index-file FILE [--wal true] [--merge-threshold N] [--refit-threshold X] [--host H] [--port P] [--workers W] [--queue-depth N] [--coalesce N] [--max-inflight N] [--io-timeout-ms MS] [--batch-threads N] [--pool-pages N] [--readahead N]
-  mmdr route    --manifest FILE --shard-addr HOST:PORT,HOST:PORT,… [--host H] [--port P] [--workers W] [--queue-depth N] [--coalesce N] [--max-inflight N] [--io-timeout-ms MS] [--batch-threads N] [--shard-timeout-ms MS]
+  mmdr serve    --index-file FILE [--wal true] [--merge-threshold N] [--refit-threshold X] [--host H] [--port P] [--workers W] [--io-timeout-ms MS] [--pool-pages N] [--readahead N]
+  mmdr route    --manifest FILE --shard-addr HOST:PORT,HOST:PORT,… [--host H] [--port P] [--workers W] [--io-timeout-ms MS] [--shard-timeout-ms MS]
   mmdr ingest   --index-file FILE (--data FILE | --point \"x,y,…\") [--delete I[,J,…]] [--flush true] [--refit true] [--merge-threshold N] [--refit-threshold X] [--pool-pages N]
   mmdr remote-query (--addr | --router) HOST:PORT (--row I[,J,…] --data FILE | --point \"x,y,…\") [--k K] [--radius R] [--filter \"EXPR\"] [--hex true] [--verbose true]
   mmdr remote-query (--addr | --router) HOST:PORT --op ping|stats|shutdown
@@ -385,31 +385,48 @@ fn cmd_info(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-/// Snapshot-open knobs shared by `query --index-file` and `serve`:
-/// `--pool-pages` caps every restored buffer pool's frame count (the
-/// out-of-core working set) and `--readahead` sets the sequential prefetch
-/// window. Answers are bit-identical at any setting.
-fn open_options(flags: &HashMap<String, String>) -> Result<mmdr_persist::OpenOptions, String> {
-    let mut opts = mmdr_persist::OpenOptions::default();
-    if let Some(v) = flags.get("pool-pages") {
-        let pages: usize = v
-            .parse()
-            .map_err(|_| format!("--pool-pages: cannot parse `{v}`"))?;
-        if pages == 0 {
-            return Err("--pool-pages must be at least 1".into());
-        }
-        opts.pool_pages = Some(pages);
+/// `--pool-pages N`: the frame count of every restored buffer pool (the
+/// out-of-core working set), wherever a snapshot is opened.
+fn pool_pages(flags: &HashMap<String, String>) -> Result<Option<usize>, String> {
+    let Some(v) = flags.get("pool-pages") else {
+        return Ok(None);
+    };
+    match v.parse() {
+        Ok(0) => Err("--pool-pages must be at least 1".into()),
+        Ok(pages) => Ok(Some(pages)),
+        Err(_) => Err(format!("--pool-pages: cannot parse `{v}`")),
     }
+}
+
+/// Snapshot-open knobs shared by `query --index-file` and `serve`:
+/// `--pool-pages` and `--readahead`, the sequential prefetch window.
+/// Answers are bit-identical at any setting.
+fn open_options(flags: &HashMap<String, String>) -> Result<mmdr_persist::OpenOptions, String> {
+    let mut opts = mmdr_persist::OpenOptions {
+        pool_pages: pool_pages(flags)?,
+        ..Default::default()
+    };
     opts.readahead = get_parse(flags, "readahead", opts.readahead)?;
     Ok(opts)
 }
 
-/// Applies `--io-timeout-ms` to both socket deadlines (read and write):
-/// one knob, because a stalled peer is a stalled peer in either direction.
-fn apply_io_timeout(
+/// The flags every server front takes, `serve` and `route` alike.
+const SERVER_FLAGS: [&str; 4] = ["host", "port", "workers", "io-timeout-ms"];
+
+/// Serves `live` on `--host`/`--port` with `--workers` threads until a
+/// signal or a remote `SHUTDOWN` arrives, then drains and prints the
+/// traffic summary. `--io-timeout-ms` sets both socket deadlines (read and
+/// write): one knob, because a stalled peer is a stalled peer in either
+/// direction.
+fn serve_until_signal(
+    live: std::sync::Arc<dyn mmdr_index::LiveIndex>,
     flags: &HashMap<String, String>,
-    config: &mut mmdr_serve::ServerConfig,
 ) -> Result<(), String> {
+    use mmdr_serve::{Server, ServerConfig};
+    let host = flags.get("host").map(String::as_str).unwrap_or("127.0.0.1");
+    let port = get_parse(flags, "port", 0u16)?;
+    let mut config = ServerConfig::default();
+    config.workers = get_parse(flags, "workers", config.workers)?;
     if let Some(v) = flags.get("io-timeout-ms") {
         let ms: u64 = v
             .parse()
@@ -420,6 +437,37 @@ fn apply_io_timeout(
         config.read_timeout = std::time::Duration::from_millis(ms);
         config.write_timeout = std::time::Duration::from_millis(ms);
     }
+    let workers = config.workers;
+    let handle = Server::start(live, (host, port), config).map_err(|e| e.to_string())?;
+    // stdout is line-buffered: scripts (tools/verify.sh) read this line to
+    // learn the ephemeral port.
+    outln!(
+        "listening on {} with {} workers",
+        handle.local_addr(),
+        workers
+    );
+    let signal = mmdr_serve::shutdown_flag_on_signals();
+    while !signal.load(std::sync::atomic::Ordering::SeqCst) && !handle.is_shutting_down() {
+        std::thread::sleep(std::time::Duration::from_millis(100));
+    }
+    let c = handle.shutdown();
+    outln!(
+        "shutdown: {} connections, {} requests ({} knn, {} range, {} batch, \
+         {} insert, {} delete), {} coalesced into {} batches (max {}), \
+         {} overloaded, {} protocol errors",
+        c.connections,
+        c.requests,
+        c.knn_requests,
+        c.range_requests,
+        c.batch_requests,
+        c.insert_requests,
+        c.delete_requests,
+        c.coalesced_queries,
+        c.coalesced_batches,
+        c.max_coalesce,
+        c.overloaded,
+        c.protocol_errors
+    );
     Ok(())
 }
 
@@ -786,40 +834,17 @@ fn cmd_query(args: &[String]) -> Result<(), String> {
 }
 
 fn cmd_serve(args: &[String]) -> Result<(), String> {
-    use mmdr_serve::{Server, ServerConfig};
-    let flags = parse_flags(
-        args,
-        &[
-            "index-file",
-            "host",
-            "port",
-            "workers",
-            "queue-depth",
-            "coalesce",
-            "max-inflight",
-            "io-timeout-ms",
-            "batch-threads",
-            "pool-pages",
-            "readahead",
-            "wal",
-            "merge-threshold",
-            "refit-threshold",
-        ],
-    )?;
+    let own = [
+        "index-file",
+        "pool-pages",
+        "readahead",
+        "wal",
+        "merge-threshold",
+        "refit-threshold",
+    ];
+    let flags = parse_flags(args, &[&own[..], &SERVER_FLAGS].concat())?;
     let index_file = require(&flags, "index-file")?;
-    let host = flags.get("host").map(String::as_str).unwrap_or("127.0.0.1");
-    let port = get_parse(&flags, "port", 0u16)?;
     let wal = get_bool(&flags, "wal")?;
-    let defaults = ServerConfig::default();
-    let mut config = ServerConfig {
-        workers: get_parse(&flags, "workers", defaults.workers)?,
-        queue_depth: get_parse(&flags, "queue-depth", defaults.queue_depth)?,
-        coalesce: get_parse(&flags, "coalesce", defaults.coalesce)?,
-        max_inflight: get_parse(&flags, "max-inflight", defaults.max_inflight)?,
-        batch_threads: get_parse(&flags, "batch-threads", defaults.batch_threads)?,
-        ..defaults
-    };
-    apply_io_timeout(&flags, &mut config)?;
     let live: std::sync::Arc<dyn mmdr_index::LiveIndex> = if wal {
         if flags.contains_key("readahead") {
             return Err("--readahead applies to read-only serving; drop it with --wal".into());
@@ -865,64 +890,16 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
         .map_err(|e| e.to_string())?;
         std::sync::Arc::new(live)
     };
-    let workers = config.workers;
-    let ingest_handle = std::sync::Arc::clone(&live);
-    let handle = Server::start(live, (host, port), config).map_err(|e| e.to_string())?;
-    // stdout is line-buffered: scripts (tools/verify.sh) read this line to
-    // learn the ephemeral port.
-    outln!(
-        "listening on {} with {} workers",
-        handle.local_addr(),
-        workers
-    );
-    let signal = mmdr_serve::shutdown_flag_on_signals();
-    while !signal.load(std::sync::atomic::Ordering::SeqCst) && !handle.is_shutting_down() {
-        std::thread::sleep(std::time::Duration::from_millis(100));
-    }
-    let c = handle.shutdown();
-    outln!(
-        "shutdown: {} connections, {} requests ({} knn, {} range, {} batch, \
-         {} insert, {} delete), {} coalesced into {} batches (max {}), \
-         {} overloaded, {} protocol errors",
-        c.connections,
-        c.requests,
-        c.knn_requests,
-        c.range_requests,
-        c.batch_requests,
-        c.insert_requests,
-        c.delete_requests,
-        c.coalesced_queries,
-        c.coalesced_batches,
-        c.max_coalesce,
-        c.overloaded,
-        c.protocol_errors
-    );
+    serve_until_signal(std::sync::Arc::clone(&live), &flags)?;
     if wal {
-        let mut s: mmdr_serve::IngestWire = ingest_handle.ingest_stats().into();
-        s.cluster_drift = ingest_handle.model_drift();
-        print_ingest_stats(&s);
+        print_ingest_stats(&live.ingest_stats(), &live.model_drift());
     }
     Ok(())
 }
 
 fn cmd_route(args: &[String]) -> Result<(), String> {
-    use mmdr_serve::{Server, ServerConfig};
-    let flags = parse_flags(
-        args,
-        &[
-            "manifest",
-            "shard-addr",
-            "host",
-            "port",
-            "workers",
-            "queue-depth",
-            "coalesce",
-            "max-inflight",
-            "io-timeout-ms",
-            "batch-threads",
-            "shard-timeout-ms",
-        ],
-    )?;
+    let own = ["manifest", "shard-addr", "shard-timeout-ms"];
+    let flags = parse_flags(args, &[&own[..], &SERVER_FLAGS].concat())?;
     let manifest =
         mmdr_persist::read_manifest(require(&flags, "manifest")?).map_err(|e| e.to_string())?;
     let addrs: Vec<String> = require(&flags, "shard-addr")?
@@ -930,8 +907,6 @@ fn cmd_route(args: &[String]) -> Result<(), String> {
         .map(|s| s.trim().to_string())
         .filter(|s| !s.is_empty())
         .collect();
-    let host = flags.get("host").map(String::as_str).unwrap_or("127.0.0.1");
-    let port = get_parse(&flags, "port", 0u16)?;
     let router_defaults = mmdr_router::RouterConfig::default();
     let router_config = mmdr_router::RouterConfig {
         shard_timeout: std::time::Duration::from_millis(get_parse(
@@ -962,45 +937,10 @@ fn cmd_route(args: &[String]) -> Result<(), String> {
         router.manifest().dim,
         router.manifest().shards.len()
     );
-    let defaults = ServerConfig::default();
-    let mut config = ServerConfig {
-        workers: get_parse(&flags, "workers", defaults.workers)?,
-        queue_depth: get_parse(&flags, "queue-depth", defaults.queue_depth)?,
-        coalesce: get_parse(&flags, "coalesce", defaults.coalesce)?,
-        max_inflight: get_parse(&flags, "max-inflight", defaults.max_inflight)?,
-        batch_threads: get_parse(&flags, "batch-threads", defaults.batch_threads)?,
-        ..defaults
-    };
-    apply_io_timeout(&flags, &mut config)?;
-    let workers = config.workers;
     // RouterLive keeps the router read-only but forwards --filter queries
     // to the shards (each compiles the predicate against its own ATTRS).
-    let live: std::sync::Arc<dyn mmdr_index::LiveIndex> =
-        std::sync::Arc::new(mmdr_router::RouterLive::new(std::sync::Arc::new(router)));
-    let handle = Server::start(live, (host, port), config).map_err(|e| e.to_string())?;
-    // Same format as `serve`: scripts read this line for the port.
-    outln!(
-        "listening on {} with {} workers",
-        handle.local_addr(),
-        workers
-    );
-    let signal = mmdr_serve::shutdown_flag_on_signals();
-    while !signal.load(std::sync::atomic::Ordering::SeqCst) && !handle.is_shutting_down() {
-        std::thread::sleep(std::time::Duration::from_millis(100));
-    }
-    let c = handle.shutdown();
-    outln!(
-        "shutdown: {} connections, {} requests ({} knn, {} range, {} batch), \
-         {} overloaded, {} protocol errors",
-        c.connections,
-        c.requests,
-        c.knn_requests,
-        c.range_requests,
-        c.batch_requests,
-        c.overloaded,
-        c.protocol_errors
-    );
-    Ok(())
+    let live = mmdr_router::RouterLive::new(std::sync::Arc::new(router));
+    serve_until_signal(std::sync::Arc::new(live), &flags)
 }
 
 /// Opens a snapshot writable: the ingest engine replays its WAL and wires
@@ -1009,7 +949,8 @@ fn open_engine(
     flags: &HashMap<String, String>,
     index_file: &str,
 ) -> Result<mmdr_persist::IngestEngine, String> {
-    let mut opts = mmdr_persist::IngestOptions {
+    let opts = mmdr_persist::IngestOptions {
+        pool_pages: pool_pages(flags)?,
         merge_threshold: get_parse(
             flags,
             "merge-threshold",
@@ -1021,21 +962,12 @@ fn open_engine(
     if opts.refit_threshold < 0.0 || opts.refit_threshold.is_nan() {
         return Err("--refit-threshold must be non-negative".into());
     }
-    if let Some(v) = flags.get("pool-pages") {
-        let pages: usize = v
-            .parse()
-            .map_err(|_| format!("--pool-pages: cannot parse `{v}`"))?;
-        if pages == 0 {
-            return Err("--pool-pages must be at least 1".into());
-        }
-        opts.pool_pages = Some(pages);
-    }
     mmdr_persist::IngestEngine::open(index_file, opts).map_err(|e| e.to_string())
 }
 
 /// The operator-facing merge-pressure line, identical for local engines
 /// and remote STATS answers.
-fn print_ingest_stats(s: &mmdr_serve::IngestWire) {
+fn print_ingest_stats(s: &mmdr_index::IngestStats, cluster_drift: &[f64]) {
     outln!(
         "ingest: epoch {}, {} delta rows, {} tombstones, {} WAL bytes, {} merges, next id {}, \
          model epoch {}, {} re-fits",
@@ -1048,89 +980,96 @@ fn print_ingest_stats(s: &mmdr_serve::IngestWire) {
         s.model_epoch,
         s.refits
     );
-    if !s.cluster_drift.is_empty() {
-        let drift: Vec<String> = s.cluster_drift.iter().map(|d| format!("{d:.3}")).collect();
+    if !cluster_drift.is_empty() {
+        let drift: Vec<String> = cluster_drift.iter().map(|d| format!("{d:.3}")).collect();
         outln!("model drift per cluster: {}", drift.join(" "));
     }
 }
 
-/// Local writes against a snapshot: insert rows from --data or --point,
-/// tombstone --delete ids, optionally --flush (fold + swap + truncate the
-/// WAL). Without --flush the WAL holds the writes until the next merge —
-/// a reopen (ingest, serve --wal, or the engine's replay) restores them.
-fn cmd_ingest(args: &[String]) -> Result<(), String> {
-    let flags = parse_flags(
-        args,
-        &[
-            "index-file",
-            "data",
-            "point",
-            "delete",
-            "flush",
-            "refit",
-            "merge-threshold",
-            "refit-threshold",
-            "pool-pages",
-        ],
-    )?;
-    let index_file = require(&flags, "index-file")?;
-    if !["data", "point", "delete", "flush"]
-        .iter()
-        .any(|f| flags.contains_key(*f))
-    {
+/// The flags `ingest` and `remote-insert` share: what to write.
+const WRITE_FLAGS: [&str; 4] = ["data", "point", "delete", "flush"];
+
+/// Parses a write command's flags — its `own` and [`WRITE_FLAGS`] — and
+/// refuses a command line that writes nothing before anything is opened.
+fn parse_write_flags(args: &[String], own: &[&str]) -> Result<HashMap<String, String>, String> {
+    let flags = parse_flags(args, &[own, &WRITE_FLAGS].concat())?;
+    if !WRITE_FLAGS.iter().any(|f| flags.contains_key(*f)) {
         return Err("nothing to do: give --data, --point, --delete or --flush".into());
     }
-    let engine = open_engine(&flags, index_file)?;
-    let mut inserted = 0usize;
-    let mut first_id = None;
-    if flags.contains_key("data") || flags.contains_key("point") {
-        let data = match flags.get("data") {
-            Some(path) => Some(DatasetFile::load(path)?),
-            None => None,
-        };
-        let rows: Vec<Vec<f64>> = match (&data, flags.get("point")) {
-            (Some(m), None) => (0..m.rows()).map(|i| m.row(i).to_vec()).collect(),
-            (None, Some(_)) => parse_queries(&flags, None)?,
-            (Some(_), Some(_)) => return Err("give either --data or --point, not both".into()),
-            (None, None) => unreachable!("guarded by contains_key"),
-        };
-        for row in &rows {
-            let id = engine.insert(row).map_err(|e| e.to_string())?;
-            first_id.get_or_insert(id);
-            inserted += 1;
+    Ok(flags)
+}
+
+/// The writes `ingest` and `remote-insert` have in common, through
+/// whichever `insert` / `delete` / `flush` the caller drives — a local
+/// engine's or a connection's: insert every row of --data or the one
+/// --point, tombstone the --delete ids, then optionally --flush.
+fn apply_writes(
+    flags: &HashMap<String, String>,
+    mut insert: impl FnMut(&[f64]) -> Result<u64, String>,
+    mut delete: impl FnMut(u64) -> Result<bool, String>,
+    flush: impl FnOnce() -> Result<u64, String>,
+) -> Result<(), String> {
+    let rows: Vec<Vec<f64>> = match (flags.get("data"), flags.get("point")) {
+        (Some(path), None) => {
+            let m = DatasetFile::load(path)?;
+            (0..m.rows()).map(|i| m.row(i).to_vec()).collect()
         }
+        (None, Some(_)) => parse_queries(flags, None)?,
+        (Some(_), Some(_)) => return Err("give either --data or --point, not both".into()),
+        (None, None) => Vec::new(),
+    };
+    let mut first_id = None;
+    for row in &rows {
+        first_id.get_or_insert(insert(row)?);
     }
     let mut deleted = 0usize;
-    if let Some(ids) = flags.get("delete") {
-        for s in ids.split(',') {
-            let id: u64 = s
-                .trim()
-                .parse()
-                .map_err(|_| format!("--delete: bad id `{s}`"))?;
-            if engine.delete(id).map_err(|e| e.to_string())? {
-                deleted += 1;
-            }
-        }
+    for s in flags.get("delete").iter().flat_map(|ids| ids.split(',')) {
+        let id: u64 = s
+            .trim()
+            .parse()
+            .map_err(|_| format!("--delete: bad id `{s}`"))?;
+        deleted += usize::from(delete(id)?);
     }
     match first_id {
         Some(first) => outln!(
-            "inserted {inserted} rows (ids {first}..{}), deleted {deleted}",
-            first + inserted as u64 - 1
+            "inserted {} rows (ids {first}..{}), deleted {deleted}",
+            rows.len(),
+            first + rows.len() as u64 - 1
         ),
         None => outln!("inserted 0 rows, deleted {deleted}"),
     }
-    if get_bool(&flags, "flush")? {
-        let epoch = engine.flush().map_err(|e| e.to_string())?;
-        outln!("flushed: serving epoch is now {epoch}");
+    if get_bool(flags, "flush")? {
+        outln!("flushed: serving epoch is now {}", flush()?);
     }
+    Ok(())
+}
+
+/// Local writes against a snapshot (see [`apply_writes`]). Without --flush
+/// the WAL holds the writes until the next merge — a reopen (ingest, serve
+/// --wal, or the engine's replay) restores them.
+fn cmd_ingest(args: &[String]) -> Result<(), String> {
+    let own = [
+        "index-file",
+        "refit",
+        "merge-threshold",
+        "refit-threshold",
+        "pool-pages",
+    ];
+    let flags = parse_write_flags(args, &own)?;
+    let index_file = require(&flags, "index-file")?;
+    let engine = open_engine(&flags, index_file)?;
+    apply_writes(
+        &flags,
+        |row| engine.insert(row).map_err(|e| e.to_string()),
+        |id| engine.delete(id).map_err(|e| e.to_string()),
+        || engine.flush().map_err(|e| e.to_string()),
+    )?;
     if get_bool(&flags, "refit")? {
         let model_epoch = engine.refit().map_err(|e| e.to_string())?;
         outln!("re-fit: model epoch is now {model_epoch}");
     }
     engine.quiesce(); // let a pressure-triggered merge finish before exit
-    let mut s: mmdr_serve::IngestWire = engine.ingest_stats().into();
-    s.cluster_drift = engine.model_drift();
-    print_ingest_stats(&s);
+    print_ingest_stats(&engine.ingest_stats(), &engine.model_drift());
     Ok(())
 }
 
@@ -1138,59 +1077,17 @@ fn cmd_ingest(args: &[String]) -> Result<(), String> {
 /// a running `serve --wal` over the wire. Each insert is acknowledged only
 /// after the server's WAL fsync.
 fn cmd_remote_insert(args: &[String]) -> Result<(), String> {
-    use mmdr_serve::Client;
-    let flags = parse_flags(args, &["addr", "data", "point", "delete", "flush"])?;
+    let flags = parse_write_flags(args, &["addr"])?;
     let addr = require(&flags, "addr")?;
-    if !["data", "point", "delete", "flush"]
-        .iter()
-        .any(|f| flags.contains_key(*f))
-    {
-        return Err("nothing to do: give --data, --point, --delete or --flush".into());
-    }
-    let mut client = Client::connect(addr).map_err(|e| e.to_string())?;
-    let mut inserted = 0usize;
-    let mut first_id = None;
-    if flags.contains_key("data") || flags.contains_key("point") {
-        let data = match flags.get("data") {
-            Some(path) => Some(DatasetFile::load(path)?),
-            None => None,
-        };
-        let rows: Vec<Vec<f64>> = match (&data, flags.get("point")) {
-            (Some(m), None) => (0..m.rows()).map(|i| m.row(i).to_vec()).collect(),
-            (None, Some(_)) => parse_queries(&flags, None)?,
-            (Some(_), Some(_)) => return Err("give either --data or --point, not both".into()),
-            (None, None) => unreachable!("guarded by contains_key"),
-        };
-        for row in &rows {
-            let id = client.insert(row).map_err(|e| e.to_string())?;
-            first_id.get_or_insert(id);
-            inserted += 1;
-        }
-    }
-    let mut deleted = 0usize;
-    if let Some(ids) = flags.get("delete") {
-        for s in ids.split(',') {
-            let id: u64 = s
-                .trim()
-                .parse()
-                .map_err(|_| format!("--delete: bad id `{s}`"))?;
-            if client.delete(id).map_err(|e| e.to_string())? {
-                deleted += 1;
-            }
-        }
-    }
-    match first_id {
-        Some(first) => outln!(
-            "inserted {inserted} rows (ids {first}..{}), deleted {deleted}",
-            first + inserted as u64 - 1
-        ),
-        None => outln!("inserted 0 rows, deleted {deleted}"),
-    }
-    if get_bool(&flags, "flush")? {
-        let epoch = client.flush().map_err(|e| e.to_string())?;
-        outln!("flushed: serving epoch is now {epoch}");
-    }
-    Ok(())
+    // One connection behind all three verbs.
+    let client =
+        std::cell::RefCell::new(mmdr_serve::Client::connect(addr).map_err(|e| e.to_string())?);
+    apply_writes(
+        &flags,
+        |row| client.borrow_mut().insert(row).map_err(|e| e.to_string()),
+        |id| client.borrow_mut().delete(id).map_err(|e| e.to_string()),
+        || client.borrow_mut().flush().map_err(|e| e.to_string()),
+    )
 }
 
 fn cmd_remote_query(args: &[String]) -> Result<(), String> {
@@ -1292,7 +1189,7 @@ fn cmd_remote_query(args: &[String]) -> Result<(), String> {
                 c.protocol_errors,
                 c.queue_len
             );
-            print_ingest_stats(&s.ingest);
+            print_ingest_stats(&s.ingest, &s.cluster_drift);
             return Ok(());
         }
         Some("shutdown") => {

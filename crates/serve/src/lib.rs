@@ -29,18 +29,20 @@ pub mod wire;
 pub use client::Client;
 pub use error::{Result, ServeError};
 pub use server::{shutdown_flag_on_signals, Server, ServerConfig, ServerHandle};
-pub use wire::{IngestWire, RemoteStats, Request, Response, ServerCounters, WireError};
+pub use wire::{RemoteStats, Request, Response, ServerCounters, WireError};
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mmdr_index::{KnnHeap, Query, Scratch, SearchCounters, Target, VectorIndex};
+    use mmdr_index::{KnnHeap, Query, Scratch, SearchCounters, VectorIndex};
     use mmdr_storage::IoStats;
     use std::sync::Arc;
 
-    /// Minimal exact-scan backend for in-crate server tests.
+    /// Minimal exact-scan backend for in-crate server tests: `coords` holds
+    /// the points back to back, `dim` coordinates each.
     struct Toy {
-        points: Vec<Vec<f64>>,
+        dim: usize,
+        coords: Vec<f64>,
         io: Arc<IoStats>,
         search: Arc<SearchCounters>,
     }
@@ -50,35 +52,29 @@ mod tests {
             "toy"
         }
         fn len(&self) -> usize {
-            self.points.len()
+            self.coords.len() / self.dim
         }
         fn dim(&self) -> usize {
-            2
+            self.dim
         }
         fn search(&self, q: &Query<'_>, _: &mut Scratch) -> mmdr_index::Result<Vec<(f64, u64)>> {
-            if q.vector.len() != 2 {
+            if q.vector.len() != self.dim {
                 return Err(mmdr_index::Error::DimensionMismatch {
-                    expected: 2,
+                    expected: self.dim,
                     actual: q.vector.len(),
                 });
             }
-            let (k, radius) = match q.target {
-                Target::Knn(k) => (k, f64::INFINITY),
-                Target::Range(radius) => (usize::MAX, radius),
-            };
-            let mut heap = KnnHeap::new(k);
-            for (i, p) in self.points.iter().enumerate() {
+            let mut heap = KnnHeap::for_target(q.target);
+            for (i, p) in self.coords.chunks(self.dim).enumerate() {
                 let d = p
                     .iter()
                     .zip(q.vector)
                     .map(|(a, b)| (a - b) * (a - b))
                     .sum::<f64>()
                     .sqrt();
-                if d <= radius {
-                    heap.push(d, i as u64);
-                }
+                heap.push(d, i as u64);
             }
-            self.search.record_dists(self.points.len() as u64);
+            self.search.record_dists(self.len() as u64);
             Ok(heap.into_sorted_vec())
         }
         fn io_stats(&self) -> Arc<IoStats> {
@@ -89,12 +85,40 @@ mod tests {
         }
     }
 
-    fn toy() -> Arc<dyn VectorIndex> {
+    fn toy_over(dim: usize, coords: Vec<f64>) -> Arc<dyn VectorIndex> {
         Arc::new(Toy {
-            points: (0..32).map(|i| vec![i as f64, (i % 7) as f64]).collect(),
+            dim,
+            coords,
             io: IoStats::new(),
             search: SearchCounters::new(),
         })
+    }
+
+    fn toy() -> Arc<dyn VectorIndex> {
+        toy_over(
+            2,
+            (0..32).flat_map(|i| [i as f64, (i % 7) as f64]).collect(),
+        )
+    }
+
+    /// A range answer of 1 050 000 hits encodes to 16.8 MB, over the 16 MiB
+    /// frame. It must reach the client as a typed error, on a connection
+    /// that stays in sync: not as a frame the client's `read_frame`
+    /// refuses, and not as a worker lost to an assertion.
+    #[test]
+    fn an_answer_over_the_frame_limit_is_a_typed_error_and_the_connection_lives() {
+        let line = toy_over(1, (0..1_050_000).map(|i| i as f64).collect());
+        let handle =
+            Server::start_static(line, ("127.0.0.1", 0), ServerConfig::default()).expect("start");
+        let mut client = Client::connect(handle.local_addr()).expect("connect");
+        let err = client.range(&[0.0], 2e6).expect_err("too large to frame");
+        assert!(
+            matches!(&err, ServeError::Remote(m) if m.contains("exceeds the 16 MiB frame limit")),
+            "{err}"
+        );
+        client.ping().expect("ping on the same connection");
+        assert_eq!(client.knn(&[0.0], 3).expect("knn").len(), 3);
+        handle.shutdown();
     }
 
     #[test]

@@ -5,12 +5,15 @@
 //! - One **accept thread** owns the (non-blocking) listener, spawns a
 //!   reader thread per connection, and reaps finished ones.
 //! - One **reader thread per connection** decodes frames. Cheap ops
-//!   (`Ping`, `Stats`, `Shutdown`) are answered inline; query ops become
-//!   jobs on the bounded queue — or typed `OVERLOADED` rejections when the
-//!   queue or the connection's in-flight budget is full.
-//! - A fixed pool of **worker threads** pops jobs, coalesces compatible
-//!   queued singleton KNNs into one `batch_knn` call, and writes each
-//!   response to its connection under that connection's write lock.
+//!   (`Ping`, `Stats`, `Shutdown`) are answered inline; every other
+//!   decoded [`Request`] is queued as it is — or rejected with a typed
+//!   `OVERLOADED` when the queue or the connection's in-flight budget is
+//!   full.
+//! - A fixed pool of **worker threads** pops requests, folds compatible
+//!   queued singleton KNNs into one `BATCH_KNN` request, has `answer` —
+//!   the only dispatch from request to index call — produce the
+//!   [`Response`], and writes it to its connection under that connection's
+//!   write lock.
 //!
 //! # Determinism
 //!
@@ -35,7 +38,7 @@ use crate::stats::ServerStats;
 use crate::wire::{
     self, opcode, RemoteStats, Request, Response, ServerCounters, WireError, MAX_FRAME,
 };
-use mmdr_index::{LiveIndex, ReadOnlyLive, Target, VectorIndex};
+use mmdr_index::{LiveIndex, QueryStats, ReadOnlyLive, Target, VectorIndex};
 use mmdr_linalg::ParConfig;
 use std::io::{self, ErrorKind, Read};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
@@ -52,8 +55,8 @@ const TICK: Duration = Duration::from_millis(50);
 /// How long the accept loop sleeps when no connection is pending.
 const ACCEPT_TICK: Duration = Duration::from_millis(10);
 
-/// Server tuning knobs. `Default` is sized for a small host; the CLI maps
-/// `serve` flags onto these fields one-to-one.
+/// Server tuning knobs. `Default` is sized for a small host; the CLI sets
+/// `workers` and the two timeouts and leaves the rest at their defaults.
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
     /// Worker threads executing queries.
@@ -100,57 +103,15 @@ impl Default for ServerConfig {
     }
 }
 
-/// A queued op (the cheap ops never reach the queue). Writes ride the
-/// same queue as queries: admission control covers them, and a burst of
-/// inserts cannot starve reads any harder than a burst of queries could.
-enum JobOp {
-    Knn {
-        query: Vec<f64>,
-        k: usize,
-    },
-    Range {
-        query: Vec<f64>,
-        radius: f64,
-    },
-    Batch {
-        queries: Vec<Vec<f64>>,
-        k: usize,
-    },
-    Filtered {
-        query: Vec<f64>,
-        target: Target,
-        filter: String,
-    },
-    Insert {
-        vector: Vec<f64>,
-    },
-    Delete {
-        id: u64,
-    },
-    Flush,
-}
-
-impl JobOp {
-    fn opcode(&self) -> u8 {
-        match self {
-            JobOp::Knn { .. } => opcode::KNN,
-            JobOp::Range { .. } => opcode::RANGE,
-            JobOp::Batch { .. } => opcode::BATCH_KNN,
-            JobOp::Filtered { target, .. } => match target {
-                Target::Knn(_) => opcode::FILTERED_KNN,
-                Target::Range(_) => opcode::FILTERED_RANGE,
-            },
-            JobOp::Insert { .. } => opcode::INSERT,
-            JobOp::Delete { .. } => opcode::DELETE,
-            JobOp::Flush => opcode::FLUSH,
-        }
-    }
-}
-
+/// A queued request (the cheap ops never reach the queue): the decoded
+/// [`Request`] is the job, nothing is re-spelt on the way to the worker.
+/// Writes ride the same queue as queries: admission control covers them,
+/// and a burst of inserts cannot starve reads any harder than a burst of
+/// queries could.
 struct Job {
     request_id: u64,
     conn: Arc<Conn>,
-    op: JobOp,
+    request: Request,
 }
 
 /// The write half of one client connection, shared between its reader
@@ -164,14 +125,26 @@ struct Conn {
 impl Conn {
     /// Writes one response frame under the connection's write lock. A
     /// failed or timed-out write marks the connection dead; later sends
-    /// become no-ops instead of errors cascading through workers.
+    /// become no-ops instead of errors cascading through workers. An
+    /// answer too large for one frame goes out as a typed error instead:
+    /// nothing was written, so the connection stays in sync and usable.
     fn send_response(&self, request_id: u64, op: u8, resp: &Response) {
         if self.dead.load(Ordering::Relaxed) {
             return;
         }
         let payload = wire::encode_response(request_id, op, resp);
         let mut w = self.writer.lock().unwrap_or_else(|p| p.into_inner());
-        if wire::write_frame(&mut *w, &payload).is_err() {
+        let sent = match wire::write_frame(&mut *w, &payload) {
+            Err(e) if e.kind() == ErrorKind::InvalidInput => {
+                let too_large = Response::Error(format!(
+                    "answer of {} bytes exceeds the 16 MiB frame limit",
+                    payload.len()
+                ));
+                wire::write_frame(&mut *w, &wire::encode_response(request_id, op, &too_large))
+            }
+            sent => sent,
+        };
+        if sent.is_err() {
             self.dead.store(true, Ordering::Relaxed);
         }
     }
@@ -480,155 +453,114 @@ fn handle_frame(shared: &Arc<Shared>, conn: &Arc<Conn>, payload: &[u8]) -> bool 
             return false;
         }
     };
-    shared.stats.record_request();
+    shared.stats.record(&req);
     match req {
-        Request::Ping => {
-            conn.send_response(id, opcode::PING, &Response::Pong);
-            true
-        }
+        Request::Ping => conn.send_response(id, opcode::PING, &Response::Pong),
         Request::Stats => {
             let stats = build_stats(shared);
             conn.send_response(id, opcode::STATS, &Response::Stats(Box::new(stats)));
-            true
         }
         Request::Shutdown => {
             conn.send_response(id, opcode::SHUTDOWN, &Response::ShutdownStarted);
             shared.trigger_shutdown();
-            true
         }
-        Request::Knn { query, k } => {
-            shared.stats.record_knn();
-            enqueue(
-                shared,
-                conn,
-                id,
-                JobOp::Knn {
-                    query,
-                    k: k as usize,
-                },
-            )
-        }
-        Request::Range { query, radius } => {
-            shared.stats.record_range();
-            enqueue(shared, conn, id, JobOp::Range { query, radius })
-        }
-        Request::BatchKnn { queries, k } => {
-            shared.stats.record_batch();
-            enqueue(
-                shared,
-                conn,
-                id,
-                JobOp::Batch {
-                    queries,
-                    k: k as usize,
-                },
-            )
-        }
-        Request::Insert { vector } => {
-            shared.stats.record_insert();
-            enqueue(shared, conn, id, JobOp::Insert { vector })
-        }
-        Request::Delete { id: point } => {
-            shared.stats.record_delete();
-            enqueue(shared, conn, id, JobOp::Delete { id: point })
-        }
-        Request::FilteredKnn { query, k, filter } => {
-            shared.stats.record_knn();
-            enqueue(
-                shared,
-                conn,
-                id,
-                JobOp::Filtered {
-                    query,
-                    target: Target::Knn(k as usize),
-                    filter,
-                },
-            )
-        }
-        Request::FilteredRange {
-            query,
-            radius,
-            filter,
-        } => {
-            shared.stats.record_range();
-            enqueue(
-                shared,
-                conn,
-                id,
-                JobOp::Filtered {
-                    query,
-                    target: Target::Range(radius),
-                    filter,
-                },
-            )
-        }
-        Request::Flush => enqueue(shared, conn, id, JobOp::Flush),
+        request => enqueue(shared, conn, id, request),
     }
+    true
 }
 
 /// Admission control: per-connection in-flight cap, then the bounded
 /// queue. Both rejections are typed `OVERLOADED` — the request was not
 /// executed and the client may retry.
-fn enqueue(shared: &Arc<Shared>, conn: &Arc<Conn>, id: u64, op: JobOp) -> bool {
-    let op_byte = op.opcode();
+fn enqueue(shared: &Arc<Shared>, conn: &Arc<Conn>, id: u64, request: Request) {
+    let op = request.opcode();
     if conn.inflight.load(Ordering::Relaxed) >= shared.config.max_inflight {
         shared.stats.record_overloaded();
-        conn.send_response(id, op_byte, &Response::Overloaded);
-        return true;
+        conn.send_response(id, op, &Response::Overloaded);
+        return;
     }
     conn.inflight.fetch_add(1, Ordering::Relaxed);
-    match shared.queue.try_push(Job {
+    let rejection = match shared.queue.try_push(Job {
         request_id: id,
         conn: Arc::clone(conn),
-        op,
+        request,
     }) {
-        Ok(()) => true,
+        Ok(()) => return,
         Err(PushError::Full) => {
-            conn.inflight.fetch_sub(1, Ordering::Relaxed);
             shared.stats.record_overloaded();
-            conn.send_response(id, op_byte, &Response::Overloaded);
-            true
+            Response::Overloaded
         }
-        Err(PushError::Closed) => {
-            conn.inflight.fetch_sub(1, Ordering::Relaxed);
-            conn.send_response(id, op_byte, &Response::Error("server shutting down".into()));
-            true
-        }
-    }
+        Err(PushError::Closed) => Response::Error("server shutting down".into()),
+    };
+    conn.inflight.fetch_sub(1, Ordering::Relaxed);
+    conn.send_response(id, op, &rejection);
 }
 
 fn build_stats(shared: &Shared) -> RemoteStats {
     let pin = shared.index.pin();
-    let mut ingest: crate::wire::IngestWire = shared.index.ingest_stats().into();
-    ingest.cluster_drift = shared.index.model_drift();
     // The planner lives in the serving handle, not the index; graft its
     // decision counters onto the index's query counters for the wire.
-    let mut query: crate::wire::QueryStatsWire = pin.index.query_stats().into();
-    let [post, push, rank] = shared.index.planner_counts();
-    query.planner_post_filter = post;
-    query.planner_pushdown = push;
-    query.planner_prefilter_rank = rank;
+    let [planner_post_filter, planner_pushdown, planner_prefilter_rank] =
+        shared.index.planner_counts();
     RemoteStats {
         backend: pin.index.name().to_string(),
         len: pin.index.len() as u64,
         dim: pin.index.dim() as u32,
-        query,
+        query: QueryStats {
+            planner_post_filter,
+            planner_pushdown,
+            planner_prefilter_rank,
+            ..pin.index.query_stats()
+        },
         pools: pin.index.pool_stats(),
         server: shared.stats.snapshot(shared.queue.len()),
-        ingest,
+        ingest: shared.index.ingest_stats(),
+        cluster_drift: shared.index.model_drift(),
         shard: pin.index.shard_stats(),
     }
 }
 
 // ---- workers ---------------------------------------------------------------
 
-/// Runs an index call behind a panic guard so one poisoned request cannot
-/// take a worker (and with it a share of the pool) down.
-fn guarded<R>(f: impl FnOnce() -> mmdr_index::Result<R>) -> Result<R, String> {
-    match std::panic::catch_unwind(AssertUnwindSafe(f)) {
-        Ok(Ok(r)) => Ok(r),
-        Ok(Err(e)) => Err(e.to_string()),
-        Err(_) => Err("internal error: query panicked".into()),
+/// Answers one queued request: the only place a request variant becomes an
+/// index call. Queries pin the serving epoch once and run to completion
+/// against it even if a merge swaps mid-flight; a filtered search pins
+/// inside the engine (plan and search against one epoch).
+fn answer(live: &dyn LiveIndex, req: &Request, par: &ParConfig) -> mmdr_index::Result<Response> {
+    Ok(match req {
+        Request::Knn { query, k } => Response::Neighbors(live.pin().index.knn(query, *k as usize)?),
+        Request::Range { query, radius } => {
+            Response::Neighbors(live.pin().index.range_search(query, *radius)?)
+        }
+        Request::BatchKnn { queries, k } => {
+            Response::Batch(live.pin().index.batch_knn(queries, *k as usize, par)?)
+        }
+        Request::FilteredKnn { query, k, filter } => {
+            Response::Neighbors(live.filtered(query, Target::Knn(*k as usize), filter)?)
+        }
+        Request::FilteredRange {
+            query,
+            radius,
+            filter,
+        } => Response::Neighbors(live.filtered(query, Target::Range(*radius), filter)?),
+        Request::Insert { vector } => Response::Inserted(live.insert(vector)?),
+        Request::Delete { id } => Response::Deleted(live.delete(*id)?),
+        Request::Flush => Response::Flushed(live.flush()?),
+        Request::Ping | Request::Stats | Request::Shutdown => {
+            unreachable!("the reader answers {req:?} inline; it is never queued")
+        }
+    })
+}
+
+/// Runs [`answer`] behind a panic guard, so one poisoned request cannot
+/// take a worker (and with it a share of the pool) down, and turns every
+/// failure into the typed `ERROR` response its caller gets.
+fn guarded_answer(shared: &Shared, req: &Request, par: &ParConfig) -> Response {
+    let run = AssertUnwindSafe(|| answer(&*shared.index, req, par));
+    match std::panic::catch_unwind(run) {
+        Ok(Ok(resp)) => resp,
+        Ok(Err(e)) => Response::Error(e.to_string()),
+        Err(_) => Response::Error("internal error: query panicked".into()),
     }
 }
 
@@ -637,140 +569,69 @@ fn send_and_release(conn: &Conn, request_id: u64, op: u8, resp: &Response) {
     conn.inflight.fetch_sub(1, Ordering::Relaxed);
 }
 
+fn run(shared: &Shared, job: &Job, par: &ParConfig) {
+    let resp = guarded_answer(shared, &job.request, par);
+    send_and_release(&job.conn, job.request_id, job.request.opcode(), &resp);
+}
+
 fn worker_loop(shared: &Arc<Shared>) {
     let par = ParConfig::threads(shared.config.batch_threads.max(1));
     while let Some(job) = shared.queue.pop() {
-        let Job {
-            request_id,
-            conn,
-            op,
-        } = job;
-        let op_byte = op.opcode();
-        match op {
-            JobOp::Knn { query, k } if shared.config.coalesce > 1 => {
-                coalesce_and_run(shared, request_id, conn, query, k, &par);
+        match job.request {
+            Request::Knn { k, .. } if shared.config.coalesce > 1 => {
+                coalesce_and_run(shared, job, k, &par);
             }
-            JobOp::Knn { query, k } => {
-                // One pin per job: the query runs to completion against
-                // this epoch even if a merge swaps mid-flight.
-                let pin = shared.index.pin();
-                let resp = match guarded(|| pin.index.knn(&query, k)) {
-                    Ok(hits) => Response::Neighbors(hits),
-                    Err(msg) => Response::Error(msg),
-                };
-                send_and_release(&conn, request_id, opcode::KNN, &resp);
-            }
-            JobOp::Range { query, radius } => {
-                let pin = shared.index.pin();
-                let resp = match guarded(|| pin.index.range_search(&query, radius)) {
-                    Ok(hits) => Response::Neighbors(hits),
-                    Err(msg) => Response::Error(msg),
-                };
-                send_and_release(&conn, request_id, opcode::RANGE, &resp);
-            }
-            JobOp::Batch { queries, k } => {
-                let pin = shared.index.pin();
-                let resp = match guarded(|| pin.index.batch_knn(&queries, k, &par)) {
-                    Ok(rows) => Response::Batch(rows),
-                    Err(msg) => Response::Error(msg),
-                };
-                send_and_release(&conn, request_id, opcode::BATCH_KNN, &resp);
-            }
-            JobOp::Filtered {
-                query,
-                target,
-                filter,
-            } => {
-                // The engine pins internally (plan and search against one
-                // epoch); no coalescing — filtered answers never batch.
-                let resp = match guarded(|| shared.index.filtered(&query, target, &filter)) {
-                    Ok(hits) => Response::Neighbors(hits),
-                    Err(msg) => Response::Error(msg),
-                };
-                send_and_release(&conn, request_id, op_byte, &resp);
-            }
-            JobOp::Insert { vector } => {
-                let resp = match guarded(|| shared.index.insert(&vector)) {
-                    Ok(id) => Response::Inserted(id),
-                    Err(msg) => Response::Error(msg),
-                };
-                send_and_release(&conn, request_id, opcode::INSERT, &resp);
-            }
-            JobOp::Delete { id } => {
-                let resp = match guarded(|| shared.index.delete(id)) {
-                    Ok(changed) => Response::Deleted(changed),
-                    Err(msg) => Response::Error(msg),
-                };
-                send_and_release(&conn, request_id, opcode::DELETE, &resp);
-            }
-            JobOp::Flush => {
-                let resp = match guarded(|| shared.index.flush()) {
-                    Ok(epoch) => Response::Flushed(epoch),
-                    Err(msg) => Response::Error(msg),
-                };
-                send_and_release(&conn, request_id, opcode::FLUSH, &resp);
-            }
+            _ => run(shared, &job, &par),
         }
     }
 }
 
-/// Folds queued singleton KNNs with the same `k` into one `batch_knn`
-/// call. Answers are bit-identical to answering each alone — the batch
+/// Folds queued singleton KNNs with the same `k` into one `BATCH_KNN`
+/// request. Answers are bit-identical to answering each alone — the batch
 /// executor's contract — so coalescing is purely a throughput optimization
 /// (one executor invocation, shared page-cache locality, fewer heap
-/// allocations per request).
-fn coalesce_and_run(
-    shared: &Arc<Shared>,
-    lead_id: u64,
-    lead_conn: Arc<Conn>,
-    lead_query: Vec<f64>,
-    k: usize,
-    par: &ParConfig,
-) {
+/// allocations per request), and one pin serves the whole fold: a batch
+/// can never mix pre- and post-merge views.
+fn coalesce_and_run(shared: &Arc<Shared>, lead: Job, k: u32, par: &ParConfig) {
     let more = shared.queue.drain_matching(
         shared.config.coalesce.saturating_sub(1),
-        |j| matches!(&j.op, JobOp::Knn { k: jk, .. } if *jk == k),
+        |j| matches!(&j.request, Request::Knn { k: jk, .. } if *jk == k),
     );
-    // One pin for the whole fold: every coalesced query answers from the
-    // same epoch, so a batch can never mix pre- and post-merge views.
-    let pin = shared.index.pin();
     if more.is_empty() {
-        let resp = match guarded(|| pin.index.knn(&lead_query, k)) {
-            Ok(hits) => Response::Neighbors(hits),
-            Err(msg) => Response::Error(msg),
-        };
-        send_and_release(&lead_conn, lead_id, opcode::KNN, &resp);
-        return;
+        return run(shared, &lead, par);
     }
-    let mut recipients = vec![(lead_id, lead_conn)];
-    let mut queries = vec![lead_query];
-    for j in more {
-        match j.op {
-            JobOp::Knn { query, .. } => {
-                recipients.push((j.request_id, j.conn));
-                queries.push(query);
-            }
-            // drain_matching only matched Knn jobs.
-            _ => unreachable!("coalesce predicate admits only singleton KNN"),
-        }
+    let mut recipients = Vec::with_capacity(1 + more.len());
+    let mut queries = Vec::with_capacity(1 + more.len());
+    for job in std::iter::once(lead).chain(more) {
+        let Request::Knn { query, .. } = job.request else {
+            unreachable!("coalesce predicate admits only singleton KNN");
+        };
+        recipients.push((job.request_id, job.conn));
+        queries.push(query);
     }
     shared.stats.record_coalesce(queries.len() as u64);
-    match guarded(|| pin.index.batch_knn(&queries, k, par)) {
-        Ok(rows) => {
+    let batch = Request::BatchKnn { queries, k };
+    match guarded_answer(shared, &batch, par) {
+        Response::Batch(rows) => {
             for ((id, conn), hits) in recipients.iter().zip(rows) {
                 send_and_release(conn, *id, opcode::KNN, &Response::Neighbors(hits));
             }
         }
-        Err(_) => {
-            // The batch failed as a whole (e.g. one query has the wrong
-            // dimension). Re-run individually so each caller gets its own
-            // typed verdict instead of a shared one.
-            for ((id, conn), q) in recipients.iter().zip(&queries) {
-                let resp = match guarded(|| pin.index.knn(q, k)) {
-                    Ok(hits) => Response::Neighbors(hits),
-                    Err(msg) => Response::Error(msg),
+        // The batch failed as a whole (e.g. one query has the wrong
+        // dimension). Re-run individually so each caller gets its own
+        // typed verdict instead of a shared one.
+        _ => {
+            let Request::BatchKnn { queries, .. } = batch else {
+                unreachable!("`batch` was built as a BATCH_KNN above");
+            };
+            for ((request_id, conn), query) in recipients.into_iter().zip(queries) {
+                let request = Request::Knn { query, k };
+                let job = Job {
+                    request_id,
+                    conn,
+                    request,
                 };
-                send_and_release(conn, *id, opcode::KNN, &resp);
+                run(shared, &job, par);
             }
         }
     }

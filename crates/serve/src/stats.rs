@@ -1,6 +1,6 @@
 //! Server-side traffic counters.
 
-use crate::wire::ServerCounters;
+use crate::wire::{Request, ServerCounters};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Relaxed-atomic counters the server threads bump as they work; a
@@ -29,29 +29,19 @@ impl ServerStats {
     pub fn record_connection(&self) {
         self.connections.fetch_add(1, Ordering::Relaxed);
     }
-    /// Counts one successfully decoded request of any opcode.
-    pub fn record_request(&self) {
+    /// Counts one successfully decoded request, in total and under its
+    /// kind: a filtered search counts as the KNN or range query it is.
+    pub fn record(&self, req: &Request) {
         self.requests.fetch_add(1, Ordering::Relaxed);
-    }
-    /// Counts one singleton KNN request.
-    pub fn record_knn(&self) {
-        self.knn_requests.fetch_add(1, Ordering::Relaxed);
-    }
-    /// Counts one range request.
-    pub fn record_range(&self) {
-        self.range_requests.fetch_add(1, Ordering::Relaxed);
-    }
-    /// Counts one client-side batch request.
-    pub fn record_batch(&self) {
-        self.batch_requests.fetch_add(1, Ordering::Relaxed);
-    }
-    /// Counts one insert request.
-    pub fn record_insert(&self) {
-        self.insert_requests.fetch_add(1, Ordering::Relaxed);
-    }
-    /// Counts one delete request.
-    pub fn record_delete(&self) {
-        self.delete_requests.fetch_add(1, Ordering::Relaxed);
+        let kind = match req {
+            Request::Knn { .. } | Request::FilteredKnn { .. } => &self.knn_requests,
+            Request::Range { .. } | Request::FilteredRange { .. } => &self.range_requests,
+            Request::BatchKnn { .. } => &self.batch_requests,
+            Request::Insert { .. } => &self.insert_requests,
+            Request::Delete { .. } => &self.delete_requests,
+            Request::Ping | Request::Stats | Request::Shutdown | Request::Flush => return,
+        };
+        kind.fetch_add(1, Ordering::Relaxed);
     }
     /// Counts one typed `OVERLOADED` rejection.
     pub fn record_overloaded(&self) {
@@ -97,9 +87,12 @@ mod tests {
     fn counters_accumulate() {
         let s = ServerStats::default();
         s.record_connection();
-        s.record_request();
-        s.record_request();
-        s.record_knn();
+        s.record(&Request::Ping);
+        s.record(&Request::FilteredKnn {
+            query: vec![0.5],
+            k: 3,
+            filter: "n = 1".into(),
+        });
         s.record_coalesce(4);
         s.record_coalesce(2);
         s.record_overloaded();

@@ -8,10 +8,34 @@
 //!   u32 magic      0x4D4D4452 ("MMDR")
 //!   u16 version    PROTOCOL_VERSION
 //!   u64 request_id caller-chosen; echoed verbatim in the response
-//!   u8  opcode     PING | KNN | RANGE | BATCH_KNN | STATS | SHUTDOWN
+//!   u8  opcode     one of the eleven below; a response echoes its request's
 //!   u8  status     REQUEST on requests; OK | OVERLOADED | ERROR on responses
-//!   …   body       opcode/status-specific, layouts below
+//!   …   body       by opcode and status:
+//!
+//! opcode             request body                             OK-response body
+//!  1 PING            —                                        —
+//!  2 KNN             u32 k, vec<f64> query                    vec<(f64 dist, u64 id)>
+//!  3 RANGE           f64 radius, vec<f64> query               vec<(f64 dist, u64 id)>
+//!  4 BATCH_KNN       u32 k, u32 nq, u32 dim, nq·dim f64       vec<vec<(f64 dist, u64 id)>>
+//!  5 STATS           —                                        RemoteStats, field by field
+//!  6 SHUTDOWN        —                                        —
+//!  7 INSERT          vec<f64> vector                          u64 id
+//!  8 DELETE          u64 id                                   bool changed
+//!  9 FLUSH           —                                        u64 epoch
+//! 10 FILTERED_KNN    u32 k, str filter, vec<f64> query        vec<(f64 dist, u64 id)>
+//! 11 FILTERED_RANGE  f64 radius, str filter, vec<f64> query   vec<(f64 dist, u64 id)>
+//!
+//! OVERLOADED body: empty.    ERROR body: str message.
+//!
+//! vec<T> = u32 count, then the elements    str    = vec<u8>, UTF-8
+//! bool   = u8, 0 or 1                      opt<T> = bool, then T when 1
+//! a struct is its fields in declaration order (`opt<ShardStats>` closes STATS)
 //! ```
+//!
+//! The table is the code: each row's request body is one line of
+//! `request_bodies!`, each struct one `wire_struct!` field list, and both
+//! directions are generated from that one list (`Wire` is implemented once
+//! per building block), so an encoder and its decoder cannot disagree.
 //!
 //! All integers are little-endian; floats are IEEE-754 bit patterns, so a
 //! round trip is bit-exact — the parity gate compares served distances to
@@ -21,7 +45,7 @@
 //! oversized allocation, and every malformed input surfaces as a typed
 //! [`WireError`], never a panic.
 
-use mmdr_index::{QueryStats, ShardStats};
+use mmdr_index::{IngestStats, QueryStats, ShardStats};
 use mmdr_storage::{PoolStats, ShardCounters};
 use std::fmt;
 use std::io::{self, Read, Write};
@@ -36,11 +60,11 @@ pub const MAGIC: u32 = 0x4D4D_4452;
 /// added the optional scatter-gather attribution block to `STATS`, so
 /// clients can observe shard pruning. Version 4 added the
 /// adaptive-maintenance block to `STATS` (`model_epoch`, `refits`, and
-/// the per-cluster drift vector in [`IngestWire`]), so operators can
-/// watch a drifting stream approach the re-fit threshold remotely.
+/// the per-cluster drift vector), so operators can watch a drifting stream
+/// approach the re-fit threshold remotely.
 /// Version 5 added attribute-filtered search (`FILTERED_KNN` /
 /// `FILTERED_RANGE`, carrying the predicate as its canonical text) and
-/// the three planner-choice counters in [`QueryStatsWire`]. Version 6
+/// the three planner-choice counters in [`QueryStats`]. Version 6
 /// dropped version 3's open-configuration echo (`workers`, `pool_pages`,
 /// `readahead`) from `STATS`: a router checks shard homogeneity on
 /// `backend`, `dim` and `len`, and nothing ever read the echo.
@@ -202,25 +226,6 @@ pub enum Request {
     },
 }
 
-impl Request {
-    /// The opcode this request travels under.
-    pub fn opcode(&self) -> u8 {
-        match self {
-            Request::Ping => opcode::PING,
-            Request::Knn { .. } => opcode::KNN,
-            Request::Range { .. } => opcode::RANGE,
-            Request::BatchKnn { .. } => opcode::BATCH_KNN,
-            Request::Stats => opcode::STATS,
-            Request::Shutdown => opcode::SHUTDOWN,
-            Request::Insert { .. } => opcode::INSERT,
-            Request::Delete { .. } => opcode::DELETE,
-            Request::Flush => opcode::FLUSH,
-            Request::FilteredKnn { .. } => opcode::FILTERED_KNN,
-            Request::FilteredRange { .. } => opcode::FILTERED_RANGE,
-        }
-    }
-}
-
 /// A decoded response.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Response {
@@ -258,97 +263,18 @@ pub struct RemoteStats {
     /// Query dimensionality.
     pub dim: u32,
     /// Cumulative query cost, same fields the CLI prints.
-    pub query: QueryStatsWire,
+    pub query: QueryStats,
     /// Per-pool, per-shard buffer counters.
     pub pools: Vec<PoolStats>,
     /// Server traffic/coalescing/rejection counters.
     pub server: ServerCounters,
     /// Ingest-side state: delta pressure, WAL size, epoch, merges.
-    pub ingest: IngestWire,
+    pub ingest: IngestStats,
+    /// Per-cluster MPE drift of routed inserts, relative to `max_mpe`.
+    pub cluster_drift: Vec<f64>,
     /// Scatter-gather attribution, present when the served index is a
     /// router front ([`mmdr_index::VectorIndex::shard_stats`]).
     pub shard: Option<ShardStats>,
-}
-
-/// [`mmdr_index::IngestStats`] with a stable wire layout.
-#[derive(Debug, Clone, PartialEq, Default)]
-pub struct IngestWire {
-    /// Serving epoch number (bumped by every merge + swap).
-    pub epoch: u64,
-    /// Rows in the serving epoch's delta.
-    pub delta_rows: u64,
-    /// Tombstoned ids in the serving epoch.
-    pub tombstones: u64,
-    /// Bytes in the write-ahead log.
-    pub wal_bytes: u64,
-    /// Merges completed since the server opened the index.
-    pub merges: u64,
-    /// Next id the engine will assign.
-    pub next_id: u64,
-    /// Reduction-model epoch (bumped by every background re-fit).
-    pub model_epoch: u64,
-    /// Re-fits completed since the server opened the index.
-    pub refits: u64,
-    /// Per-cluster MPE drift of routed inserts, relative to `max_mpe`.
-    pub cluster_drift: Vec<f64>,
-}
-
-impl From<mmdr_index::IngestStats> for IngestWire {
-    fn from(s: mmdr_index::IngestStats) -> Self {
-        Self {
-            epoch: s.epoch,
-            delta_rows: s.delta_rows,
-            tombstones: s.tombstones,
-            wal_bytes: s.wal_bytes,
-            merges: s.merges,
-            next_id: s.next_id,
-            model_epoch: s.model_epoch,
-            refits: s.refits,
-            cluster_drift: Vec::new(),
-        }
-    }
-}
-
-/// [`QueryStats`] with a stable wire layout (plain `u64`s).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct QueryStatsWire {
-    /// Point-to-point distance evaluations.
-    pub dist_computations: u64,
-    /// Logical page/node touches.
-    pub pages_touched: u64,
-    /// Logical page reads (buffer misses).
-    pub page_reads: u64,
-    /// Candidates offered to the top-k set.
-    pub candidates_refined: u64,
-    /// Pages physically fetched from the snapshot file (out-of-core opens).
-    pub physical_reads: u64,
-    /// Misses served from the readahead window.
-    pub readahead_hits: u64,
-    /// Physical fetches that failed.
-    pub read_errors: u64,
-    /// Filtered queries the planner ran as a post-filtered scan.
-    pub planner_post_filter: u64,
-    /// Filtered queries the planner pushed the bitmap into the index for.
-    pub planner_pushdown: u64,
-    /// Filtered queries answered by ranking the prefiltered matches.
-    pub planner_prefilter_rank: u64,
-}
-
-impl From<QueryStats> for QueryStatsWire {
-    fn from(q: QueryStats) -> Self {
-        Self {
-            dist_computations: q.dist_computations,
-            pages_touched: q.pages_touched,
-            page_reads: q.page_reads,
-            candidates_refined: q.candidates_refined,
-            physical_reads: q.physical_reads,
-            readahead_hits: q.readahead_hits,
-            read_errors: q.read_errors,
-            planner_post_filter: q.planner_post_filter,
-            planner_pushdown: q.planner_pushdown,
-            planner_prefilter_rank: q.planner_prefilter_rank,
-        }
-    }
 }
 
 /// Snapshot of the server's own counters, as carried by the `Stats` op.
@@ -382,96 +308,35 @@ pub struct ServerCounters {
     pub queue_len: u64,
 }
 
-// ---- primitive codec ------------------------------------------------------
+// ---- the building blocks --------------------------------------------------
 
-/// Append-only little-endian byte sink.
+/// Append-only byte sink for one frame payload.
 #[derive(Default)]
-pub(crate) struct Enc(Vec<u8>);
+struct Enc(Vec<u8>);
 
-impl Enc {
-    pub fn new() -> Self {
-        Self::default()
-    }
-    pub fn u8(&mut self, v: u8) {
-        self.0.push(v);
-    }
-    pub fn u16(&mut self, v: u16) {
-        self.0.extend_from_slice(&v.to_le_bytes());
-    }
-    pub fn u32(&mut self, v: u32) {
-        self.0.extend_from_slice(&v.to_le_bytes());
-    }
-    pub fn u64(&mut self, v: u64) {
-        self.0.extend_from_slice(&v.to_le_bytes());
-    }
-    pub fn f64(&mut self, v: f64) {
-        self.u64(v.to_bits());
-    }
-    pub fn bytes(&mut self, v: &[u8]) {
-        self.0.extend_from_slice(v);
-    }
-    pub fn into_vec(self) -> Vec<u8> {
-        self.0
-    }
-}
-
-/// Bounds-checked little-endian reader over one frame payload.
-pub(crate) struct Dec<'a> {
+/// Bounds-checked reader over one frame payload.
+struct Dec<'a> {
     buf: &'a [u8],
     pos: usize,
 }
 
 impl<'a> Dec<'a> {
-    pub fn new(buf: &'a [u8]) -> Self {
+    fn new(buf: &'a [u8]) -> Self {
         Self { buf, pos: 0 }
     }
 
-    pub fn remaining(&self) -> usize {
+    fn remaining(&self) -> usize {
         self.buf.len() - self.pos
     }
 
-    fn take(&mut self, n: usize) -> Result<&'a [u8], WireError> {
-        if self.remaining() < n {
-            return Err(WireError::Truncated);
-        }
-        let s = &self.buf[self.pos..self.pos + n];
-        self.pos += n;
-        Ok(s)
+    fn take<const N: usize>(&mut self) -> Result<[u8; N], WireError> {
+        let end = self.pos + N;
+        let bytes = self.buf.get(self.pos..end).ok_or(WireError::Truncated)?;
+        self.pos = end;
+        Ok(bytes.try_into().expect("the slice is N bytes long"))
     }
 
-    pub fn u8(&mut self) -> Result<u8, WireError> {
-        Ok(self.take(1)?[0])
-    }
-    pub fn u16(&mut self) -> Result<u16, WireError> {
-        Ok(u16::from_le_bytes(self.take(2)?.try_into().unwrap()))
-    }
-    pub fn u32(&mut self) -> Result<u32, WireError> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
-    }
-    pub fn u64(&mut self) -> Result<u64, WireError> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-    }
-    pub fn f64(&mut self) -> Result<f64, WireError> {
-        Ok(f64::from_bits(self.u64()?))
-    }
-
-    /// Reads a `u32` element count, verifying `count * elem_bytes` does not
-    /// exceed the bytes actually present — so a hostile count can never
-    /// drive allocation past the (already capped) frame size.
-    pub fn len(&mut self, elem_bytes: usize) -> Result<usize, WireError> {
-        let n = self.u32()? as usize;
-        if n.checked_mul(elem_bytes.max(1))
-            .is_none_or(|need| need > self.remaining())
-        {
-            return Err(WireError::Malformed(format!(
-                "count {n} × {elem_bytes}B exceeds the {} bytes present",
-                self.remaining()
-            )));
-        }
-        Ok(n)
-    }
-
-    pub fn expect_end(&self) -> Result<(), WireError> {
+    fn expect_end(&self) -> Result<(), WireError> {
         if self.remaining() != 0 {
             return Err(WireError::Malformed(format!(
                 "{} trailing bytes",
@@ -482,50 +347,309 @@ impl<'a> Dec<'a> {
     }
 }
 
-fn put_vec(e: &mut Enc, v: &[f64]) {
-    e.u32(v.len() as u32);
-    for &x in v {
-        e.f64(x);
+/// One wire type: how a value is written and how it is read back. Every
+/// body above is a sequence of these, so each layout is stated once and
+/// serves both directions.
+trait Wire: Sized {
+    /// The fewest bytes one encoded value occupies — what a `vec` count is
+    /// checked against before anything is read.
+    const MIN_BYTES: usize;
+    fn put(&self, e: &mut Enc);
+    fn get(d: &mut Dec<'_>) -> Result<Self, WireError>;
+}
+
+macro_rules! wire_int {
+    ($($int:ty),+) => {$(
+        impl Wire for $int {
+            const MIN_BYTES: usize = std::mem::size_of::<$int>();
+            fn put(&self, e: &mut Enc) {
+                e.0.extend_from_slice(&self.to_le_bytes());
+            }
+            fn get(d: &mut Dec<'_>) -> Result<Self, WireError> {
+                Ok(<$int>::from_le_bytes(d.take()?))
+            }
+        }
+    )+};
+}
+wire_int!(u8, u16, u32, u64);
+
+impl Wire for f64 {
+    const MIN_BYTES: usize = 8;
+    fn put(&self, e: &mut Enc) {
+        self.to_bits().put(e);
+    }
+    fn get(d: &mut Dec<'_>) -> Result<Self, WireError> {
+        Ok(f64::from_bits(u64::get(d)?))
     }
 }
 
-fn get_vec(d: &mut Dec<'_>) -> Result<Vec<f64>, WireError> {
-    let n = d.len(8)?;
-    (0..n).map(|_| d.f64()).collect()
-}
-
-fn put_hits(e: &mut Enc, hits: &[(f64, u64)]) {
-    e.u32(hits.len() as u32);
-    for &(dist, id) in hits {
-        e.f64(dist);
-        e.u64(id);
+impl Wire for bool {
+    const MIN_BYTES: usize = 1;
+    fn put(&self, e: &mut Enc) {
+        (*self as u8).put(e);
+    }
+    fn get(d: &mut Dec<'_>) -> Result<Self, WireError> {
+        match u8::get(d)? {
+            0 => Ok(false),
+            1 => Ok(true),
+            other => Err(WireError::Malformed(format!(
+                "flag byte must be 0 or 1, found {other}"
+            ))),
+        }
     }
 }
 
-fn get_hits(d: &mut Dec<'_>) -> Result<Vec<(f64, u64)>, WireError> {
-    let n = d.len(16)?;
-    (0..n).map(|_| Ok((d.f64()?, d.u64()?))).collect()
+/// One answer row: `(distance, point id)`.
+impl Wire for (f64, u64) {
+    const MIN_BYTES: usize = 16;
+    fn put(&self, e: &mut Enc) {
+        self.0.put(e);
+        self.1.put(e);
+    }
+    fn get(d: &mut Dec<'_>) -> Result<Self, WireError> {
+        Ok((f64::get(d)?, u64::get(d)?))
+    }
 }
 
-fn put_str(e: &mut Enc, s: &str) {
-    e.u32(s.len() as u32);
-    e.bytes(s.as_bytes());
+/// `vec<T>`. The one place a count from the wire is believed: only after
+/// `count × T::MIN_BYTES` is shown to fit in the bytes actually present, so
+/// a hostile count can never drive work or allocation past the (already
+/// capped) frame size.
+impl<T: Wire> Wire for Vec<T> {
+    const MIN_BYTES: usize = 4;
+    fn put(&self, e: &mut Enc) {
+        (self.len() as u32).put(e);
+        for item in self {
+            item.put(e);
+        }
+    }
+    fn get(d: &mut Dec<'_>) -> Result<Self, WireError> {
+        let n = u32::get(d)? as usize;
+        if n.checked_mul(T::MIN_BYTES.max(1))
+            .is_none_or(|need| need > d.remaining())
+        {
+            return Err(WireError::Malformed(format!(
+                "count {n} × {}B exceeds the {} bytes present",
+                T::MIN_BYTES,
+                d.remaining()
+            )));
+        }
+        (0..n).map(|_| T::get(d)).collect()
+    }
 }
 
-fn get_str(d: &mut Dec<'_>, what: &str) -> Result<String, WireError> {
-    let n = d.len(1)?;
-    String::from_utf8(d.take(n)?.to_vec())
-        .map_err(|_| WireError::Malformed(format!("{what} is not UTF-8")))
+impl Wire for String {
+    const MIN_BYTES: usize = 4;
+    fn put(&self, e: &mut Enc) {
+        (self.len() as u32).put(e);
+        e.0.extend_from_slice(self.as_bytes());
+    }
+    fn get(d: &mut Dec<'_>) -> Result<Self, WireError> {
+        String::from_utf8(Vec::get(d)?)
+            .map_err(|_| WireError::Malformed("a string is not UTF-8".into()))
+    }
+}
+
+impl<T: Wire> Wire for Option<T> {
+    const MIN_BYTES: usize = 1;
+    fn put(&self, e: &mut Enc) {
+        self.is_some().put(e);
+        if let Some(v) = self {
+            v.put(e);
+        }
+    }
+    fn get(d: &mut Dec<'_>) -> Result<Self, WireError> {
+        Ok(if bool::get(d)? {
+            Some(T::get(d)?)
+        } else {
+            None
+        })
+    }
+}
+
+/// A struct on the wire is its fields in the order listed here; `put` and
+/// `get` are both generated from the one list.
+macro_rules! wire_struct {
+    ($ty:ty { $($field:ident: $fty:ty),+ $(,)? }) => {
+        impl Wire for $ty {
+            const MIN_BYTES: usize = 0 $(+ <$fty as Wire>::MIN_BYTES)+;
+            fn put(&self, e: &mut Enc) {
+                $(self.$field.put(e);)+
+            }
+            fn get(d: &mut Dec<'_>) -> Result<Self, WireError> {
+                Ok(Self { $($field: <$fty as Wire>::get(d)?),+ })
+            }
+        }
+    };
+}
+
+wire_struct!(ShardCounters {
+    hits: u64,
+    misses: u64,
+    evictions: u64,
+});
+wire_struct!(PoolStats {
+    per_shard: Vec<ShardCounters>,
+});
+wire_struct!(QueryStats {
+    dist_computations: u64,
+    pages_touched: u64,
+    page_reads: u64,
+    candidates_refined: u64,
+    physical_reads: u64,
+    readahead_hits: u64,
+    read_errors: u64,
+    planner_post_filter: u64,
+    planner_pushdown: u64,
+    planner_prefilter_rank: u64,
+});
+wire_struct!(ServerCounters {
+    connections: u64,
+    requests: u64,
+    knn_requests: u64,
+    range_requests: u64,
+    batch_requests: u64,
+    insert_requests: u64,
+    delete_requests: u64,
+    coalesced_batches: u64,
+    coalesced_queries: u64,
+    max_coalesce: u64,
+    overloaded: u64,
+    protocol_errors: u64,
+    queue_len: u64,
+});
+wire_struct!(IngestStats {
+    epoch: u64,
+    delta_rows: u64,
+    tombstones: u64,
+    wal_bytes: u64,
+    merges: u64,
+    next_id: u64,
+    model_epoch: u64,
+    refits: u64,
+});
+wire_struct!(ShardStats {
+    shards: u64,
+    queries: u64,
+    contacted: u64,
+    pruned: u64,
+    degraded: u64,
+    per_shard_contacts: Vec<u64>,
+    per_shard_partials: Vec<u64>,
+});
+wire_struct!(RemoteStats {
+    backend: String,
+    len: u64,
+    dim: u32,
+    query: QueryStats,
+    pools: Vec<PoolStats>,
+    server: ServerCounters,
+    ingest: IngestStats,
+    cluster_drift: Vec<f64>,
+    shard: Option<ShardStats>,
+});
+
+/// `BATCH_KNN`'s queries: equal-width rows sent as one rectangle — `u32 nq,
+/// u32 dim`, then `nq·dim` floats row by row — instead of a `vec` of `vec`s
+/// (one count, not one per query).
+struct Rect;
+
+impl Rect {
+    fn put(rows: &[Vec<f64>], e: &mut Enc) {
+        (rows.len() as u32).put(e);
+        (rows.first().map_or(0, Vec::len) as u32).put(e);
+        for x in rows.iter().flatten() {
+            x.put(e);
+        }
+    }
+
+    fn get(d: &mut Dec<'_>) -> Result<Vec<Vec<f64>>, WireError> {
+        let nq = u32::get(d)? as usize;
+        let dim = u32::get(d)? as usize;
+        // A zero-width query can match no index, and its rows would occupy
+        // no bytes: nothing present would bound `nq`.
+        if dim == 0 && nq > 0 {
+            return Err(WireError::Malformed(format!(
+                "batch of {nq} zero-width queries"
+            )));
+        }
+        let need = nq.checked_mul(dim).and_then(|c| c.checked_mul(8));
+        if need.is_none_or(|need| need > d.remaining()) {
+            return Err(WireError::Malformed(format!(
+                "batch of {nq}×{dim} floats exceeds the {} bytes present",
+                d.remaining()
+            )));
+        }
+        let mut rows = Vec::with_capacity(nq);
+        for _ in 0..nq {
+            let mut row = Vec::with_capacity(dim);
+            for _ in 0..dim {
+                row.push(f64::get(d)?);
+            }
+            rows.push(row);
+        }
+        Ok(rows)
+    }
 }
 
 // ---- requests -------------------------------------------------------------
 
+/// Each request's opcode and its body's fields in wire order. The one list
+/// generates [`Request::opcode`], the encoder's `match` and the decoder's.
+macro_rules! request_bodies {
+    (@put $e:ident, $field:ident) => { Wire::put($field, $e) };
+    (@put $e:ident, $field:ident as $codec:ident) => { $codec::put($field, $e) };
+    (@get $d:ident) => { Wire::get($d)? };
+    (@get $d:ident as $codec:ident) => { $codec::get($d)? };
+    ($($op:ident => $variant:ident $({ $($field:ident $(as $codec:ident)?),+ })?;)+) => {
+        impl Request {
+            /// The opcode this request travels under.
+            pub fn opcode(&self) -> u8 {
+                match self {
+                    $(Request::$variant { .. } => opcode::$op,)+
+                }
+            }
+
+            fn put_body(&self, e: &mut Enc) {
+                match self {
+                    $(Request::$variant $({ $($field),+ })? => {
+                        $($(request_bodies!(@put e, $field $(as $codec)?);)+)?
+                    })+
+                }
+            }
+
+            fn get_body(op: u8, d: &mut Dec<'_>) -> Result<Self, WireError> {
+                Ok(match op {
+                    $(opcode::$op => Request::$variant $({
+                        $($field: request_bodies!(@get d $(as $codec)?)),+
+                    })?,)+
+                    other => return Err(WireError::BadOpcode(other)),
+                })
+            }
+        }
+    };
+}
+
+request_bodies! {
+    PING => Ping;
+    KNN => Knn { k, query };
+    RANGE => Range { radius, query };
+    BATCH_KNN => BatchKnn { k, queries as Rect };
+    STATS => Stats;
+    SHUTDOWN => Shutdown;
+    INSERT => Insert { vector };
+    DELETE => Delete { id };
+    FLUSH => Flush;
+    FILTERED_KNN => FilteredKnn { k, filter, query };
+    FILTERED_RANGE => FilteredRange { radius, filter, query };
+}
+
 fn put_header(e: &mut Enc, request_id: u64, op: u8, status_byte: u8) {
-    e.u32(MAGIC);
-    e.u16(PROTOCOL_VERSION);
-    e.u64(request_id);
-    e.u8(op);
-    e.u8(status_byte);
+    MAGIC.put(e);
+    PROTOCOL_VERSION.put(e);
+    request_id.put(e);
+    op.put(e);
+    status_byte.put(e);
 }
 
 /// Parsed frame header.
@@ -536,67 +660,27 @@ struct Header {
 }
 
 fn get_header(d: &mut Dec<'_>) -> Result<Header, WireError> {
-    let magic = d.u32()?;
+    let magic = u32::get(d)?;
     if magic != MAGIC {
         return Err(WireError::BadMagic(magic));
     }
-    let version = d.u16()?;
+    let version = u16::get(d)?;
     if version != PROTOCOL_VERSION {
         return Err(WireError::BadVersion(version));
     }
-    let request_id = d.u64()?;
-    let op = d.u8()?;
-    let status = d.u8()?;
     Ok(Header {
-        request_id,
-        op,
-        status,
+        request_id: u64::get(d)?,
+        op: u8::get(d)?,
+        status: u8::get(d)?,
     })
 }
 
 /// Encodes a request frame payload (no length prefix).
 pub fn encode_request(request_id: u64, req: &Request) -> Vec<u8> {
-    let mut e = Enc::new();
+    let mut e = Enc::default();
     put_header(&mut e, request_id, req.opcode(), status::REQUEST);
-    match req {
-        Request::Ping | Request::Stats | Request::Shutdown | Request::Flush => {}
-        Request::Insert { vector } => put_vec(&mut e, vector),
-        Request::Delete { id } => e.u64(*id),
-        Request::Knn { query, k } => {
-            e.u32(*k);
-            put_vec(&mut e, query);
-        }
-        Request::Range { query, radius } => {
-            e.f64(*radius);
-            put_vec(&mut e, query);
-        }
-        Request::FilteredKnn { query, k, filter } => {
-            e.u32(*k);
-            put_str(&mut e, filter);
-            put_vec(&mut e, query);
-        }
-        Request::FilteredRange {
-            query,
-            radius,
-            filter,
-        } => {
-            e.f64(*radius);
-            put_str(&mut e, filter);
-            put_vec(&mut e, query);
-        }
-        Request::BatchKnn { queries, k } => {
-            e.u32(*k);
-            e.u32(queries.len() as u32);
-            let dim = queries.first().map_or(0, Vec::len);
-            e.u32(dim as u32);
-            for q in queries {
-                for &x in q {
-                    e.f64(x);
-                }
-            }
-        }
-    }
-    e.into_vec()
+    req.put_body(&mut e);
+    e.0
 }
 
 /// Decodes a request frame payload. On failure the request id is still
@@ -610,330 +694,56 @@ pub fn decode_request(payload: &[u8]) -> Result<(u64, Request), (Option<u64>, Wi
         return Err((Some(id), WireError::BadStatus(h.status)));
     }
     let fail = |e: WireError| (Some(id), e);
-    let req = match h.op {
-        opcode::PING => Request::Ping,
-        opcode::STATS => Request::Stats,
-        opcode::SHUTDOWN => Request::Shutdown,
-        opcode::FLUSH => Request::Flush,
-        opcode::INSERT => Request::Insert {
-            vector: get_vec(&mut d).map_err(fail)?,
-        },
-        opcode::DELETE => Request::Delete {
-            id: d.u64().map_err(fail)?,
-        },
-        opcode::KNN => {
-            let k = d.u32().map_err(fail)?;
-            let query = get_vec(&mut d).map_err(fail)?;
-            Request::Knn { query, k }
-        }
-        opcode::RANGE => {
-            let radius = d.f64().map_err(fail)?;
-            let query = get_vec(&mut d).map_err(fail)?;
-            Request::Range { query, radius }
-        }
-        opcode::FILTERED_KNN => {
-            let k = d.u32().map_err(fail)?;
-            let filter = get_str(&mut d, "filter predicate").map_err(fail)?;
-            let query = get_vec(&mut d).map_err(fail)?;
-            Request::FilteredKnn { query, k, filter }
-        }
-        opcode::FILTERED_RANGE => {
-            let radius = d.f64().map_err(fail)?;
-            let filter = get_str(&mut d, "filter predicate").map_err(fail)?;
-            let query = get_vec(&mut d).map_err(fail)?;
-            Request::FilteredRange {
-                query,
-                radius,
-                filter,
-            }
-        }
-        opcode::BATCH_KNN => {
-            let k = d.u32().map_err(fail)?;
-            let nq = d.u32().map_err(fail)? as usize;
-            let dim = d.u32().map_err(fail)? as usize;
-            let need = nq.checked_mul(dim).and_then(|c| c.checked_mul(8));
-            if need.is_none_or(|need| need > d.remaining()) {
-                return Err(fail(WireError::Malformed(format!(
-                    "batch of {nq}×{dim} floats exceeds the {} bytes present",
-                    d.remaining()
-                ))));
-            }
-            let mut queries = Vec::with_capacity(nq);
-            for _ in 0..nq {
-                let mut q = Vec::with_capacity(dim);
-                for _ in 0..dim {
-                    q.push(d.f64().map_err(fail)?);
-                }
-                queries.push(q);
-            }
-            Request::BatchKnn { queries, k }
-        }
-        other => return Err((Some(id), WireError::BadOpcode(other))),
-    };
+    let req = Request::get_body(h.op, &mut d).map_err(fail)?;
     d.expect_end().map_err(fail)?;
     Ok((id, req))
 }
 
 // ---- responses ------------------------------------------------------------
 
-fn put_pool(e: &mut Enc, pool: &PoolStats) {
-    e.u32(pool.per_shard.len() as u32);
-    for s in &pool.per_shard {
-        e.u64(s.hits);
-        e.u64(s.misses);
-        e.u64(s.evictions);
-    }
-}
-
-fn get_pool(d: &mut Dec<'_>) -> Result<PoolStats, WireError> {
-    let n = d.len(24)?;
-    let per_shard = (0..n)
-        .map(|_| {
-            Ok(ShardCounters {
-                hits: d.u64()?,
-                misses: d.u64()?,
-                evictions: d.u64()?,
-            })
-        })
-        .collect::<Result<_, WireError>>()?;
-    Ok(PoolStats { per_shard })
-}
-
-fn put_stats(e: &mut Enc, s: &RemoteStats) {
-    e.u32(s.backend.len() as u32);
-    e.bytes(s.backend.as_bytes());
-    e.u64(s.len);
-    e.u32(s.dim);
-    for v in [
-        s.query.dist_computations,
-        s.query.pages_touched,
-        s.query.page_reads,
-        s.query.candidates_refined,
-        s.query.physical_reads,
-        s.query.readahead_hits,
-        s.query.read_errors,
-        s.query.planner_post_filter,
-        s.query.planner_pushdown,
-        s.query.planner_prefilter_rank,
-    ] {
-        e.u64(v);
-    }
-    e.u32(s.pools.len() as u32);
-    for p in &s.pools {
-        put_pool(e, p);
-    }
-    let c = &s.server;
-    for v in [
-        c.connections,
-        c.requests,
-        c.knn_requests,
-        c.range_requests,
-        c.batch_requests,
-        c.insert_requests,
-        c.delete_requests,
-        c.coalesced_batches,
-        c.coalesced_queries,
-        c.max_coalesce,
-        c.overloaded,
-        c.protocol_errors,
-        c.queue_len,
-    ] {
-        e.u64(v);
-    }
-    for v in [
-        s.ingest.epoch,
-        s.ingest.delta_rows,
-        s.ingest.tombstones,
-        s.ingest.wal_bytes,
-        s.ingest.merges,
-        s.ingest.next_id,
-        s.ingest.model_epoch,
-        s.ingest.refits,
-    ] {
-        e.u64(v);
-    }
-    e.u32(s.ingest.cluster_drift.len() as u32);
-    for &v in &s.ingest.cluster_drift {
-        e.f64(v);
-    }
-    match &s.shard {
-        None => e.u8(0),
-        Some(sh) => {
-            e.u8(1);
-            for v in [sh.shards, sh.queries, sh.contacted, sh.pruned, sh.degraded] {
-                e.u64(v);
-            }
-            e.u32(sh.per_shard_contacts.len() as u32);
-            for &v in &sh.per_shard_contacts {
-                e.u64(v);
-            }
-            e.u32(sh.per_shard_partials.len() as u32);
-            for &v in &sh.per_shard_partials {
-                e.u64(v);
-            }
-        }
-    }
-}
-
-fn get_stats(d: &mut Dec<'_>) -> Result<RemoteStats, WireError> {
-    let name_len = d.len(1)?;
-    let backend = String::from_utf8(d.take(name_len)?.to_vec())
-        .map_err(|_| WireError::Malformed("backend name is not UTF-8".into()))?;
-    let len = d.u64()?;
-    let dim = d.u32()?;
-    let query = QueryStatsWire {
-        dist_computations: d.u64()?,
-        pages_touched: d.u64()?,
-        page_reads: d.u64()?,
-        candidates_refined: d.u64()?,
-        physical_reads: d.u64()?,
-        readahead_hits: d.u64()?,
-        read_errors: d.u64()?,
-        planner_post_filter: d.u64()?,
-        planner_pushdown: d.u64()?,
-        planner_prefilter_rank: d.u64()?,
-    };
-    let n_pools = d.len(4)?;
-    let pools = (0..n_pools)
-        .map(|_| get_pool(d))
-        .collect::<Result<_, _>>()?;
-    let server = ServerCounters {
-        connections: d.u64()?,
-        requests: d.u64()?,
-        knn_requests: d.u64()?,
-        range_requests: d.u64()?,
-        batch_requests: d.u64()?,
-        insert_requests: d.u64()?,
-        delete_requests: d.u64()?,
-        coalesced_batches: d.u64()?,
-        coalesced_queries: d.u64()?,
-        max_coalesce: d.u64()?,
-        overloaded: d.u64()?,
-        protocol_errors: d.u64()?,
-        queue_len: d.u64()?,
-    };
-    let ingest = IngestWire {
-        epoch: d.u64()?,
-        delta_rows: d.u64()?,
-        tombstones: d.u64()?,
-        wal_bytes: d.u64()?,
-        merges: d.u64()?,
-        next_id: d.u64()?,
-        model_epoch: d.u64()?,
-        refits: d.u64()?,
-        cluster_drift: {
-            let n = d.len(8)?;
-            (0..n).map(|_| d.f64()).collect::<Result<_, _>>()?
-        },
-    };
-    let shard = match d.u8()? {
-        0 => None,
-        1 => {
-            let shards = d.u64()?;
-            let queries = d.u64()?;
-            let contacted = d.u64()?;
-            let pruned = d.u64()?;
-            let degraded = d.u64()?;
-            let n = d.len(8)?;
-            let per_shard_contacts = (0..n).map(|_| d.u64()).collect::<Result<_, _>>()?;
-            let n = d.len(8)?;
-            let per_shard_partials = (0..n).map(|_| d.u64()).collect::<Result<_, _>>()?;
-            Some(ShardStats {
-                shards,
-                queries,
-                contacted,
-                pruned,
-                degraded,
-                per_shard_contacts,
-                per_shard_partials,
-            })
-        }
-        other => {
-            return Err(WireError::Malformed(format!(
-                "shard-attribution flag must be 0 or 1, found {other}"
-            )))
-        }
-    };
-    Ok(RemoteStats {
-        backend,
-        len,
-        dim,
-        query,
-        pools,
-        server,
-        ingest,
-        shard,
-    })
-}
-
 /// Encodes a response frame payload (no length prefix). `op` echoes the
 /// request's opcode so the response is self-describing.
 pub fn encode_response(request_id: u64, op: u8, resp: &Response) -> Vec<u8> {
-    let mut e = Enc::new();
+    let mut e = Enc::default();
     let status_byte = match resp {
         Response::Overloaded => status::OVERLOADED,
         Response::Error(_) => status::ERROR,
         _ => status::OK,
     };
     put_header(&mut e, request_id, op, status_byte);
+    // A response body is its variant's one value, so the variant's type is
+    // the schema.
     match resp {
         Response::Pong | Response::ShutdownStarted | Response::Overloaded => {}
-        Response::Inserted(id) => e.u64(*id),
-        Response::Deleted(changed) => e.u8(*changed as u8),
-        Response::Flushed(epoch) => e.u64(*epoch),
-        Response::Neighbors(hits) => put_hits(&mut e, hits),
-        Response::Batch(rows) => {
-            e.u32(rows.len() as u32);
-            for hits in rows {
-                put_hits(&mut e, hits);
-            }
-        }
-        Response::Stats(s) => put_stats(&mut e, s),
-        Response::Error(msg) => {
-            e.u32(msg.len() as u32);
-            e.bytes(msg.as_bytes());
-        }
+        Response::Inserted(v) | Response::Flushed(v) => v.put(&mut e),
+        Response::Deleted(changed) => changed.put(&mut e),
+        Response::Neighbors(hits) => hits.put(&mut e),
+        Response::Batch(rows) => rows.put(&mut e),
+        Response::Stats(stats) => stats.put(&mut e),
+        Response::Error(msg) => msg.put(&mut e),
     }
-    e.into_vec()
+    e.0
 }
 
 /// Decodes a response frame payload into `(request_id, Response)`.
 pub fn decode_response(payload: &[u8]) -> Result<(u64, Response), WireError> {
     let mut d = Dec::new(payload);
     let h = get_header(&mut d)?;
+    let d = &mut d;
     let resp = match h.status {
         status::OVERLOADED => Response::Overloaded,
-        status::ERROR => {
-            let len = d.len(1)?;
-            let msg = String::from_utf8(d.take(len)?.to_vec())
-                .map_err(|_| WireError::Malformed("error message is not UTF-8".into()))?;
-            Response::Error(msg)
-        }
+        status::ERROR => Response::Error(Wire::get(d)?),
         status::OK => match h.op {
             opcode::PING => Response::Pong,
             opcode::SHUTDOWN => Response::ShutdownStarted,
-            opcode::INSERT => Response::Inserted(d.u64()?),
-            opcode::DELETE => match d.u8()? {
-                0 => Response::Deleted(false),
-                1 => Response::Deleted(true),
-                other => {
-                    return Err(WireError::Malformed(format!(
-                        "delete verdict byte {other} is not 0 or 1"
-                    )))
-                }
-            },
-            opcode::FLUSH => Response::Flushed(d.u64()?),
+            opcode::INSERT => Response::Inserted(Wire::get(d)?),
+            opcode::DELETE => Response::Deleted(Wire::get(d)?),
+            opcode::FLUSH => Response::Flushed(Wire::get(d)?),
             opcode::KNN | opcode::RANGE | opcode::FILTERED_KNN | opcode::FILTERED_RANGE => {
-                Response::Neighbors(get_hits(&mut d)?)
+                Response::Neighbors(Wire::get(d)?)
             }
-            opcode::BATCH_KNN => {
-                let nq = d.len(4)?;
-                let rows = (0..nq)
-                    .map(|_| get_hits(&mut d))
-                    .collect::<Result<_, _>>()?;
-                Response::Batch(rows)
-            }
-            opcode::STATS => Response::Stats(Box::new(get_stats(&mut d)?)),
+            opcode::BATCH_KNN => Response::Batch(Wire::get(d)?),
+            opcode::STATS => Response::Stats(Box::new(Wire::get(d)?)),
             other => return Err(WireError::BadOpcode(other)),
         },
         other => return Err(WireError::BadStatus(other)),
@@ -944,9 +754,17 @@ pub fn decode_response(payload: &[u8]) -> Result<(u64, Response), WireError> {
 
 // ---- framing --------------------------------------------------------------
 
-/// Writes one length-prefixed frame and flushes.
+/// Writes one length-prefixed frame and flushes. A payload over
+/// [`MAX_FRAME`] is refused with [`io::ErrorKind::InvalidInput`] before a
+/// byte is written: the peer's [`read_frame`] would reject its length
+/// prefix and the stream could not be re-synchronized.
 pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> io::Result<()> {
-    debug_assert!(payload.len() as u32 <= MAX_FRAME);
+    if payload.len() > MAX_FRAME as usize {
+        return Err(io::Error::new(
+            io::ErrorKind::InvalidInput,
+            format!("payload of {} bytes exceeds {MAX_FRAME}", payload.len()),
+        ));
+    }
     w.write_all(&(payload.len() as u32).to_le_bytes())?;
     w.write_all(payload)?;
     w.flush()
@@ -1051,80 +869,9 @@ mod tests {
         roundtrip_response(opcode::DELETE, Response::Deleted(true));
         roundtrip_response(opcode::DELETE, Response::Deleted(false));
         roundtrip_response(opcode::FLUSH, Response::Flushed(7));
-        roundtrip_response(
-            opcode::STATS,
-            Response::Stats(Box::new(RemoteStats {
-                backend: "idistance".into(),
-                len: 1000,
-                dim: 16,
-                query: QueryStatsWire {
-                    dist_computations: 1,
-                    pages_touched: 2,
-                    page_reads: 3,
-                    candidates_refined: 4,
-                    physical_reads: 8,
-                    readahead_hits: 9,
-                    read_errors: 10,
-                    planner_post_filter: 11,
-                    planner_pushdown: 12,
-                    planner_prefilter_rank: 13,
-                },
-                pools: vec![PoolStats {
-                    per_shard: vec![ShardCounters {
-                        hits: 5,
-                        misses: 6,
-                        evictions: 7,
-                    }],
-                }],
-                server: ServerCounters {
-                    connections: 1,
-                    requests: 2,
-                    knn_requests: 3,
-                    range_requests: 4,
-                    batch_requests: 5,
-                    insert_requests: 12,
-                    delete_requests: 13,
-                    coalesced_batches: 6,
-                    coalesced_queries: 7,
-                    max_coalesce: 8,
-                    overloaded: 9,
-                    protocol_errors: 10,
-                    queue_len: 11,
-                },
-                ingest: IngestWire {
-                    epoch: 3,
-                    delta_rows: 14,
-                    tombstones: 2,
-                    wal_bytes: 4096,
-                    merges: 3,
-                    next_id: 1015,
-                    model_epoch: 2,
-                    refits: 1,
-                    cluster_drift: vec![0.5, 1.25, f64::from_bits(0x3FF0_0000_0000_0001)],
-                },
-                shard: None,
-            })),
-        );
-        // Router fronts attach the attribution block; it must survive the
-        // trip bit-for-bit too.
-        roundtrip_response(
-            opcode::STATS,
-            Response::Stats(Box::new(RemoteStats {
-                backend: "router".into(),
-                len: 64,
-                dim: 8,
-                shard: Some(ShardStats {
-                    shards: 4,
-                    queries: 100,
-                    contacted: 210,
-                    pruned: 190,
-                    degraded: 1,
-                    per_shard_contacts: vec![100, 60, 30, 20],
-                    per_shard_partials: vec![500, 180, 90, 40],
-                }),
-                ..Default::default()
-            })),
-        );
+        // `STATS`, with every field set and both with and without the
+        // router's attribution block, round-trips in tests/golden_frames.rs
+        // (bytes pinned) and tests/frame_fragmentation.rs (random values).
     }
 
     #[test]
@@ -1183,11 +930,11 @@ mod tests {
         assert_eq!(id, Some(9));
         assert!(matches!(err, WireError::BadOpcode(0xAB)));
         // Hostile element count cannot over-allocate.
-        let mut e = Enc::new();
+        let mut e = Enc::default();
         put_header(&mut e, 3, opcode::KNN, status::REQUEST);
-        e.u32(5); // k
-        e.u32(u32::MAX); // claimed query length
-        let (id, err) = decode_request(&e.into_vec()).unwrap_err();
+        5u32.put(&mut e); // k
+        u32::MAX.put(&mut e); // claimed query length
+        let (id, err) = decode_request(&e.0).unwrap_err();
         assert_eq!(id, Some(3));
         assert!(matches!(err, WireError::Malformed(_)));
         // Trailing garbage after a valid body.
@@ -1197,6 +944,36 @@ mod tests {
             decode_request(&bytes).unwrap_err().1,
             WireError::Malformed(_)
         ));
+    }
+
+    /// `nq` counts rows of `dim` floats; at `dim = 0` the rows occupy no
+    /// bytes, so nothing present bounds `nq`. Such a batch is refused
+    /// outright rather than allocated for.
+    #[test]
+    fn a_zero_width_batch_cannot_name_its_own_row_count() {
+        let mut e = Enc::default();
+        put_header(&mut e, 3, opcode::BATCH_KNN, status::REQUEST);
+        5u32.put(&mut e); // k
+        (1u32 << 22).put(&mut e); // nq
+        0u32.put(&mut e); // dim
+        assert_eq!(e.0.len(), 28);
+        let (id, err) = decode_request(&e.0).unwrap_err();
+        assert_eq!(id, Some(3));
+        assert!(matches!(err, WireError::Malformed(_)), "{err:?}");
+        // The empty batch is still a frame, and a count the bytes present
+        // cannot back is refused like every other.
+        let empty = Request::BatchKnn {
+            queries: Vec::new(),
+            k: 5,
+        };
+        assert_eq!(decode_request(&encode_request(3, &empty)), Ok((3, empty)));
+        let mut e = Enc::default();
+        put_header(&mut e, 3, opcode::BATCH_KNN, status::REQUEST);
+        for word in [5u32, u32::MAX, 1] {
+            word.put(&mut e);
+        }
+        let err = decode_request(&e.0).unwrap_err().1;
+        assert!(matches!(err, WireError::Malformed(_)), "{err:?}");
     }
 
     #[test]
@@ -1211,5 +988,10 @@ mod tests {
         let huge = (MAX_FRAME + 1).to_le_bytes();
         let mut cursor = std::io::Cursor::new(huge.to_vec());
         assert!(read_frame(&mut cursor).is_err());
+        // And the writing side refuses before a byte goes out.
+        let mut sink = Vec::new();
+        let err = write_frame(&mut sink, &vec![0; MAX_FRAME as usize + 1]).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
+        assert!(sink.is_empty());
     }
 }

@@ -5,10 +5,12 @@
 //! kernel felt like — and the existing fuzz seatbelt only covers *corrupt*
 //! frames, not fragmented valid ones.
 
+use mmdr_index::ShardStats;
 use mmdr_serve::wire::{
     decode_request, decode_response, encode_request, encode_response, opcode, read_frame,
-    write_frame, Request, Response,
+    write_frame, RemoteStats, Request, Response, WireError,
 };
+use mmdr_storage::{PoolStats, ShardCounters};
 use proptest::prelude::*;
 use std::io::Read;
 
@@ -46,8 +48,10 @@ impl Read for Fragmented {
     }
 }
 
+/// Every request variant, its contents drawn from `floats` and `k`.
 fn request_from(sel: u8, floats: Vec<f64>, k: u32) -> Request {
-    match sel % 6 {
+    let filter = format!("score >= {k} && label != \"é{k}\"");
+    match sel % 11 {
         0 => Request::Ping,
         1 => Request::Knn { query: floats, k },
         2 => Request::Range {
@@ -59,17 +63,77 @@ fn request_from(sel: u8, floats: Vec<f64>, k: u32) -> Request {
             k,
         },
         4 => Request::Stats,
-        _ => Request::Insert { vector: floats },
+        5 => Request::Insert { vector: floats },
+        6 => Request::Delete {
+            id: floats[0].to_bits(),
+        },
+        7 => Request::Flush,
+        8 => Request::Shutdown,
+        9 => Request::FilteredKnn {
+            query: floats,
+            k,
+            filter,
+        },
+        _ => Request::FilteredRange {
+            query: floats,
+            radius: 0.5 + k as f64,
+            filter,
+        },
     }
 }
 
+/// A `STATS` body with every field set from `floats` and `k`: as many
+/// pools as floats (of 0, 1, 2, … shards), the drift vector, and the
+/// router's attribution block on odd `k`.
+fn stats_from(floats: &[f64], k: u32) -> RemoteStats {
+    let n = k as u64;
+    let mut s = RemoteStats {
+        backend: format!("backend-{k}"),
+        len: floats[0].to_bits(),
+        dim: k,
+        pools: (0..floats.len())
+            .map(|shards| PoolStats {
+                per_shard: (0..shards as u64)
+                    .map(|i| ShardCounters {
+                        hits: n + i,
+                        misses: n * i,
+                        evictions: i,
+                    })
+                    .collect(),
+            })
+            .collect(),
+        cluster_drift: floats.to_vec(),
+        shard: (k % 2 == 1).then(|| ShardStats {
+            shards: floats.len() as u64,
+            queries: n,
+            contacted: n + 1,
+            pruned: n + 2,
+            degraded: n + 3,
+            per_shard_contacts: floats.iter().map(|f| f.to_bits()).collect(),
+            per_shard_partials: vec![n; floats.len()],
+        }),
+        ..RemoteStats::default()
+    };
+    s.query.dist_computations = n + 10;
+    s.query.candidates_refined = n + 11;
+    s.query.planner_prefilter_rank = n + 12;
+    s.server.connections = n + 20;
+    s.server.max_coalesce = n + 21;
+    s.server.queue_len = n + 22;
+    s.ingest.epoch = n + 30;
+    s.ingest.next_id = n + 31;
+    s.ingest.refits = n + 32;
+    s
+}
+
+/// Every response variant, under an opcode that can carry it.
 fn response_from(sel: u8, floats: Vec<f64>, k: u32) -> (u8, Response) {
     let hits: Vec<(f64, u64)> = floats
         .iter()
         .enumerate()
         .map(|(i, &d)| (d.abs(), i as u64))
         .collect();
-    match sel % 6 {
+    match sel % 10 {
         0 => (opcode::PING, Response::Pong),
         1 => (opcode::KNN, Response::Neighbors(hits)),
         2 => (
@@ -78,7 +142,14 @@ fn response_from(sel: u8, floats: Vec<f64>, k: u32) -> (u8, Response) {
         ),
         3 => (opcode::KNN, Response::Overloaded),
         4 => (opcode::INSERT, Response::Inserted(k as u64)),
-        _ => (opcode::KNN, Response::Error(format!("err-{k}"))),
+        5 => (
+            opcode::STATS,
+            Response::Stats(Box::new(stats_from(&floats, k))),
+        ),
+        6 => (opcode::DELETE, Response::Deleted(k % 2 == 1)),
+        7 => (opcode::FLUSH, Response::Flushed(k as u64)),
+        8 => (opcode::SHUTDOWN, Response::ShutdownStarted),
+        _ => (opcode::FILTERED_RANGE, Response::Error(format!("err-{k}"))),
     }
 }
 
@@ -156,6 +227,34 @@ proptest! {
             prop_assert_eq!(&got_resp, resp);
         }
         prop_assert!(read_frame(&mut reader).unwrap().is_none());
+    }
+
+    /// Whatever the message, no proper prefix of its frame decodes — every
+    /// cut is a typed error, never a short success and never a panic — and
+    /// one byte past its end is malformed, not ignored.
+    #[test]
+    fn every_cut_of_any_frame_is_a_typed_error_and_a_trailing_byte_is_malformed(
+        sel in 0u8..=255,
+        floats in proptest::collection::vec(-1e6f64..1e6, 1..9),
+        k in 1u32..32,
+    ) {
+        let mut frame = encode_request(9, &request_from(sel, floats.clone(), k));
+        for cut in 0..frame.len() {
+            prop_assert!(decode_request(&frame[..cut]).is_err(), "request cut at {}", cut);
+        }
+        frame.push(0);
+        prop_assert!(matches!(
+            decode_request(&frame),
+            Err((Some(9), WireError::Malformed(_)))
+        ));
+
+        let (op, resp) = response_from(sel, floats, k);
+        let mut frame = encode_response(9, op, &resp);
+        for cut in 0..frame.len() {
+            prop_assert!(decode_response(&frame[..cut]).is_err(), "response cut at {}", cut);
+        }
+        frame.push(0);
+        prop_assert!(matches!(decode_response(&frame), Err(WireError::Malformed(_))));
     }
 
     /// A frame truncated mid-payload is an error, never a short success —

@@ -477,6 +477,24 @@ fn fuzz_seatbelt_hostile_frames_get_typed_errors_and_pool_survives() {
         assert!(matches!(resp, Response::Error(m) if m.contains("opcode")));
     }
 
+    // 5. A 28-byte BATCH_KNN frame claiming 4 194 304 zero-width queries:
+    //    nothing in the frame backs that count, so it must be refused
+    //    before anything is allocated for it.
+    {
+        let mut sock = TcpStream::connect(addr).unwrap();
+        sock.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+        let mut payload = wire::encode_request(78, &Request::Ping);
+        payload[14] = wire::opcode::BATCH_KNN;
+        for word in [5u32, 1 << 22, 0] {
+            payload.extend_from_slice(&word.to_le_bytes()); // k, nq, dim
+        }
+        wire::write_frame(&mut sock, &payload).unwrap();
+        let reply = wire::read_frame(&mut sock).unwrap().expect("error reply");
+        let (rid, resp) = wire::decode_response(&reply).unwrap();
+        assert_eq!(rid, 78);
+        assert!(matches!(resp, Response::Error(m) if m.contains("zero-width")));
+    }
+
     // After all that abuse: the worker pool is alive, answers are still
     // bit-identical, and every hostile frame was counted.
     let mut client = Client::connect(addr).unwrap();
@@ -486,8 +504,8 @@ fn fuzz_seatbelt_hostile_frames_get_typed_errors_and_pool_survives() {
     assert_bit_identical(&local, &remote, "post-fuzz query");
     let stats = client.stats().unwrap();
     assert!(
-        stats.server.protocol_errors >= 3,
-        "expected ≥3 protocol errors, saw {}",
+        stats.server.protocol_errors >= 4,
+        "expected ≥4 protocol errors, saw {}",
         stats.server.protocol_errors
     );
     let counters = handle.shutdown();
