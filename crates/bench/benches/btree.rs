@@ -23,7 +23,7 @@ fn bench_insert(c: &mut Criterion) {
             b.iter(|| {
                 let mut t = BPlusTree::new(pool(4096)).unwrap();
                 for &(k, v) in &keys {
-                    t.insert(k, v).unwrap();
+                    t.insert(k, v, 0).unwrap();
                 }
                 black_box(t.len())
             });
@@ -36,7 +36,7 @@ fn bench_bulk_load(c: &mut Criterion) {
     let mut group = c.benchmark_group("btree_bulk_load");
     group.sample_size(10);
     for &n in &[10_000u64, 100_000] {
-        let entries: Vec<(f64, u64)> = (0..n).map(|i| (i as f64, i)).collect();
+        let entries: Vec<(f64, u64, u64)> = (0..n).map(|i| (i as f64, i, 0)).collect();
         group.bench_with_input(BenchmarkId::from_parameter(n), &n, |b, _| {
             b.iter(|| black_box(BPlusTree::bulk_load(pool(4096), &entries).unwrap().len()));
         });
@@ -45,7 +45,7 @@ fn bench_bulk_load(c: &mut Criterion) {
 }
 
 fn bench_seek(c: &mut Criterion) {
-    let entries: Vec<(f64, u64)> = (0..100_000u64).map(|i| (i as f64, i)).collect();
+    let entries: Vec<(f64, u64, u64)> = (0..100_000u64).map(|i| (i as f64, i, 0)).collect();
     let tree = BPlusTree::bulk_load(pool(4096), &entries).unwrap();
     let mut i = 0u64;
     c.bench_function("btree_seek_100k", |b| {
@@ -58,7 +58,7 @@ fn bench_seek(c: &mut Criterion) {
 }
 
 fn bench_range_scan(c: &mut Criterion) {
-    let entries: Vec<(f64, u64)> = (0..100_000u64).map(|i| (i as f64, i)).collect();
+    let entries: Vec<(f64, u64, u64)> = (0..100_000u64).map(|i| (i as f64, i, 0)).collect();
     let tree = BPlusTree::bulk_load(pool(4096), &entries).unwrap();
     c.bench_function("btree_range_1000_of_100k", |b| {
         b.iter(|| black_box(tree.range(40_000.0, 41_000.0).unwrap().len()));

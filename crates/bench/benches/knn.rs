@@ -6,7 +6,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use mmdr::index::{Query, RowFilter, Scratch, SearchFilter, Target};
 use mmdr_bench::{eval, workloads, Method};
-use mmdr_btree::BPlusTree;
+use mmdr_btree::{BPlusTree, Cursor};
 use mmdr_idistance::{GlobalLdrIndex, IDistanceConfig, IDistanceIndex, SeqScan, VectorIndex};
 use std::hint::black_box;
 
@@ -56,10 +56,12 @@ fn bench_knn_schemes(c: &mut Criterion) {
 /// stage, on the index's own pages: one walk over the biggest partition's
 /// key slot per sample (divide the reported time by the candidate count in
 /// the name for ns per candidate). Each stage includes the ones before it,
-/// as the search runs them: step the leaf cursor; locate the record on the
-/// pinned heap page and read its id (what a row the gate rejects costs);
-/// decode the coordinates and evaluate the distance (what a row it admits
-/// costs, short of the result heap).
+/// as the search runs them: step the leaf cursor; read the entry's cell
+/// code and bound its distance from the query's gap table (what a row the
+/// code rules out costs — the table is built once a walk, as once a started
+/// partition); locate the record on the pinned heap page and read its id
+/// (what a row the gate rejects costs); decode the coordinates and evaluate
+/// the distance (what a row it admits costs, short of the result heap).
 fn bench_candidate_path(c: &mut Criterion) {
     let ds = workloads::synthetic(8_000, 64, 10, 30.0, 5);
     let model = eval::reduce(Method::Mmdr, &ds.data, None, 10, 0);
@@ -88,28 +90,40 @@ fn bench_candidate_path(c: &mut Criterion) {
 
     // The walk every stage shares: `visit` sees each entry of the slot
     // (generic, so the stage inlines into the loop as it does in the search).
-    fn walk_slot(tree: &BPlusTree, lo: f64, hi: f64, mut visit: impl FnMut(u64)) {
+    fn walk_slot(tree: &BPlusTree, lo: f64, hi: f64, mut visit: impl FnMut(u64, &Cursor)) {
         let mut cursor = tree.seek(lo).unwrap();
         while let Some((key, rid)) = tree.cursor_next(&mut cursor).unwrap() {
             if key >= hi {
                 break;
             }
-            visit(rid);
+            visit(rid, &cursor);
         }
     }
+    let book = info.codebook.as_ref().expect("the partition has rows");
     let mut group = c.benchmark_group("candidate_path");
     group.sample_size(200);
     group.bench_function(BenchmarkId::new("leaf_step", info.count), |b| {
         b.iter(|| {
             let mut acc = 0u64;
-            walk_slot(tree, lo, hi, |rid| acc ^= rid);
+            walk_slot(tree, lo, hi, |rid, _| acc ^= rid);
+            acc
+        })
+    });
+    group.bench_function(BenchmarkId::new("leaf_step+code_bound", info.count), |b| {
+        b.iter(|| {
+            let (mut gaps, mut acc) = (Vec::new(), 0.0);
+            book.gaps_into(black_box(&q_local), &mut gaps);
+            // The radicand is what the search compares: no root per entry.
+            walk_slot(tree, lo, hi, |_, cursor| {
+                acc += proj_sq + book.gap_sq(&gaps, cursor.code())
+            });
             acc
         })
     });
     group.bench_function(BenchmarkId::new("+record_id", info.count), |b| {
         b.iter(|| {
             let (mut pin, mut acc) = (None, 0u64);
-            walk_slot(tree, lo, hi, |rid| {
+            walk_slot(tree, lo, hi, |rid, _| {
                 acc ^= heap.record(&mut pin, rid).unwrap().1.point_id()
             });
             acc
@@ -118,7 +132,7 @@ fn bench_candidate_path(c: &mut Criterion) {
     group.bench_function(BenchmarkId::new("+decode+distance", info.count), |b| {
         b.iter(|| {
             let (mut pin, mut coords, mut acc) = (None, Vec::new(), 0.0);
-            walk_slot(tree, lo, hi, |rid| {
+            walk_slot(tree, lo, hi, |rid, _| {
                 let (_, record) = heap.record(&mut pin, rid).unwrap();
                 record.coords_into(&mut coords);
                 acc += mmdr_linalg::reduced_dist(proj_sq, black_box(&q_local), &coords);

@@ -13,12 +13,12 @@ use mmdr_storage::{BufferPool, PageId};
 const FILL: f64 = 0.9;
 
 impl BPlusTree {
-    /// Builds a tree from entries sorted by key (ascending; duplicates
-    /// allowed). Returns [`Error::UnsortedInput`] on order violations and
-    /// [`Error::InvalidKey`] on non-finite keys.
-    pub fn bulk_load(pool: BufferPool, entries: &[(f64, u64)]) -> Result<Self> {
+    /// Builds a tree from `(key, rid, code)` entries sorted by key
+    /// (ascending; duplicates allowed). Returns [`Error::UnsortedInput`] on
+    /// order violations and [`Error::InvalidKey`] on non-finite keys.
+    pub fn bulk_load(pool: BufferPool, entries: &[(f64, u64, u64)]) -> Result<Self> {
         // Validate input once, up front.
-        for (i, &(k, _)) in entries.iter().enumerate() {
+        for (i, &(k, _, _)) in entries.iter().enumerate() {
             if !k.is_finite() {
                 return Err(Error::InvalidKey);
             }
@@ -38,8 +38,8 @@ impl BPlusTree {
             let page_id = pool.allocate()?;
             pool.with_page_mut(page_id, |p| -> Result<()> {
                 Leaf::init(p);
-                for &(k, rid) in chunk {
-                    Leaf::push(p, k, rid)?;
+                for &(k, rid, code) in chunk {
+                    Leaf::push(p, k, rid, code)?;
                 }
                 Leaf::set_prev(p, prev_leaf);
                 Ok(())
@@ -87,20 +87,32 @@ mod tests {
         BufferPool::new(DiskManager::new(), pages).unwrap()
     }
 
+    /// `(key, rid)` pairs with a code derived from the rid.
+    fn coded(pairs: impl IntoIterator<Item = (f64, u64)>) -> Vec<(f64, u64, u64)> {
+        pairs
+            .into_iter()
+            .map(|(k, rid)| (k, rid, rid.wrapping_mul(0x9E37_79B9_7F4A_7C15)))
+            .collect()
+    }
+
+    fn pairs(entries: &[(f64, u64, u64)]) -> Vec<(f64, u64)> {
+        entries.iter().map(|&(k, rid, _)| (k, rid)).collect()
+    }
+
     #[test]
     fn bulk_load_small() {
-        let entries: Vec<(f64, u64)> = (0..10).map(|i| (i as f64, i)).collect();
+        let entries = coded((0..10).map(|i| (i as f64, i)));
         let t = BPlusTree::bulk_load(pool(16), &entries).unwrap();
         assert_eq!(t.len(), 10);
         t.check_invariants().unwrap();
         let all = t.range(f64::MIN, f64::MAX).unwrap();
-        assert_eq!(all, entries);
+        assert_eq!(all, pairs(&entries));
     }
 
     #[test]
     fn bulk_load_multi_level() {
         let n = 100_000u64;
-        let entries: Vec<(f64, u64)> = (0..n).map(|i| (i as f64 * 0.25, i)).collect();
+        let entries = coded((0..n).map(|i| (i as f64 * 0.25, i)));
         let t = BPlusTree::bulk_load(pool(1024), &entries).unwrap();
         assert_eq!(t.len(), n as usize);
         assert!(t.height() >= 3, "height {}", t.height());
@@ -109,6 +121,7 @@ mod tests {
             let key = probe as f64 * 0.25;
             let mut c = t.seek(key).unwrap();
             assert_eq!(t.cursor_next(&mut c).unwrap(), Some((key, probe)));
+            assert_eq!(c.code(), entries[probe as usize].2);
         }
         t.check_invariants().unwrap();
     }
@@ -118,6 +131,7 @@ mod tests {
         let mut entries = vec![(1.0, 1u64)];
         entries.extend((0..500).map(|i| (2.0, 100 + i)));
         entries.push((3.0, 9));
+        let entries = coded(entries);
         let t = BPlusTree::bulk_load(pool(64), &entries).unwrap();
         assert_eq!(t.range(2.0, 2.0).unwrap().len(), 500);
         t.check_invariants().unwrap();
@@ -133,18 +147,18 @@ mod tests {
     #[test]
     fn bulk_load_validates_input() {
         assert!(matches!(
-            BPlusTree::bulk_load(pool(4), &[(2.0, 0), (1.0, 1)]),
+            BPlusTree::bulk_load(pool(4), &[(2.0, 0, 0), (1.0, 1, 0)]),
             Err(Error::UnsortedInput { position: 1 })
         ));
         assert!(matches!(
-            BPlusTree::bulk_load(pool(4), &[(f64::NAN, 0)]),
+            BPlusTree::bulk_load(pool(4), &[(f64::NAN, 0, 0)]),
             Err(Error::InvalidKey)
         ));
     }
 
     /// `(tree, leaves)` over `n` distinct keys `0, 1, …`.
     fn loaded(n: u64, frames: usize) -> (BPlusTree, u64) {
-        let entries: Vec<(f64, u64)> = (0..n).map(|i| (i as f64, i)).collect();
+        let entries = coded((0..n).map(|i| (i as f64, i)));
         let per_leaf = (LEAF_CAPACITY as f64 * FILL) as u64;
         let t = BPlusTree::bulk_load(pool(frames), &entries).unwrap();
         (t, n.div_ceil(per_leaf))
@@ -191,24 +205,27 @@ mod tests {
         let (t, _) = loaded(n, 1);
         let mut c = t.seek(f64::MIN).unwrap();
         let mut mid = t.seek(n as f64 / 2.0).unwrap();
+        let code = |rid: u64| coded([(0.0, rid)])[0].2;
         for i in 0..n {
             assert_eq!(t.cursor_next(&mut c).unwrap(), Some((i as f64, i)));
+            assert_eq!(c.code(), code(i));
         }
         assert_eq!(t.cursor_next(&mut c).unwrap(), None);
         // A cursor parked across all that traffic still reads its leaf.
         assert_eq!(t.cursor_next(&mut mid).unwrap(), Some((2500.0, 2500)));
         for i in (0..n).rev() {
             assert_eq!(t.cursor_prev(&mut c).unwrap(), Some((i as f64, i)));
+            assert_eq!(c.code(), code(i));
         }
         assert_eq!(t.cursor_prev(&mut c).unwrap(), None);
     }
 
     #[test]
     fn inserts_after_bulk_load() {
-        let entries: Vec<(f64, u64)> = (0..1000).map(|i| (i as f64 * 2.0, i)).collect();
+        let entries = coded((0..1000).map(|i| (i as f64 * 2.0, i)));
         let mut t = BPlusTree::bulk_load(pool(128), &entries).unwrap();
         for i in 0..1000u64 {
-            t.insert(i as f64 * 2.0 + 1.0, 10_000 + i).unwrap();
+            t.insert(i as f64 * 2.0 + 1.0, 10_000 + i, 0).unwrap();
         }
         assert_eq!(t.len(), 2000);
         t.check_invariants().unwrap();

@@ -2,7 +2,9 @@
 //! iDistance index (paper §5).
 //!
 //! - Keys are finite `f64` distance values (duplicates allowed); values are
-//!   opaque `u64` record ids.
+//!   opaque `u64` record ids, each with an opaque `u64` code word beside it
+//!   in the leaf ([`Cursor::code`]) — iDistance's quantised image of the
+//!   row, judged before the record id is followed.
 //! - Nodes live in 4 KiB [`mmdr_storage`] pages behind a buffer pool, so
 //!   every traversal's logical I/O is measurable.
 //! - Leaves form a doubly-linked chain: iDistance's KNN search scans
@@ -21,12 +23,13 @@
 //! let pool = BufferPool::new(DiskManager::new(), 64).unwrap();
 //! let mut tree = BPlusTree::new(pool).unwrap();
 //! for i in 0..1000u64 {
-//!     tree.insert(i as f64 * 0.5, i).unwrap();
+//!     tree.insert(i as f64 * 0.5, i, i % 7).unwrap();
 //! }
 //! let mut cursor = tree.seek(250.0).unwrap();
 //! let (key, rid) = tree.cursor_next(&mut cursor).unwrap().unwrap();
 //! assert_eq!(key, 250.0);
 //! assert_eq!(rid, 500);
+//! assert_eq!(cursor.code(), 500 % 7);
 //! ```
 
 mod bulk;

@@ -7,7 +7,10 @@
 //! offset 1: key count  (u16)
 //! ```
 //!
-//! **Leaf** (`entries are (key: f64, rid: u64)` pairs, 16 bytes each):
+//! **Leaf** (entries are `(key: f64, rid: u64, code: u64)` triples, 24 bytes
+//! each; the code is an opaque word that travels with its key — iDistance
+//! keeps a quantised image of the row there, so a scan can judge an entry
+//! before it follows the rid):
 //!
 //! ```text
 //! offset  3: prev leaf (u64, NIL_PAGE when none)
@@ -36,7 +39,7 @@ const COUNT_OFFSET: usize = 1;
 const LEAF_PREV_OFFSET: usize = 3;
 const LEAF_NEXT_OFFSET: usize = 11;
 const LEAF_ENTRIES_OFFSET: usize = 19;
-const LEAF_ENTRY_SIZE: usize = 16;
+const LEAF_ENTRY_SIZE: usize = 24;
 const INTERNAL_CHILD0_OFFSET: usize = 3;
 const INTERNAL_PAIRS_OFFSET: usize = 11;
 const INTERNAL_PAIR_SIZE: usize = 16;
@@ -95,17 +98,24 @@ impl Leaf {
             .expect("entry in page")
     }
 
-    /// Entry `i` as `(key, rid)`: its 16 bytes taken from the page as one
+    /// Entry `i` as `(key, rid)`: their 16 bytes taken from the page as one
     /// slice, under one bounds check.
     #[inline]
     pub fn entry(page: &Page, i: usize) -> (f64, u64) {
         debug_assert!(i < count(page));
         let bytes = page
-            .bytes(LEAF_ENTRIES_OFFSET + i * LEAF_ENTRY_SIZE, LEAF_ENTRY_SIZE)
+            .bytes(LEAF_ENTRIES_OFFSET + i * LEAF_ENTRY_SIZE, 16)
             .expect("entry in page");
         let (key, rid) = bytes.split_first_chunk().expect("16 bytes");
         let rid = rid.first_chunk().expect("16 bytes");
         (f64::from_le_bytes(*key), u64::from_le_bytes(*rid))
+    }
+
+    /// The code word of entry `i`.
+    #[inline]
+    pub fn code(page: &Page, i: usize) -> u64 {
+        page.get_u64(LEAF_ENTRIES_OFFSET + i * LEAF_ENTRY_SIZE + 16)
+            .expect("entry in page")
     }
 
     /// Previous leaf in the chain.
@@ -144,9 +154,9 @@ impl Leaf {
         lo
     }
 
-    /// Inserts `(key, rid)` at slot `slot`, shifting later entries right.
-    /// The caller guarantees the leaf is not full.
-    pub fn insert_at(page: &mut Page, slot: usize, key: f64, rid: u64) -> Result<()> {
+    /// Inserts `(key, rid, code)` at slot `slot`, shifting later entries
+    /// right. The caller guarantees the leaf is not full.
+    pub fn insert_at(page: &mut Page, slot: usize, key: f64, rid: u64, code: u64) -> Result<()> {
         let n = count(page);
         if n >= LEAF_CAPACITY {
             return Err(Error::Corrupt("insert into full leaf"));
@@ -156,18 +166,21 @@ impl Leaf {
         page.shift(src, src + LEAF_ENTRY_SIZE, (n - slot) * LEAF_ENTRY_SIZE)?;
         page.put_f64(src, key)?;
         page.put_u64(src + 8, rid)?;
+        page.put_u64(src + 16, code)?;
         set_count(page, n + 1);
         Ok(())
     }
 
-    /// Appends `(key, rid)` (bulk-load path; caller keeps order + capacity).
-    pub fn push(page: &mut Page, key: f64, rid: u64) -> Result<()> {
+    /// Appends `(key, rid, code)` (bulk-load path; caller keeps order +
+    /// capacity).
+    pub fn push(page: &mut Page, key: f64, rid: u64, code: u64) -> Result<()> {
         let n = count(page);
-        Self::insert_at(page, n, key, rid)
+        Self::insert_at(page, n, key, rid, code)
     }
 
-    /// Moves the upper half of `from` into the empty leaf `to`, returning
-    /// the first key of `to` (the separator to push up).
+    /// Moves the upper half of `from` into the empty leaf `to` — whole
+    /// entries, so a code stays with its key — returning the first key of
+    /// `to` (the separator to push up).
     pub fn split_into(from: &mut Page, to: &mut Page) -> f64 {
         let n = count(from);
         let mid = n / 2;
@@ -287,7 +300,7 @@ mod tests {
     #[test]
     #[allow(clippy::assertions_on_constants)] // compile-time layout checks
     fn capacities_are_sane() {
-        assert!(LEAF_CAPACITY >= 200);
+        assert_eq!(LEAF_CAPACITY, 169);
         assert!(INTERNAL_CAPACITY >= 200);
         // Layout fits the page.
         assert!(LEAF_ENTRIES_OFFSET + LEAF_CAPACITY * LEAF_ENTRY_SIZE <= PAGE_SIZE);
@@ -301,15 +314,20 @@ mod tests {
         assert!(is_leaf(&p));
         assert_eq!(Leaf::count(&p), 0);
         assert_eq!(Leaf::prev(&p), NIL_PAGE);
-        Leaf::insert_at(&mut p, 0, 2.0, 20).unwrap();
-        Leaf::insert_at(&mut p, 0, 1.0, 10).unwrap();
-        Leaf::insert_at(&mut p, 2, 3.0, 30).unwrap();
+        Leaf::insert_at(&mut p, 0, 2.0, 20, 200).unwrap();
+        Leaf::insert_at(&mut p, 0, 1.0, 10, 100).unwrap();
+        Leaf::insert_at(&mut p, 2, 3.0, 30, u64::MAX).unwrap();
         assert_eq!(Leaf::count(&p), 3);
         assert_eq!(
             (0..3).map(|i| Leaf::key(&p, i)).collect::<Vec<_>>(),
             vec![1.0, 2.0, 3.0]
         );
         assert_eq!(Leaf::entry(&p, 1), (2.0, 20));
+        assert_eq!(
+            (0..3).map(|i| Leaf::code(&p, i)).collect::<Vec<_>>(),
+            vec![100, 200, u64::MAX],
+            "a shifted entry takes its code along"
+        );
     }
 
     #[test]
@@ -317,7 +335,7 @@ mod tests {
         let mut p = Page::new();
         Leaf::init(&mut p);
         for (i, k) in [1.0, 2.0, 2.0, 2.0, 5.0].iter().enumerate() {
-            Leaf::push(&mut p, *k, i as u64).unwrap();
+            Leaf::push(&mut p, *k, i as u64, 0).unwrap();
         }
         assert_eq!(Leaf::lower_bound(&p, 0.5), 0);
         assert_eq!(Leaf::lower_bound(&p, 2.0), 1);
@@ -332,13 +350,18 @@ mod tests {
         Leaf::init(&mut a);
         Leaf::init(&mut b);
         for i in 0..10 {
-            Leaf::push(&mut a, i as f64, i).unwrap();
+            Leaf::push(&mut a, i as f64, i, !i).unwrap();
         }
         let sep = Leaf::split_into(&mut a, &mut b);
         assert_eq!(Leaf::count(&a), 5);
         assert_eq!(Leaf::count(&b), 5);
         assert_eq!(sep, 5.0);
-        assert_eq!(Leaf::entry(&b, 0), (5.0, 5));
+        for i in 0..5 {
+            assert_eq!(Leaf::entry(&a, i), (i as f64, i as u64));
+            assert_eq!(Leaf::code(&a, i), !(i as u64));
+            assert_eq!(Leaf::entry(&b, i), ((i + 5) as f64, i as u64 + 5));
+            assert_eq!(Leaf::code(&b, i), !(i as u64 + 5));
+        }
     }
 
     #[test]
@@ -346,9 +369,12 @@ mod tests {
         let mut p = Page::new();
         Leaf::init(&mut p);
         for i in 0..LEAF_CAPACITY {
-            Leaf::push(&mut p, i as f64, i as u64).unwrap();
+            Leaf::push(&mut p, i as f64, i as u64, 0).unwrap();
         }
-        assert!(matches!(Leaf::push(&mut p, 0.0, 0), Err(Error::Corrupt(_))));
+        assert!(matches!(
+            Leaf::push(&mut p, 0.0, 0, 0),
+            Err(Error::Corrupt(_))
+        ));
     }
 
     #[test]

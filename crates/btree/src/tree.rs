@@ -107,11 +107,11 @@ impl BPlusTree {
 
     /// Inserts an entry. Duplicate keys are allowed; the entry lands before
     /// existing equal keys.
-    pub fn insert(&mut self, key: f64, rid: u64) -> Result<()> {
+    pub fn insert(&mut self, key: f64, rid: u64, code: u64) -> Result<()> {
         if !key.is_finite() {
             return Err(Error::InvalidKey);
         }
-        if let Some((sep, right)) = self.insert_rec(self.root, key, rid)? {
+        if let Some((sep, right)) = self.insert_rec(self.root, (key, rid, code))? {
             // Root split: grow a level.
             let new_root = self.pool.allocate()?;
             let old_root = self.root;
@@ -128,14 +128,19 @@ impl BPlusTree {
 
     /// Recursive insert; returns `Some((separator, new_right_page))` when
     /// the child split and the parent must absorb a new key.
-    fn insert_rec(&mut self, node: PageId, key: f64, rid: u64) -> Result<Option<(f64, PageId)>> {
+    fn insert_rec(
+        &mut self,
+        node: PageId,
+        entry: (f64, u64, u64),
+    ) -> Result<Option<(f64, PageId)>> {
+        let (key, rid, code) = entry;
         let leaf = self.pool.with_page(node, is_leaf)?;
         if leaf {
             let n = self.pool.with_page(node, Leaf::count)?;
             if n < LEAF_CAPACITY {
                 self.pool.with_page_mut(node, |p| {
                     let slot = Leaf::lower_bound(p, key);
-                    Leaf::insert_at(p, slot, key, rid)
+                    Leaf::insert_at(p, slot, key, rid, code)
                 })??;
                 return Ok(None);
             }
@@ -152,10 +157,10 @@ impl BPlusTree {
             Leaf::set_next(&mut right_page, old_next);
             if key < sep {
                 let slot = Leaf::lower_bound(&moved, key);
-                Leaf::insert_at(&mut moved, slot, key, rid)?;
+                Leaf::insert_at(&mut moved, slot, key, rid, code)?;
             } else {
                 let slot = Leaf::lower_bound(&right_page, key);
-                Leaf::insert_at(&mut right_page, slot, key, rid)?;
+                Leaf::insert_at(&mut right_page, slot, key, rid, code)?;
             }
             self.pool.with_page_mut(node, |p| *p = moved)?;
             self.pool.with_page_mut(right, |p| *p = right_page)?;
@@ -170,7 +175,7 @@ impl BPlusTree {
             .pool
             .with_page(node, |p| Internal::child_index(p, key))?;
         let child = self.pool.with_page(node, |p| Internal::child(p, idx))?;
-        let Some((sep, new_right)) = self.insert_rec(child, key, rid)? else {
+        let Some((sep, new_right)) = self.insert_rec(child, entry)? else {
             return Ok(None);
         };
         let n = self.pool.with_page(node, Internal::count)?;
@@ -227,7 +232,8 @@ impl BPlusTree {
     ///
     /// A step within the pinned leaf is a slot compare and one 16-byte
     /// read, inlined into the caller's loop; only crossing to a sibling
-    /// calls out.
+    /// calls out. The entry's third field is not read here:
+    /// [`Cursor::code`] reads it for the caller that wants it.
     #[inline]
     pub fn cursor_next(&self, cursor: &mut Cursor) -> Result<Option<(f64, u64)>> {
         while cursor.slot >= cursor.count {
@@ -241,9 +247,9 @@ impl BPlusTree {
             let _ = self.pool.prefetch(next);
             *cursor = Cursor::pinned(self.pool.page(next)?, 0);
         }
-        let entry = Leaf::entry(&cursor.leaf, cursor.slot);
+        cursor.last = cursor.slot;
         cursor.slot += 1;
-        Ok(Some(entry))
+        Ok(Some(Leaf::entry(&cursor.leaf, cursor.last)))
     }
 
     /// Returns the entry *before* the cursor and moves it backward
@@ -265,7 +271,8 @@ impl BPlusTree {
             *cursor = Cursor::pinned(leaf, end);
         }
         cursor.slot -= 1;
-        Ok(Some(Leaf::entry(&cursor.leaf, cursor.slot)))
+        cursor.last = cursor.slot;
+        Ok(Some(Leaf::entry(&cursor.leaf, cursor.last)))
     }
 
     /// Collects all `(key, rid)` entries with `lo <= key <= hi`.
@@ -339,7 +346,7 @@ mod tests {
     fn insert_and_point_seek() {
         let mut t = tree(64);
         for i in 0..100u64 {
-            t.insert(i as f64, i).unwrap();
+            t.insert(i as f64, i, 0).unwrap();
         }
         assert_eq!(t.len(), 100);
         let mut c = t.seek(42.0).unwrap();
@@ -356,11 +363,20 @@ mod tests {
         for i in 0..n {
             // Insert in a scrambled order.
             let k = ((i * 7919) % n) as f64;
-            t.insert(k, i).unwrap();
+            t.insert(k, i, !i).unwrap();
         }
         assert_eq!(t.len(), n as usize);
         assert!(t.height() >= 2, "height {}", t.height());
         t.check_invariants().unwrap();
+        // Through every split, a code stayed with its key and rid.
+        let mut c = t.seek(f64::MIN).unwrap();
+        let mut seen = 0;
+        while let Some((k, rid)) = t.cursor_next(&mut c).unwrap() {
+            assert_eq!(k, ((rid * 7919) % n) as f64);
+            assert_eq!(c.code(), !rid);
+            seen += 1;
+        }
+        assert_eq!(seen, n);
         // Every key is findable.
         for probe in [0.0, 1.0, 1499.0, 2998.0] {
             let mut c = t.seek(probe).unwrap();
@@ -373,10 +389,10 @@ mod tests {
     fn duplicates_seek_to_first() {
         let mut t = tree(64);
         for rid in 0..10u64 {
-            t.insert(5.0, rid).unwrap();
+            t.insert(5.0, rid, 0).unwrap();
         }
-        t.insert(1.0, 100).unwrap();
-        t.insert(9.0, 200).unwrap();
+        t.insert(1.0, 100, 0).unwrap();
+        t.insert(9.0, 200, 0).unwrap();
         let mut c = t.seek(5.0).unwrap();
         let mut rids = Vec::new();
         while let Some((k, r)) = t.cursor_next(&mut c).unwrap() {
@@ -393,11 +409,11 @@ mod tests {
         let mut t = tree(256);
         // A run of duplicates longer than a leaf forces cross-leaf runs.
         for rid in 0..600u64 {
-            t.insert(7.0, rid).unwrap();
+            t.insert(7.0, rid, 0).unwrap();
         }
         for rid in 0..100u64 {
-            t.insert(3.0, 1000 + rid).unwrap();
-            t.insert(11.0, 2000 + rid).unwrap();
+            t.insert(3.0, 1000 + rid, 0).unwrap();
+            t.insert(11.0, 2000 + rid, 0).unwrap();
         }
         let hits = t.range(7.0, 7.0).unwrap();
         assert_eq!(hits.len(), 600);
@@ -408,7 +424,7 @@ mod tests {
     fn backward_scan_symmetry() {
         let mut t = tree(64);
         for i in 0..500u64 {
-            t.insert(i as f64, i).unwrap();
+            t.insert(i as f64, i, 0).unwrap();
         }
         let mut c = t.seek(250.0).unwrap();
         assert_eq!(t.cursor_prev(&mut c).unwrap(), Some((249.0, 249)));
@@ -422,7 +438,7 @@ mod tests {
     fn range_query() {
         let mut t = tree(64);
         for i in 0..100u64 {
-            t.insert(i as f64 * 0.1, i).unwrap();
+            t.insert(i as f64 * 0.1, i, 0).unwrap();
         }
         let r = t.range(2.0, 3.0).unwrap();
         assert_eq!(r.len(), 11); // 2.0, 2.1, ..., 3.0 (within fp tolerance)
@@ -433,8 +449,8 @@ mod tests {
     #[test]
     fn rejects_non_finite_keys() {
         let mut t = tree(16);
-        assert_eq!(t.insert(f64::NAN, 0).err(), Some(Error::InvalidKey));
-        assert_eq!(t.insert(f64::INFINITY, 0).err(), Some(Error::InvalidKey));
+        assert_eq!(t.insert(f64::NAN, 0, 0).err(), Some(Error::InvalidKey));
+        assert_eq!(t.insert(f64::INFINITY, 0, 0).err(), Some(Error::InvalidKey));
         assert_eq!(t.seek(f64::NAN).err(), Some(Error::InvalidKey));
     }
 
@@ -443,7 +459,7 @@ mod tests {
         // A pool smaller than the tree forces real I/O on traversals.
         let mut t = tree(4);
         for i in 0..5000u64 {
-            t.insert(i as f64, i).unwrap();
+            t.insert(i as f64, i, 0).unwrap();
         }
         let stats = t.io_stats();
         stats.reset();
@@ -456,7 +472,7 @@ mod tests {
     fn from_parts_reattaches_exported_pages() {
         let mut t = tree(16);
         for i in 0..2000u64 {
-            t.insert(i as f64 * 0.25, i).unwrap();
+            t.insert(i as f64 * 0.25, i, 0).unwrap();
         }
         let images = t.pool().export_pages().unwrap();
         let (root, height, len) = (t.root_page_id(), t.height(), t.len());
@@ -476,7 +492,7 @@ mod tests {
     fn from_parts_rejects_inconsistent_metadata() {
         let mut t = tree(16);
         for i in 0..2000u64 {
-            t.insert(i as f64, i).unwrap();
+            t.insert(i as f64, i, 0).unwrap();
         }
         let (root, height, len) = (t.root_page_id(), t.height(), t.len());
         assert!(height > 1, "need a multi-level tree");
@@ -500,7 +516,7 @@ mod tests {
         let mut t = tree(64);
         let keys = [-5.5, -0.1, 0.0, 0.1, 3.25, -100.0];
         for (rid, &k) in keys.iter().enumerate() {
-            t.insert(k, rid as u64).unwrap();
+            t.insert(k, rid as u64, 0).unwrap();
         }
         let all = t.range(f64::MIN, f64::MAX).unwrap();
         let got: Vec<f64> = all.iter().map(|&(k, _)| k).collect();

@@ -1,0 +1,297 @@
+//! Cell codes: a 64-bit quantised image of a stored row, kept beside its key
+//! in the B⁺-tree leaf so a scan can bound the row's distance from below
+//! before it follows the record id to the heap.
+//!
+//! A partition's [`Codebook`] cuts every coordinate's axis into equi-depth
+//! cells — `2^bits` of them, the 64 bits shared out over the coordinates —
+//! and a row's code is its cell index on each axis. The bound a code gives is
+//! the VA-file's: no point of a cell is nearer the query than the cell's
+//! nearest face. Here it is *exact*, with no epsilon: the cell edges are
+//! plain numbers compared as `f64`, `lo ≤ p ≤ hi` holds for the very
+//! coordinate `p` that was coded, and [`Codebook::gap_sq`] sums its
+//! per-axis gaps by the operations of [`mmdr_linalg::reduced_dist`] in its
+//! order. IEEE rounding is monotone, so every term, every partial sum, the
+//! `proj_sq +` and the `sqrt` come out `≤` what `reduced_dist` returns for
+//! the row, to the bit — a row abandoned because its bound lies strictly
+//! beyond the result set's reach is a row the result set would have refused.
+
+use crate::error::{Error, Result};
+
+/// How the 64 bits of a code are shared out over the coordinates of `dim`:
+/// evenly, the remainder to the leading coordinates, at most 8 each (more
+/// buys nothing at a few thousand rows a partition) and — past 64
+/// coordinates — one each for the first 64, the rest uncoded. So the first
+/// `.0` coded axes have `.1 + 1` bits and the other `.2` have `.1`.
+fn shape(dim: usize) -> (usize, u32, usize) {
+    let even = (64 / dim.max(1)).max(1);
+    let axes = dim.min(64);
+    if even >= 8 {
+        return (0, 8, axes);
+    }
+    let wide = 64usize.saturating_sub(even * dim);
+    (wide, even as u32, axes - wide)
+}
+
+/// Bits of the code given to each coded coordinate of `dim`, `j` ascending.
+fn widths(dim: usize) -> impl Iterator<Item = u32> {
+    let (wide, width, narrow) = shape(dim);
+    std::iter::repeat_n(width + 1, wide).chain(std::iter::repeat_n(width, narrow))
+}
+
+/// The cell edges of one partition's axes.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Codebook {
+    /// Width of the rows this codebook codes.
+    dim: usize,
+    /// Inner edges, axis after axis (`2^bits − 1` each, ascending), rounded
+    /// to `f32` and compared as `f64`. The two outer cells of an axis are
+    /// unbounded, so every finite value has a cell — also one an in-place
+    /// insert brings later from outside the range the edges were cut from.
+    edges: Vec<f32>,
+    /// [`shape`] of `dim`, worked out once.
+    shape: (usize, u32, usize),
+}
+
+impl Codebook {
+    /// Cuts equi-depth cells from the rows of a partition as they are about
+    /// to be laid out: edge `i` of `m` on an axis is the column's
+    /// `i/m`-quantile. `None` for no rows.
+    pub fn fit<'a>(rows: impl ExactSizeIterator<Item = &'a [f64]> + Clone) -> Option<Self> {
+        let dim = rows.clone().next()?.len();
+        let mut edges = Vec::new();
+        let mut column = Vec::with_capacity(rows.len());
+        for (j, width) in widths(dim).enumerate() {
+            column.clear();
+            column.extend(rows.clone().map(|row| row[j]));
+            column.sort_unstable_by(f64::total_cmp);
+            let cells = 1usize << width;
+            edges.extend((1..cells).map(|i| column[i * column.len() / cells] as f32));
+        }
+        Some(Self {
+            dim,
+            edges,
+            shape: shape(dim),
+        })
+    }
+
+    /// A decoded codebook: `edges` as [`edges`](Self::edges) returned them.
+    pub fn from_edges(dim: usize, edges: Vec<f32>) -> Result<Self> {
+        let expected: usize = widths(dim).map(|w| (1usize << w) - 1).sum();
+        let book = Self {
+            dim,
+            edges,
+            shape: shape(dim),
+        };
+        let fits = book.edges.len() == expected
+            && book
+                .axes()
+                .all(|axis| axis.windows(2).all(|pair| pair[0] <= pair[1]))
+            && !book.edges.iter().any(|e| e.is_nan());
+        if !fits {
+            return Err(Error::InvalidConfig(
+                "codebook edges do not fit their dimension",
+            ));
+        }
+        Ok(book)
+    }
+
+    /// The inner edges, axis after axis.
+    pub fn edges(&self) -> &[f32] {
+        &self.edges
+    }
+
+    /// Each coded axis's inner edges, `j` ascending.
+    fn axes(&self) -> impl Iterator<Item = &[f32]> {
+        let mut rest = &self.edges[..];
+        widths(self.dim).map(move |width| {
+            let (axis, tail) = rest.split_at((1 << width) - 1);
+            rest = tail;
+            axis
+        })
+    }
+
+    /// The code of a stored row: per axis the number of edges strictly
+    /// below the coordinate, packed `j` ascending from the low bits — so
+    /// the cell's lower edge is below the coordinate and its upper edge
+    /// not.
+    pub fn encode(&self, row: &[f64]) -> u64 {
+        debug_assert_eq!(row.len(), self.dim);
+        let (mut code, mut shift) = (0u64, 0);
+        for (&p, axis) in row.iter().zip(self.axes()) {
+            code |= (axis.partition_point(|&e| f64::from(e) < p) as u64) << shift;
+            shift += (axis.len() + 1).trailing_zeros();
+        }
+        code
+    }
+
+    /// Appends to `table` one query's gap table against this codebook:
+    /// axis after axis, per cell `max(lo − q, q − hi, 0)²` — the squared
+    /// distance from the query's coordinate to the cell's nearest face, 0
+    /// inside the cell and towards an unbounded side.
+    pub fn gaps_into(&self, q_local: &[f64], table: &mut Vec<f64>) {
+        debug_assert_eq!(q_local.len(), self.dim);
+        for (&q, axis) in q_local.iter().zip(self.axes()) {
+            table.extend((0..=axis.len()).map(|cell| {
+                let lo = match cell {
+                    0 => f64::NEG_INFINITY,
+                    _ => f64::from(axis[cell - 1]),
+                };
+                let hi = axis.get(cell).map_or(f64::INFINITY, |&e| f64::from(e));
+                let gap = (lo - q).max(q - hi).max(0.0);
+                gap * gap
+            }));
+        }
+    }
+
+    /// The sum over the coded axes of `code`'s gaps in `table` (this
+    /// codebook's [`gaps_into`](Self::gaps_into)), from `0.0`, `j` ascending:
+    /// `≤` the `l2_dist_sq` of the query and the coded row, so `(proj_sq +
+    /// gap_sq).sqrt()` is `≤` their `reduced_dist`. The one routine here
+    /// that runs per leaf entry: two runs of axes, each of one width.
+    #[inline]
+    pub fn gap_sq(&self, table: &[f64], mut code: u64) -> f64 {
+        let (wide, width, _) = self.shape;
+        let (wider, narrower) = table.split_at(wide << (width + 1));
+        let mut sum = 0.0;
+        for (axes, width) in [(wider, width + 1), (narrower, width)] {
+            for cells in axes.chunks_exact(1 << width) {
+                sum += cells[code as usize & (cells.len() - 1)];
+                code >>= width;
+            }
+        }
+        sum
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use proptest::prelude::*;
+
+    #[test]
+    fn the_64_bits_are_shared_out_as_the_design_says() {
+        let bits = |d: usize| widths(d).collect::<Vec<_>>();
+        assert_eq!(bits(12), [6, 6, 6, 6, 5, 5, 5, 5, 5, 5, 5, 5]);
+        assert_eq!(bits(8), [8; 8]);
+        assert_eq!(bits(1), [8]);
+        assert_eq!(bits(20)[..5], [4, 4, 4, 4, 3]);
+        assert_eq!(bits(64), [1; 64]);
+        assert_eq!(bits(40)[22..26], [2, 2, 1, 1]);
+        assert_eq!(bits(80), [1; 64], "coordinates 64.. are not coded");
+        assert_eq!(bits(0), [0; 0]);
+        for d in 1..=200 {
+            let total: u32 = widths(d).sum();
+            assert!(total <= 64 && (d < 8 || total == 64), "d = {d}: {total}");
+        }
+    }
+
+    #[test]
+    fn a_decoded_codebook_must_fit_its_dimension() {
+        let rows = [vec![0.5, -1.0, 3.0], vec![0.25, 2.0, 3.0]];
+        let book = Codebook::fit(rows.iter().map(Vec::as_slice)).unwrap();
+        assert_eq!(book.edges().len(), 3 * 255);
+        let back = Codebook::from_edges(3, book.edges().to_vec()).unwrap();
+        assert_eq!(back, book);
+        assert!(Codebook::from_edges(2, book.edges().to_vec()).is_err());
+        let mut unsorted = book.edges().to_vec();
+        unsorted.swap(0, 254);
+        assert!(Codebook::from_edges(3, unsorted).is_err());
+        let mut nan = book.edges().to_vec();
+        nan[7] = f32::NAN;
+        assert!(Codebook::from_edges(3, nan).is_err());
+        assert!(Codebook::fit(std::iter::empty::<&[f64]>()).is_none());
+        // No axes at all: one code, no gap.
+        let flat = Codebook::fit([&[][..]].into_iter()).unwrap();
+        assert_eq!((flat.encode(&[]), flat.gap_sq(&[], 0)), (0, 0.0));
+    }
+
+    /// The cell of `code` on axis `j` as `(lo, hi)`.
+    fn cell(book: &Codebook, code: u64, j: usize) -> (f64, f64) {
+        let shift: u32 = widths(book.dim).take(j).sum();
+        let axis = book.axes().nth(j).unwrap();
+        let index = (code >> shift) as usize & axis.len();
+        let edge = |i: usize| f64::from(axis[i]);
+        (
+            if index == 0 {
+                f64::NEG_INFINITY
+            } else {
+                edge(index - 1)
+            },
+            if index == axis.len() {
+                f64::INFINITY
+            } else {
+                edge(index)
+            },
+        )
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// For rows the codebook was cut from and rows coded after the
+        /// fact from far outside their range, for queries inside, outside
+        /// and exactly on edges, with duplicate columns and down to a
+        /// one-row partition: every coordinate lies in its cell, and the
+        /// bound is at most the distance — as `f64`s, no tolerance.
+        #[test]
+        fn the_code_bound_never_exceeds_the_distance(
+            dim in 1usize..=80,
+            n in 1usize..60,
+            raw in proptest::collection::vec(-1.0f64..1.0, 80 * 8),
+            scale in 0usize..4,
+            proj_sq in 0.0f64..4.0,
+            picks in proptest::collection::vec(0usize..10_000, 16),
+        ) {
+            let scale = [1e-9, 1.0, 37.5, 1e12][scale];
+            // Column 1 repeats column 0; column 2 is constant.
+            let value = |i: usize, j: usize| match j {
+                1 => raw[(i * 7) % raw.len()] * scale,
+                2 => scale,
+                _ => raw[(i * 7 + j * 13) % raw.len()] * scale,
+            };
+            let row = |i: usize| (0..dim).map(|j| value(i, j)).collect::<Vec<f64>>();
+            let built: Vec<Vec<f64>> = (0..n).map(row).collect();
+            let book = Codebook::fit(built.iter().map(Vec::as_slice)).unwrap();
+            prop_assert_eq!(
+                &Codebook::from_edges(dim, book.edges().to_vec()).unwrap(),
+                &book
+            );
+            // Rows an in-place insert brings later, beyond every column's range.
+            let late: Vec<Vec<f64>> = (0..4)
+                .map(|i| row(n + i).iter().map(|v| v * 1e3 + (i as f64 - 1.5) * 9.0 * scale).collect())
+                .collect();
+            let rows: Vec<&Vec<f64>> = built.iter().chain(&late).collect();
+            let codes: Vec<u64> = rows.iter().map(|r| book.encode(r)).collect();
+            for (r, &code) in rows.iter().zip(&codes) {
+                for (j, &p) in r.iter().enumerate().take(64) {
+                    let (lo, hi) = cell(&book, code, j);
+                    prop_assert!(lo <= p && p <= hi, "axis {j}: {lo} <= {p} <= {hi}");
+                }
+            }
+            // Queries: a stored row, one far outside, one with coordinates
+            // exactly on edges, one between.
+            let mut on_edges = row(picks[0] % n);
+            for (j, q) in on_edges.iter_mut().enumerate().take(64) {
+                let (lo, hi) = cell(&book, codes[picks[j % 16] % codes.len()], j);
+                *q = if lo.is_finite() { lo } else if hi.is_finite() { hi } else { *q };
+            }
+            let queries = [
+                row(picks[1] % n),
+                row(picks[2]).iter().map(|v| v * 50.0 - scale).collect(),
+                on_edges,
+                row(picks[3]).iter().zip(row(picks[4])).map(|(a, b)| 0.5 * (a + b)).collect(),
+            ];
+            let mut table = vec![f64::NAN; 3];
+            for q in &queries {
+                table.truncate(3);
+                book.gaps_into(q, &mut table);
+                for (r, &code) in rows.iter().zip(&codes) {
+                    let bound = (proj_sq + book.gap_sq(&table[3..], code)).sqrt();
+                    let dist = mmdr_linalg::reduced_dist(proj_sq, q, r);
+                    prop_assert!(bound <= dist, "bound {bound:e} > distance {dist:e}");
+                }
+            }
+            prop_assert!(table[..3].iter().all(|t| t.is_nan()), "the table is appended to");
+        }
+    }
+}

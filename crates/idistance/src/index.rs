@@ -1,11 +1,12 @@
 //! Building the extended iDistance index from a reduction result.
 
 use crate::backend::Backend;
+use crate::codes::Codebook;
 use crate::error::{Error, Result};
 use crate::layout::{data_rows, partition_ids, KeySpace, PartitionRows};
 use crate::vector_heap::VectorHeap;
 use mmdr_btree::BPlusTree;
-use mmdr_core::ReductionResult;
+use mmdr_core::{EllipsoidCluster, ReductionResult};
 use mmdr_index::{DeltaLayer, SearchCounters};
 use mmdr_linalg::Matrix;
 use mmdr_pca::ReducedSubspace;
@@ -64,6 +65,37 @@ pub struct PartitionInfo {
     pub max_radius: f64,
     /// Member count.
     pub count: usize,
+    /// The cells the leaf entries' codes index, cut from the rows the
+    /// partition was loaded with; `None` when it was loaded empty, and its
+    /// entries (in-place inserts, code 0) are then never judged by code.
+    pub codebook: Option<Codebook>,
+}
+
+impl PartitionInfo {
+    /// The partition of `cluster` — `None` for the outlier home, whose
+    /// reference point is `reference` — with what a load measured of its
+    /// rows. Everything else is the model's, so a snapshot stores only the
+    /// measurements and says the rest once, in its model.
+    pub fn new(
+        cluster: Option<&EllipsoidCluster>,
+        reference: &[f64],
+        (min_radius, max_radius): (f64, f64),
+        count: usize,
+        codebook: Option<Codebook>,
+    ) -> Self {
+        Self {
+            subspace: cluster.map(|c| c.subspace.clone()),
+            centroid: match cluster {
+                Some(c) => c.subspace.centroid().to_vec(),
+                None => reference.to_vec(),
+            },
+            covariance: cluster.map(|c| c.covariance.clone()),
+            min_radius,
+            max_radius,
+            count,
+            codebook,
+        }
+    }
 }
 
 /// The extended iDistance index.
@@ -106,8 +138,9 @@ impl IDistanceIndex {
     /// partition `i` is cluster `i`, the last one the outlier home (always
     /// present so inserts have somewhere to go), each keyed by
     /// `y = i·c + dist(P, Oᵢ)` — the norm of the local coordinates in a
-    /// cluster, the distance to `keys.reference` among the outliers. The
-    /// tree and the heap split `buffer_pages` behind one I/O ledger.
+    /// cluster, the distance to `keys.reference` among the outliers — and
+    /// coded by the [`Codebook`] cut from the partition's rows. The tree
+    /// and the heap split `buffer_pages` behind one I/O ledger.
     pub(crate) fn load(
         model: &ReductionResult,
         buffer_pages: usize,
@@ -130,8 +163,8 @@ impl IDistanceIndex {
         let mut heap = VectorHeap::new(pool()?);
 
         let mut partitions: Vec<PartitionInfo> = Vec::with_capacity(model.clusters.len() + 1);
-        // (partition, key distance, rid) triples; keyed after c is known.
-        let mut staged: Vec<(usize, f64, u64)> = Vec::with_capacity(model.num_points);
+        // (partition, key distance, rid, code); keyed after c is known.
+        let mut staged: Vec<(usize, f64, u64, u64)> = Vec::with_capacity(model.num_points);
         for part in partition_ids(model) {
             let i = partitions.len();
             let cluster = part.map(|ci| &model.clusters[ci]);
@@ -149,6 +182,7 @@ impl IDistanceIndex {
             // the same order as tree leaves, so each page is read once
             // instead of ping-ponging.
             order.sort_by(|a, b| a.0.partial_cmp(&b.0).unwrap_or(std::cmp::Ordering::Equal));
+            let codebook = Codebook::fit(rows.iter().map(|(_, coords)| coords.as_slice()));
             let mut min_radius = f64::INFINITY;
             let mut max_radius: f64 = 0.0;
             for (dist, at) in order {
@@ -156,23 +190,19 @@ impl IDistanceIndex {
                 max_radius = max_radius.max(dist);
                 let (id, coords) = &rows[at];
                 let rid = heap.append(i as u32, *id, coords)?;
-                staged.push((i, dist, rid));
+                let code = codebook.as_ref().map_or(0, |book| book.encode(coords));
+                staged.push((i, dist, rid, code));
             }
-            partitions.push(PartitionInfo {
-                subspace: cluster.map(|c| c.subspace.clone()),
-                centroid: match cluster {
-                    Some(c) => c.subspace.centroid().to_vec(),
-                    None => reference.clone(),
-                },
-                covariance: cluster.map(|c| c.covariance.clone()),
-                min_radius: if min_radius.is_finite() {
-                    min_radius
-                } else {
-                    0.0
-                },
-                max_radius,
-                count: rows.len(),
-            });
+            if rows.is_empty() {
+                min_radius = 0.0;
+            }
+            partitions.push(PartitionInfo::new(
+                cluster,
+                &reference,
+                (min_radius, max_radius),
+                rows.len(),
+                codebook,
+            ));
         }
 
         // Range-partitioning constant: strictly larger than any in-partition
@@ -180,9 +210,9 @@ impl IDistanceIndex {
         // headroom for dynamic inserts that stretch a cluster.
         let widest = partitions.iter().map(|p| p.max_radius).fold(0.0, f64::max);
         let c = config.c.unwrap_or(2.0 * widest + 1.0).max(c_floor);
-        let mut entries: Vec<(f64, u64)> = staged
+        let mut entries: Vec<(f64, u64, u64)> = staged
             .into_iter()
-            .map(|(part, dist, rid)| (part as f64 * c + dist, rid))
+            .map(|(part, dist, rid, code)| (part as f64 * c + dist, rid, code))
             .collect();
         entries.sort_by(|a, b| a.0.partial_cmp(&b.0).unwrap_or(std::cmp::Ordering::Equal));
         let tree = BPlusTree::bulk_load(tree_pool, &entries)?;
@@ -350,8 +380,10 @@ impl IDistanceIndex {
         });
         let rid = self.heap.append(part_idx as u32, point_id, &local)?;
         let key = part_idx as f64 * self.c + dist;
-        self.tree.insert(key, rid)?;
         let part = &mut self.partitions[part_idx];
+        // The outer cells are unbounded: wherever the point lies, it has one.
+        let code = part.codebook.as_ref().map_or(0, |book| book.encode(&local));
+        self.tree.insert(key, rid, code)?;
         part.min_radius = part.min_radius.min(dist);
         part.max_radius = part.max_radius.max(dist);
         part.count += 1;

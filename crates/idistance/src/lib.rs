@@ -23,9 +23,12 @@
 //! (the three cases — contains / intersects / disjoint — fall out of the
 //! annulus ∩ `[min_radius, max_radius]` intersection), and stop when the
 //! k-th candidate's distance is below the current radius. The triangle
-//! inequality `‖Q−P‖ ≥ ‖Qⱼ−Oⱼ‖ − Rⱼ` prunes unreachable partitions. A
-//! range query ([`mmdr_index::Target::Range`]) is the same loop's single
-//! round: its radius is given, so the first pass is the last.
+//! inequality `‖Q−P‖ ≥ ‖Qⱼ−Oⱼ‖ − Rⱼ` prunes unreachable partitions, and
+//! a 64-bit cell code beside every key ([`Codebook`]) bounds an entry's
+//! distance from below in the leaf, so the heap is read only for the rows
+//! that bound cannot rule out. A range query
+//! ([`mmdr_index::Target::Range`]) is the same loop's single round: its
+//! radius is given, so the first pass is the last.
 //!
 //! Comparison schemes for the Figure 9/10 experiments:
 //! - [`SeqScan`] — sequential scan of the reduced heap pages.
@@ -37,6 +40,7 @@
 //! paper's precision metric compares against the exact full-space answers.
 
 mod backend;
+mod codes;
 mod error;
 mod gldr;
 mod index;
@@ -48,6 +52,7 @@ mod vector_heap;
 mod vector_index;
 
 pub use backend::{build_backend, build_restored_hybrid, install_restored_prep, Backend};
+pub use codes::Codebook;
 pub use error::{Error, Result};
 pub use gldr::GlobalLdrIndex;
 pub use index::{IDistanceConfig, IDistanceIndex, PartitionInfo};

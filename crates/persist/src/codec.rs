@@ -59,6 +59,30 @@ impl ByteWriter {
         }
     }
 
+    /// Appends a `u64` as a LEB128 varint: seven bits a byte, low group
+    /// first, the high bit set on every byte but the last (1 to 10 bytes).
+    pub fn put_varint(&mut self, mut v: u64) {
+        while v >= 0x80 {
+            self.buf.push(v as u8 | 0x80);
+            v >>= 7;
+        }
+        self.buf.push(v as u8);
+    }
+
+    /// Appends a length-prefixed list of ids as zig-zag varints of each
+    /// id's difference from the one before it (from 0, wrapping): a byte
+    /// an id where the list mostly ascends by small steps, as a cluster's
+    /// member list does, and any order and any value round-trip.
+    pub fn put_id_list(&mut self, ids: &[usize]) {
+        self.put_usize(ids.len());
+        let mut prev = 0u64;
+        for &id in ids {
+            let delta = (id as u64).wrapping_sub(prev) as i64;
+            self.put_varint(((delta << 1) ^ (delta >> 63)) as u64);
+            prev = id as u64;
+        }
+    }
+
     /// Appends raw bytes with no length prefix.
     pub fn put_bytes(&mut self, bytes: &[u8]) {
         self.buf.extend_from_slice(bytes);
@@ -165,6 +189,46 @@ impl<'a> ByteReader<'a> {
         Ok(n)
     }
 
+    /// Reads a [`ByteWriter::put_varint`] value, rejecting one that runs
+    /// past ten bytes or whose tenth byte overflows 64 bits.
+    pub fn get_varint(&mut self) -> Result<u64> {
+        let mut v = 0u64;
+        for shift in (0..64).step_by(7) {
+            let byte = self.get_u8()?;
+            let group = u64::from(byte & 0x7F);
+            if shift == 63 && group > 1 {
+                break;
+            }
+            v |= group << shift;
+            if byte & 0x80 == 0 {
+                return Ok(v);
+            }
+        }
+        Err(PersistError::malformed(format!(
+            "{}: varint does not fit 64 bits",
+            self.region
+        )))
+    }
+
+    /// Reads a [`ByteWriter::put_id_list`] list.
+    pub fn get_id_list(&mut self) -> Result<Vec<usize>> {
+        let n = self.get_len(1)?;
+        let mut prev = 0u64;
+        (0..n)
+            .map(|_| {
+                let z = self.get_varint()?;
+                let delta = (z >> 1) as i64 ^ -((z & 1) as i64);
+                prev = prev.wrapping_add(delta as u64);
+                usize::try_from(prev).map_err(|_| {
+                    PersistError::malformed(format!(
+                        "{}: id {prev} exceeds the address space",
+                        self.region
+                    ))
+                })
+            })
+            .collect()
+    }
+
     /// Reads an `f64` from its bit pattern.
     pub fn get_f64(&mut self) -> Result<f64> {
         Ok(f64::from_bits(self.get_u64()?))
@@ -180,6 +244,70 @@ impl<'a> ByteReader<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    fn id_list_roundtrip(ids: &[usize]) -> usize {
+        let mut w = ByteWriter::new();
+        w.put_id_list(ids);
+        let bytes = w.into_bytes();
+        let mut r = ByteReader::new(&bytes, "ids");
+        assert_eq!(r.get_id_list().unwrap(), ids);
+        r.expect_end().unwrap();
+        bytes.len()
+    }
+
+    #[test]
+    fn an_ascending_id_list_costs_a_byte_a_member() {
+        assert_eq!(id_list_roundtrip(&[]), 8);
+        let ascending: Vec<usize> = (1000..2000).map(|i| i * 3).collect();
+        assert_eq!(id_list_roundtrip(&ascending), 8 + 2 + 999);
+        id_list_roundtrip(&[usize::MAX, 0, usize::MAX, usize::MAX - 1, 1 << 63, 5, 5]);
+    }
+
+    #[test]
+    fn a_varint_that_overflows_or_never_ends_is_malformed() {
+        for bad in [
+            &[0xFF; 9][..],
+            &[0x80; 12][..],
+            &[0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x02][..],
+        ] {
+            let mut r = ByteReader::new(bad, "varint");
+            assert!(matches!(r.get_varint(), Err(PersistError::Malformed(_))));
+        }
+        let mut w = ByteWriter::new();
+        w.put_varint(u64::MAX);
+        let bytes = w.into_bytes();
+        assert_eq!(bytes.len(), 10);
+        assert_eq!(
+            ByteReader::new(&bytes, "max").get_varint().unwrap(),
+            u64::MAX
+        );
+        // A list that claims more ids than it has bytes for.
+        let mut w = ByteWriter::new();
+        w.put_usize(9);
+        w.put_varint(3);
+        let bytes = w.into_bytes();
+        let mut r = ByteReader::new(&bytes, "short");
+        assert!(matches!(r.get_id_list(), Err(PersistError::Malformed(_))));
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// Any list round-trips: unsorted, with repeats, with the extremes.
+        #[test]
+        fn id_lists_roundtrip(
+            ids in proptest::collection::vec(0usize..=usize::MAX, 0..200),
+            near in proptest::collection::vec(0usize..50, 0..200),
+            base in 0usize..=usize::MAX,
+        ) {
+            id_list_roundtrip(&ids);
+            let walk: Vec<usize> = near.iter().map(|&d| base.wrapping_add(d * 7919)).collect();
+            id_list_roundtrip(&walk);
+            let mixed: Vec<usize> = ids.iter().chain(&walk).copied().chain([usize::MAX, 0]).collect();
+            id_list_roundtrip(&mixed);
+        }
+    }
 
     #[test]
     fn roundtrip_all_widths() {

@@ -26,12 +26,13 @@ pub enum PersistError {
         /// The eight bytes found where the magic should be.
         found: [u8; 8],
     },
-    /// The snapshot was written by a newer format revision than this build
-    /// understands.
+    /// The snapshot was written in another format revision than the one
+    /// this build writes and reads — newer, or older (there is no second
+    /// reader: rebuild the snapshot).
     UnsupportedVersion {
         /// Version recorded in the file.
         found: u32,
-        /// Highest version this build can open.
+        /// The version this build opens.
         supported: u32,
     },
     /// The file ends before the data its header promises.
@@ -129,7 +130,7 @@ impl fmt::Display for PersistError {
             }
             PersistError::UnsupportedVersion { found, supported } => write!(
                 f,
-                "snapshot format version {found} is newer than the supported {supported}"
+                "snapshot format version {found} is not the supported {supported}"
             ),
             PersistError::Truncated { expected, actual } => {
                 write!(

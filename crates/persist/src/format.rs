@@ -26,9 +26,10 @@
 //! CRCs, payloads by per-section CRCs, and the gap-freeness of the layout by
 //! the recorded total length (shorter file → `Truncated`, longer →
 //! `TrailingBytes`). Open-time checks run in a fixed order — magic, endian
-//! tag, *version*, then checksums — so a snapshot from a future format
-//! version reports `UnsupportedVersion` even though its superblock would
-//! also fail this version's expectations.
+//! tag, *version*, then checksums — so a snapshot of another format version,
+//! older or newer, reports `UnsupportedVersion` even though its superblock
+//! would also fail this version's expectations. One version is written and
+//! one is read: there is no second reader.
 
 use crate::error::{PersistError, Result};
 use mmdr_storage::crc32;
@@ -42,7 +43,14 @@ pub const MAGIC: [u8; 8] = *b"MMDRSNP\x01";
 /// PAGEDIR section carries the group layout plus a CRC32 *per page*, so a
 /// lazy open can verify everything except the images up front and verify
 /// each image the moment it is demand-read.
-pub const FORMAT_VERSION: u32 = 2;
+///
+/// Version 3 is the iDistance leaf's third field and what pays for it: a
+/// B⁺-tree leaf entry is `(key, rid, code)` (24 bytes), META's partition
+/// record holds only what a load measured — radii, count, the codebook the
+/// codes index, the outliers' reference point — with the subspace, centroid
+/// and covariance read from MODEL, which already had them, and MODEL's
+/// member lists are zig-zag delta varints.
+pub const FORMAT_VERSION: u32 = 3;
 /// Little-endian sentinel; a byte-swapped writer would store 0x4D3C2B1A.
 pub const ENDIAN_TAG: u32 = 0x1A2B_3C4D;
 /// Superblock size; the section table starts here.
@@ -80,26 +88,21 @@ pub(crate) fn section_name(id: u32) -> String {
     }
 }
 
-/// One section to write: id plus payload bytes.
-pub struct Section {
-    /// Section id (see [`section_id`]).
-    pub id: u32,
-    /// Raw payload.
-    pub payload: Vec<u8>,
-}
-
-/// Assembles a complete snapshot image from the backend tag and sections.
-pub fn assemble(backend_tag: u32, sections: &[Section]) -> Vec<u8> {
+/// The superblock and section table of a snapshot whose sections are, in
+/// file order, `sections`: each an id, its payload's CRC32 and its payload's
+/// length. The payloads follow back to back — the writer streams them after
+/// this head, so the largest never has to exist in memory.
+pub fn header(backend_tag: u32, sections: &[(u32, u32, u64)]) -> Vec<u8> {
     let table_len = sections.len() * TABLE_ENTRY_LEN;
     let mut offset = (SUPERBLOCK_LEN + table_len) as u64;
     let mut table = Vec::with_capacity(table_len);
-    for s in sections {
-        table.extend_from_slice(&s.id.to_le_bytes());
-        table.extend_from_slice(&crc32(&s.payload).to_le_bytes());
+    for &(id, crc, len) in sections {
+        table.extend_from_slice(&id.to_le_bytes());
+        table.extend_from_slice(&crc.to_le_bytes());
         table.extend_from_slice(&offset.to_le_bytes());
-        table.extend_from_slice(&(s.payload.len() as u64).to_le_bytes());
+        table.extend_from_slice(&len.to_le_bytes());
         table.extend_from_slice(&0u64.to_le_bytes());
-        offset += s.payload.len() as u64;
+        offset += len;
     }
     let file_len = offset;
 
@@ -116,11 +119,23 @@ pub fn assemble(backend_tag: u32, sections: &[Section]) -> Vec<u8> {
     let sb_crc = crc32(&sb);
     sb[44..48].copy_from_slice(&sb_crc.to_le_bytes());
 
-    let mut out = Vec::with_capacity(file_len as usize);
+    let mut out = Vec::with_capacity(SUPERBLOCK_LEN + table_len);
     out.extend_from_slice(&sb);
     out.extend_from_slice(&table);
-    for s in sections {
-        out.extend_from_slice(&s.payload);
+    out
+}
+
+/// A complete snapshot image assembled in memory from whole payloads: the
+/// oracle the streaming writer's bytes are compared with.
+#[cfg(test)]
+pub(crate) fn assemble(backend_tag: u32, sections: &[(u32, Vec<u8>)]) -> Vec<u8> {
+    let heads: Vec<(u32, u32, u64)> = sections
+        .iter()
+        .map(|(id, payload)| (*id, crc32(payload), payload.len() as u64))
+        .collect();
+    let mut out = header(backend_tag, &heads);
+    for (_, payload) in sections {
+        out.extend_from_slice(payload);
     }
     out
 }
@@ -386,18 +401,9 @@ mod tests {
         assemble(
             2,
             &[
-                Section {
-                    id: section_id::MODEL,
-                    payload: b"model-bytes".to_vec(),
-                },
-                Section {
-                    id: section_id::META,
-                    payload: vec![],
-                },
-                Section {
-                    id: section_id::PAGES,
-                    payload: vec![0xAB; 300],
-                },
+                (section_id::MODEL, b"model-bytes".to_vec()),
+                (section_id::META, vec![]),
+                (section_id::PAGES, vec![0xAB; 300]),
             ],
         )
     }
@@ -427,19 +433,19 @@ mod tests {
     }
 
     #[test]
-    fn future_version_reported_before_checksums() {
-        let mut image = sample();
-        // Bump the version *without* fixing the superblock CRC: the version
-        // check must fire first.
-        image[8..12].copy_from_slice(&99u32.to_le_bytes());
-        match parse(&image) {
-            Err(PersistError::UnsupportedVersion {
-                found: 99,
-                supported,
-            }) => {
-                assert_eq!(supported, FORMAT_VERSION);
+    fn another_version_reported_before_checksums() {
+        // A newer file, and the v2 one the previous format wrote: the
+        // version is changed *without* fixing the superblock CRC, and the
+        // version check must fire first.
+        for other in [99u32, 2] {
+            let mut image = sample();
+            image[8..12].copy_from_slice(&other.to_le_bytes());
+            match parse(&image) {
+                Err(PersistError::UnsupportedVersion { found, supported }) => {
+                    assert_eq!((found, supported), (other, FORMAT_VERSION));
+                }
+                other => panic!("expected UnsupportedVersion, got {other:?}"),
             }
-            other => panic!("expected UnsupportedVersion, got {other:?}"),
         }
     }
 

@@ -14,7 +14,7 @@
 use crate::codec::{ByteReader, ByteWriter};
 use crate::error::{PersistError, Result};
 use mmdr_core::{EllipsoidCluster, ReductionResult, ReductionStats};
-use mmdr_idistance::{IDistanceConfig, PartitionInfo};
+use mmdr_idistance::{Codebook, IDistanceConfig, PartitionInfo};
 use mmdr_linalg::Matrix;
 use mmdr_pca::ReducedSubspace;
 
@@ -55,18 +55,6 @@ pub fn get_subspace(r: &mut ByteReader<'_>) -> Result<ReducedSubspace> {
     Ok(ReducedSubspace::new(centroid, basis)?)
 }
 
-fn put_usize_vec(w: &mut ByteWriter, vs: &[usize]) {
-    w.put_usize(vs.len());
-    for &v in vs {
-        w.put_usize(v);
-    }
-}
-
-fn get_usize_vec(r: &mut ByteReader<'_>) -> Result<Vec<usize>> {
-    let n = r.get_len(8)?;
-    (0..n).map(|_| r.get_usize()).collect()
-}
-
 pub fn put_model(w: &mut ByteWriter, m: &ReductionResult) {
     w.put_usize(m.dim);
     w.put_usize(m.num_points);
@@ -74,14 +62,14 @@ pub fn put_model(w: &mut ByteWriter, m: &ReductionResult) {
     for c in &m.clusters {
         put_subspace(w, &c.subspace);
         put_matrix(w, &c.covariance);
-        put_usize_vec(w, &c.members);
+        w.put_id_list(&c.members);
         w.put_f64(c.mpe);
         w.put_f64(c.radius_eliminated);
         w.put_f64(c.radius_retained);
         w.put_f64(c.nearest_radius);
         w.put_f64(c.ellipticity);
     }
-    put_usize_vec(w, &m.outliers);
+    w.put_id_list(&m.outliers);
     w.put_u64(m.stats.distance_computations);
     w.put_u64(m.stats.ge_invocations);
     w.put_usize(m.stats.max_s_dim_reached);
@@ -96,7 +84,7 @@ pub fn get_model(r: &mut ByteReader<'_>) -> Result<ReductionResult> {
     for _ in 0..n_clusters {
         let subspace = get_subspace(r)?;
         let covariance = get_matrix(r)?;
-        let members = get_usize_vec(r)?;
+        let members = r.get_id_list()?;
         let mpe = r.get_f64()?;
         let radius_eliminated = r.get_f64()?;
         let radius_retained = r.get_f64()?;
@@ -119,7 +107,7 @@ pub fn get_model(r: &mut ByteReader<'_>) -> Result<ReductionResult> {
             ellipticity,
         });
     }
-    let outliers = get_usize_vec(r)?;
+    let outliers = r.get_id_list()?;
     let stats = ReductionStats {
         distance_computations: r.get_u64()?,
         ge_invocations: r.get_u64()?,
@@ -178,58 +166,64 @@ pub fn get_config(r: &mut ByteReader<'_>) -> Result<IDistanceConfig> {
     })
 }
 
+/// What a load measured of one partition — its radii, its count, the
+/// codebook its leaf codes index — and, for the outlier home alone, the
+/// reference point its keys are measured from. The subspace, a cluster's
+/// centroid and its covariance are the model's: MODEL holds them once.
 pub fn put_partition(w: &mut ByteWriter, p: &PartitionInfo) {
-    match &p.subspace {
-        Some(s) => {
-            w.put_u8(1);
-            put_subspace(w, s);
-        }
-        None => w.put_u8(0),
-    }
-    w.put_f64_slice(&p.centroid);
-    match &p.covariance {
-        Some(m) => {
-            w.put_u8(1);
-            put_matrix(w, m);
-        }
-        None => w.put_u8(0),
-    }
     w.put_f64(p.min_radius);
     w.put_f64(p.max_radius);
     w.put_usize(p.count);
+    match &p.codebook {
+        Some(book) => {
+            w.put_u8(1);
+            w.put_usize(book.edges().len());
+            for &e in book.edges() {
+                w.put_u32(e.to_bits());
+            }
+        }
+        None => w.put_u8(0),
+    }
+    if p.subspace.is_none() {
+        w.put_f64_slice(&p.centroid);
+    }
 }
 
-pub fn get_partition(r: &mut ByteReader<'_>) -> Result<PartitionInfo> {
-    let subspace = match r.get_u8()? {
-        0 => None,
-        1 => Some(get_subspace(r)?),
-        other => {
-            return Err(PersistError::malformed(format!(
-                "partition subspace flag {other}"
-            )));
-        }
-    };
-    let centroid = r.get_f64_vec()?;
-    let covariance = match r.get_u8()? {
-        0 => None,
-        1 => Some(get_matrix(r)?),
-        other => {
-            return Err(PersistError::malformed(format!(
-                "partition covariance flag {other}"
-            )));
-        }
-    };
-    let min_radius = r.get_f64()?;
-    let max_radius = r.get_f64()?;
+/// Decodes partition `i` of `model`'s layout (cluster `i`, then the outlier
+/// home) and completes it from the model, exactly as a load does.
+pub fn get_partition(
+    r: &mut ByteReader<'_>,
+    model: &ReductionResult,
+    i: usize,
+) -> Result<PartitionInfo> {
+    let cluster = model.clusters.get(i);
+    let radii = (r.get_f64()?, r.get_f64()?);
     let count = r.get_usize()?;
-    Ok(PartitionInfo {
-        subspace,
-        centroid,
-        covariance,
-        min_radius,
-        max_radius,
-        count,
-    })
+    let codebook = match r.get_u8()? {
+        0 => None,
+        1 => {
+            let n = r.get_len(4)?;
+            let edges = (0..n)
+                .map(|_| r.get_u32().map(f32::from_bits))
+                .collect::<Result<Vec<f32>>>()?;
+            // The width the partition's rows are stored at decides how
+            // many edges there must be.
+            let stored_dim = cluster.map_or(model.dim, |c| c.subspace.reduced_dim());
+            Some(Codebook::from_edges(stored_dim, edges)?)
+        }
+        other => {
+            return Err(PersistError::malformed(format!(
+                "partition codebook flag {other}"
+            )));
+        }
+    };
+    let reference = match cluster {
+        Some(_) => Vec::new(),
+        None => r.get_f64_vec()?,
+    };
+    Ok(PartitionInfo::new(
+        cluster, &reference, radii, count, codebook,
+    ))
 }
 
 #[cfg(test)]
@@ -339,34 +333,49 @@ mod tests {
         assert_eq!(got.beta, 0.2);
 
         let m = toy_model();
-        let part = PartitionInfo {
-            subspace: Some(m.clusters[0].subspace.clone()),
-            centroid: vec![0.25, -1.5, 3.0],
-            covariance: Some(Matrix::identity(3)),
-            min_radius: 0.5,
-            max_radius: 2.0,
-            count: 3,
-        };
-        let outlier = PartitionInfo {
-            subspace: None,
-            centroid: vec![1.0, 1.0, 1.0],
-            covariance: None,
-            min_radius: 0.0,
-            max_radius: 4.0,
-            count: 2,
-        };
-        for p in [&part, &outlier] {
+        let rows = [vec![0.5, -1.0], vec![0.25, 2.0], vec![4.0, 2.0]];
+        let part = PartitionInfo::new(
+            Some(&m.clusters[0]),
+            &[],
+            (0.5, 2.0),
+            3,
+            Codebook::fit(rows.iter().map(Vec::as_slice)),
+        );
+        let outlier = PartitionInfo::new(None, &[1.0, 1.0, 1.0], (0.0, 4.0), 2, None);
+        let mut w = ByteWriter::new();
+        put_partition(&mut w, &part);
+        let cluster_bytes = w.into_bytes().len();
+        assert_eq!(
+            cluster_bytes,
+            3 * 8 + 1 + 8 + 2 * 255 * 4,
+            "radii, count and the codebook: no subspace, centroid or covariance"
+        );
+        for (i, p) in [&part, &outlier].into_iter().enumerate() {
             let mut w = ByteWriter::new();
             put_partition(&mut w, p);
             let bytes = w.into_bytes();
             let mut r = ByteReader::new(&bytes, "part");
-            let got = get_partition(&mut r).unwrap();
+            let got = get_partition(&mut r, &m, i).unwrap();
             r.expect_end().unwrap();
             assert_eq!(got.subspace.is_some(), p.subspace.is_some());
             assert_eq!(got.centroid, p.centroid);
+            assert_eq!(
+                got.covariance.as_ref().map(|c| c.as_slice()),
+                p.covariance.as_ref().map(|c| c.as_slice())
+            );
             assert_eq!(got.count, p.count);
             assert_eq!(got.min_radius.to_bits(), p.min_radius.to_bits());
             assert_eq!(got.max_radius.to_bits(), p.max_radius.to_bits());
+            assert_eq!(got.codebook, p.codebook);
         }
+        // A codebook of another width than the partition stores is refused.
+        let mut w = ByteWriter::new();
+        put_partition(&mut w, &part);
+        let bytes = w.into_bytes();
+        let mut r = ByteReader::new(&bytes, "part");
+        assert!(matches!(
+            get_partition(&mut r, &m, 1),
+            Err(PersistError::Index(_))
+        ));
     }
 }

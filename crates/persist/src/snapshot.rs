@@ -26,7 +26,7 @@
 
 use crate::codec::{ByteReader, ByteWriter};
 use crate::error::{PersistError, Result};
-use crate::format::{self, section_id, Section, SectionEntry};
+use crate::format::{self, section_id, SectionEntry};
 use crate::model_codec;
 use mmdr_core::ReductionResult;
 use mmdr_hybridtree::HybridTree;
@@ -34,8 +34,11 @@ pub use mmdr_idistance::BuiltIndex;
 use mmdr_idistance::{Backend, GlobalLdrIndex, IDistanceIndex, SeqScan, VectorHeap};
 use mmdr_linalg::Matrix;
 use mmdr_query::AttrStore;
-use mmdr_storage::{crc32, BufferPool, DiskManager, FileSource, IoStats, Page, PageId, PAGE_SIZE};
+use mmdr_storage::{
+    crc32, BufferPool, Crc32, DiskManager, FileSource, IoStats, Page, PageId, PAGE_SIZE,
+};
 use std::fs::File;
+use std::io::{BufWriter, Write};
 use std::os::unix::fs::FileExt;
 use std::path::Path;
 use std::sync::Arc;
@@ -111,33 +114,13 @@ impl Default for OpenOptions {
 
 // ---- page groups ----------------------------------------------------------
 
-/// Flushes and exports one storage structure's pages.
-fn export_group(pool: &BufferPool) -> Result<Vec<Page>> {
-    Ok(pool.export_pages()?)
-}
-
 /// Where one restored pool's pages come from: decoded images (resident
 /// open, or a freshly built index) or a demand-read window into the
 /// snapshot file's PAGES section.
 #[derive(Debug)]
 enum GroupData {
-    Mem(Vec<Page>),
+    Mem(Vec<Arc<Page>>),
     File(FileSource),
-}
-
-/// Serializes the page directory (group layout + per-page CRC32s) and the
-/// raw page images. The images are written back-to-back with no framing,
-/// so page `i` of a group lives at `group_base + i * PAGE_SIZE` — the
-/// invariant [`FileSource`] preads against.
-fn put_pagedir_and_pages(dir_w: &mut ByteWriter, pages_w: &mut ByteWriter, groups: &[Vec<Page>]) {
-    dir_w.put_u32(groups.len() as u32);
-    for g in groups {
-        dir_w.put_usize(g.len());
-        for p in g {
-            dir_w.put_u32(crc32(p.as_bytes()));
-            pages_w.put_bytes(p.as_bytes());
-        }
-    }
 }
 
 /// Decodes the page directory: per-group per-page CRC32s.
@@ -190,7 +173,7 @@ fn eager_page_groups(payload: &[u8], dir: &[Vec<u32>]) -> Result<Vec<GroupData>>
                     "page {i} disagrees with its directory checksum"
                 )));
             }
-            pages.push(Page::from_bytes(image)?);
+            pages.push(Arc::new(Page::from_bytes(image)?));
             off += PAGE_SIZE;
         }
         groups.push(GroupData::Mem(pages));
@@ -306,31 +289,32 @@ fn restore_hybrid(
 
 // ---- save ----------------------------------------------------------------
 
-/// Serializes a built index (plus the model it was built from) into a
-/// snapshot image. The model epoch — how many background re-fits produced
-/// this model — rides as an optional trailing u64 in the MODEL section:
-/// epoch 0 writes nothing, so a never-re-fit snapshot is byte-identical to
-/// the pre-epoch format, and readers treat an absent field as epoch 0.
-fn encode(
-    index: &BuiltIndex,
+/// The META section of `index` — the backend's scalar state, which for
+/// iDistance reads the rest of each partition back from `model` — and the
+/// buffer pools whose pages make up PAGES, one group each, in the order
+/// [`restore`] takes them back.
+fn meta_and_pools<'a>(
+    index: &'a BuiltIndex,
     model: &ReductionResult,
-    model_epoch: u64,
-    attrs: Option<&AttrStore>,
-) -> Result<Vec<u8>> {
-    let mut model_w = ByteWriter::new();
-    model_codec::put_model(&mut model_w, model);
-    if model_epoch > 0 {
-        model_w.put_u64(model_epoch);
-    }
-
+) -> Result<(Vec<u8>, Vec<&'a BufferPool>)> {
     let mut meta = ByteWriter::new();
-    let mut groups: Vec<Vec<Page>> = Vec::new();
+    let mut pools: Vec<&BufferPool> = Vec::new();
     match index {
         BuiltIndex::SeqScan(scan) => {
             put_heap_meta(&mut meta, scan.heap());
-            groups.push(export_group(scan.heap().pool())?);
+            pools.push(scan.heap().pool());
         }
         BuiltIndex::IDistance(idx) => {
+            // A partition record says only what the load measured; the rest
+            // is read back from `model`, which must be the one it was
+            // loaded under.
+            if idx.partitions().len() != model.clusters.len() + 1 {
+                return Err(PersistError::malformed(format!(
+                    "index has {} partitions, the model {} clusters",
+                    idx.partitions().len(),
+                    model.clusters.len()
+                )));
+            }
             meta.put_usize(idx.dim());
             meta.put_f64(idx.c());
             model_codec::put_config(&mut meta, idx.config());
@@ -339,16 +323,15 @@ fn encode(
             meta.put_usize(idx.tree().height());
             meta.put_usize(idx.tree().len());
             put_heap_meta(&mut meta, idx.heap());
-            meta.put_usize(idx.partitions().len());
             for p in idx.partitions() {
                 model_codec::put_partition(&mut meta, p);
             }
-            groups.push(export_group(idx.tree().pool())?);
-            groups.push(export_group(idx.heap().pool())?);
+            pools.push(idx.tree().pool());
+            pools.push(idx.heap().pool());
         }
         BuiltIndex::Hybrid(tree) => {
             put_hybrid_meta(&mut meta, tree);
-            groups.push(export_group(tree.pool())?);
+            pools.push(tree.pool());
         }
         BuiltIndex::Gldr(gldr) => {
             meta.put_usize(gldr.dim());
@@ -358,53 +341,93 @@ fn encode(
                 let (tree, max_radius) = gldr.cluster_tree(i);
                 meta.put_f64(max_radius);
                 put_hybrid_meta(&mut meta, tree);
-                groups.push(export_group(tree.pool())?);
+                pools.push(tree.pool());
             }
             match gldr.outlier_tree() {
                 Some(tree) => {
                     meta.put_u8(1);
                     put_hybrid_meta(&mut meta, tree);
-                    groups.push(export_group(tree.pool())?);
+                    pools.push(tree.pool());
                 }
                 None => meta.put_u8(0),
             }
         }
     }
+    Ok((meta.into_bytes(), pools))
+}
 
-    let mut pagedir_w = ByteWriter::new();
-    let mut pages_w = ByteWriter::new();
-    put_pagedir_and_pages(&mut pagedir_w, &mut pages_w, &groups);
+/// The page directory of `pools` — per group its page count and a CRC32 per
+/// page — with the CRC32 and the length of the PAGES payload those pages
+/// make, back to back: the first of the writer's two walks over the pages,
+/// each page seen by reference where the pool holds it.
+fn page_directory(pools: &[&BufferPool]) -> Result<(Vec<u8>, u32, u64)> {
+    let mut dir = ByteWriter::new();
+    dir.put_u32(pools.len() as u32);
+    let mut pages_crc = Crc32::new();
+    let mut pages_len = 0u64;
+    for pool in pools {
+        dir.put_usize(pool.num_pages());
+        pool.visit_pages(|page| -> Result<()> {
+            dir.put_u32(crc32(page.as_bytes()));
+            pages_crc.update(page.as_bytes());
+            pages_len += PAGE_SIZE as u64;
+            Ok(())
+        })?;
+    }
+    Ok((dir.into_bytes(), pages_crc.finish(), pages_len))
+}
 
-    // PAGES goes last: it dominates the file, and keeping the small
-    // sections up front lets a lazy open fetch everything it needs with
-    // a few short preads near the head of the file. ATTRS sits among the
-    // small sections and is omitted entirely for attribute-less indexes,
-    // keeping those images byte-identical to the pre-attribute format.
+/// Streams a snapshot of the index and its model into `out` (`at` names it
+/// in errors): the superblock and table, the small sections, then the page
+/// images one by one. PAGES goes last: it dominates the file, and keeping
+/// the small sections up front lets a lazy open fetch everything it needs
+/// with a few short preads near the head of the file. The images go out
+/// back to back with no framing, so page `i` of a group lives at
+/// `group_base + i * PAGE_SIZE` — the invariant [`FileSource`] preads
+/// against. Nothing the size of the file is ever held in memory.
+///
+/// The model epoch — how many background re-fits produced this model — rides
+/// as an optional trailing u64 in the MODEL section: epoch 0 writes nothing,
+/// and readers treat an absent field as epoch 0. ATTRS sits among the small
+/// sections and is omitted entirely for an attribute-less index, so such an
+/// image does not depend on whether a store was passed.
+fn write_snapshot(
+    out: &mut impl Write,
+    at: &Path,
+    index: &BuiltIndex,
+    model: &ReductionResult,
+    model_epoch: u64,
+    attrs: Option<&AttrStore>,
+) -> Result<()> {
+    let mut model_w = ByteWriter::new();
+    model_codec::put_model(&mut model_w, model);
+    if model_epoch > 0 {
+        model_w.put_u64(model_epoch);
+    }
+    let (meta, pools) = meta_and_pools(index, model)?;
+    let (pagedir, pages_crc, pages_len) = page_directory(&pools)?;
     let mut sections = vec![
-        Section {
-            id: section_id::MODEL,
-            payload: model_w.into_bytes(),
-        },
-        Section {
-            id: section_id::META,
-            payload: meta.into_bytes(),
-        },
-        Section {
-            id: section_id::PAGEDIR,
-            payload: pagedir_w.into_bytes(),
-        },
+        (section_id::MODEL, model_w.into_bytes()),
+        (section_id::META, meta),
+        (section_id::PAGEDIR, pagedir),
     ];
     if let Some(store) = attrs.filter(|s| !s.is_empty()) {
-        sections.push(Section {
-            id: section_id::ATTRS,
-            payload: store.to_bytes(),
-        });
+        sections.push((section_id::ATTRS, store.to_bytes()));
     }
-    sections.push(Section {
-        id: section_id::PAGES,
-        payload: pages_w.into_bytes(),
-    });
-    Ok(format::assemble(backend_tag(index.backend()), &sections))
+    let heads: Vec<(u32, u32, u64)> = sections
+        .iter()
+        .map(|(id, payload)| (*id, crc32(payload), payload.len() as u64))
+        .chain([(section_id::PAGES, pages_crc, pages_len)])
+        .collect();
+    let mut put = |bytes: &[u8]| out.write_all(bytes).map_err(|e| PersistError::io(at, e));
+    put(&format::header(backend_tag(index.backend()), &heads))?;
+    for (_, payload) in &sections {
+        put(payload)?;
+    }
+    for pool in pools {
+        pool.visit_pages(|page| put(page.as_bytes()))?;
+    }
+    Ok(())
 }
 
 /// Writes a snapshot of the index and its model to `path`.
@@ -421,10 +444,12 @@ pub fn save(path: impl AsRef<Path>, index: &BuiltIndex, model: &ReductionResult)
 }
 
 /// [`save`] that stamps the snapshot with its model epoch — the version
-/// counter a background re-fit bumps; epoch 0 produces a byte-identical
-/// legacy snapshot — and embeds a per-row attribute store as an ATTRS
-/// section. `None` (or an empty store) writes no section, so
-/// attribute-less snapshots stay byte-identical to the legacy image.
+/// counter a background re-fit bumps — and embeds a per-row attribute store
+/// as an ATTRS section. `None` (or an empty store) writes no section.
+///
+/// Whatever step fails — creating the temp file, a page that cannot be
+/// read, a write the disk refuses, the rename — the temp file is removed
+/// before the error is returned.
 pub fn save_with_attrs(
     path: impl AsRef<Path>,
     index: &BuiltIndex,
@@ -435,7 +460,6 @@ pub fn save_with_attrs(
     use std::sync::atomic::{AtomicU64, Ordering};
     static SAVE_SEQ: AtomicU64 = AtomicU64::new(0);
     let path = path.as_ref();
-    let image = encode(index, model, model_epoch, attrs)?;
     let mut tmp = path.as_os_str().to_owned();
     tmp.push(format!(
         ".tmp.{}.{}",
@@ -443,13 +467,19 @@ pub fn save_with_attrs(
         SAVE_SEQ.fetch_add(1, Ordering::Relaxed)
     ));
     let tmp = std::path::PathBuf::from(tmp);
-    std::fs::write(&tmp, &image).map_err(|e| PersistError::io(&tmp, e))?;
-    if let Err(e) = std::fs::rename(&tmp, path) {
-        // Never leave the temp file behind, whatever made the rename fail.
+    let written = File::create(&tmp)
+        .map_err(|e| PersistError::io(&tmp, e))
+        .and_then(|file| {
+            let mut out = BufWriter::with_capacity(16 * PAGE_SIZE, file);
+            write_snapshot(&mut out, &tmp, index, model, model_epoch, attrs)?;
+            // A dropped BufWriter swallows its last write's error.
+            out.flush().map_err(|e| PersistError::io(&tmp, e))
+        })
+        .and_then(|()| std::fs::rename(&tmp, path).map_err(|e| PersistError::io(path, e)));
+    if written.is_err() {
         let _ = std::fs::remove_file(&tmp);
-        return Err(PersistError::io(path, e));
     }
-    Ok(())
+    written
 }
 
 // ---- open ----------------------------------------------------------------
@@ -483,8 +513,8 @@ fn expect_groups(groups: &[GroupData], expected: usize) -> Result<()> {
 }
 
 /// Reattaches a backend from its decoded metadata and page groups — the
-/// logic both open paths share. `groups` arrive in the order [`encode`]
-/// wrote them.
+/// logic both open paths share. `groups` arrive in the order
+/// [`meta_and_pools`] listed their pools.
 fn restore(
     backend: Backend,
     model: ReductionResult,
@@ -519,11 +549,10 @@ fn restore(
             let tree_height = meta.get_usize()?;
             let tree_len = meta.get_usize()?;
             let (heap_capacity, heap_len, heap_open) = get_heap_meta(&mut meta)?;
-            let n_parts = meta.get_len(1)?;
-            let mut partitions = Vec::with_capacity(n_parts);
-            for _ in 0..n_parts {
-                partitions.push(model_codec::get_partition(&mut meta)?);
-            }
+            // One record per cluster of the model, then the outlier home.
+            let partitions = (0..=model.clusters.len())
+                .map(|i| model_codec::get_partition(&mut meta, &model, i))
+                .collect::<Result<Vec<_>>>()?;
             expect_groups(&groups, 2)?;
             let heap_pages = groups.pop().expect("two groups");
             let tree_pages = groups.pop().expect("two groups");
@@ -840,4 +869,180 @@ pub fn open_or_build(
         return Err(save_err);
     }
     Ok((index, false))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use mmdr_core::{Mmdr, MmdrParams};
+    use mmdr_storage::PageSource;
+    use std::path::PathBuf;
+    use std::sync::atomic::{AtomicUsize, Ordering};
+
+    /// Two line-shaped clusters, interleaved, and the model fitted to them.
+    fn fixture() -> (Matrix, ReductionResult) {
+        let jit = |i: usize, s: f64| ((i as f64 * 0.618_033_988 + s).fract() - 0.5) * 0.02;
+        let rows: Vec<Vec<f64>> = (0..600)
+            .map(|i| {
+                let t = (i / 2) as f64 / 299.0;
+                match i % 2 {
+                    0 => vec![t, 0.3 * t, jit(i, 0.5), jit(i, 0.7)],
+                    _ => vec![5.0 + jit(i, 0.1), 5.0 + jit(i, 0.9), 5.0 + t, 5.0 - 0.5 * t],
+                }
+            })
+            .collect();
+        let data = Matrix::from_rows(&rows).unwrap();
+        let params = MmdrParams {
+            max_ec: 4,
+            ..Default::default()
+        };
+        let model = Mmdr::new(params).fit(&data).unwrap();
+        (data, model)
+    }
+
+    fn tmp_dir(tag: &str) -> PathBuf {
+        let dir = std::env::temp_dir().join(format!("mmdr-snapshot-{tag}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        dir
+    }
+
+    #[test]
+    fn the_streamed_file_is_the_in_memory_assembly_of_its_sections() {
+        let (data, model) = fixture();
+        let dir = tmp_dir("stream");
+        let mut attrs = AttrStore::new(&[("views", mmdr_query::AttrType::I64)]).unwrap();
+        for id in 0..data.rows() as u64 {
+            let views = mmdr_query::AttrValue::I64(id as i64 % 17);
+            attrs.set(id, "views", &views).unwrap();
+        }
+        for backend in Backend::all() {
+            for (epoch, attrs) in [(0, None), (3, Some(&attrs))] {
+                let index = build_index(backend, &data, &model, 64).unwrap();
+                let path = dir.join(format!("{}-{epoch}.mmdr", backend.name()));
+                save_with_attrs(&path, &index, &model, epoch, attrs).unwrap();
+
+                // The same sections, each built whole, put together at once.
+                let mut model_w = ByteWriter::new();
+                model_codec::put_model(&mut model_w, &model);
+                if epoch > 0 {
+                    model_w.put_u64(epoch);
+                }
+                let (meta, pools) = meta_and_pools(&index, &model).unwrap();
+                let mut dir_w = ByteWriter::new();
+                let mut pages_w = ByteWriter::new();
+                dir_w.put_u32(pools.len() as u32);
+                for pool in pools {
+                    let pages = pool.export_pages().unwrap();
+                    dir_w.put_usize(pages.len());
+                    for page in pages {
+                        dir_w.put_u32(crc32(page.as_bytes()));
+                        pages_w.put_bytes(page.as_bytes());
+                    }
+                }
+                let mut sections = vec![
+                    (section_id::MODEL, model_w.into_bytes()),
+                    (section_id::META, meta),
+                    (section_id::PAGEDIR, dir_w.into_bytes()),
+                ];
+                sections.extend(attrs.map(|store| (section_id::ATTRS, store.to_bytes())));
+                sections.push((section_id::PAGES, pages_w.into_bytes()));
+                let assembled = format::assemble(backend_tag(backend), &sections);
+                assert!(
+                    std::fs::read(&path).unwrap() == assembled,
+                    "{} at epoch {epoch}",
+                    backend.name()
+                );
+                assert_eq!(open_resident(&path).unwrap().model_epoch, epoch);
+            }
+        }
+        std::fs::remove_dir_all(dir).unwrap();
+    }
+
+    /// Pages that can be read `reads_left` more times, then no more.
+    #[derive(Debug)]
+    struct RunsDry {
+        pages: Vec<Arc<Page>>,
+        reads_left: Arc<AtomicUsize>,
+    }
+
+    impl PageSource for RunsDry {
+        fn num_pages(&self) -> usize {
+            self.pages.len()
+        }
+
+        fn read_page(&self, page_id: PageId) -> mmdr_storage::Result<Arc<Page>> {
+            let left = self.reads_left.load(Ordering::SeqCst);
+            if left == 0 {
+                return Err(mmdr_storage::Error::ShortRead { page_id, got: 0 });
+            }
+            self.reads_left.store(left - 1, Ordering::SeqCst);
+            Ok(Arc::clone(&self.pages[page_id as usize]))
+        }
+    }
+
+    #[test]
+    fn a_save_that_fails_at_any_step_leaves_no_temp_file() {
+        let (data, model) = fixture();
+        let dir = tmp_dir("failed-save");
+        let BuiltIndex::SeqScan(scan) = build_index(Backend::SeqScan, &data, &model, 64).unwrap()
+        else {
+            panic!("asked for a scan");
+        };
+        let pages = scan.heap().pool().export_pages().unwrap();
+        let reads_left = Arc::new(AtomicUsize::new(usize::MAX));
+        let source = RunsDry {
+            pages: pages.clone(),
+            reads_left: Arc::clone(&reads_left),
+        };
+        let pool = BufferPool::new(
+            DiskManager::from_source(Box::new(source), IoStats::new(), 0),
+            4,
+        )
+        .unwrap();
+        let heap =
+            VectorHeap::from_parts(pool, scan.heap().open_page(), scan.heap().len()).unwrap();
+        let index = BuiltIndex::SeqScan(SeqScan::from_parts(heap, &model).unwrap());
+        let path = dir.join("index.mmdr");
+        let siblings = || -> Vec<String> {
+            let mut names: Vec<String> = std::fs::read_dir(&dir)
+                .unwrap()
+                .map(|e| e.unwrap().file_name().into_string().unwrap())
+                .collect();
+            names.sort();
+            names
+        };
+
+        // The source dries up at every point of the save: during the first
+        // walk (no header written yet), between the walks, and during the
+        // second, when the temp file already holds the header and pages.
+        for reads in [0, 1, pages.len(), pages.len() + 1, 2 * pages.len() - 1] {
+            reads_left.store(reads, Ordering::SeqCst);
+            let err = save(&path, &index, &model).unwrap_err();
+            assert!(matches!(err, PersistError::Storage(_)), "{reads}: {err}");
+            assert_eq!(siblings(), Vec::<String>::new(), "after {reads} reads");
+        }
+        // A rename that cannot succeed: the target is a non-empty directory.
+        reads_left.store(usize::MAX, Ordering::SeqCst);
+        let blocked = dir.join("taken");
+        std::fs::create_dir_all(blocked.join("inside")).unwrap();
+        assert!(matches!(
+            save(&blocked, &index, &model),
+            Err(PersistError::Io { .. })
+        ));
+        assert_eq!(siblings(), ["taken"]);
+        // A temp file that cannot be created.
+        assert!(save(dir.join("no-such-dir").join("index.mmdr"), &index, &model).is_err());
+
+        // And with pages to read, the same index saves and reopens.
+        save(&path, &index, &model).unwrap();
+        assert_eq!(siblings(), ["index.mmdr", "taken"]);
+        let reopened = open_resident(&path).unwrap();
+        let q = data.row(7);
+        assert_eq!(
+            reopened.index.as_dyn().knn(q, 5).unwrap(),
+            index.as_dyn().knn(q, 5).unwrap()
+        );
+        std::fs::remove_dir_all(dir).unwrap();
+    }
 }

@@ -10,7 +10,7 @@
 //! latch and mutate copy-on-write, leaving concurrent readers on the old
 //! image.
 
-use crate::disk::DiskManager;
+use crate::disk::{zero_page, DiskManager};
 use crate::error::{Error, Result};
 use crate::page::{Page, PageId};
 use crate::stats::IoStats;
@@ -70,9 +70,9 @@ struct FrameSlot {
 }
 
 impl FrameSlot {
-    fn new(page: Page, dirty: bool) -> Arc<Self> {
+    fn new(page: Arc<Page>, dirty: bool) -> Arc<Self> {
         Arc::new(Self {
-            page: RwLock::new(Arc::new(page)),
+            page: RwLock::new(page),
             dirty: AtomicBool::new(dirty),
             referenced: AtomicBool::new(true),
             evicted: AtomicBool::new(false),
@@ -310,7 +310,7 @@ impl BufferPool {
         let page_id = lock_mutex(&self.disk)?.allocate();
         let shard = self.shard_for(page_id);
         let mut inner = lock_mutex(&shard.inner)?;
-        self.install(shard, &mut inner, page_id, Page::new(), true)?;
+        self.install(shard, &mut inner, page_id, zero_page(), true)?;
         Ok(page_id)
     }
 
@@ -336,8 +336,12 @@ impl BufferPool {
     }
 
     /// Runs `f` with mutable access to the page under its frame write latch,
-    /// marking it dirty. The mutation is copy-on-write: readers holding
-    /// [`page`](Self::page) handles keep the pre-write image. `f` may touch
+    /// marking it dirty. The mutation is copy-on-write — the one place a
+    /// page image is copied: `Arc::make_mut` writes in place when the frame
+    /// is the image's only holder and copies it first when a reader's
+    /// [`page`](Self::page) handle, the disk's overlay (after a flush), a
+    /// resident source or the shared zero page still holds it, so each of
+    /// those keeps the pre-write image. `f` may touch
     /// *other* pages through the pool but must not fetch `page_id` itself
     /// (the frame latch is not re-entrant).
     pub fn with_page_mut<R>(&self, page_id: PageId, f: impl FnOnce(&mut Page) -> R) -> Result<R> {
@@ -387,7 +391,7 @@ impl BufferPool {
         shard: &Shard,
         inner: &mut ShardInner,
         page_id: PageId,
-        page: Page,
+        page: Arc<Page>,
         dirty: bool,
     ) -> Result<Arc<FrameSlot>> {
         debug_assert!(!inner.map.contains_key(&page_id));
@@ -440,7 +444,7 @@ impl BufferPool {
                     continue;
                 };
                 if frame.slot.dirty.load(Ordering::Acquire) {
-                    lock_mutex(&self.disk)?.write_page(frame.page_id, &image)?;
+                    lock_mutex(&self.disk)?.write_page(frame.page_id, Arc::clone(&image))?;
                 }
                 frame.slot.evicted.store(true, Ordering::Release);
             }
@@ -451,13 +455,33 @@ impl BufferPool {
         }
     }
 
-    /// Snapshot of every page image on the underlying disk, in page-id
-    /// order, after flushing dirty frames. Exporting is a bulk copy for
-    /// persistence, not simulated query work, so it records no logical I/O
-    /// beyond the flush's writes.
-    pub fn export_pages(&self) -> Result<Vec<Page>> {
+    /// Flushes dirty frames, then shows `f` every page image on the
+    /// underlying disk in page-id order — by reference to the one image
+    /// held, never a copy, and for a file-backed source one page at a time.
+    /// A walk for persistence, not simulated query work, so it records no
+    /// logical I/O beyond the flush's writes. `f`'s first error ends it.
+    pub fn visit_pages<E: From<Error>>(
+        &self,
+        mut f: impl FnMut(&Arc<Page>) -> std::result::Result<(), E>,
+    ) -> std::result::Result<(), E> {
         self.flush_all()?;
-        lock_mutex(&self.disk)?.dump_pages()
+        let disk = lock_mutex(&self.disk)?;
+        for page_id in 0..disk.num_pages() as PageId {
+            f(&disk.image(page_id)?)?;
+        }
+        Ok(())
+    }
+
+    /// Every page image [`visit_pages`](Self::visit_pages) walks, shared:
+    /// what [`DiskManager::from_pages`] takes to reattach the same pages
+    /// behind another pool.
+    pub fn export_pages(&self) -> Result<Vec<Arc<Page>>> {
+        let mut pages = Vec::with_capacity(self.num_pages());
+        self.visit_pages(|page| -> Result<()> {
+            pages.push(Arc::clone(page));
+            Ok(())
+        })?;
+        Ok(pages)
     }
 
     /// Hints that `page_id` will be read soon. If the page is already
@@ -487,7 +511,7 @@ impl BufferPool {
             for frame in &inner.frames {
                 if frame.slot.dirty.load(Ordering::Acquire) {
                     let image = read_latch(&frame.slot.page)?;
-                    lock_mutex(&self.disk)?.write_page(frame.page_id, &image)?;
+                    lock_mutex(&self.disk)?.write_page(frame.page_id, Arc::clone(&image))?;
                     frame.slot.dirty.store(false, Ordering::Release);
                 }
             }
@@ -643,6 +667,34 @@ mod tests {
             assert_eq!(v, 10 + i as u64);
         }
         assert!(stats.reads() > 0, "real accesses tick as usual");
+    }
+
+    #[test]
+    fn a_flushed_page_is_held_once_and_copied_on_the_next_write() {
+        let p = pool(4);
+        let a = p.allocate().unwrap();
+        p.with_page_mut(a, |pg| pg.put_u64(0, 1).unwrap()).unwrap();
+        p.flush_all().unwrap();
+        // The frame's image and the overlay's are one allocation...
+        let framed = p.page(a).unwrap();
+        let on_disk = p.disk.lock().unwrap().image(a).unwrap();
+        assert!(Arc::ptr_eq(&framed, &on_disk));
+        // ...which a write copies away from: both holders keep what they had.
+        p.with_page_mut(a, |pg| pg.put_u64(0, 2).unwrap()).unwrap();
+        assert_eq!(framed.get_u64(0).unwrap(), 1);
+        assert_eq!(on_disk.get_u64(0).unwrap(), 1);
+        let rewritten = p.page(a).unwrap();
+        assert_eq!(rewritten.get_u64(0).unwrap(), 2);
+        assert!(!Arc::ptr_eq(&rewritten, &framed));
+        // A page nobody wrote is the process's one zero image.
+        let b = p.allocate().unwrap();
+        assert!(Arc::ptr_eq(&p.page(b).unwrap(), &zero_page()));
+        // And a resident source's image is the frame's: a reopen holds
+        // each page once too.
+        let images = p.export_pages().unwrap();
+        assert!(Arc::ptr_eq(&images[a as usize], &rewritten));
+        let reopened = BufferPool::new(DiskManager::from_pages(images, IoStats::new()), 4).unwrap();
+        assert!(Arc::ptr_eq(&reopened.page(a).unwrap(), &rewritten));
     }
 
     #[test]

@@ -11,7 +11,14 @@ use crate::page::{Page, PageId};
 use crate::source::{MemSource, PageSource};
 use crate::stats::IoStats;
 use std::collections::HashMap;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
+
+/// The image every freshly allocated page starts from: one zeroed page for
+/// the whole process, shared until the page's first write copies it.
+pub(crate) fn zero_page() -> Arc<Page> {
+    static ZERO: OnceLock<Arc<Page>> = OnceLock::new();
+    Arc::clone(ZERO.get_or_init(|| Arc::new(Page::new())))
+}
 
 /// A paged "disk". Every [`read_page`](DiskManager::read_page) and
 /// [`write_page`](DiskManager::write_page) costs one logical I/O; going
@@ -22,13 +29,19 @@ use std::sync::Arc;
 ///
 /// Writes never reach the source (snapshots are immutable): they land in an
 /// in-memory overlay that shadows the source page for every later read.
+///
+/// A page image is held in memory once. The overlay, a resident source, the
+/// readahead run and the pool's frame all hold the same `Arc<Page>`: a read
+/// shares it, a write-back hands the frame's own image over, and the only
+/// copy is the one [`crate::BufferPool::with_page_mut`] makes when it writes
+/// to an image someone else still holds.
 #[derive(Debug)]
 pub struct DiskManager {
     source: Box<dyn PageSource>,
     /// Pages written or allocated since the source was attached. Consulted
     /// before the readahead buffer and the source on every read, so a
     /// copy-on-write page can never be re-read stale from the file.
-    overlay: HashMap<PageId, Page>,
+    overlay: HashMap<PageId, Arc<Page>>,
     /// Total allocated pages: `source.num_pages()` plus overlay growth.
     num_pages: usize,
     stats: Arc<IoStats>,
@@ -39,7 +52,7 @@ pub struct DiskManager {
     readahead: usize,
     /// Last prefetched run: first page id + images. Empty = no run cached.
     ra_start: PageId,
-    ra_pages: Vec<Page>,
+    ra_pages: Vec<Arc<Page>>,
     /// The id a strictly sequential reader would ask for next; a miss on
     /// exactly this id triggers a readahead run.
     next_seq: PageId,
@@ -56,11 +69,11 @@ impl DiskManager {
         Self::from_source(Box::new(MemSource::default()), stats, 0)
     }
 
-    /// Rebuilds a disk from raw page images (an eagerly decoded snapshot),
+    /// Rebuilds a disk from page images (an eagerly decoded snapshot),
     /// sharing the given counters. Restoring costs no logical I/O — the
     /// counters start ticking at the first real page access, so an opened
     /// index streams through [`IoStats`] exactly like a built one.
-    pub fn from_pages(pages: Vec<Page>, stats: Arc<IoStats>) -> Self {
+    pub fn from_pages(pages: Vec<Arc<Page>>, stats: Arc<IoStats>) -> Self {
         Self::from_source(Box::new(MemSource::new(pages)), stats, 0)
     }
 
@@ -109,7 +122,7 @@ impl DiskManager {
     /// the overlay; the source underneath never grows.
     pub fn allocate(&mut self) -> PageId {
         let id = self.num_pages as PageId;
-        self.overlay.insert(id, Page::new());
+        self.overlay.insert(id, zero_page());
         self.num_pages += 1;
         id
     }
@@ -117,7 +130,7 @@ impl DiskManager {
     /// Reads a page (one logical read). The overlay wins over the
     /// readahead buffer, which wins over a physical fetch from the source;
     /// only the last tick the physical ledger.
-    pub fn read_page(&mut self, page_id: PageId) -> Result<Page> {
+    pub fn read_page(&mut self, page_id: PageId) -> Result<Arc<Page>> {
         if page_id as usize >= self.num_pages {
             return Err(Error::PageNotFound { page_id });
         }
@@ -125,7 +138,7 @@ impl DiskManager {
         let sequential = page_id == self.next_seq;
         self.next_seq = page_id + 1;
         if let Some(page) = self.overlay.get(&page_id) {
-            return Ok(page.clone());
+            return Ok(Arc::clone(page));
         }
         if let Some(page) = self.ra_lookup(page_id) {
             if self.physical {
@@ -145,7 +158,7 @@ impl DiskManager {
                 if self.physical {
                     self.stats.record_physical_reads(count as u64);
                 }
-                let first = pages[0].clone();
+                let first = Arc::clone(&pages[0]);
                 self.ra_start = page_id;
                 self.ra_pages = pages;
                 return Ok(first);
@@ -191,9 +204,10 @@ impl DiskManager {
         }
     }
 
-    /// Writes a page (one logical write). The image lands in the overlay
-    /// and shadows both the source and any readahead copy.
-    pub fn write_page(&mut self, page_id: PageId, page: &Page) -> Result<()> {
+    /// Writes a page (one logical write). The image lands in the overlay —
+    /// the caller's allocation itself, not a copy of it — and shadows both
+    /// the source and any readahead copy.
+    pub fn write_page(&mut self, page_id: PageId, page: Arc<Page>) -> Result<()> {
         if page_id as usize >= self.num_pages {
             return Err(Error::PageNotFound { page_id });
         }
@@ -202,24 +216,22 @@ impl DiskManager {
         if self.ra_lookup(page_id).is_some() {
             self.ra_pages.clear();
         }
-        self.overlay.insert(page_id, page.clone());
+        self.overlay.insert(page_id, page);
         self.stats.record_write();
         Ok(())
     }
 
-    /// Copy of every page image in page-id order — overlay over source.
-    /// Used by snapshot writers; a bulk export, so it records no logical
-    /// or physical I/O.
-    pub fn dump_pages(&self) -> Result<Vec<Page>> {
-        (0..self.num_pages as PageId)
-            .map(|id| match self.overlay.get(&id) {
-                Some(page) => Ok(page.clone()),
-                None => self.source.read_page(id),
-            })
-            .collect()
+    /// The current image of a page — overlay over source — outside the
+    /// ledgers: what a snapshot writer walks, a bulk export and not query
+    /// work, so it records no logical or physical I/O.
+    pub fn image(&self, page_id: PageId) -> Result<Arc<Page>> {
+        match self.overlay.get(&page_id) {
+            Some(page) => Ok(Arc::clone(page)),
+            None => self.source.read_page(page_id),
+        }
     }
 
-    fn ra_lookup(&self, page_id: PageId) -> Option<Page> {
+    fn ra_lookup(&self, page_id: PageId) -> Option<Arc<Page>> {
         if self.ra_pages.is_empty() || page_id < self.ra_start {
             return None;
         }
@@ -247,7 +259,7 @@ mod tests {
         assert_eq!(id, 0);
         let mut p = Page::new();
         p.put_u64(0, 99).unwrap();
-        disk.write_page(id, &p).unwrap();
+        disk.write_page(id, Arc::new(p)).unwrap();
         let back = disk.read_page(id).unwrap();
         assert_eq!(back.get_u64(0).unwrap(), 99);
         assert_eq!(disk.stats().reads(), 1);
@@ -267,7 +279,7 @@ mod tests {
             disk.read_page(5).err(),
             Some(Error::PageNotFound { page_id: 5 })
         );
-        assert!(disk.write_page(0, &Page::new()).is_err());
+        assert!(disk.write_page(0, zero_page()).is_err());
     }
 
     #[test]
@@ -300,17 +312,17 @@ mod tests {
         // Overwrite page 2; the overlay must shadow the source forever.
         let mut p = Page::new();
         p.put_u64(8, 7777).unwrap();
-        disk.write_page(2, &p).unwrap();
+        disk.write_page(2, Arc::new(p)).unwrap();
         assert_eq!(disk.read_page(2).unwrap().get_u64(8).unwrap(), 7777);
         assert_eq!(stats.physical_reads(), 1, "overlay read is free");
         // Growth past the source stays in the overlay.
         let id = disk.allocate();
         assert_eq!(id, 4);
         assert_eq!(disk.read_page(4).unwrap().get_u64(0).unwrap(), 0);
-        let dump = disk.dump_pages().unwrap();
-        assert_eq!(dump.len(), 5);
-        assert_eq!(dump[2].get_u64(8).unwrap(), 7777);
-        assert_eq!(dump[3].get_u64(8).unwrap(), 1003);
+        assert_eq!(disk.image(2).unwrap().get_u64(8).unwrap(), 7777);
+        assert_eq!(disk.image(3).unwrap().get_u64(8).unwrap(), 1003);
+        assert!(disk.image(5).is_err());
+        assert_eq!(stats.reads(), 3, "walking images is not a read");
     }
 
     #[test]
@@ -351,7 +363,7 @@ mod tests {
         disk.read_page(0).unwrap(); // buffers [0,4)
         let mut p = Page::new();
         p.put_u64(8, 42).unwrap();
-        disk.write_page(1, &p).unwrap();
+        disk.write_page(1, Arc::new(p)).unwrap();
         assert_eq!(
             disk.read_page(1).unwrap().get_u64(8).unwrap(),
             42,
@@ -389,7 +401,7 @@ mod tests {
             fn num_pages(&self) -> usize {
                 self.0.num_pages()
             }
-            fn read_page(&self, id: PageId) -> Result<Page> {
+            fn read_page(&self, id: PageId) -> Result<Arc<Page>> {
                 self.0.read_page(id)
             }
         }

@@ -5,12 +5,13 @@
 //! pieces needed to reproduce that measurement without a physical disk:
 //!
 //! - [`Page`] — a fixed 4 KiB byte page with typed little-endian accessors.
-//! - [`PageSource`] — where page images physically come from: a resident
-//!   [`MemSource`] at build time, a demand-read [`FileSource`] window into
-//!   a snapshot file (pread + per-page CRC32), or a fault-injecting
-//!   [`FaultSource`] in tests.
+//! - [`PageSource`] — where page images physically come from, each handed
+//!   out as a shared `Arc<Page>`: a resident [`MemSource`] at build time,
+//!   a demand-read [`FileSource`] window into a snapshot file (pread +
+//!   per-page CRC32), or a fault-injecting [`FaultSource`] in tests.
 //! - [`DiskManager`] — a "disk" over a page source with a write overlay
-//!   and optional sequential readahead; every read and write through it
+//!   (which holds the very image a frame wrote back, not a copy of it) and
+//!   optional sequential readahead; every read and write through it
 //!   increments shared [`IoStats`] counters (logical and physical ledgers).
 //! - [`BufferPool`] — a sharded, lock-striped cache in front of the disk
 //!   with clock (second-chance) eviction per shard; buffer hits are free,
@@ -18,6 +19,8 @@
 //!   capacity models the paper's 500 K-point buffer limit (§6.3), and the
 //!   shared-read frames ([`BufferPool::page`] returns `Arc<Page>`) let
 //!   concurrent KNN workers scan pages without serializing on a pool lock.
+//!   A resident page is held in memory once: source, overlay and frame
+//!   share one image until [`BufferPool::with_page_mut`] copies on write.
 //!
 //! I/O numbers produced this way are *logical* page accesses — the same
 //! unit the paper plots — and are deterministic across runs.

@@ -4,8 +4,8 @@
 //! them from a [`PageSource`] and keeps its own write overlay on top. Three
 //! sources cover the system's lifecycles:
 //!
-//! - [`MemSource`] — a fully resident `Vec<Page>`, the build-time disk and
-//!   the eager (`open_resident`) snapshot path.
+//! - [`MemSource`] — fully resident images, the build-time disk and the
+//!   eager (`open_resident`) snapshot path.
 //! - [`FileSource`] — a window of raw 4 KiB images inside a snapshot file,
 //!   demand-read with `pread` and verified against per-page CRC32s on every
 //!   fetch. This is what makes `open()` ~O(superblock): nothing is read
@@ -35,13 +35,15 @@ pub trait PageSource: fmt::Debug + Send + Sync {
     fn num_pages(&self) -> usize;
 
     /// Reads one page image, verifying whatever integrity information the
-    /// source carries (per-page CRC32 for file-backed sources).
-    fn read_page(&self, page_id: PageId) -> Result<Page>;
+    /// source carries (per-page CRC32 for file-backed sources). The image is
+    /// shared, not copied: a resident source hands out the allocation it
+    /// holds, and whoever needs to change it copies on write.
+    fn read_page(&self, page_id: PageId) -> Result<Arc<Page>>;
 
     /// Reads `count` consecutive pages starting at `start` — the readahead
     /// primitive. The default loops over [`read_page`](Self::read_page);
     /// file-backed sources override it with a single larger `pread`.
-    fn read_run(&self, start: PageId, count: usize) -> Result<Vec<Page>> {
+    fn read_run(&self, start: PageId, count: usize) -> Result<Vec<Arc<Page>>> {
         (0..count)
             .map(|i| self.read_page(start + i as PageId))
             .collect()
@@ -56,17 +58,18 @@ pub trait PageSource: fmt::Debug + Send + Sync {
     }
 }
 
-/// A fully resident source: every page lives in memory. Build-time disks
-/// and eagerly decoded snapshots use this; reads are clones, never fail,
-/// and need no checksum (the bytes were CRC-verified when decoded).
+/// A fully resident source: every page lives in memory, once. Build-time
+/// disks and eagerly decoded snapshots use this; a read shares the image
+/// held here, never fails, and needs no checksum (the bytes were
+/// CRC-verified when decoded).
 #[derive(Debug, Default)]
 pub struct MemSource {
-    pages: Vec<Page>,
+    pages: Vec<Arc<Page>>,
 }
 
 impl MemSource {
-    /// Wraps raw page images in id order.
-    pub fn new(pages: Vec<Page>) -> Self {
+    /// Wraps page images in id order.
+    pub fn new(pages: Vec<Arc<Page>>) -> Self {
         Self { pages }
     }
 }
@@ -76,7 +79,7 @@ impl PageSource for MemSource {
         self.pages.len()
     }
 
-    fn read_page(&self, page_id: PageId) -> Result<Page> {
+    fn read_page(&self, page_id: PageId) -> Result<Arc<Page>> {
         self.pages
             .get(page_id as usize)
             .cloned()
@@ -119,12 +122,12 @@ impl PageSource for FileSource {
         self.crcs.len()
     }
 
-    fn read_page(&self, page_id: PageId) -> Result<Page> {
+    fn read_page(&self, page_id: PageId) -> Result<Arc<Page>> {
         let mut run = self.read_run(page_id, 1)?;
         Ok(run.pop().expect("read_run returned one page"))
     }
 
-    fn read_run(&self, start: PageId, count: usize) -> Result<Vec<Page>> {
+    fn read_run(&self, start: PageId, count: usize) -> Result<Vec<Arc<Page>>> {
         if (start as usize)
             .checked_add(count)
             .filter(|&e| e <= self.crcs.len())
@@ -162,7 +165,7 @@ impl PageSource for FileSource {
             if crc32(image) != self.crcs[start as usize + i] {
                 return Err(Error::Corrupt { page_id });
             }
-            pages.push(Page::from_bytes(image)?);
+            pages.push(Arc::new(Page::from_bytes(image)?));
         }
         Ok(pages)
     }
@@ -203,7 +206,7 @@ pub enum FaultMode {
 /// [`FileSource`] read path, so `FlipByte` surfaces as [`Error::Corrupt`].
 #[derive(Debug)]
 pub struct FaultSource {
-    pages: Vec<Page>,
+    pages: Vec<Arc<Page>>,
     crcs: Vec<u32>,
     mode: Mutex<FaultMode>,
 }
@@ -213,7 +216,7 @@ impl FaultSource {
     pub fn new(pages: Vec<Page>) -> Self {
         let crcs = pages.iter().map(|p| crc32(p.as_bytes())).collect();
         Self {
-            pages,
+            pages: pages.into_iter().map(Arc::new).collect(),
             crcs,
             mode: Mutex::new(FaultMode::None),
         }
@@ -230,7 +233,7 @@ impl PageSource for FaultSource {
         self.pages.len()
     }
 
-    fn read_page(&self, page_id: PageId) -> Result<Page> {
+    fn read_page(&self, page_id: PageId) -> Result<Arc<Page>> {
         let page = self
             .pages
             .get(page_id as usize)
@@ -264,13 +267,13 @@ impl PageSource for FaultSource {
                 }
                 // Unreachable in practice: a single-bit flip always changes
                 // the CRC. Kept total so the type system stays honest.
-                Ok(Page::from_bytes(&image)?)
+                Ok(Arc::new(Page::from_bytes(&image)?))
             }
             _ => {
                 if crc32(page.as_bytes()) != self.crcs[page_id as usize] {
                     return Err(Error::Corrupt { page_id });
                 }
-                Ok(page.clone())
+                Ok(Arc::clone(page))
             }
         }
     }
@@ -317,7 +320,7 @@ mod tests {
 
     #[test]
     fn mem_source_roundtrip() {
-        let src = MemSource::new(pages(3));
+        let src = MemSource::new(pages(3).into_iter().map(Arc::new).collect());
         assert_eq!(src.num_pages(), 3);
         assert_eq!(src.read_page(2).unwrap().get_u64(0).unwrap(), 2 * 31 + 7);
         assert_eq!(

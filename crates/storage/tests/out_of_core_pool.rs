@@ -84,7 +84,10 @@ fn file_pool(
 /// The fully resident reference: same images, a pool big enough to never
 /// evict, served from memory.
 fn model_pool(pages: &[Page]) -> BufferPool {
-    let disk = DiskManager::from_pages(pages.to_vec(), IoStats::new());
+    let disk = DiskManager::from_pages(
+        pages.iter().cloned().map(Arc::new).collect(),
+        IoStats::new(),
+    );
     BufferPool::new(disk, pages.len() + 1).unwrap()
 }
 
@@ -194,7 +197,7 @@ impl PageSource for SharedFault {
         self.0.num_pages()
     }
 
-    fn read_page(&self, page_id: PageId) -> mmdr_storage::Result<Page> {
+    fn read_page(&self, page_id: PageId) -> mmdr_storage::Result<Arc<Page>> {
         self.0.read_page(page_id)
     }
 }

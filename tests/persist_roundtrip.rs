@@ -8,8 +8,8 @@ use mmdr_core::{Mmdr, MmdrParams, ReductionResult};
 use mmdr_idistance::Backend;
 use mmdr_linalg::Matrix;
 use mmdr_persist::{
-    build_index, open, open_expecting, open_or_build, open_resident, save, save_with_attrs, scrub,
-    PersistError,
+    build_index, open, open_expecting, open_or_build, open_resident, open_with, save,
+    save_with_attrs, scrub, BuiltIndex, OpenOptions, PersistError,
 };
 use mmdr_query::{AttrStore, AttrType, AttrValue};
 use proptest::prelude::*;
@@ -353,6 +353,110 @@ fn future_version_reports_unsupported_not_checksum() {
             assert_eq!(supported, mmdr_persist::FORMAT_VERSION);
         }
         other => panic!("expected UnsupportedVersion, got {other:?}"),
+    }
+}
+
+#[test]
+fn a_snapshot_of_the_previous_format_is_refused_by_its_version() {
+    // What a v2 writer left: version 2 under a superblock CRC that is right
+    // for it. There is no second reader; the refusal is typed.
+    let mut image = snapshot_bytes();
+    image[8..12].copy_from_slice(&2u32.to_le_bytes());
+    image[44..48].fill(0);
+    let crc = mmdr_persist::crc32(&image[..80]);
+    image[44..48].copy_from_slice(&crc.to_le_bytes());
+    for resident in [false, true] {
+        let file = write_image(&image, "v2");
+        let options = OpenOptions {
+            resident,
+            ..OpenOptions::default()
+        };
+        match open_with(&file.0, &options) {
+            Err(PersistError::UnsupportedVersion { found, supported }) => {
+                assert_eq!((found, supported), (2, 3));
+            }
+            other => panic!("expected UnsupportedVersion, got {other:?}"),
+        }
+    }
+}
+
+/// Every leaf entry of an iDistance index, in key order, code included.
+fn leaf_entries(index: &BuiltIndex) -> Vec<(u64, u64, u64)> {
+    let BuiltIndex::IDistance(index) = index else {
+        panic!("an iDistance index");
+    };
+    let tree = index.tree();
+    let mut cursor = tree.seek(0.0).unwrap();
+    let mut entries = Vec::with_capacity(tree.len());
+    while let Some((key, rid)) = tree.cursor_next(&mut cursor).unwrap() {
+        entries.push((key.to_bits(), rid, cursor.code()));
+    }
+    assert_eq!(entries.len(), tree.len());
+    entries
+}
+
+#[test]
+fn codebooks_and_codes_survive_save_and_open() {
+    let data = dataset(400, 0.25);
+    let model = fit(&data);
+    let built = build_index(Backend::IDistance, &data, &model, 64).unwrap();
+    let file = TempFile::new("codes");
+    save(&file.0, &built, &model).unwrap();
+    let codebooks = |index: &BuiltIndex| match index {
+        BuiltIndex::IDistance(index) => index
+            .partitions()
+            .iter()
+            .map(|p| p.codebook.clone())
+            .collect::<Vec<_>>(),
+        _ => panic!("an iDistance index"),
+    };
+    let want_books = codebooks(&built);
+    // A partition loaded empty has no codebook, and that round-trips too.
+    assert!(
+        want_books.iter().flatten().count() >= 2,
+        "the clusters have rows"
+    );
+    let want_entries = leaf_entries(&built);
+    assert!(
+        want_entries.iter().any(|&(_, _, code)| code != 0),
+        "the leaves carry codes"
+    );
+    // What a query costs says the codes are used, not merely kept.
+    let cost = |index: &BuiltIndex, q: &[f64]| {
+        let index = index.as_dyn();
+        let before = index.query_stats();
+        let hits = index.knn(q, 10).unwrap();
+        let spent = index.query_stats().since(&before);
+        (hits, spent.pages_touched, spent.dist_computations)
+    };
+    let paged = OpenOptions {
+        pool_pages: Some(2),
+        readahead: 0,
+        resident: false,
+    };
+    let resident = OpenOptions {
+        resident: true,
+        ..OpenOptions::default()
+    };
+    for (name, options) in [("paged", paged), ("resident", resident)] {
+        let opened = open_with(&file.0, &options).unwrap();
+        assert_eq!(codebooks(&opened.index), want_books, "{name}");
+        assert_eq!(leaf_entries(&opened.index), want_entries, "{name}");
+        for probe in [0, 17, 400, 801] {
+            let q = data.row(probe);
+            let (fresh, fresh_pages, fresh_dists) = cost(&built, q);
+            let (again, pages, dists) = cost(&opened.index, q);
+            assert_answers_identical(&fresh, &again, &format!("{name} probe {probe}"));
+            assert_eq!(
+                (pages, dists),
+                (fresh_pages, fresh_dists),
+                "{name} probe {probe}"
+            );
+            assert!(
+                (dists as usize) < data.rows() / 4,
+                "{name} probe {probe}: {dists} distances for ten neighbours"
+            );
+        }
     }
 }
 
