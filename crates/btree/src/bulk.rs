@@ -16,7 +16,7 @@ impl BPlusTree {
     /// Builds a tree from `(key, rid, code)` entries sorted by key
     /// (ascending; duplicates allowed). Returns [`Error::UnsortedInput`] on
     /// order violations and [`Error::InvalidKey`] on non-finite keys.
-    pub fn bulk_load(pool: BufferPool, entries: &[(f64, u64, u64)]) -> Result<Self> {
+    pub fn bulk_load(mut pool: BufferPool, entries: &[(f64, u64, u64)]) -> Result<Self> {
         // Validate input once, up front.
         for (i, &(k, _, _)) in entries.iter().enumerate() {
             if !k.is_finite() {

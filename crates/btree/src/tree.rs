@@ -19,7 +19,7 @@ pub struct BPlusTree {
 
 impl BPlusTree {
     /// Creates an empty tree (a single empty leaf as root) in the pool.
-    pub fn new(pool: BufferPool) -> Result<Self> {
+    pub fn new(mut pool: BufferPool) -> Result<Self> {
         let root = pool.allocate()?;
         pool.with_page_mut(root, Leaf::init)?;
         Ok(Self {
@@ -86,12 +86,6 @@ impl BPlusTree {
     /// Access to the buffer pool (for flushes in benchmarks).
     pub fn pool(&self) -> &BufferPool {
         &self.pool
-    }
-
-    /// Mutable access to the buffer pool (kept for older callers; the pool
-    /// itself is interior-mutable, so [`Self::pool`] usually suffices).
-    pub fn pool_mut(&mut self) -> &mut BufferPool {
-        &mut self.pool
     }
 
     /// Pages allocated on the underlying disk.

@@ -165,20 +165,15 @@ impl Candidates<'_> {
                 .is_some_and(|id| Self::rejects(self.tombs, self.filter, id))
     }
 
-    /// The filtered search's step before the pin: `true` when the id
-    /// column already knows that `rid` names a row the gate rejects — the
-    /// pool is not touched; otherwise `rid`'s page is pinned, and learned
-    /// if this is the first filtered search to pin it. Out of line, so
+    /// The filtered search's step before the record is read: `rid`'s page
+    /// is pinned, and learned if this is the first filtered search to pin
+    /// it. (A row the id column knows to fail never gets here: the scan
+    /// loops asked [`known_to_fail`](Self::known_to_fail).) Out of line, so
     /// that the scan loops [`offer`](Self::offer) is inlined into carry a
     /// test and a call for it and nothing more.
     #[inline(never)]
-    fn fails_unpinned(&mut self, rid: u64) -> Result<bool> {
-        let known = self.heap.learned_id(rid);
-        if known.is_some_and(|id| Self::rejects(self.tombs, self.filter, id)) {
-            return Ok(true);
-        }
-        self.heap.pin_learning(&mut self.pin, rid)?;
-        Ok(false)
+    fn pin_learning(&mut self, rid: u64) -> Result<()> {
+        self.heap.pin_learning(&mut self.pin, rid)
     }
 
     #[inline]
@@ -190,8 +185,8 @@ impl Candidates<'_> {
         q_local: &[f64],
         best: &mut KnnHeap,
     ) -> Result<()> {
-        if self.filter.is_some() && self.fails_unpinned(rid)? {
-            return Ok(());
+        if self.filter.is_some() {
+            self.pin_learning(rid)?;
         }
         self.offer_pinned(rid, part, proj_sq, q_local, best)
     }

@@ -45,4 +45,4 @@ pub use mutable::{
 };
 pub use query::{Query, Scratch, Target};
 pub use stats::{QueryStats, SearchCounters};
-pub use traits::{ball_lower_bound, batch_queries, ShardStats, VectorIndex, QUERY_CHUNK};
+pub use traits::{batch_queries, ShardStats, VectorIndex, QUERY_CHUNK};

@@ -184,16 +184,6 @@ impl<R> DeltaLayer<R> {
             f(id, row);
         }
     }
-
-    /// Visits every delta row, propagating the first error. Same locking
-    /// caveat as [`for_each`](Self::for_each).
-    pub fn try_for_each(&self, mut f: impl FnMut(u64, &R) -> Result<()>) -> Result<()> {
-        let rows = self.rows.read().unwrap_or_else(|p| p.into_inner());
-        for (&id, row) in rows.iter() {
-            f(id, row)?;
-        }
-        Ok(())
-    }
 }
 
 /// The mutation extension of [`VectorIndex`]: live inserts and deletes
@@ -338,15 +328,6 @@ impl DriftEstimator {
     /// Streaming mean `ProjDist_r` per cluster.
     pub fn means(&self) -> &[f64] {
         &self.means
-    }
-
-    /// Resets the estimator onto a freshly fitted model: new baselines,
-    /// zero counts. Called after a re-fit swaps the model epoch.
-    pub fn rebase(&mut self, baseline: Vec<f64>) {
-        let n = baseline.len();
-        self.baseline = baseline;
-        self.counts = vec![0; n];
-        self.means = vec![0.0; n];
     }
 }
 
@@ -540,11 +521,6 @@ mod tests {
         d.record(7, 1.0);
         d.record(0, f64::NAN);
         assert_eq!(d.counts(), &[MIN_DRIFT_SAMPLES, 0]);
-        // Rebase resets onto the new model.
-        d.rebase(vec![0.04]);
-        assert_eq!(d.num_clusters(), 1);
-        assert_eq!(d.counts(), &[0]);
-        assert_eq!(d.max_drift(), 0.0);
     }
 
     #[test]

@@ -154,14 +154,6 @@ impl ShardStats {
     }
 }
 
-/// `max(0, ‖q − center‖ − radius)`: the triangle-inequality lower bound on
-/// the distance from `q` to anything inside the ball `(center, radius)` —
-/// the same bound iDistance uses per cluster intra-process, exposed here
-/// so scatter-gather fronts can apply it per shard.
-pub fn ball_lower_bound(query: &[f64], center: &[f64], radius: f64) -> f64 {
-    (mmdr_linalg::l2_dist(query, center) - radius).max(0.0)
-}
-
 /// The batch executor: splits `queries` into fixed [`QUERY_CHUNK`]-sized
 /// chunks, fans the chunks across `par.num_threads` scoped worker threads
 /// (workers pull chunks dynamically), answers each chunk's queries in turn

@@ -114,12 +114,6 @@ impl Matrix {
         &self.data
     }
 
-    /// Consumes the matrix, returning the row-major buffer.
-    #[inline]
-    pub fn into_vec(self) -> Vec<f64> {
-        self.data
-    }
-
     /// Borrow of row `i` as a slice.
     #[inline]
     pub fn row(&self, i: usize) -> &[f64] {

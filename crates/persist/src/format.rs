@@ -40,9 +40,9 @@ pub const MAGIC: [u8; 8] = *b"MMDRSNP\x01";
 ///
 /// Version 2 split the page payload in two: the PAGES section became raw
 /// concatenated 4 KiB images (pread-addressable by page id) and the new
-/// PAGEDIR section carries the group layout plus a CRC32 *per page*, so a
-/// lazy open can verify everything except the images up front and verify
-/// each image the moment it is demand-read.
+/// PAGEDIR section carries the group layout plus a CRC32 *per page*, so an
+/// open can verify everything except the images up front and verify each
+/// image the moment it is demand-read.
 ///
 /// Version 3 is the iDistance leaf's third field and what pays for it: a
 /// B⁺-tree leaf entry is `(key, rid, code)` (24 bytes), META's partition
@@ -66,7 +66,7 @@ pub mod section_id {
     pub const META: u32 = 2;
     /// Raw page images, back to back, grouped per storage structure by the
     /// PAGEDIR section. Byte `PAGE_SIZE·i` of the payload is the start of
-    /// the section-wide `i`-th image — a lazy open preads straight here.
+    /// the section-wide `i`-th image — an open preads straight here.
     pub const PAGES: u32 = 3;
     /// Page directory: per-group page counts plus a CRC32 per page image.
     pub const PAGEDIR: u32 = 4;
@@ -125,50 +125,6 @@ pub fn header(backend_tag: u32, sections: &[(u32, u32, u64)]) -> Vec<u8> {
     out
 }
 
-/// A complete snapshot image assembled in memory from whole payloads: the
-/// oracle the streaming writer's bytes are compared with.
-#[cfg(test)]
-pub(crate) fn assemble(backend_tag: u32, sections: &[(u32, Vec<u8>)]) -> Vec<u8> {
-    let heads: Vec<(u32, u32, u64)> = sections
-        .iter()
-        .map(|(id, payload)| (*id, crc32(payload), payload.len() as u64))
-        .collect();
-    let mut out = header(backend_tag, &heads);
-    for (_, payload) in sections {
-        out.extend_from_slice(payload);
-    }
-    out
-}
-
-/// A parsed, fully checksum-verified snapshot image.
-#[derive(Debug)]
-pub struct Parsed<'a> {
-    /// Backend tag from the superblock.
-    pub backend_tag: u32,
-    /// Verified sections in file order.
-    pub sections: Vec<(u32, &'a [u8])>,
-}
-
-impl<'a> Parsed<'a> {
-    /// The payload of the section with the given id.
-    pub fn section(&self, id: u32) -> Result<&'a [u8]> {
-        self.sections
-            .iter()
-            .find(|(sid, _)| *sid == id)
-            .map(|(_, p)| *p)
-            .ok_or_else(|| PersistError::malformed(format!("missing {}", section_name(id))))
-    }
-
-    /// The payload of the section with the given id, when present — for
-    /// optional sections like ATTRS that old images legitimately lack.
-    pub fn maybe_section(&self, id: u32) -> Option<&'a [u8]> {
-        self.sections
-            .iter()
-            .find(|(sid, _)| *sid == id)
-            .map(|(_, p)| *p)
-    }
-}
-
 fn u32_at(bytes: &[u8], at: usize) -> u32 {
     u32::from_le_bytes(bytes[at..at + 4].try_into().expect("4 bytes"))
 }
@@ -177,8 +133,8 @@ fn u64_at(bytes: &[u8], at: usize) -> u64 {
     u64::from_le_bytes(bytes[at..at + 8].try_into().expect("8 bytes"))
 }
 
-/// Verified superblock fields — everything a lazy open needs before it
-/// touches the section table.
+/// Verified superblock fields — everything an open needs before it touches
+/// the section table.
 #[derive(Debug, Clone)]
 pub struct Superblock {
     /// Backend tag from the superblock.
@@ -215,9 +171,9 @@ pub struct SectionEntry {
 /// Verifies the superblock from the first `min(disk_len, SUPERBLOCK_LEN)`
 /// bytes of the file plus the actual on-disk length, in the fixed check
 /// order: magic → endian tag → version → superblock CRC → file length →
-/// table offset and bounds. This is all a lazy open reads eagerly besides
-/// the table and the small sections — truncation and trailing garbage are
-/// still caught here, before any payload is trusted.
+/// table offset and bounds. This is all an open reads eagerly besides the
+/// table and the small sections — truncation and trailing garbage are
+/// caught here, before any payload is trusted.
 pub fn parse_superblock(prefix: &[u8], disk_len: u64) -> Result<Superblock> {
     if prefix.len() < SUPERBLOCK_LEN {
         // Too short to even check the magic? Report what we can: a wrong
@@ -357,45 +313,64 @@ pub fn parse_table(table: &[u8], sb: &Superblock) -> Result<Vec<SectionEntry>> {
     Ok(entries)
 }
 
-/// Verifies `payload` against its table entry's CRC.
-pub fn verify_payload(entry: &SectionEntry, payload: &[u8]) -> Result<()> {
-    let computed = crc32(payload);
-    if computed != entry.crc {
-        return Err(PersistError::Checksum {
-            region: section_name(entry.id),
-            stored: entry.crc,
-            computed,
-        });
+impl SectionEntry {
+    /// Checks the CRC32 computed over this section's payload against the
+    /// one the table records.
+    pub fn expect_crc(&self, computed: u32) -> Result<()> {
+        if computed != self.crc {
+            return Err(PersistError::Checksum {
+                region: section_name(self.id),
+                stored: self.crc,
+                computed,
+            });
+        }
+        Ok(())
     }
-    Ok(())
 }
 
-/// Parses and verifies a complete snapshot image, in the fixed check order:
-/// magic → endian tag → version → superblock CRC → file length → table CRC →
-/// section bounds and CRCs. The eager path; lazy opens use
-/// [`parse_superblock`]/[`parse_table`] and verify payloads selectively.
-pub fn parse(bytes: &[u8]) -> Result<Parsed<'_>> {
-    let sb = parse_superblock(
-        &bytes[..SUPERBLOCK_LEN.min(bytes.len())],
-        bytes.len() as u64,
-    )?;
-    let table_end = SUPERBLOCK_LEN + sb.table_len();
-    let entries = parse_table(&bytes[SUPERBLOCK_LEN..table_end], &sb)?;
-    let mut sections = Vec::with_capacity(entries.len());
-    for e in &entries {
-        let payload = &bytes[e.offset as usize..(e.offset + e.len) as usize];
-        verify_payload(e, payload)?;
-        sections.push((e.id, payload));
+/// Verifies `payload` against its table entry's CRC.
+pub fn verify_payload(entry: &SectionEntry, payload: &[u8]) -> Result<()> {
+    entry.expect_crc(crc32(payload))
+}
+
+/// A complete snapshot image assembled in memory from whole payloads: the
+/// oracle the streaming writer's bytes are compared with.
+#[cfg(test)]
+pub(crate) fn assemble(backend_tag: u32, sections: &[(u32, Vec<u8>)]) -> Vec<u8> {
+    let heads: Vec<(u32, u32, u64)> = sections
+        .iter()
+        .map(|(id, payload)| (*id, crc32(payload), payload.len() as u64))
+        .collect();
+    let mut out = header(backend_tag, &heads);
+    for (_, payload) in sections {
+        out.extend_from_slice(payload);
     }
-    Ok(Parsed {
-        backend_tag: sb.backend_tag,
-        sections,
-    })
+    out
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    type Sections<'a> = Vec<(u32, &'a [u8])>;
+
+    /// The three checks the open path runs, over a whole image in memory:
+    /// the backend tag and every (verified) section in file order.
+    fn parse(bytes: &[u8]) -> Result<(u32, Sections<'_>)> {
+        let sb = parse_superblock(
+            &bytes[..SUPERBLOCK_LEN.min(bytes.len())],
+            bytes.len() as u64,
+        )?;
+        let table_end = SUPERBLOCK_LEN + sb.table_len();
+        let entries = parse_table(&bytes[SUPERBLOCK_LEN..table_end], &sb)?;
+        let mut sections = Vec::with_capacity(entries.len());
+        for e in &entries {
+            let payload = &bytes[e.offset as usize..(e.offset + e.len) as usize];
+            verify_payload(e, payload)?;
+            sections.push((e.id, payload));
+        }
+        Ok((sb.backend_tag, sections))
+    }
 
     fn sample() -> Vec<u8> {
         assemble(
@@ -411,12 +386,16 @@ mod tests {
     #[test]
     fn roundtrip() {
         let image = sample();
-        let parsed = parse(&image).unwrap();
-        assert_eq!(parsed.backend_tag, 2);
-        assert_eq!(parsed.section(section_id::MODEL).unwrap(), b"model-bytes");
-        assert_eq!(parsed.section(section_id::META).unwrap(), b"");
-        assert_eq!(parsed.section(section_id::PAGES).unwrap().len(), 300);
-        assert!(parsed.section(99).is_err());
+        let (backend_tag, sections) = parse(&image).unwrap();
+        assert_eq!(backend_tag, 2);
+        assert_eq!(
+            sections,
+            [
+                (section_id::MODEL, &b"model-bytes"[..]),
+                (section_id::META, &b""[..]),
+                (section_id::PAGES, &[0xAB; 300][..]),
+            ]
+        );
     }
 
     #[test]

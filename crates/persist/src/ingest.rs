@@ -399,6 +399,16 @@ pub(crate) fn build_sketches(
     Ok(Some(Arc::new(sketches)))
 }
 
+/// Applies one logged operation to `index`'s delta — what WAL replay and a
+/// publish's tail both do. Deleting an id that is already gone is harmless.
+fn apply_op(index: &BuiltIndex, op: &IngestOp) -> Result<()> {
+    match op {
+        IngestOp::Insert { id, vector } => index.as_mutable().insert(*id, vector)?,
+        IngestOp::Delete { id } => drop(index.as_mutable().delete(*id)?),
+    }
+    Ok(())
+}
+
 impl IngestEngine {
     /// Builds `backend` over `(data, model)`, saves the snapshot to
     /// `path`, and opens an engine over it with an empty WAL.
@@ -465,32 +475,19 @@ impl IngestEngine {
         let mut next_id = folded_below;
         for record in replay.records {
             match &record.op {
-                IngestOp::Insert { id, vector } => {
-                    if *id < folded_below {
-                        // Already folded into the snapshot — its attribute
-                        // row (if any) is in the ATTRS section too.
-                        continue;
-                    }
-                    opened
-                        .index
-                        .as_mutable()
-                        .insert(*id, vector)
-                        .map_err(PersistError::from)?;
+                // Already folded into the snapshot — its attribute row (if
+                // any) is in the ATTRS section too.
+                IngestOp::Insert { id, .. } if *id < folded_below => continue,
+                IngestOp::Insert { id, .. } => {
                     if let Some(bytes) = &record.attrs {
                         let row = decode_row(bytes).map_err(attr_err)?;
                         store.set_row(*id, &row).map_err(attr_err)?;
                     }
                     next_id = next_id.max(*id + 1);
                 }
-                IngestOp::Delete { id } => {
-                    let _ = opened
-                        .index
-                        .as_mutable()
-                        .delete(*id)
-                        .map_err(PersistError::from)?;
-                    store.clear_row(*id);
-                }
+                IngestOp::Delete { id } => store.clear_row(*id),
             }
+            apply_op(&opened.index, &record.op)?;
             pending.push(record);
         }
         let refit_params = opts.refit_params.clone().unwrap_or_default();
@@ -657,6 +654,32 @@ impl EngineCore {
         Arc::clone(&self.serving.read().unwrap_or_else(|p| p.into_inner()))
     }
 
+    /// Runs `job` on a background thread unless the one `flag` guards is
+    /// already in flight. A failure is reported and left to the next
+    /// trigger to retry: queries and writes continue against the current
+    /// epoch, whose model is drifted at worst, never inexact.
+    fn spawn_background(
+        self: &Arc<Self>,
+        flag: fn(&Self) -> &AtomicBool,
+        what: &'static str,
+        job: fn(&Self) -> Result<u64>,
+    ) {
+        if flag(self)
+            .compare_exchange(false, true, Ordering::AcqRel, Ordering::Acquire)
+            .is_err()
+        {
+            return;
+        }
+        let core = Arc::clone(self);
+        std::thread::spawn(move || {
+            let result = job(&core);
+            flag(&core).store(false, Ordering::Release);
+            if let Err(e) = result {
+                eprintln!("mmdr: background {what} failed: {e}");
+            }
+        });
+    }
+
     /// Kicks off a background merge when delta pressure crosses the
     /// threshold — or when tombstones alone reach a quarter of the live
     /// rows, so a delete-heavy stream compacts without ever accumulating
@@ -672,26 +695,25 @@ impl EngineCore {
         let live = serving.built.as_dyn().len() as u64;
         let delete_heavy = stats.tombstones >= TOMBSTONE_MERGE_FLOOR
             && stats.tombstones as f64 >= TOMBSTONE_MERGE_RATIO * live as f64;
-        if !pressure && !delete_heavy {
+        if pressure || delete_heavy {
+            self.spawn_background(|core| &core.merging, "merge", Self::merge_now);
+        }
+    }
+
+    /// Kicks off a background re-fit when the worst cluster's drift
+    /// crosses the threshold and none is already running. Must not be
+    /// called while holding the writer lock.
+    fn maybe_spawn_refit(self: &Arc<Self>) {
+        if self.refit_threshold <= 0.0 {
             return;
         }
-        if self
-            .merging
-            .compare_exchange(false, true, Ordering::AcqRel, Ordering::Acquire)
-            .is_err()
-        {
-            return;
+        let drifted = {
+            let w = self.writer.lock().unwrap_or_else(|p| p.into_inner());
+            w.drift.max_drift() > self.refit_threshold
+        };
+        if drifted {
+            self.spawn_background(|core| &core.refitting, "re-fit", Self::refit_now);
         }
-        let core = Arc::clone(self);
-        std::thread::spawn(move || {
-            let result = core.merge_now();
-            core.merging.store(false, Ordering::Release);
-            if let Err(e) = result {
-                // Queries and writes continue against the current epoch;
-                // the next pressure trigger retries the fold.
-                eprintln!("mmdr: background merge failed: {e}");
-            }
-        });
     }
 
     /// Folds the pending operations into a fresh snapshot and swaps the
@@ -723,6 +745,26 @@ impl EngineCore {
         let beta = base.built.ingest_beta();
         extend_model(&mut model, &ops, beta)?;
         let folded = fold(&base.built, &model, &ops, self.fold_pages)?;
+        self.publish(folded, model, model_epoch, ops.len())
+    }
+
+    /// The tail a merge and a re-fit share. Durable first: `folded` is saved
+    /// to the snapshot under `model_epoch`, with the attributes as they
+    /// stand. Then visible, under the writer lock: replay the tail that
+    /// arrived after the first `folded_ops` pending records into `folded`'s
+    /// delta (its backends route with `model`), rewrite the WAL to exactly
+    /// that tail under `model_epoch`'s mark, bring the writer's state in
+    /// line — a bumped model epoch is a re-fit, which also rebases the drift
+    /// estimator onto the new clusters — then re-sketch under `model`, swap
+    /// the serving epoch and seal the retired one. Returns the new epoch
+    /// number.
+    fn publish(
+        &self,
+        folded: BuiltIndex,
+        model: ReductionResult,
+        model_epoch: u64,
+        folded_ops: usize,
+    ) -> Result<u64> {
         // The attribute snapshot may be newer than the folded prefix
         // (writers keep landing); that is safe — any attribute row whose
         // vector is not folded belongs to a tail insert the retained WAL
@@ -736,46 +778,11 @@ impl EngineCore {
             Some(&attrs_snapshot),
         )?;
 
-        // Swap phase: the folded prefix is durable in the snapshot.
-        self.publish(folded, model, model_epoch, ops.len(), &attrs_snapshot)
-    }
-
-    /// The swap phase a merge and a re-fit share, run under the writer
-    /// lock once the new base structures are durable in the snapshot
-    /// (saved under `model_epoch`): replay the tail that arrived after the
-    /// first `folded_ops` pending records into `folded`'s delta (its
-    /// backends route with `model`), rewrite the WAL to exactly that tail
-    /// under `model_epoch`'s mark, bring the writer's state in line — a
-    /// bumped model epoch is a re-fit, which also rebases the drift
-    /// estimator onto the new clusters — then re-sketch under `model`, swap
-    /// the serving epoch and seal the retired one. Returns the new epoch
-    /// number.
-    fn publish(
-        &self,
-        folded: BuiltIndex,
-        model: ReductionResult,
-        model_epoch: u64,
-        folded_ops: usize,
-        attrs_snapshot: &AttrStore,
-    ) -> Result<u64> {
         let mut guard = self.writer.lock().unwrap_or_else(|p| p.into_inner());
         let w = &mut *guard;
         let tail = &w.pending[folded_ops..];
         for record in tail {
-            match &record.op {
-                IngestOp::Insert { id, vector } => {
-                    folded
-                        .as_mutable()
-                        .insert(*id, vector)
-                        .map_err(PersistError::from)?;
-                }
-                IngestOp::Delete { id } => {
-                    let _ = folded
-                        .as_mutable()
-                        .delete(*id)
-                        .map_err(PersistError::from)?;
-                }
-            }
+            apply_op(&folded, &record.op)?;
         }
         w.wal.rewrite(tail, model_epoch)?;
         w.pending.drain(..folded_ops);
@@ -793,7 +800,7 @@ impl EngineCore {
         w.epoch_no += 1;
         // Folded inserts joined the member lists, so cluster skipping
         // starts covering them.
-        let sketches = build_sketches(attrs_snapshot, &w.model)?;
+        let sketches = build_sketches(&attrs_snapshot, &w.model)?;
         *self.sketches.write().unwrap_or_else(|p| p.into_inner()) = sketches;
         let fresh = Arc::new(Epoch {
             number: w.epoch_no,
@@ -807,39 +814,6 @@ impl EngineCore {
         // freeze its delta so a straggling writer bug cannot fork history.
         retired.built.as_mutable().seal();
         Ok(w.epoch_no)
-    }
-
-    /// Kicks off a background re-fit when the worst cluster's drift
-    /// crosses the threshold and none is already running. Must not be
-    /// called while holding the writer lock.
-    fn maybe_spawn_refit(self: &Arc<Self>) {
-        if self.refit_threshold <= 0.0 {
-            return;
-        }
-        let drifted = {
-            let w = self.writer.lock().unwrap_or_else(|p| p.into_inner());
-            w.drift.max_drift() > self.refit_threshold
-        };
-        if !drifted {
-            return;
-        }
-        if self
-            .refitting
-            .compare_exchange(false, true, Ordering::AcqRel, Ordering::Acquire)
-            .is_err()
-        {
-            return;
-        }
-        let core = Arc::clone(self);
-        std::thread::spawn(move || {
-            let result = core.refit_now();
-            core.refitting.store(false, Ordering::Release);
-            if let Err(e) = result {
-                // Serving continues on the drifted-but-exact model; the
-                // next drift trigger retries.
-                eprintln!("mmdr: background re-fit failed: {e}");
-            }
-        });
     }
 
     /// Re-fits the model over every surviving row and swaps fresh base
@@ -893,17 +867,7 @@ impl EngineCore {
             _ => IDistanceConfig::default(),
         };
         let folded = attach(base.built.backend(), &model, &rows, self.fold_pages, config)?;
-        let attrs_snapshot = self.attrs.read().unwrap_or_else(|p| p.into_inner()).clone();
-        save_with_attrs(
-            &self.path,
-            &folded,
-            &model,
-            new_model_epoch,
-            Some(&attrs_snapshot),
-        )?;
-
-        // Swap phase, under the new epoch's mark.
-        self.publish(folded, model, new_model_epoch, ops.len(), &attrs_snapshot)?;
+        self.publish(folded, model, new_model_epoch, ops.len())?;
         Ok(new_model_epoch)
     }
 }

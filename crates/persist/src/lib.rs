@@ -20,9 +20,10 @@
 //! [`FileSource`](mmdr_storage::FileSource) windows — pages are pread in
 //! (and verified per page) only when the buffer pool misses on them, so
 //! open time is ~O(superblock) and resident memory is bounded by
-//! [`OpenOptions::pool_pages`], not the dataset. [`open_resident`] keeps
-//! the old decode-everything behaviour, and [`scrub`] deep-verifies a file
-//! in place.
+//! [`OpenOptions::pool_pages`], not the dataset. [`open_resident`] is the
+//! same open with the whole file verified first and every page then loaded
+//! into memory, and [`scrub`] deep-verifies a file that way without keeping
+//! the index.
 //!
 //! Reopened indexes reuse the same [`mmdr_storage`] page/buffer-pool
 //! machinery as built ones, so their logical I/O accounting (the unit the

@@ -34,10 +34,12 @@
 //! prune.)
 
 use std::collections::HashMap;
+use std::io::Write;
 use std::path::Path;
 
 use crate::codec::{ByteReader, ByteWriter};
 use crate::error::{PersistError, Result};
+use crate::snapshot::replace_file;
 use mmdr_core::{ReductionResult, ReductionStats};
 use mmdr_linalg::{l2_dist, Matrix};
 use mmdr_storage::crc32;
@@ -471,23 +473,12 @@ pub fn decode_manifest(bytes: &[u8]) -> Result<Manifest> {
 /// Writes a manifest to `path` (sibling temp file + atomic rename, like
 /// snapshot [`crate::save`]).
 pub fn write_manifest(path: impl AsRef<Path>, m: &Manifest) -> Result<()> {
-    use std::sync::atomic::{AtomicU64, Ordering};
-    static SAVE_SEQ: AtomicU64 = AtomicU64::new(0);
     let path = path.as_ref();
-    let image = encode_manifest(m);
-    let mut tmp = path.as_os_str().to_owned();
-    tmp.push(format!(
-        ".tmp.{}.{}",
-        std::process::id(),
-        SAVE_SEQ.fetch_add(1, Ordering::Relaxed)
-    ));
-    let tmp = std::path::PathBuf::from(tmp);
-    std::fs::write(&tmp, &image).map_err(|e| PersistError::io(&tmp, e))?;
-    if let Err(e) = std::fs::rename(&tmp, path) {
-        let _ = std::fs::remove_file(&tmp);
-        return Err(PersistError::io(path, e));
-    }
-    Ok(())
+    replace_file(path, |file| {
+        file.write_all(&encode_manifest(m))
+            .map_err(|e| PersistError::io(path, e))
+    })
+    .map(drop)
 }
 
 /// Reads and validates the manifest at `path`.

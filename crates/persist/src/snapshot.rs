@@ -8,16 +8,17 @@
 //! offset. Reopening reattaches the trees/heaps via their `from_parts`
 //! constructors — no projection, clustering or bulk-load work is redone.
 //!
-//! Two open strategies share that reattach logic:
-//!
-//! - [`open`] / [`open_with`] (the default) verify only the superblock,
-//!   section table and the small sections, then mount the PAGES section as
-//!   demand-read [`FileSource`]s — pages are pread in (and CRC-verified)
-//!   the first time a query touches them, so open cost is ~O(superblock)
-//!   and resident memory is bounded by the pool capacity, not the dataset.
-//! - [`open_resident`] decodes every page up front into memory, verifying
-//!   the whole file — the eager path [`open_or_build`] uses to decide
-//!   whether a cached snapshot is clean enough to reuse.
+//! There is one open path. [`open`] / [`open_with`] verify the superblock,
+//! section table and the small sections, then mount the PAGES section as
+//! demand-read [`FileSource`]s — pages are pread in (and CRC-verified) the
+//! first time a query touches them, so open cost is ~O(superblock) and
+//! resident memory is bounded by the pool capacity, not the dataset.
+//! [`open_resident`] is that open with two steps added: PAGES is streamed
+//! through its section CRC before anything is reattached, and every pool's
+//! disk is then made resident ([`BufferPool::make_resident`]) — the whole
+//! file verified, every page in memory, no file handle kept. It is what
+//! [`open_or_build`] uses to decide whether a cached snapshot is clean
+//! enough to reuse.
 //!
 //! Because page images and model floats round-trip bit-exactly — and a
 //! buffer-pool miss faults in exactly the bytes the save wrote — both paths
@@ -34,9 +35,7 @@ pub use mmdr_idistance::BuiltIndex;
 use mmdr_idistance::{Backend, GlobalLdrIndex, IDistanceIndex, SeqScan, VectorHeap};
 use mmdr_linalg::Matrix;
 use mmdr_query::AttrStore;
-use mmdr_storage::{
-    crc32, BufferPool, Crc32, DiskManager, FileSource, IoStats, Page, PageId, PAGE_SIZE,
-};
+use mmdr_storage::{crc32, BufferPool, Crc32, DiskManager, FileSource, IoStats, PageId, PAGE_SIZE};
 use std::fs::File;
 use std::io::{BufWriter, Write};
 use std::os::unix::fs::FileExt;
@@ -96,9 +95,9 @@ pub struct OpenOptions {
     /// in one pread — leaf scans pay one physical read per window. `0` or
     /// `1` disables it. Ignored for resident opens.
     pub readahead: usize,
-    /// Decode every page eagerly into memory at open (the pre-v2
-    /// behaviour), verifying the whole file up front. When `false`, pages
-    /// are pread on demand and CRC-verified per page as queries touch them.
+    /// Verify the whole file at open and load every page into memory,
+    /// keeping no file handle. When `false`, pages are pread on demand and
+    /// CRC-verified per page as queries touch them.
     pub resident: bool,
 }
 
@@ -113,15 +112,6 @@ impl Default for OpenOptions {
 }
 
 // ---- page groups ----------------------------------------------------------
-
-/// Where one restored pool's pages come from: decoded images (resident
-/// open, or a freshly built index) or a demand-read window into the
-/// snapshot file's PAGES section.
-#[derive(Debug)]
-enum GroupData {
-    Mem(Vec<Arc<Page>>),
-    File(FileSource),
-}
 
 /// Decodes the page directory: per-group per-page CRC32s.
 fn read_pagedir(payload: &[u8]) -> Result<Vec<Vec<u32>>> {
@@ -153,53 +143,27 @@ fn expect_pages_len(dir: &[Vec<u32>], actual: u64) -> Result<()> {
     Ok(())
 }
 
-/// Eagerly decodes the whole PAGES section into per-group page vectors,
-/// re-verifying each image against its directory CRC. Only the resident
-/// open path calls this; the default open never decodes the section.
-fn eager_page_groups(payload: &[u8], dir: &[Vec<u32>]) -> Result<Vec<GroupData>> {
-    expect_pages_len(dir, payload.len() as u64)?;
-    let mut groups = Vec::with_capacity(dir.len());
-    let mut off = 0usize;
-    for crcs in dir {
-        let mut pages = Vec::with_capacity(crcs.len());
-        for (i, &stored) in crcs.iter().enumerate() {
-            let image = &payload[off..off + PAGE_SIZE];
-            let computed = crc32(image);
-            if computed != stored {
-                // The section-level CRC already passed, so a mismatch here
-                // means directory and images disagree — a malformed write,
-                // not bit rot.
-                return Err(PersistError::malformed(format!(
-                    "page {i} disagrees with its directory checksum"
-                )));
-            }
-            pages.push(Arc::new(Page::from_bytes(image)?));
-            off += PAGE_SIZE;
-        }
-        groups.push(GroupData::Mem(pages));
-    }
-    Ok(groups)
-}
-
-/// Reattaches one page group behind a pool of the given capacity, sharing
-/// the given I/O ledger. Restoring installs no frames and costs no logical
-/// I/O. Only the capacity is recorded: the reopened pool stripes its frames
-/// across whatever shard count the current process resolves (snapshots
-/// predate and outlive pool geometry), which cannot change answers or
-/// `pages_touched` — both are independent of shard layout.
+/// Reattaches one page group — a window into the snapshot file's PAGES
+/// section — behind a pool of the given capacity, sharing the given I/O
+/// ledger; a resident open then loads the group into memory. Restoring
+/// installs no frames and costs no logical I/O. Only the capacity is
+/// recorded: the reopened pool stripes its frames across whatever shard
+/// count the current process resolves (snapshots predate and outlive pool
+/// geometry), which cannot change answers or `pages_touched` — both are
+/// independent of shard layout.
 fn restore_pool(
-    group: GroupData,
-    capacity: usize,
+    group: FileSource,
+    recorded_capacity: usize,
     stats: &Arc<IoStats>,
-    readahead: usize,
+    opts: &OpenOptions,
 ) -> Result<BufferPool> {
-    let disk = match group {
-        GroupData::Mem(pages) => DiskManager::from_pages(pages, Arc::clone(stats)),
-        GroupData::File(src) => {
-            DiskManager::from_source(Box::new(src), Arc::clone(stats), readahead)
-        }
-    };
-    Ok(BufferPool::new(disk, capacity)?)
+    let disk = DiskManager::from_source(Box::new(group), Arc::clone(stats), opts.readahead);
+    let capacity = opts.pool_pages.unwrap_or(recorded_capacity).max(1);
+    let pool = BufferPool::new(disk, capacity)?;
+    if opts.resident {
+        pool.make_resident()?;
+    }
+    Ok(pool)
 }
 
 // ---- per-structure metadata ----------------------------------------------
@@ -272,12 +236,11 @@ fn get_hybrid_meta(r: &mut ByteReader<'_>) -> Result<HybridMeta> {
 
 fn restore_hybrid(
     meta: HybridMeta,
-    group: GroupData,
+    group: FileSource,
     stats: &Arc<IoStats>,
     opts: &OpenOptions,
 ) -> Result<HybridTree> {
-    let capacity = opts.pool_pages.unwrap_or(meta.capacity).max(1);
-    let pool = restore_pool(group, capacity, stats, opts.readahead)?;
+    let pool = restore_pool(group, meta.capacity, stats, opts)?;
     Ok(HybridTree::from_parts(
         pool,
         meta.root,
@@ -380,7 +343,7 @@ fn page_directory(pools: &[&BufferPool]) -> Result<(Vec<u8>, u32, u64)> {
 /// Streams a snapshot of the index and its model into `out` (`at` names it
 /// in errors): the superblock and table, the small sections, then the page
 /// images one by one. PAGES goes last: it dominates the file, and keeping
-/// the small sections up front lets a lazy open fetch everything it needs
+/// the small sections up front lets an open fetch everything it needs
 /// with a few short preads near the head of the file. The images go out
 /// back to back with no framing, so page `i` of a group lives at
 /// `group_base + i * PAGE_SIZE` — the invariant [`FileSource`] preads
@@ -430,15 +393,44 @@ fn write_snapshot(
     Ok(())
 }
 
-/// Writes a snapshot of the index and its model to `path`.
-///
-/// The image is written to a sibling temp file and renamed into place, so a
-/// crash mid-save never leaves a half-written file at the target path. The
-/// temp name embeds the process id and a per-process counter, so concurrent
-/// savers (two threads, or two processes racing through
-/// [`open_or_build`]) each write their own temp file and the atomic rename
-/// decides a winner — the target is always one saver's complete image,
-/// never an interleaving.
+/// Replaces the file at `path` with what `write` puts into a fresh sibling
+/// temp file: create, write, rename — and on any error remove the temp file
+/// and leave `path` as it was, so a crash or failure mid-write never leaves
+/// a half-written file at the target. The temp name embeds the process id
+/// and a per-process counter, so concurrent replacers (two threads, or two
+/// processes) each write their own and the atomic rename decides a winner.
+/// Syncing is the caller's: `write` syncs what it must before the rename.
+/// Returns the handle that wrote the file, standing at its end.
+pub(crate) fn replace_file(
+    path: &Path,
+    write: impl FnOnce(&mut File) -> Result<()>,
+) -> Result<File> {
+    use std::sync::atomic::{AtomicU64, Ordering};
+    static SEQ: AtomicU64 = AtomicU64::new(0);
+    let mut tmp = path.as_os_str().to_owned();
+    tmp.push(format!(
+        ".tmp.{}.{}",
+        std::process::id(),
+        SEQ.fetch_add(1, Ordering::Relaxed)
+    ));
+    let tmp = std::path::PathBuf::from(tmp);
+    let replaced = File::create(&tmp)
+        .map_err(|e| PersistError::io(&tmp, e))
+        .and_then(|mut file| {
+            write(&mut file)?;
+            std::fs::rename(&tmp, path).map_err(|e| PersistError::io(path, e))?;
+            Ok(file)
+        });
+    if replaced.is_err() {
+        let _ = std::fs::remove_file(&tmp);
+    }
+    replaced
+}
+
+/// Writes a snapshot of the index and its model to `path`, through
+/// `replace_file`: the target is always one saver's complete image —
+/// two threads, or two processes racing through [`open_or_build`] — never
+/// an interleaving.
 pub fn save(path: impl AsRef<Path>, index: &BuiltIndex, model: &ReductionResult) -> Result<()> {
     save_with_attrs(path, index, model, 0, None)
 }
@@ -457,29 +449,14 @@ pub fn save_with_attrs(
     model_epoch: u64,
     attrs: Option<&AttrStore>,
 ) -> Result<()> {
-    use std::sync::atomic::{AtomicU64, Ordering};
-    static SAVE_SEQ: AtomicU64 = AtomicU64::new(0);
     let path = path.as_ref();
-    let mut tmp = path.as_os_str().to_owned();
-    tmp.push(format!(
-        ".tmp.{}.{}",
-        std::process::id(),
-        SAVE_SEQ.fetch_add(1, Ordering::Relaxed)
-    ));
-    let tmp = std::path::PathBuf::from(tmp);
-    let written = File::create(&tmp)
-        .map_err(|e| PersistError::io(&tmp, e))
-        .and_then(|file| {
-            let mut out = BufWriter::with_capacity(16 * PAGE_SIZE, file);
-            write_snapshot(&mut out, &tmp, index, model, model_epoch, attrs)?;
-            // A dropped BufWriter swallows its last write's error.
-            out.flush().map_err(|e| PersistError::io(&tmp, e))
-        })
-        .and_then(|()| std::fs::rename(&tmp, path).map_err(|e| PersistError::io(path, e)));
-    if written.is_err() {
-        let _ = std::fs::remove_file(&tmp);
-    }
-    written
+    replace_file(path, |file| {
+        let mut out = BufWriter::with_capacity(16 * PAGE_SIZE, file);
+        write_snapshot(&mut out, path, index, model, model_epoch, attrs)?;
+        // A dropped BufWriter swallows its last write's error.
+        out.flush().map_err(|e| PersistError::io(path, e))
+    })
+    .map(drop)
 }
 
 // ---- open ----------------------------------------------------------------
@@ -502,7 +479,7 @@ pub struct Opened {
 }
 
 /// Exact group-count check for a backend's page section.
-fn expect_groups(groups: &[GroupData], expected: usize) -> Result<()> {
+fn expect_groups(groups: &[FileSource], expected: usize) -> Result<()> {
     if groups.len() != expected {
         return Err(PersistError::malformed(format!(
             "page section has {} groups, backend needs {expected}",
@@ -512,31 +489,24 @@ fn expect_groups(groups: &[GroupData], expected: usize) -> Result<()> {
     Ok(())
 }
 
-/// Reattaches a backend from its decoded metadata and page groups — the
-/// logic both open paths share. `groups` arrive in the order
-/// [`meta_and_pools`] listed their pools.
+/// Reattaches a backend from its decoded metadata and page groups, which
+/// arrive in the order [`meta_and_pools`] listed their pools.
 fn restore(
     backend: Backend,
     model: ReductionResult,
     model_epoch: u64,
     meta_bytes: &[u8],
-    mut groups: Vec<GroupData>,
+    mut groups: Vec<FileSource>,
     opts: &OpenOptions,
     attrs: Option<AttrStore>,
 ) -> Result<Opened> {
-    let cap = |recorded: usize| opts.pool_pages.unwrap_or(recorded).max(1);
     let mut meta = ByteReader::new(meta_bytes, "section meta");
     let index = match backend {
         Backend::SeqScan => {
             let (capacity, len, open) = get_heap_meta(&mut meta)?;
             expect_groups(&groups, 1)?;
             let stats = IoStats::new();
-            let pool = restore_pool(
-                groups.pop().expect("one group"),
-                cap(capacity),
-                &stats,
-                opts.readahead,
-            )?;
+            let pool = restore_pool(groups.pop().expect("one group"), capacity, &stats, opts)?;
             let heap = VectorHeap::from_parts(pool, open, len)?;
             BuiltIndex::SeqScan(SeqScan::from_parts(heap, &model)?)
         }
@@ -558,8 +528,8 @@ fn restore(
             let tree_pages = groups.pop().expect("two groups");
             // One ledger across both pools, exactly like a fresh build.
             let stats = IoStats::new();
-            let tree_pool = restore_pool(tree_pages, cap(tree_capacity), &stats, opts.readahead)?;
-            let heap_pool = restore_pool(heap_pages, cap(heap_capacity), &stats, opts.readahead)?;
+            let tree_pool = restore_pool(tree_pages, tree_capacity, &stats, opts)?;
+            let heap_pool = restore_pool(heap_pages, heap_capacity, &stats, opts)?;
             let tree =
                 mmdr_btree::BPlusTree::from_parts(tree_pool, tree_root, tree_height, tree_len)?;
             let heap = VectorHeap::from_parts(heap_pool, heap_open, heap_len)?;
@@ -663,33 +633,6 @@ fn get_model_epoch(model_r: &mut ByteReader<'_>) -> Result<u64> {
     Ok(epoch)
 }
 
-/// Eagerly decodes a complete in-memory snapshot image.
-fn decode(bytes: &[u8], opts: &OpenOptions) -> Result<Opened> {
-    let parsed = format::parse(bytes)?;
-    let backend = backend_from_tag(parsed.backend_tag)?;
-
-    let mut model_r = ByteReader::new(parsed.section(section_id::MODEL)?, "section model");
-    let model = model_codec::get_model(&mut model_r)?;
-    let model_epoch = get_model_epoch(&mut model_r)?;
-
-    let dir = read_pagedir(parsed.section(section_id::PAGEDIR)?)?;
-    let groups = eager_page_groups(parsed.section(section_id::PAGES)?, &dir)?;
-    let attrs = parsed
-        .maybe_section(section_id::ATTRS)
-        .map(decode_attrs)
-        .transpose()?;
-
-    restore(
-        backend,
-        model,
-        model_epoch,
-        parsed.section(section_id::META)?,
-        groups,
-        opts,
-        attrs,
-    )
-}
-
 fn read_exact_at(file: &File, buf: &mut [u8], offset: u64, path: &Path) -> Result<()> {
     file.read_exact_at(buf, offset)
         .map_err(|e| PersistError::io(path, e))
@@ -709,13 +652,42 @@ fn read_section(file: &File, entry: &SectionEntry, path: &Path) -> Result<Vec<u8
     Ok(buf)
 }
 
-/// Demand-paged open: verifies the superblock, section table and the three
-/// small sections (model, metadata, page directory), then mounts each page
-/// group as a [`FileSource`] window into the PAGES section. The PAGES
-/// payload itself is never read here — pages are pread in, and verified
-/// against their directory CRC32, the first time the buffer pool misses on
-/// them. Open cost is ~O(superblock), independent of dataset size.
-fn open_lazy(path: &Path, opts: &OpenOptions) -> Result<Opened> {
+/// Streams the PAGES payload through its section CRC, a small reused buffer
+/// of whole pages at a time — what a resident open checks before it
+/// reattaches anything, so a damaged image fails the open as a damaged
+/// section.
+fn verify_pages(file: &File, entry: &SectionEntry, path: &Path) -> Result<()> {
+    let mut buf = vec![0u8; 8 * PAGE_SIZE];
+    let mut crc = Crc32::new();
+    let mut done = 0u64;
+    while done < entry.len {
+        let want = (entry.len - done).min(buf.len() as u64) as usize;
+        let chunk = &mut buf[..want];
+        read_exact_at(file, chunk, entry.offset + done, path)?;
+        crc.update(chunk);
+        done += chunk.len() as u64;
+    }
+    entry.expect_crc(crc.finish())
+}
+
+/// Opens a snapshot into a ready index with explicit [`OpenOptions`] — no
+/// clustering, projection or bulk-load is redone. It verifies the
+/// superblock, section table and the small sections (model, metadata, page
+/// directory, attributes), then mounts each page group as a [`FileSource`]
+/// window into the PAGES section: pages are pread in, and verified against
+/// their directory CRC32, the first time the buffer pool misses on them, so
+/// open cost is ~O(superblock), independent of dataset size. Damage in the
+/// superblock, table or a small section surfaces as a typed
+/// [`PersistError`] at open, while a damaged page image surfaces as a
+/// checksum error from the first query that touches it — never a panic,
+/// never a silently wrong answer.
+///
+/// With `opts.resident` the PAGES payload is first streamed through its
+/// section CRC and every pool then loads its pages, so damage anywhere
+/// fails the open, no query reads the file and no handle to it is kept
+/// ([`open_resident`], [`scrub`]).
+pub fn open_with(path: impl AsRef<Path>, opts: &OpenOptions) -> Result<Opened> {
+    let path = path.as_ref();
     let file = File::open(path).map_err(|e| PersistError::io(path, e))?;
     let disk_len = file
         .metadata()
@@ -732,32 +704,35 @@ fn open_lazy(path: &Path, opts: &OpenOptions) -> Result<Opened> {
     let entries = format::parse_table(&table, &sb)?;
     let backend = backend_from_tag(sb.backend_tag)?;
 
-    let model_bytes = read_section(&file, &find_entry(&entries, section_id::MODEL)?, path)?;
-    let meta_bytes = read_section(&file, &find_entry(&entries, section_id::META)?, path)?;
-    let dir_bytes = read_section(&file, &find_entry(&entries, section_id::PAGEDIR)?, path)?;
+    // A section's bytes are dropped as soon as they are decoded, so the
+    // pages a resident open loads take their place on the heap instead of
+    // sitting above the holes they would leave.
+    let section = |id| read_section(&file, &find_entry(&entries, id)?, path);
+    let (model, model_epoch) = {
+        let bytes = section(section_id::MODEL)?;
+        let mut model_r = ByteReader::new(&bytes, "section model");
+        let model = model_codec::get_model(&mut model_r)?;
+        (model, get_model_epoch(&mut model_r)?)
+    };
+    let meta_bytes = section(section_id::META)?;
+    let dir = read_pagedir(&section(section_id::PAGEDIR)?)?;
     let attrs = match entries.iter().find(|e| e.id == section_id::ATTRS) {
         Some(entry) => Some(decode_attrs(&read_section(&file, entry, path)?)?),
         None => None,
     };
 
-    let mut model_r = ByteReader::new(&model_bytes, "section model");
-    let model = model_codec::get_model(&mut model_r)?;
-    let model_epoch = get_model_epoch(&mut model_r)?;
-
-    let dir = read_pagedir(&dir_bytes)?;
     let pages_entry = find_entry(&entries, section_id::PAGES)?;
     expect_pages_len(&dir, pages_entry.len)?;
+    if opts.resident {
+        verify_pages(&file, &pages_entry, path)?;
+    }
 
     let file = Arc::new(file);
     let mut base = pages_entry.offset;
     let mut groups = Vec::with_capacity(dir.len());
     for crcs in dir {
         let span = crcs.len() as u64 * PAGE_SIZE as u64;
-        groups.push(GroupData::File(FileSource::new(
-            Arc::clone(&file),
-            base,
-            crcs.into(),
-        )));
+        groups.push(FileSource::new(Arc::clone(&file), base, crcs.into()));
         base += span;
     }
 
@@ -772,33 +747,15 @@ fn open_lazy(path: &Path, opts: &OpenOptions) -> Result<Opened> {
     )
 }
 
-/// Opens a snapshot into a ready index with explicit [`OpenOptions`] — no
-/// clustering, projection or bulk-load is redone. The default (non-
-/// resident) open demand-reads pages; damage in the superblock, table,
-/// model, metadata or page directory surfaces as a typed [`PersistError`]
-/// at open, while a damaged page image surfaces as a checksum error from
-/// the first query that touches it — never a panic, never a silently wrong
-/// answer. Use [`open_resident`] or [`scrub`] to verify everything up
-/// front.
-pub fn open_with(path: impl AsRef<Path>, opts: &OpenOptions) -> Result<Opened> {
-    let path = path.as_ref();
-    if opts.resident {
-        let bytes = std::fs::read(path).map_err(|e| PersistError::io(path, e))?;
-        decode(&bytes, opts)
-    } else {
-        open_lazy(path, opts)
-    }
-}
-
 /// Opens a snapshot with default options: demand-read pages, recorded pool
 /// capacities, a small sequential readahead window.
 pub fn open(path: impl AsRef<Path>) -> Result<Opened> {
     open_with(path, &OpenOptions::default())
 }
 
-/// Eager open: decodes and CRC-verifies every page up front into memory,
-/// like format v1 did. Any damage anywhere in the file — including page
-/// images — fails the open.
+/// Resident open: verifies the whole file and loads every page into memory
+/// up front. Any damage anywhere in the file — including page images —
+/// fails the open; afterwards the file is not read again.
 pub fn open_resident(path: impl AsRef<Path>) -> Result<Opened> {
     open_with(
         path,
@@ -811,7 +768,7 @@ pub fn open_resident(path: impl AsRef<Path>) -> Result<Opened> {
 
 /// Verifies an entire snapshot file — every section CRC, every page image,
 /// and that the metadata reattaches — without keeping the index. The
-/// deep-check counterpart to the default lazy [`open`].
+/// deep-check counterpart to the default [`open`].
 pub fn scrub(path: impl AsRef<Path>) -> Result<()> {
     open_resident(path).map(|_| ())
 }
@@ -875,7 +832,7 @@ pub fn open_or_build(
 mod tests {
     use super::*;
     use mmdr_core::{Mmdr, MmdrParams};
-    use mmdr_storage::PageSource;
+    use mmdr_storage::{Page, PageSource};
     use std::path::PathBuf;
     use std::sync::atomic::{AtomicUsize, Ordering};
 

@@ -51,6 +51,7 @@
 //! the same typed error rather than replayed partially.
 
 use crate::error::{PersistError, Result};
+use crate::snapshot::replace_file;
 use mmdr_index::IngestOp;
 use mmdr_storage::crc32;
 use std::fs::{File, OpenOptions};
@@ -371,9 +372,9 @@ impl WalWriter {
     /// `tail` — the records a merge or re-fit did not fold — stamped with
     /// the model epoch of the snapshot it now pairs with (a non-zero epoch
     /// writes one mark record at the head, epoch 0 none: the pre-mark
-    /// format). Temp file, `sync_data`, rename; the temp file is removed
-    /// on failure and the old log stays in place. Later appends follow the
-    /// rewritten records.
+    /// format). Temp file, `sync_data`, rename (`replace_file`): the temp
+    /// file is removed on failure and the old log stays in place. Later
+    /// appends follow the rewritten records.
     pub fn rewrite(&mut self, tail: &[WalRecord], model_epoch: u64) -> Result<()> {
         let mut image = Vec::new();
         if model_epoch > 0 {
@@ -382,25 +383,13 @@ impl WalWriter {
         for record in tail {
             image.extend_from_slice(&frame(&record.encode()));
         }
-        let mut tmp = self.path.as_os_str().to_owned();
-        tmp.push(format!(".tmp.{}", std::process::id()));
-        let tmp = PathBuf::from(tmp);
-        let write = || -> std::io::Result<File> {
-            let mut f = File::create(&tmp)?;
-            f.write_all(&image)?;
-            f.sync_data()?;
-            std::fs::rename(&tmp, &self.path)?;
-            Ok(f)
-        };
         // The handle that wrote the image stays the append handle: it
         // stands at end-of-file, and a rename does not invalidate it.
-        match write() {
-            Ok(file) => self.file = file,
-            Err(e) => {
-                let _ = std::fs::remove_file(&tmp);
-                return Err(PersistError::io(&self.path, e));
-            }
-        }
+        let io = |e| PersistError::io(&self.path, e);
+        self.file = replace_file(&self.path, |file| {
+            file.write_all(&image).map_err(io)?;
+            file.sync_data().map_err(io)
+        })?;
         self.bytes = image.len() as u64;
         Ok(())
     }

@@ -344,6 +344,10 @@ impl AttrStore {
             return Err(Error::Corrupt("capacity larger than the payload can hold"));
         }
         let n_columns = r.u32()? as usize;
+        // A column is at least its name's length and its type tag.
+        if n_columns > (bytes.len() - r.pos) / 5 {
+            return Err(Error::Corrupt("more columns than the payload can hold"));
+        }
         let mut columns = Vec::with_capacity(n_columns);
         for _ in 0..n_columns {
             let name_len = r.u32()? as usize;
@@ -626,6 +630,16 @@ mod tests {
         extra.push(0);
         assert!(AttrStore::from_bytes(&extra).is_err());
         assert!(AttrStore::from_bytes(&[]).is_err());
+        // 20 bytes claiming u32::MAX columns: an error, not an allocation.
+        let mut greedy = b"MATR".to_vec();
+        greedy.extend_from_slice(&1u32.to_le_bytes());
+        greedy.extend_from_slice(&0u64.to_le_bytes());
+        greedy.extend_from_slice(&u32::MAX.to_le_bytes());
+        assert_eq!(greedy.len(), 20);
+        assert!(matches!(
+            AttrStore::from_bytes(&greedy),
+            Err(Error::Corrupt(_))
+        ));
     }
 
     #[test]

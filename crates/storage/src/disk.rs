@@ -1,16 +1,16 @@
-//! The disk: a [`PageSource`] behind a write overlay and I/O counters.
+//! The disk: the pages held in memory, over an optional [`PageSource`],
+//! behind I/O counters.
 //!
-//! During a build everything lives in the overlay (the source is empty);
-//! a reopened snapshot instead wires a [`crate::FileSource`] underneath,
-//! and pages are faulted in with `pread` the first time the buffer pool
-//! misses on them. An optional readahead window turns sequential misses
-//! (leaf scans) into one larger physical read.
+//! During a build every page is in memory (there is no source); a reopened
+//! snapshot instead wires a [`crate::FileSource`] underneath, and pages are
+//! faulted in with `pread` the first time the buffer pool misses on them.
+//! An optional readahead window turns sequential misses (leaf scans) into
+//! one larger physical read.
 
 use crate::error::{Error, Result};
 use crate::page::{Page, PageId};
-use crate::source::{MemSource, PageSource};
+use crate::source::PageSource;
 use crate::stats::IoStats;
-use std::collections::HashMap;
 use std::sync::{Arc, OnceLock};
 
 /// The image every freshly allocated page starts from: one zeroed page for
@@ -20,34 +20,38 @@ pub(crate) fn zero_page() -> Arc<Page> {
     Arc::clone(ZERO.get_or_init(|| Arc::new(Page::new())))
 }
 
+/// Pages [`DiskManager::make_resident`] asks its source for at a time. Small
+/// on purpose: the source's buffer for a run is a hole under the pages
+/// loaded after it, and a longer run loads no faster.
+const RESIDENT_RUN: usize = 8;
+
 /// A paged "disk". Every [`read_page`](DiskManager::read_page) and
 /// [`write_page`](DiskManager::write_page) costs one logical I/O; going
 /// through a [`crate::BufferPool`] instead makes repeated accesses to hot
-/// pages free, as on a real system. Underneath, bytes come from a pluggable
-/// [`PageSource`]; reads that physically hit the source additionally tick
-/// the *physical* ledger in [`IoStats`].
+/// pages free, as on a real system. A page in memory has one home, `pages`;
+/// a page that is not there comes from the [`PageSource`] underneath, and
+/// such a read additionally ticks the *physical* ledger in [`IoStats`].
 ///
-/// Writes never reach the source (snapshots are immutable): they land in an
-/// in-memory overlay that shadows the source page for every later read.
+/// Writes never reach the source (snapshots are immutable): the written
+/// image takes the page's slot in `pages` and answers every later read.
 ///
-/// A page image is held in memory once. The overlay, a resident source, the
-/// readahead run and the pool's frame all hold the same `Arc<Page>`: a read
-/// shares it, a write-back hands the frame's own image over, and the only
-/// copy is the one [`crate::BufferPool::with_page_mut`] makes when it writes
-/// to an image someone else still holds.
+/// A page image is held in memory once. `pages`, the readahead run and the
+/// pool's frame all hold the same `Arc<Page>`: a read shares it, a
+/// write-back hands the frame's own image over, and the only copy is the one
+/// [`crate::BufferPool::with_page_mut`] makes when it writes to an image
+/// someone else still holds.
 #[derive(Debug)]
 pub struct DiskManager {
-    source: Box<dyn PageSource>,
-    /// Pages written or allocated since the source was attached. Consulted
-    /// before the readahead buffer and the source on every read, so a
-    /// copy-on-write page can never be re-read stale from the file.
-    overlay: HashMap<PageId, Arc<Page>>,
-    /// Total allocated pages: `source.num_pages()` plus overlay growth.
-    num_pages: usize,
+    /// Every page by id; `Some` once allocated, written, handed to
+    /// [`from_pages`](Self::from_pages) or loaded by
+    /// [`make_resident`](Self::make_resident). Consulted before the
+    /// readahead buffer and the source on every read, so a written page can
+    /// never be re-read stale from the file.
+    pages: Vec<Option<Arc<Page>>>,
+    /// Where a page that is `None` above is read from: physical I/O exactly
+    /// when present. A build-time disk and a resident one have none.
+    source: Option<Box<dyn PageSource>>,
     stats: Arc<IoStats>,
-    /// Whether source fetches count as physical I/O (false for in-memory
-    /// sources, so a resident index keeps a zero physical ledger).
-    physical: bool,
     /// Pages to pull per sequential run (`0` disables readahead).
     readahead: usize,
     /// Last prefetched run: first page id + images. Empty = no run cached.
@@ -66,15 +70,23 @@ impl DiskManager {
 
     /// Creates an empty disk sharing the given counters.
     pub fn with_stats(stats: Arc<IoStats>) -> Self {
-        Self::from_source(Box::new(MemSource::default()), stats, 0)
+        Self::from_pages(Vec::new(), stats)
     }
 
-    /// Rebuilds a disk from page images (an eagerly decoded snapshot),
-    /// sharing the given counters. Restoring costs no logical I/O — the
-    /// counters start ticking at the first real page access, so an opened
-    /// index streams through [`IoStats`] exactly like a built one.
+    /// Rebuilds a disk from page images, all in memory, sharing the given
+    /// counters. Restoring costs no logical I/O — the counters start ticking
+    /// at the first real page access, so an opened index streams through
+    /// [`IoStats`] exactly like a built one.
     pub fn from_pages(pages: Vec<Arc<Page>>, stats: Arc<IoStats>) -> Self {
-        Self::from_source(Box::new(MemSource::new(pages)), stats, 0)
+        Self {
+            pages: pages.into_iter().map(Some).collect(),
+            source: None,
+            stats,
+            readahead: 0,
+            ra_start: 0,
+            ra_pages: Vec::new(),
+            next_seq: 0,
+        }
     }
 
     /// Wraps an arbitrary page source (a [`crate::FileSource`] window into
@@ -82,18 +94,11 @@ impl DiskManager {
     /// pages of sequential prefetch (`0` = off). Nothing is read here:
     /// the first physical fetch happens on the first buffer-pool miss.
     pub fn from_source(source: Box<dyn PageSource>, stats: Arc<IoStats>, readahead: usize) -> Self {
-        let num_pages = source.num_pages();
-        let physical = source.is_physical();
         Self {
-            source,
-            overlay: HashMap::new(),
-            num_pages,
-            stats,
-            physical,
+            pages: vec![None; source.num_pages()],
+            source: Some(source),
             readahead,
-            ra_start: 0,
-            ra_pages: Vec::new(),
-            next_seq: 0,
+            ..Self::with_stats(stats)
         }
     }
 
@@ -102,62 +107,47 @@ impl DiskManager {
         Arc::clone(&self.stats)
     }
 
-    /// Borrowed view of the I/O counters (hot paths that only record).
-    pub fn stats_ref(&self) -> &IoStats {
-        &self.stats
-    }
-
     /// Number of allocated pages.
     pub fn num_pages(&self) -> usize {
-        self.num_pages
-    }
-
-    /// The configured sequential-readahead window in pages (`0` = off).
-    pub fn readahead(&self) -> usize {
-        self.readahead
+        self.pages.len()
     }
 
     /// Allocates a zeroed page and returns its id. Allocation itself is not
     /// counted as I/O (the write that populates it is). Fresh pages live in
-    /// the overlay; the source underneath never grows.
+    /// memory; the source underneath never grows.
     pub fn allocate(&mut self) -> PageId {
-        let id = self.num_pages as PageId;
-        self.overlay.insert(id, zero_page());
-        self.num_pages += 1;
-        id
+        self.pages.push(Some(zero_page()));
+        (self.pages.len() - 1) as PageId
     }
 
-    /// Reads a page (one logical read). The overlay wins over the
+    /// Reads a page (one logical read). A page in memory wins over the
     /// readahead buffer, which wins over a physical fetch from the source;
-    /// only the last tick the physical ledger.
+    /// only the last ticks the physical ledger.
     pub fn read_page(&mut self, page_id: PageId) -> Result<Arc<Page>> {
-        if page_id as usize >= self.num_pages {
+        if page_id as usize >= self.pages.len() {
             return Err(Error::PageNotFound { page_id });
         }
         self.stats.record_read();
         let sequential = page_id == self.next_seq;
         self.next_seq = page_id + 1;
-        if let Some(page) = self.overlay.get(&page_id) {
+        if let Some(page) = &self.pages[page_id as usize] {
             return Ok(Arc::clone(page));
         }
         if let Some(page) = self.ra_lookup(page_id) {
-            if self.physical {
-                self.stats.record_readahead_hit();
-            }
+            self.stats.record_readahead_hit();
             return Ok(page);
         }
-        let src_pages = self.source.num_pages() as u64;
-        if page_id >= src_pages {
-            // Allocated past the source but missing from the overlay:
-            // structurally impossible unless a caller bypassed `allocate`.
-            return Err(Error::PageNotFound { page_id });
-        }
+        // A page in no slot has a source: only `from_source` leaves slots
+        // empty, and `make_resident` fills them all before it drops it.
+        let source = self
+            .source
+            .as_ref()
+            .ok_or(Error::PageNotFound { page_id })?;
         if self.readahead > 1 && sequential {
-            let count = (self.readahead as u64).min(src_pages - page_id) as usize;
-            if let Ok(pages) = self.source.read_run(page_id, count) {
-                if self.physical {
-                    self.stats.record_physical_reads(count as u64);
-                }
+            let left = source.num_pages() as u64 - page_id;
+            let count = (self.readahead as u64).min(left) as usize;
+            if let Ok(pages) = source.read_run(page_id, count) {
+                self.stats.record_physical_reads(count as u64);
                 let first = Arc::clone(&pages[0]);
                 self.ra_start = page_id;
                 self.ra_pages = pages;
@@ -166,11 +156,9 @@ impl DiskManager {
             // A failed run falls back to a single-page read below, so a
             // corrupt page later in the window cannot fail this fetch.
         }
-        match self.source.read_page(page_id) {
+        match source.read_page(page_id) {
             Ok(page) => {
-                if self.physical {
-                    self.stats.record_physical_reads(1);
-                }
+                self.stats.record_physical_reads(1);
                 Ok(page)
             }
             Err(e) => {
@@ -186,49 +174,80 @@ impl DiskManager {
     /// swallowed: a bad page surfaces, typed, on the demand read that
     /// actually needs it.
     pub fn prefetch(&mut self, start: PageId) {
-        if self.readahead == 0 {
+        let Some(source) = self.source.as_ref().filter(|_| self.readahead > 0) else {
             return;
-        }
-        let src_pages = self.source.num_pages() as u64;
+        };
+        let src_pages = source.num_pages() as u64;
         if start >= src_pages
             || self.ra_lookup(start).is_some()
-            || self.overlay.contains_key(&start)
+            || self.pages[start as usize].is_some()
         {
             return;
         }
-        let count = (self.readahead.max(1) as u64).min(src_pages - start) as usize;
-        if let Ok(pages) = self.source.read_run(start, count) {
+        let count = (self.readahead as u64).min(src_pages - start) as usize;
+        if let Ok(pages) = source.read_run(start, count) {
             self.stats.record_physical_reads(count as u64);
             self.ra_start = start;
             self.ra_pages = pages;
         }
     }
 
-    /// Writes a page (one logical write). The image lands in the overlay —
+    /// Writes a page (one logical write). The image takes the page's slot —
     /// the caller's allocation itself, not a copy of it — and shadows both
     /// the source and any readahead copy.
     pub fn write_page(&mut self, page_id: PageId, page: Arc<Page>) -> Result<()> {
-        if page_id as usize >= self.num_pages {
-            return Err(Error::PageNotFound { page_id });
-        }
-        // Drop a readahead run that covers this page: the overlay already
-        // wins on reads, but a stale copy has no business staying cached.
+        let slot = self
+            .pages
+            .get_mut(page_id as usize)
+            .ok_or(Error::PageNotFound { page_id })?;
+        *slot = Some(page);
+        // Drop a readahead run that covers this page: the slot already wins
+        // on reads, but a stale copy has no business staying cached.
         if self.ra_lookup(page_id).is_some() {
             self.ra_pages.clear();
         }
-        self.overlay.insert(page_id, page);
         self.stats.record_write();
         Ok(())
     }
 
-    /// The current image of a page — overlay over source — outside the
+    /// The current image of a page — memory over source — outside the
     /// ledgers: what a snapshot writer walks, a bulk export and not query
     /// work, so it records no logical or physical I/O.
     pub fn image(&self, page_id: PageId) -> Result<Arc<Page>> {
-        match self.overlay.get(&page_id) {
-            Some(page) => Ok(Arc::clone(page)),
-            None => self.source.read_page(page_id),
+        match (self.pages.get(page_id as usize), &self.source) {
+            (Some(Some(page)), _) => Ok(Arc::clone(page)),
+            (Some(None), Some(source)) => source.read_page(page_id),
+            _ => Err(Error::PageNotFound { page_id }),
         }
+    }
+
+    /// Makes the disk resident: reads every page not yet in memory through
+    /// the source, a run at a time and verified as on any fetch, then drops
+    /// the source (and with it the file handle). Pages already written keep
+    /// their image. A load and not query work, so it stays off both
+    /// ledgers; afterwards no read is physical. On an error the disk is as
+    /// it was, less the pages already loaded.
+    pub fn make_resident(&mut self) -> Result<()> {
+        let Some(source) = self.source.as_ref() else {
+            return Ok(());
+        };
+        let mut start = 0;
+        while let Some(gap) = self.pages[start..].iter().position(Option::is_none) {
+            start += gap;
+            let run = self.pages[start..]
+                .iter()
+                .take(RESIDENT_RUN)
+                .take_while(|slot| slot.is_none())
+                .count();
+            let loaded = source.read_run(start as PageId, run)?;
+            for (slot, page) in self.pages[start..].iter_mut().zip(loaded) {
+                *slot = Some(page);
+            }
+            start += run;
+        }
+        self.source = None;
+        self.ra_pages.clear();
+        Ok(())
     }
 
     fn ra_lookup(&self, page_id: PageId) -> Option<Arc<Page>> {
@@ -268,7 +287,7 @@ mod tests {
         assert_eq!(
             disk.stats().physical_reads(),
             0,
-            "overlay reads are not physical"
+            "reads from memory are not physical"
         );
     }
 
@@ -302,20 +321,20 @@ mod tests {
     }
 
     #[test]
-    fn source_reads_are_physical_and_overlay_shadows_them() {
+    fn source_reads_are_physical_and_a_written_page_shadows_them() {
         let stats = IoStats::new();
         let src = FaultSource::new(images(4));
         let mut disk = DiskManager::from_source(Box::new(src), Arc::clone(&stats), 0);
         assert_eq!(disk.num_pages(), 4);
         assert_eq!(disk.read_page(2).unwrap().get_u64(8).unwrap(), 1002);
         assert_eq!(stats.physical_reads(), 1);
-        // Overwrite page 2; the overlay must shadow the source forever.
+        // Overwrite page 2; the written image must shadow the source forever.
         let mut p = Page::new();
         p.put_u64(8, 7777).unwrap();
         disk.write_page(2, Arc::new(p)).unwrap();
         assert_eq!(disk.read_page(2).unwrap().get_u64(8).unwrap(), 7777);
-        assert_eq!(stats.physical_reads(), 1, "overlay read is free");
-        // Growth past the source stays in the overlay.
+        assert_eq!(stats.physical_reads(), 1, "a read from memory is free");
+        // Growth past the source stays in memory.
         let id = disk.allocate();
         assert_eq!(id, 4);
         assert_eq!(disk.read_page(4).unwrap().get_u64(0).unwrap(), 0);

@@ -5,12 +5,13 @@
 //! pieces needed to reproduce that measurement without a physical disk:
 //!
 //! - [`Page`] — a fixed 4 KiB byte page with typed little-endian accessors.
-//! - [`PageSource`] — where page images physically come from, each handed
-//!   out as a shared `Arc<Page>`: a resident [`MemSource`] at build time,
-//!   a demand-read [`FileSource`] window into a snapshot file (pread +
-//!   per-page CRC32), or a fault-injecting [`FaultSource`] in tests.
-//! - [`DiskManager`] — a "disk" over a page source with a write overlay
-//!   (which holds the very image a frame wrote back, not a copy of it) and
+//! - [`PageSource`] — where a page that is not in memory comes from, handed
+//!   out as a shared `Arc<Page>`: a demand-read [`FileSource`] window into
+//!   a snapshot file (pread + per-page CRC32), or a fault-injecting
+//!   [`FaultSource`] in tests.
+//! - [`DiskManager`] — a "disk": the pages in memory (allocated, written
+//!   back — the very image a frame wrote, not a copy of it — or loaded by
+//!   [`DiskManager::make_resident`]) over an optional page source, with
 //!   optional sequential readahead; every read and write through it
 //!   increments shared [`IoStats`] counters (logical and physical ledgers).
 //! - [`BufferPool`] — a sharded, lock-striped cache in front of the disk
@@ -18,9 +19,10 @@
 //!   misses cost a logical read, dirty evictions cost a write. The pool
 //!   capacity models the paper's 500 K-point buffer limit (§6.3), and the
 //!   shared-read frames ([`BufferPool::page`] returns `Arc<Page>`) let
-//!   concurrent KNN workers scan pages without serializing on a pool lock.
-//!   A resident page is held in memory once: source, overlay and frame
-//!   share one image until [`BufferPool::with_page_mut`] copies on write.
+//!   concurrent KNN workers scan pages without serializing on a pool lock;
+//!   a writer owns the pool ([`BufferPool::with_page_mut`] takes
+//!   `&mut self`). A page in memory is held once: disk and frame share one
+//!   image until a write copies it.
 //!
 //! I/O numbers produced this way are *logical* page accesses — the same
 //! unit the paper plots — and are deterministic across runs.
@@ -38,5 +40,5 @@ pub use crc32::{crc32, Crc32};
 pub use disk::DiskManager;
 pub use error::{Error, Result};
 pub use page::{Page, PageId, PAGE_SIZE};
-pub use source::{FaultMode, FaultSource, FileSource, MemSource, PageSource};
+pub use source::{FaultMode, FaultSource, FileSource, PageSource};
 pub use stats::IoStats;

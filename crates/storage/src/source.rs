@@ -1,11 +1,8 @@
 //! Pluggable page sources: where demand-read page images come from.
 //!
-//! A [`crate::DiskManager`] no longer owns its pages outright — it pulls
-//! them from a [`PageSource`] and keeps its own write overlay on top. Three
-//! sources cover the system's lifecycles:
+//! A [`crate::DiskManager`] holds the pages that are in memory itself and
+//! pulls every other one from a [`PageSource`]. Two sources exist:
 //!
-//! - [`MemSource`] — fully resident images, the build-time disk and the
-//!   eager (`open_resident`) snapshot path.
 //! - [`FileSource`] — a window of raw 4 KiB images inside a snapshot file,
 //!   demand-read with `pread` and verified against per-page CRC32s on every
 //!   fetch. This is what makes `open()` ~O(superblock): nothing is read
@@ -36,8 +33,7 @@ pub trait PageSource: fmt::Debug + Send + Sync {
 
     /// Reads one page image, verifying whatever integrity information the
     /// source carries (per-page CRC32 for file-backed sources). The image is
-    /// shared, not copied: a resident source hands out the allocation it
-    /// holds, and whoever needs to change it copies on write.
+    /// shared, not copied: whoever needs to change it copies on write.
     fn read_page(&self, page_id: PageId) -> Result<Arc<Page>>;
 
     /// Reads `count` consecutive pages starting at `start` — the readahead
@@ -47,47 +43,6 @@ pub trait PageSource: fmt::Debug + Send + Sync {
         (0..count)
             .map(|i| self.read_page(start + i as PageId))
             .collect()
-    }
-
-    /// Whether fetches from this source are real I/O. In-memory sources
-    /// return `false`, so a resident index keeps a zero physical ledger
-    /// (its `physical_reads`/`readahead_hits` stay 0 in
-    /// [`crate::IoStats`]); everything else defaults to `true`.
-    fn is_physical(&self) -> bool {
-        true
-    }
-}
-
-/// A fully resident source: every page lives in memory, once. Build-time
-/// disks and eagerly decoded snapshots use this; a read shares the image
-/// held here, never fails, and needs no checksum (the bytes were
-/// CRC-verified when decoded).
-#[derive(Debug, Default)]
-pub struct MemSource {
-    pages: Vec<Arc<Page>>,
-}
-
-impl MemSource {
-    /// Wraps page images in id order.
-    pub fn new(pages: Vec<Arc<Page>>) -> Self {
-        Self { pages }
-    }
-}
-
-impl PageSource for MemSource {
-    fn num_pages(&self) -> usize {
-        self.pages.len()
-    }
-
-    fn read_page(&self, page_id: PageId) -> Result<Arc<Page>> {
-        self.pages
-            .get(page_id as usize)
-            .cloned()
-            .ok_or(Error::PageNotFound { page_id })
-    }
-
-    fn is_physical(&self) -> bool {
-        false
     }
 }
 
@@ -316,20 +271,6 @@ mod tests {
         let crcs: Arc<[u32]> = pages.iter().map(|p| crc32(p.as_bytes())).collect();
         let src = FileSource::new(Arc::new(File::open(&path).unwrap()), base, crcs);
         (src, path)
-    }
-
-    #[test]
-    fn mem_source_roundtrip() {
-        let src = MemSource::new(pages(3).into_iter().map(Arc::new).collect());
-        assert_eq!(src.num_pages(), 3);
-        assert_eq!(src.read_page(2).unwrap().get_u64(0).unwrap(), 2 * 31 + 7);
-        assert_eq!(
-            src.read_page(3).err(),
-            Some(Error::PageNotFound { page_id: 3 })
-        );
-        let run = src.read_run(0, 3).unwrap();
-        assert_eq!(run.len(), 3);
-        assert_eq!(run[1].get_u64(0).unwrap(), 31 + 7);
     }
 
     #[test]

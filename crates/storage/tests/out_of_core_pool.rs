@@ -6,8 +6,10 @@
 //!    `with_page_mut` against a *tiny-capacity*, file-backed pool and a
 //!    fully resident model pool. Contents must stay identical page for
 //!    page — in particular, a copy-on-write page that was evicted after a
-//!    mutation must come back from the overlay, never re-read stale from
-//!    the snapshot file.
+//!    mutation must come back as it was written, never re-read stale from
+//!    the snapshot file. A second property makes such a pool resident
+//!    mid-life: written pages keep their image, the rest are loaded, and
+//!    the source is never asked again.
 //! 2. Fault-injection tests with a [`FaultSource`] behind the pool:
 //!    transient failures heal on retry, permanent failures and short reads
 //!    stay typed errors (never a panic, never wrong bytes), a flipped byte
@@ -111,8 +113,8 @@ proptest! {
         readahead in 0usize..5,
     ) {
         let pages = patterned_pages(NUM_PAGES);
-        let (subject, _file) = file_pool(&pages, capacity, readahead, "prop");
-        let model = model_pool(&pages);
+        let (mut subject, _file) = file_pool(&pages, capacity, readahead, "prop");
+        let mut model = model_pool(&pages);
 
         for (i, &(page_id, is_write, value)) in ops.iter().enumerate() {
             if is_write {
@@ -161,7 +163,7 @@ proptest! {
     }
 
     /// A mutated page evicted under memory pressure must come back from the
-    /// copy-on-write overlay — a direct probe of the "never re-read stale
+    /// disk's written image — a direct probe of the "never re-read stale
     /// from the file" invariant, with enough interleaved traffic to force
     /// the dirty page out between the write and the check.
     #[test]
@@ -171,7 +173,7 @@ proptest! {
         value in 0u8..=255,
     ) {
         let pages = patterned_pages(NUM_PAGES);
-        let (subject, _file) = file_pool(&pages, 2, 0, "cow");
+        let (mut subject, _file) = file_pool(&pages, 2, 0, "cow");
 
         subject
             .with_page_mut(victim, |p| p.put_bytes(100, &[value, value, value]).unwrap())
@@ -185,6 +187,44 @@ proptest! {
         want[100..103].copy_from_slice(&[value, value, value]);
         let got = subject.page(victim).unwrap();
         prop_assert_eq!(got.as_bytes().as_slice(), want.as_slice());
+    }
+
+    /// Making a pool resident after pages were written through it keeps
+    /// every written image — flushed, evicted or still dirty in a frame —
+    /// and loads the rest; afterwards nothing is physical I/O and the
+    /// source, set to fail every read, is never consulted.
+    #[test]
+    fn make_resident_keeps_written_pages_and_retires_the_source(
+        writes in proptest::collection::vec((0u64..NUM_PAGES as u64, 0u8..=255), 0..20),
+        capacity in 1usize..5,
+        readahead in 0usize..5,
+    ) {
+        let pages = patterned_pages(NUM_PAGES);
+        let (mut subject, fault) = fault_pool(NUM_PAGES, capacity, readahead);
+        let mut want: Vec<[u8; PAGE_SIZE]> = pages.iter().map(|p| *p.as_bytes()).collect();
+        for &(page_id, value) in &writes {
+            subject.with_page_mut(page_id, |p| p.put_u8(9, value).unwrap()).unwrap();
+            want[page_id as usize][9] = value;
+        }
+        subject.make_resident().unwrap();
+
+        fault.set_mode(FaultMode::Permanent);
+        let stats = subject.stats();
+        stats.reset();
+        for round in 0..2 {
+            for page_id in 0..NUM_PAGES as PageId {
+                let got = subject.page(page_id).unwrap();
+                prop_assert_eq!(
+                    got.as_bytes().as_slice(),
+                    want[page_id as usize].as_slice(),
+                    "page {} in round {}",
+                    page_id,
+                    round
+                );
+            }
+        }
+        prop_assert_eq!(stats.accesses(), 2 * NUM_PAGES as u64);
+        prop_assert_eq!(stats.physical_reads() + stats.readahead_hits() + stats.read_errors(), 0);
     }
 }
 
@@ -202,20 +242,20 @@ impl PageSource for SharedFault {
     }
 }
 
-/// A 2-frame pool over a fault source, plus the handle that flips modes.
-fn fault_pool(n: usize) -> (BufferPool, Arc<FaultSource>) {
+/// A pool over a fault source, plus the handle that flips modes.
+fn fault_pool(n: usize, capacity: usize, readahead: usize) -> (BufferPool, Arc<FaultSource>) {
     let source = Arc::new(FaultSource::new(patterned_pages(n)));
     let disk = DiskManager::from_source(
         Box::new(SharedFault(Arc::clone(&source))),
         IoStats::new(),
-        0,
+        readahead,
     );
-    (BufferPool::new(disk, 2).unwrap(), source)
+    (BufferPool::new(disk, capacity).unwrap(), source)
 }
 
 #[test]
 fn transient_faults_heal_on_retry() {
-    let (pool, fault) = fault_pool(6);
+    let (pool, fault) = fault_pool(6, 2, 0);
     let stats = pool.stats();
     fault.set_mode(FaultMode::Transient { remaining: 2 });
 
@@ -242,7 +282,7 @@ fn transient_faults_heal_on_retry() {
 
 #[test]
 fn permanent_fault_is_typed_and_pool_keeps_serving() {
-    let (pool, fault) = fault_pool(6);
+    let (pool, fault) = fault_pool(6, 2, 0);
     // Warm page 0 so it is served from the pool while the source is down.
     pool.page(0).unwrap();
 
@@ -263,7 +303,7 @@ fn permanent_fault_is_typed_and_pool_keeps_serving() {
 
 #[test]
 fn short_reads_and_flipped_bytes_are_typed_errors() {
-    let (pool, fault) = fault_pool(6);
+    let (pool, fault) = fault_pool(6, 2, 0);
     let stats = pool.stats();
 
     fault.set_mode(FaultMode::ShortRead { got: 17 });

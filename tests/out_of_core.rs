@@ -212,6 +212,59 @@ fn tiny_pool_demand_paged_answers_are_bit_identical() {
     }
 }
 
+/// A resident open is done with its file: every page is in memory when it
+/// returns, so it keeps no handle to the snapshot, the file can be emptied
+/// and removed under it, and every backend still answers bit-identically to
+/// a paged open — with nothing on the physical ledger, because nothing is
+/// left to demand-read.
+#[test]
+fn a_resident_open_is_done_with_its_file() {
+    let data = dataset();
+    let model = fit(&data);
+    let step = (data.rows() / 7).max(1);
+    let queries: Vec<&[f64]> = (0..7).map(|i| data.row(i * step)).collect();
+    let answers = |opened: &Opened| -> Vec<Vec<(f64, u64)>> {
+        let idx = opened.index.as_dyn();
+        let knn = queries.iter().map(|q| idx.knn(q, 6).unwrap());
+        let range = queries.iter().map(|q| idx.range_search(q, 0.8).unwrap());
+        knn.chain(range).collect()
+    };
+
+    for backend in Backend::all() {
+        let file = TempFile::new("done-with-file");
+        let built = build_index(backend, &data, &model, 64).unwrap();
+        save(&file.0, &built, &model).unwrap();
+        drop(built);
+        let want = answers(&open_with(&file.0, &lazy_opts(8)).unwrap());
+
+        let resident = open_resident(&file.0).unwrap();
+        // No descriptor of this process still names the snapshot (where the
+        // platform lists them)...
+        if let Ok(fds) = std::fs::read_dir("/proc/self/fd") {
+            let held = fds
+                .filter_map(|fd| std::fs::read_link(fd.ok()?.path()).ok())
+                .any(|target| target == file.0);
+            assert!(!held, "{}: a handle outlived the open", backend.name());
+        }
+        // ...and one that did would now read an empty file.
+        std::fs::write(&file.0, b"").unwrap();
+        std::fs::remove_file(&file.0).unwrap();
+
+        let io = resident.index.as_dyn().io_stats();
+        assert_eq!((io.reads(), io.physical_reads()), (0, 0), "open is free");
+        for (i, (want, got)) in want.iter().zip(answers(&resident)).enumerate() {
+            assert_answers_identical(want, &got, &format!("{} answer {i}", backend.name()));
+        }
+        assert!(io.reads() > 0, "{}: first touches miss", backend.name());
+        assert_eq!(
+            (io.physical_reads(), io.readahead_hits(), io.read_errors()),
+            (0, 0, 0),
+            "{}: nothing is demand-read after a resident open",
+            backend.name()
+        );
+    }
+}
+
 /// `pages_touched` counts pool fetches, and the scan path makes one per
 /// page it visits (a B⁺-tree leaf, a heap page), not one per entry: far
 /// fewer than the candidates it evaluates, and the same number whether the

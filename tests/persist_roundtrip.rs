@@ -333,6 +333,42 @@ fn flipped_bytes_fail_closed() {
     );
 }
 
+/// What a resident open (and so [`scrub`]) says of damage only it reads up
+/// front: a flipped byte in the page directory, in a page image, and in the
+/// table's CRC field for PAGES each name the region whose checksum broke.
+#[test]
+fn a_resident_open_names_the_damaged_region() {
+    use mmdr_persist::format::{self, section_id, SUPERBLOCK_LEN, TABLE_ENTRY_LEN};
+    let image = snapshot_bytes();
+    let sb = format::parse_superblock(&image[..SUPERBLOCK_LEN], image.len() as u64).unwrap();
+    let table = &image[SUPERBLOCK_LEN..SUPERBLOCK_LEN + sb.table_len()];
+    let entries = format::parse_table(table, &sb).unwrap();
+    let slot = |id: u32| entries.iter().position(|e| e.id == id).unwrap();
+    let pagedir = entries[slot(section_id::PAGEDIR)];
+    let pages = entries[slot(section_id::PAGES)];
+    let pages_crc_field = SUPERBLOCK_LEN + slot(section_id::PAGES) * TABLE_ENTRY_LEN + 4;
+    for (pos, want) in [
+        (pagedir.offset as usize + 5, "section pagedir"),
+        ((pages.offset + pages.len / 2) as usize, "section pages"),
+        (pages_crc_field, "section table"),
+    ] {
+        let mut broken = image.clone();
+        broken[pos] ^= 0x04;
+        let file = write_image(&broken, "named-region");
+        for (how, result) in [
+            ("open_resident", open_resident(&file.0).map(drop)),
+            ("scrub", scrub(&file.0)),
+        ] {
+            match result {
+                Err(PersistError::Checksum { region, .. }) => {
+                    assert_eq!(region, want, "{how}, byte {pos}")
+                }
+                other => panic!("{how}, byte {pos}: expected a {want} checksum, got {other:?}"),
+            }
+        }
+    }
+}
+
 #[test]
 fn wrong_magic_fails_closed() {
     let mut image = snapshot_bytes();

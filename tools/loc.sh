@@ -4,7 +4,10 @@
 # the root integration tests, and — the last line — under crates/ in total.
 # The second number of a row is its product code: of each file under a
 # `src/` directory, the lines before its first `#[cfg(test)]` (benches,
-# examples and `tests/` directories count for nothing there).
+# examples and `tests/` directories count for nothing there) — so a test-only
+# item belongs under a file's product code, or it hides what follows it.
+# tools/verify.sh holds the last row's product number to
+# tools/expected_loc.txt.
 # ROADMAP.md and CHANGES.md quote this script, not a hand count.
 #
 #   tools/loc.sh        (from anywhere)

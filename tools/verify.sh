@@ -5,8 +5,9 @@
 # the acceptance gates for the parallel layer, the snapshot store and the
 # query server), run a live server smoke test over a socket, and finish by
 # building and smoking the benchmark package against the current crates and
-# comparing its four bit-stable counts with the committed values. The last
-# line printed is the size of crates/ (tools/loc.sh), for information.
+# comparing its four bit-stable counts with the committed values, then hold
+# the product code under crates/ to the ceiling in tools/expected_loc.txt.
+# The last line printed is the size of crates/ (tools/loc.sh).
 #
 # Usage: tools/verify.sh [--release]
 set -euo pipefail
@@ -46,11 +47,11 @@ echo "== out-of-core gate =="
 # proptest/fault harness behind the pool.
 cargo test "${PROFILE[@]}" --test out_of_core
 cargo test "${PROFILE[@]}" -p mmdr-storage --test out_of_core_pool
-# (That a file-backed open stays ~O(superblock) — never decoding the full
-# PAGES section — is enforced by out_of_core's
-# damaged_page_is_a_typed_error_and_pool_recovers: its lazy open of a file
-# with a flipped PAGES byte must succeed, which the eager per-page-CRC
-# decoder cannot do.)
+# (That a default open stays ~O(superblock) — never reading the PAGES
+# section — is enforced by out_of_core's
+# damaged_page_is_a_typed_error_and_pool_recovers: its open of a file with
+# a flipped PAGES byte must succeed, which an open that read the section
+# could not do.)
 
 echo "== ingest gate =="
 # Live mutation parity: WAL-logged inserts/deletes with background merges
@@ -411,7 +412,17 @@ echo "== benchmark count gate =="
 # and seed: a change that moves one without saying so fails here.
 tools/check_counts.sh
 
+echo "== size gate =="
+# ROADMAP's size bar, held: the product lines under crates/ (tools/loc.sh,
+# last row, second number) may not exceed tools/expected_loc.txt. A change
+# that needs more raises the number there and says why above it.
+loc="$(tools/loc.sh | tail -n 1)"
+product="$(awk '{ print $3 }' <<< "$loc")"
+ceiling="$(grep -v '^#' tools/expected_loc.txt | xargs)"
+if (( product > ceiling )); then
+    echo "verify: FAIL — crates/ holds $product product lines, tools/expected_loc.txt allows $ceiling" >&2
+    exit 1
+fi
+
 echo "verify: OK"
-# Information, not a gate: Rust lines under crates/, the number ROADMAP's
-# size bar is stated in (tools/loc.sh prints the breakdown).
-tools/loc.sh | tail -n 1
+echo "$loc"
