@@ -26,14 +26,12 @@ fn main() {
         scan.num_pages()
     );
     let queries = sample_queries(&ds.data, 10, 5).unwrap();
-    let (mut ir, mut sr) = (0u64, 0u64);
+    let (index_before, scan_before) = (index.query_stats(), scan.query_stats());
     for q in queries.iter_rows() {
-        index.io_stats().reset();
-        scan.io_stats().reset();
         index.knn(q, 10).unwrap();
         scan.knn(q, 10).unwrap();
-        ir += index.io_stats().reads();
-        sr += scan.io_stats().reads();
     }
+    let ir = index.query_stats().since(&index_before).page_reads;
+    let sr = scan.query_stats().since(&scan_before).page_reads;
     println!("index reads {ir} scan reads {sr}");
 }

@@ -114,13 +114,11 @@ fn load(args: &Args, dataset: &str) -> (Matrix, usize, &'static str) {
     }
 }
 
-/// Mean page reads per query for any backend.
+/// Mean page reads (buffer-pool misses) per query for any backend.
 fn mean_io(queries: &Matrix, k: usize, index: &dyn VectorIndex) -> f64 {
-    let mut total = 0u64;
+    let before = index.query_stats();
     for q in queries.iter_rows() {
-        index.io_stats().reset();
         index.knn(q, k).expect("knn");
-        total += index.io_stats().reads();
     }
-    total as f64 / queries.rows() as f64
+    index.query_stats().since(&before).page_reads as f64 / queries.rows() as f64
 }

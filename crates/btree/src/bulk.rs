@@ -170,11 +170,10 @@ mod tests {
         let (t, leaves) = loaded(n, 1024);
         let height = t.height() as u64;
         assert!(height >= 3 && leaves > 200, "h {height}, {leaves} leaves");
-        let stats = t.io_stats();
         let fetches = |f: &dyn Fn()| {
-            let before = stats.accesses();
+            let before = t.pool().snapshot();
             f();
-            stats.accesses() - before
+            t.pool().snapshot().since(&before).pages_touched()
         };
 
         assert_eq!(fetches(&|| drop(t.seek(n as f64 / 2.0).unwrap())), height);

@@ -3,8 +3,7 @@
 use crate::cursor::Cursor;
 use crate::error::{Error, Result};
 use crate::node::{is_leaf, Internal, Leaf, INTERNAL_CAPACITY, LEAF_CAPACITY, NIL_PAGE};
-use mmdr_storage::{BufferPool, IoStats, PageId};
-use std::sync::Arc;
+use mmdr_storage::{BufferPool, PageId};
 
 /// A B⁺-tree over finite `f64` keys with `u64` record ids.
 ///
@@ -35,7 +34,9 @@ impl BPlusTree {
     /// ([`root_page_id`](Self::root_page_id), [`height`](Self::height),
     /// [`len`](Self::len)); the pool must hold that tree's page images.
     /// Structural validation is limited to cheap invariants — the page
-    /// *contents* are protected by the snapshot layer's checksums.
+    /// *contents* are protected by the snapshot layer's checksums. The one
+    /// that reads a page, the root's kind against `height`, is a fetch like
+    /// any other: the pool counts it.
     pub fn from_parts(pool: BufferPool, root: PageId, height: usize, len: usize) -> Result<Self> {
         if root as usize >= pool.num_pages() {
             return Err(Error::Storage(mmdr_storage::Error::PageNotFound {
@@ -78,12 +79,9 @@ impl BPlusTree {
         self.height
     }
 
-    /// Handle to the underlying I/O counters.
-    pub fn io_stats(&self) -> Arc<IoStats> {
-        self.pool.stats()
-    }
-
-    /// Access to the buffer pool (for flushes in benchmarks).
+    /// Access to the buffer pool: its page counts, and the per-shard
+    /// hit/miss/eviction counters every fetch ticks
+    /// ([`BufferPool::snapshot`]).
     pub fn pool(&self) -> &BufferPool {
         &self.pool
     }
@@ -455,11 +453,13 @@ mod tests {
         for i in 0..5000u64 {
             t.insert(i as f64, i, 0).unwrap();
         }
-        let stats = t.io_stats();
-        stats.reset();
+        let before = t.pool().snapshot();
         let mut c = t.seek(2500.0).unwrap();
         let _ = t.cursor_next(&mut c).unwrap();
-        assert!(stats.reads() > 0, "cold traversal must cost reads");
+        assert!(
+            t.pool().snapshot().since(&before).misses() > 0,
+            "cold traversal must cost reads"
+        );
     }
 
     #[test]
@@ -470,11 +470,7 @@ mod tests {
         }
         let images = t.pool().export_pages().unwrap();
         let (root, height, len) = (t.root_page_id(), t.height(), t.len());
-        let pool = BufferPool::new(
-            mmdr_storage::DiskManager::from_pages(images, mmdr_storage::IoStats::new()),
-            16,
-        )
-        .unwrap();
+        let pool = BufferPool::new(DiskManager::from_pages(images), 16).unwrap();
         let back = BPlusTree::from_parts(pool, root, height, len).unwrap();
         assert_eq!(back.len(), 2000);
         assert_eq!(back.height(), height);
@@ -492,11 +488,7 @@ mod tests {
         assert!(height > 1, "need a multi-level tree");
         let images = t.pool().export_pages().unwrap();
         let reopen = |root, height| {
-            let pool = BufferPool::new(
-                mmdr_storage::DiskManager::from_pages(images.clone(), mmdr_storage::IoStats::new()),
-                16,
-            )
-            .unwrap();
+            let pool = BufferPool::new(DiskManager::from_pages(images.clone()), 16).unwrap();
             BPlusTree::from_parts(pool, root, height, len)
         };
         assert!(reopen(root, height).is_ok());

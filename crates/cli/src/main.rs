@@ -787,7 +787,7 @@ fn cmd_query(args: &[String]) -> Result<(), String> {
             (Arc::from(built), None)
         }
     };
-    index.reset_stats(); // count query work only, not construction I/O
+    let before = index.query_stats(); // count query work only, not construction I/O
     let k = match target {
         Target::Knn(k) => k,
         Target::Range(_) => 1,
@@ -804,7 +804,7 @@ fn cmd_query(args: &[String]) -> Result<(), String> {
     }
     .map_err(|e| e.to_string())?;
     print_answers(&answers, target, hex);
-    let stats = index.query_stats();
+    let stats = index.query_stats().since(&before);
     outln!(
         "[{}] {} dist computations, {} candidates refined, {} page accesses ({} reads)",
         index.name(),
@@ -851,7 +851,6 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
         }
         let engine = open_engine(&flags, index_file)?;
         let pin = engine.pin();
-        pin.index.reset_stats();
         outln!(
             "serving {} ({} points × {} dims) from {index_file} [writable, WAL at {}]",
             pin.index.name(),
@@ -868,7 +867,6 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
             .map_err(|e| e.to_string())?;
         let index: std::sync::Arc<dyn mmdr_index::VectorIndex> =
             std::sync::Arc::from(opened.index.into_boxed());
-        index.reset_stats();
         outln!(
             "serving {} ({} points × {} dims) from {index_file}{}",
             index.name(),

@@ -1,9 +1,8 @@
 //! [`VectorIndex`] implementation for the hybrid tree.
 
 use crate::tree::HybridTree;
-use mmdr_index::{DeltaStats, MutableVectorIndex, Query, Scratch, SearchCounters, VectorIndex};
-use mmdr_storage::{IoStats, PoolStats};
-use std::sync::Arc;
+use mmdr_index::{DeltaStats, MutableVectorIndex, Query, QueryStats, Scratch, VectorIndex};
+use mmdr_storage::PoolStats;
 
 impl From<crate::Error> for mmdr_index::Error {
     fn from(e: crate::Error) -> Self {
@@ -35,16 +34,12 @@ impl VectorIndex for HybridTree {
         Ok(self.search_gated(q.vector, q.target, None, q.filter)?)
     }
 
-    fn io_stats(&self) -> Arc<IoStats> {
-        HybridTree::io_stats(self)
-    }
-
-    fn search_counters(&self) -> Arc<SearchCounters> {
-        HybridTree::search_counters(self)
-    }
-
     fn pool_stats(&self) -> Vec<PoolStats> {
         vec![self.pool().snapshot()]
+    }
+
+    fn query_stats(&self) -> QueryStats {
+        QueryStats::of([self.pool()], [self.counters()])
     }
 }
 
@@ -128,9 +123,9 @@ mod tests {
     fn stats_flow_through_trait() {
         let t = tree();
         let dyn_ref: &dyn VectorIndex = &t;
-        dyn_ref.reset_stats();
+        let before = dyn_ref.query_stats();
         let _ = dyn_ref.knn(&[0.1, 0.2, 0.3, 0.4], 3).unwrap();
-        let stats = dyn_ref.query_stats();
+        let stats = dyn_ref.query_stats().since(&before);
         assert!(stats.dist_computations > 0);
         assert!(stats.pages_touched > 0);
     }

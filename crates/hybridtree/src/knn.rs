@@ -396,29 +396,31 @@ mod tests {
         let rids: Vec<u64> = (0..5000).collect();
         let tree = HybridTree::bulk_load(pool(4), &points, &rids).unwrap();
         let total_pages = tree.pool().num_pages() as u64;
-        let stats = tree.io_stats();
-        stats.reset();
+        let before = tree.pool().snapshot();
         let _ = tree.knn(points.row(0), 5).unwrap();
+        let reads = tree.pool().snapshot().since(&before).misses();
         assert!(
-            stats.reads() < total_pages / 2,
-            "KNN read {} of {total_pages} pages",
-            stats.reads()
+            reads < total_pages / 2,
+            "KNN read {reads} of {total_pages} pages"
         );
     }
 
     #[test]
-    fn search_counters_tick() {
+    fn counters_tick() {
         let points = random_points(300, 4, 17);
         let rids: Vec<u64> = (0..300).collect();
         let tree = HybridTree::bulk_load(pool(64), &points, &rids).unwrap();
-        let counters = tree.search_counters();
+        let counters = tree.counters();
+        assert_eq!(
+            counters.dist_computations(),
+            0,
+            "a build computes no distance"
+        );
         let _ = tree.knn(points.row(0), 5).unwrap();
         assert!(counters.dist_computations() > 0);
         assert!(counters.candidates_refined() > 0);
         // Pruning means not every computed distance is refined.
         assert!(counters.candidates_refined() <= counters.dist_computations());
-        counters.reset();
-        assert_eq!(counters.dist_computations(), 0);
     }
 
     #[test]
@@ -426,7 +428,7 @@ mod tests {
         let points = random_points(300, 4, 17);
         let rids: Vec<u64> = (0..300).collect();
         let tree = HybridTree::bulk_load(pool(64), &points, &rids).unwrap();
-        let counters = tree.search_counters();
+        let counters = tree.counters();
         let hidden: HashSet<u64> = (0..100).collect();
         let passing = SearchFilter::from_rows(mmdr_index::RowFilter::from_fn(300, |id| id >= 270));
         // Every row is a candidate of both walks (k = n, an all-covering
@@ -438,12 +440,12 @@ mod tests {
                 (None, Some(&passing), 30),
                 (Some(&hidden), Some(&passing), 30),
             ] {
-                counters.reset();
+                let before = counters.dist_computations();
                 let hits = tree
                     .search_gated(points.row(0), target, skip, filter)
                     .unwrap();
                 assert_eq!(hits.len(), evaluated);
-                assert_eq!(counters.dist_computations(), evaluated as u64);
+                assert_eq!(counters.dist_computations() - before, evaluated as u64);
             }
         }
     }

@@ -4,7 +4,7 @@ use crate::error::{Error, Result};
 use crate::node::{count, internal_capacity, is_leaf, leaf_capacity, Internal, Leaf};
 use mmdr_index::{DeltaLayer, SearchCounters};
 use mmdr_linalg::Matrix;
-use mmdr_storage::{BufferPool, IoStats, PageId};
+use mmdr_storage::{BufferPool, PageId};
 use std::sync::Arc;
 
 /// Default internal fanout. The original Hybrid tree packs binary kd splits
@@ -36,7 +36,7 @@ pub struct HybridTree {
     pub(crate) pool: BufferPool,
     pub(crate) root: PageId,
     pub(crate) dim: usize,
-    pub(crate) search: Arc<SearchCounters>,
+    pub(crate) search: SearchCounters,
     len: usize,
     height: usize,
     /// Rows ingested since the snapshot, already in stored coordinates;
@@ -94,7 +94,7 @@ impl HybridTree {
             pool,
             root,
             dim,
-            search: SearchCounters::new(),
+            search: SearchCounters::default(),
             len: rids.len(),
             height,
             delta: DeltaLayer::new(),
@@ -128,7 +128,7 @@ impl HybridTree {
             pool,
             root,
             dim,
-            search: SearchCounters::new(),
+            search: SearchCounters::default(),
             len,
             height,
             delta: DeltaLayer::new(),
@@ -220,21 +220,10 @@ impl HybridTree {
         self.height
     }
 
-    /// Handle to the I/O counters.
-    pub fn io_stats(&self) -> Arc<IoStats> {
-        self.pool.stats()
-    }
-
-    /// Handle to the CPU-side search counters.
-    pub fn search_counters(&self) -> Arc<SearchCounters> {
-        Arc::clone(&self.search)
-    }
-
-    /// Replaces the search counters with a shared set, so several trees
-    /// (e.g. gLDR's per-cluster forest) report into one ledger — the same
-    /// sharing [`mmdr_storage::DiskManager::with_stats`] gives page I/O.
-    pub fn share_search_counters(&mut self, counters: Arc<SearchCounters>) {
-        self.search = counters;
+    /// The tree's own search counters: the distances its searches
+    /// computed. A forest of trees (gLDR) sums its trees'.
+    pub fn counters(&self) -> &SearchCounters {
+        &self.search
     }
 
     /// Access to the buffer pool (page counts, per-shard hit/miss/eviction
@@ -369,11 +358,7 @@ mod tests {
         let q = [0.3, 0.4, 0.5, 0.6];
         let want = t.knn(&q, 7).unwrap();
         let images = t.pool().export_pages().unwrap();
-        let reopened_pool = BufferPool::new(
-            DiskManager::from_pages(images, mmdr_storage::IoStats::new()),
-            64,
-        )
-        .unwrap();
+        let reopened_pool = BufferPool::new(DiskManager::from_pages(images), 64).unwrap();
         let back = HybridTree::from_parts(
             reopened_pool,
             t.root_page_id(),

@@ -11,9 +11,8 @@ use mmdr_hybridtree::HybridTree;
 use mmdr_index::{DeltaLayer, KnnHeap, SearchCounters, SearchFilter, Target};
 use mmdr_linalg::Matrix;
 use mmdr_pca::ReducedSubspace;
-use mmdr_storage::{BufferPool, DiskManager, IoStats};
+use mmdr_storage::{BufferPool, DiskManager};
 use std::cmp::Ordering;
-use std::sync::Arc;
 
 /// One cluster's index: the subspace plus a hybrid tree over the members'
 /// local coordinates.
@@ -50,8 +49,8 @@ pub struct GlobalLdrIndex {
     outlier_tree: Option<HybridTree>,
     dim: usize,
     len: usize,
-    stats: Arc<IoStats>,
-    search: Arc<SearchCounters>,
+    /// Distances to delta rows; each tree counts its own.
+    pub(crate) search: SearchCounters,
     /// Rows ingested since the snapshot, kept at the forest level (not
     /// inside any cluster tree): `Some(ci)` rows hold local coordinates in
     /// cluster `ci`'s subspace, `None` rows are outliers stored raw. All
@@ -61,8 +60,8 @@ pub struct GlobalLdrIndex {
 }
 
 impl GlobalLdrIndex {
-    /// Builds one hybrid tree per cluster from the reduction result. All
-    /// trees share I/O and search counters; `buffer_pages` is split evenly.
+    /// Builds one hybrid tree per cluster from the reduction result;
+    /// `buffer_pages` is split evenly between the trees.
     pub fn build(data: &Matrix, model: &ReductionResult, buffer_pages: usize) -> Result<Self> {
         let rows = &mut data_rows(Backend::Gldr, data, model)?;
         Self::load(model, buffer_pages, rows)
@@ -77,7 +76,6 @@ impl GlobalLdrIndex {
         buffer_pages: usize,
         rows: &mut PartitionRows<'_>,
     ) -> Result<Self> {
-        let stats = IoStats::new();
         let pages_each = (buffer_pages / (model.clusters.len() + 1)).max(1);
         let mut clusters = Vec::with_capacity(model.clusters.len());
         let mut outlier_tree = None;
@@ -97,63 +95,42 @@ impl GlobalLdrIndex {
                 continue; // no outliers, no outlier tree
             }
             len += rids.len();
-            let pool = BufferPool::new(DiskManager::with_stats(Arc::clone(&stats)), pages_each)?;
+            let pool = BufferPool::new(DiskManager::new(), pages_each)?;
             let tree = HybridTree::bulk_load(pool, &points, &rids)?;
             match subspace {
                 Some(subspace) => clusters.push((subspace.clone(), tree, max_radius)),
                 None => outlier_tree = Some(tree),
             }
         }
-        Self::from_parts(clusters, outlier_tree, model.dim, len, stats)
+        Self::from_parts(clusters, outlier_tree, model.dim, len)
     }
 
     /// Reassembles a gLDR forest from snapshot parts: per-cluster
     /// `(subspace, tree, max_radius)` triples in build order plus the
-    /// optional outlier tree. Every tree's pool must already share the one
-    /// `stats` ledger (the snapshot layer reopens them that way); search
-    /// counters are re-unified here.
+    /// optional outlier tree. Each tree keeps counting its own fetches and
+    /// distances; the forest sums them when asked.
     pub fn from_parts(
         clusters: Vec<(ReducedSubspace, HybridTree, f64)>,
         outlier_tree: Option<HybridTree>,
         dim: usize,
         len: usize,
-        stats: Arc<IoStats>,
     ) -> Result<Self> {
-        let search = SearchCounters::new();
         let mut cluster_indexes = Vec::with_capacity(clusters.len());
-        for (subspace, mut tree, max_radius) in clusters {
-            if !Arc::ptr_eq(&tree.io_stats(), &stats) {
-                return Err(Error::InvalidConfig(
-                    "cluster trees must share one IoStats ledger",
-                ));
-            }
+        for (subspace, tree, max_radius) in clusters {
             if subspace.reduced_dim() != tree.dim() || subspace.original_dim() != dim {
                 return Err(Error::InvalidConfig(
                     "subspace shape disagrees with its tree",
                 ));
             }
-            tree.share_search_counters(Arc::clone(&search));
             cluster_indexes.push(ClusterIndex {
                 subspace,
                 tree,
                 max_radius,
             });
         }
-        let outlier_tree = match outlier_tree {
-            Some(mut tree) => {
-                if !Arc::ptr_eq(&tree.io_stats(), &stats) {
-                    return Err(Error::InvalidConfig(
-                        "outlier tree must share the IoStats ledger",
-                    ));
-                }
-                if tree.dim() != dim {
-                    return Err(Error::InvalidConfig("outlier tree dimensionality mismatch"));
-                }
-                tree.share_search_counters(Arc::clone(&search));
-                Some(tree)
-            }
-            None => None,
-        };
+        if outlier_tree.as_ref().is_some_and(|t| t.dim() != dim) {
+            return Err(Error::InvalidConfig("outlier tree dimensionality mismatch"));
+        }
         let tree_total: usize = cluster_indexes.iter().map(|c| c.tree.len()).sum::<usize>()
             + outlier_tree.as_ref().map_or(0, |t| t.len());
         if tree_total != len {
@@ -166,8 +143,7 @@ impl GlobalLdrIndex {
             outlier_tree,
             dim,
             len,
-            stats,
-            search,
+            search: SearchCounters::default(),
             delta: DeltaLayer::new(),
         })
     }
@@ -186,6 +162,15 @@ impl GlobalLdrIndex {
     /// The outlier tree, when any outliers exist (snapshot export).
     pub fn outlier_tree(&self) -> Option<&HybridTree> {
         self.outlier_tree.as_ref()
+    }
+
+    /// Every tree of the forest: the cluster trees in build order, then the
+    /// outlier tree.
+    pub(crate) fn trees(&self) -> impl Iterator<Item = &HybridTree> {
+        self.clusters
+            .iter()
+            .map(|c| &c.tree)
+            .chain(&self.outlier_tree)
     }
 
     /// Routes a new point and returns the stored representation: local
@@ -221,27 +206,9 @@ impl GlobalLdrIndex {
         self.dim
     }
 
-    /// Combined logical I/O across every per-cluster tree.
-    pub fn io_stats(&self) -> Arc<IoStats> {
-        Arc::clone(&self.stats)
-    }
-
-    /// Combined CPU-side search counters across every per-cluster tree.
-    pub fn search_counters(&self) -> Arc<SearchCounters> {
-        Arc::clone(&self.search)
-    }
-
     /// Total pages across all structures.
     pub fn total_pages(&self) -> usize {
-        let mut total: usize = self
-            .clusters
-            .iter()
-            .map(|c| c.tree.pool().num_pages())
-            .sum();
-        if let Some(t) = &self.outlier_tree {
-            total += t.pool().num_pages();
-        }
-        total
+        self.trees().map(|t| t.pool().num_pages()).sum()
     }
 
     /// Per-cluster query geometry, in cluster order: the lower bound is
@@ -422,7 +389,7 @@ mod tests {
     }
 
     #[test]
-    fn io_is_shared_across_trees() {
+    fn io_is_summed_across_trees() {
         let data = two_cluster_data();
         // Pin d_r = 3 so leaves hold multi-d points (several leaves per
         // tree) and give each tree a 1-page pool: traversals must miss.
@@ -438,14 +405,16 @@ mod tests {
             index.total_pages() > 2,
             "need a multi-page index for this test"
         );
-        let stats = index.io_stats();
-        stats.reset();
+        let before = index.query_stats();
         let _ = index.knn(data.row(0), 10).unwrap();
-        assert!(stats.reads() > 0);
+        let spent = index.query_stats().since(&before);
+        assert!(spent.page_reads > 0);
+        let misses: u64 = index.pool_stats().iter().map(|p| p.misses()).sum();
+        assert_eq!(index.query_stats().page_reads, misses);
     }
 
     #[test]
-    fn search_counters_are_shared_across_trees() {
+    fn distances_are_summed_across_trees() {
         let data = two_cluster_data();
         let model = Ldr::new(LdrParams {
             k: 2,
@@ -454,12 +423,16 @@ mod tests {
         .fit(&data)
         .unwrap();
         let index = GlobalLdrIndex::build(&data, &model, 64).unwrap();
-        let counters = index.search_counters();
-        counters.reset();
+        let before = index.query_stats();
         let _ = index.knn(data.row(0), 5).unwrap();
-        assert!(
-            counters.dist_computations() > 0,
-            "cluster trees report into one ledger"
+        let by_trees: u64 = index
+            .trees()
+            .map(|t| t.counters().dist_computations())
+            .sum();
+        assert!(by_trees > 0, "the cluster trees count their distances");
+        assert_eq!(
+            index.query_stats().since(&before).dist_computations,
+            by_trees
         );
     }
 

@@ -10,8 +10,7 @@ use mmdr_core::{EllipsoidCluster, ReductionResult};
 use mmdr_index::{DeltaLayer, SearchCounters};
 use mmdr_linalg::Matrix;
 use mmdr_pca::ReducedSubspace;
-use mmdr_storage::{BufferPool, DiskManager, IoStats};
-use std::sync::Arc;
+use mmdr_storage::{BufferPool, DiskManager};
 
 /// Configuration of the index.
 #[derive(Debug, Clone)]
@@ -107,8 +106,7 @@ pub struct IDistanceIndex {
     pub(crate) c: f64,
     pub(crate) dim: usize,
     config: IDistanceConfig,
-    stats: Arc<IoStats>,
-    pub(crate) search: Arc<SearchCounters>,
+    pub(crate) search: SearchCounters,
     len: usize,
     /// Rows ingested since the snapshot, routed to a partition and stored
     /// as the heap would store them (local coordinates for clusters, raw
@@ -140,7 +138,7 @@ impl IDistanceIndex {
     /// `y = i·c + dist(P, Oᵢ)` — the norm of the local coordinates in a
     /// cluster, the distance to `keys.reference` among the outliers — and
     /// coded by the [`Codebook`] cut from the partition's rows. The tree
-    /// and the heap split `buffer_pages` behind one I/O ledger.
+    /// and the heap split `buffer_pages`.
     pub(crate) fn load(
         model: &ReductionResult,
         buffer_pages: usize,
@@ -152,13 +150,7 @@ impl IDistanceIndex {
             reference,
             c_floor,
         } = keys;
-        let stats = IoStats::new();
-        let pool = || {
-            BufferPool::new(
-                DiskManager::with_stats(Arc::clone(&stats)),
-                (buffer_pages / 2).max(1),
-            )
-        };
+        let pool = || BufferPool::new(DiskManager::new(), (buffer_pages / 2).max(1));
         let tree_pool = pool()?;
         let mut heap = VectorHeap::new(pool()?);
 
@@ -224,10 +216,8 @@ impl IDistanceIndex {
     /// Reassembles an index from parts restored from a snapshot: a
     /// reattached B⁺-tree and heap (see [`BPlusTree::from_parts`] and
     /// [`VectorHeap::from_parts`]), the partition metadata, and the scalar
-    /// state [`build`](Self::build) computed. The two pools must share one
-    /// [`IoStats`] ledger (the snapshot layer reopens them that way), so
-    /// the reopened index streams through the counters exactly like a
-    /// built one.
+    /// state [`build`](Self::build) computed. The index counts through the
+    /// two pools it is given, like a built one.
     pub fn from_parts(
         tree: BPlusTree,
         heap: VectorHeap,
@@ -258,12 +248,6 @@ impl IDistanceIndex {
                 "tree/heap sizes disagree with the partitions",
             ));
         }
-        let stats = tree.pool().stats();
-        if !Arc::ptr_eq(&stats, &heap.pool().stats()) {
-            return Err(Error::InvalidConfig(
-                "tree and heap must share one IoStats ledger",
-            ));
-        }
         Ok(Self {
             tree,
             heap,
@@ -271,8 +255,7 @@ impl IDistanceIndex {
             c,
             dim,
             config,
-            stats,
-            search: SearchCounters::new(),
+            search: SearchCounters::default(),
             len,
             delta: DeltaLayer::new(),
         })
@@ -335,19 +318,9 @@ impl IDistanceIndex {
         &self.partitions
     }
 
-    /// Combined logical I/O counters of the tree and the heap.
-    pub fn io_stats(&self) -> Arc<IoStats> {
-        Arc::clone(&self.stats)
-    }
-
     /// The search configuration.
     pub fn config(&self) -> &IDistanceConfig {
         &self.config
-    }
-
-    /// Handle to the CPU-side search counters.
-    pub fn search_counters(&self) -> Arc<SearchCounters> {
-        Arc::clone(&self.search)
     }
 
     /// Total pages allocated (tree + heap) — the footprint the seq-scan

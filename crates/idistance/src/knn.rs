@@ -640,18 +640,18 @@ mod tests {
         )
         .unwrap();
         let cold_scan = SeqScan::build(&data, &model, 1).unwrap();
-        cold_index.io_stats().reset();
-        cold_scan.io_stats().reset();
-        let _ = cold_index.knn(data.row(0), 10).unwrap();
-        let _ = cold_scan.knn(data.row(0), 10).unwrap();
+        let reads = |index: &dyn VectorIndex| {
+            let before = index.query_stats();
+            let _ = index.knn(data.row(0), 10).unwrap();
+            index.query_stats().since(&before).page_reads
+        };
+        let (index_reads, scan_reads) = (reads(&cold_index), reads(&cold_scan));
         // At this tiny scale (a handful of pages) the two can tie; the
         // strict inequality is asserted at realistic scale by the
         // `end_to_end` integration test.
         assert!(
-            cold_index.io_stats().reads() <= cold_scan.io_stats().reads(),
-            "index {} vs scan {}",
-            cold_index.io_stats().reads(),
-            cold_scan.io_stats().reads()
+            index_reads <= scan_reads,
+            "index {index_reads} vs scan {scan_reads}"
         );
     }
 
@@ -763,7 +763,7 @@ mod tests {
             assert!(scan.delete(id).unwrap());
         }
         let live = |id: u64| id < base + 40 && !dead.contains(&id);
-        let counters = index.search_counters();
+        let counters = &index.search;
 
         // ~1 %, 10 % and 60 % of the rows.
         type Pass = fn(u64) -> bool;
@@ -929,7 +929,7 @@ mod tests {
                 pages,
                 log: Arc::clone(&log),
             };
-            let disk = DiskManager::from_source(Box::new(source), tree.pool().stats(), 0);
+            let disk = DiskManager::from_source(Box::new(source), 0);
             let pool = BufferPool::new(disk, 1).unwrap();
             let heap = VectorHeap::from_parts(pool, heap.open_page(), heap.len()).unwrap();
             let index = IDistanceIndex::from_parts(tree, heap, partitions, c, dim, config).unwrap();

@@ -11,8 +11,7 @@ use mmdr_core::ReductionResult;
 use mmdr_index::{DeltaLayer, KnnHeap, SearchCounters, SearchFilter, Target};
 use mmdr_linalg::Matrix;
 use mmdr_pca::ReducedSubspace;
-use mmdr_storage::{BufferPool, DiskManager, IoStats};
-use std::sync::Arc;
+use mmdr_storage::{BufferPool, DiskManager};
 
 /// Sequential-scan KNN over heap pages of reduced points.
 #[derive(Debug)]
@@ -22,7 +21,7 @@ pub struct SeqScan {
     subspaces: Vec<Option<ReducedSubspace>>,
     dim: usize,
     len: usize,
-    search: Arc<SearchCounters>,
+    pub(crate) search: SearchCounters,
     /// Rows ingested since the snapshot, already routed to a partition and
     /// stored exactly as the heap would store them (local coordinates for
     /// cluster partitions, raw for outliers). Scanned alongside the heap.
@@ -75,7 +74,7 @@ impl SeqScan {
             heap,
             subspaces,
             dim: model.dim,
-            search: SearchCounters::new(),
+            search: SearchCounters::default(),
             delta: DeltaLayer::new(),
         })
     }
@@ -120,16 +119,6 @@ impl SeqScan {
     /// Dimensionality of queries.
     pub fn dim(&self) -> usize {
         self.dim
-    }
-
-    /// Handle to the I/O counters.
-    pub fn io_stats(&self) -> Arc<IoStats> {
-        self.heap.io_stats()
-    }
-
-    /// Handle to the CPU-side search counters.
-    pub fn search_counters(&self) -> Arc<SearchCounters> {
-        Arc::clone(&self.search)
     }
 
     /// KNN by scanning every page; distances are to the reduced
@@ -234,14 +223,10 @@ mod tests {
         let model = Mmdr::new(MmdrParams::default()).fit(&data).unwrap();
         let scan = SeqScan::build(&data, &model, 1).unwrap();
         let pages = scan.num_pages() as u64;
-        let stats = scan.io_stats();
-        stats.reset();
+        let before = scan.query_stats();
         let _ = scan.knn(data.row(0), 10).unwrap();
-        assert!(
-            stats.reads() >= pages - 1,
-            "reads {} pages {pages}",
-            stats.reads()
-        );
+        let reads = scan.query_stats().since(&before).page_reads;
+        assert!(reads >= pages - 1, "reads {reads} pages {pages}");
     }
 
     #[test]

@@ -24,7 +24,7 @@
 //! without pinning the page to find out which row it is.
 
 use crate::error::{Error, Result};
-use mmdr_storage::{BufferPool, IoStats, Page, PageId, PAGE_SIZE};
+use mmdr_storage::{BufferPool, Page, PageId, PAGE_SIZE};
 use std::num::NonZeroU16;
 use std::sync::{Arc, OnceLock};
 
@@ -215,11 +215,6 @@ impl VectorHeap {
         self.pool.num_pages()
     }
 
-    /// Handle to the I/O counters.
-    pub fn io_stats(&self) -> Arc<IoStats> {
-        self.pool.stats()
-    }
-
     /// Records that fit a page at the given width.
     pub fn page_capacity(dim: usize) -> usize {
         (PAGE_SIZE - HEADER) / (8 + 8 * dim)
@@ -388,22 +383,22 @@ mod tests {
         let rids: Vec<u64> = (0..cap + 2)
             .map(|i| h.append(0, i, &[i as f64; 4]).unwrap())
             .collect();
-        let stats = h.io_stats();
-        stats.reset();
+        let before = h.pool().snapshot();
+        let fetches = || h.pool().snapshot().since(&before).pages_touched();
         let mut pin = None;
         for &rid in &rids[..cap as usize] {
             h.record(&mut pin, rid).unwrap();
         }
-        assert_eq!(stats.accesses(), 1, "one page, one fetch");
+        assert_eq!(fetches(), 1, "one page, one fetch");
         // Another page is another fetch, and so is coming back…
         for &rid in [&rids[cap as usize], &rids[0], &rids[1]] {
             h.record(&mut pin, rid).unwrap();
         }
-        assert_eq!(stats.accesses(), 3);
+        assert_eq!(fetches(), 3);
         // …or reading again after the pin was dropped.
         pin = None;
         h.record(&mut pin, rids[1]).unwrap();
-        assert_eq!(stats.accesses(), 4);
+        assert_eq!(fetches(), 4);
     }
 
     #[test]
@@ -428,18 +423,18 @@ mod tests {
         h.record(&mut pin, first).unwrap();
         assert_eq!(h.learned_id(first), None);
         // …reading it for a filtered search learns its page, for one fetch.
-        let stats = h.io_stats();
-        stats.reset();
+        let before = h.pool().snapshot();
+        let fetches = |h: &VectorHeap| h.pool().snapshot().since(&before).pages_touched();
         pin = None;
         h.pin_learning(&mut pin, first).unwrap();
-        assert_eq!(stats.accesses(), 1);
+        assert_eq!(fetches(&h), 1);
         for &rid in &rids[..cap as usize] {
             assert_eq!(h.learned_id(rid), Some(100 + (rid & 0xFFFF)));
         }
         assert_eq!(h.learned_id(second), None, "another page");
         assert_eq!(h.learned_id(first | 0xFFFF), None, "no such slot");
         assert_eq!(h.learned_id(7 << 16), None, "no such page");
-        assert_eq!(stats.accesses(), 1, "asking the column fetches nothing");
+        assert_eq!(fetches(&h), 1, "asking the column fetches nothing");
         h.pin_learning(&mut pin, second).unwrap();
         assert_eq!(h.learned_id(second + 2), Some(100 + cap + 2));
         assert_eq!(h.learned_id(second + 3), None);
@@ -564,11 +559,7 @@ mod tests {
             h.append(0, i, &[i as f64, 1.0]).unwrap();
         }
         let images = h.pool().export_pages().unwrap();
-        let pool = BufferPool::new(
-            mmdr_storage::DiskManager::from_pages(images, mmdr_storage::IoStats::new()),
-            16,
-        )
-        .unwrap();
+        let pool = BufferPool::new(DiskManager::from_pages(images), 16).unwrap();
         let mut back = VectorHeap::from_parts(pool, h.open_page(), h.len()).unwrap();
         assert_eq!(back.len(), 10);
         // The next append on the reopened heap gets the same rid as the
@@ -578,7 +569,7 @@ mod tests {
         assert_eq!(r_orig, r_back);
         assert_eq!(back.get(r_back).unwrap(), (0, 99, vec![9.0, 9.0]));
         // Bad open-page metadata is rejected.
-        let pool = BufferPool::new(mmdr_storage::DiskManager::new(), 4).unwrap();
+        let pool = BufferPool::new(DiskManager::new(), 4).unwrap();
         assert!(VectorHeap::from_parts(pool, Some((7, 0, 2)), 0).is_err());
     }
 
@@ -618,15 +609,14 @@ mod tests {
             h.append(0, i, &[0.0; 8]).unwrap();
         }
         let pages = h.num_pages() as u64;
-        let stats = h.io_stats();
-        stats.reset();
+        let before = h.pool().snapshot();
         h.scan(|_, _, _| {}).unwrap();
         // Every page read exactly once, except the still-resident open page
         // may be a buffer hit.
+        let reads = h.pool().snapshot().since(&before).misses();
         assert!(
-            stats.reads() >= pages - 1 && stats.reads() <= pages,
-            "reads {} for {pages} pages",
-            stats.reads()
+            reads >= pages - 1 && reads <= pages,
+            "reads {reads} for {pages} pages"
         );
     }
 }

@@ -3,9 +3,9 @@
 use crate::gldr::GlobalLdrIndex;
 use crate::index::IDistanceIndex;
 use crate::seqscan::SeqScan;
-use mmdr_index::{Query, Scratch, SearchCounters, Target, VectorIndex};
-use mmdr_storage::{IoStats, PoolStats};
-use std::sync::Arc;
+use mmdr_hybridtree::HybridTree;
+use mmdr_index::{Query, QueryStats, Scratch, Target, VectorIndex};
+use mmdr_storage::PoolStats;
 
 impl From<crate::Error> for mmdr_index::Error {
     fn from(e: crate::Error) -> Self {
@@ -37,16 +37,12 @@ impl VectorIndex for IDistanceIndex {
         Ok(self.search_impl(q.vector, q.target, q.filter, scratch)?)
     }
 
-    fn io_stats(&self) -> Arc<IoStats> {
-        IDistanceIndex::io_stats(self)
-    }
-
-    fn search_counters(&self) -> Arc<SearchCounters> {
-        IDistanceIndex::search_counters(self)
-    }
-
     fn pool_stats(&self) -> Vec<PoolStats> {
         vec![self.tree().pool().snapshot(), self.heap().pool().snapshot()]
+    }
+
+    fn query_stats(&self) -> QueryStats {
+        QueryStats::of([self.tree().pool(), self.heap().pool()], [&self.search])
     }
 }
 
@@ -70,16 +66,12 @@ impl VectorIndex for SeqScan {
         }?)
     }
 
-    fn io_stats(&self) -> Arc<IoStats> {
-        SeqScan::io_stats(self)
-    }
-
-    fn search_counters(&self) -> Arc<SearchCounters> {
-        SeqScan::search_counters(self)
-    }
-
     fn pool_stats(&self) -> Vec<PoolStats> {
         vec![self.heap().pool().snapshot()]
+    }
+
+    fn query_stats(&self) -> QueryStats {
+        QueryStats::of([self.heap().pool()], [&self.search])
     }
 }
 
@@ -100,22 +92,15 @@ impl VectorIndex for GlobalLdrIndex {
         Ok(self.search_impl(q.vector, q.target, q.filter)?)
     }
 
-    fn io_stats(&self) -> Arc<IoStats> {
-        GlobalLdrIndex::io_stats(self)
-    }
-
-    fn search_counters(&self) -> Arc<SearchCounters> {
-        GlobalLdrIndex::search_counters(self)
-    }
-
     fn pool_stats(&self) -> Vec<PoolStats> {
-        let mut pools: Vec<PoolStats> = (0..self.num_cluster_trees())
-            .map(|i| self.cluster_tree(i).0.pool().snapshot())
-            .collect();
-        if let Some(outliers) = self.outlier_tree() {
-            pools.push(outliers.pool().snapshot());
-        }
-        pools
+        self.trees().map(|t| t.pool().snapshot()).collect()
+    }
+
+    fn query_stats(&self) -> QueryStats {
+        QueryStats::of(
+            self.trees().map(HybridTree::pool),
+            self.trees().map(HybridTree::counters).chain([&self.search]),
+        )
     }
 }
 
@@ -162,9 +147,9 @@ mod tests {
             assert_eq!(b.dim(), 4, "{}", b.name());
             let r = b.knn(q, 5).unwrap();
             assert_eq!(r.len(), reference.len(), "{}", b.name());
-            b.reset_stats();
+            let before = b.query_stats();
             let _ = b.knn(q, 5).unwrap();
-            let stats = b.query_stats();
+            let stats = b.query_stats().since(&before);
             assert!(stats.dist_computations > 0, "{} counts distances", b.name());
             assert!(stats.pages_touched > 0, "{} counts page accesses", b.name());
         }

@@ -25,8 +25,11 @@
 //!   threading code.
 //! - **Uniform measurement.** [`QueryStats`] snapshots distance
 //!   computations, logical page/node touches, physical page reads, and
-//!   candidates refined from the same counters ([`SearchCounters`] +
-//!   [`mmdr_storage::IoStats`]) regardless of backend.
+//!   candidates refined from the same counters regardless of backend. Each
+//!   is counted once, where it happens: a fetch in its buffer pool's shard,
+//!   a distance in the index's own [`SearchCounters`]. [`QueryStats::of`]
+//!   sums them on demand; nothing is shared between indexes and nothing
+//!   resets — a phase's cost is [`QueryStats::since`] an earlier reading.
 
 mod error;
 mod filter;

@@ -537,8 +537,6 @@ mod tests {
     #[test]
     fn read_only_live_rejects_writes() {
         use crate::query::{Query, Scratch};
-        use crate::stats::SearchCounters;
-        use mmdr_storage::IoStats;
 
         struct Empty;
         impl VectorIndex for Empty {
@@ -553,12 +551,6 @@ mod tests {
             }
             fn search(&self, _: &Query<'_>, _: &mut Scratch) -> Result<Vec<(f64, u64)>> {
                 Ok(Vec::new())
-            }
-            fn io_stats(&self) -> Arc<IoStats> {
-                IoStats::new()
-            }
-            fn search_counters(&self) -> Arc<SearchCounters> {
-                SearchCounters::new()
             }
         }
 

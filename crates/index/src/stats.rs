@@ -1,13 +1,15 @@
 //! Uniform query-cost accounting.
 
-use mmdr_storage::IoStats;
+use mmdr_storage::BufferPool;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 
-/// CPU-side search counters, the complement of [`IoStats`]' page counters.
+/// CPU-side search counters, the complement of a buffer pool's page
+/// counts.
 ///
-/// Shared `Arc`-style like [`IoStats`] so a harness can hold a handle while
-/// the index owns the search path; ordering is relaxed — these are
+/// Each index owns its counters by value and ticks them where the work
+/// happens; [`QueryStats::of`] sums them with the index's pools. They count
+/// from the index's creation and are never reset. Atomics, so concurrent
+/// `&self` searches count exactly; ordering is relaxed — these are
 /// statistics, not synchronization — so under concurrent batch queries the
 /// totals are exact but attribution to individual queries is not.
 #[derive(Debug, Default)]
@@ -17,11 +19,6 @@ pub struct SearchCounters {
 }
 
 impl SearchCounters {
-    /// Creates a zeroed, shareable counter set.
-    pub fn new() -> Arc<Self> {
-        Arc::new(Self::default())
-    }
-
     /// Records `n` point-to-point distance evaluations.
     pub fn record_dists(&self, n: u64) {
         self.dist_computations.fetch_add(n, Ordering::Relaxed);
@@ -47,28 +44,26 @@ impl SearchCounters {
     pub fn candidates_refined(&self) -> u64 {
         self.candidates_refined.load(Ordering::Relaxed)
     }
-
-    /// Resets both counters.
-    pub fn reset(&self) {
-        self.dist_computations.store(0, Ordering::Relaxed);
-        self.candidates_refined.store(0, Ordering::Relaxed);
-    }
 }
 
-/// A point-in-time snapshot of a backend's cumulative query cost, combining
-/// [`SearchCounters`] with the storage layer's [`IoStats`].
+/// A point-in-time snapshot of a backend's cumulative query cost: its
+/// buffer pools' counts summed with its [`SearchCounters`]
+/// ([`QueryStats::of`]).
 ///
 /// All four backends populate every field through the same code paths (the
 /// buffer pool counts page/node touches, the search loops count distances
 /// and refinements), so `QueryStats` from different backends compare like
-/// with like — the property the paper's Figure 9/10 plots assume.
+/// with like — the property the paper's Figure 9/10 plots assume. The
+/// counts run from the pools' creation, an open's own fetches included; the
+/// cost of a phase is the difference of two snapshots
+/// ([`since`](Self::since)).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct QueryStats {
     /// Point-to-point distance evaluations.
     pub dist_computations: u64,
     /// Logical page/node touches (buffer hits + misses).
     pub pages_touched: u64,
-    /// Logical page reads (buffer misses).
+    /// Logical page reads (buffer misses, served from memory or the file).
     pub page_reads: u64,
     /// Candidates that survived pruning, tombstones and the filter and were
     /// offered to the result set ([`SearchCounters::record_refined`]); never
@@ -93,20 +88,29 @@ pub struct QueryStats {
 }
 
 impl QueryStats {
-    /// Snapshots the given counters.
-    pub fn snapshot(search: &SearchCounters, io: &IoStats) -> Self {
-        Self {
-            dist_computations: search.dist_computations(),
-            candidates_refined: search.candidates_refined(),
-            pages_touched: io.accesses(),
-            page_reads: io.reads(),
-            physical_reads: io.physical_reads(),
-            readahead_hits: io.readahead_hits(),
-            read_errors: io.read_errors(),
-            planner_post_filter: 0,
-            planner_pushdown: 0,
-            planner_prefilter_rank: 0,
+    /// The cost an index has counted so far: every fetch its `pools` made
+    /// (a touch each, a read per miss, and what their disks read
+    /// physically) and every distance its `counters` recorded. A sum over
+    /// live counters, never collected into a list: a filtered query asks
+    /// for it twice.
+    pub fn of<'a>(
+        pools: impl IntoIterator<Item = &'a BufferPool>,
+        counters: impl IntoIterator<Item = &'a SearchCounters>,
+    ) -> Self {
+        let mut stats = Self::default();
+        for pool in pools {
+            let (shards, io) = (pool.totals(), pool.io());
+            stats.pages_touched += shards.hits + shards.misses;
+            stats.page_reads += shards.misses;
+            stats.physical_reads += io.physical_reads;
+            stats.readahead_hits += io.readahead_hits;
+            stats.read_errors += io.read_errors;
         }
+        for c in counters {
+            stats.dist_computations += c.dist_computations();
+            stats.candidates_refined += c.candidates_refined();
+        }
+        stats
     }
 
     /// Field-wise difference against an earlier snapshot (per-query or
@@ -130,36 +134,36 @@ impl QueryStats {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mmdr_storage::DiskManager;
 
     #[test]
-    fn counters_accumulate_and_reset() {
-        let c = SearchCounters::new();
+    fn counters_accumulate() {
+        let c = SearchCounters::default();
         c.record_dists(3);
         c.record_dists(2);
         c.record_refined(1);
         assert_eq!(c.dist_computations(), 5);
         assert_eq!(c.candidates_refined(), 1);
-        c.reset();
-        assert_eq!(c.dist_computations(), 0);
-        assert_eq!(c.candidates_refined(), 0);
     }
 
     #[test]
     fn snapshot_and_delta() {
-        let c = SearchCounters::new();
-        let io = IoStats::new();
-        c.record_dists(10);
-        io.record_access();
-        io.record_read();
-        let before = QueryStats::snapshot(&c, &io);
-        c.record_dists(7);
-        c.record_refined(2);
-        io.record_access();
-        let after = QueryStats::snapshot(&c, &io);
+        let mut pools = [(); 2].map(|_| BufferPool::new(DiskManager::new(), 4).unwrap());
+        let pages = pools.each_mut().map(|p| p.allocate().unwrap());
+        let (a, b) = (SearchCounters::default(), SearchCounters::default());
+        a.record_dists(10);
+        pools[0].page(pages[0]).unwrap();
+        let before = QueryStats::of(&pools, [&a, &b]);
+        assert_eq!((before.pages_touched, before.page_reads), (1, 0));
+        b.record_dists(7);
+        a.record_refined(2);
+        pools[1].page(pages[1]).unwrap();
+        let after = QueryStats::of(&pools, [&a, &b]);
+        assert_eq!(after.dist_computations, 17);
         let delta = after.since(&before);
         assert_eq!(delta.dist_computations, 7);
         assert_eq!(delta.candidates_refined, 2);
         assert_eq!(delta.pages_touched, 1);
-        assert_eq!(delta.page_reads, 0);
+        assert_eq!(delta.page_reads, 0, "an allocated page is resident");
     }
 }

@@ -2,10 +2,9 @@
 
 use crate::error::Result;
 use crate::query::{Query, Scratch, Target};
-use crate::stats::{QueryStats, SearchCounters};
+use crate::stats::QueryStats;
 use mmdr_linalg::{map_ranges_with, ParConfig};
-use mmdr_storage::{IoStats, PoolStats};
-use std::sync::Arc;
+use mmdr_storage::PoolStats;
 
 /// Queries per work chunk in [`batch_queries`]. Much smaller than the
 /// dataset-side `PAR_CHUNK`: one query is already substantial work, and
@@ -36,10 +35,12 @@ pub const QUERY_CHUNK: usize = 8;
 ///   many other queries run concurrently. This is what lets
 ///   [`batch_queries`] promise bit-identical-to-serial results at every
 ///   thread count.
-/// - Cost accounting flows through the shared counters: page/node touches
-///   via [`io_stats`](VectorIndex::io_stats) (the buffer pool records
-///   them), distance computations and refined candidates via
-///   [`search_counters`](VectorIndex::search_counters).
+/// - Cost is counted once, where it happens — a page fetch in its buffer
+///   pool's shard, a distance in the index's own [`crate::SearchCounters`]
+///   — and read through two methods: [`pool_stats`](VectorIndex::pool_stats)
+///   lists the pools, [`query_stats`](VectorIndex::query_stats) sums them
+///   with the counters ([`QueryStats::of`]), so the two always agree.
+///   Nothing resets: a phase's cost is a difference of two readings.
 pub trait VectorIndex: Send + Sync {
     /// Short display name ("seqscan", "idistance", …) used by the CLI and
     /// the bench reports.
@@ -85,12 +86,6 @@ pub trait VectorIndex: Send + Sync {
         })
     }
 
-    /// Handle to the backend's logical-I/O counters.
-    fn io_stats(&self) -> Arc<IoStats>;
-
-    /// Handle to the backend's CPU-side search counters.
-    fn search_counters(&self) -> Arc<SearchCounters>;
-
     /// Per-pool buffer statistics: one [`PoolStats`] snapshot per buffer
     /// pool the backend owns (tree pools, heap pools, one per cluster tree
     /// for forests), in a stable order. Remote callers (the query server's
@@ -101,15 +96,11 @@ pub trait VectorIndex: Send + Sync {
         Vec::new()
     }
 
-    /// Snapshot of the cumulative query cost.
+    /// Snapshot of the cumulative query cost: the pools
+    /// [`pool_stats`](VectorIndex::pool_stats) lists, summed with the
+    /// backend's search counters. Backends that count nothing report zeros.
     fn query_stats(&self) -> QueryStats {
-        QueryStats::snapshot(&self.search_counters(), &self.io_stats())
-    }
-
-    /// Zeroes every cost counter (harnesses call this between phases).
-    fn reset_stats(&self) {
-        self.io_stats().reset();
-        self.search_counters().reset();
+        QueryStats::default()
     }
 
     /// Cumulative scatter-gather attribution, when this index fronts
@@ -192,18 +183,6 @@ mod tests {
     /// Minimal in-memory backend: 1-d points, exact scan.
     struct Toy {
         points: Vec<f64>,
-        io: Arc<IoStats>,
-        search: Arc<SearchCounters>,
-    }
-
-    impl Toy {
-        fn new(points: Vec<f64>) -> Self {
-            Self {
-                points,
-                io: IoStats::new(),
-                search: SearchCounters::new(),
-            }
-        }
     }
 
     impl VectorIndex for Toy {
@@ -234,19 +213,14 @@ mod tests {
                     heap.push(d, i as u64);
                 }
             }
-            self.search.record_dists(self.points.len() as u64);
             Ok(heap.into_sorted_vec())
-        }
-        fn io_stats(&self) -> Arc<IoStats> {
-            Arc::clone(&self.io)
-        }
-        fn search_counters(&self) -> Arc<SearchCounters> {
-            Arc::clone(&self.search)
         }
     }
 
     fn toy() -> Toy {
-        Toy::new((0..100).map(|i| i as f64 * 0.25).collect())
+        Toy {
+            points: (0..100).map(|i| i as f64 * 0.25).collect(),
+        }
     }
 
     #[test]
@@ -285,9 +259,7 @@ mod tests {
             .batch_knn(&[vec![0.0]], 1, &ParConfig::threads(4))
             .unwrap();
         assert_eq!(batch, vec![vec![(0.0, 0)]]);
-        assert!(boxed.query_stats().dist_computations > 0);
         assert!(boxed.pool_stats().is_empty(), "toy backend has no pools");
-        boxed.reset_stats();
-        assert_eq!(boxed.query_stats(), QueryStats::default());
+        assert_eq!(boxed.query_stats(), QueryStats::default(), "nor counters");
     }
 }

@@ -73,11 +73,11 @@ use mmdr_core::{MmdrParams, PointAssignment, ReductionResult};
 use mmdr_idistance::{load, stored_rows, Backend, BuiltIndex, IDistanceConfig, KeySpace, Row};
 use mmdr_index::{
     DriftEstimator, IngestOp, IngestStats, LiveIndex, PinnedEpoch, Query, QueryStats, Scratch,
-    SearchCounters, Target, VectorIndex,
+    Target, VectorIndex,
 };
 use mmdr_linalg::Matrix;
 use mmdr_query::{decode_row, encode_row, AttrSketches, AttrStore, AttrValue, Planner};
-use mmdr_storage::{IoStats, PoolStats};
+use mmdr_storage::PoolStats;
 use std::collections::{BTreeMap, HashSet};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -220,12 +220,6 @@ impl VectorIndex for Epoch {
     }
     fn search(&self, q: &Query<'_>, scratch: &mut Scratch) -> mmdr_index::Result<Vec<(f64, u64)>> {
         self.built.as_dyn().search(q, scratch)
-    }
-    fn io_stats(&self) -> Arc<IoStats> {
-        self.built.as_dyn().io_stats()
-    }
-    fn search_counters(&self) -> Arc<SearchCounters> {
-        self.built.as_dyn().search_counters()
     }
     fn pool_stats(&self) -> Vec<PoolStats> {
         self.built.as_dyn().pool_stats()

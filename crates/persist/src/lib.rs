@@ -28,7 +28,8 @@
 //! Reopened indexes reuse the same [`mmdr_storage`] page/buffer-pool
 //! machinery as built ones, so their logical I/O accounting (the unit the
 //! paper's figures plot) is identical: restoring pages costs zero reads,
-//! queries stream through [`IoStats`](mmdr_storage::IoStats) as usual.
+//! and every fetch after that — the open's own check of an iDistance root
+//! included — is counted by the pool that makes it, as in a built index.
 //!
 //! Because floats are stored as raw IEEE-754 bit patterns and pages as raw
 //! images, a save → open round trip is bit-exact: the reopened index

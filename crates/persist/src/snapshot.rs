@@ -35,7 +35,7 @@ pub use mmdr_idistance::BuiltIndex;
 use mmdr_idistance::{Backend, GlobalLdrIndex, IDistanceIndex, SeqScan, VectorHeap};
 use mmdr_linalg::Matrix;
 use mmdr_query::AttrStore;
-use mmdr_storage::{crc32, BufferPool, Crc32, DiskManager, FileSource, IoStats, PageId, PAGE_SIZE};
+use mmdr_storage::{crc32, BufferPool, Crc32, DiskManager, FileSource, PageId, PAGE_SIZE};
 use std::fs::File;
 use std::io::{BufWriter, Write};
 use std::os::unix::fs::FileExt;
@@ -144,9 +144,10 @@ fn expect_pages_len(dir: &[Vec<u32>], actual: u64) -> Result<()> {
 }
 
 /// Reattaches one page group — a window into the snapshot file's PAGES
-/// section — behind a pool of the given capacity, sharing the given I/O
-/// ledger; a resident open then loads the group into memory. Restoring
-/// installs no frames and costs no logical I/O. Only the capacity is
+/// section — behind a pool of the given capacity; a resident open then
+/// loads the group into memory. Restoring installs no frames and counts
+/// nothing: the pool counts from here, like a fresh build's. Only the
+/// capacity is
 /// recorded: the reopened pool stripes its frames across whatever shard
 /// count the current process resolves (snapshots predate and outlive pool
 /// geometry), which cannot change answers or `pages_touched` — both are
@@ -154,10 +155,9 @@ fn expect_pages_len(dir: &[Vec<u32>], actual: u64) -> Result<()> {
 fn restore_pool(
     group: FileSource,
     recorded_capacity: usize,
-    stats: &Arc<IoStats>,
     opts: &OpenOptions,
 ) -> Result<BufferPool> {
-    let disk = DiskManager::from_source(Box::new(group), Arc::clone(stats), opts.readahead);
+    let disk = DiskManager::from_source(Box::new(group), opts.readahead);
     let capacity = opts.pool_pages.unwrap_or(recorded_capacity).max(1);
     let pool = BufferPool::new(disk, capacity)?;
     if opts.resident {
@@ -234,13 +234,8 @@ fn get_hybrid_meta(r: &mut ByteReader<'_>) -> Result<HybridMeta> {
     })
 }
 
-fn restore_hybrid(
-    meta: HybridMeta,
-    group: FileSource,
-    stats: &Arc<IoStats>,
-    opts: &OpenOptions,
-) -> Result<HybridTree> {
-    let pool = restore_pool(group, meta.capacity, stats, opts)?;
+fn restore_hybrid(meta: HybridMeta, group: FileSource, opts: &OpenOptions) -> Result<HybridTree> {
+    let pool = restore_pool(group, meta.capacity, opts)?;
     Ok(HybridTree::from_parts(
         pool,
         meta.root,
@@ -505,8 +500,7 @@ fn restore(
         Backend::SeqScan => {
             let (capacity, len, open) = get_heap_meta(&mut meta)?;
             expect_groups(&groups, 1)?;
-            let stats = IoStats::new();
-            let pool = restore_pool(groups.pop().expect("one group"), capacity, &stats, opts)?;
+            let pool = restore_pool(groups.pop().expect("one group"), capacity, opts)?;
             let heap = VectorHeap::from_parts(pool, open, len)?;
             BuiltIndex::SeqScan(SeqScan::from_parts(heap, &model)?)
         }
@@ -526,10 +520,10 @@ fn restore(
             expect_groups(&groups, 2)?;
             let heap_pages = groups.pop().expect("two groups");
             let tree_pages = groups.pop().expect("two groups");
-            // One ledger across both pools, exactly like a fresh build.
-            let stats = IoStats::new();
-            let tree_pool = restore_pool(tree_pages, tree_capacity, &stats, opts)?;
-            let heap_pool = restore_pool(heap_pages, heap_capacity, &stats, opts)?;
+            let tree_pool = restore_pool(tree_pages, tree_capacity, opts)?;
+            let heap_pool = restore_pool(heap_pages, heap_capacity, opts)?;
+            // Checking the root's kind is this open's one fetch, counted by
+            // the tree's pool like any other.
             let tree =
                 mmdr_btree::BPlusTree::from_parts(tree_pool, tree_root, tree_height, tree_len)?;
             let heap = VectorHeap::from_parts(heap_pool, heap_open, heap_len)?;
@@ -540,8 +534,7 @@ fn restore(
         Backend::Hybrid => {
             let hm = get_hybrid_meta(&mut meta)?;
             expect_groups(&groups, 1)?;
-            let stats = IoStats::new();
-            let mut tree = restore_hybrid(hm, groups.pop().expect("one group"), &stats, opts)?;
+            let mut tree = restore_hybrid(hm, groups.pop().expect("one group"), opts)?;
             // Hooks are code, not data: reinstall the restored-representation
             // ingest prep the build path gave the tree.
             mmdr_idistance::install_restored_prep(&mut tree, &model);
@@ -573,12 +566,10 @@ fn restore(
             };
             let expected = n_clusters + usize::from(outlier_meta.is_some());
             expect_groups(&groups, expected)?;
-            let stats = IoStats::new();
             let mut group_iter = groups.into_iter();
             let mut clusters = Vec::with_capacity(n_clusters);
             for (i, (max_radius, hm)) in cluster_meta.into_iter().enumerate() {
-                let tree =
-                    restore_hybrid(hm, group_iter.next().expect("counted groups"), &stats, opts)?;
+                let tree = restore_hybrid(hm, group_iter.next().expect("counted groups"), opts)?;
                 // The forest's subspaces come from the model, in build
                 // order — the snapshot stores them once, not twice.
                 clusters.push((model.clusters[i].subspace.clone(), tree, max_radius));
@@ -587,7 +578,6 @@ fn restore(
                 Some(hm) => Some(restore_hybrid(
                     hm,
                     group_iter.next().expect("counted groups"),
-                    &stats,
                     opts,
                 )?),
                 None => None,
@@ -597,16 +587,10 @@ fn restore(
                 outlier_tree,
                 dim,
                 len,
-                stats,
             )?)
         }
     };
     meta.expect_end()?;
-    // Reattach validation peeks at root pages; that is restore work, not
-    // query work, so the ledger starts at zero like a freshly built index —
-    // both the logical counters and, on the demand-read path, the physical
-    // ones (root pages stay resident, so no re-fetch is owed).
-    index.as_dyn().io_stats().reset();
     Ok(Opened {
         backend,
         model,
@@ -952,11 +936,7 @@ mod tests {
             pages: pages.clone(),
             reads_left: Arc::clone(&reads_left),
         };
-        let pool = BufferPool::new(
-            DiskManager::from_source(Box::new(source), IoStats::new(), 0),
-            4,
-        )
-        .unwrap();
+        let pool = BufferPool::new(DiskManager::from_source(Box::new(source), 0), 4).unwrap();
         let heap =
             VectorHeap::from_parts(pool, scan.heap().open_page(), scan.heap().len()).unwrap();
         let index = BuiltIndex::SeqScan(SeqScan::from_parts(heap, &model).unwrap());

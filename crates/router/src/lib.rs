@@ -47,12 +47,10 @@
 #![warn(missing_docs)]
 
 use mmdr_index::{
-    Error, KnnHeap, LiveIndex, PinnedEpoch, Query, Result, Scratch, SearchCounters, ShardStats,
-    Target, VectorIndex,
+    Error, KnnHeap, LiveIndex, PinnedEpoch, Query, Result, Scratch, ShardStats, Target, VectorIndex,
 };
 use mmdr_persist::{Manifest, ShardEntry};
 use mmdr_serve::{Client, ServeError};
-use mmdr_storage::IoStats;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -155,8 +153,6 @@ pub struct Router {
     manifest: Manifest,
     shards: Vec<Shard>,
     config: RouterConfig,
-    io: Arc<IoStats>,
-    search: Arc<SearchCounters>,
     queries: AtomicU64,
     contacted: AtomicU64,
     pruned: AtomicU64,
@@ -192,8 +188,6 @@ impl Router {
                 .collect(),
             manifest,
             config,
-            io: Arc::new(IoStats::default()),
-            search: Arc::new(SearchCounters::default()),
             queries: AtomicU64::new(0),
             contacted: AtomicU64::new(0),
             pruned: AtomicU64::new(0),
@@ -416,14 +410,6 @@ impl VectorIndex for Router {
             return Err(Error::FiltersUnavailable);
         }
         self.scatter(q.vector, q.target, None)
-    }
-
-    fn io_stats(&self) -> Arc<IoStats> {
-        Arc::clone(&self.io)
-    }
-
-    fn search_counters(&self) -> Arc<SearchCounters> {
-        Arc::clone(&self.search)
     }
 
     fn shard_stats(&self) -> Option<ShardStats> {

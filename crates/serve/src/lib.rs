@@ -34,8 +34,7 @@ pub use wire::{RemoteStats, Request, Response, ServerCounters, WireError};
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mmdr_index::{KnnHeap, Query, Scratch, SearchCounters, VectorIndex};
-    use mmdr_storage::IoStats;
+    use mmdr_index::{KnnHeap, Query, Scratch, VectorIndex};
     use std::sync::Arc;
 
     /// Minimal exact-scan backend for in-crate server tests: `coords` holds
@@ -43,8 +42,6 @@ mod tests {
     struct Toy {
         dim: usize,
         coords: Vec<f64>,
-        io: Arc<IoStats>,
-        search: Arc<SearchCounters>,
     }
 
     impl VectorIndex for Toy {
@@ -74,24 +71,12 @@ mod tests {
                     .sqrt();
                 heap.push(d, i as u64);
             }
-            self.search.record_dists(self.len() as u64);
             Ok(heap.into_sorted_vec())
-        }
-        fn io_stats(&self) -> Arc<IoStats> {
-            Arc::clone(&self.io)
-        }
-        fn search_counters(&self) -> Arc<SearchCounters> {
-            Arc::clone(&self.search)
         }
     }
 
     fn toy_over(dim: usize, coords: Vec<f64>) -> Arc<dyn VectorIndex> {
-        Arc::new(Toy {
-            dim,
-            coords,
-            io: IoStats::new(),
-            search: SearchCounters::new(),
-        })
+        Arc::new(Toy { dim, coords })
     }
 
     fn toy() -> Arc<dyn VectorIndex> {

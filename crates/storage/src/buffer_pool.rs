@@ -1,6 +1,6 @@
 //! Sharded, lock-striped buffer pool with shared-read frames.
 //!
-//! The pool is split into `num_shards` independent shards (a power of two),
+//! The pool is split into independent shards (a power of two of them),
 //! each owning a disjoint slice of the page-id space (`page_id & mask`) with
 //! its own lock, frame table and clock (second-chance) eviction hand. The
 //! hot read path never holds any pool lock while the caller looks at page
@@ -10,13 +10,12 @@
 //! exclusively (`&mut self`) and mutate copy-on-write, leaving a reader's
 //! handle on the old image.
 
-use crate::disk::{zero_page, DiskManager};
+use crate::disk::{zero_page, DiskManager, IoStats};
 use crate::error::{Error, Result};
 use crate::page::{Page, PageId};
-use crate::stats::IoStats;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 fn next_pow2(n: usize) -> usize {
     n.max(1).next_power_of_two()
@@ -152,9 +151,14 @@ impl PoolStats {
 /// the caller's use of the bytes.
 ///
 /// Hits cost no logical I/O; misses cost one read, dirty evictions one
-/// write — the accounting the paper's I/O plots assume. A panic inside a
-/// reader closure cannot poison the pool (readers hold no pool lock);
-/// [`Error::Poisoned`] reports a shard or disk mutex a panic did poison.
+/// write — the accounting the paper's I/O plots assume. Every fetch ticks
+/// exactly one counter, its shard's hit or miss count, so the pool's
+/// [`pages_touched`](PoolStats::pages_touched) is the sum of its shards'.
+/// The counts run from the pool's creation and are never reset.
+///
+/// A panic inside a reader closure cannot poison the pool (readers hold no
+/// pool lock); [`Error::Poisoned`] reports a shard or disk mutex a panic
+/// did poison.
 #[derive(Debug)]
 pub struct BufferPool {
     shards: Box<[Shard]>,
@@ -162,7 +166,6 @@ pub struct BufferPool {
     mask: u64,
     disk: Mutex<DiskManager>,
     capacity: usize,
-    stats: Arc<IoStats>,
 }
 
 impl BufferPool {
@@ -174,14 +177,14 @@ impl BufferPool {
     }
 
     /// Like [`new`](Self::new) but with an explicit shard count (`0` =
-    /// default sizing). Rounded up to a power of two and clamped to
-    /// `capacity`.
-    pub fn with_shards(disk: DiskManager, capacity: usize, shards: usize) -> Result<Self> {
+    /// default sizing), rounded up to a power of two and clamped to
+    /// `capacity`: a test's way to a single shard and a deterministic
+    /// clock order.
+    fn with_shards(disk: DiskManager, capacity: usize, shards: usize) -> Result<Self> {
         if capacity == 0 {
             return Err(Error::ZeroCapacity);
         }
         let num_shards = resolve_shards(capacity, shards);
-        let stats = disk.stats();
         let shards = (0..num_shards)
             .map(|i| Shard {
                 inner: Mutex::new(ShardInner::default()),
@@ -199,7 +202,6 @@ impl BufferPool {
             mask: (num_shards - 1) as u64,
             disk: Mutex::new(disk),
             capacity,
-            stats,
         })
     }
 
@@ -207,19 +209,9 @@ impl BufferPool {
         &self.shards[(page_id & self.mask) as usize]
     }
 
-    /// Handle to the underlying I/O counters.
-    pub fn stats(&self) -> Arc<IoStats> {
-        Arc::clone(&self.stats)
-    }
-
     /// Pool capacity in pages.
     pub fn capacity(&self) -> usize {
         self.capacity
-    }
-
-    /// Number of shards (a power of two).
-    pub fn num_shards(&self) -> usize {
-        self.shards.len()
     }
 
     /// Per-shard counter snapshot.
@@ -237,12 +229,34 @@ impl BufferPool {
         }
     }
 
+    /// The shards' counters summed: [`snapshot`](Self::snapshot)'s totals,
+    /// without collecting the shards into a list.
+    pub fn totals(&self) -> ShardCounters {
+        let mut total = ShardCounters::default();
+        for s in self.shards.iter() {
+            total.hits += s.hits.load(Ordering::Relaxed);
+            total.misses += s.misses.load(Ordering::Relaxed);
+            total.evictions += s.evictions.load(Ordering::Relaxed);
+        }
+        total
+    }
+
+    /// What the disk's page source has done: physical reads, readahead
+    /// hits and read errors (they tick only while a source is behind the
+    /// disk).
+    pub fn io(&self) -> IoStats {
+        self.disk().io
+    }
+
     /// Number of pages on the underlying disk.
     pub fn num_pages(&self) -> usize {
-        match self.disk.lock() {
-            Ok(disk) => disk.num_pages(),
-            Err(poisoned) => poisoned.into_inner().num_pages(),
-        }
+        self.disk().num_pages()
+    }
+
+    /// The disk, for a look at what it holds: a panic that poisoned its
+    /// lock cannot have left a count or a page count half-written.
+    fn disk(&self) -> MutexGuard<'_, DiskManager> {
+        self.disk.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// Allocates a fresh page. The page enters its shard dirty (it will be
@@ -260,11 +274,10 @@ impl BufferPool {
     /// Fetches a page for reading, returning a shared handle to its current
     /// image. One shard lock is held transiently to resolve the frame —
     /// never while the caller uses the bytes — so concurrent readers of
-    /// different shards (or even the same frame) do not serialize. Every
-    /// fetch counts one logical access in the shared [`IoStats`], hit or
-    /// miss, keeping "pages touched" comparable across pool geometries.
+    /// different shards (or even the same frame) do not serialize. The
+    /// fetch counts once, as a hit or a miss of its shard, keeping "pages
+    /// touched" comparable across pool geometries.
     pub fn page(&self, page_id: PageId) -> Result<Arc<Page>> {
-        self.stats.record_access();
         let shard = self.shard_for(page_id);
         let mut inner = lock_mutex(&shard.inner)?;
         let idx = self.fetch(shard, &mut inner, page_id)?;
@@ -299,7 +312,6 @@ impl BufferPool {
         page_id: PageId,
         f: impl FnOnce(&mut Page) -> R,
     ) -> Result<R> {
-        self.stats.record_access();
         let shard = self.shard_for(page_id);
         let mut inner = lock_mutex(&shard.inner)?;
         let idx = self.fetch(shard, &mut inner, page_id)?;
@@ -376,8 +388,8 @@ impl BufferPool {
     /// Flushes dirty frames, then shows `f` every page image on the
     /// underlying disk in page-id order — by reference to the one image
     /// held, never a copy, and for a file-backed source one page at a time.
-    /// A walk for persistence, not simulated query work, so it records no
-    /// logical I/O beyond the flush's writes. `f`'s first error ends it.
+    /// A walk for persistence, not simulated query work, so it counts
+    /// nothing. `f`'s first error ends it.
     pub fn visit_pages<E: From<Error>>(
         &self,
         mut f: impl FnMut(&Arc<Page>) -> std::result::Result<(), E>,
@@ -461,15 +473,15 @@ mod tests {
     #[test]
     fn shard_count_is_pow2_and_clamped() {
         let p = BufferPool::with_shards(DiskManager::new(), 64, 5).unwrap();
-        assert_eq!(p.num_shards(), 8, "5 rounds up to 8");
+        assert_eq!(p.shards.len(), 8, "5 rounds up to 8");
         let p = BufferPool::with_shards(DiskManager::new(), 3, 16).unwrap();
-        assert!(p.num_shards() <= 3, "each shard keeps >= 1 frame");
-        assert!(p.num_shards().is_power_of_two());
+        assert!(p.shards.len() <= 3, "each shard keeps >= 1 frame");
+        assert!(p.shards.len().is_power_of_two());
         let auto = BufferPool::new(DiskManager::new(), 1024).unwrap();
-        assert!(auto.num_shards().is_power_of_two());
+        assert!(auto.shards.len().is_power_of_two());
         // Shard budgets must sum to the capacity.
         let p = BufferPool::with_shards(DiskManager::new(), 7, 4).unwrap();
-        assert_eq!(p.num_shards(), 4);
+        assert_eq!(p.shards.len(), 4);
         assert_eq!(p.shards.iter().map(|s| s.capacity).sum::<usize>(), 7);
         assert!(p.shards.iter().all(|s| s.capacity >= 1));
     }
@@ -479,14 +491,11 @@ mod tests {
         let mut p = pool(2);
         let a = p.allocate().unwrap();
         p.with_page_mut(a, |pg| pg.put_u64(0, 7).unwrap()).unwrap();
-        let stats = p.stats();
-        stats.reset();
         // Page resident: repeated access costs nothing.
         for _ in 0..5 {
             let v = p.with_page(a, |pg| pg.get_u64(0).unwrap()).unwrap();
             assert_eq!(v, 7);
         }
-        assert_eq!(stats.reads(), 0);
         // 1 hit from the with_page_mut above + 5 from the loop.
         assert_eq!(p.snapshot().hits(), 6);
         assert_eq!(p.snapshot().misses(), 0);
@@ -496,14 +505,20 @@ mod tests {
     fn eviction_writes_dirty_and_rereads() {
         let mut p = pool(2);
         let a = p.allocate().unwrap();
-        let b = p.allocate().unwrap();
-        let c = p.allocate().unwrap(); // evicts one of a/b (dirty from allocate)
-        p.with_page_mut(a, |pg| pg.put_u64(0, 1).unwrap()).unwrap();
-        let stats = p.stats();
-        assert!(stats.writes() >= 1, "dirty eviction must write");
-        assert!(stats.reads() >= 1, "re-fetch must read");
-        assert!(p.snapshot().evictions() >= 1);
-        let _ = (b, c);
+        p.with_page_mut(a, |pg| pg.put_u64(0, 41).unwrap()).unwrap();
+        assert_eq!(p.disk().image(a).unwrap().get_u64(0).unwrap(), 0);
+        p.allocate().unwrap();
+        // The hand clears a's and the second frame's bits, then takes a.
+        p.allocate().unwrap();
+        assert_eq!(p.snapshot().evictions(), 1);
+        assert_eq!(
+            p.disk().image(a).unwrap().get_u64(0).unwrap(),
+            41,
+            "dirty eviction must write back"
+        );
+        let misses = p.snapshot().misses();
+        assert_eq!(p.with_page(a, |pg| pg.get_u64(0).unwrap()).unwrap(), 41);
+        assert_eq!(p.snapshot().misses(), misses + 1, "re-fetch must read");
     }
 
     #[test]
@@ -540,8 +555,7 @@ mod tests {
         let a = p.allocate().unwrap();
         let b = p.allocate().unwrap();
         p.flush_all().unwrap();
-        let stats = p.stats();
-        stats.reset();
+        let misses = p.snapshot().misses();
         // Reference a; the sweep for c clears both bits and the hand makes
         // a second pass, but a's fresh reference bit means b (or whichever
         // frame loses its bit first) goes — a must survive the first sweep
@@ -552,9 +566,13 @@ mod tests {
         p.with_page(b, |_| ()).unwrap(); // b referenced most recently
         let _c = p.allocate().unwrap(); // hand: a(ref→clear), b(ref→clear), a evicted
         p.with_page(b, |_| ()).unwrap(); // b still resident → no read
-        assert_eq!(stats.reads(), 0, "second chance kept b resident");
+        assert_eq!(
+            p.snapshot().misses(),
+            misses,
+            "second chance kept b resident"
+        );
         p.with_page(a, |_| ()).unwrap(); // a was evicted → one read
-        assert_eq!(stats.reads(), 1);
+        assert_eq!(p.snapshot().misses(), misses + 1);
     }
 
     #[test]
@@ -562,10 +580,11 @@ mod tests {
         let mut p = pool(4);
         let a = p.allocate().unwrap();
         p.with_page_mut(a, |pg| pg.put_u8(0, 1).unwrap()).unwrap();
+        let dirty = |p: &BufferPool| p.shards[0].inner.lock().unwrap().frames[0].dirty;
+        assert!(dirty(&p));
         p.flush_all().unwrap();
-        let w = p.stats().writes();
-        p.flush_all().unwrap(); // nothing dirty: no extra writes
-        assert_eq!(p.stats().writes(), w);
+        assert!(!dirty(&p), "nothing dirty: a second flush writes nothing");
+        assert_eq!(p.disk().image(a).unwrap().get_u8(0).unwrap(), 1);
     }
 
     #[test]
@@ -576,18 +595,23 @@ mod tests {
             p.with_page_mut(id, |pg| pg.put_u64(0, 10 + i as u64).unwrap())
                 .unwrap();
         }
+        let before = p.snapshot();
         let images = p.export_pages().unwrap();
         assert_eq!(images.len(), 6);
-        let stats = IoStats::new();
-        let reopened =
-            BufferPool::new(DiskManager::from_pages(images, Arc::clone(&stats)), 2).unwrap();
+        assert_eq!(p.snapshot(), before, "walking images is not a read");
+        let reopened = BufferPool::new(DiskManager::from_pages(images), 2).unwrap();
         assert_eq!(reopened.num_pages(), 6);
-        assert_eq!(stats.reads(), 0, "restoring costs no logical I/O");
+        assert_eq!(
+            reopened.totals(),
+            ShardCounters::default(),
+            "restoring costs no logical I/O"
+        );
         for (i, &id) in ids.iter().enumerate() {
             let v = reopened.with_page(id, |pg| pg.get_u64(0).unwrap()).unwrap();
             assert_eq!(v, 10 + i as u64);
         }
-        assert!(stats.reads() > 0, "real accesses tick as usual");
+        assert!(reopened.totals().misses > 0, "real accesses tick as usual");
+        assert_eq!(reopened.io(), IoStats::default(), "memory is not a source");
     }
 
     #[test]
@@ -614,7 +638,7 @@ mod tests {
         // reopen holds each page once too.
         let images = p.export_pages().unwrap();
         assert!(Arc::ptr_eq(&images[a as usize], &rewritten));
-        let reopened = BufferPool::new(DiskManager::from_pages(images, IoStats::new()), 4).unwrap();
+        let reopened = BufferPool::new(DiskManager::from_pages(images), 4).unwrap();
         assert!(Arc::ptr_eq(&reopened.page(a).unwrap(), &rewritten));
     }
 
@@ -665,7 +689,9 @@ mod tests {
         // 16 installs into 8 frames, then 16 fetches of which the first 8
         // find their page evicted.
         assert_eq!((snap.hits(), snap.misses(), snap.evictions()), (0, 16, 24));
-        assert_eq!(snap.pages_touched(), 16);
+        assert_eq!(snap.pages_touched(), 16, "one tick per fetch");
+        let totals = p.totals();
+        assert_eq!((totals.hits, totals.misses, totals.evictions), (0, 16, 24));
         let later = p.snapshot();
         assert_eq!(later.since(&snap).pages_touched(), 0);
         p.with_page(ids[0], |_| ()).unwrap();

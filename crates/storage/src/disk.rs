@@ -1,5 +1,5 @@
 //! The disk: the pages held in memory, over an optional [`PageSource`],
-//! behind I/O counters.
+//! with the counts only a source can tick.
 //!
 //! During a build every page is in memory (there is no source); a reopened
 //! snapshot instead wires a [`crate::FileSource`] underneath, and pages are
@@ -10,7 +10,6 @@
 use crate::error::{Error, Result};
 use crate::page::{Page, PageId};
 use crate::source::PageSource;
-use crate::stats::IoStats;
 use std::sync::{Arc, OnceLock};
 
 /// The image every freshly allocated page starts from: one zeroed page for
@@ -25,12 +24,31 @@ pub(crate) fn zero_page() -> Arc<Page> {
 /// loaded after it, and a longer run loads no faster.
 const RESIDENT_RUN: usize = 8;
 
-/// A paged "disk". Every [`read_page`](DiskManager::read_page) and
-/// [`write_page`](DiskManager::write_page) costs one logical I/O; going
-/// through a [`crate::BufferPool`] instead makes repeated accesses to hot
-/// pages free, as on a real system. A page in memory has one home, `pages`;
-/// a page that is not there comes from the [`PageSource`] underneath, and
-/// such a read additionally ticks the *physical* ledger in [`IoStats`].
+/// What a disk's [`PageSource`] did, counted since the disk was made: the
+/// counts that have no buffer-pool twin. A pool's logical counts — one
+/// touch per fetch, one read per miss — live in its shards
+/// ([`crate::PoolStats`]); these tick only when a source is asked for an
+/// image, so a disk with no source never ticks them and the gap between
+/// the two is the out-of-core cost. Read through
+/// [`crate::BufferPool::io`].
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct IoStats {
+    /// Pages physically fetched from the source (a pread against a
+    /// snapshot file, or an injected test read).
+    pub physical_reads: u64,
+    /// Reads served from the readahead run instead of a fresh fetch.
+    pub readahead_hits: u64,
+    /// Failed physical reads (I/O error, short read, or a page image that
+    /// failed its checksum).
+    pub read_errors: u64,
+}
+
+/// A paged "disk". Reads and writes come from a [`crate::BufferPool`] —
+/// on a miss and on a dirty write-back — which counts them; the disk counts
+/// only what its [`PageSource`] does ([`IoStats`]). It is reached only
+/// under the pool's lock, so those counts are plain integers. A page in
+/// memory has one home, `pages`; a page that is not there comes from the
+/// source underneath.
 ///
 /// Writes never reach the source (snapshots are immutable): the written
 /// image takes the page's slot in `pages` and answers every later read.
@@ -40,7 +58,7 @@ const RESIDENT_RUN: usize = 8;
 /// write-back hands the frame's own image over, and the only copy is the one
 /// [`crate::BufferPool::with_page_mut`] makes when it writes to an image
 /// someone else still holds.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct DiskManager {
     /// Every page by id; `Some` once allocated, written, handed to
     /// [`from_pages`](Self::from_pages) or loaded by
@@ -51,7 +69,7 @@ pub struct DiskManager {
     /// Where a page that is `None` above is read from: physical I/O exactly
     /// when present. A build-time disk and a resident one have none.
     source: Option<Box<dyn PageSource>>,
-    stats: Arc<IoStats>,
+    pub(crate) io: IoStats,
     /// Pages to pull per sequential run (`0` disables readahead).
     readahead: usize,
     /// Last prefetched run: first page id + images. Empty = no run cached.
@@ -63,29 +81,18 @@ pub struct DiskManager {
 }
 
 impl DiskManager {
-    /// Creates an empty disk with fresh counters.
+    /// Creates an empty disk.
     pub fn new() -> Self {
-        Self::with_stats(IoStats::new())
+        Self::default()
     }
 
-    /// Creates an empty disk sharing the given counters.
-    pub fn with_stats(stats: Arc<IoStats>) -> Self {
-        Self::from_pages(Vec::new(), stats)
-    }
-
-    /// Rebuilds a disk from page images, all in memory, sharing the given
-    /// counters. Restoring costs no logical I/O — the counters start ticking
-    /// at the first real page access, so an opened index streams through
-    /// [`IoStats`] exactly like a built one.
-    pub fn from_pages(pages: Vec<Arc<Page>>, stats: Arc<IoStats>) -> Self {
+    /// Rebuilds a disk from page images, all in memory. Nothing is read or
+    /// counted: an opened index counts from its first real page access,
+    /// exactly like a built one.
+    pub fn from_pages(pages: Vec<Arc<Page>>) -> Self {
         Self {
             pages: pages.into_iter().map(Some).collect(),
-            source: None,
-            stats,
-            readahead: 0,
-            ra_start: 0,
-            ra_pages: Vec::new(),
-            next_seq: 0,
+            ..Self::default()
         }
     }
 
@@ -93,18 +100,13 @@ impl DiskManager {
     /// a snapshot, or a fault-injecting test source) with `readahead`
     /// pages of sequential prefetch (`0` = off). Nothing is read here:
     /// the first physical fetch happens on the first buffer-pool miss.
-    pub fn from_source(source: Box<dyn PageSource>, stats: Arc<IoStats>, readahead: usize) -> Self {
+    pub fn from_source(source: Box<dyn PageSource>, readahead: usize) -> Self {
         Self {
             pages: vec![None; source.num_pages()],
             source: Some(source),
             readahead,
-            ..Self::with_stats(stats)
+            ..Self::default()
         }
-    }
-
-    /// Handle to the I/O counters.
-    pub fn stats(&self) -> Arc<IoStats> {
-        Arc::clone(&self.stats)
     }
 
     /// Number of allocated pages.
@@ -120,21 +122,20 @@ impl DiskManager {
         (self.pages.len() - 1) as PageId
     }
 
-    /// Reads a page (one logical read). A page in memory wins over the
-    /// readahead buffer, which wins over a physical fetch from the source;
-    /// only the last ticks the physical ledger.
+    /// Reads a page. A page in memory wins over the readahead buffer, which
+    /// wins over a physical fetch from the source; only the last is counted
+    /// as a physical read.
     pub fn read_page(&mut self, page_id: PageId) -> Result<Arc<Page>> {
         if page_id as usize >= self.pages.len() {
             return Err(Error::PageNotFound { page_id });
         }
-        self.stats.record_read();
         let sequential = page_id == self.next_seq;
         self.next_seq = page_id + 1;
         if let Some(page) = &self.pages[page_id as usize] {
             return Ok(Arc::clone(page));
         }
         if let Some(page) = self.ra_lookup(page_id) {
-            self.stats.record_readahead_hit();
+            self.io.readahead_hits += 1;
             return Ok(page);
         }
         // A page in no slot has a source: only `from_source` leaves slots
@@ -147,7 +148,7 @@ impl DiskManager {
             let left = source.num_pages() as u64 - page_id;
             let count = (self.readahead as u64).min(left) as usize;
             if let Ok(pages) = source.read_run(page_id, count) {
-                self.stats.record_physical_reads(count as u64);
+                self.io.physical_reads += count as u64;
                 let first = Arc::clone(&pages[0]);
                 self.ra_start = page_id;
                 self.ra_pages = pages;
@@ -158,18 +159,18 @@ impl DiskManager {
         }
         match source.read_page(page_id) {
             Ok(page) => {
-                self.stats.record_physical_reads(1);
+                self.io.physical_reads += 1;
                 Ok(page)
             }
             Err(e) => {
-                self.stats.record_read_error();
+                self.io.read_errors += 1;
                 Err(e)
             }
         }
     }
 
-    /// Warms the readahead buffer with the run starting at `start` without
-    /// recording a logical read — the hint half of sequential prefetch
+    /// Warms the readahead buffer with the run starting at `start` — the
+    /// hint half of sequential prefetch
     /// (leaf-chain scans call this for the *next* leaf). Failures are
     /// swallowed: a bad page surfaces, typed, on the demand read that
     /// actually needs it.
@@ -186,13 +187,13 @@ impl DiskManager {
         }
         let count = (self.readahead as u64).min(src_pages - start) as usize;
         if let Ok(pages) = source.read_run(start, count) {
-            self.stats.record_physical_reads(count as u64);
+            self.io.physical_reads += count as u64;
             self.ra_start = start;
             self.ra_pages = pages;
         }
     }
 
-    /// Writes a page (one logical write). The image takes the page's slot —
+    /// Writes a page. The image takes the page's slot —
     /// the caller's allocation itself, not a copy of it — and shadows both
     /// the source and any readahead copy.
     pub fn write_page(&mut self, page_id: PageId, page: Arc<Page>) -> Result<()> {
@@ -206,13 +207,11 @@ impl DiskManager {
         if self.ra_lookup(page_id).is_some() {
             self.ra_pages.clear();
         }
-        self.stats.record_write();
         Ok(())
     }
 
-    /// The current image of a page — memory over source — outside the
-    /// ledgers: what a snapshot writer walks, a bulk export and not query
-    /// work, so it records no logical or physical I/O.
+    /// The current image of a page — memory over source — uncounted: what a
+    /// snapshot writer walks, a bulk export and not query work.
     pub fn image(&self, page_id: PageId) -> Result<Arc<Page>> {
         match (self.pages.get(page_id as usize), &self.source) {
             (Some(Some(page)), _) => Ok(Arc::clone(page)),
@@ -224,8 +223,8 @@ impl DiskManager {
     /// Makes the disk resident: reads every page not yet in memory through
     /// the source, a run at a time and verified as on any fetch, then drops
     /// the source (and with it the file handle). Pages already written keep
-    /// their image. A load and not query work, so it stays off both
-    /// ledgers; afterwards no read is physical. On an error the disk is as
+    /// their image. A load and not query work, so it is not counted;
+    /// afterwards no read is physical. On an error the disk is as
     /// it was, less the pages already loaded.
     pub fn make_resident(&mut self) -> Result<()> {
         let Some(source) = self.source.as_ref() else {
@@ -259,17 +258,11 @@ impl DiskManager {
     }
 }
 
-impl Default for DiskManager {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::source::{FaultMode, FaultSource};
-    use crate::PAGE_SIZE;
+    use crate::{BufferPool, PAGE_SIZE};
 
     #[test]
     fn allocate_read_write_roundtrip() {
@@ -281,12 +274,10 @@ mod tests {
         disk.write_page(id, Arc::new(p)).unwrap();
         let back = disk.read_page(id).unwrap();
         assert_eq!(back.get_u64(0).unwrap(), 99);
-        assert_eq!(disk.stats().reads(), 1);
-        assert_eq!(disk.stats().writes(), 1);
         assert_eq!(disk.num_pages(), 1);
         assert_eq!(
-            disk.stats().physical_reads(),
-            0,
+            disk.io,
+            IoStats::default(),
             "reads from memory are not physical"
         );
     }
@@ -301,15 +292,6 @@ mod tests {
         assert!(disk.write_page(0, zero_page()).is_err());
     }
 
-    #[test]
-    fn shared_stats() {
-        let stats = IoStats::new();
-        let mut disk = DiskManager::with_stats(Arc::clone(&stats));
-        let id = disk.allocate();
-        let _ = disk.read_page(id).unwrap();
-        assert_eq!(stats.reads(), 1);
-    }
-
     fn images(n: usize) -> Vec<Page> {
         (0..n)
             .map(|i| {
@@ -322,18 +304,17 @@ mod tests {
 
     #[test]
     fn source_reads_are_physical_and_a_written_page_shadows_them() {
-        let stats = IoStats::new();
         let src = FaultSource::new(images(4));
-        let mut disk = DiskManager::from_source(Box::new(src), Arc::clone(&stats), 0);
+        let mut disk = DiskManager::from_source(Box::new(src), 0);
         assert_eq!(disk.num_pages(), 4);
         assert_eq!(disk.read_page(2).unwrap().get_u64(8).unwrap(), 1002);
-        assert_eq!(stats.physical_reads(), 1);
+        assert_eq!(disk.io.physical_reads, 1);
         // Overwrite page 2; the written image must shadow the source forever.
         let mut p = Page::new();
         p.put_u64(8, 7777).unwrap();
         disk.write_page(2, Arc::new(p)).unwrap();
         assert_eq!(disk.read_page(2).unwrap().get_u64(8).unwrap(), 7777);
-        assert_eq!(stats.physical_reads(), 1, "a read from memory is free");
+        assert_eq!(disk.io.physical_reads, 1, "a read from memory is free");
         // Growth past the source stays in memory.
         let id = disk.allocate();
         assert_eq!(id, 4);
@@ -341,44 +322,41 @@ mod tests {
         assert_eq!(disk.image(2).unwrap().get_u64(8).unwrap(), 7777);
         assert_eq!(disk.image(3).unwrap().get_u64(8).unwrap(), 1003);
         assert!(disk.image(5).is_err());
-        assert_eq!(stats.reads(), 3, "walking images is not a read");
+        // Page 3 came from the source, uncounted.
+        assert_eq!(disk.io.physical_reads, 1, "walking images is not a read");
     }
 
     #[test]
     fn sequential_misses_trigger_readahead() {
-        let stats = IoStats::new();
         let src = FaultSource::new(images(8));
-        let mut disk = DiskManager::from_source(Box::new(src), Arc::clone(&stats), 4);
+        let mut disk = DiskManager::from_source(Box::new(src), 4);
         // Page 0 is the first sequential id, so the run [0,4) comes in at once.
         assert_eq!(disk.read_page(0).unwrap().get_u64(8).unwrap(), 1000);
-        assert_eq!(stats.physical_reads(), 4);
+        assert_eq!(disk.io.physical_reads, 4);
         for id in 1..4u64 {
             assert_eq!(disk.read_page(id).unwrap().get_u64(8).unwrap(), 1000 + id);
         }
-        assert_eq!(stats.physical_reads(), 4, "run served 1..4 from the buffer");
-        assert_eq!(stats.readahead_hits(), 3);
+        assert_eq!(disk.io.physical_reads, 4, "run served 1..4 from the buffer");
+        assert_eq!(disk.io.readahead_hits, 3);
         // The next sequential miss pulls the next run, clamped to the end.
         assert_eq!(disk.read_page(4).unwrap().get_u64(8).unwrap(), 1004);
-        assert_eq!(stats.physical_reads(), 8);
-        assert_eq!(stats.reads(), 5, "logical ledger unaffected by readahead");
+        assert_eq!(disk.io.physical_reads, 8);
     }
 
     #[test]
     fn random_misses_do_not_readahead() {
-        let stats = IoStats::new();
         let src = FaultSource::new(images(8));
-        let mut disk = DiskManager::from_source(Box::new(src), Arc::clone(&stats), 4);
+        let mut disk = DiskManager::from_source(Box::new(src), 4);
         disk.read_page(5).unwrap();
         disk.read_page(2).unwrap();
-        assert_eq!(stats.physical_reads(), 2, "non-sequential = single reads");
-        assert_eq!(stats.readahead_hits(), 0);
+        assert_eq!(disk.io.physical_reads, 2, "non-sequential = single reads");
+        assert_eq!(disk.io.readahead_hits, 0);
     }
 
     #[test]
     fn write_invalidates_readahead_copy() {
-        let stats = IoStats::new();
         let src = FaultSource::new(images(8));
-        let mut disk = DiskManager::from_source(Box::new(src), Arc::clone(&stats), 4);
+        let mut disk = DiskManager::from_source(Box::new(src), 4);
         disk.read_page(0).unwrap(); // buffers [0,4)
         let mut p = Page::new();
         p.put_u64(8, 42).unwrap();
@@ -392,25 +370,28 @@ mod tests {
 
     #[test]
     fn prefetch_warms_without_logical_reads() {
-        let stats = IoStats::new();
         let src = FaultSource::new(images(8));
-        let mut disk = DiskManager::from_source(Box::new(src), Arc::clone(&stats), 2);
-        disk.prefetch(3);
-        assert_eq!(stats.reads(), 0, "a hint is not a logical read");
-        assert_eq!(stats.physical_reads(), 2);
-        disk.read_page(3).unwrap();
-        assert_eq!(stats.readahead_hits(), 1);
-        assert_eq!(stats.physical_reads(), 2, "demand read was free");
+        let pool = BufferPool::new(DiskManager::from_source(Box::new(src), 2), 4).unwrap();
+        pool.prefetch(3).unwrap();
+        assert_eq!(
+            pool.snapshot().pages_touched(),
+            0,
+            "a hint is not a logical read"
+        );
+        assert_eq!(pool.io().physical_reads, 2);
+        pool.page(3).unwrap();
+        assert_eq!(pool.snapshot().misses(), 1);
+        assert_eq!(pool.io().readahead_hits, 1);
+        assert_eq!(pool.io().physical_reads, 2, "demand read was free");
         // Prefetch with readahead disabled is a no-op.
         let src = FaultSource::new(images(4));
-        let mut disk = DiskManager::from_source(Box::new(src), IoStats::new(), 0);
+        let mut disk = DiskManager::from_source(Box::new(src), 0);
         disk.prefetch(0);
-        assert_eq!(disk.stats().physical_reads(), 0);
+        assert_eq!(disk.io.physical_reads, 0);
     }
 
     #[test]
     fn failed_reads_are_typed_and_counted_and_retryable() {
-        let stats = IoStats::new();
         let src = FaultSource::new(images(4));
         let handle: &'static FaultSource = Box::leak(Box::new(src));
         // Share the leaked source so the test can flip modes mid-flight.
@@ -424,7 +405,7 @@ mod tests {
                 self.0.read_page(id)
             }
         }
-        let mut disk = DiskManager::from_source(Box::new(Shared(handle)), Arc::clone(&stats), 0);
+        let mut disk = DiskManager::from_source(Box::new(Shared(handle)), 0);
         handle.set_mode(FaultMode::Transient { remaining: 1 });
         match disk.read_page(1) {
             Err(Error::Io { kind, .. }) => {
@@ -432,15 +413,14 @@ mod tests {
             }
             other => panic!("expected transient Io error, got {other:?}"),
         }
-        assert_eq!(stats.read_errors(), 1);
+        assert_eq!(disk.io.read_errors, 1);
         // Retry succeeds; the disk is not wedged.
         assert_eq!(disk.read_page(1).unwrap().get_u64(8).unwrap(), 1001);
-        assert_eq!(stats.read_errors(), 1);
+        assert_eq!(disk.io.read_errors, 1);
     }
 
     #[test]
     fn readahead_run_failure_falls_back_to_single_page() {
-        let stats = IoStats::new();
         let src = FaultSource::new(images(4));
         // Corrupt page 2: a run [0,4) fails its CRC, but page 0 itself is
         // fine and must still be served by the single-page fallback.
@@ -448,15 +428,15 @@ mod tests {
             page_id: 2,
             offset: 11,
         });
-        let mut disk = DiskManager::from_source(Box::new(src), Arc::clone(&stats), 4);
+        let mut disk = DiskManager::from_source(Box::new(src), 4);
         assert_eq!(disk.read_page(0).unwrap().get_u64(8).unwrap(), 1000);
-        assert_eq!(stats.physical_reads(), 1);
+        assert_eq!(disk.io.physical_reads, 1);
         assert_eq!(
             disk.read_page(2).err(),
             Some(Error::Corrupt { page_id: 2 }),
             "the corrupt page itself stays a typed error"
         );
-        assert_eq!(stats.read_errors(), 1);
+        assert_eq!(disk.io.read_errors, 1);
     }
 
     #[test]

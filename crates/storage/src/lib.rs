@@ -12,8 +12,8 @@
 //! - [`DiskManager`] — a "disk": the pages in memory (allocated, written
 //!   back — the very image a frame wrote, not a copy of it — or loaded by
 //!   [`DiskManager::make_resident`]) over an optional page source, with
-//!   optional sequential readahead; every read and write through it
-//!   increments shared [`IoStats`] counters (logical and physical ledgers).
+//!   optional sequential readahead; it counts only what the source does
+//!   ([`IoStats`]: physical reads, readahead hits, read errors).
 //! - [`BufferPool`] — a sharded, lock-striped cache in front of the disk
 //!   with clock (second-chance) eviction per shard; buffer hits are free,
 //!   misses cost a logical read, dirty evictions cost a write. The pool
@@ -25,7 +25,11 @@
 //!   image until a write copies it.
 //!
 //! I/O numbers produced this way are *logical* page accesses — the same
-//! unit the paper plots — and are deterministic across runs.
+//! unit the paper plots — and are deterministic across runs. Each is
+//! counted once, where it happens: a fetch as a hit or a miss in its shard
+//! of the pool ([`PoolStats`]), a physical read by the disk under it. They
+//! count from the pool's creation and nothing resets them; a caller that
+//! wants one phase's cost diffs two readings ([`PoolStats::since`]).
 
 mod buffer_pool;
 mod crc32;
@@ -33,12 +37,10 @@ mod disk;
 mod error;
 mod page;
 mod source;
-mod stats;
 
 pub use buffer_pool::{BufferPool, PoolStats, ShardCounters};
 pub use crc32::{crc32, Crc32};
-pub use disk::DiskManager;
+pub use disk::{DiskManager, IoStats};
 pub use error::{Error, Result};
 pub use page::{Page, PageId, PAGE_SIZE};
 pub use source::{FaultMode, FaultSource, FileSource, PageSource};
-pub use stats::IoStats;

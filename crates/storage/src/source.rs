@@ -11,9 +11,9 @@
 //!   failures, short reads, and bit flips, so eviction and error paths can
 //!   be exercised deterministically.
 //!
-//! Sources do no accounting themselves; the [`crate::DiskManager`] records
-//! physical reads, readahead hits and read errors in the shared
-//! [`crate::IoStats`] ledger around each call.
+//! Sources do no accounting themselves; the [`crate::DiskManager`] counts
+//! physical reads, readahead hits and read errors ([`crate::IoStats`])
+//! around each call.
 
 use crate::crc32::crc32;
 use crate::error::{Error, Result};

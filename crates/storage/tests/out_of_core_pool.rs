@@ -18,8 +18,8 @@
 //!    fetch installs no frame.
 
 use mmdr_storage::{
-    crc32, BufferPool, DiskManager, Error, FaultMode, FaultSource, FileSource, IoStats, Page,
-    PageId, PageSource, PAGE_SIZE,
+    crc32, BufferPool, DiskManager, Error, FaultMode, FaultSource, FileSource, Page, PageId,
+    PageSource, PAGE_SIZE,
 };
 use proptest::prelude::*;
 use std::fs::File;
@@ -79,17 +79,14 @@ fn file_pool(
     std::fs::write(&file.0, &bytes).unwrap();
     let crcs: Vec<u32> = pages.iter().map(|p| crc32(p.as_bytes())).collect();
     let source = FileSource::new(Arc::new(File::open(&file.0).unwrap()), 0, crcs.into());
-    let disk = DiskManager::from_source(Box::new(source), IoStats::new(), readahead);
+    let disk = DiskManager::from_source(Box::new(source), readahead);
     (BufferPool::new(disk, capacity).unwrap(), file)
 }
 
 /// The fully resident reference: same images, a pool big enough to never
 /// evict, served from memory.
 fn model_pool(pages: &[Page]) -> BufferPool {
-    let disk = DiskManager::from_pages(
-        pages.iter().cloned().map(Arc::new).collect(),
-        IoStats::new(),
-    );
+    let disk = DiskManager::from_pages(pages.iter().cloned().map(Arc::new).collect());
     BufferPool::new(disk, pages.len() + 1).unwrap()
 }
 
@@ -209,8 +206,7 @@ proptest! {
         subject.make_resident().unwrap();
 
         fault.set_mode(FaultMode::Permanent);
-        let stats = subject.stats();
-        stats.reset();
+        let (before, io) = (subject.snapshot(), subject.io());
         for round in 0..2 {
             for page_id in 0..NUM_PAGES as PageId {
                 let got = subject.page(page_id).unwrap();
@@ -223,8 +219,8 @@ proptest! {
                 );
             }
         }
-        prop_assert_eq!(stats.accesses(), 2 * NUM_PAGES as u64);
-        prop_assert_eq!(stats.physical_reads() + stats.readahead_hits() + stats.read_errors(), 0);
+        prop_assert_eq!(subject.snapshot().since(&before).pages_touched(), 2 * NUM_PAGES as u64);
+        prop_assert_eq!(subject.io(), io, "nothing physical after the load");
     }
 }
 
@@ -245,18 +241,13 @@ impl PageSource for SharedFault {
 /// A pool over a fault source, plus the handle that flips modes.
 fn fault_pool(n: usize, capacity: usize, readahead: usize) -> (BufferPool, Arc<FaultSource>) {
     let source = Arc::new(FaultSource::new(patterned_pages(n)));
-    let disk = DiskManager::from_source(
-        Box::new(SharedFault(Arc::clone(&source))),
-        IoStats::new(),
-        readahead,
-    );
+    let disk = DiskManager::from_source(Box::new(SharedFault(Arc::clone(&source))), readahead);
     (BufferPool::new(disk, capacity).unwrap(), source)
 }
 
 #[test]
 fn transient_faults_heal_on_retry() {
     let (pool, fault) = fault_pool(6, 2, 0);
-    let stats = pool.stats();
     fault.set_mode(FaultMode::Transient { remaining: 2 });
 
     for attempt in 0..2 {
@@ -274,7 +265,7 @@ fn transient_faults_heal_on_retry() {
     let page = pool.page(0).unwrap();
     assert_eq!(page.as_bytes(), patterned_pages(6)[0].as_bytes());
     assert_eq!(
-        stats.read_errors(),
+        pool.io().read_errors,
         2,
         "both failed fetches must be counted"
     );
@@ -304,7 +295,6 @@ fn permanent_fault_is_typed_and_pool_keeps_serving() {
 #[test]
 fn short_reads_and_flipped_bytes_are_typed_errors() {
     let (pool, fault) = fault_pool(6, 2, 0);
-    let stats = pool.stats();
 
     fault.set_mode(FaultMode::ShortRead { got: 17 });
     match pool.page(2) {
@@ -335,7 +325,7 @@ fn short_reads_and_flipped_bytes_are_typed_errors() {
         pool.page(3).unwrap().as_bytes(),
         patterned_pages(6)[3].as_bytes()
     );
-    assert_eq!(stats.read_errors(), 2);
+    assert_eq!(pool.io().read_errors, 2);
 }
 
 /// The CRC gate is real for actual files too: flip one byte of a page

@@ -49,8 +49,7 @@ fn main() {
     // "Find images similar to #123, #4567, #9000" — the interactive loop.
     for &query_id in &[123usize, 4_567, 9_000] {
         let q = images.row(query_id);
-        index.io_stats().reset();
-        scan.io_stats().reset();
+        let (index_before, scan_before) = (index.query_stats(), scan.query_stats());
         let hits = index.knn(q, 10).expect("knn");
         let _ = scan.knn(q, 10).expect("scan knn");
         let exact: Vec<usize> = exact_knn(&images, q, 10)
@@ -64,8 +63,8 @@ fn main() {
             hits[0].1,
             hits[0].0,
             precision(&exact, &approx),
-            index.io_stats().reads(),
-            scan.io_stats().reads(),
+            index.query_stats().since(&index_before).page_reads,
+            scan.query_stats().since(&scan_before).page_reads,
         );
     }
 

@@ -70,6 +70,7 @@ fn main() {
     // 4. Answer 10-NN queries and compare against an exact linear scan in
     //    the original space (the paper's precision metric).
     let queries = sample_queries(&dataset.data, 20, 7).expect("queries");
+    let before = index.query_stats();
     let mut total_precision = 0.0;
     for q in queries.iter_rows() {
         let approx: Vec<usize> = index
@@ -89,6 +90,8 @@ fn main() {
         queries.rows(),
         total_precision / queries.rows() as f64
     );
-    let io = index.io_stats();
-    println!("logical page reads during the query phase: {}", io.reads());
+    println!(
+        "logical page reads during the query phase: {}",
+        index.query_stats().since(&before).page_reads
+    );
 }

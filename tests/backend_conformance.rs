@@ -377,9 +377,9 @@ fn a_knn_answer_is_the_prefix_of_the_range_answer_at_its_kth_distance() {
 fn query_stats_tick_for_every_backend() {
     let fx = fixture();
     for index in build_all(&fx) {
-        index.reset_stats();
+        let before = index.query_stats();
         index.knn(&fx.queries[0], K).unwrap();
-        let stats = index.query_stats();
+        let stats = index.query_stats().since(&before);
         assert!(
             stats.dist_computations > 0,
             "{}: no distance computations recorded",

@@ -79,16 +79,13 @@ fn index_beats_scan_on_io() {
     .unwrap();
     let scan = SeqScan::build(&ds.data, &model, 4).unwrap();
     let queries = sample_queries(&ds.data, 10, 5).unwrap();
-    let mut index_reads = 0;
-    let mut scan_reads = 0;
+    let (index_before, scan_before) = (index.query_stats(), scan.query_stats());
     for q in queries.iter_rows() {
-        index.io_stats().reset();
-        scan.io_stats().reset();
         index.knn(q, 10).unwrap();
         scan.knn(q, 10).unwrap();
-        index_reads += index.io_stats().reads();
-        scan_reads += scan.io_stats().reads();
     }
+    let index_reads = index.query_stats().since(&index_before).page_reads;
+    let scan_reads = scan.query_stats().since(&scan_before).page_reads;
     assert!(
         index_reads < scan_reads,
         "index {index_reads} reads vs scan {scan_reads}"

@@ -8,7 +8,7 @@
 
 use mmdr_core::{Mmdr, MmdrParams, ParConfig, ReductionResult};
 use mmdr_idistance::Backend;
-use mmdr_index::{Query, RowFilter, Scratch, SearchFilter, Target};
+use mmdr_index::{Query, QueryStats, RowFilter, Scratch, SearchFilter, Target};
 use mmdr_linalg::Matrix;
 use mmdr_persist::{build_index, open_resident, open_with, save, OpenOptions, Opened};
 use std::path::PathBuf;
@@ -84,6 +84,22 @@ fn assert_answers_identical(fresh: &[(f64, u64)], reopened: &[(f64, u64)], what:
     }
 }
 
+/// What opening a snapshot of `backend` costs before any query: iDistance
+/// checks its tree's root — one fetch, a miss, and on a demand-paged open
+/// the one physical read it causes (the root is not page 0, so no
+/// readahead run); the other backends read nothing.
+fn open_cost(backend: Backend, paged: bool) -> QueryStats {
+    match backend {
+        Backend::IDistance => QueryStats {
+            pages_touched: 1,
+            page_reads: 1,
+            physical_reads: u64::from(paged),
+            ..QueryStats::default()
+        },
+        _ => QueryStats::default(),
+    }
+}
+
 fn lazy_opts(pool_pages: usize) -> OpenOptions {
     OpenOptions {
         pool_pages: Some(pool_pages),
@@ -130,7 +146,7 @@ fn tiny_pool_demand_paged_answers_are_bit_identical() {
             .collect();
         // The resident open never touches its source after restore.
         assert_eq!(
-            resident.index.as_dyn().io_stats().physical_reads(),
+            resident.index.as_dyn().query_stats().physical_reads,
             0,
             "{}: resident open must not fetch pages",
             backend.name()
@@ -140,13 +156,14 @@ fn tiny_pool_demand_paged_answers_are_bit_identical() {
             let what = format!("{} pool={pool_pages}", backend.name());
             let opened: Opened = open_with(&file.0, &lazy_opts(pool_pages)).unwrap();
             let idx = opened.index.as_dyn();
-            let io = idx.io_stats();
             // A demand-paged open is ~O(superblock): no page payloads are
-            // decoded or fetched until a query asks for them.
+            // decoded or fetched until a query asks for them, but for the
+            // one a reattach checks.
+            let open = open_cost(backend, true);
             assert_eq!(
-                io.physical_reads(),
-                0,
-                "{what}: open must not fetch any pages"
+                idx.query_stats(),
+                open,
+                "{what}: open must not fetch any pages but the root it checks"
             );
 
             // Serial parity, KNN and range.
@@ -163,7 +180,7 @@ fn tiny_pool_demand_paged_answers_are_bit_identical() {
                 );
             }
             assert!(
-                io.physical_reads() > 0,
+                idx.query_stats().physical_reads > open.physical_reads,
                 "{what}: queries over a cold out-of-core index must fetch pages"
             );
 
@@ -215,7 +232,7 @@ fn tiny_pool_demand_paged_answers_are_bit_identical() {
 /// A resident open is done with its file: every page is in memory when it
 /// returns, so it keeps no handle to the snapshot, the file can be emptied
 /// and removed under it, and every backend still answers bit-identically to
-/// a paged open — with nothing on the physical ledger, because nothing is
+/// a paged open — with nothing read physically, because nothing is
 /// left to demand-read.
 #[test]
 fn a_resident_open_is_done_with_its_file() {
@@ -250,14 +267,29 @@ fn a_resident_open_is_done_with_its_file() {
         std::fs::write(&file.0, b"").unwrap();
         std::fs::remove_file(&file.0).unwrap();
 
-        let io = resident.index.as_dyn().io_stats();
-        assert_eq!((io.reads(), io.physical_reads()), (0, 0), "open is free");
+        let idx = resident.index.as_dyn();
+        let open = open_cost(backend, false);
+        assert_eq!(
+            idx.query_stats(),
+            open,
+            "{}: open is free but for the root it checks",
+            backend.name()
+        );
         for (i, (want, got)) in want.iter().zip(answers(&resident)).enumerate() {
             assert_answers_identical(want, &got, &format!("{} answer {i}", backend.name()));
         }
-        assert!(io.reads() > 0, "{}: first touches miss", backend.name());
+        let spent = idx.query_stats().since(&open);
+        assert!(
+            spent.page_reads > 0,
+            "{}: first touches miss",
+            backend.name()
+        );
         assert_eq!(
-            (io.physical_reads(), io.readahead_hits(), io.read_errors()),
+            (
+                spent.physical_reads,
+                spent.readahead_hits,
+                spent.read_errors
+            ),
             (0, 0, 0),
             "{}: nothing is demand-read after a resident open",
             backend.name()
@@ -422,7 +454,7 @@ fn damaged_page_is_a_typed_error_and_pool_recovers() {
         "expected a checksum error from the faulting scan, got: {err}"
     );
     assert!(
-        idx.io_stats().read_errors() > 0,
+        idx.query_stats().read_errors > 0,
         "failed fetches must tick the read-error counter"
     );
 
@@ -477,8 +509,11 @@ fn hybrid_range_walk_readahead_hits_rise() {
     // readahead buffer rather than hitting the file one page at a time.
     let opened = open_with(&file.0, &lazy_opts(8)).unwrap();
     let idx = opened.index.as_dyn();
-    let io = idx.io_stats();
-    assert_eq!(io.readahead_hits(), 0, "no readahead before any query");
+    assert_eq!(
+        idx.query_stats().readahead_hits,
+        0,
+        "no readahead before any query"
+    );
     let mut hits_so_far = 0;
     for (qi, q) in queries.iter().enumerate() {
         assert_answers_identical(
@@ -486,7 +521,7 @@ fn hybrid_range_walk_readahead_hits_rise() {
             &idx.range_search(q, radius).unwrap(),
             &format!("readahead range query {qi}"),
         );
-        let now = io.readahead_hits();
+        let now = idx.query_stats().readahead_hits;
         assert!(
             now >= hits_so_far,
             "readahead_hits is monotone ({now} < {hits_so_far})"
@@ -517,5 +552,5 @@ fn hybrid_range_walk_readahead_hits_rise() {
             &format!("no-readahead range query {qi}"),
         );
     }
-    assert_eq!(idx_off.io_stats().readahead_hits(), 0);
+    assert_eq!(idx_off.query_stats().readahead_hits, 0);
 }

@@ -121,10 +121,10 @@ fn concurrent_queries_survive_eviction_pressure() {
     let fx = fixture();
     for backend in Backend::all() {
         let index = build_backend(backend, &fx.data, &fx.model, 4).expect("build backend");
-        index.reset_stats();
+        let before = index.query_stats();
         hammer(index.as_ref(), &fx.queries[..6], 2);
         assert!(
-            index.query_stats().pages_touched > 0,
+            index.query_stats().since(&before).pages_touched > 0,
             "{}: stress run recorded no page traffic",
             backend.name()
         );

@@ -143,6 +143,15 @@ fn all_four_backends_answer_bit_identically_over_the_wire() {
         assert_eq!(stats.backend, index.name());
         assert_eq!(stats.len, index.len() as u64);
         assert_eq!(stats.dim, index.dim() as u32);
+        // One STATS frame, one ledger: the cost line is the pools summed.
+        let touched: u64 = stats.pools.iter().map(|p| p.pages_touched()).sum();
+        let misses: u64 = stats.pools.iter().map(|p| p.misses()).sum();
+        assert_eq!(
+            (stats.query.pages_touched, stats.query.page_reads),
+            (touched, misses),
+            "{}: pages touched and read",
+            backend.name()
+        );
         handle.shutdown();
     }
 }
