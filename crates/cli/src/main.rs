@@ -822,13 +822,8 @@ fn cmd_query(args: &[String]) -> Result<(), String> {
         );
     }
     if let Some((live, _)) = &live {
-        let p = live.planner_snapshot();
-        outln!(
-            "[planner] {} post-filter, {} pushdown, {} prefilter-rank",
-            p.post_filter,
-            p.pushdown,
-            p.prefilter_rank
-        );
+        let [post_filter, pushdown, prefilter_rank] = live.planner_counts();
+        outln!("[planner] {post_filter} post-filter, {pushdown} pushdown, {prefilter_rank} prefilter-rank");
     }
     Ok(())
 }

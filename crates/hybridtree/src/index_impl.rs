@@ -1,7 +1,7 @@
 //! [`VectorIndex`] implementation for the hybrid tree.
 
 use crate::tree::HybridTree;
-use mmdr_index::{DeltaStats, MutableVectorIndex, Query, QueryStats, Scratch, VectorIndex};
+use mmdr_index::{Query, QueryStats, Scratch, VectorIndex};
 use mmdr_storage::PoolStats;
 
 impl From<crate::Error> for mmdr_index::Error {
@@ -40,28 +40,6 @@ impl VectorIndex for HybridTree {
 
     fn query_stats(&self) -> QueryStats {
         QueryStats::of([self.pool()], [self.counters()])
-    }
-}
-
-impl MutableVectorIndex for HybridTree {
-    fn insert(&self, id: u64, vector: &[f64]) -> mmdr_index::Result<()> {
-        if vector.iter().any(|x| !x.is_finite()) {
-            return Err(mmdr_index::Error::InvalidQuery);
-        }
-        let row = self.prepare_row(vector)?;
-        self.delta().insert(id, row)
-    }
-
-    fn delete(&self, id: u64) -> mmdr_index::Result<bool> {
-        self.delta().delete(id)
-    }
-
-    fn seal(&self) -> DeltaStats {
-        self.delta().seal()
-    }
-
-    fn delta_stats(&self) -> DeltaStats {
-        self.delta().stats()
     }
 }
 

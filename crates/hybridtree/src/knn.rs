@@ -120,7 +120,7 @@ impl HybridTree {
         // top-k is independent of push order): full squared distances, the
         // same value an early-abandoned leaf computation completes to.
         let mut delta_seen: u64 = 0;
-        self.delta.for_each(|id, row| {
+        self.delta.for_each(|id, (_, row)| {
             if !dead(id) {
                 best.push(mmdr_linalg::l2_dist_sq(query, row), id);
                 delta_seen += 1;
@@ -197,7 +197,7 @@ impl HybridTree {
         // Delta rows, scanned exactly; the answer is sorted on the way out.
         let mut delta_seen: u64 = 0;
         let mut delta_hits: u64 = 0;
-        self.delta.for_each(|id, row| {
+        self.delta.for_each(|id, (_, row)| {
             if !dead(id) {
                 delta_seen += 1;
                 let d = mmdr_linalg::l2_dist(query, row);

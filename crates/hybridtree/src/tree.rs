@@ -5,30 +5,11 @@ use crate::node::{count, internal_capacity, is_leaf, leaf_capacity, Internal, Le
 use mmdr_index::{DeltaLayer, SearchCounters};
 use mmdr_linalg::Matrix;
 use mmdr_storage::{BufferPool, PageId};
-use std::sync::Arc;
 
 /// Default internal fanout. The original Hybrid tree packs binary kd splits
 /// into pages; a modest multiway fanout per page is the equivalent packed
 /// form.
 pub const DEFAULT_FANOUT: usize = 16;
-
-/// Hook converting an ingested full-space vector into the coordinates this
-/// tree stores (the `hybrid` backend indexes reduced-then-restored
-/// representations, so its hook routes through the reduction model).
-/// Wrapped in a newtype so [`HybridTree`] can keep deriving `Debug`.
-pub(crate) type PrepFn = Arc<dyn Fn(&[f64]) -> mmdr_index::Result<Vec<f64>> + Send + Sync>;
-
-pub(crate) struct PrepHook(pub(crate) Option<PrepFn>);
-
-impl std::fmt::Debug for PrepHook {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(if self.0.is_some() {
-            "PrepHook(set)"
-        } else {
-            "PrepHook(identity)"
-        })
-    }
-}
 
 /// A bulk-loaded, paged kd-style multidimensional index.
 #[derive(Debug)]
@@ -40,9 +21,8 @@ pub struct HybridTree {
     len: usize,
     height: usize,
     /// Rows ingested since the snapshot, already in stored coordinates;
-    /// scanned exactly alongside the paged tree.
-    pub(crate) delta: DeltaLayer<Vec<f64>>,
-    prep: PrepHook,
+    /// scanned exactly alongside the paged tree (their slots unread).
+    pub(crate) delta: DeltaLayer,
 }
 
 impl HybridTree {
@@ -97,8 +77,7 @@ impl HybridTree {
             search: SearchCounters::default(),
             len: rids.len(),
             height,
-            delta: DeltaLayer::new(),
-            prep: PrepHook(None),
+            delta: DeltaLayer::default(),
         })
     }
 
@@ -131,8 +110,7 @@ impl HybridTree {
             search: SearchCounters::default(),
             len,
             height,
-            delta: DeltaLayer::new(),
-            prep: PrepHook(None),
+            delta: DeltaLayer::default(),
         })
     }
 
@@ -154,34 +132,10 @@ impl HybridTree {
         self.len() == 0
     }
 
-    /// Installs the hook applied to vectors ingested through
-    /// [`mmdr_index::MutableVectorIndex::insert`]. Without a hook, inserted
-    /// vectors are stored verbatim (after a dimensionality check).
-    pub fn set_ingest_prep(
-        &mut self,
-        f: impl Fn(&[f64]) -> mmdr_index::Result<Vec<f64>> + Send + Sync + 'static,
-    ) {
-        self.prep = PrepHook(Some(Arc::new(f)));
-    }
-
-    /// Converts an ingested vector into stored coordinates via the prep
-    /// hook (identity when none is installed).
-    pub(crate) fn prepare_row(&self, vector: &[f64]) -> mmdr_index::Result<Vec<f64>> {
-        let row = match &self.prep.0 {
-            Some(f) => f(vector)?,
-            None => vector.to_vec(),
-        };
-        if row.len() != self.dim {
-            return Err(mmdr_index::Error::DimensionMismatch {
-                expected: self.dim,
-                actual: row.len(),
-            });
-        }
-        Ok(row)
-    }
-
-    /// The mutable overlay (rows ingested since the snapshot).
-    pub(crate) fn delta(&self) -> &DeltaLayer<Vec<f64>> {
+    /// The mutable overlay (rows ingested since the snapshot). Its rows
+    /// must be in this tree's stored coordinates: the `hybrid` backend's
+    /// `BuiltIndex::insert` converts them.
+    pub fn delta(&self) -> &DeltaLayer {
         &self.delta
     }
 

@@ -114,33 +114,7 @@ pub(crate) fn load_hybrid(
         }
     }
     let pool = BufferPool::new(DiskManager::new(), buffer_pages.max(1))?;
-    let mut tree = HybridTree::bulk_load(pool, &restored, &rids)?;
-    install_restored_prep(&mut tree, model);
-    Ok(tree)
-}
-
-/// Installs the `hybrid` backend's ingest hook on `tree`: vectors inserted
-/// through [`mmdr_index::MutableVectorIndex`] are converted to their
-/// restored representation `restore(project(P))` with exactly the
-/// arithmetic every [loader door](crate::layout) uses, so a delta row's stored
-/// coordinates are bit-identical to what a from-scratch build over the
-/// union would store. The snapshot layer calls this after reopening a
-/// hybrid tree (hooks are code, not data — they are not persisted).
-pub fn install_restored_prep(tree: &mut HybridTree, model: &ReductionResult) {
-    let model = model.clone();
-    tree.set_ingest_prep(move |vector| {
-        let clusters = model.clusters.iter().map(|c| &c.subspace);
-        let prepared = match crate::ingest::route(clusters, crate::ingest::DEFAULT_BETA, vector)
-            .map_err(mmdr_index::Error::from)?
-        {
-            Some((ci, local)) => model.clusters[ci]
-                .subspace
-                .restore(&local)
-                .map_err(|e| mmdr_index::Error::from(crate::Error::from(e)))?,
-            None => vector.to_vec(),
-        };
-        Ok(prepared)
-    });
+    Ok(HybridTree::bulk_load(pool, &restored, &rids)?)
 }
 
 #[cfg(test)]

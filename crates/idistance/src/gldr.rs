@@ -52,11 +52,12 @@ pub struct GlobalLdrIndex {
     /// Distances to delta rows; each tree counts its own.
     pub(crate) search: SearchCounters,
     /// Rows ingested since the snapshot, kept at the forest level (not
-    /// inside any cluster tree): `Some(ci)` rows hold local coordinates in
-    /// cluster `ci`'s subspace, `None` rows are outliers stored raw. All
-    /// delta rows enter the global candidate heap before any tree search,
-    /// so the per-cluster pruning radii never need to account for them.
-    delta: DeltaLayer<(Option<usize>, Vec<f64>)>,
+    /// inside any cluster tree): a row in slot `ci` < the cluster count
+    /// holds local coordinates in cluster `ci`'s subspace, a row in the
+    /// last slot is an outlier stored raw. All delta rows enter the global
+    /// candidate heap before any tree search, so the per-cluster pruning
+    /// radii never need to account for them.
+    pub(crate) delta: DeltaLayer,
 }
 
 impl GlobalLdrIndex {
@@ -144,7 +145,7 @@ impl GlobalLdrIndex {
             dim,
             len,
             search: SearchCounters::default(),
-            delta: DeltaLayer::new(),
+            delta: DeltaLayer::default(),
         })
     }
 
@@ -171,22 +172,6 @@ impl GlobalLdrIndex {
             .iter()
             .map(|c| &c.tree)
             .chain(&self.outlier_tree)
-    }
-
-    /// Routes a new point and returns the stored representation: local
-    /// coordinates in the nearest subspace within β, or the raw vector for
-    /// the outlier side.
-    pub(crate) fn prepare_row(&self, vector: &[f64]) -> Result<(Option<usize>, Vec<f64>)> {
-        let clusters = self.clusters.iter().map(|c| &c.subspace);
-        match crate::ingest::route(clusters, crate::ingest::DEFAULT_BETA, vector)? {
-            Some((ci, local)) => Ok((Some(ci), local)),
-            None => Ok((None, vector.to_vec())),
-        }
-    }
-
-    /// The mutable overlay (rows ingested since the snapshot).
-    pub(crate) fn delta(&self) -> &DeltaLayer<(Option<usize>, Vec<f64>)> {
-        &self.delta
     }
 
     /// Number of visible points: the snapshot rows plus live delta rows.
@@ -264,13 +249,13 @@ impl GlobalLdrIndex {
         // cluster radii valid for pruning — the lower bounds only ever
         // gate tree rows.
         let mut delta_seen: u64 = 0;
-        self.delta.for_each(|id, (cluster, row)| {
+        self.delta.for_each(|id, (slot, row)| {
             if filter.is_some_and(|f| !f.passes(id)) {
                 return;
             }
             best.push(
-                match cluster {
-                    Some(ci) => probes[*ci].rejoin(mmdr_linalg::l2_dist(&probes[*ci].q_local, row)),
+                match probes.get(*slot as usize) {
+                    Some(probe) => probe.rejoin(mmdr_linalg::l2_dist(&probe.q_local, row)),
                     None => mmdr_linalg::l2_dist(query, row),
                 },
                 id,

@@ -3,6 +3,7 @@
 use crate::backend::Backend;
 use crate::codes::Codebook;
 use crate::error::{Error, Result};
+use crate::knn::validate_vector;
 use crate::layout::{data_rows, partition_ids, KeySpace, PartitionRows};
 use crate::vector_heap::VectorHeap;
 use mmdr_btree::BPlusTree;
@@ -112,7 +113,7 @@ pub struct IDistanceIndex {
     /// as the heap would store them (local coordinates for clusters, raw
     /// for outliers). Scanned exactly during every search, merged into the
     /// same candidate heap as tree hits.
-    pub(crate) delta: DeltaLayer<(u32, Vec<f64>)>,
+    pub(crate) delta: DeltaLayer,
 }
 
 impl IDistanceIndex {
@@ -257,7 +258,7 @@ impl IDistanceIndex {
             config,
             search: SearchCounters::default(),
             len,
-            delta: DeltaLayer::new(),
+            delta: DeltaLayer::default(),
         })
     }
 
@@ -271,24 +272,6 @@ impl IDistanceIndex {
     /// per-shard buffer-pool counters via its `pool().snapshot()`).
     pub fn heap(&self) -> &VectorHeap {
         &self.heap
-    }
-
-    /// Routes a new point and returns the partition plus the coordinates
-    /// the heap would store for it. Unlike the in-place
-    /// [`insert`](Self::insert), there is no key-escape fallback: delta
-    /// rows live outside the B⁺-tree, and the background merge recomputes
-    /// `c` so every folded key fits its partition slot.
-    pub(crate) fn prepare_row(&self, vector: &[f64]) -> Result<(u32, Vec<f64>)> {
-        let clusters = self.partitions.iter().filter_map(|p| p.subspace.as_ref());
-        match crate::ingest::route(clusters, self.config.beta, vector)? {
-            Some((ci, local)) => Ok((ci as u32, local)),
-            None => Ok(((self.partitions.len() - 1) as u32, vector.to_vec())),
-        }
-    }
-
-    /// The mutable overlay (rows ingested since the snapshot).
-    pub(crate) fn delta(&self) -> &DeltaLayer<(u32, Vec<f64>)> {
-        &self.delta
     }
 
     /// Number of visible points: the snapshot rows plus live delta rows.
@@ -337,14 +320,21 @@ impl IDistanceIndex {
     /// would escape the cluster's `[i·c, (i+1)·c)` slot (possible if a
     /// far-out point stretches the radius past the build-time margin) is
     /// routed to the outlier partition instead, preserving the mapping
-    /// invariant.
+    /// invariant. (A delta row, placed by [`crate::BuiltIndex::insert`],
+    /// needs no such fallback: it lives outside the B⁺-tree, and the
+    /// background merge recomputes `c` so every folded key fits its slot.)
     pub fn insert(&mut self, point: &[f64], point_id: u64) -> Result<()> {
-        crate::ingest::validate_vector(self.dim, point)?;
+        validate_vector(self.dim, point)?;
         // Assignment: nearest subspace within β, else outlier.
         let clusters = self.partitions.iter().filter_map(|p| p.subspace.as_ref());
-        let routed = crate::ingest::route(clusters, self.config.beta, point)?
-            .map(|(i, local)| (i, mmdr_linalg::l2_norm(&local), local))
-            .filter(|&(_, dist, _)| dist < self.c);
+        let routed = match ReducedSubspace::nearest(clusters, point)? {
+            Some((i, subspace, d)) if d <= self.config.beta => {
+                let local = subspace.project(point)?;
+                let dist = mmdr_linalg::l2_norm(&local);
+                (dist < self.c).then_some((i, dist, local))
+            }
+            _ => None,
+        };
         let (part_idx, dist, local) = routed.unwrap_or_else(|| {
             let outlier_part = self.partitions.len() - 1;
             let reference = &self.partitions[outlier_part].centroid;

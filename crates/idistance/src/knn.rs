@@ -12,10 +12,25 @@ use mmdr_pca::ReducedSubspace;
 use std::collections::HashSet;
 use std::ops::Range;
 
+/// The one input check on a vector, queried or ingested: `dim` wide and
+/// finite throughout.
+pub fn validate_vector(dim: usize, vector: &[f64]) -> Result<()> {
+    if vector.len() != dim {
+        return Err(Error::DimensionMismatch {
+            expected: dim,
+            actual: vector.len(),
+        });
+    }
+    if vector.iter().any(|x| !x.is_finite()) {
+        return Err(Error::InvalidQuery);
+    }
+    Ok(())
+}
+
 /// Validates a query the way every scheme in this crate does: the vector
 /// as an ingested one is, a range's radius finite and non-negative.
 pub(crate) fn check_query(dim: usize, query: &[f64], target: Target) -> Result<()> {
-    crate::ingest::validate_vector(dim, query)?;
+    validate_vector(dim, query)?;
     match target {
         Target::Range(radius) if !(radius >= 0.0 && radius.is_finite()) => {
             Err(Error::InvalidRadius)
@@ -536,13 +551,11 @@ mod tests {
     use super::query_geometry;
     use crate::backend::Backend;
     use crate::index::{IDistanceConfig, IDistanceIndex};
-    use crate::layout::{data_rows, KeySpace};
+    use crate::layout::{data_rows, BuiltIndex, KeySpace};
     use crate::seqscan::SeqScan;
     use crate::vector_heap::{VectorHeap, TOMBSTONE};
-    use mmdr_core::{Mmdr, MmdrParams, ReductionResult};
-    use mmdr_index::{
-        MutableVectorIndex, Query, RowFilter, Scratch, SearchFilter, Target, VectorIndex,
-    };
+    use mmdr_core::{Mmdr, MmdrParams, PointAssignment, ReductionResult};
+    use mmdr_index::{Query, RowFilter, Scratch, SearchFilter, Target, VectorIndex};
     use mmdr_linalg::Matrix;
     use mmdr_pca::ReducedSubspace;
     use mmdr_storage::{BufferPool, DiskManager, Page, PageId, PageSource};
@@ -672,7 +685,7 @@ mod tests {
 
     /// Two flat clusters under the default parameters: the range tests'
     /// own fixture (probe ids index into its 400 rows).
-    fn range_fixture() -> (Matrix, IDistanceIndex, SeqScan) {
+    fn range_fixture() -> (Matrix, IDistanceIndex, SeqScan, ReductionResult) {
         let mut rows = Vec::new();
         let jit = |i: usize, s: f64| ((i as f64 * 0.618_033_988 + s).fract() - 0.5) * 0.02;
         for i in 0..200 {
@@ -689,12 +702,12 @@ mod tests {
         let model = Mmdr::new(MmdrParams::default()).fit(&data).unwrap();
         let index = IDistanceIndex::build(&data, &model, IDistanceConfig::default()).unwrap();
         let scan = SeqScan::build(&data, &model, 128).unwrap();
-        (data, index, scan)
+        (data, index, scan, model)
     }
 
     #[test]
     fn range_matches_scan_reference() {
-        let (data, index, scan) = range_fixture();
+        let (data, index, scan, _) = range_fixture();
         for &probe in &[0usize, 7, 201, 399] {
             for &radius in &[0.05, 0.2, 1.0, 10.0] {
                 let q = data.row(probe);
@@ -710,7 +723,7 @@ mod tests {
 
     #[test]
     fn zero_radius_finds_exact_reps_only() {
-        let (_, index, _) = range_fixture();
+        let (_, index, _, _) = range_fixture();
         // Outliers (stored exactly) match at radius 0; cluster members sit
         // at their ProjDist, so a radius of 0 on a generic query returns
         // nothing or exact representations only.
@@ -720,15 +733,22 @@ mod tests {
 
     #[test]
     fn range_validates_inputs() {
-        let (_, index, _) = range_fixture();
+        let (_, index, _, _) = range_fixture();
         assert!(index.range_search(&[0.0], 1.0).is_err());
         assert!(index.range_search(&[0.0; 4], f64::NAN).is_err());
         assert!(index.range_search(&[0.0; 4], -1.0).is_err());
     }
 
     #[test]
+    fn validate_vector_rejects_bad_input() {
+        assert!(super::validate_vector(3, &[0.0, 1.0]).is_err());
+        assert!(super::validate_vector(2, &[f64::NAN, 0.0]).is_err());
+        assert!(super::validate_vector(2, &[0.0, 1.0]).is_ok());
+    }
+
+    #[test]
     fn growing_radius_is_monotone() {
-        let (data, index, _) = range_fixture();
+        let (data, index, _, _) = range_fixture();
         let q = data.row(10);
         let small = index.range_search(q, 0.1).unwrap().len();
         let big = index.range_search(q, 2.0).unwrap().len();
@@ -744,24 +764,34 @@ mod tests {
 
     #[test]
     fn a_filtered_search_evaluates_only_rows_that_pass() {
-        let (data, index, scan) = range_fixture();
+        let (data, index, scan, model) = range_fixture();
+        let built = [
+            BuiltIndex::IDistance(Box::new(index)),
+            BuiltIndex::SeqScan(scan),
+        ];
         let base = data.rows() as u64;
         // Delta rows beside the base rows (on and off the fitted flats),
         // and tombstones over both kinds.
         for i in 0..40u64 {
             let mut row = data.row((i as usize * 7) % data.rows()).to_vec();
             row[(i % 4) as usize] += 0.003 * (i + 1) as f64;
-            index.insert(base + i, &row).unwrap();
-            scan.insert(base + i, &row).unwrap();
+            for b in &built {
+                b.insert(&model, base + i, &row).unwrap();
+            }
         }
         let dead: Vec<u64> = (0..30)
             .map(|i| i * 13 + 5)
             .chain([base + 3, base + 20])
             .collect();
         for &id in &dead {
-            assert!(index.delete(id).unwrap());
-            assert!(scan.delete(id).unwrap());
+            for b in &built {
+                assert!(b.delete(id).unwrap());
+            }
         }
+        let [BuiltIndex::IDistance(index), scan] = &built else {
+            unreachable!("built as listed")
+        };
+        let scan = scan.as_dyn();
         let live = |id: u64| id < base + 40 && !dead.contains(&id);
         let counters = &index.search;
 
@@ -1089,7 +1119,7 @@ mod tests {
         let watched = Watched::build(|id| id);
         // Tombstones alone are not a filter.
         for id in (0..n).step_by(7) {
-            assert!(watched.index.delete(id).unwrap());
+            assert!(watched.index.delta.delete(id).unwrap());
         }
         let unfiltered = || -> Vec<Walk> {
             PAGED_TARGETS
@@ -1198,7 +1228,8 @@ mod tests {
         for part in &mut plain.index.partitions {
             part.codebook = None;
         }
-        let scan = SeqScan::build(data, model, 64).unwrap();
+        let built = BuiltIndex::SeqScan(SeqScan::build(data, model, 64).unwrap());
+        let scan = built.as_dyn();
         // Delta rows on and off the flats, tombstones over both kinds.
         let delta: Vec<(u64, Vec<f64>)> = (0..60u64)
             .map(|i| {
@@ -1211,13 +1242,20 @@ mod tests {
             .map(|i| i * 29 + 3)
             .chain([n + 7, n + 41])
             .collect();
-        let indexes: [&dyn MutableVectorIndex; 3] = [&coded.index, &plain.index, &scan];
-        for index in indexes {
-            for (id, row) in &delta {
-                index.insert(*id, row).unwrap();
+        for (id, row) in &delta {
+            built.insert(model, *id, row).unwrap();
+        }
+        // iDistance stores a row as the scan does (local coordinates in its
+        // cluster, raw among the outliers, routed at the same β): the rows
+        // placed once serve all three.
+        built.delta().for_each(|id, row| {
+            for index in [&coded.index, &plain.index] {
+                index.delta.insert(id, row.clone()).unwrap();
             }
+        });
+        for delta in [built.delta(), &coded.index.delta, &plain.index.delta] {
             for &id in &dead {
-                assert!(index.delete(id).unwrap());
+                assert!(delta.delete(id).unwrap());
             }
         }
 
@@ -1306,8 +1344,14 @@ mod tests {
         let mut rows: Vec<Vec<f64>> = (0..n).map(|i| data.row(i).to_vec()).collect();
         let mut routed = Vec::new();
         for (i, point) in late.iter().enumerate() {
-            let (part, stored) = grown.prepare_row(point).unwrap();
-            let book = grown.partitions[part as usize].codebook.as_ref().unwrap();
+            // Where a delta row would go: the model's routing, no key escape.
+            let (part, stored) = match model.assign_point(point, grown.config().beta).unwrap() {
+                PointAssignment::Cluster(ci) => {
+                    (ci, model.clusters[ci].subspace.project(point).unwrap())
+                }
+                PointAssignment::Outlier => (model.clusters.len(), point.clone()),
+            };
+            let book = grown.partitions[part].codebook.as_ref().unwrap();
             let outside = stored
                 .iter()
                 .zip(book.edges().chunks(book.edges().len() / stored.len()))
@@ -1315,7 +1359,7 @@ mod tests {
                 .count();
             assert!(outside >= 2, "late row {i}: {outside} coordinates outside");
             IDistanceIndex::insert(&mut grown, point, (n + i) as u64).unwrap();
-            match fresh_model.clusters.get_mut(part as usize) {
+            match fresh_model.clusters.get_mut(part) {
                 Some(cluster) => cluster.members.push(n + i),
                 None => fresh_model.outliers.push(n + i),
             }

@@ -10,6 +10,11 @@
 //! [`stored_rows`] reads the same `(id, coordinates)` pairs back out of a
 //! built index.
 //!
+//! An ingested row is placed once, by [`BuiltIndex::insert`]: the model
+//! routes it (nearest subspace within `β`, else the outliers) and
+//! [`Backend::stored_form`] converts it exactly as the loaders do, so a
+//! delta row stores what a from-scratch build over the union would.
+//!
 //! Everything that produces base structures is a *door* onto [`load`] and
 //! only resolves rows: a from-scratch build projects `data.row(id)`, the
 //! merge fold takes [`stored_rows`] of the base minus dead ids plus the
@@ -24,13 +29,18 @@ use crate::backend::{load_hybrid, Backend};
 use crate::error::{Error, Result};
 use crate::gldr::GlobalLdrIndex;
 use crate::index::{IDistanceConfig, IDistanceIndex};
+use crate::knn::validate_vector;
 use crate::seqscan::SeqScan;
-use mmdr_core::ReductionResult;
+use mmdr_core::{PointAssignment, ReductionResult};
 use mmdr_hybridtree::HybridTree;
-use mmdr_index::{MutableVectorIndex, VectorIndex};
+use mmdr_index::{DeltaLayer, DeltaStats, VectorIndex};
 use mmdr_linalg::Matrix;
 use mmdr_pca::ReducedSubspace;
 use std::collections::{BTreeMap, HashMap};
+
+/// The β the backends without a configured one route ingested points with
+/// (Table 1's 0.1, the same default as [`IDistanceConfig::beta`]).
+const DEFAULT_BETA: f64 = 0.1;
 
 /// A constructed index holding its concrete type, so it can be both
 /// queried (as a [`VectorIndex`]) and snapshotted (which needs access to
@@ -80,24 +90,68 @@ impl BuiltIndex {
         }
     }
 
-    /// Mutates the index through the uniform ingest trait — every backend
-    /// layers a delta on top of its immutable base structures.
-    pub fn as_mutable(&self) -> &dyn MutableVectorIndex {
-        match self {
-            BuiltIndex::SeqScan(i) => i,
-            BuiltIndex::IDistance(i) => i.as_ref(),
-            BuiltIndex::Hybrid(i) => i,
-            BuiltIndex::Gldr(i) => i,
-        }
-    }
-
     /// The β this backend routes inserted points with (cluster-vs-outlier
     /// test). iDistance carries its own configured β; the other backends
     /// use the paper's Table 1 default.
     pub fn ingest_beta(&self) -> f64 {
         match self {
             BuiltIndex::IDistance(i) => i.config().beta,
-            _ => crate::ingest::DEFAULT_BETA,
+            _ => DEFAULT_BETA,
+        }
+    }
+
+    /// Places an ingested row in the delta layered on the base structures:
+    /// validates `vector`, routes it with `model` — the model this index
+    /// was loaded under — at [`ingest_beta`](Self::ingest_beta), converts
+    /// it to the stored form the loaders write, and stores it under `id`
+    /// (engine-assigned, unique, monotone). Returns the routing and the
+    /// winning `ProjDist`, which the ingest engine's drift estimator feeds
+    /// on.
+    pub fn insert(
+        &self,
+        model: &ReductionResult,
+        id: u64,
+        vector: &[f64],
+    ) -> mmdr_index::Result<(PointAssignment, f64)> {
+        validate_vector(self.as_dyn().dim(), vector)?;
+        let placed = model
+            .assign_point_with_dist(vector, self.ingest_beta())
+            .map_err(Error::from)?;
+        let (slot, subspace) = match placed.0 {
+            PointAssignment::Cluster(ci) => (ci, Some(&model.clusters[ci].subspace)),
+            PointAssignment::Outlier => (model.clusters.len(), None),
+        };
+        let coords = self.backend().stored_form(subspace, vector)?;
+        self.delta().insert(id, (slot as u32, coords))?;
+        Ok(placed)
+    }
+
+    /// Removes the row with `id`. Returns whether visible state changed
+    /// (false when the id was already deleted). Unknown ids tombstone
+    /// harmlessly — the engine validates id ranges.
+    pub fn delete(&self, id: u64) -> mmdr_index::Result<bool> {
+        self.delta().delete(id)
+    }
+
+    /// Freezes the delta against further mutation (the retired-epoch half
+    /// of an atomic swap) and reports its final size.
+    pub fn seal(&self) -> DeltaStats {
+        self.delta().seal()
+    }
+
+    /// Current delta size — the merge-pressure signal.
+    pub fn delta_stats(&self) -> DeltaStats {
+        self.delta().stats()
+    }
+
+    /// The backend's delta: every backend layers one on top of its
+    /// immutable base structures.
+    pub(crate) fn delta(&self) -> &DeltaLayer {
+        match self {
+            BuiltIndex::SeqScan(i) => &i.delta,
+            BuiltIndex::IDistance(i) => &i.delta,
+            BuiltIndex::Hybrid(i) => i.delta(),
+            BuiltIndex::Gldr(i) => &i.delta,
         }
     }
 }

@@ -44,19 +44,18 @@ mod codes;
 mod error;
 mod gldr;
 mod index;
-mod ingest;
 mod knn;
 mod layout;
 mod seqscan;
 mod vector_heap;
 mod vector_index;
 
-pub use backend::{build_backend, build_restored_hybrid, install_restored_prep, Backend};
+pub use backend::{build_backend, build_restored_hybrid, Backend};
 pub use codes::Codebook;
 pub use error::{Error, Result};
 pub use gldr::GlobalLdrIndex;
 pub use index::{IDistanceConfig, IDistanceIndex, PartitionInfo};
-pub use ingest::DEFAULT_BETA;
+pub use knn::validate_vector;
 pub use layout::{
     build_index, load, load_exact, restored_rows, stored_rows, BuiltIndex, KeySpace, Row,
 };

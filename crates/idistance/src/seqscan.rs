@@ -25,7 +25,7 @@ pub struct SeqScan {
     /// Rows ingested since the snapshot, already routed to a partition and
     /// stored exactly as the heap would store them (local coordinates for
     /// cluster partitions, raw for outliers). Scanned alongside the heap.
-    delta: DeltaLayer<(u32, Vec<f64>)>,
+    pub(crate) delta: DeltaLayer,
 }
 
 impl SeqScan {
@@ -75,28 +75,13 @@ impl SeqScan {
             subspaces,
             dim: model.dim,
             search: SearchCounters::default(),
-            delta: DeltaLayer::new(),
+            delta: DeltaLayer::default(),
         })
     }
 
     /// Access to the underlying heap (page export for snapshots).
     pub fn heap(&self) -> &VectorHeap {
         &self.heap
-    }
-
-    /// Routes a new point and returns the partition plus the coordinates
-    /// the heap would store for it.
-    pub(crate) fn prepare_row(&self, vector: &[f64]) -> Result<(u32, Vec<f64>)> {
-        let clusters = self.subspaces.iter().filter_map(|s| s.as_ref());
-        match crate::ingest::route(clusters, crate::ingest::DEFAULT_BETA, vector)? {
-            Some((ci, local)) => Ok((ci as u32, local)),
-            None => Ok(((self.subspaces.len() - 1) as u32, vector.to_vec())),
-        }
-    }
-
-    /// The mutable overlay (rows ingested since the snapshot).
-    pub(crate) fn delta(&self) -> &DeltaLayer<(u32, Vec<f64>)> {
-        &self.delta
     }
 
     /// Number of visible points: the snapshot rows plus live delta rows.
@@ -231,23 +216,23 @@ mod tests {
 
     #[test]
     fn delta_rows_and_tombstones_are_visible() {
-        use mmdr_index::MutableVectorIndex;
         let data = flat_data();
         let model = Mmdr::new(MmdrParams::default()).fit(&data).unwrap();
-        let scan = SeqScan::build(&data, &model, 64).unwrap();
+        let built = crate::BuiltIndex::SeqScan(SeqScan::build(&data, &model, 64).unwrap());
+        let scan = built.as_dyn();
         let probe = vec![10.0, 5.0, 0.0, 0.0];
-        MutableVectorIndex::insert(&scan, 500, &probe).unwrap();
+        built.insert(&model, 500, &probe).unwrap();
         assert_eq!(scan.len(), 201);
         let r = scan.knn(&probe, 1).unwrap();
         assert_eq!(r[0].1, 500);
         assert!(r[0].0 < 1e-9);
         // Deleting a base row removes it from answers without shrinking
         // the heap.
-        assert!(MutableVectorIndex::delete(&scan, 199).unwrap());
+        assert!(built.delete(199).unwrap());
         let near_base = scan.knn(data.row(199), 1).unwrap();
         assert_ne!(near_base[0].1, 199);
         // Deleting the delta row hides it again.
-        assert!(MutableVectorIndex::delete(&scan, 500).unwrap());
+        assert!(built.delete(500).unwrap());
         let r = scan.knn(&probe, 1).unwrap();
         assert_ne!(r[0].1, 500);
         // Tombstoned base rows still count toward len (the heap keeps

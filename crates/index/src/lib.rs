@@ -43,8 +43,8 @@ pub use error::{Error, Result};
 pub use filter::{RowFilter, SearchFilter};
 pub use heap::KnnHeap;
 pub use mutable::{
-    DeltaLayer, DeltaStats, DriftEstimator, IngestOp, IngestStats, LiveIndex, MutableVectorIndex,
-    PinnedEpoch, ReadOnlyLive, MIN_DRIFT_SAMPLES,
+    DeltaLayer, DeltaStats, DriftEstimator, IngestOp, IngestStats, LiveIndex, PinnedEpoch,
+    ReadOnlyLive, MIN_DRIFT_SAMPLES,
 };
 pub use query::{Query, Scratch, Target};
 pub use stats::{QueryStats, SearchCounters};

@@ -5,11 +5,11 @@
 //! B⁺-tree, hybrid-tree pages) — those are what snapshots persist and what
 //! the out-of-core pager mounts. Mutability is layered on top:
 //!
-//! - **Inserts** land in an in-memory [`DeltaLayer`]: the row is prepared
-//!   into the backend's own stored representation at insert time (same
-//!   projection / restoration code as the build path), so a delta scan
-//!   computes bit-identical distances to a from-scratch build over the
-//!   union of rows.
+//! - **Inserts** land in an in-memory [`DeltaLayer`]: the row is routed to
+//!   its partition and converted into the backend's own stored
+//!   representation at insert time (same projection / restoration code as
+//!   the build path), so a delta scan computes bit-identical distances to a
+//!   from-scratch build over the union of rows.
 //! - **Deletes** become entries in a copy-on-write tombstone set. Base
 //!   searches filter tombstoned ids at *push* time (before a candidate can
 //!   occupy a heap slot), which keeps exact-k semantics: a delete never
@@ -18,10 +18,9 @@
 //!   merge seals the *retired* epoch after an atomic swap; queries still
 //!   pinned to it finish unaffected.
 //!
-//! [`MutableVectorIndex`] is the per-backend contract; [`LiveIndex`] is
-//! the process-level serving handle (epoch pinning + WAL-backed ingest)
-//! that `mmdr-serve` codes against without depending on the persistence
-//! crate.
+//! [`LiveIndex`] is the process-level serving handle (epoch pinning +
+//! WAL-backed ingest) that `mmdr-serve` codes against without depending on
+//! the persistence crate.
 
 use crate::error::{Error, Result};
 use crate::query::Target;
@@ -32,8 +31,8 @@ use std::sync::{Arc, RwLock};
 
 /// One logical mutation, as carried by the write-ahead log and replayed
 /// into backend deltas. Vectors are always full original-dimensional —
-/// per-backend preparation (projection, restoration) happens at apply
-/// time with the same code the build path uses.
+/// routing and conversion to the stored form (projection, restoration)
+/// happen at apply time with the same code the build path uses.
 #[derive(Debug, Clone, PartialEq)]
 pub enum IngestOp {
     /// Add a row under an engine-assigned, monotonically increasing id.
@@ -62,42 +61,28 @@ pub struct DeltaStats {
     pub tombstones: u64,
 }
 
-/// The shared delta machinery behind every backend's
-/// [`MutableVectorIndex`] implementation: an ordered map of prepared rows
-/// plus a copy-on-write tombstone set, both behind interior mutability so
-/// queries stay `&self`.
+/// The delta machinery every backend shares: an ordered map of rows plus a
+/// copy-on-write tombstone set, both behind interior mutability so queries
+/// stay `&self`. An empty, unsealed delta is the `Default`.
 ///
-/// `R` is the backend's prepared-row payload — `(partition, local
-/// coordinates)` for the reduced-heap backends, restored full-dimensional
-/// coordinates for the hybrid tree.
+/// Every backend holds the one row type `(slot, coordinates)`: the
+/// partition slot the model routed the row to (the cluster index, or the
+/// cluster count for the outliers) and its coordinates in the backend's
+/// stored form. `hybrid`, whose one tree spans all partitions, ignores the
+/// slot.
 ///
 /// Concurrency: mutations take a short write lock; queries take a read
 /// lock only while iterating the (small) delta and grab the tombstone set
 /// as one `Arc` clone, so the base search proceeds without any delta lock
 /// held.
-#[derive(Debug)]
-pub struct DeltaLayer<R> {
-    rows: RwLock<BTreeMap<u64, R>>,
+#[derive(Debug, Default)]
+pub struct DeltaLayer {
+    rows: RwLock<BTreeMap<u64, (u32, Vec<f64>)>>,
     tombstones: RwLock<Arc<HashSet<u64>>>,
     sealed: AtomicBool,
 }
 
-impl<R> Default for DeltaLayer<R> {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl<R> DeltaLayer<R> {
-    /// An empty, unsealed delta.
-    pub fn new() -> Self {
-        Self {
-            rows: RwLock::new(BTreeMap::new()),
-            tombstones: RwLock::new(Arc::new(HashSet::new())),
-            sealed: AtomicBool::new(false),
-        }
-    }
-
+impl DeltaLayer {
     fn check_unsealed(&self) -> Result<()> {
         if self.sealed.load(Ordering::Acquire) {
             return Err(Error::Sealed);
@@ -105,9 +90,9 @@ impl<R> DeltaLayer<R> {
         Ok(())
     }
 
-    /// Stores a prepared row under `id`. Replays are last-write-wins: a
+    /// Stores a placed row under `id`. Replays are last-write-wins: a
     /// duplicate id replaces the previous delta row.
-    pub fn insert(&self, id: u64, row: R) -> Result<()> {
+    pub fn insert(&self, id: u64, row: (u32, Vec<f64>)) -> Result<()> {
         self.check_unsealed()?;
         let mut rows = self.rows.write().unwrap_or_else(|p| p.into_inner());
         rows.insert(id, row);
@@ -143,11 +128,6 @@ impl<R> DeltaLayer<R> {
         self.stats()
     }
 
-    /// Whether [`seal`](Self::seal) has been called.
-    pub fn is_sealed(&self) -> bool {
-        self.sealed.load(Ordering::Acquire)
-    }
-
     /// Current size of the delta.
     pub fn stats(&self) -> DeltaStats {
         let rows = self.rows.read().unwrap_or_else(|p| p.into_inner()).len() as u64;
@@ -164,12 +144,6 @@ impl<R> DeltaLayer<R> {
         self.rows.read().unwrap_or_else(|p| p.into_inner()).len()
     }
 
-    /// True when the delta holds no rows and no tombstones.
-    pub fn is_empty(&self) -> bool {
-        let s = self.stats();
-        s.rows == 0 && s.tombstones == 0
-    }
-
     /// The tombstone set as one `Arc` clone — O(1), and stable for the
     /// duration of a query regardless of concurrent deletes.
     pub fn tombstones(&self) -> Arc<HashSet<u64>> {
@@ -178,36 +152,12 @@ impl<R> DeltaLayer<R> {
 
     /// Visits every delta row in ascending id order under a read lock.
     /// Callers must not mutate the same delta from inside `f`.
-    pub fn for_each(&self, mut f: impl FnMut(u64, &R)) {
+    pub fn for_each(&self, mut f: impl FnMut(u64, &(u32, Vec<f64>))) {
         let rows = self.rows.read().unwrap_or_else(|p| p.into_inner());
         for (&id, row) in rows.iter() {
             f(id, row);
         }
     }
-}
-
-/// The mutation extension of [`VectorIndex`]: live inserts and deletes
-/// through an in-memory delta, with queries remaining `&self` and
-/// bit-identical to a from-scratch build over the surviving rows.
-///
-/// Implementations prepare each inserted vector into their own stored
-/// representation using exactly the code the build path uses, so delta
-/// rows and base rows are indistinguishable to the distance computation.
-pub trait MutableVectorIndex: VectorIndex {
-    /// Adds a row under `id` (engine-assigned, unique, monotone).
-    fn insert(&self, id: u64, vector: &[f64]) -> Result<()>;
-
-    /// Removes the row with `id`. Returns whether visible state changed
-    /// (false when the id was already deleted). Unknown ids tombstone
-    /// harmlessly — the engine validates id ranges.
-    fn delete(&self, id: u64) -> Result<bool>;
-
-    /// Freezes the delta against further mutation (the retired-epoch
-    /// half of an atomic swap) and reports its final size.
-    fn seal(&self) -> DeltaStats;
-
-    /// Current delta size — the merge-pressure signal.
-    fn delta_stats(&self) -> DeltaStats;
 }
 
 /// Ingest-side counters carried by the `Stats` op and the CLI stats line.
@@ -439,10 +389,10 @@ mod tests {
 
     #[test]
     fn delta_insert_delete_and_stats() {
-        let d: DeltaLayer<Vec<f64>> = DeltaLayer::new();
-        assert!(d.is_empty());
-        d.insert(10, vec![1.0]).unwrap();
-        d.insert(11, vec![2.0]).unwrap();
+        let d = DeltaLayer::default();
+        assert_eq!(d.stats(), DeltaStats::default());
+        d.insert(10, (0, vec![1.0])).unwrap();
+        d.insert(11, (1, vec![2.0])).unwrap();
         assert_eq!(
             d.stats(),
             DeltaStats {
@@ -465,9 +415,9 @@ mod tests {
 
     #[test]
     fn delta_iterates_in_id_order() {
-        let d: DeltaLayer<u32> = DeltaLayer::new();
+        let d = DeltaLayer::default();
         for id in [5u64, 1, 9, 3] {
-            d.insert(id, id as u32).unwrap();
+            d.insert(id, (id as u32, Vec::new())).unwrap();
         }
         let mut seen = Vec::new();
         d.for_each(|id, _| seen.push(id));
@@ -476,7 +426,7 @@ mod tests {
 
     #[test]
     fn tombstone_handle_is_stable_across_later_deletes() {
-        let d: DeltaLayer<u32> = DeltaLayer::new();
+        let d = DeltaLayer::default();
         d.delete(1).unwrap();
         let pinned = d.tombstones();
         d.delete(2).unwrap();
@@ -487,12 +437,11 @@ mod tests {
 
     #[test]
     fn seal_freezes_mutation() {
-        let d: DeltaLayer<u32> = DeltaLayer::new();
-        d.insert(1, 1).unwrap();
+        let d = DeltaLayer::default();
+        d.insert(1, (0, vec![1.0])).unwrap();
         let s = d.seal();
         assert_eq!(s.rows, 1);
-        assert!(d.is_sealed());
-        assert!(matches!(d.insert(2, 2), Err(Error::Sealed)));
+        assert!(matches!(d.insert(2, (0, vec![2.0])), Err(Error::Sealed)));
         assert!(matches!(d.delete(1), Err(Error::Sealed)));
         // Reads still work on a sealed delta.
         assert_eq!(d.live_rows(), 1);

@@ -20,8 +20,10 @@
 //! A merged index answers bit-identically to a from-scratch build over
 //! the union of surviving rows:
 //!
-//! - Inserted rows are prepared (projected / restored) with exactly the
-//!   build path's arithmetic, both in the delta and in the fold.
+//! - An inserted row is routed by the model and converted (projected /
+//!   restored) with exactly the build path's arithmetic, once, by
+//!   [`BuiltIndex::insert`] in the delta, and again by the loader in the
+//!   fold.
 //! - Between re-fits the model only ever grows: [`extend_model`] appends
 //!   inserted ids to the cluster the fitted model assigns them to;
 //!   deletes never touch the model, so cluster order, subspaces and
@@ -70,7 +72,9 @@ use crate::refit::{attach, materialize_rows, refit_model};
 use crate::snapshot::{build_index, open_with, save_with_attrs, OpenOptions};
 use crate::wal::{remove_wal, WalRecord, WalWriter};
 use mmdr_core::{MmdrParams, PointAssignment, ReductionResult};
-use mmdr_idistance::{load, stored_rows, Backend, BuiltIndex, IDistanceConfig, KeySpace, Row};
+use mmdr_idistance::{
+    load, stored_rows, validate_vector, Backend, BuiltIndex, IDistanceConfig, KeySpace, Row,
+};
 use mmdr_index::{
     DriftEstimator, IngestOp, IngestStats, LiveIndex, PinnedEpoch, Query, QueryStats, Scratch,
     Target, VectorIndex,
@@ -80,8 +84,8 @@ use mmdr_query::{decode_row, encode_row, AttrSketches, AttrStore, AttrValue, Pla
 use mmdr_storage::PoolStats;
 use std::collections::{BTreeMap, HashSet};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
+use std::thread::JoinHandle;
 
 /// The write-ahead log that pairs with a snapshot at `path`:
 /// `<snapshot>.wal` in the same directory, so the two travel together.
@@ -95,8 +99,8 @@ pub fn wal_path(snapshot: &Path) -> PathBuf {
 
 /// Extends a reduction model with the inserts in `ops`: each inserted id
 /// joins the cluster the fitted model assigns its vector to (nearest
-/// subspace within `beta`, else the outlier set), exactly the routing the
-/// backends applied when the row entered their delta.
+/// subspace within `beta`, else the outlier set), exactly the routing
+/// [`BuiltIndex::insert`] applied when the row entered the delta.
 ///
 /// Deletes never modify the model. The member lists only ever grow, which
 /// keeps cluster order, subspaces and partition numbering stable across
@@ -341,14 +345,14 @@ struct EngineCore {
     /// Serializes merges (background and explicit flush). Never acquired
     /// while holding `writer`.
     merge: Mutex<()>,
-    /// True while a background merge thread is in flight.
-    merging: AtomicBool,
+    /// The background merge thread last started, until it is reaped.
+    merging: Mutex<Option<JoinHandle<()>>>,
     /// Serializes re-fits. A re-fit holds this *and then* `merge` for its
     /// whole duration (so no merge can fold the pending prefix out from
     /// under it); a merge takes only `merge`, so the order is acyclic.
     refit: Mutex<()>,
-    /// True while a background re-fit thread is in flight.
-    refitting: AtomicBool,
+    /// The background re-fit thread last started, until it is reaped.
+    refitting: Mutex<Option<JoinHandle<()>>>,
 }
 
 /// The WAL-backed, epoch-versioned serving handle over a snapshot — the
@@ -394,11 +398,13 @@ pub(crate) fn build_sketches(
 }
 
 /// Applies one logged operation to `index`'s delta — what WAL replay and a
-/// publish's tail both do. Deleting an id that is already gone is harmless.
-fn apply_op(index: &BuiltIndex, op: &IngestOp) -> Result<()> {
+/// publish's tail both do. `model` is the one `index` was loaded under; an
+/// insert is placed, and its vector checked, by [`BuiltIndex::insert`].
+/// Deleting an id that is already gone is harmless.
+fn apply_op(index: &BuiltIndex, model: &ReductionResult, op: &IngestOp) -> Result<()> {
     match op {
-        IngestOp::Insert { id, vector } => index.as_mutable().insert(*id, vector)?,
-        IngestOp::Delete { id } => drop(index.as_mutable().delete(*id)?),
+        IngestOp::Insert { id, vector } => drop(index.insert(model, *id, vector)?),
+        IngestOp::Delete { id } => drop(index.delete(*id)?),
     }
     Ok(())
 }
@@ -481,7 +487,7 @@ impl IngestEngine {
                 }
                 IngestOp::Delete { id } => store.clear_row(*id),
             }
-            apply_op(&opened.index, &record.op)?;
+            apply_op(&opened.index, &opened.model, &record.op)?;
             pending.push(record);
         }
         let refit_params = opts.refit_params.clone().unwrap_or_default();
@@ -515,9 +521,9 @@ impl IngestEngine {
                 drift,
             }),
             merge: Mutex::new(()),
-            merging: AtomicBool::new(false),
+            merging: Mutex::new(None),
             refit: Mutex::new(()),
-            refitting: AtomicBool::new(false),
+            refitting: Mutex::new(None),
         };
         Ok(Self {
             core: Arc::new(core),
@@ -530,9 +536,16 @@ impl IngestEngine {
     }
 
     /// Blocks until no background re-fit or merge is in flight (the next
-    /// pressure or drift trigger may start a new one). Test and shutdown
-    /// aid.
+    /// pressure or drift trigger may start a new one): joins the threads
+    /// already started — one that has not yet taken its lock included —
+    /// then waits out an explicit flush or re-fit. Test and shutdown aid.
     pub fn quiesce(&self) {
+        for slot in [&self.core.refitting, &self.core.merging] {
+            let started = slot.lock().unwrap_or_else(|p| p.into_inner()).take();
+            if let Some(thread) = started {
+                let _ = thread.join();
+            }
+        }
         let _refit = self.core.refit.lock().unwrap_or_else(|p| p.into_inner());
         let _merge = self.core.merge.lock().unwrap_or_else(|p| p.into_inner());
     }
@@ -563,12 +576,6 @@ impl IngestEngine {
             .clone()
     }
 
-    /// The planner's decision counters (mirrored into `QueryStats` by the
-    /// serving layer).
-    pub fn planner_snapshot(&self) -> mmdr_query::PlannerSnapshot {
-        self.core.planner.counters().snapshot()
-    }
-
     /// [`LiveIndex::insert`], with an attribute row: the `(column, value)`
     /// pairs are validated against the store's schema, logged in the same
     /// WAL record as the vector, and visible to filtered queries as soon
@@ -588,15 +595,7 @@ impl IngestEngine {
     ) -> mmdr_index::Result<u64> {
         let id = {
             let mut w = self.core.writer.lock().unwrap_or_else(|p| p.into_inner());
-            if vector.len() != w.model.dim {
-                return Err(mmdr_index::Error::DimensionMismatch {
-                    expected: w.model.dim,
-                    actual: vector.len(),
-                });
-            }
-            if vector.iter().any(|x| !x.is_finite()) {
-                return Err(mmdr_index::Error::InvalidQuery);
-            }
+            validate_vector(w.model.dim, vector)?;
             // Validate the attribute row against the schema *before*
             // logging anything, so a rejected row never reaches the WAL
             // and the store mutation below cannot fail halfway.
@@ -616,21 +615,17 @@ impl IngestEngine {
             let record = WalRecord { op, attrs };
             // Durable first, then visible: the WAL append fsyncs.
             w.wal.append_record(&record).map_err(to_query_err)?;
-            let serving = self.core.serving();
-            serving.built.as_mutable().insert(id, vector)?;
+            // The serving index was loaded under the writer's model (a
+            // publish swaps both under this lock).
+            let placed = self.core.serving().built.insert(&w.model, id, vector)?;
             if let Some(row) = values {
                 let mut store = self.core.attrs.write().unwrap_or_else(|p| p.into_inner());
                 store.set_row(id, row).map_err(mmdr_index::Error::from)?;
             }
-            // Feed the drift estimator with the routing the backend just
+            // Feed the drift estimator with the routing the insert just
             // applied: which cluster won, and how far off its flat the
             // row sits. Outliers train no cluster.
-            let beta = serving.built.ingest_beta();
-            if let (PointAssignment::Cluster(ci), proj_dist) = w
-                .model
-                .assign_point_with_dist(vector, beta)
-                .map_err(|e| to_query_err(e.into()))?
-            {
+            if let (PointAssignment::Cluster(ci), proj_dist) = placed {
                 w.drift.record(ci, proj_dist);
             }
             w.pending.push(record);
@@ -648,30 +643,35 @@ impl EngineCore {
         Arc::clone(&self.serving.read().unwrap_or_else(|p| p.into_inner()))
     }
 
-    /// Runs `job` on a background thread unless the one `flag` guards is
-    /// already in flight. A failure is reported and left to the next
-    /// trigger to retry: queries and writes continue against the current
-    /// epoch, whose model is drifted at worst, never inexact.
+    /// Runs `job` on a background thread unless the one in `slot` is still
+    /// running. A failure is reported and left to the next trigger to
+    /// retry: queries and writes continue against the current epoch, whose
+    /// model is drifted at worst, never inexact.
+    ///
+    /// The finished thread is joined before the next one starts, so there
+    /// is never more than one per slot: the allocator hands the new thread
+    /// the arena the old one released, and each fold reuses the memory the
+    /// last one freed. Started while the old thread was still exiting, it
+    /// would get a fresh arena and hold a second fold's worth of memory.
     fn spawn_background(
         self: &Arc<Self>,
-        flag: fn(&Self) -> &AtomicBool,
+        slot: fn(&Self) -> &Mutex<Option<JoinHandle<()>>>,
         what: &'static str,
         job: fn(&Self) -> Result<u64>,
     ) {
-        if flag(self)
-            .compare_exchange(false, true, Ordering::AcqRel, Ordering::Acquire)
-            .is_err()
-        {
+        let mut slot = slot(self).lock().unwrap_or_else(|p| p.into_inner());
+        if slot.as_ref().is_some_and(|thread| !thread.is_finished()) {
             return;
         }
+        if let Some(done) = slot.take() {
+            let _ = done.join();
+        }
         let core = Arc::clone(self);
-        std::thread::spawn(move || {
-            let result = job(&core);
-            flag(&core).store(false, Ordering::Release);
-            if let Err(e) = result {
+        *slot = Some(std::thread::spawn(move || {
+            if let Err(e) = job(&core) {
                 eprintln!("mmdr: background {what} failed: {e}");
             }
-        });
+        }));
     }
 
     /// Kicks off a background merge when delta pressure crosses the
@@ -684,7 +684,7 @@ impl EngineCore {
             return;
         }
         let serving = self.serving();
-        let stats = serving.built.as_mutable().delta_stats();
+        let stats = serving.built.delta_stats();
         let pressure = (stats.rows + stats.tombstones) >= self.merge_threshold as u64;
         let live = serving.built.as_dyn().len() as u64;
         let delete_heavy = stats.tombstones >= TOMBSTONE_MERGE_FLOOR
@@ -776,7 +776,7 @@ impl EngineCore {
         let w = &mut *guard;
         let tail = &w.pending[folded_ops..];
         for record in tail {
-            apply_op(&folded, &record.op)?;
+            apply_op(&folded, &model, &record.op)?;
         }
         w.wal.rewrite(tail, model_epoch)?;
         w.pending.drain(..folded_ops);
@@ -806,7 +806,7 @@ impl EngineCore {
         };
         // The retired epoch only serves queries already pinned to it;
         // freeze its delta so a straggling writer bug cannot fork history.
-        retired.built.as_mutable().seal();
+        retired.built.seal();
         Ok(w.epoch_no)
     }
 
@@ -887,7 +887,7 @@ impl LiveIndex for IngestEngine {
             }
             let op = IngestOp::Delete { id };
             w.wal.append(&op).map_err(to_query_err)?;
-            let changed = self.core.serving().built.as_mutable().delete(id)?;
+            let changed = self.core.serving().built.delete(id)?;
             // Ids are never reused, so the attribute row can go now; a
             // replayed delete clears it again, harmlessly.
             self.core
@@ -908,7 +908,7 @@ impl LiveIndex for IngestEngine {
 
     fn ingest_stats(&self) -> IngestStats {
         let epoch = self.core.serving();
-        let delta = epoch.built.as_mutable().delta_stats();
+        let delta = epoch.built.delta_stats();
         let w = self.core.writer.lock().unwrap_or_else(|p| p.into_inner());
         IngestStats {
             epoch: w.epoch_no,
@@ -1041,7 +1041,7 @@ mod tests {
         extend_model(&mut model, &ops, built.ingest_beta()).unwrap();
         let fresh = build_index(backend, &union, &model, 128).unwrap();
         for &id in deletes {
-            let _ = fresh.as_mutable().delete(id).unwrap();
+            let _ = fresh.delete(id).unwrap();
         }
         fresh
     }
@@ -1137,6 +1137,81 @@ mod tests {
     }
 
     #[test]
+    fn a_rejected_insert_is_typed_and_leaves_no_trace() {
+        let data = dataset();
+        let model = model_for(&data);
+        let dir = tmp_dir("reject");
+        let path = dir.join("idx.mmdr");
+        let opts = IngestOptions {
+            merge_threshold: 0,
+            ..Default::default()
+        };
+        let engine =
+            IngestEngine::create(&path, Backend::Hybrid, &data, &model, 128, opts).unwrap();
+        engine.insert(&[0.4, 0.12, 0.0, 0.0]).unwrap();
+        let before = engine.ingest_stats();
+        for bad in [
+            vec![f64::NAN, 0.12, 0.0, 0.0],
+            vec![0.4, f64::INFINITY, 0.0, 0.0],
+            vec![0.4, 0.12, f64::NEG_INFINITY, 0.0],
+        ] {
+            let err = engine.insert(&bad).unwrap_err();
+            assert!(
+                matches!(err, mmdr_index::Error::InvalidQuery),
+                "{bad:?}: {err}"
+            );
+        }
+        let err = engine.insert(&[0.4, 0.12, 0.0]).unwrap_err();
+        assert!(
+            matches!(
+                err,
+                mmdr_index::Error::DimensionMismatch {
+                    expected: 4,
+                    actual: 3
+                }
+            ),
+            "{err}"
+        );
+        // Nothing reached the log, the allocator or the delta.
+        assert_eq!(engine.ingest_stats(), before);
+        let id = engine.insert(&[0.5, 0.15, 0.0, 0.0]).unwrap();
+        assert_eq!(id, before.next_id);
+        assert_eq!(engine.ingest_stats().next_id, before.next_id + 1);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_logged_non_finite_insert_fails_the_open_typed() {
+        let data = dataset();
+        let model = model_for(&data);
+        let dir = tmp_dir("nan-wal");
+        let path = dir.join("idx.mmdr");
+        let opts = IngestOptions {
+            merge_threshold: 0,
+            ..Default::default()
+        };
+        drop(
+            IngestEngine::create(&path, Backend::SeqScan, &data, &model, 128, opts.clone())
+                .unwrap(),
+        );
+        // A well-framed record the engine itself would never have logged.
+        let (mut wal, replay) = WalWriter::open(wal_path(&path)).unwrap();
+        assert!(replay.records.is_empty());
+        wal.append(&IngestOp::Insert {
+            id: data.rows() as u64,
+            vector: vec![0.4, f64::NAN, 0.0, 0.0],
+        })
+        .unwrap();
+        drop(wal);
+        let err = IngestEngine::open(&path, opts).unwrap_err();
+        assert!(
+            matches!(err, PersistError::Query(mmdr_index::Error::InvalidQuery)),
+            "{err}"
+        );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
     fn replay_on_open_restores_acknowledged_ops() {
         let data = dataset();
         let model = model_for(&data);
@@ -1207,14 +1282,9 @@ mod tests {
         for id in 0..240u64 {
             engine.delete(id * 3).unwrap();
         }
-        // The trigger is asynchronous: wait for the spawned merge.
-        for _ in 0..200 {
-            engine.quiesce();
-            if engine.ingest_stats().merges >= 1 {
-                break;
-            }
-            std::thread::sleep(std::time::Duration::from_millis(10));
-        }
+        // The trigger is asynchronous: quiesce joins the spawned merge,
+        // even one that has not yet taken the merge lock.
+        engine.quiesce();
         let stats = engine.ingest_stats();
         assert!(
             stats.merges >= 1,
@@ -1381,14 +1451,8 @@ mod tests {
             let t = i as f64 / 63.0;
             engine.insert(&[t, 0.3 * t, 0.085, 0.0]).unwrap();
         }
-        // The trigger is asynchronous: wait for the background thread.
-        for _ in 0..200 {
-            engine.quiesce();
-            if engine.ingest_stats().refits >= 1 {
-                break;
-            }
-            std::thread::sleep(std::time::Duration::from_millis(10));
-        }
+        // The trigger is asynchronous: quiesce joins the background thread.
+        engine.quiesce();
         assert!(
             engine.ingest_stats().refits >= 1,
             "drift crossed the threshold but no re-fit ran"

@@ -94,11 +94,6 @@ impl SnapshotLive {
             planner: Planner::new(),
         })
     }
-
-    /// The planner's decision counters.
-    pub fn planner_snapshot(&self) -> mmdr_query::PlannerSnapshot {
-        self.planner.counters().snapshot()
-    }
 }
 
 impl LiveIndex for SnapshotLive {
@@ -184,8 +179,8 @@ mod tests {
                 assert_eq!(hits.len(), 10);
             }
         }
-        let decided = live.planner_snapshot();
-        assert_eq!((decided.pushdown, decided.post_filter), (8, 8));
+        let [post_filter, pushdown, _] = live.planner_counts();
+        assert_eq!((pushdown, post_filter), (8, 8));
         assert_eq!(
             index.query_stats().page_reads,
             reads_before,

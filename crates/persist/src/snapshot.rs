@@ -534,11 +534,7 @@ fn restore(
         Backend::Hybrid => {
             let hm = get_hybrid_meta(&mut meta)?;
             expect_groups(&groups, 1)?;
-            let mut tree = restore_hybrid(hm, groups.pop().expect("one group"), opts)?;
-            // Hooks are code, not data: reinstall the restored-representation
-            // ingest prep the build path gave the tree.
-            mmdr_idistance::install_restored_prep(&mut tree, &model);
-            BuiltIndex::Hybrid(tree)
+            BuiltIndex::Hybrid(restore_hybrid(hm, groups.pop().expect("one group"), opts)?)
         }
         Backend::Gldr => {
             let dim = meta.get_usize()?;

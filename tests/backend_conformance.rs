@@ -220,8 +220,7 @@ fn scratch_sequence(
     };
     ask_all();
     for i in 0..inserted {
-        a.as_mutable()
-            .insert((n + i) as u64, other.data.row(i))
+        a.insert(&fx.model, (n + i) as u64, other.data.row(i))
             .expect("delta insert");
     }
     ask_all();
@@ -330,12 +329,11 @@ fn a_knn_answer_is_the_prefix_of_the_range_answer_at_its_kth_distance() {
                 for i in 0..inserted {
                     let near: Vec<f64> = fx.data.row(i * 7).iter().map(|x| x + 0.01).collect();
                     built
-                        .as_mutable()
-                        .insert((n + i) as u64, &near)
+                        .insert(&fx.model, (n + i) as u64, &near)
                         .expect("delta insert");
                 }
                 for id in (0..(n + inserted) as u64).step_by(17) {
-                    assert!(built.as_mutable().delete(id).expect("delta delete"));
+                    assert!(built.delete(id).expect("delta delete"));
                 }
             }
             for filter in [None, Some(&two_thirds)] {

@@ -109,7 +109,7 @@ fn reference(backend: Backend, data: &Matrix, inserts: &[Vec<f64>], deletes: &[u
     extend_model(&mut model, &ops, built.ingest_beta()).unwrap();
     let fresh = build_index(backend, &union, &model, 128).unwrap();
     for &id in deletes {
-        let _ = fresh.as_mutable().delete(id).unwrap();
+        let _ = fresh.delete(id).unwrap();
     }
     fresh
 }
@@ -168,19 +168,14 @@ fn live_sequence_matches_fresh_build_over_union() {
             }
         }
         assert!(engine.delete(deletes[2]).unwrap(), "delete an inserted row");
-        // quiesce() waits for an in-flight merge; the spawn itself may
-        // still be between the CAS and the merge lock, so poll the counter.
-        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(30);
-        while engine.ingest_stats().merges < 1 {
-            assert!(
-                std::time::Instant::now() < deadline,
-                "{}: background merge never landed",
-                backend.name()
-            );
-            engine.quiesce();
-            std::thread::yield_now();
-        }
+        // quiesce() joins the merge the inserts spawned.
+        engine.quiesce();
         let stats = engine.ingest_stats();
+        assert!(
+            stats.merges >= 1,
+            "{}: background merge never landed",
+            backend.name()
+        );
         assert!(
             stats.epoch >= 1,
             "{}: epoch must have swapped",
@@ -287,18 +282,12 @@ fn concurrent_readers_never_observe_torn_epochs() {
         for v in &inserts {
             engine.insert(v).unwrap();
         }
-        // quiesce() waits for an in-flight merge, but the spawn itself may
-        // still be between the CAS and the merge lock — poll until the
-        // counter shows the swap landed.
-        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(30);
-        while engine.ingest_stats().merges < 1 {
-            assert!(
-                std::time::Instant::now() < deadline,
-                "background merge never landed"
-            );
-            engine.quiesce();
-            std::thread::yield_now();
-        }
+        // quiesce() joins the merge the inserts spawned.
+        engine.quiesce();
+        assert!(
+            engine.ingest_stats().merges >= 1,
+            "background merge never landed"
+        );
         stop.store(true, Ordering::Release);
         let mut total = 0;
         let mut observed_epoch = 0;
@@ -594,17 +583,13 @@ fn drifted_stream_without_refit_stays_exact() {
         for &id in &deletes {
             assert!(engine.delete(id).unwrap());
         }
-        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(30);
-        while engine.ingest_stats().merges < 1 {
-            assert!(
-                std::time::Instant::now() < deadline,
-                "{}: background merge never landed",
-                backend.name()
-            );
-            engine.quiesce();
-            std::thread::yield_now();
-        }
+        engine.quiesce();
         let stats = engine.ingest_stats();
+        assert!(
+            stats.merges >= 1,
+            "{}: background merge never landed",
+            backend.name()
+        );
         assert_eq!(stats.refits, 0, "refits stay disabled");
         assert_eq!(stats.model_epoch, 0, "model never re-fit");
 
