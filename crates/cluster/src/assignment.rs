@@ -38,12 +38,6 @@ pub struct Clustering {
 }
 
 impl Clustering {
-    /// Number of clusters (including empty ones, which the engines prune —
-    /// present for defensive iteration).
-    pub fn num_clusters(&self) -> usize {
-        self.clusters.len()
-    }
-
     /// Checks the internal consistency of the clustering: every point is
     /// assigned to an existing cluster and membership lists mirror the
     /// assignment vector. Used by tests and `debug_assert!`s.
@@ -82,7 +76,6 @@ mod tests {
             ],
         };
         assert!(c.is_consistent());
-        assert_eq!(c.num_clusters(), 2);
         assert_eq!(c.clusters[0].len(), 2);
         assert!(!c.clusters[0].is_empty());
     }

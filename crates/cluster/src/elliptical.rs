@@ -25,10 +25,15 @@
 
 use crate::assignment::{Cluster, Clustering};
 use crate::error::{Error, Result};
-use crate::mahalanobis::COVARIANCE_RIDGE;
 use mmdr_linalg::{map_ranges, Cholesky, Matrix, ParConfig};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+
+/// Ridge added (scaled by matrix magnitude) before factorizing cluster
+/// covariances. Degenerate clusters — fewer members than dimensions, or
+/// exactly coplanar members — are routine during the early iterations of
+/// elliptical k-means, so regularization is unconditional.
+const COVARIANCE_RIDGE: f64 = 1e-6;
 
 /// Configuration for [`EllipticalKMeans`].
 #[derive(Debug, Clone)]

@@ -26,12 +26,10 @@ mod assignment;
 mod elliptical;
 mod error;
 mod kmeans;
-mod mahalanobis;
 mod streaming;
 
 pub use assignment::{Cluster, Clustering};
 pub use elliptical::{EllipticalConfig, EllipticalKMeans, EllipticalResult};
 pub use error::{Error, Result};
 pub use kmeans::{kmeans, KMeansConfig, KMeansResult};
-pub use mahalanobis::MahalanobisModel;
 pub use streaming::{stream_cluster, stream_len, StreamConfig, StreamResult, WeightedPoints};

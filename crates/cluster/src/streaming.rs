@@ -49,8 +49,7 @@ pub struct WeightedPoints {
 #[derive(Debug, Clone)]
 pub struct StreamResult {
     /// Final clustering of the Ellipsoid Array. `assignments` index the
-    /// array rows, not the original points; use
-    /// [`StreamResult::assign_original`] to map raw points to clusters.
+    /// array rows, not the original points.
     pub clustering: Clustering,
     /// The Ellipsoid Array that was clustered.
     pub ellipsoid_array: WeightedPoints,
@@ -58,23 +57,6 @@ pub struct StreamResult {
     pub streams: usize,
     /// Total Mahalanobis evaluations across all passes.
     pub distance_computations: u64,
-}
-
-impl StreamResult {
-    /// Maps an original point to its final cluster by nearest final
-    /// centroid (Euclidean, which suffices for membership lookup).
-    pub fn assign_original(&self, point: &[f64]) -> usize {
-        let mut best = 0;
-        let mut best_d = f64::INFINITY;
-        for (c, cl) in self.clustering.clusters.iter().enumerate() {
-            let d = mmdr_linalg::l2_dist_sq(point, &cl.centroid);
-            if d < best_d {
-                best_d = d;
-                best = c;
-            }
-        }
-        best
-    }
 }
 
 /// The paper's stream-sizing rule, shared by every fit stage that reads
@@ -191,24 +173,6 @@ mod tests {
                 .fold(f64::INFINITY, f64::min);
             assert!(nearest < 3.0, "centroid {:?} off by {nearest}", cl.centroid);
         }
-    }
-
-    #[test]
-    fn assign_original_maps_to_nearby_cluster() {
-        let data = three_blobs(60);
-        let config = StreamConfig {
-            epsilon: 0.2,
-            elliptical: EllipticalConfig {
-                k: 3,
-                seed: 2,
-                ..Default::default()
-            },
-            per_stream_k: Some(3),
-        };
-        let r = stream_cluster(&data, &config).unwrap();
-        let c = r.assign_original(&[49.0, 1.0]);
-        let centroid = &r.clustering.clusters[c].centroid;
-        assert!(mmdr_linalg::l2_dist(centroid, &[50.0, 0.0]) < 3.0);
     }
 
     #[test]

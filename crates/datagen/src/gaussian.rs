@@ -32,11 +32,6 @@ impl Gaussian {
         self.spare = Some(r * theta.sin());
         r * theta.cos()
     }
-
-    /// Draws a normal with the given mean and standard deviation.
-    pub fn sample_with<R: Rng + ?Sized>(&mut self, rng: &mut R, mean: f64, std_dev: f64) -> f64 {
-        mean + std_dev * self.sample(rng)
-    }
 }
 
 #[cfg(test)]
@@ -55,16 +50,6 @@ mod tests {
         let var = samples.iter().map(|x| (x - mean) * (x - mean)).sum::<f64>() / n as f64;
         assert!(mean.abs() < 0.02, "mean {mean}");
         assert!((var - 1.0).abs() < 0.03, "var {var}");
-    }
-
-    #[test]
-    fn sample_with_shifts_and_scales() {
-        let mut rng = StdRng::seed_from_u64(2);
-        let mut g = Gaussian::new();
-        let n = 20_000;
-        let samples: Vec<f64> = (0..n).map(|_| g.sample_with(&mut rng, 5.0, 0.5)).collect();
-        let mean = samples.iter().sum::<f64>() / n as f64;
-        assert!((mean - 5.0).abs() < 0.02, "mean {mean}");
     }
 
     #[test]

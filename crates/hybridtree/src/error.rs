@@ -18,23 +18,12 @@ pub enum Error {
         /// Number of record ids supplied.
         rids: usize,
     },
-    /// A query has the wrong dimensionality.
-    DimensionMismatch {
-        /// The tree's dimensionality.
-        expected: usize,
-        /// The query's.
-        actual: usize,
-    },
     /// The dimensionality is zero or too large for a single leaf entry to
     /// fit a page.
     UnsupportedDimensionality {
         /// The offending dimensionality.
         dim: usize,
     },
-    /// Queries must use finite coordinates.
-    InvalidQuery,
-    /// Range-search radii must be finite and non-negative.
-    InvalidRadius,
     /// Internal invariant violation (bug surfaced safely).
     Corrupt(&'static str),
 }
@@ -46,14 +35,9 @@ impl fmt::Display for Error {
             Error::InputMismatch { points, rids } => {
                 write!(f, "{points} points but {rids} record ids")
             }
-            Error::DimensionMismatch { expected, actual } => {
-                write!(f, "dimension mismatch: expected {expected}, got {actual}")
-            }
             Error::UnsupportedDimensionality { dim } => {
                 write!(f, "dimensionality {dim} is unsupported (must fit a page)")
             }
-            Error::InvalidQuery => write!(f, "query coordinates must be finite"),
-            Error::InvalidRadius => write!(f, "radius must be finite and non-negative"),
             Error::Corrupt(msg) => write!(f, "tree invariant violated: {msg}"),
         }
     }
@@ -83,17 +67,9 @@ mod tests {
         assert!(Error::InputMismatch { points: 3, rids: 2 }
             .to_string()
             .contains("3"));
-        assert!(Error::DimensionMismatch {
-            expected: 32,
-            actual: 31
-        }
-        .to_string()
-        .contains("expected 32, got 31"));
         assert!(Error::UnsupportedDimensionality { dim: 600 }
             .to_string()
             .contains("600"));
-        assert!(!Error::InvalidQuery.to_string().is_empty());
-        assert!(Error::InvalidRadius.to_string().contains("radius"));
         assert!(Error::Corrupt("x").to_string().contains('x'));
         assert!(Error::from(mmdr_storage::Error::ZeroCapacity)
             .to_string()

@@ -6,14 +6,7 @@ use mmdr_storage::PoolStats;
 
 impl From<crate::Error> for mmdr_index::Error {
     fn from(e: crate::Error) -> Self {
-        match e {
-            crate::Error::DimensionMismatch { expected, actual } => {
-                mmdr_index::Error::DimensionMismatch { expected, actual }
-            }
-            crate::Error::InvalidQuery => mmdr_index::Error::InvalidQuery,
-            crate::Error::InvalidRadius => mmdr_index::Error::InvalidRadius,
-            other => mmdr_index::Error::backend(other),
-        }
+        mmdr_index::Error::backend(e)
     }
 }
 
@@ -30,7 +23,7 @@ impl VectorIndex for HybridTree {
         HybridTree::dim(self)
     }
 
-    fn search(&self, q: &Query<'_>, _: &mut Scratch) -> mmdr_index::Result<Vec<(f64, u64)>> {
+    fn answer(&self, q: &Query<'_>, _: &mut Scratch) -> mmdr_index::Result<Vec<(f64, u64)>> {
         Ok(self.search_gated(q.vector, q.target, None, q.filter)?)
     }
 

@@ -1,6 +1,6 @@
 //! Best-first KNN and range search over the hybrid tree.
 
-use crate::error::{Error, Result};
+use crate::error::Result;
 use crate::node::{count, is_leaf, Internal, Leaf};
 use crate::tree::HybridTree;
 use mmdr_index::{KnnHeap, SearchFilter, Target};
@@ -58,6 +58,12 @@ impl HybridTree {
     /// [`SearchFilter`] whose failing rows never enter the answer
     /// (the pushdown contract — results are bit-identical to
     /// post-filtering the ungated ranking).
+    ///
+    /// The query must be one [`mmdr_index::Query::validate`] accepts for
+    /// this tree's dimensionality: the tree's own `search` checks it, and
+    /// gLDR passes each cluster tree the query it checked, projected. An
+    /// empty tree answers without fetching its root, for gLDR asks its
+    /// cluster trees whether they hold rows or not.
     pub fn search_gated(
         &self,
         query: &[f64],
@@ -65,19 +71,7 @@ impl HybridTree {
         skip: Option<&HashSet<u64>>,
         filter: Option<&SearchFilter>,
     ) -> Result<Vec<(f64, u64)>> {
-        if query.len() != self.dim {
-            return Err(Error::DimensionMismatch {
-                expected: self.dim,
-                actual: query.len(),
-            });
-        }
-        if query.iter().any(|c| !c.is_finite()) {
-            return Err(Error::InvalidQuery);
-        }
-        if matches!(target, Target::Range(r) if !(r >= 0.0 && r.is_finite())) {
-            return Err(Error::InvalidRadius);
-        }
-        if target == Target::Knn(0) || self.is_empty() {
+        if self.is_empty() {
             return Ok(Vec::new());
         }
         let tombs = self.delta.tombstones();

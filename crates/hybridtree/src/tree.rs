@@ -1,14 +1,14 @@
 //! Bulk construction of the hybrid tree.
 
 use crate::error::{Error, Result};
-use crate::node::{count, internal_capacity, is_leaf, leaf_capacity, Internal, Leaf};
+use crate::node::{count, is_leaf, leaf_capacity, Internal, Leaf};
 use mmdr_index::{DeltaLayer, SearchCounters};
 use mmdr_linalg::Matrix;
 use mmdr_storage::{BufferPool, PageId};
 
-/// Default internal fanout. The original Hybrid tree packs binary kd splits
-/// into pages; a modest multiway fanout per page is the equivalent packed
-/// form.
+/// Most children an internal node gets. The original Hybrid tree packs
+/// binary kd splits into pages; a modest multiway fanout per page is the
+/// equivalent packed form.
 pub const DEFAULT_FANOUT: usize = 16;
 
 /// A bulk-loaded, paged kd-style multidimensional index.
@@ -26,19 +26,9 @@ pub struct HybridTree {
 }
 
 impl HybridTree {
-    /// Builds a tree over `points` (rows) tagged with `rids`, using the
-    /// default fanout.
-    pub fn bulk_load(pool: BufferPool, points: &Matrix, rids: &[u64]) -> Result<Self> {
-        Self::bulk_load_with_fanout(pool, points, rids, DEFAULT_FANOUT)
-    }
-
-    /// Builds a tree with an explicit internal fanout (≥ 2).
-    pub fn bulk_load_with_fanout(
-        mut pool: BufferPool,
-        points: &Matrix,
-        rids: &[u64],
-        fanout: usize,
-    ) -> Result<Self> {
+    /// Builds a tree over `points` (rows) tagged with `rids`, with at most
+    /// [`DEFAULT_FANOUT`] children to an internal node.
+    pub fn bulk_load(mut pool: BufferPool, points: &Matrix, rids: &[u64]) -> Result<Self> {
         let dim = points.cols();
         if points.rows() != rids.len() {
             return Err(Error::InputMismatch {
@@ -49,7 +39,6 @@ impl HybridTree {
         if dim == 0 || leaf_capacity(dim) == 0 {
             return Err(Error::UnsupportedDimensionality { dim });
         }
-        let fanout = fanout.clamp(2, internal_capacity());
         let mut order: Vec<usize> = (0..points.rows()).collect();
         let mut height = 0;
         let root = if order.is_empty() {
@@ -59,16 +48,7 @@ impl HybridTree {
             height = 1;
             id
         } else {
-            build(
-                &mut pool,
-                points,
-                rids,
-                &mut order[..],
-                fanout,
-                dim,
-                1,
-                &mut height,
-            )?
+            build(&mut pool, points, rids, &mut order[..], dim, 1, &mut height)?
         };
         Ok(Self {
             pool,
@@ -193,13 +173,11 @@ impl HybridTree {
 
 /// Recursively builds the subtree over `order` (indices into `points`),
 /// returning its root page.
-#[allow(clippy::too_many_arguments)]
 fn build(
     pool: &mut BufferPool,
     points: &Matrix,
     rids: &[u64],
     order: &mut [usize],
-    fanout: usize,
     dim: usize,
     level: usize,
     height: &mut usize,
@@ -228,7 +206,7 @@ fn build(
     });
     // Number of children: enough that each child can eventually fit, capped
     // by fanout.
-    let n_children = fanout.min(order.len().div_ceil(cap)).max(2);
+    let n_children = DEFAULT_FANOUT.min(order.len().div_ceil(cap)).max(2);
     let chunk = order.len().div_ceil(n_children);
     let mut boundaries = Vec::with_capacity(n_children - 1);
     let mut children = Vec::with_capacity(n_children);
@@ -241,7 +219,7 @@ fn build(
         // Recurse on the chunk; split_unstable borrows disjoint ranges.
         let child = {
             let sub = &mut order[start..end];
-            build(pool, points, rids, sub, fanout, dim, level + 1, height)?
+            build(pool, points, rids, sub, dim, level + 1, height)?
         };
         children.push(child);
         start = end;

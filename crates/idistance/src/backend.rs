@@ -7,7 +7,7 @@
 //! binaries and the CLI's `--backend` flag both go through this factory.
 
 use crate::error::Result;
-use crate::layout::{build_index, data_rows, partition_ids, PartitionRows};
+use crate::layout::{build_index, partition_ids, PartitionRows};
 use mmdr_core::ReductionResult;
 use mmdr_hybridtree::HybridTree;
 use mmdr_index::VectorIndex;
@@ -85,21 +85,10 @@ pub fn build_backend(
     Ok(build_index(backend, data, model, buffer_pages)?.into_boxed())
 }
 
-/// Builds the `hybrid` backend's tree: the restored representations
-/// `restore(project(P))` indexed at original dimensionality, so the tree's
-/// plain L2 metric coincides with the reduced-representation distance the
-/// other backends compute piecewise.
-pub fn build_restored_hybrid(
-    data: &Matrix,
-    model: &ReductionResult,
-    buffer_pages: usize,
-) -> Result<HybridTree> {
-    let rows = &mut data_rows(Backend::Hybrid, data, model)?;
-    load_hybrid(model, buffer_pages, rows)
-}
-
 /// The one writer of the `hybrid` backend's stored form (see
-/// [`crate::layout`]): every partition's restored rows in one tree.
+/// [`crate::layout`]): every partition's restored rows `restore(project(P))`
+/// in one tree at original dimensionality, whose plain L2 metric is the
+/// reduced-representation distance the other backends compute piecewise.
 pub(crate) fn load_hybrid(
     model: &ReductionResult,
     buffer_pages: usize,

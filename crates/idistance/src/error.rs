@@ -20,24 +20,18 @@ pub enum Error {
     Linalg(mmdr_linalg::Error),
     /// A reduction-model operation failed.
     Core(mmdr_core::Error),
-    /// A query's dimensionality does not match the index.
+    /// The data an index is built over does not have the model's
+    /// dimensionality.
     DimensionMismatch {
-        /// Dimensionality the index was built for.
+        /// Dimensionality of the model.
         expected: usize,
-        /// Dimensionality of the query.
+        /// Dimensionality of the data.
         actual: usize,
     },
-    /// Query coordinates must be finite.
-    InvalidQuery,
-    /// Range-search radii must be finite and non-negative.
-    InvalidRadius,
     /// A record id does not resolve to a heap record.
     BadRecordId(u64),
     /// A configuration field is out of range.
     InvalidConfig(&'static str),
-    /// A new point could not be inserted (e.g. index built without the
-    /// original reduction model).
-    InsertUnsupported(&'static str),
 }
 
 impl fmt::Display for Error {
@@ -50,13 +44,10 @@ impl fmt::Display for Error {
             Error::Linalg(e) => write!(f, "linear algebra failure: {e}"),
             Error::Core(e) => write!(f, "reduction model failure: {e}"),
             Error::DimensionMismatch { expected, actual } => {
-                write!(f, "query has dimension {actual}, index expects {expected}")
+                write!(f, "data has dimension {actual}, model expects {expected}")
             }
-            Error::InvalidQuery => write!(f, "query coordinates must be finite"),
-            Error::InvalidRadius => write!(f, "radius must be finite and non-negative"),
             Error::BadRecordId(rid) => write!(f, "record id {rid} does not exist"),
             Error::InvalidConfig(msg) => write!(f, "invalid configuration: {msg}"),
-            Error::InsertUnsupported(msg) => write!(f, "insert unsupported: {msg}"),
         }
     }
 }
@@ -116,7 +107,7 @@ mod tests {
         let cases: Vec<Error> = vec![
             Error::from(mmdr_storage::Error::ZeroCapacity),
             Error::from(mmdr_btree::Error::InvalidKey),
-            Error::from(mmdr_hybridtree::Error::InvalidQuery),
+            Error::from(mmdr_hybridtree::Error::Corrupt("x")),
             Error::from(mmdr_pca::Error::EmptyDataset),
             Error::from(mmdr_linalg::Error::Singular),
             Error::from(mmdr_core::Error::EmptyDataset),
@@ -132,9 +123,7 @@ mod tests {
         .to_string()
         .contains("3"));
         assert!(Error::BadRecordId(9).to_string().contains('9'));
-        assert!(Error::InvalidQuery.source().is_none());
-        assert!(Error::InvalidRadius.to_string().contains("radius"));
+        assert!(Error::BadRecordId(9).source().is_none());
         assert!(Error::InvalidConfig("x").to_string().contains('x'));
-        assert!(Error::InsertUnsupported("y").to_string().contains('y'));
     }
 }

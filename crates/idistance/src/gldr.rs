@@ -4,7 +4,7 @@
 
 use crate::backend::Backend;
 use crate::error::{Error, Result};
-use crate::knn::{check_query, query_geometry};
+use crate::knn::query_geometry;
 use crate::layout::{data_rows, partition_ids, PartitionRows};
 use mmdr_core::ReductionResult;
 use mmdr_hybridtree::HybridTree;
@@ -234,10 +234,6 @@ impl GlobalLdrIndex {
         target: Target,
         filter: Option<&SearchFilter>,
     ) -> Result<Vec<(f64, u64)>> {
-        check_query(self.dim, query, target)?;
-        if target == Target::Knn(0) || self.is_empty() {
-            return Ok(Vec::new());
-        }
         let probes = self.cluster_probes(query)?;
         let tombs = self.delta.tombstones();
         let mut best = KnnHeap::for_target(target);

@@ -3,12 +3,11 @@
 use crate::backend::Backend;
 use crate::codes::Codebook;
 use crate::error::{Error, Result};
-use crate::knn::validate_vector;
 use crate::layout::{data_rows, partition_ids, KeySpace, PartitionRows};
 use crate::vector_heap::VectorHeap;
 use mmdr_btree::BPlusTree;
 use mmdr_core::{EllipsoidCluster, ReductionResult};
-use mmdr_index::{DeltaLayer, SearchCounters};
+use mmdr_index::{validate_vector, DeltaLayer, SearchCounters};
 use mmdr_linalg::Matrix;
 use mmdr_pca::ReducedSubspace;
 use mmdr_storage::{BufferPool, DiskManager};
@@ -323,13 +322,13 @@ impl IDistanceIndex {
     /// invariant. (A delta row, placed by [`crate::BuiltIndex::insert`],
     /// needs no such fallback: it lives outside the B⁺-tree, and the
     /// background merge recomputes `c` so every folded key fits its slot.)
-    pub fn insert(&mut self, point: &[f64], point_id: u64) -> Result<()> {
+    pub fn insert(&mut self, point: &[f64], point_id: u64) -> mmdr_index::Result<()> {
         validate_vector(self.dim, point)?;
         // Assignment: nearest subspace within β, else outlier.
         let clusters = self.partitions.iter().filter_map(|p| p.subspace.as_ref());
-        let routed = match ReducedSubspace::nearest(clusters, point)? {
+        let routed = match ReducedSubspace::nearest(clusters, point).map_err(Error::from)? {
             Some((i, subspace, d)) if d <= self.config.beta => {
-                let local = subspace.project(point)?;
+                let local = subspace.project(point).map_err(Error::from)?;
                 let dist = mmdr_linalg::l2_norm(&local);
                 (dist < self.c).then_some((i, dist, local))
             }
@@ -346,7 +345,7 @@ impl IDistanceIndex {
         let part = &mut self.partitions[part_idx];
         // The outer cells are unbounded: wherever the point lies, it has one.
         let code = part.codebook.as_ref().map_or(0, |book| book.encode(&local));
-        self.tree.insert(key, rid, code)?;
+        self.tree.insert(key, rid, code).map_err(Error::from)?;
         part.min_radius = part.min_radius.min(dist);
         part.max_radius = part.max_radius.max(dist);
         part.count += 1;

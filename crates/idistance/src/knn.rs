@@ -3,7 +3,7 @@
 //! query is the single iteration whose sphere is given.
 
 use crate::codes::Codebook;
-use crate::error::{Error, Result};
+use crate::error::Result;
 use crate::index::IDistanceIndex;
 use crate::vector_heap::{HeapPage, VectorHeap, TOMBSTONE};
 use mmdr_btree::Cursor;
@@ -11,33 +11,6 @@ use mmdr_index::{KnnHeap, Scratch, SearchFilter, Target};
 use mmdr_pca::ReducedSubspace;
 use std::collections::HashSet;
 use std::ops::Range;
-
-/// The one input check on a vector, queried or ingested: `dim` wide and
-/// finite throughout.
-pub fn validate_vector(dim: usize, vector: &[f64]) -> Result<()> {
-    if vector.len() != dim {
-        return Err(Error::DimensionMismatch {
-            expected: dim,
-            actual: vector.len(),
-        });
-    }
-    if vector.iter().any(|x| !x.is_finite()) {
-        return Err(Error::InvalidQuery);
-    }
-    Ok(())
-}
-
-/// Validates a query the way every scheme in this crate does: the vector
-/// as an ingested one is, a range's radius finite and non-negative.
-pub(crate) fn check_query(dim: usize, query: &[f64], target: Target) -> Result<()> {
-    validate_vector(dim, query)?;
-    match target {
-        Target::Range(radius) if !(radius >= 0.0 && radius.is_finite()) => {
-            Err(Error::InvalidRadius)
-        }
-        _ => Ok(()),
-    }
-}
 
 /// The query as one partition sees it: its local coordinates in the
 /// partition's axis system, appended to `locals`, and its squared distance
@@ -249,6 +222,8 @@ impl IDistanceIndex {
     /// and their distance is never evaluated; partitions the filter's
     /// sketch hints prove dead are never cursor-walked. Delta rows are
     /// gated per-row by the bitmap only (sketches cover merged base rows).
+    ///
+    /// The query is one [`mmdr_index::VectorIndex::search`] let through.
     pub(crate) fn search_impl(
         &self,
         query: &[f64],
@@ -256,11 +231,6 @@ impl IDistanceIndex {
         filter: Option<&SearchFilter>,
         scratch: &mut Scratch,
     ) -> Result<Vec<(f64, u64)>> {
-        check_query(self.dim, query, target)?;
-        if target == Target::Knn(0) || self.is_empty() {
-            return Ok(Vec::new());
-        }
-
         // Partition `i` is cluster `i` in build order; the last
         // (subspace-less) partition holds the outliers. An empty partition,
         // or one the filter's sketch proves dead, gets no PartitionSearch,
@@ -737,13 +707,6 @@ mod tests {
         assert!(index.range_search(&[0.0], 1.0).is_err());
         assert!(index.range_search(&[0.0; 4], f64::NAN).is_err());
         assert!(index.range_search(&[0.0; 4], -1.0).is_err());
-    }
-
-    #[test]
-    fn validate_vector_rejects_bad_input() {
-        assert!(super::validate_vector(3, &[0.0, 1.0]).is_err());
-        assert!(super::validate_vector(2, &[f64::NAN, 0.0]).is_err());
-        assert!(super::validate_vector(2, &[0.0, 1.0]).is_ok());
     }
 
     #[test]

@@ -29,11 +29,10 @@ use crate::backend::{load_hybrid, Backend};
 use crate::error::{Error, Result};
 use crate::gldr::GlobalLdrIndex;
 use crate::index::{IDistanceConfig, IDistanceIndex};
-use crate::knn::validate_vector;
 use crate::seqscan::SeqScan;
 use mmdr_core::{PointAssignment, ReductionResult};
 use mmdr_hybridtree::HybridTree;
-use mmdr_index::{DeltaLayer, DeltaStats, VectorIndex};
+use mmdr_index::{validate_vector, DeltaLayer, DeltaStats, VectorIndex};
 use mmdr_linalg::Matrix;
 use mmdr_pca::ReducedSubspace;
 use std::collections::{BTreeMap, HashMap};

@@ -50,12 +50,11 @@ mod seqscan;
 mod vector_heap;
 mod vector_index;
 
-pub use backend::{build_backend, build_restored_hybrid, Backend};
+pub use backend::{build_backend, Backend};
 pub use codes::Codebook;
 pub use error::{Error, Result};
 pub use gldr::GlobalLdrIndex;
 pub use index::{IDistanceConfig, IDistanceIndex, PartitionInfo};
-pub use knn::validate_vector;
 pub use layout::{
     build_index, load, load_exact, restored_rows, stored_rows, BuiltIndex, KeySpace, Row,
 };

@@ -4,11 +4,11 @@
 
 use crate::backend::Backend;
 use crate::error::{Error, Result};
-use crate::knn::{check_query, query_geometry};
+use crate::knn::query_geometry;
 use crate::layout::{data_rows, partition_ids, PartitionRows};
 use crate::vector_heap::VectorHeap;
 use mmdr_core::ReductionResult;
-use mmdr_index::{DeltaLayer, KnnHeap, SearchCounters, SearchFilter, Target};
+use mmdr_index::{DeltaLayer, KnnHeap, SearchCounters, SearchFilter};
 use mmdr_linalg::Matrix;
 use mmdr_pca::ReducedSubspace;
 use mmdr_storage::{BufferPool, DiskManager};
@@ -118,10 +118,6 @@ impl SeqScan {
         k: usize,
         filter: Option<&SearchFilter>,
     ) -> Result<Vec<(f64, u64)>> {
-        check_query(self.dim, query, Target::Knn(k))?;
-        if k == 0 || self.is_empty() {
-            return Ok(Vec::new());
-        }
         let q_locals = self
             .subspaces
             .iter()
@@ -169,7 +165,6 @@ impl SeqScan {
         radius: f64,
         filter: Option<&SearchFilter>,
     ) -> Result<Vec<(f64, u64)>> {
-        check_query(self.dim, query, Target::Range(radius))?;
         let mut hits = self.knn_impl(query, self.len(), filter)?;
         hits.retain(|&(d, _)| d <= radius + 1e-12);
         Ok(hits)

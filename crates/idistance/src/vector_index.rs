@@ -9,14 +9,7 @@ use mmdr_storage::PoolStats;
 
 impl From<crate::Error> for mmdr_index::Error {
     fn from(e: crate::Error) -> Self {
-        match e {
-            crate::Error::DimensionMismatch { expected, actual } => {
-                mmdr_index::Error::DimensionMismatch { expected, actual }
-            }
-            crate::Error::InvalidQuery => mmdr_index::Error::InvalidQuery,
-            crate::Error::InvalidRadius => mmdr_index::Error::InvalidRadius,
-            other => mmdr_index::Error::backend(other),
-        }
+        mmdr_index::Error::backend(e)
     }
 }
 
@@ -33,7 +26,7 @@ impl VectorIndex for IDistanceIndex {
         IDistanceIndex::dim(self)
     }
 
-    fn search(&self, q: &Query<'_>, scratch: &mut Scratch) -> mmdr_index::Result<Vec<(f64, u64)>> {
+    fn answer(&self, q: &Query<'_>, scratch: &mut Scratch) -> mmdr_index::Result<Vec<(f64, u64)>> {
         Ok(self.search_impl(q.vector, q.target, q.filter, scratch)?)
     }
 
@@ -59,7 +52,7 @@ impl VectorIndex for SeqScan {
         SeqScan::dim(self)
     }
 
-    fn search(&self, q: &Query<'_>, _: &mut Scratch) -> mmdr_index::Result<Vec<(f64, u64)>> {
+    fn answer(&self, q: &Query<'_>, _: &mut Scratch) -> mmdr_index::Result<Vec<(f64, u64)>> {
         Ok(match q.target {
             Target::Knn(k) => self.knn_impl(q.vector, k, q.filter),
             Target::Range(radius) => self.range_impl(q.vector, radius, q.filter),
@@ -88,7 +81,7 @@ impl VectorIndex for GlobalLdrIndex {
         GlobalLdrIndex::dim(self)
     }
 
-    fn search(&self, q: &Query<'_>, _: &mut Scratch) -> mmdr_index::Result<Vec<(f64, u64)>> {
+    fn answer(&self, q: &Query<'_>, _: &mut Scratch) -> mmdr_index::Result<Vec<(f64, u64)>> {
         Ok(self.search_impl(q.vector, q.target, q.filter)?)
     }
 

@@ -6,7 +6,7 @@ use std::fmt;
 pub type Result<T> = std::result::Result<T, Error>;
 
 /// Errors a [`crate::VectorIndex`] query can produce. The first variants
-/// are the validation failures every backend shares; anything
+/// are the validation failures of [`crate::Query::validate`]; anything
 /// backend-specific (storage, tree corruption, …) travels in
 /// [`Error::Backend`] with its source preserved.
 #[derive(Debug)]

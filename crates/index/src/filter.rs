@@ -117,16 +117,6 @@ impl RowFilter {
             *word &= verdicts;
         }
     }
-
-    /// Iterates the passing ids in ascending order.
-    pub fn iter_ids(&self) -> impl Iterator<Item = u64> + '_ {
-        self.words.iter().enumerate().flat_map(|(i, &w)| {
-            let base = i as u64 * 64;
-            (0..64u64)
-                .filter(move |b| w >> b & 1 == 1)
-                .map(move |b| base + b)
-        })
-    }
 }
 
 /// A compiled filter handed to backend search loops: the per-row bitmap plus
@@ -214,9 +204,10 @@ mod tests {
 
     #[test]
     fn from_fn_iter_and_and_where() {
+        let passing = |f: &RowFilter| (0..128).filter(|&id| f.passes(id)).collect::<Vec<u64>>();
         let evens = RowFilter::from_fn(100, |id| id % 2 == 0);
         assert_eq!(evens.count(), 50);
-        let ids: Vec<u64> = evens.iter_ids().collect();
+        let ids = passing(&evens);
         assert_eq!(ids[..3], [0, 2, 4]);
         assert_eq!(ids.len(), 50);
 
@@ -224,7 +215,7 @@ mod tests {
         let column: Vec<u64> = (0..70).collect();
         let mut both = evens.clone();
         both.and_where(&column, |v| v % 3 == 0);
-        let ids: Vec<u64> = both.iter_ids().collect();
+        let ids = passing(&both);
         assert_eq!(ids, (0..70).filter(|id| id % 6 == 0).collect::<Vec<u64>>());
         // A column longer than the bitmap sets nothing past its capacity.
         let column: Vec<u64> = (0..200).collect();

@@ -57,8 +57,9 @@ impl KnnHeap {
     /// has been offered: the `k` best for `Knn(k)`, everything within
     /// `radius + 1e-12` for `Range(radius)` — the boundary tolerance of
     /// every backend, so a row at the radius to the last bit is a hit
-    /// whichever order its distance was summed in. A range's radius is the
-    /// caller's to validate.
+    /// whichever order its distance was summed in. The radius is taken as
+    /// given: [`crate::VectorIndex::search`] has validated it
+    /// ([`crate::Query::validate`]).
     pub fn for_target(target: Target) -> Self {
         let (k, limit) = match target {
             Target::Knn(k) => (k, f64::INFINITY),

@@ -10,8 +10,10 @@
 //! - **One door.** [`VectorIndex::search`] answers a [`Query`] — k nearest
 //!   or everything within a radius ([`Target`]), filtered or not — through
 //!   `&self` and the caller's [`Scratch`], so one index can serve
-//!   concurrent workers. `knn`, `range_search` and `batch_knn` are names
-//!   for it.
+//!   concurrent workers. It checks the query once ([`Query::validate`])
+//!   and answers `k = 0` and an empty index itself, so a backend
+//!   implements only [`VectorIndex::answer`]. `knn`, `range_search` and
+//!   `batch_knn` are names for it.
 //! - **Deterministic answers.** `(distance, point_id)` ascending by
 //!   distance with ties broken toward the smaller point id (the
 //!   [`KnnHeap`] ordering), so two backends measuring the same metric
@@ -46,6 +48,6 @@ pub use mutable::{
     DeltaLayer, DeltaStats, DriftEstimator, IngestOp, IngestStats, LiveIndex, PinnedEpoch,
     ReadOnlyLive, MIN_DRIFT_SAMPLES,
 };
-pub use query::{Query, Scratch, Target};
+pub use query::{validate_vector, Query, Scratch, Target};
 pub use stats::{QueryStats, SearchCounters};
 pub use traits::{batch_queries, ShardStats, VectorIndex, QUERY_CHUNK};

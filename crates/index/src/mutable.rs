@@ -229,11 +229,6 @@ impl DriftEstimator {
         }
     }
 
-    /// Number of clusters tracked.
-    pub fn num_clusters(&self) -> usize {
-        self.baseline.len()
-    }
-
     /// Folds one routed insert's projection distance into cluster
     /// `cluster`'s streaming mean. Out-of-range clusters and non-finite
     /// distances are ignored (outliers never drift a cluster).
@@ -450,7 +445,6 @@ mod tests {
     #[test]
     fn drift_estimator_tracks_the_stream_mean() {
         let mut d = DriftEstimator::new(vec![0.01, 0.02], 0.05);
-        assert_eq!(d.num_clusters(), 2);
         assert_eq!(d.drift(), vec![0.0, 0.0], "no samples: no drift");
         for _ in 0..10 {
             d.record(0, 0.04);
@@ -498,7 +492,7 @@ mod tests {
             fn dim(&self) -> usize {
                 1
             }
-            fn search(&self, _: &Query<'_>, _: &mut Scratch) -> Result<Vec<(f64, u64)>> {
+            fn answer(&self, _: &Query<'_>, _: &mut Scratch) -> Result<Vec<(f64, u64)>> {
                 Ok(Vec::new())
             }
         }

@@ -16,11 +16,13 @@ pub const QUERY_CHUNK: usize = 8;
 ///
 /// # Contract
 ///
-/// - [`search`](VectorIndex::search) is the one method that answers a
-///   query. [`knn`](VectorIndex::knn),
+/// - [`search`](VectorIndex::search) is the door every query passes: it
+///   checks the query ([`Query::validate`]), answers `Knn(0)` and an empty
+///   index with nothing, and hands the rest to
+///   [`answer`](VectorIndex::answer), the one query method a backend
+///   implements. `search`, [`knn`](VectorIndex::knn),
 ///   [`range_search`](VectorIndex::range_search) and
-///   [`batch_knn`](VectorIndex::batch_knn) are names for it and must not
-///   be overridden.
+///   [`batch_knn`](VectorIndex::batch_knn) must not be overridden.
 /// - `search` takes `&self`: whatever a query carries from one call to the
 ///   next lives in the caller's [`Scratch`], never in the index, and is
 ///   buffer space only — the pages a query pins end with it — so any
@@ -57,8 +59,23 @@ pub trait VectorIndex: Send + Sync {
         self.len() == 0
     }
 
-    /// Answers `query`, ascending by `(distance, point_id)`.
-    fn search(&self, query: &Query<'_>, scratch: &mut Scratch) -> Result<Vec<(f64, u64)>>;
+    /// Answers `query`, ascending by `(distance, point_id)`: refuses it
+    /// when [`Query::validate`] does, answers `Knn(0)` and an empty index
+    /// with nothing, and asks [`answer`](VectorIndex::answer) otherwise.
+    fn search(&self, query: &Query<'_>, scratch: &mut Scratch) -> Result<Vec<(f64, u64)>> {
+        query.validate(self.dim())?;
+        if query.target == Target::Knn(0) || self.is_empty() {
+            return Ok(Vec::new());
+        }
+        self.answer(query, scratch)
+    }
+
+    /// Answers a query [`search`](VectorIndex::search) let through: it is
+    /// valid for this index's [`dim`](VectorIndex::dim), a KNN's `k` is at
+    /// least 1, and the index holds at least one point. Queries go through
+    /// `search`; only a wrapper whose own `search` already ran forwards to
+    /// an inner index's `answer`.
+    fn answer(&self, query: &Query<'_>, scratch: &mut Scratch) -> Result<Vec<(f64, u64)>>;
 
     /// The k nearest neighbours of `query`.
     fn knn(&self, query: &[f64], k: usize) -> Result<Vec<(f64, u64)>> {
@@ -195,13 +212,9 @@ mod tests {
         fn dim(&self) -> usize {
             1
         }
-        fn search(&self, query: &Query<'_>, _: &mut Scratch) -> Result<Vec<(f64, u64)>> {
-            let [q] = *query.vector else {
-                return Err(Error::DimensionMismatch {
-                    expected: 1,
-                    actual: query.vector.len(),
-                });
-            };
+        fn answer(&self, query: &Query<'_>, _: &mut Scratch) -> Result<Vec<(f64, u64)>> {
+            assert!(query.target != Target::Knn(0) && !self.points.is_empty());
+            let q = query.vector[0];
             let (k, radius) = match query.target {
                 Target::Knn(k) => (k, f64::INFINITY),
                 Target::Range(radius) => (usize::MAX, radius),
@@ -242,6 +255,31 @@ mod tests {
         let index = toy();
         let queries = vec![vec![1.0], vec![1.0, 2.0]];
         assert!(index.batch_knn(&queries, 3, &ParConfig::serial()).is_err());
+    }
+
+    /// `Toy::answer` asserts what `search` promises it.
+    #[test]
+    fn search_refuses_a_bad_query_and_answers_k_zero_before_answer_runs() {
+        let index = toy();
+        assert!(matches!(
+            index.knn(&[0.0, 1.0], 1),
+            Err(Error::DimensionMismatch {
+                expected: 1,
+                actual: 2
+            })
+        ));
+        assert!(matches!(
+            index.knn(&[f64::NAN], 0),
+            Err(Error::InvalidQuery)
+        ));
+        assert!(matches!(
+            index.range_search(&[0.0], -1.0),
+            Err(Error::InvalidRadius)
+        ));
+        assert!(index.knn(&[0.0], 0).unwrap().is_empty());
+        let empty = Toy { points: Vec::new() };
+        assert!(empty.knn(&[0.0], 3).unwrap().is_empty());
+        assert!(empty.range_search(&[0.0], 1.0).unwrap().is_empty());
     }
 
     #[test]

@@ -136,23 +136,6 @@ impl Cholesky {
     pub fn log_determinant(&self) -> f64 {
         (0..self.dim()).map(|i| self.l[(i, i)].ln()).sum::<f64>() * 2.0
     }
-
-    /// Explicit inverse `A⁻¹`, built column by column. `O(n³)`; used only in
-    /// tests and in code paths executed once per cluster, never per point.
-    pub fn inverse(&self) -> Result<Matrix> {
-        let n = self.dim();
-        let mut inv = Matrix::zeros(n, n);
-        let mut e = vec![0.0; n];
-        for j in 0..n {
-            e[j] = 1.0;
-            let col = self.solve(&e)?;
-            e[j] = 0.0;
-            for i in 0..n {
-                inv[(i, j)] = col[i];
-            }
-        }
-        Ok(inv)
-    }
 }
 
 #[cfg(test)]
@@ -252,13 +235,5 @@ mod tests {
         let c = Matrix::from_rows(&[vec![2.0, 0.0], vec![0.0, 8.0]]).unwrap();
         let ch = Cholesky::new(&c).unwrap();
         assert!((ch.log_determinant() - 16.0f64.ln()).abs() < 1e-12);
-    }
-
-    #[test]
-    fn inverse_times_matrix_is_identity() {
-        let a = spd3();
-        let inv = Cholesky::new(&a).unwrap().inverse().unwrap();
-        let prod = a.matmul(&inv).unwrap();
-        assert!(prod.sub(&Matrix::identity(3)).unwrap().max_abs() < 1e-10);
     }
 }

@@ -115,12 +115,6 @@ impl SymmetricEigen {
             eigenvectors,
         }
     }
-
-    /// The first `k` eigenvectors (largest eigenvalues) as a `d × k` matrix —
-    /// the projection basis `Φ_{d_r}` of Definition 3.3.
-    pub fn top_components(&self, k: usize) -> Result<Matrix> {
-        self.eigenvectors.columns(0, k)
-    }
 }
 
 /// Applies the two-sided Jacobi rotation `Jᵀ M J` for the plane `(p, q)`.
@@ -268,15 +262,6 @@ mod tests {
         assert!(SymmetricEigen::new(&a).is_err());
         assert!(SymmetricEigen::new(&Matrix::zeros(2, 3)).is_err());
         assert!(SymmetricEigen::new(&Matrix::zeros(0, 0)).is_err());
-    }
-
-    #[test]
-    fn top_components_shape() {
-        let a = Matrix::identity(5);
-        let eig = SymmetricEigen::new(&a).unwrap();
-        let phi = eig.top_components(2).unwrap();
-        assert_eq!(phi.shape(), (5, 2));
-        assert!(eig.top_components(6).is_err());
     }
 
     #[test]

@@ -49,6 +49,6 @@ pub use par::{map_ranges, map_ranges_with, ParConfig, PAR_CHUNK};
 pub use qr::Qr;
 pub use rotation::random_rotation;
 pub use vector::{
-    add, add_assign, axpy, dot, l1_norm, l2_dist, l2_dist_sq, l2_dist_sq_within, l2_norm,
-    linf_dist, lp_dist, reduced_dist, scale, scale_assign, sub,
+    add, add_assign, axpy, dot, l2_dist, l2_dist_sq, l2_dist_sq_within, l2_norm, reduced_dist,
+    scale, scale_assign, sub,
 };

@@ -267,11 +267,6 @@ impl Matrix {
         Ok((0..self.rows).map(|i| self[(i, i)]).sum())
     }
 
-    /// Frobenius norm.
-    pub fn frobenius_norm(&self) -> f64 {
-        self.data.iter().map(|x| x * x).sum::<f64>().sqrt()
-    }
-
     /// True when `|self[i][j] - self[j][i]| <= tol` for all entries.
     pub fn is_symmetric(&self, tol: f64) -> bool {
         if !self.is_square() {
@@ -332,16 +327,6 @@ impl Matrix {
         self.data.extend_from_slice(row);
         self.rows += 1;
         Ok(())
-    }
-
-    /// Swaps two rows in place.
-    pub fn swap_rows(&mut self, a: usize, b: usize) {
-        if a == b {
-            return;
-        }
-        let (lo, hi) = (a.min(b), a.max(b));
-        let (head, tail) = self.data.split_at_mut(hi * self.cols);
-        head[lo * self.cols..(lo + 1) * self.cols].swap_with_slice(&mut tail[..self.cols]);
     }
 
     /// Maximum absolute entry; 0 for an empty matrix.
@@ -484,18 +469,8 @@ mod tests {
     }
 
     #[test]
-    fn swap_rows_works() {
-        let mut m = m22(1.0, 2.0, 3.0, 4.0);
-        m.swap_rows(0, 1);
-        assert_eq!(m, m22(3.0, 4.0, 1.0, 2.0));
-        m.swap_rows(1, 1); // no-op
-        assert_eq!(m, m22(3.0, 4.0, 1.0, 2.0));
-    }
-
-    #[test]
     fn norms_and_symmetry() {
         let m = m22(3.0, 0.0, 0.0, 4.0);
-        assert_eq!(m.frobenius_norm(), 5.0);
         assert!(m.is_symmetric(0.0));
         assert!(!m22(0.0, 1.0, 0.0, 0.0).is_symmetric(1e-9));
         assert!(!Matrix::zeros(2, 3).is_symmetric(1.0));

@@ -81,37 +81,6 @@ pub fn l2_norm(a: &[f64]) -> f64 {
     dot(a, a).sqrt()
 }
 
-/// Manhattan (`L1`) norm.
-#[inline]
-pub fn l1_norm(a: &[f64]) -> f64 {
-    a.iter().map(|x| x.abs()).sum()
-}
-
-/// Chebyshev (`L∞`) distance.
-#[inline]
-pub fn linf_dist(a: &[f64], b: &[f64]) -> f64 {
-    assert_eq!(a.len(), b.len(), "linf_dist: length mismatch");
-    a.iter()
-        .zip(b)
-        .map(|(x, y)| (x - y).abs())
-        .fold(0.0, f64::max)
-}
-
-/// General Minkowski `Lp` distance for `p >= 1`.
-///
-/// Used by the evaluation harness to reproduce the L-norm discussion of
-/// Aggarwal et al. (reference [1] of the paper).
-#[inline]
-pub fn lp_dist(a: &[f64], b: &[f64], p: f64) -> f64 {
-    assert_eq!(a.len(), b.len(), "lp_dist: length mismatch");
-    assert!(p >= 1.0, "lp_dist: p must be >= 1");
-    a.iter()
-        .zip(b)
-        .map(|(x, y)| (x - y).abs().powf(p))
-        .sum::<f64>()
-        .powf(1.0 / p)
-}
-
 /// Element-wise sum, producing a new vector.
 #[inline]
 pub fn add(a: &[f64], b: &[f64]) -> Vec<f64> {
@@ -174,26 +143,11 @@ mod tests {
         let b = [3.0, 4.0];
         assert_eq!(l2_dist_sq(&a, &b), 25.0);
         assert_eq!(l2_dist(&a, &b), 5.0);
-        assert_eq!(linf_dist(&a, &b), 4.0);
-        assert!((lp_dist(&a, &b, 2.0) - 5.0).abs() < 1e-12);
-        assert!((lp_dist(&a, &b, 1.0) - 7.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn lp_dist_decreases_with_p() {
-        let a = [0.0, 0.0, 0.0];
-        let b = [1.0, 1.0, 1.0];
-        let d1 = lp_dist(&a, &b, 1.0);
-        let d2 = lp_dist(&a, &b, 2.0);
-        let d5 = lp_dist(&a, &b, 5.0);
-        assert!(d1 > d2 && d2 > d5);
-        assert!(d5 > linf_dist(&a, &b) - 1e-12);
     }
 
     #[test]
     fn norms() {
         assert_eq!(l2_norm(&[3.0, 4.0]), 5.0);
-        assert_eq!(l1_norm(&[-3.0, 4.0]), 7.0);
     }
 
     #[test]

@@ -259,17 +259,6 @@ impl Pca {
         Ok(sum / data.rows() as f64)
     }
 
-    /// Fraction of total variance captured by the first `d_r` components.
-    pub fn retained_variance_fraction(&self, d_r: usize) -> Result<f64> {
-        self.check_dr(d_r)?;
-        let total: f64 = self.eigenvalues.iter().map(|v| v.max(0.0)).sum();
-        if total == 0.0 {
-            return Ok(1.0); // a point mass loses nothing at any d_r
-        }
-        let kept: f64 = self.eigenvalues[..d_r].iter().map(|v| v.max(0.0)).sum();
-        Ok(kept / total)
-    }
-
     /// Σ of squared retained coefficients for a centred point.
     fn retained_energy(&self, centred: &[f64], d_r: usize) -> f64 {
         let mut retained = 0.0;
@@ -478,26 +467,9 @@ mod tests {
     }
 
     #[test]
-    fn retained_variance_fraction_monotone() {
-        let data = Matrix::from_rows(&[
-            vec![10.0, 0.1],
-            vec![-10.0, -0.1],
-            vec![5.0, 0.2],
-            vec![-5.0, -0.2],
-        ])
-        .unwrap();
-        let pca = Pca::fit(&data).unwrap();
-        let f1 = pca.retained_variance_fraction(1).unwrap();
-        let f2 = pca.retained_variance_fraction(2).unwrap();
-        assert!(f1 > 0.9);
-        assert!((f2 - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
     fn point_mass_retains_everything() {
         let data = Matrix::from_rows(&[vec![1.0, 1.0], vec![1.0, 1.0]]).unwrap();
         let pca = Pca::fit(&data).unwrap();
-        assert_eq!(pca.retained_variance_fraction(1).unwrap(), 1.0);
         assert!(pca.proj_dist_r(&[1.0, 1.0], 1).unwrap() < 1e-12);
     }
 

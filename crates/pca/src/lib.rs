@@ -34,5 +34,5 @@ mod subspace;
 
 pub use components::Pca;
 pub use error::{Error, Result};
-pub use projection::{ellipticity, mpe_of, proj_dist_profile, ProjectionStats};
+pub use projection::{ellipticity, proj_dist_profile, ProjectionStats};
 pub use subspace::ReducedSubspace;

@@ -56,13 +56,6 @@ pub fn ellipticity(stats: &ProjectionStats) -> f64 {
     (stats.max_proj_dist_e - stats.max_proj_dist_r) / stats.max_proj_dist_r
 }
 
-/// Convenience wrapper: fits nothing, just evaluates MPE of an existing
-/// model on a dataset (same as [`Pca::mpe`], provided for symmetry with the
-/// pseudo-code's standalone `getMPE`).
-pub fn mpe_of(pca: &Pca, data: &Matrix, d_r: usize) -> Result<f64> {
-    pca.mpe(data, d_r)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -134,12 +127,5 @@ mod tests {
     fn empty_profile_is_error() {
         let pca = Pca::fit(&ellipse_data()).unwrap();
         assert!(proj_dist_profile(&pca, &Matrix::zeros(0, 2), 1).is_err());
-    }
-
-    #[test]
-    fn mpe_of_matches_method() {
-        let data = ellipse_data();
-        let pca = Pca::fit(&data).unwrap();
-        assert_eq!(mpe_of(&pca, &data, 1).unwrap(), pca.mpe(&data, 1).unwrap());
     }
 }

@@ -72,12 +72,10 @@ use crate::refit::{attach, materialize_rows, refit_model};
 use crate::snapshot::{build_index, open_with, save_with_attrs, OpenOptions};
 use crate::wal::{remove_wal, WalRecord, WalWriter};
 use mmdr_core::{MmdrParams, PointAssignment, ReductionResult};
-use mmdr_idistance::{
-    load, stored_rows, validate_vector, Backend, BuiltIndex, IDistanceConfig, KeySpace, Row,
-};
+use mmdr_idistance::{load, stored_rows, Backend, BuiltIndex, IDistanceConfig, KeySpace, Row};
 use mmdr_index::{
-    DriftEstimator, IngestOp, IngestStats, LiveIndex, PinnedEpoch, Query, QueryStats, Scratch,
-    Target, VectorIndex,
+    validate_vector, DriftEstimator, IngestOp, IngestStats, LiveIndex, PinnedEpoch, Query,
+    QueryStats, Scratch, Target, VectorIndex,
 };
 use mmdr_linalg::Matrix;
 use mmdr_query::{decode_row, encode_row, AttrSketches, AttrStore, AttrValue, Planner};
@@ -222,8 +220,8 @@ impl VectorIndex for Epoch {
     fn dim(&self) -> usize {
         self.built.as_dyn().dim()
     }
-    fn search(&self, q: &Query<'_>, scratch: &mut Scratch) -> mmdr_index::Result<Vec<(f64, u64)>> {
-        self.built.as_dyn().search(q, scratch)
+    fn answer(&self, q: &Query<'_>, scratch: &mut Scratch) -> mmdr_index::Result<Vec<(f64, u64)>> {
+        self.built.as_dyn().answer(q, scratch)
     }
     fn pool_stats(&self) -> Vec<PoolStats> {
         self.built.as_dyn().pool_stats()

@@ -20,8 +20,9 @@
 //! return, so trailing shards are usually never contacted; the given
 //! radius for a range search — is pruned. Partials are merged through the
 //! same tie-deterministic [`KnnHeap`] every backend uses, with local ids
-//! remapped to global row ids via the manifest. One loop
-//! ([`Router::scatter`]) does this for KNN and range, plain and filtered.
+//! remapped to global row ids via the manifest. One loop (`scatter`, behind
+//! [`VectorIndex::search`] and [`RouterLive::filtered`]) does this for KNN
+//! and range, plain and filtered.
 //!
 //! # Bit-identity
 //!
@@ -338,17 +339,16 @@ impl Router {
     /// merge like plain ones. Ball pruning stays sound: a filter only
     /// shrinks a shard's candidate set, so the unfiltered lower bound
     /// still under-estimates every distance the shard could contribute.
-    pub fn scatter(
+    ///
+    /// The query is valid and a KNN's `k` at least 1:
+    /// [`VectorIndex::search`] and [`RouterLive::filtered`] see to it.
+    fn scatter(
         &self,
         query: &[f64],
         target: Target,
         predicate: Option<&str>,
     ) -> Result<Vec<(f64, u64)>> {
-        self.validate(query, target)?;
         self.queries.fetch_add(1, Ordering::Relaxed);
-        if target == Target::Knn(0) {
-            return Ok(Vec::new());
-        }
         // One merge for both targets: a range search is a KNN that keeps
         // everything and whose reach starts where a KNN's ends up.
         let mut heap = KnnHeap::for_target(target);
@@ -371,22 +371,6 @@ impl Router {
         }
         Ok(heap.into_sorted_vec())
     }
-
-    fn validate(&self, query: &[f64], target: Target) -> Result<()> {
-        if query.len() != self.manifest.dim {
-            return Err(Error::DimensionMismatch {
-                expected: self.manifest.dim,
-                actual: query.len(),
-            });
-        }
-        if query.iter().any(|v| !v.is_finite()) {
-            return Err(Error::InvalidQuery);
-        }
-        if matches!(target, Target::Range(r) if !(r >= 0.0 && r.is_finite())) {
-            return Err(Error::InvalidRadius);
-        }
-        Ok(())
-    }
 }
 
 impl VectorIndex for Router {
@@ -403,9 +387,9 @@ impl VectorIndex for Router {
     }
 
     /// A row bitmap is keyed by ids one attribute store assigned and does
-    /// not travel; filtered queries go through [`Router::scatter`] with
-    /// the predicate's text ([`RouterLive`] does).
-    fn search(&self, q: &Query<'_>, _: &mut Scratch) -> Result<Vec<(f64, u64)>> {
+    /// not travel; filtered queries scatter the predicate's text instead
+    /// ([`RouterLive::filtered`]).
+    fn answer(&self, q: &Query<'_>, _: &mut Scratch) -> Result<Vec<(f64, u64)>> {
         if q.filter.is_some() {
             return Err(Error::FiltersUnavailable);
         }
@@ -434,8 +418,8 @@ impl VectorIndex for Router {
 }
 
 /// The serving adapter for a router front: a read-only [`LiveIndex`] that
-/// forwards filtered queries to [`Router::scatter`] instead of rejecting
-/// them the way [`mmdr_index::ReadOnlyLive`] would. `mmdr route` fronts shards with
+/// scatters filtered queries to the shards instead of rejecting them the
+/// way [`mmdr_index::ReadOnlyLive`] would. `mmdr route` fronts shards with
 /// this, so `remote-query --filter` works through the router unchanged.
 pub struct RouterLive {
     router: Arc<Router>,
@@ -456,7 +440,13 @@ impl LiveIndex for RouterLive {
         }
     }
 
+    /// The one way into the router that does not pass
+    /// [`VectorIndex::search`], so it checks what `search` would.
     fn filtered(&self, vector: &[f64], target: Target, predicate: &str) -> Result<Vec<(f64, u64)>> {
+        Query::new(vector, target).validate(self.router.dim())?;
+        if target == Target::Knn(0) {
+            return Ok(Vec::new());
+        }
         self.router.scatter(vector, target, Some(predicate))
     }
 }

@@ -54,13 +54,7 @@ mod tests {
         fn dim(&self) -> usize {
             self.dim
         }
-        fn search(&self, q: &Query<'_>, _: &mut Scratch) -> mmdr_index::Result<Vec<(f64, u64)>> {
-            if q.vector.len() != self.dim {
-                return Err(mmdr_index::Error::DimensionMismatch {
-                    expected: self.dim,
-                    actual: q.vector.len(),
-                });
-            }
+        fn answer(&self, q: &Query<'_>, _: &mut Scratch) -> mmdr_index::Result<Vec<(f64, u64)>> {
             let mut heap = KnnHeap::for_target(q.target);
             for (i, p) in self.coords.chunks(self.dim).enumerate() {
                 let d = p

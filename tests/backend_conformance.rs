@@ -17,11 +17,20 @@
 //!    computed with: a fresh one per query and one reused across every
 //!    query, across two indexes and across a delta insert, agree bit for
 //!    bit.
+//! 5. **One rule** — every index refuses a bad query with the same error,
+//!    built, reopened demand-paged or serving a live epoch, and neither a
+//!    refusal nor a `k = 0` query costs a fetch or a distance.
 
 use mmdr::core::{Mmdr, MmdrParams, ParConfig};
 use mmdr::datagen::{generate_correlated, sample_queries, CorrelatedConfig};
 use mmdr::idistance::{build_backend, build_index, Backend};
-use mmdr::index::{batch_queries, Query, RowFilter, Scratch, SearchFilter, Target, VectorIndex};
+use mmdr::index::{
+    batch_queries, Error, LiveIndex, Query, QueryStats, RowFilter, Scratch, SearchFilter, Target,
+    VectorIndex,
+};
+use mmdr::persist::{open_with, save, IngestEngine, IngestOptions, OpenOptions};
+use std::path::PathBuf;
+use std::sync::Arc;
 
 const K: usize = 10;
 const BUFFER_PAGES: usize = 128;
@@ -369,6 +378,124 @@ fn a_knn_answer_is_the_prefix_of_the_range_answer_at_its_kth_distance() {
         }
     }
     assert_eq!(pairs, 4 * 2 * 2 * 3 * fx.queries.len());
+}
+
+/// A scratch directory for one test, removed on drop.
+struct TempDir(PathBuf);
+
+impl TempDir {
+    fn new(tag: &str) -> Self {
+        let dir =
+            std::env::temp_dir().join(format!("mmdr-conformance-{}-{tag}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        TempDir(dir)
+    }
+}
+
+impl Drop for TempDir {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.0);
+    }
+}
+
+#[test]
+fn every_index_refuses_bad_queries_alike() {
+    let fx = fixture();
+    let dim = fx.data.cols();
+    let dir = TempDir::new("refusals");
+    let paged = OpenOptions {
+        pool_pages: Some(8),
+        ..OpenOptions::default()
+    };
+    let no_merges = IngestOptions {
+        merge_threshold: 0,
+        ..IngestOptions::default()
+    };
+    let mut indexes: Vec<(String, Arc<dyn VectorIndex>)> = Vec::new();
+    // Kept open while their epochs are asked.
+    let mut engines = Vec::new();
+    for backend in Backend::all() {
+        let name = backend.name();
+        let built = build_index(backend, &fx.data, &fx.model, BUFFER_PAGES).expect("build");
+        let file = dir.0.join(format!("{name}.mmdr"));
+        save(&file, &built, &fx.model).expect("save");
+        let reopened = open_with(&file, &paged).expect("open demand-paged");
+        indexes.push((format!("{name} built"), Arc::from(built.into_boxed())));
+        indexes.push((
+            format!("{name} paged"),
+            Arc::from(reopened.index.into_boxed()),
+        ));
+        let live = dir.0.join(format!("{name}-live.mmdr"));
+        let engine = IngestEngine::create(
+            &live,
+            backend,
+            &fx.data,
+            &fx.model,
+            BUFFER_PAGES,
+            no_merges.clone(),
+        )
+        .expect("engine");
+        for i in 0..5 {
+            engine.insert(fx.data.row(i * 11)).expect("insert");
+        }
+        let epoch = engine.pin().index;
+        assert_eq!(epoch.len(), fx.data.rows() + 5, "{name}: a live delta");
+        indexes.push((format!("{name} engine epoch"), epoch));
+        engines.push(engine);
+    }
+
+    let good = &fx.queries[0];
+    for (name, index) in &indexes {
+        let before = index.query_stats();
+        for width in [dim - 1, dim + 1] {
+            let q = vec![0.5; width];
+            for got in [
+                index.knn(&q, K),
+                index.knn(&q, 0),
+                index.range_search(&q, 1.0),
+            ] {
+                let err = got.expect_err(name);
+                assert!(
+                    matches!(err, Error::DimensionMismatch { expected, actual }
+                        if expected == dim && actual == width),
+                    "{name}, width {width}: {err}"
+                );
+            }
+        }
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let mut q = good.clone();
+            q[dim / 2] = bad;
+            let batch = index
+                .batch_knn(&[q.clone(), q.clone()], K, &ParConfig::threads(2))
+                .map(|_| Vec::new());
+            for got in [
+                index.knn(&q, K),
+                index.knn(&q, 0),
+                index.range_search(&q, 1.0),
+                batch,
+            ] {
+                let err = got.expect_err(name);
+                assert!(
+                    matches!(err, Error::InvalidQuery),
+                    "{name}, a {bad} coordinate: {err}"
+                );
+            }
+        }
+        for radius in [-1.0, f64::NAN, f64::INFINITY] {
+            let err = index.range_search(good, radius).expect_err(name);
+            assert!(
+                matches!(err, Error::InvalidRadius),
+                "{name}, radius {radius}: {err}"
+            );
+        }
+        assert_eq!(index.knn(good, 0).unwrap(), Vec::new(), "{name}");
+        assert_eq!(
+            index.query_stats().since(&before),
+            QueryStats::default(),
+            "{name}: a refused query or k = 0 cost something"
+        );
+    }
+    assert_eq!(indexes.len(), 3 * 4);
 }
 
 #[test]

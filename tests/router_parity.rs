@@ -9,12 +9,12 @@
 
 use mmdr_core::{Mmdr, MmdrParams, ReductionResult};
 use mmdr_idistance::Backend;
-use mmdr_index::{Error, VectorIndex};
+use mmdr_index::{Error, LiveIndex, Query, Scratch, Target, VectorIndex};
 use mmdr_linalg::Matrix;
 use mmdr_persist::{
     build_index, open, plan_shards, read_manifest, save, write_manifest, Manifest, MANIFEST_FILE,
 };
-use mmdr_router::{Router, RouterConfig, RouterError};
+use mmdr_router::{Router, RouterConfig, RouterError, RouterLive};
 use mmdr_serve::{Client, Server, ServerConfig, ServerHandle};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -331,6 +331,73 @@ fn killed_shard_degrades_typed_while_pruned_queries_keep_answering() {
         .contains(&format!("degraded: shard {victim}")));
     let stats = router.shard_stats().unwrap();
     assert!(stats.degraded >= 2, "degraded ops must be counted");
+    cluster.shutdown();
+}
+
+/// The router's two doors — `search` and `RouterLive::filtered` — refuse
+/// the inputs every single-node index refuses, with the same variants,
+/// and answer `k = 0` with nothing, all before any shard is contacted.
+#[test]
+fn search_and_filtered_refuse_bad_queries_alike() {
+    let data = dataset();
+    let model = fit(&data);
+    let dim = data.cols();
+    let cluster = Cluster::start(Backend::IDistance, &data, &model, 2);
+    let router = Arc::new(cluster.router());
+    let live = RouterLive::new(Arc::clone(&router));
+    let good = data.row(3).to_vec();
+    let mut non_finite = Vec::new();
+    for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+        let mut q = good.clone();
+        q[2] = bad;
+        non_finite.push(q);
+    }
+    let before = router.shard_stats().unwrap();
+    let doors = |q: &[f64], target: Target| {
+        [
+            router.search(&Query::new(q, target), &mut Scratch::default()),
+            live.filtered(q, target, "views < 10"),
+        ]
+    };
+    for width in [dim - 1, dim + 1] {
+        let q = vec![0.5; width];
+        for target in [Target::Knn(3), Target::Knn(0), Target::Range(1.0)] {
+            for got in doors(&q, target) {
+                let err = got.expect_err("wrong width");
+                assert!(
+                    matches!(err, Error::DimensionMismatch { expected, actual }
+                        if expected == dim && actual == width),
+                    "width {width}, {target:?}: {err}"
+                );
+            }
+        }
+    }
+    for q in &non_finite {
+        for target in [Target::Knn(3), Target::Knn(0), Target::Range(1.0)] {
+            for got in doors(q, target) {
+                let err = got.expect_err("non-finite coordinate");
+                assert!(matches!(err, Error::InvalidQuery), "{target:?}: {err}");
+            }
+        }
+    }
+    for radius in [-1.0, f64::NAN, f64::INFINITY] {
+        for got in doors(&good, Target::Range(radius)) {
+            let err = got.expect_err("bad radius");
+            assert!(
+                matches!(err, Error::InvalidRadius),
+                "radius {radius}: {err}"
+            );
+        }
+    }
+    for got in doors(&good, Target::Knn(0)) {
+        assert_eq!(got.unwrap(), Vec::new());
+    }
+    let after = router.shard_stats().unwrap();
+    assert_eq!(
+        (after.contacted, after.pruned, after.degraded),
+        (before.contacted, before.pruned, before.degraded),
+        "no shard was asked"
+    );
     cluster.shutdown();
 }
 

@@ -63,8 +63,9 @@ cargo test "${PROFILE[@]}" --test ingest_parity --test layout_doors
 cargo test "${PROFILE[@]}" -p mmdr-persist --test wal_proptest
 # (Mutability cannot leak into the query hot path: `PinnedEpoch.index` is
 # an `Arc<dyn VectorIndex>` and the scoped-thread executor calls `search`
-# on one shared `&dyn VectorIndex`, so a `search(&mut self, ..)` — the
-# only query method there is — would not compile.)
+# on one shared `&dyn VectorIndex`, and `search` calls `answer` — the one
+# query method a backend implements — so an `answer(&mut self, ..)` would
+# not compile.)
 
 echo "== adapt gate =="
 # Adaptive model maintenance: a drifted stream with a background re-fit
