@@ -1,5 +1,5 @@
 //! Microbenchmarks for the paged B⁺-tree: the extended iDistance's base
-//! structure (insert, seek, bulk load, range scan).
+//! structure (bulk load, seek, range scan).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use mmdr_btree::BPlusTree;
@@ -10,33 +10,11 @@ fn pool(pages: usize) -> BufferPool {
     BufferPool::new(DiskManager::new(), pages).unwrap()
 }
 
-fn scrambled_keys(n: u64) -> Vec<(f64, u64)> {
-    (0..n).map(|i| (((i * 7919) % n) as f64, i)).collect()
-}
-
-fn bench_insert(c: &mut Criterion) {
-    let mut group = c.benchmark_group("btree_insert");
-    group.sample_size(10);
-    for &n in &[10_000u64, 50_000] {
-        let keys = scrambled_keys(n);
-        group.bench_with_input(BenchmarkId::from_parameter(n), &n, |b, _| {
-            b.iter(|| {
-                let mut t = BPlusTree::new(pool(4096)).unwrap();
-                for &(k, v) in &keys {
-                    t.insert(k, v, 0).unwrap();
-                }
-                black_box(t.len())
-            });
-        });
-    }
-    group.finish();
-}
-
 fn bench_bulk_load(c: &mut Criterion) {
     let mut group = c.benchmark_group("btree_bulk_load");
     group.sample_size(10);
     for &n in &[10_000u64, 100_000] {
-        let entries: Vec<(f64, u64, u64)> = (0..n).map(|i| (i as f64, i, 0)).collect();
+        let entries: Vec<(f64, u64)> = (0..n).map(|i| (i as f64, i)).collect();
         group.bench_with_input(BenchmarkId::from_parameter(n), &n, |b, _| {
             b.iter(|| black_box(BPlusTree::bulk_load(pool(4096), &entries).unwrap().len()));
         });
@@ -45,7 +23,7 @@ fn bench_bulk_load(c: &mut Criterion) {
 }
 
 fn bench_seek(c: &mut Criterion) {
-    let entries: Vec<(f64, u64, u64)> = (0..100_000u64).map(|i| (i as f64, i, 0)).collect();
+    let entries: Vec<(f64, u64)> = (0..100_000u64).map(|i| (i as f64, i)).collect();
     let tree = BPlusTree::bulk_load(pool(4096), &entries).unwrap();
     let mut i = 0u64;
     c.bench_function("btree_seek_100k", |b| {
@@ -58,18 +36,12 @@ fn bench_seek(c: &mut Criterion) {
 }
 
 fn bench_range_scan(c: &mut Criterion) {
-    let entries: Vec<(f64, u64, u64)> = (0..100_000u64).map(|i| (i as f64, i, 0)).collect();
+    let entries: Vec<(f64, u64)> = (0..100_000u64).map(|i| (i as f64, i)).collect();
     let tree = BPlusTree::bulk_load(pool(4096), &entries).unwrap();
     c.bench_function("btree_range_1000_of_100k", |b| {
         b.iter(|| black_box(tree.range(40_000.0, 41_000.0).unwrap().len()));
     });
 }
 
-criterion_group!(
-    benches,
-    bench_insert,
-    bench_bulk_load,
-    bench_seek,
-    bench_range_scan
-);
+criterion_group!(benches, bench_bulk_load, bench_seek, bench_range_scan);
 criterion_main!(benches);

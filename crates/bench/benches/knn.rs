@@ -1,13 +1,15 @@
 //! KNN query latency across the three search schemes (the Figure 10 CPU
 //! comparison as a microbenchmark), the per-candidate kernel of the
-//! iDistance search on its own, the same search under a filter with its id
-//! column empty and learned, plus dynamic insertion.
+//! iDistance search on its own, and the same search under a filter with its
+//! id column empty and learned.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use mmdr::index::{Query, RowFilter, Scratch, SearchFilter, Target};
 use mmdr_bench::{eval, workloads, Method};
 use mmdr_btree::{BPlusTree, Cursor};
-use mmdr_idistance::{GlobalLdrIndex, IDistanceConfig, IDistanceIndex, SeqScan, VectorIndex};
+use mmdr_idistance::{
+    GlobalLdrIndex, IDistanceConfig, IDistanceIndex, RecordIds, SeqScan, VectorIndex,
+};
 use std::hint::black_box;
 
 fn bench_knn_schemes(c: &mut Criterion) {
@@ -59,9 +61,10 @@ fn bench_knn_schemes(c: &mut Criterion) {
 /// as the search runs them: step the leaf cursor; read the entry's cell
 /// code and bound its distance from the query's gap table (what a row the
 /// code rules out costs — the table is built once a walk, as once a started
-/// partition); locate the record on the pinned heap page and read its id
-/// (what a row the gate rejects costs); decode the coordinates and evaluate
-/// the distance (what a row it admits costs, short of the result heap).
+/// partition); resolve the entry's position to its record, locate that on
+/// the pinned heap page and read its id (what a row the gate rejects
+/// costs); decode the coordinates and evaluate the distance (what a row it
+/// admits costs, short of the result heap).
 fn bench_candidate_path(c: &mut Criterion) {
     let ds = workloads::synthetic(8_000, 64, 10, 30.0, 5);
     let model = eval::reduce(Method::Mmdr, &ds.data, None, 10, 0);
@@ -92,11 +95,11 @@ fn bench_candidate_path(c: &mut Criterion) {
     // (generic, so the stage inlines into the loop as it does in the search).
     fn walk_slot(tree: &BPlusTree, lo: f64, hi: f64, mut visit: impl FnMut(u64, &Cursor)) {
         let mut cursor = tree.seek(lo).unwrap();
-        while let Some((key, rid)) = tree.cursor_next(&mut cursor).unwrap() {
+        while let Some((key, position)) = tree.cursor_next(&mut cursor).unwrap() {
             if key >= hi {
                 break;
             }
-            visit(rid, &cursor);
+            visit(position, &cursor);
         }
     }
     let book = info.codebook.as_ref().expect("the partition has rows");
@@ -105,7 +108,7 @@ fn bench_candidate_path(c: &mut Criterion) {
     group.bench_function(BenchmarkId::new("leaf_step", info.count), |b| {
         b.iter(|| {
             let mut acc = 0u64;
-            walk_slot(tree, lo, hi, |rid, _| acc ^= rid);
+            walk_slot(tree, lo, hi, |position, _| acc ^= position);
             acc
         })
     });
@@ -122,8 +125,9 @@ fn bench_candidate_path(c: &mut Criterion) {
     });
     group.bench_function(BenchmarkId::new("+record_id", info.count), |b| {
         b.iter(|| {
-            let (mut pin, mut acc) = (None, 0u64);
-            walk_slot(tree, lo, hi, |rid, _| {
+            let (mut ids, mut pin, mut acc) = (RecordIds::default(), None, 0u64);
+            walk_slot(tree, lo, hi, |position, _| {
+                let rid = ids.get(&index, position);
                 acc ^= heap.record(&mut pin, rid).unwrap().1.point_id()
             });
             acc
@@ -131,8 +135,10 @@ fn bench_candidate_path(c: &mut Criterion) {
     });
     group.bench_function(BenchmarkId::new("+decode+distance", info.count), |b| {
         b.iter(|| {
-            let (mut pin, mut coords, mut acc) = (None, Vec::new(), 0.0);
-            walk_slot(tree, lo, hi, |rid, _| {
+            let (mut ids, mut pin) = (RecordIds::default(), None);
+            let (mut coords, mut acc) = (Vec::new(), 0.0);
+            walk_slot(tree, lo, hi, |position, _| {
+                let rid = ids.get(&index, position);
                 let (_, record) = heap.record(&mut pin, rid).unwrap();
                 record.coords_into(&mut coords);
                 acc += mmdr_linalg::reduced_dist(proj_sq, black_box(&q_local), &coords);
@@ -195,25 +201,10 @@ fn bench_filtered_candidate_path(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_dynamic_insert(c: &mut Criterion) {
-    let ds = workloads::synthetic(4_000, 32, 6, 30.0, 9);
-    let model = eval::reduce(Method::Mmdr, &ds.data, None, 10, 0);
-    let mut index = IDistanceIndex::build(&ds.data, &model, IDistanceConfig::default()).unwrap();
-    let point = ds.data.row(100).to_vec();
-    let mut id = 1_000_000u64;
-    c.bench_function("idistance_insert_32d", |b| {
-        b.iter(|| {
-            id += 1;
-            index.insert(black_box(&point), id).unwrap()
-        });
-    });
-}
-
 criterion_group!(
     benches,
     bench_knn_schemes,
     bench_candidate_path,
-    bench_filtered_candidate_path,
-    bench_dynamic_insert
+    bench_filtered_candidate_path
 );
 criterion_main!(benches);

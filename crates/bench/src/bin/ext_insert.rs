@@ -3,14 +3,17 @@
 //! it).
 //!
 //! Builds the index on half the dataset, inserts the other half point by
-//! point, and tracks insert throughput plus 10-NN precision drift: inserted
-//! points join existing subspaces via the β test, so precision should stay
-//! near the bulk-built level while the outlier partition absorbs the
-//! stragglers.
+//! point through `BuiltIndex::insert` — the live write path: each point is
+//! routed by the model and kept beside the static tree, in the delta every
+//! search scans — and tracks insert throughput plus 10-NN precision drift
+//! over base and delta: inserted points join existing subspaces via the β
+//! test, so precision should stay near the bulk-built level while the
+//! outlier partition absorbs the stragglers.
 
 use mmdr_bench::{eval, workloads, Args, Method, Report};
+use mmdr_core::PointAssignment;
 use mmdr_datagen::{exact_knn, precision, sample_queries};
-use mmdr_idistance::{IDistanceConfig, IDistanceIndex, VectorIndex};
+use mmdr_idistance::{BuiltIndex, IDistanceConfig, IDistanceIndex};
 use std::time::Instant;
 
 fn main() {
@@ -34,8 +37,13 @@ fn main() {
     let base_data = ds.data.select_rows(&first);
 
     let model = eval::reduce(Method::Mmdr, &base_data, None, 10, args.seed);
-    let mut index =
+    let base =
         IDistanceIndex::build(&base_data, &model, IDistanceConfig::default()).expect("index build");
+    // Outliers among the stored rows: the base's outlier partition, then
+    // every insert the model routes there.
+    let mut outliers = base.partitions().last().map_or(0, |p| p.count);
+    let built = BuiltIndex::IDistance(Box::new(base));
+    let index = built.as_dyn();
 
     let mut report = Report::new(
         "ext_insert",
@@ -60,7 +68,10 @@ fn main() {
                 if idx >= n {
                     break;
                 }
-                index.insert(ds.data.row(idx), idx as u64).expect("insert");
+                let (routed, _) = built
+                    .insert(&model, idx as u64, ds.data.row(idx))
+                    .expect("insert");
+                outliers += usize::from(routed == PointAssignment::Outlier);
             }
             let elapsed = start.elapsed().as_secs_f64();
             inserted += batch;
@@ -86,13 +97,12 @@ fn main() {
                     .collect();
                 total += precision(&exact, &approx);
             }
-            let outlier_count = index.partitions().last().map_or(0, |p| p.count);
             report.push(
                 frac,
                 vec![
                     total / qs.rows() as f64,
                     batch as f64 / elapsed,
-                    100.0 * outlier_count as f64 / index.len() as f64,
+                    100.0 * outliers as f64 / index.len() as f64,
                 ],
             );
         } else {
@@ -111,13 +121,12 @@ fn main() {
                     .collect();
                 total += precision(&exact, &approx);
             }
-            let outlier_count = index.partitions().last().map_or(0, |p| p.count);
             report.push(
                 frac,
                 vec![
                     total / qs.rows() as f64,
                     f64::NAN,
-                    100.0 * outlier_count as f64 / index.len() as f64,
+                    100.0 * outliers as f64 / index.len() as f64,
                 ],
             );
         }

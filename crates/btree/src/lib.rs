@@ -1,18 +1,20 @@
-//! A disk-page B⁺-tree over `f64` keys — the base structure of the extended
-//! iDistance index (paper §5).
+//! A static, disk-page B⁺-tree over `f64` keys — the base structure of the
+//! extended iDistance index (paper §5).
 //!
-//! - Keys are finite `f64` distance values (duplicates allowed); values are
-//!   opaque `u64` record ids, each with an opaque `u64` code word beside it
-//!   in the leaf ([`Cursor::code`]) — iDistance's quantised image of the
-//!   row, judged before the record id is followed.
+//! - Keys are finite `f64` distance values (duplicates allowed). An entry
+//!   is named by its *position*, its rank in key order, which the tree does
+//!   not store per entry: the caller lays its records out in the same order
+//!   and reads position `n` as its record `n`. Beside each key sits an
+//!   opaque `u64` code word ([`Cursor::code`]) — iDistance's quantised image
+//!   of the row, judged before the record is read.
 //! - Nodes live in 4 KiB [`mmdr_storage`] pages behind a buffer pool, so
 //!   every traversal's logical I/O is measurable.
-//! - Leaves form a doubly-linked chain: iDistance's KNN search scans
-//!   *inward and outward* from a seek position (paper §5 case 1), which
-//!   needs both directions.
-//! - [`BPlusTree::bulk_load`] builds a compact tree from sorted input in a
-//!   single left-to-right pass, the standard way to index a reduction's
-//!   output.
+//! - The leaves are walked both ways: iDistance's KNN search scans
+//!   *inward and outward* from a seek position (paper §5 case 1).
+//! - [`BPlusTree::bulk_load`] is the one way a tree is built: a single
+//!   left-to-right pass over sorted input, every leaf full but the last.
+//!   Nothing writes the tree afterwards; an index that takes rows later
+//!   keeps them beside it and rebuilds.
 //!
 //! # Example
 //!
@@ -21,14 +23,12 @@
 //! use mmdr_storage::{BufferPool, DiskManager};
 //!
 //! let pool = BufferPool::new(DiskManager::new(), 64).unwrap();
-//! let mut tree = BPlusTree::new(pool).unwrap();
-//! for i in 0..1000u64 {
-//!     tree.insert(i as f64 * 0.5, i, i % 7).unwrap();
-//! }
+//! let entries: Vec<(f64, u64)> = (0..1000u64).map(|i| (i as f64 * 0.5, i % 7)).collect();
+//! let tree = BPlusTree::bulk_load(pool, &entries).unwrap();
 //! let mut cursor = tree.seek(250.0).unwrap();
-//! let (key, rid) = tree.cursor_next(&mut cursor).unwrap().unwrap();
+//! let (key, position) = tree.cursor_next(&mut cursor).unwrap().unwrap();
 //! assert_eq!(key, 250.0);
-//! assert_eq!(rid, 500);
+//! assert_eq!(position, 500);
 //! assert_eq!(cursor.code(), 500 % 7);
 //! ```
 

@@ -7,16 +7,22 @@
 //! offset 1: key count  (u16)
 //! ```
 //!
-//! **Leaf** (entries are `(key: f64, rid: u64, code: u64)` triples, 24 bytes
-//! each; the code is an opaque word that travels with its key — iDistance
-//! keeps a quantised image of the row there, so a scan can judge an entry
-//! before it follows the rid):
+//! **Leaf** (entries are `(key: f64, code: u64)` pairs, 16 bytes each; the
+//! code is an opaque word that travels with its key — iDistance keeps a
+//! quantised image of the row there, so a scan can judge an entry before it
+//! reads the row):
 //!
 //! ```text
-//! offset  3: prev leaf (u64, NIL_PAGE when none)
-//! offset 11: next leaf (u64)
-//! offset 19: entry[0], entry[1], …
+//! offset  3: first (u64) — the position of entry[0]
+//! offset 11: entry[0], entry[1], …
 //! ```
+//!
+//! An entry's *position* is its rank in key order over the whole tree, and
+//! it is not stored: entry `i` of a leaf is at position `first + i`. The
+//! tree is bulk-loaded once and never written again, with its leaves on
+//! consecutive pages, every one full but the last — so a leaf's neighbours
+//! are the pages either side of it, and the leaf holding the last position
+//! ends the chain.
 //!
 //! **Internal** (`n` keys separate `n + 1` children):
 //!
@@ -31,15 +37,11 @@
 use crate::error::{Error, Result};
 use mmdr_storage::{Page, PageId, PAGE_SIZE};
 
-/// Sentinel for "no sibling".
-pub const NIL_PAGE: PageId = u64::MAX;
-
 const TYPE_OFFSET: usize = 0;
 const COUNT_OFFSET: usize = 1;
-const LEAF_PREV_OFFSET: usize = 3;
-const LEAF_NEXT_OFFSET: usize = 11;
-const LEAF_ENTRIES_OFFSET: usize = 19;
-const LEAF_ENTRY_SIZE: usize = 24;
+const LEAF_FIRST_OFFSET: usize = 3;
+const LEAF_ENTRIES_OFFSET: usize = 11;
+const LEAF_ENTRY_SIZE: usize = 16;
 const INTERNAL_CHILD0_OFFSET: usize = 3;
 const INTERNAL_PAIRS_OFFSET: usize = 11;
 const INTERNAL_PAIR_SIZE: usize = 16;
@@ -76,18 +78,24 @@ fn set_count(page: &mut Page, n: usize) {
 pub struct Leaf;
 
 impl Leaf {
-    /// Formats a page as an empty leaf.
-    pub fn init(page: &mut Page) {
+    /// Formats a page as an empty leaf whose first entry will sit at
+    /// position `first`.
+    pub fn init(page: &mut Page, first: u64) {
         page.put_u8(TYPE_OFFSET, NODE_LEAF).expect("header");
         set_count(page, 0);
-        page.put_u64(LEAF_PREV_OFFSET, NIL_PAGE).expect("header");
-        page.put_u64(LEAF_NEXT_OFFSET, NIL_PAGE).expect("header");
+        page.put_u64(LEAF_FIRST_OFFSET, first).expect("header");
     }
 
     /// Entry count.
     #[inline]
     pub fn count(page: &Page) -> usize {
         count(page)
+    }
+
+    /// The position of entry 0.
+    #[inline]
+    pub fn first(page: &Page) -> u64 {
+        page.get_u64(LEAF_FIRST_OFFSET).expect("header")
     }
 
     /// Key of entry `i`.
@@ -98,44 +106,11 @@ impl Leaf {
             .expect("entry in page")
     }
 
-    /// Entry `i` as `(key, rid)`: their 16 bytes taken from the page as one
-    /// slice, under one bounds check.
-    #[inline]
-    pub fn entry(page: &Page, i: usize) -> (f64, u64) {
-        debug_assert!(i < count(page));
-        let bytes = page
-            .bytes(LEAF_ENTRIES_OFFSET + i * LEAF_ENTRY_SIZE, 16)
-            .expect("entry in page");
-        let (key, rid) = bytes.split_first_chunk().expect("16 bytes");
-        let rid = rid.first_chunk().expect("16 bytes");
-        (f64::from_le_bytes(*key), u64::from_le_bytes(*rid))
-    }
-
     /// The code word of entry `i`.
     #[inline]
     pub fn code(page: &Page, i: usize) -> u64 {
-        page.get_u64(LEAF_ENTRIES_OFFSET + i * LEAF_ENTRY_SIZE + 16)
+        page.get_u64(LEAF_ENTRIES_OFFSET + i * LEAF_ENTRY_SIZE + 8)
             .expect("entry in page")
-    }
-
-    /// Previous leaf in the chain.
-    pub fn prev(page: &Page) -> PageId {
-        page.get_u64(LEAF_PREV_OFFSET).expect("header")
-    }
-
-    /// Next leaf in the chain.
-    pub fn next(page: &Page) -> PageId {
-        page.get_u64(LEAF_NEXT_OFFSET).expect("header")
-    }
-
-    /// Sets the previous-leaf link.
-    pub fn set_prev(page: &mut Page, id: PageId) {
-        page.put_u64(LEAF_PREV_OFFSET, id).expect("header");
-    }
-
-    /// Sets the next-leaf link.
-    pub fn set_next(page: &mut Page, id: PageId) {
-        page.put_u64(LEAF_NEXT_OFFSET, id).expect("header");
     }
 
     /// First slot whose key is `>= key` (lower bound); `count` when none.
@@ -154,47 +129,17 @@ impl Leaf {
         lo
     }
 
-    /// Inserts `(key, rid, code)` at slot `slot`, shifting later entries
-    /// right. The caller guarantees the leaf is not full.
-    pub fn insert_at(page: &mut Page, slot: usize, key: f64, rid: u64, code: u64) -> Result<()> {
+    /// Appends `(key, code)` (the bulk load keeps the order).
+    pub fn push(page: &mut Page, key: f64, code: u64) -> Result<()> {
         let n = count(page);
         if n >= LEAF_CAPACITY {
-            return Err(Error::Corrupt("insert into full leaf"));
+            return Err(Error::Corrupt("push onto a full leaf"));
         }
-        debug_assert!(slot <= n);
-        let src = LEAF_ENTRIES_OFFSET + slot * LEAF_ENTRY_SIZE;
-        page.shift(src, src + LEAF_ENTRY_SIZE, (n - slot) * LEAF_ENTRY_SIZE)?;
-        page.put_f64(src, key)?;
-        page.put_u64(src + 8, rid)?;
-        page.put_u64(src + 16, code)?;
+        let at = LEAF_ENTRIES_OFFSET + n * LEAF_ENTRY_SIZE;
+        page.put_f64(at, key)?;
+        page.put_u64(at + 8, code)?;
         set_count(page, n + 1);
         Ok(())
-    }
-
-    /// Appends `(key, rid, code)` (bulk-load path; caller keeps order +
-    /// capacity).
-    pub fn push(page: &mut Page, key: f64, rid: u64, code: u64) -> Result<()> {
-        let n = count(page);
-        Self::insert_at(page, n, key, rid, code)
-    }
-
-    /// Moves the upper half of `from` into the empty leaf `to` — whole
-    /// entries, so a code stays with its key — returning the first key of
-    /// `to` (the separator to push up).
-    pub fn split_into(from: &mut Page, to: &mut Page) -> f64 {
-        let n = count(from);
-        let mid = n / 2;
-        let moved = n - mid;
-        let src = LEAF_ENTRIES_OFFSET + mid * LEAF_ENTRY_SIZE;
-        let bytes = from
-            .bytes(src, moved * LEAF_ENTRY_SIZE)
-            .expect("range in page")
-            .to_vec();
-        to.put_bytes(LEAF_ENTRIES_OFFSET, &bytes)
-            .expect("range in page");
-        set_count(to, moved);
-        set_count(from, mid);
-        Self::key(to, 0)
     }
 }
 
@@ -208,11 +153,6 @@ impl Internal {
         set_count(page, 0);
         page.put_u64(INTERNAL_CHILD0_OFFSET, first_child)
             .expect("header");
-    }
-
-    /// Key count (children = count + 1).
-    pub fn count(page: &Page) -> usize {
-        count(page)
     }
 
     /// Separator key `i`.
@@ -249,47 +189,17 @@ impl Internal {
         lo
     }
 
-    /// Inserts `(key, right_child)` after position `slot` (i.e. key becomes
-    /// `key[slot]`, child becomes `child[slot + 1]`). Caller guarantees the
-    /// node is not full.
-    pub fn insert_at(page: &mut Page, slot: usize, key: f64, right_child: PageId) -> Result<()> {
-        let n = count(page);
-        if n >= INTERNAL_CAPACITY {
-            return Err(Error::Corrupt("insert into full internal node"));
-        }
-        debug_assert!(slot <= n);
-        let src = INTERNAL_PAIRS_OFFSET + slot * INTERNAL_PAIR_SIZE;
-        page.shift(
-            src,
-            src + INTERNAL_PAIR_SIZE,
-            (n - slot) * INTERNAL_PAIR_SIZE,
-        )?;
-        page.put_f64(src, key)?;
-        page.put_u64(src + 8, right_child)?;
-        set_count(page, n + 1);
-        Ok(())
-    }
-
-    /// Appends `(key, right_child)` (bulk-load path).
+    /// Appends `(key, right_child)` (the bulk load keeps the order).
     pub fn push(page: &mut Page, key: f64, right_child: PageId) -> Result<()> {
         let n = count(page);
-        Self::insert_at(page, n, key, right_child)
-    }
-
-    /// Splits a full internal node: the upper half of `from` moves into the
-    /// empty internal node `to`, and the middle key is *removed* and
-    /// returned (it migrates up, B-tree style).
-    pub fn split_into(from: &mut Page, to: &mut Page) -> f64 {
-        let n = count(from);
-        let mid = n / 2;
-        let up_key = Self::key(from, mid);
-        Internal::init(to, Self::child(from, mid + 1));
-        for i in (mid + 1)..n {
-            Internal::push(to, Self::key(from, i), Self::child(from, i + 1))
-                .expect("fits by construction");
+        if n >= INTERNAL_CAPACITY {
+            return Err(Error::Corrupt("push onto a full internal node"));
         }
-        set_count(from, mid);
-        up_key
+        let at = INTERNAL_PAIRS_OFFSET + n * INTERNAL_PAIR_SIZE;
+        page.put_f64(at, key)?;
+        page.put_u64(at + 8, right_child)?;
+        set_count(page, n + 1);
+        Ok(())
     }
 }
 
@@ -300,42 +210,41 @@ mod tests {
     #[test]
     #[allow(clippy::assertions_on_constants)] // compile-time layout checks
     fn capacities_are_sane() {
-        assert_eq!(LEAF_CAPACITY, 169);
-        assert!(INTERNAL_CAPACITY >= 200);
+        assert_eq!(LEAF_CAPACITY, 255);
+        assert_eq!(INTERNAL_CAPACITY, 255);
         // Layout fits the page.
         assert!(LEAF_ENTRIES_OFFSET + LEAF_CAPACITY * LEAF_ENTRY_SIZE <= PAGE_SIZE);
         assert!(INTERNAL_PAIRS_OFFSET + INTERNAL_CAPACITY * INTERNAL_PAIR_SIZE <= PAGE_SIZE);
     }
 
     #[test]
-    fn leaf_init_insert_lookup() {
+    fn leaf_init_push_lookup() {
         let mut p = Page::new();
-        Leaf::init(&mut p);
+        Leaf::init(&mut p, 510);
         assert!(is_leaf(&p));
         assert_eq!(Leaf::count(&p), 0);
-        assert_eq!(Leaf::prev(&p), NIL_PAGE);
-        Leaf::insert_at(&mut p, 0, 2.0, 20, 200).unwrap();
-        Leaf::insert_at(&mut p, 0, 1.0, 10, 100).unwrap();
-        Leaf::insert_at(&mut p, 2, 3.0, 30, u64::MAX).unwrap();
+        assert_eq!(Leaf::first(&p), 510);
+        for (k, code) in [(1.0, 100), (2.0, 200), (3.0, u64::MAX)] {
+            Leaf::push(&mut p, k, code).unwrap();
+        }
         assert_eq!(Leaf::count(&p), 3);
         assert_eq!(
             (0..3).map(|i| Leaf::key(&p, i)).collect::<Vec<_>>(),
             vec![1.0, 2.0, 3.0]
         );
-        assert_eq!(Leaf::entry(&p, 1), (2.0, 20));
         assert_eq!(
             (0..3).map(|i| Leaf::code(&p, i)).collect::<Vec<_>>(),
             vec![100, 200, u64::MAX],
-            "a shifted entry takes its code along"
+            "a code sits beside its key"
         );
     }
 
     #[test]
     fn leaf_lower_bound_with_duplicates() {
         let mut p = Page::new();
-        Leaf::init(&mut p);
-        for (i, k) in [1.0, 2.0, 2.0, 2.0, 5.0].iter().enumerate() {
-            Leaf::push(&mut p, *k, i as u64, 0).unwrap();
+        Leaf::init(&mut p, 0);
+        for k in [1.0, 2.0, 2.0, 2.0, 5.0] {
+            Leaf::push(&mut p, k, 0).unwrap();
         }
         assert_eq!(Leaf::lower_bound(&p, 0.5), 0);
         assert_eq!(Leaf::lower_bound(&p, 2.0), 1);
@@ -344,35 +253,20 @@ mod tests {
     }
 
     #[test]
-    fn leaf_split_halves_and_returns_separator() {
-        let mut a = Page::new();
-        let mut b = Page::new();
-        Leaf::init(&mut a);
-        Leaf::init(&mut b);
-        for i in 0..10 {
-            Leaf::push(&mut a, i as f64, i, !i).unwrap();
-        }
-        let sep = Leaf::split_into(&mut a, &mut b);
-        assert_eq!(Leaf::count(&a), 5);
-        assert_eq!(Leaf::count(&b), 5);
-        assert_eq!(sep, 5.0);
-        for i in 0..5 {
-            assert_eq!(Leaf::entry(&a, i), (i as f64, i as u64));
-            assert_eq!(Leaf::code(&a, i), !(i as u64));
-            assert_eq!(Leaf::entry(&b, i), ((i + 5) as f64, i as u64 + 5));
-            assert_eq!(Leaf::code(&b, i), !(i as u64 + 5));
-        }
-    }
-
-    #[test]
-    fn leaf_full_insert_is_corrupt_error() {
+    fn pushing_onto_a_full_node_is_a_corrupt_error() {
         let mut p = Page::new();
-        Leaf::init(&mut p);
+        Leaf::init(&mut p, 0);
         for i in 0..LEAF_CAPACITY {
-            Leaf::push(&mut p, i as f64, i as u64, 0).unwrap();
+            Leaf::push(&mut p, i as f64, 0).unwrap();
+        }
+        assert!(matches!(Leaf::push(&mut p, 0.0, 0), Err(Error::Corrupt(_))));
+        let mut p = Page::new();
+        Internal::init(&mut p, 0);
+        for i in 0..INTERNAL_CAPACITY {
+            Internal::push(&mut p, i as f64, i as u64 + 1).unwrap();
         }
         assert!(matches!(
-            Leaf::push(&mut p, 0.0, 0, 0),
+            Internal::push(&mut p, 0.0, 0),
             Err(Error::Corrupt(_))
         ));
     }
@@ -384,7 +278,7 @@ mod tests {
         Internal::push(&mut p, 10.0, 101).unwrap();
         Internal::push(&mut p, 20.0, 102).unwrap();
         assert!(!is_leaf(&p));
-        assert_eq!(Internal::count(&p), 2);
+        assert_eq!(count(&p), 2);
         assert_eq!(Internal::child(&p, 0), 100);
         assert_eq!(Internal::child(&p, 2), 102);
         // Lower-bound routing: equal keys go left.
@@ -393,33 +287,5 @@ mod tests {
         assert_eq!(Internal::child_index(&p, 10.5), 1);
         assert_eq!(Internal::child_index(&p, 20.0), 1);
         assert_eq!(Internal::child_index(&p, 25.0), 2);
-    }
-
-    #[test]
-    fn internal_split_moves_middle_key_up() {
-        let mut a = Page::new();
-        let mut b = Page::new();
-        Internal::init(&mut a, 0);
-        for i in 0..5 {
-            Internal::push(&mut a, (i + 1) as f64 * 10.0, (i + 1) as u64).unwrap();
-        }
-        // Keys [10,20,30,40,50]; children [0,1,2,3,4,5]. mid = 2 → 30 up.
-        let up = Internal::split_into(&mut a, &mut b);
-        assert_eq!(up, 30.0);
-        assert_eq!(Internal::count(&a), 2);
-        assert_eq!(Internal::count(&b), 2);
-        assert_eq!(Internal::child(&b, 0), 3);
-        assert_eq!(Internal::key(&b, 0), 40.0);
-        assert_eq!(Internal::child(&b, 2), 5);
-    }
-
-    #[test]
-    fn sibling_links() {
-        let mut p = Page::new();
-        Leaf::init(&mut p);
-        Leaf::set_prev(&mut p, 7);
-        Leaf::set_next(&mut p, 9);
-        assert_eq!(Leaf::prev(&p), 7);
-        assert_eq!(Leaf::next(&p), 9);
     }
 }

@@ -1,34 +1,26 @@
-//! The B⁺-tree proper: descent, insertion with splits, and seeks.
+//! The B⁺-tree proper: descent, seeks and the two-way leaf walk.
 
 use crate::cursor::Cursor;
 use crate::error::{Error, Result};
-use crate::node::{is_leaf, Internal, Leaf, INTERNAL_CAPACITY, LEAF_CAPACITY, NIL_PAGE};
-use mmdr_storage::{BufferPool, PageId};
+use crate::node::{is_leaf, Internal, Leaf};
+use mmdr_storage::{BufferPool, Page, PageId};
+use std::sync::Arc;
 
-/// A B⁺-tree over finite `f64` keys with `u64` record ids.
+/// A static B⁺-tree over finite `f64` keys, each entry named by its
+/// position in key order, with a `u64` code word beside its key.
 ///
-/// See the crate docs for an end-to-end example.
+/// Built once by [`bulk_load`](Self::bulk_load) (or reattached by
+/// [`from_parts`](Self::from_parts)) and never written again. See the
+/// crate docs for an end-to-end example.
 #[derive(Debug)]
 pub struct BPlusTree {
     pub(crate) pool: BufferPool,
-    root: PageId,
-    height: usize,
-    len: usize,
+    pub(crate) root: PageId,
+    pub(crate) height: usize,
+    pub(crate) len: usize,
 }
 
 impl BPlusTree {
-    /// Creates an empty tree (a single empty leaf as root) in the pool.
-    pub fn new(mut pool: BufferPool) -> Result<Self> {
-        let root = pool.allocate()?;
-        pool.with_page_mut(root, Leaf::init)?;
-        Ok(Self {
-            pool,
-            root,
-            height: 1,
-            len: 0,
-        })
-    }
-
     /// Reattaches a tree to pages restored from a snapshot. `root`,
     /// `height` and `len` must be the values the saved tree reported
     /// ([`root_page_id`](Self::root_page_id), [`height`](Self::height),
@@ -64,7 +56,7 @@ impl BPlusTree {
         self.root
     }
 
-    /// Number of entries.
+    /// Number of entries: positions run `0..len`.
     pub fn len(&self) -> usize {
         self.len
     }
@@ -91,111 +83,9 @@ impl BPlusTree {
         self.pool.num_pages()
     }
 
-    pub(crate) fn set_root(&mut self, root: PageId, height: usize, len: usize) {
-        self.root = root;
-        self.height = height;
-        self.len = len;
-    }
-
-    /// Inserts an entry. Duplicate keys are allowed; the entry lands before
-    /// existing equal keys.
-    pub fn insert(&mut self, key: f64, rid: u64, code: u64) -> Result<()> {
-        if !key.is_finite() {
-            return Err(Error::InvalidKey);
-        }
-        if let Some((sep, right)) = self.insert_rec(self.root, (key, rid, code))? {
-            // Root split: grow a level.
-            let new_root = self.pool.allocate()?;
-            let old_root = self.root;
-            self.pool.with_page_mut(new_root, |p| {
-                Internal::init(p, old_root);
-                Internal::push(p, sep, right)
-            })??;
-            self.root = new_root;
-            self.height += 1;
-        }
-        self.len += 1;
-        Ok(())
-    }
-
-    /// Recursive insert; returns `Some((separator, new_right_page))` when
-    /// the child split and the parent must absorb a new key.
-    fn insert_rec(
-        &mut self,
-        node: PageId,
-        entry: (f64, u64, u64),
-    ) -> Result<Option<(f64, PageId)>> {
-        let (key, rid, code) = entry;
-        let leaf = self.pool.with_page(node, is_leaf)?;
-        if leaf {
-            let n = self.pool.with_page(node, Leaf::count)?;
-            if n < LEAF_CAPACITY {
-                self.pool.with_page_mut(node, |p| {
-                    let slot = Leaf::lower_bound(p, key);
-                    Leaf::insert_at(p, slot, key, rid, code)
-                })??;
-                return Ok(None);
-            }
-            // Split the leaf, then insert into the proper half.
-            let right = self.pool.allocate()?;
-            let mut moved = self.pool.with_page(node, |p| p.clone())?;
-            let mut right_page = self.pool.with_page(right, |p| p.clone())?;
-            Leaf::init(&mut right_page);
-            let sep = Leaf::split_into(&mut moved, &mut right_page);
-            // Fix the chain: node <-> right <-> old next.
-            let old_next = Leaf::next(&moved);
-            Leaf::set_next(&mut moved, right);
-            Leaf::set_prev(&mut right_page, node);
-            Leaf::set_next(&mut right_page, old_next);
-            if key < sep {
-                let slot = Leaf::lower_bound(&moved, key);
-                Leaf::insert_at(&mut moved, slot, key, rid, code)?;
-            } else {
-                let slot = Leaf::lower_bound(&right_page, key);
-                Leaf::insert_at(&mut right_page, slot, key, rid, code)?;
-            }
-            self.pool.with_page_mut(node, |p| *p = moved)?;
-            self.pool.with_page_mut(right, |p| *p = right_page)?;
-            if old_next != NIL_PAGE {
-                self.pool
-                    .with_page_mut(old_next, |p| Leaf::set_prev(p, right))?;
-            }
-            return Ok(Some((sep, right)));
-        }
-
-        let idx = self
-            .pool
-            .with_page(node, |p| Internal::child_index(p, key))?;
-        let child = self.pool.with_page(node, |p| Internal::child(p, idx))?;
-        let Some((sep, new_right)) = self.insert_rec(child, entry)? else {
-            return Ok(None);
-        };
-        let n = self.pool.with_page(node, Internal::count)?;
-        if n < INTERNAL_CAPACITY {
-            self.pool
-                .with_page_mut(node, |p| Internal::insert_at(p, idx, sep, new_right))??;
-            return Ok(None);
-        }
-        // Split this internal node, then place (sep, new_right).
-        let right = self.pool.allocate()?;
-        let mut left_page = self.pool.with_page(node, |p| p.clone())?;
-        let mut right_page = self.pool.with_page(right, |p| p.clone())?;
-        let up = Internal::split_into(&mut left_page, &mut right_page);
-        if sep < up {
-            let slot = Internal::child_index(&left_page, sep);
-            Internal::insert_at(&mut left_page, slot, sep, new_right)?;
-        } else {
-            let slot = Internal::child_index(&right_page, sep);
-            Internal::insert_at(&mut right_page, slot, sep, new_right)?;
-        }
-        self.pool.with_page_mut(node, |p| *p = left_page)?;
-        self.pool.with_page_mut(right, |p| *p = right_page)?;
-        Ok(Some((up, right)))
-    }
-
     /// Positions a cursor at the first entry with key `>= key`, pinned to
     /// the leaf the descent ended on: one pool fetch per level, and none
-    /// again until the cursor crosses to a sibling.
+    /// again until the cursor crosses to a neighbour.
     ///
     /// The cursor may be exhausted immediately (every key is smaller); both
     /// [`cursor_next`](Self::cursor_next) and
@@ -206,47 +96,61 @@ impl BPlusTree {
         }
         // No pool lock is held while a node is examined, so concurrent
         // seeks proceed in parallel.
-        let mut page = self.pool.page(self.root)?;
+        let mut id = self.root;
+        let mut page = self.pool.page(id)?;
         for _ in 1..self.height {
-            let idx = Internal::child_index(&page, key);
-            page = self.pool.page(Internal::child(&page, idx))?;
+            id = Internal::child(&page, Internal::child_index(&page, key));
+            page = self.pool.page(id)?;
         }
         if !is_leaf(&page) {
             return Err(Error::Corrupt("descent did not end at a leaf"));
         }
         let slot = Leaf::lower_bound(&page, key);
-        Ok(Cursor::pinned(page, slot))
+        self.pin(id, page, slot)
     }
 
-    /// Returns the entry at the cursor and advances it forward (ascending
-    /// keys). `None` when past the last entry; the cursor then stays on the
-    /// last leaf, so [`cursor_prev`](Self::cursor_prev) still walks back.
+    /// A cursor on `leaf`, page `page`, in the gap before `slot` — refused
+    /// if the leaf's positions run past [`len`](Self::len), so every
+    /// position a cursor returns names one of the tree's entries.
+    #[inline]
+    fn pin(&self, page: PageId, leaf: Arc<Page>, slot: usize) -> Result<Cursor> {
+        let cursor = Cursor::pinned(page, leaf, slot);
+        if cursor.first + cursor.count as u64 > self.len as u64 {
+            return Err(Error::Corrupt("leaf positions run past the tree"));
+        }
+        Ok(cursor)
+    }
+
+    /// Returns the entry at the cursor as `(key, position)` and advances
+    /// the cursor forward (ascending keys). `None` when past the last
+    /// entry; the cursor then stays on the last leaf, so
+    /// [`cursor_prev`](Self::cursor_prev) still walks back.
     ///
-    /// A step within the pinned leaf is a slot compare and one 16-byte
-    /// read, inlined into the caller's loop; only crossing to a sibling
-    /// calls out. The entry's third field is not read here:
-    /// [`Cursor::code`] reads it for the caller that wants it.
+    /// A step within the pinned leaf is a slot compare and one key read,
+    /// inlined into the caller's loop; only crossing to the next leaf calls
+    /// out. The entry's code is not read here: [`Cursor::code`] reads it
+    /// for the caller that wants it.
     #[inline]
     pub fn cursor_next(&self, cursor: &mut Cursor) -> Result<Option<(f64, u64)>> {
         while cursor.slot >= cursor.count {
-            let next = Leaf::next(&cursor.leaf);
-            if next == NIL_PAGE {
+            if cursor.first + cursor.count as u64 >= self.len as u64 {
                 return Ok(None);
             }
+            let next = cursor.page + 1;
             // Crossing a leaf boundary: hint the pool so a demand-read
             // source can start on the next leaf before the miss lands.
             // Free on resident pools, and never a logical access.
             let _ = self.pool.prefetch(next);
-            *cursor = Cursor::pinned(self.pool.page(next)?, 0);
+            *cursor = self.pin(next, self.pool.page(next)?, 0)?;
         }
         cursor.last = cursor.slot;
         cursor.slot += 1;
-        Ok(Some(Leaf::entry(&cursor.leaf, cursor.last)))
+        Ok(Some(self.entry(cursor)))
     }
 
-    /// Returns the entry *before* the cursor and moves it backward
-    /// (descending keys). `None` when before the first entry; the cursor
-    /// then stays on the first leaf.
+    /// Returns the entry *before* the cursor as `(key, position)` and moves
+    /// the cursor backward (descending keys). `None` when before the first
+    /// entry; the cursor then stays on the first leaf.
     ///
     /// `cursor_next` and `cursor_prev` are symmetric around the cursor gap:
     /// after a `seek(k)`, `cursor_prev` yields entries `< k` and
@@ -254,60 +158,66 @@ impl BPlusTree {
     #[inline]
     pub fn cursor_prev(&self, cursor: &mut Cursor) -> Result<Option<(f64, u64)>> {
         while cursor.slot == 0 {
-            let prev = Leaf::prev(&cursor.leaf);
-            if prev == NIL_PAGE {
+            if cursor.first == 0 {
                 return Ok(None);
             }
+            let prev = cursor.page - 1;
             let leaf = self.pool.page(prev)?;
             let end = Leaf::count(&leaf);
-            *cursor = Cursor::pinned(leaf, end);
+            *cursor = self.pin(prev, leaf, end)?;
         }
         cursor.slot -= 1;
         cursor.last = cursor.slot;
-        Ok(Some(Leaf::entry(&cursor.leaf, cursor.last)))
+        Ok(Some(self.entry(cursor)))
     }
 
-    /// Collects all `(key, rid)` entries with `lo <= key <= hi`.
+    /// The entry the last step returned, as `(key, position)`.
+    #[inline]
+    fn entry(&self, cursor: &Cursor) -> (f64, u64) {
+        (
+            Leaf::key(&cursor.leaf, cursor.last),
+            cursor.first + cursor.last as u64,
+        )
+    }
+
+    /// Collects all `(key, position)` entries with `lo <= key <= hi`.
     pub fn range(&self, lo: f64, hi: f64) -> Result<Vec<(f64, u64)>> {
         let mut cursor = self.seek(lo)?;
         let mut out = Vec::new();
-        while let Some((k, r)) = self.cursor_next(&mut cursor)? {
+        while let Some((k, position)) = self.cursor_next(&mut cursor)? {
             if k > hi {
                 break;
             }
-            out.push((k, r));
+            out.push((k, position));
         }
         Ok(out)
     }
 
     /// Walks the whole tree checking structural invariants (key order
-    /// within nodes, separator consistency, chain integrity, length).
-    /// Test/diagnostic helper — `O(n)`.
+    /// along the leaf chain, positions `0..len` in order, the chain the
+    /// same length both ways). Test/diagnostic helper — `O(n)`.
     pub fn check_invariants(&self) -> Result<()> {
-        // Full in-order scan must be sorted and have `len` entries.
         let mut cursor = self.seek(f64::MIN)?;
         let mut prev: Option<f64> = None;
-        let mut seen = 0usize;
-        while let Some((k, _)) = self.cursor_next(&mut cursor)? {
-            if let Some(p) = prev {
-                if k < p {
-                    return Err(Error::Corrupt("keys out of order in leaf chain"));
-                }
+        let mut seen = 0u64;
+        while let Some((k, position)) = self.cursor_next(&mut cursor)? {
+            if prev.is_some_and(|p| k < p) {
+                return Err(Error::Corrupt("keys out of order in leaf chain"));
+            }
+            if position != seen {
+                return Err(Error::Corrupt("positions are not dense in key order"));
             }
             prev = Some(k);
             seen += 1;
         }
-        if seen != self.len {
+        if seen != self.len as u64 {
             return Err(Error::Corrupt("leaf chain length disagrees with len"));
         }
-        // Backward scan must see the same count.
-        let mut cursor = self.seek(f64::MAX)?;
-        // Consume possible trailing entries ≥ MAX (none), then walk back.
-        let mut back = 0usize;
+        let mut back = 0u64;
         while self.cursor_prev(&mut cursor)?.is_some() {
             back += 1;
         }
-        if back != self.len {
+        if back != self.len as u64 {
             return Err(Error::Corrupt("backward chain length disagrees with len"));
         }
         Ok(())
@@ -319,105 +229,65 @@ mod tests {
     use super::*;
     use mmdr_storage::DiskManager;
 
-    fn tree(pool_pages: usize) -> BPlusTree {
-        BPlusTree::new(BufferPool::new(DiskManager::new(), pool_pages).unwrap()).unwrap()
+    /// A tree over `keys` in the given (sorted) order, code = position².
+    fn tree(pool_pages: usize, keys: &[f64]) -> BPlusTree {
+        let entries: Vec<(f64, u64)> = keys
+            .iter()
+            .enumerate()
+            .map(|(i, &k)| (k, (i * i) as u64))
+            .collect();
+        let pool = BufferPool::new(DiskManager::new(), pool_pages).unwrap();
+        BPlusTree::bulk_load(pool, &entries).unwrap()
+    }
+
+    fn upto(n: u64, scale: f64) -> Vec<f64> {
+        (0..n).map(|i| i as f64 * scale).collect()
     }
 
     #[test]
     fn empty_tree_behaviour() {
-        let t = tree(16);
+        let t = tree(16, &[]);
         assert!(t.is_empty());
         assert_eq!(t.height(), 1);
+        assert_eq!(t.num_pages(), 1, "one empty leaf, no spare root");
         let mut c = t.seek(0.0).unwrap();
         assert_eq!(t.cursor_next(&mut c).unwrap(), None);
         let mut c = t.seek(0.0).unwrap();
         assert_eq!(t.cursor_prev(&mut c).unwrap(), None);
+        t.check_invariants().unwrap();
     }
 
     #[test]
-    fn insert_and_point_seek() {
-        let mut t = tree(64);
-        for i in 0..100u64 {
-            t.insert(i as f64, i, 0).unwrap();
-        }
+    fn point_seek_and_walk() {
+        let t = tree(64, &upto(100, 1.0));
         assert_eq!(t.len(), 100);
         let mut c = t.seek(42.0).unwrap();
         assert_eq!(t.cursor_next(&mut c).unwrap(), Some((42.0, 42)));
+        assert_eq!(c.code(), 42 * 42);
         assert_eq!(t.cursor_next(&mut c).unwrap(), Some((43.0, 43)));
         t.check_invariants().unwrap();
     }
 
     #[test]
-    fn splits_grow_height_and_preserve_order() {
-        let mut t = tree(256);
-        // Enough entries to force several leaf splits and an internal level.
-        let n = 3000u64;
-        for i in 0..n {
-            // Insert in a scrambled order.
-            let k = ((i * 7919) % n) as f64;
-            t.insert(k, i, !i).unwrap();
-        }
-        assert_eq!(t.len(), n as usize);
-        assert!(t.height() >= 2, "height {}", t.height());
-        t.check_invariants().unwrap();
-        // Through every split, a code stayed with its key and rid.
-        let mut c = t.seek(f64::MIN).unwrap();
-        let mut seen = 0;
-        while let Some((k, rid)) = t.cursor_next(&mut c).unwrap() {
-            assert_eq!(k, ((rid * 7919) % n) as f64);
-            assert_eq!(c.code(), !rid);
-            seen += 1;
-        }
-        assert_eq!(seen, n);
-        // Every key is findable.
-        for probe in [0.0, 1.0, 1499.0, 2998.0] {
-            let mut c = t.seek(probe).unwrap();
-            let (k, _) = t.cursor_next(&mut c).unwrap().unwrap();
-            assert_eq!(k, probe);
-        }
-    }
-
-    #[test]
-    fn duplicates_seek_to_first() {
-        let mut t = tree(64);
-        for rid in 0..10u64 {
-            t.insert(5.0, rid, 0).unwrap();
-        }
-        t.insert(1.0, 100, 0).unwrap();
-        t.insert(9.0, 200, 0).unwrap();
-        let mut c = t.seek(5.0).unwrap();
-        let mut rids = Vec::new();
-        while let Some((k, r)) = t.cursor_next(&mut c).unwrap() {
-            if k != 5.0 {
-                break;
-            }
-            rids.push(r);
-        }
-        assert_eq!(rids.len(), 10, "all duplicates reachable from seek");
-    }
-
-    #[test]
-    fn duplicates_across_splits() {
-        let mut t = tree(256);
-        // A run of duplicates longer than a leaf forces cross-leaf runs.
-        for rid in 0..600u64 {
-            t.insert(7.0, rid, 0).unwrap();
-        }
-        for rid in 0..100u64 {
-            t.insert(3.0, 1000 + rid, 0).unwrap();
-            t.insert(11.0, 2000 + rid, 0).unwrap();
-        }
+    fn duplicates_across_leaves_seek_to_first() {
+        // A run of duplicates longer than a leaf spans leaf boundaries.
+        let mut keys = vec![3.0; 100];
+        keys.extend([7.0; 600]);
+        keys.extend([11.0; 100]);
+        let t = tree(256, &keys);
+        let mut c = t.seek(7.0).unwrap();
+        assert_eq!(t.cursor_next(&mut c).unwrap(), Some((7.0, 100)));
         let hits = t.range(7.0, 7.0).unwrap();
         assert_eq!(hits.len(), 600);
+        assert!(hits.iter().zip(100..).all(|(&(_, p), want)| p == want));
+        let mut c = t.seek(7.0).unwrap();
+        assert_eq!(t.cursor_prev(&mut c).unwrap(), Some((3.0, 99)));
         t.check_invariants().unwrap();
     }
 
     #[test]
     fn backward_scan_symmetry() {
-        let mut t = tree(64);
-        for i in 0..500u64 {
-            t.insert(i as f64, i, 0).unwrap();
-        }
+        let t = tree(64, &upto(500, 1.0));
         let mut c = t.seek(250.0).unwrap();
         assert_eq!(t.cursor_prev(&mut c).unwrap(), Some((249.0, 249)));
         assert_eq!(t.cursor_prev(&mut c).unwrap(), Some((248.0, 248)));
@@ -428,10 +298,7 @@ mod tests {
 
     #[test]
     fn range_query() {
-        let mut t = tree(64);
-        for i in 0..100u64 {
-            t.insert(i as f64 * 0.1, i, 0).unwrap();
-        }
+        let t = tree(64, &upto(100, 0.1));
         let r = t.range(2.0, 3.0).unwrap();
         assert_eq!(r.len(), 11); // 2.0, 2.1, ..., 3.0 (within fp tolerance)
         assert!(r.iter().all(|&(k, _)| (2.0..=3.0).contains(&k)));
@@ -439,20 +306,16 @@ mod tests {
     }
 
     #[test]
-    fn rejects_non_finite_keys() {
-        let mut t = tree(16);
-        assert_eq!(t.insert(f64::NAN, 0, 0).err(), Some(Error::InvalidKey));
-        assert_eq!(t.insert(f64::INFINITY, 0, 0).err(), Some(Error::InvalidKey));
+    fn rejects_non_finite_seeks() {
+        let t = tree(16, &[1.0]);
         assert_eq!(t.seek(f64::NAN).err(), Some(Error::InvalidKey));
+        assert_eq!(t.seek(f64::INFINITY).err(), Some(Error::InvalidKey));
     }
 
     #[test]
     fn io_is_counted_through_small_pool() {
         // A pool smaller than the tree forces real I/O on traversals.
-        let mut t = tree(4);
-        for i in 0..5000u64 {
-            t.insert(i as f64, i, 0).unwrap();
-        }
+        let t = tree(4, &upto(5000, 1.0));
         let before = t.pool().snapshot();
         let mut c = t.seek(2500.0).unwrap();
         let _ = t.cursor_next(&mut c).unwrap();
@@ -464,10 +327,7 @@ mod tests {
 
     #[test]
     fn from_parts_reattaches_exported_pages() {
-        let mut t = tree(16);
-        for i in 0..2000u64 {
-            t.insert(i as f64 * 0.25, i, 0).unwrap();
-        }
+        let t = tree(16, &upto(2000, 0.25));
         let images = t.pool().export_pages().unwrap();
         let (root, height, len) = (t.root_page_id(), t.height(), t.len());
         let pool = BufferPool::new(DiskManager::from_pages(images), 16).unwrap();
@@ -476,14 +336,13 @@ mod tests {
         assert_eq!(back.height(), height);
         let mut c = back.seek(100.0).unwrap();
         assert_eq!(back.cursor_next(&mut c).unwrap(), Some((100.0, 400)));
+        assert_eq!(c.code(), 400 * 400);
+        back.check_invariants().unwrap();
     }
 
     #[test]
     fn from_parts_rejects_inconsistent_metadata() {
-        let mut t = tree(16);
-        for i in 0..2000u64 {
-            t.insert(i as f64, i, 0).unwrap();
-        }
+        let t = tree(16, &upto(2000, 1.0));
         let (root, height, len) = (t.root_page_id(), t.height(), t.len());
         assert!(height > 1, "need a multi-level tree");
         let images = t.pool().export_pages().unwrap();
@@ -498,16 +357,35 @@ mod tests {
     }
 
     #[test]
+    fn a_leaf_whose_positions_run_past_the_tree_is_refused() {
+        let t = tree(16, &upto(2000, 1.0));
+        let (root, height, len) = (t.root_page_id(), t.height(), t.len());
+        let mut images = t.pool().export_pages().unwrap();
+        // Page 1 is the second leaf; shift its `first` past the tree.
+        let mut leaf = (*images[1]).clone();
+        Leaf::init(&mut leaf, len as u64);
+        Leaf::push(&mut leaf, 300.0, 0).unwrap();
+        images[1] = Arc::new(leaf);
+        let pool = BufferPool::new(DiskManager::from_pages(images), 16).unwrap();
+        let back = BPlusTree::from_parts(pool, root, height, len).unwrap();
+        assert!(matches!(back.seek(300.0), Err(Error::Corrupt(_))));
+        // A walk from the first leaf is refused where it crosses onto it.
+        let mut c = back.seek(0.0).unwrap();
+        let stopped = loop {
+            match back.cursor_next(&mut c) {
+                Ok(Some(_)) => continue,
+                other => break other,
+            }
+        };
+        assert!(matches!(stopped, Err(Error::Corrupt(_))));
+    }
+
+    #[test]
     fn negative_and_fractional_keys() {
-        let mut t = tree(64);
-        let keys = [-5.5, -0.1, 0.0, 0.1, 3.25, -100.0];
-        for (rid, &k) in keys.iter().enumerate() {
-            t.insert(k, rid as u64, 0).unwrap();
-        }
+        let keys = [-100.0, -5.5, -0.1, 0.0, 0.1, 3.25];
+        let t = tree(64, &keys);
         let all = t.range(f64::MIN, f64::MAX).unwrap();
         let got: Vec<f64> = all.iter().map(|&(k, _)| k).collect();
-        let mut want = keys.to_vec();
-        want.sort_by(|a, b| a.partial_cmp(b).unwrap());
-        assert_eq!(got, want);
+        assert_eq!(got, keys);
     }
 }

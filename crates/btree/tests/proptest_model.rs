@@ -1,130 +1,83 @@
-//! Property tests: the paged B⁺-tree must behave exactly like a sorted
-//! reference model under arbitrary insert/bulk-load workloads, including
-//! duplicate keys and tiny buffer pools (forced eviction).
+//! Property tests: a bulk-loaded tree over sorted keys with duplicates is
+//! the sorted input itself — positions dense `0..n` in input order, every
+//! seek on the first duplicate, each code beside its key, and the two
+//! cursor directions mirror images across leaf boundaries — whatever the
+//! buffer pool (down to one frame: forced eviction).
 
 use mmdr_btree::BPlusTree;
 use mmdr_storage::{BufferPool, DiskManager};
 use proptest::prelude::*;
 
-fn pool(pages: usize) -> BufferPool {
-    BufferPool::new(DiskManager::new(), pages).unwrap()
+/// Sorted `(key, code)` entries: keys from a small domain, so runs of
+/// duplicates are common and some outgrow a leaf (255 entries).
+fn sorted_entries() -> impl Strategy<Value = Vec<(f64, u64)>> {
+    proptest::collection::vec((0u32..24, 0..=u64::MAX), 0..1200).prop_map(|mut raw| {
+        raw.sort_by_key(|&(k, _)| k);
+        raw.into_iter()
+            .map(|(k, code)| (f64::from(k) * 0.5, code))
+            .collect()
+    })
 }
 
-/// Reference: sorted multiset of (key, rid, code).
-fn model_range(model: &[(f64, u64, u64)], lo: f64, hi: f64) -> Vec<f64> {
-    let mut keys: Vec<f64> = model
-        .iter()
-        .filter(|&&(k, _, _)| k >= lo && k <= hi)
-        .map(|&(k, _, _)| k)
-        .collect();
-    keys.sort_by(|a, b| a.partial_cmp(b).unwrap());
-    keys
-}
-
-/// Every entry of `tree` as the cursor shows it, walking forward then back:
-/// `(key, rid, code)`. The two directions must agree.
+/// Every entry as the cursor shows it, forward from the first key and then
+/// back from the end: `(key, position, code)`. The two directions must
+/// agree.
 fn walk(tree: &BPlusTree) -> Vec<(f64, u64, u64)> {
     let mut cur = tree.seek(f64::MIN).unwrap();
     let mut forward = Vec::new();
-    while let Some((k, rid)) = tree.cursor_next(&mut cur).unwrap() {
-        forward.push((k, rid, cur.code()));
+    while let Some((k, position)) = tree.cursor_next(&mut cur).unwrap() {
+        forward.push((k, position, cur.code()));
     }
     let mut backward = Vec::new();
-    while let Some((k, rid)) = tree.cursor_prev(&mut cur).unwrap() {
-        backward.push((k, rid, cur.code()));
+    while let Some((k, position)) = tree.cursor_prev(&mut cur).unwrap() {
+        backward.push((k, position, cur.code()));
     }
     backward.reverse();
     assert_eq!(forward, backward);
     forward
 }
 
-/// Whatever order duplicates landed in, each rid still carries the key and
-/// the code it was stored with.
-fn assert_codes_follow_their_rids(tree: &BPlusTree, model: &[(f64, u64, u64)]) {
-    let mut got = walk(tree);
-    got.sort_by_key(|&(_, rid, _)| rid);
-    let mut want = model.to_vec();
-    want.sort_by_key(|&(_, rid, _)| rid);
-    assert_eq!(got, want);
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     #[test]
-    fn inserts_match_reference_model(
-        // Keys from a small domain to force plenty of duplicates.
-        keys in proptest::collection::vec((0u32..64, 0..=u64::MAX), 1..400),
-        pool_pages in 2usize..32,
-        probe in 0u32..64,
+    fn a_bulk_load_is_its_sorted_input(
+        entries in sorted_entries(),
+        pool_pages in 1usize..16,
+        probes in proptest::collection::vec(-1.0f64..13.0, 8),
     ) {
-        let mut tree = BPlusTree::new(pool(pool_pages)).unwrap();
-        let mut model: Vec<(f64, u64, u64)> = Vec::new();
-        for (rid, &(k, code)) in keys.iter().enumerate() {
-            tree.insert(k as f64, rid as u64, code).unwrap();
-            model.push((k as f64, rid as u64, code));
-        }
-        prop_assert_eq!(tree.len(), model.len());
+        let pool = BufferPool::new(DiskManager::new(), pool_pages).unwrap();
+        let tree = BPlusTree::bulk_load(pool, &entries).unwrap();
+        prop_assert_eq!(tree.len(), entries.len());
         tree.check_invariants().unwrap();
-        assert_codes_follow_their_rids(&tree, &model);
 
-        // Full scan matches the sorted model.
-        let got: Vec<f64> = tree
-            .range(f64::MIN, f64::MAX)
-            .unwrap()
-            .into_iter()
-            .map(|(k, _)| k)
-            .collect();
-        prop_assert_eq!(got, model_range(&model, f64::MIN, f64::MAX));
+        // Positions dense 0..n in input order, each code with its key.
+        let want: Vec<(f64, u64, u64)> =
+            (0..).zip(&entries).map(|(n, &(k, code))| (k, n, code)).collect();
+        prop_assert_eq!(walk(&tree), want);
 
-        // Point range at the probe key returns every duplicate.
-        let hits = tree.range(probe as f64, probe as f64).unwrap();
-        let expected = model.iter().filter(|&&(k, _, _)| k == probe as f64).count();
-        prop_assert_eq!(hits.len(), expected);
-    }
-
-    #[test]
-    fn bulk_load_matches_inserts(
-        mut keys in proptest::collection::vec((0.0f64..1000.0, 0..=u64::MAX), 1..300),
-        lo in 0.0f64..500.0,
-        width in 0.0f64..500.0,
-    ) {
-        keys.sort_by(|a, b| a.0.partial_cmp(&b.0).unwrap());
-        let entries: Vec<(f64, u64, u64)> =
-            keys.iter().enumerate().map(|(i, &(k, code))| (k, i as u64, code)).collect();
-        let bulk = BPlusTree::bulk_load(pool(64), &entries).unwrap();
-        let mut incremental = BPlusTree::new(pool(64)).unwrap();
-        for &(k, v, code) in &entries {
-            incremental.insert(k, v, code).unwrap();
+        // Every seek lands on the first duplicate: forward from it is the
+        // first entry >= the probe, back from it the last entry < it, and
+        // the two steps meet, whichever leaf boundary lies between.
+        let keys: Vec<f64> = entries.iter().map(|e| e.0).collect();
+        let existing = keys.iter().copied().step_by(97);
+        for probe in probes.into_iter().chain(existing) {
+            let first = keys.partition_point(|&k| k < probe) as u64;
+            let mut cur = tree.seek(probe).unwrap();
+            let next = tree.cursor_next(&mut cur).unwrap();
+            prop_assert_eq!(next, keys.get(first as usize).map(|&k| (k, first)));
+            if let Some((_, n)) = next {
+                prop_assert_eq!(cur.code(), entries[n as usize].1);
+                prop_assert_eq!(tree.cursor_prev(&mut cur).unwrap(), next);
+            }
+            let mut cur = tree.seek(probe).unwrap();
+            let prev = tree.cursor_prev(&mut cur).unwrap();
+            let before = first.checked_sub(1);
+            prop_assert_eq!(prev, before.map(|n| (keys[n as usize], n)));
+            if let Some((_, n)) = prev {
+                prop_assert_eq!(cur.code(), entries[n as usize].1);
+                prop_assert_eq!(tree.cursor_next(&mut cur).unwrap(), prev);
+            }
         }
-        bulk.check_invariants().unwrap();
-        // A bulk load lays the entries out as given.
-        prop_assert_eq!(&walk(&bulk), &entries);
-        assert_codes_follow_their_rids(&incremental, &entries);
-        let hi = lo + width;
-        let a: Vec<f64> = bulk.range(lo, hi).unwrap().into_iter().map(|(k, _)| k).collect();
-        let b: Vec<f64> =
-            incremental.range(lo, hi).unwrap().into_iter().map(|(k, _)| k).collect();
-        prop_assert_eq!(a, b);
-    }
-
-    #[test]
-    fn seek_is_lower_bound(
-        mut keys in proptest::collection::vec(0.0f64..100.0, 1..200),
-        probe in 0.0f64..100.0,
-    ) {
-        keys.sort_by(|a, b| a.partial_cmp(b).unwrap());
-        let entries: Vec<(f64, u64, u64)> =
-            keys.iter().enumerate().map(|(i, &k)| (k, i as u64, 0)).collect();
-        let tree = BPlusTree::bulk_load(pool(32), &entries).unwrap();
-        let mut cur = tree.seek(probe).unwrap();
-        let next = tree.cursor_next(&mut cur).unwrap();
-        let expected = keys.iter().copied().find(|&k| k >= probe);
-        prop_assert_eq!(next.map(|(k, _)| k), expected);
-        // And the entry before the cursor is the last key < probe.
-        let mut cur = tree.seek(probe).unwrap();
-        let prev = tree.cursor_prev(&mut cur).unwrap();
-        let expected_prev = keys.iter().copied().rfind(|&k| k < probe);
-        prop_assert_eq!(prev.map(|(k, _)| k), expected_prev);
     }
 }

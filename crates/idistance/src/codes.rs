@@ -45,8 +45,8 @@ pub struct Codebook {
     dim: usize,
     /// Inner edges, axis after axis (`2^bits − 1` each, ascending), rounded
     /// to `f32` and compared as `f64`. The two outer cells of an axis are
-    /// unbounded, so every finite value has a cell — also one an in-place
-    /// insert brings later from outside the range the edges were cut from.
+    /// unbounded, so every finite value has a cell — also one from outside
+    /// the range the edges were cut from.
     edges: Vec<f32>,
     /// [`shape`] of `dim`, worked out once.
     shape: (usize, u32, usize),
@@ -256,7 +256,7 @@ mod tests {
                 &Codebook::from_edges(dim, book.edges().to_vec()).unwrap(),
                 &book
             );
-            // Rows an in-place insert brings later, beyond every column's range.
+            // Rows coded after the fact, beyond every column's range.
             let late: Vec<Vec<f64>> = (0..4)
                 .map(|i| row(n + i).iter().map(|v| v * 1e3 + (i as f64 - 1.5) * 9.0 * scale).collect())
                 .collect();

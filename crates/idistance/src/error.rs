@@ -28,7 +28,7 @@ pub enum Error {
         /// Dimensionality of the data.
         actual: usize,
     },
-    /// A record id does not resolve to a heap record.
+    /// A record id, or a tree position, does not resolve to a heap record.
     BadRecordId(u64),
     /// A configuration field is out of range.
     InvalidConfig(&'static str),

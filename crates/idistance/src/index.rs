@@ -7,10 +7,11 @@ use crate::layout::{data_rows, partition_ids, KeySpace, PartitionRows};
 use crate::vector_heap::VectorHeap;
 use mmdr_btree::BPlusTree;
 use mmdr_core::{EllipsoidCluster, ReductionResult};
-use mmdr_index::{validate_vector, DeltaLayer, SearchCounters};
+use mmdr_index::{DeltaLayer, SearchCounters};
 use mmdr_linalg::Matrix;
 use mmdr_pca::ReducedSubspace;
-use mmdr_storage::{BufferPool, DiskManager};
+use mmdr_storage::{BufferPool, DiskManager, PageId};
+use std::ops::Range;
 
 /// Configuration of the index.
 #[derive(Debug, Clone)]
@@ -27,8 +28,8 @@ pub struct IDistanceConfig {
     /// `2 · max_radius + 1` over all partitions, which guarantees key
     /// ranges never overlap.
     pub c: Option<f64>,
-    /// β used when dynamically inserting new points (cluster-vs-outlier
-    /// test); defaults to Table 1's 0.1.
+    /// β an inserted point is routed with ([`crate::BuiltIndex::insert`]:
+    /// the cluster-vs-outlier test); defaults to Table 1's 0.1.
     pub beta: f64,
 }
 
@@ -45,8 +46,7 @@ impl Default for IDistanceConfig {
 }
 
 /// Per-partition search metadata (the paper's auxiliary arrays: centroids,
-/// principal components, nearest/farthest radius, covariance for dynamic
-/// insertion).
+/// principal components, nearest/farthest radius).
 #[derive(Debug)]
 pub struct PartitionInfo {
     /// The reduced subspace; `None` for the outlier partition, which stays
@@ -54,9 +54,6 @@ pub struct PartitionInfo {
     pub subspace: Option<ReducedSubspace>,
     /// Reference point (cluster centroid, or outlier reference).
     pub centroid: Vec<f64>,
-    /// Covariance of the members in the original space (dynamic-insertion
-    /// array; unused by search).
-    pub covariance: Option<Matrix>,
     /// Smallest `dist(Pᵢ, Oᵢ)` over members.
     pub min_radius: f64,
     /// Largest `dist(Pᵢ, Oᵢ)` over members — the sphere the three search
@@ -65,9 +62,10 @@ pub struct PartitionInfo {
     /// Member count.
     pub count: usize,
     /// The cells the leaf entries' codes index, cut from the rows the
-    /// partition was loaded with; `None` when it was loaded empty, and its
-    /// entries (in-place inserts, code 0) are then never judged by code.
+    /// partition was loaded with; `None` when it was loaded empty.
     pub codebook: Option<Codebook>,
+    /// Where its rows lie, worked out by [`IDistanceIndex::from_parts`].
+    pub(crate) run: Run,
 }
 
 impl PartitionInfo {
@@ -88,12 +86,84 @@ impl PartitionInfo {
                 Some(c) => c.subspace.centroid().to_vec(),
                 None => reference.to_vec(),
             },
-            covariance: cluster.map(|c| c.covariance.clone()),
             min_radius,
             max_radius,
             count,
             codebook,
+            run: Run::default(),
         }
+    }
+}
+
+/// Where one partition's rows lie. A load lays each partition's rows out
+/// once, in ascending key order, twice over: as consecutive leaf entries
+/// from position `first`, and as records on a heap page run of its own
+/// from page `page`, `per_page` to a page. So the partition's `n`-th entry
+/// is its `n`-th record, and a position names its record by arithmetic.
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct Run {
+    first: u64,
+    count: u64,
+    page: PageId,
+    per_page: u64,
+}
+
+impl Run {
+    /// The positions the heap page holding `position` holds, and that
+    /// page; `None` for a position outside the partition.
+    fn page_of(&self, position: u64) -> Option<(Range<u64>, PageId)> {
+        let n = position
+            .checked_sub(self.first)
+            .filter(|&n| n < self.count)?;
+        let index = n / self.per_page;
+        let start = self.first + index * self.per_page;
+        let end = (start + self.per_page).min(self.first + self.count);
+        Some((start..end, self.page + index))
+    }
+}
+
+/// Resolves tree positions to heap record ids, remembering the positions
+/// of the heap page the last one fell on: a walk in key order divides once
+/// per heap page it crosses, and for every other position compares once
+/// and adds. A filtered search resolves every leaf entry it walks, so the
+/// division is not paid per entry.
+#[derive(Debug, Default)]
+pub struct RecordIds {
+    /// The positions of the heap page resolved last, `start..start + len`
+    /// (none at first).
+    start: u64,
+    len: u64,
+    /// What turns one of them into its rid (`page << 16 | slot`) by a
+    /// wrapping add.
+    offset: u64,
+}
+
+impl RecordIds {
+    /// The rid of the record at `position`, one of `index`'s tree
+    /// positions — any a cursor returns ([`IDistanceIndex::record_id`]
+    /// checks any other). Always inlined, and infallible for that: a
+    /// filtered scan asks it of every leaf entry, and as a call, or with an
+    /// error path, it cost `filtered_knn` 7 % of its queries.
+    #[inline(always)]
+    pub fn get(&mut self, index: &IDistanceIndex, position: u64) -> u64 {
+        if position.wrapping_sub(self.start) >= self.len {
+            self.locate(index, position);
+        }
+        position.wrapping_add(self.offset)
+    }
+
+    /// Moves to the heap page holding `position`.
+    #[inline(never)]
+    fn locate(&mut self, index: &IDistanceIndex, position: u64) {
+        let parts = &index.partitions;
+        let part = parts.partition_point(|p| p.run.first + p.run.count <= position);
+        let (positions, page) = parts
+            .get(part)
+            .and_then(|p| p.run.page_of(position))
+            .expect("the partitions' runs cover the tree's positions");
+        self.start = positions.start;
+        self.len = positions.end - positions.start;
+        self.offset = (page << 16).wrapping_sub(positions.start);
     }
 }
 
@@ -134,11 +204,11 @@ impl IDistanceIndex {
 
     /// The one writer of the index's stored form (see [`crate::layout`]):
     /// partition `i` is cluster `i`, the last one the outlier home (always
-    /// present so inserts have somewhere to go), each keyed by
-    /// `y = i·c + dist(P, Oᵢ)` — the norm of the local coordinates in a
-    /// cluster, the distance to `keys.reference` among the outliers — and
-    /// coded by the [`Codebook`] cut from the partition's rows. The tree
-    /// and the heap split `buffer_pages`.
+    /// present, possibly empty), each keyed by `y = i·c + dist(P, Oᵢ)` —
+    /// the norm of the local coordinates in a cluster, the distance to
+    /// `keys.reference` among the outliers — and coded by the [`Codebook`]
+    /// cut from the partition's rows. The tree and the heap split
+    /// `buffer_pages`.
     pub(crate) fn load(
         model: &ReductionResult,
         buffer_pages: usize,
@@ -155,8 +225,9 @@ impl IDistanceIndex {
         let mut heap = VectorHeap::new(pool()?);
 
         let mut partitions: Vec<PartitionInfo> = Vec::with_capacity(model.clusters.len() + 1);
-        // (partition, key distance, rid, code); keyed after c is known.
-        let mut staged: Vec<(usize, f64, u64, u64)> = Vec::with_capacity(model.num_points);
+        // (partition, key distance, code) in layout order; keyed after c is
+        // known.
+        let mut staged: Vec<(usize, f64, u64)> = Vec::with_capacity(model.num_points);
         for part in partition_ids(model) {
             let i = partitions.len();
             let cluster = part.map(|ci| &model.clusters[ci]);
@@ -169,10 +240,11 @@ impl IDistanceIndex {
                     None => (mmdr_linalg::l2_dist(coords, &reference), at),
                 })
                 .collect();
-            // Append in ascending key order: the heap then becomes a
-            // *clustered* file — the KNN annulus scan touches heap pages in
-            // the same order as tree leaves, so each page is read once
-            // instead of ping-ponging.
+            // Lay the rows out in ascending key order, in the heap as in
+            // the tree: the heap becomes a *clustered* file — the annulus
+            // scan touches heap pages in the order of the leaves, each page
+            // read once instead of ping-ponging — and a leaf entry's
+            // position names its record (see [`Run`]).
             order.sort_by(|a, b| a.0.partial_cmp(&b.0).unwrap_or(std::cmp::Ordering::Equal));
             let codebook = Codebook::fit(rows.iter().map(|(_, coords)| coords.as_slice()));
             let mut min_radius = f64::INFINITY;
@@ -181,9 +253,9 @@ impl IDistanceIndex {
                 min_radius = min_radius.min(dist);
                 max_radius = max_radius.max(dist);
                 let (id, coords) = &rows[at];
-                let rid = heap.append(i as u32, *id, coords)?;
+                heap.append(i as u32, *id, coords)?;
                 let code = codebook.as_ref().map_or(0, |book| book.encode(coords));
-                staged.push((i, dist, rid, code));
+                staged.push((i, dist, code));
             }
             if rows.is_empty() {
                 min_radius = 0.0;
@@ -198,15 +270,16 @@ impl IDistanceIndex {
         }
 
         // Range-partitioning constant: strictly larger than any in-partition
-        // distance so ranges [i·c, (i+1)·c) never overlap; the margin leaves
-        // headroom for dynamic inserts that stretch a cluster.
+        // distance so ranges [i·c, (i+1)·c) never overlap.
         let widest = partitions.iter().map(|p| p.max_radius).fold(0.0, f64::max);
         let c = config.c.unwrap_or(2.0 * widest + 1.0).max(c_floor);
-        let mut entries: Vec<(f64, u64, u64)> = staged
+        // Partition after partition, each by distance: the keys ascend in
+        // layout order as they stand (the bulk load refuses them if not),
+        // so entry `n` is the `n`-th row laid out.
+        let entries: Vec<(f64, u64)> = staged
             .into_iter()
-            .map(|(part, dist, rid, code)| (part as f64 * c + dist, rid, code))
+            .map(|(part, dist, code)| (part as f64 * c + dist, code))
             .collect();
-        entries.sort_by(|a, b| a.0.partial_cmp(&b.0).unwrap_or(std::cmp::Ordering::Equal));
         let tree = BPlusTree::bulk_load(tree_pool, &entries)?;
         // `from_parts` rejects an unusable `config`, including a `c` that
         // does not exceed every partition radius.
@@ -216,12 +289,14 @@ impl IDistanceIndex {
     /// Reassembles an index from parts restored from a snapshot: a
     /// reattached B⁺-tree and heap (see [`BPlusTree::from_parts`] and
     /// [`VectorHeap::from_parts`]), the partition metadata, and the scalar
-    /// state [`build`](Self::build) computed. The index counts through the
-    /// two pools it is given, like a built one.
+    /// state [`build`](Self::build) computed. Where each partition's rows
+    /// lie follows from the counts and widths alone (see [`RecordIds`]),
+    /// so it is worked out here and never stored. The index counts through
+    /// the two pools it is given, like a built one.
     pub fn from_parts(
         tree: BPlusTree,
         heap: VectorHeap,
-        partitions: Vec<PartitionInfo>,
+        mut partitions: Vec<PartitionInfo>,
         c: f64,
         dim: usize,
         config: IDistanceConfig,
@@ -242,8 +317,29 @@ impl IDistanceIndex {
         if !(c > widest) {
             return Err(Error::InvalidConfig("c must exceed every partition radius"));
         }
-        let len: usize = partitions.iter().map(|p| p.count).sum();
-        if tree.len() != len || heap.len() < len as u64 {
+        // A partition's entries follow the previous one's; its records
+        // start a heap page of their own.
+        let (mut first, mut page) = (0u64, 0u64);
+        for p in &mut partitions {
+            let width = p
+                .subspace
+                .as_ref()
+                .map_or(dim, ReducedSubspace::reduced_dim);
+            let per_page = VectorHeap::page_capacity(width) as u64;
+            let count = p.count as u64;
+            if count > 0 && per_page == 0 {
+                return Err(Error::InvalidConfig("record width must fit a page"));
+            }
+            p.run = Run {
+                first,
+                count,
+                page,
+                per_page,
+            };
+            first += count;
+            page += count.div_ceil(per_page.max(1));
+        }
+        if tree.len() as u64 != first || heap.len() != first || (heap.num_pages() as u64) < page {
             return Err(Error::InvalidConfig(
                 "tree/heap sizes disagree with the partitions",
             ));
@@ -256,7 +352,7 @@ impl IDistanceIndex {
             dim,
             config,
             search: SearchCounters::default(),
-            len,
+            len: first as usize,
             delta: DeltaLayer::default(),
         })
     }
@@ -271,6 +367,15 @@ impl IDistanceIndex {
     /// per-shard buffer-pool counters via its `pool().snapshot()`).
     pub fn heap(&self) -> &VectorHeap {
         &self.heap
+    }
+
+    /// The rid of the heap record the tree's entry at `position` names (a
+    /// one-off [`RecordIds::get`]); [`Error::BadRecordId`] past the tree.
+    pub fn record_id(&self, position: u64) -> Result<u64> {
+        if position >= self.tree.len() as u64 {
+            return Err(Error::BadRecordId(position));
+        }
+        Ok(RecordIds::default().get(self, position))
     }
 
     /// Number of visible points: the snapshot rows plus live delta rows.
@@ -310,54 +415,13 @@ impl IDistanceIndex {
     pub fn total_pages(&self) -> usize {
         self.tree.num_pages() + self.heap.num_pages()
     }
-
-    /// Dynamically inserts a new point (paper §5's third auxiliary array
-    /// exists for this path).
-    ///
-    /// The point joins the nearest subspace if its projection distance is
-    /// within `β`, else the outlier partition. A cluster point whose key
-    /// would escape the cluster's `[i·c, (i+1)·c)` slot (possible if a
-    /// far-out point stretches the radius past the build-time margin) is
-    /// routed to the outlier partition instead, preserving the mapping
-    /// invariant. (A delta row, placed by [`crate::BuiltIndex::insert`],
-    /// needs no such fallback: it lives outside the B⁺-tree, and the
-    /// background merge recomputes `c` so every folded key fits its slot.)
-    pub fn insert(&mut self, point: &[f64], point_id: u64) -> mmdr_index::Result<()> {
-        validate_vector(self.dim, point)?;
-        // Assignment: nearest subspace within β, else outlier.
-        let clusters = self.partitions.iter().filter_map(|p| p.subspace.as_ref());
-        let routed = match ReducedSubspace::nearest(clusters, point).map_err(Error::from)? {
-            Some((i, subspace, d)) if d <= self.config.beta => {
-                let local = subspace.project(point).map_err(Error::from)?;
-                let dist = mmdr_linalg::l2_norm(&local);
-                (dist < self.c).then_some((i, dist, local))
-            }
-            _ => None,
-        };
-        let (part_idx, dist, local) = routed.unwrap_or_else(|| {
-            let outlier_part = self.partitions.len() - 1;
-            let reference = &self.partitions[outlier_part].centroid;
-            let dist = mmdr_linalg::l2_dist(point, reference);
-            (outlier_part, dist, point.to_vec())
-        });
-        let rid = self.heap.append(part_idx as u32, point_id, &local)?;
-        let key = part_idx as f64 * self.c + dist;
-        let part = &mut self.partitions[part_idx];
-        // The outer cells are unbounded: wherever the point lies, it has one.
-        let code = part.codebook.as_ref().map_or(0, |book| book.encode(&local));
-        self.tree.insert(key, rid, code).map_err(Error::from)?;
-        part.min_radius = part.min_radius.min(dist);
-        part.max_radius = part.max_radius.max(dist);
-        part.count += 1;
-        self.len += 1;
-        Ok(())
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mmdr_core::{Mmdr, MmdrParams};
+    use crate::layout::BuiltIndex;
+    use mmdr_core::{Mmdr, MmdrParams, PointAssignment};
     use mmdr_index::VectorIndex;
 
     fn dataset() -> Matrix {
@@ -371,9 +435,14 @@ mod tests {
         Matrix::from_rows(&rows).unwrap()
     }
 
-    fn build() -> (Matrix, IDistanceIndex) {
+    fn fitted() -> (Matrix, ReductionResult) {
         let data = dataset();
         let model = Mmdr::new(MmdrParams::default()).fit(&data).unwrap();
+        (data, model)
+    }
+
+    fn build() -> (Matrix, IDistanceIndex) {
+        let (data, model) = fitted();
         let index = IDistanceIndex::build(&data, &model, IDistanceConfig::default()).unwrap();
         (data, index)
     }
@@ -429,14 +498,29 @@ mod tests {
     }
 
     #[test]
-    fn dynamic_insert_is_searchable() {
-        let (data, mut index) = build();
+    fn a_position_past_the_tree_names_no_record() {
+        let (_, index) = build();
+        let n = index.tree().len() as u64;
+        assert!(index.record_id(n - 1).is_ok());
+        for bad in [n, n + 1, u64::MAX] {
+            assert!(matches!(index.record_id(bad), Err(Error::BadRecordId(p)) if p == bad));
+        }
+    }
+
+    #[test]
+    fn inserted_points_are_routed_and_searchable() {
+        let (data, model) = fitted();
+        let index = IDistanceIndex::build(&data, &model, IDistanceConfig::default()).unwrap();
+        let built = BuiltIndex::IDistance(Box::new(index));
         // A point on the cluster's line joins the cluster…
         let on_line = vec![0.41, 0.205, 0.0, 0.0];
-        index.insert(&on_line, 9001).unwrap();
+        let (routed, _) = built.insert(&model, 9001, &on_line).unwrap();
+        assert!(matches!(routed, PointAssignment::Cluster(_)));
         // …and a point far off every subspace becomes an outlier.
         let off = vec![3.0, -3.0, 3.0, -3.0];
-        index.insert(&off, 9002).unwrap();
+        let (routed, _) = built.insert(&model, 9002, &off).unwrap();
+        assert_eq!(routed, PointAssignment::Outlier);
+        let index = built.as_dyn();
         assert_eq!(index.len(), 202);
         // The inserted point's reduced representation is its projection, so
         // the self-distance is its (small) ProjDist, not exactly zero.
@@ -447,35 +531,32 @@ mod tests {
         let r = index.knn(&off, 1).unwrap();
         assert_eq!(r[0].1, 9002);
         assert!(r[0].0 < 1e-9);
-        let _ = data;
-    }
-
-    #[test]
-    fn insert_validation() {
-        let (_, mut index) = build();
-        assert!(index.insert(&[0.0], 1).is_err());
-        assert!(index.insert(&[f64::INFINITY; 4], 1).is_err());
+        // A point of another width, or not finite, is refused.
+        assert!(built.insert(&model, 1, &[0.0]).is_err());
+        assert!(built.insert(&model, 1, &[f64::INFINITY; 4]).is_err());
+        assert_eq!(index.len(), 202);
     }
 
     #[test]
     fn a_record_carrying_the_tombstone_id_never_surfaces() {
-        // What an in-place delete by an older build left in a snapshot.
-        let (data, mut index) = build();
-        let p = data.row(50).to_vec();
-        index.insert(&p, crate::TOMBSTONE).unwrap();
-        let hits = index.knn(&p, 500).unwrap();
-        assert_eq!(hits.len(), 200);
+        // What an in-place delete by an older build left in a heap.
+        let (data, model) = fitted();
+        let rows = &mut data_rows(Backend::IDistance, &data, &model).unwrap();
+        let config = IDistanceConfig::default();
+        let keys = KeySpace::fitted(config, &model, |id| Some(data.row(id as usize))).unwrap();
+        let index = IDistanceIndex::load(&model, 256, keys, &mut |part| {
+            let mut rows = rows(part)?;
+            for (id, _) in rows.iter_mut().filter(|(id, _)| *id == 50) {
+                *id = crate::TOMBSTONE;
+            }
+            Ok(rows)
+        })
+        .unwrap();
+        let p = data.row(50);
+        let hits = index.knn(p, 500).unwrap();
+        assert_eq!(hits.len(), 199);
         assert!(hits.iter().all(|&(_, id)| id != crate::TOMBSTONE));
-        let hits = index.range_search(&p, 1e6).unwrap();
-        assert_eq!(hits.len(), 200);
-    }
-
-    #[test]
-    fn insert_updates_partition_stats() {
-        let (_, mut index) = build();
-        let before: usize = index.partitions().iter().map(|p| p.count).sum();
-        index.insert(&[0.5, 0.25, 0.0, 0.0], 500).unwrap();
-        let after: usize = index.partitions().iter().map(|p| p.count).sum();
-        assert_eq!(after, before + 1);
+        let hits = index.range_search(p, 1e6).unwrap();
+        assert_eq!(hits.len(), 199);
     }
 }

@@ -54,7 +54,7 @@ pub use backend::{build_backend, Backend};
 pub use codes::Codebook;
 pub use error::{Error, Result};
 pub use gldr::GlobalLdrIndex;
-pub use index::{IDistanceConfig, IDistanceIndex, PartitionInfo};
+pub use index::{IDistanceConfig, IDistanceIndex, PartitionInfo, RecordIds};
 pub use layout::{
     build_index, load, load_exact, restored_rows, stored_rows, BuiltIndex, KeySpace, Row,
 };

@@ -134,10 +134,11 @@ pub struct VectorHeap {
     /// The id column, one write-once slot per heap page: empty until a
     /// filtered search pins the page ([`pin_learning`](Self::pin_learning)),
     /// then that page's point ids in slot order, read without a lock. It is
-    /// never scanned for, never saved, and emptied again for a page
-    /// [`append`](Self::append) writes; 8 bytes per row a filtered search
+    /// never scanned for and never saved; 8 bytes per row a filtered search
     /// has seen is all it can grow to. The slots themselves are made by
-    /// the first such pin.
+    /// the first such pin — after the heap's last
+    /// [`append`](Self::append): a load writes a heap once, before anything
+    /// searches it.
     #[allow(clippy::box_collection)] // a thin pointer: see the struct's size
     ids: OnceLock<Box<Vec<PageIds>>>,
 }
@@ -221,8 +222,10 @@ impl VectorHeap {
     }
 
     /// Appends a record for `partition`, returning its rid. Starts a new
-    /// page when the partition/width changes or the page fills.
+    /// page when the partition/width changes or the page fills. A heap is
+    /// written by its load, before anything reads it.
     pub fn append(&mut self, partition: u32, point_id: u64, coords: &[f64]) -> Result<u64> {
+        debug_assert!(self.ids.get().is_none(), "appended after a search");
         let dim = coords.len();
         let width = Self::width(dim)?;
         let need_new = match self.open {
@@ -247,11 +250,6 @@ impl VectorHeap {
             self.open = Some((page, partition, width));
         }
         let (page, _, _) = self.open.expect("just ensured");
-        // What a filtered search learned of this page is about to go stale.
-        if let Some(ids) = self.ids.get_mut() {
-            ids.resize_with(self.pool.num_pages(), OnceLock::new);
-            ids[page as usize].take();
-        }
         let slot = self.pool.with_page_mut(page, |p| -> Result<u16> {
             let slot = p.get_u16(6).expect("header");
             let base = HEADER + slot as usize * (8 + 8 * dim);
@@ -308,8 +306,8 @@ impl VectorHeap {
 
     /// The point id of record `rid` if the id column holds its page —
     /// that is, if a filtered search has pinned that page since the heap
-    /// was opened and nothing was appended to it after; `None` otherwise
-    /// (also for a slot the page does not have). Touches no page.
+    /// was loaded or opened; `None` otherwise (also for a slot the page
+    /// does not have). Touches no page.
     #[inline]
     pub fn learned_id(&self, rid: u64) -> Option<u64> {
         let page = self.ids.get()?.get((rid >> 16) as usize)?.get()?;
@@ -411,7 +409,7 @@ mod tests {
     }
 
     #[test]
-    fn the_id_column_holds_what_pin_learning_pinned_until_an_append() {
+    fn the_id_column_holds_what_pin_learning_pinned() {
         let mut h = heap(16);
         let cap = VectorHeap::page_capacity(4) as u64;
         let rids: Vec<u64> = (0..cap + 3)
@@ -438,13 +436,7 @@ mod tests {
         h.pin_learning(&mut pin, second).unwrap();
         assert_eq!(h.learned_id(second + 2), Some(100 + cap + 2));
         assert_eq!(h.learned_id(second + 3), None);
-        // An append forgets the page it writes, and that page only.
-        let appended = h.append(0, 999, &[0.0; 4]).unwrap();
-        assert_eq!(appended, second + 3);
-        assert_eq!(h.learned_id(second), None);
-        assert_eq!(h.learned_id(first), Some(100));
-        h.pin_learning(&mut None, second).unwrap();
-        assert_eq!(h.learned_id(appended), Some(999));
+        assert_eq!(fetches(&h), 2);
     }
 
     proptest! {

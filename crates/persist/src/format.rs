@@ -50,7 +50,12 @@ pub const MAGIC: [u8; 8] = *b"MMDRSNP\x01";
 /// codes index, the outliers' reference point — with the subspace, centroid
 /// and covariance read from MODEL, which already had them, and MODEL's
 /// member lists are zig-zag delta varints.
-pub const FORMAT_VERSION: u32 = 3;
+///
+/// Version 4 is the static iDistance leaf: an entry is `(key, code)` (16
+/// bytes) and its position in key order names its heap record, the leaves
+/// are packed full on consecutive pages with no sibling links, and a leaf
+/// header holds its first entry's position. META is unchanged.
+pub const FORMAT_VERSION: u32 = 4;
 /// Little-endian sentinel; a byte-swapped writer would store 0x4D3C2B1A.
 pub const ENDIAN_TAG: u32 = 0x1A2B_3C4D;
 /// Superblock size; the section table starts here.
@@ -413,10 +418,10 @@ mod tests {
 
     #[test]
     fn another_version_reported_before_checksums() {
-        // A newer file, and the v2 one the previous format wrote: the
+        // A newer file, and the v3 one the previous format wrote: the
         // version is changed *without* fixing the superblock CRC, and the
         // version check must fire first.
-        for other in [99u32, 2] {
+        for other in [99u32, 3] {
             let mut image = sample();
             image[8..12].copy_from_slice(&other.to_le_bytes());
             match parse(&image) {

@@ -168,8 +168,8 @@ pub fn get_config(r: &mut ByteReader<'_>) -> Result<IDistanceConfig> {
 
 /// What a load measured of one partition — its radii, its count, the
 /// codebook its leaf codes index — and, for the outlier home alone, the
-/// reference point its keys are measured from. The subspace, a cluster's
-/// centroid and its covariance are the model's: MODEL holds them once.
+/// reference point its keys are measured from. The subspace and a cluster's
+/// centroid are the model's: MODEL holds them once.
 pub fn put_partition(w: &mut ByteWriter, p: &PartitionInfo) {
     w.put_f64(p.min_radius);
     w.put_f64(p.max_radius);
@@ -359,10 +359,6 @@ mod tests {
             r.expect_end().unwrap();
             assert_eq!(got.subspace.is_some(), p.subspace.is_some());
             assert_eq!(got.centroid, p.centroid);
-            assert_eq!(
-                got.covariance.as_ref().map(|c| c.as_slice()),
-                p.covariance.as_ref().map(|c| c.as_slice())
-            );
             assert_eq!(got.count, p.count);
             assert_eq!(got.min_radius.to_bits(), p.min_radius.to_bits());
             assert_eq!(got.max_radius.to_bits(), p.max_radius.to_bits());

@@ -11,7 +11,7 @@
 
 use mmdr::core::{Mmdr, MmdrParams};
 use mmdr::datagen::{exact_knn, generate_histograms, precision, HistogramConfig};
-use mmdr::idistance::{IDistanceConfig, IDistanceIndex, SeqScan, VectorIndex};
+use mmdr::idistance::{BuiltIndex, IDistanceConfig, IDistanceIndex, SeqScan, VectorIndex};
 
 fn main() {
     // A scaled-down Corel stand-in: 10 000 "images", 64 color bins.
@@ -42,8 +42,7 @@ fn main() {
         model.mean_retained_dim()
     );
 
-    let mut index =
-        IDistanceIndex::build(&images, &model, IDistanceConfig::default()).expect("index");
+    let index = IDistanceIndex::build(&images, &model, IDistanceConfig::default()).expect("index");
     let scan = SeqScan::build(&images, &model, 64).expect("scan");
 
     // "Find images similar to #123, #4567, #9000" — the interactive loop.
@@ -68,21 +67,23 @@ fn main() {
         );
     }
 
-    // New images arrive: dynamic insertion keeps the index current.
+    // New images arrive: the model routes each one, and it is searchable
+    // at once beside the bulk-loaded tree, until a rebuild folds it in.
     let new_images = generate_histograms(&HistogramConfig {
         n: 5,
         seed: 99,
         ..Default::default()
     })
     .expect("new images");
+    let built = BuiltIndex::IDistance(Box::new(index));
     for (i, row) in new_images.iter_rows().enumerate() {
-        index
-            .insert(row, (images.rows() + i) as u64)
+        built
+            .insert(&model, (images.rows() + i) as u64, row)
             .expect("dynamic insert");
     }
     println!(
         "inserted {} new images; index now holds {}",
         new_images.rows(),
-        index.len()
+        built.as_dyn().len()
     );
 }

@@ -3,7 +3,7 @@
 
 use mmdr::core::{Mmdr, MmdrParams};
 use mmdr::datagen::{exact_knn, generate_correlated, precision, sample_queries, CorrelatedConfig};
-use mmdr::idistance::{IDistanceConfig, IDistanceIndex, SeqScan, VectorIndex};
+use mmdr::idistance::{BuiltIndex, IDistanceConfig, IDistanceIndex, SeqScan, VectorIndex};
 
 fn workload() -> mmdr::datagen::GeneratedDataset {
     generate_correlated(&CorrelatedConfig::paper_style(4_000, 32, 6, 6, 30.0, 17))
@@ -96,14 +96,16 @@ fn index_beats_scan_on_io() {
 fn dynamic_inserts_are_immediately_visible() {
     let ds = workload();
     let model = Mmdr::new(MmdrParams::default()).fit(&ds.data).unwrap();
-    let mut index = IDistanceIndex::build(&ds.data, &model, IDistanceConfig::default()).unwrap();
+    let index = IDistanceIndex::build(&ds.data, &model, IDistanceConfig::default()).unwrap();
+    let built = BuiltIndex::IDistance(Box::new(index));
     let base = ds.data.rows() as u64;
     // Insert points near an existing cluster member.
     for i in 0..20u64 {
         let mut p = ds.data.row(i as usize * 7).to_vec();
         p[0] += 1e-4;
-        index.insert(&p, base + i).unwrap();
+        built.insert(&model, base + i, &p).unwrap();
     }
+    let index = built.as_dyn();
     assert_eq!(index.len(), ds.data.rows() + 20);
     // The clone of row 0 must surface among its neighbours.
     let hits = index.knn(ds.data.row(0), 3).unwrap();

@@ -7,12 +7,20 @@
 //! (b) attaching the exact rows keyed by id saves the same bytes as
 //!     building over them as a matrix;
 //! (c) the rows read back from a build are `restore(project(row))`,
-//!     bitwise, for every id.
+//!     bitwise, for every id;
+//!
+//! and for iDistance, whose leaf entries name their records by position,
+//! (d) entry `n` of the tree, walked from its first key, resolves to the
+//!     `n`-th row laid out — through every door, built and reopened.
 
 use mmdr_core::{Mmdr, MmdrParams, ReductionResult};
-use mmdr_idistance::{Backend, IDistanceConfig};
+use mmdr_idistance::{stored_rows, Backend, IDistanceConfig, RecordIds, VectorHeap};
+use mmdr_index::IngestOp;
 use mmdr_linalg::Matrix;
-use mmdr_persist::{attach, build_index, fold, materialize_rows, save, BuiltIndex};
+use mmdr_persist::{
+    attach, build_index, extend_model, fold, materialize_rows, open_with, save, BuiltIndex,
+    OpenOptions,
+};
 use std::collections::BTreeMap;
 
 const PAGES: usize = 128;
@@ -141,4 +149,177 @@ fn rows_read_back_are_the_restored_projections() {
             }
         }
     }
+}
+
+/// The `(partition, id, key bits)` of every row `index` stores, in layout
+/// order worked out from `model` alone: partition after partition —
+/// clusters in model order, then the outliers — each partition's members
+/// in member order, stably sorted by key.
+fn laid_out(index: &BuiltIndex, model: &ReductionResult) -> Vec<(usize, u64, u64)> {
+    let BuiltIndex::IDistance(idx) = index else {
+        panic!("an iDistance index");
+    };
+    let mut stored = stored_rows(index).unwrap();
+    let reference = &idx.partitions().last().unwrap().centroid;
+    let members = model.clusters.iter().map(|c| &c.members);
+    let mut rows = Vec::new();
+    for (part, members) in members.chain([&model.outliers]).enumerate() {
+        let mut keyed: Vec<(f64, u64)> = members
+            .iter()
+            .filter_map(|&pid| {
+                let coords = stored.remove(&(pid as u64))?;
+                let dist = match part < model.clusters.len() {
+                    true => mmdr_linalg::l2_norm(&coords),
+                    false => mmdr_linalg::l2_dist(&coords, reference),
+                };
+                Some((dist, pid as u64))
+            })
+            .collect();
+        keyed.sort_by(|a, b| a.0.partial_cmp(&b.0).unwrap());
+        rows.extend(
+            keyed
+                .into_iter()
+                .map(|(dist, id)| (part, id, (part as f64 * idx.c() + dist).to_bits())),
+        );
+    }
+    assert!(stored.is_empty(), "every stored row is a member");
+    rows
+}
+
+/// Which partition shapes the position gate has met.
+#[derive(Debug, Default)]
+struct Shapes {
+    empty: bool,
+    one_row: bool,
+    /// Full heap pages, then a partial one.
+    partial_last_page: bool,
+    /// Outliers stored at the model's full width.
+    full_width_outliers: bool,
+}
+
+/// Walks `index`'s tree from its first key: entry `n` is at position `n`,
+/// and its rid — resolved once through a [`RecordIds`] that remembers the
+/// heap page, once from scratch — reads the `n`-th row of `want`, whose key
+/// it carries.
+fn assert_positions_name_their_rows(index: &BuiltIndex, want: &[(usize, u64, u64)], tag: &str) {
+    let BuiltIndex::IDistance(idx) = index else {
+        panic!("an iDistance index");
+    };
+    let tree = idx.tree();
+    let mut cursor = tree.seek(f64::MIN).unwrap();
+    let mut ids = RecordIds::default();
+    let mut n = 0;
+    while let Some((key, position)) = tree.cursor_next(&mut cursor).unwrap() {
+        assert_eq!(position, n as u64, "{tag}");
+        let rid = ids.get(idx, position);
+        assert_eq!(rid, idx.record_id(position).unwrap(), "{tag}: entry {n}");
+        let (part, id, _) = idx.heap().get(rid).unwrap();
+        assert_eq!(
+            (part as usize, id, key.to_bits()),
+            want[n],
+            "{tag}: entry {n}"
+        );
+        n += 1;
+    }
+    assert_eq!(n, want.len(), "{tag}");
+    assert!(
+        idx.record_id(n as u64).is_err(),
+        "{tag}: no entry past the last"
+    );
+}
+
+fn note_shapes(index: &BuiltIndex, model: &ReductionResult, shapes: &mut Shapes) {
+    let BuiltIndex::IDistance(idx) = index else {
+        panic!("an iDistance index");
+    };
+    for p in idx.partitions() {
+        let width = p.subspace.as_ref().map_or(model.dim, |s| s.reduced_dim());
+        let per_page = VectorHeap::page_capacity(width);
+        shapes.empty |= p.count == 0;
+        shapes.one_row |= p.count == 1;
+        shapes.partial_last_page |= p.count > per_page && p.count % per_page != 0;
+        shapes.full_width_outliers |= p.subspace.is_none() && p.count > 0;
+    }
+}
+
+/// The operations the fold door folds: every outlier but the first
+/// deleted (the one left is a one-row partition), 300 rows along the first
+/// cluster's line (several heap pages, the last partial), and one row off
+/// every plane (the only outlier of a fixture that had none).
+fn fold_ops(data: &Matrix, model: &ReductionResult) -> Vec<IngestOp> {
+    let next = data.rows() as u64;
+    let dead = model.outliers.iter().skip(1);
+    let mut ops: Vec<IngestOp> = dead
+        .map(|&pid| IngestOp::Delete { id: pid as u64 })
+        .collect();
+    for i in 0..300u64 {
+        let t = (i as f64 + 0.5) / 300.0;
+        let jit = ((i as f64 * 0.414_213_56).fract() - 0.5) * 0.01;
+        ops.push(IngestOp::Insert {
+            id: next + i,
+            vector: vec![t, 0.3 * t, jit, -jit],
+        });
+    }
+    if model.outliers.is_empty() {
+        ops.push(IngestOp::Insert {
+            id: next + 300,
+            vector: vec![-4.0, 9.0, -5.0, 8.0],
+        });
+    }
+    ops
+}
+
+#[test]
+fn every_leaf_position_resolves_to_the_row_laid_out_there() {
+    let mut shapes = Shapes::default();
+    for (fi, (data, model)) in fixtures().iter().enumerate() {
+        let rows: BTreeMap<u64, Vec<f64>> = (0..data.rows())
+            .map(|i| (i as u64, data.row(i).to_vec()))
+            .collect();
+        let config = IDistanceConfig {
+            buffer_pages: PAGES,
+            ..Default::default()
+        };
+        let built = build_index(Backend::IDistance, data, model, PAGES).unwrap();
+        let attached = attach(Backend::IDistance, model, &rows, PAGES, config.clone()).unwrap();
+        let ops = fold_ops(data, model);
+        let mut extended = model.clone();
+        extend_model(&mut extended, &ops, config.beta).unwrap();
+        let folded = fold(&built, &extended, &ops, PAGES).unwrap();
+        let doors = [
+            ("build", built, model),
+            ("attach", attached, model),
+            ("fold", folded, &extended),
+        ];
+        for (door, index, model) in &doors {
+            let tag = format!("fixture {fi}, {door}");
+            let want = laid_out(index, model);
+            note_shapes(index, model, &mut shapes);
+            assert_positions_name_their_rows(index, &want, &tag);
+            let path = std::env::temp_dir().join(format!(
+                "mmdr-layout-doors-{}-positions-{fi}-{door}.mmdr",
+                std::process::id()
+            ));
+            save(&path, index, model).unwrap();
+            let resident = OpenOptions {
+                resident: true,
+                ..OpenOptions::default()
+            };
+            let paged = OpenOptions {
+                pool_pages: Some(8),
+                readahead: 0,
+                resident: false,
+            };
+            for (open, options) in [("resident", resident), ("8-frame paged", paged)] {
+                let opened = open_with(&path, &options).unwrap();
+                let tag = format!("{tag}, {open}");
+                assert_positions_name_their_rows(&opened.index, &want, &tag);
+            }
+            let _ = std::fs::remove_file(&path);
+        }
+    }
+    assert!(
+        shapes.empty && shapes.one_row && shapes.partial_last_page && shapes.full_width_outliers,
+        "the fixtures must cover every partition shape: {shapes:?}"
+    );
 }

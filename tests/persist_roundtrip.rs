@@ -133,14 +133,13 @@ fn reopened_index_streams_through_io_stats_like_a_built_one() {
         let opened = open(&file.0).unwrap();
         let index = opened.index.as_dyn();
         // Restoring pages costs no logical I/O. iDistance's reattach checks
-        // its root — one fetch, one miss — and this tree's root is its only
-        // leaf, page 0: a miss on page 0 looks sequential to the demand-read
-        // source, whose readahead brings the tree's other page along.
+        // its root — one fetch, one miss, one pread: this tree's root is its
+        // only leaf and its only page, so readahead finds nothing to bring.
         let open_cost = match backend {
             Backend::IDistance => QueryStats {
                 pages_touched: 1,
                 page_reads: 1,
-                physical_reads: 2,
+                physical_reads: 1,
                 ..QueryStats::default()
             },
             _ => QueryStats::default(),
@@ -465,22 +464,23 @@ fn future_version_reports_unsupported_not_checksum() {
 
 #[test]
 fn a_snapshot_of_the_previous_format_is_refused_by_its_version() {
-    // What a v2 writer left: version 2 under a superblock CRC that is right
-    // for it. There is no second reader; the refusal is typed.
+    // What a v3 writer left (24-byte leaf entries with a rid): version 3
+    // under a superblock CRC that is right for it. There is no second
+    // reader; the refusal is typed.
     let mut image = snapshot_bytes();
-    image[8..12].copy_from_slice(&2u32.to_le_bytes());
+    image[8..12].copy_from_slice(&3u32.to_le_bytes());
     image[44..48].fill(0);
     let crc = mmdr_persist::crc32(&image[..80]);
     image[44..48].copy_from_slice(&crc.to_le_bytes());
     for resident in [false, true] {
-        let file = write_image(&image, "v2");
+        let file = write_image(&image, "v3");
         let options = OpenOptions {
             resident,
             ..OpenOptions::default()
         };
         match open_with(&file.0, &options) {
             Err(PersistError::UnsupportedVersion { found, supported }) => {
-                assert_eq!((found, supported), (2, 3));
+                assert_eq!((found, supported), (3, 4));
             }
             other => panic!("expected UnsupportedVersion, got {other:?}"),
         }
@@ -495,8 +495,8 @@ fn leaf_entries(index: &BuiltIndex) -> Vec<(u64, u64, u64)> {
     let tree = index.tree();
     let mut cursor = tree.seek(0.0).unwrap();
     let mut entries = Vec::with_capacity(tree.len());
-    while let Some((key, rid)) = tree.cursor_next(&mut cursor).unwrap() {
-        entries.push((key.to_bits(), rid, cursor.code()));
+    while let Some((key, position)) = tree.cursor_next(&mut cursor).unwrap() {
+        entries.push((key.to_bits(), position, cursor.code()));
     }
     assert_eq!(entries.len(), tree.len());
     entries
