@@ -10,6 +10,7 @@ use mmdr_btree::{BPlusTree, Cursor};
 use mmdr_idistance::{
     GlobalLdrIndex, IDistanceConfig, IDistanceIndex, RecordIds, SeqScan, VectorIndex,
 };
+use mmdr_storage::PageSet;
 use std::hint::black_box;
 
 fn bench_knn_schemes(c: &mut Criterion) {
@@ -125,21 +126,21 @@ fn bench_candidate_path(c: &mut Criterion) {
     });
     group.bench_function(BenchmarkId::new("+record_id", info.count), |b| {
         b.iter(|| {
-            let (mut ids, mut pin, mut acc) = (RecordIds::default(), None, 0u64);
+            let (mut ids, mut pages, mut acc) = (RecordIds::default(), PageSet::default(), 0u64);
             walk_slot(tree, lo, hi, |position, _| {
                 let rid = ids.get(&index, position);
-                acc ^= heap.record(&mut pin, rid).unwrap().1.point_id()
+                acc ^= heap.record(&mut pages, rid).unwrap().1.point_id()
             });
             acc
         })
     });
     group.bench_function(BenchmarkId::new("+decode+distance", info.count), |b| {
         b.iter(|| {
-            let (mut ids, mut pin) = (RecordIds::default(), None);
+            let (mut ids, mut pages) = (RecordIds::default(), PageSet::default());
             let (mut coords, mut acc) = (Vec::new(), 0.0);
             walk_slot(tree, lo, hi, |position, _| {
                 let rid = ids.get(&index, position);
-                let (_, record) = heap.record(&mut pin, rid).unwrap();
+                let (_, record) = heap.record(&mut pages, rid).unwrap();
                 record.coords_into(&mut coords);
                 acc += mmdr_linalg::reduced_dist(proj_sq, black_box(&q_local), &coords);
             });

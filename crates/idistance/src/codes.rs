@@ -56,16 +56,27 @@ impl Codebook {
     /// Cuts equi-depth cells from the rows of a partition as they are about
     /// to be laid out: edge `i` of `m` on an axis is the column's
     /// `i/m`-quantile. `None` for no rows.
+    ///
+    /// A column is sorted as the `u64`s that order as [`f64::total_cmp`]
+    /// orders its values — all bits flipped on a negative, the sign bit on
+    /// any other — so the quantiles are `total_cmp`'s, without its call per
+    /// comparison.
     pub fn fit<'a>(rows: impl ExactSizeIterator<Item = &'a [f64]> + Clone) -> Option<Self> {
+        const SIGN: u64 = 1 << 63;
+        let ordered = |x: f64| {
+            let bits = x.to_bits();
+            bits ^ if bits & SIGN == 0 { SIGN } else { u64::MAX }
+        };
+        let value = |key: u64| f64::from_bits(key ^ if key & SIGN == 0 { u64::MAX } else { SIGN });
         let dim = rows.clone().next()?.len();
         let mut edges = Vec::new();
         let mut column = Vec::with_capacity(rows.len());
         for (j, width) in widths(dim).enumerate() {
             column.clear();
-            column.extend(rows.clone().map(|row| row[j]));
-            column.sort_unstable_by(f64::total_cmp);
+            column.extend(rows.clone().map(|row| ordered(row[j])));
+            column.sort_unstable();
             let cells = 1usize << width;
-            edges.extend((1..cells).map(|i| column[i * column.len() / cells] as f32));
+            edges.extend((1..cells).map(|i| value(column[i * column.len() / cells]) as f32));
         }
         Some(Self {
             dim,
@@ -227,6 +238,45 @@ mod tests {
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Sorting a column by its ordered keys is sorting it by
+        /// `f64::total_cmp`: the edges `fit` cuts are that sort's quantiles
+        /// to the bit, over any bit patterns — both zeros, subnormals,
+        /// infinities and NaNs of either sign, and runs of duplicates.
+        #[test]
+        fn fit_cuts_the_edges_a_total_cmp_sort_cuts(
+            dim in 1usize..14,
+            n in 1usize..300,
+            words in proptest::collection::vec(0u64..u64::MAX, 1..64),
+            kinds in proptest::collection::vec(0usize..10, 1..64),
+        ) {
+            let tiny = f64::MIN_POSITIVE / 4.0;
+            let value = |i: usize| {
+                let word = words[i % words.len()];
+                match kinds[(i / 3) % kinds.len()] {
+                    0 => 0.0,
+                    1 => -0.0,
+                    2 => if word & 1 == 0 { tiny } else { -tiny },
+                    3 => if word & 1 == 0 { f64::INFINITY } else { f64::NEG_INFINITY },
+                    4 => if word & 1 == 0 { f64::NAN } else { -f64::NAN },
+                    5 | 6 => f64::from_bits(word),
+                    _ => (word % 17) as f64 - 8.0,
+                }
+            };
+            let rows: Vec<Vec<f64>> = (0..n)
+                .map(|i| (0..dim).map(|j| value(i * 31 + j * 7)).collect())
+                .collect();
+            let book = Codebook::fit(rows.iter().map(Vec::as_slice)).unwrap();
+            let mut want = Vec::new();
+            for (j, width) in widths(dim).enumerate() {
+                let mut column: Vec<f64> = rows.iter().map(|row| row[j]).collect();
+                column.sort_unstable_by(f64::total_cmp);
+                let cells = 1usize << width;
+                want.extend((1..cells).map(|i| column[i * column.len() / cells] as f32));
+            }
+            let bits = |edges: &[f32]| edges.iter().map(|e| e.to_bits()).collect::<Vec<_>>();
+            prop_assert_eq!(bits(book.edges()), bits(&want));
+        }
 
         /// For rows the codebook was cut from and rows coded after the
         /// fact from far outside their range, for queries inside, outside

@@ -3,12 +3,13 @@
 //! query is the single iteration whose sphere is given.
 
 use crate::codes::Codebook;
-use crate::error::Result;
+use crate::error::{Error, Result};
 use crate::index::{IDistanceIndex, RecordIds};
-use crate::vector_heap::{HeapPage, TOMBSTONE};
+use crate::vector_heap::TOMBSTONE;
 use mmdr_btree::Cursor;
 use mmdr_index::{KnnHeap, Scratch, SearchFilter, Target};
 use mmdr_pca::ReducedSubspace;
+use mmdr_storage::PageSet;
 use std::collections::HashSet;
 use std::ops::Range;
 
@@ -106,31 +107,51 @@ impl Reach {
     }
 }
 
-/// The per-candidate routine, from "the ring bound admits this key" to
-/// "the result set has seen it". The order is the cost: the entry's
-/// position is resolved to its record, which is located on the pinned page
-/// and only its id is read; the id is put to every test that can reject
-/// it; only a row that passed them all has its coordinates decoded and its
-/// distance evaluated.
+/// The per-candidate routine, from "the leaf admits this entry" to "the
+/// result set has seen it", in two halves. The walk tests each entry
+/// against the reach and queues what passes at its lower bound
+/// ([`queue`](Self::queue)); [`refine`](Self::refine) then takes the
+/// queue nearest bound first — the optimal multi-step order — so the reach
+/// narrows as early as it can and stops the refinement at the first entry
+/// it excludes. A refined entry's position is resolved to its record,
+/// which is located on its page — pinned once a query, in `pages`, whatever
+/// order the pages come in — and only its id is read; the id is put to
+/// every test that can reject it; only a row that passed them all has its
+/// coordinates decoded and its distance evaluated.
 ///
 /// Under a filter most rows fail, and pinning a page to learn that a row
 /// fails is the dearest step of all — so a filtered search asks the heap's
-/// id column first ([`crate::VectorHeap::learned_id`]) and pins only for a row
-/// that passes, or for a page no filtered search has pinned before, which
-/// it thereby learns. Without a filter the column is neither read nor
+/// id column first ([`crate::VectorHeap::learned_id`]) and queues only a
+/// row that passes, or one on a page no filtered search has pinned before,
+/// which it thereby learns. Without a filter the column is neither read nor
 /// filled: tombstones alone reject too few rows to save a page.
+///
+/// Dropped, it leaves the queue and the page set empty — on an error too.
 struct Candidates<'a> {
     index: &'a IDistanceIndex,
     /// Position → rid, at the heap page the last position fell on.
     ids: RecordIds,
-    /// The heap page the last candidate came from.
-    pin: Option<HeapPage>,
+    /// What the walk admitted and [`refine`](Self::refine) has not taken.
+    queue: &'a mut Vec<u128>,
+    /// The heap pages this query has pinned.
+    pages: &'a mut PageSet,
+    /// Per partition, where its query coordinates sit in `locals` and the
+    /// query's squared distance to its subspace ([`query_geometry`]).
+    geo: &'a [Option<(Range<usize>, f64)>],
+    locals: &'a [f64],
     /// Where a row that passed is decoded.
     coords: &'a mut Vec<f64>,
     tombs: &'a HashSet<u64>,
     filter: Option<&'a SearchFilter>,
     /// Distances evaluated, each one a row offered to the result set.
     evaluated: u64,
+}
+
+impl Drop for Candidates<'_> {
+    fn drop(&mut self) {
+        self.queue.clear();
+        self.pages.clear();
+    }
 }
 
 impl Candidates<'_> {
@@ -160,59 +181,78 @@ impl Candidates<'_> {
         }
     }
 
-    /// The filtered search's step before the record is read: `rid`'s page
-    /// is pinned, and learned if this is the first filtered search to pin
-    /// it. (A row the id column knows to fail never gets here: the scan
-    /// loops asked [`known_to_fail`](Self::known_to_fail).) Out of line, so
-    /// that the scan loops [`offer`](Self::offer) is inlined into carry a
-    /// test and a call for it and nothing more.
-    #[inline(never)]
-    fn pin_learning(&mut self, rid: u64) -> Result<()> {
-        self.index.heap.pin_learning(&mut self.pin, rid)
+    /// Queues the entry at `position` at `bound`, the larger of its ring
+    /// and code radicands: `bound`'s bits over `position`'s, one integer
+    /// that orders by bound, then position (a radicand is `≥ 0`, and the
+    /// bits of those order as the values do).
+    #[inline]
+    fn queue(&mut self, bound: f64, position: u64) {
+        debug_assert!(bound.is_sign_positive());
+        self.queue
+            .push((u128::from(bound.to_bits()) << 64) | u128::from(position));
     }
 
-    #[inline]
-    fn offer(
-        &mut self,
-        position: u64,
-        part: usize,
-        proj_sq: f64,
-        q_local: &[f64],
-        best: &mut KnnHeap,
-    ) -> Result<()> {
+    /// Refines the queue nearest bound first, ties by position, each entry
+    /// against the reach as it stands. The first entry the reach excludes
+    /// ends it, and with it every entry behind it: their bounds are no
+    /// nearer, and the reach only narrows. So the rows evaluated are the
+    /// ones no tighter order could spare, and the answer is the one any
+    /// order gives — the result set breaks ties by id, and exclusion is
+    /// strict.
+    ///
+    /// The order is found a batch at a time — the nearest 64 selected and
+    /// sorted, then the next 128, and so on — since a k-NN round refines
+    /// few of what it queued (the benchmark's first round, 37 of some 960)
+    /// and a range query all of it. A binary heap pushed per entry ran
+    /// `knn_resident` 17 % slower, and `(u64, u64)` pairs 1 %.
+    fn refine(&mut self, reach: &mut Reach, best: &mut KnnHeap) -> Result<()> {
+        let mut queue = std::mem::take(&mut *self.queue);
+        let (mut rest, mut batch) = (&mut queue[..], 64);
+        'refine: while !rest.is_empty() {
+            if batch < rest.len() {
+                rest.select_nth_unstable(batch);
+            }
+            let (nearest, further) = rest.split_at_mut(batch.min(rest.len()));
+            nearest.sort_unstable();
+            for &mut entry in nearest {
+                let (bound, position) = ((entry >> 64) as u64, entry as u64);
+                if reach.excludes(best, f64::from_bits(bound)) {
+                    break 'refine;
+                }
+                self.offer(position, best)?;
+            }
+            (rest, batch) = (further, 2 * batch);
+        }
+        queue.clear();
+        *self.queue = queue;
+        Ok(())
+    }
+
+    /// Reads the record at `position` and offers it to the result set if
+    /// its id passes. A filtered search pins the page learning it, if this
+    /// is the first filtered search to pin it (a row the id column knows to
+    /// fail was never queued: the walk asked
+    /// [`known_to_fail`](Self::known_to_fail)).
+    fn offer(&mut self, position: u64, best: &mut KnnHeap) -> Result<()> {
         let rid = self.ids.get(self.index, position);
         if self.filter.is_some() {
-            self.pin_learning(rid)?;
+            self.index.heap.pin_learning(self.pages, rid)?;
         }
-        self.offer_pinned(rid, part, proj_sq, q_local, best)
-    }
-
-    /// [`offer`](Self::offer) from the pin on — all of it for a search
-    /// without a filter. A function of its own so that what the filtered
-    /// step adds cannot change how this one is compiled: with that step
-    /// in the same body the coordinate decode was no longer inlined, and
-    /// unfiltered queries ran 7–10 % slower.
-    #[inline(never)]
-    fn offer_pinned(
-        &mut self,
-        rid: u64,
-        part: usize,
-        proj_sq: f64,
-        q_local: &[f64],
-        best: &mut KnnHeap,
-    ) -> Result<()> {
-        let (heap_part, record) = self.index.heap.record(&mut self.pin, rid)?;
-        debug_assert_eq!(
-            heap_part as usize, part,
-            "key slot and heap partition agree"
-        );
+        let (part, record) = self.index.heap.record(self.pages, rid)?;
         let id = record.point_id();
         if Self::rejects(self.tombs, self.filter, id) {
             return Ok(());
         }
+        // A record's partition was walked, so it has a geometry.
+        let (local, proj_sq) = self
+            .geo
+            .get(part as usize)
+            .and_then(Option::as_ref)
+            .ok_or(Error::BadRecordId(rid))?;
         record.coords_into(self.coords);
         self.evaluated += 1;
-        best.push(mmdr_linalg::reduced_dist(proj_sq, q_local, self.coords), id);
+        let dist = mmdr_linalg::reduced_dist(*proj_sq, &self.locals[local.clone()], self.coords);
+        best.push(dist, id);
         Ok(())
     }
 }
@@ -331,7 +371,10 @@ impl IDistanceIndex {
         let mut candidates = Candidates {
             index: self,
             ids: RecordIds::default(),
-            pin: None,
+            queue: &mut scratch.queue,
+            pages: &mut scratch.pages,
+            geo: &geo,
+            locals: &locals,
             coords: &mut scratch.coords,
             tombs: &tombs,
             filter,
@@ -411,7 +454,7 @@ impl IDistanceIndex {
                     }
                 }
                 let image = base + s.dist_q;
-                let (proj_sq, q_local) = (s.proj_sq, s.q_local);
+                let proj_sq = s.proj_sq;
                 let cells = s.book.map(|book| (book, &gaps[s.gaps.clone()]));
 
                 // Outward: ascending keys up to hi_key (and < next slot). A
@@ -445,17 +488,24 @@ impl IDistanceIndex {
                         // [`crate::codes`]), so what it puts strictly beyond
                         // the reach the result set would refuse — and the id
                         // column, the heap page, the decode and the distance
-                        // are not spent on it.
+                        // are not spent on it. What both admit is queued at
+                        // the larger bound, for the round's refinement.
                         let ring_gap = key - image;
-                        if reach.excludes(&best, proj_sq + ring_gap * ring_gap)
-                            || candidates.known_to_fail(position)
-                            || cells.is_some_and(|(book, gaps)| {
-                                reach.excludes(&best, proj_sq + book.gap_sq(gaps, cur.code()))
-                            })
-                        {
+                        let ring = proj_sq + ring_gap * ring_gap;
+                        if reach.excludes(&best, ring) || candidates.known_to_fail(position) {
                             continue;
                         }
-                        candidates.offer(position, part, proj_sq, q_local, &mut best)?;
+                        let bound = match cells {
+                            Some((book, gaps)) => {
+                                let code = proj_sq + book.gap_sq(gaps, cur.code());
+                                if reach.excludes(&best, code) {
+                                    continue;
+                                }
+                                ring.max(code)
+                            }
+                            None => ring,
+                        };
+                        candidates.queue(bound, position);
                     };
                     if exhausted {
                         s.outward = None;
@@ -474,15 +524,21 @@ impl IDistanceIndex {
                         // Same key-gap and cell-code lower bounds as the
                         // outward walk (strict, for trajectory independence).
                         let ring_gap = image - key;
-                        if reach.excludes(&best, proj_sq + ring_gap * ring_gap)
-                            || candidates.known_to_fail(position)
-                            || cells.is_some_and(|(book, gaps)| {
-                                reach.excludes(&best, proj_sq + book.gap_sq(gaps, cur.code()))
-                            })
-                        {
+                        let ring = proj_sq + ring_gap * ring_gap;
+                        if reach.excludes(&best, ring) || candidates.known_to_fail(position) {
                             continue;
                         }
-                        candidates.offer(position, part, proj_sq, q_local, &mut best)?;
+                        let bound = match cells {
+                            Some((book, gaps)) => {
+                                let code = proj_sq + book.gap_sq(gaps, cur.code());
+                                if reach.excludes(&best, code) {
+                                    continue;
+                                }
+                                ring.max(code)
+                            }
+                            None => ring,
+                        };
+                        candidates.queue(bound, position);
                     };
                     if exhausted {
                         s.inward = None;
@@ -492,6 +548,7 @@ impl IDistanceIndex {
                     any_active = true;
                 }
             }
+            candidates.refine(&mut reach, &mut best)?;
 
             // Stop when the answer is certainly final: everything within
             // `radius` has been seen, and nothing farther than the heap's
@@ -810,12 +867,12 @@ mod tests {
     // ---- The filtered gate's page accounting ----------------------------
     //
     // A heap on a one-frame pool over a source that logs its reads, started
-    // from a spare page no record lives on, shows every page a search pins,
-    // in order. The parent commit's filtered search — every admitted
-    // candidate pinned, then put to the filter — is today's *unfiltered*
-    // search over the same layout with the failing rows' ids stored as
-    // `TOMBSTONE`: the same rows rejected at the same step, by the path no
-    // filter touches.
+    // from a spare page no record lives on, shows every page a search pins —
+    // once a query, in the order the refinement first needs it. The parent
+    // commit's filtered search — every admitted candidate pinned, then put
+    // to the filter — is today's *unfiltered* search over the same layout
+    // with the failing rows' ids stored as `TOMBSTONE`: the same rows
+    // rejected at the same step, by the path no filter touches.
 
     /// Two flats of intrinsic dimension 6 in 8-d, 3 000 rows each, and a
     /// handful of outliers: 73 rows to a heap page, some 40 pages a cluster.
@@ -1048,7 +1105,15 @@ mod tests {
                     for now in [&cold, &warm] {
                         assert_eq!(now.hits, want, "{ctx}");
                         assert_eq!(now.tree_fetches, was.tree_fetches, "{ctx}");
+                        // A failing row moves the reach no more than the
+                        // parent's tombstone did, so the rows that pass are
+                        // refined in the same bound order, as far.
                         assert_eq!(now.evaluated, was.evaluated, "{ctx}");
+                    }
+                    // A query pins a page once, whatever order it needs it in.
+                    for walk in [&was, &cold, &warm] {
+                        let distinct: HashSet<_> = walk.pins.iter().collect();
+                        assert_eq!(walk.pins.len(), distinct.len(), "{ctx}");
                     }
                     // (a) Nothing learned yet: no page the parent did not pin.
                     assert!(cold.pins.len() <= was.pins.len(), "{ctx}");
@@ -1060,19 +1125,13 @@ mod tests {
                     if *by_page {
                         // The admitted candidates on a passing page all pass:
                         // the pins are the parent's, less the failing pages.
-                        let mut kept: Vec<PageId> = was
+                        let kept: Vec<PageId> = was
                             .pins
                             .iter()
                             .copied()
                             .filter(|p| passing_pages.contains(p))
                             .collect();
-                        kept.dedup();
                         assert_eq!(warm.pins, kept, "{ctx}");
-                        if matches!(target, Target::Range(_)) {
-                            // One direction, one visit a page.
-                            let distinct: HashSet<_> = kept.iter().collect();
-                            assert_eq!(warm.pins.len(), distinct.len(), "{ctx}");
-                        }
                     }
                 }
             }
@@ -1220,7 +1279,8 @@ mod tests {
                 }
             }
         }
-        // Over the four probes a 10-NN pinned 132 heap pages; it pins 52.
+        // Over the four probes a 10-NN pins 112 heap pages without codes and
+        // 35 with them.
         assert!(
             pins_without >= 100,
             "{pins_without} heap pages without codes"
@@ -1439,6 +1499,161 @@ mod tests {
             let mut locals = Vec::new();
             prop_assert_eq!(query_geometry(None, off_flat, &mut locals).unwrap(), 0.0);
             prop_assert_eq!(&locals[..], off_flat);
+        }
+    }
+
+    /// Two flats of intrinsic dimension 4 in `dim`, placed and scaled by
+    /// `seed`, and a row in 41 off both.
+    fn two_clusters(n: usize, dim: usize, seed: u64) -> Matrix {
+        let u = |i: u64| {
+            let x =
+                (i.wrapping_add(seed) ^ seed.rotate_left(17)).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+            (x >> 11) as f64 / (1u64 << 53) as f64
+        };
+        let (scale, apart) = (0.5 + u(1 << 40), 4.0 + 4.0 * u(1 << 41));
+        let rows: Vec<Vec<f64>> = (0..n as u64)
+            .map(|i| {
+                let at = |j: usize| u(i * 64 + j as u64);
+                let jitter = |j: usize| (at(j) - 0.5) * 0.01;
+                match i % 41 {
+                    40 => (0..dim).map(|j| apart * 0.5 + at(j)).collect(),
+                    c if c % 2 == 0 => (0..dim)
+                        .map(|j| if j < 4 { scale * at(j) } else { jitter(j) })
+                        .collect(),
+                    _ => (0..dim)
+                        .map(|j| {
+                            apart
+                                + if j >= dim - 4 {
+                                    scale * at(j)
+                                } else {
+                                    jitter(j)
+                                }
+                        })
+                        .collect(),
+                }
+            })
+            .collect();
+        Matrix::from_rows(&rows).unwrap()
+    }
+
+    /// How many stored rows a range search around `q` must evaluate: those
+    /// whose id passes and whose two bounds — the ring's and the cell
+    /// code's, worked out here as the walk works them out — are within
+    /// `radius`.
+    fn rows_within_both_bounds(
+        index: &IDistanceIndex,
+        q: &[f64],
+        radius: f64,
+        pass: impl Fn(u64) -> bool,
+    ) -> u64 {
+        let geometry: Vec<(f64, f64, Vec<f64>)> = index
+            .partitions
+            .iter()
+            .enumerate()
+            .map(|(i, part)| {
+                let mut local = Vec::new();
+                let proj_sq = query_geometry(part.subspace.as_ref(), q, &mut local).unwrap();
+                let dist_q = match &part.subspace {
+                    Some(_) => mmdr_linalg::l2_norm(&local),
+                    None => mmdr_linalg::l2_dist(q, &part.centroid),
+                };
+                let mut gaps = Vec::new();
+                if let Some(book) = &part.codebook {
+                    book.gaps_into(&local, &mut gaps);
+                }
+                (i as f64 * index.c + dist_q, proj_sq, gaps)
+            })
+            .collect();
+        let mut cursor = index.tree.seek(0.0).unwrap();
+        let mut within = 0;
+        while let Some((key, position)) = index.tree.cursor_next(&mut cursor).unwrap() {
+            let (part, id, _) = index.heap.get(index.record_id(position).unwrap()).unwrap();
+            let (image, proj_sq, gaps) = &geometry[part as usize];
+            let ring_gap = key - image;
+            let code = index.partitions[part as usize]
+                .codebook
+                .as_ref()
+                .map_or(0.0, |book| book.gap_sq(gaps, cursor.code()));
+            if pass(id)
+                && (proj_sq + ring_gap * ring_gap).sqrt() <= radius
+                && (proj_sq + code).sqrt() <= radius
+            {
+                within += 1;
+            }
+        }
+        within
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(10))]
+
+        /// Refining nearest bound first changes what a search costs, never
+        /// what it answers. On random two-cluster fixtures, for k-NN and
+        /// range queries, without a filter and under 1 % and 60 % ones, on
+        /// a resident heap and on one behind a single frame that logs its
+        /// reads: the answer is `SeqScan`'s bit for bit; a query fetches
+        /// each heap page it pins once, so its heap fetches are its distinct
+        /// pages, the same on either pool and with a reused `Scratch`; and a
+        /// range query evaluates
+        /// exactly the rows whose two bounds are within its radius, as
+        /// refinement in key order did.
+        #[test]
+        fn bound_order_answers_as_the_scan_and_fetches_each_heap_page_once(
+            n in 400usize..1500,
+            dim in 6usize..10,
+            seed in 0u64..1 << 40,
+            k in 1usize..30,
+            radius in 0.05f64..1.5,
+            probes in proptest::collection::vec(0usize..100_000, 3),
+        ) {
+            let data = two_clusters(n, dim, seed);
+            let model = Mmdr::new(MmdrParams::default()).fit(&data).unwrap();
+            let build = || IDistanceIndex::build(&data, &model, IDistanceConfig::default()).unwrap();
+            let resident = build();
+            let framed = Watched::over(build());
+            let scan = SeqScan::build(&data, &model, 64).unwrap();
+            // One scratch for every resident search: what a query pinned
+            // must not carry into the next one's count.
+            let mut scratch = Scratch::default();
+            type Pass = fn(u64) -> bool;
+            let filters: [Pass; 3] = [|_| true, |id| id % 100 == 7, |id| id % 5 < 3];
+            let midpoint: Vec<f64> = data
+                .row(probes[1] % n)
+                .iter()
+                .zip(data.row(probes[2] % n))
+                .map(|(a, b)| 0.5 * (a + b))
+                .collect();
+            for (f, pass) in filters.into_iter().enumerate() {
+                let filter = SearchFilter::from_rows(RowFilter::from_fn(n as u64, pass));
+                for q in [data.row(probes[0] % n), &midpoint] {
+                    for target in [Target::Knn(k), Target::Range(radius)] {
+                        let ctx = format!("filter {f}, {target:?}");
+                        let query = Query {
+                            vector: q,
+                            target,
+                            filter: (f > 0).then_some(&filter),
+                        };
+                        let want = bits(&scan.search(&query, &mut Scratch::default()).unwrap());
+                        let heap_before = resident.heap.pool().snapshot();
+                        let before = resident.query_stats();
+                        let got = resident.search(&query, &mut scratch).unwrap();
+                        let heap_fetches =
+                            resident.heap.pool().snapshot().since(&heap_before).pages_touched();
+                        let evaluated = resident.query_stats().since(&before).dist_computations;
+                        prop_assert_eq!(&bits(&got), &want, "{}", ctx);
+                        let walk = framed.walk(&query);
+                        prop_assert_eq!(&walk.hits, &want, "{}", ctx);
+                        let distinct: HashSet<_> = walk.pins.iter().collect();
+                        prop_assert_eq!(distinct.len(), walk.pins.len(), "{}", ctx);
+                        prop_assert_eq!(heap_fetches, walk.pins.len() as u64, "{}", ctx);
+                        prop_assert_eq!(walk.evaluated, evaluated, "{}", ctx);
+                        if let Target::Range(r) = target {
+                            let within = rows_within_both_bounds(&resident, q, r, pass);
+                            prop_assert_eq!(evaluated, within, "{}", ctx);
+                        }
+                    }
+                }
+            }
         }
     }
 }

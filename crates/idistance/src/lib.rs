@@ -26,7 +26,8 @@
 //! inequality `‖Q−P‖ ≥ ‖Qⱼ−Oⱼ‖ − Rⱼ` prunes unreachable partitions, and
 //! a 64-bit cell code beside every key ([`Codebook`]) bounds an entry's
 //! distance from below in the leaf, so the heap is read only for the rows
-//! that bound cannot rule out. A range query
+//! that bound cannot rule out — nearest bound first, each heap page once a
+//! query. A range query
 //! ([`mmdr_index::Target::Range`]) is the same loop's single round: its
 //! radius is given, so the first pass is the last.
 //!
@@ -63,4 +64,4 @@ pub use layout::{
 // re-exported because every backend consumer needs them together.
 pub use mmdr_index::{QueryStats, VectorIndex};
 pub use seqscan::SeqScan;
-pub use vector_heap::{HeapPage, Record, VectorHeap, TOMBSTONE};
+pub use vector_heap::{Record, VectorHeap, TOMBSTONE};

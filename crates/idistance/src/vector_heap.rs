@@ -12,11 +12,12 @@
 //!
 //! Record ids encode the location directly (`rid = page_id << 16 | slot`),
 //! so no in-memory directory is needed. Records are read off a
-//! [`HeapPage`], the pinned image of one page with its header decoded
-//! once: a scan in rid order costs one (buffered) page access per heap
-//! page, not per record — the unit the I/O experiments count — and a
-//! record is one bounds-checked slice of that image ([`Record`]), decoded
-//! only as far as its reader goes.
+//! [`HeapPage`], the pinned image of one page with its header decoded: a
+//! reader pins each page once ([`PageSet`]), so it costs one (buffered)
+//! page access per heap page, not per record, in whatever order it reads
+//! the records — the unit the I/O experiments count — and a record is one
+//! bounds-checked slice of that image ([`Record`]), decoded only as far as
+//! its reader goes.
 //!
 //! The one thing kept beside the pages is the **id column** a filtered
 //! search learns ([`VectorHeap::learned_id`]): the point ids of every page
@@ -24,9 +25,9 @@
 //! without pinning the page to find out which row it is.
 
 use crate::error::{Error, Result};
-use mmdr_storage::{BufferPool, Page, PageId, PAGE_SIZE};
+use mmdr_storage::{BufferPool, Page, PageId, PageSet, PAGE_SIZE};
 use std::num::NonZeroU16;
-use std::sync::{Arc, OnceLock};
+use std::sync::OnceLock;
 
 const HEADER: usize = 8;
 
@@ -36,26 +37,24 @@ const HEADER: usize = 8;
 /// every reader skips it.
 pub const TOMBSTONE: u64 = u64::MAX;
 
-/// One heap page as a reader holds it: the immutable image the pool handed
-/// out (a pin, not a latch — see [`mmdr_btree::Cursor`]) and its header,
-/// decoded when the page was pinned rather than once per record.
+/// One heap page as a reader sees it: an immutable image the pool handed
+/// out, held by the reader's [`PageSet`] (a pin, not a latch — see
+/// [`mmdr_btree::Cursor`]), and its header.
 #[derive(Debug)]
-pub struct HeapPage {
-    id: PageId,
-    image: Arc<Page>,
+struct HeapPage<'a> {
+    image: &'a Page,
     partition: u32,
     /// Bytes per record: the id and `dim` coordinates.
     width: usize,
     count: usize,
 }
 
-impl HeapPage {
-    fn pin(id: PageId, image: Arc<Page>) -> Self {
+impl<'a> HeapPage<'a> {
+    fn new(image: &'a Page) -> Self {
         let partition = image.get_u32(0).expect("header");
         let dim = image.get_u16(4).expect("header") as usize;
         let count = image.get_u16(6).expect("header") as usize;
         Self {
-            id,
             image,
             partition,
             width: 8 + 8 * dim,
@@ -68,7 +67,7 @@ impl HeapPage {
     /// end, once, and no field read checks again. `None` for a slot the
     /// page does not hold.
     #[inline]
-    fn record(&self, slot: usize) -> Option<Record<'_>> {
+    fn record(&self, slot: usize) -> Option<Record<'a>> {
         if slot >= self.count {
             return None;
         }
@@ -264,43 +263,36 @@ impl VectorHeap {
         Ok((page << 16) | slot as u64)
     }
 
-    /// The record `rid` names, read off `pin`: the page `rid` lives on is
-    /// fetched from the pool — and its header decoded — only when `pin`
-    /// holds another page (or none), so a run of records from one page
-    /// costs one fetch, and no pool lock is held while records are
+    /// The record `rid` names, read off its page in `pages`: the page is
+    /// fetched from the pool only when `pages` does not hold it yet, so a
+    /// page costs one fetch per [`PageSet`] — per query — whatever order
+    /// its records are read in, and no pool lock is held while records are
     /// decoded: concurrent KNN workers refine candidates from the same
-    /// page in parallel. This is the KNN hot path — thousands of
-    /// candidates per query, a few dozen per heap page.
+    /// page in parallel. This is the KNN hot path.
     ///
-    /// A pin is a pre-write image of this heap's pool: drop it (`None`)
-    /// before reading through one kept across anything that may have
-    /// written to, or swapped, the pages.
+    /// A pinned page is a pre-write image of this heap's pool: clear
+    /// `pages` before reading through a set kept across anything that may
+    /// have written to, or swapped, the pages.
     #[inline]
-    pub fn record<'p>(&self, pin: &'p mut Option<HeapPage>, rid: u64) -> Result<(u32, Record<'p>)> {
-        if pin.as_ref().is_none_or(|p| p.id != rid >> 16) {
-            *pin = Some(self.pin(rid)?);
-        }
-        let pinned = pin.as_ref().expect("pinned above");
-        let record = pinned
+    pub fn record<'p>(&self, pages: &'p mut PageSet, rid: u64) -> Result<(u32, Record<'p>)> {
+        let page = HeapPage::new(self.pin(pages, rid)?);
+        let record = page
             .record((rid & 0xFFFF) as usize)
             .ok_or(Error::BadRecordId(rid))?;
-        Ok((pinned.partition, record))
+        Ok((page.partition, record))
     }
 
     /// What a filtered search does before [`record`](Self::record): pins
-    /// the page `rid` lives on unless `pin` holds it already, and a page
-    /// pinned here also enters the id column (if no search put it there
-    /// before), read off the image just pinned — learning costs no fetch.
-    pub fn pin_learning(&self, pin: &mut Option<HeapPage>, rid: u64) -> Result<()> {
-        if pin.as_ref().is_none_or(|p| p.id != rid >> 16) {
-            let page = self.pin(rid)?;
-            let ids = self.ids.get_or_init(|| {
-                let unlearned = (0..self.pool.num_pages()).map(|_| OnceLock::new());
-                Box::new(unlearned.collect())
-            });
-            ids[page.id as usize].get_or_init(|| page.ids());
-            *pin = Some(page);
-        }
+    /// the page `rid` lives on, and a page so pinned also enters the id
+    /// column (if no search put it there before), read off the image just
+    /// pinned — learning costs no fetch.
+    pub fn pin_learning(&self, pages: &mut PageSet, rid: u64) -> Result<()> {
+        let page = self.pin(pages, rid)?;
+        let ids = self.ids.get_or_init(|| {
+            let unlearned = (0..self.pool.num_pages()).map(|_| OnceLock::new());
+            Box::new(unlearned.collect())
+        });
+        ids[(rid >> 16) as usize].get_or_init(|| HeapPage::new(page).ids());
         Ok(())
     }
 
@@ -314,19 +306,20 @@ impl VectorHeap {
         page.get((rid & 0xFFFF) as usize).copied()
     }
 
-    /// Pins the page `rid` lives on.
-    fn pin(&self, rid: u64) -> Result<HeapPage> {
+    /// Pins the page `rid` lives on in `pages`.
+    #[inline]
+    fn pin<'p>(&self, pages: &'p mut PageSet, rid: u64) -> Result<&'p Page> {
         let id = rid >> 16;
-        if id >= self.pool.num_pages() as u64 {
+        if !pages.holds(id) && id >= self.pool.num_pages() as u64 {
             return Err(Error::BadRecordId(rid));
         }
-        Ok(HeapPage::pin(id, self.pool.page(id)?))
+        Ok(pages.page(&self.pool, id)?)
     }
 
     /// Fetches one record by itself: `(partition, point_id, coords)`.
     pub fn get(&self, rid: u64) -> Result<(u32, u64, Vec<f64>)> {
-        let mut pin = None;
-        let (partition, record) = self.record(&mut pin, rid)?;
+        let mut pages = PageSet::default();
+        let (partition, record) = self.record(&mut pages, rid)?;
         let mut coords = Vec::new();
         record.coords_into(&mut coords);
         Ok((partition, record.point_id(), coords))
@@ -337,7 +330,8 @@ impl VectorHeap {
     pub fn scan(&self, mut f: impl FnMut(u32, u64, &[f64])) -> Result<()> {
         let mut coords = Vec::new();
         for id in 0..self.pool.num_pages() as u64 {
-            let page = HeapPage::pin(id, self.pool.page(id)?);
+            let image = self.pool.page(id)?;
+            let page = HeapPage::new(&image);
             for slot in 0..page.count {
                 let record = page
                     .record(slot)
@@ -383,20 +377,20 @@ mod tests {
             .collect();
         let before = h.pool().snapshot();
         let fetches = || h.pool().snapshot().since(&before).pages_touched();
-        let mut pin = None;
+        let mut pages = PageSet::default();
         for &rid in &rids[..cap as usize] {
-            h.record(&mut pin, rid).unwrap();
+            h.record(&mut pages, rid).unwrap();
         }
         assert_eq!(fetches(), 1, "one page, one fetch");
-        // Another page is another fetch, and so is coming back…
-        for &rid in [&rids[cap as usize], &rids[0], &rids[1]] {
-            h.record(&mut pin, rid).unwrap();
+        // Another page is another fetch; coming back is not…
+        for &rid in [&rids[cap as usize], &rids[0], &rids[cap as usize + 1]] {
+            h.record(&mut pages, rid).unwrap();
         }
+        assert_eq!(fetches(), 2);
+        // …until the set lets its pages go.
+        pages.clear();
+        h.record(&mut pages, rids[1]).unwrap();
         assert_eq!(fetches(), 3);
-        // …or reading again after the pin was dropped.
-        pin = None;
-        h.record(&mut pin, rids[1]).unwrap();
-        assert_eq!(fetches(), 4);
     }
 
     #[test]
@@ -417,14 +411,14 @@ mod tests {
             .collect();
         let (first, second) = (rids[0], rids[cap as usize]);
         // Reading a record learns nothing…
-        let mut pin = None;
-        h.record(&mut pin, first).unwrap();
+        let mut pages = PageSet::default();
+        h.record(&mut pages, first).unwrap();
         assert_eq!(h.learned_id(first), None);
         // …reading it for a filtered search learns its page, for one fetch.
         let before = h.pool().snapshot();
         let fetches = |h: &VectorHeap| h.pool().snapshot().since(&before).pages_touched();
-        pin = None;
-        h.pin_learning(&mut pin, first).unwrap();
+        pages.clear();
+        h.pin_learning(&mut pages, first).unwrap();
         assert_eq!(fetches(&h), 1);
         for &rid in &rids[..cap as usize] {
             assert_eq!(h.learned_id(rid), Some(100 + (rid & 0xFFFF)));
@@ -433,7 +427,7 @@ mod tests {
         assert_eq!(h.learned_id(first | 0xFFFF), None, "no such slot");
         assert_eq!(h.learned_id(7 << 16), None, "no such page");
         assert_eq!(fetches(&h), 1, "asking the column fetches nothing");
-        h.pin_learning(&mut pin, second).unwrap();
+        h.pin_learning(&mut pages, second).unwrap();
         assert_eq!(h.learned_id(second + 2), Some(100 + cap + 2));
         assert_eq!(h.learned_id(second + 3), None);
         assert_eq!(fetches(&h), 2);
@@ -467,7 +461,7 @@ mod tests {
                 .collect();
             prop_assert_eq!(h.num_pages(), n.div_ceil(cap));
 
-            let mut pin = None;
+            let mut pages = PageSet::default();
             let mut coords = Vec::new();
             for &rid in &rids {
                 let (page, slot) = (rid >> 16, (rid & 0xFFFF) as usize);
@@ -479,7 +473,7 @@ mod tests {
                     .map(|j| p.get_f64(at + 8 + 8 * j).unwrap().to_bits())
                     .collect();
 
-                let (got_part, record) = h.record(&mut pin, rid).unwrap();
+                let (got_part, record) = h.record(&mut pages,rid).unwrap();
                 prop_assert_eq!(got_part, part);
                 prop_assert_eq!(record.point_id(), p.get_u64(at).unwrap());
                 record.coords_into(&mut coords);
@@ -491,15 +485,15 @@ mod tests {
             let last = *rids.last().unwrap();
             for bad in [last + 1, last | 0xFFFF, ((last >> 16) + 1) << 16, u64::MAX] {
                 prop_assert!(
-                    matches!(h.record(&mut pin, bad), Err(Error::BadRecordId(rid)) if rid == bad),
+                    matches!(h.record(&mut pages,bad), Err(Error::BadRecordId(rid)) if rid == bad),
                     "rid {bad:#x} must be refused"
                 );
             }
             if full_pages > 0 {
                 let full_last = (cap - 1) as u64;
-                prop_assert!(h.record(&mut pin, full_last).is_ok());
+                prop_assert!(h.record(&mut pages,full_last).is_ok());
                 prop_assert!(matches!(
-                    h.record(&mut pin, full_last + 1),
+                    h.record(&mut pages,full_last + 1),
                     Err(Error::BadRecordId(_))
                 ));
             }

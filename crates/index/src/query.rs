@@ -4,6 +4,7 @@
 
 use crate::error::{Error, Result};
 use crate::filter::SearchFilter;
+use mmdr_storage::PageSet;
 
 /// The one input check on a vector, queried or ingested: `dim` wide, then
 /// finite throughout.
@@ -75,14 +76,20 @@ impl<'a> Query<'a> {
 /// chunk hands the same `Scratch` to every
 /// [`VectorIndex::search`](crate::VectorIndex::search) it makes.
 ///
-/// It holds buffers, never a page or anything else an answer could depend
-/// on: any `Scratch`, fresh or used, with this index or another, gives the
-/// same answer.
+/// Between calls it holds buffers, never a page or anything else an answer
+/// could depend on: any `Scratch`, fresh or used, with this index or
+/// another, gives the same answer.
 #[derive(Debug, Default)]
 pub struct Scratch {
     /// Where a stored record's coordinates are decoded; overwritten per
     /// record, meaningless between calls.
     pub coords: Vec<f64>,
+    /// Candidates a search has admitted and not yet refined, each a lower
+    /// bound's bits over a position (so they order by bound, then
+    /// position). Empty between calls.
+    pub queue: Vec<u128>,
+    /// The pages one query has pinned from one pool. Empty between calls.
+    pub pages: PageSet,
 }
 
 #[cfg(test)]

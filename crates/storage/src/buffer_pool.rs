@@ -453,9 +453,75 @@ impl BufferPool {
     }
 }
 
+/// The page images one reader has pinned from one pool, by id — held the
+/// way a B⁺-tree cursor holds its leaf: [`page`](Self::page) fetches a
+/// page the first time it is asked for and serves it from here after, so a
+/// page costs one fetch per reader, in whatever order its bytes are read.
+/// [`clear`](Self::clear) lets the pages go and keeps the buffers.
+#[derive(Debug, Default)]
+pub struct PageSet {
+    /// Page `id`'s image at index `id`, once pinned.
+    slots: Vec<Option<Arc<Page>>>,
+    /// The ids pinned, so that `clear` visits only those.
+    pinned: Vec<PageId>,
+}
+
+impl PageSet {
+    /// Whether page `id` is pinned.
+    #[inline]
+    pub fn holds(&self, id: PageId) -> bool {
+        self.slots.get(id as usize).is_some_and(Option::is_some)
+    }
+
+    /// Page `id` of `pool`: pinned here, fetched if it is not yet.
+    #[inline]
+    pub fn page(&mut self, pool: &BufferPool, id: PageId) -> Result<&Page> {
+        let at = id as usize;
+        if !self.holds(id) {
+            let image = pool.page(id)?;
+            if at >= self.slots.len() {
+                self.slots.resize(at + 1, None);
+            }
+            self.slots[at] = Some(image);
+            self.pinned.push(id);
+        }
+        Ok(self.slots[at].as_deref().expect("pinned above"))
+    }
+
+    /// Lets every pinned page go.
+    pub fn clear(&mut self) {
+        for id in self.pinned.drain(..) {
+            self.slots[id as usize] = None;
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn a_page_set_fetches_each_page_once_until_cleared() {
+        let mut p = pool(1);
+        let pages: Vec<PageId> = (0..3).map(|_| p.allocate().unwrap()).collect();
+        for &id in &pages {
+            p.with_page_mut(id, |pg| pg.put_u64(0, 10 + id).unwrap())
+                .unwrap();
+        }
+        let before = p.snapshot();
+        let mut set = PageSet::default();
+        for &id in [2, 0, 2, 1, 0, 1, 2].iter().map(|i| &pages[*i]) {
+            assert_eq!(set.page(&p, id).unwrap().get_u64(0).unwrap(), 10 + id);
+        }
+        assert_eq!(p.snapshot().since(&before).pages_touched(), 3);
+        assert!(pages.iter().all(|&id| set.holds(id)));
+        set.clear();
+        assert!(!set.holds(pages[0]) && !set.holds(7));
+        set.page(&p, pages[1]).unwrap();
+        assert_eq!(p.snapshot().since(&before).pages_touched(), 4);
+        assert!(set.page(&p, 99).is_err());
+        assert!(!set.holds(99));
+    }
 
     /// Single-shard pool: deterministic eviction order for policy tests.
     fn pool(capacity: usize) -> BufferPool {

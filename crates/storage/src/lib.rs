@@ -23,6 +23,8 @@
 //!   a writer owns the pool ([`BufferPool::with_page_mut`] takes
 //!   `&mut self`). A page in memory is held once: disk and frame share one
 //!   image until a write copies it.
+//! - [`PageSet`] — the page images one reader has pinned, by id, so a page
+//!   it comes back to costs no second fetch.
 //!
 //! I/O numbers produced this way are *logical* page accesses — the same
 //! unit the paper plots — and are deterministic across runs. Each is
@@ -38,7 +40,7 @@ mod error;
 mod page;
 mod source;
 
-pub use buffer_pool::{BufferPool, PoolStats, ShardCounters};
+pub use buffer_pool::{BufferPool, PageSet, PoolStats, ShardCounters};
 pub use crc32::{crc32, Crc32};
 pub use disk::{DiskManager, IoStats};
 pub use error::{Error, Result};

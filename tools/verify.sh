@@ -37,6 +37,11 @@ cargo test "${PROFILE[@]}" --test serve_parity --test scalable_pipeline
 cargo test "${PROFILE[@]}" -p mmdr-cli --test cli_validation
 cargo test "${PROFILE[@]}" -p mmdr-linalg --test proptest_par
 cargo test "${PROFILE[@]}" -p mmdr-index --test proptest_heap
+# Refinement in bound order: answers bit-identical to SeqScan, each heap
+# page fetched once a query, a range query evaluating exactly the rows its
+# two bounds admit.
+cargo test "${PROFILE[@]}" -p mmdr-idistance --lib \
+    knn::tests::bound_order_answers_as_the_scan_and_fetches_each_heap_page_once -- --exact
 
 echo "== buffer-pool concurrency gate =="
 cargo test "${PROFILE[@]}" --test pool_stress
