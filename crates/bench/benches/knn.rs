@@ -7,9 +7,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use mmdr::index::{Query, RowFilter, Scratch, SearchFilter, Target};
 use mmdr_bench::{eval, workloads, Method};
 use mmdr_btree::{BPlusTree, Cursor};
-use mmdr_idistance::{
-    GlobalLdrIndex, IDistanceConfig, IDistanceIndex, RecordIds, SeqScan, VectorIndex,
-};
+use mmdr_idistance::{GlobalLdrIndex, IDistanceIndex, RecordIds, SeqScan, VectorIndex};
 use mmdr_storage::PageSet;
 use std::hint::black_box;
 
@@ -21,28 +19,12 @@ fn bench_knn_schemes(c: &mut Criterion) {
 
     let mut group = c.benchmark_group("knn_10_of_8k_64d");
     group.sample_size(20);
-    let immdr = IDistanceIndex::build(
-        &ds.data,
-        &mmdr_model,
-        IDistanceConfig {
-            buffer_pages: 1 << 14,
-            ..Default::default()
-        },
-    )
-    .unwrap();
+    let immdr = IDistanceIndex::build(&ds.data, &mmdr_model, 1 << 14).unwrap();
     group.bench_function("iMMDR", |b| {
         b.iter(|| black_box(immdr.knn(&q, 10).unwrap()))
     });
 
-    let ildr = IDistanceIndex::build(
-        &ds.data,
-        &ldr_model,
-        IDistanceConfig {
-            buffer_pages: 1 << 14,
-            ..Default::default()
-        },
-    )
-    .unwrap();
+    let ildr = IDistanceIndex::build(&ds.data, &ldr_model, 1 << 14).unwrap();
     group.bench_function("iLDR", |b| b.iter(|| black_box(ildr.knn(&q, 10).unwrap())));
 
     let gldr = GlobalLdrIndex::build(&ds.data, &ldr_model, 1 << 14).unwrap();
@@ -69,15 +51,7 @@ fn bench_knn_schemes(c: &mut Criterion) {
 fn bench_candidate_path(c: &mut Criterion) {
     let ds = workloads::synthetic(8_000, 64, 10, 30.0, 5);
     let model = eval::reduce(Method::Mmdr, &ds.data, None, 10, 0);
-    let index = IDistanceIndex::build(
-        &ds.data,
-        &model,
-        IDistanceConfig {
-            buffer_pages: 1 << 14,
-            ..Default::default()
-        },
-    )
-    .unwrap();
+    let index = IDistanceIndex::build(&ds.data, &model, 1 << 14).unwrap();
     let (part, info) = index
         .partitions()
         .iter()
@@ -161,17 +135,7 @@ fn bench_filtered_candidate_path(c: &mut Criterion) {
     const SAMPLES: usize = 10;
     let ds = workloads::synthetic(8_000, 64, 10, 30.0, 5);
     let model = eval::reduce(Method::Mmdr, &ds.data, None, 10, 0);
-    let build = || {
-        IDistanceIndex::build(
-            &ds.data,
-            &model,
-            IDistanceConfig {
-                buffer_pages: 1 << 11,
-                ..Default::default()
-            },
-        )
-        .unwrap()
-    };
+    let build = || IDistanceIndex::build(&ds.data, &model, 1 << 11).unwrap();
     let q = ds.data.row(17);
     let n = ds.data.rows() as u64;
 

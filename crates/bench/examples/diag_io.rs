@@ -1,6 +1,6 @@
 use mmdr::core::{Mmdr, MmdrParams};
 use mmdr::datagen::{generate_correlated, sample_queries, CorrelatedConfig};
-use mmdr::idistance::{IDistanceConfig, IDistanceIndex, SeqScan, VectorIndex};
+use mmdr::idistance::{IDistanceIndex, SeqScan, VectorIndex};
 fn main() {
     let ds = generate_correlated(&CorrelatedConfig::paper_style(4_000, 32, 6, 6, 30.0, 17));
     let model = Mmdr::new(MmdrParams::default()).fit(&ds.data).unwrap();
@@ -10,15 +10,7 @@ fn main() {
         model.outlier_fraction(),
         model.mean_retained_dim()
     );
-    let index = IDistanceIndex::build(
-        &ds.data,
-        &model,
-        IDistanceConfig {
-            buffer_pages: 8,
-            ..Default::default()
-        },
-    )
-    .unwrap();
+    let index = IDistanceIndex::build(&ds.data, &model, 8).unwrap();
     let scan = SeqScan::build(&ds.data, &model, 4).unwrap();
     println!(
         "index pages={} scan pages={}",

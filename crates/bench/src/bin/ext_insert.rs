@@ -13,7 +13,7 @@
 use mmdr_bench::{eval, workloads, Args, Method, Report};
 use mmdr_core::PointAssignment;
 use mmdr_datagen::{exact_knn, precision, sample_queries};
-use mmdr_idistance::{BuiltIndex, IDistanceConfig, IDistanceIndex};
+use mmdr_idistance::{BuiltIndex, IDistanceIndex};
 use std::time::Instant;
 
 fn main() {
@@ -37,8 +37,7 @@ fn main() {
     let base_data = ds.data.select_rows(&first);
 
     let model = eval::reduce(Method::Mmdr, &base_data, None, 10, args.seed);
-    let base =
-        IDistanceIndex::build(&base_data, &model, IDistanceConfig::default()).expect("index build");
+    let base = IDistanceIndex::build(&base_data, &model, 256).expect("index build");
     // Outliers among the stored rows: the base's outlier partition, then
     // every insert the model routes there.
     let mut outliers = base.partitions().last().map_or(0, |p| p.count);

@@ -900,17 +900,13 @@ fn cmd_route(args: &[String]) -> Result<(), String> {
         .map(|s| s.trim().to_string())
         .filter(|s| !s.is_empty())
         .collect();
-    let router_defaults = mmdr_router::RouterConfig::default();
-    let router_config = mmdr_router::RouterConfig {
-        shard_timeout: std::time::Duration::from_millis(get_parse(
-            &flags,
-            "shard-timeout-ms",
-            router_defaults.shard_timeout.as_millis() as u64,
-        )?),
-        ..router_defaults
-    };
+    let shard_timeout = std::time::Duration::from_millis(get_parse(
+        &flags,
+        "shard-timeout-ms",
+        mmdr_router::DEFAULT_SHARD_TIMEOUT.as_millis() as u64,
+    )?);
     let router =
-        mmdr_router::Router::connect(manifest, &addrs, router_config).map_err(|e| e.to_string())?;
+        mmdr_router::Router::connect(manifest, &addrs, shard_timeout).map_err(|e| e.to_string())?;
     for (i, (entry, addr)) in router.manifest().shards.iter().zip(&addrs).enumerate() {
         outln!(
             "shard {i} @ {addr}: {} points, {} clusters{}",

@@ -111,6 +111,11 @@ mod tests {
     use super::*;
     use mmdr_core::{Mmdr, MmdrParams};
 
+    /// An answer as `(distance bits, id)` pairs.
+    fn bits(hits: &[(f64, u64)]) -> Vec<(u64, u64)> {
+        hits.iter().map(|&(d, id)| (d.to_bits(), id)).collect()
+    }
+
     #[test]
     fn names_round_trip() {
         for b in Backend::all() {
@@ -156,11 +161,26 @@ mod tests {
         let q = data.row(10);
         let mut answers = Vec::new();
         for b in Backend::all() {
-            let index = build_backend(b, &data, &model, 64).unwrap();
-            assert_eq!(index.name(), b.name());
-            assert_eq!(index.len(), data.rows());
-            assert_eq!(index.dim(), 4);
-            answers.push(index.knn(q, 5).unwrap());
+            // Every backend clamps its budget alike: none is too small, and
+            // the pool's size never changes an answer.
+            let per_budget: Vec<_> = [0, 1, 64]
+                .into_iter()
+                .map(|pages| {
+                    let index = build_backend(b, &data, &model, pages).unwrap();
+                    assert_eq!(index.name(), b.name());
+                    assert_eq!(index.len(), data.rows());
+                    assert_eq!(index.dim(), 4);
+                    index.knn(q, 5).unwrap()
+                })
+                .collect();
+            for other in &per_budget[1..] {
+                assert_eq!(bits(other), bits(&per_budget[0]), "{}", b.name());
+            }
+            if b == Backend::IDistance {
+                let direct = crate::IDistanceIndex::build(&data, &model, 1).unwrap();
+                assert_eq!(bits(&direct.knn(q, 5).unwrap()), bits(&per_budget[0]));
+            }
+            answers.push(per_budget[0].clone());
         }
         for pair in answers.windows(2) {
             assert_eq!(pair[0].len(), pair[1].len());

@@ -13,38 +13,6 @@ use mmdr_pca::ReducedSubspace;
 use mmdr_storage::{BufferPool, DiskManager, PageId};
 use std::ops::Range;
 
-/// Configuration of the index.
-#[derive(Debug, Clone)]
-pub struct IDistanceConfig {
-    /// Buffer-pool pages, split between the B⁺-tree and the heap file.
-    pub buffer_pages: usize,
-    /// First search radius as a fraction of the widest partition radius
-    /// (the paper starts with "a relatively small radius").
-    pub initial_radius_fraction: f64,
-    /// Radius increment per enlargement, as a fraction of the widest
-    /// partition radius.
-    pub radius_step_fraction: f64,
-    /// Override for the range-partitioning constant `c`; by default
-    /// `2 · max_radius + 1` over all partitions, which guarantees key
-    /// ranges never overlap.
-    pub c: Option<f64>,
-    /// β an inserted point is routed with ([`crate::BuiltIndex::insert`]:
-    /// the cluster-vs-outlier test); defaults to Table 1's 0.1.
-    pub beta: f64,
-}
-
-impl Default for IDistanceConfig {
-    fn default() -> Self {
-        Self {
-            buffer_pages: 256,
-            initial_radius_fraction: 0.05,
-            radius_step_fraction: 0.05,
-            c: None,
-            beta: 0.1,
-        }
-    }
-}
-
 /// Per-partition search metadata (the paper's auxiliary arrays: centroids,
 /// principal components, nearest/farthest radius).
 #[derive(Debug)]
@@ -175,7 +143,6 @@ pub struct IDistanceIndex {
     pub(crate) partitions: Vec<PartitionInfo>,
     pub(crate) c: f64,
     pub(crate) dim: usize,
-    config: IDistanceConfig,
     pub(crate) search: SearchCounters,
     len: usize,
     /// Rows ingested since the snapshot, routed to a partition and stored
@@ -186,19 +153,16 @@ pub struct IDistanceIndex {
 }
 
 impl IDistanceIndex {
-    /// Builds the index over `data` as reduced by `model`.
+    /// Builds the index over `data` as reduced by `model`, behind a
+    /// `buffer_pages`-page budget.
     ///
     /// Every cluster's members are projected into their subspace and stored
     /// in heap pages at reduced width; outliers form one extra partition at
     /// original dimensionality. A single B⁺-tree indexes the mapped keys
     /// `y = i·c + dist(Pᵢ, Oᵢ)`.
-    pub fn build(data: &Matrix, model: &ReductionResult, config: IDistanceConfig) -> Result<Self> {
-        if config.buffer_pages < 2 {
-            return Err(Error::InvalidConfig("buffer_pages must be >= 2"));
-        }
+    pub fn build(data: &Matrix, model: &ReductionResult, buffer_pages: usize) -> Result<Self> {
         let rows = &mut data_rows(Backend::IDistance, data, model)?;
-        let buffer_pages = config.buffer_pages;
-        let keys = KeySpace::fitted(config, model, |id| Some(data.row(id as usize)))?;
+        let keys = KeySpace::fitted(model, |id| Some(data.row(id as usize)))?;
         Self::load(model, buffer_pages, keys, rows)
     }
 
@@ -215,11 +179,7 @@ impl IDistanceIndex {
         keys: KeySpace,
         rows: &mut PartitionRows<'_>,
     ) -> Result<Self> {
-        let KeySpace {
-            config,
-            reference,
-            c_floor,
-        } = keys;
+        let KeySpace { reference, c_floor } = keys;
         let pool = || BufferPool::new(DiskManager::new(), (buffer_pages / 2).max(1));
         let tree_pool = pool()?;
         let mut heap = VectorHeap::new(pool()?);
@@ -272,7 +232,7 @@ impl IDistanceIndex {
         // Range-partitioning constant: strictly larger than any in-partition
         // distance so ranges [i·c, (i+1)·c) never overlap.
         let widest = partitions.iter().map(|p| p.max_radius).fold(0.0, f64::max);
-        let c = config.c.unwrap_or(2.0 * widest + 1.0).max(c_floor);
+        let c = (2.0 * widest + 1.0).max(c_floor);
         // Partition after partition, each by distance: the keys ascend in
         // layout order as they stand (the bulk load refuses them if not),
         // so entry `n` is the `n`-th row laid out.
@@ -281,9 +241,7 @@ impl IDistanceIndex {
             .map(|(part, dist, code)| (part as f64 * c + dist, code))
             .collect();
         let tree = BPlusTree::bulk_load(tree_pool, &entries)?;
-        // `from_parts` rejects an unusable `config`, including a `c` that
-        // does not exceed every partition radius.
-        Self::from_parts(tree, heap, partitions, c, model.dim, config)
+        Self::from_parts(tree, heap, partitions, c, model.dim)
     }
 
     /// Reassembles an index from parts restored from a snapshot: a
@@ -299,11 +257,7 @@ impl IDistanceIndex {
         mut partitions: Vec<PartitionInfo>,
         c: f64,
         dim: usize,
-        config: IDistanceConfig,
     ) -> Result<Self> {
-        if !(config.initial_radius_fraction > 0.0 && config.radius_step_fraction > 0.0) {
-            return Err(Error::InvalidConfig("radius fractions must be > 0"));
-        }
         let Some(outlier) = partitions.last() else {
             return Err(Error::InvalidConfig("partition table must not be empty"));
         };
@@ -312,10 +266,13 @@ impl IDistanceIndex {
                 "last partition must be the outlier home",
             ));
         }
+        // An infinite `c` would make every search key non-finite (`0·∞` is
+        // NaN), so each query would fail after a clean open.
         let widest = partitions.iter().map(|p| p.max_radius).fold(0.0, f64::max);
-        #[allow(clippy::neg_cmp_op_on_partial_ord)] // !(a > b) also rejects NaN
-        if !(c > widest) {
-            return Err(Error::InvalidConfig("c must exceed every partition radius"));
+        if !(c.is_finite() && c > widest) {
+            return Err(Error::InvalidConfig(
+                "c must be finite and exceed every partition radius",
+            ));
         }
         // A partition's entries follow the previous one's; its records
         // start a heap page of their own.
@@ -350,7 +307,6 @@ impl IDistanceIndex {
             partitions,
             c,
             dim,
-            config,
             search: SearchCounters::default(),
             len: first as usize,
             delta: DeltaLayer::default(),
@@ -405,11 +361,6 @@ impl IDistanceIndex {
         &self.partitions
     }
 
-    /// The search configuration.
-    pub fn config(&self) -> &IDistanceConfig {
-        &self.config
-    }
-
     /// Total pages allocated (tree + heap) — the footprint the seq-scan
     /// comparison is normalized against.
     pub fn total_pages(&self) -> usize {
@@ -443,7 +394,7 @@ mod tests {
 
     fn build() -> (Matrix, IDistanceIndex) {
         let (data, model) = fitted();
-        let index = IDistanceIndex::build(&data, &model, IDistanceConfig::default()).unwrap();
+        let index = IDistanceIndex::build(&data, &model, 256).unwrap();
         (data, index)
     }
 
@@ -465,36 +416,36 @@ mod tests {
     }
 
     #[test]
-    fn config_validation() {
-        let data = dataset();
-        let model = Mmdr::new(MmdrParams::default()).fit(&data).unwrap();
-        assert!(IDistanceIndex::build(
-            &data,
-            &model,
-            IDistanceConfig {
-                buffer_pages: 1,
-                ..Default::default()
+    fn from_parts_refuses_a_c_that_is_not_finite_or_too_small() {
+        let (_, index) = build();
+        let widest = index
+            .partitions()
+            .iter()
+            .map(|p| p.max_radius)
+            .fold(0.0, f64::max);
+        // A built index's parts, reassembled with its own `c` (`None`) or
+        // another.
+        for other in [
+            None,
+            Some(f64::INFINITY),
+            Some(f64::NAN),
+            Some(widest),
+            Some(0.0),
+        ] {
+            let IDistanceIndex {
+                tree,
+                heap,
+                partitions,
+                c,
+                dim,
+                ..
+            } = build().1;
+            let got = IDistanceIndex::from_parts(tree, heap, partitions, other.unwrap_or(c), dim);
+            match other {
+                None => assert!(got.is_ok()),
+                Some(c) => assert!(matches!(got, Err(Error::InvalidConfig(_))), "c = {c}"),
             }
-        )
-        .is_err());
-        assert!(IDistanceIndex::build(
-            &data,
-            &model,
-            IDistanceConfig {
-                initial_radius_fraction: 0.0,
-                ..Default::default()
-            }
-        )
-        .is_err());
-        assert!(IDistanceIndex::build(
-            &data,
-            &model,
-            IDistanceConfig {
-                c: Some(0.0),
-                ..Default::default()
-            }
-        )
-        .is_err());
+        }
     }
 
     #[test]
@@ -510,7 +461,7 @@ mod tests {
     #[test]
     fn inserted_points_are_routed_and_searchable() {
         let (data, model) = fitted();
-        let index = IDistanceIndex::build(&data, &model, IDistanceConfig::default()).unwrap();
+        let index = IDistanceIndex::build(&data, &model, 256).unwrap();
         let built = BuiltIndex::IDistance(Box::new(index));
         // A point on the cluster's line joins the cluster…
         let on_line = vec![0.41, 0.205, 0.0, 0.0];
@@ -542,8 +493,7 @@ mod tests {
         // What an in-place delete by an older build left in a heap.
         let (data, model) = fitted();
         let rows = &mut data_rows(Backend::IDistance, &data, &model).unwrap();
-        let config = IDistanceConfig::default();
-        let keys = KeySpace::fitted(config, &model, |id| Some(data.row(id as usize))).unwrap();
+        let keys = KeySpace::fitted(&model, |id| Some(data.row(id as usize))).unwrap();
         let index = IDistanceIndex::load(&model, 256, keys, &mut |part| {
             let mut rows = rows(part)?;
             for (id, _) in rows.iter_mut().filter(|(id, _)| *id == 50) {

@@ -13,6 +13,12 @@ use mmdr_storage::PageSet;
 use std::collections::HashSet;
 use std::ops::Range;
 
+/// A KNN's first search radius, as a fraction of the widest partition
+/// radius: the paper starts with "a relatively small radius".
+const INITIAL_RADIUS_FRACTION: f64 = 0.05;
+/// How much each enlargement widens the radius, as the same fraction.
+const RADIUS_STEP_FRACTION: f64 = 0.05;
+
 /// The query as one partition sees it: its local coordinates in the
 /// partition's axis system, appended to `locals`, and its squared distance
 /// to the affine subspace, returned — the query itself and 0 for the
@@ -358,8 +364,8 @@ impl IDistanceIndex {
                     .fold(0.0f64, f64::max)
                     .max(f64::MIN_POSITIVE);
                 (
-                    widest * self.config().initial_radius_fraction,
-                    widest * self.config().radius_step_fraction,
+                    widest * INITIAL_RADIUS_FRACTION,
+                    widest * RADIUS_STEP_FRACTION,
                 )
             }
             // The sphere is given: the first round already reaches as far
@@ -580,7 +586,7 @@ impl IDistanceIndex {
 mod tests {
     use super::query_geometry;
     use crate::backend::Backend;
-    use crate::index::{IDistanceConfig, IDistanceIndex};
+    use crate::index::IDistanceIndex;
     use crate::layout::{data_rows, BuiltIndex, KeySpace};
     use crate::seqscan::SeqScan;
     use crate::vector_heap::{VectorHeap, TOMBSTONE};
@@ -623,7 +629,7 @@ mod tests {
         })
         .fit(&data)
         .unwrap();
-        let index = IDistanceIndex::build(&data, &model, IDistanceConfig::default()).unwrap();
+        let index = IDistanceIndex::build(&data, &model, 256).unwrap();
         let scan = SeqScan::build(&data, &model, 64).unwrap();
         (data, index, scan)
     }
@@ -673,15 +679,7 @@ mod tests {
         })
         .fit(&data)
         .unwrap();
-        let cold_index = IDistanceIndex::build(
-            &data,
-            &model,
-            crate::index::IDistanceConfig {
-                buffer_pages: 2,
-                ..Default::default()
-            },
-        )
-        .unwrap();
+        let cold_index = IDistanceIndex::build(&data, &model, 2).unwrap();
         let cold_scan = SeqScan::build(&data, &model, 1).unwrap();
         let reads = |index: &dyn VectorIndex| {
             let before = index.query_stats();
@@ -730,7 +728,7 @@ mod tests {
         }
         let data = Matrix::from_rows(&rows).unwrap();
         let model = Mmdr::new(MmdrParams::default()).fit(&data).unwrap();
-        let index = IDistanceIndex::build(&data, &model, IDistanceConfig::default()).unwrap();
+        let index = IDistanceIndex::build(&data, &model, 256).unwrap();
         let scan = SeqScan::build(&data, &model, 128).unwrap();
         (data, index, scan, model)
     }
@@ -948,11 +946,9 @@ mod tests {
         /// heap record (the layout does not depend on it).
         fn build(stored_id: impl Fn(u64) -> u64) -> Self {
             let (data, model) = paged_fixture();
-            let config = IDistanceConfig::default();
-            let buffer_pages = config.buffer_pages;
             let rows = &mut data_rows(Backend::IDistance, data, model).unwrap();
-            let keys = KeySpace::fitted(config, model, |id| Some(data.row(id as usize))).unwrap();
-            let built = IDistanceIndex::load(model, buffer_pages, keys, &mut |part| {
+            let keys = KeySpace::fitted(model, |id| Some(data.row(id as usize))).unwrap();
+            let built = IDistanceIndex::load(model, 256, keys, &mut |part| {
                 let mut rows = rows(part)?;
                 for (id, _) in &mut rows {
                     *id = stored_id(*id);
@@ -965,7 +961,6 @@ mod tests {
 
         /// Moves `built`'s heap onto a logged one-frame pool.
         fn over(built: IDistanceIndex) -> Self {
-            let config = built.config().clone();
             let IDistanceIndex {
                 tree,
                 heap,
@@ -985,7 +980,7 @@ mod tests {
             let disk = DiskManager::from_source(Box::new(source), 0);
             let pool = BufferPool::new(disk, 1).unwrap();
             let heap = VectorHeap::from_parts(pool, heap.open_page(), heap.len()).unwrap();
-            let index = IDistanceIndex::from_parts(tree, heap, partitions, c, dim, config).unwrap();
+            let index = IDistanceIndex::from_parts(tree, heap, partitions, c, dim).unwrap();
             Self { index, log, spare }
         }
 
@@ -1295,7 +1290,7 @@ mod tests {
     fn an_index_grown_by_inserts_answers_as_a_fresh_build_does() {
         let (data, model) = paged_fixture();
         let n = data.rows();
-        let base = IDistanceIndex::build(data, model, IDistanceConfig::default()).unwrap();
+        let base = IDistanceIndex::build(data, model, 256).unwrap();
         let grown = BuiltIndex::IDistance(Box::new(base));
         let BuiltIndex::IDistance(base) = &grown else {
             unreachable!("built as an iDistance index")
@@ -1346,7 +1341,7 @@ mod tests {
             "clusters and outliers all grew"
         );
         let all = Matrix::from_rows(&rows).unwrap();
-        let fresh = IDistanceIndex::build(&all, &fresh_model, IDistanceConfig::default()).unwrap();
+        let fresh = IDistanceIndex::build(&all, &fresh_model, 256).unwrap();
         let scan = SeqScan::build(&all, &fresh_model, 64).unwrap();
         let grown = grown.as_dyn();
         assert_eq!(grown.len(), fresh.len());
@@ -1402,7 +1397,7 @@ mod tests {
             }
             answers
         };
-        let build = || IDistanceIndex::build(data, model, IDistanceConfig::default()).unwrap();
+        let build = || IDistanceIndex::build(data, model, 256).unwrap();
         let serial = all(&build());
 
         // All eight leave the barrier with nothing learned and ask the same
@@ -1608,7 +1603,7 @@ mod tests {
         ) {
             let data = two_clusters(n, dim, seed);
             let model = Mmdr::new(MmdrParams::default()).fit(&data).unwrap();
-            let build = || IDistanceIndex::build(&data, &model, IDistanceConfig::default()).unwrap();
+            let build = || IDistanceIndex::build(&data, &model, 256).unwrap();
             let resident = build();
             let framed = Watched::over(build());
             let scan = SeqScan::build(&data, &model, 64).unwrap();

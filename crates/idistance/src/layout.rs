@@ -28,7 +28,7 @@
 use crate::backend::{load_hybrid, Backend};
 use crate::error::{Error, Result};
 use crate::gldr::GlobalLdrIndex;
-use crate::index::{IDistanceConfig, IDistanceIndex};
+use crate::index::IDistanceIndex;
 use crate::seqscan::SeqScan;
 use mmdr_core::{PointAssignment, ReductionResult};
 use mmdr_hybridtree::HybridTree;
@@ -37,9 +37,9 @@ use mmdr_linalg::Matrix;
 use mmdr_pca::ReducedSubspace;
 use std::collections::{BTreeMap, HashMap};
 
-/// The β the backends without a configured one route ingested points with
-/// (Table 1's 0.1, the same default as [`IDistanceConfig::beta`]).
-const DEFAULT_BETA: f64 = 0.1;
+/// The β every backend routes an ingested point with — the nearest
+/// subspace within it, else the outliers (Table 1's 0.1).
+pub const INSERT_BETA: f64 = 0.1;
 
 /// A constructed index holding its concrete type, so it can be both
 /// queried (as a [`VectorIndex`]) and snapshotted (which needs access to
@@ -89,19 +89,9 @@ impl BuiltIndex {
         }
     }
 
-    /// The β this backend routes inserted points with (cluster-vs-outlier
-    /// test). iDistance carries its own configured β; the other backends
-    /// use the paper's Table 1 default.
-    pub fn ingest_beta(&self) -> f64 {
-        match self {
-            BuiltIndex::IDistance(i) => i.config().beta,
-            _ => DEFAULT_BETA,
-        }
-    }
-
     /// Places an ingested row in the delta layered on the base structures:
     /// validates `vector`, routes it with `model` — the model this index
-    /// was loaded under — at [`ingest_beta`](Self::ingest_beta), converts
+    /// was loaded under — at [`INSERT_BETA`], converts
     /// it to the stored form the loaders write, and stores it under `id`
     /// (engine-assigned, unique, monotone). Returns the routing and the
     /// winning `ProjDist`, which the ingest engine's drift estimator feeds
@@ -114,7 +104,7 @@ impl BuiltIndex {
     ) -> mmdr_index::Result<(PointAssignment, f64)> {
         validate_vector(self.as_dyn().dim(), vector)?;
         let placed = model
-            .assign_point_with_dist(vector, self.ingest_beta())
+            .assign_point_with_dist(vector, INSERT_BETA)
             .map_err(Error::from)?;
         let (slot, subspace) = match placed.0 {
             PointAssignment::Cluster(ci) => (ci, Some(&model.clusters[ci].subspace)),
@@ -179,13 +169,11 @@ pub enum Row<'a> {
 /// distance is measured against the one reference.
 #[derive(Debug)]
 pub struct KeySpace {
-    /// Search configuration of the loaded index; `config.c`, when set, is
-    /// the range-partitioning constant instead of `2 · max_radius + 1`.
-    pub config: IDistanceConfig,
     /// Reference point of the outlier partition.
     pub reference: Vec<f64>,
-    /// Lower bound for `c` (0 for none): a fold passes the base's `c` so
-    /// the constant only ever widens.
+    /// Lower bound for `c`, which is otherwise `2 · max_radius + 1` (0 for
+    /// none): a fold passes the base's `c` so the constant only ever
+    /// widens.
     pub c_floor: f64,
 }
 
@@ -194,7 +182,6 @@ impl KeySpace {
     /// reference is the mean of the live outlier rows, or of all live rows
     /// in id order when no outlier is live, and `c` has no floor.
     pub fn fitted<'a>(
-        config: IDistanceConfig,
         model: &ReductionResult,
         row_of: impl Fn(u64) -> Option<&'a [f64]>,
     ) -> Result<Self> {
@@ -209,7 +196,6 @@ impl KeySpace {
             mmdr_linalg::mean_rows((0..model.num_points as u64).filter_map(&row_of))?
         };
         Ok(Self {
-            config,
             reference,
             c_floor: 0.0,
         })
@@ -346,11 +332,10 @@ pub fn load_exact<'a>(
     backend: Backend,
     model: &'a ReductionResult,
     buffer_pages: usize,
-    config: IDistanceConfig,
     row_of: impl Fn(u64) -> Option<&'a [f64]> + 'a,
 ) -> Result<BuiltIndex> {
     let keys = match backend {
-        Backend::IDistance => Some(KeySpace::fitted(config, model, &row_of)?),
+        Backend::IDistance => Some(KeySpace::fitted(model, &row_of)?),
         _ => None,
     };
     load(backend, model, buffer_pages, keys, move |id| {
@@ -368,11 +353,7 @@ pub fn build_index(
     buffer_pages: usize,
 ) -> Result<BuiltIndex> {
     check_dim(data, model)?;
-    let config = IDistanceConfig {
-        buffer_pages: buffer_pages.max(2),
-        ..Default::default()
-    };
-    load_exact(backend, model, buffer_pages, config, |id| {
+    load_exact(backend, model, buffer_pages, |id| {
         Some(data.row(id as usize))
     })
 }

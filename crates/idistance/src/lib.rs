@@ -55,9 +55,10 @@ pub use backend::{build_backend, Backend};
 pub use codes::Codebook;
 pub use error::{Error, Result};
 pub use gldr::GlobalLdrIndex;
-pub use index::{IDistanceConfig, IDistanceIndex, PartitionInfo, RecordIds};
+pub use index::{IDistanceIndex, PartitionInfo, RecordIds};
 pub use layout::{
     build_index, load, load_exact, restored_rows, stored_rows, BuiltIndex, KeySpace, Row,
+    INSERT_BETA,
 };
 // The shared query-layer types live in `mmdr-index` (the KnnHeap moved
 // there in PR 2 — import it from `mmdr_index` directly); these two are

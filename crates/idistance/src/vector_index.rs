@@ -100,7 +100,6 @@ impl VectorIndex for GlobalLdrIndex {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::index::IDistanceConfig;
     use mmdr_core::{Mmdr, MmdrParams};
     use mmdr_linalg::{Matrix, ParConfig};
 
@@ -129,7 +128,7 @@ mod tests {
         })
         .fit(&data)
         .unwrap();
-        let index = IDistanceIndex::build(&data, &model, IDistanceConfig::default()).unwrap();
+        let index = IDistanceIndex::build(&data, &model, 256).unwrap();
         let scan = SeqScan::build(&data, &model, 64).unwrap();
         let gldr = GlobalLdrIndex::build(&data, &model, 64).unwrap();
         let backends: Vec<&dyn VectorIndex> = vec![&index, &scan, &gldr];

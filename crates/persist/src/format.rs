@@ -55,7 +55,11 @@ pub const MAGIC: [u8; 8] = *b"MMDRSNP\x01";
 /// bytes) and its position in key order names its heap record, the leaves
 /// are packed full on consecutive pages with no sibling links, and a leaf
 /// header holds its first entry's position. META is unchanged.
-pub const FORMAT_VERSION: u32 = 4;
+///
+/// Version 5 is iDistance's META record without a search configuration or
+/// a width: the search constants are the algorithm's, not the file's, and
+/// the width is MODEL's `dim`.
+pub const FORMAT_VERSION: u32 = 5;
 /// Little-endian sentinel; a byte-swapped writer would store 0x4D3C2B1A.
 pub const ENDIAN_TAG: u32 = 0x1A2B_3C4D;
 /// Superblock size; the section table starts here.
@@ -418,10 +422,10 @@ mod tests {
 
     #[test]
     fn another_version_reported_before_checksums() {
-        // A newer file, and the v3 one the previous format wrote: the
+        // A newer file, and the v4 one the previous format wrote: the
         // version is changed *without* fixing the superblock CRC, and the
         // version check must fire first.
-        for other in [99u32, 3] {
+        for other in [99u32, 4] {
             let mut image = sample();
             image[8..12].copy_from_slice(&other.to_le_bytes());
             match parse(&image) {

@@ -72,7 +72,7 @@ use crate::refit::{attach, materialize_rows, refit_model};
 use crate::snapshot::{build_index, open_with, save_with_attrs, OpenOptions};
 use crate::wal::{remove_wal, WalRecord, WalWriter};
 use mmdr_core::{MmdrParams, PointAssignment, ReductionResult};
-use mmdr_idistance::{load, stored_rows, Backend, BuiltIndex, IDistanceConfig, KeySpace, Row};
+use mmdr_idistance::{load, stored_rows, Backend, BuiltIndex, KeySpace, Row, INSERT_BETA};
 use mmdr_index::{
     validate_vector, DriftEstimator, IngestOp, IngestStats, LiveIndex, PinnedEpoch, Query,
     QueryStats, Scratch, Target, VectorIndex,
@@ -97,18 +97,18 @@ pub fn wal_path(snapshot: &Path) -> PathBuf {
 
 /// Extends a reduction model with the inserts in `ops`: each inserted id
 /// joins the cluster the fitted model assigns its vector to (nearest
-/// subspace within `beta`, else the outlier set), exactly the routing
-/// [`BuiltIndex::insert`] applied when the row entered the delta.
+/// subspace within [`INSERT_BETA`], else the outlier set), exactly the
+/// routing [`BuiltIndex::insert`] applied when the row entered the delta.
 ///
 /// Deletes never modify the model. The member lists only ever grow, which
 /// keeps cluster order, subspaces and partition numbering stable across
 /// merges; the fold simply omits dead ids.
-pub fn extend_model(model: &mut ReductionResult, ops: &[IngestOp], beta: f64) -> Result<()> {
+pub fn extend_model(model: &mut ReductionResult, ops: &[IngestOp]) -> Result<()> {
     for op in ops {
         let IngestOp::Insert { id, vector } = op else {
             continue;
         };
-        match model.assign_point(vector, beta)? {
+        match model.assign_point(vector, INSERT_BETA)? {
             PointAssignment::Cluster(ci) => model.clusters[ci].members.push(*id as usize),
             PointAssignment::Outlier => model.outliers.push(*id as usize),
         }
@@ -157,15 +157,10 @@ pub fn fold(
     let (inserted, dead) = split_ops(ops);
     let mut stored = stored_rows(base)?;
     // iDistance keeps the base's key space: the outlier reference is
-    // inherited, and `c` — which already carries any build-time override —
-    // widens if a new row stretched a radius past the old margin, never
-    // shrinks.
+    // inherited, and `c` widens if a new row stretched a radius past the
+    // old margin, never shrinks.
     let keys = match base {
         BuiltIndex::IDistance(idx) => Some(KeySpace {
-            config: IDistanceConfig {
-                c: None,
-                ..idx.config().clone()
-            },
             reference: idx
                 .partitions()
                 .last()
@@ -734,8 +729,7 @@ impl EngineCore {
         // epoch's delta and the pending tail; readers keep pinning the
         // base epoch. The fold reads only immutable base structures and
         // the cloned op prefix.
-        let beta = base.built.ingest_beta();
-        extend_model(&mut model, &ops, beta)?;
+        extend_model(&mut model, &ops)?;
         let folded = fold(&base.built, &model, &ops, self.fold_pages)?;
         self.publish(folded, model, model_epoch, ops.len())
     }
@@ -854,11 +848,7 @@ impl EngineCore {
             return Ok(w.model_epoch);
         }
         let model = refit_model(&rows, next_id, &self.refit_params)?;
-        let config = match &base.built {
-            BuiltIndex::IDistance(i) => i.config().clone(),
-            _ => IDistanceConfig::default(),
-        };
-        let folded = attach(base.built.backend(), &model, &rows, self.fold_pages, config)?;
+        let folded = attach(base.built.backend(), &model, &rows, self.fold_pages)?;
         self.publish(folded, model, new_model_epoch, ops.len())?;
         Ok(new_model_epoch)
     }
@@ -1035,8 +1025,7 @@ mod tests {
                 vector: v.clone(),
             })
             .collect();
-        let built = build_index(backend, data, &model, 128).unwrap();
-        extend_model(&mut model, &ops, built.ingest_beta()).unwrap();
+        extend_model(&mut model, &ops).unwrap();
         let fresh = build_index(backend, &union, &model, 128).unwrap();
         for &id in deletes {
             let _ = fresh.delete(id).unwrap();
@@ -1062,7 +1051,7 @@ mod tests {
                 .collect();
             ops.extend(deletes.iter().map(|&id| IngestOp::Delete { id }));
             let mut extended = model.clone();
-            extend_model(&mut extended, &ops, base.ingest_beta()).unwrap();
+            extend_model(&mut extended, &ops).unwrap();
             let folded = fold(&base, &extended, &ops, 128).unwrap();
             let fresh = reference(backend, &data, &inserts, &deletes);
             for qi in [0usize, 7, 41, 113] {

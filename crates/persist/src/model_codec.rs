@@ -14,7 +14,7 @@
 use crate::codec::{ByteReader, ByteWriter};
 use crate::error::{PersistError, Result};
 use mmdr_core::{EllipsoidCluster, ReductionResult, ReductionStats};
-use mmdr_idistance::{Codebook, IDistanceConfig, PartitionInfo};
+use mmdr_idistance::{Codebook, PartitionInfo};
 use mmdr_linalg::Matrix;
 use mmdr_pca::ReducedSubspace;
 
@@ -127,43 +127,6 @@ pub fn get_model(r: &mut ByteReader<'_>) -> Result<ReductionResult> {
         ));
     }
     Ok(model)
-}
-
-pub fn put_config(w: &mut ByteWriter, c: &IDistanceConfig) {
-    w.put_usize(c.buffer_pages);
-    w.put_f64(c.initial_radius_fraction);
-    w.put_f64(c.radius_step_fraction);
-    match c.c {
-        Some(v) => {
-            w.put_u8(1);
-            w.put_f64(v);
-        }
-        None => w.put_u8(0),
-    }
-    w.put_f64(c.beta);
-}
-
-pub fn get_config(r: &mut ByteReader<'_>) -> Result<IDistanceConfig> {
-    let buffer_pages = r.get_usize()?;
-    let initial_radius_fraction = r.get_f64()?;
-    let radius_step_fraction = r.get_f64()?;
-    let c = match r.get_u8()? {
-        0 => None,
-        1 => Some(r.get_f64()?),
-        other => {
-            return Err(PersistError::malformed(format!(
-                "config c-override flag {other}"
-            )));
-        }
-    };
-    let beta = r.get_f64()?;
-    Ok(IDistanceConfig {
-        buffer_pages,
-        initial_radius_fraction,
-        radius_step_fraction,
-        c,
-        beta,
-    })
 }
 
 /// What a load measured of one partition — its radii, its count, the
@@ -314,24 +277,7 @@ mod tests {
     }
 
     #[test]
-    fn config_and_partition_roundtrip() {
-        let cfg = IDistanceConfig {
-            buffer_pages: 77,
-            initial_radius_fraction: 0.03,
-            radius_step_fraction: 0.06,
-            c: Some(12.5),
-            beta: 0.2,
-        };
-        let mut w = ByteWriter::new();
-        put_config(&mut w, &cfg);
-        let bytes = w.into_bytes();
-        let mut r = ByteReader::new(&bytes, "cfg");
-        let got = get_config(&mut r).unwrap();
-        r.expect_end().unwrap();
-        assert_eq!(got.buffer_pages, 77);
-        assert_eq!(got.c, Some(12.5));
-        assert_eq!(got.beta, 0.2);
-
+    fn partition_roundtrip() {
         let m = toy_model();
         let rows = [vec![0.5, -1.0], vec![0.25, 2.0], vec![4.0, 2.0]];
         let part = PartitionInfo::new(

@@ -34,7 +34,7 @@
 
 use crate::error::{PersistError, Result};
 use mmdr_core::{MmdrParams, ReductionResult, ScalableMmdr};
-use mmdr_idistance::{BuiltIndex, IDistanceConfig};
+use mmdr_idistance::BuiltIndex;
 use mmdr_linalg::Matrix;
 use std::collections::BTreeMap;
 
@@ -103,13 +103,11 @@ pub fn attach(
     model: &ReductionResult,
     rows: &BTreeMap<u64, Vec<f64>>,
     buffer_pages: usize,
-    idistance_config: IDistanceConfig,
 ) -> Result<BuiltIndex> {
     Ok(mmdr_idistance::load_exact(
         backend,
         model,
         buffer_pages,
-        idistance_config,
         |id| rows.get(&id).map(Vec::as_slice),
     )?)
 }
@@ -204,7 +202,7 @@ mod tests {
         let refit = refit_model(&rows, data.rows() as u64, &params()).unwrap();
         let attached: Vec<BuiltIndex> = Backend::all()
             .into_iter()
-            .map(|b| attach(b, &refit, &rows, 128, IDistanceConfig::default()).unwrap())
+            .map(|b| attach(b, &refit, &rows, 128).unwrap())
             .collect();
         for qi in [0usize, 7, 41, 113] {
             let q = data.row(qi);

@@ -273,9 +273,7 @@ fn meta_and_pools<'a>(
                     model.clusters.len()
                 )));
             }
-            meta.put_usize(idx.dim());
             meta.put_f64(idx.c());
-            model_codec::put_config(&mut meta, idx.config());
             meta.put_usize(idx.tree().pool().capacity());
             meta.put_u64(idx.tree().root_page_id());
             meta.put_usize(idx.tree().height());
@@ -505,9 +503,7 @@ fn restore(
             BuiltIndex::SeqScan(SeqScan::from_parts(heap, &model)?)
         }
         Backend::IDistance => {
-            let dim = meta.get_usize()?;
             let c = meta.get_f64()?;
-            let config = model_codec::get_config(&mut meta)?;
             let tree_capacity = meta.get_usize()?;
             let tree_root = meta.get_u64()?;
             let tree_height = meta.get_usize()?;
@@ -528,7 +524,7 @@ fn restore(
                 mmdr_btree::BPlusTree::from_parts(tree_pool, tree_root, tree_height, tree_len)?;
             let heap = VectorHeap::from_parts(heap_pool, heap_open, heap_len)?;
             BuiltIndex::IDistance(Box::new(IDistanceIndex::from_parts(
-                tree, heap, partitions, c, dim, config,
+                tree, heap, partitions, c, model.dim,
             )?))
         }
         Backend::Hybrid => {

@@ -71,26 +71,10 @@ fn deflate(lb: f64) -> f64 {
     lb * (1.0 - PRUNE_REL_EPS) - PRUNE_ABS_EPS
 }
 
-/// Router tuning knobs.
-#[derive(Debug, Clone)]
-pub struct RouterConfig {
-    /// Socket deadline per shard hop (connect, send, receive). Shard hops
-    /// run on a LAN and gate client latency, so this is much tighter than
-    /// the 30 s client default.
-    pub shard_timeout: Duration,
-    /// Idle connections kept pooled per shard; concurrent workers beyond
-    /// this open extra connections that are dropped when they finish.
-    pub pool_per_shard: usize,
-}
-
-impl Default for RouterConfig {
-    fn default() -> Self {
-        Self {
-            shard_timeout: Duration::from_secs(5),
-            pool_per_shard: 4,
-        }
-    }
-}
+/// The default socket deadline per shard hop (connect, send, receive), for
+/// [`Router::connect`]. Shard hops run on a LAN and gate client latency, so
+/// this is much tighter than the 30 s client default.
+pub const DEFAULT_SHARD_TIMEOUT: Duration = Duration::from_secs(5);
 
 /// Typed router failures. Query-time variants travel to callers inside
 /// [`mmdr_index::Error::Backend`] (downcast to inspect) and over the wire
@@ -153,7 +137,7 @@ struct Shard {
 pub struct Router {
     manifest: Manifest,
     shards: Vec<Shard>,
-    config: RouterConfig,
+    shard_timeout: Duration,
     queries: AtomicU64,
     contacted: AtomicU64,
     pruned: AtomicU64,
@@ -164,11 +148,12 @@ impl Router {
     /// Connects to every shard and sanity-checks cluster homogeneity: each
     /// worker must serve the manifest's backend at the manifest's
     /// dimensionality with exactly its shard's row count (the `Stats` op
-    /// reports all three). `addrs` are in manifest shard order.
+    /// reports all three). `addrs` are in manifest shard order; every shard
+    /// hop gives up after `shard_timeout`.
     pub fn connect(
         manifest: Manifest,
         addrs: &[String],
-        config: RouterConfig,
+        shard_timeout: Duration,
     ) -> std::result::Result<Router, RouterError> {
         if addrs.len() != manifest.shards.len() {
             return Err(RouterError::Config(format!(
@@ -188,7 +173,7 @@ impl Router {
                 })
                 .collect(),
             manifest,
-            config,
+            shard_timeout,
             queries: AtomicU64::new(0),
             contacted: AtomicU64::new(0),
             pruned: AtomicU64::new(0),
@@ -279,6 +264,11 @@ impl Router {
             })
     }
 
+    /// Idle connections [`shard_op`](Self::shard_op) keeps pooled per shard;
+    /// concurrent workers beyond this open extra connections that are
+    /// dropped when they finish.
+    const POOL_PER_SHARD: usize = 4;
+
     /// Runs one op against shard `i`, reusing a pooled connection when one
     /// exists and retrying once on a fresh connection (a pooled socket may
     /// have gone stale between queries). Both attempts failing is the
@@ -296,7 +286,7 @@ impl Router {
                 Some(c) => c,
                 None => {
                     match Client::connect(&shard.addr).and_then(|mut c| {
-                        c.set_timeout(Some(self.config.shard_timeout))?;
+                        c.set_timeout(Some(self.shard_timeout))?;
                         Ok(c)
                     }) {
                         Ok(c) => c,
@@ -311,7 +301,7 @@ impl Router {
                 Ok(r) => {
                     shard.contacts.fetch_add(1, Ordering::Relaxed);
                     let mut pool = shard.pool.lock().unwrap_or_else(|p| p.into_inner());
-                    if pool.len() < self.config.pool_per_shard {
+                    if pool.len() < Self::POOL_PER_SHARD {
                         pool.push(client);
                     }
                     return Ok(r);

@@ -11,7 +11,7 @@
 
 use mmdr::core::{Mmdr, MmdrParams};
 use mmdr::datagen::{exact_knn, generate_histograms, precision, HistogramConfig};
-use mmdr::idistance::{BuiltIndex, IDistanceConfig, IDistanceIndex, SeqScan, VectorIndex};
+use mmdr::idistance::{BuiltIndex, IDistanceIndex, SeqScan, VectorIndex};
 
 fn main() {
     // A scaled-down Corel stand-in: 10 000 "images", 64 color bins.
@@ -42,7 +42,7 @@ fn main() {
         model.mean_retained_dim()
     );
 
-    let index = IDistanceIndex::build(&images, &model, IDistanceConfig::default()).expect("index");
+    let index = IDistanceIndex::build(&images, &model, 256).expect("index");
     let scan = SeqScan::build(&images, &model, 64).expect("scan");
 
     // "Find images similar to #123, #4567, #9000" — the interactive loop.

@@ -8,7 +8,7 @@
 use mmdr::core::{Mmdr, MmdrParams};
 use mmdr::datagen::{exact_knn, precision, sample_queries};
 use mmdr::datagen::{generate_correlated, CorrelatedConfig};
-use mmdr::idistance::{IDistanceConfig, IDistanceIndex, VectorIndex};
+use mmdr::idistance::{IDistanceIndex, VectorIndex};
 
 fn main() {
     // 1. A synthetic workload: 5 000 points in 32-d, five clusters that are
@@ -51,15 +51,7 @@ fn main() {
 
     // 3. Index every reduced subspace in one B+-tree. A small buffer pool
     //    makes the logical I/O of the query phase visible.
-    let index = IDistanceIndex::build(
-        &dataset.data,
-        &model,
-        IDistanceConfig {
-            buffer_pages: 32,
-            ..Default::default()
-        },
-    )
-    .expect("index build");
+    let index = IDistanceIndex::build(&dataset.data, &model, 32).expect("index build");
     println!(
         "extended iDistance: {} partitions, c = {:.3}, {} pages",
         index.partitions().len(),

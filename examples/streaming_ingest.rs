@@ -8,7 +8,7 @@
 
 use mmdr::core::{Mmdr, MmdrParams, ScalableMmdr};
 use mmdr::datagen::{generate_correlated, sample_queries, CorrelatedConfig};
-use mmdr::idistance::{IDistanceConfig, IDistanceIndex, VectorIndex};
+use mmdr::idistance::{IDistanceIndex, VectorIndex};
 use std::time::Instant;
 
 fn main() {
@@ -49,8 +49,7 @@ fn main() {
     );
 
     // The streamed model serves queries exactly like the in-memory one.
-    let index =
-        IDistanceIndex::build(&dataset.data, &streamed, IDistanceConfig::default()).expect("index");
+    let index = IDistanceIndex::build(&dataset.data, &streamed, 256).expect("index");
     let queries = sample_queries(&dataset.data, 5, 3).expect("queries");
     for (qi, q) in queries.iter_rows().enumerate() {
         let hits = index.knn(q, 5).expect("knn");

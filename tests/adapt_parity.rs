@@ -10,7 +10,7 @@
 //! epoch pipeline while staying exact throughout.
 
 use mmdr_core::{Mmdr, MmdrParams, ParConfig, ReductionResult};
-use mmdr_idistance::{Backend, IDistanceConfig};
+use mmdr_idistance::Backend;
 use mmdr_index::{IngestOp, LiveIndex};
 use mmdr_linalg::Matrix;
 use mmdr_persist::{
@@ -177,15 +177,8 @@ fn refit_matches_composed_stages_and_survives_crash_image() {
         // Same stages, composed by hand from the public API.
         let rows = survivor_rows(backend, &data, &model, &inserts, &deletes);
         let refitted = refit_model(&rows, next_id, &MmdrParams::default()).unwrap();
-        let same = attach(backend, &refitted, &rows, 256, IDistanceConfig::default()).unwrap();
-        let seq = attach(
-            Backend::SeqScan,
-            &refitted,
-            &rows,
-            256,
-            IDistanceConfig::default(),
-        )
-        .unwrap();
+        let same = attach(backend, &refitted, &rows, 256).unwrap();
+        let seq = attach(Backend::SeqScan, &refitted, &rows, 256).unwrap();
 
         let pin = engine.pin();
         let step = (data.rows() / 7).max(1);

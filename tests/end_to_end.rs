@@ -3,7 +3,7 @@
 
 use mmdr::core::{Mmdr, MmdrParams};
 use mmdr::datagen::{exact_knn, generate_correlated, precision, sample_queries, CorrelatedConfig};
-use mmdr::idistance::{BuiltIndex, IDistanceConfig, IDistanceIndex, SeqScan, VectorIndex};
+use mmdr::idistance::{BuiltIndex, IDistanceIndex, SeqScan, VectorIndex};
 
 fn workload() -> mmdr::datagen::GeneratedDataset {
     generate_correlated(&CorrelatedConfig::paper_style(4_000, 32, 6, 6, 30.0, 17))
@@ -25,7 +25,7 @@ fn pipeline_reaches_high_precision() {
         model.mean_retained_dim()
     );
 
-    let index = IDistanceIndex::build(&ds.data, &model, IDistanceConfig::default()).unwrap();
+    let index = IDistanceIndex::build(&ds.data, &model, 256).unwrap();
     let queries = sample_queries(&ds.data, 25, 3).unwrap();
     let mut total = 0.0;
     for q in queries.iter_rows() {
@@ -51,7 +51,7 @@ fn idistance_and_seqscan_agree_exactly() {
     // faster route to the same answer set.
     let ds = workload();
     let model = Mmdr::new(MmdrParams::default()).fit(&ds.data).unwrap();
-    let index = IDistanceIndex::build(&ds.data, &model, IDistanceConfig::default()).unwrap();
+    let index = IDistanceIndex::build(&ds.data, &model, 256).unwrap();
     let scan = SeqScan::build(&ds.data, &model, 512).unwrap();
     let queries = sample_queries(&ds.data, 15, 8).unwrap();
     for (qi, q) in queries.iter_rows().enumerate() {
@@ -68,15 +68,7 @@ fn idistance_and_seqscan_agree_exactly() {
 fn index_beats_scan_on_io() {
     let ds = workload();
     let model = Mmdr::new(MmdrParams::default()).fit(&ds.data).unwrap();
-    let index = IDistanceIndex::build(
-        &ds.data,
-        &model,
-        IDistanceConfig {
-            buffer_pages: 8,
-            ..Default::default()
-        },
-    )
-    .unwrap();
+    let index = IDistanceIndex::build(&ds.data, &model, 8).unwrap();
     let scan = SeqScan::build(&ds.data, &model, 4).unwrap();
     let queries = sample_queries(&ds.data, 10, 5).unwrap();
     let (index_before, scan_before) = (index.query_stats(), scan.query_stats());
@@ -96,7 +88,7 @@ fn index_beats_scan_on_io() {
 fn dynamic_inserts_are_immediately_visible() {
     let ds = workload();
     let model = Mmdr::new(MmdrParams::default()).fit(&ds.data).unwrap();
-    let index = IDistanceIndex::build(&ds.data, &model, IDistanceConfig::default()).unwrap();
+    let index = IDistanceIndex::build(&ds.data, &model, 256).unwrap();
     let built = BuiltIndex::IDistance(Box::new(index));
     let base = ds.data.rows() as u64;
     // Insert points near an existing cluster member.

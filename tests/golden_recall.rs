@@ -5,7 +5,7 @@
 
 use mmdr::core::{Mmdr, MmdrParams, ParConfig};
 use mmdr::datagen::{generate_correlated, sample_queries, CorrelatedConfig};
-use mmdr::idistance::{IDistanceConfig, IDistanceIndex, SeqScan, VectorIndex};
+use mmdr::idistance::{IDistanceIndex, SeqScan, VectorIndex};
 
 const K: usize = 10;
 
@@ -13,7 +13,7 @@ const K: usize = 10;
 fn index_has_full_recall_against_seqscan_serial_and_parallel() {
     let ds = generate_correlated(&CorrelatedConfig::paper_style(2_500, 32, 5, 6, 30.0, 31));
     let model = Mmdr::new(MmdrParams::default()).fit(&ds.data).unwrap();
-    let index = IDistanceIndex::build(&ds.data, &model, IDistanceConfig::default()).unwrap();
+    let index = IDistanceIndex::build(&ds.data, &model, 256).unwrap();
     let scan = SeqScan::build(&ds.data, &model, 512).unwrap();
     let queries: Vec<Vec<f64>> = sample_queries(&ds.data, 30, 11)
         .unwrap()

@@ -105,8 +105,7 @@ fn reference(backend: Backend, data: &Matrix, inserts: &[Vec<f64>], deletes: &[u
             vector: v.clone(),
         })
         .collect();
-    let built = build_index(backend, data, &model, 128).unwrap();
-    extend_model(&mut model, &ops, built.ingest_beta()).unwrap();
+    extend_model(&mut model, &ops).unwrap();
     let fresh = build_index(backend, &union, &model, 128).unwrap();
     for &id in deletes {
         let _ = fresh.delete(id).unwrap();

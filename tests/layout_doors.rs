@@ -14,7 +14,7 @@
 //!     `n`-th row laid out — through every door, built and reopened.
 
 use mmdr_core::{Mmdr, MmdrParams, ReductionResult};
-use mmdr_idistance::{stored_rows, Backend, IDistanceConfig, RecordIds, VectorHeap};
+use mmdr_idistance::{stored_rows, Backend, RecordIds, VectorHeap};
 use mmdr_index::IngestOp;
 use mmdr_linalg::Matrix;
 use mmdr_persist::{
@@ -106,12 +106,7 @@ fn attach_over_exact_rows_saves_what_build_saves() {
         for backend in Backend::all() {
             let tag = format!("attach-{fi}-{}", backend.name());
             let built = build_index(backend, data, model, PAGES).unwrap();
-            // The configuration `build_index` gives iDistance.
-            let config = IDistanceConfig {
-                buffer_pages: PAGES,
-                ..Default::default()
-            };
-            let attached = attach(backend, model, &rows, PAGES, config).unwrap();
+            let attached = attach(backend, model, &rows, PAGES).unwrap();
             assert!(
                 snapshot_bytes(&built, model, &tag) == snapshot_bytes(&attached, model, &tag),
                 "{tag}: attach over the build's rows must save the build's bytes"
@@ -276,15 +271,11 @@ fn every_leaf_position_resolves_to_the_row_laid_out_there() {
         let rows: BTreeMap<u64, Vec<f64>> = (0..data.rows())
             .map(|i| (i as u64, data.row(i).to_vec()))
             .collect();
-        let config = IDistanceConfig {
-            buffer_pages: PAGES,
-            ..Default::default()
-        };
         let built = build_index(Backend::IDistance, data, model, PAGES).unwrap();
-        let attached = attach(Backend::IDistance, model, &rows, PAGES, config.clone()).unwrap();
+        let attached = attach(Backend::IDistance, model, &rows, PAGES).unwrap();
         let ops = fold_ops(data, model);
         let mut extended = model.clone();
-        extend_model(&mut extended, &ops, config.beta).unwrap();
+        extend_model(&mut extended, &ops).unwrap();
         let folded = fold(&built, &extended, &ops, PAGES).unwrap();
         let doors = [
             ("build", built, model),

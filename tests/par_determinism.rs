@@ -8,7 +8,7 @@
 use mmdr::cluster::{kmeans, EllipticalConfig, EllipticalKMeans, KMeansConfig};
 use mmdr::core::{Mmdr, MmdrParams, ParConfig};
 use mmdr::datagen::{generate_correlated, sample_queries, CorrelatedConfig};
-use mmdr::idistance::{IDistanceConfig, IDistanceIndex, VectorIndex};
+use mmdr::idistance::{IDistanceIndex, VectorIndex};
 use mmdr::linalg::Matrix;
 
 const THREADS: [usize; 4] = [1, 2, 4, 8];
@@ -124,7 +124,7 @@ fn full_reduction_is_thread_count_invariant() {
 fn batch_knn_is_thread_count_invariant_and_matches_serial_loop() {
     let data = workload();
     let model = Mmdr::new(MmdrParams::default()).fit(&data).unwrap();
-    let index = IDistanceIndex::build(&data, &model, IDistanceConfig::default()).unwrap();
+    let index = IDistanceIndex::build(&data, &model, 256).unwrap();
     let queries: Vec<Vec<f64>> = sample_queries(&data, 40, 7)
         .unwrap()
         .iter_rows()

@@ -464,23 +464,23 @@ fn future_version_reports_unsupported_not_checksum() {
 
 #[test]
 fn a_snapshot_of_the_previous_format_is_refused_by_its_version() {
-    // What a v3 writer left (24-byte leaf entries with a rid): version 3
-    // under a superblock CRC that is right for it. There is no second
-    // reader; the refusal is typed.
+    // What a v4 writer left (a search configuration and a width in
+    // iDistance's META): version 4 under a superblock CRC that is right for
+    // it. There is no second reader; the refusal is typed.
     let mut image = snapshot_bytes();
-    image[8..12].copy_from_slice(&3u32.to_le_bytes());
+    image[8..12].copy_from_slice(&4u32.to_le_bytes());
     image[44..48].fill(0);
     let crc = mmdr_persist::crc32(&image[..80]);
     image[44..48].copy_from_slice(&crc.to_le_bytes());
     for resident in [false, true] {
-        let file = write_image(&image, "v3");
+        let file = write_image(&image, "v4");
         let options = OpenOptions {
             resident,
             ..OpenOptions::default()
         };
         match open_with(&file.0, &options) {
             Err(PersistError::UnsupportedVersion { found, supported }) => {
-                assert_eq!((found, supported), (3, 4));
+                assert_eq!((found, supported), (4, 5));
             }
             other => panic!("expected UnsupportedVersion, got {other:?}"),
         }

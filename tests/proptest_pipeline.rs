@@ -3,7 +3,7 @@
 
 use mmdr::core::{Mmdr, MmdrParams};
 use mmdr::datagen::exact_knn;
-use mmdr::idistance::{IDistanceConfig, IDistanceIndex, SeqScan, VectorIndex};
+use mmdr::idistance::{IDistanceIndex, SeqScan, VectorIndex};
 use mmdr::linalg::Matrix;
 use proptest::prelude::*;
 
@@ -39,7 +39,7 @@ proptest! {
         let params = MmdrParams { min_cluster_size: 8, ..Default::default() };
         let model = Mmdr::new(params).fit(&data).unwrap();
         let index =
-            IDistanceIndex::build(&data, &model, IDistanceConfig::default()).unwrap();
+            IDistanceIndex::build(&data, &model, 256).unwrap();
         let scan = SeqScan::build(&data, &model, 128).unwrap();
         let q = data.row(probe % data.rows());
         let a = index.knn(q, k).unwrap();
@@ -58,7 +58,7 @@ proptest! {
         let params = MmdrParams { min_cluster_size: 8, ..Default::default() };
         let model = Mmdr::new(params).fit(&data).unwrap();
         let index =
-            IDistanceIndex::build(&data, &model, IDistanceConfig::default()).unwrap();
+            IDistanceIndex::build(&data, &model, 256).unwrap();
         let q = data.row(probe % data.rows());
         let hits = index.knn(q, 5).unwrap();
         for w in hits.windows(2) {

@@ -14,7 +14,7 @@ use mmdr_linalg::Matrix;
 use mmdr_persist::{
     build_index, open, plan_shards, read_manifest, save, write_manifest, Manifest, MANIFEST_FILE,
 };
-use mmdr_router::{Router, RouterConfig, RouterError, RouterLive};
+use mmdr_router::{Router, RouterError, RouterLive, DEFAULT_SHARD_TIMEOUT};
 use mmdr_serve::{Client, Server, ServerConfig, ServerHandle};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -138,7 +138,7 @@ impl Cluster {
     }
 
     fn router(&self) -> Router {
-        Router::connect(self.manifest.clone(), &self.addrs, RouterConfig::default()).unwrap()
+        Router::connect(self.manifest.clone(), &self.addrs, DEFAULT_SHARD_TIMEOUT).unwrap()
     }
 
     fn shutdown(self) {

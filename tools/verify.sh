@@ -24,6 +24,18 @@ cargo fmt --all -- --check
 echo "== build (all targets) =="
 RUSTFLAGS="${RUSTFLAGS:-} -D warnings" cargo build --workspace --all-targets "${PROFILE[@]}"
 
+echo "== quickstart gate =="
+# The public-API path end to end: fit, build an index from a model and a
+# page budget, answer 10-NN queries. --all-targets only compiles the
+# examples; this one runs in about a second, so it runs here.
+QUICKSTART="$(cargo run --quiet "${PROFILE[@]}" --example quickstart)"
+echo "$QUICKSTART"
+precision="$(sed -n 's/^mean 10-NN precision over [0-9]* queries: \([0-9.]*\)$/\1/p' <<< "$QUICKSTART")"
+if [[ -z "$precision" ]] || ! awk -v p="$precision" 'BEGIN { exit !(p >= 0.95) }'; then
+    echo "verify: FAIL — quickstart's mean 10-NN precision is '${precision}', not >= 0.95" >&2
+    exit 1
+fi
+
 echo "== clippy (all targets) =="
 cargo clippy --workspace --all-targets "${PROFILE[@]}" -- -D warnings
 
