@@ -55,6 +55,22 @@ impl Cursor {
     pub fn code(&self) -> u64 {
         Leaf::code(&self.leaf, self.last)
     }
+
+    /// Whether the next [`cursor_next`](crate::BPlusTree::cursor_next)
+    /// leaves the pinned leaf: crosses to the next one, or finds no entry
+    /// past the tree's last.
+    #[inline]
+    pub fn at_leaf_end(&self) -> bool {
+        self.slot >= self.count
+    }
+
+    /// Whether the next [`cursor_prev`](crate::BPlusTree::cursor_prev)
+    /// leaves the pinned leaf: crosses to the previous one, or finds no
+    /// entry before the tree's first.
+    #[inline]
+    pub fn at_leaf_start(&self) -> bool {
+        self.slot == 0
+    }
 }
 
 #[cfg(test)]
@@ -81,5 +97,53 @@ mod tests {
         assert_eq!(b.code(), entries[100].1);
         assert_eq!(t.cursor_prev(&mut a).unwrap(), step(899));
         assert_eq!(a.code(), entries[899].1);
+    }
+
+    #[test]
+    fn the_leaf_probes_say_where_the_next_step_leaves_the_leaf() {
+        let entries: Vec<(f64, u64)> = (0..1000).map(|i| (i as f64, i)).collect();
+        let pool = BufferPool::new(DiskManager::new(), 16).unwrap();
+        let t = BPlusTree::bulk_load(pool, &entries).unwrap();
+        // Steps `cursor` once either way and checks the probe said whether
+        // it would leave the leaf it stood on: cross, or find nothing.
+        let step = |cursor: &mut crate::Cursor, forward: bool| {
+            let (page, probe) = match forward {
+                true => (cursor.page, cursor.at_leaf_end()),
+                false => (cursor.page, cursor.at_leaf_start()),
+            };
+            let got = match forward {
+                true => t.cursor_next(cursor).unwrap(),
+                false => t.cursor_prev(cursor).unwrap(),
+            };
+            assert_eq!(probe, got.is_none() || cursor.page != page, "{got:?}");
+            got
+        };
+        // Fresh seeks: mid-leaf, at a leaf boundary, before the first entry
+        // and past the last — the two probes from each.
+        let mut fresh_probes = 0;
+        for key in [100.0, 254.5, 255.0, 0.0, 1000.0] {
+            let fresh = t.seek(key).unwrap();
+            fresh_probes += usize::from(fresh.at_leaf_end()) + usize::from(fresh.at_leaf_start());
+            step(&mut fresh.clone(), true);
+            step(&mut fresh.clone(), false);
+        }
+        assert_eq!(fresh_probes, 4);
+        // Forward over every leaf boundary to the end, then back to the
+        // start: each crossing, both ways, announced by its probe.
+        let mut c = t.seek(0.0).unwrap();
+        let mut crossings = 0;
+        while let Some((key, _)) = step(&mut c, true) {
+            crossings += usize::from(key > 0.0 && (key as usize).is_multiple_of(255));
+        }
+        assert_eq!(crossings, 3);
+        assert!(c.at_leaf_end());
+        let mut clone = c.clone();
+        while step(&mut c, false).is_some() {}
+        assert!(c.at_leaf_start());
+        // The clone still stands at the end, on the last leaf, its probes
+        // its own.
+        assert!(clone.at_leaf_end() && !clone.at_leaf_start());
+        assert_eq!(step(&mut clone, false), Some((999.0, 999)));
+        assert!(!clone.at_leaf_end());
     }
 }

@@ -1,6 +1,9 @@
-//! The one search loop of the extended iDistance index (paper §5): a KNN
-//! query "examines increasingly larger sphere in each iteration"; a range
-//! query is the single iteration whose sphere is given.
+//! The one search loop of the extended iDistance index (paper §5). The
+//! paper's KNN query "examines increasingly larger sphere in each
+//! iteration"; here the sphere's radius is the result set's reach, read off
+//! it at every step, and the search reads the index outward from the query
+//! in ring order, one leaf at a time. A range query is the same loop with
+//! its reach fixed at its radius.
 
 use crate::codes::Codebook;
 use crate::error::{Error, Result};
@@ -12,12 +15,6 @@ use mmdr_pca::ReducedSubspace;
 use mmdr_storage::PageSet;
 use std::collections::HashSet;
 use std::ops::Range;
-
-/// A KNN's first search radius, as a fraction of the widest partition
-/// radius: the paper starts with "a relatively small radius".
-const INITIAL_RADIUS_FRACTION: f64 = 0.05;
-/// How much each enlargement widens the radius, as the same fraction.
-const RADIUS_STEP_FRACTION: f64 = 0.05;
 
 /// The query as one partition sees it: its local coordinates in the
 /// partition's axis system, appended to `locals`, and its squared distance
@@ -42,8 +39,9 @@ pub(crate) fn query_geometry(
     })
 }
 
-/// Per-partition search state: two cursors walking the key annulus inward
-/// (descending keys) and outward (ascending keys) from the query's image.
+/// Per-partition search state: the partition's lower bound until it is
+/// opened, then two walks from the query's image — outward (ascending keys,
+/// away from the reference point) and inward (descending keys).
 struct PartitionSearch<'a> {
     /// Partition index.
     part: usize,
@@ -52,16 +50,20 @@ struct PartitionSearch<'a> {
     /// The partition's [`query_geometry`].
     q_local: &'a [f64],
     proj_sq: f64,
-    /// Tightest possible distance from `q` to any member (triangle
-    /// inequality bound `‖Q−P‖ ≥ ‖Qⱼ−Oⱼ‖ − Rⱼ`, extended with the
-    /// projection component).
-    lower_bound: f64,
-    inward: Option<Cursor>,
-    outward: Option<Cursor>,
-    started: bool,
+    /// Until the partition is opened, the least ring radicand any member
+    /// can have: `proj_sq` plus the squared radial gap to the populated
+    /// annulus (the triangle inequality `‖Q−P‖ ≥ ‖Qⱼ−Oⱼ‖ − Rⱼ`, extended
+    /// with the projection component).
+    lower_bound: Option<f64>,
+    /// Outward, then inward: a cursor and the ring radicand of the last
+    /// entry it read (the lower bound before its first) — the least any
+    /// entry it has still to read can have, since rings only grow along a
+    /// cursor. `None` once the walk has left the partition, or the reach
+    /// has excluded a ring it read.
+    walks: [Option<(Cursor, f64)>; 2],
     /// The partition's codebook, if it was loaded with rows, and where in
     /// the query's `gaps` the gap table against it sits
-    /// ([`Codebook::gaps_into`]) from the round that starts the partition.
+    /// ([`Codebook::gaps_into`]) from the step that opens the partition.
     book: Option<&'a Codebook>,
     gaps: Range<usize>,
 }
@@ -71,6 +73,7 @@ struct PartitionSearch<'a> {
 /// whether the radicand exceeds the largest one whose root is still within
 /// reach — the same decision to the bit, with a root taken when the reach
 /// moves (as often as the result set admits a row) and not per leaf entry.
+#[derive(Default)]
 struct Reach {
     reach: f64,
     /// The largest `u` with `u.sqrt() <= reach`; −∞ when nothing is.
@@ -78,22 +81,17 @@ struct Reach {
 }
 
 impl Reach {
-    fn new() -> Self {
-        Self {
-            reach: f64::NEG_INFINITY,
-            radicand: f64::NEG_INFINITY,
-        }
-    }
-
-    /// `radicand.sqrt() > best.reach()`.
+    /// The largest radicand within `best.reach()`: a radicand `x` has
+    /// `x.sqrt() > best.reach()` exactly when it exceeds this. `∞` while
+    /// the reach is.
     #[inline]
-    fn excludes(&mut self, best: &KnnHeap, radicand: f64) -> bool {
+    fn limit(&mut self, best: &KnnHeap) -> f64 {
         let reach = best.reach();
         if reach != self.reach {
             self.reach = reach;
             self.radicand = Self::largest_radicand(reach);
         }
-        radicand > self.radicand
+        self.radicand
     }
 
     #[cold]
@@ -116,10 +114,11 @@ impl Reach {
 /// The per-candidate routine, from "the leaf admits this entry" to "the
 /// result set has seen it", in two halves. The walk tests each entry
 /// against the reach and queues what passes at its lower bound
-/// ([`queue`](Self::queue)); [`refine`](Self::refine) then takes the
-/// queue nearest bound first — the optimal multi-step order — so the reach
-/// narrows as early as it can and stops the refinement at the first entry
-/// it excludes. A refined entry's position is resolved to its record,
+/// ([`walk`](Self::walk), [`queue`](Self::queue)); [`refine`](Self::refine)
+/// then takes the queue nearest bound first, as far as no unread entry can
+/// come before — the optimal multi-step order — so the reach narrows as
+/// early as it can and stops the refinement at the first entry it
+/// excludes. A refined entry's position is resolved to its record,
 /// which is located on its page — pinned once a query, in `pages`, whatever
 /// order the pages come in — and only its id is read; the id is put to
 /// every test that can reject it; only a row that passed them all has its
@@ -137,8 +136,10 @@ struct Candidates<'a> {
     index: &'a IDistanceIndex,
     /// Position → rid, at the heap page the last position fell on.
     ids: RecordIds,
-    /// What the walk admitted and [`refine`](Self::refine) has not taken.
+    /// What the walk admitted and [`refine`](Self::refine) has not taken,
+    /// and the least of it (`u128::MAX` when it is empty).
     queue: &'a mut Vec<u128>,
+    least: u128,
     /// The heap pages this query has pinned.
     pages: &'a mut PageSet,
     /// Per partition, where its query coordinates sit in `locals` and the
@@ -194,26 +195,52 @@ impl Candidates<'_> {
     #[inline]
     fn queue(&mut self, bound: f64, position: u64) {
         debug_assert!(bound.is_sign_positive());
-        self.queue
-            .push((u128::from(bound.to_bits()) << 64) | u128::from(position));
+        let entry = (u128::from(bound.to_bits()) << 64) | u128::from(position);
+        self.queue.push(entry);
+        self.least = self.least.min(entry);
     }
 
     /// Refines the queue nearest bound first, ties by position, each entry
-    /// against the reach as it stands. The first entry the reach excludes
-    /// ends it, and with it every entry behind it: their bounds are no
-    /// nearer, and the reach only narrows. So the rows evaluated are the
-    /// ones no tighter order could spare, and the answer is the one any
-    /// order gives — the result set breaks ties by id, and exclusion is
-    /// strict.
+    /// against the reach as it stands, as far as the frontier `front` (the
+    /// least radicand an unread entry can have) — and, until the result set
+    /// first holds k rows, past it, so the reach turns finite as soon as it
+    /// can. What lies beyond the front stays queued: an unread row may come
+    /// before it. The first entry the reach excludes ends it, and every
+    /// entry behind it: their bounds are no nearer, and the reach only
+    /// narrows. So the rows evaluated are the ones no tighter order could
+    /// spare, and the answer is the one any order gives — the result set
+    /// breaks ties by id, and exclusion is strict.
     ///
-    /// The order is found a batch at a time — the nearest 64 selected and
-    /// sorted, then the next 128, and so on — since a k-NN round refines
-    /// few of what it queued (the benchmark's first round, 37 of some 960)
-    /// and a range query all of it. A binary heap pushed per entry ran
+    /// Most steps find nothing within the front (the ring bound trails the
+    /// code bound an entry is queued at): one compare with the least entry.
+    /// Otherwise one pass moves what may be refined now to the head of the
+    /// queue and drops what the reach excludes, and the head's order is
+    /// found a batch at a time — the nearest 64 selected and sorted, then
+    /// the next 128, and so on. A binary heap pushed per entry ran
     /// `knn_resident` 17 % slower, and `(u64, u64)` pairs 1 %.
-    fn refine(&mut self, reach: &mut Reach, best: &mut KnnHeap) -> Result<()> {
+    fn refine(&mut self, front: f64, reach: &mut Reach, best: &mut KnnHeap) -> Result<()> {
+        let limit = reach.limit(best);
+        let filling = limit == f64::INFINITY;
+        if !filling && (self.least >> 64) as u64 > front.to_bits() {
+            return Ok(());
+        }
         let mut queue = std::mem::take(&mut *self.queue);
-        let (mut rest, mut batch) = (&mut queue[..], 64);
+        let (mut kept, mut within) = (0, 0);
+        for i in 0..queue.len() {
+            let entry = queue[i];
+            let bound = f64::from_bits((entry >> 64) as u64);
+            if bound <= limit {
+                queue[kept] = entry;
+                if filling || bound <= front {
+                    queue.swap(within, kept);
+                    within += 1;
+                }
+                kept += 1;
+            }
+        }
+        queue.truncate(kept);
+        let (len, mut taken) = (queue.len(), 0);
+        let (mut rest, mut batch) = (&mut queue[..within], 64);
         'refine: while !rest.is_empty() {
             if batch < rest.len() {
                 rest.select_nth_unstable(batch);
@@ -221,16 +248,85 @@ impl Candidates<'_> {
             let (nearest, further) = rest.split_at_mut(batch.min(rest.len()));
             nearest.sort_unstable();
             for &mut entry in nearest {
-                let (bound, position) = ((entry >> 64) as u64, entry as u64);
-                if reach.excludes(best, f64::from_bits(bound)) {
+                let (bound, position) = (f64::from_bits((entry >> 64) as u64), entry as u64);
+                if bound > reach.limit(best) {
+                    taken = len;
+                    break 'refine;
+                }
+                if bound > front && reach.limit(best) < f64::INFINITY {
                     break 'refine;
                 }
                 self.offer(position, best)?;
+                taken += 1;
             }
             (rest, batch) = (further, 2 * batch);
         }
-        queue.clear();
+        queue.drain(..taken);
+        self.least = queue.iter().copied().min().unwrap_or(u128::MAX);
         *self.queue = queue;
+        Ok(())
+    }
+
+    /// Walks an opened partition's cursor `W` (0 outward, 1 inward) to the
+    /// end of its pinned leaf — across to the next leaf first, if it stands
+    /// at the end of one — testing each entry against the reach's `limit`
+    /// ([`Reach::limit`]; a walk refines nothing, so the reach stands still)
+    /// and queueing what passes. The cursor is retired for good where it
+    /// leaves the partition, or at the first entry whose ring the reach
+    /// excludes: the rings behind it are no nearer.
+    #[inline]
+    fn walk<const W: usize>(
+        &mut self,
+        s: &mut PartitionSearch,
+        gaps: &[f64],
+        limit: f64,
+    ) -> Result<()> {
+        let (tree, c) = (&self.index.tree, self.index.c);
+        let base = s.part as f64 * c;
+        let (slot_end, image, proj_sq) = (base + c, base + s.dist_q, s.proj_sq);
+        let cells = s.book.map(|book| (book, &gaps[s.gaps.clone()]));
+        let Some((cur, front)) = &mut s.walks[W] else {
+            unreachable!("the frontier names a walk that is still live")
+        };
+        let mut last = *front;
+        let retired = loop {
+            let step = match W {
+                0 => tree.cursor_next(cur),
+                _ => tree.cursor_prev(cur),
+            }?;
+            let Some((key, position)) = step.filter(|(key, _)| (base..slot_end).contains(key))
+            else {
+                break true;
+            };
+            // Key-gap lower bound: |‖p‖ − ‖q‖| ≤ ‖p − q‖, so an entry whose
+            // ring exceeds the reach cannot enter — and neither can any the
+            // cursor has still to read. Strictly greater only: skipping ties
+            // would make the answer depend on the heap's trajectory.
+            let ring_gap = if W == 0 { key - image } else { image - key };
+            let ring = proj_sq + ring_gap * ring_gap;
+            if ring > limit {
+                break true;
+            }
+            last = ring;
+            // Then the entry's cell code against the gap table: `≤` the
+            // row's distance to the bit (see [`crate::codes`]), so what it
+            // puts strictly beyond the reach the result set would refuse,
+            // and no heap page, decode or distance is spent on it. What both
+            // admit is queued at the larger bound.
+            if !self.known_to_fail(position) {
+                match cells.map(|(book, gaps)| proj_sq + book.gap_sq(gaps, cur.code())) {
+                    Some(code) if code > limit => {}
+                    code => self.queue(code.map_or(ring, |code| ring.max(code)), position),
+                }
+            }
+            if [cur.at_leaf_end(), cur.at_leaf_start()][W] {
+                break false;
+            }
+        };
+        *front = last;
+        if retired {
+            s.walks[W] = None;
+        }
         Ok(())
     }
 
@@ -271,8 +367,19 @@ impl IDistanceIndex {
     /// reduced representation for cluster members — so results from
     /// different axis systems are directly comparable.
     ///
+    /// The search reads the index in ring order: each step takes the
+    /// frontier — the least ring radicand an unread entry can still have,
+    /// a closed partition's lower bound or the last ring a walk read —
+    /// refines the queue up to it ([`Candidates::refine`]), stops once the
+    /// reach excludes it, and otherwise opens that partition (one seek at
+    /// the query's image, clamped into its sphere: the paper's case
+    /// analysis) or walks that cursor one leaf on ([`Candidates::walk`]).
+    /// No leaf is fetched before the queue has been refined up to the
+    /// frontier, so a KNN's reach is as narrow as the rows read can make
+    /// it, and the radius the paper enlarges step by step is that reach.
+    ///
     /// With a `filter` this is exact pushdown: failing rows never enter
-    /// the candidate heap, so they never tighten the enlargement radius,
+    /// the candidate heap, so they never tighten the reach,
     /// and their distance is never evaluated; partitions the filter's
     /// sketch hints prove dead are never cursor-walked. Delta rows are
     /// gated per-row by the bitmap only (sketches cover merged base rows).
@@ -338,46 +445,24 @@ impl IDistanceIndex {
                 dist_q,
                 q_local,
                 proj_sq: *proj_sq,
-                lower_bound: (proj_sq + gap * gap).sqrt(),
-                inward: None,
-                outward: None,
-                started: false,
+                lower_bound: Some(proj_sq + gap * gap),
+                walks: [None, None],
                 book: part.codebook.as_ref(),
                 gaps: 0..0,
             });
         }
-        // The started partitions' gap tables, back to back like `locals`.
+        // The opened partitions' gap tables, back to back like `locals`.
         let mut gaps = Vec::new();
 
         let mut best = KnnHeap::for_target(target);
-        let mut reach = Reach::new();
-        let (mut radius, mut step) = match target {
-            Target::Knn(_) => {
-                // Radius granularity scales with the widest data sphere,
-                // not with `c` (which includes the non-overlap margin and
-                // would make each enlargement sweep most of a partition at
-                // once).
-                let widest = self
-                    .partitions
-                    .iter()
-                    .map(|p| p.max_radius)
-                    .fold(0.0f64, f64::max)
-                    .max(f64::MIN_POSITIVE);
-                (
-                    widest * INITIAL_RADIUS_FRACTION,
-                    widest * RADIUS_STEP_FRACTION,
-                )
-            }
-            // The sphere is given: the first round already reaches as far
-            // as anything wanted lies, so it is the only one.
-            Target::Range(_) => (best.reach(), 0.0),
-        };
+        let mut reach = Reach::default();
 
         let tombs = self.delta.tombstones();
         let mut candidates = Candidates {
             index: self,
             ids: RecordIds::default(),
             queue: &mut scratch.queue,
+            least: u128::MAX,
             pages: &mut scratch.pages,
             geo: &geo,
             locals: &locals,
@@ -386,9 +471,9 @@ impl IDistanceIndex {
             filter,
             evaluated: 0,
         };
-        // Delta rows are scanned exactly before the enlargement loop (the
-        // final answer is independent of push order), gated like tree rows:
-        // the filter first, then the distance.
+        // Delta rows are scanned exactly before the loop (the final answer
+        // is independent of push order), gated like tree rows: the filter
+        // first, then the distance.
         if delta_live {
             self.delta.for_each(|id, (part, row)| {
                 if filter.is_some_and(|f| !f.passes(id)) {
@@ -404,174 +489,54 @@ impl IDistanceIndex {
         }
 
         loop {
-            let mut any_active = false;
-            for s in searches.iter_mut() {
-                if s.lower_bound > radius {
-                    // Case 3: the query sphere does not reach this data
-                    // space yet.
-                    if !s.started || s.inward.is_some() || s.outward.is_some() {
-                        any_active = true;
-                    }
-                    continue;
-                }
-                // Radius available for the within-subspace component.
-                let local_r_sq = radius * radius - s.proj_sq;
-                if local_r_sq < 0.0 {
-                    any_active = true;
-                    continue;
-                }
-                let local_r = local_r_sq.sqrt();
-                let part = s.part;
-                let base = part as f64 * self.c;
-                // Clamp the annulus to the populated sphere [0, max_radius]
-                // — this implements the paper's case analysis: a query
-                // outside the data space (case 2) starts at the boundary and
-                // only searches inward; keys never leave the partition's
-                // [i·c, (i+1)·c) slot.
-                let max_r = self.partitions[part].max_radius;
-                let lo_key = base + (s.dist_q - local_r).max(0.0);
-                let hi_key = base + (s.dist_q + local_r).min(max_r);
-                let slot_end = base + self.c;
-
-                if !s.started {
-                    s.started = true;
-                    if let Some(book) = s.book {
-                        let start = gaps.len();
-                        book.gaps_into(s.q_local, &mut gaps);
-                        s.gaps = start..gaps.len();
-                    }
-                    match target {
-                        // Seek the query's image (clamped into the sphere);
-                        // the inward cursor walks toward the centroid, the
-                        // outward cursor away from it, both from the one
-                        // pinned leaf, each as far as the round's annulus.
-                        Target::Knn(_) => {
-                            let cur = self.tree.seek(base + s.dist_q.min(max_r))?;
-                            s.inward = Some(cur.clone());
-                            s.outward = Some(cur);
-                        }
-                        // The annulus will not grow: the outward cursor
-                        // alone crosses all of it from its low edge (the
-                        // inward walk's bounds), so the leaf chain is read
-                        // in one direction and its readahead holds.
-                        Target::Range(_) => {
-                            s.outward = Some(self.tree.seek((lo_key - 1e-12).max(base))?);
-                        }
-                    }
-                }
-                let image = base + s.dist_q;
-                let proj_sq = s.proj_sq;
-                let cells = s.book.map(|book| (book, &gaps[s.gaps.clone()]));
-
-                // Outward: ascending keys up to hi_key (and < next slot). A
-                // cursor stays in place across rounds and is dropped once
-                // it runs off the tree or the partition's slot.
-                if let Some(cur) = &mut s.outward {
-                    let exhausted = loop {
-                        let Some((key, position)) = self.tree.cursor_next(cur)? else {
-                            break true;
-                        };
-                        if key >= slot_end || key > hi_key + 1e-12 {
-                            // Past the partition or past the annulus: back
-                            // the cursor up so the entry is re-seen when the
-                            // radius grows.
-                            self.tree.cursor_prev(cur)?;
-                            break key >= slot_end;
-                        }
-                        // Key-gap lower bound: |‖p‖ − ‖q‖| ≤ ‖p − q‖, so an
-                        // entry whose ring distance already exceeds the
-                        // heap's reach (the current k-th best, a range's
-                        // radius) cannot enter — skip the heap fetch
-                        // entirely. Strictly greater only: skipping ties
-                        // would make the answer set depend on the heap's
-                        // trajectory, and merged-vs-fresh parity requires
-                        // trajectory independence.
-                        //
-                        // Then the entry's cell code against the gap table:
-                        // `(proj_sq + gap_sq).sqrt()` is `reduced_dist`'s
-                        // arithmetic over the near faces of the row's cells,
-                        // `≤` the row's distance to the bit (see
-                        // [`crate::codes`]), so what it puts strictly beyond
-                        // the reach the result set would refuse — and the id
-                        // column, the heap page, the decode and the distance
-                        // are not spent on it. What both admit is queued at
-                        // the larger bound, for the round's refinement.
-                        let ring_gap = key - image;
-                        let ring = proj_sq + ring_gap * ring_gap;
-                        if reach.excludes(&best, ring) || candidates.known_to_fail(position) {
-                            continue;
-                        }
-                        let bound = match cells {
-                            Some((book, gaps)) => {
-                                let code = proj_sq + book.gap_sq(gaps, cur.code());
-                                if reach.excludes(&best, code) {
-                                    continue;
-                                }
-                                ring.max(code)
-                            }
-                            None => ring,
-                        };
-                        candidates.queue(bound, position);
+            // The frontier, and whose it is: a closed partition's (which
+            // the step opens) or a walk's (which the step takes a leaf on).
+            // Ties go to the earlier partition, then outward.
+            let next = (searches.iter().enumerate())
+                .flat_map(|(i, s)| {
+                    let fronts = match s.lower_bound {
+                        Some(bound) => [Some(bound), None],
+                        None => s
+                            .walks
+                            .each_ref()
+                            .map(|w| w.as_ref().map(|&(_, front)| front)),
                     };
-                    if exhausted {
-                        s.outward = None;
-                    }
-                }
-                // Inward: descending keys down to lo_key.
-                if let Some(cur) = &mut s.inward {
-                    let exhausted = loop {
-                        let Some((key, position)) = self.tree.cursor_prev(cur)? else {
-                            break true;
-                        };
-                        if key < base || key < lo_key - 1e-12 {
-                            self.tree.cursor_next(cur)?;
-                            break key < base;
-                        }
-                        // Same key-gap and cell-code lower bounds as the
-                        // outward walk (strict, for trajectory independence).
-                        let ring_gap = image - key;
-                        let ring = proj_sq + ring_gap * ring_gap;
-                        if reach.excludes(&best, ring) || candidates.known_to_fail(position) {
-                            continue;
-                        }
-                        let bound = match cells {
-                            Some((book, gaps)) => {
-                                let code = proj_sq + book.gap_sq(gaps, cur.code());
-                                if reach.excludes(&best, code) {
-                                    continue;
-                                }
-                                ring.max(code)
-                            }
-                            None => ring,
-                        };
-                        candidates.queue(bound, position);
-                    };
-                    if exhausted {
-                        s.inward = None;
-                    }
-                }
-                if s.inward.is_some() || s.outward.is_some() {
-                    any_active = true;
-                }
-            }
-            candidates.refine(&mut reach, &mut best)?;
-
-            // Stop when the answer is certainly final: everything within
-            // `radius` has been seen, and nothing farther than the heap's
-            // reach (the k-th candidate once there are k) can enter.
-            if best.reach() <= radius {
+                    (fronts.into_iter().enumerate()).filter_map(move |(w, f)| Some((f?, i, w)))
+                })
+                .min_by(|a, b| a.0.total_cmp(&b.0));
+            let front = next.map_or(f64::INFINITY, |(front, ..)| front);
+            candidates.refine(front, &mut reach, &mut best)?;
+            // Stop when the answer is certainly final: every entry not yet
+            // read, and every one still queued, lies beyond the reach — or
+            // there is none.
+            let limit = reach.limit(&best);
+            let Some((front, i, w)) = next else {
+                break;
+            };
+            if front > limit {
                 break;
             }
-            if !any_active {
-                break; // everything searched
+            let s = &mut searches[i];
+            if s.lower_bound.take().is_some() {
+                if let Some(book) = s.book {
+                    let start = gaps.len();
+                    book.gaps_into(s.q_local, &mut gaps);
+                    s.gaps = start..gaps.len();
+                }
+                // Seek the query's image, clamped into the populated sphere
+                // — the paper's case analysis: a query outside the data
+                // space starts at its boundary, and only its inward walk
+                // finds rows. Both walks start from the one pinned leaf.
+                let max_r = self.partitions[s.part].max_radius;
+                let cur = self
+                    .tree
+                    .seek(s.part as f64 * self.c + s.dist_q.min(max_r))?;
+                s.walks = [Some((cur.clone(), front)), Some((cur, front))];
+            } else if w == 0 {
+                candidates.walk::<0>(s, &gaps, limit)?;
+            } else {
+                candidates.walk::<1>(s, &gaps, limit)?;
             }
-            // Geometric enlargement: the paper only requires the radius to
-            // grow "step by step"; doubling the step keeps the round count
-            // logarithmic so the per-round partition bookkeeping does not
-            // dominate query CPU. Cursors persist across rounds, so a
-            // larger final radius costs no re-scanning.
-            radius += step;
-            step *= 2.0;
         }
 
         // Every row evaluated is offered to the result set, and a row the
@@ -1588,10 +1553,11 @@ mod tests {
         /// a resident heap and on one behind a single frame that logs its
         /// reads: the answer is `SeqScan`'s bit for bit; a query fetches
         /// each heap page it pins once, so its heap fetches are its distinct
-        /// pages, the same on either pool and with a reused `Scratch`; and a
-        /// range query evaluates
-        /// exactly the rows whose two bounds are within its radius, as
-        /// refinement in key order did.
+        /// pages, the same on either pool and with a reused `Scratch`; a
+        /// range query evaluates exactly the rows whose two bounds are
+        /// within its radius, as refinement in key order did; and a k-NN
+        /// query evaluates those within its k-th distance, and at most the
+        /// k rows that first filled its result set besides.
         #[test]
         fn bound_order_answers_as_the_scan_and_fetches_each_heap_page_once(
             n in 400usize..1500,
@@ -1642,9 +1608,26 @@ mod tests {
                         prop_assert_eq!(distinct.len(), walk.pins.len(), "{}", ctx);
                         prop_assert_eq!(heap_fetches, walk.pins.len() as u64, "{}", ctx);
                         prop_assert_eq!(walk.evaluated, evaluated, "{}", ctx);
-                        if let Target::Range(r) = target {
-                            let within = rows_within_both_bounds(&resident, q, r, pass);
-                            prop_assert_eq!(evaluated, within, "{}", ctx);
+                        match target {
+                            Target::Range(r) => {
+                                let within = rows_within_both_bounds(&resident, q, r, pass);
+                                prop_assert_eq!(evaluated, within, "{}", ctx);
+                            }
+                            // Past the fill, only rows whose bounds lie within
+                            // the final reach are refined — to the boundary
+                            // tolerance a range query keeps, since a rounded
+                            // ring bound can pass a row's distance by an ulp;
+                            // the fill itself refines k rows, wherever they lie.
+                            Target::Knn(k) => {
+                                let d_k = got.get(k - 1).map_or(f64::INFINITY, |&(d, _)| d);
+                                let within = rows_within_both_bounds(&resident, q, d_k, pass);
+                                let near = rows_within_both_bounds(&resident, q, d_k + 1e-12, pass);
+                                prop_assert!(
+                                    within <= evaluated && evaluated <= near + k as u64,
+                                    "{}: {} evaluated, {} within both bounds of {}, {} near",
+                                    ctx, evaluated, within, d_k, near
+                                );
+                            }
                         }
                     }
                 }

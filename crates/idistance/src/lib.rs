@@ -17,19 +17,19 @@
 //! counters.
 //!
 //! KNN search (a [`mmdr_index::Target::Knn`] through
-//! [`VectorIndex::search`]) follows the paper's iterative
-//! enlargement: start from a small radius, search each qualifying
-//! partition's key annulus `[i·c + dist(qᵢ,Oᵢ) − R, i·c + dist(qᵢ,Oᵢ) + R]`
-//! (the three cases — contains / intersects / disjoint — fall out of the
-//! annulus ∩ `[min_radius, max_radius]` intersection), and stop when the
-//! k-th candidate's distance is below the current radius. The triangle
-//! inequality `‖Q−P‖ ≥ ‖Qⱼ−Oⱼ‖ − Rⱼ` prunes unreachable partitions, and
-//! a 64-bit cell code beside every key ([`Codebook`]) bounds an entry's
-//! distance from below in the leaf, so the heap is read only for the rows
-//! that bound cannot rule out — nearest bound first, each heap page once a
-//! query. A range query
-//! ([`mmdr_index::Target::Range`]) is the same loop's single round: its
-//! radius is given, so the first pass is the last.
+//! [`VectorIndex::search`]) is the paper's growing sphere with its radius
+//! read off the result set: the search reads each partition outward from
+//! the query's image `i·c + dist(qᵢ,Oᵢ)` (clamped into
+//! `[min_radius, max_radius]`: the paper's three cases) in ring order, a
+//! leaf at a time, always at the least ring any unread entry can have, and
+//! stops once the k-th candidate's distance excludes it. The triangle
+//! inequality `‖Q−P‖ ≥ ‖Qⱼ−Oⱼ‖ − Rⱼ` keeps a partition closed until the
+//! ring order reaches it, and a 64-bit cell code beside every key
+//! ([`Codebook`]) bounds an entry's distance from below in the leaf, so the
+//! heap is read only for the rows that bound cannot rule out — nearest
+//! bound first, each heap page once a query. A range query
+//! ([`mmdr_index::Target::Range`]) is the same loop with its reach fixed at
+//! its radius.
 //!
 //! Comparison schemes for the Figure 9/10 experiments:
 //! - [`SeqScan`] — sequential scan of the reduced heap pages.

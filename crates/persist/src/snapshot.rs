@@ -392,8 +392,9 @@ fn write_snapshot(
 /// a half-written file at the target. The temp name embeds the process id
 /// and a per-process counter, so concurrent replacers (two threads, or two
 /// processes) each write their own and the atomic rename decides a winner.
-/// Syncing is the caller's: `write` syncs what it must before the rename.
-/// Returns the handle that wrote the file, standing at its end.
+/// The temp file is synced before the rename and the parent directory after
+/// it, so once this returns the new file is on stable storage under its
+/// name. Returns the handle that wrote the file, standing at its end.
 pub(crate) fn replace_file(
     path: &Path,
     write: impl FnOnce(&mut File) -> Result<()>,
@@ -411,7 +412,13 @@ pub(crate) fn replace_file(
         .map_err(|e| PersistError::io(&tmp, e))
         .and_then(|mut file| {
             write(&mut file)?;
+            file.sync_all().map_err(|e| PersistError::io(&tmp, e))?;
             std::fs::rename(&tmp, path).map_err(|e| PersistError::io(path, e))?;
+            let dir =
+                (path.parent().filter(|dir| !dir.as_os_str().is_empty())).unwrap_or(Path::new("."));
+            File::open(dir)
+                .and_then(|dir| dir.sync_all())
+                .map_err(|e| PersistError::io(dir, e))?;
             Ok(file)
         });
     if replaced.is_err() {

@@ -372,9 +372,9 @@ impl WalWriter {
     /// `tail` — the records a merge or re-fit did not fold — stamped with
     /// the model epoch of the snapshot it now pairs with (a non-zero epoch
     /// writes one mark record at the head, epoch 0 none: the pre-mark
-    /// format). Temp file, `sync_data`, rename (`replace_file`): the temp
-    /// file is removed on failure and the old log stays in place. Later
-    /// appends follow the rewritten records.
+    /// format). Temp file, sync, rename, directory sync (`replace_file`):
+    /// the temp file is removed on failure and the old log stays in place.
+    /// Later appends follow the rewritten records.
     pub fn rewrite(&mut self, tail: &[WalRecord], model_epoch: u64) -> Result<()> {
         let mut image = Vec::new();
         if model_epoch > 0 {
@@ -386,10 +386,7 @@ impl WalWriter {
         // The handle that wrote the image stays the append handle: it
         // stands at end-of-file, and a rename does not invalidate it.
         let io = |e| PersistError::io(&self.path, e);
-        self.file = replace_file(&self.path, |file| {
-            file.write_all(&image).map_err(io)?;
-            file.sync_data().map_err(io)
-        })?;
+        self.file = replace_file(&self.path, |file| file.write_all(&image).map_err(io))?;
         self.bytes = image.len() as u64;
         Ok(())
     }

@@ -322,15 +322,31 @@ fn range_search_agrees_across_backends() {
 /// The paper's sentence as a gate — a KNN query "examines increasingly
 /// larger sphere in each iteration" (§5) — for every backend, filtered or
 /// not, as built and with a live delta: a KNN answer is, bit for bit, the
-/// first k rows of the range answer at its own k-th distance.
+/// first k rows of the range answer at its own k-th distance. Where k is
+/// more than the live rows the filter passes — every row, or a filter that
+/// passes none — the answer is every one of them, as the sequential scan
+/// ranks them (the same ids, distances to float noise; iDistance's, which
+/// sum as the scan's do, bit for bit): a search whose reach never turns
+/// finite ends only by reading everything.
 #[test]
 fn a_knn_answer_is_the_prefix_of_the_range_answer_at_its_kth_distance() {
     let fx = fixture();
     let n = fx.data.rows();
     let inserted = 40;
     let two_thirds = two_thirds(n + inserted);
-    let mut pairs = 0;
+    let nothing = SearchFilter::from_rows(RowFilter::from_fn((n + inserted) as u64, |_| false));
+    type Pass = fn(u64) -> bool;
+    let filters: [(Option<&SearchFilter>, Pass); 3] = [
+        (None, |_| true),
+        (Some(&two_thirds), |id| id % 3 != 0),
+        (Some(&nothing), |_| false),
+    ];
+    let beyond_every_row = n + inserted + 1;
+    // The scan's answers where k exceeds the passing rows, in asking order.
+    let mut scanned = Vec::new();
+    let (mut pairs, mut whole) = (0, 0);
     for backend in Backend::all() {
+        let mut asked = 0;
         let built = build_index(backend, &fx.data, &fx.model, BUFFER_PAGES).expect("build");
         for mutated in [false, true] {
             if mutated {
@@ -345,9 +361,21 @@ fn a_knn_answer_is_the_prefix_of_the_range_answer_at_its_kth_distance() {
                     assert!(built.delete(id).expect("delta delete"));
                 }
             }
-            for filter in [None, Some(&two_thirds)] {
-                for k in [1, 10, 37] {
+            let live = |id: u64| match mutated {
+                false => id < n as u64,
+                true => id < (n + inserted) as u64 && !id.is_multiple_of(17),
+            };
+            for (filter, pass) in filters {
+                let passing = (0..(n + inserted) as u64)
+                    .filter(|&id| live(id) && pass(id))
+                    .count();
+                for k in [1, 10, 37, beyond_every_row] {
                     for (qi, q) in fx.queries.iter().enumerate() {
+                        let ctx = format!(
+                            "{} query {qi} k {k} filtered {} mutated {mutated}",
+                            backend.name(),
+                            filter.is_some()
+                        );
                         let ask = |target| {
                             let query = Query {
                                 vector: q,
@@ -360,17 +388,32 @@ fn a_knn_answer_is_the_prefix_of_the_range_answer_at_its_kth_distance() {
                                 .unwrap()
                         };
                         let knn = ask(Target::Knn(k));
-                        assert_eq!(knn.len(), k);
+                        assert_eq!(knn.len(), k.min(passing), "{ctx}");
+                        if k > passing {
+                            assert!(knn.iter().all(|&(_, id)| live(id) && pass(id)), "{ctx}");
+                            if backend == Backend::SeqScan {
+                                scanned.push(knn);
+                            } else {
+                                let want: &Vec<(f64, u64)> = &scanned[asked];
+                                let ids = |hits: &[(f64, u64)]| {
+                                    hits.iter().map(|&(_, id)| id).collect::<Vec<_>>()
+                                };
+                                assert_eq!(ids(&knn), ids(want), "{ctx}");
+                                for ((gd, _), (wd, _)) in knn.iter().zip(want) {
+                                    assert!((gd - wd).abs() < 1e-9, "{ctx}: {gd} vs {wd}");
+                                }
+                                if backend == Backend::IDistance {
+                                    assert_eq!(bits(knn), bits(want.clone()), "{ctx}");
+                                }
+                            }
+                            asked += 1;
+                            whole += 1;
+                            continue;
+                        }
                         let mut range = ask(Target::Range(knn[k - 1].0));
                         assert!(range.len() >= k);
                         range.truncate(k);
-                        assert_eq!(
-                            bits(knn),
-                            bits(range),
-                            "{} query {qi} k {k} filtered {} mutated {mutated}",
-                            backend.name(),
-                            filter.is_some()
-                        );
+                        assert_eq!(bits(knn), bits(range), "{ctx}");
                         pairs += 1;
                     }
                 }
@@ -378,6 +421,9 @@ fn a_knn_answer_is_the_prefix_of_the_range_answer_at_its_kth_distance() {
         }
     }
     assert_eq!(pairs, 4 * 2 * 2 * 3 * fx.queries.len());
+    // Per backend and delta state: the filter that passes nothing at every
+    // k, the other two beyond every row.
+    assert_eq!(whole, 4 * 2 * (4 + 2) * fx.queries.len());
 }
 
 /// A scratch directory for one test, removed on drop.

@@ -51,7 +51,8 @@ cargo test "${PROFILE[@]}" -p mmdr-linalg --test proptest_par
 cargo test "${PROFILE[@]}" -p mmdr-index --test proptest_heap
 # Refinement in bound order: answers bit-identical to SeqScan, each heap
 # page fetched once a query, a range query evaluating exactly the rows its
-# two bounds admit.
+# two bounds admit, and a k-NN query those within its k-th distance plus
+# at most the k that first filled its result set.
 cargo test "${PROFILE[@]}" -p mmdr-idistance --lib \
     knn::tests::bound_order_answers_as_the_scan_and_fetches_each_heap_page_once -- --exact
 
