@@ -38,8 +38,19 @@ fn bench_seek(c: &mut Criterion) {
 fn bench_range_scan(c: &mut Criterion) {
     let entries: Vec<(f64, u64)> = (0..100_000u64).map(|i| (i as f64, i)).collect();
     let tree = BPlusTree::bulk_load(pool(4096), &entries).unwrap();
+    // A cursor walk from a seek to the first cell past the range's end.
     c.bench_function("btree_range_1000_of_100k", |b| {
-        b.iter(|| black_box(tree.range(40_000.0, 41_000.0).unwrap().len()));
+        b.iter(|| {
+            let mut cursor = tree.seek(40_000.0).unwrap();
+            let mut hits = 0;
+            while let Some((lo, _)) = tree.cursor_next(&mut cursor).unwrap() {
+                if lo > 41_000.0 {
+                    break;
+                }
+                hits += 1;
+            }
+            black_box(hits)
+        });
     });
 }
 

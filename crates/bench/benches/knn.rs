@@ -10,6 +10,7 @@ use mmdr_btree::{BPlusTree, Cursor};
 use mmdr_idistance::{GlobalLdrIndex, IDistanceIndex, RecordIds, SeqScan, VectorIndex};
 use mmdr_storage::PageSet;
 use std::hint::black_box;
+use std::ops::Range;
 
 fn bench_knn_schemes(c: &mut Criterion) {
     let ds = workloads::synthetic(8_000, 64, 10, 30.0, 5);
@@ -63,18 +64,31 @@ fn bench_candidate_path(c: &mut Criterion) {
     let q = ds.data.row(17);
     let q_local = subspace.project(q).unwrap();
     let proj_sq = subspace.proj_dist(q).unwrap().powi(2);
-    let (lo, hi) = (part as f64 * index.c(), (part + 1) as f64 * index.c());
+    // The partition's entries follow the ones before it, and its keys
+    // start at `part · c`.
+    let first: u64 = index.partitions()[..part]
+        .iter()
+        .map(|p| p.count as u64)
+        .sum();
+    let slot = (part as f64 * index.c(), first..first + info.count as u64);
     let (tree, heap) = (index.tree(), index.heap());
 
-    // The walk every stage shares: `visit` sees each entry of the slot
-    // (generic, so the stage inlines into the loop as it does in the search).
-    fn walk_slot(tree: &BPlusTree, lo: f64, hi: f64, mut visit: impl FnMut(u64, &Cursor)) {
-        let mut cursor = tree.seek(lo).unwrap();
-        while let Some((key, position)) = tree.cursor_next(&mut cursor).unwrap() {
-            if key >= hi {
+    // The walk every stage shares: `visit` sees each entry of the partition,
+    // left by position as the search leaves it (generic, so the stage
+    // inlines into the loop as it does in the search).
+    fn walk_slot(
+        tree: &BPlusTree,
+        (lo, run): &(f64, Range<u64>),
+        mut visit: impl FnMut(u64, &Cursor),
+    ) {
+        let mut cursor = tree.seek(*lo).unwrap();
+        while let Some((_, position)) = tree.cursor_next(&mut cursor).unwrap() {
+            if position >= run.end {
                 break;
             }
-            visit(position, &cursor);
+            if position >= run.start {
+                visit(position, &cursor);
+            }
         }
     }
     let book = info.codebook.as_ref().expect("the partition has rows");
@@ -83,7 +97,7 @@ fn bench_candidate_path(c: &mut Criterion) {
     group.bench_function(BenchmarkId::new("leaf_step", info.count), |b| {
         b.iter(|| {
             let mut acc = 0u64;
-            walk_slot(tree, lo, hi, |position, _| acc ^= position);
+            walk_slot(tree, &slot, |position, _| acc ^= position);
             acc
         })
     });
@@ -92,7 +106,7 @@ fn bench_candidate_path(c: &mut Criterion) {
             let (mut gaps, mut acc) = (Vec::new(), 0.0);
             book.gaps_into(black_box(&q_local), &mut gaps);
             // The radicand is what the search compares: no root per entry.
-            walk_slot(tree, lo, hi, |_, cursor| {
+            walk_slot(tree, &slot, |_, cursor| {
                 acc += proj_sq + book.gap_sq(&gaps, cursor.code())
             });
             acc
@@ -101,7 +115,7 @@ fn bench_candidate_path(c: &mut Criterion) {
     group.bench_function(BenchmarkId::new("+record_id", info.count), |b| {
         b.iter(|| {
             let (mut ids, mut pages, mut acc) = (RecordIds::default(), PageSet::default(), 0u64);
-            walk_slot(tree, lo, hi, |position, _| {
+            walk_slot(tree, &slot, |position, _| {
                 let rid = ids.get(&index, position);
                 acc ^= heap.record(&mut pages, rid).unwrap().1.point_id()
             });
@@ -112,7 +126,7 @@ fn bench_candidate_path(c: &mut Criterion) {
         b.iter(|| {
             let (mut ids, mut pages) = (RecordIds::default(), PageSet::default());
             let (mut coords, mut acc) = (Vec::new(), 0.0);
-            walk_slot(tree, lo, hi, |position, _| {
+            walk_slot(tree, &slot, |position, _| {
                 let rid = ids.get(&index, position);
                 let (_, record) = heap.record(&mut pages, rid).unwrap();
                 record.coords_into(&mut coords);

@@ -1,20 +1,21 @@
-//! Bottom-up bulk loading from sorted input — the one way a tree is built.
+//! Bulk loading from sorted input — the one way a tree is built.
 //!
 //! Indexing a dimensionality-reduction result means indexing every point's
 //! 1-d key at once, and the index is never written again: every leaf but
-//! the last is packed full, on consecutive pages, in `O(n)` page writes.
+//! the last is packed full, on consecutive pages, in `O(n)` page writes,
+//! and each leaf's first key becomes its fence.
 
 use crate::error::{Error, Result};
-use crate::node::{Internal, Leaf, INTERNAL_CAPACITY, LEAF_CAPACITY};
+use crate::node::{Leaf, LEAF_CAPACITY};
 use crate::tree::BPlusTree;
-use mmdr_storage::{BufferPool, PageId};
+use mmdr_storage::BufferPool;
 
 impl BPlusTree {
     /// Builds a tree from `(key, code)` entries sorted by key (ascending;
-    /// duplicates allowed): entry `n` of `entries` is the tree's position
-    /// `n`. Returns [`Error::UnsortedInput`] on order violations and
-    /// [`Error::InvalidKey`] on non-finite keys. An empty input is one
-    /// empty leaf.
+    /// duplicates allowed) on a fresh pool: entry `n` of `entries` is the
+    /// tree's position `n`. Returns [`Error::UnsortedInput`] on order
+    /// violations and [`Error::InvalidKey`] on non-finite keys. An empty
+    /// input is one empty leaf.
     pub fn bulk_load(mut pool: BufferPool, entries: &[(f64, u64)]) -> Result<Self> {
         // Validate input once, up front.
         for (i, &(k, _)) in entries.iter().enumerate() {
@@ -26,47 +27,17 @@ impl BPlusTree {
             }
         }
 
-        // The leaf level, allocated back to back; remember (first_key,
-        // page) for the level above.
         let leaves = entries.len().div_ceil(LEAF_CAPACITY).max(1);
-        let mut level: Vec<(f64, PageId)> = Vec::with_capacity(leaves);
+        let mut fences = Vec::with_capacity(leaves);
         for at in (0..leaves).map(|j| j * LEAF_CAPACITY) {
             let chunk = &entries[at..(at + LEAF_CAPACITY).min(entries.len())];
             let page_id = pool.allocate()?;
-            pool.with_page_mut(page_id, |p| -> Result<()> {
-                Leaf::init(p, at as u64);
-                for &(k, code) in chunk {
-                    Leaf::push(p, k, code)?;
-                }
-                Ok(())
-            })??;
-            level.push((chunk.first().map_or(0.0, |e| e.0), page_id));
+            pool.with_page_mut(page_id, |p| Leaf::write(p, at as u64, chunk))??;
+            fences.push(chunk.first().map_or(0.0, |e| e.0));
         }
-
-        // Internal levels, every node full but the last of its level,
-        // until a single root remains.
-        let mut height = 1;
-        while level.len() > 1 {
-            let mut next_level: Vec<(f64, PageId)> = Vec::new();
-            for group in level.chunks(INTERNAL_CAPACITY + 1) {
-                let page_id = pool.allocate()?;
-                pool.with_page_mut(page_id, |p| -> Result<()> {
-                    Internal::init(p, group[0].1);
-                    for &(first_key, child) in &group[1..] {
-                        Internal::push(p, first_key, child)?;
-                    }
-                    Ok(())
-                })??;
-                next_level.push((group[0].0, page_id));
-            }
-            level = next_level;
-            height += 1;
-        }
-
         Ok(Self {
             pool,
-            root: level[0].1,
-            height,
+            fences,
             len: entries.len(),
         })
     }
@@ -89,9 +60,14 @@ mod tests {
             .collect()
     }
 
-    /// `(key, position)` of every entry, as `range` returns them.
-    fn positioned(entries: &[(f64, u64)]) -> Vec<(f64, u64)> {
-        (0..).zip(entries).map(|(i, &(k, _))| (k, i)).collect()
+    /// Every entry as a forward walk shows it: `(lo, position, code)`.
+    fn walked(t: &BPlusTree) -> Vec<(f64, u64, u64)> {
+        let mut c = t.seek(f64::MIN).unwrap();
+        let mut out = Vec::new();
+        while let Some((lo, position)) = t.cursor_next(&mut c).unwrap() {
+            out.push((lo, position, c.code()));
+        }
+        out
     }
 
     #[test]
@@ -100,17 +76,19 @@ mod tests {
         let t = BPlusTree::bulk_load(pool(16), &entries).unwrap();
         assert_eq!(t.len(), 10);
         t.check_invariants().unwrap();
-        let all = t.range(f64::MIN, f64::MAX).unwrap();
-        assert_eq!(all, positioned(&entries));
+        // Small integers read back exactly: the unit divides them.
+        let want: Vec<(f64, u64, u64)> =
+            (0..).zip(&entries).map(|(i, &(k, c))| (k, i, c)).collect();
+        assert_eq!(walked(&t), want);
     }
 
     #[test]
-    fn bulk_load_multi_level() {
+    fn bulk_load_many_leaves() {
         let n = 100_000u64;
         let entries = coded((0..n).map(|i| i as f64 * 0.25));
         let t = BPlusTree::bulk_load(pool(1024), &entries).unwrap();
         assert_eq!(t.len(), n as usize);
-        assert!(t.height() >= 3, "height {}", t.height());
+        assert_eq!(t.fences().len(), (n as usize).div_ceil(LEAF_CAPACITY));
         // Spot checks.
         for probe in [0u64, 1, n / 2, n - 1] {
             let key = probe as f64 * 0.25;
@@ -126,14 +104,8 @@ mod tests {
         for n in [0usize, 1, LEAF_CAPACITY, LEAF_CAPACITY + 1, 60_000] {
             let entries = coded((0..n).map(|i| i as f64));
             let t = BPlusTree::bulk_load(pool(64), &entries).unwrap();
-            let leaves = n.div_ceil(LEAF_CAPACITY).max(1);
-            let mut pages = leaves;
-            let mut level = leaves;
-            while level > 1 {
-                level = level.div_ceil(INTERNAL_CAPACITY + 1);
-                pages += level;
-            }
-            assert_eq!(t.num_pages(), pages, "n = {n}");
+            assert_eq!(t.num_pages(), n.div_ceil(LEAF_CAPACITY).max(1), "n = {n}");
+            assert_eq!(t.fences().len(), t.num_pages(), "n = {n}");
             t.check_invariants().unwrap();
         }
     }
@@ -144,7 +116,8 @@ mod tests {
         keys.extend([2.0; 500]);
         keys.push(3.0);
         let t = BPlusTree::bulk_load(pool(64), &coded(keys)).unwrap();
-        assert_eq!(t.range(2.0, 2.0).unwrap().len(), 500);
+        let twos = walked(&t).iter().filter(|e| e.0 == 2.0).count();
+        assert_eq!(twos, 500);
         t.check_invariants().unwrap();
     }
 
@@ -152,7 +125,7 @@ mod tests {
     fn bulk_load_empty() {
         let t = BPlusTree::bulk_load(pool(4), &[]).unwrap();
         assert!(t.is_empty());
-        assert!(t.range(0.0, 1.0).unwrap().is_empty());
+        assert!(walked(&t).is_empty());
     }
 
     #[test]
@@ -178,15 +151,25 @@ mod tests {
     fn scan_costs_one_fetch_per_leaf() {
         let n = 100_000u64;
         let (t, _, leaves) = loaded(n, 1024);
-        let height = t.height() as u64;
-        assert!(height >= 3 && leaves > 200, "h {height}, {leaves} leaves");
+        assert!(leaves > 200, "{leaves} leaves");
         let fetches = |f: &dyn Fn()| {
             let before = t.pool().snapshot();
             f();
             t.pool().snapshot().since(&before).pages_touched()
         };
 
-        assert_eq!(fetches(&|| drop(t.seek(n as f64 / 2.0).unwrap())), height);
+        // A seek is one leaf fetch wherever it lands: the fences route it.
+        for key in [
+            f64::MIN,
+            0.0,
+            n as f64 / 2.0,
+            339.0,
+            339.5,
+            n as f64,
+            f64::MAX,
+        ] {
+            assert_eq!(fetches(&|| drop(t.seek(key).unwrap())), 1, "seek({key})");
+        }
         let forward = fetches(&|| {
             let mut c = t.seek(f64::MIN).unwrap();
             let mut seen = 0;
@@ -195,7 +178,7 @@ mod tests {
             }
             assert_eq!(seen, n);
         });
-        assert_eq!(forward, height + leaves - 1);
+        assert_eq!(forward, leaves);
         let backward = fetches(&|| {
             let mut c = t.seek(f64::MAX).unwrap();
             let mut seen = 0;
@@ -204,7 +187,7 @@ mod tests {
             }
             assert_eq!(seen, n);
         });
-        assert_eq!(backward, height + leaves - 1);
+        assert_eq!(backward, leaves);
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Cursor handle for leaf-chain iteration.
 
-use crate::node::Leaf;
+use crate::node::{Cells, Leaf};
 use mmdr_storage::{Page, PageId};
 use std::sync::Arc;
 
@@ -11,11 +11,11 @@ use std::sync::Arc;
 /// out when the cursor arrived there, and
 /// [`cursor_next`](crate::BPlusTree::cursor_next) /
 /// [`cursor_prev`](crate::BPlusTree::cursor_prev) read keys — and
-/// [`code`](Self::code) the code word — from that image. The pool is
-/// fetched once per leaf visited — when [`seek`](crate::BPlusTree::seek)
-/// lands on it or a step crosses to a neighbour — never per entry. The pin
-/// is an immutable image, not a latch: the pool may evict the frame
-/// underneath it.
+/// [`key_hi`](Self::key_hi) / [`code`](Self::code) the rest of an entry —
+/// from that image. The pool is fetched once per leaf visited — when
+/// [`seek`](crate::BPlusTree::seek) lands on it or a step crosses to a
+/// neighbour — never per entry. The pin is an immutable image, not a
+/// latch: the pool may evict the frame underneath it.
 ///
 /// Cloning yields an independent cursor over the same pinned image.
 #[derive(Debug, Clone)]
@@ -24,11 +24,12 @@ pub struct Cursor {
     /// The pinned leaf's page: its neighbours are the pages either side.
     pub(crate) page: PageId,
     pub(crate) slot: usize,
-    /// The pinned leaf's entry count and the position of its entry 0, read
-    /// from its header once per pin (the image is immutable), not once per
-    /// step.
+    /// The pinned leaf's entry count, the position of its entry 0 and how
+    /// its key offsets read, from its header once per pin (the image is
+    /// immutable), not once per step.
     pub(crate) count: usize,
     pub(crate) first: u64,
+    pub(crate) cells: Cells,
     /// Slot of the entry the last step returned, on the pinned leaf.
     pub(crate) last: usize,
 }
@@ -39,11 +40,37 @@ impl Cursor {
         Self {
             count: Leaf::count(&leaf),
             first: Leaf::first(&leaf),
+            cells: Leaf::cells(&leaf),
             leaf,
             page,
             slot,
             last: 0,
         }
+    }
+
+    /// The first slot of the pinned leaf whose cell ends past `key` (its
+    /// `hi` exceeds it); `count` when none does.
+    pub(crate) fn first_above(&self, key: f64) -> usize {
+        let (mut lo, mut hi) = (0, self.count);
+        while lo < hi {
+            let mid = (lo + hi) / 2;
+            if self.cells.hi(Leaf::offset(&self.leaf, mid)) <= key {
+                lo = mid + 1;
+            } else {
+                hi = mid;
+            }
+        }
+        lo
+    }
+
+    /// The upper end of the cell of the entry the last
+    /// [`cursor_next`](crate::BPlusTree::cursor_next) or
+    /// [`cursor_prev`](crate::BPlusTree::cursor_prev) returned: its key is
+    /// at least the `lo` the step returned and less than this. Meaningless
+    /// before a step has returned an entry.
+    #[inline]
+    pub fn key_hi(&self) -> f64 {
+        self.cells.hi(Leaf::offset(&self.leaf, self.last))
     }
 
     /// The code word of the entry the last
@@ -75,6 +102,7 @@ impl Cursor {
 
 #[cfg(test)]
 mod tests {
+    use crate::node::LEAF_CAPACITY;
     use crate::BPlusTree;
     use mmdr_storage::{BufferPool, DiskManager};
 
@@ -120,8 +148,9 @@ mod tests {
         };
         // Fresh seeks: mid-leaf, at a leaf boundary, before the first entry
         // and past the last — the two probes from each.
+        let boundary = LEAF_CAPACITY as f64;
         let mut fresh_probes = 0;
-        for key in [100.0, 254.5, 255.0, 0.0, 1000.0] {
+        for key in [100.0, boundary - 0.5, boundary, 0.0, 1000.0] {
             let fresh = t.seek(key).unwrap();
             fresh_probes += usize::from(fresh.at_leaf_end()) + usize::from(fresh.at_leaf_start());
             step(&mut fresh.clone(), true);
@@ -133,9 +162,9 @@ mod tests {
         let mut c = t.seek(0.0).unwrap();
         let mut crossings = 0;
         while let Some((key, _)) = step(&mut c, true) {
-            crossings += usize::from(key > 0.0 && (key as usize).is_multiple_of(255));
+            crossings += usize::from(key > 0.0 && (key as usize).is_multiple_of(LEAF_CAPACITY));
         }
-        assert_eq!(crossings, 3);
+        assert_eq!(crossings, 2);
         assert!(c.at_leaf_end());
         let mut clone = c.clone();
         while step(&mut c, false).is_some() {}

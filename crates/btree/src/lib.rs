@@ -7,8 +7,15 @@
 //!   and reads position `n` as its record `n`. Beside each key sits an
 //!   opaque `u64` code word ([`Cursor::code`]) — iDistance's quantised image
 //!   of the row, judged before the record is read.
-//! - Nodes live in 4 KiB [`mmdr_storage`] pages behind a buffer pool, so
-//!   every traversal's logical I/O is measurable.
+//! - A leaf stores a key as a 32-bit offset from its first key, 12 bytes an
+//!   entry with the code: a step returns the lower end `lo` of the key's
+//!   cell and [`Cursor::key_hi`] its upper end, `lo ≤ key < hi` exactly in
+//!   `f64`, and neither end ever descends along the chain.
+//! - Leaves live in 4 KiB [`mmdr_storage`] pages behind a buffer pool, so
+//!   every traversal's logical I/O is measurable. There are no internal
+//!   nodes: each leaf's exact first key, its *fence*, is held in memory
+//!   ([`BPlusTree::fences`]), so a seek is a binary search and one leaf
+//!   fetch.
 //! - The leaves are walked both ways: iDistance's KNN search scans
 //!   *inward and outward* from a seek position (paper §5 case 1).
 //! - [`BPlusTree::bulk_load`] is the one way a tree is built: a single
@@ -26,8 +33,8 @@
 //! let entries: Vec<(f64, u64)> = (0..1000u64).map(|i| (i as f64 * 0.5, i % 7)).collect();
 //! let tree = BPlusTree::bulk_load(pool, &entries).unwrap();
 //! let mut cursor = tree.seek(250.0).unwrap();
-//! let (key, position) = tree.cursor_next(&mut cursor).unwrap().unwrap();
-//! assert_eq!(key, 250.0);
+//! let (lo, position) = tree.cursor_next(&mut cursor).unwrap().unwrap();
+//! assert!(lo <= 250.0 && 250.0 < cursor.key_hi());
 //! assert_eq!(position, 500);
 //! assert_eq!(cursor.code(), 500 % 7);
 //! ```

@@ -1,21 +1,24 @@
-//! On-page node layouts.
-//!
-//! Both node kinds share a 3-byte header:
-//!
-//! ```text
-//! offset 0: node type  (u8: 0 = leaf, 1 = internal)
-//! offset 1: key count  (u16)
-//! ```
-//!
-//! **Leaf** (entries are `(key: f64, code: u64)` pairs, 16 bytes each; the
-//! code is an opaque word that travels with its key — iDistance keeps a
-//! quantised image of the row there, so a scan can judge an entry before it
-//! reads the row):
+//! The on-page leaf layout. A tree is its leaves: the fence array in memory
+//! routes a seek (see [`crate::BPlusTree`]), so there is no internal node.
 //!
 //! ```text
-//! offset  3: first (u64) — the position of entry[0]
-//! offset 11: entry[0], entry[1], …
+//! offset  0: count     (u16)
+//! offset  2: exponent  (i16) — the leaf's key unit is 2^exponent
+//! offset  4: first     (u64) — the position of entry[0]
+//! offset 12: first key (f64) — entry[0]'s key, exact
+//! offset 20: last key  (f64) — the last entry's key, exact
+//! offset 28: entry[0], entry[1], … — (offset: u32, code: u64), 12 bytes
 //! ```
+//!
+//! A key is stored as a 32-bit offset from the leaf's first key, in units of
+//! `2^exponent`, the finest unit at which the leaf's key span fits 32 bits.
+//! Offset `u` stands for the cell `[lo, hi)` ([`Cells`]): the reader's
+//! `lo ≤ key < hi` holds in its own `f64` arithmetic, because the writer
+//! stores the largest `u` whose `lo` does not pass the key, computed by the
+//! same function. Rounding can only widen a cell, never lose its key — the
+//! same spirit as iDistance's cell codes. The code is an opaque word that
+//! travels with its key (iDistance keeps a quantised image of the row
+//! there, so a scan can judge an entry before it reads the row).
 //!
 //! An entry's *position* is its rank in key order over the whole tree, and
 //! it is not stored: entry `i` of a leaf is at position `first + i`. The
@@ -23,183 +26,178 @@
 //! consecutive pages, every one full but the last — so a leaf's neighbours
 //! are the pages either side of it, and the leaf holding the last position
 //! ends the chain.
-//!
-//! **Internal** (`n` keys separate `n + 1` children):
-//!
-//! ```text
-//! offset  3: child[0] (u64)
-//! offset 11: (key[0]: f64, child[1]: u64), (key[1], child[2]), …
-//! ```
-//!
-//! Routing rule: `child[i]` covers keys `< key[i]`; equal keys go left
-//! (lower-bound routing), so a seek lands on the *first* duplicate.
 
 use crate::error::{Error, Result};
-use mmdr_storage::{Page, PageId, PAGE_SIZE};
+use mmdr_storage::{Page, PAGE_SIZE};
 
-const TYPE_OFFSET: usize = 0;
-const COUNT_OFFSET: usize = 1;
-const LEAF_FIRST_OFFSET: usize = 3;
-const LEAF_ENTRIES_OFFSET: usize = 11;
-const LEAF_ENTRY_SIZE: usize = 16;
-const INTERNAL_CHILD0_OFFSET: usize = 3;
-const INTERNAL_PAIRS_OFFSET: usize = 11;
-const INTERNAL_PAIR_SIZE: usize = 16;
+const COUNT_OFFSET: usize = 0;
+const EXPONENT_OFFSET: usize = 2;
+const FIRST_OFFSET: usize = 4;
+const FIRST_KEY_OFFSET: usize = 12;
+const LAST_KEY_OFFSET: usize = 20;
+const ENTRIES_OFFSET: usize = 28;
+const ENTRY_SIZE: usize = 12;
 
 /// Maximum entries in a leaf page.
-pub const LEAF_CAPACITY: usize = (PAGE_SIZE - LEAF_ENTRIES_OFFSET) / LEAF_ENTRY_SIZE;
-/// Maximum keys in an internal page (children = keys + 1).
-pub const INTERNAL_CAPACITY: usize = (PAGE_SIZE - INTERNAL_PAIRS_OFFSET) / INTERNAL_PAIR_SIZE;
+pub const LEAF_CAPACITY: usize = (PAGE_SIZE - ENTRIES_OFFSET) / ENTRY_SIZE;
 
-const NODE_LEAF: u8 = 0;
-const NODE_INTERNAL: u8 = 1;
-
-/// True when the page holds a leaf node.
-#[inline]
-pub fn is_leaf(page: &Page) -> bool {
-    page.get_u8(TYPE_OFFSET).expect("header in page") == NODE_LEAF
+/// `2^k` as an `f64`: 0 below the least subnormal, ∞ past the largest
+/// finite power.
+fn pow2(k: i32) -> f64 {
+    match k {
+        ..=-1075 => 0.0,
+        -1074..=-1023 => f64::from_bits(1 << (k + 1074)),
+        -1022..=1023 => f64::from_bits(((k + 1023) as u64) << 52),
+        _ => f64::INFINITY,
+    }
 }
 
-/// Number of keys in the node.
-#[inline]
-pub fn count(page: &Page) -> usize {
-    page.get_u16(COUNT_OFFSET).expect("header in page") as usize
+/// How a leaf reads its keys: offset `u` stands for the cell
+/// `[lo(u), hi(u))`, `lo(u) = first + u·unit` and `hi(u) = lo(u + 1)`
+/// evaluated the same way, with `hi` capped at the least `f64` above the
+/// leaf's last key. The cap keeps a cell inside its leaf: the last entry's
+/// `hi` is no more than the next leaf's first key's successor, so `lo` and
+/// `hi` never decrease along the chain, and a key at or past a leaf's
+/// fence is past every cell of the leaves before it.
+#[derive(Debug, Clone, Copy)]
+pub struct Cells {
+    first: f64,
+    unit: f64,
+    cap: f64,
 }
 
-fn set_count(page: &mut Page, n: usize) {
-    debug_assert!(n <= u16::MAX as usize);
-    page.put_u16(COUNT_OFFSET, n as u16)
-        .expect("header in page");
+impl Cells {
+    /// The cells of a leaf whose keys run from `first` to `last`, and the
+    /// exponent of their unit: the least `e` at which
+    /// `first + 2^32 · 2^e` exceeds `last`, so the largest offset any key
+    /// takes fits 32 bits. (`first + t` grows with `t`, so a binary search
+    /// finds it; at `e = 992` the addend is ∞.)
+    fn fit(first: f64, last: f64) -> (Self, i16) {
+        let (mut lo, mut hi) = (-1074i32, 992i32);
+        while lo < hi {
+            let mid = (lo + hi) >> 1;
+            if first + pow2(32 + mid) > last {
+                hi = mid;
+            } else {
+                lo = mid + 1;
+            }
+        }
+        (Self::of(first, last, hi as i16), hi as i16)
+    }
+
+    fn of(first: f64, last: f64, exponent: i16) -> Self {
+        Self {
+            first,
+            unit: pow2(i32::from(exponent)),
+            cap: last.next_up(),
+        }
+    }
+
+    /// The least key offset `u` stands for.
+    #[inline]
+    pub fn lo(&self, u: u32) -> f64 {
+        self.first + f64::from(u) * self.unit
+    }
+
+    /// The least key past the ones offset `u` stands for.
+    #[inline]
+    pub fn hi(&self, u: u32) -> f64 {
+        (self.first + (f64::from(u) + 1.0) * self.unit).min(self.cap)
+    }
+
+    /// The offset a key of the leaf is stored as: the largest `u` with
+    /// `lo(u) ≤ key`, so `key < lo(u + 1)` — and `key < hi(u)`, as `fit`
+    /// chose the unit so that `lo(2^32)` passes the last key.
+    fn offset(&self, key: f64) -> u32 {
+        // Usually the quotient (`lo` never decreases, so the test proves it);
+        // else rounding, or `u`s sharing one `lo` in a leaf narrower than its
+        // first key's ulp, leave it to the search.
+        let guess = ((key - self.first) / self.unit) as u32;
+        if self.lo(guess) <= key && (guess == u32::MAX || key < self.lo(guess + 1)) {
+            return guess;
+        }
+        // `lo(lo) ≤ key` throughout (`lo(0)` is the first key), and no
+        // offset from `hi` on has it.
+        let (mut lo, mut hi) = (0u64, 1u64 << 32);
+        while hi - lo > 1 {
+            let mid = (lo + hi) / 2;
+            if self.lo(mid as u32) <= key {
+                lo = mid;
+            } else {
+                hi = mid;
+            }
+        }
+        lo as u32
+    }
 }
 
-/// Leaf-node accessors. All methods are static over a [`Page`]; offsets are
+/// Leaf accessors. All methods are static over a [`Page`]; offsets are
 /// bounded by [`LEAF_CAPACITY`], so internal `expect`s encode layout
 /// invariants rather than recoverable errors.
 pub struct Leaf;
 
 impl Leaf {
-    /// Formats a page as an empty leaf whose first entry will sit at
-    /// position `first`.
-    pub fn init(page: &mut Page, first: u64) {
-        page.put_u8(TYPE_OFFSET, NODE_LEAF).expect("header");
-        set_count(page, 0);
-        page.put_u64(LEAF_FIRST_OFFSET, first).expect("header");
+    /// Formats `page` as the leaf holding `entries` (sorted by key), the
+    /// first of them at position `first`.
+    pub fn write(page: &mut Page, first: u64, entries: &[(f64, u64)]) -> Result<()> {
+        if entries.len() > LEAF_CAPACITY {
+            return Err(Error::Corrupt("more entries than a leaf holds"));
+        }
+        let (first_key, last_key) = match entries {
+            [] => (0.0, 0.0),
+            [(first, _), ..] => (*first, entries[entries.len() - 1].0),
+        };
+        let (cells, exponent) = Cells::fit(first_key, last_key);
+        page.put_u16(COUNT_OFFSET, entries.len() as u16)?;
+        page.put_u16(EXPONENT_OFFSET, exponent as u16)?;
+        page.put_u64(FIRST_OFFSET, first)?;
+        page.put_f64(FIRST_KEY_OFFSET, first_key)?;
+        page.put_f64(LAST_KEY_OFFSET, last_key)?;
+        for (i, &(key, code)) in entries.iter().enumerate() {
+            let at = ENTRIES_OFFSET + i * ENTRY_SIZE;
+            page.put_u32(at, cells.offset(key))?;
+            page.put_u64(at + 4, code)?;
+        }
+        Ok(())
     }
 
     /// Entry count.
     #[inline]
     pub fn count(page: &Page) -> usize {
-        count(page)
+        page.get_u16(COUNT_OFFSET).expect("header in page") as usize
     }
 
     /// The position of entry 0.
     #[inline]
     pub fn first(page: &Page) -> u64 {
-        page.get_u64(LEAF_FIRST_OFFSET).expect("header")
+        page.get_u64(FIRST_OFFSET).expect("header in page")
     }
 
-    /// Key of entry `i`.
+    /// Entry 0's key, exact (the leaf's fence).
+    pub fn first_key(page: &Page) -> f64 {
+        page.get_f64(FIRST_KEY_OFFSET).expect("header in page")
+    }
+
+    /// How the leaf's key offsets read.
     #[inline]
-    pub fn key(page: &Page, i: usize) -> f64 {
-        debug_assert!(i < count(page));
-        page.get_f64(LEAF_ENTRIES_OFFSET + i * LEAF_ENTRY_SIZE)
+    pub fn cells(page: &Page) -> Cells {
+        let exponent = page.get_u16(EXPONENT_OFFSET).expect("header in page") as i16;
+        let last = page.get_f64(LAST_KEY_OFFSET).expect("header in page");
+        Cells::of(Self::first_key(page), last, exponent)
+    }
+
+    /// The key offset of entry `i`.
+    #[inline]
+    pub fn offset(page: &Page, i: usize) -> u32 {
+        page.get_u32(ENTRIES_OFFSET + i * ENTRY_SIZE)
             .expect("entry in page")
     }
 
     /// The code word of entry `i`.
     #[inline]
     pub fn code(page: &Page, i: usize) -> u64 {
-        page.get_u64(LEAF_ENTRIES_OFFSET + i * LEAF_ENTRY_SIZE + 8)
+        page.get_u64(ENTRIES_OFFSET + i * ENTRY_SIZE + 4)
             .expect("entry in page")
-    }
-
-    /// First slot whose key is `>= key` (lower bound); `count` when none.
-    #[inline]
-    pub fn lower_bound(page: &Page, key: f64) -> usize {
-        let n = count(page);
-        let (mut lo, mut hi) = (0, n);
-        while lo < hi {
-            let mid = (lo + hi) / 2;
-            if Self::key(page, mid) < key {
-                lo = mid + 1;
-            } else {
-                hi = mid;
-            }
-        }
-        lo
-    }
-
-    /// Appends `(key, code)` (the bulk load keeps the order).
-    pub fn push(page: &mut Page, key: f64, code: u64) -> Result<()> {
-        let n = count(page);
-        if n >= LEAF_CAPACITY {
-            return Err(Error::Corrupt("push onto a full leaf"));
-        }
-        let at = LEAF_ENTRIES_OFFSET + n * LEAF_ENTRY_SIZE;
-        page.put_f64(at, key)?;
-        page.put_u64(at + 8, code)?;
-        set_count(page, n + 1);
-        Ok(())
-    }
-}
-
-/// Internal-node accessors (see the module docs for the layout).
-pub struct Internal;
-
-impl Internal {
-    /// Formats a page as an internal node with a single child.
-    pub fn init(page: &mut Page, first_child: PageId) {
-        page.put_u8(TYPE_OFFSET, NODE_INTERNAL).expect("header");
-        set_count(page, 0);
-        page.put_u64(INTERNAL_CHILD0_OFFSET, first_child)
-            .expect("header");
-    }
-
-    /// Separator key `i`.
-    pub fn key(page: &Page, i: usize) -> f64 {
-        debug_assert!(i < count(page));
-        page.get_f64(INTERNAL_PAIRS_OFFSET + i * INTERNAL_PAIR_SIZE)
-            .expect("pair in page")
-    }
-
-    /// Child pointer `i` (`0 ..= count`).
-    pub fn child(page: &Page, i: usize) -> PageId {
-        debug_assert!(i <= count(page));
-        if i == 0 {
-            page.get_u64(INTERNAL_CHILD0_OFFSET).expect("header")
-        } else {
-            page.get_u64(INTERNAL_PAIRS_OFFSET + (i - 1) * INTERNAL_PAIR_SIZE + 8)
-                .expect("pair in page")
-        }
-    }
-
-    /// Index of the child to descend into for `key` (lower-bound routing:
-    /// equal keys go left so seeks find the first duplicate).
-    pub fn child_index(page: &Page, key: f64) -> usize {
-        let n = count(page);
-        let (mut lo, mut hi) = (0, n);
-        while lo < hi {
-            let mid = (lo + hi) / 2;
-            if Self::key(page, mid) < key {
-                lo = mid + 1;
-            } else {
-                hi = mid;
-            }
-        }
-        lo
-    }
-
-    /// Appends `(key, right_child)` (the bulk load keeps the order).
-    pub fn push(page: &mut Page, key: f64, right_child: PageId) -> Result<()> {
-        let n = count(page);
-        if n >= INTERNAL_CAPACITY {
-            return Err(Error::Corrupt("push onto a full internal node"));
-        }
-        let at = INTERNAL_PAIRS_OFFSET + n * INTERNAL_PAIR_SIZE;
-        page.put_f64(at, key)?;
-        page.put_u64(at + 8, right_child)?;
-        set_count(page, n + 1);
-        Ok(())
     }
 }
 
@@ -207,85 +205,87 @@ impl Internal {
 mod tests {
     use super::*;
 
+    /// A leaf over `keys`, code = slot, and each entry's `(lo, hi)`.
+    fn cells_of(keys: &[f64]) -> Vec<(f64, f64)> {
+        let entries: Vec<(f64, u64)> = (0..).zip(keys).map(|(i, &k)| (k, i)).collect();
+        let mut p = Page::new();
+        Leaf::write(&mut p, 0, &entries).unwrap();
+        let cells = Leaf::cells(&p);
+        (0..Leaf::count(&p))
+            .map(|i| {
+                assert_eq!(Leaf::code(&p, i), i as u64, "a code sits beside its key");
+                (cells.lo(Leaf::offset(&p, i)), cells.hi(Leaf::offset(&p, i)))
+            })
+            .collect()
+    }
+
     #[test]
     #[allow(clippy::assertions_on_constants)] // compile-time layout checks
-    fn capacities_are_sane() {
-        assert_eq!(LEAF_CAPACITY, 255);
-        assert_eq!(INTERNAL_CAPACITY, 255);
-        // Layout fits the page.
-        assert!(LEAF_ENTRIES_OFFSET + LEAF_CAPACITY * LEAF_ENTRY_SIZE <= PAGE_SIZE);
-        assert!(INTERNAL_PAIRS_OFFSET + INTERNAL_CAPACITY * INTERNAL_PAIR_SIZE <= PAGE_SIZE);
+    fn capacity_is_sane() {
+        assert_eq!(LEAF_CAPACITY, 339);
+        assert!(ENTRIES_OFFSET + LEAF_CAPACITY * ENTRY_SIZE <= PAGE_SIZE);
     }
 
     #[test]
-    fn leaf_init_push_lookup() {
+    fn powers_of_two_are_exact_across_the_range() {
+        assert_eq!(pow2(0), 1.0);
+        assert_eq!(pow2(-1), 0.5);
+        assert_eq!(pow2(1023), 2f64.powi(1023));
+        assert_eq!(pow2(-1022), f64::MIN_POSITIVE);
+        assert_eq!(pow2(-1074), 0f64.next_up());
+        assert_eq!(pow2(-1075), 0.0);
+        assert_eq!(pow2(1024), f64::INFINITY);
+    }
+
+    #[test]
+    fn header_and_entries_read_back() {
         let mut p = Page::new();
-        Leaf::init(&mut p, 510);
-        assert!(is_leaf(&p));
-        assert_eq!(Leaf::count(&p), 0);
-        assert_eq!(Leaf::first(&p), 510);
-        for (k, code) in [(1.0, 100), (2.0, 200), (3.0, u64::MAX)] {
-            Leaf::push(&mut p, k, code).unwrap();
-        }
+        Leaf::write(&mut p, 510, &[(1.0, 100), (2.0, 200), (3.0, u64::MAX)]).unwrap();
         assert_eq!(Leaf::count(&p), 3);
-        assert_eq!(
-            (0..3).map(|i| Leaf::key(&p, i)).collect::<Vec<_>>(),
-            vec![1.0, 2.0, 3.0]
-        );
-        assert_eq!(
-            (0..3).map(|i| Leaf::code(&p, i)).collect::<Vec<_>>(),
-            vec![100, 200, u64::MAX],
-            "a code sits beside its key"
-        );
+        assert_eq!(Leaf::first(&p), 510);
+        assert_eq!(Leaf::first_key(&p), 1.0);
+        assert_eq!(Leaf::code(&p, 2), u64::MAX);
+        let cells = Leaf::cells(&p);
+        assert_eq!(cells.lo(Leaf::offset(&p, 0)), 1.0, "the first key is exact");
     }
 
     #[test]
-    fn leaf_lower_bound_with_duplicates() {
-        let mut p = Page::new();
-        Leaf::init(&mut p, 0);
-        for k in [1.0, 2.0, 2.0, 2.0, 5.0] {
-            Leaf::push(&mut p, k, 0).unwrap();
+    fn every_key_lies_in_its_cell_and_cells_ascend() {
+        let ramp: Vec<f64> = (0..LEAF_CAPACITY).map(|i| i as f64 * 0.1 - 7.0).collect();
+        for keys in [
+            ramp,
+            vec![3.0; 40],
+            vec![0.0, 0.0, -0.0],
+            vec![-f64::MAX, -1.0, 0.0, 1e-300, 1.0, f64::MAX],
+            vec![1e-300, 2e-300, 1e300],
+            vec![f64::MAX.next_down(), f64::MAX],
+            vec![1.0, 1.0f64.next_up(), 1.0f64.next_up().next_up()],
+        ] {
+            let cells = cells_of(&keys);
+            for (i, (&key, &(lo, hi))) in keys.iter().zip(&cells).enumerate() {
+                assert!(lo <= key && key < hi, "{keys:?}[{i}]: [{lo}, {hi})");
+                if i > 0 {
+                    assert!(
+                        cells[i - 1].0 <= lo && cells[i - 1].1 <= hi,
+                        "{keys:?}[{i}]"
+                    );
+                }
+            }
+            assert_eq!(cells[0].0, keys[0], "{keys:?}");
+            let last = *keys.last().unwrap();
+            assert!(cells.last().unwrap().1 <= last.next_up(), "{keys:?}");
         }
-        assert_eq!(Leaf::lower_bound(&p, 0.5), 0);
-        assert_eq!(Leaf::lower_bound(&p, 2.0), 1);
-        assert_eq!(Leaf::lower_bound(&p, 3.0), 4);
-        assert_eq!(Leaf::lower_bound(&p, 9.0), 5);
     }
 
     #[test]
-    fn pushing_onto_a_full_node_is_a_corrupt_error() {
+    fn an_empty_leaf_and_an_overfull_one() {
+        assert!(cells_of(&[]).is_empty());
+        let full: Vec<(f64, u64)> = (0..=LEAF_CAPACITY as u64).map(|i| (i as f64, i)).collect();
         let mut p = Page::new();
-        Leaf::init(&mut p, 0);
-        for i in 0..LEAF_CAPACITY {
-            Leaf::push(&mut p, i as f64, 0).unwrap();
-        }
-        assert!(matches!(Leaf::push(&mut p, 0.0, 0), Err(Error::Corrupt(_))));
-        let mut p = Page::new();
-        Internal::init(&mut p, 0);
-        for i in 0..INTERNAL_CAPACITY {
-            Internal::push(&mut p, i as f64, i as u64 + 1).unwrap();
-        }
+        assert!(Leaf::write(&mut p, 0, &full[..LEAF_CAPACITY]).is_ok());
         assert!(matches!(
-            Internal::push(&mut p, 0.0, 0),
+            Leaf::write(&mut p, 0, &full),
             Err(Error::Corrupt(_))
         ));
-    }
-
-    #[test]
-    fn internal_routing() {
-        let mut p = Page::new();
-        Internal::init(&mut p, 100);
-        Internal::push(&mut p, 10.0, 101).unwrap();
-        Internal::push(&mut p, 20.0, 102).unwrap();
-        assert!(!is_leaf(&p));
-        assert_eq!(count(&p), 2);
-        assert_eq!(Internal::child(&p, 0), 100);
-        assert_eq!(Internal::child(&p, 2), 102);
-        // Lower-bound routing: equal keys go left.
-        assert_eq!(Internal::child_index(&p, 5.0), 0);
-        assert_eq!(Internal::child_index(&p, 10.0), 0);
-        assert_eq!(Internal::child_index(&p, 10.5), 1);
-        assert_eq!(Internal::child_index(&p, 20.0), 1);
-        assert_eq!(Internal::child_index(&p, 25.0), 2);
     }
 }

@@ -1,59 +1,52 @@
-//! The B⁺-tree proper: descent, seeks and the two-way leaf walk.
+//! The B⁺-tree proper: fence routing, seeks and the two-way leaf walk.
 
 use crate::cursor::Cursor;
 use crate::error::{Error, Result};
-use crate::node::{is_leaf, Internal, Leaf};
+use crate::node::{Leaf, LEAF_CAPACITY};
 use mmdr_storage::{BufferPool, Page, PageId};
 use std::sync::Arc;
 
 /// A static B⁺-tree over finite `f64` keys, each entry named by its
 /// position in key order, with a `u64` code word beside its key.
 ///
-/// Built once by [`bulk_load`](Self::bulk_load) (or reattached by
+/// The tree is its leaves, on pages `0..` of its pool, and one *fence* per
+/// leaf held in memory: the leaf's exact first key. A seek binary-searches
+/// the fences and fetches one leaf; there are no internal nodes. Built once
+/// by [`bulk_load`](Self::bulk_load) (or reattached by
 /// [`from_parts`](Self::from_parts)) and never written again. See the
 /// crate docs for an end-to-end example.
 #[derive(Debug)]
 pub struct BPlusTree {
     pub(crate) pool: BufferPool,
-    pub(crate) root: PageId,
-    pub(crate) height: usize,
+    pub(crate) fences: Vec<f64>,
     pub(crate) len: usize,
 }
 
 impl BPlusTree {
-    /// Reattaches a tree to pages restored from a snapshot. `root`,
-    /// `height` and `len` must be the values the saved tree reported
-    /// ([`root_page_id`](Self::root_page_id), [`height`](Self::height),
-    /// [`len`](Self::len)); the pool must hold that tree's page images.
-    /// Structural validation is limited to cheap invariants — the page
-    /// *contents* are protected by the snapshot layer's checksums. The one
-    /// that reads a page, the root's kind against `height`, is a fetch like
-    /// any other: the pool counts it.
-    pub fn from_parts(pool: BufferPool, root: PageId, height: usize, len: usize) -> Result<Self> {
-        if root as usize >= pool.num_pages() {
-            return Err(Error::Storage(mmdr_storage::Error::PageNotFound {
-                page_id: root,
-            }));
+    /// Reattaches a tree to pages restored from a snapshot. `fences` and
+    /// `len` must be the values the saved tree reported
+    /// ([`fences`](Self::fences), [`len`](Self::len)); the pool must hold
+    /// that tree's page images. Reads no page: what is checked is that
+    /// there is a fence per leaf `len` entries fill and a page per fence,
+    /// and that the fences are finite and ascend — the page *contents* are
+    /// protected by the snapshot layer's checksums.
+    pub fn from_parts(pool: BufferPool, fences: Vec<f64>, len: usize) -> Result<Self> {
+        if fences.len() != len.div_ceil(LEAF_CAPACITY).max(1) {
+            return Err(Error::Corrupt("fence count disagrees with the entry count"));
         }
-        if height == 0 {
-            return Err(Error::Corrupt("tree height must be at least 1"));
+        if fences.iter().any(|f| !f.is_finite()) || fences.windows(2).any(|w| w[1] < w[0]) {
+            return Err(Error::Corrupt("fences must be finite and ascending"));
         }
-        let root_is_leaf = is_leaf(&*pool.page(root)?);
-        if root_is_leaf != (height == 1) {
-            return Err(Error::Corrupt("root node kind disagrees with height"));
+        if pool.num_pages() != fences.len() {
+            return Err(Error::Corrupt("page count disagrees with the fences"));
         }
-        Ok(Self {
-            pool,
-            root,
-            height,
-            len,
-        })
+        Ok(Self { pool, fences, len })
     }
 
-    /// The root's page id (persisted alongside the page images so
-    /// [`from_parts`](Self::from_parts) can reattach).
-    pub fn root_page_id(&self) -> PageId {
-        self.root
+    /// Each leaf's exact first key, leaf by leaf (persisted alongside the
+    /// page images so [`from_parts`](Self::from_parts) can reattach).
+    pub fn fences(&self) -> &[f64] {
+        &self.fences
     }
 
     /// Number of entries: positions run `0..len`.
@@ -66,9 +59,9 @@ impl BPlusTree {
         self.len == 0
     }
 
-    /// Height in levels (1 = the root is a leaf).
+    /// Pages a seek fetches: 1, the leaf — the fences route it in memory.
     pub fn height(&self) -> usize {
-        self.height
+        1
     }
 
     /// Access to the buffer pool: its page counts, and the per-shard
@@ -78,55 +71,57 @@ impl BPlusTree {
         &self.pool
     }
 
-    /// Pages allocated on the underlying disk.
+    /// Pages allocated on the underlying disk: one per leaf.
     pub fn num_pages(&self) -> usize {
         self.pool.num_pages()
     }
 
-    /// Positions a cursor at the first entry with key `>= key`, pinned to
-    /// the leaf the descent ended on: one pool fetch per level, and none
-    /// again until the cursor crosses to a neighbour.
+    /// Positions a cursor before the first entry whose cell ends past
+    /// `key` (its [`Cursor::key_hi`] exceeds it), pinned to the leaf the
+    /// fences route `key` to: one pool fetch, and none again until the
+    /// cursor crosses to a neighbour. So [`cursor_prev`](Self::cursor_prev)
+    /// yields exactly the entries whose `hi ≤ key`, and
+    /// [`cursor_next`](Self::cursor_next) every entry whose key is `≥ key`
+    /// (and those below it whose cell reaches past it).
     ///
-    /// The cursor may be exhausted immediately (every key is smaller); both
-    /// [`cursor_next`](Self::cursor_next) and
-    /// [`cursor_prev`](Self::cursor_prev) work from the returned position.
+    /// The routing is lower-bound routing: a leaf whose fence equals `key`
+    /// is not taken, so a seek lands on the *first* duplicate. The cursor
+    /// may be exhausted immediately (every cell ends at or below `key`);
+    /// both steps work from the returned position.
     pub fn seek(&self, key: f64) -> Result<Cursor> {
         if !key.is_finite() {
             return Err(Error::InvalidKey);
         }
-        // No pool lock is held while a node is examined, so concurrent
+        // No pool lock is held while a leaf is examined, so concurrent
         // seeks proceed in parallel.
-        let mut id = self.root;
-        let mut page = self.pool.page(id)?;
-        for _ in 1..self.height {
-            id = Internal::child(&page, Internal::child_index(&page, key));
-            page = self.pool.page(id)?;
-        }
-        if !is_leaf(&page) {
-            return Err(Error::Corrupt("descent did not end at a leaf"));
-        }
-        let slot = Leaf::lower_bound(&page, key);
-        self.pin(id, page, slot)
+        let page = self.fences[1..].partition_point(|&fence| fence < key) as PageId;
+        let mut cursor = self.pin(page, self.pool.page(page)?, 0)?;
+        cursor.slot = cursor.first_above(key);
+        Ok(cursor)
     }
 
     /// A cursor on `leaf`, page `page`, in the gap before `slot` — refused
-    /// if the leaf's positions run past [`len`](Self::len), so every
-    /// position a cursor returns names one of the tree's entries.
+    /// if the leaf holds more than a leaf can or its positions run past
+    /// [`len`](Self::len), so every position a cursor returns names one of
+    /// the tree's entries.
     #[inline]
     fn pin(&self, page: PageId, leaf: Arc<Page>, slot: usize) -> Result<Cursor> {
         let cursor = Cursor::pinned(page, leaf, slot);
-        if cursor.first + cursor.count as u64 > self.len as u64 {
+        if cursor.count > LEAF_CAPACITY
+            || cursor.first.saturating_add(cursor.count as u64) > self.len as u64
+        {
             return Err(Error::Corrupt("leaf positions run past the tree"));
         }
         Ok(cursor)
     }
 
-    /// Returns the entry at the cursor as `(key, position)` and advances
-    /// the cursor forward (ascending keys). `None` when past the last
-    /// entry; the cursor then stays on the last leaf, so
+    /// Returns the entry at the cursor as `(lo, position)` — `lo` the lower
+    /// end of the entry's key cell, [`Cursor::key_hi`] the upper — and
+    /// advances the cursor forward (ascending keys). `None` when past the
+    /// last entry; the cursor then stays on the last leaf, so
     /// [`cursor_prev`](Self::cursor_prev) still walks back.
     ///
-    /// A step within the pinned leaf is a slot compare and one key read,
+    /// A step within the pinned leaf is a slot compare and one offset read,
     /// inlined into the caller's loop; only crossing to the next leaf calls
     /// out. The entry's code is not read here: [`Cursor::code`] reads it
     /// for the caller that wants it.
@@ -145,16 +140,16 @@ impl BPlusTree {
         }
         cursor.last = cursor.slot;
         cursor.slot += 1;
-        Ok(Some(self.entry(cursor)))
+        Ok(Some(Self::entry(cursor)))
     }
 
-    /// Returns the entry *before* the cursor as `(key, position)` and moves
+    /// Returns the entry *before* the cursor as `(lo, position)` and moves
     /// the cursor backward (descending keys). `None` when before the first
     /// entry; the cursor then stays on the first leaf.
     ///
     /// `cursor_next` and `cursor_prev` are symmetric around the cursor gap:
-    /// after a `seek(k)`, `cursor_prev` yields entries `< k` and
-    /// `cursor_next` yields entries `>= k`.
+    /// after a `seek(k)`, `cursor_prev` yields the entries whose cells end
+    /// at or below `k` and `cursor_next` the rest.
     #[inline]
     pub fn cursor_prev(&self, cursor: &mut Cursor) -> Result<Option<(f64, u64)>> {
         while cursor.slot == 0 {
@@ -168,46 +163,42 @@ impl BPlusTree {
         }
         cursor.slot -= 1;
         cursor.last = cursor.slot;
-        Ok(Some(self.entry(cursor)))
+        Ok(Some(Self::entry(cursor)))
     }
 
-    /// The entry the last step returned, as `(key, position)`.
+    /// The entry the last step returned, as `(lo, position)`.
     #[inline]
-    fn entry(&self, cursor: &Cursor) -> (f64, u64) {
-        (
-            Leaf::key(&cursor.leaf, cursor.last),
-            cursor.first + cursor.last as u64,
-        )
+    fn entry(cursor: &Cursor) -> (f64, u64) {
+        let offset = Leaf::offset(&cursor.leaf, cursor.last);
+        (cursor.cells.lo(offset), cursor.first + cursor.last as u64)
     }
 
-    /// Collects all `(key, position)` entries with `lo <= key <= hi`.
-    pub fn range(&self, lo: f64, hi: f64) -> Result<Vec<(f64, u64)>> {
-        let mut cursor = self.seek(lo)?;
-        let mut out = Vec::new();
-        while let Some((k, position)) = self.cursor_next(&mut cursor)? {
-            if k > hi {
-                break;
-            }
-            out.push((k, position));
-        }
-        Ok(out)
-    }
-
-    /// Walks the whole tree checking structural invariants (key order
-    /// along the leaf chain, positions `0..len` in order, the chain the
-    /// same length both ways). Test/diagnostic helper — `O(n)`.
+    /// Walks the whole tree checking structural invariants (each leaf's
+    /// first key is its fence and reads back exactly, cells never descend
+    /// along the chain, positions `0..len` in order, the chain the same
+    /// length both ways). Test/diagnostic helper — `O(n)`.
     pub fn check_invariants(&self) -> Result<()> {
+        for (page, &fence) in self.fences.iter().enumerate() {
+            let leaf = self.pool.page(page as PageId)?;
+            if Leaf::first_key(&leaf) != fence
+                || (Leaf::count(&leaf) > 0
+                    && Leaf::cells(&leaf).lo(Leaf::offset(&leaf, 0)) != fence)
+            {
+                return Err(Error::Corrupt("a leaf's first key is not its fence"));
+            }
+        }
         let mut cursor = self.seek(f64::MIN)?;
-        let mut prev: Option<f64> = None;
+        let mut prev = (f64::MIN, f64::MIN);
         let mut seen = 0u64;
-        while let Some((k, position)) = self.cursor_next(&mut cursor)? {
-            if prev.is_some_and(|p| k < p) {
-                return Err(Error::Corrupt("keys out of order in leaf chain"));
+        while let Some((lo, position)) = self.cursor_next(&mut cursor)? {
+            let hi = cursor.key_hi();
+            if lo >= hi || lo < prev.0 || hi < prev.1 {
+                return Err(Error::Corrupt("key cells descend along the leaf chain"));
             }
             if position != seen {
                 return Err(Error::Corrupt("positions are not dense in key order"));
             }
-            prev = Some(k);
+            prev = (lo, hi);
             seen += 1;
         }
         if seen != self.len as u64 {
@@ -249,7 +240,8 @@ mod tests {
         let t = tree(16, &[]);
         assert!(t.is_empty());
         assert_eq!(t.height(), 1);
-        assert_eq!(t.num_pages(), 1, "one empty leaf, no spare root");
+        assert_eq!(t.num_pages(), 1, "one empty leaf");
+        assert_eq!(t.fences(), [0.0]);
         let mut c = t.seek(0.0).unwrap();
         assert_eq!(t.cursor_next(&mut c).unwrap(), None);
         let mut c = t.seek(0.0).unwrap();
@@ -263,6 +255,7 @@ mod tests {
         assert_eq!(t.len(), 100);
         let mut c = t.seek(42.0).unwrap();
         assert_eq!(t.cursor_next(&mut c).unwrap(), Some((42.0, 42)));
+        assert!(c.key_hi() > 42.0 && c.key_hi() <= 43.0);
         assert_eq!(c.code(), 42 * 42);
         assert_eq!(t.cursor_next(&mut c).unwrap(), Some((43.0, 43)));
         t.check_invariants().unwrap();
@@ -272,14 +265,20 @@ mod tests {
     fn duplicates_across_leaves_seek_to_first() {
         // A run of duplicates longer than a leaf spans leaf boundaries.
         let mut keys = vec![3.0; 100];
-        keys.extend([7.0; 600]);
+        keys.extend([7.0; 800]);
         keys.extend([11.0; 100]);
         let t = tree(256, &keys);
         let mut c = t.seek(7.0).unwrap();
         assert_eq!(t.cursor_next(&mut c).unwrap(), Some((7.0, 100)));
-        let hits = t.range(7.0, 7.0).unwrap();
-        assert_eq!(hits.len(), 600);
-        assert!(hits.iter().zip(100..).all(|(&(_, p), want)| p == want));
+        let mut run = 1;
+        while t
+            .cursor_next(&mut c)
+            .unwrap()
+            .is_some_and(|(lo, _)| lo == 7.0)
+        {
+            run += 1;
+        }
+        assert_eq!(run, 800);
         let mut c = t.seek(7.0).unwrap();
         assert_eq!(t.cursor_prev(&mut c).unwrap(), Some((3.0, 99)));
         t.check_invariants().unwrap();
@@ -294,15 +293,6 @@ mod tests {
         // Cursor gap restored by seek; forward resumes at >= key.
         let mut c = t.seek(250.0).unwrap();
         assert_eq!(t.cursor_next(&mut c).unwrap(), Some((250.0, 250)));
-    }
-
-    #[test]
-    fn range_query() {
-        let t = tree(64, &upto(100, 0.1));
-        let r = t.range(2.0, 3.0).unwrap();
-        assert_eq!(r.len(), 11); // 2.0, 2.1, ..., 3.0 (within fp tolerance)
-        assert!(r.iter().all(|&(k, _)| (2.0..=3.0).contains(&k)));
-        assert!(t.range(99.0, 100.0).unwrap().is_empty());
     }
 
     #[test]
@@ -326,14 +316,17 @@ mod tests {
     }
 
     #[test]
-    fn from_parts_reattaches_exported_pages() {
+    fn from_parts_reattaches_exported_pages_without_a_fetch() {
         let t = tree(16, &upto(2000, 0.25));
         let images = t.pool().export_pages().unwrap();
-        let (root, height, len) = (t.root_page_id(), t.height(), t.len());
         let pool = BufferPool::new(DiskManager::from_pages(images), 16).unwrap();
-        let back = BPlusTree::from_parts(pool, root, height, len).unwrap();
+        let back = BPlusTree::from_parts(pool, t.fences().to_vec(), t.len()).unwrap();
+        assert_eq!(
+            back.pool().snapshot().pages_touched(),
+            0,
+            "an open reads no page"
+        );
         assert_eq!(back.len(), 2000);
-        assert_eq!(back.height(), height);
         let mut c = back.seek(100.0).unwrap();
         assert_eq!(back.cursor_next(&mut c).unwrap(), Some((100.0, 400)));
         assert_eq!(c.code(), 400 * 400);
@@ -343,32 +336,46 @@ mod tests {
     #[test]
     fn from_parts_rejects_inconsistent_metadata() {
         let t = tree(16, &upto(2000, 1.0));
-        let (root, height, len) = (t.root_page_id(), t.height(), t.len());
-        assert!(height > 1, "need a multi-level tree");
+        let (fences, len) = (t.fences().to_vec(), t.len());
+        assert!(fences.len() > 2, "need several leaves");
         let images = t.pool().export_pages().unwrap();
-        let reopen = |root, height| {
-            let pool = BufferPool::new(DiskManager::from_pages(images.clone()), 16).unwrap();
-            BPlusTree::from_parts(pool, root, height, len)
+        let reopen = |fences: Vec<f64>, pages: usize| {
+            let disk = DiskManager::from_pages(images[..pages].to_vec());
+            BPlusTree::from_parts(BufferPool::new(disk, 16).unwrap(), fences, len)
         };
-        assert!(reopen(root, height).is_ok());
-        assert!(reopen(10_000, height).is_err(), "root out of range");
-        assert!(reopen(root, 0).is_err(), "zero height");
-        assert!(reopen(root, 1).is_err(), "internal root claimed as leaf");
+        assert!(reopen(fences.clone(), images.len()).is_ok());
+        let corrupt = |got: Result<BPlusTree>| matches!(got, Err(Error::Corrupt(_)));
+        assert!(
+            corrupt(reopen(fences[1..].to_vec(), images.len())),
+            "a fence short"
+        );
+        let mut descending = fences.clone();
+        descending.swap(1, 2);
+        assert!(corrupt(reopen(descending, images.len())), "fences descend");
+        let mut unbounded = fences.clone();
+        unbounded[1] = f64::NAN;
+        assert!(
+            corrupt(reopen(unbounded, images.len())),
+            "a fence not finite"
+        );
+        assert!(
+            corrupt(reopen(fences, images.len() - 1)),
+            "a page short of the fences"
+        );
     }
 
     #[test]
     fn a_leaf_whose_positions_run_past_the_tree_is_refused() {
         let t = tree(16, &upto(2000, 1.0));
-        let (root, height, len) = (t.root_page_id(), t.height(), t.len());
+        let (fences, len) = (t.fences().to_vec(), t.len());
         let mut images = t.pool().export_pages().unwrap();
         // Page 1 is the second leaf; shift its `first` past the tree.
         let mut leaf = (*images[1]).clone();
-        Leaf::init(&mut leaf, len as u64);
-        Leaf::push(&mut leaf, 300.0, 0).unwrap();
+        Leaf::write(&mut leaf, len as u64, &[(fences[1], 0)]).unwrap();
         images[1] = Arc::new(leaf);
         let pool = BufferPool::new(DiskManager::from_pages(images), 16).unwrap();
-        let back = BPlusTree::from_parts(pool, root, height, len).unwrap();
-        assert!(matches!(back.seek(300.0), Err(Error::Corrupt(_))));
+        let back = BPlusTree::from_parts(pool, fences.clone(), len).unwrap();
+        assert!(matches!(back.seek(fences[1] + 1.0), Err(Error::Corrupt(_))));
         // A walk from the first leaf is refused where it crosses onto it.
         let mut c = back.seek(0.0).unwrap();
         let stopped = loop {
@@ -381,11 +388,33 @@ mod tests {
     }
 
     #[test]
+    fn a_leaf_counting_more_entries_than_a_page_holds_is_refused() {
+        let t = tree(16, &upto(2000, 1.0));
+        let mut images = t.pool().export_pages().unwrap();
+        // The count is the header's first field: one past capacity, with
+        // positions that would still lie inside the tree.
+        let mut leaf = (*images[0]).clone();
+        leaf.put_u16(0, LEAF_CAPACITY as u16 + 1).unwrap();
+        images[0] = Arc::new(leaf);
+        let pool = BufferPool::new(DiskManager::from_pages(images), 16).unwrap();
+        let back = BPlusTree::from_parts(pool, t.fences().to_vec(), t.len()).unwrap();
+        assert!(matches!(back.seek(0.0), Err(Error::Corrupt(_))));
+    }
+
+    #[test]
     fn negative_and_fractional_keys() {
         let keys = [-100.0, -5.5, -0.1, 0.0, 0.1, 3.25];
         let t = tree(64, &keys);
-        let all = t.range(f64::MIN, f64::MAX).unwrap();
-        let got: Vec<f64> = all.iter().map(|&(k, _)| k).collect();
-        assert_eq!(got, keys);
+        let mut c = t.seek(f64::MIN).unwrap();
+        for (i, &key) in keys.iter().enumerate() {
+            let (lo, position) = t.cursor_next(&mut c).unwrap().unwrap();
+            assert_eq!(position, i as u64);
+            assert!(
+                lo <= key && key < c.key_hi(),
+                "{key}: [{lo}, {})",
+                c.key_hi()
+            );
+        }
+        assert_eq!(t.cursor_next(&mut c).unwrap(), None);
     }
 }

@@ -1,36 +1,81 @@
 //! Property tests: a bulk-loaded tree over sorted keys with duplicates is
-//! the sorted input itself — positions dense `0..n` in input order, every
-//! seek on the first duplicate, each code beside its key, and the two
-//! cursor directions mirror images across leaf boundaries — whatever the
-//! buffer pool (down to one frame: forced eviction).
+//! the sorted input itself — positions dense `0..n` in input order, each
+//! key inside the cell `[lo, hi)` its entry reads back as, each code beside
+//! its key, cells that never descend along the chain, and the two cursor
+//! directions mirror images across leaf boundaries — and a seek is one
+//! leaf fetch that parts the entries by their cells' upper ends, whatever
+//! the key shape (runs longer than a leaf, both signs, magnitudes from
+//! 1e-300 to 1e300, spans near `f64::MAX`) and whatever the buffer pool
+//! (down to one frame: forced eviction).
 
 use mmdr_btree::BPlusTree;
 use mmdr_storage::{BufferPool, DiskManager};
 use proptest::prelude::*;
 
-/// Sorted `(key, code)` entries: keys from a small domain, so runs of
-/// duplicates are common and some outgrow a leaf (255 entries).
+/// A finite `f64` of either sign and any magnitude from 1e-300 to 1e300.
+fn wide((neg, e): (bool, f64)) -> f64 {
+    let x = 10f64.powf(e);
+    if neg {
+        -x
+    } else {
+        x
+    }
+}
+
+/// A key of one of five shapes, from one raw draw.
+fn shaped(shape: u32, (x, k, sign): (f64, u32, (bool, f64))) -> f64 {
+    match shape {
+        // A small domain: runs of duplicates are common.
+        0 => f64::from(k) * 0.5,
+        // Three keys: runs longer than a leaf (339 entries), so leaves
+        // whose span is 0, and runs that start or end at a leaf boundary.
+        1 => f64::from(k % 3) - 1.0,
+        // Negative keys.
+        2 => -1e6 * x,
+        // Both signs, magnitudes from 1e-300 to 1e300.
+        3 => wide(sign),
+        // Spans near f64::MAX: from −MAX to MAX, the ends themselves too.
+        _ => match k % 8 {
+            0 => f64::MAX,
+            1 => -f64::MAX,
+            _ => (2.0 * x - 1.0) * f64::MAX,
+        },
+    }
+}
+
+/// Sorted `(key, code)` entries of one of the five shapes.
 fn sorted_entries() -> impl Strategy<Value = Vec<(f64, u64)>> {
-    proptest::collection::vec((0u32..24, 0..=u64::MAX), 0..1200).prop_map(|mut raw| {
-        raw.sort_by_key(|&(k, _)| k);
-        raw.into_iter()
-            .map(|(k, code)| (f64::from(k) * 0.5, code))
-            .collect()
-    })
+    let raw = (
+        0.0f64..1.0,
+        0u32..24,
+        (proptest::bool::ANY, -300.0f64..300.0),
+    );
+    (
+        0u32..5,
+        proptest::collection::vec((raw, 0..=u64::MAX), 0..1200),
+    )
+        .prop_map(|(shape, raw)| {
+            let mut entries: Vec<(f64, u64)> = raw
+                .into_iter()
+                .map(|(r, code)| (shaped(shape, r), code))
+                .collect();
+            entries.sort_by(|a, b| a.0.total_cmp(&b.0));
+            entries
+        })
 }
 
 /// Every entry as the cursor shows it, forward from the first key and then
-/// back from the end: `(key, position, code)`. The two directions must
+/// back from the end: `(lo, hi, position, code)`. The two directions must
 /// agree.
-fn walk(tree: &BPlusTree) -> Vec<(f64, u64, u64)> {
+fn walk(tree: &BPlusTree) -> Vec<(f64, f64, u64, u64)> {
     let mut cur = tree.seek(f64::MIN).unwrap();
     let mut forward = Vec::new();
-    while let Some((k, position)) = tree.cursor_next(&mut cur).unwrap() {
-        forward.push((k, position, cur.code()));
+    while let Some((lo, position)) = tree.cursor_next(&mut cur).unwrap() {
+        forward.push((lo, cur.key_hi(), position, cur.code()));
     }
     let mut backward = Vec::new();
-    while let Some((k, position)) = tree.cursor_prev(&mut cur).unwrap() {
-        backward.push((k, position, cur.code()));
+    while let Some((lo, position)) = tree.cursor_prev(&mut cur).unwrap() {
+        backward.push((lo, cur.key_hi(), position, cur.code()));
     }
     backward.reverse();
     assert_eq!(forward, backward);
@@ -44,38 +89,52 @@ proptest! {
     fn a_bulk_load_is_its_sorted_input(
         entries in sorted_entries(),
         pool_pages in 1usize..16,
-        probes in proptest::collection::vec(-1.0f64..13.0, 8),
+        small in proptest::collection::vec(-1.0f64..13.0, 4),
+        large in proptest::collection::vec((proptest::bool::ANY, -300.0f64..300.0), 4),
     ) {
         let pool = BufferPool::new(DiskManager::new(), pool_pages).unwrap();
         let tree = BPlusTree::bulk_load(pool, &entries).unwrap();
         prop_assert_eq!(tree.len(), entries.len());
         tree.check_invariants().unwrap();
 
-        // Positions dense 0..n in input order, each code with its key.
-        let want: Vec<(f64, u64, u64)> =
-            (0..).zip(&entries).map(|(n, &(k, code))| (k, n, code)).collect();
-        prop_assert_eq!(walk(&tree), want);
+        // Positions dense 0..n in input order, each key inside its cell and
+        // each code with its key; neither end of a cell ever descends.
+        let walked = walk(&tree);
+        prop_assert_eq!(walked.len(), entries.len());
+        let mut prev = (f64::MIN, f64::MIN);
+        for (n, (&(key, code), &(lo, hi, position, got))) in entries.iter().zip(&walked).enumerate() {
+            prop_assert!(lo <= key && key < hi, "entry {}: {} not in [{}, {})", n, key, lo, hi);
+            prop_assert_eq!((position, got), (n as u64, code));
+            prop_assert!(prev.0 <= lo && prev.1 <= hi, "entry {}: cells descend", n);
+            prev = (lo, hi);
+        }
 
-        // Every seek lands on the first duplicate: forward from it is the
-        // first entry >= the probe, back from it the last entry < it, and
-        // the two steps meet, whichever leaf boundary lies between.
-        let keys: Vec<f64> = entries.iter().map(|e| e.0).collect();
-        let existing = keys.iter().copied().step_by(97);
-        for probe in probes.into_iter().chain(existing) {
-            let first = keys.partition_point(|&k| k < probe) as u64;
+        // A seek parts the entries by their cells' upper ends: back from it
+        // are exactly those whose hi ≤ the probe, forward the rest, and the
+        // two steps meet, whichever leaf boundary lies between. It fetches
+        // one page, the leaf the fences route it to. Probed at every edge a
+        // cell has, besides arbitrary values.
+        let his: Vec<f64> = walked.iter().map(|e| e.1).collect();
+        let edges = walked.iter().step_by(37).flat_map(|&(lo, hi, position, _)| {
+            let key = entries[position as usize].0;
+            [key, key.next_down(), key.next_up(), lo, lo.next_down(), hi, hi.next_down()]
+        });
+        let probes = small.into_iter().chain(large.into_iter().map(wide));
+        for probe in probes.chain(edges).filter(|x| x.is_finite()) {
+            let before = tree.pool().snapshot();
             let mut cur = tree.seek(probe).unwrap();
+            prop_assert_eq!(tree.pool().snapshot().since(&before).pages_touched(), 1);
+            let parted = his.partition_point(|&hi| hi <= probe) as u64;
+            let step = |n: u64| walked.get(n as usize).map(|&(lo, _, position, _)| (lo, position));
             let next = tree.cursor_next(&mut cur).unwrap();
-            prop_assert_eq!(next, keys.get(first as usize).map(|&k| (k, first)));
-            if let Some((_, n)) = next {
-                prop_assert_eq!(cur.code(), entries[n as usize].1);
+            prop_assert_eq!(next, step(parted), "probe {}", probe);
+            if next.is_some() {
                 prop_assert_eq!(tree.cursor_prev(&mut cur).unwrap(), next);
             }
             let mut cur = tree.seek(probe).unwrap();
             let prev = tree.cursor_prev(&mut cur).unwrap();
-            let before = first.checked_sub(1);
-            prop_assert_eq!(prev, before.map(|n| (keys[n as usize], n)));
-            if let Some((_, n)) = prev {
-                prop_assert_eq!(cur.code(), entries[n as usize].1);
+            prop_assert_eq!(prev, parted.checked_sub(1).and_then(step), "probe {}", probe);
+            if prev.is_some() {
                 prop_assert_eq!(tree.cursor_next(&mut cur).unwrap(), prev);
             }
         }

@@ -70,8 +70,8 @@ impl PartitionInfo {
 /// is its `n`-th record, and a position names its record by arithmetic.
 #[derive(Debug, Clone, Copy, Default)]
 pub(crate) struct Run {
-    first: u64,
-    count: u64,
+    pub(crate) first: u64,
+    pub(crate) count: u64,
     page: PageId,
     per_page: u64,
 }

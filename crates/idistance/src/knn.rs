@@ -47,6 +47,8 @@ struct PartitionSearch<'a> {
     part: usize,
     /// `dist(qᵢ, Oᵢ)` within the subspace (or full-dim for outliers).
     dist_q: f64,
+    /// The partition's tree positions: a walk leaves it where they end.
+    run: Range<u64>,
     /// The partition's [`query_geometry`].
     q_local: &'a [f64],
     proj_sq: f64,
@@ -273,7 +275,10 @@ impl Candidates<'_> {
     /// ([`Reach::limit`]; a walk refines nothing, so the reach stands still)
     /// and queueing what passes. The cursor is retired for good where it
     /// leaves the partition, or at the first entry whose ring the reach
-    /// excludes: the rings behind it are no nearer.
+    /// excludes: the rings behind it are no nearer. It leaves by position,
+    /// as a key cell may reach past the partition's key slot: outward, the
+    /// partition before's entries whose cells reach over the image are
+    /// stepped over.
     #[inline]
     fn walk<const W: usize>(
         &mut self,
@@ -281,9 +286,8 @@ impl Candidates<'_> {
         gaps: &[f64],
         limit: f64,
     ) -> Result<()> {
-        let (tree, c) = (&self.index.tree, self.index.c);
-        let base = s.part as f64 * c;
-        let (slot_end, image, proj_sq) = (base + c, base + s.dist_q, s.proj_sq);
+        let (tree, run) = (&self.index.tree, s.run.clone());
+        let (image, proj_sq) = (s.part as f64 * self.index.c + s.dist_q, s.proj_sq);
         let cells = s.book.map(|book| (book, &gaps[s.gaps.clone()]));
         let Some((cur, front)) = &mut s.walks[W] else {
             unreachable!("the frontier names a walk that is still live")
@@ -294,29 +298,33 @@ impl Candidates<'_> {
                 0 => tree.cursor_next(cur),
                 _ => tree.cursor_prev(cur),
             }?;
-            let Some((key, position)) = step.filter(|(key, _)| (base..slot_end).contains(key))
+            let Some((lo, position)) =
+                step.filter(|&(_, p)| p < run.end && (W == 0 || p >= run.start))
             else {
                 break true;
             };
-            // Key-gap lower bound: |‖p‖ − ‖q‖| ≤ ‖p − q‖, so an entry whose
-            // ring exceeds the reach cannot enter — and neither can any the
-            // cursor has still to read. Strictly greater only: skipping ties
-            // would make the answer depend on the heap's trajectory.
-            let ring_gap = if W == 0 { key - image } else { image - key };
-            let ring = proj_sq + ring_gap * ring_gap;
-            if ring > limit {
-                break true;
-            }
-            last = ring;
-            // Then the entry's cell code against the gap table: `≤` the
-            // row's distance to the bit (see [`crate::codes`]), so what it
-            // puts strictly beyond the reach the result set would refuse,
-            // and no heap page, decode or distance is spent on it. What both
-            // admit is queued at the larger bound.
-            if !self.known_to_fail(position) {
-                match cells.map(|(book, gaps)| proj_sq + book.gap_sq(gaps, cur.code())) {
-                    Some(code) if code > limit => {}
-                    code => self.queue(code.map_or(ring, |code| ring.max(code)), position),
+            if position >= run.start {
+                // Key-gap lower bound: |‖p‖ − ‖q‖| ≤ ‖p − q‖ with the key in
+                // `[lo, hi]`, so an entry whose ring exceeds the reach cannot
+                // enter — nor any the cursor has still to read. Strictly
+                // greater only: skipping ties would make the answer depend
+                // on the heap's trajectory.
+                let ring_gap = (lo - image).max(image - cur.key_hi()).max(0.0);
+                let ring = proj_sq + ring_gap * ring_gap;
+                if ring > limit {
+                    break true;
+                }
+                last = ring;
+                // Then the entry's cell code against the gap table: `≤` the
+                // row's distance to the bit (see [`crate::codes`]), so what
+                // it puts strictly beyond the reach the result set would
+                // refuse, and no heap page, decode or distance is spent on
+                // it. What both admit is queued at the larger bound.
+                if !self.known_to_fail(position) {
+                    match cells.map(|(book, gaps)| proj_sq + book.gap_sq(gaps, cur.code())) {
+                        Some(code) if code > limit => {}
+                        code => self.queue(code.map_or(ring, |code| ring.max(code)), position),
+                    }
                 }
             }
             if [cur.at_leaf_end(), cur.at_leaf_start()][W] {
@@ -443,6 +451,7 @@ impl IDistanceIndex {
             searches.push(PartitionSearch {
                 part: i,
                 dist_q,
+                run: part.run.first..part.run.first + part.run.count,
                 q_local,
                 proj_sq: *proj_sq,
                 lower_bound: Some(proj_sq + gap * gap),
@@ -1526,10 +1535,11 @@ mod tests {
             .collect();
         let mut cursor = index.tree.seek(0.0).unwrap();
         let mut within = 0;
-        while let Some((key, position)) = index.tree.cursor_next(&mut cursor).unwrap() {
+        while let Some((lo, position)) = index.tree.cursor_next(&mut cursor).unwrap() {
             let (part, id, _) = index.heap.get(index.record_id(position).unwrap()).unwrap();
             let (image, proj_sq, gaps) = &geometry[part as usize];
-            let ring_gap = key - image;
+            // The gap to the key's cell, as the walk reads it.
+            let ring_gap = (lo - image).max(image - cursor.key_hi()).max(0.0);
             let code = index.partitions[part as usize]
                 .codebook
                 .as_ref()

@@ -59,7 +59,11 @@ pub const MAGIC: [u8; 8] = *b"MMDRSNP\x01";
 /// Version 5 is iDistance's META record without a search configuration or
 /// a width: the search constants are the algorithm's, not the file's, and
 /// the width is MODEL's `dim`.
-pub const FORMAT_VERSION: u32 = 5;
+///
+/// Version 6 is the 12-byte iDistance leaf entry, `(key offset: u32, code)`,
+/// and a tree with no internal pages: META holds each leaf's first key (its
+/// fence) in place of the root and height, so an open reads no page.
+pub const FORMAT_VERSION: u32 = 6;
 /// Little-endian sentinel; a byte-swapped writer would store 0x4D3C2B1A.
 pub const ENDIAN_TAG: u32 = 0x1A2B_3C4D;
 /// Superblock size; the section table starts here.
@@ -71,7 +75,7 @@ pub const TABLE_ENTRY_LEN: usize = 32;
 pub mod section_id {
     /// The reduction model (clusters, subspaces, outliers, stats).
     pub const MODEL: u32 = 1;
-    /// Backend-specific scalar metadata (roots, heights, radii, config).
+    /// Backend-specific metadata (roots, heights, leaf fences, radii).
     pub const META: u32 = 2;
     /// Raw page images, back to back, grouped per storage structure by the
     /// PAGEDIR section. Byte `PAGE_SIZE·i` of the payload is the start of
@@ -422,10 +426,10 @@ mod tests {
 
     #[test]
     fn another_version_reported_before_checksums() {
-        // A newer file, and the v4 one the previous format wrote: the
+        // A newer file, and the v5 one the previous format wrote: the
         // version is changed *without* fixing the superblock CRC, and the
         // version check must fire first.
-        for other in [99u32, 4] {
+        for other in [99u32, 5] {
             let mut image = sample();
             image[8..12].copy_from_slice(&other.to_le_bytes());
             match parse(&image) {

@@ -1,12 +1,13 @@
 //! Saving and reopening built indexes — the rebuild-free open path.
 //!
 //! A snapshot stores four sections: the reduction model (exact, bit-level
-//! float encoding), backend-specific metadata (tree roots, heights, radii,
-//! partition tables, pool capacities), a page directory (group layout plus
-//! a CRC32 per page), and the raw 4 KiB page images of every storage
-//! structure, concatenated so page `i` of a group sits at a fixed file
-//! offset. Reopening reattaches the trees/heaps via their `from_parts`
-//! constructors — no projection, clustering or bulk-load work is redone.
+//! float encoding), backend-specific metadata (tree roots, heights, leaf
+//! fences, radii, partition tables, pool capacities), a page directory
+//! (group layout plus a CRC32 per page), and the raw 4 KiB page images of
+//! every storage structure, concatenated so page `i` of a group sits at a
+//! fixed file offset. Reopening reattaches the trees/heaps via their
+//! `from_parts` constructors — no projection, clustering or bulk-load work
+//! is redone.
 //!
 //! There is one open path. [`open`] / [`open_with`] verify the superblock,
 //! section table and the small sections, then mount the PAGES section as
@@ -275,9 +276,8 @@ fn meta_and_pools<'a>(
             }
             meta.put_f64(idx.c());
             meta.put_usize(idx.tree().pool().capacity());
-            meta.put_u64(idx.tree().root_page_id());
-            meta.put_usize(idx.tree().height());
             meta.put_usize(idx.tree().len());
+            meta.put_f64_slice(idx.tree().fences());
             put_heap_meta(&mut meta, idx.heap());
             for p in idx.partitions() {
                 model_codec::put_partition(&mut meta, p);
@@ -512,9 +512,8 @@ fn restore(
         Backend::IDistance => {
             let c = meta.get_f64()?;
             let tree_capacity = meta.get_usize()?;
-            let tree_root = meta.get_u64()?;
-            let tree_height = meta.get_usize()?;
             let tree_len = meta.get_usize()?;
+            let tree_fences = meta.get_f64_vec()?;
             let (heap_capacity, heap_len, heap_open) = get_heap_meta(&mut meta)?;
             // One record per cluster of the model, then the outlier home.
             let partitions = (0..=model.clusters.len())
@@ -525,10 +524,8 @@ fn restore(
             let tree_pages = groups.pop().expect("two groups");
             let tree_pool = restore_pool(tree_pages, tree_capacity, opts)?;
             let heap_pool = restore_pool(heap_pages, heap_capacity, opts)?;
-            // Checking the root's kind is this open's one fetch, counted by
-            // the tree's pool like any other.
-            let tree =
-                mmdr_btree::BPlusTree::from_parts(tree_pool, tree_root, tree_height, tree_len)?;
+            // The fences route every seek: the open reads no page.
+            let tree = mmdr_btree::BPlusTree::from_parts(tree_pool, tree_fences, tree_len)?;
             let heap = VectorHeap::from_parts(heap_pool, heap_open, heap_len)?;
             BuiltIndex::IDistance(Box::new(IDistanceIndex::from_parts(
                 tree, heap, partitions, c, model.dim,

@@ -193,9 +193,9 @@ struct Shapes {
 }
 
 /// Walks `index`'s tree from its first key: entry `n` is at position `n`,
-/// and its rid — resolved once through a [`RecordIds`] that remembers the
-/// heap page, once from scratch — reads the `n`-th row of `want`, whose key
-/// it carries.
+/// its rid — resolved once through a [`RecordIds`] that remembers the heap
+/// page, once from scratch — reads the `n`-th row of `want`, and its key
+/// cell `[lo, hi)` holds that row's exact key.
 fn assert_positions_name_their_rows(index: &BuiltIndex, want: &[(usize, u64, u64)], tag: &str) {
     let BuiltIndex::IDistance(idx) = index else {
         panic!("an iDistance index");
@@ -204,15 +204,21 @@ fn assert_positions_name_their_rows(index: &BuiltIndex, want: &[(usize, u64, u64
     let mut cursor = tree.seek(f64::MIN).unwrap();
     let mut ids = RecordIds::default();
     let mut n = 0;
-    while let Some((key, position)) = tree.cursor_next(&mut cursor).unwrap() {
+    while let Some((lo, position)) = tree.cursor_next(&mut cursor).unwrap() {
         assert_eq!(position, n as u64, "{tag}");
         let rid = ids.get(idx, position);
         assert_eq!(rid, idx.record_id(position).unwrap(), "{tag}: entry {n}");
         let (part, id, _) = idx.heap().get(rid).unwrap();
+        let (want_part, want_id, key) = want[n];
         assert_eq!(
-            (part as usize, id, key.to_bits()),
-            want[n],
+            (part as usize, id),
+            (want_part, want_id),
             "{tag}: entry {n}"
+        );
+        let (key, hi) = (f64::from_bits(key), cursor.key_hi());
+        assert!(
+            lo <= key && key < hi,
+            "{tag}: entry {n}, {key} not in [{lo}, {hi})"
         );
         n += 1;
     }

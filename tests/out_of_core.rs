@@ -84,22 +84,6 @@ fn assert_answers_identical(fresh: &[(f64, u64)], reopened: &[(f64, u64)], what:
     }
 }
 
-/// What opening a snapshot of `backend` costs before any query: iDistance
-/// checks its tree's root — one fetch, a miss, and on a demand-paged open
-/// the one physical read it causes (the root is not page 0, so no
-/// readahead run); the other backends read nothing.
-fn open_cost(backend: Backend, paged: bool) -> QueryStats {
-    match backend {
-        Backend::IDistance => QueryStats {
-            pages_touched: 1,
-            page_reads: 1,
-            physical_reads: u64::from(paged),
-            ..QueryStats::default()
-        },
-        _ => QueryStats::default(),
-    }
-}
-
 fn lazy_opts(pool_pages: usize) -> OpenOptions {
     OpenOptions {
         pool_pages: Some(pool_pages),
@@ -157,13 +141,11 @@ fn tiny_pool_demand_paged_answers_are_bit_identical() {
             let opened: Opened = open_with(&file.0, &lazy_opts(pool_pages)).unwrap();
             let idx = opened.index.as_dyn();
             // A demand-paged open is ~O(superblock): no page payloads are
-            // decoded or fetched until a query asks for them, but for the
-            // one a reattach checks.
-            let open = open_cost(backend, true);
+            // decoded or fetched until a query asks for them.
             assert_eq!(
                 idx.query_stats(),
-                open,
-                "{what}: open must not fetch any pages but the root it checks"
+                QueryStats::default(),
+                "{what}: open must not fetch any pages"
             );
 
             // Serial parity, KNN and range.
@@ -180,7 +162,7 @@ fn tiny_pool_demand_paged_answers_are_bit_identical() {
                 );
             }
             assert!(
-                idx.query_stats().physical_reads > open.physical_reads,
+                idx.query_stats().physical_reads > 0,
                 "{what}: queries over a cold out-of-core index must fetch pages"
             );
 
@@ -268,17 +250,16 @@ fn a_resident_open_is_done_with_its_file() {
         std::fs::remove_file(&file.0).unwrap();
 
         let idx = resident.index.as_dyn();
-        let open = open_cost(backend, false);
         assert_eq!(
             idx.query_stats(),
-            open,
-            "{}: open is free but for the root it checks",
+            QueryStats::default(),
+            "{}: open is free",
             backend.name()
         );
         for (i, (want, got)) in want.iter().zip(answers(&resident)).enumerate() {
             assert_answers_identical(want, &got, &format!("{} answer {i}", backend.name()));
         }
-        let spent = idx.query_stats().since(&open);
+        let spent = idx.query_stats();
         assert!(
             spent.page_reads > 0,
             "{}: first touches miss",
