@@ -1,9 +1,9 @@
-//! Bulk loading from sorted input — the one way a tree is built.
+//! Bulk loading — the one way a tree is built.
 //!
 //! Indexing a dimensionality-reduction result means indexing every point's
 //! 1-d key at once, and the index is never written again: every leaf but
 //! the last is packed full, on consecutive pages, in `O(n)` page writes,
-//! and each leaf's first key becomes its fence.
+//! and each leaf's least key becomes its fence.
 
 use crate::error::{Error, Result};
 use crate::node::{Leaf, LEAF_CAPACITY};
@@ -11,29 +11,33 @@ use crate::tree::BPlusTree;
 use mmdr_storage::BufferPool;
 
 impl BPlusTree {
-    /// Builds a tree from `(key, code)` entries sorted by key (ascending;
-    /// duplicates allowed) on a fresh pool: entry `n` of `entries` is the
-    /// tree's position `n`. Returns [`Error::UnsortedInput`] on order
-    /// violations and [`Error::InvalidKey`] on non-finite keys. An empty
-    /// input is one empty leaf.
+    /// Builds a tree from `(key, code)` entries on a fresh pool: entry `n`
+    /// of `entries` is the tree's position `n`, and leaf `j` holds entries
+    /// `j·LEAF_CAPACITY` on, up to [`LEAF_CAPACITY`] of them, their codes
+    /// in the order given. Within a leaf the entries may come in any order
+    /// (a leaf keeps only its least and greatest key); across leaves every
+    /// key must be at or above each key of the leaves before it — input
+    /// sorted by key always is. Returns [`Error::UnsortedInput`] at the
+    /// first entry below a key of an earlier leaf and [`Error::InvalidKey`]
+    /// on non-finite keys. An empty input is one empty leaf.
     pub fn bulk_load(mut pool: BufferPool, entries: &[(f64, u64)]) -> Result<Self> {
-        // Validate input once, up front.
-        for (i, &(k, _)) in entries.iter().enumerate() {
-            if !k.is_finite() {
-                return Err(Error::InvalidKey);
-            }
-            if i > 0 && k < entries[i - 1].0 {
-                return Err(Error::UnsortedInput { position: i });
-            }
+        if entries.iter().any(|&(k, _)| !k.is_finite()) {
+            return Err(Error::InvalidKey);
         }
-
         let leaves = entries.len().div_ceil(LEAF_CAPACITY).max(1);
         let mut fences = Vec::with_capacity(leaves);
+        // The greatest key of the leaves written so far.
+        let mut below = f64::NEG_INFINITY;
         for at in (0..leaves).map(|j| j * LEAF_CAPACITY) {
             let chunk = &entries[at..(at + LEAF_CAPACITY).min(entries.len())];
+            if let Some(i) = chunk.iter().position(|&(k, _)| k < below) {
+                return Err(Error::UnsortedInput { position: at + i });
+            }
             let page_id = pool.allocate()?;
-            pool.with_page_mut(page_id, |p| Leaf::write(p, at as u64, chunk))??;
-            fences.push(chunk.first().map_or(0.0, |e| e.0));
+            let (first, last) =
+                pool.with_page_mut(page_id, |p| Leaf::write(p, at as u64, chunk))??;
+            fences.push(first);
+            below = last;
         }
         Ok(Self {
             pool,
@@ -60,14 +64,37 @@ mod tests {
             .collect()
     }
 
-    /// Every entry as a forward walk shows it: `(lo, position, code)`.
-    fn walked(t: &BPlusTree) -> Vec<(f64, u64, u64)> {
+    /// Every entry as a forward walk shows it: `(lo, hi, position, code)`.
+    fn walked(t: &BPlusTree) -> Vec<(f64, f64, u64, u64)> {
         let mut c = t.seek(f64::MIN).unwrap();
         let mut out = Vec::new();
         while let Some((lo, position)) = t.cursor_next(&mut c).unwrap() {
-            out.push((lo, position, c.code()));
+            out.push((lo, c.key_hi(), position, c.code()));
         }
         out
+    }
+
+    /// Each entry's leaf range, as a bulk load over `entries` must give it:
+    /// the least and greatest key of its `LEAF_CAPACITY`-chunk.
+    fn ranges(entries: &[(f64, u64)]) -> Vec<(f64, f64)> {
+        entries
+            .chunks(LEAF_CAPACITY)
+            .flat_map(|chunk| {
+                let keys = chunk.iter().map(|e| e.0);
+                let lo = keys.clone().fold(f64::INFINITY, f64::min);
+                let hi = keys.fold(f64::NEG_INFINITY, f64::max);
+                std::iter::repeat_n((lo, hi), chunk.len())
+            })
+            .collect()
+    }
+
+    /// The walk a bulk load over `entries` must give: position `n` is entry
+    /// `n` with its code, bounded by its chunk's range.
+    fn want(entries: &[(f64, u64)]) -> Vec<(f64, f64, u64, u64)> {
+        (0..)
+            .zip(entries.iter().zip(ranges(entries)))
+            .map(|(n, (&(_, code), (lo, hi)))| (lo, hi, n, code))
+            .collect()
     }
 
     #[test]
@@ -76,10 +103,8 @@ mod tests {
         let t = BPlusTree::bulk_load(pool(16), &entries).unwrap();
         assert_eq!(t.len(), 10);
         t.check_invariants().unwrap();
-        // Small integers read back exactly: the unit divides them.
-        let want: Vec<(f64, u64, u64)> =
-            (0..).zip(&entries).map(|(i, &(k, c))| (k, i, c)).collect();
-        assert_eq!(walked(&t), want);
+        assert_eq!(walked(&t), want(&entries));
+        assert_eq!(t.fences(), [0.0]);
     }
 
     #[test]
@@ -89,14 +114,31 @@ mod tests {
         let t = BPlusTree::bulk_load(pool(1024), &entries).unwrap();
         assert_eq!(t.len(), n as usize);
         assert_eq!(t.fences().len(), (n as usize).div_ceil(LEAF_CAPACITY));
-        // Spot checks.
+        // Spot checks: a seek stands before the leaf holding the key.
         for probe in [0u64, 1, n / 2, n - 1] {
             let key = probe as f64 * 0.25;
+            let first = probe - probe % LEAF_CAPACITY as u64;
             let mut c = t.seek(key).unwrap();
-            assert_eq!(t.cursor_next(&mut c).unwrap(), Some((key, probe)));
-            assert_eq!(c.code(), entries[probe as usize].1);
+            let lo = first as f64 * 0.25;
+            assert_eq!(t.cursor_next(&mut c).unwrap(), Some((lo, first)));
+            assert!(lo <= key && key <= c.key_hi());
+            assert_eq!(c.code(), entries[first as usize].1);
         }
         t.check_invariants().unwrap();
+    }
+
+    #[test]
+    fn a_leaf_takes_its_entries_in_any_order() {
+        // Descending inside each leaf, ascending across leaves.
+        let mut entries = coded((0..1500).map(f64::from));
+        for chunk in entries.chunks_mut(LEAF_CAPACITY) {
+            chunk.reverse();
+        }
+        let t = BPlusTree::bulk_load(pool(16), &entries).unwrap();
+        t.check_invariants().unwrap();
+        assert_eq!(walked(&t), want(&entries));
+        let leaf = LEAF_CAPACITY as f64;
+        assert_eq!(t.fences(), [0.0, leaf, 2.0 * leaf]);
     }
 
     #[test]
@@ -113,11 +155,12 @@ mod tests {
     #[test]
     fn bulk_load_duplicates() {
         let mut keys = vec![1.0];
-        keys.extend([2.0; 500]);
+        keys.extend([2.0; 1100]);
         keys.push(3.0);
-        let t = BPlusTree::bulk_load(pool(64), &coded(keys)).unwrap();
-        let twos = walked(&t).iter().filter(|e| e.0 == 2.0).count();
-        assert_eq!(twos, 500);
+        let entries = coded(keys);
+        let t = BPlusTree::bulk_load(pool(64), &entries).unwrap();
+        assert_eq!(walked(&t), want(&entries));
+        assert_eq!(t.fences(), [1.0, 2.0, 2.0]);
         t.check_invariants().unwrap();
     }
 
@@ -130,9 +173,16 @@ mod tests {
 
     #[test]
     fn bulk_load_validates_input() {
+        // Out of order inside a leaf is a leaf's business; below a key of an
+        // earlier leaf is not.
+        assert!(BPlusTree::bulk_load(pool(4), &[(2.0, 0), (1.0, 1)]).is_ok());
+        let mut entries = coded((0..1000).map(f64::from));
+        entries[LEAF_CAPACITY + 5].0 = (LEAF_CAPACITY - 1) as f64;
+        assert!(BPlusTree::bulk_load(pool(4), &entries).is_ok(), "a tie");
+        entries[LEAF_CAPACITY + 5].0 = 100.0;
         assert!(matches!(
-            BPlusTree::bulk_load(pool(4), &[(2.0, 0), (1.0, 1)]),
-            Err(Error::UnsortedInput { position: 1 })
+            BPlusTree::bulk_load(pool(4), &entries),
+            Err(Error::UnsortedInput { position }) if position == LEAF_CAPACITY + 5
         ));
         assert!(matches!(
             BPlusTree::bulk_load(pool(4), &[(f64::NAN, 0)]),
@@ -151,7 +201,7 @@ mod tests {
     fn scan_costs_one_fetch_per_leaf() {
         let n = 100_000u64;
         let (t, _, leaves) = loaded(n, 1024);
-        assert!(leaves > 200, "{leaves} leaves");
+        assert!(leaves > 190, "{leaves} leaves");
         let fetches = |f: &dyn Fn()| {
             let before = t.pool().snapshot();
             f();
@@ -159,12 +209,14 @@ mod tests {
         };
 
         // A seek is one leaf fetch wherever it lands: the fences route it.
+        let leaf = LEAF_CAPACITY as f64;
         for key in [
             f64::MIN,
             0.0,
             n as f64 / 2.0,
-            339.0,
-            339.5,
+            leaf - 0.5,
+            leaf,
+            leaf + 0.5,
             n as f64,
             f64::MAX,
         ] {
@@ -195,17 +247,19 @@ mod tests {
         // One frame: every fetch evicts the leaf the cursor stands on.
         let n = 5_000u64;
         let (t, entries, _) = loaded(n, 1);
+        let lo = |i: u64| (i - i % LEAF_CAPACITY as u64) as f64;
         let mut c = t.seek(f64::MIN).unwrap();
         let mut mid = t.seek(n as f64 / 2.0).unwrap();
         for i in 0..n {
-            assert_eq!(t.cursor_next(&mut c).unwrap(), Some((i as f64, i)));
+            assert_eq!(t.cursor_next(&mut c).unwrap(), Some((lo(i), i)));
             assert_eq!(c.code(), entries[i as usize].1);
         }
         assert_eq!(t.cursor_next(&mut c).unwrap(), None);
         // A cursor parked across all that traffic still reads its leaf.
-        assert_eq!(t.cursor_next(&mut mid).unwrap(), Some((2500.0, 2500)));
+        let parked = lo(n / 2) as u64;
+        assert_eq!(t.cursor_next(&mut mid).unwrap(), Some((lo(parked), parked)));
         for i in (0..n).rev() {
-            assert_eq!(t.cursor_prev(&mut c).unwrap(), Some((i as f64, i)));
+            assert_eq!(t.cursor_prev(&mut c).unwrap(), Some((lo(i), i)));
             assert_eq!(c.code(), entries[i as usize].1);
         }
         assert_eq!(t.cursor_prev(&mut c).unwrap(), None);

@@ -1,6 +1,6 @@
 //! Cursor handle for leaf-chain iteration.
 
-use crate::node::{Cells, Leaf};
+use crate::node::Leaf;
 use mmdr_storage::{Page, PageId};
 use std::sync::Arc;
 
@@ -10,9 +10,9 @@ use std::sync::Arc;
 /// A cursor *pins* its leaf: it holds the `Arc<Page>` image the pool handed
 /// out when the cursor arrived there, and
 /// [`cursor_next`](crate::BPlusTree::cursor_next) /
-/// [`cursor_prev`](crate::BPlusTree::cursor_prev) read keys — and
+/// [`cursor_prev`](crate::BPlusTree::cursor_prev) — and
 /// [`key_hi`](Self::key_hi) / [`code`](Self::code) the rest of an entry —
-/// from that image. The pool is fetched once per leaf visited — when
+/// read from that image. The pool is fetched once per leaf visited — when
 /// [`seek`](crate::BPlusTree::seek) lands on it or a step crosses to a
 /// neighbour — never per entry. The pin is an immutable image, not a
 /// latch: the pool may evict the frame underneath it.
@@ -24,12 +24,13 @@ pub struct Cursor {
     /// The pinned leaf's page: its neighbours are the pages either side.
     pub(crate) page: PageId,
     pub(crate) slot: usize,
-    /// The pinned leaf's entry count, the position of its entry 0 and how
-    /// its key offsets read, from its header once per pin (the image is
-    /// immutable), not once per step.
+    /// The pinned leaf's entry count, the position of its entry 0 and its
+    /// key range, from its header once per pin (the image is immutable),
+    /// not once per step.
     pub(crate) count: usize,
     pub(crate) first: u64,
-    pub(crate) cells: Cells,
+    pub(crate) lo: f64,
+    pub(crate) hi: f64,
     /// Slot of the entry the last step returned, on the pinned leaf.
     pub(crate) last: usize,
 }
@@ -40,7 +41,8 @@ impl Cursor {
         Self {
             count: Leaf::count(&leaf),
             first: Leaf::first(&leaf),
-            cells: Leaf::cells(&leaf),
+            lo: Leaf::first_key(&leaf),
+            hi: Leaf::last_key(&leaf),
             leaf,
             page,
             slot,
@@ -48,29 +50,14 @@ impl Cursor {
         }
     }
 
-    /// The first slot of the pinned leaf whose cell ends past `key` (its
-    /// `hi` exceeds it); `count` when none does.
-    pub(crate) fn first_above(&self, key: f64) -> usize {
-        let (mut lo, mut hi) = (0, self.count);
-        while lo < hi {
-            let mid = (lo + hi) / 2;
-            if self.cells.hi(Leaf::offset(&self.leaf, mid)) <= key {
-                lo = mid + 1;
-            } else {
-                hi = mid;
-            }
-        }
-        lo
-    }
-
-    /// The upper end of the cell of the entry the last
-    /// [`cursor_next`](crate::BPlusTree::cursor_next) or
-    /// [`cursor_prev`](crate::BPlusTree::cursor_prev) returned: its key is
-    /// at least the `lo` the step returned and less than this. Meaningless
-    /// before a step has returned an entry.
+    /// The greatest key of the pinned leaf, inclusive: the upper end of the
+    /// key range every entry of the leaf takes as its bound, whose lower
+    /// end the last [`cursor_next`](crate::BPlusTree::cursor_next) or
+    /// [`cursor_prev`](crate::BPlusTree::cursor_prev) returned. The entry's
+    /// key lies in `[lo, key_hi()]`.
     #[inline]
     pub fn key_hi(&self) -> f64 {
-        self.cells.hi(Leaf::offset(&self.leaf, self.last))
+        self.hi
     }
 
     /// The code word of the entry the last
@@ -106,30 +93,38 @@ mod tests {
     use crate::BPlusTree;
     use mmdr_storage::{BufferPool, DiskManager};
 
+    /// Over keys `0, 1, …` in order: the first key of the leaf holding `at`.
+    fn leaf_lo(at: usize) -> f64 {
+        (at - at % LEAF_CAPACITY) as f64
+    }
+
     #[test]
     fn cloned_cursor_advances_independently() {
-        let entries: Vec<(f64, u64)> = (0..1000).map(|i| (i as f64, i * i)).collect();
-        let step = |at: usize| Some((entries[at].0, at as u64));
+        let entries: Vec<(f64, u64)> = (0..1200).map(|i| (i as f64, i * i)).collect();
+        let step = |at: usize| Some((leaf_lo(at), at as u64));
         let pool = BufferPool::new(DiskManager::new(), 16).unwrap();
         let t = BPlusTree::bulk_load(pool, &entries).unwrap();
-        let mut a = t.seek(500.0).unwrap();
+        // Mid-leaf: the cursor stands before the second leaf.
+        let mut a = t.seek(LEAF_CAPACITY as f64 + 90.0).unwrap();
         let mut b = a.clone();
+        let start = LEAF_CAPACITY;
         // Each walks its own way, across leaf boundaries, from the same gap.
         for i in 0..400 {
-            assert_eq!(t.cursor_next(&mut a).unwrap(), step(500 + i));
-            assert_eq!(a.code(), entries[500 + i].1);
-            assert_eq!(t.cursor_prev(&mut b).unwrap(), step(499 - i));
-            assert_eq!(b.code(), entries[499 - i].1);
+            assert_eq!(t.cursor_next(&mut a).unwrap(), step(start + i));
+            assert_eq!(a.code(), entries[start + i].1);
+            assert_eq!(t.cursor_prev(&mut b).unwrap(), step(start - 1 - i));
+            assert_eq!(b.code(), entries[start - 1 - i].1);
+            assert_eq!(b.key_hi(), (LEAF_CAPACITY - 1) as f64);
         }
-        assert_eq!(t.cursor_next(&mut b).unwrap(), step(100));
-        assert_eq!(b.code(), entries[100].1);
-        assert_eq!(t.cursor_prev(&mut a).unwrap(), step(899));
-        assert_eq!(a.code(), entries[899].1);
+        assert_eq!(t.cursor_next(&mut b).unwrap(), step(start - 400));
+        assert_eq!(b.code(), entries[start - 400].1);
+        assert_eq!(t.cursor_prev(&mut a).unwrap(), step(start + 399));
+        assert_eq!(a.code(), entries[start + 399].1);
     }
 
     #[test]
     fn the_leaf_probes_say_where_the_next_step_leaves_the_leaf() {
-        let entries: Vec<(f64, u64)> = (0..1000).map(|i| (i as f64, i)).collect();
+        let entries: Vec<(f64, u64)> = (0..1200).map(|i| (i as f64, i)).collect();
         let pool = BufferPool::new(DiskManager::new(), 16).unwrap();
         let t = BPlusTree::bulk_load(pool, &entries).unwrap();
         // Steps `cursor` once either way and checks the probe said whether
@@ -147,24 +142,26 @@ mod tests {
             got
         };
         // Fresh seeks: mid-leaf, at a leaf boundary, before the first entry
-        // and past the last — the two probes from each.
+        // and past the last — the two probes from each. A seek stands at
+        // one end of its leaf, so exactly one probe holds.
         let boundary = LEAF_CAPACITY as f64;
         let mut fresh_probes = 0;
-        for key in [100.0, boundary - 0.5, boundary, 0.0, 1000.0] {
+        for key in [100.0, boundary - 0.5, boundary, 0.0, 1200.0] {
             let fresh = t.seek(key).unwrap();
             fresh_probes += usize::from(fresh.at_leaf_end()) + usize::from(fresh.at_leaf_start());
             step(&mut fresh.clone(), true);
             step(&mut fresh.clone(), false);
         }
-        assert_eq!(fresh_probes, 4);
+        assert_eq!(fresh_probes, 5);
         // Forward over every leaf boundary to the end, then back to the
         // start: each crossing, both ways, announced by its probe.
         let mut c = t.seek(0.0).unwrap();
-        let mut crossings = 0;
-        while let Some((key, _)) = step(&mut c, true) {
-            crossings += usize::from(key > 0.0 && (key as usize).is_multiple_of(LEAF_CAPACITY));
+        let mut los = Vec::new();
+        while let Some((lo, _)) = step(&mut c, true) {
+            los.push(lo);
         }
-        assert_eq!(crossings, 2);
+        los.dedup();
+        assert_eq!(los, [0.0, boundary, 2.0 * boundary]);
         assert!(c.at_leaf_end());
         let mut clone = c.clone();
         while step(&mut c, false).is_some() {}
@@ -172,7 +169,8 @@ mod tests {
         // The clone still stands at the end, on the last leaf, its probes
         // its own.
         assert!(clone.at_leaf_end() && !clone.at_leaf_start());
-        assert_eq!(step(&mut clone, false), Some((999.0, 999)));
+        assert_eq!(step(&mut clone, false), Some((2.0 * boundary, 1199)));
+        assert_eq!(clone.key_hi(), 1199.0);
         assert!(!clone.at_leaf_end());
     }
 }

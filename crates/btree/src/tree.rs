@@ -6,13 +6,13 @@ use crate::node::{Leaf, LEAF_CAPACITY};
 use mmdr_storage::{BufferPool, Page, PageId};
 use std::sync::Arc;
 
-/// A static B⁺-tree over finite `f64` keys, each entry named by its
-/// position in key order, with a `u64` code word beside its key.
+/// A static B⁺-tree over finite `f64` keys, each entry a `u64` code word
+/// named by its position, bounded by its leaf's key range.
 ///
 /// The tree is its leaves, on pages `0..` of its pool, and one *fence* per
-/// leaf held in memory: the leaf's exact first key. A seek binary-searches
-/// the fences and fetches one leaf; there are no internal nodes. Built once
-/// by [`bulk_load`](Self::bulk_load) (or reattached by
+/// leaf held in memory: the leaf's exact first (least) key. A seek
+/// binary-searches the fences and fetches one leaf; there are no internal
+/// nodes. Built once by [`bulk_load`](Self::bulk_load) (or reattached by
 /// [`from_parts`](Self::from_parts)) and never written again. See the
 /// crate docs for an end-to-end example.
 #[derive(Debug)]
@@ -43,8 +43,9 @@ impl BPlusTree {
         Ok(Self { pool, fences, len })
     }
 
-    /// Each leaf's exact first key, leaf by leaf (persisted alongside the
-    /// page images so [`from_parts`](Self::from_parts) can reattach).
+    /// Each leaf's exact first (least) key, leaf by leaf (persisted
+    /// alongside the page images so [`from_parts`](Self::from_parts) can
+    /// reattach).
     pub fn fences(&self) -> &[f64] {
         &self.fences
     }
@@ -76,18 +77,18 @@ impl BPlusTree {
         self.pool.num_pages()
     }
 
-    /// Positions a cursor before the first entry whose cell ends past
-    /// `key` (its [`Cursor::key_hi`] exceeds it), pinned to the leaf the
-    /// fences route `key` to: one pool fetch, and none again until the
-    /// cursor crosses to a neighbour. So [`cursor_prev`](Self::cursor_prev)
-    /// yields exactly the entries whose `hi ≤ key`, and
-    /// [`cursor_next`](Self::cursor_next) every entry whose key is `≥ key`
-    /// (and those below it whose cell reaches past it).
+    /// Positions a cursor at a leaf boundary: before the leaf the fences
+    /// route `key` to if its last key is `≥ key`, after it otherwise. One
+    /// pool fetch, and none again until the cursor crosses to a neighbour.
+    /// So [`cursor_prev`](Self::cursor_prev) yields exactly the entries of
+    /// the leaves whose last key is `< key`, and
+    /// [`cursor_next`](Self::cursor_next) those of the rest — every entry
+    /// whose key is `≥ key` among them.
     ///
     /// The routing is lower-bound routing: a leaf whose fence equals `key`
     /// is not taken, so a seek lands on the *first* duplicate. The cursor
-    /// may be exhausted immediately (every cell ends at or below `key`);
-    /// both steps work from the returned position.
+    /// may be exhausted immediately (every leaf ends below `key`); both
+    /// steps work from the returned position.
     pub fn seek(&self, key: f64) -> Result<Cursor> {
         if !key.is_finite() {
             return Err(Error::InvalidKey);
@@ -96,14 +97,19 @@ impl BPlusTree {
         // seeks proceed in parallel.
         let page = self.fences[1..].partition_point(|&fence| fence < key) as PageId;
         let mut cursor = self.pin(page, self.pool.page(page)?, 0)?;
-        cursor.slot = cursor.first_above(key);
+        if cursor.hi < key {
+            cursor.slot = cursor.count;
+        }
         Ok(cursor)
     }
 
     /// A cursor on `leaf`, page `page`, in the gap before `slot` — refused
     /// if the leaf holds more than a leaf can or its positions run past
     /// [`len`](Self::len), so every position a cursor returns names one of
-    /// the tree's entries.
+    /// the tree's entries; or if its first key is not its fence, or its
+    /// last key is below its first or not finite — the two keys are all a
+    /// walk knows of its entries' keys, and a wrong one would end a walk
+    /// early without a word.
     #[inline]
     fn pin(&self, page: PageId, leaf: Arc<Page>, slot: usize) -> Result<Cursor> {
         let cursor = Cursor::pinned(page, leaf, slot);
@@ -112,19 +118,30 @@ impl BPlusTree {
         {
             return Err(Error::Corrupt("leaf positions run past the tree"));
         }
+        // The fences are finite (`from_parts`), so a first key equal to its
+        // fence is too; `!(lo <= hi)` also refuses a NaN last key.
+        if cursor.lo != self.fences[page as usize] {
+            return Err(Error::Corrupt("a leaf's first key is not its fence"));
+        }
+        if !(cursor.lo <= cursor.hi && cursor.hi.is_finite()) {
+            return Err(Error::Corrupt(
+                "a leaf's last key is below its first or not finite",
+            ));
+        }
         Ok(cursor)
     }
 
-    /// Returns the entry at the cursor as `(lo, position)` — `lo` the lower
-    /// end of the entry's key cell, [`Cursor::key_hi`] the upper — and
-    /// advances the cursor forward (ascending keys). `None` when past the
-    /// last entry; the cursor then stays on the last leaf, so
+    /// Returns the entry at the cursor as `(lo, position)` — `lo` the
+    /// leaf's first key, the lower end of the range the entry's key lies
+    /// in, [`Cursor::key_hi`] the upper — and advances the cursor forward
+    /// (ascending positions, leaf ranges that never descend). `None` when
+    /// past the last entry; the cursor then stays on the last leaf, so
     /// [`cursor_prev`](Self::cursor_prev) still walks back.
     ///
-    /// A step within the pinned leaf is a slot compare and one offset read,
-    /// inlined into the caller's loop; only crossing to the next leaf calls
-    /// out. The entry's code is not read here: [`Cursor::code`] reads it
-    /// for the caller that wants it.
+    /// A step within the pinned leaf is a slot compare, inlined into the
+    /// caller's loop; only crossing to the next leaf calls out. The entry's
+    /// code is not read here: [`Cursor::code`] reads it for the caller that
+    /// wants it.
     #[inline]
     pub fn cursor_next(&self, cursor: &mut Cursor) -> Result<Option<(f64, u64)>> {
         while cursor.slot >= cursor.count {
@@ -144,12 +161,12 @@ impl BPlusTree {
     }
 
     /// Returns the entry *before* the cursor as `(lo, position)` and moves
-    /// the cursor backward (descending keys). `None` when before the first
-    /// entry; the cursor then stays on the first leaf.
+    /// the cursor backward (descending positions). `None` when before the
+    /// first entry; the cursor then stays on the first leaf.
     ///
     /// `cursor_next` and `cursor_prev` are symmetric around the cursor gap:
-    /// after a `seek(k)`, `cursor_prev` yields the entries whose cells end
-    /// at or below `k` and `cursor_next` the rest.
+    /// after a `seek(k)`, `cursor_prev` yields the entries of the leaves
+    /// that end below `k` and `cursor_next` the rest.
     #[inline]
     pub fn cursor_prev(&self, cursor: &mut Cursor) -> Result<Option<(f64, u64)>> {
         while cursor.slot == 0 {
@@ -169,36 +186,31 @@ impl BPlusTree {
     /// The entry the last step returned, as `(lo, position)`.
     #[inline]
     fn entry(cursor: &Cursor) -> (f64, u64) {
-        let offset = Leaf::offset(&cursor.leaf, cursor.last);
-        (cursor.cells.lo(offset), cursor.first + cursor.last as u64)
+        (cursor.lo, cursor.first + cursor.last as u64)
     }
 
-    /// Walks the whole tree checking structural invariants (each leaf's
-    /// first key is its fence and reads back exactly, cells never descend
-    /// along the chain, positions `0..len` in order, the chain the same
-    /// length both ways). Test/diagnostic helper — `O(n)`.
+    /// Walks the whole tree checking structural invariants (each leaf pins
+    /// — its first key is its fence, its last key finite and not below it
+    /// — and ends at or below the next leaf's fence, positions `0..len` in
+    /// order, the chain the same length both ways). Test/diagnostic helper
+    /// — `O(n)`.
     pub fn check_invariants(&self) -> Result<()> {
-        for (page, &fence) in self.fences.iter().enumerate() {
-            let leaf = self.pool.page(page as PageId)?;
-            if Leaf::first_key(&leaf) != fence
-                || (Leaf::count(&leaf) > 0
-                    && Leaf::cells(&leaf).lo(Leaf::offset(&leaf, 0)) != fence)
+        for page in 0..self.fences.len() as PageId {
+            let leaf = self.pin(page, self.pool.page(page)?, 0)?;
+            if self
+                .fences
+                .get(page as usize + 1)
+                .is_some_and(|&next| leaf.hi > next)
             {
-                return Err(Error::Corrupt("a leaf's first key is not its fence"));
+                return Err(Error::Corrupt("leaf key ranges descend along the chain"));
             }
         }
         let mut cursor = self.seek(f64::MIN)?;
-        let mut prev = (f64::MIN, f64::MIN);
         let mut seen = 0u64;
-        while let Some((lo, position)) = self.cursor_next(&mut cursor)? {
-            let hi = cursor.key_hi();
-            if lo >= hi || lo < prev.0 || hi < prev.1 {
-                return Err(Error::Corrupt("key cells descend along the leaf chain"));
-            }
+        while let Some((_, position)) = self.cursor_next(&mut cursor)? {
             if position != seen {
-                return Err(Error::Corrupt("positions are not dense in key order"));
+                return Err(Error::Corrupt("positions are not dense in leaf order"));
             }
-            prev = (lo, hi);
             seen += 1;
         }
         if seen != self.len as u64 {
@@ -249,50 +261,74 @@ mod tests {
         t.check_invariants().unwrap();
     }
 
+    /// The second leaf's first position and key over `upto(n, 1.0)`.
+    const SECOND: u64 = LEAF_CAPACITY as u64;
+
     #[test]
     fn point_seek_and_walk() {
-        let t = tree(64, &upto(100, 1.0));
-        assert_eq!(t.len(), 100);
-        let mut c = t.seek(42.0).unwrap();
-        assert_eq!(t.cursor_next(&mut c).unwrap(), Some((42.0, 42)));
-        assert!(c.key_hi() > 42.0 && c.key_hi() <= 43.0);
-        assert_eq!(c.code(), 42 * 42);
-        assert_eq!(t.cursor_next(&mut c).unwrap(), Some((43.0, 43)));
+        let t = tree(64, &upto(1200, 1.0));
+        assert_eq!(t.len(), 1200);
+        // Mid-leaf: the cursor stands before the leaf holding the key.
+        let mut c = t.seek(SECOND as f64 + 42.0).unwrap();
+        assert_eq!(
+            t.cursor_next(&mut c).unwrap(),
+            Some((SECOND as f64, SECOND))
+        );
+        assert_eq!(c.key_hi(), (2 * SECOND - 1) as f64);
+        assert_eq!(c.code(), SECOND * SECOND);
+        assert_eq!(
+            t.cursor_next(&mut c).unwrap(),
+            Some((SECOND as f64, SECOND + 1))
+        );
         t.check_invariants().unwrap();
     }
 
     #[test]
     fn duplicates_across_leaves_seek_to_first() {
-        // A run of duplicates longer than a leaf spans leaf boundaries.
+        // A run of duplicates longer than a leaf spans leaf boundaries:
+        // leaves [3, 7], [7, 7] and [7, 11].
         let mut keys = vec![3.0; 100];
-        keys.extend([7.0; 800]);
+        keys.extend([7.0; 1200]);
         keys.extend([11.0; 100]);
         let t = tree(256, &keys);
+        assert_eq!(t.fences(), [3.0, 7.0, 7.0]);
+        // The first leaf holding a 7: everything is forward of it.
         let mut c = t.seek(7.0).unwrap();
-        assert_eq!(t.cursor_next(&mut c).unwrap(), Some((7.0, 100)));
-        let mut run = 1;
-        while t
-            .cursor_next(&mut c)
-            .unwrap()
-            .is_some_and(|(lo, _)| lo == 7.0)
-        {
-            run += 1;
-        }
-        assert_eq!(run, 800);
-        let mut c = t.seek(7.0).unwrap();
-        assert_eq!(t.cursor_prev(&mut c).unwrap(), Some((3.0, 99)));
+        assert_eq!(t.cursor_prev(&mut c).unwrap(), None);
+        assert_eq!(t.cursor_next(&mut c).unwrap(), Some((3.0, 0)));
+        assert_eq!(c.key_hi(), 7.0);
+        // Past 7, only the last leaf reaches the key.
+        let mut c = t.seek(7.5).unwrap();
+        assert_eq!(t.cursor_prev(&mut c).unwrap(), Some((7.0, 2 * SECOND - 1)));
+        assert_eq!(c.key_hi(), 7.0);
+        let mut c = t.seek(7.5).unwrap();
+        assert_eq!(t.cursor_next(&mut c).unwrap(), Some((7.0, 2 * SECOND)));
+        assert_eq!(c.key_hi(), 11.0);
         t.check_invariants().unwrap();
     }
 
     #[test]
     fn backward_scan_symmetry() {
-        let t = tree(64, &upto(500, 1.0));
-        let mut c = t.seek(250.0).unwrap();
-        assert_eq!(t.cursor_prev(&mut c).unwrap(), Some((249.0, 249)));
-        assert_eq!(t.cursor_prev(&mut c).unwrap(), Some((248.0, 248)));
-        // Cursor gap restored by seek; forward resumes at >= key.
-        let mut c = t.seek(250.0).unwrap();
-        assert_eq!(t.cursor_next(&mut c).unwrap(), Some((250.0, 250)));
+        let t = tree(64, &upto(1200, 1.0));
+        let mut c = t.seek(600.0).unwrap();
+        assert_eq!(t.cursor_prev(&mut c).unwrap(), Some((0.0, SECOND - 1)));
+        assert_eq!(t.cursor_prev(&mut c).unwrap(), Some((0.0, SECOND - 2)));
+        // Cursor gap restored by seek; forward resumes at the leaf holding
+        // the key.
+        let mut c = t.seek(600.0).unwrap();
+        assert_eq!(
+            t.cursor_next(&mut c).unwrap(),
+            Some((SECOND as f64, SECOND))
+        );
+        // A key past a leaf's last but short of the next fence: the cursor
+        // stands after that leaf.
+        let t = tree(64, &upto(1200, 2.0));
+        let gap = 2.0 * (SECOND - 1) as f64 + 1.0;
+        let mut c = t.seek(gap).unwrap();
+        assert!(c.at_leaf_end());
+        assert_eq!(t.cursor_next(&mut c).unwrap(), Some((gap + 1.0, SECOND)));
+        let mut c = t.seek(gap).unwrap();
+        assert_eq!(t.cursor_prev(&mut c).unwrap(), Some((0.0, SECOND - 1)));
     }
 
     #[test]
@@ -327,9 +363,9 @@ mod tests {
             "an open reads no page"
         );
         assert_eq!(back.len(), 2000);
-        let mut c = back.seek(100.0).unwrap();
-        assert_eq!(back.cursor_next(&mut c).unwrap(), Some((100.0, 400)));
-        assert_eq!(c.code(), 400 * 400);
+        let mut c = back.seek(200.0).unwrap();
+        assert_eq!(back.cursor_next(&mut c).unwrap(), Some((127.0, SECOND)));
+        assert_eq!(c.code(), SECOND * SECOND);
         back.check_invariants().unwrap();
     }
 
@@ -401,6 +437,68 @@ mod tests {
         assert!(matches!(back.seek(0.0), Err(Error::Corrupt(_))));
     }
 
+    /// A tree over `0..2000` whose second leaf's header holds `first` and
+    /// `last` as its two keys (node.rs: offsets 10 and 18): refused by a
+    /// seek that lands on it, by a walk crossing onto it either way, and by
+    /// `check_invariants`.
+    fn refused_with_keys(first: f64, last: f64) {
+        let t = tree(16, &upto(2000, 1.0));
+        let (fences, len) = (t.fences().to_vec(), t.len());
+        let mut images = t.pool().export_pages().unwrap();
+        let mut leaf = (*images[1]).clone();
+        leaf.put_f64(10, first).unwrap();
+        leaf.put_f64(18, last).unwrap();
+        images[1] = Arc::new(leaf);
+        let pool = BufferPool::new(DiskManager::from_pages(images), 16).unwrap();
+        let back = BPlusTree::from_parts(pool, fences.clone(), len).unwrap();
+        let ctx = format!("keys [{first}, {last}]");
+        let corrupt = |got: Result<Option<(f64, u64)>>| matches!(got, Err(Error::Corrupt(_)));
+        assert!(
+            matches!(back.seek(fences[1] + 1.0), Err(Error::Corrupt(_))),
+            "{ctx}"
+        );
+        let mut c = back.seek(fences[0]).unwrap();
+        let stopped = loop {
+            match back.cursor_next(&mut c) {
+                Ok(Some(_)) => continue,
+                other => break other,
+            }
+        };
+        assert!(corrupt(stopped), "{ctx}");
+        let mut c = back.seek(fences[2] + 1.0).unwrap();
+        let stopped = loop {
+            match back.cursor_prev(&mut c) {
+                Ok(Some(_)) => continue,
+                other => break other,
+            }
+        };
+        assert!(corrupt(stopped), "{ctx}");
+        assert!(back.check_invariants().is_err(), "{ctx}");
+    }
+
+    #[test]
+    fn a_leaf_whose_first_key_is_not_its_fence_is_refused() {
+        let (first, last) = (SECOND as f64, (2 * SECOND - 1) as f64);
+        refused_with_keys(first + 0.5, last);
+        refused_with_keys(first - 0.5, last);
+    }
+
+    #[test]
+    fn a_leaf_whose_last_key_is_below_its_first_is_refused() {
+        let first = SECOND as f64;
+        refused_with_keys(first, first - 1.0);
+        refused_with_keys(first, first.next_down());
+    }
+
+    #[test]
+    fn a_leaf_whose_keys_are_not_finite_is_refused() {
+        let (first, last) = (SECOND as f64, (2 * SECOND - 1) as f64);
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            refused_with_keys(bad, last);
+            refused_with_keys(first, bad);
+        }
+    }
+
     #[test]
     fn negative_and_fractional_keys() {
         let keys = [-100.0, -5.5, -0.1, 0.0, 0.1, 3.25];
@@ -410,8 +508,8 @@ mod tests {
             let (lo, position) = t.cursor_next(&mut c).unwrap().unwrap();
             assert_eq!(position, i as u64);
             assert!(
-                lo <= key && key < c.key_hi(),
-                "{key}: [{lo}, {})",
+                lo <= key && key <= c.key_hi(),
+                "{key}: [{lo}, {}]",
                 c.key_hi()
             );
         }

@@ -1,14 +1,14 @@
-//! Property tests: a bulk-loaded tree over sorted keys with duplicates is
-//! the sorted input itself — positions dense `0..n` in input order, each
-//! key inside the cell `[lo, hi)` its entry reads back as, each code beside
-//! its key, cells that never descend along the chain, and the two cursor
-//! directions mirror images across leaf boundaries — and a seek is one
-//! leaf fetch that parts the entries by their cells' upper ends, whatever
-//! the key shape (runs longer than a leaf, both signs, magnitudes from
-//! 1e-300 to 1e300, spans near `f64::MAX`) and whatever the buffer pool
-//! (down to one frame: forced eviction).
+//! Property tests: a bulk-loaded tree over keys with duplicates, sorted
+//! across leaves and shuffled inside each, is its input itself — positions
+//! dense `0..n` in input order, each code at its position, each key inside
+//! its leaf's range `[lo, hi]`, ranges that never descend along the chain,
+//! and the two cursor directions mirror images across leaf boundaries —
+//! and a seek is one leaf fetch that parts the entries by their leaves'
+//! last keys, whatever the key shape (runs longer than a leaf, both signs,
+//! magnitudes from 1e-300 to 1e300, spans near `f64::MAX`) and whatever
+//! the buffer pool (down to one frame: forced eviction).
 
-use mmdr_btree::BPlusTree;
+use mmdr_btree::{BPlusTree, LEAF_CAPACITY};
 use mmdr_storage::{BufferPool, DiskManager};
 use proptest::prelude::*;
 
@@ -27,7 +27,7 @@ fn shaped(shape: u32, (x, k, sign): (f64, u32, (bool, f64))) -> f64 {
     match shape {
         // A small domain: runs of duplicates are common.
         0 => f64::from(k) * 0.5,
-        // Three keys: runs longer than a leaf (339 entries), so leaves
+        // Three keys: runs longer than a leaf (508 entries), so leaves
         // whose span is 0, and runs that start or end at a leaf boundary.
         1 => f64::from(k % 3) - 1.0,
         // Negative keys.
@@ -43,8 +43,9 @@ fn shaped(shape: u32, (x, k, sign): (f64, u32, (bool, f64))) -> f64 {
     }
 }
 
-/// Sorted `(key, code)` entries of one of the five shapes.
-fn sorted_entries() -> impl Strategy<Value = Vec<(f64, u64)>> {
+/// `(key, code)` entries of one of the five shapes, sorted by key and
+/// then, inside each leaf's share, by code: in no key order a leaf sees.
+fn leaf_ordered_entries() -> impl Strategy<Value = Vec<(f64, u64)>> {
     let raw = (
         0.0f64..1.0,
         0u32..24,
@@ -60,11 +61,14 @@ fn sorted_entries() -> impl Strategy<Value = Vec<(f64, u64)>> {
                 .map(|(r, code)| (shaped(shape, r), code))
                 .collect();
             entries.sort_by(|a, b| a.0.total_cmp(&b.0));
+            for leaf in entries.chunks_mut(LEAF_CAPACITY) {
+                leaf.sort_by_key(|e| e.1);
+            }
             entries
         })
 }
 
-/// Every entry as the cursor shows it, forward from the first key and then
+/// Every entry as the cursor shows it, forward from the first leaf and then
 /// back from the end: `(lo, hi, position, code)`. The two directions must
 /// agree.
 fn walk(tree: &BPlusTree) -> Vec<(f64, f64, u64, u64)> {
@@ -86,8 +90,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     #[test]
-    fn a_bulk_load_is_its_sorted_input(
-        entries in sorted_entries(),
+    fn a_bulk_load_is_its_input(
+        entries in leaf_ordered_entries(),
         pool_pages in 1usize..16,
         small in proptest::collection::vec(-1.0f64..13.0, 4),
         large in proptest::collection::vec((proptest::bool::ANY, -300.0f64..300.0), 4),
@@ -97,34 +101,41 @@ proptest! {
         prop_assert_eq!(tree.len(), entries.len());
         tree.check_invariants().unwrap();
 
-        // Positions dense 0..n in input order, each key inside its cell and
-        // each code with its key; neither end of a cell ever descends.
+        // Positions dense 0..n in input order, each code at its position and
+        // each key inside its leaf's range; a leaf's entries share one
+        // range, and the next leaf's starts at or above its end.
         let walked = walk(&tree);
         prop_assert_eq!(walked.len(), entries.len());
         let mut prev = (f64::MIN, f64::MIN);
         for (n, (&(key, code), &(lo, hi, position, got))) in entries.iter().zip(&walked).enumerate() {
-            prop_assert!(lo <= key && key < hi, "entry {}: {} not in [{}, {})", n, key, lo, hi);
+            prop_assert!(lo <= key && key <= hi, "entry {}: {} not in [{}, {}]", n, key, lo, hi);
             prop_assert_eq!((position, got), (n as u64, code));
-            prop_assert!(prev.0 <= lo && prev.1 <= hi, "entry {}: cells descend", n);
+            if n % LEAF_CAPACITY == 0 {
+                prop_assert!(prev.1 <= lo, "entry {}: ranges descend", n);
+            } else {
+                prop_assert_eq!((lo.to_bits(), hi.to_bits()), (prev.0.to_bits(), prev.1.to_bits()));
+            }
             prev = (lo, hi);
         }
 
-        // A seek parts the entries by their cells' upper ends: back from it
-        // are exactly those whose hi ≤ the probe, forward the rest, and the
-        // two steps meet, whichever leaf boundary lies between. It fetches
-        // one page, the leaf the fences route it to. Probed at every edge a
-        // cell has, besides arbitrary values.
+        // A seek parts the entries by their leaves' last keys: back from it
+        // are exactly those of the leaves whose last key is < the probe,
+        // forward the rest, and the two steps meet, whichever leaf boundary
+        // lies between. It fetches one page, the leaf the fences route it
+        // to. Probed at every key and range end and their neighbours,
+        // besides arbitrary values.
         let his: Vec<f64> = walked.iter().map(|e| e.1).collect();
         let edges = walked.iter().step_by(37).flat_map(|&(lo, hi, position, _)| {
             let key = entries[position as usize].0;
-            [key, key.next_down(), key.next_up(), lo, lo.next_down(), hi, hi.next_down()]
+            [key, key.next_down(), key.next_up(), lo, lo.next_down(), hi, hi.next_down(), hi.next_up()]
         });
         let probes = small.into_iter().chain(large.into_iter().map(wide));
         for probe in probes.chain(edges).filter(|x| x.is_finite()) {
             let before = tree.pool().snapshot();
             let mut cur = tree.seek(probe).unwrap();
             prop_assert_eq!(tree.pool().snapshot().since(&before).pages_touched(), 1);
-            let parted = his.partition_point(|&hi| hi <= probe) as u64;
+            let parted = his.partition_point(|&hi| hi < probe) as u64;
+            prop_assert!(parted.is_multiple_of(LEAF_CAPACITY as u64) || parted == walked.len() as u64);
             let step = |n: u64| walked.get(n as usize).map(|&(lo, _, position, _)| (lo, position));
             let next = tree.cursor_next(&mut cur).unwrap();
             prop_assert_eq!(next, step(parted), "probe {}", probe);

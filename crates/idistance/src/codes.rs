@@ -1,6 +1,8 @@
-//! Cell codes: a 64-bit quantised image of a stored row, kept beside its key
-//! in the B⁺-tree leaf so a scan can bound the row's distance from below
-//! before it follows the record id to the heap.
+//! Cell codes: a 64-bit quantised image of a stored row, the whole of its
+//! B⁺-tree leaf entry, so a scan can bound the row's distance from below
+//! before it follows the entry's position to the heap; and, read as a
+//! point on a Hilbert curve ([`Codebook::hilbert`]), the order a leaf's
+//! rows are laid out in.
 //!
 //! A partition's [`Codebook`] cuts every coordinate's axis into equi-depth
 //! cells — `2^bits` of them, the 64 bits shared out over the coordinates —
@@ -135,6 +137,59 @@ impl Codebook {
         code
     }
 
+    /// The index of `code`'s cell on the Hilbert curve through the coded
+    /// axes: Skilling's transpose (AIP Conf. Proc. 707, 2004) over each
+    /// axis's cell index, left-aligned to the widest axis's bits, read off
+    /// most significant bit first, axis 0 first. Cells next to one another
+    /// on the curve are next to one another on one axis, so rows laid out
+    /// in this order that are near one another in the partition's subspace
+    /// tend to share a heap page. The index has `axes × widest` bits: at
+    /// most 8 axes of 8 bits, or axes whose widths sum to 64 and differ by
+    /// at most one — never past 128.
+    pub fn hilbert(&self, mut code: u64) -> u128 {
+        let (wide, width, narrow) = self.shape;
+        let (axes, bits) = (wide + narrow, width + u32::from(wide > 0));
+        if axes == 0 {
+            return 0;
+        }
+        let x = &mut [0u32; 64][..axes];
+        for (j, xj) in x.iter_mut().enumerate() {
+            let w = width + u32::from(j < wide);
+            *xj = ((code & ((1 << w) - 1)) as u32) << (bits - w);
+            code >>= w;
+        }
+        let planes = || (1..bits).rev().map(|b| 1u32 << b);
+        // Undo the inverse transform's excess work, bit plane by bit plane
+        // from the top: where axis i has the plane's bit, invert axis 0's
+        // lower bits, else swap them with axis i's. Branch-free, axis 0 in
+        // a register: the bits are the data's, and with a branch on each
+        // a row took twice as long.
+        for q in planes() {
+            let (low, mut x0) = (q - 1, x[0]);
+            for xi in x.iter_mut() {
+                let invert = 0u32.wrapping_sub(u32::from(*xi & q != 0));
+                let swap = (x0 ^ *xi) & low & !invert;
+                x0 ^= low & invert | swap;
+                *xi ^= swap;
+            }
+            x[0] = x0;
+        }
+        // Gray encode, then interleave the planes, axis 0 first.
+        for i in 1..axes {
+            x[i] ^= x[i - 1];
+        }
+        let last = x[axes - 1];
+        let t = planes()
+            .filter(|q| last & q != 0)
+            .fold(0, |t, q| t ^ (q - 1));
+        (0..bits).rev().fold(0u128, |index, b| {
+            let plane = x
+                .iter()
+                .fold(0u64, |plane, &xi| plane << 1 | u64::from((xi ^ t) >> b & 1));
+            index << axes | u128::from(plane)
+        })
+    }
+
     /// Appends to `table` one query's gap table against this codebook:
     /// axis after axis, per cell `max(lo − q, q − hi, 0)²` — the squared
     /// distance from the query's coordinate to the cell's nearest face, 0
@@ -178,6 +233,7 @@ impl Codebook {
 mod tests {
     use super::*;
     use proptest::prelude::*;
+    use std::collections::HashSet;
 
     #[test]
     fn the_64_bits_are_shared_out_as_the_design_says() {
@@ -234,6 +290,56 @@ mod tests {
                 edge(index)
             },
         )
+    }
+
+    /// A codebook of `dim` axes whose edges are all 0: only its shape
+    /// matters to [`Codebook::hilbert`].
+    fn flat(dim: usize) -> Codebook {
+        let edges = widths(dim).map(|w| (1usize << w) - 1).sum();
+        Codebook::from_edges(dim, vec![0.0; edges]).unwrap()
+    }
+
+    #[test]
+    fn the_hilbert_index_walks_every_cell_one_step_at_a_time() {
+        // Two axes of 8 bits: all 65 536 codes onto 0..2^16, one to one,
+        // and the curve moves one cell along one axis per step.
+        let book = flat(2);
+        let mut cell_at = vec![None; 1 << 16];
+        for code in 0..1u64 << 16 {
+            let index = book.hilbert(code);
+            assert!(index < 1 << 16, "{code:#x} -> {index:#x}");
+            assert_eq!(cell_at[index as usize].replace(code), None, "{index}");
+        }
+        let cells: Vec<(i64, i64)> = cell_at
+            .iter()
+            .map(|code| {
+                let code = code.unwrap() as i64;
+                (code & 255, code >> 8)
+            })
+            .collect();
+        assert_eq!(cells[0], (0, 0), "the curve starts at the origin");
+        for (i, pair) in cells.windows(2).enumerate() {
+            let ((x0, y0), (x1, y1)) = (pair[0], pair[1]);
+            assert_eq!((x1 - x0).abs() + (y1 - y0).abs(), 1, "step {i}");
+        }
+    }
+
+    #[test]
+    fn the_hilbert_index_tells_mixed_width_cells_apart() {
+        // d_r = 12: four 6-bit axes and eight 5-bit ones, a 72-bit index.
+        let book = flat(12);
+        let mut state = 0x2545_F491_4F6C_DD1Du64;
+        let mut codes = HashSet::new();
+        while codes.len() < 10_000 {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            codes.insert(state);
+        }
+        let indices: HashSet<u128> = codes.iter().map(|&code| book.hilbert(code)).collect();
+        assert_eq!(indices.len(), codes.len());
+        assert!(indices.iter().all(|&index| index < 1 << 72));
+        assert_eq!(flat(0).hilbert(0), 0);
     }
 
     proptest! {

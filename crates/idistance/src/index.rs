@@ -5,7 +5,7 @@ use crate::codes::Codebook;
 use crate::error::{Error, Result};
 use crate::layout::{data_rows, partition_ids, KeySpace, PartitionRows};
 use crate::vector_heap::VectorHeap;
-use mmdr_btree::BPlusTree;
+use mmdr_btree::{BPlusTree, LEAF_CAPACITY};
 use mmdr_core::{EllipsoidCluster, ReductionResult};
 use mmdr_index::{DeltaLayer, SearchCounters};
 use mmdr_linalg::Matrix;
@@ -64,10 +64,11 @@ impl PartitionInfo {
 }
 
 /// Where one partition's rows lie. A load lays each partition's rows out
-/// once, in ascending key order, twice over: as consecutive leaf entries
-/// from position `first`, and as records on a heap page run of its own
-/// from page `page`, `per_page` to a page. So the partition's `n`-th entry
-/// is its `n`-th record, and a position names its record by arithmetic.
+/// once, leaf by leaf in ascending key order (in Hilbert order inside a
+/// leaf), twice over: as consecutive leaf entries from position `first`,
+/// and as records on a heap page run of its own from page `page`,
+/// `per_page` to a page. So the partition's `n`-th entry is its `n`-th
+/// record, and a position names its record by arithmetic.
 #[derive(Debug, Clone, Copy, Default)]
 pub(crate) struct Run {
     pub(crate) first: u64,
@@ -91,9 +92,9 @@ impl Run {
 }
 
 /// Resolves tree positions to heap record ids, remembering the positions
-/// of the heap page the last one fell on: a walk in key order divides once
-/// per heap page it crosses, and for every other position compares once
-/// and adds. A filtered search resolves every leaf entry it walks, so the
+/// of the heap page the last one fell on: a walk along the leaves divides
+/// once per heap page it crosses, and for every other position compares
+/// once and adds. A filtered search resolves every leaf entry it walks, so the
 /// division is not paid per entry.
 #[derive(Debug, Default)]
 pub struct RecordIds {
@@ -173,6 +174,12 @@ impl IDistanceIndex {
     /// `keys.reference` among the outliers — and coded by the [`Codebook`]
     /// cut from the partition's rows. The tree and the heap split
     /// `buffer_pages`.
+    ///
+    /// The rows go to leaves in key order, a leaf every [`LEAF_CAPACITY`]
+    /// positions; a leaf keeps only its key range, so inside each leaf's
+    /// share of a partition they — and their heap records — go in
+    /// [`Codebook::hilbert`] order of their codes, ties in key order: rows
+    /// near one another in the subspace come to share heap pages.
     pub(crate) fn load(
         model: &ReductionResult,
         buffer_pages: usize,
@@ -185,9 +192,12 @@ impl IDistanceIndex {
         let mut heap = VectorHeap::new(pool()?);
 
         let mut partitions: Vec<PartitionInfo> = Vec::with_capacity(model.clusters.len() + 1);
-        // (partition, key distance, code) in layout order; keyed after c is
-        // known.
-        let mut staged: Vec<(usize, f64, u64)> = Vec::with_capacity(model.num_points);
+        // (key distance, code) in layout order, partition after partition;
+        // keyed after c is known.
+        let mut staged: Vec<(f64, u64)> = Vec::with_capacity(model.num_points);
+        // One leaf's share of a partition: (Hilbert index, rank in key
+        // order, code), each worked out once a row.
+        let mut share: Vec<(u128, usize, u64)> = Vec::with_capacity(LEAF_CAPACITY);
         for part in partition_ids(model) {
             let i = partitions.len();
             let cluster = part.map(|ci| &model.clusters[ci]);
@@ -200,30 +210,36 @@ impl IDistanceIndex {
                     None => (mmdr_linalg::l2_dist(coords, &reference), at),
                 })
                 .collect();
-            // Lay the rows out in ascending key order, in the heap as in
-            // the tree: the heap becomes a *clustered* file — the annulus
-            // scan touches heap pages in the order of the leaves, each page
-            // read once instead of ping-ponging — and a leaf entry's
-            // position names its record (see [`Run`]).
             order.sort_by(|a, b| a.0.partial_cmp(&b.0).unwrap_or(std::cmp::Ordering::Equal));
+            let radii = match (order.first(), order.last()) {
+                (Some(nearest), Some(farthest)) => (nearest.0, farthest.0),
+                _ => (0.0, 0.0),
+            };
             let codebook = Codebook::fit(rows.iter().map(|(_, coords)| coords.as_slice()));
-            let mut min_radius = f64::INFINITY;
-            let mut max_radius: f64 = 0.0;
-            for (dist, at) in order {
-                min_radius = min_radius.min(dist);
-                max_radius = max_radius.max(dist);
-                let (id, coords) = &rows[at];
-                heap.append(i as u32, *id, coords)?;
-                let code = codebook.as_ref().map_or(0, |book| book.encode(coords));
-                staged.push((i, dist, code));
-            }
-            if rows.is_empty() {
-                min_radius = 0.0;
+            // A partition with rows has a codebook.
+            let mut rest = &order[..];
+            while let (Some(book), false) = (&codebook, rest.is_empty()) {
+                // The leaf being filled takes as many rows as it has room.
+                let room = LEAF_CAPACITY - staged.len() % LEAF_CAPACITY;
+                let (leaf, tail) = rest.split_at(room.min(rest.len()));
+                rest = tail;
+                share.clear();
+                share.extend(leaf.iter().enumerate().map(|(rank, &(_, at))| {
+                    let code = book.encode(&rows[at].1);
+                    (book.hilbert(code), rank, code)
+                }));
+                share.sort_unstable();
+                for &(_, rank, code) in &share {
+                    let (dist, at) = leaf[rank];
+                    let (id, coords) = &rows[at];
+                    heap.append(i as u32, *id, coords)?;
+                    staged.push((dist, code));
+                }
             }
             partitions.push(PartitionInfo::new(
                 cluster,
                 &reference,
-                (min_radius, max_radius),
+                radii,
                 rows.len(),
                 codebook,
             ));
@@ -233,14 +249,16 @@ impl IDistanceIndex {
         // distance so ranges [i·c, (i+1)·c) never overlap.
         let widest = partitions.iter().map(|p| p.max_radius).fold(0.0, f64::max);
         let c = (2.0 * widest + 1.0).max(c_floor);
-        // Partition after partition, each by distance: the keys ascend in
-        // layout order as they stand (the bulk load refuses them if not),
-        // so entry `n` is the `n`-th row laid out.
-        let entries: Vec<(f64, u64)> = staged
-            .into_iter()
-            .map(|(part, dist, code)| (part as f64 * c + dist, code))
-            .collect();
-        let tree = BPlusTree::bulk_load(tree_pool, &entries)?;
+        // Partition after partition: the keys ascend leaf to leaf as they
+        // stand (the bulk load refuses them if not), so entry `n` is the
+        // `n`-th row laid out.
+        let slots = (partitions.iter().enumerate())
+            .flat_map(|(i, p)| std::iter::repeat_n(i as f64 * c, p.count));
+        staged
+            .iter_mut()
+            .zip(slots)
+            .for_each(|(entry, slot)| entry.0 += slot);
+        let tree = BPlusTree::bulk_load(tree_pool, &staged)?;
         Self::from_parts(tree, heap, partitions, c, model.dim)
     }
 

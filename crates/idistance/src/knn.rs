@@ -58,7 +58,7 @@ struct PartitionSearch<'a> {
     /// with the projection component).
     lower_bound: Option<f64>,
     /// Outward, then inward: a cursor and the ring radicand of the last
-    /// entry it read (the lower bound before its first) — the least any
+    /// leaf it read (the lower bound before its first) — the least any
     /// entry it has still to read can have, since rings only grow along a
     /// cursor. `None` once the walk has left the partition, or the reach
     /// has excluded a ring it read.
@@ -269,16 +269,16 @@ impl Candidates<'_> {
         Ok(())
     }
 
-    /// Walks an opened partition's cursor `W` (0 outward, 1 inward) to the
-    /// end of its pinned leaf — across to the next leaf first, if it stands
-    /// at the end of one — testing each entry against the reach's `limit`
+    /// Walks an opened partition's cursor `W` (0 outward, 1 inward) over
+    /// one leaf — the next one, as a seek or the last walk left the cursor
+    /// at a leaf boundary — testing each entry against the reach's `limit`
     /// ([`Reach::limit`]; a walk refines nothing, so the reach stands still)
     /// and queueing what passes. The cursor is retired for good where it
-    /// leaves the partition, or at the first entry whose ring the reach
-    /// excludes: the rings behind it are no nearer. It leaves by position,
-    /// as a key cell may reach past the partition's key slot: outward, the
-    /// partition before's entries whose cells reach over the image are
-    /// stepped over.
+    /// leaves the partition, or at a leaf whose ring the reach excludes:
+    /// the rings behind it are no nearer. It leaves by position, as a
+    /// leaf's key range may reach past the partition's: outward, the
+    /// partition before's entries in the leaf it starts on are stepped
+    /// over.
     #[inline]
     fn walk<const W: usize>(
         &mut self,
@@ -287,12 +287,17 @@ impl Candidates<'_> {
         limit: f64,
     ) -> Result<()> {
         let (tree, run) = (&self.index.tree, s.run.clone());
-        let (image, proj_sq) = (s.part as f64 * self.index.c + s.dist_q, s.proj_sq);
+        // The image and the partition's populated annulus in key space, by
+        // the expression the keys were built with: every key of the
+        // partition lies in the annulus exactly.
+        let (slot, part) = (s.part as f64 * self.index.c, &self.index.partitions[s.part]);
+        let (image, proj_sq) = (slot + s.dist_q, s.proj_sq);
+        let (inner, outer) = (slot + part.min_radius, slot + part.max_radius);
         let cells = s.book.map(|book| (book, &gaps[s.gaps.clone()]));
         let Some((cur, front)) = &mut s.walks[W] else {
             unreachable!("the frontier names a walk that is still live")
         };
-        let mut last = *front;
+        let mut leaf_ring = None;
         let retired = loop {
             let step = match W {
                 0 => tree.cursor_next(cur),
@@ -303,18 +308,23 @@ impl Candidates<'_> {
             else {
                 break true;
             };
+            // Key-gap lower bound, once a leaf: |‖p‖ − ‖q‖| ≤ ‖p − q‖ with
+            // the key in the leaf's range `[lo, hi]` and in the partition's
+            // annulus — clamped to it, or a leaf straddling two partitions
+            // would bound each one's keys by the other's. If the reach
+            // excludes it, no entry of the leaf can enter — nor any the
+            // cursor has still to read. Strictly greater only: skipping
+            // ties would make the answer depend on the heap's trajectory.
+            let ring = *leaf_ring.get_or_insert_with(|| {
+                let gap = (lo.max(inner) - image)
+                    .max(image - cur.key_hi().min(outer))
+                    .max(0.0);
+                proj_sq + gap * gap
+            });
+            if ring > limit {
+                break true;
+            }
             if position >= run.start {
-                // Key-gap lower bound: |‖p‖ − ‖q‖| ≤ ‖p − q‖ with the key in
-                // `[lo, hi]`, so an entry whose ring exceeds the reach cannot
-                // enter — nor any the cursor has still to read. Strictly
-                // greater only: skipping ties would make the answer depend
-                // on the heap's trajectory.
-                let ring_gap = (lo - image).max(image - cur.key_hi()).max(0.0);
-                let ring = proj_sq + ring_gap * ring_gap;
-                if ring > limit {
-                    break true;
-                }
-                last = ring;
                 // Then the entry's cell code against the gap table: `≤` the
                 // row's distance to the bit (see [`crate::codes`]), so what
                 // it puts strictly beyond the reach the result set would
@@ -331,9 +341,10 @@ impl Candidates<'_> {
                 break false;
             }
         };
-        *front = last;
         if retired {
             s.walks[W] = None;
+        } else if let Some(ring) = leaf_ring {
+            *front = ring;
         }
         Ok(())
     }
@@ -1538,8 +1549,16 @@ mod tests {
         while let Some((lo, position)) = index.tree.cursor_next(&mut cursor).unwrap() {
             let (part, id, _) = index.heap.get(index.record_id(position).unwrap()).unwrap();
             let (image, proj_sq, gaps) = &geometry[part as usize];
-            // The gap to the key's cell, as the walk reads it.
-            let ring_gap = (lo - image).max(image - cursor.key_hi()).max(0.0);
+            // The gap to the leaf's key range clamped to the partition's
+            // annulus, as the walk reads it.
+            let p = &index.partitions[part as usize];
+            let (inner, outer) = (
+                part as f64 * index.c + p.min_radius,
+                part as f64 * index.c + p.max_radius,
+            );
+            let ring_gap = (lo.max(inner) - image)
+                .max(image - cursor.key_hi().min(outer))
+                .max(0.0);
             let code = index.partitions[part as usize]
                 .codebook
                 .as_ref()

@@ -63,7 +63,12 @@ pub const MAGIC: [u8; 8] = *b"MMDRSNP\x01";
 /// Version 6 is the 12-byte iDistance leaf entry, `(key offset: u32, code)`,
 /// and a tree with no internal pages: META holds each leaf's first key (its
 /// fence) in place of the root and height, so an open reads no page.
-pub const FORMAT_VERSION: u32 = 6;
+///
+/// Version 7 is the code-only iDistance leaf: an entry is its 8-byte code
+/// and nothing else, 508 to a leaf, under a header holding the leaf's
+/// least and greatest key exactly; inside a leaf the entries, and their
+/// heap records, stand in Hilbert order of their codes. META is unchanged.
+pub const FORMAT_VERSION: u32 = 7;
 /// Little-endian sentinel; a byte-swapped writer would store 0x4D3C2B1A.
 pub const ENDIAN_TAG: u32 = 0x1A2B_3C4D;
 /// Superblock size; the section table starts here.
@@ -426,10 +431,10 @@ mod tests {
 
     #[test]
     fn another_version_reported_before_checksums() {
-        // A newer file, and the v5 one the previous format wrote: the
+        // A newer file, and the v6 one the previous format wrote: the
         // version is changed *without* fixing the superblock CRC, and the
         // version check must fire first.
-        for other in [99u32, 5] {
+        for other in [99u32, 6] {
             let mut image = sample();
             image[8..12].copy_from_slice(&other.to_le_bytes());
             match parse(&image) {

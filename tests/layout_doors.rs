@@ -10,9 +10,12 @@
 //!     bitwise, for every id;
 //!
 //! and for iDistance, whose leaf entries name their records by position,
-//! (d) entry `n` of the tree, walked from its first key, resolves to the
-//!     `n`-th row laid out — through every door, built and reopened.
+//! (d) entry `n` of the tree, walked from its first leaf, resolves to the
+//!     row laid out there: each leaf's share of a partition holds the rows
+//!     key order gives it, in Hilbert order of their codes — through every
+//!     door, built and reopened.
 
+use mmdr_btree::LEAF_CAPACITY;
 use mmdr_core::{Mmdr, MmdrParams, ReductionResult};
 use mmdr_idistance::{stored_rows, Backend, RecordIds, VectorHeap};
 use mmdr_index::IngestOp;
@@ -146,10 +149,11 @@ fn rows_read_back_are_the_restored_projections() {
     }
 }
 
-/// The `(partition, id, key bits)` of every row `index` stores, in layout
+/// The `(partition, id, key bits)` of every row `index` stores, in key
 /// order worked out from `model` alone: partition after partition —
 /// clusters in model order, then the outliers — each partition's members
-/// in member order, stably sorted by key.
+/// in member order, stably sorted by key. Cut every `LEAF_CAPACITY`
+/// positions, it gives each leaf its rows.
 fn laid_out(index: &BuiltIndex, model: &ReductionResult) -> Vec<(usize, u64, u64)> {
     let BuiltIndex::IDistance(idx) = index else {
         panic!("an iDistance index");
@@ -192,39 +196,84 @@ struct Shapes {
     full_width_outliers: bool,
 }
 
-/// Walks `index`'s tree from its first key: entry `n` is at position `n`,
-/// its rid — resolved once through a [`RecordIds`] that remembers the heap
-/// page, once from scratch — reads the `n`-th row of `want`, and its key
-/// cell `[lo, hi)` holds that row's exact key.
+/// Walks `index`'s tree from its first leaf: entry `n` is at position `n`,
+/// and its rid — resolved once through a [`RecordIds`] that remembers the
+/// heap page, once from scratch — reads a row of the partition `want`'s
+/// `n`-th row is in. Each leaf's share of a partition holds the rows
+/// `want` puts there, in ascending `hilbert(code)` and, among equal
+/// indices, ascending key; and each row's exact key lies in its leaf's
+/// range `[lo, hi]`.
 fn assert_positions_name_their_rows(index: &BuiltIndex, want: &[(usize, u64, u64)], tag: &str) {
     let BuiltIndex::IDistance(idx) = index else {
         panic!("an iDistance index");
     };
+    let key_of: BTreeMap<u64, f64> = want
+        .iter()
+        .map(|&(_, id, key)| (id, f64::from_bits(key)))
+        .collect();
     let tree = idx.tree();
     let mut cursor = tree.seek(f64::MIN).unwrap();
     let mut ids = RecordIds::default();
-    let mut n = 0;
+    // Per entry: (leaf, partition, Hilbert index, key, id).
+    let mut got = Vec::with_capacity(want.len());
     while let Some((lo, position)) = tree.cursor_next(&mut cursor).unwrap() {
+        let n = got.len();
         assert_eq!(position, n as u64, "{tag}");
         let rid = ids.get(idx, position);
         assert_eq!(rid, idx.record_id(position).unwrap(), "{tag}: entry {n}");
         let (part, id, _) = idx.heap().get(rid).unwrap();
-        let (want_part, want_id, key) = want[n];
-        assert_eq!(
-            (part as usize, id),
-            (want_part, want_id),
-            "{tag}: entry {n}"
-        );
-        let (key, hi) = (f64::from_bits(key), cursor.key_hi());
+        assert_eq!(part as usize, want[n].0, "{tag}: entry {n}");
+        let book = idx.partitions()[part as usize].codebook.as_ref().unwrap();
+        let (key, hi) = (key_of[&id], cursor.key_hi());
         assert!(
-            lo <= key && key < hi,
-            "{tag}: entry {n}, {key} not in [{lo}, {hi})"
+            lo <= key && key <= hi,
+            "{tag}: entry {n}, {key} not in [{lo}, {hi}]"
         );
-        n += 1;
+        got.push((
+            n / LEAF_CAPACITY,
+            part,
+            book.hilbert(cursor.code()),
+            key,
+            id,
+        ));
     }
-    assert_eq!(n, want.len(), "{tag}");
+    assert_eq!(got.len(), want.len(), "{tag}");
+    for (n, pair) in got.windows(2).enumerate() {
+        let ((leaf, part, h, key, _), (next_leaf, next_part, next_h, next_key, _)) =
+            (pair[0], pair[1]);
+        if (leaf, part) == (next_leaf, next_part) {
+            assert!(
+                (h, key) <= (next_h, next_key),
+                "{tag}: entries {n} and {} out of Hilbert order",
+                n + 1
+            );
+        }
+    }
+    let shares = |rows: &mut dyn Iterator<Item = (usize, usize, u64)>| {
+        let mut shares: BTreeMap<(usize, usize), Vec<u64>> = BTreeMap::new();
+        for (leaf, part, id) in rows {
+            shares.entry((leaf, part)).or_default().push(id);
+        }
+        shares.values_mut().for_each(|ids| ids.sort_unstable());
+        shares
+    };
+    let got_shares = shares(
+        &mut got
+            .iter()
+            .map(|&(leaf, part, _, _, id)| (leaf, part as usize, id)),
+    );
+    let want_shares = shares(
+        &mut want
+            .iter()
+            .enumerate()
+            .map(|(n, &(part, id, _))| (n / LEAF_CAPACITY, part, id)),
+    );
+    assert_eq!(
+        got_shares, want_shares,
+        "{tag}: each leaf's share of a partition"
+    );
     assert!(
-        idx.record_id(n as u64).is_err(),
+        idx.record_id(got.len() as u64).is_err(),
         "{tag}: no entry past the last"
     );
 }

@@ -441,10 +441,10 @@ fn wrong_magic_fails_closed() {
 #[test]
 fn future_version_reports_unsupported_not_checksum() {
     let mut image = snapshot_bytes();
-    image[8..12].copy_from_slice(&7u32.to_le_bytes());
+    image[8..12].copy_from_slice(&8u32.to_le_bytes());
     match open_image(&image, "version") {
         Err(PersistError::UnsupportedVersion { found, supported }) => {
-            assert_eq!(found, 7);
+            assert_eq!(found, 8);
             assert_eq!(supported, mmdr_persist::FORMAT_VERSION);
         }
         other => panic!("expected UnsupportedVersion, got {other:?}"),
@@ -453,32 +453,31 @@ fn future_version_reports_unsupported_not_checksum() {
 
 #[test]
 fn a_snapshot_of_the_previous_format_is_refused_by_its_version() {
-    // What a v5 writer left (16-byte leaf entries, a root page, and its id
-    // and the tree's height in iDistance's META): version 5 under a
-    // superblock CRC that is right for it. There is no second reader; the
-    // refusal is typed.
+    // What a v6 writer left (12-byte `(key offset, code)` leaf entries in
+    // key order, 339 to a leaf): version 6 under a superblock CRC that is
+    // right for it. There is no second reader; the refusal is typed.
     let mut image = snapshot_bytes();
-    image[8..12].copy_from_slice(&5u32.to_le_bytes());
+    image[8..12].copy_from_slice(&6u32.to_le_bytes());
     image[44..48].fill(0);
     let crc = mmdr_persist::crc32(&image[..80]);
     image[44..48].copy_from_slice(&crc.to_le_bytes());
     for resident in [false, true] {
-        let file = write_image(&image, "v5");
+        let file = write_image(&image, "v6");
         let options = OpenOptions {
             resident,
             ..OpenOptions::default()
         };
         match open_with(&file.0, &options) {
             Err(PersistError::UnsupportedVersion { found, supported }) => {
-                assert_eq!((found, supported), (5, 6));
+                assert_eq!((found, supported), (6, 7));
             }
             other => panic!("expected UnsupportedVersion, got {other:?}"),
         }
     }
 }
 
-/// Every leaf entry of an iDistance index, in key order: its key cell's
-/// two ends, its position and its code.
+/// Every leaf entry of an iDistance index, in leaf order: its leaf's key
+/// range, its position and its code.
 fn leaf_entries(index: &BuiltIndex) -> Vec<(u64, u64, u64, u64)> {
     let BuiltIndex::IDistance(index) = index else {
         panic!("an iDistance index");
