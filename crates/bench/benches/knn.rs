@@ -103,8 +103,8 @@ fn bench_candidate_path(c: &mut Criterion) {
     });
     group.bench_function(BenchmarkId::new("leaf_step+code_bound", info.count), |b| {
         b.iter(|| {
-            let (mut gaps, mut acc) = (Vec::new(), 0.0);
-            book.gaps_into(black_box(&q_local), &mut gaps);
+            let (mut gaps, mut far, mut acc) = (Vec::new(), Vec::new(), 0.0);
+            book.gaps_into(black_box(&q_local), &mut gaps, &mut far);
             // The radicand is what the search compares: no root per entry.
             walk_slot(tree, &slot, |_, cursor| {
                 acc += proj_sq + book.gap_sq(&gaps, cursor.code())

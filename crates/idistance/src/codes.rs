@@ -16,6 +16,8 @@
 //! `proj_sq +` and the `sqrt` come out `≤` what `reduced_dist` returns for
 //! the row, to the bit — a row abandoned because its bound lies strictly
 //! beyond the result set's reach is a row the result set would have refused.
+//! The cell's far face bounds the distance from above by the same argument,
+//! where every coordinate is coded.
 
 use crate::error::{Error, Result};
 
@@ -190,30 +192,38 @@ impl Codebook {
         })
     }
 
-    /// Appends to `table` one query's gap table against this codebook:
+    /// Appends to `near` one query's gap table against this codebook:
     /// axis after axis, per cell `max(lo − q, q − hi, 0)²` — the squared
     /// distance from the query's coordinate to the cell's nearest face, 0
-    /// inside the cell and towards an unbounded side.
-    pub fn gaps_into(&self, q_local: &[f64], table: &mut Vec<f64>) {
+    /// inside the cell and towards an unbounded side — and in the same pass,
+    /// if every coordinate is coded (`dim ≤ 64`), to `far` its far face's,
+    /// `max(q − lo, hi − q)²`, `∞` towards an unbounded side.
+    pub fn gaps_into(&self, q_local: &[f64], near: &mut Vec<f64>, far: &mut Vec<f64>) {
         debug_assert_eq!(q_local.len(), self.dim);
+        let (whole, cells) = (self.dim <= 64, self.edges.len() + self.dim.min(64));
+        near.reserve(cells);
+        far.reserve(if whole { cells } else { 0 });
         for (&q, axis) in q_local.iter().zip(self.axes()) {
-            table.extend((0..=axis.len()).map(|cell| {
+            for cell in 0..=axis.len() {
                 let lo = match cell {
                     0 => f64::NEG_INFINITY,
                     _ => f64::from(axis[cell - 1]),
                 };
                 let hi = axis.get(cell).map_or(f64::INFINITY, |&e| f64::from(e));
-                let gap = (lo - q).max(q - hi).max(0.0);
-                gap * gap
-            }));
+                let (gap, far_gap) = ((lo - q).max(q - hi).max(0.0), (q - lo).max(hi - q));
+                near.push(gap * gap);
+                far.extend(whole.then_some(far_gap * far_gap));
+            }
         }
     }
 
-    /// The sum over the coded axes of `code`'s gaps in `table` (this
-    /// codebook's [`gaps_into`](Self::gaps_into)), from `0.0`, `j` ascending:
-    /// `≤` the `l2_dist_sq` of the query and the coded row, so `(proj_sq +
-    /// gap_sq).sqrt()` is `≤` their `reduced_dist`. The one routine here
-    /// that runs per leaf entry: two runs of axes, each of one width.
+    /// The sum over the coded axes of `code`'s gaps in `table` (one of this
+    /// codebook's [`gaps_into`](Self::gaps_into) tables), from `0.0`, `j`
+    /// ascending: over the near table `≤` the `l2_dist_sq` of the query and
+    /// the coded row, so `(proj_sq + gap_sq).sqrt()` is `≤` their
+    /// `reduced_dist`, and over the far table `≥` (`lo ≤ p ≤ hi` bounds
+    /// `|q − p|` by the far face). The one routine here that runs per leaf
+    /// entry: two runs of axes, each of one width.
     #[inline]
     pub fn gap_sq(&self, table: &[f64], mut code: u64) -> f64 {
         let (wide, width, _) = self.shape;
@@ -342,6 +352,64 @@ mod tests {
         assert_eq!(flat(0).hilbert(0), 0);
     }
 
+    /// The two bound proptests' fixture: a codebook cut from `n` rows of
+    /// `dim` (column 1 repeats column 0, column 2 is constant, at one of
+    /// four scales), those rows and four coded after the fact beyond every
+    /// column's range, their codes, and four queries — a stored row, one
+    /// far outside, one with coordinates exactly on edges, one between.
+    struct Fixture {
+        book: Codebook,
+        rows: Vec<Vec<f64>>,
+        codes: Vec<u64>,
+        queries: [Vec<f64>; 4],
+    }
+
+    fn bound_fixture(dim: usize, n: usize, raw: &[f64], scale: usize, picks: &[usize]) -> Fixture {
+        let scale = [1e-9, 1.0, 37.5, 1e12][scale];
+        let value = |i: usize, j: usize| match j {
+            1 => raw[(i * 7) % raw.len()] * scale,
+            2 => scale,
+            _ => raw[(i * 7 + j * 13) % raw.len()] * scale,
+        };
+        let row = |i: usize| (0..dim).map(|j| value(i, j)).collect::<Vec<f64>>();
+        let mut rows: Vec<Vec<f64>> = (0..n).map(row).collect();
+        let book = Codebook::fit(rows.iter().map(Vec::as_slice)).unwrap();
+        rows.extend((0..4).map(|i| {
+            row(n + i)
+                .iter()
+                .map(|v| v * 1e3 + (i as f64 - 1.5) * 9.0 * scale)
+                .collect()
+        }));
+        let codes: Vec<u64> = rows.iter().map(|r| book.encode(r)).collect();
+        let mut on_edges = row(picks[0] % n);
+        for (j, q) in on_edges.iter_mut().enumerate().take(64) {
+            let (lo, hi) = cell(&book, codes[picks[j % 16] % codes.len()], j);
+            *q = if lo.is_finite() {
+                lo
+            } else if hi.is_finite() {
+                hi
+            } else {
+                *q
+            };
+        }
+        let queries = [
+            row(picks[1] % n),
+            row(picks[2]).iter().map(|v| v * 50.0 - scale).collect(),
+            on_edges,
+            row(picks[3])
+                .iter()
+                .zip(row(picks[4]))
+                .map(|(a, b)| 0.5 * (a + b))
+                .collect(),
+        ];
+        Fixture {
+            book,
+            rows,
+            codes,
+            queries,
+        }
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(256))]
 
@@ -398,49 +466,21 @@ mod tests {
             proj_sq in 0.0f64..4.0,
             picks in proptest::collection::vec(0usize..10_000, 16),
         ) {
-            let scale = [1e-9, 1.0, 37.5, 1e12][scale];
-            // Column 1 repeats column 0; column 2 is constant.
-            let value = |i: usize, j: usize| match j {
-                1 => raw[(i * 7) % raw.len()] * scale,
-                2 => scale,
-                _ => raw[(i * 7 + j * 13) % raw.len()] * scale,
-            };
-            let row = |i: usize| (0..dim).map(|j| value(i, j)).collect::<Vec<f64>>();
-            let built: Vec<Vec<f64>> = (0..n).map(row).collect();
-            let book = Codebook::fit(built.iter().map(Vec::as_slice)).unwrap();
+            let Fixture { book, rows, codes, queries } = bound_fixture(dim, n, &raw, scale, &picks);
             prop_assert_eq!(
                 &Codebook::from_edges(dim, book.edges().to_vec()).unwrap(),
                 &book
             );
-            // Rows coded after the fact, beyond every column's range.
-            let late: Vec<Vec<f64>> = (0..4)
-                .map(|i| row(n + i).iter().map(|v| v * 1e3 + (i as f64 - 1.5) * 9.0 * scale).collect())
-                .collect();
-            let rows: Vec<&Vec<f64>> = built.iter().chain(&late).collect();
-            let codes: Vec<u64> = rows.iter().map(|r| book.encode(r)).collect();
             for (r, &code) in rows.iter().zip(&codes) {
                 for (j, &p) in r.iter().enumerate().take(64) {
                     let (lo, hi) = cell(&book, code, j);
                     prop_assert!(lo <= p && p <= hi, "axis {j}: {lo} <= {p} <= {hi}");
                 }
             }
-            // Queries: a stored row, one far outside, one with coordinates
-            // exactly on edges, one between.
-            let mut on_edges = row(picks[0] % n);
-            for (j, q) in on_edges.iter_mut().enumerate().take(64) {
-                let (lo, hi) = cell(&book, codes[picks[j % 16] % codes.len()], j);
-                *q = if lo.is_finite() { lo } else if hi.is_finite() { hi } else { *q };
-            }
-            let queries = [
-                row(picks[1] % n),
-                row(picks[2]).iter().map(|v| v * 50.0 - scale).collect(),
-                on_edges,
-                row(picks[3]).iter().zip(row(picks[4])).map(|(a, b)| 0.5 * (a + b)).collect(),
-            ];
             let mut table = vec![f64::NAN; 3];
             for q in &queries {
                 table.truncate(3);
-                book.gaps_into(q, &mut table);
+                book.gaps_into(q, &mut table, &mut Vec::new());
                 for (r, &code) in rows.iter().zip(&codes) {
                     let bound = (proj_sq + book.gap_sq(&table[3..], code)).sqrt();
                     let dist = mmdr_linalg::reduced_dist(proj_sq, q, r);
@@ -448,6 +488,43 @@ mod tests {
                 }
             }
             prop_assert!(table[..3].iter().all(|t| t.is_nan()), "the table is appended to");
+        }
+
+        /// The far-face table, over the same rows and queries: the radicand
+        /// it gives is never below the one `reduced_dist` takes for the
+        /// coded row — as `f64`s, no tolerance — and both tables are filled
+        /// in one pass, the near one as it would be alone. A codebook wider
+        /// than 64 coordinates, which leaves some uncoded, yields no far
+        /// table.
+        #[test]
+        fn the_far_face_bound_never_falls_below_the_distance(
+            dim in 1usize..=80,
+            n in 1usize..60,
+            raw in proptest::collection::vec(-1.0f64..1.0, 80 * 8),
+            scale in 0usize..4,
+            proj_sq in 0.0f64..4.0,
+            picks in proptest::collection::vec(0usize..10_000, 16),
+        ) {
+            let Fixture { book, rows, codes, queries } = bound_fixture(dim, n, &raw, scale, &picks);
+            for q in &queries {
+                let (mut near, mut far) = (Vec::new(), vec![f64::NAN]);
+                book.gaps_into(q, &mut near, &mut far);
+                let mut alone = Vec::new();
+                book.gaps_into(q, &mut alone, &mut Vec::new());
+                prop_assert_eq!(&near, &alone);
+                prop_assert!(far[0].is_nan(), "the far table is appended to");
+                if dim > 64 {
+                    prop_assert_eq!(far.len(), 1);
+                    continue;
+                }
+                prop_assert_eq!(far.len(), near.len() + 1);
+                for (r, &code) in rows.iter().zip(&codes) {
+                    let upper = proj_sq + book.gap_sq(&far[1..], code);
+                    let radicand = proj_sq + mmdr_linalg::l2_dist_sq(q, r);
+                    prop_assert!(upper >= radicand, "upper {upper:e} < radicand {radicand:e}");
+                    prop_assert!(upper.sqrt() >= mmdr_linalg::reduced_dist(proj_sq, q, r));
+                }
+            }
         }
     }
 }

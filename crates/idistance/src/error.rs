@@ -32,6 +32,8 @@ pub enum Error {
     BadRecordId(u64),
     /// A configuration field is out of range.
     InvalidConfig(&'static str),
+    /// A row was given the point id `u64::MAX`, which no row may carry.
+    ReservedId,
 }
 
 impl fmt::Display for Error {
@@ -48,6 +50,7 @@ impl fmt::Display for Error {
             }
             Error::BadRecordId(rid) => write!(f, "record id {rid} does not exist"),
             Error::InvalidConfig(msg) => write!(f, "invalid configuration: {msg}"),
+            Error::ReservedId => write!(f, "point id {} is reserved", u64::MAX),
         }
     }
 }
@@ -125,5 +128,8 @@ mod tests {
         assert!(Error::BadRecordId(9).to_string().contains('9'));
         assert!(Error::BadRecordId(9).source().is_none());
         assert!(Error::InvalidConfig("x").to_string().contains('x'));
+        assert!(Error::ReservedId
+            .to_string()
+            .contains(&u64::MAX.to_string()));
     }
 }

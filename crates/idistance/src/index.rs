@@ -391,7 +391,6 @@ mod tests {
     use super::*;
     use crate::layout::BuiltIndex;
     use mmdr_core::{Mmdr, MmdrParams, PointAssignment};
-    use mmdr_index::VectorIndex;
 
     fn dataset() -> Matrix {
         let rows: Vec<Vec<f64>> = (0..200)
@@ -507,24 +506,27 @@ mod tests {
     }
 
     #[test]
-    fn a_record_carrying_the_tombstone_id_never_surfaces() {
-        // What an in-place delete by an older build left in a heap.
+    fn the_id_an_older_build_marked_dead_rows_with_is_refused() {
+        // `u64::MAX` was a dead record's id; no row may carry it now, so
+        // every record a search reads is a live row.
         let (data, model) = fitted();
         let rows = &mut data_rows(Backend::IDistance, &data, &model).unwrap();
         let keys = KeySpace::fitted(&model, |id| Some(data.row(id as usize))).unwrap();
-        let index = IDistanceIndex::load(&model, 256, keys, &mut |part| {
+        let loaded = IDistanceIndex::load(&model, 256, keys, &mut |part| {
             let mut rows = rows(part)?;
             for (id, _) in rows.iter_mut().filter(|(id, _)| *id == 50) {
-                *id = crate::TOMBSTONE;
+                *id = u64::MAX;
             }
             Ok(rows)
-        })
-        .unwrap();
-        let p = data.row(50);
-        let hits = index.knn(p, 500).unwrap();
-        assert_eq!(hits.len(), 199);
-        assert!(hits.iter().all(|&(_, id)| id != crate::TOMBSTONE));
-        let hits = index.range_search(p, 1e6).unwrap();
-        assert_eq!(hits.len(), 199);
+        });
+        assert!(matches!(loaded, Err(Error::ReservedId)));
+        let built =
+            BuiltIndex::IDistance(Box::new(IDistanceIndex::build(&data, &model, 256).unwrap()));
+        let refused = built.insert(&model, u64::MAX, data.row(50)).unwrap_err();
+        assert!(refused.to_string().contains("reserved"), "{refused}");
+        assert_eq!(built.delta_stats().rows, 0);
+        assert_eq!(built.as_dyn().len(), 200);
+        built.insert(&model, u64::MAX - 1, data.row(50)).unwrap();
+        assert_eq!(built.as_dyn().knn(data.row(50), 200).unwrap().len(), 200);
     }
 }

@@ -1,19 +1,19 @@
 //! The one search loop of the extended iDistance index (paper §5). The
 //! paper's KNN query "examines increasingly larger sphere in each
 //! iteration"; here the sphere's radius is the result set's reach, read off
-//! it at every step, and the search reads the index outward from the query
-//! in ring order, one leaf at a time. A range query is the same loop with
-//! its reach fixed at its radius.
+//! it at every step — or a provisional one while that is narrower — and the
+//! search reads the index outward from the query in ring order, one leaf at
+//! a time. A range query is the same loop with its reach fixed at its
+//! radius.
 
 use crate::codes::Codebook;
 use crate::error::{Error, Result};
 use crate::index::{IDistanceIndex, RecordIds};
-use crate::vector_heap::TOMBSTONE;
 use mmdr_btree::Cursor;
 use mmdr_index::{KnnHeap, Scratch, SearchFilter, Target};
 use mmdr_pca::ReducedSubspace;
 use mmdr_storage::PageSet;
-use std::collections::HashSet;
+use std::collections::{BinaryHeap, HashSet};
 use std::ops::Range;
 
 /// The query as one partition sees it: its local coordinates in the
@@ -64,17 +64,18 @@ struct PartitionSearch<'a> {
     /// has excluded a ring it read.
     walks: [Option<(Cursor, f64)>; 2],
     /// The partition's codebook, if it was loaded with rows, and where in
-    /// the query's `gaps` the gap table against it sits
-    /// ([`Codebook::gaps_into`]) from the step that opens the partition.
+    /// the query's `gaps` and `far` its two tables sit, if it has them
+    /// ([`Codebook::gaps_into`]), from the step that opens the partition.
     book: Option<&'a Codebook>,
     gaps: Range<usize>,
+    far: Option<Range<usize>>,
 }
 
-/// The result set's reach as the two per-entry bounds test it: both ask
-/// whether `radicand.sqrt() > reach`, and the root is monotone, so that is
-/// whether the radicand exceeds the largest one whose root is still within
-/// reach — the same decision to the bit, with a root taken when the reach
-/// moves (as often as the result set admits a row) and not per leaf entry.
+/// A reach as the two per-entry bounds test it: both ask whether
+/// `radicand.sqrt() > reach`, and the root is monotone, so that is whether
+/// the radicand exceeds the largest one whose root is still within reach —
+/// the same decision to the bit, with a root taken when the reach moves (at
+/// most once a row refined or a leaf walked) and not per leaf entry.
 #[derive(Default)]
 struct Reach {
     reach: f64,
@@ -83,12 +84,10 @@ struct Reach {
 }
 
 impl Reach {
-    /// The largest radicand within `best.reach()`: a radicand `x` has
-    /// `x.sqrt() > best.reach()` exactly when it exceeds this. `∞` while
-    /// the reach is.
+    /// The largest radicand within `reach`: a radicand `x` has `x.sqrt() >
+    /// reach` exactly when it exceeds this. `∞` while the reach is.
     #[inline]
-    fn limit(&mut self, best: &KnnHeap) -> f64 {
-        let reach = best.reach();
+    fn limit(&mut self, reach: f64) -> f64 {
         if reach != self.reach {
             self.reach = reach;
             self.radicand = Self::largest_radicand(reach);
@@ -118,13 +117,14 @@ impl Reach {
 /// against the reach and queues what passes at its lower bound
 /// ([`walk`](Self::walk), [`queue`](Self::queue)); [`refine`](Self::refine)
 /// then takes the queue nearest bound first, as far as no unread entry can
-/// come before — the optimal multi-step order — so the reach narrows as
-/// early as it can and stops the refinement at the first entry it
-/// excludes. A refined entry's position is resolved to its record,
-/// which is located on its page — pinned once a query, in `pages`, whatever
-/// order the pages come in — and only its id is read; the id is put to
-/// every test that can reject it; only a row that passed them all has its
-/// coordinates decoded and its distance evaluated.
+/// come before — the optimal multi-step order, from the first row — so the
+/// reach narrows as early as it can and stops the refinement at the first
+/// entry it excludes; a provisional reach ([`top`](Self::top)) keeps the
+/// queue short until then. A refined entry's position is resolved to its
+/// record, which is located on its page — pinned once a query, in `pages`,
+/// whatever order the pages come in — and only its id is read; the id is
+/// put to every test that can reject it; only a row that passed them all
+/// has its coordinates decoded and its distance evaluated.
 ///
 /// Under a filter most rows fail, and pinning a page to learn that a row
 /// fails is the dearest step of all — so a filtered search asks the heap's
@@ -150,6 +150,10 @@ struct Candidates<'a> {
     locals: &'a [f64],
     /// Where a row that passed is decoded.
     coords: &'a mut Vec<f64>,
+    /// The least `slots` upper radicands (as bits) of the entries queued
+    /// that count ([`admit`](Self::admit)).
+    uppers: &'a mut BinaryHeap<u64>,
+    slots: usize,
     tombs: &'a HashSet<u64>,
     filter: Option<&'a SearchFilter>,
     /// Distances evaluated, each one a row offered to the result set.
@@ -160,6 +164,7 @@ impl Drop for Candidates<'_> {
     fn drop(&mut self) {
         self.queue.clear();
         self.pages.clear();
+        self.uppers.clear();
     }
 }
 
@@ -167,26 +172,35 @@ impl Candidates<'_> {
     /// Every test that rejects a row by its id alone.
     #[inline]
     fn rejects(tombs: &HashSet<u64>, filter: Option<&SearchFilter>, id: u64) -> bool {
-        id == TOMBSTONE || tombs.contains(&id) || filter.is_some_and(|f| !f.passes(id))
+        tombs.contains(&id) || filter.is_some_and(|f| !f.passes(id))
     }
 
-    /// Whether, under a filter, the id column already knows that the entry
-    /// at `position` names a row the gate rejects. No pool, and no division
+    /// `None` if, under a filter, the id column already knows that the
+    /// entry at `position` names a row the gate rejects; else whether the
+    /// entry counts towards the provisional reach: under a filter, if the
+    /// column knows it passes; without one, always. No pool, and no division
     /// on a heap page the walk stands on ([`RecordIds`]): the one test
-    /// cheaper than the cell code, so the scan loops ask it first — a 1 %
-    /// filter's reach stays wide, its codes rule out little, and paying
-    /// for one on every entry ran `filtered_knn` 9 % slower. What reaches
-    /// the code test, and so every count, is unchanged: a row this rejects
-    /// was never pinned or evaluated either way. Always inlined: as a call
+    /// cheaper than the cell code, so the walk asks it first — a 1 % filter's
+    /// reach stays wide, its codes rule out little, and paying for one on
+    /// every entry ran `filtered_knn` 9 % slower. Always inlined: as a call
     /// per entry it cost `filtered_knn` 7 % and unfiltered queries 2 %.
     #[inline(always)]
-    fn known_to_fail(&mut self, position: u64) -> bool {
-        self.filter.is_some() && {
-            let rid = self.ids.get(self.index, position);
-            self.index
-                .heap
-                .learned_id(rid)
-                .is_some_and(|id| Self::rejects(self.tombs, self.filter, id))
+    fn admit(&mut self, position: u64) -> Option<bool> {
+        let rid = self.filter.map(|_| self.ids.get(self.index, position));
+        match rid.map(|rid| self.index.heap.learned_id(rid)) {
+            Some(Some(id)) if Self::rejects(self.tombs, self.filter, id) => None,
+            learned => Some(learned.is_none_or(|id| id.is_some())),
+        }
+    }
+
+    /// The provisional reach's radicand: the `slots`-th least upper bound
+    /// gathered (`∞` while fewer). At least k of those rows are offered, so
+    /// a lower bound whose root is strictly beyond its root is never refined.
+    #[inline]
+    fn top(&self) -> f64 {
+        match self.uppers.peek() {
+            Some(&top) if self.uppers.len() == self.slots => f64::from_bits(top),
+            _ => f64::INFINITY,
         }
     }
 
@@ -204,14 +218,13 @@ impl Candidates<'_> {
 
     /// Refines the queue nearest bound first, ties by position, each entry
     /// against the reach as it stands, as far as the frontier `front` (the
-    /// least radicand an unread entry can have) — and, until the result set
-    /// first holds k rows, past it, so the reach turns finite as soon as it
-    /// can. What lies beyond the front stays queued: an unread row may come
+    /// least radicand an unread entry can have), from the first row on.
+    /// What lies beyond the front stays queued: an unread row may come
     /// before it. The first entry the reach excludes ends it, and every
     /// entry behind it: their bounds are no nearer, and the reach only
-    /// narrows. So the rows evaluated are the ones no tighter order could
-    /// spare, and the answer is the one any order gives — the result set
-    /// breaks ties by id, and exclusion is strict.
+    /// narrows. So the rows evaluated are those whose two bounds lie within
+    /// the final reach, and the answer is the one any order gives — the
+    /// result set breaks ties by id, and exclusion is strict.
     ///
     /// Most steps find nothing within the front (the ring bound trails the
     /// code bound an entry is queued at): one compare with the least entry.
@@ -221,11 +234,10 @@ impl Candidates<'_> {
     /// the next 128, and so on. A binary heap pushed per entry ran
     /// `knn_resident` 17 % slower, and `(u64, u64)` pairs 1 %.
     fn refine(&mut self, front: f64, reach: &mut Reach, best: &mut KnnHeap) -> Result<()> {
-        let limit = reach.limit(best);
-        let filling = limit == f64::INFINITY;
-        if !filling && (self.least >> 64) as u64 > front.to_bits() {
+        if (self.least >> 64) as u64 > front.to_bits() {
             return Ok(());
         }
+        let limit = reach.limit(best.reach());
         let mut queue = std::mem::take(&mut *self.queue);
         let (mut kept, mut within) = (0, 0);
         for i in 0..queue.len() {
@@ -233,7 +245,7 @@ impl Candidates<'_> {
             let bound = f64::from_bits((entry >> 64) as u64);
             if bound <= limit {
                 queue[kept] = entry;
-                if filling || bound <= front {
+                if bound <= front {
                     queue.swap(within, kept);
                     within += 1;
                 }
@@ -251,11 +263,8 @@ impl Candidates<'_> {
             nearest.sort_unstable();
             for &mut entry in nearest {
                 let (bound, position) = (f64::from_bits((entry >> 64) as u64), entry as u64);
-                if bound > reach.limit(best) {
+                if bound > reach.limit(best.reach()) {
                     taken = len;
-                    break 'refine;
-                }
-                if bound > front && reach.limit(best) < f64::INFINITY {
                     break 'refine;
                 }
                 self.offer(position, best)?;
@@ -271,19 +280,20 @@ impl Candidates<'_> {
 
     /// Walks an opened partition's cursor `W` (0 outward, 1 inward) over
     /// one leaf — the next one, as a seek or the last walk left the cursor
-    /// at a leaf boundary — testing each entry against the reach's `limit`
-    /// ([`Reach::limit`]; a walk refines nothing, so the reach stands still)
-    /// and queueing what passes. The cursor is retired for good where it
-    /// leaves the partition, or at a leaf whose ring the reach excludes:
-    /// the rings behind it are no nearer. It leaves by position, as a
-    /// leaf's key range may reach past the partition's: outward, the
-    /// partition before's entries in the leaf it starts on are stepped
-    /// over.
+    /// at a leaf boundary — testing each entry against `limit`, the reach or
+    /// the narrower provisional one as the leaf began ([`Reach::limit`]),
+    /// and queueing what passes; only an entry queued below the
+    /// [`top`](Self::top) has its upper bound read off the far-face table.
+    /// The cursor is retired for good where it leaves the partition, or at
+    /// a leaf whose ring the limit excludes: the rings behind it are no
+    /// nearer. It leaves by position, as a leaf's key range may reach past
+    /// the partition's: outward, the partition before's entries in the leaf
+    /// it starts on are stepped over.
     #[inline]
     fn walk<const W: usize>(
         &mut self,
         s: &mut PartitionSearch,
-        gaps: &[f64],
+        (gaps, far_gaps): (&[f64], &[f64]),
         limit: f64,
     ) -> Result<()> {
         let (tree, run) = (&self.index.tree, s.run.clone());
@@ -294,6 +304,9 @@ impl Candidates<'_> {
         let (image, proj_sq) = (slot + s.dist_q, s.proj_sq);
         let (inner, outer) = (slot + part.min_radius, slot + part.max_radius);
         let cells = s.book.map(|book| (book, &gaps[s.gaps.clone()]));
+        let far = s.book.zip(s.far.clone()).filter(|_| self.slots > 0);
+        let far = far.map(|(book, at)| (book, &far_gaps[at]));
+        let mut top = self.top();
         let Some((cur, front)) = &mut s.walks[W] else {
             unreachable!("the frontier names a walk that is still live")
         };
@@ -327,13 +340,27 @@ impl Candidates<'_> {
             if position >= run.start {
                 // Then the entry's cell code against the gap table: `≤` the
                 // row's distance to the bit (see [`crate::codes`]), so what
-                // it puts strictly beyond the reach the result set would
-                // refuse, and no heap page, decode or distance is spent on
-                // it. What both admit is queued at the larger bound.
-                if !self.known_to_fail(position) {
+                // it puts strictly beyond the limit no order refines, and
+                // no heap page, decode or distance is spent on it. What
+                // both admit is queued at the larger bound.
+                if let Some(counts) = self.admit(position) {
                     match cells.map(|(book, gaps)| proj_sq + book.gap_sq(gaps, cur.code())) {
                         Some(code) if code > limit => {}
-                        code => self.queue(code.map_or(ring, |code| ring.max(code)), position),
+                        code => {
+                            let bound = code.map_or(ring, |code| ring.max(code));
+                            self.queue(bound, position);
+                            if let Some((book, far)) = far.filter(|_| counts && bound < top) {
+                                let upper = proj_sq + book.gap_sq(far, cur.code());
+                                if upper < top {
+                                    if self.uppers.len() < self.slots {
+                                        self.uppers.push(upper.to_bits());
+                                    } else if let Some(mut worst) = self.uppers.peek_mut() {
+                                        *worst = upper.to_bits();
+                                    }
+                                    top = self.top();
+                                }
+                            }
+                        }
                     }
                 }
             }
@@ -469,15 +496,23 @@ impl IDistanceIndex {
                 walks: [None, None],
                 book: part.codebook.as_ref(),
                 gaps: 0..0,
+                far: None,
             });
         }
-        // The opened partitions' gap tables, back to back like `locals`.
-        let mut gaps = Vec::new();
+        // The opened partitions' gap and far-face tables, back to back.
+        let (mut gaps, mut far) = (Vec::new(), Vec::new());
 
         let mut best = KnnHeap::for_target(target);
-        let mut reach = Reach::default();
+        let (mut reach, mut top_reach) = (Reach::default(), Reach::default());
 
         let tombs = self.delta.tombstones();
+        // Of k + |tombstones| rows read, k are offered; under a filter only
+        // rows known to pass count, and k of them are.
+        let slots = match target {
+            Target::Knn(k) if filter.is_none() => k.saturating_add(tombs.len()),
+            Target::Knn(k) => k,
+            Target::Range(_) => 0,
+        };
         let mut candidates = Candidates {
             index: self,
             ids: RecordIds::default(),
@@ -487,6 +522,8 @@ impl IDistanceIndex {
             geo: &geo,
             locals: &locals,
             coords: &mut scratch.coords,
+            uppers: &mut scratch.uppers,
+            slots,
             tombs: &tombs,
             filter,
             evaluated: 0,
@@ -524,12 +561,15 @@ impl IDistanceIndex {
                     (fronts.into_iter().enumerate()).filter_map(move |(w, f)| Some((f?, i, w)))
                 })
                 .min_by(|a, b| a.0.total_cmp(&b.0));
+            // Past the provisional reach nothing unread is refined: the queue is all.
+            let provisional = top_reach.limit(candidates.top().sqrt());
+            let next = next.filter(|&(front, ..)| front <= provisional);
             let front = next.map_or(f64::INFINITY, |(front, ..)| front);
             candidates.refine(front, &mut reach, &mut best)?;
             // Stop when the answer is certainly final: every entry not yet
             // read, and every one still queued, lies beyond the reach — or
             // there is none.
-            let limit = reach.limit(&best);
+            let limit = reach.limit(best.reach()).min(provisional);
             let Some((front, i, w)) = next else {
                 break;
             };
@@ -539,9 +579,10 @@ impl IDistanceIndex {
             let s = &mut searches[i];
             if s.lower_bound.take().is_some() {
                 if let Some(book) = s.book {
-                    let start = gaps.len();
-                    book.gaps_into(s.q_local, &mut gaps);
+                    let (start, far_start) = (gaps.len(), far.len());
+                    book.gaps_into(s.q_local, &mut gaps, &mut far);
                     s.gaps = start..gaps.len();
+                    s.far = (far.len() > far_start).then_some(far_start..far.len());
                 }
                 // Seek the query's image, clamped into the populated sphere
                 // — the paper's case analysis: a query outside the data
@@ -553,9 +594,9 @@ impl IDistanceIndex {
                     .seek(s.part as f64 * self.c + s.dist_q.min(max_r))?;
                 s.walks = [Some((cur.clone(), front)), Some((cur, front))];
             } else if w == 0 {
-                candidates.walk::<0>(s, &gaps, limit)?;
+                candidates.walk::<0>(s, (&gaps, &far), limit)?;
             } else {
-                candidates.walk::<1>(s, &gaps, limit)?;
+                candidates.walk::<1>(s, (&gaps, &far), limit)?;
             }
         }
 
@@ -574,7 +615,7 @@ mod tests {
     use crate::index::IDistanceIndex;
     use crate::layout::{data_rows, BuiltIndex, KeySpace};
     use crate::seqscan::SeqScan;
-    use crate::vector_heap::{VectorHeap, TOMBSTONE};
+    use crate::vector_heap::VectorHeap;
     use mmdr_core::{Mmdr, MmdrParams, PointAssignment, ReductionResult};
     use mmdr_index::{Query, RowFilter, Scratch, SearchFilter, Target, VectorIndex};
     use mmdr_linalg::Matrix;
@@ -854,8 +895,8 @@ mod tests {
     // once a query, in the order the refinement first needs it. The parent
     // commit's filtered search — every admitted candidate pinned, then put
     // to the filter — is today's *unfiltered* search over the same layout
-    // with the failing rows' ids stored as `TOMBSTONE`: the same rows
-    // rejected at the same step, by the path no filter touches.
+    // with the failing rows deleted, into the delta's tombstone set: the
+    // same rows rejected at the same step, by the path no filter touches.
 
     /// Two flats of intrinsic dimension 6 in 8-d, 3 000 rows each, and a
     /// handful of outliers: 73 rows to a heap page, some 40 pages a cluster.
@@ -1053,7 +1094,10 @@ mod tests {
                 .filter(|&&(_, id)| pass(id))
                 .map(|&(page, _)| page)
                 .collect();
-            let parent = Watched::build(|id| if pass(id) { id } else { TOMBSTONE });
+            let parent = Watched::build(|id| id);
+            for id in (0..n).filter(|&id| !pass(id)) {
+                assert!(parent.index.delta.delete(id).unwrap());
+            }
             for target in PAGED_TARGETS {
                 for probe in PAGED_PROBES {
                     let ctx = format!("{name}, {target:?}, probe {probe}");
@@ -1539,7 +1583,7 @@ mod tests {
                 };
                 let mut gaps = Vec::new();
                 if let Some(book) = &part.codebook {
-                    book.gaps_into(&local, &mut gaps);
+                    book.gaps_into(&local, &mut gaps, &mut Vec::new());
                 }
                 (i as f64 * index.c + dist_q, proj_sq, gaps)
             })
@@ -1585,8 +1629,8 @@ mod tests {
         /// pages, the same on either pool and with a reused `Scratch`; a
         /// range query evaluates exactly the rows whose two bounds are
         /// within its radius, as refinement in key order did; and a k-NN
-        /// query evaluates those within its k-th distance, and at most the
-        /// k rows that first filled its result set besides.
+        /// query evaluates exactly those within its final k-th distance —
+        /// from the first row, with no fill past the frontier.
         #[test]
         fn bound_order_answers_as_the_scan_and_fetches_each_heap_page_once(
             n in 400usize..1500,
@@ -1642,17 +1686,16 @@ mod tests {
                                 let within = rows_within_both_bounds(&resident, q, r, pass);
                                 prop_assert_eq!(evaluated, within, "{}", ctx);
                             }
-                            // Past the fill, only rows whose bounds lie within
-                            // the final reach are refined — to the boundary
-                            // tolerance a range query keeps, since a rounded
-                            // ring bound can pass a row's distance by an ulp;
-                            // the fill itself refines k rows, wherever they lie.
+                            // Only rows whose bounds lie within the final
+                            // reach are refined — to the boundary tolerance a
+                            // range query keeps, since a rounded ring bound can
+                            // pass a row's distance by an ulp.
                             Target::Knn(k) => {
                                 let d_k = got.get(k - 1).map_or(f64::INFINITY, |&(d, _)| d);
                                 let within = rows_within_both_bounds(&resident, q, d_k, pass);
                                 let near = rows_within_both_bounds(&resident, q, d_k + 1e-12, pass);
                                 prop_assert!(
-                                    within <= evaluated && evaluated <= near + k as u64,
+                                    within <= evaluated && evaluated <= near,
                                     "{}: {} evaluated, {} within both bounds of {}, {} near",
                                     ctx, evaluated, within, d_k, near
                                 );
@@ -1662,5 +1705,115 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// Degenerate k and ties, on two fixtures. Every row of two random
+    /// flats has five exact twins, so a k-th distance is shared by up to
+    /// six rows. And the 625 points of a 5⁴ grid, all outliers, are stored
+    /// exactly: their distances to a grid point or a half-integer one are
+    /// sums of small dyadic squares, so distinct rows in distinct cells,
+    /// scattered over the leaf order, tie exactly. Either way the result
+    /// set's tie break by id decides which tied rows stay. For k inside a
+    /// run of ties, k at, just below and past the live rows and the rows a
+    /// filter passes, before and after deletes, without a filter and under
+    /// 1 % and 60 % ones: the answer is `SeqScan`'s bit for bit — so every
+    /// exclusion stays strict at a tie, and a provisional reach that never
+    /// fills (more slots than rows) leaves the search exact.
+    #[test]
+    fn degenerate_k_and_ties_answer_as_the_scan() {
+        let distinct = two_clusters(150, 8, 7);
+        let rows: Vec<Vec<f64>> = (0..6 * 150)
+            .map(|i| distinct.row(i % 150).to_vec())
+            .collect();
+        let twins = Matrix::from_rows(&rows).unwrap();
+        let fitted = Mmdr::new(MmdrParams::default()).fit(&twins).unwrap();
+        let rows: Vec<Vec<f64>> = (0..625u32)
+            .map(|i| (0..4).map(|j| f64::from(i / 5u32.pow(j) % 5)).collect())
+            .collect();
+        let grid = Matrix::from_rows(&rows).unwrap();
+        let outliers = ReductionResult {
+            dim: 4,
+            num_points: 625,
+            clusters: Vec::new(),
+            outliers: (0..625).collect(),
+            stats: Default::default(),
+        };
+        let midpoint = |data: &Matrix, a: usize, b: usize| -> Vec<f64> {
+            let (a, b) = (data.row(a), data.row(b));
+            a.iter().zip(b).map(|(a, b)| 0.5 * (a + b)).collect()
+        };
+        let mut tied_cuts = 0;
+        for (data, model, probes) in [
+            (&twins, &fitted, [0, 149, 40].map(|i| twins.row(i).to_vec())),
+            (&grid, &outliers, [312, 0, 77].map(|i| grid.row(i).to_vec())),
+        ] {
+            let probes = probes.into_iter().chain([midpoint(data, 3, 80)]);
+            tied_cuts += answers_at_degenerate_k(data, model, probes);
+        }
+        assert!(
+            tied_cuts >= 60,
+            "only {tied_cuts} answers cut through a tie"
+        );
+    }
+
+    /// [`degenerate_k_and_ties_answer_as_the_scan`]'s sweep over one
+    /// fixture; returns how many answers were cut through a tie.
+    fn answers_at_degenerate_k(
+        data: &Matrix,
+        model: &ReductionResult,
+        probes: impl Iterator<Item = Vec<f64>> + Clone,
+    ) -> usize {
+        let n = data.rows() as u64;
+        let built = [
+            BuiltIndex::IDistance(Box::new(IDistanceIndex::build(data, model, 256).unwrap())),
+            BuiltIndex::SeqScan(SeqScan::build(data, model, 64).unwrap()),
+        ];
+        let [index, scan] = built.each_ref().map(BuiltIndex::as_dyn);
+        let dead: Vec<u64> = (0..n).filter(|id| id % 7 == 2 || *id < 3).collect();
+        type Pass = fn(u64) -> bool;
+        let filters: [Option<Pass>; 3] = [None, Some(|id| id % 100 == 7), Some(|id| id % 5 < 3)];
+        let mut tied_cuts = 0;
+        for deleted in [false, true] {
+            if deleted {
+                for id in &dead {
+                    for b in &built {
+                        assert!(b.delete(*id).unwrap());
+                    }
+                }
+            }
+            let live = |id: u64| !(deleted && dead.contains(&id));
+            for pass in filters {
+                let filter = pass.map(|pass| SearchFilter::from_rows(RowFilter::from_fn(n, pass)));
+                let passing = (0..n)
+                    .filter(|&id| live(id) && pass.is_none_or(|p| p(id)))
+                    .count();
+                let live_rows = (0..n).filter(|&id| live(id)).count();
+                for q in probes.clone() {
+                    let mut ks = vec![1, 5, 6, 7, 13, passing - 1, passing, passing + 1, live_rows];
+                    ks.extend([n as usize + 5, usize::MAX]);
+                    for k in ks.into_iter().filter(|&k| k > 0) {
+                        let ctx = format!("deleted {deleted}, filter {}, k {k}", pass.is_some());
+                        let query = Query {
+                            vector: &q,
+                            target: Target::Knn(k),
+                            filter: filter.as_ref(),
+                        };
+                        let want = bits(&scan.search(&query, &mut Scratch::default()).unwrap());
+                        let got = bits(&index.search(&query, &mut Scratch::default()).unwrap());
+                        assert_eq!(got, want, "{ctx}");
+                        assert_eq!(got.len(), k.min(passing), "{ctx}");
+                        let next = Query {
+                            target: Target::Knn(k.saturating_add(1)),
+                            ..query
+                        };
+                        let longer = scan.search(&next, &mut Scratch::default()).unwrap();
+                        if longer.len() > k && longer[k].0 == longer[k - 1].0 {
+                            tied_cuts += 1;
+                        }
+                    }
+                }
+            }
+        }
+        tied_cuts
     }
 }

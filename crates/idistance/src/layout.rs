@@ -91,9 +91,9 @@ impl BuiltIndex {
 
     /// Places an ingested row in the delta layered on the base structures:
     /// validates `vector`, routes it with `model` — the model this index
-    /// was loaded under — at [`INSERT_BETA`], converts
-    /// it to the stored form the loaders write, and stores it under `id`
-    /// (engine-assigned, unique, monotone). Returns the routing and the
+    /// was loaded under — at [`INSERT_BETA`], converts it to the stored
+    /// form the loaders write, and stores it under `id` (engine-assigned,
+    /// unique, monotone, never `u64::MAX`). Returns the routing and the
     /// winning `ProjDist`, which the ingest engine's drift estimator feeds
     /// on.
     pub fn insert(
@@ -103,6 +103,9 @@ impl BuiltIndex {
         vector: &[f64],
     ) -> mmdr_index::Result<(PointAssignment, f64)> {
         validate_vector(self.as_dyn().dim(), vector)?;
+        if id == u64::MAX {
+            return Err(Error::ReservedId.into());
+        }
         let placed = model
             .assign_point_with_dist(vector, INSERT_BETA)
             .map_err(Error::from)?;

@@ -65,4 +65,4 @@ pub use layout::{
 // re-exported because every backend consumer needs them together.
 pub use mmdr_index::{QueryStats, VectorIndex};
 pub use seqscan::SeqScan;
-pub use vector_heap::{Record, VectorHeap, TOMBSTONE};
+pub use vector_heap::{Record, VectorHeap};

@@ -31,12 +31,6 @@ use std::sync::OnceLock;
 
 const HEADER: usize = 8;
 
-/// Sentinel point id marking a dead record. Nothing writes it any more
-/// (live deletes are tombstones in the delta, folded out by the loader),
-/// but a snapshot from a build that deleted in place may hold one, so
-/// every reader skips it.
-pub const TOMBSTONE: u64 = u64::MAX;
-
 /// One heap page as a reader sees it: an immutable image the pool handed
 /// out, held by the reader's [`PageSet`] (a pin, not a latch — see
 /// [`mmdr_btree::Cursor`]), and its header.
@@ -97,7 +91,7 @@ pub struct Record<'a> {
 }
 
 impl Record<'_> {
-    /// The point id ([`TOMBSTONE`] for a dead record).
+    /// The point id.
     #[inline]
     pub fn point_id(&self) -> u64 {
         u64::from_le_bytes(*self.id)
@@ -222,9 +216,14 @@ impl VectorHeap {
 
     /// Appends a record for `partition`, returning its rid. Starts a new
     /// page when the partition/width changes or the page fills. A heap is
-    /// written by its load, before anything reads it.
+    /// written by its load, before anything reads it. Every record is a
+    /// live row, so the id `u64::MAX` — an older build's mark of a dead
+    /// one — is refused.
     pub fn append(&mut self, partition: u32, point_id: u64, coords: &[f64]) -> Result<u64> {
         debug_assert!(self.ids.get().is_none(), "appended after a search");
+        if point_id == u64::MAX {
+            return Err(Error::ReservedId);
+        }
         let dim = coords.len();
         let width = Self::width(dim)?;
         let need_new = match self.open {
@@ -336,9 +335,6 @@ impl VectorHeap {
                 let record = page
                     .record(slot)
                     .ok_or(Error::BadRecordId((id << 16) | slot as u64))?;
-                if record.point_id() == TOMBSTONE {
-                    continue; // deleted record
-                }
                 record.coords_into(&mut coords);
                 f(page.partition, record.point_id(), &coords);
             }
@@ -578,14 +574,18 @@ mod tests {
     }
 
     #[test]
-    fn scan_skips_a_record_carrying_the_tombstone_id() {
+    fn append_refuses_the_reserved_id_and_writes_nothing() {
         let mut h = heap(8);
         h.append(0, 1, &[1.0]).unwrap();
-        h.append(0, TOMBSTONE, &[2.0]).unwrap();
-        h.append(0, 3, &[3.0]).unwrap();
+        assert!(matches!(
+            h.append(0, u64::MAX, &[2.0]),
+            Err(Error::ReservedId)
+        ));
+        h.append(0, u64::MAX - 1, &[3.0]).unwrap();
         let mut seen = Vec::new();
         h.scan(|_, pid, _| seen.push(pid)).unwrap();
-        assert_eq!(seen, vec![1, 3]);
+        assert_eq!(seen, vec![1, u64::MAX - 1]);
+        assert_eq!(h.len(), 2);
     }
 
     #[test]

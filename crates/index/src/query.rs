@@ -90,6 +90,9 @@ pub struct Scratch {
     pub queue: Vec<u128>,
     /// The pages one query has pinned from one pool. Empty between calls.
     pub pages: PageSet,
+    /// Upper bounds a k-NN search has gathered on the distances of rows it
+    /// has read, as bits, greatest on top. Empty between calls.
+    pub uppers: std::collections::BinaryHeap<u64>,
 }
 
 #[cfg(test)]

@@ -50,11 +50,14 @@ cargo test "${PROFILE[@]}" -p mmdr-cli --test cli_validation
 cargo test "${PROFILE[@]}" -p mmdr-linalg --test proptest_par
 cargo test "${PROFILE[@]}" -p mmdr-index --test proptest_heap
 # Refinement in bound order: answers bit-identical to SeqScan, each heap
-# page fetched once a query, a range query evaluating exactly the rows its
-# two bounds admit, and a k-NN query those within its k-th distance plus
-# at most the k that first filled its result set.
+# page fetched once a query, and a query evaluating exactly the rows whose
+# two bounds lie within its radius or its final k-th distance. Beside it,
+# degenerate k and ties: k inside a run of tied distances, at and past the
+# live or passing rows, after deletes — every answer SeqScan's to the bit.
 cargo test "${PROFILE[@]}" -p mmdr-idistance --lib \
     knn::tests::bound_order_answers_as_the_scan_and_fetches_each_heap_page_once -- --exact
+cargo test "${PROFILE[@]}" -p mmdr-idistance --lib \
+    knn::tests::degenerate_k_and_ties_answer_as_the_scan -- --exact
 
 echo "== buffer-pool concurrency gate =="
 cargo test "${PROFILE[@]}" --test pool_stress
