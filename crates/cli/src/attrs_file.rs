@@ -10,8 +10,8 @@
 //! ```
 //!
 //! `mmdr generate --attrs-out` writes one deterministically from the seed;
-//! `build-index --attrs` / `shard-split --attrs` embed it into snapshots
-//! as the checksummed ATTRS section.
+//! `build-index --attrs` embeds it into snapshots as the checksummed
+//! ATTRS section.
 
 use mmdr_query::{AttrStore, AttrType, AttrValue};
 

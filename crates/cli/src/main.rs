@@ -53,10 +53,8 @@ fn main() -> ExitCode {
         "reduce" => cmd_reduce(rest),
         "info" => cmd_info(rest),
         "build-index" => cmd_build_index(rest),
-        "shard-split" => cmd_shard_split(rest),
         "query" => cmd_query(rest),
         "serve" => cmd_serve(rest),
-        "route" => cmd_route(rest),
         "ingest" => cmd_ingest(rest),
         "remote-query" => cmd_remote_query(rest),
         "remote-insert" => cmd_remote_insert(rest),
@@ -85,12 +83,10 @@ USAGE:
   mmdr build-index --data FILE --model FILE --out FILE [--backend seqscan|idistance|hybrid|gldr] [--buffer-pages N] [--attrs FILE]
   mmdr query    --data FILE --model FILE (--row I[,J,…] | --point \"x,y,…\") [--k K] [--radius R] [--threads N] [--backend seqscan|idistance|hybrid|gldr] [--hex true]
   mmdr query    --index-file FILE (--row I[,J,…] --data FILE | --point \"x,y,…\") [--k K] [--radius R] [--filter \"EXPR\"] [--threads N] [--pool-pages N] [--readahead N] [--hex true]
-  mmdr shard-split --data FILE --model FILE --out-dir DIR --shards N [--backend seqscan|idistance|hybrid|gldr] [--buffer-pages N] [--attrs FILE]
   mmdr serve    --index-file FILE [--wal true] [--merge-threshold N] [--refit-threshold X] [--host H] [--port P] [--workers W] [--io-timeout-ms MS] [--pool-pages N] [--readahead N]
-  mmdr route    --manifest FILE --shard-addr HOST:PORT,HOST:PORT,… [--host H] [--port P] [--workers W] [--io-timeout-ms MS] [--shard-timeout-ms MS]
   mmdr ingest   --index-file FILE (--data FILE | --point \"x,y,…\") [--delete I[,J,…]] [--flush true] [--refit true] [--merge-threshold N] [--refit-threshold X] [--pool-pages N]
-  mmdr remote-query (--addr | --router) HOST:PORT (--row I[,J,…] --data FILE | --point \"x,y,…\") [--k K] [--radius R] [--filter \"EXPR\"] [--hex true] [--verbose true]
-  mmdr remote-query (--addr | --router) HOST:PORT --op ping|stats|shutdown
+  mmdr remote-query --addr HOST:PORT (--row I[,J,…] --data FILE | --point \"x,y,…\") [--k K] [--radius R] [--filter \"EXPR\"] [--hex true]
+  mmdr remote-query --addr HOST:PORT --op ping|stats|shutdown
   mmdr remote-insert --addr HOST:PORT (--data FILE | --point \"x,y,…\") [--delete I[,J,…]] [--flush true]
 
 Results are independent of --threads: clustering, PCA and batch queries use
@@ -114,6 +110,7 @@ rejections under load, and SIGINT/SIGTERM (or a remote-query --op
 shutdown) drains in-flight requests before exiting. remote-query answers
 are bit-identical to local query answers against the same snapshot —
 --hex prints raw distance bit patterns to make that checkable with diff.
+--io-timeout-ms bounds per-connection socket reads and writes.
 
 serve --wal opens the snapshot writable: INSERT/DELETE/FLUSH opcodes are
 accepted, every write is WAL-logged (fsync'd) before it is acknowledged,
@@ -135,24 +132,10 @@ serving. ingest --refit forces one synchronous re-fit. Stats lines
 (local and remote) report the model epoch, re-fit count and per-cluster
 drift.
 
-shard-split partitions a model's clusters across N shards — whole
-clusters only, so per-point distance bits are untouched — writing one
-snapshot per shard plus a CRC-guarded MANIFEST of cluster geometry.
-Each shard runs as an ordinary serve; route fronts them over the same
-wire protocol, scattering each query only to shards whose ball lower
-bound can still beat the current answer (ascending-bound order, radius
-tightened as partials return) and merging partials into answers
-bit-identical to a single-node index over the full dataset. If a needed
-shard is down the query fails with a typed degraded error instead of
-silently returning a subset. remote-query --verbose prints per-query
-shard attribution; --io-timeout-ms bounds per-connection socket reads
-and writes on serve and route alike.
-
 Attribute payloads and filtered search: generate --attrs-out writes a
 deterministic per-row attribute file (header `name:type` with types
 i64|f64|tag, one CSV row per vector, empty cell = NULL), and build-index
---attrs / shard-split --attrs embed it into snapshots as a checksummed
-ATTRS section (shard-split re-keys rows to shard-local ids). query
+--attrs embeds it into snapshots as a checksummed ATTRS section. query
 --filter / remote-query --filter then answer filtered KNN and range
 queries: a filter is `column op value` terms (ops = != < <= > >=; tags
 take only = and !=; NULL fails every term) joined by AND. A cost-based
@@ -160,8 +143,8 @@ planner picks, per query, between post-filtering a widened unfiltered
 search, pushing the row bitmap into the index traversal (with
 sketch-based cluster skipping), and pre-filter ranking when few rows
 match — the choice never changes answers, which stay bit-identical to
-a sequential scan of matching rows, serially, threaded, and through
-route. Planner decisions show in query output and STATS.
+a sequential scan of matching rows, serially, threaded, and over the
+wire. Planner decisions show in query output and STATS.
 
 serve --wal keeps one log file beside the snapshot; every merge and re-fit
 rewrites it down to the operations the new snapshot does not hold yet.";
@@ -410,7 +393,7 @@ fn open_options(flags: &HashMap<String, String>) -> Result<mmdr_persist::OpenOpt
     Ok(opts)
 }
 
-/// The flags every server front takes, `serve` and `route` alike.
+/// The flags `serve` hands to `serve_until_signal`.
 const SERVER_FLAGS: [&str; 4] = ["host", "port", "workers", "io-timeout-ms"];
 
 /// Serves `live` on `--host`/`--port` with `--workers` threads until a
@@ -504,91 +487,6 @@ fn cmd_build_index(args: &[String]) -> Result<(), String> {
         } else {
             ""
         }
-    );
-    Ok(())
-}
-
-fn cmd_shard_split(args: &[String]) -> Result<(), String> {
-    let flags = parse_flags(
-        args,
-        &[
-            "data",
-            "model",
-            "out-dir",
-            "shards",
-            "backend",
-            "buffer-pages",
-            "attrs",
-        ],
-    )?;
-    let data = DatasetFile::load(require(&flags, "data")?)?;
-    let model = load_model(require(&flags, "model")?)?;
-    let attrs = match flags.get("attrs") {
-        Some(path) => Some(attrs_file::load_attrs(path, data.rows())?),
-        None => None,
-    };
-    let out_dir = std::path::Path::new(require(&flags, "out-dir")?);
-    let shards = get_parse(&flags, "shards", 2usize)?;
-    let backend: Backend = match flags.get("backend") {
-        Some(s) => s.parse()?,
-        None => Backend::IDistance,
-    };
-    let buffer_pages = get_parse(&flags, "buffer-pages", 256usize)?;
-    std::fs::create_dir_all(out_dir).map_err(|e| format!("{}: {e}", out_dir.display()))?;
-    let start = std::time::Instant::now();
-    let plans = mmdr_persist::plan_shards(&data, &model, shards).map_err(|e| e.to_string())?;
-    let mut entries = Vec::with_capacity(plans.len());
-    for (i, plan) in plans.iter().enumerate() {
-        let name = format!("shard-{i}.mmdr");
-        let path = out_dir.join(&name);
-        let index = mmdr_persist::build_index(backend, &plan.data, &plan.model, buffer_pages)
-            .map_err(|e| e.to_string())?;
-        // Each shard serves local row ids, so its ATTRS section must be
-        // re-keyed: global id plan.rows[j] becomes the shard's row j. The
-        // router remaps answers back, so filters stay globally consistent.
-        let shard_attrs = match &attrs {
-            Some(store) => {
-                let schema = store.schema();
-                let borrowed: Vec<(&str, mmdr_query::AttrType)> =
-                    schema.iter().map(|(n, t)| (n.as_str(), *t)).collect();
-                let mut local = mmdr_query::AttrStore::new(&borrowed).map_err(|e| e.to_string())?;
-                for (j, &global) in plan.rows.iter().enumerate() {
-                    let row = store.row(global as u64);
-                    local.set_row(j as u64, &row).map_err(|e| e.to_string())?;
-                }
-                Some(local)
-            }
-            None => None,
-        };
-        mmdr_persist::save_with_attrs(&path, &index, &plan.model, 0, shard_attrs.as_ref())
-            .map_err(|e| e.to_string())?;
-        outln!(
-            "shard {i}: {} points, {} clusters{} → {}",
-            plan.rows.len(),
-            plan.clusters.len(),
-            if plan.holds_outliers {
-                " + outliers"
-            } else {
-                ""
-            },
-            path.display()
-        );
-        entries.push(plan.entry(name));
-    }
-    let manifest = mmdr_persist::Manifest {
-        backend: backend.name().to_string(),
-        dim: data.cols(),
-        num_points: data.rows(),
-        shards: entries,
-    };
-    let manifest_path = out_dir.join(mmdr_persist::MANIFEST_FILE);
-    mmdr_persist::write_manifest(&manifest_path, &manifest).map_err(|e| e.to_string())?;
-    outln!(
-        "split {} points across {} shards in {:.2}s; manifest → {}",
-        data.rows(),
-        plans.len(),
-        start.elapsed().as_secs_f64(),
-        manifest_path.display()
     );
     Ok(())
 }
@@ -890,48 +788,6 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_route(args: &[String]) -> Result<(), String> {
-    let own = ["manifest", "shard-addr", "shard-timeout-ms"];
-    let flags = parse_flags(args, &[&own[..], &SERVER_FLAGS].concat())?;
-    let manifest =
-        mmdr_persist::read_manifest(require(&flags, "manifest")?).map_err(|e| e.to_string())?;
-    let addrs: Vec<String> = require(&flags, "shard-addr")?
-        .split(',')
-        .map(|s| s.trim().to_string())
-        .filter(|s| !s.is_empty())
-        .collect();
-    let shard_timeout = std::time::Duration::from_millis(get_parse(
-        &flags,
-        "shard-timeout-ms",
-        mmdr_router::DEFAULT_SHARD_TIMEOUT.as_millis() as u64,
-    )?);
-    let router =
-        mmdr_router::Router::connect(manifest, &addrs, shard_timeout).map_err(|e| e.to_string())?;
-    for (i, (entry, addr)) in router.manifest().shards.iter().zip(&addrs).enumerate() {
-        outln!(
-            "shard {i} @ {addr}: {} points, {} clusters{}",
-            entry.rows.len(),
-            entry.clusters.len(),
-            if entry.holds_outliers {
-                " + outliers"
-            } else {
-                ""
-            }
-        );
-    }
-    outln!(
-        "routing {} ({} points × {} dims) across {} shards",
-        router.manifest().backend,
-        router.manifest().num_points,
-        router.manifest().dim,
-        router.manifest().shards.len()
-    );
-    // RouterLive keeps the router read-only but forwards --filter queries
-    // to the shards (each compiles the predicate against its own ATTRS).
-    let live = mmdr_router::RouterLive::new(std::sync::Arc::new(router));
-    serve_until_signal(std::sync::Arc::new(live), &flags)
-}
-
 /// Opens a snapshot writable: the ingest engine replays its WAL and wires
 /// up the background merge. Shared by `serve --wal` and `ingest`.
 fn open_engine(
@@ -1084,22 +940,11 @@ fn cmd_remote_query(args: &[String]) -> Result<(), String> {
     let flags = parse_flags(
         args,
         &[
-            "addr", "router", "op", "data", "row", "point", "k", "radius", "filter", "hex",
-            "verbose",
+            "addr", "op", "data", "row", "point", "k", "radius", "filter", "hex",
         ],
     )?;
-    // --router is an alias for --addr: a router *is* a server speaking the
-    // same protocol. The spelling documents intent in scripts.
-    let addr = match (flags.get("addr"), flags.get("router")) {
-        (Some(a), None) => a.as_str(),
-        (None, Some(r)) => r.as_str(),
-        (Some(_), Some(_)) => {
-            return Err("--addr and --router name the same endpoint; give exactly one".into())
-        }
-        (None, None) => return Err("missing required flag --addr (or --router)".into()),
-    };
+    let addr = require(&flags, "addr")?;
     let hex = get_bool(&flags, "hex")?;
-    let verbose = get_bool(&flags, "verbose")?;
     let mut client = Client::connect(addr).map_err(|e| e.to_string())?;
     match flags.get("op").map(String::as_str) {
         Some("ping") => {
@@ -1110,25 +955,6 @@ fn cmd_remote_query(args: &[String]) -> Result<(), String> {
         Some("stats") => {
             let s = client.stats().map_err(|e| e.to_string())?;
             outln!("[{}] {} points × {} dims", s.backend, s.len, s.dim);
-            if let Some(sh) = &s.shard {
-                outln!(
-                    "router: {} shards, {} queries, {} contacted (mean {:.2}/query), \
-                     {} pruned, {} degraded",
-                    sh.shards,
-                    sh.queries,
-                    sh.contacted,
-                    sh.mean_contacted(),
-                    sh.pruned,
-                    sh.degraded
-                );
-                for i in 0..sh.per_shard_contacts.len() {
-                    outln!(
-                        "  shard {i}: {} contacts, {} partial rows",
-                        sh.per_shard_contacts[i],
-                        sh.per_shard_partials.get(i).copied().unwrap_or(0)
-                    );
-                }
-            }
             outln!(
                 "query cost: {} dist computations, {} candidates refined, {} page accesses ({} reads)",
                 s.query.dist_computations,
@@ -1194,13 +1020,6 @@ fn cmd_remote_query(args: &[String]) -> Result<(), String> {
         None => None,
     };
     let queries = parse_queries(&flags, data.as_ref())?;
-    // --verbose attribution diffs the server's cumulative shard counters
-    // around this command's queries.
-    let before = if verbose {
-        Some(client.stats().map_err(|e| e.to_string())?)
-    } else {
-        None
-    };
     let filter = flags.get("filter").map(String::as_str);
     let target = parse_target(&flags, queries.len())?;
     // Answer blocks print identically to `query`, so parity is a diff.
@@ -1212,46 +1031,5 @@ fn cmd_remote_query(args: &[String]) -> Result<(), String> {
     }
     .map_err(|e| e.to_string())?;
     print_answers(&answers, target, hex);
-    if let Some(before) = before {
-        let after = client.stats().map_err(|e| e.to_string())?;
-        print_attribution(&before, &after);
-        outln!(
-            "[model] epoch {}, {} re-fits",
-            after.ingest.model_epoch,
-            after.ingest.refits
-        );
-    }
     Ok(())
-}
-
-/// Prints which shards this command's queries touched, from the delta of
-/// the router's cumulative attribution counters. A shard with zero new
-/// contacts was pruned by its ball lower bound (or the query never needed
-/// it); partial rows count the candidates each shard shipped back.
-fn print_attribution(before: &mmdr_serve::RemoteStats, after: &mmdr_serve::RemoteStats) {
-    let (Some(b), Some(a)) = (&before.shard, &after.shard) else {
-        outln!("[router] server reports no shard attribution (single-node endpoint)");
-        return;
-    };
-    outln!(
-        "[router] {} of {} shards contacted, {} pruned",
-        a.contacted.saturating_sub(b.contacted),
-        a.shards,
-        a.pruned.saturating_sub(b.pruned)
-    );
-    for i in 0..a.per_shard_contacts.len() {
-        let contacts = a.per_shard_contacts[i]
-            .saturating_sub(b.per_shard_contacts.get(i).copied().unwrap_or(0));
-        let partials = a
-            .per_shard_partials
-            .get(i)
-            .copied()
-            .unwrap_or(0)
-            .saturating_sub(b.per_shard_partials.get(i).copied().unwrap_or(0));
-        if contacts > 0 {
-            outln!("  shard {i}: {contacts} contact(s), {partials} partial rows");
-        } else {
-            outln!("  shard {i}: pruned");
-        }
-    }
 }

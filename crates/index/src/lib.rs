@@ -50,4 +50,4 @@ pub use mutable::{
 };
 pub use query::{validate_vector, Query, Scratch, Target};
 pub use stats::{QueryStats, SearchCounters};
-pub use traits::{batch_queries, ShardStats, VectorIndex, QUERY_CHUNK};
+pub use traits::{batch_queries, VectorIndex, QUERY_CHUNK};

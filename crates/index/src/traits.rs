@@ -119,47 +119,6 @@ pub trait VectorIndex: Send + Sync {
     fn query_stats(&self) -> QueryStats {
         QueryStats::default()
     }
-
-    /// Cumulative scatter-gather attribution, when this index fronts
-    /// remote shards (the router). Ordinary single-node backends return
-    /// `None`; the query server forwards `Some` through its `Stats` op so
-    /// pruning effectiveness is observable over the wire.
-    fn shard_stats(&self) -> Option<ShardStats> {
-        None
-    }
-}
-
-/// Cumulative attribution counters for a scatter-gather front: how many
-/// shards exist, how often they were contacted vs pruned by the ellipsoid
-/// lower bound, and how many partial results each shard contributed.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct ShardStats {
-    /// Number of shards behind the front.
-    pub shards: u64,
-    /// Queries (KNN + range) routed since startup.
-    pub queries: u64,
-    /// Cumulative shard contacts across all queries.
-    pub contacted: u64,
-    /// Cumulative shards skipped because their lower bound could not beat
-    /// the current answer set.
-    pub pruned: u64,
-    /// Shard contacts that failed (the query surfaced a degraded error).
-    pub degraded: u64,
-    /// Per-shard contact counts, indexed by shard number.
-    pub per_shard_contacts: Vec<u64>,
-    /// Per-shard partial-result row counts, indexed by shard number.
-    pub per_shard_partials: Vec<u64>,
-}
-
-impl ShardStats {
-    /// Mean shards contacted per routed query (the pruning headline).
-    pub fn mean_contacted(&self) -> f64 {
-        if self.queries == 0 {
-            0.0
-        } else {
-            self.contacted as f64 / self.queries as f64
-        }
-    }
 }
 
 /// The batch executor: splits `queries` into fixed [`QUERY_CHUNK`]-sized

@@ -82,11 +82,6 @@ impl ByteWriter {
             prev = id as u64;
         }
     }
-
-    /// Appends raw bytes with no length prefix.
-    pub fn put_bytes(&mut self, bytes: &[u8]) {
-        self.buf.extend_from_slice(bytes);
-    }
 }
 
 /// Bounds-checked little-endian decoder over a section payload.

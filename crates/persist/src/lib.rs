@@ -42,7 +42,6 @@ mod error;
 pub mod format;
 mod ingest;
 mod live;
-pub mod manifest;
 mod model_codec;
 pub mod refit;
 mod snapshot;
@@ -55,10 +54,6 @@ pub use ingest::{
     DEFAULT_MERGE_THRESHOLD, TOMBSTONE_MERGE_FLOOR, TOMBSTONE_MERGE_RATIO,
 };
 pub use live::SnapshotLive;
-pub use manifest::{
-    plan_shards, read_manifest, write_manifest, Manifest, ShardBall, ShardEntry, ShardPlan,
-    MANIFEST_FILE, MANIFEST_VERSION,
-};
 pub use mmdr_storage::{crc32, Crc32};
 pub use refit::{attach, materialize_rows, refit_model};
 pub use snapshot::{

@@ -867,14 +867,14 @@ mod tests {
                 }
                 let (meta, pools) = meta_and_pools(&index, &model).unwrap();
                 let mut dir_w = ByteWriter::new();
-                let mut pages_w = ByteWriter::new();
+                let mut pages_w = Vec::new();
                 dir_w.put_u32(pools.len() as u32);
                 for pool in pools {
                     let pages = pool.export_pages().unwrap();
                     dir_w.put_usize(pages.len());
                     for page in pages {
                         dir_w.put_u32(crc32(page.as_bytes()));
-                        pages_w.put_bytes(page.as_bytes());
+                        pages_w.extend_from_slice(page.as_bytes());
                     }
                 }
                 let mut sections = vec![
@@ -883,7 +883,7 @@ mod tests {
                     (section_id::PAGEDIR, dir_w.into_bytes()),
                 ];
                 sections.extend(attrs.map(|store| (section_id::ATTRS, store.to_bytes())));
-                sections.push((section_id::PAGES, pages_w.into_bytes()));
+                sections.push((section_id::PAGES, pages_w));
                 let assembled = format::assemble(backend_tag(backend), &sections);
                 assert!(
                     std::fs::read(&path).unwrap() == assembled,

@@ -260,18 +260,6 @@ impl AttrStore {
         })
     }
 
-    /// All values of row `id` as `(column, value)` pairs (NULLs omitted) —
-    /// the WAL payload shape for insert-with-attributes records.
-    pub fn row(&self, id: u64) -> Vec<(String, AttrValue)> {
-        let mut out = Vec::new();
-        for c in &self.columns {
-            if let Ok(Some(v)) = self.get(id, &c.name) {
-                out.push((c.name.clone(), v));
-            }
-        }
-        out
-    }
-
     /// Clears every column of row `id` back to NULL (deletes fold attribute
     /// rows out alongside their vectors).
     pub fn clear_row(&mut self, id: u64) {
@@ -640,14 +628,6 @@ mod tests {
             AttrStore::from_bytes(&greedy),
             Err(Error::Corrupt(_))
         ));
-    }
-
-    #[test]
-    fn row_export_omits_nulls() {
-        let s = store();
-        let row = s.row(5);
-        assert_eq!(row.len(), 2, "region is NULL on odd rows");
-        assert!(row.iter().any(|(c, _)| c == "tenant"));
     }
 
     #[test]

@@ -134,7 +134,7 @@ impl Planner {
     /// Attaches the sketch-derived cluster hints for `predicate` to its
     /// compiled bitmap `rows` and picks a strategy for `target` over `n`
     /// rows. `sketches` is `None` when the index has no cluster structure
-    /// to hint (plain SeqScan, shard-less serving). A range query always
+    /// to hint (plain SeqScan). A range query always
     /// pushes down: it has no k to double, so PostFilter has no cost edge
     /// and PrefilterRank degenerates into the same scan; cluster pruning
     /// still applies.

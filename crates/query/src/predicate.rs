@@ -37,20 +37,6 @@ pub enum Op {
     Ge,
 }
 
-impl Op {
-    /// The operator's surface syntax.
-    pub fn symbol(&self) -> &'static str {
-        match self {
-            Op::Eq => "=",
-            Op::Ne => "!=",
-            Op::Lt => "<",
-            Op::Le => "<=",
-            Op::Gt => ">",
-            Op::Ge => ">=",
-        }
-    }
-}
-
 /// One comparison term: `column op value`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Term {
@@ -84,23 +70,6 @@ impl Predicate {
             return Err(Error::Parse("predicate has no terms".into()));
         }
         Ok(Self { terms })
-    }
-
-    /// The canonical text form (`parse` ∘ `display` is the identity on
-    /// canonical predicates) — the form the wire protocol ships.
-    pub fn display(&self) -> String {
-        self.terms
-            .iter()
-            .map(|t| {
-                let v = match &t.value {
-                    AttrValue::I64(x) => x.to_string(),
-                    AttrValue::F64(x) => format!("{x:?}"),
-                    AttrValue::Tag(s) => format!("\"{s}\""),
-                };
-                format!("{} {} {}", t.column, t.op.symbol(), v)
-            })
-            .collect::<Vec<_>>()
-            .join(" AND ")
     }
 
     /// Validates every term against the store's schema without building a
@@ -248,81 +217,92 @@ fn cmp_f64(op: Op, a: f64, b: f64) -> bool {
     }
 }
 
+/// The byte offsets of `text`'s characters outside quotes. A quote opens
+/// at `"` or `'` and closes at the next of the same character; the quote
+/// characters themselves are not yielded.
+fn unquoted(text: &str) -> impl Iterator<Item = usize> + '_ {
+    let mut in_quote = None;
+    text.char_indices()
+        .filter_map(move |(i, c)| match in_quote {
+            Some(q) => {
+                if c == q {
+                    in_quote = None;
+                }
+                None
+            }
+            None if c == '"' || c == '\'' => {
+                in_quote = Some(c);
+                None
+            }
+            None => Some(i),
+        })
+}
+
 /// Splits on the `AND` connective (case-insensitive word) or `&&`, outside
 /// of quotes.
-fn split_conjuncts(text: &str) -> Vec<String> {
+fn split_conjuncts(text: &str) -> Vec<&str> {
     let mut parts = Vec::new();
-    let mut current = String::new();
-    let mut in_quote: Option<char> = None;
-    let tokens: Vec<char> = text.chars().collect();
-    let mut i = 0;
-    while i < tokens.len() {
-        let c = tokens[i];
-        if let Some(q) = in_quote {
-            current.push(c);
-            if c == q {
-                in_quote = None;
-            }
-            i += 1;
+    let mut start = 0;
+    for i in unquoted(text) {
+        if i < start {
             continue;
         }
-        if c == '"' || c == '\'' {
-            in_quote = Some(c);
-            current.push(c);
-            i += 1;
+        let rest = &text[i..];
+        let is_and_word = rest.get(..3).is_some_and(|w| w.eq_ignore_ascii_case("and"))
+            && text[..i]
+                .chars()
+                .next_back()
+                .is_none_or(char::is_whitespace)
+            && rest[3..].chars().next().is_none_or(char::is_whitespace);
+        let len = if is_and_word {
+            3
+        } else if rest.starts_with("&&") {
+            2
+        } else {
             continue;
-        }
-        // Word-boundary "AND" (any case).
-        let is_and_word = (c == 'a' || c == 'A')
-            && i + 3 <= tokens.len()
-            && tokens[i + 1].eq_ignore_ascii_case(&'n')
-            && tokens[i + 2].eq_ignore_ascii_case(&'d')
-            && (i == 0 || tokens[i - 1].is_whitespace())
-            && (i + 3 == tokens.len() || tokens[i + 3].is_whitespace());
-        if is_and_word {
-            parts.push(std::mem::take(&mut current));
-            i += 3;
-            continue;
-        }
-        if c == '&' && i + 1 < tokens.len() && tokens[i + 1] == '&' {
-            parts.push(std::mem::take(&mut current));
-            i += 2;
-            continue;
-        }
-        current.push(c);
-        i += 1;
+        };
+        parts.push(&text[start..i]);
+        start = i + len;
     }
-    parts.push(current);
+    parts.push(&text[start..]);
     parts
 }
 
+/// Each operator's surface syntax, the longest first where one is a
+/// prefix of another.
+const OPS: [(&str, Op); 6] = [
+    ("<=", Op::Le),
+    (">=", Op::Ge),
+    ("!=", Op::Ne),
+    ("<", Op::Lt),
+    (">", Op::Gt),
+    ("=", Op::Eq),
+];
+
+/// Reads `column op value` at the leftmost operator outside quotes, the
+/// longest one at that position first, so `<=` is not read as `<` + `=`
+/// and an operator inside a quoted value is part of the value.
 fn parse_term(text: &str) -> Result<Term> {
-    // Longest operators first so "<=" is not read as "<" + "=".
-    for (sym, op) in [
-        ("<=", Op::Le),
-        (">=", Op::Ge),
-        ("!=", Op::Ne),
-        ("<", Op::Lt),
-        (">", Op::Gt),
-        ("=", Op::Eq),
-    ] {
-        if let Some(pos) = text.find(sym) {
-            let column = text[..pos].trim();
-            let value = text[pos + sym.len()..].trim();
-            if column.is_empty() || value.is_empty() {
-                return Err(Error::Parse(format!("malformed term {text:?}")));
-            }
-            if column.contains(|c: char| c.is_whitespace()) {
-                return Err(Error::Parse(format!("malformed column in {text:?}")));
-            }
-            return Ok(Term {
-                column: column.to_string(),
-                op,
-                value: parse_literal(value),
-            });
-        }
+    let (pos, sym, op) = unquoted(text)
+        .find_map(|i| {
+            OPS.iter()
+                .find(|(sym, _)| text[i..].starts_with(sym))
+                .map(|&(sym, op)| (i, sym, op))
+        })
+        .ok_or_else(|| Error::Parse(format!("no comparison operator in {text:?}")))?;
+    let column = text[..pos].trim();
+    let value = text[pos + sym.len()..].trim();
+    if column.is_empty() || value.is_empty() {
+        return Err(Error::Parse(format!("malformed term {text:?}")));
     }
-    Err(Error::Parse(format!("no comparison operator in {text:?}")))
+    if column.contains(|c: char| c.is_whitespace()) {
+        return Err(Error::Parse(format!("malformed column in {text:?}")));
+    }
+    Ok(Term {
+        column: column.to_string(),
+        op,
+        value: parse_literal(value),
+    })
 }
 
 fn parse_literal(text: &str) -> AttrValue {
@@ -393,6 +373,19 @@ mod tests {
         let p = Predicate::parse("name = 'x AND y'").unwrap();
         assert_eq!(p.terms.len(), 1);
         assert_eq!(p.terms[0].value, AttrValue::Tag("x AND y".into()));
+        // An operator inside a quoted value is part of the value.
+        for (text, column, op, tag) in [
+            ("region = \"x>y\"", "region", Op::Eq, "x>y"),
+            ("region = 'a<b'", "region", Op::Eq, "a<b"),
+            ("note = \"!=\"", "note", Op::Eq, "!="),
+            ("region=\"x>y\"", "region", Op::Eq, "x>y"),
+            ("region != '<=' && n = 1", "region", Op::Ne, "<="),
+        ] {
+            let p = Predicate::parse(text).unwrap();
+            assert_eq!(p.terms[0].column, column, "{text}");
+            assert_eq!(p.terms[0].op, op, "{text}");
+            assert_eq!(p.terms[0].value, AttrValue::Tag(tag.into()), "{text}");
+        }
     }
 
     #[test]
@@ -403,13 +396,6 @@ mod tests {
         assert!(Predicate::parse("a = ").is_err());
         assert!(Predicate::parse("a = 1 AND").is_err());
         assert!(Predicate::parse("two words = 1").is_err());
-    }
-
-    #[test]
-    fn display_roundtrips() {
-        let p = Predicate::parse("tenant = 7 AND price < 99.5 AND region != \"eu\"").unwrap();
-        let again = Predicate::parse(&p.display()).unwrap();
-        assert_eq!(p, again);
     }
 
     #[test]
@@ -556,9 +542,133 @@ mod tests {
                 prop_assert_eq!(
                     rows.passes(id),
                     p.passes(&s, id).unwrap(),
-                    "{} id {}", p.display(), id
+                    "{:?} id {}", p, id
                 );
             }
+        }
+    }
+
+    /// Pieces of a generated tag: every operator, both connectives in
+    /// either case, both quote characters, spaces and a multi-byte letter.
+    const PIECES: [&str; 16] = [
+        "a", "Z", "0", "-1.5", "<", ">", "<=", "!=", "=", " AND ", " and ", "&&", "'", "\"", " ",
+        "é",
+    ];
+
+    /// What joins two generated terms.
+    const CONNECTIVES: [&str; 5] = [" AND ", " and ", " AnD ", " && ", "&&"];
+
+    /// One generated term: column suffix, operator, value kind (i64, f64,
+    /// tag), the value's bits, the tag's pieces, and whether the operator
+    /// is set off by spaces.
+    type TermSpec = (u32, usize, u8, u64, Vec<usize>);
+
+    fn term_specs() -> impl Strategy<Value = Vec<(TermSpec, bool, usize)>> {
+        proptest::collection::vec(
+            (
+                (
+                    0u32..1000,
+                    0usize..OPS.len(),
+                    0u8..3,
+                    0u64..=u64::MAX,
+                    proptest::collection::vec(0usize..PIECES.len(), 0..6),
+                ),
+                proptest::bool::ANY,
+                0usize..CONNECTIVES.len(),
+            ),
+            1..5,
+        )
+    }
+
+    /// The filter text for `specs`, and the terms it must parse to. An
+    /// f64 is written by `{:?}` (never a bare integer, so it parses back
+    /// as an f64, exactly) and a tag is quoted with a quote character it
+    /// does not hold.
+    fn compose(specs: &[(TermSpec, bool, usize)]) -> (String, Vec<Term>) {
+        let mut text = String::new();
+        let mut terms = Vec::new();
+        for (n, ((column, op, kind, bits, pieces), spaced, connective)) in specs.iter().enumerate()
+        {
+            let (sym, op) = OPS[*op];
+            let (literal, value) = match kind {
+                0 => (format!("{}", *bits as i64), AttrValue::I64(*bits as i64)),
+                1 => {
+                    let x = Some(f64::from_bits(*bits))
+                        .filter(|x| x.is_finite())
+                        .unwrap_or((*bits >> 11) as f64);
+                    (format!("{x:?}"), AttrValue::F64(x))
+                }
+                _ => {
+                    let mut tag: String = pieces.iter().map(|&i| PIECES[i]).collect();
+                    let quote = if tag.contains('"') {
+                        tag.retain(|c| c != '\'');
+                        '\''
+                    } else {
+                        '"'
+                    };
+                    (format!("{quote}{tag}{quote}"), AttrValue::Tag(tag))
+                }
+            };
+            if n > 0 {
+                text.push_str(CONNECTIVES[*connective]);
+            }
+            let gap = if *spaced { " " } else { "" };
+            text.push_str(&format!("c{column}{gap}{sym}{gap}{literal}"));
+            terms.push(Term {
+                column: format!("c{column}"),
+                op,
+                value,
+            });
+        }
+        (text, terms)
+    }
+
+    /// The parser's whole contract on hostile input: an answer or a typed
+    /// parse error, never a panic and never another error.
+    fn parses_or_refuses(text: &str) -> bool {
+        matches!(Predicate::parse(text), Ok(_) | Err(Error::Parse(_)))
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// Text composed from generated terms parses back to exactly those
+        /// terms, whatever operators and connectives their quoted tags hold.
+        #[test]
+        fn composed_filters_parse_back_to_their_terms(specs in term_specs()) {
+            let (text, terms) = compose(&specs);
+            let parsed = Predicate::parse(&text).unwrap_or_else(|e| panic!("{text:?}: {e}"));
+            prop_assert_eq!(parsed.terms, terms, "{:?}", text);
+        }
+
+        /// Arbitrary bytes, a soup of the grammar's own pieces, and a valid
+        /// filter with bytes replaced, inserted or deleted all parse or are
+        /// refused with `Error::Parse`.
+        #[test]
+        fn any_text_parses_or_is_refused_typed(
+            bytes in proptest::collection::vec(0u8..=255, 0..48),
+            soup in proptest::collection::vec(0usize..PIECES.len(), 0..16),
+            specs in term_specs(),
+            edits in proptest::collection::vec((0u8..3, 0usize..4096, 0u8..=255), 1..5),
+        ) {
+            let text = String::from_utf8_lossy(&bytes);
+            prop_assert!(parses_or_refuses(&text), "{:?}", text);
+            let text: String = soup.iter().map(|&i| PIECES[i]).collect();
+            prop_assert!(parses_or_refuses(&text), "{:?}", text);
+            let mut mutated = compose(&specs).0.into_bytes();
+            for (kind, at, byte) in edits {
+                let at = at % (mutated.len() + 1);
+                match kind {
+                    0 if at < mutated.len() => mutated[at] = byte,
+                    1 => mutated.insert(at, byte),
+                    _ if at < mutated.len() => {
+                        mutated.remove(at);
+                    }
+                    _ => {}
+                }
+            }
+            let text = String::from_utf8_lossy(&mutated);
+            prop_assert!(parses_or_refuses(&text), "{:?}", text);
         }
     }
 }

@@ -516,7 +516,6 @@ fn build_stats(shared: &Shared) -> RemoteStats {
         server: shared.stats.snapshot(shared.queue.len()),
         ingest: shared.index.ingest_stats(),
         cluster_drift: shared.index.model_drift(),
-        shard: pin.index.shard_stats(),
     }
 }
 

@@ -28,8 +28,8 @@
 //! OVERLOADED body: empty.    ERROR body: str message.
 //!
 //! vec<T> = u32 count, then the elements    str    = vec<u8>, UTF-8
-//! bool   = u8, 0 or 1                      opt<T> = bool, then T when 1
-//! a struct is its fields in declaration order (`opt<ShardStats>` closes STATS)
+//! bool   = u8, 0 or 1
+//! a struct is its fields in declaration order
 //! ```
 //!
 //! The table is the code: each row's request body is one line of
@@ -45,7 +45,7 @@
 //! oversized allocation, and every malformed input surfaces as a typed
 //! [`WireError`], never a panic.
 
-use mmdr_index::{IngestStats, QueryStats, ShardStats};
+use mmdr_index::{IngestStats, QueryStats};
 use mmdr_storage::{PoolStats, ShardCounters};
 use std::fmt;
 use std::io::{self, Read, Write};
@@ -63,12 +63,14 @@ pub const MAGIC: u32 = 0x4D4D_4452;
 /// the per-cluster drift vector), so operators can watch a drifting stream
 /// approach the re-fit threshold remotely.
 /// Version 5 added attribute-filtered search (`FILTERED_KNN` /
-/// `FILTERED_RANGE`, carrying the predicate as its canonical text) and
-/// the three planner-choice counters in [`QueryStats`]. Version 6
+/// `FILTERED_RANGE`, carrying the predicate as the text the caller
+/// wrote) and the three planner-choice counters in [`QueryStats`]. Version 6
 /// dropped version 3's open-configuration echo (`workers`, `pool_pages`,
-/// `readahead`) from `STATS`: a router checks shard homogeneity on
+/// `readahead`) from `STATS`: a router checked shard homogeneity on
 /// `backend`, `dim` and `len`, and nothing ever read the echo.
-pub const PROTOCOL_VERSION: u16 = 6;
+/// Version 7 dropped version 3's scatter-gather attribution block: the
+/// `opt` flag that closed `STATS` is gone with the router that set it.
+pub const PROTOCOL_VERSION: u16 = 7;
 
 /// Hard cap on one frame's payload (16 MiB). Anything larger is rejected
 /// before allocation — the admission-control seatbelt against garbage or
@@ -100,7 +102,7 @@ pub mod opcode {
     /// Force a merge (fold delta, swap epoch, truncate WAL).
     pub const FLUSH: u8 = 9;
     /// KNN restricted to rows matching an attribute predicate. The
-    /// predicate travels as its canonical text form; the server compiles
+    /// predicate travels as the text the caller wrote; the server compiles
     /// it against its attribute store and plans the execution strategy.
     pub const FILTERED_KNN: u8 = 10;
     /// Range search restricted to rows matching an attribute predicate.
@@ -272,9 +274,6 @@ pub struct RemoteStats {
     pub ingest: IngestStats,
     /// Per-cluster MPE drift of routed inserts, relative to `max_mpe`.
     pub cluster_drift: Vec<f64>,
-    /// Scatter-gather attribution, present when the served index is a
-    /// router front ([`mmdr_index::VectorIndex::shard_stats`]).
-    pub shard: Option<ShardStats>,
 }
 
 /// Snapshot of the server's own counters, as carried by the `Stats` op.
@@ -450,23 +449,6 @@ impl Wire for String {
     }
 }
 
-impl<T: Wire> Wire for Option<T> {
-    const MIN_BYTES: usize = 1;
-    fn put(&self, e: &mut Enc) {
-        self.is_some().put(e);
-        if let Some(v) = self {
-            v.put(e);
-        }
-    }
-    fn get(d: &mut Dec<'_>) -> Result<Self, WireError> {
-        Ok(if bool::get(d)? {
-            Some(T::get(d)?)
-        } else {
-            None
-        })
-    }
-}
-
 /// A struct on the wire is its fields in the order listed here; `put` and
 /// `get` are both generated from the one list.
 macro_rules! wire_struct {
@@ -528,15 +510,6 @@ wire_struct!(IngestStats {
     model_epoch: u64,
     refits: u64,
 });
-wire_struct!(ShardStats {
-    shards: u64,
-    queries: u64,
-    contacted: u64,
-    pruned: u64,
-    degraded: u64,
-    per_shard_contacts: Vec<u64>,
-    per_shard_partials: Vec<u64>,
-});
 wire_struct!(RemoteStats {
     backend: String,
     len: u64,
@@ -546,7 +519,6 @@ wire_struct!(RemoteStats {
     server: ServerCounters,
     ingest: IngestStats,
     cluster_drift: Vec<f64>,
-    shard: Option<ShardStats>,
 });
 
 /// `BATCH_KNN`'s queries: equal-width rows sent as one rectangle — `u32 nq,
@@ -869,27 +841,9 @@ mod tests {
         roundtrip_response(opcode::DELETE, Response::Deleted(true));
         roundtrip_response(opcode::DELETE, Response::Deleted(false));
         roundtrip_response(opcode::FLUSH, Response::Flushed(7));
-        // `STATS`, with every field set and both with and without the
-        // router's attribution block, round-trips in tests/golden_frames.rs
-        // (bytes pinned) and tests/frame_fragmentation.rs (random values).
-    }
-
-    #[test]
-    fn bad_shard_flag_is_malformed() {
-        let stats = RemoteStats {
-            backend: "x".into(),
-            ..Default::default()
-        };
-        let bytes = encode_response(5, opcode::STATS, &Response::Stats(Box::new(stats)));
-        let mut bad = bytes.clone();
-        // The attribution flag is the final byte of a shard-less stats body.
-        let last = bad.len() - 1;
-        assert_eq!(bad[last], 0);
-        bad[last] = 9;
-        assert!(matches!(
-            decode_response(&bad),
-            Err(WireError::Malformed(_))
-        ));
+        // `STATS`, with every field set, round-trips in
+        // tests/golden_frames.rs (bytes pinned) and
+        // tests/frame_fragmentation.rs (random values).
     }
 
     #[test]

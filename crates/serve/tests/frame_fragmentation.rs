@@ -1,11 +1,10 @@
 //! Fragmentation coverage for the wire protocol: valid frames split at
 //! arbitrary byte boundaries across many small reads must decode exactly
-//! like a single contiguous read. Shard hops exercise this heavily — a
-//! router↔shard TCP stream delivers frames in whatever segments the
-//! kernel felt like — and the existing fuzz seatbelt only covers *corrupt*
-//! frames, not fragmented valid ones.
+//! like a single contiguous read. Any TCP peer sees this: a stream
+//! delivers frames in whatever segments the kernel felt like — and the
+//! existing fuzz seatbelt only covers *corrupt* frames, not fragmented
+//! valid ones.
 
-use mmdr_index::ShardStats;
 use mmdr_serve::wire::{
     decode_request, decode_response, encode_request, encode_response, opcode, read_frame,
     write_frame, RemoteStats, Request, Response, WireError,
@@ -83,8 +82,7 @@ fn request_from(sel: u8, floats: Vec<f64>, k: u32) -> Request {
 }
 
 /// A `STATS` body with every field set from `floats` and `k`: as many
-/// pools as floats (of 0, 1, 2, … shards), the drift vector, and the
-/// router's attribution block on odd `k`.
+/// pools as floats (of 0, 1, 2, … shards) and the drift vector.
 fn stats_from(floats: &[f64], k: u32) -> RemoteStats {
     let n = k as u64;
     let mut s = RemoteStats {
@@ -103,15 +101,6 @@ fn stats_from(floats: &[f64], k: u32) -> RemoteStats {
             })
             .collect(),
         cluster_drift: floats.to_vec(),
-        shard: (k % 2 == 1).then(|| ShardStats {
-            shards: floats.len() as u64,
-            queries: n,
-            contacted: n + 1,
-            pruned: n + 2,
-            degraded: n + 3,
-            per_shard_contacts: floats.iter().map(|f| f.to_bits()).collect(),
-            per_shard_partials: vec![n; floats.len()],
-        }),
         ..RemoteStats::default()
     };
     s.query.dist_computations = n + 10;

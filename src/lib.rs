@@ -33,6 +33,5 @@ pub use mmdr_linalg as linalg;
 pub use mmdr_pca as pca;
 pub use mmdr_persist as persist;
 pub use mmdr_query as query;
-pub use mmdr_router as router;
 pub use mmdr_serve as serve;
 pub use mmdr_storage as storage;

@@ -190,10 +190,9 @@ fn an_unbounded_k_returns_every_row_in_process_and_over_the_wire() {
 fn stats_echo_the_open_configuration_for_homogeneity_checks() {
     let data = dataset(40);
     let model = fit(&data);
-    // What a router compares across its shard workers at connect time —
-    // backend, dimensionality, row count — must come back exactly as
-    // served, and a single-node server must report no scatter-gather
-    // attribution.
+    // What an operator compares across servers — backend, dimensionality,
+    // row count, the first line `remote-query --op stats` prints — must
+    // come back exactly as served.
     for backend in [Backend::IDistance, Backend::SeqScan] {
         let (index, handle) = serve_backend(backend, &data, &model, ServerConfig::default());
         let mut client = Client::connect(handle.local_addr()).unwrap();
@@ -201,10 +200,6 @@ fn stats_echo_the_open_configuration_for_homogeneity_checks() {
         assert_eq!(stats.backend, index.name());
         assert_eq!(stats.dim as usize, index.dim());
         assert_eq!(stats.len as usize, index.len());
-        assert!(
-            stats.shard.is_none(),
-            "single-node server must not claim shard attribution"
-        );
         handle.shutdown();
     }
 }

@@ -46,6 +46,10 @@ echo "== determinism + recall + conformance + persistence gates =="
 cargo test "${PROFILE[@]}" --test par_determinism --test golden_recall --test backend_conformance
 cargo test "${PROFILE[@]}" --test persist_roundtrip
 cargo test "${PROFILE[@]}" --test serve_parity --test scalable_pipeline
+# The wire protocol's fragmentation property: valid frames split at
+# arbitrary byte boundaries, as any TCP peer receives them, decode exactly
+# like one contiguous read.
+cargo test "${PROFILE[@]}" -p mmdr-serve --test frame_fragmentation
 cargo test "${PROFILE[@]}" -p mmdr-cli --test cli_validation
 cargo test "${PROFILE[@]}" -p mmdr-linalg --test proptest_par
 cargo test "${PROFILE[@]}" -p mmdr-index --test proptest_heap
@@ -100,16 +104,6 @@ cargo test "${PROFILE[@]}" -p mmdr-index --test proptest_drift
 # `Epoch { number, built }` holds no handle to the engine, so its
 # VectorIndex impl has no engine lock to name.)
 
-echo "== router gate =="
-# Scale-out serving: scatter-gather answers through the cluster-sharded
-# router must be bit-identical to single-node for all four backends at
-# 1/2/4 shards, pruning must be observable, and a killed shard must be a
-# typed degraded error. The wire protocol's fragmentation property (frames
-# split at arbitrary byte boundaries decode identically — what shard hops
-# exercise) is the proptest next to it.
-cargo test "${PROFILE[@]}" --test router_parity
-cargo test "${PROFILE[@]}" -p mmdr-serve --test frame_fragmentation
-
 echo "== filtered-search gate =="
 # Attribute-filtered search: filtered KNN/range answers — whichever
 # strategy the cost-based planner picks — must be bit-identical to
@@ -131,13 +125,8 @@ if [[ ${#PROFILE[@]} -gt 0 ]]; then BINDIR=release; fi
 MMDR="target/$BINDIR/mmdr"
 SMOKE="$(mktemp -d)"
 SERVE_PID=""
-SHARD0_PID=""
-SHARD1_PID=""
-ROUTE_PID=""
 cleanup_smoke() {
-    for pid in "$SERVE_PID" "$SHARD0_PID" "$SHARD1_PID" "$ROUTE_PID"; do
-        if [[ -n "$pid" ]]; then kill "$pid" 2>/dev/null || true; fi
-    done
+    if [[ -n "$SERVE_PID" ]]; then kill "$SERVE_PID" 2>/dev/null || true; fi
     rm -rf "$SMOKE"
 }
 trap cleanup_smoke EXIT
@@ -328,95 +317,6 @@ fi
 if ! grep -q 'model epoch 1, 0 re-fits' "$SMOKE/refit2.txt"; then
     echo "verify: FAIL — reopened snapshot lost the re-fit model epoch:" >&2
     cat "$SMOKE/refit2.txt" >&2
-    exit 1
-fi
-
-echo "== router smoke gate =="
-# The scale-out path end to end over real sockets: shard-split the same
-# dataset across two worker servers, front them with `mmdr route`, and
-# check routed answers are byte-identical (ids and f64 bit patterns) to
-# querying the single-node snapshot directly. --verbose must attribute the
-# fan-out per shard, stats must show the scatter-gather counters, and the
-# whole cluster must drain gracefully over the wire.
-wait_for_addr() { # logfile -> prints addr once announced
-    local log="$1" addr=""
-    for _ in $(seq 1 100); do
-        addr="$(sed -n 's/^listening on \([^ ]*\).*/\1/p' "$log")"
-        if [[ -n "$addr" ]]; then echo "$addr"; return 0; fi
-        sleep 0.1
-    done
-    return 1
-}
-
-"$MMDR" shard-split --data "$SMOKE/data.json" --model "$SMOKE/model.json" \
-    --attrs "$SMOKE/attrs.csv" --out-dir "$SMOKE/shards" --shards 2 --buffer-pages 64
-"$MMDR" serve --index-file "$SMOKE/shards/shard-0.mmdr" --port 0 --workers 1 \
-    > "$SMOKE/shard0.log" &
-SHARD0_PID=$!
-"$MMDR" serve --index-file "$SMOKE/shards/shard-1.mmdr" --port 0 --workers 1 \
-    > "$SMOKE/shard1.log" &
-SHARD1_PID=$!
-ADDR0="$(wait_for_addr "$SMOKE/shard0.log")" || {
-    echo "verify: FAIL — shard 0 did not announce a listening port" >&2; exit 1; }
-ADDR1="$(wait_for_addr "$SMOKE/shard1.log")" || {
-    echo "verify: FAIL — shard 1 did not announce a listening port" >&2; exit 1; }
-
-"$MMDR" route --manifest "$SMOKE/shards/MANIFEST" \
-    --shard-addr "$ADDR0,$ADDR1" --port 0 --io-timeout-ms 10000 \
-    --shard-timeout-ms 5000 > "$SMOKE/route.log" &
-ROUTE_PID=$!
-RADDR="$(wait_for_addr "$SMOKE/route.log")" || {
-    echo "verify: FAIL — router did not announce a listening port" >&2; exit 1; }
-
-"$MMDR" remote-query --router "$RADDR" --data "$SMOKE/data.json" \
-    --row 0,7,42 --k 5 --hex true > "$SMOKE/routed.txt"
-diff -u "$SMOKE/direct.txt" "$SMOKE/routed.txt"
-"$MMDR" remote-query --router "$RADDR" --data "$SMOKE/data.json" \
-    --row 7 --radius 0.3 --hex true > "$SMOKE/routed_range.txt"
-diff -u "$SMOKE/direct_range.txt" "$SMOKE/routed_range.txt"
-
-# Filtered scatter-gather: each shard evaluates the predicate against its
-# re-keyed local attributes, and the merged answer must match filtering
-# the single-node attrs snapshot bit for bit.
-"$MMDR" remote-query --router "$RADDR" --data "$SMOKE/data.json" \
-    --row 0 --k 5 --filter "$FILTER" --hex true > "$SMOKE/frouted.txt"
-diff -u "$SMOKE/fdirect.txt" "$SMOKE/frouted.txt"
-
-"$MMDR" remote-query --router "$RADDR" --data "$SMOKE/data.json" \
-    --row 0 --k 5 --verbose true > "$SMOKE/routed_verbose.txt"
-if ! grep -q '^\[router\] .* shards contacted' "$SMOKE/routed_verbose.txt"; then
-    echo "verify: FAIL — --verbose printed no per-query shard attribution:" >&2
-    cat "$SMOKE/routed_verbose.txt" >&2
-    exit 1
-fi
-"$MMDR" remote-query --router "$RADDR" --op stats > "$SMOKE/route_stats.txt"
-if ! grep -q '^router: 2 shards, ' "$SMOKE/route_stats.txt"; then
-    echo "verify: FAIL — router stats lack the scatter-gather block:" >&2
-    cat "$SMOKE/route_stats.txt" >&2
-    exit 1
-fi
-
-"$MMDR" remote-query --router "$RADDR" --op shutdown > /dev/null
-"$MMDR" remote-query --addr "$ADDR0" --op shutdown > /dev/null
-"$MMDR" remote-query --addr "$ADDR1" --op shutdown > /dev/null
-for pid_var in ROUTE_PID SHARD0_PID SHARD1_PID; do
-    pid="${!pid_var}"
-    state() { ps -o stat= -p "$pid" 2>/dev/null | tr -d ' ' || true; }
-    for _ in $(seq 1 100); do
-        STATE="$(state)"
-        if [[ -z "$STATE" || "$STATE" == Z* ]]; then break; fi
-        sleep 0.1
-    done
-    STATE="$(state)"
-    if [[ -n "$STATE" && "$STATE" != Z* ]]; then
-        echo "verify: FAIL — $pid_var did not drain and exit after shutdown" >&2
-        exit 1
-    fi
-    wait "$pid"
-    eval "$pid_var="
-done
-if ! grep -q '^shutdown:' "$SMOKE/route.log"; then
-    echo "verify: FAIL — router exited without its shutdown summary" >&2
     exit 1
 fi
 
