@@ -60,8 +60,12 @@ fn bench_quadratic_form(c: &mut Criterion) {
     let m = spd(32, 4);
     let ch = Cholesky::new(&m).unwrap();
     let x: Vec<f64> = (0..32).map(|i| i as f64 * 0.1).collect();
+    let mut y = vec![0.0; 32];
     c.bench_function("mahalanobis_quadratic_form_32d", |b| {
-        b.iter(|| ch.quadratic_form(black_box(&x)).unwrap());
+        b.iter(|| {
+            y.copy_from_slice(black_box(&x));
+            ch.quadratic_form(&mut y).unwrap()
+        });
     });
 }
 

@@ -103,14 +103,28 @@ struct ClusterState {
 }
 
 impl ClusterState {
-    fn norm_maha_dist(&self, point: &[f64], d_ln_2pi: f64) -> f64 {
-        let diff = mmdr_linalg::sub(point, &self.centroid);
+    /// The normalized Mahalanobis distance, with `diff` (`d` long) as the
+    /// scratch the difference and its forward substitution are written to.
+    fn norm_maha_dist(&self, point: &[f64], d_ln_2pi: f64, diff: &mut [f64]) -> f64 {
+        for (o, (p, c)) in diff.iter_mut().zip(point.iter().zip(&self.centroid)) {
+            *o = p - c;
+        }
         let q = self
             .chol
-            .quadratic_form(&diff)
+            .quadratic_form(diff)
             .expect("dims checked at fit entry");
         0.5 * (d_ln_2pi + self.log_det + q)
     }
+}
+
+/// The buffers one chunk of the reassignment pass reuses for every point.
+struct Scratch {
+    /// The difference to a centroid, then its forward substitution.
+    diff: Vec<f64>,
+    /// A full evaluation's `(cluster, distance)` pairs, sorted.
+    dists: Vec<(usize, f64)>,
+    /// Mahalanobis evaluations made.
+    evals: u64,
 }
 
 impl EllipticalKMeans {
@@ -168,7 +182,10 @@ impl EllipticalKMeans {
 
         let mut assignments = vec![usize::MAX; n];
         let mut activity = vec![0u32; n];
-        let mut lookup: Vec<Vec<usize>> = vec![Vec::new(); n];
+        // The §4.2 lookup table, `width` centroid IDs a point, flat; a row
+        // starting with `usize::MAX` has had no full evaluation yet.
+        let width = self.config.lookup_k.map_or(0, |lk| lk.min(k));
+        let mut lookup = vec![usize::MAX; n * width];
         let mut dist_computations: u64 = 0;
         let mut outer_iterations = 0;
         let mut inner_iterations = 0;
@@ -203,36 +220,42 @@ impl EllipticalKMeans {
                 // thread writes back in chunk order.
                 let chunk_outcomes = map_ranges(n, &self.config.par, |range| {
                     let mut updates = Vec::with_capacity(range.len());
-                    let mut dists = 0u64;
+                    let mut fresh = vec![usize::MAX; range.len() * width];
+                    let mut scratch = Scratch {
+                        diff: vec![0.0; d],
+                        dists: Vec::with_capacity(k),
+                        evals: 0,
+                    };
                     let mut changed = false;
-                    for i in range {
+                    for (j, i) in range.enumerate() {
                         let outcome = assign_point(
                             &states,
                             data.row(i),
                             d_ln_2pi,
-                            self.config.lookup_k,
                             self.config.activity_threshold,
                             full_pass,
                             assignments[i],
                             activity[i],
-                            &lookup[i],
-                            &mut dists,
+                            &lookup[i * width..(i + 1) * width],
+                            &mut fresh[j * width..(j + 1) * width],
+                            &mut scratch,
                         );
                         changed |= outcome.changed;
                         updates.push(outcome);
                     }
-                    (updates, dists, changed)
+                    (updates, fresh, scratch.evals, changed)
                 });
                 let mut inner_changed = false;
                 let mut i = 0;
-                for (updates, dists, changed) in chunk_outcomes {
+                for (updates, fresh, dists, changed) in chunk_outcomes {
                     dist_computations += dists;
                     inner_changed |= changed;
-                    for u in updates {
+                    for (j, u) in updates.into_iter().enumerate() {
                         assignments[i] = u.assign;
                         activity[i] = u.activity;
-                        if let Some(order) = u.lookup {
-                            lookup[i] = order;
+                        if u.refreshed {
+                            lookup[i * width..(i + 1) * width]
+                                .copy_from_slice(&fresh[j * width..(j + 1) * width]);
                         }
                         i += 1;
                     }
@@ -281,7 +304,7 @@ impl EllipticalKMeans {
             }
         }
 
-        let clustering = materialize(data, weights, &assignments, &centroids, &covariances);
+        let clustering = materialize(weights, &assignments, &centroids, &covariances);
         Ok(EllipticalResult {
             clustering,
             outer_iterations,
@@ -292,29 +315,31 @@ impl EllipticalKMeans {
     }
 }
 
-/// One point's reassignment outcome (`lookup` is `Some` only when the pass
-/// performed a full evaluation that refreshes the lookup entry).
+/// One point's reassignment outcome (`refreshed` when the pass performed a
+/// full evaluation that wrote the point's new lookup row).
 struct PointOutcome {
     assign: usize,
     activity: u32,
-    lookup: Option<Vec<usize>>,
+    refreshed: bool,
     changed: bool,
 }
 
 /// The per-point body of the reassignment pass. Pure in the pre-pass state
 /// (`cur_*`), which is what makes the pass safe to chunk across threads.
+/// `cur_lookup` is the point's lookup row and `new_lookup` where a full
+/// evaluation writes its replacement (both empty without the table).
 #[allow(clippy::too_many_arguments)]
 fn assign_point(
     states: &[ClusterState],
     point: &[f64],
     d_ln_2pi: f64,
-    lookup_k: Option<usize>,
     activity_threshold: Option<u32>,
     full_pass: bool,
     cur_assign: usize,
     cur_activity: u32,
     cur_lookup: &[usize],
-    dist_computations: &mut u64,
+    new_lookup: &mut [usize],
+    scratch: &mut Scratch,
 ) -> PointOutcome {
     if let Some(t) = activity_threshold {
         if cur_activity >= t {
@@ -322,65 +347,44 @@ fn assign_point(
             return PointOutcome {
                 assign: cur_assign,
                 activity: cur_activity,
-                lookup: None,
+                refreshed: false,
                 changed: false,
             };
         }
     }
-    let use_lookup = lookup_k.is_some() && !full_pass && !cur_lookup.is_empty();
-    let mut new_lookup = None;
+    let use_lookup = !full_pass && cur_lookup.first().is_some_and(|&c| c != usize::MAX);
     let best = if use_lookup {
-        let (b, _) = best_among(
-            states,
-            point,
-            d_ln_2pi,
-            cur_lookup.iter().copied(),
-            dist_computations,
-        );
-        b
+        best_among(states, point, d_ln_2pi, cur_lookup, scratch)
     } else {
-        let (b, order) = best_with_order(states, point, d_ln_2pi, lookup_k, dist_computations);
-        new_lookup = order;
-        b
+        best_with_order(states, point, d_ln_2pi, new_lookup, scratch)
     };
-    if cur_assign != best {
-        // Membership change: refresh the lookup entry with a full evaluation
-        // (paper: entries update only on membership change) and reset the
-        // Activity counter.
-        if use_lookup {
-            let (b_full, order) =
-                best_with_order(states, point, d_ln_2pi, lookup_k, dist_computations);
-            new_lookup = order;
-            if cur_assign != b_full {
-                PointOutcome {
-                    assign: b_full,
-                    activity: 0,
-                    lookup: new_lookup,
-                    changed: true,
-                }
-            } else {
-                PointOutcome {
-                    assign: cur_assign,
-                    activity: cur_activity.saturating_add(1),
-                    lookup: new_lookup,
-                    changed: false,
-                }
-            }
-        } else {
-            PointOutcome {
-                assign: best,
-                activity: 0,
-                lookup: new_lookup,
-                changed: true,
-            }
-        }
-    } else {
-        PointOutcome {
+    let refreshed = !new_lookup.is_empty();
+    if cur_assign == best {
+        return PointOutcome {
             assign: cur_assign,
             activity: cur_activity.saturating_add(1),
-            lookup: new_lookup,
+            refreshed: refreshed && !use_lookup,
             changed: false,
-        }
+        };
+    }
+    // Membership change: refresh the lookup entry with a full evaluation
+    // (paper: entries update only on membership change) and reset the
+    // Activity counter.
+    let assign = if use_lookup {
+        best_with_order(states, point, d_ln_2pi, new_lookup, scratch)
+    } else {
+        best
+    };
+    let changed = cur_assign != assign;
+    PointOutcome {
+        assign,
+        activity: if changed {
+            0
+        } else {
+            cur_activity.saturating_add(1)
+        },
+        refreshed,
+        changed,
     }
 }
 
@@ -389,43 +393,42 @@ fn best_among(
     states: &[ClusterState],
     point: &[f64],
     d_ln_2pi: f64,
-    candidates: impl Iterator<Item = usize>,
-    dist_computations: &mut u64,
-) -> (usize, f64) {
+    candidates: &[usize],
+    scratch: &mut Scratch,
+) -> usize {
     let mut best = 0;
     let mut best_d = f64::INFINITY;
-    for c in candidates {
-        *dist_computations += 1;
-        let d = states[c].norm_maha_dist(point, d_ln_2pi);
+    for &c in candidates {
+        scratch.evals += 1;
+        let d = states[c].norm_maha_dist(point, d_ln_2pi, &mut scratch.diff);
         if d < best_d {
             best_d = d;
             best = c;
         }
     }
-    (best, best_d)
+    best
 }
 
-/// Full evaluation over all clusters; optionally returns the IDs of the
-/// `lookup_k` closest centroids (including the best) for the lookup table.
+/// Full evaluation over all clusters; writes the IDs of the closest
+/// centroids (the best first) into `order`, the point's new lookup row.
 fn best_with_order(
     states: &[ClusterState],
     point: &[f64],
     d_ln_2pi: f64,
-    lookup_k: Option<usize>,
-    dist_computations: &mut u64,
-) -> (usize, Option<Vec<usize>>) {
-    let mut dists: Vec<(usize, f64)> = states
-        .iter()
-        .enumerate()
-        .map(|(c, s)| {
-            *dist_computations += 1;
-            (c, s.norm_maha_dist(point, d_ln_2pi))
-        })
-        .collect();
+    order: &mut [usize],
+    scratch: &mut Scratch,
+) -> usize {
+    let Scratch { diff, dists, evals } = scratch;
+    dists.clear();
+    for (c, s) in states.iter().enumerate() {
+        *evals += 1;
+        dists.push((c, s.norm_maha_dist(point, d_ln_2pi, diff)));
+    }
     dists.sort_by(|a, b| a.1.partial_cmp(&b.1).unwrap_or(std::cmp::Ordering::Equal));
-    let best = dists[0].0;
-    let order = lookup_k.map(|k| dists.iter().take(k.max(1)).map(|&(c, _)| c).collect());
-    (best, order)
+    for (o, &(c, _)) in order.iter_mut().zip(dists.iter()) {
+        *o = c;
+    }
+    dists[0].0
 }
 
 fn seed_centroids(data: &Matrix, k: usize, rng: &mut StdRng) -> Vec<Vec<f64>> {
@@ -591,7 +594,6 @@ fn update_covariances(
 /// Builds the final [`Clustering`], pruning empty clusters and remapping
 /// assignment indices.
 fn materialize(
-    data: &Matrix,
     weights: Option<&[f64]>,
     assignments: &[usize],
     centroids: &[Vec<f64>],
@@ -621,7 +623,6 @@ fn materialize(
         });
     }
     let assignments = assignments.iter().map(|&a| remap[a]).collect();
-    let _ = data;
     Clustering {
         assignments,
         clusters,

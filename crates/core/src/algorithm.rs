@@ -1,7 +1,7 @@
 //! The complete MMDR algorithm: Generate Ellipsoid + Dimensionality
 //! Optimization (Figure 4).
 
-use crate::dim_opt::optimize_dimensionality;
+use crate::dim_opt::{fill_covariance, optimize_dimensionality};
 use crate::error::{Error, Result};
 use crate::generate_ellipsoid::{generate_ellipsoid, SemiEllipsoid};
 use crate::model::{ReductionResult, ReductionStats};
@@ -40,9 +40,7 @@ impl Mmdr {
     /// Runs MMDR on a dataset whose rows are points.
     pub fn fit(&self, data: &Matrix) -> Result<ReductionResult> {
         self.params.validate().map_err(Error::InvalidParams)?;
-        if data.rows() == 0 {
-            return Err(Error::EmptyDataset);
-        }
+        check_input(data)?;
         let mut stats = ReductionStats {
             streams: 1,
             ..Default::default()
@@ -60,6 +58,21 @@ impl Mmdr {
             &mut outliers,
         )?;
         finish(data, semis, outliers, stats, &self.params)
+    }
+}
+
+/// Shared door of both fits: points, every value finite (a NaN would
+/// otherwise surface late, as a PCA that does not converge).
+pub(crate) fn check_input(data: &Matrix) -> Result<()> {
+    if data.rows() == 0 {
+        return Err(Error::EmptyDataset);
+    }
+    match data.as_slice().iter().position(|x| !x.is_finite()) {
+        Some(at) => Err(Error::NonFinite {
+            row: at / data.cols(),
+            col: at % data.cols(),
+        }),
+        None => Ok(()),
     }
 }
 
@@ -125,6 +138,7 @@ pub(crate) fn finish(
                     members,
                     s_dim,
                     mpe: 0.0,
+                    pca: None,
                 },
                 params,
             )?;
@@ -134,6 +148,9 @@ pub(crate) fn finish(
             }
         }
         clusters.retain(|c| !c.is_empty());
+    }
+    for cluster in &mut clusters {
+        fill_covariance(data, cluster)?;
     }
     outliers.sort_unstable();
     Ok(ReductionResult {
@@ -290,6 +307,22 @@ mod tests {
             model.outliers.contains(&(data.rows() - 1)),
             "the implanted far point must remain an outlier"
         );
+    }
+
+    #[test]
+    fn non_finite_input_is_refused_at_the_door_by_both_fits() {
+        let rows: Vec<Vec<f64>> = (0..2_000)
+            .map(|i| (0..16).map(|j| ((i * 16 + j) % 97) as f64 / 97.0).collect())
+            .collect();
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let mut data = Matrix::from_rows(&rows).unwrap();
+            data.row_mut(5)[11] = bad;
+            let want = Err(Error::NonFinite { row: 5, col: 11 });
+            let plain = Mmdr::new(MmdrParams::default()).fit(&data);
+            assert_eq!(plain.map(|_| ()), want, "Mmdr::fit, {bad}");
+            let streamed = crate::ScalableMmdr::new(MmdrParams::default()).fit(&data);
+            assert_eq!(streamed.map(|_| ()), want, "ScalableMmdr::fit, {bad}");
+        }
     }
 
     #[test]

@@ -10,70 +10,95 @@ use crate::error::Result;
 use crate::generate_ellipsoid::SemiEllipsoid;
 use crate::model::EllipsoidCluster;
 use crate::params::MmdrParams;
-use mmdr_linalg::{covariance_about, Matrix};
-use mmdr_pca::{Pca, ReducedSubspace};
+use mmdr_linalg::{covariance_about, dot, Matrix};
+use mmdr_pca::{residual, Pca, ReducedSubspace};
 
 /// Output of optimizing one semi-ellipsoid: the finished cluster (possibly
 /// empty if every member failed the β test) plus the expelled outliers.
 #[derive(Debug)]
-pub struct DimOptOutcome {
+pub(crate) struct DimOptOutcome {
     /// The finished cluster; `None` when no member survived the β test.
     pub cluster: Option<EllipsoidCluster>,
     /// Members that failed the β test (original dataset indices).
     pub outliers: Vec<usize>,
 }
 
-/// Runs dimensionality optimization on one semi-ellipsoid.
-pub fn optimize_dimensionality(
+/// The retained dimensionality optimization starts from (Figure 4, line
+/// 13): `min(fixed_dim, d)` when pinned, else `min(MaxDim, s_dim, d)`. No
+/// component past it is read, so a [`SemiEllipsoid`] carries just these.
+pub(crate) fn start_dim(params: &MmdrParams, d: usize, s_dim: usize) -> usize {
+    match params.fixed_dim {
+        Some(fixed) => fixed.min(d),
+        None => params.max_dim.min(s_dim).min(d).max(1),
+    }
+}
+
+/// Runs dimensionality optimization on one semi-ellipsoid. The cluster's
+/// covariance is left empty for [`fill_covariance`]: the merge and the
+/// adoption pass replace many of these clusters, so MMDR computes it once,
+/// for the clusters it returns.
+pub(crate) fn optimize_dimensionality(
     data: &Matrix,
     semi: &SemiEllipsoid,
     params: &MmdrParams,
 ) -> Result<DimOptOutcome> {
-    let d = data.cols();
-    let member_rows = data.select_rows(&semi.members);
-    let pca = Pca::fit_par(&member_rows, &params.par)?;
-
-    // Line 13: starting dimensionality.
-    let d_r = match params.fixed_dim {
-        Some(fixed) => fixed.min(d),
+    let start = start_dim(params, data.cols(), semi.s_dim);
+    let fitted;
+    let pca = match &semi.pca {
+        Some(pca) => pca,
         None => {
-            let start = params.max_dim.min(semi.s_dim).min(d).max(1);
-            // Lines 14–17: decrement while the MPE change stays small.
-            // Computed incrementally: project every member once at `start`
-            // dimensions; the residual at any smaller d_r is the residual
-            // at `start` plus the dropped coefficients' energy, so the MPE
-            // of every level costs O(N) instead of O(N·d·d_r) each.
-            let n = member_rows.rows();
-            let mut residual_sq = Vec::with_capacity(n);
-            let mut coeffs = Vec::with_capacity(n);
-            for row in member_rows.iter_rows() {
-                let r = pca.proj_dist_r(row, start)?;
-                residual_sq.push(r * r);
-                coeffs.push(pca.project(row, start)?);
-            }
-            let mpe_at = |level: usize, residual_sq: &[f64], coeffs: &[Vec<f64>]| {
-                let mut sum = 0.0;
-                for (r2, c) in residual_sq.iter().zip(coeffs) {
-                    let dropped: f64 = c[level..start].iter().map(|x| x * x).sum();
-                    sum += (r2 + dropped).sqrt();
-                }
-                sum / n as f64
-            };
-            let mut d_r = start;
-            let mut mpe_prev = mpe_at(d_r, &residual_sq, &coeffs);
-            while d_r > 1 {
-                let mpe_next = mpe_at(d_r - 1, &residual_sq, &coeffs);
-                if mpe_next - mpe_prev >= params.mpe_change_threshold {
-                    break;
-                }
-                d_r -= 1;
-                mpe_prev = mpe_next;
-            }
-            d_r
+            fitted = Pca::fit_par(&data.select_rows(&semi.members), &params.par)?;
+            &fitted
         }
     };
 
-    // Lines 18–24: project and apply the β outlier test.
+    // One projection a member, to `start` dimensions: `‖P − μ‖²` and the
+    // coefficients, which the level loop and the β test both read.
+    let n = semi.members.len();
+    let mut totals = Vec::with_capacity(n);
+    let mut coeffs = vec![0.0; n * start];
+    for (&idx, c) in semi.members.iter().zip(coeffs.chunks_exact_mut(start)) {
+        totals.push(pca.project_into(data.row(idx), c)?);
+    }
+    let rows = || totals.iter().zip(coeffs.chunks_exact(start));
+
+    // Line 13: starting dimensionality.
+    let d_r = if params.fixed_dim.is_some() {
+        start
+    } else {
+        // Lines 14–17: decrement while the MPE change stays small.
+        // Computed incrementally: the residual at any smaller d_r is the
+        // residual at `start` plus the dropped coefficients' energy, so the
+        // MPE of every level costs O(N) instead of O(N·d·d_r) each.
+        let residual_sq: Vec<f64> = rows()
+            .map(|(&total, c)| {
+                let r = residual(total, dot(c, c));
+                r * r
+            })
+            .collect();
+        let mpe_at = |level: usize| {
+            let mut sum = 0.0;
+            for (r2, c) in residual_sq.iter().zip(coeffs.chunks_exact(start)) {
+                let dropped: f64 = c[level..].iter().map(|x| x * x).sum();
+                sum += (r2 + dropped).sqrt();
+            }
+            sum / n as f64
+        };
+        let mut d_r = start;
+        let mut mpe_prev = mpe_at(d_r);
+        while d_r > 1 {
+            let mpe_next = mpe_at(d_r - 1);
+            if mpe_next - mpe_prev >= params.mpe_change_threshold {
+                break;
+            }
+            d_r -= 1;
+            mpe_prev = mpe_next;
+        }
+        d_r
+    };
+
+    // Lines 18–24: the β outlier test on the first d_r coefficients: the
+    // distance to the flat, and the norm of the local coordinates.
     let basis = pca.basis(d_r)?;
     let subspace = ReducedSubspace::new(pca.mean().to_vec(), basis)?;
     let mut members = Vec::with_capacity(semi.members.len());
@@ -82,11 +107,11 @@ pub fn optimize_dimensionality(
     let mut radius_retained: f64 = 0.0;
     let mut nearest_radius = f64::INFINITY;
     let mut mpe_sum = 0.0;
-    for &idx in &semi.members {
-        let point = data.row(idx);
-        let proj_dist = subspace.proj_dist(point)?;
+    for (&idx, (&total, c)) in semi.members.iter().zip(rows()) {
+        let retained = dot(&c[..d_r], &c[..d_r]);
+        let proj_dist = residual(total, retained);
         if proj_dist <= params.beta {
-            let local = subspace.local_dist_to_centroid(point)?;
+            let local = retained.sqrt();
             radius_eliminated = radius_eliminated.max(proj_dist);
             radius_retained = radius_retained.max(local);
             nearest_radius = nearest_radius.min(local);
@@ -104,8 +129,6 @@ pub fn optimize_dimensionality(
         });
     }
 
-    let kept_rows = data.select_rows(&members);
-    let covariance = covariance_about(&kept_rows, subspace.centroid())?;
     let ellipticity = if radius_eliminated > 0.0 {
         (radius_retained - radius_eliminated) / radius_eliminated
     } else if radius_retained > 0.0 {
@@ -117,7 +140,7 @@ pub fn optimize_dimensionality(
     Ok(DimOptOutcome {
         cluster: Some(EllipsoidCluster {
             subspace,
-            covariance,
+            covariance: Matrix::zeros(0, 0),
             mpe,
             radius_eliminated,
             radius_retained,
@@ -131,6 +154,14 @@ pub fn optimize_dimensionality(
         }),
         outliers,
     })
+}
+
+/// The cluster's covariance about its centroid, in the original space: a
+/// function of the members and the centroid alone.
+pub(crate) fn fill_covariance(data: &Matrix, cluster: &mut EllipsoidCluster) -> Result<()> {
+    let kept_rows = data.select_rows(&cluster.members);
+    cluster.covariance = covariance_about(&kept_rows, cluster.subspace.centroid())?;
+    Ok(())
 }
 
 #[cfg(test)]
@@ -154,6 +185,7 @@ mod tests {
             members: (0..data.rows()).collect(),
             s_dim,
             mpe: 0.0,
+            pca: None,
         }
     }
 
@@ -224,6 +256,8 @@ mod tests {
         // Elongated plane: retained radius dominates eliminated radius.
         assert!(c.ellipticity > 1.0 || c.ellipticity.is_infinite());
         // Covariance is in the original space.
+        let mut c = c;
+        fill_covariance(&data, &mut c).unwrap();
         assert_eq!(c.covariance.shape(), (6, 6));
     }
 

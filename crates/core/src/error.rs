@@ -18,6 +18,14 @@ pub enum Error {
     EmptyDataset,
     /// A parameter is out of range (message names it).
     InvalidParams(&'static str),
+    /// An input value is NaN or infinite; the fit refuses it before any
+    /// work.
+    NonFinite {
+        /// The offending row.
+        row: usize,
+        /// Its column.
+        col: usize,
+    },
     /// A point's dimensionality does not match the fitted model.
     DimensionMismatch {
         /// Dimensionality the model was fitted on.
@@ -35,6 +43,9 @@ impl fmt::Display for Error {
             Error::Cluster(e) => write!(f, "clustering failure: {e}"),
             Error::EmptyDataset => write!(f, "dataset is empty"),
             Error::InvalidParams(msg) => write!(f, "invalid parameters: {msg}"),
+            Error::NonFinite { row, col } => {
+                write!(f, "row {row}, column {col} is not a finite number")
+            }
             Error::DimensionMismatch { expected, actual } => {
                 write!(f, "point has dimension {actual}, model expects {expected}")
             }
@@ -87,6 +98,9 @@ mod tests {
         assert!(e.to_string().contains("clustering"));
         assert!(Error::EmptyDataset.source().is_none());
         assert!(Error::InvalidParams("beta").to_string().contains("beta"));
+        assert!(Error::NonFinite { row: 5, col: 2 }
+            .to_string()
+            .contains("row 5, column 2"));
         assert!(Error::DimensionMismatch {
             expected: 4,
             actual: 2

@@ -8,7 +8,7 @@
 
 use crate::error::{Error, Result};
 use crate::model::{EllipsoidCluster, ReductionResult, ReductionStats};
-use mmdr_linalg::{covariance_about, Matrix};
+use mmdr_linalg::{covariance_about, l2_norm, Matrix};
 use mmdr_pca::{Pca, ReducedSubspace};
 
 /// The GDR baseline.
@@ -42,9 +42,11 @@ impl Gdr {
         let mut radius_retained: f64 = 0.0;
         let mut nearest_radius = f64::INFINITY;
         let mut mpe_sum = 0.0;
+        let mut coords = Vec::with_capacity(d_r);
         for row in data.iter_rows() {
-            let pd = subspace.proj_dist(row)?;
-            let local = subspace.local_dist_to_centroid(row)?;
+            coords.clear();
+            let pd = subspace.project_into(row, &mut coords)?;
+            let local = l2_norm(&coords);
             radius_eliminated = radius_eliminated.max(pd);
             radius_retained = radius_retained.max(local);
             nearest_radius = nearest_radius.min(local);

@@ -14,6 +14,7 @@
 //! when doubling is impossible). We implement the evident intent: recurse
 //! while the subspace can still grow.
 
+use crate::dim_opt::start_dim;
 use crate::error::Result;
 use crate::model::ReductionStats;
 use crate::params::MmdrParams;
@@ -33,6 +34,10 @@ pub struct SemiEllipsoid {
     pub s_dim: usize,
     /// MPE of the members at `s_dim`, under their local PCA.
     pub mpe: f64,
+    /// That local PCA, kept to the components dimensionality optimization
+    /// reads, so that it is not fitted again; `None` (the streaming path,
+    /// the merge, the adoption pass) makes optimization fit it.
+    pub pca: Option<Pca>,
 }
 
 /// Runs `Generate Ellipsoid` over `indices` (a subset of `data` rows) at
@@ -50,13 +55,17 @@ pub fn generate_ellipsoid(
     out: &mut Vec<SemiEllipsoid>,
     small: &mut Vec<usize>,
 ) -> Result<()> {
-    recurse(data, indices.to_vec(), s_dim, params, 0, stats, out, small)
+    let indices = indices.to_vec();
+    recurse(data, indices, None, s_dim, params, 0, stats, out, small)
 }
 
+/// One level of Generate Ellipsoid over `indices`. `fitted` is the subset's
+/// rows and their PCA when the level above already computed them.
 #[allow(clippy::too_many_arguments)]
 fn recurse(
     data: &Matrix,
     indices: Vec<usize>,
+    fitted: Option<(Matrix, Pca)>,
     s_dim: usize,
     params: &MmdrParams,
     depth: usize,
@@ -75,8 +84,14 @@ fn recurse(
     }
 
     // Line 1: project the subset onto its own s_dim-dimensional subspace.
-    let subset = data.select_rows(&indices);
-    let pca = Pca::fit_par(&subset, &params.par)?;
+    let (subset, pca) = match fitted {
+        Some(fitted) => fitted,
+        None => {
+            let subset = data.select_rows(&indices);
+            let pca = Pca::fit_par(&subset, &params.par)?;
+            (subset, pca)
+        }
+    };
 
     // Entry acceptance for semi-ellipsoids (depth ≥ 1 — the top level
     // always clusters first, exactly as the paper's lines 1–2 do): if some
@@ -88,28 +103,32 @@ fn recurse(
     // cluster"), applied without re-clustering: re-partitioning a coherent
     // ellipsoid only fragments it (the paper instead relies on elliptical
     // k-means leaving the extra clusters empty, line 4). Fragments that do
-    // arise are coalesced later by the merge pass.
+    // arise are coalesced later by the merge pass. Every level's MPE comes
+    // from one projection to the cap.
     if depth > 0 && params.use_entry_probe {
         let level_cap = params.max_dim.min(d.saturating_sub(1)).max(1);
-        let mut probe = s_dim.min(level_cap);
-        loop {
-            let mpe = pca.mpe_par(&subset, probe, &params.par)?;
-            if mpe <= params.max_mpe {
-                out.push(SemiEllipsoid {
-                    members: indices,
-                    s_dim: probe,
-                    mpe,
-                });
-                return Ok(());
-            }
-            if probe >= level_cap {
-                break;
-            }
-            probe = (probe * 2).min(level_cap);
+        let mut levels = vec![s_dim.min(level_cap)];
+        while let Some(&last) = levels.last().filter(|&&l| l < level_cap) {
+            levels.push((last * 2).min(level_cap));
+        }
+        let mpes = pca.mpe_levels(&subset, &levels, &params.par)?;
+        if let Some((&probe, &mpe)) = levels
+            .iter()
+            .zip(&mpes)
+            .find(|&(_, &mpe)| mpe <= params.max_mpe)
+        {
+            out.push(SemiEllipsoid {
+                members: indices,
+                s_dim: probe,
+                mpe,
+                pca: Some(pca.truncated(start_dim(params, d, probe))),
+            });
+            return Ok(());
         }
     }
 
     let projections = pca.project_dataset_par(&subset, s_dim, &params.par)?;
+    drop((subset, pca)); // before the levels below fit their own
 
     // Line 2: elliptical k-means in the subspace.
     let engine = EllipticalKMeans::new(EllipticalConfig {
@@ -142,12 +161,13 @@ fn recurse(
         let mpe = local_pca.mpe_par(&member_rows, local_s_dim, &params.par)?;
 
         let can_grow = 2 * s_dim <= d && depth + 1 < params.max_recursion_depth;
-        let made_progress = member_indices.len() < indices.len() || can_grow;
-        if mpe > params.max_mpe && can_grow && made_progress {
-            // Line 9: recurse with a doubled subspace dimensionality.
+        if mpe > params.max_mpe && can_grow {
+            // Line 9: recurse with a doubled subspace dimensionality, on
+            // the rows and the PCA just fitted.
             recurse(
                 data,
                 member_indices,
+                Some((member_rows, local_pca)),
                 2 * s_dim,
                 params,
                 depth + 1,
@@ -161,6 +181,7 @@ fn recurse(
                 members: member_indices,
                 s_dim: local_s_dim,
                 mpe,
+                pca: Some(local_pca.truncated(start_dim(params, d, local_s_dim))),
             });
         }
     }

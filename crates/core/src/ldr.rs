@@ -15,7 +15,7 @@
 use crate::error::{Error, Result};
 use crate::model::{EllipsoidCluster, ReductionResult, ReductionStats};
 use mmdr_cluster::{kmeans, KMeansConfig};
-use mmdr_linalg::{covariance_about, Matrix, ParConfig};
+use mmdr_linalg::{covariance_about, l2_norm, Matrix, ParConfig};
 use mmdr_pca::{Pca, ReducedSubspace};
 
 /// Parameters of the LDR baseline.
@@ -149,11 +149,12 @@ impl Ldr {
             let mut radius_retained: f64 = 0.0;
             let mut nearest_radius = f64::INFINITY;
             let mut mpe_sum = 0.0;
+            let mut coords = Vec::with_capacity(d_r);
             for &idx in &cluster.members {
-                let point = data.row(idx);
-                let pd = subspace.proj_dist(point)?;
+                coords.clear();
+                let pd = subspace.project_into(data.row(idx), &mut coords)?;
                 if pd <= p.recon_threshold {
-                    let local = subspace.local_dist_to_centroid(point)?;
+                    let local = l2_norm(&coords);
                     radius_eliminated = radius_eliminated.max(pd);
                     radius_retained = radius_retained.max(local);
                     nearest_radius = nearest_radius.min(local);

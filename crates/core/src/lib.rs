@@ -51,7 +51,6 @@ mod persist;
 mod scalable;
 
 pub use algorithm::Mmdr;
-pub use dim_opt::{optimize_dimensionality, DimOptOutcome};
 pub use error::{Error, Result};
 pub use gdr::Gdr;
 pub use generate_ellipsoid::{generate_ellipsoid, SemiEllipsoid};

@@ -59,6 +59,7 @@ fn merge_coplanar(
                     members,
                     s_dim,
                     mpe: 0.0,
+                    pca: None,
                 };
                 let outcome = optimize_dimensionality(data, &semi, params)?;
                 expelled.extend(outcome.outliers);
@@ -98,7 +99,7 @@ fn enforce_max_ec(
         let mut best = 0;
         let mut best_d = f64::INFINITY;
         for (i, host) in clusters.iter().enumerate() {
-            let d = mean_proj_dist(data, &victim.members, host)?;
+            let d = mean_proj_dist(data, &victim.members, host, f64::INFINITY)?;
             if d < best_d {
                 best_d = d;
                 best = i;
@@ -116,6 +117,7 @@ fn enforce_max_ec(
             members,
             s_dim,
             mpe: 0.0,
+            pca: None,
         };
         let outcome = optimize_dimensionality(data, &semi, params)?;
         expelled.extend(outcome.outliers);
@@ -130,24 +132,32 @@ fn enforce_max_ec(
 }
 
 /// True when each cluster's members average within `MaxMPE` of the other's
-/// subspace. Cheap: reuses the existing subspaces, no PCA refits.
+/// subspace. Cheap: reuses the existing subspaces, no PCA refits, and stops
+/// reading members once the answer is decided.
 fn mutually_coplanar(
     data: &Matrix,
     a: &EllipsoidCluster,
     b: &EllipsoidCluster,
     params: &MmdrParams,
 ) -> Result<bool> {
-    Ok(mean_proj_dist(data, &b.members, a)? <= params.max_mpe
-        && mean_proj_dist(data, &a.members, b)? <= params.max_mpe)
+    let max = params.max_mpe;
+    Ok(mean_proj_dist(data, &b.members, a, max)? <= max
+        && mean_proj_dist(data, &a.members, b, max)? <= max)
 }
 
-/// Mean distance of the listed points to the cluster's subspace.
-fn mean_proj_dist(data: &Matrix, members: &[usize], target: &EllipsoidCluster) -> Result<f64> {
+/// Mean distance of the listed points to the cluster's subspace, or a
+/// partial mean once that exceeds `limit`: the terms are non-negative and
+/// IEEE rounding is monotone, so the full mean would exceed it too.
+fn mean_proj_dist(data: &Matrix, ids: &[usize], to: &EllipsoidCluster, limit: f64) -> Result<f64> {
+    let n = ids.len().max(1) as f64;
     let mut sum = 0.0;
-    for &idx in members {
-        sum += target.subspace.proj_dist(data.row(idx))?;
+    for &idx in ids {
+        sum += to.subspace.proj_dist(data.row(idx))?;
+        if sum / n > limit {
+            break;
+        }
     }
-    Ok(sum / members.len().max(1) as f64)
+    Ok(sum / n)
 }
 
 #[cfg(test)]

@@ -8,7 +8,7 @@
 //! the big ones, and one final scan assigns every point to its merged
 //! ellipsoid before dimensionality optimization runs per cluster.
 
-use crate::algorithm::finish;
+use crate::algorithm::{check_input, finish};
 use crate::error::{Error, Result};
 use crate::generate_ellipsoid::{generate_ellipsoid, SemiEllipsoid};
 use crate::model::{ReductionResult, ReductionStats};
@@ -51,9 +51,7 @@ impl ScalableMmdr {
     /// measures in Figure 11.
     pub fn fit(&self, data: &Matrix) -> Result<ReductionResult> {
         self.params.validate().map_err(Error::InvalidParams)?;
-        if data.rows() == 0 {
-            return Err(Error::EmptyDataset);
-        }
+        check_input(data)?;
         if !(self.epsilon > 0.0 && self.epsilon <= 1.0) {
             return Err(Error::InvalidParams("epsilon must be in (0, 1]"));
         }
@@ -161,6 +159,7 @@ impl ScalableMmdr {
             semis.push(SemiEllipsoid {
                 s_dim: self.params.max_dim.min(data.cols()),
                 mpe: 0.0,
+                pca: None,
                 members,
             });
         }

@@ -87,17 +87,17 @@ impl Cholesky {
         self.l.rows()
     }
 
-    /// Solves `L y = b` by forward substitution.
-    pub fn solve_lower(&self, b: &[f64]) -> Result<Vec<f64>> {
+    /// Solves `L y = b` by forward substitution, in place: `y` holds `b` on
+    /// entry and the solution on return.
+    pub fn solve_lower(&self, y: &mut [f64]) -> Result<()> {
         let n = self.dim();
-        if b.len() != n {
+        if y.len() != n {
             return Err(Error::DimensionMismatch {
                 op: "Cholesky::solve_lower",
                 lhs: (n, n),
-                rhs: (b.len(), 1),
+                rhs: (y.len(), 1),
             });
         }
-        let mut y = b.to_vec();
         for i in 0..n {
             let row = self.l.row(i);
             let mut s = y[i];
@@ -106,13 +106,14 @@ impl Cholesky {
             }
             y[i] = s / row[i];
         }
-        Ok(y)
+        Ok(())
     }
 
     /// Solves `A x = b` (i.e. `L Lᵀ x = b`) by forward then back substitution.
     pub fn solve(&self, b: &[f64]) -> Result<Vec<f64>> {
         let n = self.dim();
-        let mut x = self.solve_lower(b)?;
+        let mut x = b.to_vec();
+        self.solve_lower(&mut x)?;
         // Back substitution with Lᵀ.
         for i in (0..n).rev() {
             let mut s = x[i];
@@ -126,9 +127,10 @@ impl Cholesky {
     }
 
     /// The quadratic form `xᵀ A⁻¹ x = ‖L⁻¹ x‖²` — the Mahalanobis distance
-    /// core. Always non-negative.
-    pub fn quadratic_form(&self, x: &[f64]) -> Result<f64> {
-        let y = self.solve_lower(x)?;
+    /// core. Always non-negative. `y` holds `x` on entry and `L⁻¹ x` on
+    /// return, so a caller evaluating many points allocates nothing.
+    pub fn quadratic_form(&self, y: &mut [f64]) -> Result<f64> {
+        self.solve_lower(y)?;
         Ok(y.iter().map(|v| v * v).sum())
     }
 
@@ -182,7 +184,7 @@ mod tests {
         let a = Matrix::zeros(3, 3); // rank 0
         let ch = Cholesky::new_regularized(&a, 1e-6).unwrap();
         // Factorized a + εI → quadratic form is x·x/ε, positive.
-        assert!(ch.quadratic_form(&[1.0, 0.0, 0.0]).unwrap() > 0.0);
+        assert!(ch.quadratic_form(&mut [1.0, 0.0, 0.0]).unwrap() > 0.0);
     }
 
     #[test]
@@ -208,14 +210,18 @@ mod tests {
     fn solve_validates_length() {
         let ch = Cholesky::new(&spd3()).unwrap();
         assert!(ch.solve(&[1.0]).is_err());
-        assert!(ch.solve_lower(&[1.0]).is_err());
+        assert!(ch.solve_lower(&mut [1.0]).is_err());
+        assert!(ch.quadratic_form(&mut [1.0]).is_err());
     }
 
     #[test]
     fn quadratic_form_identity_is_norm_sq() {
         let ch = Cholesky::new(&Matrix::identity(4)).unwrap();
-        let q = ch.quadratic_form(&[1.0, 2.0, 3.0, 4.0]).unwrap();
+        let mut y = [1.0, 2.0, 3.0, 4.0];
+        let q = ch.quadratic_form(&mut y).unwrap();
         assert!((q - 30.0).abs() < 1e-12);
+        // L = I: the solve leaves the point where it was.
+        assert_eq!(y, [1.0, 2.0, 3.0, 4.0]);
     }
 
     #[test]
@@ -223,8 +229,8 @@ mod tests {
         // C = diag(4, 0.25): displacement along the wide axis counts less.
         let c = Matrix::from_rows(&[vec![4.0, 0.0], vec![0.0, 0.25]]).unwrap();
         let ch = Cholesky::new(&c).unwrap();
-        let along_major = ch.quadratic_form(&[1.0, 0.0]).unwrap(); // 1/4
-        let along_minor = ch.quadratic_form(&[0.0, 1.0]).unwrap(); // 4
+        let along_major = ch.quadratic_form(&mut [1.0, 0.0]).unwrap(); // 1/4
+        let along_minor = ch.quadratic_form(&mut [0.0, 1.0]).unwrap(); // 4
         assert!(along_major < along_minor);
         assert!((along_major - 0.25).abs() < 1e-12);
         assert!((along_minor - 4.0).abs() < 1e-12);

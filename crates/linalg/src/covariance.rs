@@ -133,12 +133,6 @@ pub fn mean_vector_par(data: &Matrix, par: &ParConfig) -> Result<Vec<f64>> {
     Ok(mean)
 }
 
-/// [`covariance`] with deterministic chunk-and-merge parallelism.
-pub fn covariance_par(data: &Matrix, par: &ParConfig) -> Result<Matrix> {
-    let mean = mean_vector_par(data, par)?;
-    covariance_about_par(data, &mean, par)
-}
-
 /// [`covariance_about`] with deterministic chunk-and-merge parallelism:
 /// per-chunk scatter matrices are merged in chunk order before the single
 /// `1/N` normalization, so the result is bit-identical for every
@@ -263,11 +257,11 @@ mod tests {
     fn par_variants_bit_identical_across_thread_counts() {
         let data = pseudo_random_data(3000, 5);
         let m1 = mean_vector_par(&data, &ParConfig::serial()).unwrap();
-        let c1 = covariance_par(&data, &ParConfig::serial()).unwrap();
+        let c1 = covariance_about_par(&data, &m1, &ParConfig::serial()).unwrap();
         for threads in [2, 4, 8] {
             let par = ParConfig::threads(threads);
             assert_eq!(mean_vector_par(&data, &par).unwrap(), m1);
-            assert_eq!(covariance_par(&data, &par).unwrap(), c1);
+            assert_eq!(covariance_about_par(&data, &m1, &par).unwrap(), c1);
         }
     }
 

@@ -49,7 +49,9 @@ impl SymmetricEigen {
             return Err(Error::Empty);
         }
         let mut m = a.clone();
-        let mut v = Matrix::identity(n);
+        // Vᵀ, so that a rotation updates two contiguous rows, not two
+        // strided columns: the same products in the same order.
+        let mut vt = Matrix::identity(n);
 
         for sweep in 0..MAX_SWEEPS {
             let mut off = 0.0;
@@ -62,7 +64,7 @@ impl SymmetricEigen {
             // matrix scale.
             let scale = m.max_abs().max(f64::MIN_POSITIVE);
             if off.sqrt() <= 1e-14 * scale * n as f64 {
-                return Ok(Self::collect(m, v));
+                return Ok(Self::collect(m, vt));
             }
             if sweep == MAX_SWEEPS - 1 {
                 break;
@@ -85,7 +87,7 @@ impl SymmetricEigen {
                     let c = 1.0 / (1.0 + t * t).sqrt();
                     let s = t * c;
                     apply_rotation(&mut m, p, q, c, s);
-                    rotate_columns(&mut v, p, q, c, s);
+                    rotate_rows(&mut vt, p, q, c, s);
                 }
             }
         }
@@ -94,8 +96,9 @@ impl SymmetricEigen {
         })
     }
 
-    /// Extracts sorted eigenpairs from the diagonalized matrix.
-    fn collect(m: Matrix, v: Matrix) -> Self {
+    /// Extracts sorted eigenpairs from the diagonalized matrix and the
+    /// accumulated `Vᵀ`.
+    fn collect(m: Matrix, vt: Matrix) -> Self {
         let n = m.rows();
         let mut order: Vec<usize> = (0..n).collect();
         order.sort_by(|&a, &b| {
@@ -106,8 +109,8 @@ impl SymmetricEigen {
         let eigenvalues: Vec<f64> = order.iter().map(|&i| m[(i, i)]).collect();
         let mut eigenvectors = Matrix::zeros(n, n);
         for (new_j, &old_j) in order.iter().enumerate() {
-            for i in 0..n {
-                eigenvectors[(i, new_j)] = v[(i, old_j)];
+            for (i, &x) in vt.row(old_j).iter().enumerate() {
+                eigenvectors[(i, new_j)] = x;
             }
         }
         Self {
@@ -142,14 +145,13 @@ fn apply_rotation(m: &mut Matrix, p: usize, q: usize, c: f64, s: f64) {
     m[(q, p)] = 0.0;
 }
 
-/// Right-multiplies `V` by the rotation, accumulating eigenvectors.
-fn rotate_columns(v: &mut Matrix, p: usize, q: usize, c: f64, s: f64) {
-    let n = v.rows();
-    for k in 0..n {
-        let vkp = v[(k, p)];
-        let vkq = v[(k, q)];
-        v[(k, p)] = c * vkp - s * vkq;
-        v[(k, q)] = s * vkp + c * vkq;
+/// Right-multiplies `V` by the rotation, accumulating eigenvectors, on
+/// `Vᵀ`: column `p` of `V` is row `p` of `Vᵀ`.
+fn rotate_rows(vt: &mut Matrix, p: usize, q: usize, c: f64, s: f64) {
+    for k in 0..vt.cols() {
+        let (vkp, vkq) = (vt[(p, k)], vt[(q, k)]);
+        vt[(p, k)] = c * vkp - s * vkq;
+        vt[(q, k)] = s * vkp + c * vkq;
     }
 }
 

@@ -39,8 +39,7 @@ mod vector;
 
 pub use cholesky::Cholesky;
 pub use covariance::{
-    covariance, covariance_about, covariance_about_par, covariance_par, mean_rows, mean_vector,
-    mean_vector_par,
+    covariance, covariance_about, covariance_about_par, mean_rows, mean_vector, mean_vector_par,
 };
 pub use eigen::SymmetricEigen;
 pub use error::{Error, Result};

@@ -47,8 +47,12 @@ proptest! {
         let ch = Cholesky::new_regularized(&cov, 1e-9).unwrap();
         let d = cov.rows();
         let x: Vec<f64> = (0..d).map(|i| (i as f64) - 1.5).collect();
-        // Quadratic form is non-negative everywhere.
-        prop_assert!(ch.quadratic_form(&x).unwrap() >= 0.0);
+        // Quadratic form is non-negative everywhere, and it is x · A⁻¹x.
+        let mut y = x.clone();
+        let q = ch.quadratic_form(&mut y).unwrap();
+        prop_assert!(q >= 0.0);
+        let via_solve = mmdr_linalg::dot(&x, &ch.solve(&x).unwrap());
+        prop_assert!((q - via_solve).abs() <= 1e-6 * q.max(1.0));
         // log|C| finite.
         prop_assert!(ch.log_determinant().is_finite());
     }

@@ -2,8 +2,8 @@
 
 use crate::error::{Error, Result};
 use mmdr_linalg::{
-    covariance, covariance_par, map_ranges, mean_vector, mean_vector_par, Matrix, ParConfig,
-    SymmetricEigen,
+    covariance, covariance_about_par, dot, l2_norm, map_ranges, mean_vector, mean_vector_par,
+    Matrix, ParConfig, SymmetricEigen,
 };
 
 /// A PCA model fitted on a dataset: the sample mean plus the full
@@ -47,7 +47,7 @@ impl Pca {
             return Err(Error::EmptyDataset);
         }
         let mean = mean_vector_par(data, par)?;
-        let cov = covariance_par(data, par)?;
+        let cov = covariance_about_par(data, &mean, par)?;
         let eig = SymmetricEigen::new(&cov)?;
         Ok(Self {
             mean,
@@ -73,6 +73,15 @@ impl Pca {
         })
     }
 
+    /// The model with only its first `m` components (`m` clamped to
+    /// `1..=d`), `d × m` instead of `d × d`: projections to `m` or fewer
+    /// dimensions are unchanged.
+    pub fn truncated(mut self, m: usize) -> Self {
+        let m = m.clamp(1, self.components.cols());
+        self.components = self.components.columns(0, m).expect("m within the columns");
+        self
+    }
+
     /// Original dimensionality `d`.
     pub fn dim(&self) -> usize {
         self.mean.len()
@@ -89,7 +98,8 @@ impl Pca {
         &self.eigenvalues
     }
 
-    /// All principal components as columns of a `d × d` matrix.
+    /// The principal components as columns of a `d × m` matrix: all `d` of
+    /// them unless the model was [`truncated`](Self::truncated).
     pub fn components(&self) -> &Matrix {
         &self.components
     }
@@ -100,44 +110,38 @@ impl Pca {
         Ok(self.components.columns(0, d_r).expect("checked"))
     }
 
+    /// Writes the first `out.len()` centred coefficients of `point` into the
+    /// caller's buffer (`c_j = (P − μ) · φ_j`) and returns `‖P − μ‖²`, from
+    /// which [`residual`] gives `ProjDist_r`: one pass over the basis, no
+    /// allocation. Row `i` of the basis is added into every coefficient at
+    /// once, so each coefficient still sums its terms in dimension order.
+    pub fn project_into(&self, point: &[f64], out: &mut [f64]) -> Result<f64> {
+        self.check_point(point)?;
+        self.check_dr(out.len())?;
+        out.fill(0.0);
+        let mut total = 0.0;
+        for (i, (p, m)) in point.iter().zip(&self.mean).enumerate() {
+            let x = p - m;
+            total += x * x;
+            for (o, b) in out.iter_mut().zip(self.components.row(i)) {
+                *o += x * b;
+            }
+        }
+        Ok(total)
+    }
+
     /// Centred projection of one point onto the first `d_r` components:
     /// the coefficient vector `c` with `c_j = (P − μ) · φ_j`.
     pub fn project(&self, point: &[f64], d_r: usize) -> Result<Vec<f64>> {
-        self.check_point(point)?;
-        self.check_dr(d_r)?;
-        let centred = mmdr_linalg::sub(point, &self.mean);
         let mut out = vec![0.0; d_r];
-        for (j, o) in out.iter_mut().enumerate() {
-            let mut s = 0.0;
-            for (i, &c) in centred.iter().enumerate() {
-                s += c * self.components[(i, j)];
-            }
-            *o = s;
-        }
+        self.project_into(point, &mut out)?;
         Ok(out)
     }
 
     /// Projects every row of a dataset (Definition 3.3's multi-level
-    /// projection `getProj(data, s_dim)`).
-    pub fn project_dataset(&self, data: &Matrix, d_r: usize) -> Result<Matrix> {
-        self.check_dr(d_r)?;
-        if data.cols() != self.dim() {
-            return Err(Error::DimensionMismatch {
-                expected: self.dim(),
-                actual: data.cols(),
-            });
-        }
-        let mut out = Matrix::zeros(data.rows(), d_r);
-        for (i, row) in data.iter_rows().enumerate() {
-            let proj = self.project(row, d_r).expect("checked");
-            out.row_mut(i).copy_from_slice(&proj);
-        }
-        Ok(out)
-    }
-
-    /// [`Pca::project_dataset`] with chunk-parallel rows. Each output row
-    /// depends only on its input row, so the result is identical to the
-    /// serial version for every `num_threads`.
+    /// projection `getProj(data, s_dim)`), chunk-parallel: each output row
+    /// depends only on its input row, so the result is the same for every
+    /// `num_threads`.
     pub fn project_dataset_par(
         &self,
         data: &Matrix,
@@ -145,28 +149,15 @@ impl Pca {
         par: &ParConfig,
     ) -> Result<Matrix> {
         self.check_dr(d_r)?;
-        if data.cols() != self.dim() {
-            return Err(Error::DimensionMismatch {
-                expected: self.dim(),
-                actual: data.cols(),
-            });
-        }
+        self.check_cols(data)?;
         let chunks = map_ranges(data.rows(), par, |range| {
-            let mut rows = Vec::with_capacity(range.len());
-            for i in range {
-                rows.push(self.project(data.row(i), d_r).expect("checked"));
+            let mut rows = vec![0.0; range.len() * d_r];
+            for (i, out) in range.zip(rows.chunks_exact_mut(d_r)) {
+                self.project_into(data.row(i), out).expect("checked");
             }
             rows
         });
-        let mut out = Matrix::zeros(data.rows(), d_r);
-        let mut i = 0;
-        for chunk in chunks {
-            for proj in chunk {
-                out.row_mut(i).copy_from_slice(&proj);
-                i += 1;
-            }
-        }
-        Ok(out)
+        Ok(Matrix::from_vec(data.rows(), d_r, chunks.concat()).expect("rows × d_r"))
     }
 
     /// Reconstructs a full-dimensional point from its `d_r` coefficients:
@@ -191,89 +182,81 @@ impl Pca {
     /// Computed as `√(‖P−μ‖² − Σ_{j<d_r} c_j²)` using orthonormality of the
     /// basis, avoiding the `O(d·(d−d_r))` explicit eliminated projection.
     pub fn proj_dist_r(&self, point: &[f64], d_r: usize) -> Result<f64> {
-        self.check_point(point)?;
-        self.check_dr(d_r)?;
-        let centred = mmdr_linalg::sub(point, &self.mean);
-        let total = mmdr_linalg::dot(&centred, &centred);
-        let retained = self.retained_energy(&centred, d_r);
-        // Cancellation in `total − retained` leaves noise ~1e-16·total when
-        // the point lies exactly on the subspace; clamp it to a true zero so
-        // flat clusters report zero loss.
-        let resid = total - retained;
-        Ok(if resid <= 1e-12 * total {
-            0.0
-        } else {
-            resid.sqrt()
-        })
+        let mut c = vec![0.0; d_r];
+        let total = self.project_into(point, &mut c)?;
+        Ok(residual(total, dot(&c, &c)))
     }
 
     /// `ProjDist_e(P)`: distance from `P` to its projection on the eliminated
     /// subspace — the information *retained* (Definition 3.4). Equals the
     /// norm of the first `d_r` coefficients.
     pub fn proj_dist_e(&self, point: &[f64], d_r: usize) -> Result<f64> {
-        self.check_point(point)?;
-        self.check_dr(d_r)?;
-        let centred = mmdr_linalg::sub(point, &self.mean);
-        Ok(self.retained_energy(&centred, d_r).sqrt())
+        Ok(l2_norm(&self.project(point, d_r)?))
     }
 
     /// Mean `ProjDist_r` over a dataset — the `MPE` of Definition 3.5 and of
-    /// `getMPE` in the MMDR pseudo-code.
-    pub fn mpe(&self, data: &Matrix, d_r: usize) -> Result<f64> {
-        if data.rows() == 0 {
-            return Err(Error::EmptyDataset);
-        }
-        let mut sum = 0.0;
-        for row in data.iter_rows() {
-            sum += self.proj_dist_r(row, d_r)?;
-        }
-        Ok(sum / data.rows() as f64)
+    /// `getMPE` in the MMDR pseudo-code — with deterministic chunk-and-merge
+    /// parallelism: per-chunk partial sums merge in chunk order, so the
+    /// result is bit-identical for every `num_threads`. The one-level case
+    /// of [`Pca::mpe_levels`].
+    pub fn mpe_par(&self, data: &Matrix, d_r: usize, par: &ParConfig) -> Result<f64> {
+        Ok(self.mpe_levels(data, &[d_r], par)?[0])
     }
 
-    /// [`Pca::mpe`] with deterministic chunk-and-merge parallelism: per-chunk
-    /// partial sums of `ProjDist_r` merge in chunk order, so the result is
-    /// bit-identical for every `num_threads` (and exactly equal to the
-    /// serial [`Pca::mpe`] whenever the dataset fits one chunk).
-    pub fn mpe_par(&self, data: &Matrix, d_r: usize, par: &ParConfig) -> Result<f64> {
+    /// The MPE at each of `levels` (ascending), from one projection of each
+    /// row to the last level: `Σ_{j<d_r} c_j²` at a level is the running
+    /// prefix of the squared coefficients, the very sum a pass at that level
+    /// alone would compute. Each level's sum is kept per chunk and merged in
+    /// chunk order.
+    pub fn mpe_levels(&self, data: &Matrix, levels: &[usize], par: &ParConfig) -> Result<Vec<f64>> {
         if data.rows() == 0 {
             return Err(Error::EmptyDataset);
         }
-        self.check_dr(d_r)?;
+        let top = levels.last().copied().unwrap_or(0);
+        for &d_r in levels.iter().chain([&top]) {
+            self.check_dr(d_r)?; // and refuse an empty `levels`
+        }
+        self.check_cols(data)?;
+        assert!(levels.windows(2).all(|w| w[0] <= w[1]), "levels ascend");
+        let partials = map_ranges(data.rows(), par, |range| {
+            let mut sums = vec![0.0; levels.len()];
+            let mut coeffs = vec![0.0; top];
+            for i in range {
+                let total = self
+                    .project_into(data.row(i), &mut coeffs)
+                    .expect("checked");
+                let mut retained = 0.0;
+                let mut j = 0;
+                for (sum, &level) in sums.iter_mut().zip(levels) {
+                    for c in &coeffs[j..level] {
+                        retained += c * c;
+                    }
+                    j = level;
+                    *sum += residual(total, retained);
+                }
+            }
+            sums
+        });
+        let mut partials = partials.into_iter();
+        let mut sums = partials.next().expect("at least one chunk");
+        for part in partials {
+            sums.iter_mut().zip(&part).for_each(|(a, p)| *a += p);
+        }
+        Ok(sums.iter().map(|s| s / data.rows() as f64).collect())
+    }
+
+    fn check_cols(&self, data: &Matrix) -> Result<()> {
         if data.cols() != self.dim() {
             return Err(Error::DimensionMismatch {
                 expected: self.dim(),
                 actual: data.cols(),
             });
         }
-        let partials = map_ranges(data.rows(), par, |range| {
-            let mut sum = 0.0;
-            for i in range {
-                sum += self.proj_dist_r(data.row(i), d_r).expect("checked");
-            }
-            sum
-        });
-        let sum = partials
-            .into_iter()
-            .reduce(|a, b| a + b)
-            .expect("at least one chunk");
-        Ok(sum / data.rows() as f64)
-    }
-
-    /// Σ of squared retained coefficients for a centred point.
-    fn retained_energy(&self, centred: &[f64], d_r: usize) -> f64 {
-        let mut retained = 0.0;
-        for j in 0..d_r {
-            let mut c = 0.0;
-            for (i, &x) in centred.iter().enumerate() {
-                c += x * self.components[(i, j)];
-            }
-            retained += c * c;
-        }
-        retained
+        Ok(())
     }
 
     fn check_dr(&self, d_r: usize) -> Result<()> {
-        if d_r == 0 || d_r > self.dim() {
+        if d_r == 0 || d_r > self.components.cols() {
             return Err(Error::InvalidReducedDim {
                 requested: d_r,
                 original: self.dim(),
@@ -290,6 +273,19 @@ impl Pca {
             });
         }
         Ok(())
+    }
+}
+
+/// `ProjDist_r` from `‖P − μ‖²` and the retained energy `Σ_{j<d_r} c_j²`.
+/// Cancellation in `total − retained` leaves noise ~1e-16·total when the
+/// point lies exactly on the subspace; it is clamped to a true zero so flat
+/// clusters report zero loss.
+pub fn residual(total: f64, retained: f64) -> f64 {
+    let resid = total - retained;
+    if resid <= 1e-12 * total {
+        0.0
+    } else {
+        resid.sqrt()
     }
 }
 
@@ -333,7 +329,7 @@ mod tests {
         for row in data.iter_rows() {
             assert!(pca.proj_dist_r(row, 1).unwrap() < 1e-9);
         }
-        assert!(pca.mpe(&data, 1).unwrap() < 1e-9);
+        assert!(pca.mpe_par(&data, 1, &ParConfig::serial()).unwrap() < 1e-9);
     }
 
     #[test]
@@ -406,8 +402,9 @@ mod tests {
         ])
         .unwrap();
         let pca = Pca::fit(&data).unwrap();
-        let m1 = pca.mpe(&data, 1).unwrap();
-        let m2 = pca.mpe(&data, 2).unwrap();
+        let serial = ParConfig::serial();
+        let m1 = pca.mpe_par(&data, 1, &serial).unwrap();
+        let m2 = pca.mpe_par(&data, 2, &serial).unwrap();
         assert!(m1 >= m2);
         // Definition 3.5: mean of per-point ProjDist_r.
         let manual: f64 = data
@@ -422,7 +419,9 @@ mod tests {
     fn project_dataset_matches_pointwise() {
         let data = diagonal_data();
         let pca = Pca::fit(&data).unwrap();
-        let proj = pca.project_dataset(&data, 2).unwrap();
+        let proj = pca
+            .project_dataset_par(&data, 2, &ParConfig::threads(2))
+            .unwrap();
         assert_eq!(proj.shape(), (5, 2));
         for (i, row) in data.iter_rows().enumerate() {
             let p = pca.project(row, 2).unwrap();
@@ -454,8 +453,11 @@ mod tests {
         let proj1 = base
             .project_dataset_par(&data, 2, &ParConfig::serial())
             .unwrap();
-        assert_eq!(proj1, base.project_dataset(&data, 2).unwrap());
-        assert!((mpe1 - base.mpe(&data, 2).unwrap()).abs() < 1e-9);
+        let by_row: f64 = data
+            .iter_rows()
+            .map(|r| base.proj_dist_r(r, 2).unwrap())
+            .sum::<f64>();
+        assert!((mpe1 - by_row / data.rows() as f64).abs() < 1e-9);
         for threads in [2, 4, 8] {
             let par = ParConfig::threads(threads);
             let p = Pca::fit_par(&data, &par).unwrap();
@@ -488,8 +490,12 @@ mod tests {
             pca.project(&[1.0, 2.0], 3),
             Err(Error::InvalidReducedDim { .. })
         ));
-        assert!(pca.mpe(&Matrix::zeros(0, 2), 1).is_err());
-        assert!(pca.project_dataset(&Matrix::zeros(1, 3), 1).is_err());
+        let serial = ParConfig::serial();
+        assert!(pca.mpe_par(&Matrix::zeros(0, 2), 1, &serial).is_err());
+        assert!(pca.mpe_levels(&diagonal_data(), &[], &serial).is_err());
+        assert!(pca
+            .project_dataset_par(&Matrix::zeros(1, 3), 1, &serial)
+            .is_err());
         assert!(pca.reconstruct(&[]).is_err());
     }
 

@@ -16,7 +16,7 @@
 //! # Example
 //!
 //! ```
-//! use mmdr_linalg::Matrix;
+//! use mmdr_linalg::{Matrix, ParConfig};
 //! use mmdr_pca::Pca;
 //!
 //! // Points along the diagonal: 1 principal direction carries everything.
@@ -24,7 +24,8 @@
 //!     vec![0.0, 0.0], vec![1.0, 1.0], vec![2.0, 2.0], vec![3.0, 3.0],
 //! ]).unwrap();
 //! let pca = Pca::fit(&data).unwrap();
-//! assert!(pca.mpe(&data, 1).unwrap() < 1e-9); // lossless at d_r = 1
+//! let mpe = pca.mpe_par(&data, 1, &ParConfig::serial()).unwrap();
+//! assert!(mpe < 1e-9); // lossless at d_r = 1
 //! ```
 
 mod components;
@@ -32,7 +33,7 @@ mod error;
 mod projection;
 mod subspace;
 
-pub use components::Pca;
+pub use components::{residual, Pca};
 pub use error::{Error, Result};
 pub use projection::{ellipticity, proj_dist_profile, ProjectionStats};
 pub use subspace::ReducedSubspace;

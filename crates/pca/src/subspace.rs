@@ -6,6 +6,7 @@
 //! index (paper §5) consumes them directly: it needs the centroid, the basis,
 //! and the projection/lower-bound machinery defined here.
 
+use crate::components::residual;
 use crate::error::{Error, Result};
 use mmdr_linalg::Matrix;
 
@@ -82,6 +83,9 @@ impl ReducedSubspace {
     /// what a query pays per cluster. Row `i` of the basis is added into
     /// every coordinate at once, so each coordinate still sums its terms in
     /// dimension order: the bits are those of the coordinate-at-a-time sum.
+    /// The distance *within* the subspace from the projected point to the
+    /// centroid — the 1-d iDistance key ingredient `dist(P, O_i)` — is the
+    /// norm of what was appended (`mmdr_linalg::l2_norm`).
     pub fn project_into(&self, point: &[f64], out: &mut Vec<f64>) -> Result<f64> {
         if point.len() != self.original_dim() {
             return Err(Error::DimensionMismatch {
@@ -100,15 +104,7 @@ impl ReducedSubspace {
                 *o += diff * b;
             }
         }
-        let retained: f64 = local.iter().map(|c| c * c).sum();
-        // Clamp cancellation noise (see Pca::proj_dist_r) so on-flat points
-        // report exactly zero.
-        let resid = total - retained;
-        Ok(if resid <= 1e-12 * total {
-            0.0
-        } else {
-            resid.sqrt()
-        })
+        Ok(residual(total, mmdr_linalg::dot(local, local)))
     }
 
     /// Maps local coordinates back to the original space:
@@ -134,13 +130,6 @@ impl ReducedSubspace {
     /// MMDR β-test.
     pub fn proj_dist(&self, point: &[f64]) -> Result<f64> {
         self.project_into(point, &mut Vec::with_capacity(self.reduced_dim()))
-    }
-
-    /// Distance *within* the subspace from the projected point to the
-    /// centroid — the 1-d iDistance key ingredient `dist(P, O_i)`.
-    pub fn local_dist_to_centroid(&self, point: &[f64]) -> Result<f64> {
-        let local = self.project(point)?;
-        Ok(local.iter().map(|c| c * c).sum::<f64>().sqrt())
     }
 
     /// The subspace of `subspaces` nearest to `point`, as `(position,
@@ -212,8 +201,13 @@ mod tests {
     #[test]
     fn local_dist_to_centroid_ignores_perpendicular_component() {
         let s = x_axis_subspace();
-        // (4, 100): local coordinate is 3 regardless of the y offset.
-        assert!((s.local_dist_to_centroid(&[4.0, 100.0]).unwrap() - 3.0).abs() < 1e-12);
+        // (4, 100): local coordinate is 3 regardless of the y offset, and
+        // the flat is 98 away.
+        let mut local = vec![7.0];
+        let proj_dist = s.project_into(&[4.0, 100.0], &mut local).unwrap();
+        assert_eq!(local, vec![7.0, 3.0], "appended after what was there");
+        assert!((mmdr_linalg::l2_norm(&local[1..]) - 3.0).abs() < 1e-12);
+        assert!((proj_dist - 98.0).abs() < 1e-12);
     }
 
     #[test]

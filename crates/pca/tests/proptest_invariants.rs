@@ -1,6 +1,6 @@
 //! Property tests for PCA invariants (Definitions 3.3–3.5).
 
-use mmdr_linalg::Matrix;
+use mmdr_linalg::{Matrix, ParConfig};
 use mmdr_pca::{ellipticity, proj_dist_profile, Pca, ReducedSubspace};
 use proptest::prelude::*;
 
@@ -40,7 +40,7 @@ proptest! {
         let d = data.cols();
         let mut prev = f64::INFINITY;
         for d_r in 1..=d {
-            let mpe = pca.mpe(&data, d_r).unwrap();
+            let mpe = pca.mpe_par(&data, d_r, &ParConfig::serial()).unwrap();
             let manual: f64 = data
                 .iter_rows()
                 .map(|r| pca.proj_dist_r(r, d_r).unwrap())
@@ -50,7 +50,8 @@ proptest! {
             prop_assert!(mpe <= prev + 1e-9);
             prev = mpe;
         }
-        prop_assert!(pca.mpe(&data, d).unwrap() < 1e-6 * (1.0 + data.max_abs()));
+        let mpe = pca.mpe_par(&data, d, &ParConfig::serial()).unwrap();
+        prop_assert!(mpe < 1e-6 * (1.0 + data.max_abs()));
     }
 
     /// Reconstruction from full-rank coefficients is the identity; from
@@ -78,9 +79,35 @@ proptest! {
         let b = subspace.proj_dist(p).unwrap();
         prop_assert!((a - b).abs() < 1e-8 * (1.0 + a));
         // Local distance ≤ full centred distance.
-        let local = subspace.local_dist_to_centroid(p).unwrap();
+        let local = mmdr_linalg::l2_norm(&subspace.project(p).unwrap());
         let full = mmdr_linalg::l2_dist(p, pca.mean());
         prop_assert!(local <= full + 1e-9);
+    }
+
+    /// Every MPE level taken from one projection is the one-level pass at
+    /// that level to the bit, at any thread count, and a truncated model
+    /// projects to the same bits as the whole one.
+    #[test]
+    fn mpe_levels_and_truncation_keep_the_bits(data in data_strategy(), probe in 0usize..8) {
+        let pca = Pca::fit(&data).unwrap();
+        let levels: Vec<usize> = (1..=data.cols()).collect();
+        for threads in [1, 3] {
+            let par = ParConfig::threads(threads);
+            let all = pca.mpe_levels(&data, &levels, &par).unwrap();
+            for (&d_r, mpe) in levels.iter().zip(&all) {
+                let one = pca.mpe_par(&data, d_r, &par).unwrap();
+                prop_assert_eq!(mpe.to_bits(), one.to_bits());
+            }
+        }
+        let p = data.row(probe % data.rows());
+        let d_r = (data.cols() / 2).max(1);
+        let short = pca.clone().truncated(d_r);
+        prop_assert_eq!(short.project(p, d_r).unwrap(), pca.project(p, d_r).unwrap());
+        prop_assert_eq!(
+            short.proj_dist_r(p, d_r).unwrap().to_bits(),
+            pca.proj_dist_r(p, d_r).unwrap().to_bits()
+        );
+        prop_assert!(short.project(p, d_r + 1).is_err());
     }
 
     /// Ellipticity is non-negative (or infinite for flat clusters) and the

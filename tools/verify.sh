@@ -43,7 +43,10 @@ echo "== test (workspace) =="
 cargo test --workspace "${PROFILE[@]}"
 
 echo "== determinism + recall + conformance + persistence gates =="
-cargo test "${PROFILE[@]}" --test par_determinism --test golden_recall --test backend_conformance
+# fit_bits pins the fitted model to recorded fingerprints: every f64 of
+# every cluster by its bits, the members, the outliers and the counters.
+cargo test "${PROFILE[@]}" --test par_determinism --test fit_bits --test golden_recall \
+    --test backend_conformance
 cargo test "${PROFILE[@]}" --test persist_roundtrip
 cargo test "${PROFILE[@]}" --test serve_parity --test scalable_pipeline
 # The wire protocol's fragmentation property: valid frames split at
