@@ -80,8 +80,8 @@ USAGE:
   mmdr convert  (--csv FILE --out FILE | --data FILE --out-csv FILE)
   mmdr reduce   --data FILE --out FILE [--method mmdr|ldr|gdr] [--dim D] [--clusters K] [--beta B] [--seed S] [--threads N]
   mmdr info     --model FILE
-  mmdr build-index --data FILE --model FILE --out FILE [--backend seqscan|idistance|hybrid|gldr] [--buffer-pages N] [--attrs FILE]
-  mmdr query    --data FILE --model FILE (--row I[,J,…] | --point \"x,y,…\") [--k K] [--radius R] [--threads N] [--backend seqscan|idistance|hybrid|gldr] [--hex true]
+  mmdr build-index --data FILE --model FILE --out FILE [--backend seqscan|idistance|gldr] [--buffer-pages N] [--attrs FILE]
+  mmdr query    --data FILE --model FILE (--row I[,J,…] | --point \"x,y,…\") [--k K] [--radius R] [--threads N] [--backend seqscan|idistance|gldr] [--hex true]
   mmdr query    --index-file FILE (--row I[,J,…] --data FILE | --point \"x,y,…\") [--k K] [--radius R] [--filter \"EXPR\"] [--threads N] [--pool-pages N] [--readahead N] [--hex true]
   mmdr serve    --index-file FILE [--wal true] [--merge-threshold N] [--refit-threshold X] [--host H] [--port P] [--workers W] [--io-timeout-ms MS] [--pool-pages N] [--readahead N]
   mmdr ingest   --index-file FILE (--data FILE | --point \"x,y,…\") [--delete I[,J,…]] [--flush true] [--refit true] [--merge-threshold N] [--refit-threshold X] [--pool-pages N]
@@ -232,6 +232,17 @@ fn cmd_generate(args: &[String]) -> Result<(), String> {
         let clusters = get_parse(&flags, "clusters", 5usize)?;
         let ratio = get_parse(&flags, "ratio", 30.0f64)?;
         let s_dim = get_parse(&flags, "s-dim", 6usize)?;
+        if dim == 0 {
+            return Err("--dim must be at least 1".into());
+        }
+        if clusters == 0 {
+            return Err("--clusters must be at least 1".into());
+        }
+        if n < clusters {
+            return Err(format!(
+                "--n {n} is fewer than --clusters {clusters}: every cluster needs a point"
+            ));
+        }
         generate_correlated(&CorrelatedConfig::paper_style(
             n, dim, clusters, s_dim, ratio, seed,
         ))

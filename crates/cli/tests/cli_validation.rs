@@ -333,3 +333,28 @@ fn missing_or_damaged_snapshot_is_a_typed_error() {
         "checksum",
     );
 }
+
+#[test]
+fn degenerate_generate_sizes_are_typed_errors() {
+    let out = std::env::temp_dir().join(format!("mmdr-cli-degenerate-{}.json", std::process::id()));
+    let out = out.to_str().unwrap();
+    let generate = |extra: &[&'static str]| {
+        let mut args = vec!["generate", "--out", out];
+        args.extend_from_slice(extra);
+        args
+    };
+    assert_typed_error(&generate(&["--n", "0"]), "--n 0 is fewer than --clusters 5");
+    assert_typed_error(
+        &generate(&["--n", "3", "--clusters", "5"]),
+        "--n 3 is fewer than --clusters 5",
+    );
+    assert_typed_error(&generate(&["--dim", "0"]), "--dim must be at least 1");
+    assert_typed_error(
+        &generate(&["--clusters", "0", "--n", "10"]),
+        "--clusters must be at least 1",
+    );
+    assert!(
+        !std::path::Path::new(out).exists(),
+        "a refused generate writes no file"
+    );
+}

@@ -52,34 +52,28 @@ impl HybridTree {
     /// rid; a range search uses the same boundary tolerance as the other
     /// backends (`dist ≤ radius + 1e-12`).
     ///
-    /// Two optional row gates: a set of rids to hide (the gLDR forest
-    /// keeps one tombstone set at its own level and passes it down to
-    /// every cluster tree, so deleted members never surface) and a
+    /// Two row gates: a set of rids to hide (the gLDR forest keeps one
+    /// tombstone set at its own level and passes it down to every cluster
+    /// tree, so deleted members never surface) and an optional
     /// [`SearchFilter`] whose failing rows never enter the answer
     /// (the pushdown contract — results are bit-identical to
     /// post-filtering the ungated ranking).
     ///
     /// The query must be one [`mmdr_index::Query::validate`] accepts for
-    /// this tree's dimensionality: the tree's own `search` checks it, and
-    /// gLDR passes each cluster tree the query it checked, projected. An
-    /// empty tree answers without fetching its root, for gLDR asks its
-    /// cluster trees whether they hold rows or not.
+    /// this tree's dimensionality: gLDR passes each cluster tree the query
+    /// it checked, projected. An empty tree answers without fetching its
+    /// root, for gLDR asks its cluster trees whether they hold rows or not.
     pub fn search_gated(
         &self,
         query: &[f64],
         target: Target,
-        skip: Option<&HashSet<u64>>,
+        skip: &HashSet<u64>,
         filter: Option<&SearchFilter>,
     ) -> Result<Vec<(f64, u64)>> {
         if self.is_empty() {
             return Ok(Vec::new());
         }
-        let tombs = self.delta.tombstones();
-        let dead = |rid: u64| {
-            tombs.contains(&rid)
-                || skip.is_some_and(|s| s.contains(&rid))
-                || filter.is_some_and(|f| !f.passes(rid))
-        };
+        let dead = |rid: u64| skip.contains(&rid) || filter.is_some_and(|f| !f.passes(rid));
         match target {
             Target::Knn(k) => self.knn_walk(query, k, dead),
             Target::Range(radius) => self.range_walk(query, radius, dead),
@@ -109,22 +103,6 @@ impl HybridTree {
         // Holds *squared* distances; √ is applied once on the way out.
         let mut best = KnnHeap::new(k);
         let mut coords = vec![0.0; dim];
-
-        // Delta rows are scanned exactly before the tree walk (the final
-        // top-k is independent of push order): full squared distances, the
-        // same value an early-abandoned leaf computation completes to.
-        let mut delta_seen: u64 = 0;
-        self.delta.for_each(|id, (_, row)| {
-            if !dead(id) {
-                best.push(mmdr_linalg::l2_dist_sq(query, row), id);
-                delta_seen += 1;
-            }
-        });
-        if delta_seen > 0 {
-            self.search.record_dists(delta_seen);
-            self.search.record_refined(delta_seen);
-        }
-
         while let Some(node) = frontier.pop() {
             if node.mindist_sq > best.reach() {
                 break; // no remaining region can beat the k-th best
@@ -187,24 +165,6 @@ impl HybridTree {
         let mut out = KnnHeap::for_target(Target::Range(radius));
         let limit = out.reach();
         let mut coords = vec![0.0; dim];
-
-        // Delta rows, scanned exactly; the answer is sorted on the way out.
-        let mut delta_seen: u64 = 0;
-        let mut delta_hits: u64 = 0;
-        self.delta.for_each(|id, (_, row)| {
-            if !dead(id) {
-                delta_seen += 1;
-                let d = mmdr_linalg::l2_dist(query, row);
-                if d <= limit {
-                    out.push(d, id);
-                    delta_hits += 1;
-                }
-            }
-        });
-        if delta_seen > 0 {
-            self.search.record_dists(delta_seen);
-            self.search.record_refined(delta_hits);
-        }
         // Plain stack walk: every qualifying region must be visited anyway,
         // so best-first ordering buys nothing here.
         let mut stack = vec![(
@@ -300,12 +260,17 @@ fn mindist_sq(q: &[f64], lo: &[f64], hi: &[f64]) -> f64 {
 mod tests {
     use super::*;
     use crate::tree::HybridTree;
-    use mmdr_index::VectorIndex;
     use mmdr_linalg::Matrix;
     use mmdr_storage::{BufferPool, DiskManager};
 
     fn pool(pages: usize) -> BufferPool {
         BufferPool::new(DiskManager::new(), pages).unwrap()
+    }
+
+    /// An ungated search: no row hidden, no filter.
+    fn search(tree: &HybridTree, query: &[f64], target: Target) -> Vec<(f64, u64)> {
+        tree.search_gated(query, target, &HashSet::new(), None)
+            .unwrap()
     }
 
     fn random_points(n: usize, dim: usize, seed: u64) -> Matrix {
@@ -339,7 +304,7 @@ mod tests {
         for qseed in [7u64, 99, 1234] {
             let q = random_points(1, 6, qseed);
             let query = q.row(0);
-            let got = tree.knn(query, 10).unwrap();
+            let got = search(&tree, query, Target::Knn(10));
             let want = exact_knn(&points, query, 10);
             let got_set: std::collections::HashSet<u64> = got.iter().map(|&(_, r)| r).collect();
             let want_set: std::collections::HashSet<u64> = want.iter().map(|&(_, r)| r).collect();
@@ -355,10 +320,10 @@ mod tests {
         let points = random_points(100, 3, 5);
         let rids: Vec<u64> = (0..100).collect();
         let tree = HybridTree::bulk_load(pool(128), &points, &rids).unwrap();
-        assert_eq!(tree.knn(points.row(0), 1).unwrap().len(), 1);
-        assert_eq!(tree.knn(points.row(0), 100).unwrap().len(), 100);
-        assert_eq!(tree.knn(points.row(0), 500).unwrap().len(), 100);
-        assert!(tree.knn(points.row(0), 0).unwrap().is_empty());
+        assert_eq!(search(&tree, points.row(0), Target::Knn(1)).len(), 1);
+        assert_eq!(search(&tree, points.row(0), Target::Knn(100)).len(), 100);
+        assert_eq!(search(&tree, points.row(0), Target::Knn(500)).len(), 100);
+        assert!(search(&tree, points.row(0), Target::Knn(0)).is_empty());
     }
 
     #[test]
@@ -366,7 +331,7 @@ mod tests {
         let points = random_points(500, 4, 11);
         let rids: Vec<u64> = (0..500).collect();
         let tree = HybridTree::bulk_load(pool(256), &points, &rids).unwrap();
-        let r = tree.knn(points.row(123), 1).unwrap();
+        let r = search(&tree, points.row(123), Target::Knn(1));
         assert_eq!(r[0].1, 123);
         assert!(r[0].0 < 1e-12);
     }
@@ -379,7 +344,7 @@ mod tests {
         let points = Matrix::from_rows(&rows).unwrap();
         let rids: Vec<u64> = (0..20).collect();
         let tree = HybridTree::bulk_load(pool(32), &points, &rids).unwrap();
-        let r = tree.knn(&[0.25; 3], 5).unwrap();
+        let r = search(&tree, &[0.25; 3], Target::Knn(5));
         let ids: Vec<u64> = r.iter().map(|&(_, id)| id).collect();
         assert_eq!(ids, vec![0, 1, 2, 3, 4]);
     }
@@ -391,7 +356,7 @@ mod tests {
         let tree = HybridTree::bulk_load(pool(4), &points, &rids).unwrap();
         let total_pages = tree.pool().num_pages() as u64;
         let before = tree.pool().snapshot();
-        let _ = tree.knn(points.row(0), 5).unwrap();
+        let _ = search(&tree, points.row(0), Target::Knn(5));
         let reads = tree.pool().snapshot().since(&before).misses();
         assert!(
             reads < total_pages / 2,
@@ -410,7 +375,7 @@ mod tests {
             0,
             "a build computes no distance"
         );
-        let _ = tree.knn(points.row(0), 5).unwrap();
+        let _ = search(&tree, points.row(0), Target::Knn(5));
         assert!(counters.dist_computations() > 0);
         assert!(counters.candidates_refined() > 0);
         // Pruning means not every computed distance is refined.
@@ -428,11 +393,12 @@ mod tests {
         // Every row is a candidate of both walks (k = n, an all-covering
         // radius), so the count is exactly the rows the gate lets through.
         for target in [Target::Knn(300), Target::Range(1e6)] {
+            let none = HashSet::new();
             for (skip, filter, evaluated) in [
-                (None, None, 300),
-                (Some(&hidden), None, 200),
-                (None, Some(&passing), 30),
-                (Some(&hidden), Some(&passing), 30),
+                (&none, None, 300),
+                (&hidden, None, 200),
+                (&none, Some(&passing), 30),
+                (&hidden, Some(&passing), 30),
             ] {
                 let before = counters.dist_computations();
                 let hits = tree
@@ -452,7 +418,7 @@ mod tests {
         for (qseed, radius) in [(5u64, 0.2), (21, 0.5), (40, 1.0)] {
             let q = random_points(1, 5, qseed);
             let query = q.row(0);
-            let got = tree.range_search(query, radius).unwrap();
+            let got = search(&tree, query, Target::Range(radius));
             let want: Vec<(f64, u64)> = {
                 let mut v: Vec<(f64, u64)> = points
                     .iter_rows()
@@ -472,31 +438,11 @@ mod tests {
     }
 
     #[test]
-    fn range_search_validates() {
-        let points = random_points(50, 3, 9);
-        let rids: Vec<u64> = (0..50).collect();
-        let tree = HybridTree::bulk_load(pool(64), &points, &rids).unwrap();
-        assert!(tree.range_search(&[0.0, 0.0], 1.0).is_err());
-        assert!(tree.range_search(&[0.0; 3], -1.0).is_err());
-        assert!(tree.range_search(&[0.0; 3], f64::NAN).is_err());
-        assert!(tree.range_search(&[0.0; 3], f64::INFINITY).is_err());
-    }
-
-    #[test]
-    fn validates_queries() {
-        let points = random_points(50, 3, 9);
-        let rids: Vec<u64> = (0..50).collect();
-        let tree = HybridTree::bulk_load(pool(64), &points, &rids).unwrap();
-        assert!(tree.knn(&[0.0, 0.0], 1).is_err());
-        assert!(tree.knn(&[f64::NAN, 0.0, 0.0], 1).is_err());
-    }
-
-    #[test]
     fn empty_tree_returns_nothing() {
         let points = Matrix::zeros(0, 3);
         let tree = HybridTree::bulk_load(pool(4), &points, &[]).unwrap();
-        assert!(tree.knn(&[0.0, 0.0, 0.0], 5).unwrap().is_empty());
-        assert!(tree.range_search(&[0.0, 0.0, 0.0], 1.0).unwrap().is_empty());
+        assert!(search(&tree, &[0.0, 0.0, 0.0], Target::Knn(5)).is_empty());
+        assert!(search(&tree, &[0.0, 0.0, 0.0], Target::Range(1.0)).is_empty());
     }
 
     #[test]

@@ -18,7 +18,6 @@
 //! are loaded at once.
 
 mod error;
-mod index_impl;
 mod knn;
 mod node;
 mod tree;

@@ -2,7 +2,7 @@
 
 use crate::error::{Error, Result};
 use crate::node::{count, is_leaf, leaf_capacity, Internal, Leaf};
-use mmdr_index::{DeltaLayer, SearchCounters};
+use mmdr_index::SearchCounters;
 use mmdr_linalg::Matrix;
 use mmdr_storage::{BufferPool, PageId};
 
@@ -20,9 +20,6 @@ pub struct HybridTree {
     pub(crate) search: SearchCounters,
     len: usize,
     height: usize,
-    /// Rows ingested since the snapshot, already in stored coordinates;
-    /// scanned exactly alongside the paged tree (their slots unread).
-    pub(crate) delta: DeltaLayer,
 }
 
 impl HybridTree {
@@ -57,7 +54,6 @@ impl HybridTree {
             search: SearchCounters::default(),
             len: rids.len(),
             height,
-            delta: DeltaLayer::default(),
         })
     }
 
@@ -90,7 +86,6 @@ impl HybridTree {
             search: SearchCounters::default(),
             len,
             height,
-            delta: DeltaLayer::default(),
         })
     }
 
@@ -100,29 +95,21 @@ impl HybridTree {
         self.root
     }
 
-    /// Number of visible points: the bulk-loaded rows plus live delta
-    /// rows. Paged rows masked by a tombstone still count until a merge
-    /// folds them out; searches filter them from answers.
+    /// Number of bulk-loaded rows. A row the owner has deleted still
+    /// counts until a merge folds it out; the owner's skip set hides it
+    /// from answers.
     pub fn len(&self) -> usize {
-        self.len + self.delta.live_rows()
+        self.len
     }
 
-    /// True when no paged rows and no delta rows exist.
+    /// True when the tree holds no rows.
     pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// The mutable overlay (rows ingested since the snapshot). Its rows
-    /// must be in this tree's stored coordinates: the `hybrid` backend's
-    /// `BuiltIndex::insert` converts them.
-    pub fn delta(&self) -> &DeltaLayer {
-        &self.delta
+        self.len == 0
     }
 
     /// Walks every leaf and returns the stored `(rid, coords)` rows, in
     /// page order. The background merge exports these to rebuild a folded
-    /// tree; delta rows are not included (the merge replays them from its
-    /// own op log).
+    /// tree.
     pub fn export_rows(&self) -> Result<Vec<(u64, Vec<f64>)>> {
         let mut out = Vec::with_capacity(self.len);
         let mut coords = vec![0.0; self.dim];
@@ -254,8 +241,9 @@ fn max_spread_dim(points: &Matrix, order: &[usize], dim: usize) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mmdr_index::VectorIndex;
+    use mmdr_index::Target;
     use mmdr_storage::DiskManager;
+    use std::collections::HashSet;
 
     fn pool(pages: usize) -> BufferPool {
         BufferPool::new(DiskManager::new(), pages).unwrap()
@@ -288,7 +276,8 @@ mod tests {
         let (points, rids) = grid_points(500, 4);
         let t = HybridTree::bulk_load(pool(64), &points, &rids).unwrap();
         let q = [0.3, 0.4, 0.5, 0.6];
-        let want = t.knn(&q, 7).unwrap();
+        let none = HashSet::new();
+        let want = t.search_gated(&q, Target::Knn(7), &none, None).unwrap();
         let images = t.pool().export_pages().unwrap();
         let reopened_pool = BufferPool::new(DiskManager::from_pages(images), 64).unwrap();
         let back = HybridTree::from_parts(
@@ -299,7 +288,8 @@ mod tests {
             t.height(),
         )
         .unwrap();
-        assert_eq!(back.knn(&q, 7).unwrap(), want);
+        let got = back.search_gated(&q, Target::Knn(7), &none, None).unwrap();
+        assert_eq!(got, want);
         assert!(
             HybridTree::from_parts(BufferPool::new(DiskManager::new(), 4).unwrap(), 5, 4, 1, 1)
                 .is_err(),

@@ -1,4 +1,4 @@
-//! Uniform construction of the four KNN backends from a reduction result.
+//! Uniform construction of the three KNN backends from a reduction result.
 //!
 //! Every comparison scheme in the evaluation answers the same question —
 //! nearest neighbours under the reduced-representation distance
@@ -7,15 +7,13 @@
 //! binaries and the CLI's `--backend` flag both go through this factory.
 
 use crate::error::Result;
-use crate::layout::{build_index, partition_ids, PartitionRows};
+use crate::layout::build_index;
 use mmdr_core::ReductionResult;
-use mmdr_hybridtree::HybridTree;
 use mmdr_index::VectorIndex;
 use mmdr_linalg::Matrix;
-use mmdr_storage::{BufferPool, DiskManager};
 use std::str::FromStr;
 
-/// The four KNN backends behind [`VectorIndex`].
+/// The three KNN backends behind [`VectorIndex`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Backend {
     /// Sequential scan of the reduced heap pages (the paper's baseline).
@@ -23,9 +21,6 @@ pub enum Backend {
     /// Extended iDistance over the reduction (iMMDR / iLDR depending on
     /// the model).
     IDistance,
-    /// One global hybrid tree over the *restored* reduced representations
-    /// — a multidimensional index measuring the same distances.
-    Hybrid,
     /// The paper's gLDR comparator: one hybrid tree per cluster.
     Gldr,
 }
@@ -36,19 +31,13 @@ impl Backend {
         match self {
             Backend::SeqScan => "seqscan",
             Backend::IDistance => "idistance",
-            Backend::Hybrid => "hybrid",
             Backend::Gldr => "gldr",
         }
     }
 
-    /// All four, in comparison-plot order.
-    pub fn all() -> [Backend; 4] {
-        [
-            Backend::SeqScan,
-            Backend::IDistance,
-            Backend::Hybrid,
-            Backend::Gldr,
-        ]
+    /// All three, in comparison-plot order.
+    pub fn all() -> [Backend; 3] {
+        [Backend::SeqScan, Backend::IDistance, Backend::Gldr]
     }
 }
 
@@ -73,7 +62,7 @@ impl FromStr for Backend {
 }
 
 /// Builds the chosen backend over `data` as reduced by `model`, behind a
-/// `buffer_pages`-page pool. All four share the reduced-representation
+/// `buffer_pages`-page pool. All three share the reduced-representation
 /// distance, so their answers agree (up to floating-point rounding between
 /// axis systems) and their [`mmdr_index::QueryStats`] are comparable.
 pub fn build_backend(
@@ -83,27 +72,6 @@ pub fn build_backend(
     buffer_pages: usize,
 ) -> Result<Box<dyn VectorIndex>> {
     Ok(build_index(backend, data, model, buffer_pages)?.into_boxed())
-}
-
-/// The one writer of the `hybrid` backend's stored form (see
-/// [`crate::layout`]): every partition's restored rows `restore(project(P))`
-/// in one tree at original dimensionality, whose plain L2 metric is the
-/// reduced-representation distance the other backends compute piecewise.
-pub(crate) fn load_hybrid(
-    model: &ReductionResult,
-    buffer_pages: usize,
-    rows: &mut PartitionRows<'_>,
-) -> Result<HybridTree> {
-    let mut restored = Matrix::zeros(0, model.dim);
-    let mut rids = Vec::with_capacity(model.num_points);
-    for part in partition_ids(model) {
-        for (id, coords) in rows(part)? {
-            restored.push_row(&coords)?;
-            rids.push(id);
-        }
-    }
-    let pool = BufferPool::new(DiskManager::new(), buffer_pages.max(1))?;
-    Ok(HybridTree::bulk_load(pool, &restored, &rids)?)
 }
 
 #[cfg(test)]
@@ -138,7 +106,7 @@ mod tests {
     }
 
     #[test]
-    fn factory_builds_all_four_with_matching_answers() {
+    fn factory_builds_all_three_with_matching_answers() {
         let mut rows = Vec::new();
         let jit = |i: usize, s: f64| ((i as f64 * 0.618_033_988 + s).fract() - 0.5) * 0.02;
         for i in 0..100 {

@@ -2,7 +2,6 @@
 //! data" — one multidimensional Hybrid tree per cluster plus a cluster
 //! array (paper §6.2).
 
-use crate::backend::Backend;
 use crate::error::{Error, Result};
 use crate::knn::query_geometry;
 use crate::layout::{data_rows, partition_ids, PartitionRows};
@@ -64,7 +63,7 @@ impl GlobalLdrIndex {
     /// Builds one hybrid tree per cluster from the reduction result;
     /// `buffer_pages` is split evenly between the trees.
     pub fn build(data: &Matrix, model: &ReductionResult, buffer_pages: usize) -> Result<Self> {
-        let rows = &mut data_rows(Backend::Gldr, data, model)?;
+        let rows = &mut data_rows(data, model)?;
         Self::load(model, buffer_pages, rows)
     }
 
@@ -292,14 +291,14 @@ impl GlobalLdrIndex {
             };
             let tree = &self.clusters[ci].tree;
             for (local_dist, pid) in
-                tree.search_gated(&probe.q_local, local_target, Some(&tombs), filter)?
+                tree.search_gated(&probe.q_local, local_target, &tombs, filter)?
             {
                 best.push(probe.rejoin(local_dist), pid);
             }
         }
         if let Some(t) = &self.outlier_tree {
             if filter.is_none_or(|f| f.outliers_alive()) {
-                for (dist, pid) in t.search_gated(query, target, Some(&tombs), filter)? {
+                for (dist, pid) in t.search_gated(query, target, &tombs, filter)? {
                     best.push(dist, pid);
                 }
             }

@@ -1,6 +1,5 @@
 //! Building the extended iDistance index from a reduction result.
 
-use crate::backend::Backend;
 use crate::codes::Codebook;
 use crate::error::{Error, Result};
 use crate::layout::{data_rows, partition_ids, KeySpace, PartitionRows};
@@ -162,7 +161,7 @@ impl IDistanceIndex {
     /// original dimensionality. A single B⁺-tree indexes the mapped keys
     /// `y = i·c + dist(Pᵢ, Oᵢ)`.
     pub fn build(data: &Matrix, model: &ReductionResult, buffer_pages: usize) -> Result<Self> {
-        let rows = &mut data_rows(Backend::IDistance, data, model)?;
+        let rows = &mut data_rows(data, model)?;
         let keys = KeySpace::fitted(model, |id| Some(data.row(id as usize)))?;
         Self::load(model, buffer_pages, keys, rows)
     }
@@ -510,7 +509,7 @@ mod tests {
         // `u64::MAX` was a dead record's id; no row may carry it now, so
         // every record a search reads is a live row.
         let (data, model) = fitted();
-        let rows = &mut data_rows(Backend::IDistance, &data, &model).unwrap();
+        let rows = &mut data_rows(&data, &model).unwrap();
         let keys = KeySpace::fitted(&model, |id| Some(data.row(id as usize))).unwrap();
         let loaded = IDistanceIndex::load(&model, 256, keys, &mut |part| {
             let mut rows = rows(part)?;

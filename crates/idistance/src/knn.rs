@@ -611,7 +611,6 @@ impl IDistanceIndex {
 #[cfg(test)]
 mod tests {
     use super::query_geometry;
-    use crate::backend::Backend;
     use crate::index::IDistanceIndex;
     use crate::layout::{data_rows, BuiltIndex, KeySpace};
     use crate::seqscan::SeqScan;
@@ -972,7 +971,7 @@ mod tests {
         /// heap record (the layout does not depend on it).
         fn build(stored_id: impl Fn(u64) -> u64) -> Self {
             let (data, model) = paged_fixture();
-            let rows = &mut data_rows(Backend::IDistance, data, model).unwrap();
+            let rows = &mut data_rows(data, model).unwrap();
             let keys = KeySpace::fitted(model, |id| Some(data.row(id as usize))).unwrap();
             let built = IDistanceIndex::load(model, 256, keys, &mut |part| {
                 let mut rows = rows(part)?;

@@ -1,19 +1,17 @@
 //! The stored form of every backend: one writer, one reader.
 //!
 //! Each backend lays its rows out exactly once, in its own `load`
-//! ([`SeqScan`], [`IDistanceIndex`], [`GlobalLdrIndex`], and the `hybrid`
-//! tree's loader in [`crate::backend`]). A loader pulls the model's
-//! partitions one at a time — clusters in model order, then the outliers —
-//! as rows *in the form that backend stores*: `(id, local coordinates)` for
-//! a cluster, `(id, raw vector)` for outliers, and for `hybrid` the
-//! restored representation `restore(project(v))` throughout.
-//! [`stored_rows`] reads the same `(id, coordinates)` pairs back out of a
-//! built index.
+//! ([`SeqScan`], [`IDistanceIndex`], [`GlobalLdrIndex`]). A loader pulls
+//! the model's partitions one at a time — clusters in model order, then the
+//! outliers — as rows in the one stored form every backend shares:
+//! `(id, local coordinates)` for a cluster, `(id, raw vector)` for the
+//! outliers. [`stored_rows`] reads the same `(id, coordinates)` pairs back
+//! out of a built index.
 //!
 //! An ingested row is placed once, by [`BuiltIndex::insert`]: the model
 //! routes it (nearest subspace within `β`, else the outliers) and
-//! [`Backend::stored_form`] converts it exactly as the loaders do, so a
-//! delta row stores what a from-scratch build over the union would.
+//! [`stored_form`] converts it exactly as the loaders do, so a delta row
+//! stores what a from-scratch build over the union would.
 //!
 //! Everything that produces base structures is a *door* onto [`load`] and
 //! only resolves rows: a from-scratch build projects `data.row(id)`, the
@@ -25,13 +23,12 @@
 //! absent from the result. What differs between doors beyond the rows is
 //! iDistance's [`KeySpace`], passed as data.
 
-use crate::backend::{load_hybrid, Backend};
+use crate::backend::Backend;
 use crate::error::{Error, Result};
 use crate::gldr::GlobalLdrIndex;
 use crate::index::IDistanceIndex;
 use crate::seqscan::SeqScan;
 use mmdr_core::{PointAssignment, ReductionResult};
-use mmdr_hybridtree::HybridTree;
 use mmdr_index::{validate_vector, DeltaLayer, DeltaStats, VectorIndex};
 use mmdr_linalg::Matrix;
 use mmdr_pca::ReducedSubspace;
@@ -51,8 +48,6 @@ pub enum BuiltIndex {
     /// Extended iDistance (B⁺-tree + heap file). Boxed: the index struct
     /// is several hundred bytes, far larger than the other variants.
     IDistance(Box<IDistanceIndex>),
-    /// One hybrid tree over the restored representations.
-    Hybrid(HybridTree),
     /// Per-cluster hybrid forest (gLDR).
     Gldr(GlobalLdrIndex),
 }
@@ -63,7 +58,6 @@ impl BuiltIndex {
         match self {
             BuiltIndex::SeqScan(_) => Backend::SeqScan,
             BuiltIndex::IDistance(_) => Backend::IDistance,
-            BuiltIndex::Hybrid(_) => Backend::Hybrid,
             BuiltIndex::Gldr(_) => Backend::Gldr,
         }
     }
@@ -73,7 +67,6 @@ impl BuiltIndex {
         match self {
             BuiltIndex::SeqScan(i) => i,
             BuiltIndex::IDistance(i) => i.as_ref(),
-            BuiltIndex::Hybrid(i) => i,
             BuiltIndex::Gldr(i) => i,
         }
     }
@@ -84,7 +77,6 @@ impl BuiltIndex {
         match self {
             BuiltIndex::SeqScan(i) => Box::new(i),
             BuiltIndex::IDistance(i) => i,
-            BuiltIndex::Hybrid(i) => Box::new(i),
             BuiltIndex::Gldr(i) => Box::new(i),
         }
     }
@@ -113,7 +105,7 @@ impl BuiltIndex {
             PointAssignment::Cluster(ci) => (ci, Some(&model.clusters[ci].subspace)),
             PointAssignment::Outlier => (model.clusters.len(), None),
         };
-        let coords = self.backend().stored_form(subspace, vector)?;
+        let coords = stored_form(subspace, vector)?;
         self.delta().insert(id, (slot as u32, coords))?;
         Ok(placed)
     }
@@ -142,7 +134,6 @@ impl BuiltIndex {
         match self {
             BuiltIndex::SeqScan(i) => &i.delta,
             BuiltIndex::IDistance(i) => &i.delta,
-            BuiltIndex::Hybrid(i) => i.delta(),
             BuiltIndex::Gldr(i) => &i.delta,
         }
     }
@@ -205,36 +196,24 @@ impl KeySpace {
     }
 }
 
-impl Backend {
-    /// The coordinates this backend stores for the exact vector `row` of a
-    /// partition (`subspace` is `None` for the outliers, which every
-    /// backend stores raw): local coordinates in the cluster's subspace,
-    /// restored onto its flat for `hybrid`, whose one tree measures plain
-    /// L2 at original dimensionality.
-    fn stored_form(self, subspace: Option<&ReducedSubspace>, row: &[f64]) -> Result<Vec<f64>> {
-        let Some(subspace) = subspace else {
-            return Ok(row.to_vec());
-        };
-        let local = subspace.project(row)?;
-        Ok(match self {
-            Backend::Hybrid => subspace.restore(&local)?,
-            _ => local,
-        })
-    }
+/// The coordinates every backend stores for the exact vector `row` of a
+/// partition: local coordinates in the cluster's subspace, or the raw
+/// vector for the outliers (`subspace` is `None`).
+fn stored_form(subspace: Option<&ReducedSubspace>, row: &[f64]) -> Result<Vec<f64>> {
+    Ok(match subspace {
+        Some(subspace) => subspace.project(row)?,
+        None => row.to_vec(),
+    })
+}
 
-    /// The restored representation `restore(project(v))` of coordinates
-    /// this backend stored — the exact vector every backend answers
-    /// queries against, bitwise identical across backends.
-    fn restored_form(
-        self,
-        subspace: Option<&ReducedSubspace>,
-        stored: Vec<f64>,
-    ) -> Result<Vec<f64>> {
-        Ok(match subspace {
-            Some(subspace) if self != Backend::Hybrid => subspace.restore(&stored)?,
-            _ => stored,
-        })
-    }
+/// The restored representation `restore(project(v))` of stored
+/// coordinates — the exact vector every backend answers queries against,
+/// bitwise identical across backends.
+fn restored_form(subspace: Option<&ReducedSubspace>, stored: Vec<f64>) -> Result<Vec<f64>> {
+    Ok(match subspace {
+        Some(subspace) => subspace.restore(&stored)?,
+        None => stored,
+    })
 }
 
 /// The model's partitions in layout order: `Some(ci)` per cluster, then
@@ -256,9 +235,8 @@ fn partition(model: &ReductionResult, part: Option<usize>) -> (Option<&ReducedSu
 
 /// Member-driven resolution, shared by every door: a partition's rows are
 /// its member ids in member order, each resolved by the door and converted
-/// to `backend`'s stored form; unresolved ids are dropped.
+/// to the stored form; unresolved ids are dropped.
 pub(crate) fn member_rows<'a>(
-    backend: Backend,
     model: &'a ReductionResult,
     mut resolve: impl FnMut(u64) -> Option<Row<'a>> + 'a,
 ) -> impl FnMut(Option<usize>) -> Result<Rows> + 'a {
@@ -267,7 +245,7 @@ pub(crate) fn member_rows<'a>(
         let mut rows = Vec::with_capacity(members.len());
         for &pid in members {
             let coords = match resolve(pid as u64) {
-                Some(Row::Exact(row)) => backend.stored_form(subspace, row)?,
+                Some(Row::Exact(row)) => stored_form(subspace, row)?,
                 Some(Row::Stored(coords)) => coords,
                 None => continue,
             };
@@ -288,15 +266,14 @@ fn check_dim(data: &Matrix, model: &ReductionResult) -> Result<()> {
     Ok(())
 }
 
-/// The build door's resolution for one backend: every id the model lists
-/// is a row of `data`.
+/// The build door's resolution: every id the model lists is a row of
+/// `data`.
 pub(crate) fn data_rows<'a>(
-    backend: Backend,
     data: &'a Matrix,
     model: &'a ReductionResult,
 ) -> Result<impl FnMut(Option<usize>) -> Result<Rows> + 'a> {
     check_dim(data, model)?;
-    Ok(member_rows(backend, model, move |id| {
+    Ok(member_rows(model, move |id| {
         Some(Row::Exact(data.row(id as usize)))
     }))
 }
@@ -312,7 +289,7 @@ pub fn load<'a>(
     keys: Option<KeySpace>,
     resolve: impl FnMut(u64) -> Option<Row<'a>> + 'a,
 ) -> Result<BuiltIndex> {
-    let rows = &mut member_rows(backend, model, resolve);
+    let rows = &mut member_rows(model, resolve);
     Ok(match backend {
         Backend::SeqScan => BuiltIndex::SeqScan(SeqScan::load(model, buffer_pages, rows)?),
         Backend::IDistance => {
@@ -324,7 +301,6 @@ pub fn load<'a>(
                 rows,
             )?))
         }
-        Backend::Hybrid => BuiltIndex::Hybrid(load_hybrid(model, buffer_pages, rows)?),
         Backend::Gldr => BuiltIndex::Gldr(GlobalLdrIndex::load(model, buffer_pages, rows)?),
     })
 }
@@ -373,7 +349,6 @@ pub fn stored_rows(index: &BuiltIndex) -> Result<HashMap<u64, Vec<f64>>> {
         BuiltIndex::IDistance(i) => i.heap().scan(|_, id, coords| {
             rows.insert(id, coords.to_vec());
         })?,
-        BuiltIndex::Hybrid(t) => rows.extend(t.export_rows()?),
         BuiltIndex::Gldr(g) => {
             for ci in 0..g.num_cluster_trees() {
                 rows.extend(g.cluster_tree(ci).0.export_rows()?);
@@ -394,14 +369,13 @@ pub fn restored_rows(
     index: &BuiltIndex,
     model: &ReductionResult,
 ) -> Result<BTreeMap<u64, Vec<f64>>> {
-    let backend = index.backend();
     let mut stored = stored_rows(index)?;
     let mut rows = BTreeMap::new();
     for part in partition_ids(model) {
         let (subspace, members) = partition(model, part);
         for &pid in members {
             if let Some(coords) = stored.remove(&(pid as u64)) {
-                rows.insert(pid as u64, backend.restored_form(subspace, coords)?);
+                rows.insert(pid as u64, restored_form(subspace, coords)?);
             }
         }
     }

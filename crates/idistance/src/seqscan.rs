@@ -2,7 +2,6 @@
 //! paper plots alongside the indexes in Figure 9 ("direct sequential scan"
 //! in reduced subspaces).
 
-use crate::backend::Backend;
 use crate::error::{Error, Result};
 use crate::knn::query_geometry;
 use crate::layout::{data_rows, partition_ids, PartitionRows};
@@ -31,7 +30,7 @@ pub struct SeqScan {
 impl SeqScan {
     /// Lays the reduced dataset out in heap pages.
     pub fn build(data: &Matrix, model: &ReductionResult, buffer_pages: usize) -> Result<Self> {
-        let rows = &mut data_rows(Backend::SeqScan, data, model)?;
+        let rows = &mut data_rows(data, model)?;
         Self::load(model, buffer_pages, rows)
     }
 

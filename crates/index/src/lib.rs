@@ -1,10 +1,10 @@
 //! The uniform query interface over every KNN backend.
 //!
-//! The paper's evaluation (§6, Figures 9–10) compares four ways of
+//! The paper's evaluation (§6, Figures 9–10) compares three ways of
 //! answering the same question — "which reduced representations are nearest
 //! to `q`?" — with very different machinery: a sequential scan, the
-//! extended iDistance B⁺-tree, a raw hybrid tree, and the per-cluster
-//! hybrid-tree *gLDR* scheme. [`VectorIndex`] is the contract that makes
+//! extended iDistance B⁺-tree, and the per-cluster hybrid-tree *gLDR*
+//! scheme. [`VectorIndex`] is the contract that makes
 //! that comparison apples-to-apples:
 //!
 //! - **One door.** [`VectorIndex::search`] answers a [`Query`] — k nearest

@@ -6,10 +6,10 @@
 //! the out-of-core pager mounts. Mutability is layered on top:
 //!
 //! - **Inserts** land in an in-memory [`DeltaLayer`]: the row is routed to
-//!   its partition and converted into the backend's own stored
-//!   representation at insert time (same projection / restoration code as
-//!   the build path), so a delta scan computes bit-identical distances to a
-//!   from-scratch build over the union of rows.
+//!   its partition and converted into the stored representation at insert
+//!   time (the same projection code as the build path), so a delta scan
+//!   computes bit-identical distances to a from-scratch build over the
+//!   union of rows.
 //! - **Deletes** become entries in a copy-on-write tombstone set. Base
 //!   searches filter tombstoned ids at *push* time (before a candidate can
 //!   occupy a heap slot), which keeps exact-k semantics: a delete never
@@ -67,9 +67,9 @@ pub struct DeltaStats {
 ///
 /// Every backend holds the one row type `(slot, coordinates)`: the
 /// partition slot the model routed the row to (the cluster index, or the
-/// cluster count for the outliers) and its coordinates in the backend's
-/// stored form. `hybrid`, whose one tree spans all partitions, ignores the
-/// slot.
+/// cluster count for the outliers) and its coordinates in the stored form
+/// every backend shares: local coordinates for a cluster, the raw vector
+/// for an outlier.
 ///
 /// Concurrency: mutations take a short write lock; queries take a read
 /// lock only while iterating the (small) delta and grab the tombstone set

@@ -50,7 +50,7 @@ impl SearchCounters {
 /// buffer pools' counts summed with its [`SearchCounters`]
 /// ([`QueryStats::of`]).
 ///
-/// All four backends populate every field through the same code paths (the
+/// All three backends populate every field through the same code paths (the
 /// buffer pool counts page/node touches, the search loops count distances
 /// and refinements), so `QueryStats` from different backends compare like
 /// with like — the property the paper's Figure 9/10 plots assume. The

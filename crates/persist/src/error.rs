@@ -71,7 +71,7 @@ pub enum PersistError {
         /// Backend name the snapshot stores.
         found: &'static str,
     },
-    /// The backend tag in the superblock is not one of the four known
+    /// The backend tag in the superblock is not one of the three known
     /// backends.
     UnknownBackendTag(u32),
     /// Reassembling the index from decoded parts failed validation.
@@ -283,7 +283,7 @@ mod tests {
             .contains("odd length"));
         assert!(PersistError::BackendMismatch {
             expected: "gldr",
-            found: "hybrid"
+            found: "seqscan"
         }
         .to_string()
         .contains("gldr"));

@@ -1133,8 +1133,7 @@ mod tests {
             merge_threshold: 0,
             ..Default::default()
         };
-        let engine =
-            IngestEngine::create(&path, Backend::Hybrid, &data, &model, 128, opts).unwrap();
+        let engine = IngestEngine::create(&path, Backend::Gldr, &data, &model, 128, opts).unwrap();
         engine.insert(&[0.4, 0.12, 0.0, 0.0]).unwrap();
         let before = engine.ingest_stats();
         for bad in [
@@ -1417,7 +1416,7 @@ mod tests {
         let path = dir.join("idx.mmdr");
         let engine = IngestEngine::create(
             &path,
-            Backend::Hybrid,
+            Backend::Gldr,
             &data,
             &model,
             128,
@@ -1456,7 +1455,7 @@ mod tests {
         let path = dir.join("idx.mmdr");
         let engine = IngestEngine::create(
             &path,
-            Backend::Hybrid,
+            Backend::Gldr,
             &data,
             &model,
             128,

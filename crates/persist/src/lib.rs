@@ -35,7 +35,7 @@
 //! images, a save → open round trip is bit-exact: the reopened index
 //! returns byte-for-byte the same `(distance, id)` answers as the index
 //! that was saved. The `persist_roundtrip` integration test asserts this
-//! for all four backends.
+//! for every backend.
 
 mod codec;
 mod error;

@@ -59,11 +59,12 @@ pub fn build_index(
     )?)
 }
 
+/// The superblock's backend tag. Tag 3 named a retired backend; a file
+/// that carries it is refused as unknown.
 fn backend_tag(b: Backend) -> u32 {
     match b {
         Backend::SeqScan => 1,
         Backend::IDistance => 2,
-        Backend::Hybrid => 3,
         Backend::Gldr => 4,
     }
 }
@@ -72,7 +73,6 @@ fn backend_from_tag(tag: u32) -> Result<Backend> {
     Ok(match tag {
         1 => Backend::SeqScan,
         2 => Backend::IDistance,
-        3 => Backend::Hybrid,
         4 => Backend::Gldr,
         other => return Err(PersistError::UnknownBackendTag(other)),
     })
@@ -284,10 +284,6 @@ fn meta_and_pools<'a>(
             }
             pools.push(idx.tree().pool());
             pools.push(idx.heap().pool());
-        }
-        BuiltIndex::Hybrid(tree) => {
-            put_hybrid_meta(&mut meta, tree);
-            pools.push(tree.pool());
         }
         BuiltIndex::Gldr(gldr) => {
             meta.put_usize(gldr.dim());
@@ -530,11 +526,6 @@ fn restore(
             BuiltIndex::IDistance(Box::new(IDistanceIndex::from_parts(
                 tree, heap, partitions, c, model.dim,
             )?))
-        }
-        Backend::Hybrid => {
-            let hm = get_hybrid_meta(&mut meta)?;
-            expect_groups(&groups, 1)?;
-            BuiltIndex::Hybrid(restore_hybrid(hm, groups.pop().expect("one group"), opts)?)
         }
         Backend::Gldr => {
             let dim = meta.get_usize()?;

@@ -1,9 +1,9 @@
 //! Backend conformance suite: every `VectorIndex` backend must answer the
 //! same questions the same way.
 //!
-//! All four backends (sequential scan, extended iDistance, global hybrid
-//! tree, gLDR) measure the reduced-representation distance
-//! `‖q − restore(Pᵢ)‖`, so on one `(data, model)` pair they must agree on:
+//! All three backends (sequential scan, extended iDistance, gLDR) measure
+//! the reduced-representation distance `‖q − restore(Pᵢ)‖`, so on one
+//! `(data, model)` pair they must agree on:
 //!
 //! 1. **KNN results** — same neighbour ids at every rank, distances within
 //!    float noise of the sequential-scan reference, sorted ascending by
@@ -420,10 +420,11 @@ fn a_knn_answer_is_the_prefix_of_the_range_answer_at_its_kth_distance() {
             }
         }
     }
-    assert_eq!(pairs, 4 * 2 * 2 * 3 * fx.queries.len());
+    let backends = Backend::all().len();
+    assert_eq!(pairs, backends * 2 * 2 * 3 * fx.queries.len());
     // Per backend and delta state: the filter that passes nothing at every
     // k, the other two beyond every row.
-    assert_eq!(whole, 4 * 2 * (4 + 2) * fx.queries.len());
+    assert_eq!(whole, backends * 2 * (4 + 2) * fx.queries.len());
 }
 
 /// A scratch directory for one test, removed on drop.
@@ -541,7 +542,7 @@ fn every_index_refuses_bad_queries_alike() {
             "{name}: a refused query or k = 0 cost something"
         );
     }
-    assert_eq!(indexes.len(), 3 * 4);
+    assert_eq!(indexes.len(), 3 * Backend::all().len());
 }
 
 #[test]

@@ -22,13 +22,6 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
-const BACKENDS: [Backend; 4] = [
-    Backend::SeqScan,
-    Backend::IDistance,
-    Backend::Hybrid,
-    Backend::Gldr,
-];
-
 /// Unique directory per call, removed on drop.
 struct TempDir(PathBuf);
 
@@ -192,7 +185,7 @@ fn snapshot_filtered_knn_matches_post_filtered_oracle() {
     let model = fit(&data);
     let store = attrs_for(data.rows());
     let qs = queries(&data);
-    for backend in BACKENDS {
+    for backend in Backend::all() {
         let dir = TempDir::new("static");
         let path = dir.file("index.mmdr");
         let built = mmdr_persist::build_index(backend, &data, &model, 256).unwrap();
@@ -256,7 +249,7 @@ fn snapshot_filtered_range_matches_post_filtered_oracle() {
     let model = fit(&data);
     let store = attrs_for(data.rows());
     let qs = queries(&data);
-    for backend in BACKENDS {
+    for backend in Backend::all() {
         let dir = TempDir::new("range");
         let path = dir.file("index.mmdr");
         let built = mmdr_persist::build_index(backend, &data, &model, 256).unwrap();
@@ -296,7 +289,7 @@ fn mutated_engine_filtered_knn_matches_oracle_pre_and_post_merge() {
     let model = fit(&data);
     let store = attrs_for(data.rows());
     let qs = queries(&data);
-    for backend in BACKENDS {
+    for backend in Backend::all() {
         let dir = TempDir::new("mutated");
         let path = dir.file("index.mmdr");
         let engine = IngestEngine::create_with_attrs(
@@ -356,7 +349,7 @@ fn mutated_engine_filtered_knn_matches_oracle_pre_and_post_merge() {
 }
 
 /// The id column is iDistance's alone: a pushed-down search in the other
-/// three backends touches, query for query, the pages it touched before
+/// two backends touches, query for query, the pages it touched before
 /// there was one (the counts of the commit before, recorded here), the
 /// second time it is asked as the first.
 #[test]
@@ -366,12 +359,8 @@ fn pushdown_in_the_other_backends_touches_the_pages_it_always_did() {
     let store = attrs_for(data.rows());
     let qs = queries(&data);
     #[rustfmt::skip]
-    let recorded: [(Backend, [u64; 24]); 3] = [
+    let recorded: [(Backend, [u64; 24]); 2] = [
         (Backend::SeqScan, [13; 24]),
-        (Backend::Hybrid, [
-            28, 28, 18, 18, 39, 39, 44, 45, 28, 28, 13, 14,
-            39, 39, 44, 45, 28, 28, 13, 14, 39, 39, 44, 45,
-        ]),
         (Backend::Gldr, [5, 5, 5, 5, 5, 5, 5, 5, 2, 2, 2, 2, 5, 5, 5, 5, 2, 2, 2, 2, 5, 5, 5, 5]),
     ];
     for (backend, want) in recorded {

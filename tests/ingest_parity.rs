@@ -235,7 +235,7 @@ fn concurrent_readers_never_observe_torn_epochs() {
     let path = dir.file("idx.mmdr");
     let engine = IngestEngine::create(
         &path,
-        Backend::Hybrid,
+        Backend::Gldr,
         &data,
         &model,
         128,

@@ -1,6 +1,6 @@
 //! The one-layout gate: every backend has one loader and one reader of its
 //! stored form, and the three doors onto the loader — build, merge fold,
-//! re-fit attach — only resolve rows. So, for all four backends, over a
+//! re-fit attach — only resolve rows. So, for all three backends, over a
 //! model with outliers and one without:
 //!
 //! (a) folding no operations reproduces the base's snapshot byte for byte;

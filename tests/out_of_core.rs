@@ -471,7 +471,7 @@ fn hybrid_range_walk_readahead_hits_rise() {
     let data = dataset();
     let model = fit(&data);
     let file = TempFile::new("range-readahead");
-    let built = build_index(Backend::Hybrid, &data, &model, 64).unwrap();
+    let built = build_index(Backend::Gldr, &data, &model, 64).unwrap();
     save(&file.0, &built, &model).unwrap();
     drop(built);
 

@@ -476,6 +476,35 @@ fn a_snapshot_of_the_previous_format_is_refused_by_its_version() {
     }
 }
 
+#[test]
+fn a_snapshot_whose_backend_tag_is_retired_is_refused() {
+    // Tag 3 named a backend this format no longer has: a `seqscan` file
+    // with its tag patched to 3, under a superblock CRC that is right for
+    // it, is refused by its tag in both open modes.
+    let data = dataset(50, 0.5);
+    let model = fit(&data);
+    let source = TempFile::new("tag3-source");
+    let built = build_index(Backend::SeqScan, &data, &model, 32).unwrap();
+    save(&source.0, &built, &model).unwrap();
+    let mut image = std::fs::read(&source.0).unwrap();
+    assert_eq!(image[16..20], 1u32.to_le_bytes(), "seqscan's tag");
+    image[16..20].copy_from_slice(&3u32.to_le_bytes());
+    image[44..48].fill(0);
+    let crc = mmdr_persist::crc32(&image[..80]);
+    image[44..48].copy_from_slice(&crc.to_le_bytes());
+    for resident in [false, true] {
+        let file = write_image(&image, "tag3");
+        let options = OpenOptions {
+            resident,
+            ..OpenOptions::default()
+        };
+        match open_with(&file.0, &options) {
+            Err(PersistError::UnknownBackendTag(3)) => {}
+            other => panic!("expected UnknownBackendTag(3), got {other:?}"),
+        }
+    }
+}
+
 /// Every leaf entry of an iDistance index, in leaf order: its leaf's key
 /// range, its position and its code.
 fn leaf_entries(index: &BuiltIndex) -> Vec<(u64, u64, u64, u64)> {
@@ -705,10 +734,10 @@ fn open_or_build_caches_and_recovers_from_damage() {
     let model = fit(&data);
     let file = TempFile::new("cache");
     // First call builds and writes the snapshot.
-    let (first, reused) = open_or_build(&file.0, Backend::Hybrid, &data, &model, 32).unwrap();
+    let (first, reused) = open_or_build(&file.0, Backend::Gldr, &data, &model, 32).unwrap();
     assert!(!reused);
     // Second call reuses it, answers identical.
-    let (second, reused) = open_or_build(&file.0, Backend::Hybrid, &data, &model, 32).unwrap();
+    let (second, reused) = open_or_build(&file.0, Backend::Gldr, &data, &model, 32).unwrap();
     assert!(reused);
     let a = first.as_dyn().knn(data.row(2), 4).unwrap();
     let b = second.as_dyn().knn(data.row(2), 4).unwrap();
@@ -718,11 +747,11 @@ fn open_or_build_caches_and_recovers_from_damage() {
     let mid = bytes.len() / 2;
     bytes[mid] ^= 0xFF;
     std::fs::write(&file.0, &bytes).unwrap();
-    let (third, reused) = open_or_build(&file.0, Backend::Hybrid, &data, &model, 32).unwrap();
+    let (third, reused) = open_or_build(&file.0, Backend::Gldr, &data, &model, 32).unwrap();
     assert!(!reused, "a damaged snapshot must trigger a rebuild");
     let c = third.as_dyn().knn(data.row(2), 4).unwrap();
     assert_answers_identical(&a, &c, "rebuild after damage");
     // And the rewritten snapshot is healthy again.
-    let (_, reused) = open_or_build(&file.0, Backend::Hybrid, &data, &model, 32).unwrap();
+    let (_, reused) = open_or_build(&file.0, Backend::Gldr, &data, &model, 32).unwrap();
     assert!(reused);
 }

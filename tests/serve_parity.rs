@@ -1,5 +1,5 @@
 //! The serving gate: answers over the wire must be *bit-identical* to
-//! in-process answers on the same index — for all four backends, for
+//! in-process answers on the same index — for every backend, for
 //! coalesced batches under concurrent clients, and across overload and
 //! graceful shutdown. Plus the protocol fuzz seatbelt: hostile frames get
 //! typed error responses, never a panic, and the worker pool survives.
@@ -111,7 +111,7 @@ fn wait_for_queue(handle: &mmdr_serve::ServerHandle, want: u64) {
 }
 
 #[test]
-fn all_four_backends_answer_bit_identically_over_the_wire() {
+fn every_backend_answers_bit_identically_over_the_wire() {
     let data = dataset(60);
     let model = fit(&data);
     let step = (data.rows() / 7).max(1);
@@ -384,7 +384,7 @@ fn graceful_shutdown_drains_in_flight_requests() {
         start_paused: true,
         ..ServerConfig::default()
     };
-    let (index, handle) = serve_backend(Backend::Hybrid, &data, &model, config);
+    let (index, handle) = serve_backend(Backend::Gldr, &data, &model, config);
     let mut client = Client::connect(handle.local_addr()).unwrap();
     const IN_FLIGHT: usize = 5;
     let queries: Vec<Vec<f64>> = (0..IN_FLIGHT).map(|i| data.row(i * 3).to_vec()).collect();

@@ -84,7 +84,7 @@ cargo test "${PROFILE[@]}" -p mmdr-storage --test out_of_core_pool
 echo "== ingest gate =="
 # Live mutation parity: WAL-logged inserts/deletes with background merges
 # and epoch swaps must answer bit-identically to a fresh build over the
-# surviving rows — all four backends, serial and threaded, plus the
+# surviving rows — every backend, serial and threaded, plus the
 # crash-image replay and the server-level insert-then-query path. The WAL
 # framing itself is property-tested (torn tails, mid-record damage).
 cargo test "${PROFILE[@]}" --test ingest_parity --test layout_doors
@@ -110,7 +110,7 @@ cargo test "${PROFILE[@]}" -p mmdr-index --test proptest_drift
 echo "== filtered-search gate =="
 # Attribute-filtered search: filtered KNN/range answers — whichever
 # strategy the cost-based planner picks — must be bit-identical to
-# post-filtering the unfiltered ranking, for all four backends, serial and
+# post-filtering the unfiltered ranking, for every backend, serial and
 # under concurrent query threads, pre- and post-merge; a snapshot without
 # attributes must fail filters with a typed error (property-tested
 # alongside the fixed cases).
@@ -330,7 +330,17 @@ echo "== benchmark smoke gate =="
 # API change that breaks the benchmark, or a run that is no longer
 # `correct`, fails here and not in the driver. Always a release build (the
 # benchmark's own command line), whatever profile the gates above used.
+# The smoke must leave benchmark/ and BENCHMARK.json as it found them: a
+# crate-graph change that makes cargo rewrite benchmark/Cargo.lock fails
+# here, not on the first run that builds the benchmark from a clean checkout.
+bench_tree() { git status --porcelain -- benchmark BENCHMARK.json; git diff -- benchmark BENCHMARK.json; }
+BENCH_BEFORE="$(bench_tree)"
 benchmark/check.sh
+if [[ "$(bench_tree)" != "$BENCH_BEFORE" ]]; then
+    echo "verify: FAIL — the benchmark smoke changed benchmark/ or BENCHMARK.json:" >&2
+    git status --porcelain -- benchmark BENCHMARK.json >&2
+    exit 1
+fi
 
 echo "== benchmark count gate =="
 # The four counts every workload prints are exact and repeat on every run
