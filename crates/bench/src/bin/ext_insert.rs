@@ -67,7 +67,7 @@ fn main() {
                 if idx >= n {
                     break;
                 }
-                let (routed, _) = built
+                let routed = built
                     .insert(&model, idx as u64, ds.data.row(idx))
                     .expect("insert");
                 outliers += usize::from(routed == PointAssignment::Outlier);

@@ -67,7 +67,9 @@ impl DatasetFile {
     }
 
     /// Parses CSV text (comma-separated floats, one point per line; blank
-    /// lines skipped; a non-numeric first line is treated as a header).
+    /// lines skipped; a non-numeric first line is treated as a header). A
+    /// cell that parses to infinity or NaN is refused on any line, the
+    /// first included: a dataset holds finite coordinates only.
     pub fn parse_csv(text: &str) -> Result<Matrix, String> {
         let mut rows: Vec<Vec<f64>> = Vec::new();
         for (lineno, line) in text.lines().enumerate() {
@@ -75,16 +77,19 @@ impl DatasetFile {
             if line.is_empty() {
                 continue;
             }
-            let parsed: Result<Vec<f64>, _> =
-                line.split(',').map(|c| c.trim().parse::<f64>()).collect();
-            match parsed {
-                Ok(row) => rows.push(row),
-                Err(e) => {
-                    if lineno == 0 {
-                        continue; // header line
-                    }
-                    return Err(format!("line {}: {e}", lineno + 1));
+            let mut row = Vec::new();
+            let mut unparsed = None;
+            for cell in line.split(',').map(str::trim) {
+                match cell.parse::<f64>() {
+                    Ok(x) if x.is_finite() => row.push(x),
+                    Ok(_) => return Err(format!("line {}: non-finite value `{cell}`", lineno + 1)),
+                    Err(e) => drop(unparsed.get_or_insert(e)),
                 }
+            }
+            match unparsed {
+                None => rows.push(row),
+                Some(_) if lineno == 0 => continue, // header line
+                Some(e) => return Err(format!("line {}: {e}", lineno + 1)),
             }
         }
         if rows.is_empty() {
@@ -157,5 +162,9 @@ mod tests {
         assert!(DatasetFile::parse_csv("header only\n").is_err());
         assert!(DatasetFile::parse_csv("1.0,2.0\n3.0\n").is_err());
         assert!(DatasetFile::parse_csv("1.0,2.0\n3.0,oops\n").is_err());
+        for text in ["1,nan\n2,3\n", "1,2\n3,inf\n", "x,-inf\n1,2\n", "1,1e999\n"] {
+            let err = DatasetFile::parse_csv(text).unwrap_err();
+            assert!(err.contains("non-finite value"), "{text:?}: {err}");
+        }
     }
 }

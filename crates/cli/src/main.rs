@@ -83,8 +83,8 @@ USAGE:
   mmdr build-index --data FILE --model FILE --out FILE [--backend seqscan|idistance|gldr] [--buffer-pages N] [--attrs FILE]
   mmdr query    --data FILE --model FILE (--row I[,J,…] | --point \"x,y,…\") [--k K] [--radius R] [--threads N] [--backend seqscan|idistance|gldr] [--hex true]
   mmdr query    --index-file FILE (--row I[,J,…] --data FILE | --point \"x,y,…\") [--k K] [--radius R] [--filter \"EXPR\"] [--threads N] [--pool-pages N] [--readahead N] [--hex true]
-  mmdr serve    --index-file FILE [--wal true] [--merge-threshold N] [--refit-threshold X] [--host H] [--port P] [--workers W] [--io-timeout-ms MS] [--pool-pages N] [--readahead N]
-  mmdr ingest   --index-file FILE (--data FILE | --point \"x,y,…\") [--delete I[,J,…]] [--flush true] [--refit true] [--merge-threshold N] [--refit-threshold X] [--pool-pages N]
+  mmdr serve    --index-file FILE [--wal true] [--merge-threshold N] [--host H] [--port P] [--workers W] [--io-timeout-ms MS] [--pool-pages N] [--readahead N]
+  mmdr ingest   --index-file FILE (--data FILE | --point \"x,y,…\") [--delete I[,J,…]] [--flush true] [--refit true] [--merge-threshold N] [--pool-pages N]
   mmdr remote-query --addr HOST:PORT (--row I[,J,…] --data FILE | --point \"x,y,…\") [--k K] [--radius R] [--filter \"EXPR\"] [--hex true]
   mmdr remote-query --addr HOST:PORT --op ping|stats|shutdown
   mmdr remote-insert --addr HOST:PORT (--data FILE | --point \"x,y,…\") [--delete I[,J,…]] [--flush true]
@@ -121,16 +121,11 @@ snapshot locally through the same engine; remote-insert sends them to a
 running serve --wal over the wire. A merged index answers bit-identically
 to one built from scratch over the surviving rows.
 
-The engine also tracks per-cluster model drift: the running mean
-projection error of routed inserts against each cluster's fitted MPE,
-relative to the model's MaxMPE budget. When any cluster's drift crosses
---refit-threshold (0 = never, the default) a background re-fit re-runs
+Merges keep the fitted model's subspaces; ingest --refit true re-runs
 Scalable MMDR over the surviving rows, bumps the model epoch, and swaps
-the freshly attached index in without blocking readers; answers stay
-exact throughout because queries always refine in whatever model is
-serving. ingest --refit forces one synchronous re-fit. Stats lines
-(local and remote) report the model epoch, re-fit count and per-cluster
-drift.
+the freshly loaded index in without blocking readers. Answers stay exact
+throughout because queries always refine in whatever model is serving.
+Stats lines (local and remote) report the model epoch and re-fit count.
 
 Attribute payloads and filtered search: generate --attrs-out writes a
 deterministic per-row attribute file (header `name:type` with types
@@ -407,20 +402,16 @@ fn open_options(flags: &HashMap<String, String>) -> Result<mmdr_persist::OpenOpt
 /// The flags `serve` hands to `serve_until_signal`.
 const SERVER_FLAGS: [&str; 4] = ["host", "port", "workers", "io-timeout-ms"];
 
-/// Serves `live` on `--host`/`--port` with `--workers` threads until a
-/// signal or a remote `SHUTDOWN` arrives, then drains and prints the
-/// traffic summary. `--io-timeout-ms` sets both socket deadlines (read and
-/// write): one knob, because a stalled peer is a stalled peer in either
-/// direction.
-fn serve_until_signal(
-    live: std::sync::Arc<dyn mmdr_index::LiveIndex>,
-    flags: &HashMap<String, String>,
-) -> Result<(), String> {
-    use mmdr_serve::{Server, ServerConfig};
-    let host = flags.get("host").map(String::as_str).unwrap_or("127.0.0.1");
-    let port = get_parse(flags, "port", 0u16)?;
-    let mut config = ServerConfig::default();
+/// The server settings `--workers` and `--io-timeout-ms` ask for, checked
+/// before `serve` opens or binds anything. `--io-timeout-ms` sets both
+/// socket deadlines (read and write): one knob, because a stalled peer is
+/// a stalled peer in either direction.
+fn server_config(flags: &HashMap<String, String>) -> Result<mmdr_serve::ServerConfig, String> {
+    let mut config = mmdr_serve::ServerConfig::default();
     config.workers = get_parse(flags, "workers", config.workers)?;
+    if config.workers == 0 {
+        return Err("--workers must be at least 1".into());
+    }
     if let Some(v) = flags.get("io-timeout-ms") {
         let ms: u64 = v
             .parse()
@@ -431,8 +422,21 @@ fn serve_until_signal(
         config.read_timeout = std::time::Duration::from_millis(ms);
         config.write_timeout = std::time::Duration::from_millis(ms);
     }
+    Ok(config)
+}
+
+/// Serves `live` on `--host`/`--port` under `config` until a signal or a
+/// remote `SHUTDOWN` arrives, then drains and prints the traffic summary.
+fn serve_until_signal(
+    live: std::sync::Arc<dyn mmdr_index::LiveIndex>,
+    flags: &HashMap<String, String>,
+    config: mmdr_serve::ServerConfig,
+) -> Result<(), String> {
+    let host = flags.get("host").map(String::as_str).unwrap_or("127.0.0.1");
+    let port = get_parse(flags, "port", 0u16)?;
     let workers = config.workers;
-    let handle = Server::start(live, (host, port), config).map_err(|e| e.to_string())?;
+    let handle =
+        mmdr_serve::Server::start(live, (host, port), config).map_err(|e| e.to_string())?;
     // stdout is line-buffered: scripts (tools/verify.sh) read this line to
     // learn the ephemeral port.
     outln!(
@@ -744,9 +748,9 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
         "readahead",
         "wal",
         "merge-threshold",
-        "refit-threshold",
     ];
     let flags = parse_flags(args, &[&own[..], &SERVER_FLAGS].concat())?;
+    let config = server_config(&flags)?;
     let index_file = require(&flags, "index-file")?;
     let wal = get_bool(&flags, "wal")?;
     let live: std::sync::Arc<dyn mmdr_index::LiveIndex> = if wal {
@@ -764,9 +768,6 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
         );
         std::sync::Arc::new(engine)
     } else {
-        if flags.contains_key("refit-threshold") {
-            return Err("--refit-threshold applies to writable serving; add --wal true".into());
-        }
         let opened = mmdr_persist::open_with(index_file, &open_options(&flags)?)
             .map_err(|e| e.to_string())?;
         let index: std::sync::Arc<dyn mmdr_index::VectorIndex> =
@@ -792,9 +793,9 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
         .map_err(|e| e.to_string())?;
         std::sync::Arc::new(live)
     };
-    serve_until_signal(std::sync::Arc::clone(&live), &flags)?;
+    serve_until_signal(std::sync::Arc::clone(&live), &flags, config)?;
     if wal {
-        print_ingest_stats(&live.ingest_stats(), &live.model_drift());
+        print_ingest_stats(&live.ingest_stats());
     }
     Ok(())
 }
@@ -812,18 +813,13 @@ fn open_engine(
             "merge-threshold",
             mmdr_persist::DEFAULT_MERGE_THRESHOLD,
         )?,
-        refit_threshold: get_parse(flags, "refit-threshold", 0.0f64)?,
-        ..Default::default()
     };
-    if opts.refit_threshold < 0.0 || opts.refit_threshold.is_nan() {
-        return Err("--refit-threshold must be non-negative".into());
-    }
     mmdr_persist::IngestEngine::open(index_file, opts).map_err(|e| e.to_string())
 }
 
 /// The operator-facing merge-pressure line, identical for local engines
 /// and remote STATS answers.
-fn print_ingest_stats(s: &mmdr_index::IngestStats, cluster_drift: &[f64]) {
+fn print_ingest_stats(s: &mmdr_index::IngestStats) {
     outln!(
         "ingest: epoch {}, {} delta rows, {} tombstones, {} WAL bytes, {} merges, next id {}, \
          model epoch {}, {} re-fits",
@@ -836,10 +832,6 @@ fn print_ingest_stats(s: &mmdr_index::IngestStats, cluster_drift: &[f64]) {
         s.model_epoch,
         s.refits
     );
-    if !cluster_drift.is_empty() {
-        let drift: Vec<String> = cluster_drift.iter().map(|d| format!("{d:.3}")).collect();
-        outln!("model drift per cluster: {}", drift.join(" "));
-    }
 }
 
 /// The flags `ingest` and `remote-insert` share: what to write.
@@ -904,13 +896,7 @@ fn apply_writes(
 /// the WAL holds the writes until the next merge — a reopen (ingest, serve
 /// --wal, or the engine's replay) restores them.
 fn cmd_ingest(args: &[String]) -> Result<(), String> {
-    let own = [
-        "index-file",
-        "refit",
-        "merge-threshold",
-        "refit-threshold",
-        "pool-pages",
-    ];
+    let own = ["index-file", "refit", "merge-threshold", "pool-pages"];
     let flags = parse_write_flags(args, &own)?;
     let index_file = require(&flags, "index-file")?;
     let engine = open_engine(&flags, index_file)?;
@@ -925,7 +911,7 @@ fn cmd_ingest(args: &[String]) -> Result<(), String> {
         outln!("re-fit: model epoch is now {model_epoch}");
     }
     engine.quiesce(); // let a pressure-triggered merge finish before exit
-    print_ingest_stats(&engine.ingest_stats(), &engine.model_drift());
+    print_ingest_stats(&engine.ingest_stats());
     Ok(())
 }
 
@@ -1015,7 +1001,7 @@ fn cmd_remote_query(args: &[String]) -> Result<(), String> {
                 c.protocol_errors,
                 c.queue_len
             );
-            print_ingest_stats(&s.ingest, &s.cluster_drift);
+            print_ingest_stats(&s.ingest);
             return Ok(());
         }
         Some("shutdown") => {

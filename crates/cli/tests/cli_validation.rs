@@ -358,3 +358,125 @@ fn degenerate_generate_sizes_are_typed_errors() {
         "a refused generate writes no file"
     );
 }
+
+/// Runs `mmdr` with `args` and asserts it succeeds; returns its stdout.
+fn run_ok(args: &[&str]) -> String {
+    let out = mmdr().args(args).output().unwrap();
+    assert!(
+        out.status.success(),
+        "{args:?} failed: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    String::from_utf8_lossy(&out.stdout).into_owned()
+}
+
+#[test]
+fn a_flat_cluster_model_is_read_back() {
+    // Every row on one line through two points: the cluster is flat
+    // beyond its first axis, so its ellipticity is +inf (Definition 3.4).
+    let dir = std::env::temp_dir().join(format!("mmdr-cli-flat-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = |name: &str| dir.join(name).to_str().unwrap().to_owned();
+    let csv: String = (0..300)
+        .map(|i| format!("{},0,0,0,0,0,0,0\n", i % 2))
+        .collect();
+    std::fs::write(path("flat.csv"), csv).unwrap();
+    run_ok(&[
+        "convert",
+        "--csv",
+        &path("flat.csv"),
+        "--out",
+        &path("d.json"),
+    ]);
+    run_ok(&[
+        "reduce",
+        "--data",
+        &path("d.json"),
+        "--out",
+        &path("m.json"),
+    ]);
+    let info = run_ok(&["info", "--model", &path("m.json")]);
+    assert!(
+        info.contains("e=inf"),
+        "the flat cluster's ellipticity: {info}"
+    );
+    run_ok(&[
+        "build-index",
+        "--data",
+        &path("d.json"),
+        "--model",
+        &path("m.json"),
+        "--out",
+        &path("i.mmdr"),
+    ]);
+    let answer = run_ok(&[
+        "query",
+        "--index-file",
+        &path("i.mmdr"),
+        "--point",
+        "1,0,0,0,0,0,0,0",
+        "--k",
+        "3",
+    ]);
+    assert_eq!(answer.matches("dist 0.000000").count(), 3, "{answer}");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn non_finite_csv_cells_are_refused_at_convert() {
+    let dir = std::env::temp_dir().join(format!("mmdr-cli-nan-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let out = dir.join("d.json");
+    for (name, text, needle) in [
+        (
+            "later.csv",
+            "1,2\n3,nan\n",
+            "line 2: non-finite value `nan`",
+        ),
+        (
+            "first.csv",
+            "1,nan\n2,3\n",
+            "line 1: non-finite value `nan`",
+        ),
+        (
+            "inf.csv",
+            "1,2\n-inf,3\n",
+            "line 2: non-finite value `-inf`",
+        ),
+    ] {
+        let csv = dir.join(name);
+        std::fs::write(&csv, text).unwrap();
+        assert_typed_error(
+            &[
+                "convert",
+                "--csv",
+                csv.to_str().unwrap(),
+                "--out",
+                out.to_str().unwrap(),
+            ],
+            needle,
+        );
+        assert!(!out.exists(), "{name}: a refused convert writes no file");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn serve_refuses_zero_workers_before_binding() {
+    // The refusal comes before the snapshot is even opened, so a path that
+    // does not exist is never read and no port is taken.
+    let out = assert_typed_error(
+        &[
+            "serve",
+            "--index-file",
+            "/nonexistent/index.mmdr",
+            "--workers",
+            "0",
+        ],
+        "--workers must be at least 1",
+    );
+    assert!(
+        !String::from_utf8_lossy(&out.stdout).contains("listening"),
+        "nothing was bound"
+    );
+}

@@ -102,18 +102,6 @@ impl ReductionResult {
     /// whose subspace is nearest (smallest `ProjDist`), or `Outlier` when
     /// every cluster's `ProjDist` exceeds `beta`.
     pub fn assign_point(&self, point: &[f64], beta: f64) -> Result<PointAssignment> {
-        Ok(self.assign_point_with_dist(point, beta)?.0)
-    }
-
-    /// Like [`assign_point`](Self::assign_point), also returning the
-    /// winning `ProjDist` (infinite for a model with no clusters). The
-    /// ingest engine's drift estimator feeds on this distance: it is the
-    /// point's contribution to the assigned cluster's streaming MPE.
-    pub fn assign_point_with_dist(
-        &self,
-        point: &[f64],
-        beta: f64,
-    ) -> Result<(PointAssignment, f64)> {
         if point.len() != self.dim {
             return Err(Error::DimensionMismatch {
                 expected: self.dim,
@@ -122,9 +110,8 @@ impl ReductionResult {
         }
         let subspaces = self.clusters.iter().map(|c| &c.subspace);
         Ok(match ReducedSubspace::nearest(subspaces, point)? {
-            Some((ci, _, d)) if d <= beta => (PointAssignment::Cluster(ci), d),
-            Some((_, _, d)) => (PointAssignment::Outlier, d),
-            None => (PointAssignment::Outlier, f64::INFINITY),
+            Some((ci, _, d)) if d <= beta => PointAssignment::Cluster(ci),
+            _ => PointAssignment::Outlier,
         })
     }
 
@@ -246,14 +233,6 @@ mod tests {
         );
         // Wrong dimensionality rejected.
         assert!(r.assign_point(&[1.0], 0.1).is_err());
-        // The with-distance variant reports the winning ProjDist even for
-        // outliers (the distance that failed the β test).
-        let (a, d) = r.assign_point_with_dist(&[5.0, 0.05], 0.1).unwrap();
-        assert_eq!(a, PointAssignment::Cluster(0));
-        assert!((d - 0.05).abs() < 1e-12);
-        let (a, d) = r.assign_point_with_dist(&[0.0, 4.0], 0.1).unwrap();
-        assert_eq!(a, PointAssignment::Outlier);
-        assert!((d - 4.0).abs() < 1e-12);
     }
 
     #[test]

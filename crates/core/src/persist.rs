@@ -38,6 +38,27 @@ fn matrix_from_value(v: &Value) -> Result<Matrix> {
     Matrix::from_vec(rows, cols, data).map_err(Error::Linalg)
 }
 
+/// A cluster scalar as a JSON value: a number when finite, else its bit
+/// pattern as a hex string — JSON has no infinity or NaN, and a flat
+/// cluster's ellipticity is +∞ (Definition 3.4).
+fn scalar_to_value(x: f64) -> Value {
+    if x.is_finite() {
+        x.into()
+    } else {
+        format!("{:#018x}", x.to_bits()).into()
+    }
+}
+
+/// The inverse of [`scalar_to_value`], bit for bit; a hex string must name
+/// a non-finite value, so a finite one has exactly one spelling.
+fn scalar_from_value(v: &Value) -> Option<f64> {
+    if let Some(x) = v.as_f64() {
+        return Some(x);
+    }
+    let bits = u64::from_str_radix(v.as_str()?.strip_prefix("0x")?, 16).ok()?;
+    Some(f64::from_bits(bits)).filter(|x| !x.is_finite())
+}
+
 impl ReductionResult {
     /// Serializes the model to a JSON string.
     pub fn to_json(&self) -> String {
@@ -50,11 +71,11 @@ impl ReductionResult {
                     ("basis", matrix_to_value(c.subspace.basis())),
                     ("covariance", matrix_to_value(&c.covariance)),
                     ("members", c.members.clone().into()),
-                    ("mpe", c.mpe.into()),
-                    ("radius_eliminated", c.radius_eliminated.into()),
-                    ("radius_retained", c.radius_retained.into()),
-                    ("nearest_radius", c.nearest_radius.into()),
-                    ("ellipticity", c.ellipticity.into()),
+                    ("mpe", scalar_to_value(c.mpe)),
+                    ("radius_eliminated", scalar_to_value(c.radius_eliminated)),
+                    ("radius_retained", scalar_to_value(c.radius_retained)),
+                    ("nearest_radius", scalar_to_value(c.nearest_radius)),
+                    ("ellipticity", scalar_to_value(c.ellipticity)),
                 ])
             })
             .collect();
@@ -116,7 +137,11 @@ impl ReductionResult {
                 .get("members")
                 .and_then(Value::as_usize_vec)
                 .ok_or_else(malformed)?;
-            let field = |name: &str| c.get(name).and_then(Value::as_f64).ok_or_else(malformed);
+            let field = |name: &str| {
+                c.get(name)
+                    .and_then(scalar_from_value)
+                    .ok_or_else(malformed)
+            };
             let subspace = ReducedSubspace::new(centroid, basis).map_err(Error::Pca)?;
             clusters.push(EllipsoidCluster {
                 subspace,
@@ -199,6 +224,29 @@ mod tests {
             assert_eq!(a.mpe, b.mpe);
         }
         assert_eq!(back.stats, m.stats);
+    }
+
+    #[test]
+    fn non_finite_cluster_scalars_roundtrip_bit_for_bit() {
+        let mut m = model();
+        let odd_nan = f64::from_bits(0x7ff8_0000_0000_0bad);
+        let c = &mut m.clusters[0];
+        c.ellipticity = f64::INFINITY;
+        c.nearest_radius = f64::NEG_INFINITY;
+        c.radius_retained = odd_nan;
+        let back = ReductionResult::from_json(&m.to_json()).unwrap();
+        let b = &back.clusters[0];
+        assert_eq!(b.ellipticity, f64::INFINITY);
+        assert_eq!(b.nearest_radius, f64::NEG_INFINITY);
+        assert_eq!(b.radius_retained.to_bits(), odd_nan.to_bits());
+        assert_eq!(b.mpe.to_bits(), m.clusters[0].mpe.to_bits());
+        // A finite value has one spelling: as a number.
+        let finite = m.to_json().replacen(
+            "\"ellipticity\":\"0x7ff0000000000000\"",
+            "\"ellipticity\":\"0x3ff0000000000000\"",
+            1,
+        );
+        assert!(ReductionResult::from_json(&finite).is_err());
     }
 
     #[test]

@@ -481,11 +481,11 @@ mod tests {
         let built = BuiltIndex::IDistance(Box::new(index));
         // A point on the cluster's line joins the cluster…
         let on_line = vec![0.41, 0.205, 0.0, 0.0];
-        let (routed, _) = built.insert(&model, 9001, &on_line).unwrap();
+        let routed = built.insert(&model, 9001, &on_line).unwrap();
         assert!(matches!(routed, PointAssignment::Cluster(_)));
         // …and a point far off every subspace becomes an outlier.
         let off = vec![3.0, -3.0, 3.0, -3.0];
-        let (routed, _) = built.insert(&model, 9002, &off).unwrap();
+        let routed = built.insert(&model, 9002, &off).unwrap();
         assert_eq!(routed, PointAssignment::Outlier);
         let index = built.as_dyn();
         assert_eq!(index.len(), 202);

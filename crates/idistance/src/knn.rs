@@ -1342,7 +1342,7 @@ mod tests {
         let mut rows: Vec<Vec<f64>> = (0..n).map(|i| data.row(i).to_vec()).collect();
         let mut routed = Vec::new();
         for (i, point) in late.iter().enumerate() {
-            let (part, stored) = match grown.insert(model, (n + i) as u64, point).unwrap().0 {
+            let (part, stored) = match grown.insert(model, (n + i) as u64, point).unwrap() {
                 PointAssignment::Cluster(ci) => {
                     (ci, model.clusters[ci].subspace.project(point).unwrap())
                 }

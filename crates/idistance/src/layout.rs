@@ -85,23 +85,21 @@ impl BuiltIndex {
     /// validates `vector`, routes it with `model` — the model this index
     /// was loaded under — at [`INSERT_BETA`], converts it to the stored
     /// form the loaders write, and stores it under `id` (engine-assigned,
-    /// unique, monotone, never `u64::MAX`). Returns the routing and the
-    /// winning `ProjDist`, which the ingest engine's drift estimator feeds
-    /// on.
+    /// unique, monotone, never `u64::MAX`). Returns the routing.
     pub fn insert(
         &self,
         model: &ReductionResult,
         id: u64,
         vector: &[f64],
-    ) -> mmdr_index::Result<(PointAssignment, f64)> {
+    ) -> mmdr_index::Result<PointAssignment> {
         validate_vector(self.as_dyn().dim(), vector)?;
         if id == u64::MAX {
             return Err(Error::ReservedId.into());
         }
         let placed = model
-            .assign_point_with_dist(vector, INSERT_BETA)
+            .assign_point(vector, INSERT_BETA)
             .map_err(Error::from)?;
-        let (slot, subspace) = match placed.0 {
+        let (slot, subspace) = match placed {
             PointAssignment::Cluster(ci) => (ci, Some(&model.clusters[ci].subspace)),
             PointAssignment::Outlier => (model.clusters.len(), None),
         };

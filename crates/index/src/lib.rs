@@ -45,8 +45,7 @@ pub use error::{Error, Result};
 pub use filter::{RowFilter, SearchFilter};
 pub use heap::KnnHeap;
 pub use mutable::{
-    DeltaLayer, DeltaStats, DriftEstimator, IngestOp, IngestStats, LiveIndex, PinnedEpoch,
-    ReadOnlyLive, MIN_DRIFT_SAMPLES,
+    DeltaLayer, DeltaStats, IngestOp, IngestStats, LiveIndex, PinnedEpoch, ReadOnlyLive,
 };
 pub use query::{validate_vector, Query, Scratch, Target};
 pub use stats::{QueryStats, SearchCounters};

@@ -175,105 +175,11 @@ pub struct IngestStats {
     pub merges: u64,
     /// Next id the engine will assign.
     pub next_id: u64,
-    /// Current model epoch (bumped by every background re-fit + swap;
-    /// merges extend the model without bumping it).
+    /// Current model epoch (bumped by every re-fit + swap; merges extend
+    /// the model without bumping it).
     pub model_epoch: u64,
-    /// Background re-fits completed since open.
+    /// Re-fits completed since open.
     pub refits: u64,
-}
-
-/// Minimum routed inserts a cluster must absorb before its drift estimate
-/// is trusted — a handful of unlucky rows must not trigger a re-fit.
-pub const MIN_DRIFT_SAMPLES: u64 = 32;
-
-/// Streaming per-cluster drift estimator: the incremental mean projection
-/// error (MPE) of rows routed into each cluster since the model was
-/// fitted, compared against the fitted per-cluster MPE.
-///
-/// The fitted model promises that a cluster's members sit within `mpe` of
-/// its reduced subspace on average. As an insert stream drifts, routed
-/// rows land within `β` (so they still join the cluster) but farther from
-/// the flat — the streaming mean rises above the fitted baseline and the
-/// partition degrades (fatter clusters → more pages touched per query).
-/// This estimator watches exactly that gap, normalized by `MaxMPE` so the
-/// re-fit threshold is expressed in the same unit the fit optimized for.
-///
-/// Updated under the ingest engine's writer lock (one incremental-mean
-/// step per routed insert); never consulted on the query path. The
-/// estimate is deliberately approximate — deletes and merges do not
-/// rewind it — because it only gates *when* to re-fit, never what a query
-/// answers.
-#[derive(Debug, Clone)]
-pub struct DriftEstimator {
-    /// Fitted per-cluster MPE — the baseline the stream is compared to.
-    baseline: Vec<f64>,
-    /// Normalization scale (the fit's `MaxMPE` knob); drift is reported in
-    /// multiples of it.
-    max_mpe: f64,
-    /// Routed inserts per cluster since the last (re-)fit.
-    counts: Vec<u64>,
-    /// Incremental mean `ProjDist_r` per cluster over those inserts.
-    means: Vec<f64>,
-}
-
-impl DriftEstimator {
-    /// Estimator over `baseline[c]` = fitted MPE of cluster `c`,
-    /// normalized by `max_mpe` (clamped away from zero).
-    pub fn new(baseline: Vec<f64>, max_mpe: f64) -> Self {
-        let n = baseline.len();
-        Self {
-            baseline,
-            max_mpe: if max_mpe > 0.0 { max_mpe } else { f64::EPSILON },
-            counts: vec![0; n],
-            means: vec![0.0; n],
-        }
-    }
-
-    /// Folds one routed insert's projection distance into cluster
-    /// `cluster`'s streaming mean. Out-of-range clusters and non-finite
-    /// distances are ignored (outliers never drift a cluster).
-    pub fn record(&mut self, cluster: usize, proj_dist: f64) {
-        if cluster >= self.baseline.len() || !proj_dist.is_finite() {
-            return;
-        }
-        self.counts[cluster] += 1;
-        let n = self.counts[cluster] as f64;
-        self.means[cluster] += (proj_dist - self.means[cluster]) / n;
-    }
-
-    /// Per-cluster drift: `(stream mean − fitted MPE) / MaxMPE`, or `0`
-    /// for clusters that have absorbed no routed inserts yet. Negative
-    /// values (the stream sits *closer* to the flat than the fitted
-    /// members) are reported as observed.
-    pub fn drift(&self) -> Vec<f64> {
-        self.means
-            .iter()
-            .zip(&self.baseline)
-            .zip(&self.counts)
-            .map(|((&m, &b), &n)| if n == 0 { 0.0 } else { (m - b) / self.max_mpe })
-            .collect()
-    }
-
-    /// The largest per-cluster drift among clusters with at least
-    /// [`MIN_DRIFT_SAMPLES`] routed inserts — the re-fit trigger signal.
-    pub fn max_drift(&self) -> f64 {
-        self.drift()
-            .iter()
-            .zip(&self.counts)
-            .filter(|(_, &n)| n >= MIN_DRIFT_SAMPLES)
-            .map(|(&d, _)| d)
-            .fold(0.0, f64::max)
-    }
-
-    /// Routed inserts absorbed per cluster since the last (re-)fit.
-    pub fn counts(&self) -> &[u64] {
-        &self.counts
-    }
-
-    /// Streaming mean `ProjDist_r` per cluster.
-    pub fn means(&self) -> &[f64] {
-        &self.means
-    }
 }
 
 /// An epoch pin: the epoch number plus an owning handle to the index that
@@ -325,13 +231,6 @@ pub trait LiveIndex: Send + Sync {
             next_id: self.pin().index.len() as u64,
             ..IngestStats::default()
         }
-    }
-
-    /// Per-cluster model drift (streaming MPE vs. fitted MPE, in `MaxMPE`
-    /// units) for engines that maintain a [`DriftEstimator`]. The default
-    /// — read-only handles, engines without a model — reports none.
-    fn model_drift(&self) -> Vec<f64> {
-        Vec::new()
     }
 
     /// Attribute-filtered search: `predicate` is the filter's canonical text
@@ -440,41 +339,6 @@ mod tests {
         assert!(matches!(d.delete(1), Err(Error::Sealed)));
         // Reads still work on a sealed delta.
         assert_eq!(d.live_rows(), 1);
-    }
-
-    #[test]
-    fn drift_estimator_tracks_the_stream_mean() {
-        let mut d = DriftEstimator::new(vec![0.01, 0.02], 0.05);
-        assert_eq!(d.drift(), vec![0.0, 0.0], "no samples: no drift");
-        for _ in 0..10 {
-            d.record(0, 0.04);
-        }
-        // Cluster 0 streams at 0.04 against a 0.01 baseline: (0.04 - 0.01)
-        // / 0.05 = 0.6. Cluster 1 saw nothing.
-        assert!((d.drift()[0] - 0.6).abs() < 1e-12);
-        assert_eq!(d.drift()[1], 0.0);
-        assert_eq!(d.counts(), &[10, 0]);
-        // Under the sample floor the trigger signal stays quiet.
-        assert_eq!(d.max_drift(), 0.0);
-        for _ in 10..MIN_DRIFT_SAMPLES {
-            d.record(0, 0.04);
-        }
-        assert!((d.max_drift() - 0.6).abs() < 1e-12);
-        // Out-of-range clusters and non-finite distances are ignored.
-        d.record(7, 1.0);
-        d.record(0, f64::NAN);
-        assert_eq!(d.counts(), &[MIN_DRIFT_SAMPLES, 0]);
-    }
-
-    #[test]
-    fn drift_estimator_reports_negative_drift_as_observed() {
-        let mut d = DriftEstimator::new(vec![0.04], 0.05);
-        for _ in 0..MIN_DRIFT_SAMPLES {
-            d.record(0, 0.01);
-        }
-        assert!(d.drift()[0] < 0.0);
-        // max_drift never goes below zero: nothing to re-fit toward.
-        assert_eq!(d.max_drift(), 0.0);
     }
 
     #[test]

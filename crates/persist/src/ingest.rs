@@ -32,22 +32,18 @@
 //!   tombstones at push time, and the shared [`mmdr_index::KnnHeap`]'s
 //!   final top-k is independent of push order.
 //!
-//! ## Adaptive model maintenance
+//! ## Re-fit on request
 //!
 //! Merges keep the model's subspaces frozen, so a *drifted* insert stream
 //! — rows the fitted clusters describe poorly — degrades page locality
-//! even though answers stay exact. The engine therefore tracks, per
-//! cluster, the running mean `ProjDist` of routed inserts against the
-//! fitted mean projection error (a [`DriftEstimator`]), and when the
-//! worst cluster's relative drift crosses
-//! [`IngestOptions::refit_threshold`] a second background stage runs: it
-//! materializes every surviving row in its restored representation,
-//! re-runs the Scalable MMDR fit off-lock, [attaches](crate::refit::attach)
-//! fresh base structures under the new model, saves a snapshot stamped
+//! even though answers stay exact. [`IngestEngine::refit`] is the cure,
+//! run when the caller asks for it: it reads every surviving row back in
+//! its restored representation, re-runs the Scalable MMDR fit (paper
+//! §4.3) off-lock ([`refit_model`]), loads fresh base structures under
+//! the new model through the build's own loader, saves a snapshot stamped
 //! with a bumped *model epoch*, and swaps it in through the same epoch
-//! machinery a merge uses (see [`crate::refit`]). Readers never block;
-//! answers after a re-fit are exact by construction over the same
-//! survivors.
+//! machinery a merge uses. Readers never block; answers after a re-fit
+//! are exact by construction over the same survivors.
 //!
 //! ## Crash recovery
 //!
@@ -68,14 +64,16 @@
 //! refused at open instead of replaying against the wrong model.
 
 use crate::error::{PersistError, Result};
-use crate::refit::{attach, materialize_rows, refit_model};
+use crate::refit::refit_model;
 use crate::snapshot::{build_index, open_with, save_with_attrs, OpenOptions};
 use crate::wal::{remove_wal, WalRecord, WalWriter};
 use mmdr_core::{MmdrParams, PointAssignment, ReductionResult};
-use mmdr_idistance::{load, stored_rows, Backend, BuiltIndex, KeySpace, Row, INSERT_BETA};
+use mmdr_idistance::{
+    load, load_exact, restored_rows, stored_rows, Backend, BuiltIndex, KeySpace, Row, INSERT_BETA,
+};
 use mmdr_index::{
-    validate_vector, DriftEstimator, IngestOp, IngestStats, LiveIndex, PinnedEpoch, Query,
-    QueryStats, Scratch, Target, VectorIndex,
+    validate_vector, IngestOp, IngestStats, LiveIndex, PinnedEpoch, Query, QueryStats, Scratch,
+    Target, VectorIndex,
 };
 use mmdr_linalg::Matrix;
 use mmdr_query::{decode_row, encode_row, AttrSketches, AttrStore, AttrValue, Planner};
@@ -257,14 +255,6 @@ pub struct IngestOptions {
     /// [`TOMBSTONE_MERGE_FLOOR`] of them), so compaction does not wait for
     /// an insert-pressure threshold deletes never contribute rows toward.
     pub merge_threshold: usize,
-    /// Per-cluster drift (mean routed-insert `ProjDist` above the fitted
-    /// mean projection error, in units of `MaxMPE`) at which a background
-    /// re-fit of the model starts. `0.0` (the default) disables
-    /// drift-triggered re-fits; [`IngestEngine::refit`] always works.
-    pub refit_threshold: f64,
-    /// Parameters for the background Scalable MMDR re-fit. `None` uses
-    /// [`MmdrParams::default`].
-    pub refit_params: Option<MmdrParams>,
 }
 
 impl Default for IngestOptions {
@@ -272,8 +262,6 @@ impl Default for IngestOptions {
         Self {
             pool_pages: None,
             merge_threshold: DEFAULT_MERGE_THRESHOLD,
-            refit_threshold: 0.0,
-            refit_params: None,
         }
     }
 }
@@ -296,13 +284,10 @@ struct WriterState {
     next_id: u64,
     epoch_no: u64,
     merges: u64,
-    /// How many background re-fits produced the current model; stamped
-    /// into every saved snapshot and rewritten WAL.
+    /// How many re-fits produced the current model; stamped into every
+    /// saved snapshot and rewritten WAL.
     model_epoch: u64,
     refits: u64,
-    /// Streaming per-cluster drift of routed inserts against the fitted
-    /// mean projection errors; rebased on every re-fit.
-    drift: DriftEstimator,
 }
 
 impl WriterState {
@@ -318,8 +303,6 @@ struct EngineCore {
     path: PathBuf,
     fold_pages: usize,
     merge_threshold: usize,
-    refit_threshold: f64,
-    refit_params: MmdrParams,
     serving: RwLock<Arc<Epoch>>,
     /// The attribute payload store. Lock order: `writer` first when both
     /// are held (writes mutate under the writer lock); queries take only
@@ -335,17 +318,13 @@ struct EngineCore {
     /// adaptive threshold learns across epochs.
     planner: Planner,
     writer: Mutex<WriterState>,
-    /// Serializes merges (background and explicit flush). Never acquired
-    /// while holding `writer`.
+    /// Serializes merges (background and explicit flush) and re-fits: a
+    /// re-fit holds it for its whole duration, so no merge can fold the
+    /// pending prefix out from under it. Never acquired while holding
+    /// `writer`.
     merge: Mutex<()>,
     /// The background merge thread last started, until it is reaped.
     merging: Mutex<Option<JoinHandle<()>>>,
-    /// Serializes re-fits. A re-fit holds this *and then* `merge` for its
-    /// whole duration (so no merge can fold the pending prefix out from
-    /// under it); a merge takes only `merge`, so the order is acyclic.
-    refit: Mutex<()>,
-    /// The background re-fit thread last started, until it is reaped.
-    refitting: Mutex<Option<JoinHandle<()>>>,
 }
 
 /// The WAL-backed, epoch-versioned serving handle over a snapshot — the
@@ -483,18 +462,11 @@ impl IngestEngine {
             apply_op(&opened.index, &opened.model, &record.op)?;
             pending.push(record);
         }
-        let refit_params = opts.refit_params.clone().unwrap_or_default();
-        let drift = DriftEstimator::new(
-            opened.model.clusters.iter().map(|c| c.mpe).collect(),
-            refit_params.max_mpe,
-        );
         let sketches = build_sketches(&store, &opened.model)?;
         let core = EngineCore {
             path,
             fold_pages: opts.pool_pages.unwrap_or(DEFAULT_FOLD_PAGES),
             merge_threshold: opts.merge_threshold,
-            refit_threshold: opts.refit_threshold,
-            refit_params,
             serving: RwLock::new(Arc::new(Epoch {
                 number: 0,
                 built: opened.index,
@@ -511,12 +483,9 @@ impl IngestEngine {
                 merges: 0,
                 model_epoch: opened.model_epoch,
                 refits: 0,
-                drift,
             }),
             merge: Mutex::new(()),
             merging: Mutex::new(None),
-            refit: Mutex::new(()),
-            refitting: Mutex::new(None),
         };
         Ok(Self {
             core: Arc::new(core),
@@ -528,24 +497,27 @@ impl IngestEngine {
         &self.core.path
     }
 
-    /// Blocks until no background re-fit or merge is in flight (the next
-    /// pressure or drift trigger may start a new one): joins the threads
-    /// already started — one that has not yet taken its lock included —
-    /// then waits out an explicit flush or re-fit. Test and shutdown aid.
+    /// Blocks until no background merge is in flight (the next pressure
+    /// trigger may start a new one): joins the merge thread already
+    /// started — one that has not yet taken its lock included — then
+    /// waits out an explicit flush or re-fit. Test and shutdown aid.
     pub fn quiesce(&self) {
-        for slot in [&self.core.refitting, &self.core.merging] {
-            let started = slot.lock().unwrap_or_else(|p| p.into_inner()).take();
-            if let Some(thread) = started {
-                let _ = thread.join();
-            }
+        let started = self
+            .core
+            .merging
+            .lock()
+            .unwrap_or_else(|p| p.into_inner())
+            .take();
+        if let Some(thread) = started {
+            let _ = thread.join();
         }
-        let _refit = self.core.refit.lock().unwrap_or_else(|p| p.into_inner());
         let _merge = self.core.merge.lock().unwrap_or_else(|p| p.into_inner());
     }
 
-    /// Re-fits the model over the surviving rows now, regardless of the
-    /// drift threshold, and swaps the result in. Returns the new model
-    /// epoch number (unchanged if there was nothing to fit over).
+    /// Re-fits the model over the surviving rows now, with the Scalable
+    /// MMDR fit at [`MmdrParams::default`], and swaps the result in.
+    /// Returns the new model epoch number (unchanged if there was nothing
+    /// to fit over).
     pub fn refit(&self) -> mmdr_index::Result<u64> {
         self.core.refit_now().map_err(to_query_err)
     }
@@ -610,22 +582,15 @@ impl IngestEngine {
             w.wal.append_record(&record).map_err(to_query_err)?;
             // The serving index was loaded under the writer's model (a
             // publish swaps both under this lock).
-            let placed = self.core.serving().built.insert(&w.model, id, vector)?;
+            self.core.serving().built.insert(&w.model, id, vector)?;
             if let Some(row) = values {
                 let mut store = self.core.attrs.write().unwrap_or_else(|p| p.into_inner());
                 store.set_row(id, row).map_err(mmdr_index::Error::from)?;
-            }
-            // Feed the drift estimator with the routing the insert just
-            // applied: which cluster won, and how far off its flat the
-            // row sits. Outliers train no cluster.
-            if let (PointAssignment::Cluster(ci), proj_dist) = placed {
-                w.drift.record(ci, proj_dist);
             }
             w.pending.push(record);
             w.next_id += 1;
             id
         };
-        self.core.maybe_spawn_refit();
         self.core.maybe_spawn_merge();
         Ok(id)
     }
@@ -636,23 +601,19 @@ impl EngineCore {
         Arc::clone(&self.serving.read().unwrap_or_else(|p| p.into_inner()))
     }
 
-    /// Runs `job` on a background thread unless the one in `slot` is still
-    /// running. A failure is reported and left to the next trigger to
-    /// retry: queries and writes continue against the current epoch, whose
-    /// model is drifted at worst, never inexact.
+    /// Runs [`merge_now`](Self::merge_now) on a background thread unless
+    /// the last one started is still running. A failure is reported and
+    /// left to the next trigger to retry: queries and writes continue
+    /// against the current epoch, whose delta is larger at worst, never
+    /// inexact.
     ///
     /// The finished thread is joined before the next one starts, so there
-    /// is never more than one per slot: the allocator hands the new thread
-    /// the arena the old one released, and each fold reuses the memory the
+    /// is never more than one: the allocator hands the new thread the
+    /// arena the old one released, and each fold reuses the memory the
     /// last one freed. Started while the old thread was still exiting, it
     /// would get a fresh arena and hold a second fold's worth of memory.
-    fn spawn_background(
-        self: &Arc<Self>,
-        slot: fn(&Self) -> &Mutex<Option<JoinHandle<()>>>,
-        what: &'static str,
-        job: fn(&Self) -> Result<u64>,
-    ) {
-        let mut slot = slot(self).lock().unwrap_or_else(|p| p.into_inner());
+    fn spawn_merge(self: &Arc<Self>) {
+        let mut slot = self.merging.lock().unwrap_or_else(|p| p.into_inner());
         if slot.as_ref().is_some_and(|thread| !thread.is_finished()) {
             return;
         }
@@ -661,8 +622,8 @@ impl EngineCore {
         }
         let core = Arc::clone(self);
         *slot = Some(std::thread::spawn(move || {
-            if let Err(e) = job(&core) {
-                eprintln!("mmdr: background {what} failed: {e}");
+            if let Err(e) = core.merge_now() {
+                eprintln!("mmdr: background merge failed: {e}");
             }
         }));
     }
@@ -683,23 +644,7 @@ impl EngineCore {
         let delete_heavy = stats.tombstones >= TOMBSTONE_MERGE_FLOOR
             && stats.tombstones as f64 >= TOMBSTONE_MERGE_RATIO * live as f64;
         if pressure || delete_heavy {
-            self.spawn_background(|core| &core.merging, "merge", Self::merge_now);
-        }
-    }
-
-    /// Kicks off a background re-fit when the worst cluster's drift
-    /// crosses the threshold and none is already running. Must not be
-    /// called while holding the writer lock.
-    fn maybe_spawn_refit(self: &Arc<Self>) {
-        if self.refit_threshold <= 0.0 {
-            return;
-        }
-        let drifted = {
-            let w = self.writer.lock().unwrap_or_else(|p| p.into_inner());
-            w.drift.max_drift() > self.refit_threshold
-        };
-        if drifted {
-            self.spawn_background(|core| &core.refitting, "re-fit", Self::refit_now);
+            self.spawn_merge();
         }
     }
 
@@ -740,10 +685,9 @@ impl EngineCore {
     /// arrived after the first `folded_ops` pending records into `folded`'s
     /// delta (its backends route with `model`), rewrite the WAL to exactly
     /// that tail under `model_epoch`'s mark, bring the writer's state in
-    /// line — a bumped model epoch is a re-fit, which also rebases the drift
-    /// estimator onto the new clusters — then re-sketch under `model`, swap
-    /// the serving epoch and seal the retired one. Returns the new epoch
-    /// number.
+    /// line — a bumped model epoch is a re-fit — then re-sketch under
+    /// `model`, swap the serving epoch and seal the retired one. Returns the
+    /// new epoch number.
     fn publish(
         &self,
         folded: BuiltIndex,
@@ -775,10 +719,6 @@ impl EngineCore {
         if model_epoch == w.model_epoch {
             w.merges += 1;
         } else {
-            w.drift = DriftEstimator::new(
-                model.clusters.iter().map(|c| c.mpe).collect(),
-                self.refit_params.max_mpe,
-            );
             w.model_epoch = model_epoch;
             w.refits += 1;
         }
@@ -803,13 +743,12 @@ impl EngineCore {
     }
 
     /// Re-fits the model over every surviving row and swaps fresh base
-    /// structures in under a bumped model epoch. Runs with the re-fit
-    /// *and* merge locks held throughout, so the captured pending prefix
-    /// stays a prefix; writers and readers are only blocked for the final
-    /// swap.
+    /// structures in under a bumped model epoch. Runs with the merge lock
+    /// held throughout, so the captured pending prefix stays a prefix and
+    /// no other merge or re-fit runs meanwhile; writers and readers are
+    /// only blocked for the final swap.
     fn refit_now(&self) -> Result<u64> {
-        let _refits_are_serial = self.refit.lock().unwrap_or_else(|p| p.into_inner());
-        let _no_concurrent_merge = self.merge.lock().unwrap_or_else(|p| p.into_inner());
+        let _merges_are_serial = self.merge.lock().unwrap_or_else(|p| p.into_inner());
 
         // Snapshot phase: capture the base epoch, the pending prefix, the
         // current model (needed to restore base rows) and the id
@@ -827,10 +766,11 @@ impl EngineCore {
             )
         };
 
-        // Fit phase, off every lock: materialize the base's live rows in
+        // Fit phase, off every lock: read the base's live rows back in
         // their restored representation, overlay the captured operations
-        // (inserts carry exact full-dimensional vectors), fit, attach.
-        let mut rows = materialize_rows(&base.built, &old_model)?;
+        // (inserts carry exact full-dimensional vectors), fit, then load
+        // fresh base structures through the build's own loader.
+        let mut rows = restored_rows(&base.built, &old_model)?;
         for op in &ops {
             match op {
                 IngestOp::Insert { id, vector } => {
@@ -847,8 +787,10 @@ impl EngineCore {
             let w = self.writer.lock().unwrap_or_else(|p| p.into_inner());
             return Ok(w.model_epoch);
         }
-        let model = refit_model(&rows, next_id, &self.refit_params)?;
-        let folded = attach(base.built.backend(), &model, &rows, self.fold_pages)?;
+        let model = refit_model(&rows, next_id, &MmdrParams::default())?;
+        let folded = load_exact(base.built.backend(), &model, self.fold_pages, |id| {
+            rows.get(&id).map(Vec::as_slice)
+        })?;
         self.publish(folded, model, new_model_epoch, ops.len())?;
         Ok(new_model_epoch)
     }
@@ -908,11 +850,6 @@ impl LiveIndex for IngestEngine {
             model_epoch: w.model_epoch,
             refits: w.refits,
         }
-    }
-
-    fn model_drift(&self) -> Vec<f64> {
-        let w = self.core.writer.lock().unwrap_or_else(|p| p.into_inner());
-        w.drift.drift()
     }
 
     fn filtered(
@@ -1303,10 +1240,6 @@ mod tests {
         let path = dir.join("idx.mmdr");
         let opts = IngestOptions {
             merge_threshold: 0,
-            refit_params: Some(MmdrParams {
-                max_ec: 4,
-                ..Default::default()
-            }),
             ..Default::default()
         };
         let engine =
@@ -1320,11 +1253,6 @@ mod tests {
             drifted_ids.push(engine.insert(&[t, 0.3 * t, 0.085, 0.0]).unwrap());
         }
         engine.delete(drifted_ids[0]).unwrap();
-        let drift = engine.model_drift();
-        assert!(
-            drift.iter().cloned().fold(0.0, f64::max) > 1.0,
-            "drifted stream must register, got {drift:?}"
-        );
         let before = engine.ingest_stats();
         assert_eq!((before.model_epoch, before.refits), (0, 0));
 
@@ -1336,8 +1264,6 @@ mod tests {
             (stats.delta_rows, stats.tombstones, stats.wal_bytes > 0),
             (0, 0, true)
         );
-        // The rebased estimator starts from zero drift.
-        assert!(engine.model_drift().iter().all(|&d| d == 0.0));
         // Every survivor is still answerable; the deleted id stays gone.
         let pin = engine.pin();
         assert_eq!(pin.index.len(), data.rows() + 47);
@@ -1409,41 +1335,40 @@ mod tests {
     }
 
     #[test]
-    fn drift_threshold_spawns_background_refit() {
+    fn a_refit_with_no_survivors_keeps_the_model_and_later_inserts_stay() {
         let data = dataset();
         let model = model_for(&data);
-        let dir = tmp_dir("auto-refit");
+        let dir = tmp_dir("refit-none");
         let path = dir.join("idx.mmdr");
-        let engine = IngestEngine::create(
-            &path,
-            Backend::Gldr,
-            &data,
-            &model,
-            128,
-            IngestOptions {
-                merge_threshold: 0,
-                refit_threshold: 1.0,
-                refit_params: Some(MmdrParams {
-                    max_ec: 4,
-                    ..Default::default()
-                }),
-                ..Default::default()
-            },
-        )
-        .unwrap();
-        // Enough drifted inserts to pass the sample gate and the
-        // threshold.
-        for i in 0..64 {
-            let t = i as f64 / 63.0;
-            engine.insert(&[t, 0.3 * t, 0.085, 0.0]).unwrap();
+        let opts = IngestOptions {
+            merge_threshold: 0,
+            ..Default::default()
+        };
+        let engine =
+            IngestEngine::create(&path, Backend::IDistance, &data, &model, 128, opts.clone())
+                .unwrap();
+        for id in 0..data.rows() as u64 {
+            assert!(engine.delete(id).unwrap());
         }
-        // The trigger is asynchronous: quiesce joins the background thread.
-        engine.quiesce();
-        assert!(
-            engine.ingest_stats().refits >= 1,
-            "drift crossed the threshold but no re-fit ran"
-        );
-        assert_eq!(engine.pin().index.len(), data.rows() + 64);
+        // Nothing survives: no fit runs and the current model keeps
+        // serving.
+        assert_eq!(engine.refit().unwrap(), 0);
+        let stats = engine.ingest_stats();
+        assert_eq!((stats.model_epoch, stats.refits), (0, 0));
+        assert_eq!(engine.pin().index.knn(data.row(0), 5).unwrap(), []);
+
+        let probe = [0.5, 0.15, 0.0, 0.0];
+        let id = engine.insert(&probe).unwrap();
+        assert_eq!(id, data.rows() as u64);
+        let served = |engine: &IngestEngine| -> Vec<u64> {
+            let hits = engine.pin().index.knn(&probe, 5).unwrap();
+            hits.iter().map(|&(_, id)| id).collect()
+        };
+        assert_eq!(served(&engine), [id]);
+        drop(engine);
+        let reopened = IngestEngine::open(&path, opts).unwrap();
+        assert_eq!(served(&reopened), [id]);
+        assert_eq!(reopened.ingest_stats().model_epoch, 0);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -43,7 +43,7 @@ pub mod format;
 mod ingest;
 mod live;
 mod model_codec;
-pub mod refit;
+mod refit;
 mod snapshot;
 mod wal;
 
@@ -55,7 +55,7 @@ pub use ingest::{
 };
 pub use live::SnapshotLive;
 pub use mmdr_storage::{crc32, Crc32};
-pub use refit::{attach, materialize_rows, refit_model};
+pub use refit::refit_model;
 pub use snapshot::{
     build_index, open, open_expecting, open_or_build, open_resident, open_with, save,
     save_with_attrs, scrub, BuiltIndex, OpenOptions, Opened,

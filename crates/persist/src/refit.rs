@@ -1,53 +1,40 @@
-//! Background subspace re-fit: the fit / attach split behind adaptive
-//! model maintenance.
+//! The re-fit's own stage: the Scalable MMDR fit (paper §4.3) over the
+//! rows that survive, keyed by the ids the engine serves.
 //!
 //! A drifted insert stream leaves the fitted model describing data that is
 //! no longer there: routed inserts land in clusters whose subspaces were
 //! fitted before the stream moved, so projection errors — and therefore
 //! `pages_touched` per query — creep up even though answers stay exact.
-//! The cure is to re-run the Scalable MMDR fit (paper §4.3) over the rows
-//! that actually survive and swap the result in through the ordinary epoch
-//! machinery. This module provides the three separable stages the
-//! [`IngestEngine`](crate::IngestEngine) composes off-lock:
+//! [`IngestEngine::refit`](crate::IngestEngine::refit) cures that on
+//! request in three stages, off-lock, of which this module owns the
+//! middle one:
 //!
-//! 1. [`materialize_rows`] — export every live row from a built index in
-//!    its *restored representation* `restore(project(v))`. Base rows are
+//! 1. [`mmdr_idistance::restored_rows`] exports every live base row in its
+//!    *restored representation* `restore(project(v))`. Base rows are
 //!    stored reduced, so the original coordinates are unrecoverable; the
 //!    restored representation is the exact vector every backend already
 //!    answers queries against, and it is bitwise-identical across
 //!    backends.
-//! 2. [`refit_model`] — fit a fresh model over the survivors with
-//!    [`ScalableMmdr`] and remap its row-position membership back to the
-//!    engine's stable point ids. Dead ids are parked in the outlier set so
-//!    the model stays a partition of `0..next_id` and the id-based WAL
-//!    replay-skip rule keeps working after a crash.
-//! 3. [`attach`] — load fresh base structures for a backend from a model
-//!    and an id-keyed row set, through the same loader as the from-scratch
-//!    build ([`mmdr_idistance::load_exact`]): the result is byte for byte
-//!    what a build over the same rows would save. Loading is
-//!    *member-driven*: it iterates the model's member lists rather than
-//!    re-routing rows, so the fit's partition is authoritative.
+//! 2. [`refit_model`] fits a fresh model over the survivors and remaps its
+//!    row-position membership back to the engine's stable point ids. Dead
+//!    ids are parked in the outlier set so the model stays a partition of
+//!    `0..next_id` and the id-based WAL replay-skip rule keeps working
+//!    after a crash.
+//! 3. [`mmdr_idistance::load_exact`] loads fresh base structures from the
+//!    model and the id-keyed rows, through the same loader as the
+//!    from-scratch build: the result is byte for byte what a build over
+//!    the same rows would save. Loading is *member-driven*: it iterates
+//!    the model's member lists rather than re-routing rows, so the fit's
+//!    partition is authoritative.
 //!
-//! `fit(rows)` then `attach(model, rows)` over the same rows produces an
-//! index whose answers are exact by construction: every live row is
-//! present exactly once, in the representation the model was fitted on.
+//! Fitting then loading over the same rows produces an index whose answers
+//! are exact by construction: every live row is present exactly once, in
+//! the representation the model was fitted on.
 
 use crate::error::{PersistError, Result};
 use mmdr_core::{MmdrParams, ReductionResult, ScalableMmdr};
-use mmdr_idistance::BuiltIndex;
 use mmdr_linalg::Matrix;
 use std::collections::BTreeMap;
-
-/// Exports every live base row of `index` in its restored representation,
-/// keyed by point id: [`mmdr_idistance::stored_rows`] restored under
-/// `model`. Delta rows are not included (the engine overlays pending
-/// operations, which carry exact full-dimensional vectors).
-pub fn materialize_rows(
-    index: &BuiltIndex,
-    model: &ReductionResult,
-) -> Result<BTreeMap<u64, Vec<f64>>> {
-    Ok(mmdr_idistance::restored_rows(index, model)?)
-}
 
 /// Fits a fresh model over `rows` with the Scalable MMDR algorithm and
 /// remaps its row-position membership to the ids the engine serves.
@@ -92,32 +79,12 @@ pub fn refit_model(
     Ok(model)
 }
 
-/// Builds fresh base structures for `backend` from a fitted model and the
-/// id-keyed restored rows it was fitted over — the attach door of
-/// [`mmdr_idistance::load`], which is the build door over a row map
-/// instead of a matrix. Ids the model lists but `rows` lacks (parked dead
-/// ids) are absent from the result, exactly like the merge fold treats
-/// dead ids.
-pub fn attach(
-    backend: mmdr_idistance::Backend,
-    model: &ReductionResult,
-    rows: &BTreeMap<u64, Vec<f64>>,
-    buffer_pages: usize,
-) -> Result<BuiltIndex> {
-    Ok(mmdr_idistance::load_exact(
-        backend,
-        model,
-        buffer_pages,
-        |id| rows.get(&id).map(Vec::as_slice),
-    )?)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::snapshot::build_index;
     use mmdr_core::Mmdr;
-    use mmdr_idistance::Backend;
+    use mmdr_idistance::{load_exact, restored_rows, Backend, BuiltIndex};
 
     fn dataset() -> Matrix {
         let mut rows = Vec::new();
@@ -147,13 +114,13 @@ mod tests {
     }
 
     #[test]
-    fn materialized_rows_agree_across_backends() {
+    fn restored_rows_agree_across_backends() {
         let data = dataset();
         let model = model_for(&data);
         let mut per_backend = Vec::new();
         for backend in Backend::all() {
             let built = build_index(backend, &data, &model, 128).unwrap();
-            per_backend.push((backend, materialize_rows(&built, &model).unwrap()));
+            per_backend.push((backend, restored_rows(&built, &model).unwrap()));
         }
         let (_, reference) = &per_backend[0];
         assert_eq!(reference.len(), data.rows());
@@ -179,7 +146,7 @@ mod tests {
         let data = dataset();
         let model = model_for(&data);
         let built = build_index(Backend::SeqScan, &data, &model, 128).unwrap();
-        let mut rows = materialize_rows(&built, &model).unwrap();
+        let mut rows = restored_rows(&built, &model).unwrap();
         for dead in [3u64, 77, 150] {
             rows.remove(&dead);
         }
@@ -193,16 +160,16 @@ mod tests {
     }
 
     #[test]
-    fn fit_then_attach_answers_like_seqscan_over_survivors() {
+    fn fit_then_load_answers_like_seqscan_over_survivors() {
         let data = dataset();
         let model = model_for(&data);
         let built = build_index(Backend::SeqScan, &data, &model, 128).unwrap();
-        let mut rows = materialize_rows(&built, &model).unwrap();
+        let mut rows = restored_rows(&built, &model).unwrap();
         rows.remove(&10);
         let refit = refit_model(&rows, data.rows() as u64, &params()).unwrap();
         let attached: Vec<BuiltIndex> = Backend::all()
             .into_iter()
-            .map(|b| attach(b, &refit, &rows, 128).unwrap())
+            .map(|b| load_exact(b, &refit, 128, |id| rows.get(&id).map(Vec::as_slice)).unwrap())
             .collect();
         for qi in [0usize, 7, 41, 113] {
             let q = data.row(qi);

@@ -338,7 +338,7 @@ fn page_directory(pools: &[&BufferPool]) -> Result<(Vec<u8>, u32, u64)> {
 /// `group_base + i * PAGE_SIZE` — the invariant [`FileSource`] preads
 /// against. Nothing the size of the file is ever held in memory.
 ///
-/// The model epoch — how many background re-fits produced this model — rides
+/// The model epoch — how many re-fits produced this model — rides
 /// as an optional trailing u64 in the MODEL section: epoch 0 writes nothing,
 /// and readers treat an absent field as epoch 0. ATTRS sits among the small
 /// sections and is omitted entirely for an attribute-less index, so such an
@@ -432,7 +432,7 @@ pub fn save(path: impl AsRef<Path>, index: &BuiltIndex, model: &ReductionResult)
 }
 
 /// [`save`] that stamps the snapshot with its model epoch — the version
-/// counter a background re-fit bumps — and embeds a per-row attribute store
+/// counter a re-fit bumps — and embeds a per-row attribute store
 /// as an ATTRS section. `None` (or an empty store) writes no section.
 ///
 /// Whatever step fails — creating the temp file, a page that cannot be
@@ -466,7 +466,7 @@ pub struct Opened {
     pub model: ReductionResult,
     /// The reattached index — queryable immediately, no rebuild performed.
     pub index: BuiltIndex,
-    /// How many background re-fits produced the stored model (0 for a
+    /// How many re-fits produced the stored model (0 for a
     /// snapshot saved before any re-fit, including every legacy image).
     pub model_epoch: u64,
     /// Per-row attribute payloads, when the snapshot carries an ATTRS

@@ -515,7 +515,6 @@ fn build_stats(shared: &Shared) -> RemoteStats {
         pools: pin.index.pool_stats(),
         server: shared.stats.snapshot(shared.queue.len()),
         ingest: shared.index.ingest_stats(),
-        cluster_drift: shared.index.model_drift(),
     }
 }
 

@@ -70,7 +70,10 @@ pub const MAGIC: u32 = 0x4D4D_4452;
 /// `backend`, `dim` and `len`, and nothing ever read the echo.
 /// Version 7 dropped version 3's scatter-gather attribution block: the
 /// `opt` flag that closed `STATS` is gone with the router that set it.
-pub const PROTOCOL_VERSION: u16 = 7;
+/// Version 8 dropped version 4's per-cluster drift vector from `STATS`:
+/// re-fits run on request only, so no threshold is left to approach.
+/// `model_epoch` and `refits` stay; explicit re-fits still bump them.
+pub const PROTOCOL_VERSION: u16 = 8;
 
 /// Hard cap on one frame's payload (16 MiB). Anything larger is rejected
 /// before allocation — the admission-control seatbelt against garbage or
@@ -272,8 +275,6 @@ pub struct RemoteStats {
     pub server: ServerCounters,
     /// Ingest-side state: delta pressure, WAL size, epoch, merges.
     pub ingest: IngestStats,
-    /// Per-cluster MPE drift of routed inserts, relative to `max_mpe`.
-    pub cluster_drift: Vec<f64>,
 }
 
 /// Snapshot of the server's own counters, as carried by the `Stats` op.
@@ -518,7 +519,6 @@ wire_struct!(RemoteStats {
     pools: Vec<PoolStats>,
     server: ServerCounters,
     ingest: IngestStats,
-    cluster_drift: Vec<f64>,
 });
 
 /// `BATCH_KNN`'s queries: equal-width rows sent as one rectangle — `u32 nq,

@@ -82,7 +82,7 @@ fn request_from(sel: u8, floats: Vec<f64>, k: u32) -> Request {
 }
 
 /// A `STATS` body with every field set from `floats` and `k`: as many
-/// pools as floats (of 0, 1, 2, … shards) and the drift vector.
+/// pools as floats (of 0, 1, 2, … shards).
 fn stats_from(floats: &[f64], k: u32) -> RemoteStats {
     let n = k as u64;
     let mut s = RemoteStats {
@@ -100,7 +100,6 @@ fn stats_from(floats: &[f64], k: u32) -> RemoteStats {
                     .collect(),
             })
             .collect(),
-        cluster_drift: floats.to_vec(),
         ..RemoteStats::default()
     };
     s.query.dist_computations = n + 10;

@@ -1,4 +1,4 @@
-//! Wire v7, pinned byte for byte: one fixed frame per opcode and
+//! Wire v8, pinned byte for byte: one fixed frame per opcode and
 //! direction, each with the bytes the encoder produced at the commit
 //! before the codec became one schema per message, re-pinned where a
 //! version bump changed them. Round-trip tests cannot see a field-order
@@ -70,7 +70,6 @@ fn stats() -> RemoteStats {
     s.ingest.next_id = 306;
     s.ingest.model_epoch = 307;
     s.ingest.refits = 308;
-    s.cluster_drift = vec![0.5, 1.25];
     s
 }
 
@@ -169,7 +168,7 @@ fn responses() -> Vec<(&'static str, u8, Response)> {
 const REQUEST_ID: u64 = 0x1122_3344_5566_7788;
 
 #[test]
-fn every_request_frame_is_the_v7_bytes() {
+fn every_request_frame_is_the_v8_bytes() {
     let frames = requests();
     assert_eq!(frames.len(), GOLDEN_REQUESTS.len());
     for ((name, req), (golden_name, golden)) in frames.iter().zip(GOLDEN_REQUESTS) {
@@ -181,7 +180,7 @@ fn every_request_frame_is_the_v7_bytes() {
 }
 
 #[test]
-fn every_response_frame_is_the_v7_bytes() {
+fn every_response_frame_is_the_v8_bytes() {
     let frames = responses();
     assert_eq!(frames.len(), GOLDEN_RESPONSES.len());
     for ((name, op, resp), (golden_name, golden)) in frames.iter().zip(GOLDEN_RESPONSES) {
@@ -197,57 +196,57 @@ fn every_response_frame_is_the_v7_bytes() {
 }
 
 const GOLDEN_REQUESTS: &[(&str, &str)] = &[
-    ("ping", "52444d4d070088776655443322110100"),
+    ("ping", "52444d4d080088776655443322110100"),
     (
         "knn",
-        "52444d4d0700887766554433221102000a00000002000000000000000000f83f00000000000002c0",
+        "52444d4d0800887766554433221102000a00000002000000000000000000f83f00000000000002c0",
     ),
     (
         "range",
-        "52444d4d070088776655443322110300000000000000e83f02000000000000000000f83f00000000\
+        "52444d4d080088776655443322110300000000000000e83f02000000000000000000f83f00000000\
          000002c0",
     ),
     (
         "batch_knn",
-        "52444d4d070088776655443322110400030000000300000002000000000000000000f03f00000000\
+        "52444d4d080088776655443322110400030000000300000002000000000000000000f03f00000000\
          000000400000000000000840000000000000104000000000000000800000000000001640",
     ),
-    ("stats", "52444d4d070088776655443322110500"),
-    ("shutdown", "52444d4d070088776655443322110600"),
+    ("stats", "52444d4d080088776655443322110500"),
+    ("shutdown", "52444d4d080088776655443322110600"),
     (
         "insert",
-        "52444d4d07008877665544332211070003000000000000000000e03f000000000000f8bfffffffff\
+        "52444d4d08008877665544332211070003000000000000000000e03f000000000000f8bfffffffff\
          ffffef7f",
     ),
-    ("delete", "52444d4d0700887766554433221108000807060504030201"),
-    ("flush", "52444d4d070088776655443322110900"),
+    ("delete", "52444d4d0800887766554433221108000807060504030201"),
+    ("flush", "52444d4d080088776655443322110900"),
     (
         "filtered_knn",
-        "52444d4d070088776655443322110a00050000001d0000006c6162656c203d20226e657773222026\
+        "52444d4d080088776655443322110a00050000001d0000006c6162656c203d20226e657773222026\
          262073636f7265203e3d20313002000000000000000000f83f00000000000002c0",
     ),
     (
         "filtered_range",
-        "52444d4d070088776655443322110b00000000000000e03f1d0000006c6162656c203d20226e6577\
+        "52444d4d080088776655443322110b00000000000000e03f1d0000006c6162656c203d20226e6577\
          73222026262073636f7265203e3d20313002000000000000000000f83f00000000000002c0",
     ),
 ];
 
 const GOLDEN_RESPONSES: &[(&str, &str)] = &[
-    ("pong", "52444d4d070088776655443322110101"),
+    ("pong", "52444d4d080088776655443322110101"),
     (
         "neighbors",
-        "52444d4d07008877665544332211020102000000000000000000c03f030000000000000000000000\
+        "52444d4d08008877665544332211020102000000000000000000c03f030000000000000000000000\
          000004400b00000000000000",
     ),
     (
         "batch",
-        "52444d4d0700887766554433221104010300000002000000000000000000c03f0300000000000000\
+        "52444d4d0800887766554433221104010300000002000000000000000000c03f0300000000000000\
          00000000000004400b000000000000000000000001000000000000000000f03f0200000000000000",
     ),
     (
         "stats_plain",
-        "52444d4d070088776655443322110501090000006964697374616e6365e803000000000000100000\
+        "52444d4d080088776655443322110501090000006964697374616e6365e803000000000000100000\
          00650000000000000066000000000000006700000000000000680000000000000069000000000000\
          006a000000000000006b000000000000006c000000000000006d000000000000006e000000000000\
          00020000000200000005000000000000000600000000000000070000000000000008000000000000\
@@ -255,23 +254,22 @@ const GOLDEN_RESPONSES: &[(&str, &str)] = &[
          0000000000cc00000000000000cd00000000000000ce00000000000000cf00000000000000d00000\
          0000000000d100000000000000d200000000000000d300000000000000d400000000000000d50000\
          00000000002d010000000000002e010000000000002f010000000000003001000000000000310100\
-         000000000032010000000000003301000000000000340100000000000002000000000000000000e0\
-         3f000000000000f43f",
+         0000000000320100000000000033010000000000003401000000000000",
     ),
-    ("shutdown_started", "52444d4d070088776655443322110601"),
+    ("shutdown_started", "52444d4d080088776655443322110601"),
     (
         "inserted",
-        "52444d4d0700887766554433221107013930000000000000",
+        "52444d4d0800887766554433221107013930000000000000",
     ),
-    ("deleted", "52444d4d07008877665544332211080101"),
+    ("deleted", "52444d4d08008877665544332211080101"),
     (
         "flushed",
-        "52444d4d0700887766554433221109010700000000000000",
+        "52444d4d0800887766554433221109010700000000000000",
     ),
-    ("overloaded", "52444d4d070088776655443322110302"),
+    ("overloaded", "52444d4d080088776655443322110302"),
     (
         "error",
-        "52444d4d070088776655443322110a0318000000626f6f6d3a206e6f206174747269627574652073\
+        "52444d4d080088776655443322110a0318000000626f6f6d3a206e6f206174747269627574652073\
          746f7265",
     ),
 ];

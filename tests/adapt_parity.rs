@@ -1,21 +1,19 @@
-//! The adaptive-maintenance gate: a drift-triggered (or forced) background
-//! re-fit of the reduction model must change query *cost*, never query
-//! *answers*. For every backend, a drifted insert/delete stream followed
-//! by a re-fit answers bit-identically to an index composed from the same
-//! public stages — materialize survivors, `refit_model`, `attach` — and
-//! id-exactly with a SeqScan attached over the same model, serially and at
-//! 1/2/4/8 threads. A crash image taken mid-re-fit (fresh snapshot, stale
-//! WAL — the durable-first crash window) reopens to identical answers, and
-//! a live drifted stream actually trips the background re-fit through the
-//! epoch pipeline while staying exact throughout.
+//! The re-fit gate: a re-fit of the reduction model, run on request, must
+//! change query *cost*, never query *answers*. For every backend, a
+//! drifted insert/delete stream followed by a re-fit answers
+//! bit-identically to an index composed from the same public stages —
+//! restore the survivors, `refit_model`, `load_exact` — and id-exactly
+//! with a SeqScan loaded over the same model, serially and at 1/2/4/8
+//! threads. A crash image taken mid-re-fit (fresh snapshot, stale WAL —
+//! the durable-first crash window) reopens to identical answers, and a
+//! re-fit run on a second thread while writes and background merges go on
+//! passes through the epoch pipeline and stays exact throughout.
 
 use mmdr_core::{Mmdr, MmdrParams, ParConfig, ReductionResult};
-use mmdr_idistance::Backend;
+use mmdr_idistance::{load_exact, restored_rows, Backend, BuiltIndex};
 use mmdr_index::{IngestOp, LiveIndex};
 use mmdr_linalg::Matrix;
-use mmdr_persist::{
-    attach, build_index, materialize_rows, refit_model, wal_path, IngestEngine, IngestOptions,
-};
+use mmdr_persist::{build_index, refit_model, wal_path, IngestEngine, IngestOptions};
 use std::collections::BTreeMap;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -76,8 +74,8 @@ fn fit(data: &Matrix) -> ReductionResult {
 }
 
 /// The drifted stream: rows on cluster 0's (t, 0.3t) line but lifted off
-/// its fitted plane — alternating just inside the routing beta (trains the
-/// per-cluster drift estimator) and far outside it (routes to the outlier
+/// its fitted plane — alternating just inside the routing beta (joins the
+/// cluster, far off its flat) and far outside it (routes to the outlier
 /// side the stale model has no structure for).
 fn drifted_rows(n: usize) -> Vec<Vec<f64>> {
     (0..n)
@@ -104,7 +102,7 @@ fn assert_bit_identical(a: &[(f64, u64)], b: &[(f64, u64)], what: &str) {
 }
 
 /// The survivors of the stream, through the same public stages the engine
-/// re-fits with: materialize the base build's restored rows, overlay the
+/// re-fits with: read the base build's restored rows back, overlay the
 /// exact insert vectors, drop the deletes.
 fn survivor_rows(
     backend: Backend,
@@ -114,7 +112,7 @@ fn survivor_rows(
     deletes: &[u64],
 ) -> BTreeMap<u64, Vec<f64>> {
     let base = build_index(backend, data, model, 128).unwrap();
-    let mut rows = materialize_rows(&base, model).unwrap();
+    let mut rows = restored_rows(&base, model).unwrap();
     for (i, v) in inserts.iter().enumerate() {
         rows.insert(data.rows() as u64 + i as u64, v.clone());
     }
@@ -124,8 +122,14 @@ fn survivor_rows(
     rows
 }
 
+/// `backend` loaded from `model` over `rows` by the build's own loader —
+/// what the engine's re-fit swaps in.
+fn load(backend: Backend, model: &ReductionResult, rows: &BTreeMap<u64, Vec<f64>>) -> BuiltIndex {
+    load_exact(backend, model, 256, |id| rows.get(&id).map(Vec::as_slice)).unwrap()
+}
+
 /// The core gate: for every backend, a drifted stream plus a forced re-fit
-/// answers bit-identically to `refit_model` + `attach` composed by hand
+/// answers bit-identically to `refit_model` + `load_exact` composed by hand
 /// over the survivors, id-exactly with a SeqScan over the same model, at
 /// 1/2/4/8 threads — and a crash image pairing the freshly saved re-fit
 /// snapshot with the stale pre-rewrite WAL reopens to the same answers.
@@ -150,7 +154,6 @@ fn refit_matches_composed_stages_and_survives_crash_image() {
             IngestOptions {
                 pool_pages: None,
                 merge_threshold: 0, // every op stays pending until the re-fit
-                ..IngestOptions::default()
             },
         )
         .unwrap();
@@ -177,8 +180,8 @@ fn refit_matches_composed_stages_and_survives_crash_image() {
         // Same stages, composed by hand from the public API.
         let rows = survivor_rows(backend, &data, &model, &inserts, &deletes);
         let refitted = refit_model(&rows, next_id, &MmdrParams::default()).unwrap();
-        let same = attach(backend, &refitted, &rows, 256).unwrap();
-        let seq = attach(Backend::SeqScan, &refitted, &rows, 256).unwrap();
+        let same = load(backend, &refitted, &rows);
+        let seq = load(Backend::SeqScan, &refitted, &rows);
 
         let pin = engine.pin();
         let step = (data.rows() / 7).max(1);
@@ -232,7 +235,6 @@ fn refit_matches_composed_stages_and_survives_crash_image() {
             IngestOptions {
                 pool_pages: None,
                 merge_threshold: 0,
-                ..IngestOptions::default()
             },
         )
         .unwrap();
@@ -250,14 +252,14 @@ fn refit_matches_composed_stages_and_survives_crash_image() {
     }
 }
 
-/// The live pipeline: a drifted insert/delete stream against an engine
-/// with a drift threshold set must trip a *background* re-fit — model
-/// epoch bumped through the ordinary epoch machinery while merges fold
-/// around it — and stay exact throughout: every surviving drifted row is
-/// its own nearest neighbour, deleted rows stay gone, and batch answers
-/// agree at 1/2/4/8 threads.
+/// The live pipeline: a re-fit requested on a second thread while a
+/// drifted insert/delete stream lands and background merges fold — the
+/// model epoch bumped through the ordinary epoch machinery, the merge lock
+/// serialising it against the merges — stays exact throughout: every
+/// surviving drifted row is reachable, deleted rows stay gone, and batch
+/// answers agree at 1/2/4/8 threads.
 #[test]
-fn drifted_stream_trips_background_refit_and_stays_exact() {
+fn refit_amid_writes_and_merges_stays_exact() {
     let data = dataset(120);
     let model = fit(&data);
     let inserts = drifted_rows(80);
@@ -275,32 +277,39 @@ fn drifted_stream_trips_background_refit_and_stays_exact() {
             IngestOptions {
                 pool_pages: None,
                 merge_threshold: 25, // merges interleave with the re-fit
-                refit_threshold: 1.0,
-                ..IngestOptions::default()
             },
         )
         .unwrap();
 
         let mut deletes = Vec::new();
-        for (i, v) in inserts.iter().enumerate() {
-            let id = engine.insert(v).unwrap();
-            assert_eq!(id, data.rows() as u64 + i as u64);
-            if i == 20 || i == 50 {
-                // Interleave base deletes mid-stream, straddling folds.
-                let victim = (i as u64) / 2;
-                assert!(engine.delete(victim).unwrap());
-                deletes.push(victim);
+        std::thread::scope(|scope| {
+            let mut refit = None;
+            for (i, v) in inserts.iter().enumerate() {
+                let id = engine.insert(v).unwrap();
+                assert_eq!(id, data.rows() as u64 + i as u64);
+                if i == 20 || i == 50 {
+                    // Interleave base deletes mid-stream, straddling folds.
+                    let victim = (i as u64) / 2;
+                    assert!(engine.delete(victim).unwrap());
+                    deletes.push(victim);
+                }
+                if i == 30 {
+                    // The rest of the stream lands while the re-fit runs.
+                    refit = Some(scope.spawn(|| engine.refit().unwrap()));
+                }
             }
-        }
-        // The spawn happens on the insert path; quiesce joins it.
+            let model_epoch = refit.unwrap().join().unwrap();
+            assert_eq!(model_epoch, 1, "{}: first re-fit", backend.name());
+        });
         engine.quiesce();
         let stats = engine.ingest_stats();
-        assert!(stats.refits >= 1, "{}: re-fit count", backend.name());
-        assert!(
-            stats.model_epoch >= 1,
-            "{}: model epoch must have bumped",
+        assert_eq!(
+            (stats.model_epoch, stats.refits),
+            (1, 1),
+            "{}: one re-fit, one model epoch",
             backend.name()
         );
+        assert!(stats.merges >= 1, "{}: merges ran", backend.name());
 
         // Full recall on the drifted stream. A row merged under the stale
         // model and then re-fit lives at its re-restored representation,
@@ -364,7 +373,6 @@ fn refit_preserves_row_ids() {
         IngestOptions {
             pool_pages: None,
             merge_threshold: 0,
-            ..IngestOptions::default()
         },
     )
     .unwrap();

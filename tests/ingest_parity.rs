@@ -152,7 +152,6 @@ fn live_sequence_matches_fresh_build_over_union() {
                 // Small enough that the insert stream trips background
                 // merges while later operations are still arriving.
                 merge_threshold: 10,
-                ..IngestOptions::default()
             },
         )
         .unwrap();
@@ -242,7 +241,6 @@ fn concurrent_readers_never_observe_torn_epochs() {
         IngestOptions {
             pool_pages: None,
             merge_threshold: 6,
-            ..IngestOptions::default()
         },
     )
     .unwrap();
@@ -349,7 +347,6 @@ fn crash_image_reopens_to_identical_answers() {
         IngestOptions {
             pool_pages: None,
             merge_threshold: 0, // manual flush only: the WAL carries everything
-            ..IngestOptions::default()
         },
     )
     .unwrap();
@@ -372,7 +369,6 @@ fn crash_image_reopens_to_identical_answers() {
         IngestOptions {
             pool_pages: None,
             merge_threshold: 0,
-            ..IngestOptions::default()
         },
     )
     .unwrap();
@@ -418,7 +414,6 @@ fn crash_between_save_and_trim(
     let opts = IngestOptions {
         pool_pages: None,
         merge_threshold: 0,
-        ..IngestOptions::default()
     };
     let dirs = [TempDir::new("untrimmed"), TempDir::new("untrimmed-image")];
     let path = dirs[0].file("idx.mmdr");
@@ -494,7 +489,6 @@ fn server_level_insert_then_query() {
         IngestOptions {
             pool_pages: None,
             merge_threshold: 0,
-            ..IngestOptions::default()
         },
     )
     .unwrap();
@@ -539,18 +533,17 @@ fn server_level_insert_then_query() {
     handle.shutdown();
 }
 
-/// Regression for the adaptive-maintenance refactor: with re-fits disabled
-/// (the default `refit_threshold: 0.0`), a badly drifted insert stream —
-/// every row routed into cluster 0 with projection error far past its
-/// fitted MPE — still answers bit-identically to a fresh build over the
-/// union and recalls every inserted row at rank 0. Drift may accumulate in
-/// the estimator; it must never change answers on its own.
+/// With no re-fit requested, a badly drifted insert stream — every row
+/// routed into cluster 0 with projection error far past its fitted MPE,
+/// folded by merges that keep the fitted subspaces — still answers
+/// bit-identically to a fresh build over the union and recalls every
+/// inserted row at rank 0. A stale model costs pages, never answers.
 #[test]
 fn drifted_stream_without_refit_stays_exact() {
     let data = dataset(120);
     let model = fit(&data);
     // On cluster 0's (t, 0.3t) line but lifted well off its fitted plane:
-    // inside the routing beta, so each insert trains the drift estimator.
+    // inside the routing beta, so each insert joins the cluster.
     let inserts: Vec<Vec<f64>> = (0..48)
         .map(|i| {
             let t = (i as f64 * 0.381_966).fract();
@@ -572,7 +565,6 @@ fn drifted_stream_without_refit_stays_exact() {
             IngestOptions {
                 pool_pages: None,
                 merge_threshold: 10, // merges fold the drifted delta mid-stream
-                ..IngestOptions::default()
             },
         )
         .unwrap();

@@ -17,13 +17,10 @@
 
 use mmdr_btree::LEAF_CAPACITY;
 use mmdr_core::{Mmdr, MmdrParams, ReductionResult};
-use mmdr_idistance::{stored_rows, Backend, RecordIds, VectorHeap};
+use mmdr_idistance::{load_exact, restored_rows, stored_rows, Backend, RecordIds, VectorHeap};
 use mmdr_index::IngestOp;
 use mmdr_linalg::Matrix;
-use mmdr_persist::{
-    attach, build_index, extend_model, fold, materialize_rows, open_with, save, BuiltIndex,
-    OpenOptions,
-};
+use mmdr_persist::{build_index, extend_model, fold, open_with, save, BuiltIndex, OpenOptions};
 use std::collections::BTreeMap;
 
 const PAGES: usize = 128;
@@ -100,6 +97,11 @@ fn folding_nothing_reproduces_the_snapshot() {
     }
 }
 
+/// The re-fit's door: `backend` loaded from `model` over id-keyed rows.
+fn attach(backend: Backend, model: &ReductionResult, rows: &BTreeMap<u64, Vec<f64>>) -> BuiltIndex {
+    load_exact(backend, model, PAGES, |id| rows.get(&id).map(Vec::as_slice)).unwrap()
+}
+
 #[test]
 fn attach_over_exact_rows_saves_what_build_saves() {
     for (fi, (data, model)) in fixtures().iter().enumerate() {
@@ -109,7 +111,7 @@ fn attach_over_exact_rows_saves_what_build_saves() {
         for backend in Backend::all() {
             let tag = format!("attach-{fi}-{}", backend.name());
             let built = build_index(backend, data, model, PAGES).unwrap();
-            let attached = attach(backend, model, &rows, PAGES).unwrap();
+            let attached = attach(backend, model, &rows);
             assert!(
                 snapshot_bytes(&built, model, &tag) == snapshot_bytes(&attached, model, &tag),
                 "{tag}: attach over the build's rows must save the build's bytes"
@@ -134,7 +136,7 @@ fn rows_read_back_are_the_restored_projections() {
         assert_eq!(want.len(), data.rows());
         for backend in Backend::all() {
             let built = build_index(backend, data, model, PAGES).unwrap();
-            let got = materialize_rows(&built, model).unwrap();
+            let got = restored_rows(&built, model).unwrap();
             assert_eq!(got.len(), want.len(), "fixture {fi}, {}", backend.name());
             for (id, row) in &want {
                 let bits = |r: &[f64]| r.iter().map(|x| x.to_bits()).collect::<Vec<u64>>();
@@ -327,7 +329,7 @@ fn every_leaf_position_resolves_to_the_row_laid_out_there() {
             .map(|i| (i as u64, data.row(i).to_vec()))
             .collect();
         let built = build_index(Backend::IDistance, data, model, PAGES).unwrap();
-        let attached = attach(Backend::IDistance, model, &rows, PAGES).unwrap();
+        let attached = attach(Backend::IDistance, model, &rows);
         let ops = fold_ops(data, model);
         let mut extended = model.clone();
         extend_model(&mut extended, &ops).unwrap();
