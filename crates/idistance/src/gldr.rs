@@ -244,19 +244,16 @@ impl GlobalLdrIndex {
         // cluster radii valid for pruning — the lower bounds only ever
         // gate tree rows.
         let mut delta_seen: u64 = 0;
-        self.delta.for_each(|id, (slot, row)| {
-            if filter.is_some_and(|f| !f.passes(id)) {
-                return;
+        for (slot, row) in self.delta.rows().iter() {
+            if filter.is_none_or(|f| f.passes(row.id)) {
+                let dist = match probes.get(slot as usize) {
+                    Some(probe) => probe.rejoin(mmdr_linalg::l2_dist(&probe.q_local, &row.coords)),
+                    None => mmdr_linalg::l2_dist(query, &row.coords),
+                };
+                best.push(dist, row.id);
+                delta_seen += 1;
             }
-            best.push(
-                match probes.get(*slot as usize) {
-                    Some(probe) => probe.rejoin(mmdr_linalg::l2_dist(&probe.q_local, row)),
-                    None => mmdr_linalg::l2_dist(query, row),
-                },
-                id,
-            );
-            delta_seen += 1;
-        });
+        }
         if delta_seen > 0 {
             self.search.record_dists(delta_seen);
             self.search.record_refined(delta_seen);

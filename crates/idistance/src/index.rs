@@ -147,8 +147,8 @@ pub struct IDistanceIndex {
     len: usize,
     /// Rows ingested since the snapshot, routed to a partition and stored
     /// as the heap would store them (local coordinates for clusters, raw
-    /// for outliers). Scanned exactly during every search, merged into the
-    /// same candidate heap as tree hits.
+    /// for outliers), each with its cell code. A search queues them beside
+    /// the tree's entries, at their code bounds.
     pub(crate) delta: DeltaLayer,
 }
 

@@ -4,13 +4,13 @@
 //! it at every step — or a provisional one while that is narrower — and the
 //! search reads the index outward from the query in ring order, one leaf at
 //! a time. A range query is the same loop with its reach fixed at its
-//! radius.
+//! radius. A delta row is queued and refined as a leaf entry is.
 
 use crate::codes::Codebook;
 use crate::error::{Error, Result};
 use crate::index::{IDistanceIndex, RecordIds};
 use mmdr_btree::Cursor;
-use mmdr_index::{KnnHeap, Scratch, SearchFilter, Target};
+use mmdr_index::{DeltaRows, KnnHeap, Scratch, SearchFilter, Target};
 use mmdr_pca::ReducedSubspace;
 use mmdr_storage::PageSet;
 use std::collections::{BinaryHeap, HashSet};
@@ -39,6 +39,10 @@ pub(crate) fn query_geometry(
     })
 }
 
+/// A queue entry `DELTA | slot << 32 | row` names the `row`-th (`< 2³²`)
+/// delta row of its slot ([`DeltaRows::slot`]); tree positions stay below.
+const DELTA: u64 = 1 << 63;
+
 /// Per-partition search state: the partition's lower bound until it is
 /// opened, then two walks from the query's image — outward (ascending keys,
 /// away from the reference point) and inward (descending keys).
@@ -63,9 +67,11 @@ struct PartitionSearch<'a> {
     /// cursor. `None` once the walk has left the partition, or the reach
     /// has excluded a ring it read.
     walks: [Option<(Cursor, f64)>; 2],
+    /// `proj_sq` until its delta rows, if any, are queued ([`Candidates::expand`]).
+    delta: Option<f64>,
     /// The partition's codebook, if it was loaded with rows, and where in
     /// the query's `gaps` and `far` its two tables sit, if it has them
-    /// ([`Codebook::gaps_into`]), from the step that opens the partition.
+    /// ([`Codebook::gaps_into`]), from the first step on the partition.
     book: Option<&'a Codebook>,
     gaps: Range<usize>,
     far: Option<Range<usize>>,
@@ -126,6 +132,9 @@ impl Reach {
 /// put to every test that can reject it; only a row that passed them all
 /// has its coordinates decoded and its distance evaluated.
 ///
+/// A delta row takes the same path from its queueing on, in memory: once the
+/// frontier reaches its partition's `proj_sq` ([`expand`](Self::expand)).
+///
 /// Under a filter most rows fail, and pinning a page to learn that a row
 /// fails is the dearest step of all — so a filtered search asks the heap's
 /// id column first ([`crate::VectorHeap::learned_id`]) and queues only a
@@ -156,6 +165,8 @@ struct Candidates<'a> {
     slots: usize,
     tombs: &'a HashSet<u64>,
     filter: Option<&'a SearchFilter>,
+    /// The delta's rows, read-locked for the search.
+    delta: &'a DeltaRows,
     /// Distances evaluated, each one a row offered to the result set.
     evaluated: u64,
 }
@@ -201,6 +212,19 @@ impl Candidates<'_> {
         match self.uppers.peek() {
             Some(&top) if self.uppers.len() == self.slots => f64::from_bits(top),
             _ => f64::INFINITY,
+        }
+    }
+
+    /// Gathers the far-face radicand of an entry that counts below `top`.
+    #[inline]
+    fn gather(&mut self, upper: f64, top: &mut f64) {
+        if upper < *top {
+            if self.uppers.len() < self.slots {
+                self.uppers.push(upper.to_bits());
+            } else if let Some(mut worst) = self.uppers.peek_mut() {
+                *worst = upper.to_bits();
+            }
+            *top = self.top();
         }
     }
 
@@ -267,7 +291,10 @@ impl Candidates<'_> {
                     taken = len;
                     break 'refine;
                 }
-                self.offer(position, best)?;
+                match position & DELTA {
+                    0 => self.offer(position, best)?,
+                    _ => self.offer_delta(position, best),
+                }
                 taken += 1;
             }
             (rest, batch) = (further, 2 * batch);
@@ -350,15 +377,7 @@ impl Candidates<'_> {
                             let bound = code.map_or(ring, |code| ring.max(code));
                             self.queue(bound, position);
                             if let Some((book, far)) = far.filter(|_| counts && bound < top) {
-                                let upper = proj_sq + book.gap_sq(far, cur.code());
-                                if upper < top {
-                                    if self.uppers.len() < self.slots {
-                                        self.uppers.push(upper.to_bits());
-                                    } else if let Some(mut worst) = self.uppers.peek_mut() {
-                                        *worst = upper.to_bits();
-                                    }
-                                    top = self.top();
-                                }
+                                self.gather(proj_sq + book.gap_sq(far, cur.code()), &mut top);
                             }
                         }
                     }
@@ -376,11 +395,41 @@ impl Candidates<'_> {
         Ok(())
     }
 
+    /// Queues each delta row of `s`'s partition that passes the filter and
+    /// `limit` at its code bound (`proj_sq` alone in a partition loaded
+    /// empty, with no codebook), gathering upper bounds as the walk does.
+    fn expand(&mut self, s: &PartitionSearch, (gaps, far_gaps): (&[f64], &[f64]), limit: f64) {
+        let cells = s.book.map(|book| (book, &gaps[s.gaps.clone()]));
+        let far = s.book.zip(s.far.clone()).filter(|_| self.slots > 0);
+        let far = far.map(|(book, at)| (book, &far_gaps[at]));
+        let (mut top, filter) = (self.top(), self.filter);
+        let rows = self.delta.slot(s.part).iter().enumerate();
+        for (row, delta) in rows.filter(|(_, row)| filter.is_none_or(|f| f.passes(row.id))) {
+            let gap = |(book, table): (&Codebook, &[f64])| Some(book.gap_sq(table, delta.code?));
+            let bound = s.proj_sq + cells.and_then(gap).unwrap_or(0.0);
+            if bound <= limit {
+                self.queue(bound, DELTA | (s.part as u64) << 32 | row as u64);
+                if let Some(upper) = far.filter(|_| bound < top).and_then(gap) {
+                    self.gather(s.proj_sq + upper, &mut top);
+                }
+            }
+        }
+    }
+
+    /// Offers the delta row `entry` names (it passed the filter, queued).
+    fn offer_delta(&mut self, entry: u64, best: &mut KnnHeap) {
+        let (part, row) = (((entry ^ DELTA) >> 32) as usize, entry as u32 as usize);
+        let delta = &self.delta.slot(part)[row];
+        let (local, proj_sq) = self.geo[part].as_ref().expect("a geometry");
+        self.evaluated += 1;
+        let dist = mmdr_linalg::reduced_dist(*proj_sq, &self.locals[local.clone()], &delta.coords);
+        best.push(dist, delta.id);
+    }
+
     /// Reads the record at `position` and offers it to the result set if
     /// its id passes. A filtered search pins the page learning it, if this
     /// is the first filtered search to pin it (a row the id column knows to
-    /// fail was never queued: the walk asked
-    /// [`known_to_fail`](Self::known_to_fail)).
+    /// fail was never queued: the walk asked [`admit`](Self::admit)).
     fn offer(&mut self, position: u64, best: &mut KnnHeap) -> Result<()> {
         let rid = self.ids.get(self.index, position);
         if self.filter.is_some() {
@@ -420,6 +469,8 @@ impl IDistanceIndex {
     /// reach excludes it, and otherwise opens that partition (one seek at
     /// the query's image, clamped into its sphere: the paper's case
     /// analysis) or walks that cursor one leaf on ([`Candidates::walk`]).
+    /// A partition's delta rows are a third frontier, at `proj_sq`, whose step
+    /// queues them ([`Candidates::expand`]); the delta stays read-locked.
     /// No leaf is fetched before the queue has been refined up to the
     /// frontier, so a KNN's reach is as narrow as the rows read can make
     /// it, and the radius the paper enlarges step by step is that reach.
@@ -450,10 +501,10 @@ impl IDistanceIndex {
                     None => !f.outliers_alive(),
                 })
         };
-        // Delta rows are scored against their partition's geometry too, and
-        // one may be a partition's first point: while any exist, every
-        // partition needs its geometry, walked or not.
-        let delta_live = self.delta.live_rows() > 0;
+        // A partition with delta rows needs its geometry, walked or not:
+        // one of them may be its first row.
+        let delta = self.delta.rows();
+        let queued = |i: usize| !delta.slot(i).is_empty();
         // The query's local coordinates in every partition that has a
         // geometry, back to back; per partition, where its coordinates sit
         // and the squared distance to its subspace (`None` where nothing
@@ -461,7 +512,7 @@ impl IDistanceIndex {
         let mut locals = Vec::new();
         let mut geo: Vec<Option<(Range<usize>, f64)>> = Vec::with_capacity(self.partitions.len());
         for (i, part) in self.partitions.iter().enumerate() {
-            geo.push(if delta_live || walked(i) {
+            geo.push(if walked(i) || queued(i) {
                 let start = locals.len();
                 let proj_sq = query_geometry(part.subspace.as_ref(), query, &mut locals)?;
                 Some((start..locals.len(), proj_sq))
@@ -474,9 +525,6 @@ impl IDistanceIndex {
             let Some((local, proj_sq)) = geometry else {
                 continue;
             };
-            if !walked(i) {
-                continue;
-            }
             let q_local = &locals[local.clone()];
             let dist_q = match &part.subspace {
                 Some(_) => mmdr_linalg::l2_norm(q_local),
@@ -492,14 +540,15 @@ impl IDistanceIndex {
                 run: part.run.first..part.run.first + part.run.count,
                 q_local,
                 proj_sq: *proj_sq,
-                lower_bound: Some(proj_sq + gap * gap),
+                lower_bound: walked(i).then_some(proj_sq + gap * gap),
                 walks: [None, None],
+                delta: queued(i).then_some(*proj_sq),
                 book: part.codebook.as_ref(),
                 gaps: 0..0,
                 far: None,
             });
         }
-        // The opened partitions' gap and far-face tables, back to back.
+        // The gap and far-face tables of the partitions stepped on, in turn.
         let (mut gaps, mut far) = (Vec::new(), Vec::new());
 
         let mut best = KnnHeap::for_target(target);
@@ -526,38 +575,20 @@ impl IDistanceIndex {
             slots,
             tombs: &tombs,
             filter,
+            delta: &delta,
             evaluated: 0,
         };
-        // Delta rows are scanned exactly before the loop (the final answer
-        // is independent of push order), gated like tree rows: the filter
-        // first, then the distance.
-        if delta_live {
-            self.delta.for_each(|id, (part, row)| {
-                if filter.is_some_and(|f| !f.passes(id)) {
-                    return;
-                }
-                let (local, proj_sq) = geo[*part as usize]
-                    .as_ref()
-                    .expect("every partition has geometry while delta rows exist");
-                let dist = mmdr_linalg::reduced_dist(*proj_sq, &locals[local.clone()], row);
-                best.push(dist, id);
-                candidates.evaluated += 1;
-            });
-        }
 
         loop {
-            // The frontier, and whose it is: a closed partition's (which
-            // the step opens) or a walk's (which the step takes a leaf on).
-            // Ties go to the earlier partition, then outward.
+            // The frontier, and whose it is: a partition's delta (which the
+            // step queues), a closed partition's (which the step opens) or a
+            // walk's (which the step takes a leaf on). Ties go to the earlier
+            // partition, then its delta, then outward.
             let next = (searches.iter().enumerate())
                 .flat_map(|(i, s)| {
-                    let fronts = match s.lower_bound {
-                        Some(bound) => [Some(bound), None],
-                        None => s
-                            .walks
-                            .each_ref()
-                            .map(|w| w.as_ref().map(|&(_, front)| front)),
-                    };
+                    // The walks start at the open.
+                    let [out, inward] = s.walks.each_ref().map(|w| w.as_ref().map(|w| w.1));
+                    let fronts = [s.delta, s.lower_bound.or(out), inward];
                     (fronts.into_iter().enumerate()).filter_map(move |(w, f)| Some((f?, i, w)))
                 })
                 .min_by(|a, b| a.0.total_cmp(&b.0));
@@ -577,13 +608,17 @@ impl IDistanceIndex {
                 break;
             }
             let s = &mut searches[i];
-            if s.lower_bound.take().is_some() {
-                if let Some(book) = s.book {
-                    let (start, far_start) = (gaps.len(), far.len());
-                    book.gaps_into(s.q_local, &mut gaps, &mut far);
-                    s.gaps = start..gaps.len();
-                    s.far = (far.len() > far_start).then_some(far_start..far.len());
-                }
+            // The first step on a partition builds its tables.
+            if let (Some(book), true) = (s.book, s.gaps.is_empty()) {
+                let (start, far_start) = (gaps.len(), far.len());
+                book.gaps_into(s.q_local, &mut gaps, &mut far);
+                s.gaps = start..gaps.len();
+                s.far = (far.len() > far_start).then_some(far_start..far.len());
+            }
+            if w == 0 {
+                s.delta = None;
+                candidates.expand(s, (&gaps, &far), limit);
+            } else if s.lower_bound.take().is_some() {
                 // Seek the query's image, clamped into the populated sphere
                 // — the paper's case analysis: a query outside the data
                 // space starts at its boundary, and only its inward walk
@@ -593,7 +628,7 @@ impl IDistanceIndex {
                     .tree
                     .seek(s.part as f64 * self.c + s.dist_q.min(max_r))?;
                 s.walks = [Some((cur.clone(), front)), Some((cur, front))];
-            } else if w == 0 {
+            } else if w == 1 {
                 candidates.walk::<0>(s, (&gaps, &far), limit)?;
             } else {
                 candidates.walk::<1>(s, (&gaps, &far), limit)?;
@@ -616,7 +651,7 @@ mod tests {
     use crate::seqscan::SeqScan;
     use crate::vector_heap::VectorHeap;
     use mmdr_core::{Mmdr, MmdrParams, PointAssignment, ReductionResult};
-    use mmdr_index::{Query, RowFilter, Scratch, SearchFilter, Target, VectorIndex};
+    use mmdr_index::{DeltaRow, Query, RowFilter, Scratch, SearchFilter, Target, VectorIndex};
     use mmdr_linalg::Matrix;
     use mmdr_pca::ReducedSubspace;
     use mmdr_storage::{BufferPool, DiskManager, Page, PageId, PageSource};
@@ -1239,13 +1274,20 @@ mod tests {
             built.insert(model, *id, row).unwrap();
         }
         // iDistance stores a row as the scan does (local coordinates in its
-        // cluster, raw among the outliers, routed at the same β): the rows
-        // placed once serve all three.
-        built.delta().for_each(|id, row| {
+        // cluster, raw among the outliers, routed at the same β), with the
+        // cell code its own codebook gives it: the rows placed once serve
+        // all three.
+        for (slot, row) in built.delta().rows().iter() {
             for index in [&coded.index, &plain.index] {
-                index.delta.insert(id, row.clone()).unwrap();
+                let book = index.partitions[slot as usize].codebook.as_ref();
+                let code = book.map(|book| book.encode(&row.coords));
+                let row = DeltaRow {
+                    code,
+                    ..row.clone()
+                };
+                index.delta.insert(slot, row).unwrap();
             }
-        });
+        }
         for delta in [built.delta(), &coded.index.delta, &plain.index.delta] {
             for &id in &dead {
                 assert!(delta.delete(id).unwrap());
@@ -1395,6 +1437,99 @@ mod tests {
                 hits.iter().any(|&(_, id)| id == (n + i) as u64),
                 "late row {i}"
             );
+        }
+    }
+
+    /// Delta rows where the index has no codebook to bound them by: routed
+    /// to a partition loaded empty (the outliers, left out of the base),
+    /// they are queued at its projection bound alone; over a base loaded
+    /// with no rows at all, the answer is the delta's alone, `k` past its
+    /// size included. Either way the answer is `SeqScan`'s bit for bit, and
+    /// a range query evaluates exactly the rows within both bounds.
+    #[test]
+    fn delta_rows_without_a_codebook_answer_as_the_scan() {
+        let data = two_clusters(600, 8, 3);
+        let mut model = Mmdr::new(MmdrParams::default()).fit(&data).unwrap();
+        let off_both = std::mem::take(&mut model.outliers);
+        assert!(off_both.len() >= 5, "{} outliers", off_both.len());
+        let outliers_at = model.clusters.len();
+        let pair = |index: IDistanceIndex, scan: SeqScan| {
+            [
+                BuiltIndex::IDistance(Box::new(index)),
+                BuiltIndex::SeqScan(scan),
+            ]
+        };
+        let no_rows = &mut |_| Ok(Vec::new());
+        let keys = KeySpace {
+            reference: vec![0.0; 8],
+            c_floor: 0.0,
+        };
+        let bases = [
+            pair(
+                IDistanceIndex::build(&data, &model, 256).unwrap(),
+                SeqScan::build(&data, &model, 64).unwrap(),
+            ),
+            pair(
+                IDistanceIndex::load(&model, 256, keys, no_rows).unwrap(),
+                SeqScan::load(&model, 64, no_rows).unwrap(),
+            ),
+        ];
+        // The left-out outliers under their own ids, and near copies of
+        // cluster rows under new ones.
+        let late: Vec<(u64, Vec<f64>)> = (off_both.iter())
+            .map(|&id| (id as u64, data.row(id).to_vec()))
+            .chain((0..5).map(|i| {
+                let mut row = data.row(i * 7).to_vec();
+                row[i] += 0.01;
+                (600 + i as u64, row)
+            }))
+            .collect();
+        for (name, built) in ["outliers loaded empty", "empty base"].iter().zip(&bases) {
+            let BuiltIndex::IDistance(index) = &built[0] else {
+                unreachable!("built as listed")
+            };
+            let outliers = &index.partitions[outliers_at];
+            assert!(outliers.count == 0 && outliers.codebook.is_none(), "{name}");
+            let mut routed_out = 0;
+            for (id, row) in &late {
+                for b in built {
+                    let placed = b.insert(&model, *id, row).unwrap();
+                    routed_out += usize::from(placed == PointAssignment::Outlier);
+                }
+            }
+            assert!(routed_out >= 2 * off_both.len(), "{name}: {routed_out}");
+            let [grown, scan] = built.each_ref().map(BuiltIndex::as_dyn);
+            let probes = [
+                data.row(0),
+                data.row(1),
+                &late[0].1,
+                &late[late.len() - 1].1,
+            ];
+            for q in probes {
+                for target in [
+                    Target::Knn(1),
+                    Target::Knn(10),
+                    Target::Knn(grown.len() + 5),
+                    Target::Range(0.4),
+                    Target::Range(1e6),
+                ] {
+                    let ctx = format!("{name}, {target:?}");
+                    let query = Query::new(q, target);
+                    let want = bits(&scan.search(&query, &mut Scratch::default()).unwrap());
+                    let before = index.query_stats();
+                    let got = bits(&grown.search(&query, &mut Scratch::default()).unwrap());
+                    let evaluated = index.query_stats().since(&before).dist_computations;
+                    assert_eq!(got, want, "{ctx}");
+                    if let Target::Range(r) = target {
+                        let within = rows_within_both_bounds(index, q, r, |_| true);
+                        assert_eq!(evaluated, within, "{ctx}");
+                    }
+                }
+            }
+            if *name == "empty base" {
+                let everything = grown.knn(data.row(0), late.len() + 5).unwrap();
+                assert_eq!(everything.len(), late.len());
+            }
         }
     }
 
@@ -1559,10 +1694,11 @@ mod tests {
         Matrix::from_rows(&rows).unwrap()
     }
 
-    /// How many stored rows a range search around `q` must evaluate: those
-    /// whose id passes and whose two bounds — the ring's and the cell
-    /// code's, worked out here as the walk works them out — are within
-    /// `radius`.
+    /// How many rows a range search around `q` must evaluate: those whose
+    /// id passes, and is not tombstoned, and whose two bounds — a stored
+    /// row's ring and cell code, a delta row's partition projection and
+    /// cell code, worked out here as the search works them out — are
+    /// within `radius`.
     fn rows_within_both_bounds(
         index: &IDistanceIndex,
         q: &[f64],
@@ -1587,6 +1723,7 @@ mod tests {
                 (i as f64 * index.c + dist_q, proj_sq, gaps)
             })
             .collect();
+        let tombs = index.delta.tombstones();
         let mut cursor = index.tree.seek(0.0).unwrap();
         let mut within = 0;
         while let Some((lo, position)) = index.tree.cursor_next(&mut cursor).unwrap() {
@@ -1607,9 +1744,22 @@ mod tests {
                 .as_ref()
                 .map_or(0.0, |book| book.gap_sq(gaps, cursor.code()));
             if pass(id)
+                && !tombs.contains(&id)
                 && (proj_sq + ring_gap * ring_gap).sqrt() <= radius
                 && (proj_sq + code).sqrt() <= radius
             {
+                within += 1;
+            }
+        }
+        // The projection bound is no greater than the code's: the code's
+        // alone decides.
+        for (slot, row) in index.delta.rows().iter() {
+            let (_, proj_sq, gaps) = &geometry[slot as usize];
+            let book = index.partitions[slot as usize].codebook.as_ref();
+            let code = book
+                .zip(row.code)
+                .map_or(0.0, |(book, code)| book.gap_sq(gaps, code));
+            if pass(row.id) && (proj_sq + code).sqrt() <= radius {
                 within += 1;
             }
         }
@@ -1700,6 +1850,120 @@ mod tests {
                                 );
                             }
                         }
+                    }
+                }
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(10))]
+
+        /// A delta row takes a leaf entry's path — queued at its cell-code
+        /// bound, refined in bound order — which changes what a search
+        /// costs, never what it answers. On random two-cluster fixtures
+        /// grown by random inserts (on a flat, along one past the range its
+        /// codebook was cut from, and off both, among the outliers) and
+        /// shrunk by random deletes of base and delta rows, for k-NN and
+        /// range queries, without a filter and under 1 % and 60 % ones: the
+        /// answer is `SeqScan`'s bit for bit; a query evaluates exactly the
+        /// rows, tree and delta alike, whose two bounds lie within its
+        /// radius, or within its final k-th distance; and on the same base,
+        /// inserts alone never make a query fetch more pages.
+        #[test]
+        fn delta_rows_in_bound_order_answer_as_the_scan_and_fetch_no_more_pages(
+            n in 400usize..1000,
+            dim in 6usize..10,
+            seed in 0u64..1 << 40,
+            k in 1usize..30,
+            radius in 0.05f64..1.5,
+            inserts in proptest::collection::vec(
+                (0usize..100_000, proptest::bool::ANY, 0usize..100_000, -2.0f64..3.0),
+                1..60,
+            ),
+            deletes in proptest::collection::vec(0usize..100_000, 0..40),
+            probes in proptest::collection::vec(0usize..100_000, 2),
+        ) {
+            let data = two_clusters(n, dim, seed);
+            let model = Mmdr::new(MmdrParams::default()).fit(&data).unwrap();
+            // On the line through two rows — of one class (`i mod 41`: one
+            // flat, or both off) or any two — inside their segment or past
+            // either end, where coordinates leave the codebook's range.
+            let late: Vec<(u64, Vec<f64>)> = (inserts.iter().enumerate())
+                .map(|(i, &(a, same, b, t))| {
+                    let (a, b) = (a % n, if same { (a % n + 82) % n } else { b % n });
+                    let (a, b) = (data.row(a), data.row(b));
+                    let row = a.iter().zip(b).map(|(x, y)| x + t * (y - x)).collect();
+                    ((n + i) as u64, row)
+                })
+                .collect();
+            let total = (n + late.len()) as u64;
+            let dead: HashSet<u64> = deletes.iter().map(|&d| d as u64 % total).collect();
+            let grow = |built: &BuiltIndex, delete: bool| {
+                for (id, row) in &late {
+                    built.insert(&model, *id, row).unwrap();
+                }
+                for &id in dead.iter().filter(|_| delete) {
+                    built.delete(id).unwrap();
+                }
+            };
+            let idistance = || {
+                let index = IDistanceIndex::build(&data, &model, 256).unwrap();
+                BuiltIndex::IDistance(Box::new(index))
+            };
+            let (mutated, scan) = (idistance(), BuiltIndex::SeqScan(SeqScan::build(&data, &model, 64).unwrap()));
+            grow(&mutated, true);
+            grow(&scan, true);
+            let BuiltIndex::IDistance(index) = &mutated else {
+                unreachable!("built as an iDistance index")
+            };
+            let mut scratch = Scratch::default();
+            type Pass = fn(u64) -> bool;
+            let filters: [Pass; 3] = [|_| true, |id| id % 100 == 7, |id| id % 5 < 3];
+            for (f, pass) in filters.into_iter().enumerate() {
+                let filter = SearchFilter::from_rows(RowFilter::from_fn(total, pass));
+                for q in [data.row(probes[0] % n), &late[probes[1] % late.len()].1] {
+                    for target in [Target::Knn(k), Target::Range(radius)] {
+                        let ctx = format!("filter {f}, {target:?}");
+                        let query = Query {
+                            vector: q,
+                            target,
+                            filter: (f > 0).then_some(&filter),
+                        };
+                        let want = bits(&scan.as_dyn().search(&query, &mut Scratch::default()).unwrap());
+                        let before = index.query_stats();
+                        let got = index.search(&query, &mut scratch).unwrap();
+                        let evaluated = index.query_stats().since(&before).dist_computations;
+                        prop_assert_eq!(&bits(&got), &want, "{}", ctx);
+                        let reach = match target {
+                            Target::Range(r) => r,
+                            Target::Knn(k) => got.get(k - 1).map_or(f64::INFINITY, |&(d, _)| d),
+                        };
+                        let within = rows_within_both_bounds(index, q, reach, pass);
+                        let near = match target {
+                            Target::Range(_) => within,
+                            // The boundary tolerance a range query keeps: a
+                            // rounded bound can pass a distance by an ulp.
+                            Target::Knn(_) => rows_within_both_bounds(index, q, reach + 1e-12, pass),
+                        };
+                        prop_assert!(
+                            within <= evaluated && evaluated <= near,
+                            "{}: {} evaluated, {} within both bounds of {}, {} near",
+                            ctx, evaluated, within, reach, near
+                        );
+                        // The same query on a fresh base, with and without
+                        // the inserts: a delta row within a frontier has been
+                        // refined before it, so the reach is never wider.
+                        let fetches = |built: &BuiltIndex| {
+                            let index = built.as_dyn();
+                            let before = index.query_stats();
+                            index.search(&query, &mut Scratch::default()).unwrap();
+                            index.query_stats().since(&before).pages_touched
+                        };
+                        let (bare, grown) = (idistance(), idistance());
+                        grow(&grown, false);
+                        let (was, now) = (fetches(&bare), fetches(&grown));
+                        prop_assert!(now <= was, "{}: {} pages fetched, {} before the inserts", ctx, now, was);
                     }
                 }
             }

@@ -29,7 +29,7 @@ use crate::gldr::GlobalLdrIndex;
 use crate::index::IDistanceIndex;
 use crate::seqscan::SeqScan;
 use mmdr_core::{PointAssignment, ReductionResult};
-use mmdr_index::{validate_vector, DeltaLayer, DeltaStats, VectorIndex};
+use mmdr_index::{validate_vector, DeltaLayer, DeltaRow, DeltaStats, VectorIndex};
 use mmdr_linalg::Matrix;
 use mmdr_pca::ReducedSubspace;
 use std::collections::{BTreeMap, HashMap};
@@ -84,8 +84,9 @@ impl BuiltIndex {
     /// Places an ingested row in the delta layered on the base structures:
     /// validates `vector`, routes it with `model` — the model this index
     /// was loaded under — at [`INSERT_BETA`], converts it to the stored
-    /// form the loaders write, and stores it under `id` (engine-assigned,
-    /// unique, monotone, never `u64::MAX`). Returns the routing.
+    /// form the loaders write (and, in iDistance, its cell code), and stores
+    /// it under `id` (engine-assigned, unique, monotone, never `u64::MAX`).
+    /// Returns the routing.
     pub fn insert(
         &self,
         model: &ReductionResult,
@@ -104,7 +105,13 @@ impl BuiltIndex {
             PointAssignment::Outlier => (model.clusters.len(), None),
         };
         let coords = stored_form(subspace, vector)?;
-        self.delta().insert(id, (slot as u32, coords))?;
+        let book = match self {
+            BuiltIndex::IDistance(index) => index.partitions[slot].codebook.as_ref(),
+            BuiltIndex::SeqScan(_) | BuiltIndex::Gldr(_) => None,
+        };
+        let code = book.map(|book| book.encode(&coords));
+        let row = DeltaRow { id, code, coords };
+        self.delta().insert(slot as u32, row)?;
         Ok(placed)
     }
 

@@ -131,14 +131,14 @@ impl SeqScan {
         // Delta rows first (order is irrelevant to the final top-k): they
         // are stored exactly as the heap stores rows, so the same
         // reduced-distance formula applies bit-for-bit.
-        self.delta.for_each(|id, (part, coords)| {
-            if filter.is_some_and(|f| !f.passes(id)) {
-                return;
+        for (part, row) in self.delta.rows().iter() {
+            if filter.is_none_or(|f| f.passes(row.id)) {
+                let (q_local, proj_sq) = &q_locals[part as usize];
+                let dist = mmdr_linalg::reduced_dist(*proj_sq, q_local, &row.coords);
+                best.push(dist, row.id);
+                seen += 1;
             }
-            let (q_local, proj_sq) = &q_locals[*part as usize];
-            best.push(mmdr_linalg::reduced_dist(*proj_sq, q_local, coords), id);
-            seen += 1;
-        });
+        }
         let tombs = self.delta.tombstones();
         self.heap.scan(|part, pid, coords| {
             if tombs.contains(&pid) || filter.is_some_and(|f| !f.passes(pid)) {

@@ -45,7 +45,8 @@ pub use error::{Error, Result};
 pub use filter::{RowFilter, SearchFilter};
 pub use heap::KnnHeap;
 pub use mutable::{
-    DeltaLayer, DeltaStats, IngestOp, IngestStats, LiveIndex, PinnedEpoch, ReadOnlyLive,
+    DeltaLayer, DeltaRow, DeltaRows, DeltaStats, IngestOp, IngestStats, LiveIndex, PinnedEpoch,
+    ReadOnlyLive,
 };
 pub use query::{validate_vector, Query, Scratch, Target};
 pub use stats::{QueryStats, SearchCounters};

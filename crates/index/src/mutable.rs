@@ -7,9 +7,9 @@
 //!
 //! - **Inserts** land in an in-memory [`DeltaLayer`]: the row is routed to
 //!   its partition and converted into the stored representation at insert
-//!   time (the same projection code as the build path), so a delta scan
-//!   computes bit-identical distances to a from-scratch build over the
-//!   union of rows.
+//!   time (the same projection code as the build path, and in iDistance
+//!   its cell code), so a search computes bit-identical distances for it to
+//!   a from-scratch build over the union of rows.
 //! - **Deletes** become entries in a copy-on-write tombstone set. Base
 //!   searches filter tombstoned ids at *push* time (before a candidate can
 //!   occupy a heap slot), which keeps exact-k semantics: a delete never
@@ -25,9 +25,9 @@
 use crate::error::{Error, Result};
 use crate::query::Target;
 use crate::traits::VectorIndex;
-use std::collections::{BTreeMap, HashSet};
+use std::collections::{BTreeMap, HashMap, HashSet};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, RwLock};
+use std::sync::{Arc, RwLock, RwLockReadGuard};
 
 /// One logical mutation, as carried by the write-ahead log and replayed
 /// into backend deltas. Vectors are always full original-dimensional —
@@ -61,23 +61,57 @@ pub struct DeltaStats {
     pub tombstones: u64,
 }
 
-/// The delta machinery every backend shares: an ordered map of rows plus a
+/// One delta row, as every backend stores it.
+#[derive(Debug, Clone)]
+pub struct DeltaRow {
+    /// The row's point id.
+    pub id: u64,
+    /// iDistance's cell code of `coords` in the row's partition, if that has
+    /// a codebook, worked out at insert (SeqScan and gLDR store none).
+    pub code: Option<u64>,
+    /// Local coordinates in the row's cluster, or an outlier's raw vector.
+    pub coords: Vec<f64>,
+}
+
+/// A delta's rows by the partition slot the model routed each one to (the
+/// cluster index, or the cluster count for the outliers), so a search can
+/// name a row by its slot and place.
+#[derive(Debug, Default)]
+pub struct DeltaRows {
+    slots: BTreeMap<u32, Vec<DeltaRow>>,
+    /// The slot each id's row sits in.
+    slot_of: HashMap<u64, u32>,
+}
+
+impl DeltaRows {
+    /// The rows routed to `slot`.
+    pub fn slot(&self, slot: usize) -> &[DeltaRow] {
+        self.slots.get(&(slot as u32)).map_or(&[], Vec::as_slice)
+    }
+
+    /// Every row with its slot.
+    pub fn iter(&self) -> impl Iterator<Item = (u32, &DeltaRow)> {
+        (self.slots.iter()).flat_map(|(&slot, rows)| rows.iter().map(move |row| (slot, row)))
+    }
+
+    /// Removes `id`'s row; whether there was one.
+    fn remove(&mut self, id: u64) -> bool {
+        let slot = self.slot_of.remove(&id);
+        let rows = slot.and_then(|slot| self.slots.get_mut(&slot));
+        rows.map(|rows| rows.retain(|row| row.id != id)).is_some()
+    }
+}
+
+/// The delta machinery every backend shares: [`DeltaRows`] plus a
 /// copy-on-write tombstone set, both behind interior mutability so queries
 /// stay `&self`. An empty, unsealed delta is the `Default`.
 ///
-/// Every backend holds the one row type `(slot, coordinates)`: the
-/// partition slot the model routed the row to (the cluster index, or the
-/// cluster count for the outliers) and its coordinates in the stored form
-/// every backend shares: local coordinates for a cluster, the raw vector
-/// for an outlier.
-///
-/// Concurrency: mutations take a short write lock; queries take a read
-/// lock only while iterating the (small) delta and grab the tombstone set
-/// as one `Arc` clone, so the base search proceeds without any delta lock
-/// held.
+/// Concurrency: mutations take a short write lock. A query holds the rows'
+/// read lock for its whole run ([`rows`](Self::rows)), so a mutation waits
+/// for the queries in flight, and grabs the tombstone set as one `Arc`.
 #[derive(Debug, Default)]
 pub struct DeltaLayer {
-    rows: RwLock<BTreeMap<u64, (u32, Vec<f64>)>>,
+    rows: RwLock<DeltaRows>,
     tombstones: RwLock<Arc<HashSet<u64>>>,
     sealed: AtomicBool,
 }
@@ -90,12 +124,14 @@ impl DeltaLayer {
         Ok(())
     }
 
-    /// Stores a placed row under `id`. Replays are last-write-wins: a
+    /// Stores a placed row in `slot`. Replays are last-write-wins: a
     /// duplicate id replaces the previous delta row.
-    pub fn insert(&self, id: u64, row: (u32, Vec<f64>)) -> Result<()> {
+    pub fn insert(&self, slot: u32, row: DeltaRow) -> Result<()> {
         self.check_unsealed()?;
         let mut rows = self.rows.write().unwrap_or_else(|p| p.into_inner());
-        rows.insert(id, row);
+        rows.remove(row.id);
+        rows.slot_of.insert(row.id, slot);
+        rows.slots.entry(slot).or_default().push(row);
         Ok(())
     }
 
@@ -107,7 +143,7 @@ impl DeltaLayer {
         self.check_unsealed()?;
         let removed = {
             let mut rows = self.rows.write().unwrap_or_else(|p| p.into_inner());
-            rows.remove(&id).is_some()
+            rows.remove(id)
         };
         let mut tombs = self.tombstones.write().unwrap_or_else(|p| p.into_inner());
         if tombs.contains(&id) {
@@ -130,7 +166,7 @@ impl DeltaLayer {
 
     /// Current size of the delta.
     pub fn stats(&self) -> DeltaStats {
-        let rows = self.rows.read().unwrap_or_else(|p| p.into_inner()).len() as u64;
+        let rows = self.live_rows() as u64;
         let tombstones = self
             .tombstones
             .read()
@@ -141,7 +177,7 @@ impl DeltaLayer {
 
     /// Number of live delta rows.
     pub fn live_rows(&self) -> usize {
-        self.rows.read().unwrap_or_else(|p| p.into_inner()).len()
+        self.rows().slot_of.len()
     }
 
     /// The tombstone set as one `Arc` clone — O(1), and stable for the
@@ -150,13 +186,10 @@ impl DeltaLayer {
         Arc::clone(&self.tombstones.read().unwrap_or_else(|p| p.into_inner()))
     }
 
-    /// Visits every delta row in ascending id order under a read lock.
-    /// Callers must not mutate the same delta from inside `f`.
-    pub fn for_each(&self, mut f: impl FnMut(u64, &(u32, Vec<f64>))) {
-        let rows = self.rows.read().unwrap_or_else(|p| p.into_inner());
-        for (&id, row) in rows.iter() {
-            f(id, row);
-        }
+    /// The rows, read-locked until the guard drops. Its holder must neither
+    /// mutate this delta nor read-lock it again (behind a waiting writer).
+    pub fn rows(&self) -> RwLockReadGuard<'_, DeltaRows> {
+        self.rows.read().unwrap_or_else(|p| p.into_inner())
     }
 }
 
@@ -281,12 +314,20 @@ impl LiveIndex for ReadOnlyLive {
 mod tests {
     use super::*;
 
+    fn row(id: u64, x: f64) -> DeltaRow {
+        DeltaRow {
+            id,
+            code: None,
+            coords: vec![x],
+        }
+    }
+
     #[test]
     fn delta_insert_delete_and_stats() {
         let d = DeltaLayer::default();
         assert_eq!(d.stats(), DeltaStats::default());
-        d.insert(10, (0, vec![1.0])).unwrap();
-        d.insert(11, (1, vec![2.0])).unwrap();
+        d.insert(0, row(10, 1.0)).unwrap();
+        d.insert(1, row(11, 2.0)).unwrap();
         assert_eq!(
             d.stats(),
             DeltaStats {
@@ -308,14 +349,24 @@ mod tests {
     }
 
     #[test]
-    fn delta_iterates_in_id_order() {
+    fn delta_groups_rows_by_slot_and_replaces_a_duplicate_id() {
         let d = DeltaLayer::default();
-        for id in [5u64, 1, 9, 3] {
-            d.insert(id, (id as u32, Vec::new())).unwrap();
+        for id in [5u64, 1, 9, 3, 7] {
+            d.insert((id % 3) as u32, row(id, id as f64)).unwrap();
         }
-        let mut seen = Vec::new();
-        d.for_each(|id, _| seen.push(id));
-        assert_eq!(seen, vec![1, 3, 5, 9]);
+        // A replay of id 9 into another slot moves it.
+        d.insert(2, row(9, -9.0)).unwrap();
+        assert!(d.delete(1).unwrap());
+        let rows = d.rows();
+        let ids = |slot| rows.slot(slot).iter().map(|r| r.id).collect::<Vec<_>>();
+        assert_eq!(
+            (ids(0), ids(1), ids(2), ids(3)),
+            (vec![3], vec![7], vec![5, 9], vec![])
+        );
+        assert_eq!(rows.slot(2)[1].coords, [-9.0]);
+        assert_eq!(rows.slot_of.len(), 4);
+        let all: Vec<(u32, u64)> = rows.iter().map(|(slot, r)| (slot, r.id)).collect();
+        assert_eq!(all, [(0, 3), (1, 7), (2, 5), (2, 9)]);
     }
 
     #[test]
@@ -332,10 +383,10 @@ mod tests {
     #[test]
     fn seal_freezes_mutation() {
         let d = DeltaLayer::default();
-        d.insert(1, (0, vec![1.0])).unwrap();
+        d.insert(0, row(1, 1.0)).unwrap();
         let s = d.seal();
         assert_eq!(s.rows, 1);
-        assert!(matches!(d.insert(2, (0, vec![2.0])), Err(Error::Sealed)));
+        assert!(matches!(d.insert(0, row(2, 2.0)), Err(Error::Sealed)));
         assert!(matches!(d.delete(1), Err(Error::Sealed)));
         // Reads still work on a sealed delta.
         assert_eq!(d.live_rows(), 1);

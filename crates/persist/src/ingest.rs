@@ -28,9 +28,10 @@
 //!   inserted ids to the cluster the fitted model assigns them to;
 //!   deletes never touch the model, so cluster order, subspaces and
 //!   partition numbering are stable across merges.
-//! - Every backend's search visits delta rows exactly and filters
-//!   tombstones at push time, and the shared [`mmdr_index::KnnHeap`]'s
-//!   final top-k is independent of push order.
+//! - Every backend's search gives a delta row the distance a folded row
+//!   gets (iDistance queues and refines it as a leaf entry; SeqScan and
+//!   gLDR score it exactly), filters tombstones at push time, and the shared
+//!   [`mmdr_index::KnnHeap`]'s final top-k is independent of push order.
 //!
 //! ## Re-fit on request
 //!

@@ -58,11 +58,15 @@ cargo test "${PROFILE[@]}" -p mmdr-linalg --test proptest_par
 cargo test "${PROFILE[@]}" -p mmdr-index --test proptest_heap
 # Refinement in bound order: answers bit-identical to SeqScan, each heap
 # page fetched once a query, and a query evaluating exactly the rows whose
-# two bounds lie within its radius or its final k-th distance. Beside it,
-# degenerate k and ties: k inside a run of tied distances, at and past the
-# live or passing rows, after deletes — every answer SeqScan's to the bit.
+# two bounds lie within its radius or its final k-th distance — delta rows
+# too, queued at their cell codes' bounds beside the tree's entries, with
+# inserts never raising a query's page fetches. Beside them, degenerate k
+# and ties: k inside a run of tied distances, at and past the live or
+# passing rows, after deletes — every answer SeqScan's to the bit.
 cargo test "${PROFILE[@]}" -p mmdr-idistance --lib \
     knn::tests::bound_order_answers_as_the_scan_and_fetches_each_heap_page_once -- --exact
+cargo test "${PROFILE[@]}" -p mmdr-idistance --lib \
+    knn::tests::delta_rows_in_bound_order_answer_as_the_scan_and_fetch_no_more_pages -- --exact
 cargo test "${PROFILE[@]}" -p mmdr-idistance --lib \
     knn::tests::degenerate_k_and_ties_answer_as_the_scan -- --exact
 
