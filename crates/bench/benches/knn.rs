@@ -45,10 +45,11 @@ fn bench_knn_schemes(c: &mut Criterion) {
 /// as the search runs them: step the leaf cursor; read the entry's cell
 /// code and bound its distance from the query's gap table (what a row the
 /// code rules out costs — the table is built once a walk, as once a started
-/// partition); resolve the entry's position to its record, locate that on
-/// the pinned heap page and read its id (what a row the gate rejects
-/// costs); decode the coordinates and evaluate the distance (what a row it
-/// admits costs, short of the result heap).
+/// partition); resolve the entry's position to its record through the
+/// partition's placement table, locate that on the pinned heap page and
+/// read its id (what a row the gate rejects costs); decode the coordinates
+/// and evaluate the distance (what a row it admits costs, short of the
+/// result heap).
 fn bench_candidate_path(c: &mut Criterion) {
     let ds = workloads::synthetic(8_000, 64, 10, 30.0, 5);
     let model = eval::reduce(Method::Mmdr, &ds.data, None, 10, 0);
@@ -92,6 +93,8 @@ fn bench_candidate_path(c: &mut Criterion) {
         }
     }
     let book = info.codebook.as_ref().expect("the partition has rows");
+    // The partition's placement table, learned as the search's open does.
+    index.record_id(first).unwrap();
     let mut group = c.benchmark_group("candidate_path");
     group.sample_size(200);
     group.bench_function(BenchmarkId::new("leaf_step", info.count), |b| {

@@ -86,8 +86,20 @@ fn main() {
         scan.num_pages()
     );
     let queries = sample_queries(&ds.data, 10, 5).unwrap();
-    let (index_before, scan_before) = (index.query_stats(), scan.query_stats());
     let (tree_pool, heap_pool) = (index.tree().pool(), index.heap().pool());
+    // Every partition's placement table, learned up front as the first
+    // search to open it would: each query below counts its walk alone.
+    let learning = tree_pool.snapshot();
+    let mut first = 0;
+    for part in index.partitions() {
+        if part.count > 0 {
+            index.record_id(first).unwrap();
+        }
+        first += part.count as u64;
+    }
+    let learned = tree_pool.snapshot().since(&learning).pages_touched();
+    println!("placement tables learned from {learned} leaf fetches");
+    let (index_before, scan_before) = (index.query_stats(), scan.query_stats());
     let (mut tree_fetches, mut heap_fetches, mut refined, mut floor) = (0, 0, 0, 0);
     for (i, q) in queries.iter_rows().enumerate() {
         let (tree_before, heap_before) = (tree_pool.snapshot(), heap_pool.snapshot());

@@ -2,9 +2,9 @@
 //! extended iDistance index (paper §5).
 //!
 //! - Keys are finite `f64` distance values (duplicates allowed). An entry
-//!   is named by its *position*, which the tree does not store per entry:
-//!   the caller lays its records out in the same order and reads position
-//!   `n` as its record `n`. An entry is an opaque `u64` code word
+//!   is named by its *position*, not stored per entry: the caller knows
+//!   which record position `n` names ([`BPlusTree::cursor_at`] stands
+//!   before it). An entry is an opaque `u64` code word
 //!   ([`Cursor::code`]) — iDistance's quantised image of the row, judged
 //!   before the record is read.
 //! - A leaf keeps no key per entry, only its least and greatest key,

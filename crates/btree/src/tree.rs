@@ -103,6 +103,20 @@ impl BPlusTree {
         Ok(cursor)
     }
 
+    /// Positions a cursor in the gap before `position` (`≤ len`), on leaf
+    /// `position / LEAF_CAPACITY`, where [`bulk_load`](Self::bulk_load)
+    /// packs it: one pool fetch, as a seek makes. A leaf whose positions do
+    /// not hold `position` is refused `Corrupt`.
+    pub fn cursor_at(&self, position: u64) -> Result<Cursor> {
+        let page = (position / LEAF_CAPACITY as u64).min(self.fences.len() as u64 - 1);
+        let mut cursor = self.pin(page, self.pool.page(page)?, 0)?;
+        cursor.slot = (position.checked_sub(cursor.first))
+            .filter(|&slot| slot <= cursor.count as u64)
+            .ok_or(Error::Corrupt("a leaf's positions are not where they pack"))?
+            as usize;
+        Ok(cursor)
+    }
+
     /// A cursor on `leaf`, page `page`, in the gap before `slot` — refused
     /// if the leaf holds more than a leaf can or its positions run past
     /// [`len`](Self::len), so every position a cursor returns names one of
@@ -281,6 +295,30 @@ mod tests {
             Some((SECOND as f64, SECOND + 1))
         );
         t.check_invariants().unwrap();
+    }
+
+    #[test]
+    fn a_cursor_at_a_position_steps_onto_it_with_one_fetch() {
+        let t = tree(64, &upto(1200, 1.0));
+        for at in [0, 1, SECOND - 1, SECOND, SECOND + 7, 1199] {
+            let before = t.pool().snapshot();
+            let mut c = t.cursor_at(at).unwrap();
+            assert_eq!(t.pool().snapshot().since(&before).pages_touched(), 1);
+            assert_eq!(t.cursor_next(&mut c).unwrap().map(|e| e.1), Some(at));
+            assert_eq!(c.code(), at * at);
+            let mut c = t.cursor_at(at).unwrap();
+            let back = t.cursor_prev(&mut c).unwrap().map(|e| e.1);
+            assert_eq!(back, at.checked_sub(1));
+        }
+        // The gap past the last entry, and past a full last leaf.
+        let mut c = t.cursor_at(1200).unwrap();
+        assert_eq!(t.cursor_next(&mut c).unwrap(), None);
+        let full = tree(16, &upto(SECOND, 1.0));
+        let mut c = full.cursor_at(SECOND).unwrap();
+        assert_eq!(
+            full.cursor_prev(&mut c).unwrap().map(|e| e.1),
+            Some(SECOND - 1)
+        );
     }
 
     #[test]

@@ -701,6 +701,7 @@ fn cmd_query(args: &[String]) -> Result<(), String> {
         }
     };
     let before = index.query_stats(); // count query work only, not construction I/O
+    let pools_before = index.pool_stats();
     let k = match target {
         Target::Knn(k) => k,
         Target::Range(_) => 1,
@@ -718,8 +719,17 @@ fn cmd_query(args: &[String]) -> Result<(), String> {
     .map_err(|e| e.to_string())?;
     print_answers(&answers, target, hex);
     let stats = index.query_stats().since(&before);
+    // iDistance's two pools are its tree's and its heap's.
+    let split = match (index.name(), &index.pool_stats()[..], &pools_before[..]) {
+        ("idistance", [tree, heap], [tree_before, heap_before]) => format!(
+            "{} tree + {} heap, ",
+            tree.since(tree_before).pages_touched(),
+            heap.since(heap_before).pages_touched()
+        ),
+        _ => String::new(),
+    };
     outln!(
-        "[{}] {} dist computations, {} candidates refined, {} page accesses ({} reads)",
+        "[{}] {} dist computations, {} candidates refined, {} page accesses ({split}{} reads)",
         index.name(),
         stats.dist_computations,
         stats.candidates_refined,

@@ -371,6 +371,43 @@ fn run_ok(args: &[&str]) -> String {
 }
 
 #[test]
+fn an_idistance_query_splits_its_page_accesses_between_tree_and_heap() {
+    let fix = fixture();
+    let (data, model, index) = (fix.data(), fix.model(), fix.index());
+    let [data, model, index] = [&data, &model, &index].map(|p| p.to_str().unwrap());
+    // `N page accesses (T tree + H heap, R reads)`: its numbers.
+    let accesses = |out: &str| -> Vec<u64> {
+        let line = out
+            .lines()
+            .find(|l| l.contains(" page accesses ("))
+            .unwrap();
+        let (head, tail) = line.split_once(" page accesses (").unwrap();
+        let total = head.rsplit(' ').next().unwrap().parse().unwrap();
+        let parts = tail
+            .split(|c: char| !c.is_ascii_digit())
+            .filter(|s| !s.is_empty());
+        [total]
+            .into_iter()
+            .chain(parts.map(|s| s.parse().unwrap()))
+            .collect()
+    };
+    let query = ["--data", data, "--row", "5", "--k", "4"];
+    for source in [&["--index-file", index][..], &["--model", model]] {
+        let out = run_ok(&[&["query"], source, &query].concat());
+        assert!(out.contains(" tree + ") && out.contains(" heap, "), "{out}");
+        let [total, tree, heap, _] = accesses(&out)[..] else {
+            panic!("four numbers: {out}");
+        };
+        assert!(tree > 0 && heap > 0, "{out}");
+        assert_eq!(total, tree + heap, "{out}");
+    }
+    // Another backend's pools are not a tree and a heap.
+    let scan = ["query", "--model", model, "--backend", "seqscan"];
+    let out = run_ok(&[&scan[..], &query].concat());
+    assert_eq!(accesses(&out).len(), 2, "{out}");
+}
+
+#[test]
 fn a_flat_cluster_model_is_read_back() {
     // Every row on one line through two points: the cluster is flat
     // beyond its first axis, so its ellipticity is +inf (Definition 3.4).

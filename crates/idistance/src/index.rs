@@ -4,13 +4,13 @@ use crate::codes::Codebook;
 use crate::error::{Error, Result};
 use crate::layout::{data_rows, partition_ids, KeySpace, PartitionRows};
 use crate::vector_heap::VectorHeap;
-use mmdr_btree::{BPlusTree, LEAF_CAPACITY};
+use mmdr_btree::BPlusTree;
 use mmdr_core::{EllipsoidCluster, ReductionResult};
 use mmdr_index::{DeltaLayer, SearchCounters};
 use mmdr_linalg::Matrix;
 use mmdr_pca::ReducedSubspace;
 use mmdr_storage::{BufferPool, DiskManager, PageId};
-use std::ops::Range;
+use std::sync::{Mutex, OnceLock, PoisonError};
 
 /// Per-partition search metadata (the paper's auxiliary arrays: centroids,
 /// principal components, nearest/farthest radius).
@@ -33,6 +33,8 @@ pub struct PartitionInfo {
     pub codebook: Option<Codebook>,
     /// Where its rows lie, worked out by [`IDistanceIndex::from_parts`].
     pub(crate) run: Run,
+    /// Its placement table, learned by the first search that opens it.
+    pub(crate) placement: OnceLock<Box<[u32]>>,
 }
 
 impl PartitionInfo {
@@ -58,16 +60,17 @@ impl PartitionInfo {
             count,
             codebook,
             run: Run::default(),
+            placement: OnceLock::new(),
         }
     }
 }
 
-/// Where one partition's rows lie. A load lays each partition's rows out
-/// once, leaf by leaf in ascending key order (in Hilbert order inside a
-/// leaf), twice over: as consecutive leaf entries from position `first`,
-/// and as records on a heap page run of its own from page `page`,
-/// `per_page` to a page. So the partition's `n`-th entry is its `n`-th
-/// record, and a position names its record by arithmetic.
+/// Where one partition's rows lie. A load lays them out once, twice over:
+/// as consecutive leaf entries in key order from position `first`, and as
+/// records on a heap page run of its own from page `page`, `per_page` to a
+/// page, in [`heap_order`] — so rows near one another in the subspace share
+/// heap pages. A position names its record through the partition's
+/// placement table ([`IDistanceIndex::placement`]).
 #[derive(Debug, Clone, Copy, Default)]
 pub(crate) struct Run {
     pub(crate) first: u64,
@@ -76,62 +79,50 @@ pub(crate) struct Run {
     per_page: u64,
 }
 
-impl Run {
-    /// The positions the heap page holding `position` holds, and that
-    /// page; `None` for a position outside the partition.
-    fn page_of(&self, position: u64) -> Option<(Range<u64>, PageId)> {
-        let n = position
-            .checked_sub(self.first)
-            .filter(|&n| n < self.count)?;
-        let index = n / self.per_page;
-        let start = self.first + index * self.per_page;
-        let end = (start + self.per_page).min(self.first + self.count);
-        Some((start..end, self.page + index))
-    }
+/// The order of a partition's heap records, which the load writes and a
+/// placement table is learned in: the key-order ranks of their codes'
+/// Hilbert indices `hilbert`, sorted by `(index, rank)`.
+fn heap_order(hilbert: &[u128]) -> Vec<u32> {
+    let mut ranks: Vec<u32> = (0..hilbert.len() as u32).collect();
+    ranks.sort_unstable_by_key(|&rank| (hilbert[rank as usize], rank));
+    ranks
 }
 
-/// Resolves tree positions to heap record ids, remembering the positions
-/// of the heap page the last one fell on: a walk along the leaves divides
-/// once per heap page it crosses, and for every other position compares
-/// once and adds. A filtered search resolves every leaf entry it walks, so the
-/// division is not paid per entry.
+/// Resolves tree positions to heap record ids through the placement table
+/// of the partition the last one fell in: a table read and an add, with no
+/// division.
 #[derive(Debug, Default)]
-pub struct RecordIds {
-    /// The positions of the heap page resolved last, `start..start + len`
-    /// (none at first).
-    start: u64,
-    len: u64,
-    /// What turns one of them into its rid (`page << 16 | slot`) by a
-    /// wrapping add.
-    offset: u64,
+pub struct RecordIds<'a> {
+    /// That partition's first position, first page and table (none at first).
+    first: u64,
+    page: PageId,
+    table: &'a [u32],
 }
 
-impl RecordIds {
+impl<'a> RecordIds<'a> {
     /// The rid of the record at `position`, one of `index`'s tree
-    /// positions — any a cursor returns ([`IDistanceIndex::record_id`]
-    /// checks any other). Always inlined, and infallible for that: a
-    /// filtered scan asks it of every leaf entry, and as a call, or with an
-    /// error path, it cost `filtered_knn` 7 % of its queries.
+    /// positions — any a cursor returns, of a partition whose table is
+    /// learned: a search has opened it, or [`IDistanceIndex::record_id`]
+    /// has resolved one of its positions. Always inlined, and infallible
+    /// for that: a filtered scan asks it of every leaf entry, and as a
+    /// call, or with an error path, it cost `filtered_knn` 7 % of its
+    /// queries.
     #[inline(always)]
-    pub fn get(&mut self, index: &IDistanceIndex, position: u64) -> u64 {
-        if position.wrapping_sub(self.start) >= self.len {
+    pub fn get(&mut self, index: &'a IDistanceIndex, position: u64) -> u64 {
+        if position.wrapping_sub(self.first) >= self.table.len() as u64 {
             self.locate(index, position);
         }
-        position.wrapping_add(self.offset)
+        let placed = u64::from(self.table[(position - self.first) as usize]);
+        ((self.page + (placed >> 8)) << 16) | (placed & 0xFF)
     }
 
-    /// Moves to the heap page holding `position`.
+    /// Moves to the partition holding `position`.
     #[inline(never)]
-    fn locate(&mut self, index: &IDistanceIndex, position: u64) {
-        let parts = &index.partitions;
-        let part = parts.partition_point(|p| p.run.first + p.run.count <= position);
-        let (positions, page) = parts
-            .get(part)
-            .and_then(|p| p.run.page_of(position))
-            .expect("the partitions' runs cover the tree's positions");
-        self.start = positions.start;
-        self.len = positions.end - positions.start;
-        self.offset = (page << 16).wrapping_sub(positions.start);
+    fn locate(&mut self, index: &'a IDistanceIndex, position: u64) {
+        let part = &index.partitions[index.partition_of(position)];
+        self.first = part.run.first;
+        self.page = part.run.page;
+        self.table = part.placement.get().expect("a learned table");
     }
 }
 
@@ -150,6 +141,8 @@ pub struct IDistanceIndex {
     /// for outliers), each with its cell code. A search queues them beside
     /// the tree's entries, at their code bounds.
     pub(crate) delta: DeltaLayer,
+    /// Held while a placement table is learned, so each is read once.
+    learning: Mutex<()>,
 }
 
 impl IDistanceIndex {
@@ -174,11 +167,9 @@ impl IDistanceIndex {
     /// cut from the partition's rows. The tree and the heap split
     /// `buffer_pages`.
     ///
-    /// The rows go to leaves in key order, a leaf every [`LEAF_CAPACITY`]
-    /// positions; a leaf keeps only its key range, so inside each leaf's
-    /// share of a partition they — and their heap records — go in
-    /// [`Codebook::hilbert`] order of their codes, ties in key order: rows
-    /// near one another in the subspace come to share heap pages.
+    /// The rows go to leaves in key order, packed full, and to heap records
+    /// in [`Codebook::hilbert`] order of their codes across the partition,
+    /// ties in key order (see [`Run`]).
     pub(crate) fn load(
         model: &ReductionResult,
         buffer_pages: usize,
@@ -191,12 +182,9 @@ impl IDistanceIndex {
         let mut heap = VectorHeap::new(pool()?);
 
         let mut partitions: Vec<PartitionInfo> = Vec::with_capacity(model.clusters.len() + 1);
-        // (key distance, code) in layout order, partition after partition;
+        // (key distance, code) in key order, partition after partition;
         // keyed after c is known.
         let mut staged: Vec<(f64, u64)> = Vec::with_capacity(model.num_points);
-        // One leaf's share of a partition: (Hilbert index, rank in key
-        // order, code), each worked out once a row.
-        let mut share: Vec<(u128, usize, u64)> = Vec::with_capacity(LEAF_CAPACITY);
         for part in partition_ids(model) {
             let i = partitions.len();
             let cluster = part.map(|ci| &model.clusters[ci]);
@@ -216,24 +204,17 @@ impl IDistanceIndex {
             };
             let codebook = Codebook::fit(rows.iter().map(|(_, coords)| coords.as_slice()));
             // A partition with rows has a codebook.
-            let mut rest = &order[..];
-            while let (Some(book), false) = (&codebook, rest.is_empty()) {
-                // The leaf being filled takes as many rows as it has room.
-                let room = LEAF_CAPACITY - staged.len() % LEAF_CAPACITY;
-                let (leaf, tail) = rest.split_at(room.min(rest.len()));
-                rest = tail;
-                share.clear();
-                share.extend(leaf.iter().enumerate().map(|(rank, &(_, at))| {
+            let mut hilbert = Vec::with_capacity(rows.len());
+            if let Some(book) = &codebook {
+                for &(dist, at) in &order {
                     let code = book.encode(&rows[at].1);
-                    (book.hilbert(code), rank, code)
-                }));
-                share.sort_unstable();
-                for &(_, rank, code) in &share {
-                    let (dist, at) = leaf[rank];
-                    let (id, coords) = &rows[at];
-                    heap.append(i as u32, *id, coords)?;
+                    hilbert.push(book.hilbert(code));
                     staged.push((dist, code));
                 }
+            }
+            for rank in heap_order(&hilbert) {
+                let (id, coords) = &rows[order[rank as usize].1];
+                heap.append(i as u32, *id, coords)?;
             }
             partitions.push(PartitionInfo::new(
                 cluster,
@@ -265,9 +246,11 @@ impl IDistanceIndex {
     /// reattached B⁺-tree and heap (see [`BPlusTree::from_parts`] and
     /// [`VectorHeap::from_parts`]), the partition metadata, and the scalar
     /// state [`build`](Self::build) computed. Where each partition's rows
-    /// lie follows from the counts and widths alone (see [`RecordIds`]),
-    /// so it is worked out here and never stored. The index counts through
-    /// the two pools it is given, like a built one.
+    /// lie follows from the counts and widths alone (see [`Run`]), so it is
+    /// worked out here and never stored; which record each position names
+    /// is learned from the leaves ([`placement`](Self::placement)). Reads
+    /// no page. The index counts through the two pools it is given, like a
+    /// built one.
     pub fn from_parts(
         tree: BPlusTree,
         heap: VectorHeap,
@@ -301,8 +284,11 @@ impl IDistanceIndex {
                 .map_or(dim, ReducedSubspace::reduced_dim);
             let per_page = VectorHeap::page_capacity(width) as u64;
             let count = p.count as u64;
-            if count > 0 && per_page == 0 {
-                return Err(Error::InvalidConfig("record width must fit a page"));
+            // Its codes order its records; a placement is `page offset << 8 |
+            // slot` in 32 bits.
+            let placeable = (1..256).contains(&per_page) && count.div_ceil(per_page) <= 1 << 24;
+            if count > 0 && !(placeable && p.codebook.is_some()) {
+                return Err(Error::InvalidConfig("partition rows must fit a table"));
             }
             p.run = Run {
                 first,
@@ -327,6 +313,7 @@ impl IDistanceIndex {
             search: SearchCounters::default(),
             len: first as usize,
             delta: DeltaLayer::default(),
+            learning: Mutex::new(()),
         })
     }
 
@@ -343,12 +330,53 @@ impl IDistanceIndex {
     }
 
     /// The rid of the heap record the tree's entry at `position` names (a
-    /// one-off [`RecordIds::get`]); [`Error::BadRecordId`] past the tree.
+    /// one-off [`RecordIds::get`], learning its partition's table if no
+    /// search has); [`Error::BadRecordId`] past the tree.
     pub fn record_id(&self, position: u64) -> Result<u64> {
         if position >= self.tree.len() as u64 {
             return Err(Error::BadRecordId(position));
         }
+        self.placement(self.partition_of(position))?;
         Ok(RecordIds::default().get(self, position))
+    }
+
+    /// The partition whose positions hold `position` (the last one past
+    /// the tree).
+    fn partition_of(&self, position: u64) -> usize {
+        self.partitions
+            .partition_point(|p| p.run.first + p.run.count <= position)
+    }
+
+    /// Partition `part`'s placement table: per position, in order, where its
+    /// record lies, `page offset << 8 | slot` on the partition's page run
+    /// (a page holds at most 255 records). The records' order is a function
+    /// of the codes the leaves hold, so the first call reads the
+    /// partition's leaves, each once, through the tree's pool and counted
+    /// as any fetch — one path, whether the index was built or opened, and
+    /// an open reads no page — and sorts their codes as the load did.
+    pub(crate) fn placement(&self, part: usize) -> Result<&[u32]> {
+        let info = &self.partitions[part];
+        if let Some(table) = info.placement.get() {
+            return Ok(table);
+        }
+        let _one = self.learning.lock().unwrap_or_else(PoisonError::into_inner);
+        if let Some(table) = info.placement.get() {
+            return Ok(table);
+        }
+        let run = info.run;
+        let mut hilbert = Vec::with_capacity(run.count as usize);
+        if let Some(book) = &info.codebook {
+            let mut cursor = self.tree.cursor_at(run.first)?;
+            for _ in 0..run.count {
+                self.tree.cursor_next(&mut cursor)?;
+                hilbert.push(book.hilbert(cursor.code()));
+            }
+        }
+        let mut table = vec![0; run.count as usize];
+        for (at, rank) in (0u64..).zip(heap_order(&hilbert)) {
+            table[rank as usize] = (((at / run.per_page) << 8) | (at % run.per_page)) as u32;
+        }
+        Ok(info.placement.get_or_init(|| table.into()))
     }
 
     /// Number of visible points: the snapshot rows plus live delta rows.
@@ -390,6 +418,7 @@ mod tests {
     use super::*;
     use crate::layout::BuiltIndex;
     use mmdr_core::{Mmdr, MmdrParams, PointAssignment};
+    use mmdr_index::VectorIndex;
 
     fn dataset() -> Matrix {
         let rows: Vec<Vec<f64>> = (0..200)
@@ -462,6 +491,86 @@ mod tests {
                 Some(c) => assert!(matches!(got, Err(Error::InvalidConfig(_))), "c = {c}"),
             }
         }
+    }
+
+    #[test]
+    fn from_parts_refuses_rows_without_the_codes_that_order_their_records() {
+        let IDistanceIndex {
+            tree,
+            heap,
+            mut partitions,
+            c,
+            dim,
+            ..
+        } = build().1;
+        let part = partitions.iter().position(|p| p.count > 0).unwrap();
+        partitions[part].codebook = None;
+        let got = IDistanceIndex::from_parts(tree, heap, partitions, c, dim);
+        assert!(matches!(got, Err(Error::InvalidConfig(_))));
+    }
+
+    /// Each partition's leaves, counted once a partition with rows.
+    fn leaves(index: &IDistanceIndex, parts: impl Iterator<Item = usize>) -> u64 {
+        let cap = mmdr_btree::LEAF_CAPACITY as u64;
+        let runs = parts
+            .map(|p| index.partitions[p].run)
+            .filter(|r| r.count > 0);
+        runs.map(|r| (r.first + r.count - 1) / cap - r.first / cap + 1)
+            .sum()
+    }
+
+    #[test]
+    fn the_first_search_to_open_a_partition_learns_where_its_records_lie() {
+        // Three flats of 700 rows in 5-d: several leaves and heap pages each.
+        let rows: Vec<Vec<f64>> = (0..2100)
+            .map(|i| {
+                let (f, t) = ((i % 3) as f64, (i / 3) as f64 / 700.0);
+                let s = (i as f64 * 0.618_033_988).fract();
+                let jit = ((i as f64 * 0.414_213_56).fract() - 0.5) * 0.01;
+                vec![9.0 * f + t, 9.0 * f + s, 9.0 * f + 0.5 * t, jit, -jit]
+            })
+            .collect();
+        let data = Matrix::from_rows(&rows).unwrap();
+        let model = Mmdr::new(MmdrParams::default()).fit(&data).unwrap();
+        let index = IDistanceIndex::build(&data, &model, 256).unwrap();
+        let parts = 0..index.partitions.len();
+        assert!(leaves(&index, parts.clone()) > 3, "several leaves");
+        assert!(index.partitions.iter().all(|p| p.placement.get().is_none()));
+        let fetches = |index: &IDistanceIndex, f: &dyn Fn()| {
+            let before = index.query_stats();
+            f();
+            index.query_stats().since(&before).pages_touched
+        };
+        // One position resolved: its partition's leaves are read, no more.
+        let home = index.partition_of(0);
+        let one = fetches(&index, &|| {
+            index.record_id(0).unwrap();
+        });
+        assert_eq!(one, leaves(&index, [home].into_iter()));
+        // A k-NN over every row opens every partition: asked once, it reads
+        // the other tables; asked again, none.
+        let (q, n) = (data.row(5), data.rows());
+        let rest = leaves(&index, parts.filter(|&p| p != home));
+        assert!(rest > 0, "more than one partition with rows");
+        let first = fetches(&index, &|| drop(index.knn(q, n).unwrap()));
+        let second = fetches(&index, &|| drop(index.knn(q, n).unwrap()));
+        assert_eq!(first, second + rest);
+        // Eight threads asking it at once of a fresh build read each table
+        // once between them.
+        let want = index.knn(q, n).unwrap();
+        let fresh = IDistanceIndex::build(&data, &model, 256).unwrap();
+        let start = std::sync::Barrier::new(8);
+        let eight = fetches(&fresh, &|| {
+            std::thread::scope(|s| {
+                for _ in 0..8 {
+                    s.spawn(|| {
+                        start.wait();
+                        assert_eq!(fresh.knn(q, n).unwrap(), want);
+                    });
+                }
+            })
+        });
+        assert_eq!(eight, 8 * second + rest + one);
     }
 
     #[test]

@@ -145,8 +145,9 @@ impl Reach {
 /// Dropped, it leaves the queue and the page set empty — on an error too.
 struct Candidates<'a> {
     index: &'a IDistanceIndex,
-    /// Position → rid, at the heap page the last position fell on.
-    ids: RecordIds,
+    /// Position → rid, through the table of the partition the last one
+    /// fell in.
+    ids: RecordIds<'a>,
     /// What the walk admitted and [`refine`](Self::refine) has not taken,
     /// and the least of it (`u128::MAX` when it is empty).
     queue: &'a mut Vec<u128>,
@@ -189,11 +190,11 @@ impl Candidates<'_> {
     /// `None` if, under a filter, the id column already knows that the
     /// entry at `position` names a row the gate rejects; else whether the
     /// entry counts towards the provisional reach: under a filter, if the
-    /// column knows it passes; without one, always. No pool, and no division
-    /// on a heap page the walk stands on ([`RecordIds`]): the one test
-    /// cheaper than the cell code, so the walk asks it first — a 1 % filter's
-    /// reach stays wide, its codes rule out little, and paying for one on
-    /// every entry ran `filtered_knn` 9 % slower. Always inlined: as a call
+    /// column knows it passes; without one, always. No pool and no division
+    /// (a table read, [`RecordIds`]): the one test cheaper than the cell
+    /// code, so the walk asks it first — a 1 % filter's reach stays wide,
+    /// its codes rule out little, and paying for one on every entry ran
+    /// `filtered_knn` 9 % slower. Always inlined: as a call
     /// per entry it cost `filtered_knn` 7 % and unfiltered queries 2 %.
     #[inline(always)]
     fn admit(&mut self, position: u64) -> Option<bool> {
@@ -623,6 +624,7 @@ impl IDistanceIndex {
                 // — the paper's case analysis: a query outside the data
                 // space starts at its boundary, and only its inward walk
                 // finds rows. Both walks start from the one pinned leaf.
+                self.placement(s.part)?;
                 let max_r = self.partitions[s.part].max_radius;
                 let cur = self
                     .tree
@@ -1041,6 +1043,11 @@ mod tests {
             let pool = BufferPool::new(disk, 1).unwrap();
             let heap = VectorHeap::from_parts(pool, heap.open_page(), heap.len()).unwrap();
             let index = IDistanceIndex::from_parts(tree, heap, partitions, c, dim).unwrap();
+            // Every placement table learned up front: a walk's tree fetches
+            // are its own, whichever walk comes first.
+            for part in 0..index.partitions.len() {
+                index.placement(part).unwrap();
+            }
             Self { index, log, spare }
         }
 
@@ -1954,8 +1961,12 @@ mod tests {
                         // The same query on a fresh base, with and without
                         // the inserts: a delta row within a frontier has been
                         // refined before it, so the reach is never wider.
+                        // Each asked once unmeasured first, so neither count
+                        // holds the leaves its placement tables were learned
+                        // from.
                         let fetches = |built: &BuiltIndex| {
                             let index = built.as_dyn();
+                            index.search(&query, &mut Scratch::default()).unwrap();
                             let before = index.query_stats();
                             index.search(&query, &mut Scratch::default()).unwrap();
                             index.query_stats().since(&before).pages_touched

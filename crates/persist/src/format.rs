@@ -68,7 +68,12 @@ pub const MAGIC: [u8; 8] = *b"MMDRSNP\x01";
 /// and nothing else, 508 to a leaf, under a header holding the leaf's
 /// least and greatest key exactly; inside a leaf the entries, and their
 /// heap records, stand in Hilbert order of their codes. META is unchanged.
-pub const FORMAT_VERSION: u32 = 7;
+///
+/// Version 8 has v7's bytes in another order: a leaf's entries in key
+/// order, each partition's heap records in Hilbert order of their codes
+/// across the partition. Which record a position names is learned from the
+/// leaves by the first search that opens the partition.
+pub const FORMAT_VERSION: u32 = 8;
 /// Little-endian sentinel; a byte-swapped writer would store 0x4D3C2B1A.
 pub const ENDIAN_TAG: u32 = 0x1A2B_3C4D;
 /// Superblock size; the section table starts here.
@@ -431,10 +436,10 @@ mod tests {
 
     #[test]
     fn another_version_reported_before_checksums() {
-        // A newer file, and the v6 one the previous format wrote: the
+        // A newer file, and the v7 one the previous format wrote: the
         // version is changed *without* fixing the superblock CRC, and the
         // version check must fire first.
-        for other in [99u32, 6] {
+        for other in [99u32, 7] {
             let mut image = sample();
             image[8..12].copy_from_slice(&other.to_le_bytes());
             match parse(&image) {

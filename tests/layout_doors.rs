@@ -10,12 +10,12 @@
 //!     bitwise, for every id;
 //!
 //! and for iDistance, whose leaf entries name their records by position,
-//! (d) entry `n` of the tree, walked from its first leaf, resolves to the
-//!     row laid out there: each leaf's share of a partition holds the rows
-//!     key order gives it, in Hilbert order of their codes — through every
-//!     door, built and reopened.
+//! (d) entry `n` of the tree, walked from its first leaf, holds the row key
+//!     order lays out there and resolves to its record, and each
+//!     partition's records fill a page run of their own in Hilbert order of
+//!     their codes — through every door, built and reopened, to the same
+//!     record ids.
 
-use mmdr_btree::LEAF_CAPACITY;
 use mmdr_core::{Mmdr, MmdrParams, ReductionResult};
 use mmdr_idistance::{load_exact, restored_rows, stored_rows, Backend, RecordIds, VectorHeap};
 use mmdr_index::IngestOp;
@@ -154,8 +154,8 @@ fn rows_read_back_are_the_restored_projections() {
 /// The `(partition, id, key bits)` of every row `index` stores, in key
 /// order worked out from `model` alone: partition after partition —
 /// clusters in model order, then the outliers — each partition's members
-/// in member order, stably sorted by key. Cut every `LEAF_CAPACITY`
-/// positions, it gives each leaf its rows.
+/// in member order, stably sorted by key: the tree's entry `n` holds its
+/// `n`-th row.
 fn laid_out(index: &BuiltIndex, model: &ReductionResult) -> Vec<(usize, u64, u64)> {
     let BuiltIndex::IDistance(idx) = index else {
         panic!("an iDistance index");
@@ -198,86 +198,82 @@ struct Shapes {
     full_width_outliers: bool,
 }
 
-/// Walks `index`'s tree from its first leaf: entry `n` is at position `n`,
-/// and its rid — resolved once through a [`RecordIds`] that remembers the
-/// heap page, once from scratch — reads a row of the partition `want`'s
-/// `n`-th row is in. Each leaf's share of a partition holds the rows
-/// `want` puts there, in ascending `hilbert(code)` and, among equal
-/// indices, ascending key; and each row's exact key lies in its leaf's
-/// range `[lo, hi]`.
-fn assert_positions_name_their_rows(index: &BuiltIndex, want: &[(usize, u64, u64)], tag: &str) {
+/// Walks `index`'s tree from its first leaf: entry `n` is at position `n`
+/// and holds the row `want` lays out `n`-th — leaves in key order — with its
+/// exact key in its leaf's range `[lo, hi]`; and its rid, resolved by
+/// `record_id` and again through a [`RecordIds`], reads that row. Each
+/// partition's records, in slot order, start a heap page of their own and
+/// fill its run page after page, in ascending `(hilbert(code), position)`.
+/// Returns every position's rid.
+fn assert_positions_name_their_rows(
+    index: &BuiltIndex,
+    want: &[(usize, u64, u64)],
+    tag: &str,
+) -> Vec<u64> {
     let BuiltIndex::IDistance(idx) = index else {
         panic!("an iDistance index");
     };
-    let key_of: BTreeMap<u64, f64> = want
-        .iter()
-        .map(|&(_, id, key)| (id, f64::from_bits(key)))
-        .collect();
     let tree = idx.tree();
     let mut cursor = tree.seek(f64::MIN).unwrap();
     let mut ids = RecordIds::default();
-    // Per entry: (leaf, partition, Hilbert index, key, id).
-    let mut got = Vec::with_capacity(want.len());
+    let mut rids = Vec::with_capacity(want.len());
+    // Per partition: (rid, Hilbert index, position) of each of its entries.
+    let mut records = vec![Vec::new(); idx.partitions().len()];
     while let Some((lo, position)) = tree.cursor_next(&mut cursor).unwrap() {
-        let n = got.len();
+        let n = rids.len();
         assert_eq!(position, n as u64, "{tag}");
-        let rid = ids.get(idx, position);
-        assert_eq!(rid, idx.record_id(position).unwrap(), "{tag}: entry {n}");
+        let rid = idx.record_id(position).unwrap();
+        assert_eq!(rid, ids.get(idx, position), "{tag}: entry {n}");
         let (part, id, _) = idx.heap().get(rid).unwrap();
-        assert_eq!(part as usize, want[n].0, "{tag}: entry {n}");
-        let book = idx.partitions()[part as usize].codebook.as_ref().unwrap();
-        let (key, hi) = (key_of[&id], cursor.key_hi());
+        let (want_part, want_id, key) = want[n];
+        assert_eq!(
+            (part as usize, id),
+            (want_part, want_id),
+            "{tag}: entry {n}"
+        );
+        let (key, hi) = (f64::from_bits(key), cursor.key_hi());
         assert!(
             lo <= key && key <= hi,
             "{tag}: entry {n}, {key} not in [{lo}, {hi}]"
         );
-        got.push((
-            n / LEAF_CAPACITY,
-            part,
-            book.hilbert(cursor.code()),
-            key,
-            id,
-        ));
+        let book = idx.partitions()[want_part].codebook.as_ref().unwrap();
+        records[want_part].push((rid, book.hilbert(cursor.code()), position));
+        rids.push(rid);
     }
-    assert_eq!(got.len(), want.len(), "{tag}");
-    for (n, pair) in got.windows(2).enumerate() {
-        let ((leaf, part, h, key, _), (next_leaf, next_part, next_h, next_key, _)) =
-            (pair[0], pair[1]);
-        if (leaf, part) == (next_leaf, next_part) {
+    assert_eq!(rids.len(), want.len(), "{tag}");
+    let mut pages_before = 0;
+    for (part, mut records) in records.into_iter().enumerate() {
+        let info = &idx.partitions()[part];
+        let width = info
+            .subspace
+            .as_ref()
+            .map_or(idx.dim(), |s| s.reduced_dim());
+        let per_page = VectorHeap::page_capacity(width) as u64;
+        records.sort_unstable();
+        let start = records.first().map_or(pages_before, |r| r.0 >> 16);
+        assert!(
+            start >= pages_before,
+            "{tag}: partition {part} shares a page"
+        );
+        for (k, pair) in (0u64..).zip(&records) {
+            let slot = ((start + k / per_page) << 16) | (k % per_page);
+            assert_eq!(pair.0, slot, "{tag}: partition {part}, record {k}");
+        }
+        for pair in records.windows(2) {
             assert!(
-                (h, key) <= (next_h, next_key),
-                "{tag}: entries {n} and {} out of Hilbert order",
-                n + 1
+                (pair[0].1, pair[0].2) < (pair[1].1, pair[1].2),
+                "{tag}: partition {part}, positions {} and {} out of Hilbert order",
+                pair[0].2,
+                pair[1].2
             );
         }
+        pages_before = start + (records.len() as u64).div_ceil(per_page);
     }
-    let shares = |rows: &mut dyn Iterator<Item = (usize, usize, u64)>| {
-        let mut shares: BTreeMap<(usize, usize), Vec<u64>> = BTreeMap::new();
-        for (leaf, part, id) in rows {
-            shares.entry((leaf, part)).or_default().push(id);
-        }
-        shares.values_mut().for_each(|ids| ids.sort_unstable());
-        shares
-    };
-    let got_shares = shares(
-        &mut got
-            .iter()
-            .map(|&(leaf, part, _, _, id)| (leaf, part as usize, id)),
-    );
-    let want_shares = shares(
-        &mut want
-            .iter()
-            .enumerate()
-            .map(|(n, &(part, id, _))| (n / LEAF_CAPACITY, part, id)),
-    );
-    assert_eq!(
-        got_shares, want_shares,
-        "{tag}: each leaf's share of a partition"
-    );
     assert!(
-        idx.record_id(got.len() as u64).is_err(),
+        idx.record_id(rids.len() as u64).is_err(),
         "{tag}: no entry past the last"
     );
+    rids
 }
 
 fn note_shapes(index: &BuiltIndex, model: &ReductionResult, shapes: &mut Shapes) {
@@ -343,7 +339,7 @@ fn every_leaf_position_resolves_to_the_row_laid_out_there() {
             let tag = format!("fixture {fi}, {door}");
             let want = laid_out(index, model);
             note_shapes(index, model, &mut shapes);
-            assert_positions_name_their_rows(index, &want, &tag);
+            let rids = assert_positions_name_their_rows(index, &want, &tag);
             let path = std::env::temp_dir().join(format!(
                 "mmdr-layout-doors-{}-positions-{fi}-{door}.mmdr",
                 std::process::id()
@@ -354,14 +350,15 @@ fn every_leaf_position_resolves_to_the_row_laid_out_there() {
                 ..OpenOptions::default()
             };
             let paged = OpenOptions {
-                pool_pages: Some(8),
+                pool_pages: Some(2),
                 readahead: 0,
                 resident: false,
             };
-            for (open, options) in [("resident", resident), ("8-frame paged", paged)] {
+            for (open, options) in [("resident", resident), ("2-frame paged", paged)] {
                 let opened = open_with(&path, &options).unwrap();
                 let tag = format!("{tag}, {open}");
-                assert_positions_name_their_rows(&opened.index, &want, &tag);
+                let got = assert_positions_name_their_rows(&opened.index, &want, &tag);
+                assert_eq!(got, rids, "{tag}: every position names the build's record");
             }
             let _ = std::fs::remove_file(&path);
         }

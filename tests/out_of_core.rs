@@ -6,11 +6,12 @@
 //! from the file only on demand. Damaged page images surface as typed
 //! errors at fault time, and the pool keeps serving after a failed fetch.
 
+use mmdr_btree::LEAF_CAPACITY;
 use mmdr_core::{Mmdr, MmdrParams, ParConfig, ReductionResult};
 use mmdr_idistance::Backend;
 use mmdr_index::{Query, QueryStats, RowFilter, Scratch, SearchFilter, Target};
 use mmdr_linalg::Matrix;
-use mmdr_persist::{build_index, open_resident, open_with, save, OpenOptions, Opened};
+use mmdr_persist::{build_index, open_resident, open_with, save, BuiltIndex, OpenOptions, Opened};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -293,6 +294,11 @@ fn idistance_fetches_once_per_page_visited_whatever_the_pool() {
 
     let resident = open_resident(&file.0).unwrap();
     let paged = open_with(&file.0, &lazy_opts(4)).unwrap();
+    // Every placement table learned first, by a k-NN over every row: each
+    // count below is a walk's, not the leaves a table is learned from.
+    for opened in [&resident, &paged] {
+        opened.index.as_dyn().knn(data.row(0), data.rows()).unwrap();
+    }
     let step = (data.rows() / 9).max(1);
     for qi in 0..9 {
         let q = data.row(qi * step);
@@ -323,12 +329,31 @@ fn idistance_fetches_once_per_page_visited_whatever_the_pool() {
     }
 }
 
-/// A pushed-down filter answers the same the first time a query is asked
-/// and the second — iDistance's id column is empty for the one and holds
-/// every page in reach for the other — on a fresh build, a resident reopen
-/// and a demand-paged reopen with 2 and with 64 frames a pool, for every
-/// backend; and on a demand-paged open neither asking touches more pages
-/// than a resident one does: nothing is read in order to learn.
+/// The leaves an iDistance index's partitions with rows lie on, each
+/// counted once a partition (0 for another backend): what learning every
+/// placement table reads.
+fn partition_leaves(index: &BuiltIndex) -> u64 {
+    let BuiltIndex::IDistance(idx) = index else {
+        return 0;
+    };
+    let (mut first, mut leaves) = (0, 0);
+    for count in idx.partitions().iter().map(|p| p.count).filter(|&c| c > 0) {
+        leaves += (first + count - 1) / LEAF_CAPACITY - first / LEAF_CAPACITY + 1;
+        first += count;
+    }
+    leaves as u64
+}
+
+/// The first search that opens an iDistance partition reads its leaves
+/// once, to learn where its records lie, and a second asking of the query
+/// reads none of them again: a k-NN over every row, asked twice on a fresh
+/// build, a resident reopen and a demand-paged reopen with 2 and with 64
+/// frames a pool, costs each open the same `[first, second]`, apart by
+/// every partition's leaves. Then a pushed-down filter answers the same
+/// the first time a query is asked and the second — iDistance's id column
+/// is empty for the one and holds every page in reach for the other — for
+/// every backend; and on a demand-paged open neither asking touches more
+/// pages than a resident one does: nothing is read to learn the column.
 #[test]
 fn filtered_answers_hold_cold_and_warm_in_every_open_mode() {
     let data = dataset();
@@ -353,6 +378,24 @@ fn filtered_answers_hold_cold_and_warm_in_every_open_mode() {
             ("2-frame reopen", paged_2.index.as_dyn()),
             ("64-frame reopen", paged_64.index.as_dyn()),
         ];
+        let everything = Query::new(queries[0], Target::Knn(n as usize));
+        let mut learning = Vec::new();
+        for (_, idx) in opens {
+            for _ in ["first", "second"] {
+                let before = idx.query_stats();
+                idx.search(&everything, &mut Scratch::default()).unwrap();
+                learning.push(idx.query_stats().since(&before).pages_touched);
+            }
+        }
+        let what = format!("{} learning: {learning:?}", backend.name());
+        assert_eq!(
+            learning[0] - learning[1],
+            partition_leaves(&built),
+            "{what}"
+        );
+        for open in learning.chunks(2).skip(1) {
+            assert_eq!(open, &learning[..2], "{what}");
+        }
         for pass in passes {
             let filter = SearchFilter::from_rows(RowFilter::from_fn(n, pass));
             for target in targets {

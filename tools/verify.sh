@@ -69,6 +69,15 @@ cargo test "${PROFILE[@]}" -p mmdr-idistance --lib \
     knn::tests::delta_rows_in_bound_order_answer_as_the_scan_and_fetch_no_more_pages -- --exact
 cargo test "${PROFILE[@]}" -p mmdr-idistance --lib \
     knn::tests::degenerate_k_and_ties_answer_as_the_scan -- --exact
+# Where records lie: each partition's heap records in Hilbert order of
+# their codes across the partition, from a page of their own, a position
+# naming its record through a placement table the first search that opens
+# the partition learns from its leaves — each leaf read once, however many
+# threads ask, and to the same record on every door and every open.
+cargo test "${PROFILE[@]}" -p mmdr-idistance --lib \
+    index::tests::the_first_search_to_open_a_partition_learns_where_its_records_lie -- --exact
+cargo test "${PROFILE[@]}" --test layout_doors \
+    every_leaf_position_resolves_to_the_row_laid_out_there -- --exact
 
 echo "== buffer-pool concurrency gate =="
 cargo test "${PROFILE[@]}" --test pool_stress
