@@ -3,7 +3,7 @@
 //! ```text
 //! mmdr generate    --out data.json --n 5000 --dim 32 --clusters 5 [--histogram]
 //! mmdr reduce      --data data.json --out model.json [--method mmdr|ldr|gdr] [--dim D] [--threads N]
-//! mmdr info        --model model.json
+//! mmdr info        (--model model.json | --index-file index.mmdr)
 //! mmdr build-index --data data.json --model model.json --out index.mmdr [--backend B]
 //! mmdr query       --data data.json --model model.json --row 17,42 [--k 10] [--radius R] [--threads N] [--backend B]
 //! mmdr query       --index-file index.mmdr --point "0.1,0.2,…" [--k 10]
@@ -79,7 +79,7 @@ USAGE:
   mmdr generate --out FILE [--n N] [--dim D] [--clusters K] [--ratio R] [--seed S] [--histogram true] [--attrs-out FILE]
   mmdr convert  (--csv FILE --out FILE | --data FILE --out-csv FILE)
   mmdr reduce   --data FILE --out FILE [--method mmdr|ldr|gdr] [--dim D] [--clusters K] [--beta B] [--seed S] [--threads N]
-  mmdr info     --model FILE
+  mmdr info     (--model FILE | --index-file FILE)
   mmdr build-index --data FILE --model FILE --out FILE [--backend seqscan|idistance|gldr] [--buffer-pages N] [--attrs FILE]
   mmdr query    --data FILE --model FILE (--row I[,J,…] | --point \"x,y,…\") [--k K] [--radius R] [--threads N] [--backend seqscan|idistance|gldr] [--hex true]
   mmdr query    --index-file FILE (--row I[,J,…] --data FILE | --point \"x,y,…\") [--k K] [--radius R] [--filter \"EXPR\"] [--threads N] [--pool-pages N] [--readahead N] [--hex true]
@@ -346,7 +346,13 @@ fn load_model(path: &str) -> Result<ReductionResult, String> {
 }
 
 fn cmd_info(args: &[String]) -> Result<(), String> {
-    let flags = parse_flags(args, &["model"])?;
+    let flags = parse_flags(args, &["model", "index-file"])?;
+    if let Some(path) = flags.get("index-file") {
+        if flags.contains_key("model") {
+            return Err("--index-file and --model cannot be combined".into());
+        }
+        return info_snapshot(path);
+    }
     let model = load_model(require(&flags, "model")?)?;
     outln!(
         "model: {} points × {} dims → {} clusters + {} outliers ({:.1}%)",
@@ -369,6 +375,28 @@ fn cmd_info(args: &[String]) -> Result<(), String> {
             c.nearest_radius,
             c.radius_retained,
             c.ellipticity
+        );
+    }
+    Ok(())
+}
+
+/// A snapshot's bytes by section, and a row's share of each: the header
+/// (superblock and section table), then the sections in file order. The
+/// open that counts the rows reads no page image.
+fn info_snapshot(path: &str) -> Result<(), String> {
+    use mmdr_persist::format::{section_label, SUPERBLOCK_LEN};
+    let file = std::fs::File::open(path).map_err(|e| format!("{path}: {e}"))?;
+    let (sb, sections) =
+        mmdr_persist::read_head(&file, path.as_ref()).map_err(|e| e.to_string())?;
+    let opened = mmdr_persist::open(path).map_err(|e| e.to_string())?;
+    let rows = opened.index.as_dyn().len();
+    outln!("snapshot: {} B, {rows} rows", sb.file_len);
+    let header = (SUPERBLOCK_LEN + sb.table_len()) as u64;
+    let sections = sections.iter().map(|s| (section_label(s.id), s.len));
+    for (name, bytes) in [("header".into(), header)].into_iter().chain(sections) {
+        outln!(
+            "  {name:<8} {bytes:>12} B  {:>12.5} B a row",
+            bytes as f64 / rows as f64
         );
     }
     Ok(())

@@ -371,6 +371,39 @@ fn run_ok(args: &[&str]) -> String {
 }
 
 #[test]
+fn info_attributes_a_snapshot_to_its_sections() {
+    let index = fixture().index();
+    let out = run_ok(&["info", "--index-file", index.to_str().unwrap()]);
+    let image = std::fs::read(&index).unwrap();
+    // `  name  bytes B  per-row B a row`, the header first, then the
+    // sections in file order.
+    let lines: Vec<(&str, u64)> = out
+        .lines()
+        .skip(1)
+        .map(|l| {
+            let mut words = l.split_whitespace();
+            let name = words.next().unwrap();
+            (name, words.next().unwrap().parse().unwrap())
+        })
+        .collect();
+    let section_count = u32::from_le_bytes(image[20..24].try_into().unwrap()) as usize;
+    assert_eq!(lines.len(), 1 + section_count, "{out}");
+    assert_eq!(lines[0].0, "header", "{out}");
+    let names: Vec<&str> = lines[1..].iter().map(|&(name, _)| name).collect();
+    assert_eq!(names, ["model", "meta", "pagedir", "pages"], "{out}");
+    let total: u64 = lines.iter().map(|&(_, bytes)| bytes).sum();
+    assert_eq!(total, image.len() as u64, "{out}");
+    assert!(
+        out.starts_with(&format!("snapshot: {} B, 300 rows\n", image.len())),
+        "{out}"
+    );
+    assert_typed_error(
+        &["info", "--index-file", fixture().model().to_str().unwrap()],
+        "not a snapshot",
+    );
+}
+
+#[test]
 fn an_idistance_query_splits_its_page_accesses_between_tree_and_heap() {
     let fix = fixture();
     let (data, model, index) = (fix.data(), fix.model(), fix.index());

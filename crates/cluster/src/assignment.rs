@@ -8,7 +8,7 @@ pub struct Cluster {
     /// Centroid in the space the clustering ran in.
     pub centroid: Vec<f64>,
     /// Covariance matrix about the centroid (`d × d`); the zero matrix for
-    /// Euclidean k-means output unless covariance estimation was requested.
+    /// Euclidean k-means output.
     pub covariance: Matrix,
     /// Indices (into the input dataset) of the member points.
     pub members: Vec<usize>,

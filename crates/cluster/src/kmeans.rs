@@ -7,7 +7,7 @@
 
 use crate::assignment::{Cluster, Clustering};
 use crate::error::{Error, Result};
-use mmdr_linalg::{covariance_about, l2_dist_sq, map_ranges, Matrix, ParConfig};
+use mmdr_linalg::{l2_dist_sq, map_ranges, Matrix, ParConfig};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -20,9 +20,6 @@ pub struct KMeansConfig {
     pub max_iters: usize,
     /// RNG seed for k-means++ seeding (runs are deterministic given a seed).
     pub seed: u64,
-    /// When true, estimate each final cluster's covariance matrix (needed by
-    /// LDR's per-cluster PCA); otherwise covariances are left as zeros.
-    pub estimate_covariance: bool,
     /// Thread count for the assignment and update steps. Results are
     /// bit-identical for every value (chunk-and-merge; see
     /// `mmdr_linalg::par`).
@@ -35,7 +32,6 @@ impl Default for KMeansConfig {
             k: 8,
             max_iters: 100,
             seed: 0,
-            estimate_covariance: false,
             par: ParConfig::serial(),
         }
     }
@@ -153,15 +149,9 @@ pub fn kmeans(data: &Matrix, config: &KMeansConfig) -> Result<KMeansResult> {
     }
     let mut clusters = Vec::with_capacity(k);
     for (c, m) in members.into_iter().enumerate() {
-        let cov = if config.estimate_covariance && !m.is_empty() {
-            let sub = data.select_rows(&m);
-            covariance_about(&sub, &centroids[c])?
-        } else {
-            Matrix::zeros(data.cols(), data.cols())
-        };
         clusters.push(Cluster {
             centroid: centroids[c].clone(),
-            covariance: cov,
+            covariance: Matrix::zeros(data.cols(), data.cols()),
             weight: m.len() as f64,
             members: m,
         });
@@ -342,34 +332,6 @@ mod tests {
                 assert_eq!(a.centroid, b.centroid);
             }
         }
-    }
-
-    #[test]
-    fn covariance_estimated_on_request() {
-        let data = two_blobs();
-        let r = kmeans(
-            &data,
-            &KMeansConfig {
-                k: 2,
-                estimate_covariance: true,
-                ..Default::default()
-            },
-        )
-        .unwrap();
-        for c in &r.clustering.clusters {
-            assert!(c.covariance.is_symmetric(1e-12));
-            // Jittered blobs have nonzero spread.
-            assert!(c.covariance.trace().unwrap() > 0.0);
-        }
-        let r2 = kmeans(
-            &data,
-            &KMeansConfig {
-                k: 2,
-                ..Default::default()
-            },
-        )
-        .unwrap();
-        assert_eq!(r2.clustering.clusters[0].covariance, Matrix::zeros(2, 2));
     }
 
     #[test]

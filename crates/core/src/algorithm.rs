@@ -1,7 +1,7 @@
 //! The complete MMDR algorithm: Generate Ellipsoid + Dimensionality
 //! Optimization (Figure 4).
 
-use crate::dim_opt::{fill_covariance, optimize_dimensionality};
+use crate::dim_opt::optimize_dimensionality;
 use crate::error::{Error, Result};
 use crate::generate_ellipsoid::{generate_ellipsoid, SemiEllipsoid};
 use crate::model::{ReductionResult, ReductionStats};
@@ -148,9 +148,6 @@ pub(crate) fn finish(
             }
         }
         clusters.retain(|c| !c.is_empty());
-    }
-    for cluster in &mut clusters {
-        fill_covariance(data, cluster)?;
     }
     outliers.sort_unstable();
     Ok(ReductionResult {

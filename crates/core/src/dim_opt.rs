@@ -10,7 +10,7 @@ use crate::error::Result;
 use crate::generate_ellipsoid::SemiEllipsoid;
 use crate::model::EllipsoidCluster;
 use crate::params::MmdrParams;
-use mmdr_linalg::{covariance_about, dot, Matrix};
+use mmdr_linalg::{dot, Matrix};
 use mmdr_pca::{residual, Pca, ReducedSubspace};
 
 /// Output of optimizing one semi-ellipsoid: the finished cluster (possibly
@@ -33,10 +33,7 @@ pub(crate) fn start_dim(params: &MmdrParams, d: usize, s_dim: usize) -> usize {
     }
 }
 
-/// Runs dimensionality optimization on one semi-ellipsoid. The cluster's
-/// covariance is left empty for [`fill_covariance`]: the merge and the
-/// adoption pass replace many of these clusters, so MMDR computes it once,
-/// for the clusters it returns.
+/// Runs dimensionality optimization on one semi-ellipsoid.
 pub(crate) fn optimize_dimensionality(
     data: &Matrix,
     semi: &SemiEllipsoid,
@@ -140,7 +137,6 @@ pub(crate) fn optimize_dimensionality(
     Ok(DimOptOutcome {
         cluster: Some(EllipsoidCluster {
             subspace,
-            covariance: Matrix::zeros(0, 0),
             mpe,
             radius_eliminated,
             radius_retained,
@@ -154,14 +150,6 @@ pub(crate) fn optimize_dimensionality(
         }),
         outliers,
     })
-}
-
-/// The cluster's covariance about its centroid, in the original space: a
-/// function of the members and the centroid alone.
-pub(crate) fn fill_covariance(data: &Matrix, cluster: &mut EllipsoidCluster) -> Result<()> {
-    let kept_rows = data.select_rows(&cluster.members);
-    cluster.covariance = covariance_about(&kept_rows, cluster.subspace.centroid())?;
-    Ok(())
 }
 
 #[cfg(test)]
@@ -255,10 +243,6 @@ mod tests {
         assert!(c.mpe <= c.radius_eliminated + 1e-12);
         // Elongated plane: retained radius dominates eliminated radius.
         assert!(c.ellipticity > 1.0 || c.ellipticity.is_infinite());
-        // Covariance is in the original space.
-        let mut c = c;
-        fill_covariance(&data, &mut c).unwrap();
-        assert_eq!(c.covariance.shape(), (6, 6));
     }
 
     #[test]

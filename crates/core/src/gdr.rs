@@ -8,7 +8,7 @@
 
 use crate::error::{Error, Result};
 use crate::model::{EllipsoidCluster, ReductionResult, ReductionStats};
-use mmdr_linalg::{covariance_about, l2_norm, Matrix};
+use mmdr_linalg::{l2_norm, Matrix};
 use mmdr_pca::{Pca, ReducedSubspace};
 
 /// The GDR baseline.
@@ -52,7 +52,6 @@ impl Gdr {
             nearest_radius = nearest_radius.min(local);
             mpe_sum += pd;
         }
-        let covariance = covariance_about(data, subspace.centroid())?;
         let ellipticity = if radius_eliminated > 0.0 {
             (radius_retained - radius_eliminated) / radius_eliminated
         } else if radius_retained > 0.0 {
@@ -65,7 +64,6 @@ impl Gdr {
             num_points: data.rows(),
             clusters: vec![EllipsoidCluster {
                 subspace,
-                covariance,
                 members: (0..data.rows()).collect(),
                 mpe: mpe_sum / data.rows() as f64,
                 radius_eliminated,

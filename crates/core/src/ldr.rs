@@ -15,7 +15,7 @@
 use crate::error::{Error, Result};
 use crate::model::{EllipsoidCluster, ReductionResult, ReductionStats};
 use mmdr_cluster::{kmeans, KMeansConfig};
-use mmdr_linalg::{covariance_about, l2_norm, Matrix, ParConfig};
+use mmdr_linalg::{l2_norm, Matrix, ParConfig};
 use mmdr_pca::{Pca, ReducedSubspace};
 
 /// Parameters of the LDR baseline.
@@ -167,8 +167,6 @@ impl Ldr {
             if members.is_empty() {
                 continue;
             }
-            let kept_rows = data.select_rows(&members);
-            let covariance = covariance_about(&kept_rows, subspace.centroid())?;
             let ellipticity = if radius_eliminated > 0.0 {
                 (radius_retained - radius_eliminated) / radius_eliminated
             } else if radius_retained > 0.0 {
@@ -179,7 +177,6 @@ impl Ldr {
             let mpe = mpe_sum / members.len() as f64;
             clusters.push(EllipsoidCluster {
                 subspace,
-                covariance,
                 mpe,
                 radius_eliminated,
                 radius_retained,

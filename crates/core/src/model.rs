@@ -1,7 +1,6 @@
 //! Output model of a dimensionality reduction run.
 
 use crate::error::{Error, Result};
-use mmdr_linalg::Matrix;
 use mmdr_pca::ReducedSubspace;
 
 /// One discovered elliptical cluster together with its reduced subspace.
@@ -9,10 +8,6 @@ use mmdr_pca::ReducedSubspace;
 pub struct EllipsoidCluster {
     /// The affine reduced subspace (centroid + orthonormal basis).
     pub subspace: ReducedSubspace,
-    /// Covariance of the member points in the *original* space. Kept for
-    /// dynamic insertion (paper §5's third auxiliary array) and for
-    /// Mahalanobis membership tests.
-    pub covariance: Matrix,
     /// Indices of member points in the original dataset.
     pub members: Vec<usize>,
     /// Mean projection error of the members at the final `d_r`.
@@ -129,24 +124,22 @@ impl ReductionResult {
     }
 
     /// Internal consistency: every point appears exactly once (in one
-    /// cluster or in the outlier set).
+    /// cluster or in the outlier set). The ids are counted before a table
+    /// is sized by `num_points`, so a count no list backs (a damaged model)
+    /// costs no allocation; `num_points` ids, each in range and none twice,
+    /// are then every point.
     pub fn is_partition(&self) -> bool {
+        let ids = || {
+            self.clusters
+                .iter()
+                .flat_map(|c| &c.members)
+                .chain(&self.outliers)
+        };
+        if ids().count() != self.num_points {
+            return false;
+        }
         let mut seen = vec![false; self.num_points];
-        for cluster in &self.clusters {
-            for &p in &cluster.members {
-                if p >= self.num_points || seen[p] {
-                    return false;
-                }
-                seen[p] = true;
-            }
-        }
-        for &p in &self.outliers {
-            if p >= self.num_points || seen[p] {
-                return false;
-            }
-            seen[p] = true;
-        }
-        seen.iter().all(|&s| s)
+        ids().all(|&p| p < self.num_points && !std::mem::replace(&mut seen[p], true))
     }
 
     /// Average retained dimensionality weighted by cluster size; outliers
@@ -168,6 +161,7 @@ impl ReductionResult {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mmdr_linalg::Matrix;
 
     fn toy_result() -> ReductionResult {
         let basis = Matrix::from_vec(2, 1, vec![1.0, 0.0]).unwrap();
@@ -177,7 +171,6 @@ mod tests {
             num_points: 4,
             clusters: vec![EllipsoidCluster {
                 subspace,
-                covariance: Matrix::identity(2),
                 members: vec![0, 2, 3],
                 mpe: 0.01,
                 radius_eliminated: 0.05,

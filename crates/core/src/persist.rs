@@ -11,7 +11,9 @@ use mmdr_json::Value;
 use mmdr_linalg::Matrix;
 use mmdr_pca::ReducedSubspace;
 
-const FORMAT_VERSION: u64 = 1;
+/// Version 2 dropped each cluster's `"covariance"` matrix, which no reader
+/// used; a version-1 document is refused, not converted.
+const FORMAT_VERSION: u64 = 2;
 
 fn matrix_to_value(m: &Matrix) -> Value {
     Value::object(vec![
@@ -69,7 +71,6 @@ impl ReductionResult {
                 Value::object(vec![
                     ("centroid", c.subspace.centroid().to_vec().into()),
                     ("basis", matrix_to_value(c.subspace.basis())),
-                    ("covariance", matrix_to_value(&c.covariance)),
                     ("members", c.members.clone().into()),
                     ("mpe", scalar_to_value(c.mpe)),
                     ("radius_eliminated", scalar_to_value(c.radius_eliminated)),
@@ -132,7 +133,6 @@ impl ReductionResult {
                 .and_then(Value::as_f64_vec)
                 .ok_or_else(malformed)?;
             let basis = matrix_from_value(c.get("basis").ok_or_else(malformed)?)?;
-            let covariance = matrix_from_value(c.get("covariance").ok_or_else(malformed)?)?;
             let members = c
                 .get("members")
                 .and_then(Value::as_usize_vec)
@@ -145,7 +145,6 @@ impl ReductionResult {
             let subspace = ReducedSubspace::new(centroid, basis).map_err(Error::Pca)?;
             clusters.push(EllipsoidCluster {
                 subspace,
-                covariance,
                 members,
                 mpe: field("mpe")?,
                 radius_eliminated: field("radius_eliminated")?,
@@ -220,7 +219,6 @@ mod tests {
             assert_eq!(a.members, b.members);
             assert_eq!(a.subspace.centroid(), b.subspace.centroid());
             assert_eq!(a.subspace.basis(), b.subspace.basis());
-            assert_eq!(a.covariance, b.covariance);
             assert_eq!(a.mpe, b.mpe);
         }
         assert_eq!(back.stats, m.stats);
@@ -253,9 +251,13 @@ mod tests {
     fn rejects_garbage_and_wrong_versions() {
         assert!(ReductionResult::from_json("not json").is_err());
         assert!(ReductionResult::from_json("{}").is_err());
-        let mut m = model().to_json();
-        m = m.replacen("\"version\":1", "\"version\":99", 1);
-        assert!(ReductionResult::from_json(&m).is_err());
+        let unsupported = Err(Error::InvalidParams("unsupported model format version"));
+        let m = model().to_json();
+        for old in ["\"version\":99", "\"version\":1"] {
+            let other = m.replacen("\"version\":2", old, 1);
+            assert_ne!(other, m);
+            assert_eq!(ReductionResult::from_json(&other).map(|_| ()), unsupported);
+        }
     }
 
     #[test]

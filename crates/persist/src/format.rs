@@ -73,7 +73,10 @@ pub const MAGIC: [u8; 8] = *b"MMDRSNP\x01";
 /// order, each partition's heap records in Hilbert order of their codes
 /// across the partition. Which record a position names is learned from the
 /// leaves by the first search that opens the partition.
-pub const FORMAT_VERSION: u32 = 8;
+///
+/// Version 9 is v8 without a cluster's `d × d` covariance in MODEL: no
+/// query, insert, fold or re-fit read it. Every other byte is v8's.
+pub const FORMAT_VERSION: u32 = 9;
 /// Little-endian sentinel; a byte-swapped writer would store 0x4D3C2B1A.
 pub const ENDIAN_TAG: u32 = 0x1A2B_3C4D;
 /// Superblock size; the section table starts here.
@@ -99,16 +102,23 @@ pub mod section_id {
     pub const ATTRS: u32 = 5;
 }
 
+/// The name of section `id`: `model`, `meta`, … for the well-known ids,
+/// `#id` for another.
+pub fn section_label(id: u32) -> String {
+    match id {
+        section_id::MODEL => "model",
+        section_id::META => "meta",
+        section_id::PAGES => "pages",
+        section_id::PAGEDIR => "pagedir",
+        section_id::ATTRS => "attrs",
+        other => return format!("#{other}"),
+    }
+    .to_string()
+}
+
 /// Human-readable name of a section id for checksum error messages.
 pub(crate) fn section_name(id: u32) -> String {
-    match id {
-        section_id::MODEL => "section model".to_string(),
-        section_id::META => "section meta".to_string(),
-        section_id::PAGES => "section pages".to_string(),
-        section_id::PAGEDIR => "section pagedir".to_string(),
-        section_id::ATTRS => "section attrs".to_string(),
-        other => format!("section #{other}"),
-    }
+    format!("section {}", section_label(id))
 }
 
 /// The superblock and section table of a snapshot whose sections are, in
@@ -436,10 +446,10 @@ mod tests {
 
     #[test]
     fn another_version_reported_before_checksums() {
-        // A newer file, and the v7 one the previous format wrote: the
+        // A newer file, and the v8 one the previous format wrote: the
         // version is changed *without* fixing the superblock CRC, and the
         // version check must fire first.
-        for other in [99u32, 7] {
+        for other in [99u32, 8] {
             let mut image = sample();
             image[8..12].copy_from_slice(&other.to_le_bytes());
             match parse(&image) {

@@ -57,7 +57,7 @@ pub use live::SnapshotLive;
 pub use mmdr_storage::{crc32, Crc32};
 pub use refit::refit_model;
 pub use snapshot::{
-    build_index, open, open_expecting, open_or_build, open_resident, open_with, save,
+    build_index, open, open_expecting, open_or_build, open_resident, open_with, read_head, save,
     save_with_attrs, scrub, BuiltIndex, OpenOptions, Opened,
 };
 pub use wal::{decode_wal, replay_wal, WalRecord, WalReplay, WalWriter, MAX_WAL_RECORD};

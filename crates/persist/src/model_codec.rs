@@ -18,40 +18,32 @@ use mmdr_idistance::{Codebook, PartitionInfo};
 use mmdr_linalg::Matrix;
 use mmdr_pca::ReducedSubspace;
 
-pub fn put_matrix(w: &mut ByteWriter, m: &Matrix) {
-    w.put_usize(m.rows());
-    w.put_usize(m.cols());
-    for &v in m.as_slice() {
-        w.put_f64(v);
-    }
-}
-
-pub fn get_matrix(r: &mut ByteReader<'_>) -> Result<Matrix> {
-    let rows = r.get_usize()?;
-    let cols = r.get_usize()?;
-    let n = rows
-        .checked_mul(cols)
-        .ok_or_else(|| PersistError::malformed(format!("matrix shape {rows}×{cols} overflows")))?;
-    if n.saturating_mul(8) > r.remaining() {
-        return Err(PersistError::malformed(format!(
-            "matrix {rows}×{cols} larger than the bytes backing it"
-        )));
-    }
-    let data = (0..n).map(|_| r.get_f64()).collect::<Result<Vec<f64>>>()?;
-    Matrix::from_vec(rows, cols, data)
-        .map_err(|e| PersistError::malformed(format!("matrix decode: {e}")))
-}
-
 pub fn put_subspace(w: &mut ByteWriter, s: &ReducedSubspace) {
     w.put_f64_slice(s.centroid());
-    put_matrix(w, s.basis());
+    let basis = s.basis();
+    w.put_usize(basis.rows());
+    w.put_usize(basis.cols());
+    for &v in basis.as_slice() {
+        w.put_f64(v);
+    }
 }
 
 /// Decodes a subspace, re-running the orthonormality check — a basis that
 /// checksums fine but is not orthonormal is rejected, not trusted.
 pub fn get_subspace(r: &mut ByteReader<'_>) -> Result<ReducedSubspace> {
     let centroid = r.get_f64_vec()?;
-    let basis = get_matrix(r)?;
+    let (rows, cols) = (r.get_usize()?, r.get_usize()?);
+    let n = rows
+        .checked_mul(cols)
+        .ok_or_else(|| PersistError::malformed(format!("basis shape {rows}×{cols} overflows")))?;
+    if n.saturating_mul(8) > r.remaining() {
+        return Err(PersistError::malformed(format!(
+            "basis {rows}×{cols} larger than the bytes backing it"
+        )));
+    }
+    let data = (0..n).map(|_| r.get_f64()).collect::<Result<Vec<f64>>>()?;
+    let basis = Matrix::from_vec(rows, cols, data)
+        .map_err(|e| PersistError::malformed(format!("basis decode: {e}")))?;
     Ok(ReducedSubspace::new(centroid, basis)?)
 }
 
@@ -61,7 +53,6 @@ pub fn put_model(w: &mut ByteWriter, m: &ReductionResult) {
     w.put_usize(m.clusters.len());
     for c in &m.clusters {
         put_subspace(w, &c.subspace);
-        put_matrix(w, &c.covariance);
         w.put_id_list(&c.members);
         w.put_f64(c.mpe);
         w.put_f64(c.radius_eliminated);
@@ -83,7 +74,6 @@ pub fn get_model(r: &mut ByteReader<'_>) -> Result<ReductionResult> {
     let mut clusters = Vec::with_capacity(n_clusters);
     for _ in 0..n_clusters {
         let subspace = get_subspace(r)?;
-        let covariance = get_matrix(r)?;
         let members = r.get_id_list()?;
         let mpe = r.get_f64()?;
         let radius_eliminated = r.get_f64()?;
@@ -98,7 +88,6 @@ pub fn get_model(r: &mut ByteReader<'_>) -> Result<ReductionResult> {
         }
         clusters.push(EllipsoidCluster {
             subspace,
-            covariance,
             members,
             mpe,
             radius_eliminated,
@@ -192,6 +181,10 @@ pub fn get_partition(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mmdr_core::{Mmdr, MmdrParams};
+    use mmdr_idistance::IDistanceIndex;
+    use proptest::prelude::*;
+    use std::sync::OnceLock;
 
     fn toy_model() -> ReductionResult {
         let basis = Matrix::from_vec(3, 2, vec![1.0, 0.0, 0.0, 1.0, 0.0, 0.0]).unwrap();
@@ -201,7 +194,6 @@ mod tests {
             num_points: 5,
             clusters: vec![EllipsoidCluster {
                 subspace,
-                covariance: Matrix::identity(3),
                 members: vec![0, 2, 4],
                 mpe: 0.012_345,
                 radius_eliminated: 0.071,
@@ -241,7 +233,6 @@ mod tests {
         assert_eq!(a.members, b.members);
         assert_eq!(a.subspace.centroid(), b.subspace.centroid());
         assert_eq!(a.subspace.basis().as_slice(), b.subspace.basis().as_slice());
-        assert_eq!(a.covariance.as_slice(), b.covariance.as_slice());
         assert_eq!(a.mpe.to_bits(), b.mpe.to_bits());
         assert_eq!(a.radius_eliminated.to_bits(), b.radius_eliminated.to_bits());
         assert_eq!(a.radius_retained.to_bits(), b.radius_retained.to_bits());
@@ -294,7 +285,7 @@ mod tests {
         assert_eq!(
             cluster_bytes,
             3 * 8 + 1 + 8 + 2 * 255 * 4,
-            "radii, count and the codebook: no subspace, centroid or covariance"
+            "radii, count and the codebook: no subspace or centroid"
         );
         for (i, p) in [&part, &outlier].into_iter().enumerate() {
             let mut w = ByteWriter::new();
@@ -319,5 +310,168 @@ mod tests {
             get_partition(&mut r, &m, 1),
             Err(PersistError::Index(_))
         ));
+    }
+
+    /// A fitted model's MODEL bytes and each of its partitions' META
+    /// record, as a snapshot save writes them.
+    struct Encoded {
+        model: ReductionResult,
+        model_bytes: Vec<u8>,
+        partition_bytes: Vec<Vec<u8>>,
+    }
+
+    impl Encoded {
+        /// Record `which`: the model, then partition `which − 1`.
+        fn record(&self, which: usize) -> &[u8] {
+            match which {
+                0 => &self.model_bytes,
+                i => &self.partition_bytes[i - 1],
+            }
+        }
+    }
+
+    fn encoded() -> &'static Encoded {
+        static ENCODED: OnceLock<Encoded> = OnceLock::new();
+        ENCODED.get_or_init(|| {
+            // Three noisy lines in 6-d and a few scattered points.
+            let rows: Vec<Vec<f64>> = (0..240)
+                .map(|i| {
+                    let t = (i / 3) as f64 / 79.0;
+                    let j = ((i as f64 * 0.754_877_666).fract() - 0.5) * 0.02;
+                    let mut row = vec![j, -j, 0.5 * j, 0.0, 0.0, 0.0];
+                    row[i % 3] += t;
+                    row[3 + i % 3] += 1.0 + 0.25 * t;
+                    if i % 47 == 0 {
+                        row[5 - i % 3] += 3.0;
+                    }
+                    row
+                })
+                .collect();
+            let data = Matrix::from_rows(&rows).unwrap();
+            let model = Mmdr::new(MmdrParams::default()).fit(&data).unwrap();
+            let index = IDistanceIndex::build(&data, &model, 16).unwrap();
+            let mut w = ByteWriter::new();
+            put_model(&mut w, &model);
+            let partition_bytes = index
+                .partitions()
+                .iter()
+                .map(|p| {
+                    let mut w = ByteWriter::new();
+                    put_partition(&mut w, p);
+                    w.into_bytes()
+                })
+                .collect();
+            Encoded {
+                model,
+                model_bytes: w.into_bytes(),
+                partition_bytes,
+            }
+        })
+    }
+
+    /// Decodes record `which` of [`encoded`] from `bytes`: the model, or
+    /// partition `which − 1` against the intact model, as a load reads META
+    /// after MODEL.
+    fn decode(which: usize, bytes: &[u8]) -> Result<()> {
+        let mut r = ByteReader::new(bytes, "damaged");
+        if which == 0 {
+            let model = get_model(&mut r)?;
+            assert!(model.is_partition(), "decoded a model that is no partition");
+        } else {
+            get_partition(&mut r, &encoded().model, which - 1)?;
+        }
+        r.expect_end()
+    }
+
+    #[test]
+    fn the_fixture_fits_several_partitions_with_codebooks() {
+        let e = encoded();
+        assert!(
+            e.model.clusters.len() >= 2,
+            "{} clusters",
+            e.model.clusters.len()
+        );
+        assert_eq!(e.partition_bytes.len(), e.model.clusters.len() + 1);
+        for which in 0..=e.partition_bytes.len() {
+            decode(which, e.record(which)).unwrap();
+        }
+    }
+
+    /// Lengths no bytes could back, planted as a little-endian `u64` at
+    /// every offset of the model and of each partition record's head and
+    /// tail (between them lie only codebook edges): each decode returns,
+    /// typed, without sizing anything by the lie — a decoder that trusted
+    /// one would abort on the allocation or panic on its capacity.
+    #[test]
+    fn a_planted_length_is_refused_or_harmless_at_every_offset() {
+        let e = encoded();
+        for which in 0..=e.partition_bytes.len() {
+            let bytes = e.record(which);
+            let lies = [bytes.len() as u64 + 1, 1 << 40, 1 << 62, u64::MAX];
+            let last = bytes.len() - 8;
+            let offsets = (0..=last).filter(|&at| which == 0 || at < 64 || last - at < 64);
+            for at in offsets {
+                for lie in lies {
+                    let mut damaged = bytes.to_vec();
+                    damaged[at..at + 8].copy_from_slice(&lie.to_le_bytes());
+                    let _ = decode(which, &damaged);
+                }
+            }
+        }
+    }
+
+    /// The point count is a length too: `is_partition` sizes its table by
+    /// it, so a count the member and outlier lists do not add up to is
+    /// refused first.
+    #[test]
+    fn a_point_count_the_lists_do_not_back_is_refused() {
+        let e = encoded();
+        for lie in [e.model.num_points as u64 + 1, 1 << 40, u64::MAX] {
+            let mut damaged = e.model_bytes.clone();
+            damaged[8..16].copy_from_slice(&lie.to_le_bytes());
+            assert!(matches!(
+                decode(0, &damaged),
+                Err(PersistError::Malformed(_))
+            ));
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// MODEL and META records cut short, with bytes flipped and
+        /// overwritten, decoded directly (no CRC in front): every decode
+        /// returns `Ok` or a typed `PersistError`, and none panics. A cut
+        /// alone is always refused.
+        #[test]
+        fn a_damaged_record_decodes_or_is_refused(
+            which in 0usize..=usize::MAX,
+            cut in 0usize..=usize::MAX,
+            flips in proptest::collection::vec((0usize..=usize::MAX, 1u8..=255), 0..4),
+            (overwrites, at, word) in (proptest::bool::ANY, 0usize..=usize::MAX, 0u64..=u64::MAX),
+        ) {
+            let e = encoded();
+            let which = which % (e.partition_bytes.len() + 1);
+            let intact = e.record(which);
+            // Whole records as often as cut ones.
+            let cut = if cut % 2 == 0 { intact.len() } else { cut % (intact.len() + 1) };
+            let mut bytes = intact[..cut].to_vec();
+            let damaged = !flips.is_empty() || overwrites;
+            if !bytes.is_empty() {
+                for (at, mask) in &flips {
+                    let at = at % bytes.len();
+                    bytes[at] ^= mask;
+                }
+                if overwrites {
+                    let at = at % bytes.len();
+                    let end = bytes.len().min(at + 8);
+                    bytes[at..end].copy_from_slice(&word.to_le_bytes()[..end - at]);
+                }
+            }
+            let got = decode(which, &bytes);
+            if bytes.len() < intact.len() && !damaged {
+                prop_assert!(got.is_err(), "a cut at {} of {} decoded", bytes.len(), intact.len());
+            }
+        }
     }
 }

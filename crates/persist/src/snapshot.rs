@@ -28,7 +28,7 @@
 
 use crate::codec::{ByteReader, ByteWriter};
 use crate::error::{PersistError, Result};
-use crate::format::{self, section_id, SectionEntry};
+use crate::format::{self, section_id, SectionEntry, Superblock};
 use crate::model_codec;
 use mmdr_core::ReductionResult;
 use mmdr_hybridtree::HybridTree;
@@ -609,6 +609,22 @@ fn read_exact_at(file: &File, buf: &mut [u8], offset: u64, path: &Path) -> Resul
         .map_err(|e| PersistError::io(path, e))
 }
 
+/// Reads and verifies a snapshot's superblock and section table — where
+/// each section lies and how long it is — and no section.
+pub fn read_head(file: &File, path: &Path) -> Result<(Superblock, Vec<SectionEntry>)> {
+    let disk_len = file
+        .metadata()
+        .map_err(|e| PersistError::io(path, e))?
+        .len();
+    let mut prefix = vec![0u8; disk_len.min(format::SUPERBLOCK_LEN as u64) as usize];
+    read_exact_at(file, &mut prefix, 0, path)?;
+    let sb = format::parse_superblock(&prefix, disk_len)?;
+    let mut table = vec![0u8; sb.table_len()];
+    read_exact_at(file, &mut table, format::SUPERBLOCK_LEN as u64, path)?;
+    let entries = format::parse_table(&table, &sb)?;
+    Ok((sb, entries))
+}
+
 fn find_entry(entries: &[SectionEntry], id: u32) -> Result<SectionEntry> {
     entries.iter().find(|e| e.id == id).copied().ok_or_else(|| {
         PersistError::malformed(format!("snapshot has no {}", format::section_name(id)))
@@ -660,19 +676,7 @@ fn verify_pages(file: &File, entry: &SectionEntry, path: &Path) -> Result<()> {
 pub fn open_with(path: impl AsRef<Path>, opts: &OpenOptions) -> Result<Opened> {
     let path = path.as_ref();
     let file = File::open(path).map_err(|e| PersistError::io(path, e))?;
-    let disk_len = file
-        .metadata()
-        .map_err(|e| PersistError::io(path, e))?
-        .len();
-
-    let head = disk_len.min(format::SUPERBLOCK_LEN as u64) as usize;
-    let mut prefix = vec![0u8; head];
-    read_exact_at(&file, &mut prefix, 0, path)?;
-    let sb = format::parse_superblock(&prefix, disk_len)?;
-
-    let mut table = vec![0u8; sb.table_len()];
-    read_exact_at(&file, &mut table, format::SUPERBLOCK_LEN as u64, path)?;
-    let entries = format::parse_table(&table, &sb)?;
+    let (sb, entries) = read_head(&file, path)?;
     let backend = backend_from_tag(sb.backend_tag)?;
 
     // A section's bytes are dropped as soon as they are decoded, so the

@@ -3,7 +3,7 @@
 //! Every other fit test compares one run with another (thread counts,
 //! repeated seeds). These compare a fit with a recorded result: a
 //! fingerprint over every member index, every `f64` of every cluster by its
-//! `to_bits()` (centroid, basis, covariance, MPE, the three radii and the
+//! `to_bits()` (centroid, basis, MPE, the three radii and the
 //! ellipticity), the outlier set and the work counters. A change that makes
 //! the fit faster must leave all of them where they are.
 //!
@@ -55,7 +55,6 @@ fn fingerprint(model: &ReductionResult) -> u64 {
         f.word(c.reduced_dim() as u64);
         f.floats(c.subspace.centroid());
         f.floats(c.subspace.basis().as_slice());
-        f.floats(c.covariance.as_slice());
         f.floats([
             &c.mpe,
             &c.radius_eliminated,
@@ -128,7 +127,7 @@ fn d1_recipe_fit_is_pinned_at_every_thread_count() {
         assert_pinned(
             &format!("d1_small threads={threads}"),
             &model,
-            0xb64c_649e_35f1_4544,
+            0x27bc_c557_2c6b_bfb0,
         );
     }
 }
@@ -138,7 +137,7 @@ fn wide_noisy_fit_is_pinned() {
     let model = Mmdr::new(MmdrParams::default())
         .fit(&wide_with_noise())
         .unwrap();
-    assert_pinned("wide", &model, 0x466a_1f53_b350_3c4d);
+    assert_pinned("wide", &model, 0x7027_8c84_52f5_aa69);
 }
 
 #[test]
@@ -147,7 +146,7 @@ fn wide_noisy_streaming_fit_is_pinned() {
         .with_epsilon(0.1)
         .fit(&wide_with_noise())
         .unwrap();
-    assert_pinned("wide streaming", &model, 0x6938_3cc5_e388_d3aa);
+    assert_pinned("wide streaming", &model, 0xe3af_e613_2f4f_09c6);
 }
 
 /// `fixed_dim` above every level Generate Ellipsoid accepts at: the PCA a
@@ -163,5 +162,5 @@ fn fixed_dim_fit_is_pinned() {
     })
     .fit(&generate_correlated(&cfg).data)
     .unwrap();
-    assert_pinned("fixed_dim", &model, 0xafbb_3915_91a1_5560);
+    assert_pinned("fixed_dim", &model, 0xdd84_b030_c4d0_d7e4);
 }

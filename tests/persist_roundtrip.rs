@@ -441,10 +441,10 @@ fn wrong_magic_fails_closed() {
 #[test]
 fn future_version_reports_unsupported_not_checksum() {
     let mut image = snapshot_bytes();
-    image[8..12].copy_from_slice(&9u32.to_le_bytes());
+    image[8..12].copy_from_slice(&10u32.to_le_bytes());
     match open_image(&image, "version") {
         Err(PersistError::UnsupportedVersion { found, supported }) => {
-            assert_eq!(found, 9);
+            assert_eq!(found, 10);
             assert_eq!(supported, mmdr_persist::FORMAT_VERSION);
         }
         other => panic!("expected UnsupportedVersion, got {other:?}"),
@@ -453,24 +453,23 @@ fn future_version_reports_unsupported_not_checksum() {
 
 #[test]
 fn a_snapshot_of_the_previous_format_is_refused_by_its_version() {
-    // What a v7 writer left (the same bytes, a leaf's entries and their
-    // heap records in Hilbert order inside the leaf): version 7 under a
-    // superblock CRC that is right for it. There is no second reader; the
-    // refusal is typed.
+    // What a v8 writer left (the same bytes but a covariance matrix per
+    // cluster in MODEL): version 8 under a superblock CRC that is right for
+    // it. There is no second reader; the refusal is typed.
     let mut image = snapshot_bytes();
-    image[8..12].copy_from_slice(&7u32.to_le_bytes());
+    image[8..12].copy_from_slice(&8u32.to_le_bytes());
     image[44..48].fill(0);
     let crc = mmdr_persist::crc32(&image[..80]);
     image[44..48].copy_from_slice(&crc.to_le_bytes());
     for resident in [false, true] {
-        let file = write_image(&image, "v7");
+        let file = write_image(&image, "v8");
         let options = OpenOptions {
             resident,
             ..OpenOptions::default()
         };
         match open_with(&file.0, &options) {
             Err(PersistError::UnsupportedVersion { found, supported }) => {
-                assert_eq!((found, supported), (7, 8));
+                assert_eq!((found, supported), (8, 9));
             }
             other => panic!("expected UnsupportedVersion, got {other:?}"),
         }

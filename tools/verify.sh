@@ -48,6 +48,11 @@ echo "== determinism + recall + conformance + persistence gates =="
 cargo test "${PROFILE[@]}" --test par_determinism --test fit_bits --test golden_recall \
     --test backend_conformance
 cargo test "${PROFILE[@]}" --test persist_roundtrip
+# MODEL and META records cut, flipped and overwritten, decoded without the CRC:
+# each returns Ok or a typed error, never a panic or an unbacked allocation.
+cargo test "${PROFILE[@]}" -p mmdr-persist --lib -- \
+    model_codec::tests::a_damaged_record_decodes_or_is_refused \
+    model_codec::tests::a_planted_length_is_refused_or_harmless_at_every_offset
 cargo test "${PROFILE[@]}" --test serve_parity --test scalable_pipeline
 # The wire protocol's fragmentation property: valid frames split at
 # arbitrary byte boundaries, as any TCP peer receives them, decode exactly
