@@ -122,7 +122,7 @@ running serve --wal over the wire. A merged index answers bit-identically
 to one built from scratch over the surviving rows.
 
 Merges keep the fitted model's subspaces; ingest --refit true re-runs
-Scalable MMDR over the surviving rows, bumps the model epoch, and swaps
+MMDR over the surviving rows, bumps the model epoch, and swaps
 the freshly loaded index in without blocking readers. Answers stay exact
 throughout because queries always refine in whatever model is serving.
 Stats lines (local and remote) report the model epoch and re-fit count.

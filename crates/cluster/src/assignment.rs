@@ -1,15 +1,10 @@
 //! Shared output types for clusterings.
 
-use mmdr_linalg::Matrix;
-
-/// One discovered cluster: centroid, shape, and membership.
+/// One discovered cluster: centroid and membership.
 #[derive(Debug, Clone)]
 pub struct Cluster {
     /// Centroid in the space the clustering ran in.
     pub centroid: Vec<f64>,
-    /// Covariance matrix about the centroid (`d × d`); the zero matrix for
-    /// Euclidean k-means output.
-    pub covariance: Matrix,
     /// Indices (into the input dataset) of the member points.
     pub members: Vec<usize>,
     /// Total weight of the members (equals `members.len()` when unweighted).
@@ -63,13 +58,11 @@ mod tests {
             clusters: vec![
                 Cluster {
                     centroid: vec![0.0],
-                    covariance: Matrix::zeros(1, 1),
                     members: vec![0, 2],
                     weight: 2.0,
                 },
                 Cluster {
                     centroid: vec![1.0],
-                    covariance: Matrix::zeros(1, 1),
                     members: vec![1],
                     weight: 1.0,
                 },
@@ -95,7 +88,6 @@ mod tests {
             assignments: vec![0],
             clusters: vec![Cluster {
                 centroid: vec![0.0],
-                covariance: Matrix::zeros(1, 1),
                 members: vec![],
                 weight: 0.0,
             }],

@@ -76,7 +76,6 @@ impl Default for EllipticalConfig {
 #[derive(Debug, Clone)]
 pub struct EllipticalResult {
     /// Final clustering; empty clusters are pruned and assignments remapped.
-    /// Cluster covariances are the final outer-loop estimates.
     pub clustering: Clustering,
     /// Outer iterations executed.
     pub outer_iterations: usize,
@@ -304,7 +303,7 @@ impl EllipticalKMeans {
             }
         }
 
-        let clustering = materialize(weights, &assignments, &centroids, &covariances);
+        let clustering = materialize(weights, &assignments, &centroids);
         Ok(EllipticalResult {
             clustering,
             outer_iterations,
@@ -597,7 +596,6 @@ fn materialize(
     weights: Option<&[f64]>,
     assignments: &[usize],
     centroids: &[Vec<f64>],
-    covariances: &[Matrix],
 ) -> Clustering {
     let k = centroids.len();
     let mut members: Vec<Vec<usize>> = vec![Vec::new(); k];
@@ -617,7 +615,6 @@ fn materialize(
         };
         clusters.push(Cluster {
             centroid: centroids[c].clone(),
-            covariance: covariances[c].clone(),
             members: std::mem::take(&mut members[c]),
             weight,
         });
@@ -720,7 +717,8 @@ mod tests {
         .unwrap();
         let r = engine.fit(&data).unwrap();
         for c in &r.clustering.clusters {
-            let eig = mmdr_linalg::SymmetricEigen::new(&c.covariance).unwrap();
+            let cov = mmdr_linalg::covariance(&data.select_rows(&c.members)).unwrap();
+            let eig = mmdr_linalg::SymmetricEigen::new(&cov).unwrap();
             // Strongly anisotropic: top eigenvalue dwarfs the second.
             assert!(eig.eigenvalues[0] > 20.0 * eig.eigenvalues[1].max(1e-9));
         }
@@ -874,7 +872,6 @@ mod tests {
             assert_eq!(r.inner_iterations, base.inner_iterations);
             for (a, b) in r.clustering.clusters.iter().zip(&base.clustering.clusters) {
                 assert_eq!(a.centroid, b.centroid);
-                assert_eq!(a.covariance, b.covariance);
             }
         }
     }
@@ -920,7 +917,8 @@ mod tests {
             .iter()
             .max_by_key(|c| c.members.len())
             .unwrap();
-        let eig = mmdr_linalg::SymmetricEigen::new(&biggest.covariance).unwrap();
+        let cov = mmdr_linalg::covariance(&data.select_rows(&biggest.members)).unwrap();
+        let eig = mmdr_linalg::SymmetricEigen::new(&cov).unwrap();
         assert!(eig.eigenvalues[0] > 50.0 * eig.eigenvalues[1].max(1e-9));
     }
 }

@@ -151,7 +151,6 @@ pub fn kmeans(data: &Matrix, config: &KMeansConfig) -> Result<KMeansResult> {
     for (c, m) in members.into_iter().enumerate() {
         clusters.push(Cluster {
             centroid: centroids[c].clone(),
-            covariance: Matrix::zeros(data.cols(), data.cols()),
             weight: m.len() as f64,
             members: m,
         });

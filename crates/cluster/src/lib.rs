@@ -1,6 +1,6 @@
 //! Clustering engines for the MMDR reproduction (paper §4).
 //!
-//! Three algorithms live here:
+//! Two algorithms live here:
 //!
 //! - [`kmeans`] — standard Euclidean k-means with k-means++ seeding. This is
 //!   both a baseline in its own right and the cluster-discovery substrate of
@@ -12,9 +12,6 @@
 //!   fixed; the outer loop re-estimates each cluster's covariance; both stop
 //!   when membership stabilises. This is `ellip_k_means` in the MMDR
 //!   pseudo-code (Figure 4, line 2).
-//! - [`stream_cluster`] — the §4.3 scalability device: cluster `ε·N`-point
-//!   data streams one at a time, retain only (weighted) centroids in an
-//!   *Ellipsoid Array*, then cluster the array itself.
 //!
 //! The §4.2 cost optimizations — the per-point lookup table of the `k`
 //! closest centroid IDs and the *Activity* counter that freezes points whose
@@ -26,10 +23,8 @@ mod assignment;
 mod elliptical;
 mod error;
 mod kmeans;
-mod streaming;
 
 pub use assignment::{Cluster, Clustering};
 pub use elliptical::{EllipticalConfig, EllipticalKMeans, EllipticalResult};
 pub use error::{Error, Result};
 pub use kmeans::{kmeans, KMeansConfig, KMeansResult};
-pub use streaming::{stream_cluster, stream_len, StreamConfig, StreamResult, WeightedPoints};

@@ -1,9 +1,7 @@
 //! Property tests: both clustering engines produce consistent partitions
-//! on arbitrary data, and the streaming path conserves weight.
+//! on arbitrary data.
 
-use mmdr_cluster::{
-    kmeans, stream_cluster, EllipticalConfig, EllipticalKMeans, KMeansConfig, StreamConfig,
-};
+use mmdr_cluster::{kmeans, EllipticalConfig, EllipticalKMeans, KMeansConfig};
 use mmdr_linalg::Matrix;
 use proptest::prelude::*;
 
@@ -37,10 +35,7 @@ proptest! {
         .unwrap();
         let r = engine.fit(&data).unwrap();
         prop_assert!(r.clustering.is_consistent());
-        // Covariances stay symmetric and finite.
         for c in &r.clustering.clusters {
-            prop_assert!(c.covariance.is_symmetric(1e-9));
-            prop_assert!(c.covariance.max_abs().is_finite());
             prop_assert!(!c.is_empty(), "empty clusters must be pruned");
         }
     }
@@ -74,20 +69,5 @@ proptest! {
         prop_assert!(base.clustering.is_consistent());
         prop_assert!(opt.clustering.is_consistent());
         prop_assert!(opt.distance_computations <= base.distance_computations * 2);
-    }
-
-    #[test]
-    fn streaming_conserves_weight(data in data_strategy(), seed in 0u64..4) {
-        prop_assume!(data.rows() >= 12);
-        let config = StreamConfig {
-            epsilon: 0.34,
-            elliptical: EllipticalConfig { k: 3, seed, ..Default::default() },
-            per_stream_k: Some(2),
-        };
-        let r = stream_cluster(&data, &config).unwrap();
-        let array_total: f64 = r.ellipsoid_array.weights.iter().sum();
-        prop_assert!((array_total - data.rows() as f64).abs() < 1e-9);
-        let cluster_total: f64 = r.clustering.clusters.iter().map(|c| c.weight).sum();
-        prop_assert!((cluster_total - data.rows() as f64).abs() < 1e-9);
     }
 }

@@ -39,11 +39,6 @@ impl ScalableMmdr {
         self
     }
 
-    /// The configured parameters.
-    pub fn params(&self) -> &MmdrParams {
-        &self.params
-    }
-
     /// Runs scalable MMDR on a dataset whose rows are points.
     ///
     /// The data matrix is only ever accessed one stream (plus the Ellipsoid
@@ -56,7 +51,7 @@ impl ScalableMmdr {
             return Err(Error::InvalidParams("epsilon must be in (0, 1]"));
         }
         let n = data.rows();
-        let stream_len = mmdr_cluster::stream_len(self.epsilon, n, self.params.min_cluster_size);
+        let stream_len = stream_len(self.epsilon, n, self.params.min_cluster_size);
 
         // Phase 1: per-stream Generate Ellipsoid; keep centroids + weights.
         let mut stats = ReductionStats::default();
@@ -165,6 +160,12 @@ impl ScalableMmdr {
         }
         finish(data, semis, outliers, stats, &self.params)
     }
+}
+
+/// The paper's stream-sizing rule: `⌈ε·N⌉` points per stream, raised to
+/// `floor` (the minimum cluster size) and capped at `N`.
+fn stream_len(epsilon: f64, n: usize, floor: usize) -> usize {
+    ((epsilon * n as f64).ceil() as usize).max(floor).min(n)
 }
 
 #[cfg(test)]

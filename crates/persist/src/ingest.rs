@@ -39,8 +39,8 @@
 //! — rows the fitted clusters describe poorly — degrades page locality
 //! even though answers stay exact. [`IngestEngine::refit`] is the cure,
 //! run when the caller asks for it: it reads every surviving row back in
-//! its restored representation, re-runs the Scalable MMDR fit (paper
-//! §4.3) off-lock ([`refit_model`]), loads fresh base structures under
+//! its restored representation, re-runs the MMDR fit over them in memory
+//! off-lock ([`refit_model`]), loads fresh base structures under
 //! the new model through the build's own loader, saves a snapshot stamped
 //! with a bumped *model epoch*, and swaps it in through the same epoch
 //! machinery a merge uses. Readers never block; answers after a re-fit
@@ -515,7 +515,7 @@ impl IngestEngine {
         let _merge = self.core.merge.lock().unwrap_or_else(|p| p.into_inner());
     }
 
-    /// Re-fits the model over the surviving rows now, with the Scalable
+    /// Re-fits the model over the surviving rows now, with the in-memory
     /// MMDR fit at [`MmdrParams::default`], and swaps the result in.
     /// Returns the new model epoch number (unchanged if there was nothing
     /// to fit over).
@@ -1306,32 +1306,6 @@ mod tests {
             err.to_string().contains("stale snapshot"),
             "unexpected error: {err}"
         );
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn legacy_log_segment_is_refused_by_open_and_swept_by_create() {
-        let data = dataset();
-        let model = model_for(&data);
-        let dir = tmp_dir("legacy-segment");
-        let path = dir.join("idx.mmdr");
-        let create = || {
-            let opts = IngestOptions::default();
-            IngestEngine::create(&path, Backend::SeqScan, &data, &model, 128, opts)
-        };
-        drop(create().unwrap());
-        // Temp files and inexact suffixes are not segments...
-        std::fs::write(dir.join("idx.mmdr.wal.tmp.7"), b"x").unwrap();
-        std::fs::write(dir.join("idx.mmdr.wal.01"), b"x").unwrap();
-        drop(IngestEngine::open(&path, IngestOptions::default()).unwrap());
-        // ...what an older build's rotation left is: `<log>.1` beside the
-        // log is refused, never skipped for a partial replay.
-        let segment = dir.join("idx.mmdr.wal.1");
-        std::fs::write(&segment, b"").unwrap();
-        let err = IngestEngine::open(&path, IngestOptions::default()).unwrap_err();
-        assert!(matches!(err, PersistError::WalCorrupt { .. }), "{err}");
-        create().unwrap();
-        assert!(!segment.exists(), "create starts from no log at all");
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -1,5 +1,5 @@
-//! The re-fit's own stage: the Scalable MMDR fit (paper §4.3) over the
-//! rows that survive, keyed by the ids the engine serves.
+//! The re-fit's own stage: the MMDR fit over the rows that survive, keyed
+//! by the ids the engine serves.
 //!
 //! A drifted insert stream leaves the fitted model describing data that is
 //! no longer there: routed inserts land in clusters whose subspaces were
@@ -15,7 +15,8 @@
 //!    restored representation is the exact vector every backend already
 //!    answers queries against, and it is bitwise-identical across
 //!    backends.
-//! 2. [`refit_model`] fits a fresh model over the survivors and remaps its
+//! 2. [`refit_model`] fits a fresh model over the survivors — in memory,
+//!    with [`Mmdr::fit`], since they are already one matrix — and remaps its
 //!    row-position membership back to the engine's stable point ids. Dead
 //!    ids are parked in the outlier set so the model stays a partition of
 //!    `0..next_id` and the id-based WAL replay-skip rule keeps working
@@ -32,11 +33,11 @@
 //! the representation the model was fitted on.
 
 use crate::error::{PersistError, Result};
-use mmdr_core::{MmdrParams, ReductionResult, ScalableMmdr};
+use mmdr_core::{Mmdr, MmdrParams, ReductionResult};
 use mmdr_linalg::Matrix;
 use std::collections::BTreeMap;
 
-/// Fits a fresh model over `rows` with the Scalable MMDR algorithm and
+/// Fits a fresh model over `rows` with the in-memory MMDR algorithm and
 /// remaps its row-position membership to the ids the engine serves.
 ///
 /// `next_id` is the engine's id allocator at the time the row set was
@@ -57,7 +58,7 @@ pub fn refit_model(
     }
     let ids: Vec<u64> = rows.keys().copied().collect();
     let data = Matrix::from_rows(&rows.values().cloned().collect::<Vec<_>>())?;
-    let mut model = ScalableMmdr::new(params.clone()).fit(&data)?;
+    let mut model = Mmdr::new(params.clone()).fit(&data)?;
 
     // The fit partitions row *positions*; the engine speaks stable ids.
     for cluster in &mut model.clusters {
@@ -83,7 +84,6 @@ pub fn refit_model(
 mod tests {
     use super::*;
     use crate::snapshot::build_index;
-    use mmdr_core::Mmdr;
     use mmdr_idistance::{load_exact, restored_rows, Backend, BuiltIndex};
 
     fn dataset() -> Matrix {

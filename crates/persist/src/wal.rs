@@ -272,43 +272,9 @@ pub fn decode_wal(bytes: &[u8]) -> Result<WalReplay> {
     Ok(replay)
 }
 
-/// `<base>.<N>` siblings (exact decimal `N`): the rotated segments of a
-/// build before the single-file log. A missing parent directory has none.
-fn legacy_segments(base: &Path) -> Result<Vec<PathBuf>> {
-    let parent = match base.parent() {
-        Some(p) if !p.as_os_str().is_empty() => p,
-        _ => Path::new("."),
-    };
-    let Some(name) = base.file_name() else {
-        return Ok(Vec::new());
-    };
-    let prefix = format!("{}.", name.to_string_lossy());
-    let entries = match std::fs::read_dir(parent) {
-        Ok(e) => e,
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(Vec::new()),
-        Err(e) => return Err(PersistError::io(parent, e)),
-    };
-    let mut out = Vec::new();
-    for entry in entries {
-        let entry = entry.map_err(|e| PersistError::io(parent, e))?;
-        let fname = entry.file_name();
-        // Exact decimal form only: temp files, "007" or "+3" are not
-        // segments.
-        let is_segment = (fname.to_string_lossy().strip_prefix(&prefix))
-            .is_some_and(|n| n.parse::<u64>().is_ok_and(|idx| n == idx.to_string()));
-        if is_segment {
-            out.push(entry.path());
-        }
-    }
-    Ok(out)
-}
-
-/// Removes the log at `base` and any legacy segment beside it (a missing
-/// log is fine). Used when a fresh snapshot must not inherit a stale log.
+/// Removes the log at `base` (a missing log is fine). Used when a fresh
+/// snapshot must not inherit a stale log.
 pub(crate) fn remove_wal(base: &Path) -> Result<()> {
-    for p in legacy_segments(base)? {
-        std::fs::remove_file(&p).map_err(|e| PersistError::io(&p, e))?;
-    }
     match std::fs::remove_file(base) {
         Ok(()) => Ok(()),
         Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(()),
@@ -317,19 +283,10 @@ pub(crate) fn remove_wal(base: &Path) -> Result<()> {
 }
 
 /// Replays the log at `path`. A missing log is an empty log (fresh
-/// ingest), a torn tail stops replay cleanly, anything else — a legacy
-/// segment file beside the log included — is a typed error.
+/// ingest), a torn tail stops replay cleanly, anything else is a typed
+/// error.
 pub fn replay_wal(path: impl AsRef<Path>) -> Result<WalReplay> {
     let path = path.as_ref();
-    if let Some(segment) = legacy_segments(path)?.first() {
-        return Err(PersistError::WalCorrupt {
-            offset: 0,
-            detail: format!(
-                "legacy log segment {} present; this build reads a single-file log",
-                segment.display()
-            ),
-        });
-    }
     match std::fs::read(path) {
         Ok(bytes) => decode_wal(&bytes),
         Err(e) if e.kind() == std::io::ErrorKind::NotFound => decode_wal(&[]),

@@ -7,9 +7,12 @@
 //! threads. A crash image taken mid-re-fit (fresh snapshot, stale WAL —
 //! the durable-first crash window) reopens to identical answers, and a
 //! re-fit run on a second thread while writes and background merges go on
-//! passes through the epoch pipeline and stays exact throughout.
+//! passes through the epoch pipeline and stays exact throughout. A re-fit
+//! over a store the fit described well publishes a model as good as the
+//! fit's: the same cluster count, and no larger outlier share.
 
 use mmdr_core::{Mmdr, MmdrParams, ParConfig, ReductionResult};
+use mmdr_datagen::{generate_correlated, CorrelatedConfig};
 use mmdr_idistance::{load_exact, restored_rows, Backend, BuiltIndex};
 use mmdr_index::{IngestOp, LiveIndex};
 use mmdr_linalg::Matrix;
@@ -390,4 +393,35 @@ fn refit_preserves_row_ids() {
         id: 0,
         vector: vec![0.0; 4],
     };
+}
+
+/// A re-fit's model is only as useful as its clusters: an outlier is
+/// stored and searched at full dimension. Over the restored rows of a
+/// 10 000 × 32 store of ten correlated clusters, the re-fit must find the
+/// original fit's cluster count, with an outlier share at most one
+/// percentage point above it. (At 5 000 rows a streamed fit falls back to
+/// one whole-set pass, so that size would not tell the two fits apart.)
+#[test]
+fn refit_of_a_well_fitted_store_keeps_its_clusters() {
+    let data =
+        generate_correlated(&CorrelatedConfig::paper_style(10_000, 32, 10, 12, 30.0, 0)).data;
+    let params = MmdrParams::default();
+    let model = Mmdr::new(params.clone()).fit(&data).unwrap();
+    let base = build_index(Backend::SeqScan, &data, &model, 128).unwrap();
+    let rows = restored_rows(&base, &model).unwrap();
+    let refit = refit_model(&rows, data.rows() as u64, &params).unwrap();
+    assert!(refit.is_partition());
+    assert_eq!(
+        refit.clusters.len(),
+        model.clusters.len(),
+        "re-fit clusters ({} outliers) against the fit's ({} outliers)",
+        refit.outliers.len(),
+        model.outliers.len()
+    );
+    assert!(
+        refit.outlier_fraction() <= model.outlier_fraction() + 0.01,
+        "re-fit outlier share {} against the fit's {}",
+        refit.outlier_fraction(),
+        model.outlier_fraction()
+    );
 }

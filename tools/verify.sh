@@ -117,8 +117,10 @@ echo "== adapt gate =="
 # Re-fit on request: a drifted stream followed by an explicit re-fit must
 # answer bit-identically to the same fit/load stages composed by hand,
 # id-exactly with SeqScan, across 1/2/4/8 threads; the mid-re-fit crash
-# image must reopen identically; and a re-fit run on a second thread while
-# writes land and background merges fold must stay exact.
+# image must reopen identically; a re-fit run on a second thread while
+# writes land and background merges fold must stay exact; and a re-fit of a
+# well-fitted 10 000 x 32 store must keep the fit's cluster count and
+# outlier share (refit_of_a_well_fitted_store_keeps_its_clusters).
 cargo test "${PROFILE[@]}" --test adapt_parity
 # (The read hot path cannot touch the re-fit machinery by construction:
 # `Epoch { number, built }` holds no handle to the engine, so its
