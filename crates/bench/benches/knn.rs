@@ -1,7 +1,6 @@
 //! KNN query latency across the three search schemes (the Figure 10 CPU
 //! comparison as a microbenchmark), the per-candidate kernel of the
-//! iDistance search on its own, and the same search under a filter with its
-//! id column empty and learned.
+//! iDistance search on its own, and the same search under a filter.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use mmdr::index::{Query, RowFilter, Scratch, SearchFilter, Target};
@@ -46,10 +45,10 @@ fn bench_knn_schemes(c: &mut Criterion) {
 /// code and bound its distance from the query's gap table (what a row the
 /// code rules out costs — the table is built once a walk, as once a started
 /// partition); resolve the entry's position to its record through the
-/// partition's placement table, locate that on the pinned heap page and
-/// read its id (what a row the gate rejects costs); decode the coordinates
-/// and evaluate the distance (what a row it admits costs, short of the
-/// result heap).
+/// partition's placement table and read its id off the heap's id column
+/// (what a row the gate rejects costs: no page); locate the record on its
+/// pinned heap page, decode the coordinates and evaluate the distance (what
+/// a row it admits costs, short of the result heap).
 fn bench_candidate_path(c: &mut Criterion) {
     let ds = workloads::synthetic(8_000, 64, 10, 30.0, 5);
     let model = eval::reduce(Method::Mmdr, &ds.data, None, 10, 0);
@@ -117,10 +116,9 @@ fn bench_candidate_path(c: &mut Criterion) {
     });
     group.bench_function(BenchmarkId::new("+record_id", info.count), |b| {
         b.iter(|| {
-            let (mut ids, mut pages, mut acc) = (RecordIds::default(), PageSet::default(), 0u64);
+            let (mut ids, mut acc) = (RecordIds::default(), 0u64);
             walk_slot(tree, &slot, |position, _| {
-                let rid = ids.get(&index, position);
-                acc ^= heap.record(&mut pages, rid).unwrap().1.point_id()
+                acc ^= heap.point_id(ids.get(&index, position)).unwrap()
             });
             acc
         })
@@ -141,23 +139,19 @@ fn bench_candidate_path(c: &mut Criterion) {
     group.finish();
 }
 
-/// A filtered 10-NN search at 1, 10 and 60 % selectivity, `cold` — the
-/// first filtered query an index sees, which pins every candidate's page
-/// as an unfiltered one does and learns it — against `warm` — the same
-/// query once the id column holds the pages in reach, pinning only for
-/// rows that pass. Every page is resident either way (the difference is
-/// fetches and id reads, not I/O), and both take another index on every
-/// call, so neither runs from a processor cache the other does not have.
+/// A filtered 10-NN search at 1, 10 and 60 % selectivity. Each row's id is
+/// read off the heap's id column before its page, so the first asking of a
+/// query costs what every later one does: one index serves every sample,
+/// its pages resident (the cost is fetches and id reads, not I/O).
 fn bench_filtered_candidate_path(c: &mut Criterion) {
-    const SAMPLES: usize = 10;
     let ds = workloads::synthetic(8_000, 64, 10, 30.0, 5);
     let model = eval::reduce(Method::Mmdr, &ds.data, None, 10, 0);
-    let build = || IDistanceIndex::build(&ds.data, &model, 1 << 11).unwrap();
+    let index = IDistanceIndex::build(&ds.data, &model, 1 << 11).unwrap();
     let q = ds.data.row(17);
     let n = ds.data.rows() as u64;
 
     let mut group = c.benchmark_group("filtered_candidate_path");
-    group.sample_size(SAMPLES);
+    group.sample_size(10);
     for percent in [1u64, 10, 60] {
         let filter = SearchFilter::from_rows(RowFilter::from_fn(n, |id| id % 100 < percent));
         let query = Query {
@@ -165,19 +159,8 @@ fn bench_filtered_candidate_path(c: &mut Criterion) {
             target: Target::Knn(10),
             filter: Some(&filter),
         };
-        let ask = |index: &IDistanceIndex| index.search(&query, &mut Scratch::default()).unwrap();
-        // One index per call (the samples and the warm-up), each asked once.
-        let mut unasked: Vec<IDistanceIndex> = (0..=SAMPLES).map(|_| build()).collect();
-        let mut asked = Vec::new();
-        group.bench_function(BenchmarkId::new("cold", format!("sel{percent}")), |b| {
-            b.iter(|| {
-                asked.push(unasked.pop().expect("one index per call"));
-                ask(asked.last().expect("pushed above"))
-            })
-        });
-        let mut again = asked.iter().cycle();
-        group.bench_function(BenchmarkId::new("warm", format!("sel{percent}")), |b| {
-            b.iter(|| ask(again.next().expect("a cycle does not end")))
+        group.bench_function(BenchmarkId::from_parameter(format!("sel{percent}")), |b| {
+            b.iter(|| index.search(&query, &mut Scratch::default()).unwrap())
         });
     }
     group.finish();

@@ -390,7 +390,7 @@ fn info_attributes_a_snapshot_to_its_sections() {
     assert_eq!(lines.len(), 1 + section_count, "{out}");
     assert_eq!(lines[0].0, "header", "{out}");
     let names: Vec<&str> = lines[1..].iter().map(|&(name, _)| name).collect();
-    assert_eq!(names, ["model", "meta", "pagedir", "pages"], "{out}");
+    assert_eq!(names, ["model", "meta", "pagedir", "ids", "pages"], "{out}");
     let total: u64 = lines.iter().map(|&(_, bytes)| bytes).sum();
     assert_eq!(total, image.len() as u64, "{out}");
     assert!(

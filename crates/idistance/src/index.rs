@@ -113,7 +113,7 @@ impl<'a> RecordIds<'a> {
             self.locate(index, position);
         }
         let placed = u64::from(self.table[(position - self.first) as usize]);
-        ((self.page + (placed >> 8)) << 16) | (placed & 0xFF)
+        ((self.page + (placed >> 9)) << 16) | (placed & 0x1FF)
     }
 
     /// Moves to the partition holding `position`.
@@ -284,9 +284,9 @@ impl IDistanceIndex {
                 .map_or(dim, ReducedSubspace::reduced_dim);
             let per_page = VectorHeap::page_capacity(width) as u64;
             let count = p.count as u64;
-            // Its codes order its records; a placement is `page offset << 8 |
+            // Its codes order its records; a placement is `page offset << 9 |
             // slot` in 32 bits.
-            let placeable = (1..256).contains(&per_page) && count.div_ceil(per_page) <= 1 << 24;
+            let placeable = (1..512).contains(&per_page) && count.div_ceil(per_page) <= 1 << 23;
             if count > 0 && !(placeable && p.codebook.is_some()) {
                 return Err(Error::InvalidConfig("partition rows must fit a table"));
             }
@@ -303,6 +303,18 @@ impl IDistanceIndex {
             return Err(Error::InvalidConfig(
                 "tree/heap sizes disagree with the partitions",
             ));
+        }
+        // Each run's pages are full but its last, and the id column must
+        // count them so: a record's place on its page is its id's place.
+        for run in partitions.iter().map(|p| p.run) {
+            for (at, page) in (0..run.count.div_ceil(run.per_page.max(1))).zip(run.page..) {
+                let want = run.per_page.min(run.count - at * run.per_page);
+                if heap.id_pages().get(page as usize).map(Vec::len) != Some(want as usize) {
+                    return Err(Error::InvalidConfig(
+                        "a heap page holds another count than its partition's run",
+                    ));
+                }
+            }
         }
         Ok(Self {
             tree,
@@ -348,8 +360,8 @@ impl IDistanceIndex {
     }
 
     /// Partition `part`'s placement table: per position, in order, where its
-    /// record lies, `page offset << 8 | slot` on the partition's page run
-    /// (a page holds at most 255 records). The records' order is a function
+    /// record lies, `page offset << 9 | slot` on the partition's page run
+    /// (a page holds at most 511 records). The records' order is a function
     /// of the codes the leaves hold, so the first call reads the
     /// partition's leaves, each once, through the tree's pool and counted
     /// as any fetch — one path, whether the index was built or opened, and
@@ -374,7 +386,7 @@ impl IDistanceIndex {
         }
         let mut table = vec![0; run.count as usize];
         for (at, rank) in (0u64..).zip(heap_order(&hilbert)) {
-            table[rank as usize] = (((at / run.per_page) << 8) | (at % run.per_page)) as u32;
+            table[rank as usize] = (((at / run.per_page) << 9) | (at % run.per_page)) as u32;
         }
         Ok(info.placement.get_or_init(|| table.into()))
     }
@@ -419,6 +431,8 @@ mod tests {
     use crate::layout::BuiltIndex;
     use mmdr_core::{Mmdr, MmdrParams, PointAssignment};
     use mmdr_index::VectorIndex;
+    use mmdr_storage::Page;
+    use std::sync::Arc;
 
     fn dataset() -> Matrix {
         let rows: Vec<Vec<f64>> = (0..200)
@@ -505,6 +519,29 @@ mod tests {
         } = build().1;
         let part = partitions.iter().position(|p| p.count > 0).unwrap();
         partitions[part].codebook = None;
+        let got = IDistanceIndex::from_parts(tree, heap, partitions, c, dim);
+        assert!(matches!(got, Err(Error::InvalidConfig(_))));
+    }
+
+    #[test]
+    fn from_parts_refuses_a_heap_whose_pages_disagree_with_the_runs() {
+        let IDistanceIndex {
+            tree,
+            heap,
+            partitions,
+            c,
+            dim,
+            ..
+        } = build().1;
+        // A row moved from the first page to a page past the runs: the
+        // ids add up to the rows, but not page by page to the runs.
+        let mut pages = heap.id_pages().to_vec();
+        let moved = pages[0].pop().unwrap();
+        pages.push(vec![moved]);
+        let mut images = heap.pool().export_pages().unwrap();
+        images.push(Arc::new(Page::new()));
+        let pool = BufferPool::new(DiskManager::from_pages(images), 8).unwrap();
+        let heap = VectorHeap::from_parts(pool, None, heap.len(), pages).unwrap();
         let got = IDistanceIndex::from_parts(tree, heap, partitions, c, dim);
         assert!(matches!(got, Err(Error::InvalidConfig(_))));
     }

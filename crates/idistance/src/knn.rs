@@ -127,20 +127,19 @@ impl Reach {
 /// reach narrows as early as it can and stops the refinement at the first
 /// entry it excludes; a provisional reach ([`top`](Self::top)) keeps the
 /// queue short until then. A refined entry's position is resolved to its
-/// record, which is located on its page — pinned once a query, in `pages`,
-/// whatever order the pages come in — and only its id is read; the id is
-/// put to every test that can reject it; only a row that passed them all
-/// has its coordinates decoded and its distance evaluated.
+/// record, whose id the heap's id column gives without a page
+/// ([`crate::VectorHeap::point_id`]); a tombstoned row ends there, and only
+/// a row that passed has its page pinned — once a query, in `pages`,
+/// whatever order the pages come in — its coordinates decoded and its
+/// distance evaluated.
 ///
 /// A delta row takes the same path from its queueing on, in memory: once the
 /// frontier reaches its partition's `proj_sq` ([`expand`](Self::expand)).
 ///
-/// Under a filter most rows fail, and pinning a page to learn that a row
-/// fails is the dearest step of all — so a filtered search asks the heap's
-/// id column first ([`crate::VectorHeap::learned_id`]) and queues only a
-/// row that passes, or one on a page no filtered search has pinned before,
-/// which it thereby learns. Without a filter the column is neither read nor
-/// filled: tombstones alone reject too few rows to save a page.
+/// Under a filter most rows fail, so a filtered walk puts each entry's id
+/// to the filter before anything else ([`admit`](Self::admit)) and queues
+/// only a row that passes: a failing row costs no page, no code bound and
+/// no place in the queue.
 ///
 /// Dropped, it leaves the queue and the page set empty — on an error too.
 struct Candidates<'a> {
@@ -181,28 +180,25 @@ impl Drop for Candidates<'_> {
 }
 
 impl Candidates<'_> {
-    /// Every test that rejects a row by its id alone.
-    #[inline]
-    fn rejects(tombs: &HashSet<u64>, filter: Option<&SearchFilter>, id: u64) -> bool {
-        tombs.contains(&id) || filter.is_some_and(|f| !f.passes(id))
-    }
-
-    /// `None` if, under a filter, the id column already knows that the
-    /// entry at `position` names a row the gate rejects; else whether the
-    /// entry counts towards the provisional reach: under a filter, if the
-    /// column knows it passes; without one, always. No pool and no division
-    /// (a table read, [`RecordIds`]): the one test cheaper than the cell
-    /// code, so the walk asks it first — a 1 % filter's reach stays wide,
-    /// its codes rule out little, and paying for one on every entry ran
-    /// `filtered_knn` 9 % slower. Always inlined: as a call
-    /// per entry it cost `filtered_knn` 7 % and unfiltered queries 2 %.
+    /// Whether the walk may queue the entry at `position`: without a
+    /// filter, always; under one, if its row passes the filter and is not
+    /// tombstoned — decided exactly, off the id column, so every entry
+    /// admitted counts towards the provisional reach. No pool and no
+    /// division (two table reads, [`RecordIds`] and the column): the one
+    /// test cheaper than the cell code, so the walk asks it first — a 1 %
+    /// filter's reach stays wide, its codes rule out little, and paying
+    /// for one on every entry ran `filtered_knn` 9 % slower. Always
+    /// inlined: as a call per entry it cost `filtered_knn` 7 % and
+    /// unfiltered queries 2 %.
     #[inline(always)]
-    fn admit(&mut self, position: u64) -> Option<bool> {
-        let rid = self.filter.map(|_| self.ids.get(self.index, position));
-        match rid.map(|rid| self.index.heap.learned_id(rid)) {
-            Some(Some(id)) if Self::rejects(self.tombs, self.filter, id) => None,
-            learned => Some(learned.is_none_or(|id| id.is_some())),
-        }
+    fn admit(&mut self, position: u64) -> bool {
+        let Some(filter) = self.filter else {
+            return true;
+        };
+        let rid = self.ids.get(self.index, position);
+        let id = self.index.heap.point_id(rid);
+        // A rid the column does not hold is queued, and refused typed.
+        id.is_none_or(|id| filter.passes(id) && !self.tombs.contains(&id))
     }
 
     /// The provisional reach's radicand: the `slots`-th least upper bound
@@ -371,13 +367,13 @@ impl Candidates<'_> {
                 // it puts strictly beyond the limit no order refines, and
                 // no heap page, decode or distance is spent on it. What
                 // both admit is queued at the larger bound.
-                if let Some(counts) = self.admit(position) {
+                if self.admit(position) {
                     match cells.map(|(book, gaps)| proj_sq + book.gap_sq(gaps, cur.code())) {
                         Some(code) if code > limit => {}
                         code => {
                             let bound = code.map_or(ring, |code| ring.max(code));
                             self.queue(bound, position);
-                            if let Some((book, far)) = far.filter(|_| counts && bound < top) {
+                            if let Some((book, far)) = far.filter(|_| bound < top) {
                                 self.gather(proj_sq + book.gap_sq(far, cur.code()), &mut top);
                             }
                         }
@@ -427,20 +423,21 @@ impl Candidates<'_> {
         best.push(dist, delta.id);
     }
 
-    /// Reads the record at `position` and offers it to the result set if
-    /// its id passes. A filtered search pins the page learning it, if this
-    /// is the first filtered search to pin it (a row the id column knows to
-    /// fail was never queued: the walk asked [`admit`](Self::admit)).
+    /// Offers the record at `position` to the result set unless its id is
+    /// tombstoned, which the id column says before the record's page is
+    /// pinned (under a filter the walk's [`admit`](Self::admit) has put the
+    /// id to both tests already).
     fn offer(&mut self, position: u64, best: &mut KnnHeap) -> Result<()> {
         let rid = self.ids.get(self.index, position);
-        if self.filter.is_some() {
-            self.index.heap.pin_learning(self.pages, rid)?;
-        }
-        let (part, record) = self.index.heap.record(self.pages, rid)?;
-        let id = record.point_id();
-        if Self::rejects(self.tombs, self.filter, id) {
+        let id = self
+            .index
+            .heap
+            .point_id(rid)
+            .ok_or(Error::BadRecordId(rid))?;
+        if self.tombs.contains(&id) {
             return Ok(());
         }
+        let (part, record) = self.index.heap.record(self.pages, rid)?;
         // A record's partition was walked, so it has a geometry.
         let (local, proj_sq) = self
             .geo
@@ -556,8 +553,8 @@ impl IDistanceIndex {
         let (mut reach, mut top_reach) = (Reach::default(), Reach::default());
 
         let tombs = self.delta.tombstones();
-        // Of k + |tombstones| rows read, k are offered; under a filter only
-        // rows known to pass count, and k of them are.
+        // Of k + |tombstones| rows read, k are offered; under a filter every
+        // row queued passes, and k of them are.
         let slots = match target {
             Target::Knn(k) if filter.is_none() => k.saturating_add(tombs.len()),
             Target::Knn(k) => k,
@@ -1041,7 +1038,10 @@ mod tests {
             };
             let disk = DiskManager::from_source(Box::new(source), 0);
             let pool = BufferPool::new(disk, 1).unwrap();
-            let heap = VectorHeap::from_parts(pool, heap.open_page(), heap.len()).unwrap();
+            // The spare holds no record, and the heap appends no more.
+            let mut ids = heap.id_pages().to_vec();
+            ids.push(Vec::new());
+            let heap = VectorHeap::from_parts(pool, None, heap.len(), ids).unwrap();
             let index = IDistanceIndex::from_parts(tree, heap, partitions, c, dim).unwrap();
             // Every placement table learned up front: a walk's tree fetches
             // are its own, whichever walk comes first.
@@ -1092,16 +1092,15 @@ mod tests {
         }
     }
 
-    /// How many heap pages the id column holds.
-    fn pages_learned(index: &IDistanceIndex) -> usize {
-        (0..index.heap.num_pages() as u64)
-            .filter(|page| index.heap.learned_id(page << 16).is_some())
-            .count()
-    }
-
     const PAGED_PROBES: [usize; 4] = [5, 2, 2500, 3001];
     const PAGED_TARGETS: [Target; 2] = [Target::Knn(10), Target::Range(0.4)];
 
+    /// On an index just reattached to its pages (a one-frame pool over
+    /// them, as a cold reopen has), a filtered search pins no heap page
+    /// but a passing row's — the first time it is asked, as every time
+    /// after — and answers, reads the tree and evaluates as the same
+    /// search does with the failing rows tombstoned instead: the same
+    /// pages, in the same order.
     #[test]
     fn a_filtered_search_pins_a_heap_page_only_for_a_row_that_passes() {
         let (data, _) = paged_fixture();
@@ -1115,20 +1114,19 @@ mod tests {
         }
 
         // By row, the way a predicate cuts, and by heap page — every row of
-        // a page passes or none does — where the count below is exact: ~1 %,
-        // 10 %, 60 % and 0 % either way.
+        // a page passes or none does: ~1 %, 10 %, 60 % and 0 % either way.
         type Pass<'a> = Box<dyn Fn(u64) -> bool + 'a>;
         let page = |id: u64| page_of[id as usize];
-        let filters: [(&str, bool, Pass); 7] = [
-            ("1 % of rows", false, Box::new(|id| id % 100 == 7)),
-            ("10 % of rows", false, Box::new(|id| id % 10 == 3)),
-            ("60 % of rows", false, Box::new(|id| id % 5 < 3)),
-            ("1 page in 40", true, Box::new(|id| page(id) % 40 == 7)),
-            ("1 page in 10", true, Box::new(|id| page(id) % 10 == 3)),
-            ("3 pages in 5", true, Box::new(|id| page(id) % 5 < 3)),
-            ("nothing", true, Box::new(|_| false)),
+        let filters: [(&str, Pass); 7] = [
+            ("1 % of rows", Box::new(|id| id % 100 == 7)),
+            ("10 % of rows", Box::new(|id| id % 10 == 3)),
+            ("60 % of rows", Box::new(|id| id % 5 < 3)),
+            ("1 page in 40", Box::new(|id| page(id) % 40 == 7)),
+            ("1 page in 10", Box::new(|id| page(id) % 10 == 3)),
+            ("3 pages in 5", Box::new(|id| page(id) % 5 < 3)),
+            ("nothing", Box::new(|_| false)),
         ];
-        for (name, by_page, pass) in &filters {
+        for (name, pass) in &filters {
             let filter = SearchFilter::from_rows(RowFilter::from_fn(n, pass));
             let passing_pages: HashSet<PageId> = records
                 .iter()
@@ -1165,90 +1163,76 @@ mod tests {
                         filter: Some(&filter),
                     };
                     let fresh = Watched::build(|id| id);
-                    let cold = fresh.walk(&query);
-                    let warm = fresh.walk(&query);
-                    for now in [&cold, &warm] {
+                    let first = fresh.walk(&query);
+                    let again = fresh.walk(&query);
+                    for now in [&first, &again] {
                         assert_eq!(now.hits, want, "{ctx}");
                         assert_eq!(now.tree_fetches, was.tree_fetches, "{ctx}");
                         // A failing row moves the reach no more than the
                         // parent's tombstone did, so the rows that pass are
                         // refined in the same bound order, as far.
                         assert_eq!(now.evaluated, was.evaluated, "{ctx}");
-                    }
-                    // A query pins a page once, whatever order it needs it in.
-                    for walk in [&was, &cold, &warm] {
-                        let distinct: HashSet<_> = walk.pins.iter().collect();
-                        assert_eq!(walk.pins.len(), distinct.len(), "{ctx}");
-                    }
-                    // (a) Nothing learned yet: no page the parent did not pin.
-                    assert!(cold.pins.len() <= was.pins.len(), "{ctx}");
-                    assert!(cold.pins.iter().all(|p| was.pins.contains(p)), "{ctx}");
-                    // (b) Everything in reach learned: a pin is a passing row.
-                    assert!(warm.pins.len() <= cold.pins.len(), "{ctx}");
-                    assert!(warm.pins.len() as u64 <= warm.evaluated, "{ctx}");
-                    assert!(warm.pins.iter().all(|p| passing_pages.contains(p)), "{ctx}");
-                    if *by_page {
-                        // The admitted candidates on a passing page all pass:
-                        // the pins are the parent's, less the failing pages.
-                        let kept: Vec<PageId> = was
-                            .pins
-                            .iter()
-                            .copied()
-                            .filter(|p| passing_pages.contains(p))
-                            .collect();
-                        assert_eq!(warm.pins, kept, "{ctx}");
+                        assert_eq!(now.pins, was.pins, "{ctx}");
+                        // A pin is a passing row's page, and one a query.
+                        assert!(now.pins.len() as u64 <= now.evaluated, "{ctx}");
+                        assert!(now.pins.iter().all(|p| passing_pages.contains(p)), "{ctx}");
+                        let distinct: HashSet<_> = now.pins.iter().collect();
+                        assert_eq!(now.pins.len(), distinct.len(), "{ctx}");
                     }
                 }
             }
         }
     }
 
+    /// A tombstoned row is turned away by its id, off the id column, before
+    /// its page is pinned: an unfiltered search pins only pages that hold a
+    /// live row it evaluates, and each once.
     #[test]
-    fn a_search_without_a_filter_neither_reads_nor_fills_the_id_column() {
+    fn a_tombstoned_row_costs_no_heap_page() {
         let (data, _) = paged_fixture();
         let n = data.rows() as u64;
         let watched = Watched::build(|id| id);
-        // Tombstones alone are not a filter.
-        for id in (0..n).step_by(7) {
+        let records = watched.records();
+        // Every row of one page in three, and one row in seven elsewhere.
+        let dead: HashSet<u64> = records
+            .iter()
+            .filter(|&&(page, id)| page % 3 == 1 || id % 7 == 0)
+            .map(|&(_, id)| id)
+            .collect();
+        for &id in &dead {
             assert!(watched.index.delta.delete(id).unwrap());
         }
-        let unfiltered = || -> Vec<Walk> {
-            PAGED_TARGETS
-                .iter()
-                .flat_map(|&target| PAGED_PROBES.map(|probe| (target, probe)))
-                .map(|(target, probe)| watched.walk(&Query::new(data.row(probe), target)))
-                .collect()
-        };
-        let before = unfiltered();
-        assert_eq!(pages_learned(&watched.index), 0);
-
-        let filter = SearchFilter::from_rows(RowFilter::from_fn(n, |id| id % 10 == 3));
+        let live_pages: HashSet<PageId> = records
+            .iter()
+            .filter(|(_, id)| !dead.contains(id))
+            .map(|&(page, _)| page)
+            .collect();
+        let plain = Watched::build(|id| id);
+        let mut pinned = 0;
         for target in PAGED_TARGETS {
             for probe in PAGED_PROBES {
-                watched.walk(&Query {
-                    vector: data.row(probe),
-                    target,
-                    filter: Some(&filter),
-                });
+                let ctx = format!("{target:?}, probe {probe}");
+                let q = data.row(probe);
+                let all = match target {
+                    Target::Knn(_) => Target::Knn(n as usize),
+                    range => range,
+                };
+                let mut want: Vec<_> = (plain.walk(&Query::new(q, all)).hits.into_iter())
+                    .filter(|(_, id)| !dead.contains(id))
+                    .collect();
+                if let Target::Knn(k) = target {
+                    want.truncate(k);
+                }
+                let now = watched.walk(&Query::new(q, target));
+                assert_eq!(now.hits, want, "{ctx}");
+                assert!(now.pins.iter().all(|p| live_pages.contains(p)), "{ctx}");
+                assert!(now.pins.len() as u64 <= now.evaluated, "{ctx}");
+                let distinct: HashSet<_> = now.pins.iter().collect();
+                assert_eq!(now.pins.len(), distinct.len(), "{ctx}");
+                pinned += now.pins.len();
             }
         }
-        let learned = pages_learned(&watched.index);
-        assert!(
-            learned > 40,
-            "the filtered searches learned {learned} pages"
-        );
-
-        // What the column now holds changes nothing for them: the same
-        // pins in the same order.
-        let after = unfiltered();
-        assert_eq!(pages_learned(&watched.index), learned);
-        for (was, now) in before.iter().zip(&after) {
-            assert!(!was.pins.is_empty());
-            assert_eq!(now.hits, was.hits);
-            assert_eq!(now.pins, was.pins);
-            assert_eq!(now.tree_fetches, was.tree_fetches);
-            assert_eq!(now.evaluated, was.evaluated);
-        }
+        assert!(pinned > 0);
     }
 
     #[test]
@@ -1256,7 +1240,7 @@ mod tests {
         let (data, model) = paged_fixture();
         let n = data.rows() as u64;
         let coded = Watched::build(|id| id);
-        assert!(coded.index.heap.num_pages() >= 85);
+        assert!(coded.index.heap.num_pages() >= 70);
         // The parent commit's search is today's over leaf entries nothing
         // judges: the same tree, heap and rounds, no codebook.
         let mut plain = Watched::build(|id| id);
@@ -1339,7 +1323,7 @@ mod tests {
                     assert_eq!(with.tree_fetches, without.tree_fetches, "{ctx}");
                     assert!(with.evaluated <= without.evaluated, "{ctx}");
                     if filter.is_none() {
-                        // No id column in play: a pin is a candidate's page.
+                        // A pin is a candidate's page.
                         assert!(with.pins.iter().all(|p| without.pins.contains(p)), "{ctx}");
                         if target == Target::Knn(10) {
                             assert!(with.pins.len() < without.pins.len(), "{ctx}");
@@ -1351,8 +1335,8 @@ mod tests {
                 }
             }
         }
-        // Over the four probes a 10-NN pins 112 heap pages without codes and
-        // 35 with them.
+        // Over the four probes a 10-NN pins 144 heap pages without codes and
+        // 21 with them.
         assert!(
             pins_without >= 100,
             "{pins_without} heap pages without codes"
@@ -1541,7 +1525,7 @@ mod tests {
     }
 
     #[test]
-    fn eight_threads_learning_the_same_pages_answer_as_one_does() {
+    fn eight_threads_learning_the_same_placement_tables_answer_as_one_does() {
         let (data, model) = paged_fixture();
         let n = data.rows() as u64;
         let filters = [
@@ -1570,8 +1554,9 @@ mod tests {
         let build = || IDistanceIndex::build(data, model, 256).unwrap();
         let serial = all(&build());
 
-        // All eight leave the barrier with nothing learned and ask the same
-        // queries in the same order: they meet at the same empty slots.
+        // All eight leave the barrier with no placement table learned and
+        // ask the same queries in the same order: they meet at the same
+        // partitions.
         let index = build();
         let barrier = Barrier::new(8);
         std::thread::scope(|scope| {
@@ -1587,7 +1572,7 @@ mod tests {
                 assert_eq!(worker.join().unwrap(), serial);
             }
         });
-        assert_eq!(all(&index), serial, "and the column they left is right");
+        assert_eq!(all(&index), serial, "and the tables they left are right");
     }
 
     /// The two passes [`query_geometry`] fused, as they were written: one

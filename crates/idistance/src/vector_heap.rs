@@ -7,27 +7,29 @@
 //! offset 0: partition id (u32)
 //! offset 4: dim          (u16)  — coordinates per record
 //! offset 6: count        (u16)
-//! offset 8: record[0] = (point_id: u64, coords: dim × f64), record[1], …
+//! offset 8: record[0] = coords: dim × f64, record[1], …
 //! ```
 //!
-//! Record ids encode the location directly (`rid = page_id << 16 | slot`),
-//! so no in-memory directory is needed. Records are read off a
+//! A record is its coordinates and nothing else, so a page holds
+//! `(PAGE_SIZE − 8) / (8·dim)` of them. Record ids encode the location
+//! directly (`rid = page_id << 16 | slot`). Records are read off a
 //! [`HeapPage`], the pinned image of one page with its header decoded: a
 //! reader pins each page once ([`PageSet`]), so it costs one (buffered)
 //! page access per heap page, not per record, in whatever order it reads
 //! the records — the unit the I/O experiments count — and a record is one
-//! bounds-checked slice of that image ([`Record`]), decoded only as far as
-//! its reader goes.
+//! bounds-checked slice of that image ([`Record`]), decoded only for a
+//! reader that wants its coordinates.
 //!
-//! The one thing kept beside the pages is the **id column** a filtered
-//! search learns ([`VectorHeap::learned_id`]): the point ids of every page
-//! such a search has pinned, so the next one can put a row to its filter
-//! without pinning the page to find out which row it is.
+//! The point ids live beside the pages, in the **id column**: every
+//! record's id in record order, held page by page.
+//! [`append`](VectorHeap::append) writes it with the page, a snapshot saves
+//! it as a section of its own, and [`VectorHeap::point_id`] reads it
+//! without pinning a page — so a search puts a row to its filter and its
+//! tombstones before it spends a page on the row.
 
 use crate::error::{Error, Result};
 use mmdr_storage::{BufferPool, Page, PageId, PageSet, PAGE_SIZE};
 use std::num::NonZeroU16;
-use std::sync::OnceLock;
 
 const HEADER: usize = 8;
 
@@ -38,7 +40,7 @@ const HEADER: usize = 8;
 struct HeapPage<'a> {
     image: &'a Page,
     partition: u32,
-    /// Bytes per record: the id and `dim` coordinates.
+    /// Bytes per record: `dim` coordinates.
     width: usize,
     count: usize,
 }
@@ -51,42 +53,31 @@ impl<'a> HeapPage<'a> {
         Self {
             image,
             partition,
-            width: 8 + 8 * dim,
+            width: 8 * dim,
             count,
         }
     }
 
-    /// Record `slot`, taken from the image as one slice: the slot is
-    /// checked against the page's count and the slice against the page's
-    /// end, once, and no field read checks again. `None` for a slot the
-    /// page does not hold.
+    /// The coordinate bytes of record `slot`, taken from the image as one
+    /// slice: the slot is checked against the page's count and the slice
+    /// against the page's end, once. `None` for a slot the page does not
+    /// hold.
     #[inline]
-    fn record(&self, slot: usize) -> Option<Record<'a>> {
+    fn coords(&self, slot: usize) -> Option<&'a [u8]> {
         if slot >= self.count {
             return None;
         }
-        let bytes = self
-            .image
-            .bytes(HEADER + slot * self.width, self.width)
-            .ok()?;
-        let (id, coords) = bytes.split_first_chunk()?;
-        Some(Record { id, coords })
-    }
-
-    /// The point ids the page holds, in slot order.
-    fn ids(&self) -> Box<[u64]> {
-        (0..self.count)
-            .map_while(|slot| Some(self.record(slot)?.point_id()))
-            .collect()
+        let at = HEADER + slot * self.width;
+        self.image.bytes(at, self.width).ok()
     }
 }
 
-/// One stored record, borrowed from its pinned page and not yet decoded:
-/// reading the id costs nothing more, and the coordinates are decoded only
-/// for a record somebody wants.
+/// One stored record: its point id, from the id column, and its
+/// coordinates, borrowed from its pinned page and decoded only for a reader
+/// that wants them.
 #[derive(Debug)]
 pub struct Record<'a> {
-    id: &'a [u8; 8],
+    id: u64,
     coords: &'a [u8],
 }
 
@@ -94,7 +85,7 @@ impl Record<'_> {
     /// The point id.
     #[inline]
     pub fn point_id(&self) -> u64 {
-        u64::from_le_bytes(*self.id)
+        self.id
     }
 
     /// Decodes the coordinates into `out`, replacing its contents.
@@ -106,34 +97,38 @@ impl Record<'_> {
     }
 }
 
-/// One heap page's slot of the id column: its point ids in slot order,
-/// once a filtered search has pinned it.
-type PageIds = OnceLock<Box<[u64]>>;
+/// Every record's point id in record order: per heap page, its ids in slot
+/// order, and how many there are in all. A page's ids are an allocation of
+/// their own, the size of a few hundred bytes: held as one 200 KB block, an
+/// opened D1 index's column split the hole its build had left, and the
+/// benchmark's `knn_paged` process peaked 1.5 MiB higher for it.
+#[derive(Debug, Default)]
+struct IdColumn {
+    pages: Vec<Vec<u64>>,
+    len: u64,
+}
 
-/// Paged storage of `(point_id, coords)` records grouped by partition.
+impl IdColumn {
+    /// Page `page`'s ids; `None` past the heap's pages.
+    #[inline]
+    fn page(&self, page: u64) -> Option<&[u64]> {
+        Some(self.pages.get(usize::try_from(page).ok()?)?)
+    }
+}
+
+/// Paged storage of reduced coordinates grouped by partition, and the id
+/// column that names each record's point.
 ///
-/// The struct is the size it was before it had an id column, and a heap no
-/// filtered search reads allocates nothing for one (`open` keeps its width
-/// as the page header does, which pays for the column's pointer): 32 bytes
-/// more put the boxed `IDistanceIndex` into another allocator size class,
-/// and the benchmark process of a workload that never filters peaked
-/// 3.2 MiB higher for it.
+/// The column sits behind one pointer, so the struct is no larger than it
+/// was when the ids lived on the pages: 32 bytes more once put the boxed
+/// `IDistanceIndex` into another allocator size class, and the benchmark
+/// process peaked 3.2 MiB higher for it.
 #[derive(Debug)]
 pub struct VectorHeap {
     pool: BufferPool,
     /// Page currently being filled, with its partition id and dim.
     open: Option<(PageId, u32, NonZeroU16)>,
-    len: u64,
-    /// The id column, one write-once slot per heap page: empty until a
-    /// filtered search pins the page ([`pin_learning`](Self::pin_learning)),
-    /// then that page's point ids in slot order, read without a lock. It is
-    /// never scanned for and never saved; 8 bytes per row a filtered search
-    /// has seen is all it can grow to. The slots themselves are made by
-    /// the first such pin — after the heap's last
-    /// [`append`](Self::append): a load writes a heap once, before anything
-    /// searches it.
-    #[allow(clippy::box_collection)] // a thin pointer: see the struct's size
-    ids: OnceLock<Box<Vec<PageIds>>>,
+    column: Box<IdColumn>,
 }
 
 impl VectorHeap {
@@ -142,33 +137,53 @@ impl VectorHeap {
         Self {
             pool,
             open: None,
-            len: 0,
-            ids: OnceLock::new(),
+            column: Box::default(),
         }
     }
 
-    /// Reattaches a heap to pages restored from a snapshot. `open` and
-    /// `len` must be the values the saved heap reported
-    /// ([`open_page`](Self::open_page), [`len`](Self::len)); restoring the
-    /// open-page state makes post-reopen appends land exactly where
-    /// post-build appends would, so record ids stay reproducible.
+    /// Reattaches a heap to pages restored from a snapshot, with its id
+    /// column: per heap page, its records' point ids in slot order
+    /// ([`id_pages`](Self::id_pages)). `open` and `len` must be the values
+    /// the saved heap reported ([`open_page`](Self::open_page),
+    /// [`len`](Self::len)); restoring the open-page state makes post-reopen
+    /// appends land exactly where post-build appends would, so record ids
+    /// stay reproducible. A column that does not fit the pages — another
+    /// page count, a page holding more records than any page can, ids that
+    /// do not add up to `len`, the reserved id — is refused; a page whose
+    /// width holds fewer is refused where the page is read. Reads no page.
     pub fn from_parts(
         pool: BufferPool,
         open: Option<(PageId, u32, usize)>,
         len: u64,
+        id_pages: Vec<Vec<u64>>,
     ) -> Result<Self> {
         let open = match open {
-            Some((page, _, _)) if page as usize >= pool.num_pages() => {
+            // Appends go to the last page: the column grows at its end.
+            Some((page, _, _)) if page.checked_add(1) != Some(pool.num_pages() as u64) => {
                 return Err(Error::BadRecordId(page << 16));
             }
             Some((page, partition, dim)) => Some((page, partition, Self::width(dim)?)),
             None => None,
         };
+        let most = Self::page_capacity(1);
+        if id_pages.len() != pool.num_pages()
+            || id_pages.iter().any(|ids| ids.len() > most)
+            || id_pages.iter().map(|ids| ids.len() as u64).sum::<u64>() != len
+        {
+            return Err(Error::InvalidConfig(
+                "the id column must count the heap's pages and rows",
+            ));
+        }
+        if id_pages.iter().flatten().any(|&id| id == u64::MAX) {
+            return Err(Error::ReservedId);
+        }
         Ok(Self {
             pool,
             open,
-            len,
-            ids: OnceLock::new(),
+            column: Box::new(IdColumn {
+                pages: id_pages,
+                len,
+            }),
         })
     }
 
@@ -196,12 +211,12 @@ impl VectorHeap {
 
     /// Number of records.
     pub fn len(&self) -> u64 {
-        self.len
+        self.column.len
     }
 
     /// True when no records are stored.
     pub fn is_empty(&self) -> bool {
-        self.len == 0
+        self.column.len == 0
     }
 
     /// Number of heap pages allocated.
@@ -211,7 +226,13 @@ impl VectorHeap {
 
     /// Records that fit a page at the given width.
     pub fn page_capacity(dim: usize) -> usize {
-        (PAGE_SIZE - HEADER) / (8 + 8 * dim)
+        (PAGE_SIZE - HEADER) / (8 * dim).max(1)
+    }
+
+    /// The id column: per heap page, its records' point ids in slot
+    /// order — every id in record order, page by page.
+    pub fn id_pages(&self) -> &[Vec<u64>] {
+        &self.column.pages
     }
 
     /// Appends a record for `partition`, returning its rid. Starts a new
@@ -220,46 +241,68 @@ impl VectorHeap {
     /// live row, so the id `u64::MAX` — an older build's mark of a dead
     /// one — is refused.
     pub fn append(&mut self, partition: u32, point_id: u64, coords: &[f64]) -> Result<u64> {
-        debug_assert!(self.ids.get().is_none(), "appended after a search");
         if point_id == u64::MAX {
             return Err(Error::ReservedId);
         }
         let dim = coords.len();
         let width = Self::width(dim)?;
-        let need_new = match self.open {
-            Some((page, part, open_width)) => {
-                part != partition
-                    || open_width != width
-                    || self
-                        .pool
-                        .with_page(page, |p| p.get_u16(6).expect("header"))?
-                        as usize
-                        >= Self::page_capacity(dim)
-            }
-            None => true,
+        let fits = |&(page, part, open_width): &(PageId, u32, NonZeroU16)| {
+            part == partition
+                && open_width == width
+                && (self.column.page(page)).is_some_and(|ids| ids.len() < Self::page_capacity(dim))
         };
-        if need_new {
-            let page = self.pool.allocate()?;
-            self.pool.with_page_mut(page, |p| {
-                p.put_u32(0, partition).expect("header");
-                p.put_u16(4, width.get()).expect("header");
-                p.put_u16(6, 0).expect("header");
-            })?;
-            self.open = Some((page, partition, width));
-        }
-        let (page, _, _) = self.open.expect("just ensured");
-        let slot = self.pool.with_page_mut(page, |p| -> Result<u16> {
-            let slot = p.get_u16(6).expect("header");
-            let base = HEADER + slot as usize * (8 + 8 * dim);
-            p.put_u64(base, point_id)?;
+        let page = match self.open.filter(fits) {
+            Some((page, _, _)) => page,
+            None => {
+                let page = self.pool.allocate()?;
+                debug_assert_eq!(
+                    page as usize,
+                    self.column.pages.len(),
+                    "the heap's own pool"
+                );
+                self.pool.with_page_mut(page, |p| {
+                    p.put_u32(0, partition).expect("header");
+                    p.put_u16(4, width.get()).expect("header");
+                    p.put_u16(6, 0).expect("header");
+                })?;
+                let ids = Vec::with_capacity(Self::page_capacity(dim));
+                self.column.pages.push(ids);
+                self.open = Some((page, partition, width));
+                page
+            }
+        };
+        let slot = self.column.pages[page as usize].len() as u16;
+        self.pool.with_page_mut(page, |p| -> Result<()> {
+            let base = HEADER + slot as usize * 8 * dim;
             for (j, &c) in coords.iter().enumerate() {
-                p.put_f64(base + 8 + 8 * j, c)?;
+                p.put_f64(base + 8 * j, c)?;
             }
             p.put_u16(6, slot + 1).expect("header");
-            Ok(slot)
+            Ok(())
         })??;
-        self.len += 1;
+        self.column.pages[page as usize].push(point_id);
+        self.column.len += 1;
         Ok((page << 16) | slot as u64)
+    }
+
+    /// The point id of record `rid`, read off the id column: no page is
+    /// pinned. `None` for a rid the heap does not hold.
+    #[inline]
+    pub fn point_id(&self, rid: u64) -> Option<u64> {
+        let slot = (rid & 0xFFFF) as usize;
+        self.column.page(rid >> 16)?.get(slot).copied()
+    }
+
+    /// The point ids of page `page`, whose image says it holds `count`
+    /// records: a page and a column that disagree are refused.
+    fn page_ids(&self, page: PageId, count: usize) -> Result<&[u64]> {
+        match self.column.page(page) {
+            Some(ids) if ids.len() == count => Ok(ids),
+            Some(_) => Err(Error::InvalidConfig(
+                "a heap page disagrees with the id column",
+            )),
+            None => Err(Error::BadRecordId(page << 16)),
+        }
     }
 
     /// The record `rid` names, read off its page in `pages`: the page is
@@ -274,45 +317,16 @@ impl VectorHeap {
     /// have written to, or swapped, the pages.
     #[inline]
     pub fn record<'p>(&self, pages: &'p mut PageSet, rid: u64) -> Result<(u32, Record<'p>)> {
-        let page = HeapPage::new(self.pin(pages, rid)?);
-        let record = page
-            .record((rid & 0xFFFF) as usize)
-            .ok_or(Error::BadRecordId(rid))?;
-        Ok((page.partition, record))
-    }
-
-    /// What a filtered search does before [`record`](Self::record): pins
-    /// the page `rid` lives on, and a page so pinned also enters the id
-    /// column (if no search put it there before), read off the image just
-    /// pinned — learning costs no fetch.
-    pub fn pin_learning(&self, pages: &mut PageSet, rid: u64) -> Result<()> {
-        let page = self.pin(pages, rid)?;
-        let ids = self.ids.get_or_init(|| {
-            let unlearned = (0..self.pool.num_pages()).map(|_| OnceLock::new());
-            Box::new(unlearned.collect())
-        });
-        ids[(rid >> 16) as usize].get_or_init(|| HeapPage::new(page).ids());
-        Ok(())
-    }
-
-    /// The point id of record `rid` if the id column holds its page —
-    /// that is, if a filtered search has pinned that page since the heap
-    /// was loaded or opened; `None` otherwise (also for a slot the page
-    /// does not have). Touches no page.
-    #[inline]
-    pub fn learned_id(&self, rid: u64) -> Option<u64> {
-        let page = self.ids.get()?.get((rid >> 16) as usize)?.get()?;
-        page.get((rid & 0xFFFF) as usize).copied()
-    }
-
-    /// Pins the page `rid` lives on in `pages`.
-    #[inline]
-    fn pin<'p>(&self, pages: &'p mut PageSet, rid: u64) -> Result<&'p Page> {
-        let id = rid >> 16;
-        if !pages.holds(id) && id >= self.pool.num_pages() as u64 {
+        let (page_id, slot) = (rid >> 16, (rid & 0xFFFF) as usize);
+        if !pages.holds(page_id) && page_id >= self.pool.num_pages() as u64 {
             return Err(Error::BadRecordId(rid));
         }
-        Ok(pages.page(&self.pool, id)?)
+        let page = HeapPage::new(pages.page(&self.pool, page_id)?);
+        let ids = self.page_ids(page_id, page.count)?;
+        let (Some(&id), Some(coords)) = (ids.get(slot), page.coords(slot)) else {
+            return Err(Error::BadRecordId(rid));
+        };
+        Ok((page.partition, Record { id, coords }))
     }
 
     /// Fetches one record by itself: `(partition, point_id, coords)`.
@@ -328,15 +342,18 @@ impl VectorHeap {
     /// Reads every heap page exactly once — the sequential-scan primitive.
     pub fn scan(&self, mut f: impl FnMut(u32, u64, &[f64])) -> Result<()> {
         let mut coords = Vec::new();
-        for id in 0..self.pool.num_pages() as u64 {
-            let image = self.pool.page(id)?;
+        for page_id in 0..self.pool.num_pages() as u64 {
+            let image = self.pool.page(page_id)?;
             let page = HeapPage::new(&image);
-            for slot in 0..page.count {
-                let record = page
-                    .record(slot)
-                    .ok_or(Error::BadRecordId((id << 16) | slot as u64))?;
+            for (slot, &id) in self.page_ids(page_id, page.count)?.iter().enumerate() {
+                let record = Record {
+                    id,
+                    coords: page
+                        .coords(slot)
+                        .ok_or(Error::BadRecordId((page_id << 16) | slot as u64))?,
+                };
                 record.coords_into(&mut coords);
-                f(page.partition, record.point_id(), &coords);
+                f(page.partition, id, &coords);
             }
         }
         Ok(())
@@ -390,43 +407,92 @@ mod tests {
     }
 
     #[test]
-    fn a_heap_is_the_size_it_was_without_an_id_column() {
-        // What `open: Option<(u64, u32, usize)>` and `len` took.
-        assert_eq!(
-            std::mem::size_of::<VectorHeap>(),
-            std::mem::size_of::<BufferPool>() + 40
-        );
+    fn a_heap_is_no_larger_than_it_was_with_ids_on_its_pages() {
+        // What `open: Option<(u64, u32, usize)>`, `len` and the learned
+        // column's pointer took before the ids left the pages.
+        assert!(std::mem::size_of::<VectorHeap>() <= std::mem::size_of::<BufferPool>() + 40);
     }
 
     #[test]
-    fn the_id_column_holds_what_pin_learning_pinned() {
+    fn the_id_column_names_every_record_without_a_pin() {
         let mut h = heap(16);
         let cap = VectorHeap::page_capacity(4) as u64;
+        assert_eq!(cap, 127, "a record is its 32 coordinate bytes");
+        let first = [0, 1 << 32, u64::MAX - 1];
+        let id = |i: u64| first.get(i as usize).copied().unwrap_or(100 + i);
         let rids: Vec<u64> = (0..cap + 3)
-            .map(|i| h.append(0, 100 + i, &[i as f64; 4]).unwrap())
+            .map(|i| h.append(0, id(i), &[i as f64; 4]).unwrap())
             .collect();
-        let (first, second) = (rids[0], rids[cap as usize]);
-        // Reading a record learns nothing…
-        let mut pages = PageSet::default();
-        h.record(&mut pages, first).unwrap();
-        assert_eq!(h.learned_id(first), None);
-        // …reading it for a filtered search learns its page, for one fetch.
         let before = h.pool().snapshot();
-        let fetches = |h: &VectorHeap| h.pool().snapshot().since(&before).pages_touched();
-        pages.clear();
-        h.pin_learning(&mut pages, first).unwrap();
-        assert_eq!(fetches(&h), 1);
-        for &rid in &rids[..cap as usize] {
-            assert_eq!(h.learned_id(rid), Some(100 + (rid & 0xFFFF)));
+        for (i, &rid) in (0..).zip(&rids) {
+            assert_eq!(h.point_id(rid), Some(id(i)));
         }
-        assert_eq!(h.learned_id(second), None, "another page");
-        assert_eq!(h.learned_id(first | 0xFFFF), None, "no such slot");
-        assert_eq!(h.learned_id(7 << 16), None, "no such page");
-        assert_eq!(fetches(&h), 1, "asking the column fetches nothing");
-        h.pin_learning(&mut pages, second).unwrap();
-        assert_eq!(h.learned_id(second + 2), Some(100 + cap + 2));
-        assert_eq!(h.learned_id(second + 3), None);
-        assert_eq!(fetches(&h), 2);
+        let second = rids[cap as usize];
+        assert_eq!(second, 1 << 16, "the second page's first slot");
+        assert_eq!(h.point_id(second + 3), None, "no such slot");
+        assert_eq!(h.point_id(rids[0] | 0xFFFF), None, "no such slot");
+        assert_eq!(h.point_id(7 << 16), None, "no such page");
+        assert_eq!(h.point_id(u64::MAX), None);
+        assert_eq!(h.pool().snapshot().since(&before).pages_touched(), 0);
+        let lens: Vec<usize> = h.id_pages().iter().map(Vec::len).collect();
+        assert_eq!(lens, [cap as usize, 3]);
+        // A record read off its page carries the column's id.
+        assert_eq!(h.get(rids[1]).unwrap(), (0, 1 << 32, vec![1.0; 4]));
+    }
+
+    #[test]
+    fn from_parts_refuses_a_column_that_does_not_fit_the_pages() {
+        let mut h = heap(16);
+        let cap = VectorHeap::page_capacity(2);
+        for i in 0..cap as u64 + 5 {
+            h.append(0, i, &[i as f64, 1.0]).unwrap();
+        }
+        let images = h.pool().export_pages().unwrap();
+        let (open, len) = (h.open_page(), h.len());
+        // The heap's ids cut into pages of the given lengths.
+        let pages = |lens: &[usize]| -> Vec<Vec<u64>> {
+            let mut ids = (0..).map(|i| i % len);
+            lens.iter()
+                .map(|&n| ids.by_ref().take(n).collect())
+                .collect()
+        };
+        let reattach = |open, len, ids: Vec<Vec<u64>>| {
+            let pool = BufferPool::new(DiskManager::from_pages(images.clone()), 4).unwrap();
+            VectorHeap::from_parts(pool, open, len, ids)
+        };
+        assert_eq!(pages(&[cap, 5]), h.id_pages());
+        assert!(reattach(open, len, h.id_pages().to_vec()).is_ok());
+        let refused = |got: Result<()>| {
+            assert!(
+                matches!(
+                    got,
+                    Err(Error::InvalidConfig(_) | Error::BadRecordId(_) | Error::ReservedId)
+                ),
+                "{got:?}"
+            )
+        };
+        let opened = |got: Result<VectorHeap>| got.map(drop);
+        // Ids that do not add up to the heap's length, another page count,
+        // a page no page holds.
+        refused(opened(reattach(open, len + 1, pages(&[cap, 5]))));
+        refused(opened(reattach(open, len - 1, pages(&[cap, 5]))));
+        refused(opened(reattach(open, len, pages(&[cap + 5]))));
+        refused(opened(reattach(open, len, pages(&[cap, 5, 0]))));
+        refused(opened(reattach(open, 517, pages(&[512, 5]))));
+        // The reserved id, and an open page that is not the last.
+        let mut reserved = pages(&[cap, 5]);
+        reserved[1][3] = u64::MAX;
+        refused(opened(reattach(open, len, reserved)));
+        refused(opened(reattach(Some((0, 0, 2)), len, pages(&[cap, 5]))));
+        // Counts a page image does not hold — more than fit one at its
+        // width, too — are found when it is read.
+        for bad in [&[cap - 1, 6][..], &[5, cap], &[cap + 5, 0]] {
+            let shifted = reattach(open, len, pages(bad)).unwrap();
+            refused(shifted.get(0).map(drop));
+            refused(shifted.scan(|_, _, _| {}));
+            let mut pages = PageSet::default();
+            refused(shifted.record(&mut pages, 1 << 16).map(drop));
+        }
     }
 
     proptest! {
@@ -434,8 +500,9 @@ mod tests {
 
         /// A record taken as one slice is the record the per-field typed
         /// accessors decode, on every slot of every page — the last slot
-        /// of a full page included — and a rid past the page's count or
-        /// the heap's pages is still `BadRecordId`.
+        /// of a full page included — with the id it was appended with, and
+        /// a rid past the page's count or the heap's pages is still
+        /// `BadRecordId`.
         #[test]
         fn record_view_equals_the_per_field_decode(
             dim in 1usize..40,
@@ -459,19 +526,20 @@ mod tests {
 
             let mut pages = PageSet::default();
             let mut coords = Vec::new();
-            for &rid in &rids {
+            for (r, &rid) in rids.iter().enumerate() {
                 let (page, slot) = (rid >> 16, (rid & 0xFFFF) as usize);
                 let p = h.pool().page(page).unwrap();
                 let (part, width) = (p.get_u32(0).unwrap(), p.get_u16(4).unwrap() as usize);
                 prop_assert!(slot < p.get_u16(6).unwrap() as usize);
-                let at = HEADER + slot * (8 + 8 * width);
+                let at = HEADER + slot * 8 * width;
                 let want: Vec<u64> = (0..width)
-                    .map(|j| p.get_f64(at + 8 + 8 * j).unwrap().to_bits())
+                    .map(|j| p.get_f64(at + 8 * j).unwrap().to_bits())
                     .collect();
 
                 let (got_part, record) = h.record(&mut pages,rid).unwrap();
                 prop_assert_eq!(got_part, part);
-                prop_assert_eq!(record.point_id(), p.get_u64(at).unwrap());
+                prop_assert_eq!(record.point_id(), word(r) ^ r as u64);
+                prop_assert_eq!(h.point_id(rid), Some(word(r) ^ r as u64));
                 record.coords_into(&mut coords);
                 prop_assert_eq!(coords.iter().map(|c| c.to_bits()).collect::<Vec<_>>(), want);
             }
@@ -542,7 +610,8 @@ mod tests {
         }
         let images = h.pool().export_pages().unwrap();
         let pool = BufferPool::new(DiskManager::from_pages(images), 16).unwrap();
-        let mut back = VectorHeap::from_parts(pool, h.open_page(), h.len()).unwrap();
+        let ids = h.id_pages().to_vec();
+        let mut back = VectorHeap::from_parts(pool, h.open_page(), h.len(), ids).unwrap();
         assert_eq!(back.len(), 10);
         // The next append on the reopened heap gets the same rid as the
         // next append on the original.
@@ -552,7 +621,7 @@ mod tests {
         assert_eq!(back.get(r_back).unwrap(), (0, 99, vec![9.0, 9.0]));
         // Bad open-page metadata is rejected.
         let pool = BufferPool::new(DiskManager::new(), 4).unwrap();
-        assert!(VectorHeap::from_parts(pool, Some((7, 0, 2)), 0).is_err());
+        assert!(VectorHeap::from_parts(pool, Some((7, 0, 2)), 0, vec![]).is_err());
     }
 
     #[test]

@@ -73,14 +73,17 @@ impl ByteWriter {
     /// id's difference from the one before it (from 0, wrapping): a byte
     /// an id where the list mostly ascends by small steps, as a cluster's
     /// member list does, and any order and any value round-trip.
-    pub fn put_id_list(&mut self, ids: &[usize]) {
-        self.put_usize(ids.len());
-        let mut prev = 0u64;
-        for &id in ids {
-            let delta = (id as u64).wrapping_sub(prev) as i64;
+    pub fn put_id_list(&mut self, ids: impl IntoIterator<Item = u64>) {
+        // The length is written where it goes once the ids are counted.
+        let at = self.buf.len();
+        self.put_usize(0);
+        let (mut len, mut prev) = (0u64, 0u64);
+        for id in ids {
+            let delta = id.wrapping_sub(prev) as i64;
             self.put_varint(((delta << 1) ^ (delta >> 63)) as u64);
-            prev = id as u64;
+            (len, prev) = (len + 1, id);
         }
+        self.buf[at..at + 8].copy_from_slice(&len.to_le_bytes());
     }
 }
 
@@ -205,23 +208,32 @@ impl<'a> ByteReader<'a> {
         )))
     }
 
-    /// Reads a [`ByteWriter::put_id_list`] list.
-    pub fn get_id_list(&mut self) -> Result<Vec<usize>> {
+    /// Reads the length of a [`ByteWriter::put_id_list`] list — bounded by
+    /// the bytes behind it — and yields its ids, each decoded as it is
+    /// taken.
+    pub fn get_ids(&mut self) -> Result<impl ExactSizeIterator<Item = Result<u64>> + use<'_, 'a>> {
         let n = self.get_len(1)?;
         let mut prev = 0u64;
-        (0..n)
-            .map(|_| {
-                let z = self.get_varint()?;
-                let delta = (z >> 1) as i64 ^ -((z & 1) as i64);
-                prev = prev.wrapping_add(delta as u64);
-                usize::try_from(prev).map_err(|_| {
-                    PersistError::malformed(format!(
-                        "{}: id {prev} exceeds the address space",
-                        self.region
-                    ))
-                })
-            })
-            .collect()
+        Ok((0..n).map(move |_| {
+            let z = self.get_varint()?;
+            let delta = (z >> 1) as i64 ^ -((z & 1) as i64);
+            prev = prev.wrapping_add(delta as u64);
+            Ok(prev)
+        }))
+    }
+
+    /// Reads a [`ByteWriter::put_id_list`] list.
+    pub fn get_id_list(&mut self) -> Result<Vec<usize>> {
+        let region = self.region;
+        let ids = self.get_ids()?;
+        let mut out = Vec::with_capacity(ids.len());
+        for id in ids {
+            let id = id?;
+            out.push(usize::try_from(id).map_err(|_| {
+                PersistError::malformed(format!("{region}: id {id} exceeds the address space"))
+            })?);
+        }
+        Ok(out)
     }
 
     /// Reads an `f64` from its bit pattern.
@@ -243,7 +255,7 @@ mod tests {
 
     fn id_list_roundtrip(ids: &[usize]) -> usize {
         let mut w = ByteWriter::new();
-        w.put_id_list(ids);
+        w.put_id_list(ids.iter().map(|&id| id as u64));
         let bytes = w.into_bytes();
         let mut r = ByteReader::new(&bytes, "ids");
         assert_eq!(r.get_id_list().unwrap(), ids);

@@ -76,7 +76,14 @@ pub const MAGIC: [u8; 8] = *b"MMDRSNP\x01";
 ///
 /// Version 9 is v8 without a cluster's `d × d` covariance in MODEL: no
 /// query, insert, fold or re-fit read it. Every other byte is v8's.
-pub const FORMAT_VERSION: u32 = 9;
+///
+/// Version 10 takes the point ids off the heap pages: a heap record is its
+/// `8·dim` coordinate bytes, `(PAGE_SIZE − 8) / (8·dim)` to a page, and the
+/// ids are the new IDS section — per heap page its record count, then every
+/// record's id in record order, both as zig-zag delta varint lists — which
+/// an open reads without touching a page. A backend without a heap (gLDR)
+/// writes no IDS. Every other section is v9's.
+pub const FORMAT_VERSION: u32 = 10;
 /// Little-endian sentinel; a byte-swapped writer would store 0x4D3C2B1A.
 pub const ENDIAN_TAG: u32 = 0x1A2B_3C4D;
 /// Superblock size; the section table starts here.
@@ -100,6 +107,10 @@ pub mod section_id {
     /// codec). Optional: attribute-less snapshots omit the section and
     /// stay byte-identical to pre-attribute images.
     pub const ATTRS: u32 = 5;
+    /// The heap's id column: per heap page its record count, then every
+    /// record's point id in record order. Present exactly when the backend
+    /// stores a heap.
+    pub const IDS: u32 = 6;
 }
 
 /// The name of section `id`: `model`, `meta`, … for the well-known ids,
@@ -111,6 +122,7 @@ pub fn section_label(id: u32) -> String {
         section_id::PAGES => "pages",
         section_id::PAGEDIR => "pagedir",
         section_id::ATTRS => "attrs",
+        section_id::IDS => "ids",
         other => return format!("#{other}"),
     }
     .to_string()
@@ -446,10 +458,10 @@ mod tests {
 
     #[test]
     fn another_version_reported_before_checksums() {
-        // A newer file, and the v8 one the previous format wrote: the
-        // version is changed *without* fixing the superblock CRC, and the
-        // version check must fire first.
-        for other in [99u32, 8] {
+        // A newer file, and the one the previous format wrote: the version
+        // is changed *without* fixing the superblock CRC, and the version
+        // check must fire first.
+        for other in [99u32, FORMAT_VERSION - 1] {
             let mut image = sample();
             image[8..12].copy_from_slice(&other.to_le_bytes());
             match parse(&image) {

@@ -53,14 +53,14 @@ pub fn put_model(w: &mut ByteWriter, m: &ReductionResult) {
     w.put_usize(m.clusters.len());
     for c in &m.clusters {
         put_subspace(w, &c.subspace);
-        w.put_id_list(&c.members);
+        w.put_id_list(c.members.iter().map(|&id| id as u64));
         w.put_f64(c.mpe);
         w.put_f64(c.radius_eliminated);
         w.put_f64(c.radius_retained);
         w.put_f64(c.nearest_radius);
         w.put_f64(c.ellipticity);
     }
-    w.put_id_list(&m.outliers);
+    w.put_id_list(m.outliers.iter().map(|&id| id as u64));
     w.put_u64(m.stats.distance_computations);
     w.put_u64(m.stats.ge_invocations);
     w.put_usize(m.stats.max_s_dim_reached);

@@ -5,7 +5,8 @@
 //! fences, radii, partition tables, pool capacities), a page directory
 //! (group layout plus a CRC32 per page), and the raw 4 KiB page images of
 //! every storage structure, concatenated so page `i` of a group sits at a
-//! fixed file offset. Reopening reattaches the trees/heaps via their
+//! fixed file offset — and a fifth, the id column, for a backend that
+//! stores a heap. Reopening reattaches the trees/heaps via their
 //! `from_parts` constructors — no projection, clustering or bulk-load work
 //! is redone.
 //!
@@ -114,10 +115,18 @@ impl Default for OpenOptions {
 
 // ---- page groups ----------------------------------------------------------
 
-/// Decodes the page directory: per-group per-page CRC32s.
+/// Decodes the page directory: per-group per-page CRC32s. No count in it
+/// sizes anything the bytes behind it could not fill.
 fn read_pagedir(payload: &[u8]) -> Result<Vec<Vec<u32>>> {
     let mut r = ByteReader::new(payload, "section pagedir");
     let n = r.get_u32()? as usize;
+    // A group is at least its 8-byte page count.
+    if n.saturating_mul(8) > r.remaining() {
+        return Err(PersistError::malformed(format!(
+            "section pagedir: {n} groups in {} bytes",
+            r.remaining()
+        )));
+    }
     let mut dir = Vec::with_capacity(n);
     for _ in 0..n {
         let count = r.get_len(4)?;
@@ -187,6 +196,57 @@ fn put_heap_meta(w: &mut ByteWriter, heap: &VectorHeap) {
 /// open append page as `(page, partition, dim)` when one exists.
 type HeapMeta = (usize, u64, Option<(PageId, u32, usize)>);
 
+/// A heap's id column: per heap page, its records' point ids in slot order.
+type IdColumn = Vec<Vec<u64>>;
+
+/// The IDS section of `heap`: per heap page its record count, then every
+/// record's point id in record order, each list as zig-zag delta varints
+/// ([`ByteWriter::put_id_list`]) — a byte a page, and about two a row.
+fn id_column(heap: &VectorHeap) -> Vec<u8> {
+    let mut w = ByteWriter::new();
+    w.put_id_list(heap.id_pages().iter().map(|ids| ids.len() as u64));
+    w.put_id_list(heap.id_pages().iter().flatten().copied());
+    w.into_bytes()
+}
+
+/// Decodes an IDS section into its pages' ids. A page's count is held to
+/// what a page can hold, and the ids to the counts, before either sizes
+/// anything.
+fn get_id_column(payload: &[u8]) -> Result<IdColumn> {
+    let mut r = ByteReader::new(payload, "section ids");
+    let lens = r.get_id_list()?;
+    let mut ids = r.get_ids()?;
+    let malformed = |what| PersistError::malformed(format!("section ids: {what}"));
+    if ids.len() as u128 != lens.iter().map(|&n| n as u128).sum::<u128>() {
+        return Err(malformed("the ids are not the pages' counts"));
+    }
+    let mut pages = Vec::with_capacity(lens.len());
+    for n in lens {
+        if n > VectorHeap::page_capacity(1) {
+            return Err(malformed("a page holds more rows than fit one"));
+        }
+        let mut page = Vec::with_capacity(n);
+        for id in ids.by_ref().take(n) {
+            page.push(id?);
+        }
+        pages.push(page);
+    }
+    drop(ids);
+    r.expect_end()?;
+    Ok(pages)
+}
+
+/// Reattaches a heap to its pages and its id column, which a snapshot of a
+/// heap backend must carry.
+fn restore_heap(
+    pool: BufferPool,
+    (_, len, open): HeapMeta,
+    column: Option<IdColumn>,
+) -> Result<VectorHeap> {
+    let pages = column.ok_or_else(|| PersistError::malformed("a heap without section ids"))?;
+    Ok(VectorHeap::from_parts(pool, open, len, pages)?)
+}
+
 fn get_heap_meta(r: &mut ByteReader<'_>) -> Result<HeapMeta> {
     let capacity = r.get_usize()?;
     let len = r.get_u64()?;
@@ -249,19 +309,22 @@ fn restore_hybrid(meta: HybridMeta, group: FileSource, opts: &OpenOptions) -> Re
 // ---- save ----------------------------------------------------------------
 
 /// The META section of `index` — the backend's scalar state, which for
-/// iDistance reads the rest of each partition back from `model` — and the
+/// iDistance reads the rest of each partition back from `model` — the
 /// buffer pools whose pages make up PAGES, one group each, in the order
-/// [`restore`] takes them back.
+/// [`restore`] takes them back, and the heap whose id column is IDS, if the
+/// backend has one.
 fn meta_and_pools<'a>(
     index: &'a BuiltIndex,
     model: &ReductionResult,
-) -> Result<(Vec<u8>, Vec<&'a BufferPool>)> {
+) -> Result<(Vec<u8>, Vec<&'a BufferPool>, Option<&'a VectorHeap>)> {
     let mut meta = ByteWriter::new();
     let mut pools: Vec<&BufferPool> = Vec::new();
+    let mut heap = None;
     match index {
         BuiltIndex::SeqScan(scan) => {
             put_heap_meta(&mut meta, scan.heap());
             pools.push(scan.heap().pool());
+            heap = Some(scan.heap());
         }
         BuiltIndex::IDistance(idx) => {
             // A partition record says only what the load measured; the rest
@@ -284,6 +347,7 @@ fn meta_and_pools<'a>(
             }
             pools.push(idx.tree().pool());
             pools.push(idx.heap().pool());
+            heap = Some(idx.heap());
         }
         BuiltIndex::Gldr(gldr) => {
             meta.put_usize(gldr.dim());
@@ -305,7 +369,7 @@ fn meta_and_pools<'a>(
             }
         }
     }
-    Ok((meta.into_bytes(), pools))
+    Ok((meta.into_bytes(), pools, heap))
 }
 
 /// The page directory of `pools` — per group its page count and a CRC32 per
@@ -340,9 +404,9 @@ fn page_directory(pools: &[&BufferPool]) -> Result<(Vec<u8>, u32, u64)> {
 ///
 /// The model epoch — how many re-fits produced this model — rides
 /// as an optional trailing u64 in the MODEL section: epoch 0 writes nothing,
-/// and readers treat an absent field as epoch 0. ATTRS sits among the small
-/// sections and is omitted entirely for an attribute-less index, so such an
-/// image does not depend on whether a store was passed.
+/// and readers treat an absent field as epoch 0. IDS and ATTRS sit among the
+/// small sections; ATTRS is omitted entirely for an attribute-less index,
+/// so such an image does not depend on whether a store was passed.
 fn write_snapshot(
     out: &mut impl Write,
     at: &Path,
@@ -356,13 +420,14 @@ fn write_snapshot(
     if model_epoch > 0 {
         model_w.put_u64(model_epoch);
     }
-    let (meta, pools) = meta_and_pools(index, model)?;
+    let (meta, pools, heap) = meta_and_pools(index, model)?;
     let (pagedir, pages_crc, pages_len) = page_directory(&pools)?;
     let mut sections = vec![
         (section_id::MODEL, model_w.into_bytes()),
         (section_id::META, meta),
         (section_id::PAGEDIR, pagedir),
     ];
+    sections.extend(heap.map(|heap| (section_id::IDS, id_column(heap))));
     if let Some(store) = attrs.filter(|s| !s.is_empty()) {
         sections.push((section_id::ATTRS, store.to_bytes()));
     }
@@ -485,49 +550,52 @@ fn expect_groups(groups: &[FileSource], expected: usize) -> Result<()> {
     Ok(())
 }
 
-/// Reattaches a backend from its decoded metadata and page groups, which
-/// arrive in the order [`meta_and_pools`] listed their pools.
+/// Reattaches a backend from its decoded metadata, page groups — which
+/// arrive in the order [`meta_and_pools`] listed their pools — and id
+/// column.
 fn restore(
     backend: Backend,
-    model: ReductionResult,
-    model_epoch: u64,
+    model: &ReductionResult,
     meta_bytes: &[u8],
     mut groups: Vec<FileSource>,
+    column: Option<IdColumn>,
     opts: &OpenOptions,
-    attrs: Option<AttrStore>,
-) -> Result<Opened> {
+) -> Result<BuiltIndex> {
     let mut meta = ByteReader::new(meta_bytes, "section meta");
     let index = match backend {
         Backend::SeqScan => {
-            let (capacity, len, open) = get_heap_meta(&mut meta)?;
+            let heap_meta = get_heap_meta(&mut meta)?;
             expect_groups(&groups, 1)?;
-            let pool = restore_pool(groups.pop().expect("one group"), capacity, opts)?;
-            let heap = VectorHeap::from_parts(pool, open, len)?;
-            BuiltIndex::SeqScan(SeqScan::from_parts(heap, &model)?)
+            let pool = restore_pool(groups.pop().expect("one group"), heap_meta.0, opts)?;
+            let heap = restore_heap(pool, heap_meta, column)?;
+            BuiltIndex::SeqScan(SeqScan::from_parts(heap, model)?)
         }
         Backend::IDistance => {
             let c = meta.get_f64()?;
             let tree_capacity = meta.get_usize()?;
             let tree_len = meta.get_usize()?;
             let tree_fences = meta.get_f64_vec()?;
-            let (heap_capacity, heap_len, heap_open) = get_heap_meta(&mut meta)?;
+            let heap_meta = get_heap_meta(&mut meta)?;
             // One record per cluster of the model, then the outlier home.
             let partitions = (0..=model.clusters.len())
-                .map(|i| model_codec::get_partition(&mut meta, &model, i))
+                .map(|i| model_codec::get_partition(&mut meta, model, i))
                 .collect::<Result<Vec<_>>>()?;
             expect_groups(&groups, 2)?;
             let heap_pages = groups.pop().expect("two groups");
             let tree_pages = groups.pop().expect("two groups");
             let tree_pool = restore_pool(tree_pages, tree_capacity, opts)?;
-            let heap_pool = restore_pool(heap_pages, heap_capacity, opts)?;
+            let heap_pool = restore_pool(heap_pages, heap_meta.0, opts)?;
             // The fences route every seek: the open reads no page.
             let tree = mmdr_btree::BPlusTree::from_parts(tree_pool, tree_fences, tree_len)?;
-            let heap = VectorHeap::from_parts(heap_pool, heap_open, heap_len)?;
+            let heap = restore_heap(heap_pool, heap_meta, column)?;
             BuiltIndex::IDistance(Box::new(IDistanceIndex::from_parts(
                 tree, heap, partitions, c, model.dim,
             )?))
         }
         Backend::Gldr => {
+            if column.is_some() {
+                return Err(PersistError::malformed("section ids beside no heap"));
+            }
             let dim = meta.get_usize()?;
             let len = meta.get_usize()?;
             let n_clusters = meta.get_len(1)?;
@@ -578,13 +646,7 @@ fn restore(
         }
     };
     meta.expect_end()?;
-    Ok(Opened {
-        backend,
-        model,
-        index,
-        model_epoch,
-        attrs,
-    })
+    Ok(index)
 }
 
 /// Decodes an ATTRS payload, mapping codec failures into persist errors.
@@ -691,6 +753,10 @@ pub fn open_with(path: impl AsRef<Path>, opts: &OpenOptions) -> Result<Opened> {
     };
     let meta_bytes = section(section_id::META)?;
     let dir = read_pagedir(&section(section_id::PAGEDIR)?)?;
+    let column = match entries.iter().find(|e| e.id == section_id::IDS) {
+        Some(entry) => Some(get_id_column(&read_section(&file, entry, path)?)?),
+        None => None,
+    };
     let attrs = match entries.iter().find(|e| e.id == section_id::ATTRS) {
         Some(entry) => Some(decode_attrs(&read_section(&file, entry, path)?)?),
         None => None,
@@ -711,15 +777,14 @@ pub fn open_with(path: impl AsRef<Path>, opts: &OpenOptions) -> Result<Opened> {
         base += span;
     }
 
-    restore(
+    let index = restore(backend, &model, &meta_bytes, groups, column, opts)?;
+    Ok(Opened {
         backend,
         model,
+        index,
         model_epoch,
-        &meta_bytes,
-        groups,
-        opts,
         attrs,
-    )
+    })
 }
 
 /// Opens a snapshot with default options: demand-read pages, recorded pool
@@ -808,8 +873,10 @@ mod tests {
     use super::*;
     use mmdr_core::{Mmdr, MmdrParams};
     use mmdr_storage::{Page, PageSource};
+    use proptest::prelude::*;
     use std::path::PathBuf;
     use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::OnceLock;
 
     /// Two line-shaped clusters, interleaved, and the model fitted to them.
     fn fixture() -> (Matrix, ReductionResult) {
@@ -860,7 +927,7 @@ mod tests {
                 if epoch > 0 {
                     model_w.put_u64(epoch);
                 }
-                let (meta, pools) = meta_and_pools(&index, &model).unwrap();
+                let (meta, pools, heap) = meta_and_pools(&index, &model).unwrap();
                 let mut dir_w = ByteWriter::new();
                 let mut pages_w = Vec::new();
                 dir_w.put_u32(pools.len() as u32);
@@ -877,6 +944,13 @@ mod tests {
                     (section_id::META, meta),
                     (section_id::PAGEDIR, dir_w.into_bytes()),
                 ];
+                assert_eq!(heap.is_some(), backend != Backend::Gldr);
+                if let Some(heap) = heap {
+                    let mut ids_w = ByteWriter::new();
+                    ids_w.put_id_list(heap.id_pages().iter().map(|ids| ids.len() as u64));
+                    ids_w.put_id_list(heap.id_pages().iter().flatten().copied());
+                    sections.push((section_id::IDS, ids_w.into_bytes()));
+                }
                 sections.extend(attrs.map(|store| (section_id::ATTRS, store.to_bytes())));
                 sections.push((section_id::PAGES, pages_w));
                 let assembled = format::assemble(backend_tag(backend), &sections);
@@ -928,8 +1002,9 @@ mod tests {
             reads_left: Arc::clone(&reads_left),
         };
         let pool = BufferPool::new(DiskManager::from_source(Box::new(source), 0), 4).unwrap();
-        let heap =
-            VectorHeap::from_parts(pool, scan.heap().open_page(), scan.heap().len()).unwrap();
+        let heap = scan.heap();
+        let ids = heap.id_pages().to_vec();
+        let heap = VectorHeap::from_parts(pool, heap.open_page(), heap.len(), ids).unwrap();
         let index = BuiltIndex::SeqScan(SeqScan::from_parts(heap, &model).unwrap());
         let path = dir.join("index.mmdr");
         let siblings = || -> Vec<String> {
@@ -972,5 +1047,252 @@ mod tests {
             index.as_dyn().knn(q, 5).unwrap()
         );
         std::fs::remove_dir_all(dir).unwrap();
+    }
+
+    /// A scan's and an iDistance index's snapshot of [`fixture`], as bytes.
+    fn heap_images() -> &'static [(Backend, Vec<u8>)] {
+        static IMAGES: OnceLock<Vec<(Backend, Vec<u8>)>> = OnceLock::new();
+        IMAGES.get_or_init(|| {
+            let (data, model) = fixture();
+            let dir = tmp_dir("heap-images");
+            let images = [Backend::SeqScan, Backend::IDistance]
+                .into_iter()
+                .map(|backend| {
+                    let path = dir.join(backend.name());
+                    let index = build_index(backend, &data, &model, 64).unwrap();
+                    save(&path, &index, &model).unwrap();
+                    (backend, std::fs::read(&path).unwrap())
+                })
+                .collect();
+            std::fs::remove_dir_all(dir).unwrap();
+            images
+        })
+    }
+
+    /// `image`'s sections in file order, each its id and payload.
+    fn sections_of(image: &[u8]) -> Vec<(u32, Vec<u8>)> {
+        let sb =
+            format::parse_superblock(&image[..format::SUPERBLOCK_LEN], image.len() as u64).unwrap();
+        let table = &image[format::SUPERBLOCK_LEN..format::SUPERBLOCK_LEN + sb.table_len()];
+        let entries = format::parse_table(table, &sb).unwrap();
+        (entries.iter())
+            .map(|e| {
+                (
+                    e.id,
+                    image[e.offset as usize..(e.offset + e.len) as usize].to_vec(),
+                )
+            })
+            .collect()
+    }
+
+    /// Opens the snapshot `sections` make (every CRC right for them) lazily
+    /// and resident and, on each open that succeeds, reads every stored row
+    /// and answers a query: the first typed error, if any step returns one.
+    fn open_sections(path: &Path, backend: Backend, sections: &[(u32, Vec<u8>)]) -> Result<()> {
+        std::fs::write(path, format::assemble(backend_tag(backend), sections)).unwrap();
+        let q = [0.5, 0.15, 0.0, 0.0];
+        for resident in [false, true] {
+            let options = OpenOptions {
+                resident,
+                ..OpenOptions::default()
+            };
+            let opened = open_with(path, &options)?;
+            mmdr_idistance::stored_rows(&opened.index)?;
+            opened.index.as_dyn().knn(&q, 7)?;
+        }
+        Ok(())
+    }
+
+    /// `sections` with the payload of section `id` replaced.
+    fn with_section(sections: &[(u32, Vec<u8>)], id: u32, payload: Vec<u8>) -> Vec<(u32, Vec<u8>)> {
+        let mut sections = sections.to_vec();
+        let at = sections.iter().position(|s| s.0 == id).unwrap();
+        sections[at].1 = payload;
+        sections
+    }
+
+    /// An IDS section of the given lists, as the writer encodes them.
+    fn ids_section(page_lens: &[usize], ids: &[usize]) -> Vec<u8> {
+        let mut w = ByteWriter::new();
+        w.put_id_list(page_lens.iter().map(|&n| n as u64));
+        w.put_id_list(ids.iter().map(|&id| id as u64));
+        w.into_bytes()
+    }
+
+    /// The IDS codec carries every id a heap can hold — 0, ids from 2³² up,
+    /// the largest one not reserved — back onto the heap's pages, page
+    /// breaks between partitions included.
+    #[test]
+    fn an_id_column_carries_every_id_a_heap_holds() {
+        let mut heap = VectorHeap::new(BufferPool::new(DiskManager::new(), 8).unwrap());
+        for i in 0..1200u64 {
+            let id = match i % 3 {
+                0 => i,
+                1 => (1 << 32) + i,
+                _ => u64::MAX - 1 - i,
+            };
+            heap.append((i / 500) as u32, id, &[i as f64, 1.0]).unwrap();
+        }
+        let ids = get_id_column(&id_column(&heap)).unwrap();
+        let lens: Vec<usize> = ids.iter().map(Vec::len).collect();
+        assert_eq!(lens, [255, 245, 255, 245, 200]);
+        let images = heap.pool().export_pages().unwrap();
+        let pool = BufferPool::new(DiskManager::from_pages(images), 4).unwrap();
+        let back = VectorHeap::from_parts(pool, heap.open_page(), heap.len(), ids).unwrap();
+        let rows = |heap: &VectorHeap| {
+            let mut rows = Vec::new();
+            heap.scan(|part, id, coords| rows.push((part, id, coords.to_vec())))
+                .unwrap();
+            rows
+        };
+        let want = rows(&heap);
+        assert_eq!(want.len(), 1200);
+        assert_eq!(rows(&back), want);
+    }
+
+    /// The ways an id column can disagree with its heap, each refused typed
+    /// — at the open, or for a scan whose pages alone can tell (a count
+    /// that fits some page but not this one's width), where the page is
+    /// read — and a heap with no column at all.
+    #[test]
+    fn an_id_column_that_does_not_fit_its_heap_is_refused() {
+        let dir = tmp_dir("bad-ids");
+        let path = dir.join("bad.mmdr");
+        for (backend, image) in heap_images() {
+            let sections = sections_of(image);
+            let ids = &sections.iter().find(|s| s.0 == section_id::IDS).unwrap().1;
+            let pages = get_id_column(ids).unwrap();
+            let lens: Vec<usize> = pages.iter().map(Vec::len).collect();
+            let column: Vec<usize> = pages.iter().flatten().map(|&id| id as usize).collect();
+            assert!(open_sections(&path, *backend, &sections).is_ok());
+            let last = lens.len() - 1;
+            let mut shifted = lens.clone();
+            shifted[0] -= 1;
+            shifted[last] += 1;
+            let mut over = lens.clone();
+            over[0] = VectorHeap::page_capacity(1) + 1;
+            let mut with_reserved = column.clone();
+            with_reserved[2] = u64::MAX as usize;
+            let bad: [(&str, Vec<u8>); 7] = [
+                ("a row short", ids_section(&lens, &column[1..])),
+                (
+                    "a row over",
+                    ids_section(&lens, &[&column[..], &[7]].concat()),
+                ),
+                ("a page short", ids_section(&lens[1..], &column)),
+                (
+                    "counts that add up to less",
+                    ids_section(&shifted[1..], &column),
+                ),
+                ("counts off by a row", ids_section(&shifted, &column)),
+                ("a count no page holds", ids_section(&over, &column)),
+                ("the reserved id", ids_section(&lens, &with_reserved)),
+            ];
+            for (what, payload) in bad {
+                let got = open_sections(
+                    &path,
+                    *backend,
+                    &with_section(&sections, section_id::IDS, payload),
+                );
+                assert!(
+                    matches!(
+                        got,
+                        Err(PersistError::Index(_) | PersistError::Malformed(_))
+                    ),
+                    "{} {what}: {got:?}",
+                    backend.name()
+                );
+            }
+            let without: Vec<_> = (sections.iter())
+                .filter(|s| s.0 != section_id::IDS)
+                .cloned()
+                .collect();
+            let got = open_sections(&path, *backend, &without);
+            assert!(matches!(got, Err(PersistError::Malformed(_))), "{got:?}");
+        }
+        // gLDR has no heap, so no column either.
+        let (data, model) = fixture();
+        let gldr = build_index(Backend::Gldr, &data, &model, 64).unwrap();
+        save(&path, &gldr, &model).unwrap();
+        let mut sections = sections_of(&std::fs::read(&path).unwrap());
+        assert!(sections.iter().all(|s| s.0 != section_id::IDS));
+        assert!(open_sections(&path, Backend::Gldr, &sections).is_ok());
+        sections.insert(3, (section_id::IDS, ids_section(&[1], &[0])));
+        let got = open_sections(&path, Backend::Gldr, &sections);
+        assert!(matches!(got, Err(PersistError::Malformed(_))), "{got:?}");
+        std::fs::remove_dir_all(dir).unwrap();
+    }
+
+    /// Lengths no bytes could back, planted as a little-endian `u64` (and,
+    /// for PAGEDIR's group count, a `u32`) at every offset of IDS and
+    /// PAGEDIR: each decode returns, typed, without sizing anything by the
+    /// lie — a decoder that trusted one would abort on the allocation.
+    #[test]
+    fn a_planted_length_in_ids_or_pagedir_is_refused_or_harmless() {
+        for (_, image) in heap_images() {
+            let sections = sections_of(image);
+            let payload = |id| &sections.iter().find(|s| s.0 == id).unwrap().1;
+            let pages_len = payload(section_id::PAGES).len() as u64;
+            for id in [section_id::IDS, section_id::PAGEDIR] {
+                let bytes = payload(id);
+                let lies = [bytes.len() as u64 + 1, 1 << 40, 1 << 62, u64::MAX];
+                for at in 0..bytes.len() {
+                    for lie in lies {
+                        let mut damaged = bytes.clone();
+                        let end = damaged.len().min(at + 8);
+                        damaged[at..end].copy_from_slice(&lie.to_le_bytes()[..end - at]);
+                        let _ = match id {
+                            section_id::IDS => get_id_column(&damaged).map(drop),
+                            _ => read_pagedir(&damaged)
+                                .and_then(|dir| expect_pages_len(&dir, pages_len)),
+                        };
+                    }
+                }
+            }
+            let mut groups = payload(section_id::PAGEDIR).clone();
+            groups[..4].copy_from_slice(&u32::MAX.to_le_bytes());
+            assert!(matches!(
+                read_pagedir(&groups),
+                Err(PersistError::Malformed(_))
+            ));
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        /// IDS, PAGEDIR and META of a heap backend's snapshot cut short,
+        /// with bytes flipped and overwritten, under CRCs made right for
+        /// the damage: every open, lazy or resident, and every read of the
+        /// index it opens returns `Ok` or a typed `PersistError`, and none
+        /// panics.
+        #[test]
+        fn a_damaged_ids_or_pagedir_opens_or_is_refused(
+            which in 0usize..6,
+            cut in 0usize..=usize::MAX,
+            flips in proptest::collection::vec((0usize..=usize::MAX, 1u8..=255), 0..4),
+            (overwrites, at, word) in (proptest::bool::ANY, 0usize..=usize::MAX, 0u64..=u64::MAX),
+        ) {
+            let (backend, image) = &heap_images()[which % 2];
+            let id = [section_id::IDS, section_id::PAGEDIR, section_id::META][which / 2];
+            let sections = sections_of(image);
+            let intact = &sections.iter().find(|s| s.0 == id).unwrap().1;
+            let cut = if cut % 2 == 0 { intact.len() } else { cut % (intact.len() + 1) };
+            let mut bytes = intact[..cut].to_vec();
+            if !bytes.is_empty() {
+                for (at, mask) in &flips {
+                    let at = at % bytes.len();
+                    bytes[at] ^= mask;
+                }
+                if overwrites {
+                    let at = at % bytes.len();
+                    let end = bytes.len().min(at + 8);
+                    bytes[at..end].copy_from_slice(&word.to_le_bytes()[..end - at]);
+                }
+            }
+            let dir = tmp_dir(&format!("damaged-{which}"));
+            let _ = open_sections(&dir.join("damaged.mmdr"), *backend, &with_section(&sections, id, bytes));
+            std::fs::remove_dir_all(dir).unwrap();
+        }
     }
 }

@@ -20,8 +20,10 @@ use mmdr_core::{Mmdr, MmdrParams, ReductionResult};
 use mmdr_idistance::{load_exact, restored_rows, stored_rows, Backend, RecordIds, VectorHeap};
 use mmdr_index::IngestOp;
 use mmdr_linalg::Matrix;
-use mmdr_persist::{build_index, extend_model, fold, open_with, save, BuiltIndex, OpenOptions};
-use std::collections::BTreeMap;
+use mmdr_persist::{
+    build_index, extend_model, fold, open_with, refit_model, save, BuiltIndex, OpenOptions,
+};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 
 const PAGES: usize = 128;
 
@@ -291,17 +293,18 @@ fn note_shapes(index: &BuiltIndex, model: &ReductionResult, shapes: &mut Shapes)
 }
 
 /// The operations the fold door folds: every outlier but the first
-/// deleted (the one left is a one-row partition), 300 rows along the first
-/// cluster's line (several heap pages, the last partial), and one row off
-/// every plane (the only outlier of a fixture that had none).
+/// deleted (the one left is a one-row partition), 600 rows along the first
+/// cluster's line (several heap pages, the last partial, where a page holds
+/// 511 one-coordinate records), and one row off every plane (the only
+/// outlier of a fixture that had none).
 fn fold_ops(data: &Matrix, model: &ReductionResult) -> Vec<IngestOp> {
     let next = data.rows() as u64;
     let dead = model.outliers.iter().skip(1);
     let mut ops: Vec<IngestOp> = dead
         .map(|&pid| IngestOp::Delete { id: pid as u64 })
         .collect();
-    for i in 0..300u64 {
-        let t = (i as f64 + 0.5) / 300.0;
+    for i in 0..600u64 {
+        let t = (i as f64 + 0.5) / 600.0;
         let jit = ((i as f64 * 0.414_213_56).fract() - 0.5) * 0.01;
         ops.push(IngestOp::Insert {
             id: next + i,
@@ -310,7 +313,7 @@ fn fold_ops(data: &Matrix, model: &ReductionResult) -> Vec<IngestOp> {
     }
     if model.outliers.is_empty() {
         ops.push(IngestOp::Insert {
-            id: next + 300,
+            id: next + 600,
             vector: vec![-4.0, 9.0, -5.0, 8.0],
         });
     }
@@ -367,4 +370,99 @@ fn every_leaf_position_resolves_to_the_row_laid_out_there() {
         shapes.empty && shapes.one_row && shapes.partial_last_page && shapes.full_width_outliers,
         "the fixtures must cover every partition shape: {shapes:?}"
     );
+}
+
+/// `index` saved under `model` and opened again, demand-paged.
+fn reopened(index: &BuiltIndex, model: &ReductionResult, tag: &str) -> mmdr_persist::Opened {
+    let path = std::env::temp_dir().join(format!(
+        "mmdr-layout-doors-{}-{tag}.mmdr",
+        std::process::id()
+    ));
+    save(&path, index, model).unwrap();
+    let opened = open_with(&path, &OpenOptions::default()).unwrap();
+    // The open kept the file; the pages it reads are its own.
+    let resident = mmdr_persist::open_resident(&path).unwrap();
+    let _ = std::fs::remove_file(&path);
+    assert_eq!(
+        stored_rows(&opened.index).unwrap(),
+        stored_rows(&resident.index).unwrap(),
+        "{tag}: a paged and a resident open read the same rows"
+    );
+    opened
+}
+
+/// The id column through every door that writes or reads it, for the two
+/// backends with a heap: a build, its snapshot reopened, a fold of deletes
+/// and inserts over the reopened index, the fold's snapshot reopened, and
+/// a re-fit's attach over the rows that restores — each step's rows, id 0
+/// among them, the last step's less the deleted and plus the inserted,
+/// every kept row the same to the bit until the re-fit re-projects it. (An
+/// id from 2³² up cannot reach a snapshot through MODEL, whose partition
+/// check counts every id below the largest; the heap's column and the IDS
+/// codec carry one, as their unit tests show.)
+#[test]
+fn ids_survive_save_open_fold_and_refit() {
+    let bits = |rows: &HashMap<u64, Vec<f64>>| -> BTreeMap<u64, Vec<u64>> {
+        let bits = |row: &Vec<f64>| row.iter().map(|x| x.to_bits()).collect();
+        rows.iter().map(|(&id, row)| (id, bits(row))).collect()
+    };
+    for (fi, (data, model)) in fixtures().iter().enumerate() {
+        for backend in [Backend::SeqScan, Backend::IDistance] {
+            let tag = format!("ids-{fi}-{}", backend.name());
+            let built = build_index(backend, data, model, PAGES).unwrap();
+            let rows = bits(&stored_rows(&built).unwrap());
+            assert_eq!(rows.len(), data.rows(), "{tag}");
+            assert!(rows.contains_key(&0), "{tag}");
+            let opened = reopened(&built, model, &tag);
+            assert_eq!(bits(&stored_rows(&opened.index).unwrap()), rows, "{tag}");
+
+            let ops = fold_ops(data, model);
+            let mut extended = model.clone();
+            extend_model(&mut extended, &ops).unwrap();
+            let folded = fold(&opened.index, &extended, &ops, PAGES).unwrap();
+            let folded_rows = bits(&stored_rows(&folded).unwrap());
+            let mut want: BTreeSet<u64> = rows.keys().copied().collect();
+            for op in &ops {
+                match op {
+                    IngestOp::Insert { id, .. } => assert!(want.insert(*id), "{tag}"),
+                    IngestOp::Delete { id } => assert!(want.remove(id), "{tag}"),
+                }
+            }
+            assert!(
+                want.iter().copied().eq(folded_rows.keys().copied()),
+                "{tag}"
+            );
+            for (id, row) in &folded_rows {
+                assert!(
+                    rows.get(id).is_none_or(|kept| kept == row),
+                    "{tag}: id {id}"
+                );
+            }
+            let opened = reopened(&folded, &extended, &format!("{tag}-fold"));
+            assert_eq!(
+                bits(&stored_rows(&opened.index).unwrap()),
+                folded_rows,
+                "{tag}"
+            );
+
+            let restored = restored_rows(&opened.index, &extended).unwrap();
+            let params = MmdrParams {
+                max_ec: 4,
+                ..Default::default()
+            };
+            let refitted = refit_model(&restored, extended.num_points as u64, &params).unwrap();
+            let attached = attach(backend, &refitted, &restored);
+            let attached_rows = bits(&stored_rows(&attached).unwrap());
+            assert!(
+                want.iter().copied().eq(attached_rows.keys().copied()),
+                "{tag}"
+            );
+            let opened = reopened(&attached, &refitted, &format!("{tag}-refit"));
+            assert_eq!(
+                bits(&stored_rows(&opened.index).unwrap()),
+                attached_rows,
+                "{tag}"
+            );
+        }
+    }
 }

@@ -350,10 +350,13 @@ fn partition_leaves(index: &BuiltIndex) -> u64 {
 /// build, a resident reopen and a demand-paged reopen with 2 and with 64
 /// frames a pool, costs each open the same `[first, second]`, apart by
 /// every partition's leaves. Then a pushed-down filter answers the same
-/// the first time a query is asked and the second — iDistance's id column
-/// is empty for the one and holds every page in reach for the other — for
-/// every backend; and on a demand-paged open neither asking touches more
-/// pages than a resident one does: nothing is read to learn the column.
+/// the first time a query is asked and the second, for every backend and
+/// on every open, touching the same pages each time: a search leaves
+/// nothing behind that changes the next. And on a reopen, cold or not, an
+/// iDistance filtered search pins no heap page that holds only failing
+/// rows — the id column, read with the snapshot's small sections, puts a
+/// row to the filter before its page — so its heap fetches are at most
+/// the rows it evaluates.
 #[test]
 fn filtered_answers_hold_cold_and_warm_in_every_open_mode() {
     let data = dataset();
@@ -373,14 +376,15 @@ fn filtered_answers_hold_cold_and_warm_in_every_open_mode() {
         let paged_2 = open_with(&file.0, &lazy_opts(2)).unwrap();
         let paged_64 = open_with(&file.0, &lazy_opts(64)).unwrap();
         let opens = [
-            ("fresh build", built.as_dyn()),
-            ("resident reopen", resident.index.as_dyn()),
-            ("2-frame reopen", paged_2.index.as_dyn()),
-            ("64-frame reopen", paged_64.index.as_dyn()),
+            ("fresh build", &built),
+            ("resident reopen", &resident.index),
+            ("2-frame reopen", &paged_2.index),
+            ("64-frame reopen", &paged_64.index),
         ];
         let everything = Query::new(queries[0], Target::Knn(n as usize));
         let mut learning = Vec::new();
-        for (_, idx) in opens {
+        for (_, index) in opens {
+            let idx = index.as_dyn();
             for _ in ["first", "second"] {
                 let before = idx.query_stats();
                 idx.search(&everything, &mut Scratch::default()).unwrap();
@@ -420,21 +424,30 @@ fn filtered_answers_hold_cold_and_warm_in_every_open_mode() {
                         filter: Some(&filter),
                     };
                     let mut touched = Vec::new();
-                    for (open, idx) in opens {
+                    for (open, index) in opens {
+                        let idx = index.as_dyn();
+                        let heap = |index: &BuiltIndex| match index {
+                            BuiltIndex::IDistance(i) => i.heap().pool().snapshot().pages_touched(),
+                            _ => 0,
+                        };
                         for asking in ["first", "second"] {
                             let what = format!(
                                 "{} {open} {target:?} query {qi}, {asking} asking",
                                 backend.name()
                             );
-                            let before = idx.query_stats();
+                            let (before, heap_before) = (idx.query_stats(), heap(index));
                             let got = idx.search(&query, &mut Scratch::default()).unwrap();
-                            touched.push(idx.query_stats().since(&before).pages_touched);
+                            let cost = idx.query_stats().since(&before);
+                            touched.push(cost.pages_touched);
                             assert_answers_identical(&want, &got, &what);
+                            let heap_fetches = heap(index) - heap_before;
+                            assert!(heap_fetches <= cost.dist_computations, "{what}");
                         }
                     }
-                    // [first, second] per open: the pool changes neither.
+                    // [first, second] per open, the same: the pool changes
+                    // neither, and the first asking leaves nothing behind.
                     let what = format!("{} {target:?} query {qi}", backend.name());
-                    assert!(touched[1] <= touched[0], "{what}: {touched:?}");
+                    assert_eq!(touched[1], touched[0], "{what}: {touched:?}");
                     for open in touched.chunks(2).skip(1) {
                         assert_eq!(open, &touched[..2], "{what}: {touched:?}");
                     }

@@ -440,11 +440,12 @@ fn wrong_magic_fails_closed() {
 
 #[test]
 fn future_version_reports_unsupported_not_checksum() {
+    let next = mmdr_persist::FORMAT_VERSION + 1;
     let mut image = snapshot_bytes();
-    image[8..12].copy_from_slice(&10u32.to_le_bytes());
+    image[8..12].copy_from_slice(&next.to_le_bytes());
     match open_image(&image, "version") {
         Err(PersistError::UnsupportedVersion { found, supported }) => {
-            assert_eq!(found, 10);
+            assert_eq!(found, next);
             assert_eq!(supported, mmdr_persist::FORMAT_VERSION);
         }
         other => panic!("expected UnsupportedVersion, got {other:?}"),
@@ -453,23 +454,23 @@ fn future_version_reports_unsupported_not_checksum() {
 
 #[test]
 fn a_snapshot_of_the_previous_format_is_refused_by_its_version() {
-    // What a v8 writer left (the same bytes but a covariance matrix per
-    // cluster in MODEL): version 8 under a superblock CRC that is right for
+    // What a v9 writer left (the same sections but the ids on the heap
+    // pages and no IDS): version 9 under a superblock CRC that is right for
     // it. There is no second reader; the refusal is typed.
     let mut image = snapshot_bytes();
-    image[8..12].copy_from_slice(&8u32.to_le_bytes());
+    image[8..12].copy_from_slice(&9u32.to_le_bytes());
     image[44..48].fill(0);
     let crc = mmdr_persist::crc32(&image[..80]);
     image[44..48].copy_from_slice(&crc.to_le_bytes());
     for resident in [false, true] {
-        let file = write_image(&image, "v8");
+        let file = write_image(&image, "v9");
         let options = OpenOptions {
             resident,
             ..OpenOptions::default()
         };
         match open_with(&file.0, &options) {
             Err(PersistError::UnsupportedVersion { found, supported }) => {
-                assert_eq!((found, supported), (8, 9));
+                assert_eq!((found, supported), (9, 10));
             }
             other => panic!("expected UnsupportedVersion, got {other:?}"),
         }

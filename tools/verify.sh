@@ -48,11 +48,17 @@ echo "== determinism + recall + conformance + persistence gates =="
 cargo test "${PROFILE[@]}" --test par_determinism --test fit_bits --test golden_recall \
     --test backend_conformance
 cargo test "${PROFILE[@]}" --test persist_roundtrip
-# MODEL and META records cut, flipped and overwritten, decoded without the CRC:
-# each returns Ok or a typed error, never a panic or an unbacked allocation.
+# MODEL and META records cut, flipped and overwritten, decoded without the CRC,
+# and IDS, PAGEDIR and META of a heap backend's snapshot so damaged under CRCs
+# made right for the damage, opened and read: each returns Ok or a typed
+# error, never a panic or an unbacked allocation; an id column that does not
+# fit its heap is refused.
 cargo test "${PROFILE[@]}" -p mmdr-persist --lib -- \
     model_codec::tests::a_damaged_record_decodes_or_is_refused \
-    model_codec::tests::a_planted_length_is_refused_or_harmless_at_every_offset
+    model_codec::tests::a_planted_length_is_refused_or_harmless_at_every_offset \
+    snapshot::tests::a_damaged_ids_or_pagedir_opens_or_is_refused \
+    snapshot::tests::a_planted_length_in_ids_or_pagedir_is_refused_or_harmless \
+    snapshot::tests::an_id_column_that_does_not_fit_its_heap_is_refused
 cargo test "${PROFILE[@]}" --test serve_parity --test scalable_pipeline
 # The wire protocol's fragmentation property: valid frames split at
 # arbitrary byte boundaries, as any TCP peer receives them, decode exactly
