@@ -2,29 +2,29 @@
 //!
 //! ```text
 //! mmdr generate    --out data.json --n 5000 --dim 32 --clusters 5 [--histogram]
-//! mmdr reduce      --data data.json --out model.json [--method mmdr|ldr|gdr] [--dim D] [--threads N]
-//! mmdr info        (--model model.json | --index-file index.mmdr)
-//! mmdr build-index --data data.json --model model.json --out index.mmdr [--backend B]
-//! mmdr query       --data data.json --model model.json --row 17,42 [--k 10] [--radius R] [--threads N] [--backend B]
-//! mmdr query       --index-file index.mmdr --point "0.1,0.2,…" [--k 10]
+//! mmdr reduce      --data data.json --out model.mmdr [--method mmdr|ldr|gdr] [--dim D] [--threads N]
+//! mmdr info        (--model model.mmdr | --index-file index.mmdr)
+//! mmdr build-index --data data.json --model model.mmdr --out index.mmdr [--backend B]
+//! mmdr query       --index-file index.mmdr (--row 17,42 --data data.json | --point "0.1,0.2,…") [--k 10]
 //! mmdr serve       --index-file index.mmdr --port 7070 [--workers W]
 //! mmdr remote-query --addr host:port --point "0.1,0.2,…" [--k 10]
 //! ```
 //!
-//! Datasets and models are JSON files (`DatasetFile` /
-//! `ReductionResult::to_json`), so the pipeline's stages can be scripted,
-//! inspected and diffed. Built indexes persist as binary snapshots
-//! (`mmdr-persist`): `build-index` writes one, and `query --index-file`
-//! reopens it without rebuilding — with answers bit-identical to a fresh
+//! Datasets are JSON files (`DatasetFile`), so they can be scripted,
+//! inspected and diffed. A fitted model and a built index both persist in
+//! the checksummed snapshot container (`mmdr-persist`): `reduce` writes a
+//! model file, a MODEL section alone; `build-index` reads the model of a
+//! model file or a snapshot and writes a snapshot, and `query --index-file`
+//! reopens that without rebuilding — with answers bit-identical to a fresh
 //! build.
 
 mod attrs_file;
 mod dataset;
 
 use dataset::DatasetFile;
-use mmdr_core::{Gdr, Ldr, LdrParams, Mmdr, MmdrParams, ParConfig, ReductionResult};
+use mmdr_core::{Gdr, Ldr, LdrParams, Mmdr, MmdrParams, ParConfig};
 use mmdr_datagen::{generate_correlated, generate_histograms, CorrelatedConfig, HistogramConfig};
-use mmdr_idistance::{build_backend, Backend};
+use mmdr_idistance::Backend;
 use mmdr_index::{LiveIndex as _, Query, Target, VectorIndex};
 use mmdr_persist::SnapshotLive;
 use std::collections::HashMap;
@@ -81,7 +81,6 @@ USAGE:
   mmdr reduce   --data FILE --out FILE [--method mmdr|ldr|gdr] [--dim D] [--clusters K] [--beta B] [--seed S] [--threads N]
   mmdr info     (--model FILE | --index-file FILE)
   mmdr build-index --data FILE --model FILE --out FILE [--backend seqscan|idistance|gldr] [--buffer-pages N] [--attrs FILE]
-  mmdr query    --data FILE --model FILE (--row I[,J,…] | --point \"x,y,…\") [--k K] [--radius R] [--threads N] [--backend seqscan|idistance|gldr] [--hex true]
   mmdr query    --index-file FILE (--row I[,J,…] --data FILE | --point \"x,y,…\") [--k K] [--radius R] [--filter \"EXPR\"] [--threads N] [--pool-pages N] [--readahead N] [--hex true]
   mmdr serve    --index-file FILE [--wal true] [--merge-threshold N] [--host H] [--port P] [--workers W] [--io-timeout-ms MS] [--pool-pages N] [--readahead N]
   mmdr ingest   --index-file FILE (--data FILE | --point \"x,y,…\") [--delete I[,J,…]] [--flush true] [--refit true] [--merge-threshold N] [--pool-pages N]
@@ -94,9 +93,10 @@ fixed-size work chunks merged in a fixed order, so any thread count produces
 bit-identical output. Every --backend answers with the same
 reduced-representation distances; they differ only in I/O and CPU cost.
 
-build-index saves a checksummed binary snapshot of a built index; query
---index-file reopens it without rebuilding (the snapshot pins the backend
-and model, so --model/--backend cannot be combined with it) and returns
+reduce writes the fitted model as a model file: the checksummed snapshot
+container with the model alone. build-index reads the model of a model
+file or of a snapshot, and saves a checksummed binary snapshot of a built
+index; query --index-file reopens it without rebuilding and returns
 bit-identical answers to a fresh build. The reopen is out-of-core: pages
 are demand-read (and checksummed) from the snapshot file as queries touch
 them, so open time and resident memory stay ~constant in dataset size.
@@ -328,7 +328,7 @@ fn cmd_reduce(args: &[String]) -> Result<(), String> {
             .map_err(|e| e.to_string())?,
         other => return Err(format!("unknown method `{other}` (mmdr|ldr|gdr)")),
     };
-    std::fs::write(out, model.to_json()).map_err(|e| format!("{out}: {e}"))?;
+    mmdr_persist::save_model(out, &model).map_err(|e| e.to_string())?;
     outln!(
         "{method}: {} clusters, {:.1}% outliers, mean retained dim {:.1} (of {}), {:.2}s → {out}",
         model.clusters.len(),
@@ -340,11 +340,6 @@ fn cmd_reduce(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-fn load_model(path: &str) -> Result<ReductionResult, String> {
-    let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
-    ReductionResult::from_json(&text).map_err(|e| e.to_string())
-}
-
 fn cmd_info(args: &[String]) -> Result<(), String> {
     let flags = parse_flags(args, &["model", "index-file"])?;
     if let Some(path) = flags.get("index-file") {
@@ -353,7 +348,7 @@ fn cmd_info(args: &[String]) -> Result<(), String> {
         }
         return info_snapshot(path);
     }
-    let model = load_model(require(&flags, "model")?)?;
+    let model = mmdr_persist::open_model(require(&flags, "model")?).map_err(|e| e.to_string())?;
     outln!(
         "model: {} points × {} dims → {} clusters + {} outliers ({:.1}%)",
         model.num_points,
@@ -503,7 +498,7 @@ fn cmd_build_index(args: &[String]) -> Result<(), String> {
         &["data", "model", "out", "backend", "buffer-pages", "attrs"],
     )?;
     let data = DatasetFile::load(require(&flags, "data")?)?;
-    let model = load_model(require(&flags, "model")?)?;
+    let model = mmdr_persist::open_model(require(&flags, "model")?).map_err(|e| e.to_string())?;
     let out = require(&flags, "out")?;
     let attrs = match flags.get("attrs") {
         Some(path) => Some(attrs_file::load_attrs(path, data.rows())?),
@@ -653,14 +648,12 @@ fn cmd_query(args: &[String]) -> Result<(), String> {
         args,
         &[
             "data",
-            "model",
             "row",
             "point",
             "k",
             "radius",
             "filter",
             "threads",
-            "backend",
             "index-file",
             "pool-pages",
             "readahead",
@@ -668,13 +661,8 @@ fn cmd_query(args: &[String]) -> Result<(), String> {
         ],
     )?;
     let hex = get_bool(&flags, "hex")?;
-    let index_file = flags.get("index-file");
-    if index_file.is_some() && (flags.contains_key("model") || flags.contains_key("backend")) {
-        return Err(
-            "--index-file already pins the model and backend; drop --model/--backend".into(),
-        );
-    }
-    // The dataset is only needed to build an index or resolve --row queries.
+    let index_file = require(&flags, "index-file")?;
+    // The dataset is only needed to resolve --row queries.
     let data = match flags.get("data") {
         Some(path) => Some(DatasetFile::load(path)?),
         None => None,
@@ -683,50 +671,20 @@ fn cmd_query(args: &[String]) -> Result<(), String> {
     let par = ParConfig::threads(get_parse(&flags, "threads", 1usize)?);
     let target = parse_target(&flags, queries.len())?;
 
-    // `live` is the filtered door: the snapshot's index together with its
-    // ATTRS payload, behind the same predicate → planner → execution
-    // pipeline the servers run.
-    let (index, live): (Arc<dyn VectorIndex>, _) = match index_file {
-        Some(path) => {
-            // Reopen the snapshot demand-paged: no rebuild, answers
-            // bit-identical to one at any --pool-pages setting.
-            let opened =
-                mmdr_persist::open_with(path, &open_options(&flags)?).map_err(|e| e.to_string())?;
-            let index: Arc<dyn VectorIndex> = Arc::from(opened.index.into_boxed());
-            let live = match flags.get("filter") {
-                Some(filter) => {
-                    let live = SnapshotLive::new(Arc::clone(&index), &opened.model, opened.attrs)
-                        .map_err(|e| e.to_string())?;
-                    Some((live, filter))
-                }
-                None => None,
-            };
-            (index, live)
+    // Reopen the snapshot demand-paged: no rebuild, answers bit-identical
+    // to one at any --pool-pages setting. `live` is the filtered door: the
+    // snapshot's index together with its ATTRS payload, behind the same
+    // predicate → planner → execution pipeline the servers run.
+    let opened =
+        mmdr_persist::open_with(index_file, &open_options(&flags)?).map_err(|e| e.to_string())?;
+    let index: Arc<dyn VectorIndex> = Arc::from(opened.index.into_boxed());
+    let live = match flags.get("filter") {
+        Some(filter) => {
+            let live = SnapshotLive::new(Arc::clone(&index), &opened.model, opened.attrs)
+                .map_err(|e| e.to_string())?;
+            Some((live, filter))
         }
-        None => {
-            if flags.contains_key("filter") {
-                return Err(
-                    "--filter evaluates against a snapshot's ATTRS payload; give --index-file"
-                        .into(),
-                );
-            }
-            if flags.contains_key("pool-pages") || flags.contains_key("readahead") {
-                return Err(
-                    "--pool-pages/--readahead tune a reopened snapshot; they require --index-file"
-                        .into(),
-                );
-            }
-            let data = data
-                .as_ref()
-                .ok_or("--data is required unless --index-file is given")?;
-            let model = load_model(require(&flags, "model")?)?;
-            let backend: Backend = match flags.get("backend") {
-                Some(s) => s.parse()?,
-                None => Backend::IDistance,
-            };
-            let built = build_backend(backend, data, &model, 256).map_err(|e| e.to_string())?;
-            (Arc::from(built), None)
-        }
+        None => None,
     };
     let before = index.query_stats(); // count query work only, not construction I/O
     let pools_before = index.pool_stats();

@@ -21,7 +21,7 @@ impl Fixture {
         self.dir.join("data.json")
     }
     fn model(&self) -> PathBuf {
-        self.dir.join("model.json")
+        self.dir.join("model.mmdr")
     }
     fn index(&self) -> PathBuf {
         self.dir.join("index.mmdr")
@@ -332,6 +332,41 @@ fn missing_or_damaged_snapshot_is_a_typed_error() {
         ],
         "checksum",
     );
+    // A model file is the snapshot container holding a model alone: no
+    // query opens it, a flip in its MODEL payload is caught by the section
+    // CRC, and a file that is no container at all has the wrong magic.
+    let model = fix.model();
+    let model = model.to_str().unwrap();
+    assert_typed_error(
+        &["query", "--index-file", model, "--point", "1.0"],
+        "holds a model and no index",
+    );
+    let flipped = fix.dir.join("flipped-model.mmdr");
+    let mut bytes = std::fs::read(model).unwrap();
+    *bytes.last_mut().unwrap() ^= 0x01;
+    std::fs::write(&flipped, &bytes).unwrap();
+    let data = fix.data();
+    let data = data.to_str().unwrap();
+    let out = fix.dir.join("never-built.mmdr");
+    let out = out.to_str().unwrap();
+    let flipped = flipped.to_str().unwrap();
+    for (model, needle) in [
+        (flipped, "checksum mismatch in section model"),
+        (data, "bad magic"),
+    ] {
+        assert_typed_error(
+            &[
+                "build-index",
+                "--data",
+                data,
+                "--model",
+                model,
+                "--out",
+                out,
+            ],
+            needle,
+        );
+    }
 }
 
 #[test]
@@ -399,15 +434,20 @@ fn info_attributes_a_snapshot_to_its_sections() {
     );
     assert_typed_error(
         &["info", "--index-file", fixture().model().to_str().unwrap()],
-        "not a snapshot",
+        "holds a model and no index",
     );
 }
 
 #[test]
 fn an_idistance_query_splits_its_page_accesses_between_tree_and_heap() {
     let fix = fixture();
-    let (data, model, index) = (fix.data(), fix.model(), fix.index());
-    let [data, model, index] = [&data, &model, &index].map(|p| p.to_str().unwrap());
+    let (data, model, index, scan) = (
+        fix.data(),
+        fix.model(),
+        fix.index(),
+        fix.dir.join("scan.mmdr"),
+    );
+    let [data, model, index, scan] = [&data, &model, &index, &scan].map(|p| p.to_str().unwrap());
     // `N page accesses (T tree + H heap, R reads)`: its numbers.
     let accesses = |out: &str| -> Vec<u64> {
         let line = out
@@ -424,19 +464,36 @@ fn an_idistance_query_splits_its_page_accesses_between_tree_and_heap() {
             .chain(parts.map(|s| s.parse().unwrap()))
             .collect()
     };
-    let query = ["--data", data, "--row", "5", "--k", "4"];
-    for source in [&["--index-file", index][..], &["--model", model]] {
-        let out = run_ok(&[&["query"], source, &query].concat());
-        assert!(out.contains(" tree + ") && out.contains(" heap, "), "{out}");
-        let [total, tree, heap, _] = accesses(&out)[..] else {
-            panic!("four numbers: {out}");
-        };
-        assert!(tree > 0 && heap > 0, "{out}");
-        assert_eq!(total, tree + heap, "{out}");
-    }
+    let query = [
+        "query",
+        "--data",
+        data,
+        "--row",
+        "5",
+        "--k",
+        "4",
+        "--index-file",
+    ];
+    let out = run_ok(&[&query[..], &[index]].concat());
+    assert!(out.contains(" tree + ") && out.contains(" heap, "), "{out}");
+    let [total, tree, heap, _] = accesses(&out)[..] else {
+        panic!("four numbers: {out}");
+    };
+    assert!(tree > 0 && heap > 0, "{out}");
+    assert_eq!(total, tree + heap, "{out}");
     // Another backend's pools are not a tree and a heap.
-    let scan = ["query", "--model", model, "--backend", "seqscan"];
-    let out = run_ok(&[&scan[..], &query].concat());
+    run_ok(&[
+        "build-index",
+        "--data",
+        data,
+        "--model",
+        model,
+        "--out",
+        scan,
+        "--backend",
+        "seqscan",
+    ]);
+    let out = run_ok(&[&query[..], &[scan]].concat());
     assert_eq!(accesses(&out).len(), 2, "{out}");
 }
 
@@ -463,9 +520,9 @@ fn a_flat_cluster_model_is_read_back() {
         "--data",
         &path("d.json"),
         "--out",
-        &path("m.json"),
+        &path("m.mmdr"),
     ]);
-    let info = run_ok(&["info", "--model", &path("m.json")]);
+    let info = run_ok(&["info", "--model", &path("m.mmdr")]);
     assert!(
         info.contains("e=inf"),
         "the flat cluster's ellipticity: {info}"
@@ -475,7 +532,7 @@ fn a_flat_cluster_model_is_read_back() {
         "--data",
         &path("d.json"),
         "--model",
-        &path("m.json"),
+        &path("m.mmdr"),
         "--out",
         &path("i.mmdr"),
     ]);

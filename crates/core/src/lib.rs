@@ -47,7 +47,6 @@ mod ldr;
 mod merge;
 mod model;
 mod params;
-mod persist;
 mod scalable;
 
 pub use algorithm::Mmdr;

@@ -4,8 +4,8 @@
 //! The build environment has no crates.io access, so the model/dataset/report
 //! files that previously went through `serde_json` are read and written
 //! through this crate instead. The scope is deliberately small: the handful
-//! of flat document shapes the workspace persists (`ReductionResult` models,
-//! CLI datasets, benchmark reports).
+//! of flat document shapes the workspace persists (CLI datasets, benchmark
+//! reports).
 //!
 //! Numbers are stored as `f64`. Writing uses Rust's shortest round-trip
 //! `Display` for floats, so `parse(write(x)) == x` for every finite `f64`;
@@ -71,11 +71,6 @@ impl Value {
     /// Convenience: array of numbers → `Vec<f64>`.
     pub fn as_f64_vec(&self) -> Option<Vec<f64>> {
         self.as_array()?.iter().map(Value::as_f64).collect()
-    }
-
-    /// Convenience: array of non-negative integers → `Vec<usize>`.
-    pub fn as_usize_vec(&self) -> Option<Vec<usize>> {
-        self.as_array()?.iter().map(Value::as_usize).collect()
     }
 
     /// Builds an object from `(key, value)` pairs.
@@ -155,12 +150,6 @@ impl std::fmt::Display for Value {
 impl From<f64> for Value {
     fn from(x: f64) -> Self {
         Value::Number(x)
-    }
-}
-
-impl From<u64> for Value {
-    fn from(x: u64) -> Self {
-        Value::Number(x as f64)
     }
 }
 
@@ -416,7 +405,7 @@ mod tests {
     #[test]
     fn roundtrip_document() {
         let v = Value::object(vec![
-            ("version", 1u64.into()),
+            ("version", 1usize.into()),
             ("name", "elliptical \"k\"-means\n".into()),
             ("values", vec![1.5f64, -2.25, 1e-17, 0.1].into()),
             ("flag", true.into()),
@@ -450,7 +439,7 @@ mod tests {
 
     #[test]
     fn integers_print_compactly() {
-        assert_eq!(Value::from(42u64).to_json(), "42");
+        assert_eq!(Value::from(42usize).to_json(), "42");
         assert_eq!(Value::from(0usize).to_json(), "0");
         assert_eq!(Value::Number(-3.0).to_json(), "-3");
     }

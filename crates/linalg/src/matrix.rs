@@ -191,27 +191,6 @@ impl Matrix {
         Ok(self.iter_rows().map(|r| crate::vector::dot(r, v)).collect())
     }
 
-    /// Vector–matrix product `vᵀ * self`, i.e. a row vector times the matrix.
-    ///
-    /// This is the projection primitive of Definition 3.3 (`P' = P · Φ`).
-    pub fn vecmat(&self, v: &[f64]) -> Result<Vec<f64>> {
-        if self.rows != v.len() {
-            return Err(Error::DimensionMismatch {
-                op: "vecmat",
-                lhs: (1, v.len()),
-                rhs: self.shape(),
-            });
-        }
-        let mut out = vec![0.0; self.cols];
-        for (i, &vi) in v.iter().enumerate() {
-            if vi == 0.0 {
-                continue;
-            }
-            crate::vector::axpy(vi, self.row(i), &mut out);
-        }
-        Ok(out)
-    }
-
     /// Element-wise sum.
     pub fn add(&self, rhs: &Matrix) -> Result<Matrix> {
         if self.shape() != rhs.shape() {
@@ -414,12 +393,10 @@ mod tests {
     }
 
     #[test]
-    fn matvec_and_vecmat() {
+    fn matvec_multiplies_and_checks_width() {
         let a = Matrix::from_rows(&[vec![1.0, 2.0, 3.0], vec![4.0, 5.0, 6.0]]).unwrap();
         assert_eq!(a.matvec(&[1.0, 1.0, 1.0]).unwrap(), vec![6.0, 15.0]);
-        assert_eq!(a.vecmat(&[1.0, 1.0]).unwrap(), vec![5.0, 7.0, 9.0]);
         assert!(a.matvec(&[1.0]).is_err());
-        assert!(a.vecmat(&[1.0]).is_err());
     }
 
     #[test]

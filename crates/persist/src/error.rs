@@ -74,6 +74,8 @@ pub enum PersistError {
     /// The backend tag in the superblock is not one of the three known
     /// backends.
     UnknownBackendTag(u32),
+    /// The file is a model file: it holds a model and no index.
+    NoIndex,
     /// Reassembling the index from decoded parts failed validation.
     Index(mmdr_idistance::Error),
     /// Reattaching the B⁺-tree failed validation.
@@ -162,6 +164,7 @@ impl fmt::Display for PersistError {
             PersistError::UnknownBackendTag(tag) => {
                 write!(f, "unknown backend tag {tag} in superblock")
             }
+            PersistError::NoIndex => f.write_str("the file holds a model and no index"),
             PersistError::Index(e) => write!(f, "index reassembly failed: {e}"),
             PersistError::Btree(e) => write!(f, "B+-tree reattach failed: {e}"),
             PersistError::Hybrid(e) => write!(f, "hybrid-tree reattach failed: {e}"),
@@ -288,6 +291,7 @@ mod tests {
         .to_string()
         .contains("gldr"));
         assert!(PersistError::UnknownBackendTag(7).to_string().contains('7'));
+        assert!(PersistError::NoIndex.to_string().contains("no index"));
         assert!(PersistError::from(mmdr_storage::Error::ZeroCapacity)
             .source()
             .is_some());

@@ -13,7 +13,9 @@
 //! CRC32 per page, and the raw buffer-pool page images. Every failure mode
 //! — truncation, bit flips, wrong magic, a future format version —
 //! surfaces as a typed [`PersistError`]; nothing panics and nothing opens
-//! into a silently wrong index.
+//! into a silently wrong index. A fitted model alone is stored in the same
+//! container, as a model file with a MODEL section and nothing else
+//! ([`save_model`]); [`open_model`] reads the model of either kind of file.
 //!
 //! The default [`open`] is *out-of-core*: it verifies the superblock,
 //! table and small sections, then mounts the page images as demand-read
@@ -57,7 +59,7 @@ pub use live::SnapshotLive;
 pub use mmdr_storage::{crc32, Crc32};
 pub use refit::refit_model;
 pub use snapshot::{
-    build_index, open, open_expecting, open_or_build, open_resident, open_with, read_head, save,
-    save_with_attrs, scrub, BuiltIndex, OpenOptions, Opened,
+    build_index, open, open_expecting, open_model, open_or_build, open_resident, open_with,
+    read_head, save, save_model, save_with_attrs, scrub, BuiltIndex, OpenOptions, Opened,
 };
 pub use wal::{decode_wal, replay_wal, WalRecord, WalReplay, WalWriter, MAX_WAL_RECORD};

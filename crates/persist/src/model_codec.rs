@@ -223,21 +223,29 @@ mod tests {
 
     #[test]
     fn model_roundtrips_bit_exactly() {
-        let m = toy_model();
-        let got = roundtrip(&m);
-        assert_eq!(got.dim, m.dim);
-        assert_eq!(got.num_points, m.num_points);
-        assert_eq!(got.outliers, m.outliers);
-        assert_eq!(got.stats, m.stats);
-        let (a, b) = (&got.clusters[0], &m.clusters[0]);
-        assert_eq!(a.members, b.members);
-        assert_eq!(a.subspace.centroid(), b.subspace.centroid());
-        assert_eq!(a.subspace.basis().as_slice(), b.subspace.basis().as_slice());
-        assert_eq!(a.mpe.to_bits(), b.mpe.to_bits());
-        assert_eq!(a.radius_eliminated.to_bits(), b.radius_eliminated.to_bits());
-        assert_eq!(a.radius_retained.to_bits(), b.radius_retained.to_bits());
-        assert_eq!(a.nearest_radius.to_bits(), b.nearest_radius.to_bits());
-        assert_eq!(a.ellipticity.to_bits(), b.ellipticity.to_bits());
+        // A flat cluster's ellipticity is +inf (Definition 3.4); the other
+        // non-finite scalars, a NaN's payload included, keep their bits too.
+        let mut non_finite = toy_model();
+        let c = &mut non_finite.clusters[0];
+        c.ellipticity = f64::INFINITY;
+        c.nearest_radius = f64::NEG_INFINITY;
+        c.radius_retained = f64::from_bits(0x7ff8_0000_0000_0bad);
+        for m in [toy_model(), non_finite] {
+            let got = roundtrip(&m);
+            assert_eq!(got.dim, m.dim);
+            assert_eq!(got.num_points, m.num_points);
+            assert_eq!(got.outliers, m.outliers);
+            assert_eq!(got.stats, m.stats);
+            let (a, b) = (&got.clusters[0], &m.clusters[0]);
+            assert_eq!(a.members, b.members);
+            assert_eq!(a.subspace.centroid(), b.subspace.centroid());
+            assert_eq!(a.subspace.basis().as_slice(), b.subspace.basis().as_slice());
+            assert_eq!(a.mpe.to_bits(), b.mpe.to_bits());
+            assert_eq!(a.radius_eliminated.to_bits(), b.radius_eliminated.to_bits());
+            assert_eq!(a.radius_retained.to_bits(), b.radius_retained.to_bits());
+            assert_eq!(a.nearest_radius.to_bits(), b.nearest_radius.to_bits());
+            assert_eq!(a.ellipticity.to_bits(), b.ellipticity.to_bits());
+        }
     }
 
     #[test]

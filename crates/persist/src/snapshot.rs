@@ -60,6 +60,10 @@ pub fn build_index(
     )?)
 }
 
+/// The superblock's backend tag of a model file: a MODEL section alone,
+/// which [`open_model`] reads and no index open accepts.
+const MODEL_ONLY_TAG: u32 = 0;
+
 /// The superblock's backend tag. Tag 3 named a retired backend; a file
 /// that carries it is refused as unknown.
 fn backend_tag(b: Backend) -> u32 {
@@ -75,6 +79,7 @@ fn backend_from_tag(tag: u32) -> Result<Backend> {
         1 => Backend::SeqScan,
         2 => Backend::IDistance,
         4 => Backend::Gldr,
+        MODEL_ONLY_TAG => return Err(PersistError::NoIndex),
         other => return Err(PersistError::UnknownBackendTag(other)),
     })
 }
@@ -520,6 +525,27 @@ pub fn save_with_attrs(
     .map(drop)
 }
 
+/// Writes `model` to `path` as a model file: the snapshot container with a
+/// single MODEL section, under a backend tag no index open accepts, written
+/// through `replace_file` like a snapshot. [`open_model`] reads it back bit
+/// for bit.
+pub fn save_model(path: impl AsRef<Path>, model: &ReductionResult) -> Result<()> {
+    let path = path.as_ref();
+    let mut w = ByteWriter::new();
+    model_codec::put_model(&mut w, model);
+    let payload = w.into_bytes();
+    let mut image = format::header(
+        MODEL_ONLY_TAG,
+        &[(section_id::MODEL, crc32(&payload), payload.len() as u64)],
+    );
+    image.extend_from_slice(&payload);
+    replace_file(path, |file| {
+        file.write_all(&image)
+            .map_err(|e| PersistError::io(path, e))
+    })
+    .map(drop)
+}
+
 // ---- open ----------------------------------------------------------------
 
 /// A snapshot reopened into a ready-to-query index.
@@ -654,16 +680,20 @@ fn decode_attrs(payload: &[u8]) -> Result<AttrStore> {
     AttrStore::from_bytes(payload).map_err(|e| PersistError::malformed(format!("attrs: {e}")))
 }
 
-/// Reads the optional trailing model-epoch field of a MODEL section (0
-/// when absent — the pre-epoch format) and checks the section ends there.
-fn get_model_epoch(model_r: &mut ByteReader<'_>) -> Result<u64> {
-    let epoch = if model_r.remaining() >= 8 {
-        model_r.get_u64()?
-    } else {
-        0
-    };
-    model_r.expect_end()?;
-    Ok(epoch)
+/// Reads, verifies and decodes the MODEL section of the container `file`
+/// — a snapshot or a model file — with its optional trailing model epoch
+/// (0 when absent), and checks the section ends there.
+fn read_model(
+    file: &File,
+    entries: &[SectionEntry],
+    path: &Path,
+) -> Result<(ReductionResult, u64)> {
+    let bytes = read_section(file, &find_entry(entries, section_id::MODEL)?, path)?;
+    let mut r = ByteReader::new(&bytes, "section model");
+    let model = model_codec::get_model(&mut r)?;
+    let epoch = if r.remaining() >= 8 { r.get_u64()? } else { 0 };
+    r.expect_end()?;
+    Ok((model, epoch))
 }
 
 fn read_exact_at(file: &File, buf: &mut [u8], offset: u64, path: &Path) -> Result<()> {
@@ -745,12 +775,7 @@ pub fn open_with(path: impl AsRef<Path>, opts: &OpenOptions) -> Result<Opened> {
     // pages a resident open loads take their place on the heap instead of
     // sitting above the holes they would leave.
     let section = |id| read_section(&file, &find_entry(&entries, id)?, path);
-    let (model, model_epoch) = {
-        let bytes = section(section_id::MODEL)?;
-        let mut model_r = ByteReader::new(&bytes, "section model");
-        let model = model_codec::get_model(&mut model_r)?;
-        (model, get_model_epoch(&mut model_r)?)
-    };
+    let (model, model_epoch) = read_model(&file, &entries, path)?;
     let meta_bytes = section(section_id::META)?;
     let dir = read_pagedir(&section(section_id::PAGEDIR)?)?;
     let column = match entries.iter().find(|e| e.id == section_id::IDS) {
@@ -791,6 +816,15 @@ pub fn open_with(path: impl AsRef<Path>, opts: &OpenOptions) -> Result<Opened> {
 /// capacities, a small sequential readahead window.
 pub fn open(path: impl AsRef<Path>) -> Result<Opened> {
     open_with(path, &OpenOptions::default())
+}
+
+/// The model stored at `path`: the MODEL section of a snapshot or of a
+/// model file ([`save_model`]), verified and decoded, and no other section.
+pub fn open_model(path: impl AsRef<Path>) -> Result<ReductionResult> {
+    let path = path.as_ref();
+    let file = File::open(path).map_err(|e| PersistError::io(path, e))?;
+    let (_, entries) = read_head(&file, path)?;
+    Ok(read_model(&file, &entries, path)?.0)
 }
 
 /// Resident open: verifies the whole file and loads every page into memory
@@ -962,6 +996,34 @@ mod tests {
                 assert_eq!(open_resident(&path).unwrap().model_epoch, epoch);
             }
         }
+        std::fs::remove_dir_all(dir).unwrap();
+    }
+
+    /// A model file is the container with MODEL alone: `open_model` reads
+    /// it, as it reads a snapshot's MODEL (epoch and all), and every index
+    /// open refuses it, typed.
+    #[test]
+    fn a_model_file_holds_the_model_and_no_index() {
+        let (data, model) = fixture();
+        let dir = tmp_dir("model-file");
+        let path = dir.join("model.mmdr");
+        save_model(&path, &model).unwrap();
+        let encode = |model: &ReductionResult| {
+            let mut w = ByteWriter::new();
+            model_codec::put_model(&mut w, model);
+            w.into_bytes()
+        };
+        let image = format::assemble(MODEL_ONLY_TAG, &[(section_id::MODEL, encode(&model))]);
+        assert!(std::fs::read(&path).unwrap() == image);
+        let snapshot = dir.join("index.mmdr");
+        let index = build_index(Backend::IDistance, &data, &model, 64).unwrap();
+        save_with_attrs(&snapshot, &index, &model, 2, None).unwrap();
+        for from in [&path, &snapshot] {
+            assert!(encode(&open_model(from).unwrap()) == encode(&model));
+        }
+        assert!(matches!(open(&path), Err(PersistError::NoIndex)));
+        assert!(matches!(open_resident(&path), Err(PersistError::NoIndex)));
+        assert!(matches!(scrub(&path), Err(PersistError::NoIndex)));
         std::fs::remove_dir_all(dir).unwrap();
     }
 

@@ -161,16 +161,24 @@ trap cleanup_smoke EXIT
 
 "$MMDR" generate --out "$SMOKE/data.json" --n 600 --dim 12 --clusters 3 --seed 11 \
     --attrs-out "$SMOKE/attrs.csv"
-"$MMDR" reduce --data "$SMOKE/data.json" --out "$SMOKE/model.json" --clusters 3
-"$MMDR" build-index --data "$SMOKE/data.json" --model "$SMOKE/model.json" \
+"$MMDR" reduce --data "$SMOKE/data.json" --out "$SMOKE/model.mmdr" --clusters 3
+"$MMDR" build-index --data "$SMOKE/data.json" --model "$SMOKE/model.mmdr" \
     --out "$SMOKE/index.mmdr" --buffer-pages 64
 # No-ATTRS byte identity: building the same attribute-less snapshot twice
 # must produce the same bytes — the attrs machinery must leave the
 # attribute-less image completely alone.
-"$MMDR" build-index --data "$SMOKE/data.json" --model "$SMOKE/model.json" \
+"$MMDR" build-index --data "$SMOKE/data.json" --model "$SMOKE/model.mmdr" \
     --out "$SMOKE/index_again.mmdr" --buffer-pages 64
 if ! cmp -s "$SMOKE/index.mmdr" "$SMOKE/index_again.mmdr"; then
     echo "verify: FAIL — attribute-less snapshot is not byte-deterministic" >&2
+    exit 1
+fi
+# One model reader serves both containers: a snapshot's MODEL builds the
+# same bytes as the model file it was built from.
+"$MMDR" build-index --data "$SMOKE/data.json" --model "$SMOKE/index.mmdr" \
+    --out "$SMOKE/index_from_snapshot.mmdr" --buffer-pages 64
+if ! cmp -s "$SMOKE/index.mmdr" "$SMOKE/index_from_snapshot.mmdr"; then
+    echo "verify: FAIL — a snapshot's model builds other bytes than the model file" >&2
     exit 1
 fi
 # Filtering an attribute-less snapshot must be a typed error, not a crash
@@ -181,7 +189,7 @@ if "$MMDR" query --index-file "$SMOKE/index.mmdr" --data "$SMOKE/data.json" \
     exit 1
 fi
 grep -q "no attribute store" "$SMOKE/nofilter.err"
-"$MMDR" build-index --data "$SMOKE/data.json" --model "$SMOKE/model.json" \
+"$MMDR" build-index --data "$SMOKE/data.json" --model "$SMOKE/model.mmdr" \
     --attrs "$SMOKE/attrs.csv" --out "$SMOKE/index_attrs.mmdr" --buffer-pages 64
 
 "$MMDR" serve --index-file "$SMOKE/index.mmdr" --port 0 --workers 2 \
