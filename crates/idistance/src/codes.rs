@@ -18,6 +18,19 @@
 //! beyond the result set's reach is a row the result set would have refused.
 //! The cell's far face bounds the distance from above by the same argument,
 //! where every coordinate is coded.
+//!
+//! A load codes a row's *unrounded* projection `p`, but a record stores its
+//! nearest `f32` ([`crate::layout::stored_values`]), and the bounds must
+//! hold for what a search reads. They do: the edges are `f32`s, [`encode`]
+//! puts `p` in the cell with `lo < p ≤ hi`, and rounding to nearest is
+//! monotone and leaves an `f32` where it is, so `lo ≤ f32(p) ≤ hi` — the
+//! closed cell holds the stored value, and [`Codebook::gaps_into`] measures
+//! both faces of the closed cell. Coding the stored value instead would put
+//! a row whose projection lies just above an edge it rounds onto in the
+//! cell below: the cells, and so the counts, of a build would move. A fold,
+//! which has only stored values, codes those directly.
+//!
+//! [`encode`]: Codebook::encode
 
 use crate::error::{Error, Result};
 
@@ -488,6 +501,72 @@ mod tests {
                 }
             }
             prop_assert!(table[..3].iter().all(|t| t.is_nan()), "the table is appended to");
+        }
+
+        /// The cell a projection is coded in holds the value a record
+        /// stores for it, its nearest `f32` — over rows of plain values with
+        /// more precision than an `f32`, values that are `f32`s already (so
+        /// a quantile row lies on its own edge), values an `f64` ulp off an
+        /// edge (which round onto it), values near `f32::MAX` (those above
+        /// it within half an ulp round down to it) and subnormals of both
+        /// widths: `lo ≤ f32(p) ≤ hi` on every axis, and over the stored
+        /// value the near table's sum is `≤` its `l2_dist_sq` from a query,
+        /// the far table's `≥`, as `f64`s, no tolerance.
+        #[test]
+        fn a_projection_code_holds_its_stored_value(
+            dim in 1usize..=16,
+            n in 1usize..80,
+            words in proptest::collection::vec(0u64..u64::MAX, 1..64),
+            kinds in proptest::collection::vec(0usize..7, 1..64),
+            picks in proptest::collection::vec(0usize..10_000, 4),
+        ) {
+            let max = f64::from(f32::MAX);
+            let value = |i: usize| {
+                let word = words[i % words.len()];
+                let sign = if word >> 63 == 0 { 1.0 } else { -1.0 };
+                sign * match kinds[(i / 3) % kinds.len()] {
+                    0 => (word % 1_000_003) as f64 / 1_000_003.0,
+                    1 => f64::from(((word % 4001) as f32) / 1024.0),
+                    2 => max - (word % 1000) as f64 * 2f64.powi(100),
+                    3 => max + (word % 8) as f64 * 2f64.powi(100),
+                    4 => (word % (1 << 30)) as f64 * 2f64.powi(-155),
+                    5 => f64::from_bits(word % (1 << 52)),
+                    _ => 0.0,
+                }
+            };
+            let mut rows: Vec<Vec<f64>> = (0..n)
+                .map(|i| (0..dim).map(|j| value(i * 31 + j * 7)).collect())
+                .collect();
+            let book = Codebook::fit(rows.iter().map(Vec::as_slice)).unwrap();
+            // Rows an f64 ulp either side of an edge and on it, axis by axis.
+            for (k, &pick) in picks.iter().enumerate() {
+                let row = (0..dim)
+                    .map(|j| {
+                        let axis = book.axes().nth(j).unwrap();
+                        let edge = f64::from(axis[(pick + j) % axis.len()]);
+                        [edge.next_down(), edge, edge.next_up()][(k + j) % 3]
+                    })
+                    .collect();
+                rows.push(row);
+            }
+            let stored = |row: &[f64]| row.iter().map(|&p| f64::from(p as f32)).collect::<Vec<_>>();
+            let queries = [rows[0].clone(), rows[n].clone(), vec![0.5; dim], rows[n / 2].iter().map(|v| -v).collect()];
+            for row in &rows {
+                let (code, s) = (book.encode(row), stored(row));
+                prop_assert!(s.iter().all(|x| x.is_finite()), "{row:?} overflows");
+                for (j, &x) in s.iter().enumerate() {
+                    let (lo, hi) = cell(&book, code, j);
+                    prop_assert!(lo <= x && x <= hi, "axis {j}: {lo} <= {x} <= {hi} for {}", row[j]);
+                }
+                for q in &queries {
+                    let (mut near, mut far) = (Vec::new(), Vec::new());
+                    book.gaps_into(q, &mut near, &mut far);
+                    let dist = mmdr_linalg::l2_dist_sq(q, &s);
+                    let (lower, upper) = (book.gap_sq(&near, code), book.gap_sq(&far, code));
+                    prop_assert!(lower <= dist, "near {lower:e} > {dist:e}");
+                    prop_assert!(upper >= dist, "far {upper:e} < {dist:e}");
+                }
+            }
         }
 
         /// The far-face table, over the same rows and queries: the radicand

@@ -34,6 +34,9 @@ pub enum Error {
     InvalidConfig(&'static str),
     /// A row was given the point id `u64::MAX`, which no row may carry.
     ReservedId,
+    /// A row's stored coordinate is finite but past `f32::MAX`, so no
+    /// record can store it.
+    CoordinateOverflow(f64),
 }
 
 impl fmt::Display for Error {
@@ -51,6 +54,12 @@ impl fmt::Display for Error {
             Error::BadRecordId(rid) => write!(f, "record id {rid} does not exist"),
             Error::InvalidConfig(msg) => write!(f, "invalid configuration: {msg}"),
             Error::ReservedId => write!(f, "point id {} is reserved", u64::MAX),
+            Error::CoordinateOverflow(x) => {
+                write!(
+                    f,
+                    "coordinate {x:e} is past f32::MAX, which a record stores"
+                )
+            }
         }
     }
 }
@@ -131,5 +140,6 @@ mod tests {
         assert!(Error::ReservedId
             .to_string()
             .contains(&u64::MAX.to_string()));
+        assert!(Error::CoordinateOverflow(1e39).to_string().contains("1e39"));
     }
 }

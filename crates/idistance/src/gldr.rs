@@ -4,7 +4,7 @@
 
 use crate::error::{Error, Result};
 use crate::knn::query_geometry;
-use crate::layout::{data_rows, partition_ids, PartitionRows};
+use crate::layout::{data_rows, partition_ids, stored_values, PartitionRows};
 use mmdr_core::ReductionResult;
 use mmdr_hybridtree::HybridTree;
 use mmdr_index::{DeltaLayer, KnnHeap, SearchCounters, SearchFilter, Target};
@@ -70,7 +70,8 @@ impl GlobalLdrIndex {
     /// The one writer of the forest's stored form (see [`crate::layout`]):
     /// one tree per cluster over its rows' local coordinates, pruned by
     /// the largest local norm, plus a tree over the raw outliers when
-    /// there are any.
+    /// there are any — every coordinate as [`stored_values`] rounds it,
+    /// held in the trees' own `f64` pages.
     pub(crate) fn load(
         model: &ReductionResult,
         buffer_pages: usize,
@@ -86,7 +87,8 @@ impl GlobalLdrIndex {
             let mut points = Matrix::zeros(0, width);
             let mut rids = Vec::new();
             let mut max_radius: f64 = 0.0;
-            for (id, coords) in rows(part)? {
+            for (id, mut coords) in rows(part)? {
+                stored_values(&mut coords)?;
                 max_radius = max_radius.max(mmdr_linalg::l2_norm(&coords));
                 points.push_row(&coords)?;
                 rids.push(id);
@@ -275,11 +277,17 @@ impl GlobalLdrIndex {
                 continue; // cannot enter (nor tie-break: lb strictly worse)
             }
             // Distance decomposes as √(proj_sq + local²): a range's radius
-            // leaves √(radius² − proj_sq) for the within-subspace part.
+            // leaves √(radius² − proj_sq) for the within-subspace part. The
+            // subtraction cancels where proj_sq is near radius², so the
+            // local radius is widened by 16 ε of radius² (of the reach the
+            // result set keeps, radius + 1e-12): every row whose rejoined
+            // distance the result set keeps is found, whatever the rounding
+            // of its squares, and the result set keeps exactly those.
             let local_target = match target {
                 Target::Knn(k) => Target::Knn(k),
                 Target::Range(radius) => {
-                    let local_r_sq = radius * radius - probe.proj_sq;
+                    let reach = radius + 1e-12;
+                    let local_r_sq = reach * reach * (1.0 + 16.0 * f64::EPSILON) - probe.proj_sq;
                     if local_r_sq < 0.0 {
                         continue;
                     }

@@ -2,7 +2,7 @@
 
 use crate::codes::Codebook;
 use crate::error::{Error, Result};
-use crate::layout::{data_rows, partition_ids, KeySpace, PartitionRows};
+use crate::layout::{data_rows, partition_ids, stored_values, BaseCodes, KeySpace, PartitionRows};
 use crate::vector_heap::VectorHeap;
 use mmdr_btree::BPlusTree;
 use mmdr_core::{EllipsoidCluster, ReductionResult};
@@ -70,7 +70,8 @@ impl PartitionInfo {
 /// records on a heap page run of its own from page `page`, `per_page` to a
 /// page, in [`heap_order`] — so rows near one another in the subspace share
 /// heap pages. A position names its record through the partition's
-/// placement table ([`IDistanceIndex::placement`]).
+/// placement table ([`IDistanceIndex::placement`]): `page offset << SLOT |
+/// slot` in 32 bits.
 #[derive(Debug, Clone, Copy, Default)]
 pub(crate) struct Run {
     pub(crate) first: u64,
@@ -78,6 +79,10 @@ pub(crate) struct Run {
     page: PageId,
     per_page: u64,
 }
+
+/// Bits of a placement's slot: a page holds at most 1 022 records (one
+/// coordinate each).
+const SLOT: u32 = 10;
 
 /// The order of a partition's heap records, which the load writes and a
 /// placement table is learned in: the key-order ranks of their codes'
@@ -113,7 +118,7 @@ impl<'a> RecordIds<'a> {
             self.locate(index, position);
         }
         let placed = u64::from(self.table[(position - self.first) as usize]);
-        ((self.page + (placed >> 9)) << 16) | (placed & 0x1FF)
+        ((self.page + (placed >> SLOT)) << 16) | (placed & ((1 << SLOT) - 1))
     }
 
     /// Moves to the partition holding `position`.
@@ -167,6 +172,14 @@ impl IDistanceIndex {
     /// cut from the partition's rows. The tree and the heap split
     /// `buffer_pages`.
     ///
+    /// A row is coded as it comes — a projection unrounded, so its code is
+    /// the cell a from-scratch build gives it, a fold's stored value as it
+    /// is (or by the base's code, see [`KeySpace::codes`]) — and then
+    /// rounded ([`stored_values`]); its key, the radii and its record are
+    /// the stored value's, for the ring bound `|‖p‖ − ‖q‖| ≤ ‖p − q‖` holds
+    /// for the `p` a search reads. The code's cell holds the stored value
+    /// too (see [`crate::codes`]).
+    ///
     /// The rows go to leaves in key order, packed full, and to heap records
     /// in [`Codebook::hilbert`] order of their codes across the partition,
     /// ties in key order (see [`Run`]).
@@ -176,7 +189,11 @@ impl IDistanceIndex {
         keys: KeySpace,
         rows: &mut PartitionRows<'_>,
     ) -> Result<Self> {
-        let KeySpace { reference, c_floor } = keys;
+        let KeySpace {
+            reference,
+            c_floor,
+            codes: base,
+        } = keys;
         let pool = || BufferPool::new(DiskManager::new(), (buffer_pages / 2).max(1));
         let tree_pool = pool()?;
         let mut heap = VectorHeap::new(pool()?);
@@ -188,7 +205,23 @@ impl IDistanceIndex {
         for part in partition_ids(model) {
             let i = partitions.len();
             let cluster = part.map(|ci| &model.clusters[ci]);
-            let rows = rows(part)?;
+            let mut rows = rows(part)?;
+            let codebook = Codebook::fit(rows.iter().map(|(_, coords)| coords.as_slice()));
+            // A partition with rows has a codebook.
+            let codes = codebook.as_ref().map_or_else(Vec::new, |book| {
+                let kept = base.get(i).filter(|(cut, _)| cut.as_ref() == Some(book));
+                let kept = |id: &u64| {
+                    let codes = &kept?.1;
+                    let at = codes.binary_search_by_key(id, |&(id, _)| id).ok()?;
+                    Some(codes[at].1)
+                };
+                (rows.iter())
+                    .map(|(id, coords)| kept(id).unwrap_or_else(|| book.encode(coords)))
+                    .collect()
+            });
+            for (_, coords) in &mut rows {
+                stored_values(coords)?;
+            }
             let mut order: Vec<(f64, usize)> = rows
                 .iter()
                 .enumerate()
@@ -202,14 +235,11 @@ impl IDistanceIndex {
                 (Some(nearest), Some(farthest)) => (nearest.0, farthest.0),
                 _ => (0.0, 0.0),
             };
-            let codebook = Codebook::fit(rows.iter().map(|(_, coords)| coords.as_slice()));
-            // A partition with rows has a codebook.
             let mut hilbert = Vec::with_capacity(rows.len());
             if let Some(book) = &codebook {
                 for &(dist, at) in &order {
-                    let code = book.encode(&rows[at].1);
-                    hilbert.push(book.hilbert(code));
-                    staged.push((dist, code));
+                    hilbert.push(book.hilbert(codes[at]));
+                    staged.push((dist, codes[at]));
                 }
             }
             for rank in heap_order(&hilbert) {
@@ -284,9 +314,10 @@ impl IDistanceIndex {
                 .map_or(dim, ReducedSubspace::reduced_dim);
             let per_page = VectorHeap::page_capacity(width) as u64;
             let count = p.count as u64;
-            // Its codes order its records; a placement is `page offset << 9 |
-            // slot` in 32 bits.
-            let placeable = (1..512).contains(&per_page) && count.div_ceil(per_page) <= 1 << 23;
+            // Its codes order its records; a placement is `page offset <<
+            // SLOT | slot` in 32 bits.
+            let placeable =
+                (1..1 << SLOT).contains(&per_page) && count.div_ceil(per_page) <= 1 << (32 - SLOT);
             if count > 0 && !(placeable && p.codebook.is_some()) {
                 return Err(Error::InvalidConfig("partition rows must fit a table"));
             }
@@ -360,8 +391,8 @@ impl IDistanceIndex {
     }
 
     /// Partition `part`'s placement table: per position, in order, where its
-    /// record lies, `page offset << 9 | slot` on the partition's page run
-    /// (a page holds at most 511 records). The records' order is a function
+    /// record lies, `page offset << SLOT | slot` on the partition's page run
+    /// (a page holds at most 1 022 records). The records' order is a function
     /// of the codes the leaves hold, so the first call reads the
     /// partition's leaves, each once, through the tree's pool and counted
     /// as any fetch — one path, whether the index was built or opened, and
@@ -386,9 +417,33 @@ impl IDistanceIndex {
         }
         let mut table = vec![0; run.count as usize];
         for (at, rank) in (0u64..).zip(heap_order(&hilbert)) {
-            table[rank as usize] = (((at / run.per_page) << 9) | (at % run.per_page)) as u32;
+            table[rank as usize] = (((at / run.per_page) << SLOT) | (at % run.per_page)) as u32;
         }
         Ok(info.placement.get_or_init(|| table.into()))
+    }
+
+    /// Each partition's codebook and the code each of its base rows holds,
+    /// by id ascending — what a fold over this index keeps
+    /// ([`KeySpace::folded`]). Reads every leaf.
+    pub(crate) fn codes_by_id(&self) -> Result<Vec<BaseCodes>> {
+        let mut all = Vec::with_capacity(self.partitions.len());
+        for (part, info) in self.partitions.iter().enumerate() {
+            let run = info.run;
+            let mut codes = Vec::with_capacity(run.count as usize);
+            if run.count > 0 {
+                self.placement(part)?;
+                let (mut ids, mut cursor) = (RecordIds::default(), self.tree.cursor_at(run.first)?);
+                for position in run.first..run.first + run.count {
+                    self.tree.cursor_next(&mut cursor)?;
+                    let rid = ids.get(self, position);
+                    let id = self.heap.point_id(rid).ok_or(Error::BadRecordId(rid))?;
+                    codes.push((id, cursor.code()));
+                }
+                codes.sort_unstable();
+            }
+            all.push((info.codebook.clone(), codes));
+        }
+        Ok(all)
     }
 
     /// Number of visible points: the snapshot rows plus live delta rows.

@@ -445,6 +445,11 @@ impl Candidates<'_> {
             .and_then(Option::as_ref)
             .ok_or(Error::BadRecordId(rid))?;
         record.coords_into(self.coords);
+        if self.coords.len() != local.len() {
+            return Err(Error::InvalidConfig(
+                "a heap record disagrees with its partition",
+            ));
+        }
         self.evaluated += 1;
         let dist = mmdr_linalg::reduced_dist(*proj_sq, &self.locals[local.clone()], self.coords);
         best.push(dist, id);
@@ -1240,7 +1245,7 @@ mod tests {
         let (data, model) = paged_fixture();
         let n = data.rows() as u64;
         let coded = Watched::build(|id| id);
-        assert!(coded.index.heap.num_pages() >= 70);
+        assert!(coded.index.heap.num_pages() >= 35);
         // The parent commit's search is today's over leaf entries nothing
         // judges: the same tree, heap and rounds, no codebook.
         let mut plain = Watched::build(|id| id);
@@ -1335,10 +1340,10 @@ mod tests {
                 }
             }
         }
-        // Over the four probes a 10-NN pins 144 heap pages without codes and
-        // 21 with them.
+        // Over the four probes a 10-NN pins 73 heap pages without codes and
+        // 14 with them.
         assert!(
-            pins_without >= 100,
+            pins_without >= 50,
             "{pins_without} heap pages without codes"
         );
         assert!(
@@ -1454,6 +1459,7 @@ mod tests {
         let keys = KeySpace {
             reference: vec![0.0; 8],
             c_floor: 0.0,
+            codes: Vec::new(),
         };
         let bases = [
             pair(

@@ -8,6 +8,15 @@
 //! outliers. [`stored_rows`] reads the same `(id, coordinates)` pairs back
 //! out of a built index.
 //!
+//! The stored values are `f32`s: [`stored_values`] rounds each coordinate
+//! to the nearest `f32` (and refuses one past `f32::MAX`), and every writer
+//! stores its output — the heap of [`SeqScan`] and [`IDistanceIndex`], the
+//! hybrid trees of [`GlobalLdrIndex`] (in their own `f64` encoding of the
+//! same values) and a delta row's coordinates. So every backend, and a row
+//! before and after a fold, answers over the same values, bit for bit. The
+//! rounding is far below the reduction's own residual: a reduced
+//! coordinate already stands for a point up to its `MaxMPE` away.
+//!
 //! An ingested row is placed once, by [`BuiltIndex::insert`]: the model
 //! routes it (nearest subspace within `β`, else the outliers) and
 //! [`stored_form`] converts it exactly as the loaders do, so a delta row
@@ -24,6 +33,7 @@
 //! iDistance's [`KeySpace`], passed as data.
 
 use crate::backend::Backend;
+use crate::codes::Codebook;
 use crate::error::{Error, Result};
 use crate::gldr::GlobalLdrIndex;
 use crate::index::IDistanceIndex;
@@ -84,14 +94,28 @@ impl BuiltIndex {
     /// Places an ingested row in the delta layered on the base structures:
     /// validates `vector`, routes it with `model` — the model this index
     /// was loaded under — at [`INSERT_BETA`], converts it to the stored
-    /// form the loaders write (and, in iDistance, its cell code), and stores
-    /// it under `id` (engine-assigned, unique, monotone, never `u64::MAX`).
-    /// Returns the routing.
+    /// form the loaders write (and, in iDistance, codes the unrounded
+    /// projection, as a load does), and stores it under `id`
+    /// (engine-assigned, unique, monotone, never `u64::MAX`). A row with a
+    /// stored coordinate past `f32::MAX` is refused. Returns the routing.
     pub fn insert(
         &self,
         model: &ReductionResult,
         id: u64,
         vector: &[f64],
+    ) -> mmdr_index::Result<PointAssignment> {
+        self.insert_logged(model, id, vector, || Ok(()))
+    }
+
+    /// [`insert`](Self::insert), running `log` between placing the row and
+    /// storing it: a row the index refuses is never logged, and a row is
+    /// stored, and visible, only once `log` has returned `Ok`.
+    pub fn insert_logged(
+        &self,
+        model: &ReductionResult,
+        id: u64,
+        vector: &[f64],
+        log: impl FnOnce() -> mmdr_index::Result<()>,
     ) -> mmdr_index::Result<PointAssignment> {
         validate_vector(self.as_dyn().dim(), vector)?;
         if id == u64::MAX {
@@ -104,13 +128,15 @@ impl BuiltIndex {
             PointAssignment::Cluster(ci) => (ci, Some(&model.clusters[ci].subspace)),
             PointAssignment::Outlier => (model.clusters.len(), None),
         };
-        let coords = stored_form(subspace, vector)?;
+        let mut coords = stored_form(subspace, vector)?;
         let book = match self {
             BuiltIndex::IDistance(index) => index.partitions[slot].codebook.as_ref(),
             BuiltIndex::SeqScan(_) | BuiltIndex::Gldr(_) => None,
         };
         let code = book.map(|book| book.encode(&coords));
+        stored_values(&mut coords)?;
         let row = DeltaRow { id, code, coords };
+        log()?;
         self.delta().insert(slot as u32, row)?;
         Ok(placed)
     }
@@ -162,10 +188,15 @@ pub enum Row<'a> {
     Stored(Vec<f64>),
 }
 
-/// What pins iDistance's key space `y = i·c + dist(P, Oᵢ)` beyond the rows
-/// themselves. Answers never depend on either value — only keys and
-/// annulus bounds do, and those stay consistent as long as every outlier
-/// distance is measured against the one reference.
+/// A partition's codebook in a fold's base, and the code the base gave
+/// each of the partition's rows as `(id, code)`, ids ascending.
+pub(crate) type BaseCodes = (Option<Codebook>, Vec<(u64, u64)>);
+
+/// What pins iDistance's key space `y = i·c + dist(P, Oᵢ)` and its cells
+/// beyond the rows themselves. Answers never depend on these values — only
+/// keys, annulus bounds and codes do, and those stay consistent as long as
+/// every outlier distance is measured against the one reference and every
+/// code's cell holds its row's stored value.
 #[derive(Debug)]
 pub struct KeySpace {
     /// Reference point of the outlier partition.
@@ -174,6 +205,12 @@ pub struct KeySpace {
     /// none): a fold passes the base's `c` so the constant only ever
     /// widens.
     pub c_floor: f64,
+    /// Per partition slot, the base's codes ([`BaseCodes`]); empty for a
+    /// fresh fit. A fold's row carries only its stored value, which may
+    /// sit on a cell edge its unrounded projection was above; where a
+    /// partition's codebook comes out as the base's, its rows keep the
+    /// base's codes, so folding nothing reproduces the base.
+    pub(crate) codes: Vec<BaseCodes>,
 }
 
 impl KeySpace {
@@ -197,18 +234,50 @@ impl KeySpace {
         Ok(Self {
             reference,
             c_floor: 0.0,
+            codes: Vec::new(),
+        })
+    }
+
+    /// The key space a fold over `base` keeps: the base's outlier
+    /// reference, its `c` as the floor, and its codes.
+    pub fn folded(base: &IDistanceIndex) -> Result<Self> {
+        let outliers = base
+            .partitions()
+            .last()
+            .ok_or(Error::InvalidConfig("partition table must not be empty"))?;
+        Ok(Self {
+            reference: outliers.centroid.clone(),
+            c_floor: base.c(),
+            codes: base.codes_by_id()?,
         })
     }
 }
 
 /// The coordinates every backend stores for the exact vector `row` of a
-/// partition: local coordinates in the cluster's subspace, or the raw
-/// vector for the outliers (`subspace` is `None`).
+/// partition, before [`stored_values`] rounds them: local coordinates in
+/// the cluster's subspace, or the raw vector for the outliers (`subspace`
+/// is `None`).
 fn stored_form(subspace: Option<&ReducedSubspace>, row: &[f64]) -> Result<Vec<f64>> {
     Ok(match subspace {
         Some(subspace) => subspace.project(row)?,
         None => row.to_vec(),
     })
+}
+
+/// Rounds `coords` in place to the values every backend stores: each
+/// coordinate the nearest `f32`, widened back to `f64` — the one place the
+/// stored form is rounded. A finite coordinate past `f32::MAX`, which
+/// would be stored as an infinity, is refused
+/// ([`Error::CoordinateOverflow`]). Stored values come back unchanged.
+pub fn stored_values(coords: &mut [f64]) -> Result<()> {
+    for x in coords {
+        let stored = f64::from(*x as f32);
+        if stored.is_infinite() && x.is_finite() {
+            return Err(Error::CoordinateOverflow(*x));
+        }
+        *x = stored;
+    }
+    Ok(())
 }
 
 /// The restored representation `restore(project(v))` of stored
@@ -240,18 +309,27 @@ fn partition(model: &ReductionResult, part: Option<usize>) -> (Option<&ReducedSu
 
 /// Member-driven resolution, shared by every door: a partition's rows are
 /// its member ids in member order, each resolved by the door and converted
-/// to the stored form; unresolved ids are dropped.
+/// to the stored form — not yet rounded: a loader codes the unrounded
+/// projection and stores [`stored_values`] of it — and unresolved ids are
+/// dropped. Stored coordinates of another width than the partition's are
+/// refused.
 pub(crate) fn member_rows<'a>(
     model: &'a ReductionResult,
     mut resolve: impl FnMut(u64) -> Option<Row<'a>> + 'a,
 ) -> impl FnMut(Option<usize>) -> Result<Rows> + 'a {
     move |part| {
         let (subspace, members) = partition(model, part);
+        let width = subspace.map_or(model.dim, ReducedSubspace::reduced_dim);
         let mut rows = Vec::with_capacity(members.len());
         for &pid in members {
             let coords = match resolve(pid as u64) {
                 Some(Row::Exact(row)) => stored_form(subspace, row)?,
-                Some(Row::Stored(coords)) => coords,
+                Some(Row::Stored(coords)) if coords.len() == width => coords,
+                Some(Row::Stored(_)) => {
+                    return Err(Error::InvalidConfig(
+                        "a stored row's width is not its partition's",
+                    ))
+                }
                 None => continue,
             };
             rows.push((pid as u64, coords));

@@ -57,8 +57,8 @@ pub use error::{Error, Result};
 pub use gldr::GlobalLdrIndex;
 pub use index::{IDistanceIndex, PartitionInfo, RecordIds};
 pub use layout::{
-    build_index, load, load_exact, restored_rows, stored_rows, BuiltIndex, KeySpace, Row,
-    INSERT_BETA,
+    build_index, load, load_exact, restored_rows, stored_rows, stored_values, BuiltIndex, KeySpace,
+    Row, INSERT_BETA,
 };
 // The shared query-layer types live in `mmdr-index` (the KnnHeap moved
 // there in PR 2 — import it from `mmdr_index` directly); these two are

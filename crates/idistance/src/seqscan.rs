@@ -4,7 +4,7 @@
 
 use crate::error::{Error, Result};
 use crate::knn::query_geometry;
-use crate::layout::{data_rows, partition_ids, PartitionRows};
+use crate::layout::{data_rows, partition_ids, stored_values, PartitionRows};
 use crate::vector_heap::VectorHeap;
 use mmdr_core::ReductionResult;
 use mmdr_index::{DeltaLayer, KnnHeap, SearchCounters, SearchFilter};
@@ -35,8 +35,9 @@ impl SeqScan {
     }
 
     /// The one writer of the scan's stored form: each partition's rows
-    /// appended in the order given, partition `i` being cluster `i` and
-    /// the last one the outliers (see [`crate::layout`]).
+    /// appended, as [`stored_values`], in the order given, partition `i`
+    /// being cluster `i` and the last one the outliers (see
+    /// [`crate::layout`]).
     pub(crate) fn load(
         model: &ReductionResult,
         buffer_pages: usize,
@@ -46,7 +47,8 @@ impl SeqScan {
         let mut heap = VectorHeap::new(pool);
         for part in partition_ids(model) {
             let partition = part.unwrap_or(model.clusters.len()) as u32;
-            for (id, coords) in rows(part)? {
+            for (id, mut coords) in rows(part)? {
+                stored_values(&mut coords)?;
                 heap.append(partition, id, &coords)?;
             }
         }
@@ -140,14 +142,27 @@ impl SeqScan {
             }
         }
         let tombs = self.delta.tombstones();
+        let mut torn = false;
         self.heap.scan(|part, pid, coords| {
             if tombs.contains(&pid) || filter.is_some_and(|f| !f.passes(pid)) {
                 return;
             }
-            let (q_local, proj_sq) = &q_locals[part as usize];
+            // A record of a partition, or a width, the model does not have
+            // is a damaged page.
+            let Some((q_local, proj_sq)) =
+                (q_locals.get(part as usize)).filter(|(q_local, _)| q_local.len() == coords.len())
+            else {
+                torn = true;
+                return;
+            };
             best.push(mmdr_linalg::reduced_dist(*proj_sq, q_local, coords), pid);
             seen += 1;
         })?;
+        if torn {
+            return Err(Error::InvalidConfig(
+                "a heap record disagrees with its partition",
+            ));
+        }
         // A scan refines every stored point: both counters tick once per
         // point, the CPU baseline the indexed backends are plotted against.
         self.search.record_dists(seen);
@@ -219,7 +234,9 @@ mod tests {
         assert_eq!(scan.len(), 201);
         let r = scan.knn(&probe, 1).unwrap();
         assert_eq!(r[0].1, 500);
-        assert!(r[0].0 < 1e-9);
+        // Its stored coordinate is its projection (11.18…) rounded to the
+        // nearest f32, at most half an f32 ulp (2⁻²¹) away.
+        assert!(r[0].0 < 1e-6, "{}", r[0].0);
         // Deleting a base row removes it from answers without shrinking
         // the heap.
         assert!(built.delete(199).unwrap());

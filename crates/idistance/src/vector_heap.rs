@@ -7,14 +7,19 @@
 //! offset 0: partition id (u32)
 //! offset 4: dim          (u16)  — coordinates per record
 //! offset 6: count        (u16)
-//! offset 8: record[0] = coords: dim × f64, record[1], …
+//! offset 8: record[0] = coords: dim × f32, record[1], …
 //! ```
 //!
-//! A record is its coordinates and nothing else, so a page holds
-//! `(PAGE_SIZE − 8) / (8·dim)` of them. Record ids encode the location
-//! directly (`rid = page_id << 16 | slot`). Records are read off a
-//! [`HeapPage`], the pinned image of one page with its header decoded: a
-//! reader pins each page once ([`PageSet`]), so it costs one (buffered)
+//! A record is its coordinates and nothing else, each a little-endian
+//! `f32`, so a page holds `(PAGE_SIZE − 8) / (4·dim)` of them: 85 at
+//! `dim = 12`, 1 022 at `dim = 1`. The values are the stored form's
+//! ([`crate::layout::stored_values`]), each already the nearest `f32` to
+//! the coordinate it stands for, so writing one loses nothing and reading
+//! it back widens it to the very `f64` every backend answers over. Record
+//! ids encode the location directly (`rid = page_id << 16 | slot`).
+//! Records are read off a [`HeapPage`], the pinned image of one page with
+//! its header decoded: a reader pins each page once ([`PageSet`]), so it
+//! costs one (buffered)
 //! page access per heap page, not per record, in whatever order it reads
 //! the records — the unit the I/O experiments count — and a record is one
 //! bounds-checked slice of that image ([`Record`]), decoded only for a
@@ -33,6 +38,9 @@ use std::num::NonZeroU16;
 
 const HEADER: usize = 8;
 
+/// Bytes of one stored coordinate: an `f32`.
+const COORD: usize = 4;
+
 /// One heap page as a reader sees it: an immutable image the pool handed
 /// out, held by the reader's [`PageSet`] (a pin, not a latch — see
 /// [`mmdr_btree::Cursor`]), and its header.
@@ -46,16 +54,22 @@ struct HeapPage<'a> {
 }
 
 impl<'a> HeapPage<'a> {
-    fn new(image: &'a Page) -> Self {
-        let partition = image.get_u32(0).expect("header");
-        let dim = image.get_u16(4).expect("header") as usize;
-        let count = image.get_u16(6).expect("header") as usize;
-        Self {
+    /// The page's header decoded; a header no page could have written — no
+    /// coordinates a record, or more records than fit at its width — is
+    /// refused, so no record is read off it.
+    fn new(image: &'a Page) -> Result<Self> {
+        let partition = image.get_u32(0)?;
+        let dim = image.get_u16(4)? as usize;
+        let count = image.get_u16(6)? as usize;
+        if dim == 0 || count > VectorHeap::page_capacity(dim) {
+            return Err(Error::InvalidConfig("a heap page header no page can hold"));
+        }
+        Ok(Self {
             image,
             partition,
-            width: 8 * dim,
+            width: COORD * dim,
             count,
-        }
+        })
     }
 
     /// The coordinate bytes of record `slot`, taken from the image as one
@@ -88,12 +102,13 @@ impl Record<'_> {
         self.id
     }
 
-    /// Decodes the coordinates into `out`, replacing its contents.
+    /// Decodes the coordinates into `out`, replacing its contents: each
+    /// stored `f32` widened to the `f64` it stands for.
     #[inline]
     pub fn coords_into(&self, out: &mut Vec<f64>) {
         out.clear();
         let (chunks, _) = self.coords.as_chunks();
-        out.extend(chunks.iter().map(|c| f64::from_le_bytes(*c)));
+        out.extend(chunks.iter().map(|c| f64::from(f32::from_le_bytes(*c))));
     }
 }
 
@@ -226,7 +241,7 @@ impl VectorHeap {
 
     /// Records that fit a page at the given width.
     pub fn page_capacity(dim: usize) -> usize {
-        (PAGE_SIZE - HEADER) / (8 * dim).max(1)
+        (PAGE_SIZE - HEADER) / (COORD * dim).max(1)
     }
 
     /// The id column: per heap page, its records' point ids in slot
@@ -237,9 +252,10 @@ impl VectorHeap {
 
     /// Appends a record for `partition`, returning its rid. Starts a new
     /// page when the partition/width changes or the page fills. A heap is
-    /// written by its load, before anything reads it. Every record is a
-    /// live row, so the id `u64::MAX` — an older build's mark of a dead
-    /// one — is refused.
+    /// written by its load, before anything reads it, with coordinates in
+    /// the stored form ([`crate::layout::stored_values`]): each is written
+    /// as the `f32` it already equals. Every record is a live row, so the
+    /// id `u64::MAX` — an older build's mark of a dead one — is refused.
     pub fn append(&mut self, partition: u32, point_id: u64, coords: &[f64]) -> Result<u64> {
         if point_id == u64::MAX {
             return Err(Error::ReservedId);
@@ -273,9 +289,9 @@ impl VectorHeap {
         };
         let slot = self.column.pages[page as usize].len() as u16;
         self.pool.with_page_mut(page, |p| -> Result<()> {
-            let base = HEADER + slot as usize * 8 * dim;
+            let base = HEADER + slot as usize * COORD * dim;
             for (j, &c) in coords.iter().enumerate() {
-                p.put_f64(base + 8 * j, c)?;
+                p.put_f32(base + COORD * j, c as f32)?;
             }
             p.put_u16(6, slot + 1).expect("header");
             Ok(())
@@ -321,7 +337,7 @@ impl VectorHeap {
         if !pages.holds(page_id) && page_id >= self.pool.num_pages() as u64 {
             return Err(Error::BadRecordId(rid));
         }
-        let page = HeapPage::new(pages.page(&self.pool, page_id)?);
+        let page = HeapPage::new(pages.page(&self.pool, page_id)?)?;
         let ids = self.page_ids(page_id, page.count)?;
         let (Some(&id), Some(coords)) = (ids.get(slot), page.coords(slot)) else {
             return Err(Error::BadRecordId(rid));
@@ -344,7 +360,7 @@ impl VectorHeap {
         let mut coords = Vec::new();
         for page_id in 0..self.pool.num_pages() as u64 {
             let image = self.pool.page(page_id)?;
-            let page = HeapPage::new(&image);
+            let page = HeapPage::new(&image)?;
             for (slot, &id) in self.page_ids(page_id, page.count)?.iter().enumerate() {
                 let record = Record {
                     id,
@@ -365,6 +381,7 @@ mod tests {
     use super::*;
     use mmdr_storage::DiskManager;
     use proptest::prelude::*;
+    use std::sync::Arc;
 
     fn heap(pages: usize) -> VectorHeap {
         VectorHeap::new(BufferPool::new(DiskManager::new(), pages).unwrap())
@@ -417,7 +434,7 @@ mod tests {
     fn the_id_column_names_every_record_without_a_pin() {
         let mut h = heap(16);
         let cap = VectorHeap::page_capacity(4) as u64;
-        assert_eq!(cap, 127, "a record is its 32 coordinate bytes");
+        assert_eq!(cap, 255, "a record is its 16 coordinate bytes");
         let first = [0, 1 << 32, u64::MAX - 1];
         let id = |i: u64| first.get(i as usize).copied().unwrap_or(100 + i);
         let rids: Vec<u64> = (0..cap + 3)
@@ -478,7 +495,7 @@ mod tests {
         refused(opened(reattach(open, len - 1, pages(&[cap, 5]))));
         refused(opened(reattach(open, len, pages(&[cap + 5]))));
         refused(opened(reattach(open, len, pages(&[cap, 5, 0]))));
-        refused(opened(reattach(open, 517, pages(&[512, 5]))));
+        refused(opened(reattach(open, 1028, pages(&[1023, 5]))));
         // The reserved id, and an open page that is not the last.
         let mut reserved = pages(&[cap, 5]);
         reserved[1][3] = u64::MAX;
@@ -531,9 +548,9 @@ mod tests {
                 let p = h.pool().page(page).unwrap();
                 let (part, width) = (p.get_u32(0).unwrap(), p.get_u16(4).unwrap() as usize);
                 prop_assert!(slot < p.get_u16(6).unwrap() as usize);
-                let at = HEADER + slot * 8 * width;
+                let at = HEADER + slot * COORD * width;
                 let want: Vec<u64> = (0..width)
-                    .map(|j| p.get_f64(at + 8 * j).unwrap().to_bits())
+                    .map(|j| f64::from(p.get_f32(at + COORD * j).unwrap()).to_bits())
                     .collect();
 
                 let (got_part, record) = h.record(&mut pages,rid).unwrap();
@@ -565,6 +582,30 @@ mod tests {
     }
 
     #[test]
+    fn a_header_no_page_can_hold_is_refused_where_the_page_is_read() {
+        let mut h = heap(8);
+        for i in 0..10u64 {
+            h.append(0, i, &[i as f64, 1.0]).unwrap();
+        }
+        let intact = h.pool().export_pages().unwrap();
+        // No coordinates a record; more records than fit at the width (the
+        // id column agreeing, so only the header can tell).
+        let over = VectorHeap::page_capacity(2) + 1;
+        for (at, value, rows) in [(4, 0u16, 10), (6, over as u16, over)] {
+            let mut page = (*intact[0]).clone();
+            page.put_u16(at, value).unwrap();
+            let pool = BufferPool::new(DiskManager::from_pages(vec![Arc::new(page)]), 2).unwrap();
+            let ids = vec![(0..rows as u64).collect()];
+            let damaged = VectorHeap::from_parts(pool, None, rows as u64, ids).unwrap();
+            let refused =
+                |got: Result<()>| assert!(matches!(got, Err(Error::InvalidConfig(_))), "{got:?}");
+            refused(damaged.get(0).map(drop));
+            refused(damaged.scan(|_, _, _| {}));
+            refused(damaged.record(&mut PageSet::default(), 3).map(drop));
+        }
+    }
+
+    #[test]
     fn partition_change_starts_new_page() {
         let mut h = heap(16);
         h.append(0, 1, &[0.0]).unwrap();
@@ -589,14 +630,17 @@ mod tests {
     #[test]
     fn capacity_shrinks_with_dim() {
         assert!(VectorHeap::page_capacity(2) > VectorHeap::page_capacity(64));
-        assert_eq!(VectorHeap::page_capacity(1000), 0);
+        assert_eq!(VectorHeap::page_capacity(1), 1022);
+        assert_eq!(VectorHeap::page_capacity(12), 85);
+        assert_eq!(VectorHeap::page_capacity(1022), 1);
+        assert_eq!(VectorHeap::page_capacity(1023), 0);
     }
 
     #[test]
     fn invalid_records_rejected() {
         let mut h = heap(8);
         assert!(h.append(0, 1, &[]).is_err());
-        assert!(h.append(0, 1, &[0.0; 1000]).is_err());
+        assert!(h.append(0, 1, &[0.0; 1023]).is_err());
         assert!(matches!(h.get(1 << 16), Err(Error::BadRecordId(_))));
         let rid = h.append(0, 1, &[0.0]).unwrap();
         assert!(matches!(h.get(rid + 1), Err(Error::BadRecordId(_))));

@@ -153,21 +153,9 @@ impl From<f64> for Value {
     }
 }
 
-impl From<u32> for Value {
-    fn from(x: u32) -> Self {
-        Value::Number(x as f64)
-    }
-}
-
 impl From<usize> for Value {
     fn from(x: usize) -> Self {
         Value::Number(x as f64)
-    }
-}
-
-impl From<bool> for Value {
-    fn from(x: bool) -> Self {
-        Value::Bool(x)
     }
 }
 
@@ -408,7 +396,7 @@ mod tests {
             ("version", 1usize.into()),
             ("name", "elliptical \"k\"-means\n".into()),
             ("values", vec![1.5f64, -2.25, 1e-17, 0.1].into()),
-            ("flag", true.into()),
+            ("flag", Value::Bool(true)),
             ("nothing", Value::Null),
             (
                 "nested",

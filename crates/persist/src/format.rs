@@ -83,7 +83,12 @@ pub const MAGIC: [u8; 8] = *b"MMDRSNP\x01";
 /// record's id in record order, both as zig-zag delta varint lists — which
 /// an open reads without touching a page. A backend without a heap (gLDR)
 /// writes no IDS. Every other section is v9's.
-pub const FORMAT_VERSION: u32 = 10;
+///
+/// Version 11 stores a heap record's coordinates as `f32`s: `4·dim` bytes,
+/// `(PAGE_SIZE − 8) / (4·dim)` records to a page (85 at `dim = 12`, where
+/// 42 fitted). A gLDR hybrid tree keeps its `f64` pages, holding the same
+/// rounded values. Every other section is v10's.
+pub const FORMAT_VERSION: u32 = 11;
 /// Little-endian sentinel; a byte-swapped writer would store 0x4D3C2B1A.
 pub const ENDIAN_TAG: u32 = 0x1A2B_3C4D;
 /// Superblock size; the section table starts here.

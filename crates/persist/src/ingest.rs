@@ -156,18 +156,11 @@ pub fn fold(
     let (inserted, dead) = split_ops(ops);
     let mut stored = stored_rows(base)?;
     // iDistance keeps the base's key space: the outlier reference is
-    // inherited, and `c` widens if a new row stretched a radius past the
-    // old margin, never shrinks.
+    // inherited, `c` widens if a new row stretched a radius past the old
+    // margin, never shrinks, and a partition cut into the base's cells
+    // keeps the base's codes.
     let keys = match base {
-        BuiltIndex::IDistance(idx) => Some(KeySpace {
-            reference: idx
-                .partitions()
-                .last()
-                .expect("every iDistance index has an outlier home")
-                .centroid
-                .clone(),
-            c_floor: idx.c(),
-        }),
+        BuiltIndex::IDistance(idx) => Some(KeySpace::folded(idx)?),
         _ => None,
     };
     Ok(load(base.backend(), model, buffer_pages, keys, |id| {
@@ -579,11 +572,13 @@ impl IngestEngine {
                 vector: vector.to_vec(),
             };
             let record = WalRecord { op, attrs };
-            // Durable first, then visible: the WAL append fsyncs.
-            w.wal.append_record(&record).map_err(to_query_err)?;
-            // The serving index was loaded under the writer's model (a
-            // publish swaps both under this lock).
-            self.core.serving().built.insert(&w.model, id, vector)?;
+            // Placed first, so a row the index refuses is never logged;
+            // then durable, then visible: the WAL append fsyncs. The
+            // serving index was loaded under the writer's model (a publish
+            // swaps both under this lock).
+            let w = &mut *w;
+            let log = || w.wal.append_record(&record).map_err(to_query_err);
+            (self.core.serving().built).insert_logged(&w.model, id, vector, log)?;
             if let Some(row) = values {
                 let mut store = self.core.attrs.write().unwrap_or_else(|p| p.into_inner());
                 store.set_row(id, row).map_err(mmdr_index::Error::from)?;
@@ -1071,7 +1066,8 @@ mod tests {
             merge_threshold: 0,
             ..Default::default()
         };
-        let engine = IngestEngine::create(&path, Backend::Gldr, &data, &model, 128, opts).unwrap();
+        let engine =
+            IngestEngine::create(&path, Backend::Gldr, &data, &model, 128, opts.clone()).unwrap();
         engine.insert(&[0.4, 0.12, 0.0, 0.0]).unwrap();
         let before = engine.ingest_stats();
         for bad in [
@@ -1096,11 +1092,19 @@ mod tests {
             ),
             "{err}"
         );
+        // Finite, but past what a record stores: the index refuses it
+        // before the log sees it.
+        let err = engine.insert(&[4e40, 0.12, -3e40, 0.0]).unwrap_err();
+        assert!(err.to_string().contains("f32::MAX"), "{err}");
         // Nothing reached the log, the allocator or the delta.
         assert_eq!(engine.ingest_stats(), before);
         let id = engine.insert(&[0.5, 0.15, 0.0, 0.0]).unwrap();
         assert_eq!(id, before.next_id);
         assert_eq!(engine.ingest_stats().next_id, before.next_id + 1);
+        // The log replays: what it holds opens again.
+        drop(engine);
+        let reopened = IngestEngine::open(&path, opts).unwrap();
+        assert_eq!(reopened.ingest_stats().next_id, before.next_id + 1);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -1197,7 +1197,7 @@ mod tests {
         }
         let ids = get_id_column(&id_column(&heap)).unwrap();
         let lens: Vec<usize> = ids.iter().map(Vec::len).collect();
-        assert_eq!(lens, [255, 245, 255, 245, 200]);
+        assert_eq!(lens, [500, 500, 200]);
         let images = heap.pool().export_pages().unwrap();
         let pool = BufferPool::new(DiskManager::from_pages(images), 4).unwrap();
         let back = VectorHeap::from_parts(pool, heap.open_page(), heap.len(), ids).unwrap();
@@ -1282,6 +1282,114 @@ mod tests {
         sections.insert(3, (section_id::IDS, ids_section(&[1], &[0])));
         let got = open_sections(&path, Backend::Gldr, &sections);
         assert!(matches!(got, Err(PersistError::Malformed(_))), "{got:?}");
+        std::fs::remove_dir_all(dir).unwrap();
+    }
+
+    /// A change to one page image.
+    type Damage<'a> = &'a dyn Fn(&mut Page);
+
+    /// `sections` with page `page` of the heap — the last page group —
+    /// rewritten by `damage`, and its CRC in PAGEDIR made right for it.
+    fn with_heap_page(
+        sections: &[(u32, Vec<u8>)],
+        page: usize,
+        damage: Damage<'_>,
+    ) -> Vec<(u32, Vec<u8>)> {
+        let payload = |id| sections.iter().find(|s| s.0 == id).unwrap().1.clone();
+        let (mut pages, mut pagedir) = (payload(section_id::PAGES), payload(section_id::PAGEDIR));
+        let groups = read_pagedir(&pagedir).unwrap();
+        let before = &groups[..groups.len() - 1];
+        let at = (before.iter().map(Vec::len).sum::<usize>() + page) * PAGE_SIZE;
+        let mut image = Page::from_bytes(&pages[at..at + PAGE_SIZE]).unwrap();
+        damage(&mut image);
+        pages[at..at + PAGE_SIZE].copy_from_slice(image.as_bytes());
+        let crc_at = 4 + before.iter().map(|g| 8 + 4 * g.len()).sum::<usize>() + 8 + 4 * page;
+        pagedir[crc_at..crc_at + 4].copy_from_slice(&crc32(image.as_bytes()).to_le_bytes());
+        let sections = with_section(sections, section_id::PAGES, pages);
+        with_section(&sections, section_id::PAGEDIR, pagedir)
+    }
+
+    /// A heap page's header damaged under CRCs made right for the damage —
+    /// a count past what a page holds at its width, the largest count, a
+    /// count the id column does not give it, no coordinates a record,
+    /// another width, a partition the model lacks — on the heap's first
+    /// page and its last, and a PAGES section cut inside the heap's last
+    /// page: each snapshot, opened lazily and resident, its rows read and
+    /// every row asked for, ends in a typed error, never a panic.
+    #[test]
+    fn a_damaged_heap_page_is_refused() {
+        let dir = tmp_dir("bad-heap-page");
+        let path = dir.join("bad.mmdr");
+        let q = [0.5, 0.15, 0.0, 0.0];
+        let read_all = |backend: Backend, sections: &[(u32, Vec<u8>)]| -> Result<()> {
+            std::fs::write(&path, format::assemble(backend_tag(backend), sections)).unwrap();
+            for resident in [false, true] {
+                let options = OpenOptions {
+                    resident,
+                    ..OpenOptions::default()
+                };
+                let opened = open_with(&path, &options)?;
+                mmdr_idistance::stored_rows(&opened.index)?;
+                let index = opened.index.as_dyn();
+                index.knn(&q, index.len())?;
+            }
+            Ok(())
+        };
+        for (backend, image) in heap_images() {
+            let sections = sections_of(image);
+            assert!(read_all(*backend, &sections).is_ok());
+            let pagedir = &sections
+                .iter()
+                .find(|s| s.0 == section_id::PAGEDIR)
+                .unwrap()
+                .1;
+            let groups = read_pagedir(pagedir).unwrap();
+            let heap_pages = groups.last().unwrap().len();
+            let pages = &sections
+                .iter()
+                .find(|s| s.0 == section_id::PAGES)
+                .unwrap()
+                .1;
+            let first =
+                Page::from_bytes(&pages[pages.len() - heap_pages * PAGE_SIZE..][..PAGE_SIZE]);
+            let (dim, count) = {
+                let first = first.unwrap();
+                (first.get_u16(4).unwrap(), first.get_u16(6).unwrap())
+            };
+            let over = VectorHeap::page_capacity(dim as usize) as u16 + 1;
+            // The least width at which the page's count overflows it, and
+            // another width that holds it.
+            let wide = ((PAGE_SIZE - 8) / (4 * count as usize) + 1) as u16;
+            let other = 1 + u16::from(dim == 1);
+            let cases: [(&str, Damage<'_>); 7] = [
+                ("a count past a page", &|p| p.put_u16(6, over).unwrap()),
+                ("the largest count", &|p| p.put_u16(6, u16::MAX).unwrap()),
+                ("a count not the column's", &|p| {
+                    p.put_u16(6, count - 1).unwrap()
+                }),
+                ("no coordinates", &|p| p.put_u16(4, 0).unwrap()),
+                ("a width its count overflows", &|p| {
+                    p.put_u16(4, wide).unwrap()
+                }),
+                ("another width", &|p| p.put_u16(4, other).unwrap()),
+                ("a partition the model lacks", &|p| {
+                    p.put_u32(0, 999).unwrap()
+                }),
+            ];
+            for page in [0, heap_pages - 1] {
+                for (what, damage) in cases {
+                    let got = read_all(*backend, &with_heap_page(&sections, page, damage));
+                    assert!(
+                        matches!(got, Err(PersistError::Index(_) | PersistError::Query(_))),
+                        "{} heap page {page}, {what}: {got:?}",
+                        backend.name()
+                    );
+                }
+            }
+            let cut = pages[..pages.len() - PAGE_SIZE / 2].to_vec();
+            let got = read_all(*backend, &with_section(&sections, section_id::PAGES, cut));
+            assert!(matches!(got, Err(PersistError::Malformed(_))), "{got:?}");
+        }
         std::fs::remove_dir_all(dir).unwrap();
     }
 

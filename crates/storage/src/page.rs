@@ -72,6 +72,7 @@ impl Page {
     typed_accessors!(get_u16, put_u16, u16);
     typed_accessors!(get_u32, put_u32, u32);
     typed_accessors!(get_u64, put_u64, u64);
+    typed_accessors!(get_f32, put_f32, f32);
     typed_accessors!(get_f64, put_f64, f64);
 
     /// Borrow of `len` raw bytes at `offset`: one bounds check for a whole
@@ -147,11 +148,13 @@ mod tests {
         p.put_u32(3, 0xDEADBEEF).unwrap();
         p.put_u64(7, u64::MAX - 3).unwrap();
         p.put_f64(15, -1234.5678).unwrap();
+        p.put_f32(23, 0.1).unwrap();
         assert_eq!(p.get_u8(0).unwrap(), 0xAB);
         assert_eq!(p.get_u16(1).unwrap(), 0xBEEF);
         assert_eq!(p.get_u32(3).unwrap(), 0xDEADBEEF);
         assert_eq!(p.get_u64(7).unwrap(), u64::MAX - 3);
         assert_eq!(p.get_f64(15).unwrap(), -1234.5678);
+        assert_eq!(p.get_f32(23).unwrap(), 0.1);
     }
 
     #[test]

@@ -411,7 +411,7 @@ fn a_knn_answer_is_the_prefix_of_the_range_answer_at_its_kth_distance() {
                             continue;
                         }
                         let mut range = ask(Target::Range(knn[k - 1].0));
-                        assert!(range.len() >= k);
+                        assert!(range.len() >= k, "{ctx}");
                         range.truncate(k);
                         assert_eq!(bits(knn), bits(range), "{ctx}");
                         pairs += 1;
@@ -562,5 +562,37 @@ fn query_stats_tick_for_every_backend() {
             "{}: no page accesses recorded",
             index.name()
         );
+    }
+}
+
+/// A finite coordinate past `f32::MAX` has no stored form: a build over a
+/// row that has one, and an insert of one, are refused with the typed
+/// error in every backend, and the refused insert leaves the index as it
+/// was.
+#[test]
+fn a_coordinate_past_f32_max_is_refused_by_every_backend() {
+    let fx = fixture();
+    let n = fx.data.rows();
+    let huge: Vec<f64> = (0..fx.data.cols())
+        .map(|j| if j % 2 == 0 { 1e45 } else { -3e44 })
+        .collect();
+    let mut rows: Vec<Vec<f64>> = fx.data.iter_rows().map(<[f64]>::to_vec).collect();
+    rows[7] = huge.clone();
+    let damaged = mmdr::linalg::Matrix::from_rows(&rows).unwrap();
+    let past = |x: f64| x.is_finite() && x.abs() > f64::from(f32::MAX);
+    for backend in Backend::all() {
+        let got = build_index(backend, &damaged, &fx.model, BUFFER_PAGES).err();
+        assert!(
+            matches!(got, Some(mmdr::idistance::Error::CoordinateOverflow(x)) if past(x)),
+            "{}: {got:?}",
+            backend.name()
+        );
+        let built = build_index(backend, &fx.data, &fx.model, BUFFER_PAGES).unwrap();
+        let refused = built.insert(&fx.model, n as u64, &huge).unwrap_err();
+        assert!(refused.to_string().contains("f32::MAX"), "{refused}");
+        assert_eq!(built.delta_stats().rows, 0, "{}", backend.name());
+        assert_eq!(built.as_dyn().len(), n, "{}", backend.name());
+        built.insert(&fx.model, n as u64, fx.data.row(7)).unwrap();
+        assert_eq!(built.as_dyn().len(), n + 1, "{}", backend.name());
     }
 }

@@ -349,9 +349,9 @@ fn mutated_engine_filtered_knn_matches_oracle_pre_and_post_merge() {
 
 /// A pushed-down search in the other two backends touches, query for
 /// query, the pages recorded here, the second time it is asked as the
-/// first: SeqScan reads its whole heap, 7 pages since a record is its
-/// coordinates alone (13 while each carried its point id), and gLDR's
-/// counts are the ones it always had.
+/// first: SeqScan reads its whole heap, 4 pages of records that are their
+/// coordinates as `f32`s alone, and gLDR's counts are the ones it always
+/// had.
 #[test]
 fn pushdown_in_the_other_backends_touches_the_pages_it_always_did() {
     let data = dataset(1000);
@@ -360,7 +360,7 @@ fn pushdown_in_the_other_backends_touches_the_pages_it_always_did() {
     let qs = queries(&data);
     #[rustfmt::skip]
     let recorded: [(Backend, [u64; 24]); 2] = [
-        (Backend::SeqScan, [7; 24]),
+        (Backend::SeqScan, [4; 24]),
         (Backend::Gldr, [5, 5, 5, 5, 5, 5, 5, 5, 2, 2, 2, 2, 5, 5, 5, 5, 2, 2, 2, 2, 5, 5, 5, 5]),
     ];
     for (backend, want) in recorded {

@@ -476,10 +476,10 @@ fn server_level_insert_then_query() {
     let model = fit(&data);
     let dir = TempDir::new("server");
     let path = dir.file("idx.mmdr");
-    // iDistance keeps raw coordinates for outlier-routed rows through a
-    // fold, so an off-subspace probe stays at bitwise distance zero across
-    // the merge below (cluster-routed rows are stored projected, exactly
-    // like a fresh build would store them).
+    // iDistance keeps raw coordinates, rounded to f32, for outlier-routed
+    // rows through a fold, so an off-subspace probe stays at the same
+    // bitwise distance across the merge below (cluster-routed rows are
+    // stored projected, exactly like a fresh build would store them).
     let engine = IngestEngine::create(
         &path,
         Backend::IDistance,
@@ -500,9 +500,19 @@ fn server_level_insert_then_query() {
     let id = client.insert(&probe).unwrap();
     assert_eq!(id, data.rows() as u64);
 
+    // An outlier is stored raw, each coordinate its nearest f32: the
+    // probe's distance to its row is exactly its distance to that.
+    let mut stored = probe.clone();
+    mmdr_idistance::stored_values(&mut stored).unwrap();
+    let own = mmdr_linalg::reduced_dist(0.0, &probe, &stored);
+    assert!(own > 0.0, "the probe is not an f32 vector");
     let hits = client.knn(&probe, 3).unwrap();
     assert_eq!(hits[0].1, id, "inserted row is its own nearest neighbour");
-    assert_eq!(hits[0].0.to_bits(), 0.0_f64.to_bits(), "distance exactly 0");
+    assert_eq!(
+        hits[0].0.to_bits(),
+        own.to_bits(),
+        "distance to its stored value"
+    );
 
     let epoch = client.flush().unwrap();
     assert!(epoch >= 1, "flush merged and swapped");
@@ -513,7 +523,7 @@ fn server_level_insert_then_query() {
 
     let hits = client.knn(&probe, 3).unwrap();
     assert_eq!(hits[0].1, id, "row survives the fold");
-    assert_eq!(hits[0].0.to_bits(), 0.0_f64.to_bits());
+    assert_eq!(hits[0].0.to_bits(), own.to_bits());
 
     assert!(client.delete(id).unwrap());
     assert!(!client.delete(id).unwrap(), "second delete is a no-op");

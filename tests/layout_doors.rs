@@ -6,8 +6,9 @@
 //! (a) folding no operations reproduces the base's snapshot byte for byte;
 //! (b) attaching the exact rows keyed by id saves the same bytes as
 //!     building over them as a matrix;
-//! (c) the rows read back from a build are `restore(project(row))`,
-//!     bitwise, for every id;
+//! (c) the rows read back from a build are `restore(project(row))` of
+//!     the projection as stored, each coordinate its nearest `f32`
+//!     ([`stored_values`]), bitwise, for every id;
 //!
 //! and for iDistance, whose leaf entries name their records by position,
 //! (d) entry `n` of the tree, walked from its first leaf, holds the row key
@@ -17,7 +18,9 @@
 //!     record ids.
 
 use mmdr_core::{Mmdr, MmdrParams, ReductionResult};
-use mmdr_idistance::{load_exact, restored_rows, stored_rows, Backend, RecordIds, VectorHeap};
+use mmdr_idistance::{
+    load_exact, restored_rows, stored_rows, stored_values, Backend, RecordIds, VectorHeap,
+};
 use mmdr_index::IngestOp;
 use mmdr_linalg::Matrix;
 use mmdr_persist::{
@@ -128,12 +131,15 @@ fn rows_read_back_are_the_restored_projections() {
         let mut want: BTreeMap<u64, Vec<f64>> = BTreeMap::new();
         for cluster in &model.clusters {
             for &pid in &cluster.members {
-                let local = cluster.subspace.project(data.row(pid)).unwrap();
+                let mut local = cluster.subspace.project(data.row(pid)).unwrap();
+                stored_values(&mut local).unwrap();
                 want.insert(pid as u64, cluster.subspace.restore(&local).unwrap());
             }
         }
         for &pid in &model.outliers {
-            want.insert(pid as u64, data.row(pid).to_vec());
+            let mut row = data.row(pid).to_vec();
+            stored_values(&mut row).unwrap();
+            want.insert(pid as u64, row);
         }
         assert_eq!(want.len(), data.rows());
         for backend in Backend::all() {
@@ -293,18 +299,19 @@ fn note_shapes(index: &BuiltIndex, model: &ReductionResult, shapes: &mut Shapes)
 }
 
 /// The operations the fold door folds: every outlier but the first
-/// deleted (the one left is a one-row partition), 600 rows along the first
-/// cluster's line (several heap pages, the last partial, where a page holds
-/// 511 one-coordinate records), and one row off every plane (the only
-/// outlier of a fixture that had none).
+/// deleted (the one left is a one-row partition), 1 200 rows along the
+/// first cluster's line (two heap pages, the second partial, where a page
+/// holds 1 022 one-coordinate records: slots past 511 take a placement's
+/// tenth bit), and one row off every plane (the only outlier of a fixture
+/// that had none).
 fn fold_ops(data: &Matrix, model: &ReductionResult) -> Vec<IngestOp> {
     let next = data.rows() as u64;
     let dead = model.outliers.iter().skip(1);
     let mut ops: Vec<IngestOp> = dead
         .map(|&pid| IngestOp::Delete { id: pid as u64 })
         .collect();
-    for i in 0..600u64 {
-        let t = (i as f64 + 0.5) / 600.0;
+    for i in 0..1200u64 {
+        let t = (i as f64 + 0.5) / 1200.0;
         let jit = ((i as f64 * 0.414_213_56).fract() - 0.5) * 0.01;
         ops.push(IngestOp::Insert {
             id: next + i,
@@ -313,7 +320,7 @@ fn fold_ops(data: &Matrix, model: &ReductionResult) -> Vec<IngestOp> {
     }
     if model.outliers.is_empty() {
         ops.push(IngestOp::Insert {
-            id: next + 600,
+            id: next + 1200,
             vector: vec![-4.0, 9.0, -5.0, 8.0],
         });
     }

@@ -41,7 +41,7 @@ impl Drop for TempFile {
 /// (16 frames), so eviction must cycle: two elongated clusters plus
 /// off-plane outliers, ~12300 points.
 fn dataset() -> Matrix {
-    let n_per_cluster = 6000usize;
+    let n_per_cluster = 12_000usize;
     let mut rows = Vec::new();
     let jit = |i: usize, s: f64| ((i as f64 * 0.618_033_988 + s).fract() - 0.5) * 0.02;
     for i in 0..n_per_cluster {

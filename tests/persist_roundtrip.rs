@@ -454,25 +454,71 @@ fn future_version_reports_unsupported_not_checksum() {
 
 #[test]
 fn a_snapshot_of_the_previous_format_is_refused_by_its_version() {
-    // What a v9 writer left (the same sections but the ids on the heap
-    // pages and no IDS): version 9 under a superblock CRC that is right for
-    // it. There is no second reader; the refusal is typed.
+    // What a v10 writer left (the same sections but 8 bytes a heap
+    // coordinate): version 10 under a superblock CRC that is right for it.
+    // There is no second reader; the refusal is typed.
     let mut image = snapshot_bytes();
-    image[8..12].copy_from_slice(&9u32.to_le_bytes());
+    image[8..12].copy_from_slice(&10u32.to_le_bytes());
     image[44..48].fill(0);
     let crc = mmdr_persist::crc32(&image[..80]);
     image[44..48].copy_from_slice(&crc.to_le_bytes());
     for resident in [false, true] {
-        let file = write_image(&image, "v9");
+        let file = write_image(&image, "v10");
         let options = OpenOptions {
             resident,
             ..OpenOptions::default()
         };
         match open_with(&file.0, &options) {
             Err(PersistError::UnsupportedVersion { found, supported }) => {
-                assert_eq!((found, supported), (9, 10));
+                assert_eq!((found, supported), (10, 11));
             }
             other => panic!("expected UnsupportedVersion, got {other:?}"),
+        }
+    }
+}
+
+/// A cluster of one retained coordinate fills a heap page with 1 022
+/// records, past the 511 a 9-bit placement slot could name: its index
+/// builds, saves, reopens (resident and demand-paged) and answers k-NN and
+/// range queries bit-identically to the scan over the same model.
+#[test]
+fn a_one_coordinate_cluster_fills_its_pages_and_answers_as_the_scan() {
+    let data = dataset(1500, 0.0);
+    let model = fit(&data);
+    let line =
+        (model.clusters.iter()).find(|c| c.subspace.reduced_dim() == 1 && c.members.len() > 1022);
+    assert!(line.is_some(), "a d_r = 1 cluster over two heap pages");
+    let scan = build_index(Backend::SeqScan, &data, &model, 64).unwrap();
+    let built = build_index(Backend::IDistance, &data, &model, 64).unwrap();
+    let BuiltIndex::IDistance(idx) = &built else {
+        unreachable!("an iDistance build");
+    };
+    let full = idx.heap().id_pages().iter().map(Vec::len).max();
+    assert_eq!(full, Some(1022), "a full page of one-coordinate records");
+    let file = TempFile::new("one-coordinate");
+    save(&file.0, &built, &model).unwrap();
+    let paged = OpenOptions {
+        pool_pages: Some(4),
+        ..OpenOptions::default()
+    };
+    let reopened = [
+        open_resident(&file.0).unwrap(),
+        open_with(&file.0, &paged).unwrap(),
+    ];
+    let n = data.rows();
+    for (qi, q) in (0..n).step_by(97).map(|i| data.row(i)).enumerate() {
+        let knn = scan.as_dyn().knn(q, 10).unwrap();
+        let range = scan.as_dyn().range_search(q, 0.05).unwrap();
+        let all = scan.as_dyn().knn(q, n).unwrap();
+        for (how, index) in [("built", &built)]
+            .into_iter()
+            .chain(reopened.iter().map(|o| ("reopened", &o.index)))
+        {
+            let index = index.as_dyn();
+            let what = format!("{how} query {qi}");
+            assert_answers_identical(&knn, &index.knn(q, 10).unwrap(), &what);
+            assert_answers_identical(&range, &index.range_search(q, 0.05).unwrap(), &what);
+            assert_answers_identical(&all, &index.knn(q, n).unwrap(), &what);
         }
     }
 }

@@ -52,13 +52,15 @@ cargo test "${PROFILE[@]}" --test persist_roundtrip
 # and IDS, PAGEDIR and META of a heap backend's snapshot so damaged under CRCs
 # made right for the damage, opened and read: each returns Ok or a typed
 # error, never a panic or an unbacked allocation; an id column that does not
-# fit its heap is refused.
+# fit its heap is refused, and so is a heap page whose header (count, width,
+# partition) no page could have, or a PAGES section cut inside a heap page.
 cargo test "${PROFILE[@]}" -p mmdr-persist --lib -- \
     model_codec::tests::a_damaged_record_decodes_or_is_refused \
     model_codec::tests::a_planted_length_is_refused_or_harmless_at_every_offset \
     snapshot::tests::a_damaged_ids_or_pagedir_opens_or_is_refused \
     snapshot::tests::a_planted_length_in_ids_or_pagedir_is_refused_or_harmless \
-    snapshot::tests::an_id_column_that_does_not_fit_its_heap_is_refused
+    snapshot::tests::an_id_column_that_does_not_fit_its_heap_is_refused \
+    snapshot::tests::a_damaged_heap_page_is_refused
 cargo test "${PROFILE[@]}" --test serve_parity --test scalable_pipeline
 # The wire protocol's fragmentation property: valid frames split at
 # arbitrary byte boundaries, as any TCP peer receives them, decode exactly
