@@ -3,12 +3,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use mmdr_btree::BPlusTree;
-use mmdr_storage::{BufferPool, DiskManager};
 use std::hint::black_box;
-
-fn pool(pages: usize) -> BufferPool {
-    BufferPool::new(DiskManager::new(), pages).unwrap()
-}
 
 fn bench_bulk_load(c: &mut Criterion) {
     let mut group = c.benchmark_group("btree_bulk_load");
@@ -16,7 +11,7 @@ fn bench_bulk_load(c: &mut Criterion) {
     for &n in &[10_000u64, 100_000] {
         let entries: Vec<(f64, u64)> = (0..n).map(|i| (i as f64, i)).collect();
         group.bench_with_input(BenchmarkId::from_parameter(n), &n, |b, _| {
-            b.iter(|| black_box(BPlusTree::bulk_load(pool(4096), &entries).unwrap().len()));
+            b.iter(|| black_box(BPlusTree::bulk_load(4096, &entries).unwrap().len()));
         });
     }
     group.finish();
@@ -24,7 +19,7 @@ fn bench_bulk_load(c: &mut Criterion) {
 
 fn bench_seek(c: &mut Criterion) {
     let entries: Vec<(f64, u64)> = (0..100_000u64).map(|i| (i as f64, i)).collect();
-    let tree = BPlusTree::bulk_load(pool(4096), &entries).unwrap();
+    let tree = BPlusTree::bulk_load(4096, &entries).unwrap();
     let mut i = 0u64;
     c.bench_function("btree_seek_100k", |b| {
         b.iter(|| {
@@ -37,7 +32,7 @@ fn bench_seek(c: &mut Criterion) {
 
 fn bench_range_scan(c: &mut Criterion) {
     let entries: Vec<(f64, u64)> = (0..100_000u64).map(|i| (i as f64, i)).collect();
-    let tree = BPlusTree::bulk_load(pool(4096), &entries).unwrap();
+    let tree = BPlusTree::bulk_load(4096, &entries).unwrap();
     // A cursor walk from a seek to the first cell past the range's end.
     c.bench_function("btree_range_1000_of_100k", |b| {
         b.iter(|| {

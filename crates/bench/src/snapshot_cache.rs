@@ -4,11 +4,11 @@
 //! measurements themselves only need a *ready* index. With `--index-dir`
 //! the harness keeps one snapshot per `(figure, parameters, backend)`
 //! cache key and reopens it on subsequent runs — reopened indexes answer
-//! bit-identically to built ones (see `mmdr-persist`), so cached and
-//! uncached runs report the same numbers.
+//! bit-identically to built ones and count their fetches alike (see
+//! `mmdr-persist`), so cached and uncached runs report the same numbers.
 
 use mmdr_core::ReductionResult;
-use mmdr_idistance::{build_backend, Backend, VectorIndex};
+use mmdr_idistance::{build_index, Backend, VectorIndex};
 use mmdr_linalg::Matrix;
 use std::path::Path;
 
@@ -24,31 +24,21 @@ pub fn build_or_open_backend(
     model: &ReductionResult,
     buffer_pages: usize,
 ) -> Box<dyn VectorIndex> {
-    match index_dir {
-        Some(dir) => {
-            if let Err(e) = std::fs::create_dir_all(dir) {
-                eprintln!("warning: cannot create --index-dir {dir}: {e}; building fresh");
-                return build_backend(backend, data, model, buffer_pages).expect("index build");
-            }
-            let path = Path::new(dir).join(format!("{key}-{}.snapshot", backend.name()));
-            let (index, reused) =
-                mmdr_persist::open_or_build(&path, backend, data, model, buffer_pages)
-                    .expect("snapshot open/build");
-            if reused {
-                eprintln!("reused snapshot {}", path.display());
-                return index.into_boxed();
-            }
-            // Reopen the snapshot we just wrote: a freshly built index still
-            // has its pages resident in the buffer pool, while an opened one
-            // starts cold, so returning the built index would make the first
-            // cached run measure different I/O than every later run.
-            mmdr_persist::open(&path)
-                .expect("reopen just-saved snapshot")
-                .index
-                .into_boxed()
-        }
-        None => build_backend(backend, data, model, buffer_pages).expect("index build"),
+    let fresh = || build_index(backend, data, model, buffer_pages).expect("index build");
+    let Some(dir) = index_dir else {
+        return fresh().into_boxed();
+    };
+    if let Err(e) = std::fs::create_dir_all(dir) {
+        eprintln!("warning: cannot create --index-dir {dir}: {e}; building fresh");
+        return fresh().into_boxed();
     }
+    let path = Path::new(dir).join(format!("{key}-{}.snapshot", backend.name()));
+    let (index, reused) = mmdr_persist::open_or_build(&path, backend, data, model, buffer_pages)
+        .expect("snapshot open/build");
+    if reused {
+        eprintln!("reused snapshot {}", path.display());
+    }
+    index.into_boxed()
 }
 
 #[cfg(test)]
@@ -74,14 +64,21 @@ mod tests {
         .unwrap();
         let dir = std::env::temp_dir().join(format!("mmdr-bench-cache-{}", std::process::id()));
         let dir_str = dir.to_str().unwrap().to_string();
-        let fresh = build_or_open_backend(None, "t", Backend::IDistance, &data, &model, 32);
-        // First call populates the cache, second reuses it.
+        // First call populates the cache, second reuses it: each answers
+        // as a fresh build does, and reads as many pages doing it.
         for _ in 0..2 {
+            let fresh = build_or_open_backend(None, "t", Backend::IDistance, &data, &model, 32);
             let cached =
                 build_or_open_backend(Some(&dir_str), "t", Backend::IDistance, &data, &model, 32);
-            let a = fresh.knn(data.row(5), 4).unwrap();
-            let b = cached.knn(data.row(5), 4).unwrap();
-            assert_eq!(a, b);
+            for row in [5, 77, 140] {
+                let a = fresh.knn(data.row(row), 4).unwrap();
+                let b = cached.knn(data.row(row), 4).unwrap();
+                assert_eq!(a, b);
+            }
+            assert_eq!(
+                fresh.query_stats().page_reads,
+                cached.query_stats().page_reads
+            );
         }
         let _ = std::fs::remove_dir_all(&dir);
     }

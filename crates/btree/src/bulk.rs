@@ -2,16 +2,20 @@
 //!
 //! Indexing a dimensionality-reduction result means indexing every point's
 //! 1-d key at once, and the index is never written again: every leaf but
-//! the last is packed full, on consecutive pages, in `O(n)` page writes,
-//! and each leaf's least key becomes its fence.
+//! the last is packed full, on consecutive pages, each written once, and
+//! each leaf's least key becomes its fence.
 
 use crate::error::{Error, Result};
 use crate::node::{Leaf, LEAF_CAPACITY};
 use crate::tree::BPlusTree;
-use mmdr_storage::BufferPool;
+use mmdr_storage::{BufferPool, DiskManager, Page};
+use std::sync::Arc;
 
 impl BPlusTree {
-    /// Builds a tree from `(key, code)` entries on a fresh pool: entry `n`
+    /// Builds a tree from `(key, code)` entries, read through a pool of
+    /// `pool_pages` frames: the leaves are written into pages the load
+    /// owns, then handed to the pool's disk, so the tree starts with no
+    /// page in a frame, as a reopened one does. Entry `n`
     /// of `entries` is the tree's position `n`, and leaf `j` holds entries
     /// `j·LEAF_CAPACITY` on, up to [`LEAF_CAPACITY`] of them, their codes
     /// in the order given. Within a leaf the entries may come in any order
@@ -20,12 +24,13 @@ impl BPlusTree {
     /// sorted by key always is. Returns [`Error::UnsortedInput`] at the
     /// first entry below a key of an earlier leaf and [`Error::InvalidKey`]
     /// on non-finite keys. An empty input is one empty leaf.
-    pub fn bulk_load(mut pool: BufferPool, entries: &[(f64, u64)]) -> Result<Self> {
+    pub fn bulk_load(pool_pages: usize, entries: &[(f64, u64)]) -> Result<Self> {
         if entries.iter().any(|&(k, _)| !k.is_finite()) {
             return Err(Error::InvalidKey);
         }
         let leaves = entries.len().div_ceil(LEAF_CAPACITY).max(1);
         let mut fences = Vec::with_capacity(leaves);
+        let mut pages = Vec::with_capacity(leaves);
         // The greatest key of the leaves written so far.
         let mut below = f64::NEG_INFINITY;
         for at in (0..leaves).map(|j| j * LEAF_CAPACITY) {
@@ -33,28 +38,20 @@ impl BPlusTree {
             if let Some(i) = chunk.iter().position(|&(k, _)| k < below) {
                 return Err(Error::UnsortedInput { position: at + i });
             }
-            let page_id = pool.allocate()?;
-            let (first, last) =
-                pool.with_page_mut(page_id, |p| Leaf::write(p, at as u64, chunk))??;
+            let mut page = Page::new();
+            let (first, last) = Leaf::write(&mut page, at as u64, chunk)?;
+            pages.push(Arc::new(page));
             fences.push(first);
             below = last;
         }
-        Ok(Self {
-            pool,
-            fences,
-            len: entries.len(),
-        })
+        let pool = BufferPool::new(DiskManager::from_pages(pages), pool_pages)?;
+        Self::from_parts(pool, fences, entries.len())
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mmdr_storage::DiskManager;
-
-    fn pool(pages: usize) -> BufferPool {
-        BufferPool::new(DiskManager::new(), pages).unwrap()
-    }
 
     /// Keys with a code derived from each entry's position.
     fn coded(keys: impl IntoIterator<Item = f64>) -> Vec<(f64, u64)> {
@@ -100,7 +97,7 @@ mod tests {
     #[test]
     fn bulk_load_small() {
         let entries = coded((0..10).map(f64::from));
-        let t = BPlusTree::bulk_load(pool(16), &entries).unwrap();
+        let t = BPlusTree::bulk_load(16, &entries).unwrap();
         assert_eq!(t.len(), 10);
         t.check_invariants().unwrap();
         assert_eq!(walked(&t), want(&entries));
@@ -111,7 +108,7 @@ mod tests {
     fn bulk_load_many_leaves() {
         let n = 100_000u64;
         let entries = coded((0..n).map(|i| i as f64 * 0.25));
-        let t = BPlusTree::bulk_load(pool(1024), &entries).unwrap();
+        let t = BPlusTree::bulk_load(1024, &entries).unwrap();
         assert_eq!(t.len(), n as usize);
         assert_eq!(t.fences().len(), (n as usize).div_ceil(LEAF_CAPACITY));
         // Spot checks: a seek stands before the leaf holding the key.
@@ -134,7 +131,7 @@ mod tests {
         for chunk in entries.chunks_mut(LEAF_CAPACITY) {
             chunk.reverse();
         }
-        let t = BPlusTree::bulk_load(pool(16), &entries).unwrap();
+        let t = BPlusTree::bulk_load(16, &entries).unwrap();
         t.check_invariants().unwrap();
         assert_eq!(walked(&t), want(&entries));
         let leaf = LEAF_CAPACITY as f64;
@@ -145,7 +142,7 @@ mod tests {
     fn leaves_are_packed_full_and_nothing_else_is_allocated() {
         for n in [0usize, 1, LEAF_CAPACITY, LEAF_CAPACITY + 1, 60_000] {
             let entries = coded((0..n).map(|i| i as f64));
-            let t = BPlusTree::bulk_load(pool(64), &entries).unwrap();
+            let t = BPlusTree::bulk_load(64, &entries).unwrap();
             assert_eq!(t.num_pages(), n.div_ceil(LEAF_CAPACITY).max(1), "n = {n}");
             assert_eq!(t.fences().len(), t.num_pages(), "n = {n}");
             t.check_invariants().unwrap();
@@ -158,7 +155,7 @@ mod tests {
         keys.extend([2.0; 1100]);
         keys.push(3.0);
         let entries = coded(keys);
-        let t = BPlusTree::bulk_load(pool(64), &entries).unwrap();
+        let t = BPlusTree::bulk_load(64, &entries).unwrap();
         assert_eq!(walked(&t), want(&entries));
         assert_eq!(t.fences(), [1.0, 2.0, 2.0]);
         t.check_invariants().unwrap();
@@ -166,7 +163,7 @@ mod tests {
 
     #[test]
     fn bulk_load_empty() {
-        let t = BPlusTree::bulk_load(pool(4), &[]).unwrap();
+        let t = BPlusTree::bulk_load(4, &[]).unwrap();
         assert!(t.is_empty());
         assert!(walked(&t).is_empty());
     }
@@ -175,17 +172,17 @@ mod tests {
     fn bulk_load_validates_input() {
         // Out of order inside a leaf is a leaf's business; below a key of an
         // earlier leaf is not.
-        assert!(BPlusTree::bulk_load(pool(4), &[(2.0, 0), (1.0, 1)]).is_ok());
+        assert!(BPlusTree::bulk_load(4, &[(2.0, 0), (1.0, 1)]).is_ok());
         let mut entries = coded((0..1000).map(f64::from));
         entries[LEAF_CAPACITY + 5].0 = (LEAF_CAPACITY - 1) as f64;
-        assert!(BPlusTree::bulk_load(pool(4), &entries).is_ok(), "a tie");
+        assert!(BPlusTree::bulk_load(4, &entries).is_ok(), "a tie");
         entries[LEAF_CAPACITY + 5].0 = 100.0;
         assert!(matches!(
-            BPlusTree::bulk_load(pool(4), &entries),
+            BPlusTree::bulk_load(4, &entries),
             Err(Error::UnsortedInput { position }) if position == LEAF_CAPACITY + 5
         ));
         assert!(matches!(
-            BPlusTree::bulk_load(pool(4), &[(f64::NAN, 0)]),
+            BPlusTree::bulk_load(4, &[(f64::NAN, 0)]),
             Err(Error::InvalidKey)
         ));
     }
@@ -193,7 +190,7 @@ mod tests {
     /// `(tree, leaves)` over `n` distinct keys `0, 1, …`.
     fn loaded(n: u64, frames: usize) -> (BPlusTree, Vec<(f64, u64)>, u64) {
         let entries = coded((0..n).map(|i| i as f64));
-        let t = BPlusTree::bulk_load(pool(frames), &entries).unwrap();
+        let t = BPlusTree::bulk_load(frames, &entries).unwrap();
         (t, entries, n.div_ceil(LEAF_CAPACITY as u64))
     }
 

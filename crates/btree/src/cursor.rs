@@ -91,7 +91,6 @@ impl Cursor {
 mod tests {
     use crate::node::LEAF_CAPACITY;
     use crate::BPlusTree;
-    use mmdr_storage::{BufferPool, DiskManager};
 
     /// Over keys `0, 1, …` in order: the first key of the leaf holding `at`.
     fn leaf_lo(at: usize) -> f64 {
@@ -102,8 +101,7 @@ mod tests {
     fn cloned_cursor_advances_independently() {
         let entries: Vec<(f64, u64)> = (0..1200).map(|i| (i as f64, i * i)).collect();
         let step = |at: usize| Some((leaf_lo(at), at as u64));
-        let pool = BufferPool::new(DiskManager::new(), 16).unwrap();
-        let t = BPlusTree::bulk_load(pool, &entries).unwrap();
+        let t = BPlusTree::bulk_load(16, &entries).unwrap();
         // Mid-leaf: the cursor stands before the second leaf.
         let mut a = t.seek(LEAF_CAPACITY as f64 + 90.0).unwrap();
         let mut b = a.clone();
@@ -125,8 +123,7 @@ mod tests {
     #[test]
     fn the_leaf_probes_say_where_the_next_step_leaves_the_leaf() {
         let entries: Vec<(f64, u64)> = (0..1200).map(|i| (i as f64, i)).collect();
-        let pool = BufferPool::new(DiskManager::new(), 16).unwrap();
-        let t = BPlusTree::bulk_load(pool, &entries).unwrap();
+        let t = BPlusTree::bulk_load(16, &entries).unwrap();
         // Steps `cursor` once either way and checks the probe said whether
         // it would leave the leaf it stood on: cross, or find nothing.
         let step = |cursor: &mut crate::Cursor, forward: bool| {

@@ -29,11 +29,10 @@
 //!
 //! ```
 //! use mmdr_btree::{BPlusTree, LEAF_CAPACITY};
-//! use mmdr_storage::{BufferPool, DiskManager};
 //!
-//! let pool = BufferPool::new(DiskManager::new(), 64).unwrap();
 //! let entries: Vec<(f64, u64)> = (0..2000u64).map(|i| (i as f64 * 0.5, i % 7)).collect();
-//! let tree = BPlusTree::bulk_load(pool, &entries).unwrap();
+//! // Read through a pool of 64 frames.
+//! let tree = BPlusTree::bulk_load(64, &entries).unwrap();
 //! // 400.0 is position 800's key, in the second leaf: the seek stands
 //! // before that leaf, and the leaf's range holds the key.
 //! let mut cursor = tree.seek(400.0).unwrap();

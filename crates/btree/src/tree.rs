@@ -23,8 +23,9 @@ pub struct BPlusTree {
 }
 
 impl BPlusTree {
-    /// Reattaches a tree to pages restored from a snapshot. `fences` and
-    /// `len` must be the values the saved tree reported
+    /// Puts a tree together from its pages — a bulk load's, or a
+    /// snapshot's, restored. `fences` and `len` must be the values the
+    /// saved tree reported
     /// ([`fences`](Self::fences), [`len`](Self::len)); the pool must hold
     /// that tree's page images. Reads no page: what is checked is that
     /// there is a fence per leaf `len` entries fill and a page per fence,
@@ -253,8 +254,7 @@ mod tests {
             .enumerate()
             .map(|(i, &k)| (k, (i * i) as u64))
             .collect();
-        let pool = BufferPool::new(DiskManager::new(), pool_pages).unwrap();
-        BPlusTree::bulk_load(pool, &entries).unwrap()
+        BPlusTree::bulk_load(pool_pages, &entries).unwrap()
     }
 
     fn upto(n: u64, scale: f64) -> Vec<f64> {

@@ -9,7 +9,6 @@
 //! the buffer pool (down to one frame: forced eviction).
 
 use mmdr_btree::{BPlusTree, LEAF_CAPACITY};
-use mmdr_storage::{BufferPool, DiskManager};
 use proptest::prelude::*;
 
 /// A finite `f64` of either sign and any magnitude from 1e-300 to 1e300.
@@ -96,8 +95,7 @@ proptest! {
         small in proptest::collection::vec(-1.0f64..13.0, 4),
         large in proptest::collection::vec((proptest::bool::ANY, -300.0f64..300.0), 4),
     ) {
-        let pool = BufferPool::new(DiskManager::new(), pool_pages).unwrap();
-        let tree = BPlusTree::bulk_load(pool, &entries).unwrap();
+        let tree = BPlusTree::bulk_load(pool_pages, &entries).unwrap();
         prop_assert_eq!(tree.len(), entries.len());
         tree.check_invariants().unwrap();
 

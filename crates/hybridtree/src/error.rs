@@ -24,7 +24,8 @@ pub enum Error {
         /// The offending dimensionality.
         dim: usize,
     },
-    /// Internal invariant violation (bug surfaced safely).
+    /// A node, or the metadata a tree is put together from, holds what no
+    /// bulk load writes (damage surfaced safely).
     Corrupt(&'static str),
 }
 

@@ -1,7 +1,7 @@
 //! Best-first KNN and range search over the hybrid tree.
 
 use crate::error::Result;
-use crate::node::{count, is_leaf, Internal, Leaf};
+use crate::node::{check, count, is_leaf, Internal, Leaf};
 use crate::tree::HybridTree;
 use mmdr_index::{KnnHeap, SearchFilter, Target};
 use mmdr_storage::{Page, PageId};
@@ -111,6 +111,7 @@ impl HybridTree {
             // for the whole node and no pool lock is held while distances
             // are computed, so concurrent KNN workers proceed in parallel.
             let page = self.pool.page(node.page)?;
+            check(&page, node.page, dim)?;
             if is_leaf(&page) {
                 // A distance counts once it is evaluated (abandoned
                 // part-way or not): a row the gate hides costs none.
@@ -177,6 +178,7 @@ impl HybridTree {
                 continue;
             }
             let node_page = self.pool.page(page)?;
+            check(&node_page, page, dim)?;
             if is_leaf(&node_page) {
                 // The next stack entry is the next region in walk order —
                 // for bulk-loaded trees, the right sibling leaf. Hint it
@@ -261,11 +263,6 @@ mod tests {
     use super::*;
     use crate::tree::HybridTree;
     use mmdr_linalg::Matrix;
-    use mmdr_storage::{BufferPool, DiskManager};
-
-    fn pool(pages: usize) -> BufferPool {
-        BufferPool::new(DiskManager::new(), pages).unwrap()
-    }
 
     /// An ungated search: no row hidden, no filter.
     fn search(tree: &HybridTree, query: &[f64], target: Target) -> Vec<(f64, u64)> {
@@ -300,7 +297,7 @@ mod tests {
     fn knn_matches_brute_force() {
         let points = random_points(2000, 6, 42);
         let rids: Vec<u64> = (0..2000).collect();
-        let tree = HybridTree::bulk_load(pool(1024), &points, &rids).unwrap();
+        let tree = HybridTree::bulk_load(1024, &points, &rids).unwrap();
         for qseed in [7u64, 99, 1234] {
             let q = random_points(1, 6, qseed);
             let query = q.row(0);
@@ -319,7 +316,7 @@ mod tests {
     fn knn_respects_k() {
         let points = random_points(100, 3, 5);
         let rids: Vec<u64> = (0..100).collect();
-        let tree = HybridTree::bulk_load(pool(128), &points, &rids).unwrap();
+        let tree = HybridTree::bulk_load(128, &points, &rids).unwrap();
         assert_eq!(search(&tree, points.row(0), Target::Knn(1)).len(), 1);
         assert_eq!(search(&tree, points.row(0), Target::Knn(100)).len(), 100);
         assert_eq!(search(&tree, points.row(0), Target::Knn(500)).len(), 100);
@@ -330,7 +327,7 @@ mod tests {
     fn exact_match_is_nearest() {
         let points = random_points(500, 4, 11);
         let rids: Vec<u64> = (0..500).collect();
-        let tree = HybridTree::bulk_load(pool(256), &points, &rids).unwrap();
+        let tree = HybridTree::bulk_load(256, &points, &rids).unwrap();
         let r = search(&tree, points.row(123), Target::Knn(1));
         assert_eq!(r[0].1, 123);
         assert!(r[0].0 < 1e-12);
@@ -343,7 +340,7 @@ mod tests {
         let rows = vec![vec![0.25; 3]; 20];
         let points = Matrix::from_rows(&rows).unwrap();
         let rids: Vec<u64> = (0..20).collect();
-        let tree = HybridTree::bulk_load(pool(32), &points, &rids).unwrap();
+        let tree = HybridTree::bulk_load(32, &points, &rids).unwrap();
         let r = search(&tree, &[0.25; 3], Target::Knn(5));
         let ids: Vec<u64> = r.iter().map(|&(_, id)| id).collect();
         assert_eq!(ids, vec![0, 1, 2, 3, 4]);
@@ -353,7 +350,7 @@ mod tests {
     fn pruning_saves_io_versus_full_scan() {
         let points = random_points(5000, 4, 3);
         let rids: Vec<u64> = (0..5000).collect();
-        let tree = HybridTree::bulk_load(pool(4), &points, &rids).unwrap();
+        let tree = HybridTree::bulk_load(4, &points, &rids).unwrap();
         let total_pages = tree.pool().num_pages() as u64;
         let before = tree.pool().snapshot();
         let _ = search(&tree, points.row(0), Target::Knn(5));
@@ -368,7 +365,7 @@ mod tests {
     fn counters_tick() {
         let points = random_points(300, 4, 17);
         let rids: Vec<u64> = (0..300).collect();
-        let tree = HybridTree::bulk_load(pool(64), &points, &rids).unwrap();
+        let tree = HybridTree::bulk_load(64, &points, &rids).unwrap();
         let counters = tree.counters();
         assert_eq!(
             counters.dist_computations(),
@@ -386,7 +383,7 @@ mod tests {
     fn a_row_the_gate_hides_costs_no_distance() {
         let points = random_points(300, 4, 17);
         let rids: Vec<u64> = (0..300).collect();
-        let tree = HybridTree::bulk_load(pool(64), &points, &rids).unwrap();
+        let tree = HybridTree::bulk_load(64, &points, &rids).unwrap();
         let counters = tree.counters();
         let hidden: HashSet<u64> = (0..100).collect();
         let passing = SearchFilter::from_rows(mmdr_index::RowFilter::from_fn(300, |id| id >= 270));
@@ -414,7 +411,7 @@ mod tests {
     fn range_search_matches_brute_force() {
         let points = random_points(1500, 5, 77);
         let rids: Vec<u64> = (0..1500).collect();
-        let tree = HybridTree::bulk_load(pool(512), &points, &rids).unwrap();
+        let tree = HybridTree::bulk_load(512, &points, &rids).unwrap();
         for (qseed, radius) in [(5u64, 0.2), (21, 0.5), (40, 1.0)] {
             let q = random_points(1, 5, qseed);
             let query = q.row(0);
@@ -440,7 +437,7 @@ mod tests {
     #[test]
     fn empty_tree_returns_nothing() {
         let points = Matrix::zeros(0, 3);
-        let tree = HybridTree::bulk_load(pool(4), &points, &[]).unwrap();
+        let tree = HybridTree::bulk_load(4, &points, &[]).unwrap();
         assert!(search(&tree, &[0.0, 0.0, 0.0], Target::Knn(5)).is_empty());
         assert!(search(&tree, &[0.0, 0.0, 0.0], Target::Range(1.0)).is_empty());
     }

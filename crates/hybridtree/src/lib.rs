@@ -1,6 +1,6 @@
 //! A paged multidimensional index in the style of the Hybrid tree
 //! (Chakrabarti & Mehrotra, ICDE 1999) — the index used by the paper's
-//! **gLDR** comparator ("Global indexing method [5] on LDR data").
+//! **gLDR** comparator ("Global indexing method \[5\] on LDR data").
 //!
 //! The Hybrid tree is a kd-tree whose single-dimension splits are packed
 //! into disk pages. This reproduction keeps the two properties the paper's

@@ -34,6 +34,31 @@ const INTERNAL_BOUNDS_OFFSET: usize = 5;
 const NODE_LEAF: u8 = 0;
 const NODE_INTERNAL: u8 = 1;
 
+/// Checks a fetched node's header against what a bulk load writes, once,
+/// so that the accessors below read only inside the page: a type byte
+/// that is neither leaf nor internal, a leaf holding more entries than fit
+/// at `dim`, an internal node with fewer than two children or more than
+/// fit, a split dimension past `dim`, or a child not below page `id` is
+/// refused. (A load writes children before their parent, so a walk that
+/// only descends to lower pages never comes back to one.)
+pub fn check(page: &Page, id: PageId, dim: usize) -> Result<()> {
+    let n = count(page);
+    let written = match page.get_u8(TYPE_OFFSET)? {
+        NODE_LEAF => n <= leaf_capacity(dim),
+        NODE_INTERNAL => {
+            (2..=internal_capacity()).contains(&n)
+                && Internal::split_dim(page) < dim
+                && (0..n).all(|i| Internal::child(page, i) < id)
+        }
+        _ => false,
+    };
+    if written {
+        Ok(())
+    } else {
+        Err(Error::Corrupt("a node header no bulk load writes"))
+    }
+}
+
 /// True when the page holds a leaf.
 pub fn is_leaf(page: &Page) -> bool {
     page.get_u8(TYPE_OFFSET).expect("header") == NODE_LEAF
@@ -204,6 +229,38 @@ mod tests {
         assert_eq!(Internal::boundary(&p, 1), 2.0);
         assert_eq!(Internal::child(&p, 0), 10);
         assert_eq!(Internal::child(&p, 2), 12);
+    }
+
+    #[test]
+    fn a_header_no_load_writes_is_refused() {
+        let dim = 4;
+        let mut leaf = Page::new();
+        Leaf::init(&mut leaf);
+        let mut internal = Page::new();
+        Internal::init(&mut internal, 3, &[1.0], &[0, 1]).unwrap();
+        assert!(check(&leaf, 0, dim).is_ok());
+        assert!(check(&internal, 2, dim).is_ok());
+        type Damage = fn(&mut Page);
+        let damaged: [(&Page, PageId, Damage); 6] = [
+            (&leaf, 0, |p| {
+                p.put_u16(COUNT_OFFSET, 1 + leaf_capacity(4) as u16)
+                    .unwrap()
+            }),
+            (&leaf, 0, |p| p.put_u8(TYPE_OFFSET, 2).unwrap()),
+            (&internal, 2, |p| p.put_u16(COUNT_OFFSET, 0).unwrap()),
+            (&internal, 2, |p| p.put_u16(COUNT_OFFSET, u16::MAX).unwrap()),
+            (&internal, 2, |p| p.put_u16(INTERNAL_DIM_OFFSET, 4).unwrap()),
+            // A child that is not below its parent: the parent itself.
+            (&internal, 1, |_| ()),
+        ];
+        for (i, (page, id, damage)) in damaged.into_iter().enumerate() {
+            let mut page = page.clone();
+            damage(&mut page);
+            assert!(
+                matches!(check(&page, id, dim), Err(Error::Corrupt(_))),
+                "case {i}"
+            );
+        }
     }
 
     #[test]

@@ -1,10 +1,11 @@
 //! Bulk construction of the hybrid tree.
 
 use crate::error::{Error, Result};
-use crate::node::{count, is_leaf, leaf_capacity, Internal, Leaf};
+use crate::node::{check, count, is_leaf, leaf_capacity, Internal, Leaf};
 use mmdr_index::SearchCounters;
 use mmdr_linalg::Matrix;
-use mmdr_storage::{BufferPool, PageId};
+use mmdr_storage::{BufferPool, DiskManager, Page, PageId};
+use std::sync::Arc;
 
 /// Most children an internal node gets. The original Hybrid tree packs
 /// binary kd splits into pages; a modest multiway fanout per page is the
@@ -24,8 +25,12 @@ pub struct HybridTree {
 
 impl HybridTree {
     /// Builds a tree over `points` (rows) tagged with `rids`, with at most
-    /// [`DEFAULT_FANOUT`] children to an internal node.
-    pub fn bulk_load(mut pool: BufferPool, points: &Matrix, rids: &[u64]) -> Result<Self> {
+    /// [`DEFAULT_FANOUT`] children to an internal node, read through a pool
+    /// of `pool_pages` frames. Every node is written once, into a page the
+    /// load owns, children before their parent; the pages are then handed
+    /// to the pool's disk, so the tree starts with no page in a frame, as a
+    /// reopened one does.
+    pub fn bulk_load(pool_pages: usize, points: &Matrix, rids: &[u64]) -> Result<Self> {
         let dim = points.cols();
         if points.rows() != rids.len() {
             return Err(Error::InputMismatch {
@@ -37,33 +42,29 @@ impl HybridTree {
             return Err(Error::UnsupportedDimensionality { dim });
         }
         let mut order: Vec<usize> = (0..points.rows()).collect();
-        let mut height = 0;
-        let root = if order.is_empty() {
-            // Empty tree: a single empty leaf.
-            let id = pool.allocate()?;
-            pool.with_page_mut(id, Leaf::init)?;
-            height = 1;
-            id
-        } else {
-            build(&mut pool, points, rids, &mut order[..], dim, 1, &mut height)?
-        };
-        Ok(Self {
-            pool,
-            root,
+        let mut pages = Vec::new();
+        let mut height = 1;
+        // An empty tree is a single empty leaf.
+        let root = build(
+            &mut pages,
+            points,
+            rids,
+            &mut order[..],
             dim,
-            search: SearchCounters::default(),
-            len: rids.len(),
-            height,
-        })
+            1,
+            &mut height,
+        )?;
+        let pool = BufferPool::new(DiskManager::from_pages(pages), pool_pages)?;
+        Self::from_parts(pool, root, dim, rids.len(), height)
     }
 
-    /// Reattaches a tree to pages restored from a snapshot. The metadata
-    /// must be the values the saved tree reported
+    /// Puts a tree together from its pages — a bulk load's, or a
+    /// snapshot's, restored — and its metadata: the values the saved tree
+    /// reported
     /// ([`root_page_id`](Self::root_page_id), [`dim`](Self::dim),
     /// [`len`](Self::len), [`height`](Self::height)); the pool must hold
-    /// that tree's page images. Page contents are protected by the snapshot
-    /// layer's checksums, so validation here is limited to cheap
-    /// invariants.
+    /// that tree's page images. Reads no page: a node's header is checked
+    /// where a walk fetches it.
     pub fn from_parts(
         pool: BufferPool,
         root: PageId,
@@ -116,6 +117,7 @@ impl HybridTree {
         let mut stack = vec![self.root];
         while let Some(page_id) = stack.pop() {
             let page = self.pool.page(page_id)?;
+            check(&page, page_id, self.dim)?;
             let n = count(&page);
             if is_leaf(&page) {
                 for i in 0..n {
@@ -158,10 +160,10 @@ impl HybridTree {
     }
 }
 
-/// Recursively builds the subtree over `order` (indices into `points`),
-/// returning its root page.
+/// Recursively builds the subtree over `order` (indices into `points`)
+/// into `pages`, returning its root page: the last one written.
 fn build(
-    pool: &mut BufferPool,
+    pages: &mut Vec<Arc<Page>>,
     points: &Matrix,
     rids: &[u64],
     order: &mut [usize],
@@ -172,15 +174,13 @@ fn build(
     *height = (*height).max(level);
     let cap = leaf_capacity(dim);
     if order.len() <= cap {
-        let id = pool.allocate()?;
-        pool.with_page_mut(id, |p| -> Result<()> {
-            Leaf::init(p);
-            for &i in order.iter() {
-                Leaf::push(p, dim, rids[i], points.row(i))?;
-            }
-            Ok(())
-        })??;
-        return Ok(id);
+        let mut page = Page::new();
+        Leaf::init(&mut page);
+        for &i in order.iter() {
+            Leaf::push(&mut page, dim, rids[i], points.row(i))?;
+        }
+        pages.push(Arc::new(page));
+        return Ok(pages.len() as PageId - 1);
     }
 
     // Split along the dimension with the largest spread (kd heuristic the
@@ -206,14 +206,15 @@ fn build(
         // Recurse on the chunk; split_unstable borrows disjoint ranges.
         let child = {
             let sub = &mut order[start..end];
-            build(pool, points, rids, sub, dim, level + 1, height)?
+            build(pages, points, rids, sub, dim, level + 1, height)?
         };
         children.push(child);
         start = end;
     }
-    let id = pool.allocate()?;
-    pool.with_page_mut(id, |p| Internal::init(p, split_dim, &boundaries, &children))??;
-    Ok(id)
+    let mut page = Page::new();
+    Internal::init(&mut page, split_dim, &boundaries, &children)?;
+    pages.push(Arc::new(page));
+    Ok(pages.len() as PageId - 1)
 }
 
 /// The dimension with maximum (max − min) spread over the subset.
@@ -242,12 +243,7 @@ fn max_spread_dim(points: &Matrix, order: &[usize], dim: usize) -> usize {
 mod tests {
     use super::*;
     use mmdr_index::Target;
-    use mmdr_storage::DiskManager;
     use std::collections::HashSet;
-
-    fn pool(pages: usize) -> BufferPool {
-        BufferPool::new(DiskManager::new(), pages).unwrap()
-    }
 
     fn grid_points(n: usize, dim: usize) -> (Matrix, Vec<u64>) {
         let rows: Vec<Vec<f64>> = (0..n)
@@ -264,7 +260,7 @@ mod tests {
     #[test]
     fn builds_and_reports_shape() {
         let (points, rids) = grid_points(2000, 8);
-        let t = HybridTree::bulk_load(pool(512), &points, &rids).unwrap();
+        let t = HybridTree::bulk_load(512, &points, &rids).unwrap();
         assert_eq!(t.len(), 2000);
         assert_eq!(t.dim(), 8);
         assert!(t.height() >= 2);
@@ -274,7 +270,7 @@ mod tests {
     #[test]
     fn from_parts_reattaches_exported_pages() {
         let (points, rids) = grid_points(500, 4);
-        let t = HybridTree::bulk_load(pool(64), &points, &rids).unwrap();
+        let t = HybridTree::bulk_load(64, &points, &rids).unwrap();
         let q = [0.3, 0.4, 0.5, 0.6];
         let none = HashSet::new();
         let want = t.search_gated(&q, Target::Knn(7), &none, None).unwrap();
@@ -291,8 +287,14 @@ mod tests {
         let got = back.search_gated(&q, Target::Knn(7), &none, None).unwrap();
         assert_eq!(got, want);
         assert!(
-            HybridTree::from_parts(BufferPool::new(DiskManager::new(), 4).unwrap(), 5, 4, 1, 1)
-                .is_err(),
+            HybridTree::from_parts(
+                BufferPool::new(DiskManager::default(), 4).unwrap(),
+                5,
+                4,
+                1,
+                1
+            )
+            .is_err(),
             "root beyond the page set is rejected"
         );
     }
@@ -300,7 +302,7 @@ mod tests {
     #[test]
     fn empty_input_builds_empty_tree() {
         let points = Matrix::zeros(0, 4);
-        let t = HybridTree::bulk_load(pool(4), &points, &[]).unwrap();
+        let t = HybridTree::bulk_load(4, &points, &[]).unwrap();
         assert!(t.is_empty());
         assert_eq!(t.height(), 1);
     }
@@ -309,12 +311,12 @@ mod tests {
     fn validates_inputs() {
         let (points, _) = grid_points(10, 4);
         assert!(matches!(
-            HybridTree::bulk_load(pool(8), &points, &[1, 2]),
+            HybridTree::bulk_load(8, &points, &[1, 2]),
             Err(Error::InputMismatch { .. })
         ));
         let wide = Matrix::zeros(1, 600);
         assert!(matches!(
-            HybridTree::bulk_load(pool(8), &wide, &[0]),
+            HybridTree::bulk_load(8, &wide, &[0]),
             Err(Error::UnsupportedDimensionality { .. })
         ));
     }
@@ -325,8 +327,8 @@ mod tests {
         // with dimensionality for the same number of points.
         let (p8, r8) = grid_points(3000, 8);
         let (p32, r32) = grid_points(3000, 32);
-        let t8 = HybridTree::bulk_load(pool(4096), &p8, &r8).unwrap();
-        let t32 = HybridTree::bulk_load(pool(4096), &p32, &r32).unwrap();
+        let t8 = HybridTree::bulk_load(4096, &p8, &r8).unwrap();
+        let t32 = HybridTree::bulk_load(4096, &p32, &r32).unwrap();
         assert!(
             t32.pool.num_pages() > 2 * t8.pool.num_pages(),
             "{} vs {}",
@@ -340,7 +342,7 @@ mod tests {
         let rows = vec![vec![0.5; 4]; 500];
         let points = Matrix::from_rows(&rows).unwrap();
         let rids: Vec<u64> = (0..500).collect();
-        let t = HybridTree::bulk_load(pool(256), &points, &rids).unwrap();
+        let t = HybridTree::bulk_load(256, &points, &rids).unwrap();
         assert_eq!(t.len(), 500);
     }
 }

@@ -1,19 +1,15 @@
-//! Uniform construction of the three KNN backends from a reduction result.
+//! The three KNN backends, by name.
 //!
 //! Every comparison scheme in the evaluation answers the same question —
 //! nearest neighbours under the reduced-representation distance
 //! `‖q − restore(Pᵢ)‖` — so they can all be built from the same
-//! `(data, model)` pair and queried through [`VectorIndex`]. The benchmark
-//! binaries and the CLI's `--backend` flag both go through this factory.
+//! `(data, model)` pair ([`crate::build_index`]) and queried through
+//! [`mmdr_index::VectorIndex`]. The CLI's `build-index --backend` flag and
+//! the benchmark binaries name a backend by [`Backend::name`].
 
-use crate::error::Result;
-use crate::layout::build_index;
-use mmdr_core::ReductionResult;
-use mmdr_index::VectorIndex;
-use mmdr_linalg::Matrix;
 use std::str::FromStr;
 
-/// The three KNN backends behind [`VectorIndex`].
+/// The three KNN backends behind [`mmdr_index::VectorIndex`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Backend {
     /// Sequential scan of the reduced heap pages (the paper's baseline).
@@ -61,23 +57,13 @@ impl FromStr for Backend {
     }
 }
 
-/// Builds the chosen backend over `data` as reduced by `model`, behind a
-/// `buffer_pages`-page pool. All three share the reduced-representation
-/// distance, so their answers agree (up to floating-point rounding between
-/// axis systems) and their [`mmdr_index::QueryStats`] are comparable.
-pub fn build_backend(
-    backend: Backend,
-    data: &Matrix,
-    model: &ReductionResult,
-    buffer_pages: usize,
-) -> Result<Box<dyn VectorIndex>> {
-    Ok(build_index(backend, data, model, buffer_pages)?.into_boxed())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::build_index;
     use mmdr_core::{Mmdr, MmdrParams};
+    use mmdr_index::VectorIndex;
+    use mmdr_linalg::Matrix;
 
     /// An answer as `(distance bits, id)` pairs.
     fn bits(hits: &[(f64, u64)]) -> Vec<(u64, u64)> {
@@ -134,7 +120,7 @@ mod tests {
             let per_budget: Vec<_> = [0, 1, 64]
                 .into_iter()
                 .map(|pages| {
-                    let index = build_backend(b, &data, &model, pages).unwrap();
+                    let index = build_index(b, &data, &model, pages).unwrap().into_boxed();
                     assert_eq!(index.name(), b.name());
                     assert_eq!(index.len(), data.rows());
                     assert_eq!(index.dim(), 4);

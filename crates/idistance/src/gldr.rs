@@ -10,7 +10,6 @@ use mmdr_hybridtree::HybridTree;
 use mmdr_index::{DeltaLayer, KnnHeap, SearchCounters, SearchFilter, Target};
 use mmdr_linalg::Matrix;
 use mmdr_pca::ReducedSubspace;
-use mmdr_storage::{BufferPool, DiskManager};
 use std::cmp::Ordering;
 
 /// One cluster's index: the subspace plus a hybrid tree over the members'
@@ -97,8 +96,7 @@ impl GlobalLdrIndex {
                 continue; // no outliers, no outlier tree
             }
             len += rids.len();
-            let pool = BufferPool::new(DiskManager::new(), pages_each)?;
-            let tree = HybridTree::bulk_load(pool, &points, &rids)?;
+            let tree = HybridTree::bulk_load(pages_each, &points, &rids)?;
             match subspace {
                 Some(subspace) => clusters.push((subspace.clone(), tree, max_radius)),
                 None => outlier_tree = Some(tree),

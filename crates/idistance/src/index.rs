@@ -3,13 +3,13 @@
 use crate::codes::Codebook;
 use crate::error::{Error, Result};
 use crate::layout::{data_rows, partition_ids, stored_values, BaseCodes, KeySpace, PartitionRows};
-use crate::vector_heap::VectorHeap;
+use crate::vector_heap::{HeapWriter, VectorHeap};
 use mmdr_btree::BPlusTree;
 use mmdr_core::{EllipsoidCluster, ReductionResult};
 use mmdr_index::{DeltaLayer, SearchCounters};
 use mmdr_linalg::Matrix;
 use mmdr_pca::ReducedSubspace;
-use mmdr_storage::{BufferPool, DiskManager, PageId};
+use mmdr_storage::PageId;
 use std::sync::{Mutex, OnceLock, PoisonError};
 
 /// Per-partition search metadata (the paper's auxiliary arrays: centroids,
@@ -194,9 +194,8 @@ impl IDistanceIndex {
             c_floor,
             codes: base,
         } = keys;
-        let pool = || BufferPool::new(DiskManager::new(), (buffer_pages / 2).max(1));
-        let tree_pool = pool()?;
-        let mut heap = VectorHeap::new(pool()?);
+        let pool_pages = (buffer_pages / 2).max(1);
+        let mut heap = HeapWriter::default();
 
         let mut partitions: Vec<PartitionInfo> = Vec::with_capacity(model.clusters.len() + 1);
         // (key distance, code) in key order, partition after partition;
@@ -268,17 +267,17 @@ impl IDistanceIndex {
             .iter_mut()
             .zip(slots)
             .for_each(|(entry, slot)| entry.0 += slot);
-        let tree = BPlusTree::bulk_load(tree_pool, &staged)?;
-        Self::from_parts(tree, heap, partitions, c, model.dim)
+        let tree = BPlusTree::bulk_load(pool_pages, &staged)?;
+        Self::from_parts(tree, heap.finish(pool_pages)?, partitions, c, model.dim)
     }
 
     /// Reassembles an index from parts restored from a snapshot: a
     /// reattached B⁺-tree and heap (see [`BPlusTree::from_parts`] and
     /// [`VectorHeap::from_parts`]), the partition metadata, and the scalar
     /// state [`build`](Self::build) computed. Where each partition's rows
-    /// lie follows from the counts and widths alone (see [`Run`]), so it is
-    /// worked out here and never stored; which record each position names
-    /// is learned from the leaves ([`placement`](Self::placement)). Reads
+    /// lie follows from the counts and widths alone, so it is worked out
+    /// here and never stored; which record each position names is learned
+    /// from the leaves by the first search that opens the partition. Reads
     /// no page. The index counts through the two pools it is given, like a
     /// built one.
     pub fn from_parts(
@@ -486,7 +485,7 @@ mod tests {
     use crate::layout::BuiltIndex;
     use mmdr_core::{Mmdr, MmdrParams, PointAssignment};
     use mmdr_index::VectorIndex;
-    use mmdr_storage::Page;
+    use mmdr_storage::{BufferPool, DiskManager, Page};
     use std::sync::Arc;
 
     fn dataset() -> Matrix {
@@ -596,7 +595,7 @@ mod tests {
         let mut images = heap.pool().export_pages().unwrap();
         images.push(Arc::new(Page::new()));
         let pool = BufferPool::new(DiskManager::from_pages(images), 8).unwrap();
-        let heap = VectorHeap::from_parts(pool, None, heap.len(), pages).unwrap();
+        let heap = VectorHeap::from_parts(pool, heap.len(), pages).unwrap();
         let got = IDistanceIndex::from_parts(tree, heap, partitions, c, dim);
         assert!(matches!(got, Err(Error::InvalidConfig(_))));
     }

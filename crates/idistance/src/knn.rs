@@ -1046,7 +1046,7 @@ mod tests {
             // The spare holds no record, and the heap appends no more.
             let mut ids = heap.id_pages().to_vec();
             ids.push(Vec::new());
-            let heap = VectorHeap::from_parts(pool, None, heap.len(), ids).unwrap();
+            let heap = VectorHeap::from_parts(pool, heap.len(), ids).unwrap();
             let index = IDistanceIndex::from_parts(tree, heap, partitions, c, dim).unwrap();
             // Every placement table learned up front: a walk's tree fetches
             // are its own, whichever walk comes first.

@@ -82,7 +82,7 @@ impl BuiltIndex {
     }
 
     /// Consumes the enum into the boxed trait object the query executors
-    /// take — the shape [`crate::build_backend`] returns.
+    /// take.
     pub fn into_boxed(self) -> Box<dyn VectorIndex> {
         match self {
             BuiltIndex::SeqScan(i) => Box::new(i),
@@ -405,9 +405,11 @@ pub fn load_exact<'a>(
     })
 }
 
-/// Builds the chosen backend over `data` as reduced by `model`, as a
-/// [`BuiltIndex`] — the concrete-type sibling of [`crate::build_backend`],
-/// which erases it.
+/// Builds the chosen backend over `data` as reduced by `model`, behind a
+/// `buffer_pages`-page budget, as a [`BuiltIndex`]. All three share the
+/// reduced-representation distance, so their answers agree (up to
+/// floating-point rounding between axis systems) and their
+/// [`mmdr_index::QueryStats`] are comparable.
 pub fn build_index(
     backend: Backend,
     data: &Matrix,

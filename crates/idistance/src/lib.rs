@@ -51,7 +51,7 @@ mod seqscan;
 mod vector_heap;
 mod vector_index;
 
-pub use backend::{build_backend, Backend};
+pub use backend::Backend;
 pub use codes::Codebook;
 pub use error::{Error, Result};
 pub use gldr::GlobalLdrIndex;
@@ -65,4 +65,4 @@ pub use layout::{
 // re-exported because every backend consumer needs them together.
 pub use mmdr_index::{QueryStats, VectorIndex};
 pub use seqscan::SeqScan;
-pub use vector_heap::{Record, VectorHeap};
+pub use vector_heap::{HeapWriter, Record, VectorHeap};

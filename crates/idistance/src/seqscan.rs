@@ -5,12 +5,11 @@
 use crate::error::{Error, Result};
 use crate::knn::query_geometry;
 use crate::layout::{data_rows, partition_ids, stored_values, PartitionRows};
-use crate::vector_heap::VectorHeap;
+use crate::vector_heap::{HeapWriter, VectorHeap};
 use mmdr_core::ReductionResult;
 use mmdr_index::{DeltaLayer, KnnHeap, SearchCounters, SearchFilter};
 use mmdr_linalg::Matrix;
 use mmdr_pca::ReducedSubspace;
-use mmdr_storage::{BufferPool, DiskManager};
 
 /// Sequential-scan KNN over heap pages of reduced points.
 #[derive(Debug)]
@@ -43,8 +42,7 @@ impl SeqScan {
         buffer_pages: usize,
         rows: &mut PartitionRows<'_>,
     ) -> Result<Self> {
-        let pool = BufferPool::new(DiskManager::new(), buffer_pages.max(1))?;
-        let mut heap = VectorHeap::new(pool);
+        let mut heap = HeapWriter::default();
         for part in partition_ids(model) {
             let partition = part.unwrap_or(model.clusters.len()) as u32;
             for (id, mut coords) in rows(part)? {
@@ -52,13 +50,13 @@ impl SeqScan {
                 heap.append(partition, id, &coords)?;
             }
         }
-        Self::from_parts(heap, model)
+        Self::from_parts(heap.finish(buffer_pages.max(1))?, model)
     }
 
     /// Reattaches a scan to a heap restored from a snapshot. The partition
     /// subspaces are rebuilt from the reduction model the snapshot stores
-    /// (cluster order is the heap's partition order, exactly as
-    /// [`load`](Self::load) laid it out). The heap holds live rows only,
+    /// (cluster order is the heap's partition order, exactly as the load
+    /// laid it out). The heap holds live rows only,
     /// so it may be smaller than the model's id space.
     pub fn from_parts(heap: VectorHeap, model: &ReductionResult) -> Result<Self> {
         if heap.len() > model.num_points as u64 {

@@ -27,14 +27,19 @@
 //!
 //! The point ids live beside the pages, in the **id column**: every
 //! record's id in record order, held page by page.
-//! [`append`](VectorHeap::append) writes it with the page, a snapshot saves
-//! it as a section of its own, and [`VectorHeap::point_id`] reads it
-//! without pinning a page — so a search puts a row to its filter and its
+//! [`HeapWriter::append`] writes it with the page, a snapshot saves it as a
+//! section of its own, and [`VectorHeap::point_id`] reads it without
+//! pinning a page — so a search puts a row to its filter and its
 //! tombstones before it spends a page on the row.
+//!
+//! A heap is written once, by its load, through a [`HeapWriter`]: the
+//! pages are the writer's own until [`HeapWriter::finish`] hands them to
+//! the pool the finished heap is read through.
 
 use crate::error::{Error, Result};
-use mmdr_storage::{BufferPool, Page, PageId, PageSet, PAGE_SIZE};
+use mmdr_storage::{BufferPool, DiskManager, Page, PageId, PageSet, PAGE_SIZE};
 use std::num::NonZeroU16;
+use std::sync::Arc;
 
 const HEADER: usize = 8;
 
@@ -141,45 +146,78 @@ impl IdColumn {
 #[derive(Debug)]
 pub struct VectorHeap {
     pool: BufferPool,
-    /// Page currently being filled, with its partition id and dim.
-    open: Option<(PageId, u32, NonZeroU16)>,
     column: Box<IdColumn>,
 }
 
-impl VectorHeap {
-    /// Creates an empty heap in the pool.
-    pub fn new(pool: BufferPool) -> Self {
-        Self {
-            pool,
-            open: None,
-            column: Box::default(),
+/// The load of a [`VectorHeap`]: appends records into pages it owns, one
+/// partition and width to a page, and [`finish`](Self::finish)es into the
+/// heap, whose pool reads those pages. The only writer of a heap page.
+#[derive(Debug, Default)]
+pub struct HeapWriter {
+    pages: Vec<Page>,
+    /// The partition and width of the last page while it takes records.
+    open: Option<(u32, NonZeroU16)>,
+    column: IdColumn,
+}
+
+impl HeapWriter {
+    /// Appends a record for `partition`, returning its rid. Starts a new
+    /// page when the partition/width changes or the page fills. The
+    /// coordinates are in the stored form
+    /// ([`crate::layout::stored_values`]): each is written as the `f32` it
+    /// already equals. Every record is a live row, so the id `u64::MAX` —
+    /// an older build's mark of a dead one — is refused.
+    pub fn append(&mut self, partition: u32, point_id: u64, coords: &[f64]) -> Result<u64> {
+        if point_id == u64::MAX {
+            return Err(Error::ReservedId);
         }
+        let dim = coords.len();
+        let width = VectorHeap::width(dim)?;
+        let room = (self.column.pages.last())
+            .is_some_and(|ids| ids.len() < VectorHeap::page_capacity(dim));
+        if self.open != Some((partition, width)) || !room {
+            let mut page = Page::new();
+            page.put_u32(0, partition)?;
+            page.put_u16(4, width.get())?;
+            self.pages.push(page);
+            self.column
+                .pages
+                .push(Vec::with_capacity(VectorHeap::page_capacity(dim)));
+            self.open = Some((partition, width));
+        }
+        let at = self.pages.len() - 1;
+        let (page, ids) = (&mut self.pages[at], &mut self.column.pages[at]);
+        let slot = ids.len();
+        let base = HEADER + slot * COORD * dim;
+        for (j, &c) in coords.iter().enumerate() {
+            page.put_f32(base + COORD * j, c as f32)?;
+        }
+        page.put_u16(6, slot as u16 + 1)?;
+        ids.push(point_id);
+        self.column.len += 1;
+        Ok(((at as u64) << 16) | slot as u64)
     }
 
-    /// Reattaches a heap to pages restored from a snapshot, with its id
-    /// column: per heap page, its records' point ids in slot order
-    /// ([`id_pages`](Self::id_pages)). `open` and `len` must be the values
-    /// the saved heap reported ([`open_page`](Self::open_page),
-    /// [`len`](Self::len)); restoring the open-page state makes post-reopen
-    /// appends land exactly where post-build appends would, so record ids
-    /// stay reproducible. A column that does not fit the pages — another
-    /// page count, a page holding more records than any page can, ids that
-    /// do not add up to `len`, the reserved id — is refused; a page whose
-    /// width holds fewer is refused where the page is read. Reads no page.
-    pub fn from_parts(
-        pool: BufferPool,
-        open: Option<(PageId, u32, usize)>,
-        len: u64,
-        id_pages: Vec<Vec<u64>>,
-    ) -> Result<Self> {
-        let open = match open {
-            // Appends go to the last page: the column grows at its end.
-            Some((page, _, _)) if page.checked_add(1) != Some(pool.num_pages() as u64) => {
-                return Err(Error::BadRecordId(page << 16));
-            }
-            Some((page, partition, dim)) => Some((page, partition, Self::width(dim)?)),
-            None => None,
-        };
+    /// The heap the records make, read through a pool of `pool_pages`
+    /// frames that starts with no page in a frame, as a reopened heap's
+    /// does.
+    pub fn finish(self, pool_pages: usize) -> Result<VectorHeap> {
+        let pages = self.pages.into_iter().map(Arc::new).collect();
+        let pool = BufferPool::new(DiskManager::from_pages(pages), pool_pages)?;
+        VectorHeap::from_parts(pool, self.column.len, self.column.pages)
+    }
+}
+
+impl VectorHeap {
+    /// Puts a heap together from its pages — a [`HeapWriter`]'s, or a
+    /// snapshot's, restored — and its id column: per heap page, its
+    /// records' point ids in slot order ([`id_pages`](Self::id_pages)),
+    /// `len` in all ([`len`](Self::len)). A column that does not fit the
+    /// pages — another page count, a page holding more records than any
+    /// page can, ids that do not add up to `len`, the reserved id — is
+    /// refused; a page whose width holds fewer is refused where the page is
+    /// read. Reads no page.
+    pub fn from_parts(pool: BufferPool, len: u64, id_pages: Vec<Vec<u64>>) -> Result<Self> {
         let most = Self::page_capacity(1);
         if id_pages.len() != pool.num_pages()
             || id_pages.iter().any(|ids| ids.len() > most)
@@ -194,7 +232,6 @@ impl VectorHeap {
         }
         Ok(Self {
             pool,
-            open,
             column: Box::new(IdColumn {
                 pages: id_pages,
                 len,
@@ -209,14 +246,6 @@ impl VectorHeap {
             .filter(|_| Self::page_capacity(dim) > 0)
             .and_then(NonZeroU16::new)
             .ok_or(Error::InvalidConfig("record width must fit a page"))
-    }
-
-    /// The partially-filled page appends currently land in, as
-    /// `(page, partition, dim)` — persisted so
-    /// [`from_parts`](Self::from_parts) can reattach.
-    pub fn open_page(&self) -> Option<(PageId, u32, usize)> {
-        let (page, partition, width) = self.open?;
-        Some((page, partition, width.get() as usize))
     }
 
     /// Access to the underlying buffer pool (page export for snapshots).
@@ -250,57 +279,6 @@ impl VectorHeap {
         &self.column.pages
     }
 
-    /// Appends a record for `partition`, returning its rid. Starts a new
-    /// page when the partition/width changes or the page fills. A heap is
-    /// written by its load, before anything reads it, with coordinates in
-    /// the stored form ([`crate::layout::stored_values`]): each is written
-    /// as the `f32` it already equals. Every record is a live row, so the
-    /// id `u64::MAX` — an older build's mark of a dead one — is refused.
-    pub fn append(&mut self, partition: u32, point_id: u64, coords: &[f64]) -> Result<u64> {
-        if point_id == u64::MAX {
-            return Err(Error::ReservedId);
-        }
-        let dim = coords.len();
-        let width = Self::width(dim)?;
-        let fits = |&(page, part, open_width): &(PageId, u32, NonZeroU16)| {
-            part == partition
-                && open_width == width
-                && (self.column.page(page)).is_some_and(|ids| ids.len() < Self::page_capacity(dim))
-        };
-        let page = match self.open.filter(fits) {
-            Some((page, _, _)) => page,
-            None => {
-                let page = self.pool.allocate()?;
-                debug_assert_eq!(
-                    page as usize,
-                    self.column.pages.len(),
-                    "the heap's own pool"
-                );
-                self.pool.with_page_mut(page, |p| {
-                    p.put_u32(0, partition).expect("header");
-                    p.put_u16(4, width.get()).expect("header");
-                    p.put_u16(6, 0).expect("header");
-                })?;
-                let ids = Vec::with_capacity(Self::page_capacity(dim));
-                self.column.pages.push(ids);
-                self.open = Some((page, partition, width));
-                page
-            }
-        };
-        let slot = self.column.pages[page as usize].len() as u16;
-        self.pool.with_page_mut(page, |p| -> Result<()> {
-            let base = HEADER + slot as usize * COORD * dim;
-            for (j, &c) in coords.iter().enumerate() {
-                p.put_f32(base + COORD * j, c as f32)?;
-            }
-            p.put_u16(6, slot + 1).expect("header");
-            Ok(())
-        })??;
-        self.column.pages[page as usize].push(point_id);
-        self.column.len += 1;
-        Ok((page << 16) | slot as u64)
-    }
-
     /// The point id of record `rid`, read off the id column: no page is
     /// pinned. `None` for a rid the heap does not hold.
     #[inline]
@@ -328,9 +306,8 @@ impl VectorHeap {
     /// decoded: concurrent KNN workers refine candidates from the same
     /// page in parallel. This is the KNN hot path.
     ///
-    /// A pinned page is a pre-write image of this heap's pool: clear
-    /// `pages` before reading through a set kept across anything that may
-    /// have written to, or swapped, the pages.
+    /// A set pins pages of one pool: clear `pages` before reading another
+    /// heap's records through it.
     #[inline]
     pub fn record<'p>(&self, pages: &'p mut PageSet, rid: u64) -> Result<(u32, Record<'p>)> {
         let (page_id, slot) = (rid >> 16, (rid & 0xFFFF) as usize);
@@ -379,34 +356,35 @@ impl VectorHeap {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mmdr_storage::DiskManager;
     use proptest::prelude::*;
-    use std::sync::Arc;
 
-    fn heap(pages: usize) -> VectorHeap {
-        VectorHeap::new(BufferPool::new(DiskManager::new(), pages).unwrap())
+    /// A heap of `(partition, id, coords)` rows read through `pages` frames,
+    /// and each row's rid.
+    fn heap(
+        pages: usize,
+        rows: impl IntoIterator<Item = (u32, u64, Vec<f64>)>,
+    ) -> (VectorHeap, Vec<u64>) {
+        let mut w = HeapWriter::default();
+        let rids = (rows.into_iter())
+            .map(|(part, id, coords)| w.append(part, id, &coords).unwrap())
+            .collect();
+        (w.finish(pages).unwrap(), rids)
     }
 
     #[test]
     fn append_get_roundtrip() {
-        let mut h = heap(16);
-        let r1 = h.append(0, 100, &[1.0, 2.0]).unwrap();
-        let r2 = h.append(0, 101, &[3.0, 4.0]).unwrap();
-        assert_eq!(h.get(r1).unwrap(), (0, 100, vec![1.0, 2.0]));
-        assert_eq!(h.get(r2).unwrap(), (0, 101, vec![3.0, 4.0]));
+        let (h, rids) = heap(16, [(0, 100, vec![1.0, 2.0]), (0, 101, vec![3.0, 4.0])]);
+        assert_eq!(h.get(rids[0]).unwrap(), (0, 100, vec![1.0, 2.0]));
+        assert_eq!(h.get(rids[1]).unwrap(), (0, 101, vec![3.0, 4.0]));
         assert_eq!(h.len(), 2);
         assert!(!h.is_empty());
     }
 
     #[test]
     fn a_run_of_records_from_one_page_fetches_it_once() {
-        let mut h = heap(16);
         let cap = VectorHeap::page_capacity(4) as u64;
-        let rids: Vec<u64> = (0..cap + 2)
-            .map(|i| h.append(0, i, &[i as f64; 4]).unwrap())
-            .collect();
-        let before = h.pool().snapshot();
-        let fetches = || h.pool().snapshot().since(&before).pages_touched();
+        let (h, rids) = heap(16, (0..cap + 2).map(|i| (0, i, vec![i as f64; 4])));
+        let fetches = || h.pool().snapshot().pages_touched();
         let mut pages = PageSet::default();
         for &rid in &rids[..cap as usize] {
             h.record(&mut pages, rid).unwrap();
@@ -432,15 +410,11 @@ mod tests {
 
     #[test]
     fn the_id_column_names_every_record_without_a_pin() {
-        let mut h = heap(16);
         let cap = VectorHeap::page_capacity(4) as u64;
         assert_eq!(cap, 255, "a record is its 16 coordinate bytes");
         let first = [0, 1 << 32, u64::MAX - 1];
         let id = |i: u64| first.get(i as usize).copied().unwrap_or(100 + i);
-        let rids: Vec<u64> = (0..cap + 3)
-            .map(|i| h.append(0, id(i), &[i as f64; 4]).unwrap())
-            .collect();
-        let before = h.pool().snapshot();
+        let (h, rids) = heap(16, (0..cap + 3).map(|i| (0, id(i), vec![i as f64; 4])));
         for (i, &rid) in (0..).zip(&rids) {
             assert_eq!(h.point_id(rid), Some(id(i)));
         }
@@ -450,7 +424,7 @@ mod tests {
         assert_eq!(h.point_id(rids[0] | 0xFFFF), None, "no such slot");
         assert_eq!(h.point_id(7 << 16), None, "no such page");
         assert_eq!(h.point_id(u64::MAX), None);
-        assert_eq!(h.pool().snapshot().since(&before).pages_touched(), 0);
+        assert_eq!(h.pool().snapshot().pages_touched(), 0);
         let lens: Vec<usize> = h.id_pages().iter().map(Vec::len).collect();
         assert_eq!(lens, [cap as usize, 3]);
         // A record read off its page carries the column's id.
@@ -459,13 +433,10 @@ mod tests {
 
     #[test]
     fn from_parts_refuses_a_column_that_does_not_fit_the_pages() {
-        let mut h = heap(16);
         let cap = VectorHeap::page_capacity(2);
-        for i in 0..cap as u64 + 5 {
-            h.append(0, i, &[i as f64, 1.0]).unwrap();
-        }
+        let (h, _) = heap(16, (0..cap as u64 + 5).map(|i| (0, i, vec![i as f64, 1.0])));
         let images = h.pool().export_pages().unwrap();
-        let (open, len) = (h.open_page(), h.len());
+        let len = h.len();
         // The heap's ids cut into pages of the given lengths.
         let pages = |lens: &[usize]| -> Vec<Vec<u64>> {
             let mut ids = (0..).map(|i| i % len);
@@ -473,12 +444,12 @@ mod tests {
                 .map(|&n| ids.by_ref().take(n).collect())
                 .collect()
         };
-        let reattach = |open, len, ids: Vec<Vec<u64>>| {
+        let reattach = |len, ids: Vec<Vec<u64>>| {
             let pool = BufferPool::new(DiskManager::from_pages(images.clone()), 4).unwrap();
-            VectorHeap::from_parts(pool, open, len, ids)
+            VectorHeap::from_parts(pool, len, ids)
         };
         assert_eq!(pages(&[cap, 5]), h.id_pages());
-        assert!(reattach(open, len, h.id_pages().to_vec()).is_ok());
+        assert!(reattach(len, h.id_pages().to_vec()).is_ok());
         let refused = |got: Result<()>| {
             assert!(
                 matches!(
@@ -491,20 +462,19 @@ mod tests {
         let opened = |got: Result<VectorHeap>| got.map(drop);
         // Ids that do not add up to the heap's length, another page count,
         // a page no page holds.
-        refused(opened(reattach(open, len + 1, pages(&[cap, 5]))));
-        refused(opened(reattach(open, len - 1, pages(&[cap, 5]))));
-        refused(opened(reattach(open, len, pages(&[cap + 5]))));
-        refused(opened(reattach(open, len, pages(&[cap, 5, 0]))));
-        refused(opened(reattach(open, 1028, pages(&[1023, 5]))));
-        // The reserved id, and an open page that is not the last.
+        refused(opened(reattach(len + 1, pages(&[cap, 5]))));
+        refused(opened(reattach(len - 1, pages(&[cap, 5]))));
+        refused(opened(reattach(len, pages(&[cap + 5]))));
+        refused(opened(reattach(len, pages(&[cap, 5, 0]))));
+        refused(opened(reattach(1028, pages(&[1023, 5]))));
+        // The reserved id.
         let mut reserved = pages(&[cap, 5]);
         reserved[1][3] = u64::MAX;
-        refused(opened(reattach(open, len, reserved)));
-        refused(opened(reattach(Some((0, 0, 2)), len, pages(&[cap, 5]))));
+        refused(opened(reattach(len, reserved)));
         // Counts a page image does not hold — more than fit one at its
         // width, too — are found when it is read.
         for bad in [&[cap - 1, 6][..], &[5, cap], &[cap + 5, 0]] {
-            let shifted = reattach(open, len, pages(bad)).unwrap();
+            let shifted = reattach(len, pages(bad)).unwrap();
             refused(shifted.get(0).map(drop));
             refused(shifted.scan(|_, _, _| {}));
             let mut pages = PageSet::default();
@@ -529,16 +499,13 @@ mod tests {
         ) {
             let cap = VectorHeap::page_capacity(dim);
             let n = full_pages * cap + tail.min(cap);
-            let mut h = heap(8);
             // Any bit pattern is a coordinate (NaNs too): compare bits.
             let word = |i: usize| bits[i % bits.len()].rotate_left((i / bits.len()) as u32);
-            let rids: Vec<u64> = (0..n)
-                .map(|r| {
-                    let coords: Vec<f64> =
-                        (0..dim).map(|j| f64::from_bits(word(r * dim + j))).collect();
-                    h.append(3, word(r) ^ r as u64, &coords).unwrap()
-                })
-                .collect();
+            let (h, rids) = heap(8, (0..n).map(|r| {
+                let coords: Vec<f64> =
+                    (0..dim).map(|j| f64::from_bits(word(r * dim + j))).collect();
+                (3, word(r) ^ r as u64, coords)
+            }));
             prop_assert_eq!(h.num_pages(), n.div_ceil(cap));
 
             let mut pages = PageSet::default();
@@ -583,10 +550,7 @@ mod tests {
 
     #[test]
     fn a_header_no_page_can_hold_is_refused_where_the_page_is_read() {
-        let mut h = heap(8);
-        for i in 0..10u64 {
-            h.append(0, i, &[i as f64, 1.0]).unwrap();
-        }
+        let (h, _) = heap(8, (0..10u64).map(|i| (0, i, vec![i as f64, 1.0])));
         let intact = h.pool().export_pages().unwrap();
         // No coordinates a record; more records than fit at the width (the
         // id column agreeing, so only the header can tell).
@@ -596,7 +560,7 @@ mod tests {
             page.put_u16(at, value).unwrap();
             let pool = BufferPool::new(DiskManager::from_pages(vec![Arc::new(page)]), 2).unwrap();
             let ids = vec![(0..rows as u64).collect()];
-            let damaged = VectorHeap::from_parts(pool, None, rows as u64, ids).unwrap();
+            let damaged = VectorHeap::from_parts(pool, rows as u64, ids).unwrap();
             let refused =
                 |got: Result<()>| assert!(matches!(got, Err(Error::InvalidConfig(_))), "{got:?}");
             refused(damaged.get(0).map(drop));
@@ -607,23 +571,19 @@ mod tests {
 
     #[test]
     fn partition_change_starts_new_page() {
-        let mut h = heap(16);
-        h.append(0, 1, &[0.0]).unwrap();
-        let before = h.num_pages();
-        h.append(1, 2, &[0.0]).unwrap();
-        assert_eq!(h.num_pages(), before + 1);
         // Same partition, different width also breaks the page.
-        h.append(1, 3, &[0.0, 0.0]).unwrap();
-        assert_eq!(h.num_pages(), before + 2);
+        let (h, rids) = heap(
+            16,
+            [(0, 1, vec![0.0]), (1, 2, vec![0.0]), (1, 3, vec![0.0, 0.0])],
+        );
+        assert_eq!(h.num_pages(), 3);
+        assert_eq!(rids, [0, 1 << 16, 2 << 16]);
     }
 
     #[test]
     fn page_overflow_allocates() {
-        let mut h = heap(64);
-        let cap = VectorHeap::page_capacity(4);
-        for i in 0..(cap + 1) as u64 {
-            h.append(0, i, &[0.0; 4]).unwrap();
-        }
+        let cap = VectorHeap::page_capacity(4) as u64;
+        let (h, _) = heap(64, (0..cap + 1).map(|i| (0, i, vec![0.0; 4])));
         assert_eq!(h.num_pages(), 2);
     }
 
@@ -638,43 +598,25 @@ mod tests {
 
     #[test]
     fn invalid_records_rejected() {
-        let mut h = heap(8);
-        assert!(h.append(0, 1, &[]).is_err());
-        assert!(h.append(0, 1, &[0.0; 1023]).is_err());
+        let mut w = HeapWriter::default();
+        assert!(w.append(0, 1, &[]).is_err());
+        assert!(w.append(0, 1, &[0.0; 1023]).is_err());
+        let rid = w.append(0, 1, &[0.0]).unwrap();
+        let h = w.finish(8).unwrap();
         assert!(matches!(h.get(1 << 16), Err(Error::BadRecordId(_))));
-        let rid = h.append(0, 1, &[0.0]).unwrap();
         assert!(matches!(h.get(rid + 1), Err(Error::BadRecordId(_))));
-    }
-
-    #[test]
-    fn from_parts_reattaches_and_appends_where_build_would() {
-        let mut h = heap(16);
-        for i in 0..10u64 {
-            h.append(0, i, &[i as f64, 1.0]).unwrap();
-        }
-        let images = h.pool().export_pages().unwrap();
-        let pool = BufferPool::new(DiskManager::from_pages(images), 16).unwrap();
-        let ids = h.id_pages().to_vec();
-        let mut back = VectorHeap::from_parts(pool, h.open_page(), h.len(), ids).unwrap();
-        assert_eq!(back.len(), 10);
-        // The next append on the reopened heap gets the same rid as the
-        // next append on the original.
-        let r_orig = h.append(0, 99, &[9.0, 9.0]).unwrap();
-        let r_back = back.append(0, 99, &[9.0, 9.0]).unwrap();
-        assert_eq!(r_orig, r_back);
-        assert_eq!(back.get(r_back).unwrap(), (0, 99, vec![9.0, 9.0]));
-        // Bad open-page metadata is rejected.
-        let pool = BufferPool::new(DiskManager::new(), 4).unwrap();
-        assert!(VectorHeap::from_parts(pool, Some((7, 0, 2)), 0, vec![]).is_err());
+        assert!(matches!(
+            HeapWriter::default().finish(0),
+            Err(Error::Storage(_))
+        ));
     }
 
     #[test]
     fn scan_visits_everything_once() {
-        let mut h = heap(32);
-        for i in 0..100u64 {
-            h.append((i % 3) as u32, i, &[i as f64, -(i as f64)])
-                .unwrap();
-        }
+        let (h, _) = heap(
+            32,
+            (0..100u64).map(|i| ((i % 3) as u32, i, vec![i as f64, -(i as f64)])),
+        );
         let mut seen = Vec::new();
         h.scan(|part, pid, coords| {
             assert_eq!(part as u64, pid % 3);
@@ -688,13 +630,14 @@ mod tests {
 
     #[test]
     fn append_refuses_the_reserved_id_and_writes_nothing() {
-        let mut h = heap(8);
-        h.append(0, 1, &[1.0]).unwrap();
+        let mut w = HeapWriter::default();
+        w.append(0, 1, &[1.0]).unwrap();
         assert!(matches!(
-            h.append(0, u64::MAX, &[2.0]),
+            w.append(0, u64::MAX, &[2.0]),
             Err(Error::ReservedId)
         ));
-        h.append(0, u64::MAX - 1, &[3.0]).unwrap();
+        w.append(0, u64::MAX - 1, &[3.0]).unwrap();
+        let h = w.finish(8).unwrap();
         let mut seen = Vec::new();
         h.scan(|_, pid, _| seen.push(pid)).unwrap();
         assert_eq!(seen, vec![1, u64::MAX - 1]);
@@ -703,19 +646,11 @@ mod tests {
 
     #[test]
     fn scan_costs_each_page_once_when_pool_is_cold() {
-        let mut h = heap(1); // pathological pool: every page access is a miss
-        for i in 0..500u64 {
-            h.append(0, i, &[0.0; 8]).unwrap();
-        }
+        // Pathological pool: every page access is a miss.
+        let (h, _) = heap(1, (0..500u64).map(|i| (0, i, vec![0.0; 8])));
         let pages = h.num_pages() as u64;
-        let before = h.pool().snapshot();
         h.scan(|_, _, _| {}).unwrap();
-        // Every page read exactly once, except the still-resident open page
-        // may be a buffer hit.
-        let reads = h.pool().snapshot().since(&before).misses();
-        assert!(
-            reads >= pages - 1 && reads <= pages,
-            "reads {reads} for {pages} pages"
-        );
+        let stats = h.pool().snapshot();
+        assert_eq!((stats.hits(), stats.misses()), (0, pages));
     }
 }

@@ -134,7 +134,8 @@ impl QueryStats {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mmdr_storage::DiskManager;
+    use mmdr_storage::{DiskManager, Page};
+    use std::sync::Arc;
 
     #[test]
     fn counters_accumulate() {
@@ -148,22 +149,25 @@ mod tests {
 
     #[test]
     fn snapshot_and_delta() {
-        let mut pools = [(); 2].map(|_| BufferPool::new(DiskManager::new(), 4).unwrap());
-        let pages = pools.each_mut().map(|p| p.allocate().unwrap());
+        let pools = [(); 2].map(|_| {
+            let disk = DiskManager::from_pages(vec![Arc::new(Page::new())]);
+            BufferPool::new(disk, 4).unwrap()
+        });
         let (a, b) = (SearchCounters::default(), SearchCounters::default());
         a.record_dists(10);
-        pools[0].page(pages[0]).unwrap();
+        pools[0].page(0).unwrap();
+        pools[0].page(0).unwrap();
         let before = QueryStats::of(&pools, [&a, &b]);
-        assert_eq!((before.pages_touched, before.page_reads), (1, 0));
+        assert_eq!((before.pages_touched, before.page_reads), (2, 1));
         b.record_dists(7);
         a.record_refined(2);
-        pools[1].page(pages[1]).unwrap();
+        pools[0].page(0).unwrap();
         let after = QueryStats::of(&pools, [&a, &b]);
         assert_eq!(after.dist_computations, 17);
         let delta = after.since(&before);
         assert_eq!(delta.dist_computations, 7);
         assert_eq!(delta.candidates_refined, 2);
         assert_eq!(delta.pages_touched, 1);
-        assert_eq!(delta.page_reads, 0, "an allocated page is resident");
+        assert_eq!(delta.page_reads, 0, "a page in a frame is a hit");
     }
 }

@@ -109,7 +109,7 @@ fn normalize_scatter(cov: &mut Matrix, n: usize) {
 
 /// [`mean_vector`] with deterministic chunk-and-merge parallelism: per-chunk
 /// partial sums are merged in chunk order, so the result is bit-identical
-/// for every `num_threads` (see [`crate::par`]).
+/// for every `num_threads` (see the crate's `par` module).
 pub fn mean_vector_par(data: &Matrix, par: &ParConfig) -> Result<Vec<f64>> {
     if data.rows() == 0 {
         return Err(Error::Empty);

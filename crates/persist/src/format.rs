@@ -88,7 +88,12 @@ pub const MAGIC: [u8; 8] = *b"MMDRSNP\x01";
 /// `(PAGE_SIZE − 8) / (4·dim)` records to a page (85 at `dim = 12`, where
 /// 42 fitted). A gLDR hybrid tree keeps its `f64` pages, holding the same
 /// rounded values. Every other section is v10's.
-pub const FORMAT_VERSION: u32 = 11;
+///
+/// Version 12 drops the open append page from a heap's META record: a
+/// heap is written once, by its load, and nothing appends to it after a
+/// reopen, so the record is its pool capacity and its row count. Every
+/// other byte is v11's.
+pub const FORMAT_VERSION: u32 = 12;
 /// Little-endian sentinel; a byte-swapped writer would store 0x4D3C2B1A.
 pub const ENDIAN_TAG: u32 = 0x1A2B_3C4D;
 /// Superblock size; the section table starts here.

@@ -7,7 +7,7 @@
 //! ready-to-query [`VectorIndex`](mmdr_index::VectorIndex) *without any
 //! rebuild*.
 //!
-//! The format (see [`format`]) is versioned, endian-stable and fully
+//! The format (see [`format`](mod@format)) is versioned, endian-stable and fully
 //! checksummed: a superblock, a section table, and CRC32-guarded sections
 //! for the reduction model, the backend metadata, a page directory with a
 //! CRC32 per page, and the raw buffer-pool page images. Every failure mode

@@ -135,8 +135,8 @@ mod tests {
     use mmdr_linalg::Matrix;
     use mmdr_query::{AttrType, AttrValue};
 
-    /// The planner's threshold moves on a resident index, where no query
-    /// ever misses the pool: the cost it is fed is pages touched.
+    /// The planner's threshold moves on a warm index, where no query ever
+    /// misses the pool: the cost it is fed is pages touched.
     #[test]
     fn cost_feedback_reaches_the_planner_on_a_resident_index() {
         let jit = |i: usize, s: f64| ((i as f64 * 0.618_033_988 + s).fract() - 0.5) * 0.02;
@@ -164,6 +164,9 @@ mod tests {
         }
         let built = crate::build_index(Backend::IDistance, &data, &model, 4096).unwrap();
         let index: Arc<dyn VectorIndex> = Arc::from(built.into_boxed());
+        // A range that reaches every row puts every page in a frame of the
+        // pools, which hold them all.
+        index.range_search(data.row(0), 1e9).unwrap();
         let live = SnapshotLive::new(Arc::clone(&index), &model, Some(attrs)).unwrap();
         let start = live.planner.postfilter_threshold();
         assert_eq!(start, Planner::DEFAULT_POSTFILTER_THRESHOLD);
@@ -184,7 +187,7 @@ mod tests {
         assert_eq!(
             index.query_stats().page_reads,
             reads_before,
-            "a resident index misses no page: reads say nothing about cost"
+            "a warm index misses no page: reads say nothing about cost"
         );
         let moved = live.planner.postfilter_threshold();
         assert!(

@@ -186,20 +186,10 @@ fn restore_pool(
 fn put_heap_meta(w: &mut ByteWriter, heap: &VectorHeap) {
     w.put_usize(heap.pool().capacity());
     w.put_u64(heap.len());
-    match heap.open_page() {
-        Some((page, part, dim)) => {
-            w.put_u8(1);
-            w.put_u64(page);
-            w.put_u32(part);
-            w.put_usize(dim);
-        }
-        None => w.put_u8(0),
-    }
 }
 
-/// Heap-file reattach state: pool capacity, stored vector count, and the
-/// open append page as `(page, partition, dim)` when one exists.
-type HeapMeta = (usize, u64, Option<(PageId, u32, usize)>);
+/// Heap-file reattach state: pool capacity and stored vector count.
+type HeapMeta = (usize, u64);
 
 /// A heap's id column: per heap page, its records' point ids in slot order.
 type IdColumn = Vec<Vec<u64>>;
@@ -245,31 +235,15 @@ fn get_id_column(payload: &[u8]) -> Result<IdColumn> {
 /// heap backend must carry.
 fn restore_heap(
     pool: BufferPool,
-    (_, len, open): HeapMeta,
+    (_, len): HeapMeta,
     column: Option<IdColumn>,
 ) -> Result<VectorHeap> {
     let pages = column.ok_or_else(|| PersistError::malformed("a heap without section ids"))?;
-    Ok(VectorHeap::from_parts(pool, open, len, pages)?)
+    Ok(VectorHeap::from_parts(pool, len, pages)?)
 }
 
 fn get_heap_meta(r: &mut ByteReader<'_>) -> Result<HeapMeta> {
-    let capacity = r.get_usize()?;
-    let len = r.get_u64()?;
-    let open = match r.get_u8()? {
-        0 => None,
-        1 => {
-            let page = r.get_u64()?;
-            let part = r.get_u32()?;
-            let dim = r.get_usize()?;
-            Some((page, part, dim))
-        }
-        other => {
-            return Err(PersistError::malformed(format!(
-                "heap open-page flag {other}"
-            )))
-        }
-    };
-    Ok((capacity, len, open))
+    Ok((r.get_usize()?, r.get_u64()?))
 }
 
 /// Scalar state of one hybrid tree: what
@@ -906,6 +880,7 @@ pub fn open_or_build(
 mod tests {
     use super::*;
     use mmdr_core::{Mmdr, MmdrParams};
+    use mmdr_idistance::HeapWriter;
     use mmdr_storage::{Page, PageSource};
     use proptest::prelude::*;
     use std::path::PathBuf;
@@ -1066,7 +1041,7 @@ mod tests {
         let pool = BufferPool::new(DiskManager::from_source(Box::new(source), 0), 4).unwrap();
         let heap = scan.heap();
         let ids = heap.id_pages().to_vec();
-        let heap = VectorHeap::from_parts(pool, heap.open_page(), heap.len(), ids).unwrap();
+        let heap = VectorHeap::from_parts(pool, heap.len(), ids).unwrap();
         let index = BuiltIndex::SeqScan(SeqScan::from_parts(heap, &model).unwrap());
         let path = dir.join("index.mmdr");
         let siblings = || -> Vec<String> {
@@ -1186,21 +1161,24 @@ mod tests {
     /// breaks between partitions included.
     #[test]
     fn an_id_column_carries_every_id_a_heap_holds() {
-        let mut heap = VectorHeap::new(BufferPool::new(DiskManager::new(), 8).unwrap());
+        let mut writer = HeapWriter::default();
         for i in 0..1200u64 {
             let id = match i % 3 {
                 0 => i,
                 1 => (1 << 32) + i,
                 _ => u64::MAX - 1 - i,
             };
-            heap.append((i / 500) as u32, id, &[i as f64, 1.0]).unwrap();
+            writer
+                .append((i / 500) as u32, id, &[i as f64, 1.0])
+                .unwrap();
         }
+        let heap = writer.finish(8).unwrap();
         let ids = get_id_column(&id_column(&heap)).unwrap();
         let lens: Vec<usize> = ids.iter().map(Vec::len).collect();
         assert_eq!(lens, [500, 500, 200]);
         let images = heap.pool().export_pages().unwrap();
         let pool = BufferPool::new(DiskManager::from_pages(images), 4).unwrap();
-        let back = VectorHeap::from_parts(pool, heap.open_page(), heap.len(), ids).unwrap();
+        let back = VectorHeap::from_parts(pool, heap.len(), ids).unwrap();
         let rows = |heap: &VectorHeap| {
             let mut rows = Vec::new();
             heap.scan(|part, id, coords| rows.push((part, id, coords.to_vec())))
@@ -1288,17 +1266,19 @@ mod tests {
     /// A change to one page image.
     type Damage<'a> = &'a dyn Fn(&mut Page);
 
-    /// `sections` with page `page` of the heap — the last page group —
-    /// rewritten by `damage`, and its CRC in PAGEDIR made right for it.
-    fn with_heap_page(
+    /// `sections` with page `page` of page group `group` (the heap is the
+    /// last) rewritten by `damage`, and its CRC in PAGEDIR made right for
+    /// it.
+    fn with_page(
         sections: &[(u32, Vec<u8>)],
+        group: usize,
         page: usize,
         damage: Damage<'_>,
     ) -> Vec<(u32, Vec<u8>)> {
         let payload = |id| sections.iter().find(|s| s.0 == id).unwrap().1.clone();
         let (mut pages, mut pagedir) = (payload(section_id::PAGES), payload(section_id::PAGEDIR));
         let groups = read_pagedir(&pagedir).unwrap();
-        let before = &groups[..groups.len() - 1];
+        let before = &groups[..group];
         let at = (before.iter().map(Vec::len).sum::<usize>() + page) * PAGE_SIZE;
         let mut image = Page::from_bytes(&pages[at..at + PAGE_SIZE]).unwrap();
         damage(&mut image);
@@ -1316,25 +1296,39 @@ mod tests {
     /// page and its last, and a PAGES section cut inside the heap's last
     /// page: each snapshot, opened lazily and resident, its rows read and
     /// every row asked for, ends in a typed error, never a panic.
+    /// Opens the snapshot `sections` make at `path`, lazily and resident,
+    /// and reads it whole: every stored row, a k-NN query with `k` every
+    /// row, and (`range`) a range query that reaches every row.
+    fn read_all(
+        path: &Path,
+        backend: Backend,
+        sections: &[(u32, Vec<u8>)],
+        range: bool,
+    ) -> Result<()> {
+        std::fs::write(path, format::assemble(backend_tag(backend), sections)).unwrap();
+        let q = [0.5, 0.15, 0.0, 0.0];
+        for resident in [false, true] {
+            let options = OpenOptions {
+                resident,
+                ..OpenOptions::default()
+            };
+            let opened = open_with(path, &options)?;
+            mmdr_idistance::stored_rows(&opened.index)?;
+            let index = opened.index.as_dyn();
+            index.knn(&q, index.len())?;
+            if range {
+                index.range_search(&q, 1e9)?;
+            }
+        }
+        Ok(())
+    }
+
     #[test]
     fn a_damaged_heap_page_is_refused() {
         let dir = tmp_dir("bad-heap-page");
         let path = dir.join("bad.mmdr");
-        let q = [0.5, 0.15, 0.0, 0.0];
-        let read_all = |backend: Backend, sections: &[(u32, Vec<u8>)]| -> Result<()> {
-            std::fs::write(&path, format::assemble(backend_tag(backend), sections)).unwrap();
-            for resident in [false, true] {
-                let options = OpenOptions {
-                    resident,
-                    ..OpenOptions::default()
-                };
-                let opened = open_with(&path, &options)?;
-                mmdr_idistance::stored_rows(&opened.index)?;
-                let index = opened.index.as_dyn();
-                index.knn(&q, index.len())?;
-            }
-            Ok(())
-        };
+        let read_all =
+            |backend, sections: &[(u32, Vec<u8>)]| read_all(&path, backend, sections, false);
         for (backend, image) in heap_images() {
             let sections = sections_of(image);
             assert!(read_all(*backend, &sections).is_ok());
@@ -1378,7 +1372,8 @@ mod tests {
             ];
             for page in [0, heap_pages - 1] {
                 for (what, damage) in cases {
-                    let got = read_all(*backend, &with_heap_page(&sections, page, damage));
+                    let damaged = with_page(&sections, groups.len() - 1, page, damage);
+                    let got = read_all(*backend, &damaged);
                     assert!(
                         matches!(got, Err(PersistError::Index(_) | PersistError::Query(_))),
                         "{} heap page {page}, {what}: {got:?}",
@@ -1389,6 +1384,68 @@ mod tests {
             let cut = pages[..pages.len() - PAGE_SIZE / 2].to_vec();
             let got = read_all(*backend, &with_section(&sections, section_id::PAGES, cut));
             assert!(matches!(got, Err(PersistError::Malformed(_))), "{got:?}");
+        }
+        std::fs::remove_dir_all(dir).unwrap();
+    }
+
+    /// A gLDR hybrid-tree node's header damaged under CRCs made right for
+    /// the damage — a leaf holding more entries than fit, a type byte that
+    /// is neither node, an internal node of no child or one, a split
+    /// dimension past the tree's width, a child that is the node itself —
+    /// in the first cluster tree: each snapshot, opened lazily and
+    /// resident, its rows read and asked for by k-NN and by range, ends in
+    /// a typed error, never a panic or a walk that does not end.
+    #[test]
+    fn a_damaged_hybrid_node_is_refused() {
+        let dir = tmp_dir("bad-hybrid-node");
+        let path = dir.join("bad.mmdr");
+        let (data, model) = fixture();
+        let gldr = build_index(Backend::Gldr, &data, &model, 64).unwrap();
+        save(&path, &gldr, &model).unwrap();
+        let sections = sections_of(&std::fs::read(&path).unwrap());
+        assert!(read_all(&path, Backend::Gldr, &sections, true).is_ok());
+        let payload = |id| &sections.iter().find(|s| s.0 == id).unwrap().1;
+        let tree_pages = read_pagedir(payload(section_id::PAGEDIR)).unwrap()[0].len();
+        let pages = payload(section_id::PAGES);
+        let image =
+            |page: usize| Page::from_bytes(&pages[page * PAGE_SIZE..][..PAGE_SIZE]).unwrap();
+        // A load writes the leaves first and the root last.
+        let (leaf, root) = (0, tree_pages - 1);
+        assert_eq!(
+            (
+                image(leaf).get_u8(0).unwrap(),
+                image(root).get_u8(0).unwrap()
+            ),
+            (0, 1)
+        );
+        let children = image(root).get_u16(1).unwrap() as usize;
+        let first_child = 5 + 8 * (children - 1);
+        let cases: [(&str, usize, Damage<'_>); 7] = [
+            ("a leaf past its capacity", leaf, &|p| {
+                p.put_u16(1, (PAGE_SIZE / 16) as u16).unwrap()
+            }),
+            ("a leaf of a third type", leaf, &|p| p.put_u8(0, 2).unwrap()),
+            ("a node of a third type", root, &|p| p.put_u8(0, 7).unwrap()),
+            ("no child", root, &|p| p.put_u16(1, 0).unwrap()),
+            ("one child", root, &|p| p.put_u16(1, 1).unwrap()),
+            ("a split past the width", root, &|p| {
+                p.put_u16(3, u16::MAX).unwrap()
+            }),
+            ("a child that is the node", root, &|p| {
+                p.put_u64(first_child, root as u64).unwrap()
+            }),
+        ];
+        for (what, page, damage) in cases {
+            let got = read_all(
+                &path,
+                Backend::Gldr,
+                &with_page(&sections, 0, page, damage),
+                true,
+            );
+            assert!(
+                matches!(got, Err(PersistError::Index(_) | PersistError::Query(_))),
+                "{what}: {got:?}"
+            );
         }
         std::fs::remove_dir_all(dir).unwrap();
     }

@@ -216,7 +216,7 @@ pub enum Request {
         query: Vec<f64>,
         /// Number of neighbours.
         k: u32,
-        /// Predicate in [`mmdr_query::Predicate`] text form, e.g.
+        /// Predicate in the query crate's `Predicate` text form, e.g.
         /// `"label = \"news\" && score >= 10"`.
         filter: String,
     },

@@ -1,7 +1,8 @@
 //! The disk: the pages held in memory, over an optional [`PageSource`],
 //! with the counts only a source can tick.
 //!
-//! During a build every page is in memory (there is no source); a reopened
+//! A built structure hands its disk every page it wrote
+//! ([`DiskManager::from_pages`]: all in memory, no source); a reopened
 //! snapshot instead wires a [`crate::FileSource`] underneath, and pages are
 //! faulted in with `pread` the first time the buffer pool misses on them.
 //! An optional readahead window turns sequential misses (leaf scans) into
@@ -10,14 +11,7 @@
 use crate::error::{Error, Result};
 use crate::page::{Page, PageId};
 use crate::source::PageSource;
-use std::sync::{Arc, OnceLock};
-
-/// The image every freshly allocated page starts from: one zeroed page for
-/// the whole process, shared until the page's first write copies it.
-pub(crate) fn zero_page() -> Arc<Page> {
-    static ZERO: OnceLock<Arc<Page>> = OnceLock::new();
-    Arc::clone(ZERO.get_or_init(|| Arc::new(Page::new())))
-}
+use std::sync::Arc;
 
 /// Pages [`DiskManager::make_resident`] asks its source for at a time. Small
 /// on purpose: the source's buffer for a run is a hole under the pages
@@ -43,28 +37,21 @@ pub struct IoStats {
     pub read_errors: u64,
 }
 
-/// A paged "disk". Reads and writes come from a [`crate::BufferPool`] —
-/// on a miss and on a dirty write-back — which counts them; the disk counts
-/// only what its [`PageSource`] does ([`IoStats`]). It is reached only
-/// under the pool's lock, so those counts are plain integers. A page in
-/// memory has one home, `pages`; a page that is not there comes from the
-/// source underneath.
-///
-/// Writes never reach the source (snapshots are immutable): the written
-/// image takes the page's slot in `pages` and answers every later read.
+/// A paged "disk", read-only. Reads come from a [`crate::BufferPool`] on
+/// a miss, which counts them; the disk counts only what its [`PageSource`]
+/// does ([`IoStats`]). It is reached only under the pool's lock, so those
+/// counts are plain integers. A page in memory has one home, `pages`; a
+/// page that is not there comes from the source underneath.
 ///
 /// A page image is held in memory once. `pages`, the readahead run and the
-/// pool's frame all hold the same `Arc<Page>`: a read shares it, a
-/// write-back hands the frame's own image over, and the only copy is the one
-/// [`crate::BufferPool::with_page_mut`] makes when it writes to an image
-/// someone else still holds.
+/// pool's frame all hold the same `Arc<Page>`, and a read shares it.
+/// [`Default`] is a disk of no pages.
 #[derive(Debug, Default)]
 pub struct DiskManager {
-    /// Every page by id; `Some` once allocated, written, handed to
+    /// Every page by id; `Some` once handed to
     /// [`from_pages`](Self::from_pages) or loaded by
-    /// [`make_resident`](Self::make_resident). Consulted before the
-    /// readahead buffer and the source on every read, so a written page can
-    /// never be re-read stale from the file.
+    /// [`make_resident`](Self::make_resident), `None` while it is the
+    /// source's to read.
     pages: Vec<Option<Arc<Page>>>,
     /// Where a page that is `None` above is read from: physical I/O exactly
     /// when present. A build-time disk and a resident one have none.
@@ -81,14 +68,9 @@ pub struct DiskManager {
 }
 
 impl DiskManager {
-    /// Creates an empty disk.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Rebuilds a disk from page images, all in memory. Nothing is read or
-    /// counted: an opened index counts from its first real page access,
-    /// exactly like a built one.
+    /// A disk of page images, all in memory: what a bulk load hands over
+    /// once it has written them. Nothing is read or counted: a built index
+    /// counts from its first real page access, exactly like an opened one.
     pub fn from_pages(pages: Vec<Arc<Page>>) -> Self {
         Self {
             pages: pages.into_iter().map(Some).collect(),
@@ -109,17 +91,9 @@ impl DiskManager {
         }
     }
 
-    /// Number of allocated pages.
+    /// Number of pages.
     pub fn num_pages(&self) -> usize {
         self.pages.len()
-    }
-
-    /// Allocates a zeroed page and returns its id. Allocation itself is not
-    /// counted as I/O (the write that populates it is). Fresh pages live in
-    /// memory; the source underneath never grows.
-    pub fn allocate(&mut self) -> PageId {
-        self.pages.push(Some(zero_page()));
-        (self.pages.len() - 1) as PageId
     }
 
     /// Reads a page. A page in memory wins over the readahead buffer, which
@@ -179,10 +153,7 @@ impl DiskManager {
             return;
         };
         let src_pages = source.num_pages() as u64;
-        if start >= src_pages
-            || self.ra_lookup(start).is_some()
-            || self.pages[start as usize].is_some()
-        {
+        if start >= src_pages || self.ra_lookup(start).is_some() {
             return;
         }
         let count = (self.readahead as u64).min(src_pages - start) as usize;
@@ -191,23 +162,6 @@ impl DiskManager {
             self.ra_start = start;
             self.ra_pages = pages;
         }
-    }
-
-    /// Writes a page. The image takes the page's slot —
-    /// the caller's allocation itself, not a copy of it — and shadows both
-    /// the source and any readahead copy.
-    pub fn write_page(&mut self, page_id: PageId, page: Arc<Page>) -> Result<()> {
-        let slot = self
-            .pages
-            .get_mut(page_id as usize)
-            .ok_or(Error::PageNotFound { page_id })?;
-        *slot = Some(page);
-        // Drop a readahead run that covers this page: the slot already wins
-        // on reads, but a stale copy has no business staying cached.
-        if self.ra_lookup(page_id).is_some() {
-            self.ra_pages.clear();
-        }
-        Ok(())
     }
 
     /// The current image of a page — memory over source — uncounted: what a
@@ -220,29 +174,21 @@ impl DiskManager {
         }
     }
 
-    /// Makes the disk resident: reads every page not yet in memory through
-    /// the source, a run at a time and verified as on any fetch, then drops
-    /// the source (and with it the file handle). Pages already written keep
-    /// their image. A load and not query work, so it is not counted;
-    /// afterwards no read is physical. On an error the disk is as
-    /// it was, less the pages already loaded.
+    /// Makes the disk resident: reads every page through the source, a run
+    /// at a time and verified as on any fetch, then drops the source (and
+    /// with it the file handle). A load and not query work, so it is not
+    /// counted; afterwards no read is physical. On an error the source
+    /// stays, and with it every page not yet loaded.
     pub fn make_resident(&mut self) -> Result<()> {
         let Some(source) = self.source.as_ref() else {
             return Ok(());
         };
-        let mut start = 0;
-        while let Some(gap) = self.pages[start..].iter().position(Option::is_none) {
-            start += gap;
-            let run = self.pages[start..]
-                .iter()
-                .take(RESIDENT_RUN)
-                .take_while(|slot| slot.is_none())
-                .count();
+        for start in (0..self.pages.len()).step_by(RESIDENT_RUN) {
+            let run = RESIDENT_RUN.min(self.pages.len() - start);
             let loaded = source.read_run(start as PageId, run)?;
             for (slot, page) in self.pages[start..].iter_mut().zip(loaded) {
                 *slot = Some(page);
             }
-            start += run;
         }
         self.source = None;
         self.ra_pages.clear();
@@ -265,14 +211,11 @@ mod tests {
     use crate::{BufferPool, PAGE_SIZE};
 
     #[test]
-    fn allocate_read_write_roundtrip() {
-        let mut disk = DiskManager::new();
-        let id = disk.allocate();
-        assert_eq!(id, 0);
+    fn pages_in_memory_read_back_unread() {
         let mut p = Page::new();
         p.put_u64(0, 99).unwrap();
-        disk.write_page(id, Arc::new(p)).unwrap();
-        let back = disk.read_page(id).unwrap();
+        let mut disk = DiskManager::from_pages(vec![Arc::new(p)]);
+        let back = disk.read_page(0).unwrap();
         assert_eq!(back.get_u64(0).unwrap(), 99);
         assert_eq!(disk.num_pages(), 1);
         assert_eq!(
@@ -284,12 +227,11 @@ mod tests {
 
     #[test]
     fn missing_page_is_an_error() {
-        let mut disk = DiskManager::new();
+        let mut disk = DiskManager::default();
         assert_eq!(
             disk.read_page(5).err(),
             Some(Error::PageNotFound { page_id: 5 })
         );
-        assert!(disk.write_page(0, zero_page()).is_err());
     }
 
     fn images(n: usize) -> Vec<Page> {
@@ -303,27 +245,20 @@ mod tests {
     }
 
     #[test]
-    fn source_reads_are_physical_and_a_written_page_shadows_them() {
+    fn source_reads_are_physical_and_images_are_not() {
         let src = FaultSource::new(images(4));
         let mut disk = DiskManager::from_source(Box::new(src), 0);
         assert_eq!(disk.num_pages(), 4);
         assert_eq!(disk.read_page(2).unwrap().get_u64(8).unwrap(), 1002);
         assert_eq!(disk.io.physical_reads, 1);
-        // Overwrite page 2; the written image must shadow the source forever.
-        let mut p = Page::new();
-        p.put_u64(8, 7777).unwrap();
-        disk.write_page(2, Arc::new(p)).unwrap();
-        assert_eq!(disk.read_page(2).unwrap().get_u64(8).unwrap(), 7777);
-        assert_eq!(disk.io.physical_reads, 1, "a read from memory is free");
-        // Growth past the source stays in memory.
-        let id = disk.allocate();
-        assert_eq!(id, 4);
-        assert_eq!(disk.read_page(4).unwrap().get_u64(0).unwrap(), 0);
-        assert_eq!(disk.image(2).unwrap().get_u64(8).unwrap(), 7777);
         assert_eq!(disk.image(3).unwrap().get_u64(8).unwrap(), 1003);
-        assert!(disk.image(5).is_err());
+        assert!(disk.image(4).is_err());
         // Page 3 came from the source, uncounted.
         assert_eq!(disk.io.physical_reads, 1, "walking images is not a read");
+        // Resident, every page is in memory and no read is physical.
+        disk.make_resident().unwrap();
+        assert_eq!(disk.read_page(3).unwrap().get_u64(8).unwrap(), 1003);
+        assert_eq!(disk.io.physical_reads, 1, "a read from memory is free");
     }
 
     #[test]
@@ -351,21 +286,6 @@ mod tests {
         disk.read_page(2).unwrap();
         assert_eq!(disk.io.physical_reads, 2, "non-sequential = single reads");
         assert_eq!(disk.io.readahead_hits, 0);
-    }
-
-    #[test]
-    fn write_invalidates_readahead_copy() {
-        let src = FaultSource::new(images(8));
-        let mut disk = DiskManager::from_source(Box::new(src), 4);
-        disk.read_page(0).unwrap(); // buffers [0,4)
-        let mut p = Page::new();
-        p.put_u64(8, 42).unwrap();
-        disk.write_page(1, Arc::new(p)).unwrap();
-        assert_eq!(
-            disk.read_page(1).unwrap().get_u64(8).unwrap(),
-            42,
-            "stale readahead copy must not resurface"
-        );
     }
 
     #[test]

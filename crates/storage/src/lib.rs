@@ -9,20 +9,21 @@
 //!   out as a shared `Arc<Page>`: a demand-read [`FileSource`] window into
 //!   a snapshot file (pread + per-page CRC32), or a fault-injecting
 //!   [`FaultSource`] in tests.
-//! - [`DiskManager`] — a "disk": the pages in memory (allocated, written
-//!   back — the very image a frame wrote, not a copy of it — or loaded by
-//!   [`DiskManager::make_resident`]) over an optional page source, with
-//!   optional sequential readahead; it counts only what the source does
-//!   ([`IoStats`]: physical reads, readahead hits, read errors).
-//! - [`BufferPool`] — a sharded, lock-striped cache in front of the disk
-//!   with clock (second-chance) eviction per shard; buffer hits are free,
-//!   misses cost a logical read, dirty evictions cost a write. The pool
-//!   capacity models the paper's 500 K-point buffer limit (§6.3), and the
-//!   shared-read frames ([`BufferPool::page`] returns `Arc<Page>`) let
-//!   concurrent KNN workers scan pages without serializing on a pool lock;
-//!   a writer owns the pool ([`BufferPool::with_page_mut`] takes
-//!   `&mut self`). A page in memory is held once: disk and frame share one
-//!   image until a write copies it.
+//! - [`DiskManager`] — a read-only "disk": the pages in memory (handed
+//!   over by the bulk load that wrote them, [`DiskManager::from_pages`], or
+//!   loaded by [`DiskManager::make_resident`]) or an optional page source
+//!   under them, with optional sequential readahead; it counts only what
+//!   the source does ([`IoStats`]: physical reads, readahead hits, read
+//!   errors).
+//! - [`BufferPool`] — a sharded, lock-striped read cache in front of the
+//!   disk with clock (second-chance) eviction per shard; buffer hits are
+//!   free, misses cost a logical read. The pool capacity models the
+//!   paper's 500 K-point buffer limit (§6.3), and the shared-read frames
+//!   ([`BufferPool::page`] returns `Arc<Page>`) let concurrent KNN workers
+//!   scan pages without serializing on a pool lock. Nothing writes through
+//!   a pool: a page is written once, by its structure's bulk load, into a
+//!   [`Page`] the load owns, before the pool exists. A page in memory is
+//!   held once: disk and frame share one image.
 //! - [`PageSet`] — the page images one reader has pinned, by id, so a page
 //!   it comes back to costs no second fetch.
 //!

@@ -119,21 +119,6 @@ impl Page {
         data.copy_from_slice(bytes);
         Ok(Self { data })
     }
-
-    /// Shifts `len` bytes at `src` to `dst` within the page (memmove
-    /// semantics) — the primitive behind sorted-slot insertion in index
-    /// nodes.
-    pub fn shift(&mut self, src: usize, dst: usize, len: usize) -> Result<()> {
-        let src_end = src
-            .checked_add(len)
-            .filter(|&e| e <= PAGE_SIZE)
-            .ok_or(Error::OutOfBounds { offset: src, len })?;
-        dst.checked_add(len)
-            .filter(|&e| e <= PAGE_SIZE)
-            .ok_or(Error::OutOfBounds { offset: dst, len })?;
-        self.data.copy_within(src..src_end, dst);
-        Ok(())
-    }
 }
 
 #[cfg(test)]
@@ -176,20 +161,6 @@ mod tests {
         let mut p = Page::new();
         p.put_bytes(100, b"hello").unwrap();
         assert_eq!(p.bytes(100, 5).unwrap(), b"hello");
-    }
-
-    #[test]
-    fn shift_moves_overlapping_ranges() {
-        let mut p = Page::new();
-        p.put_bytes(0, &[1, 2, 3, 4, 5]).unwrap();
-        // Insert-like shift right by 1.
-        p.shift(0, 1, 5).unwrap();
-        assert_eq!(p.bytes(0, 6).unwrap(), &[1, 1, 2, 3, 4, 5]);
-        // Delete-like shift left.
-        p.shift(2, 0, 4).unwrap();
-        assert_eq!(p.bytes(0, 4).unwrap(), &[2, 3, 4, 5]);
-        assert!(p.shift(PAGE_SIZE - 2, 0, 4).is_err());
-        assert!(p.shift(0, PAGE_SIZE - 2, 4).is_err());
     }
 
     #[test]

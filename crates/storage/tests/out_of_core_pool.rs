@@ -2,14 +2,12 @@
 //!
 //! Two harnesses:
 //!
-//! 1. A proptest that replays arbitrary interleavings of `page` /
-//!    `with_page_mut` against a *tiny-capacity*, file-backed pool and a
-//!    fully resident model pool. Contents must stay identical page for
-//!    page — in particular, a copy-on-write page that was evicted after a
-//!    mutation must come back as it was written, never re-read stale from
-//!    the snapshot file. A second property makes such a pool resident
-//!    mid-life: written pages keep their image, the rest are loaded, and
-//!    the source is never asked again.
+//! 1. A proptest that replays arbitrary sequences of page reads against a
+//!    *tiny-capacity*, file-backed pool and a fully resident model pool
+//!    built from the same images ([`DiskManager::from_pages`]). Contents
+//!    must stay identical page for page, however often a page is evicted
+//!    and faulted back in. A second property makes such a pool resident
+//!    mid-life: every page is loaded, and the source is never asked again.
 //! 2. Fault-injection tests with a [`FaultSource`] behind the pool:
 //!    transient failures heal on retry, permanent failures and short reads
 //!    stay typed errors (never a panic, never wrong bytes), a flipped byte
@@ -95,42 +93,31 @@ const NUM_PAGES: usize = 12;
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
-    /// Arbitrary read/write interleavings over a pool small enough that
-    /// dirty pages are constantly evicted must match a resident model
-    /// exactly — every page, every byte.
+    /// Arbitrary read sequences over a pool small enough that pages are
+    /// constantly evicted must match a resident model exactly — every
+    /// page, every byte.
     #[test]
     fn interleavings_match_resident_model(
-        // (page, write?, value) — tiny page domain so the same page is
-        // read, mutated, evicted and re-faulted many times per case.
-        ops in proptest::collection::vec(
-            (0u64..NUM_PAGES as u64, proptest::bool::ANY, 0u8..=255),
-            1..80,
-        ),
+        // A tiny page domain, so the same page is read, evicted and
+        // re-faulted many times per case.
+        ops in proptest::collection::vec(0u64..NUM_PAGES as u64, 1..80),
         capacity in 1usize..5,
         readahead in 0usize..5,
     ) {
         let pages = patterned_pages(NUM_PAGES);
-        let (mut subject, _file) = file_pool(&pages, capacity, readahead, "prop");
-        let mut model = model_pool(&pages);
+        let (subject, _file) = file_pool(&pages, capacity, readahead, "prop");
+        let model = model_pool(&pages);
 
-        for (i, &(page_id, is_write, value)) in ops.iter().enumerate() {
-            if is_write {
-                // Mutate at an op-dependent offset through both pools.
-                let offset = (i * 97 + value as usize) % PAGE_SIZE;
-                let write = |p: &mut Page| p.put_bytes(offset, &[value]).unwrap();
-                subject.with_page_mut(page_id, write).unwrap();
-                model.with_page_mut(page_id, write).unwrap();
-            } else {
-                let got = subject.page(page_id).unwrap();
-                let want = model.page(page_id).unwrap();
-                prop_assert_eq!(
-                    got.as_bytes().as_slice(),
-                    want.as_bytes().as_slice(),
-                    "page {} diverged mid-run at op {}",
-                    page_id,
-                    i
-                );
-            }
+        for (i, &page_id) in ops.iter().enumerate() {
+            let got = subject.page(page_id).unwrap();
+            let want = model.page(page_id).unwrap();
+            prop_assert_eq!(
+                got.as_bytes().as_slice(),
+                want.as_bytes().as_slice(),
+                "page {} diverged mid-run at op {}",
+                page_id,
+                i
+            );
         }
 
         // Every page — including ones the ops never touched — must match
@@ -159,49 +146,20 @@ proptest! {
         }
     }
 
-    /// A mutated page evicted under memory pressure must come back from the
-    /// disk's written image — a direct probe of the "never re-read stale
-    /// from the file" invariant, with enough interleaved traffic to force
-    /// the dirty page out between the write and the check.
+    /// Making a pool resident after pages were read through it loads every
+    /// page; afterwards nothing is physical I/O and the source, set to fail
+    /// every read, is never consulted.
     #[test]
-    fn cow_pages_survive_eviction(
-        victim in 0u64..NUM_PAGES as u64,
-        traffic in proptest::collection::vec(0u64..NUM_PAGES as u64, 8..40),
-        value in 0u8..=255,
-    ) {
-        let pages = patterned_pages(NUM_PAGES);
-        let (mut subject, _file) = file_pool(&pages, 2, 0, "cow");
-
-        subject
-            .with_page_mut(victim, |p| p.put_bytes(100, &[value, value, value]).unwrap())
-            .unwrap();
-        // Flood the 2-frame pool so the dirty victim is evicted.
-        for &page_id in &traffic {
-            subject.page(page_id).unwrap();
-        }
-
-        let mut want = *pages[victim as usize].as_bytes();
-        want[100..103].copy_from_slice(&[value, value, value]);
-        let got = subject.page(victim).unwrap();
-        prop_assert_eq!(got.as_bytes().as_slice(), want.as_slice());
-    }
-
-    /// Making a pool resident after pages were written through it keeps
-    /// every written image — flushed, evicted or still dirty in a frame —
-    /// and loads the rest; afterwards nothing is physical I/O and the
-    /// source, set to fail every read, is never consulted.
-    #[test]
-    fn make_resident_keeps_written_pages_and_retires_the_source(
-        writes in proptest::collection::vec((0u64..NUM_PAGES as u64, 0u8..=255), 0..20),
+    fn make_resident_loads_every_page_and_retires_the_source(
+        reads in proptest::collection::vec(0u64..NUM_PAGES as u64, 0..20),
         capacity in 1usize..5,
         readahead in 0usize..5,
     ) {
         let pages = patterned_pages(NUM_PAGES);
-        let (mut subject, fault) = fault_pool(NUM_PAGES, capacity, readahead);
-        let mut want: Vec<[u8; PAGE_SIZE]> = pages.iter().map(|p| *p.as_bytes()).collect();
-        for &(page_id, value) in &writes {
-            subject.with_page_mut(page_id, |p| p.put_u8(9, value).unwrap()).unwrap();
-            want[page_id as usize][9] = value;
+        let (subject, fault) = fault_pool(NUM_PAGES, capacity, readahead);
+        let want: Vec<[u8; PAGE_SIZE]> = pages.iter().map(|p| *p.as_bytes()).collect();
+        for &page_id in &reads {
+            subject.page(page_id).unwrap();
         }
         subject.make_resident().unwrap();
 

@@ -23,7 +23,7 @@
 
 use mmdr::core::{Mmdr, MmdrParams, ParConfig};
 use mmdr::datagen::{generate_correlated, sample_queries, CorrelatedConfig};
-use mmdr::idistance::{build_backend, build_index, Backend};
+use mmdr::idistance::{build_index, Backend};
 use mmdr::index::{
     batch_queries, Error, LiveIndex, Query, QueryStats, RowFilter, Scratch, SearchFilter, Target,
     VectorIndex,
@@ -59,7 +59,11 @@ fn fixture() -> Fixture {
 fn build_all(fx: &Fixture) -> Vec<Box<dyn VectorIndex>> {
     Backend::all()
         .into_iter()
-        .map(|b| build_backend(b, &fx.data, &fx.model, BUFFER_PAGES).expect("build backend"))
+        .map(|b| {
+            build_index(b, &fx.data, &fx.model, BUFFER_PAGES)
+                .expect("build backend")
+                .into_boxed()
+        })
         .collect()
 }
 
@@ -245,7 +249,9 @@ fn search_parity_holds_whatever_scratch_a_query_is_given() {
         data: ds.data,
         queries: Vec::new(),
     };
-    let scan = build_backend(Backend::all()[0], &fx.data, &fx.model, BUFFER_PAGES).unwrap();
+    let scan = build_index(Backend::all()[0], &fx.data, &fx.model, BUFFER_PAGES)
+        .unwrap()
+        .into_boxed();
     let radii: Vec<f64> = fx
         .queries
         .iter()

@@ -203,6 +203,44 @@ fn query_stats_and_pool_stats_count_each_fetch_once() {
     }
 }
 
+/// A built index and its resident reopen are put together by one path and
+/// their pools start alike, with no page in a frame: the same queries
+/// leave every shard's hits, misses and evictions, and every count
+/// `query_stats()` reports, equal field for field — on pools small enough
+/// to evict.
+#[test]
+fn a_built_index_counts_like_its_reopen() {
+    let data = dataset(600, 0.0);
+    let model = fit(&data);
+    for backend in Backend::all() {
+        let file = TempFile::new("counts-alike");
+        let built = build_index(backend, &data, &model, 2).unwrap();
+        save(&file.0, &built, &model).unwrap();
+        let opened = open_resident(&file.0).unwrap();
+        let (built, opened) = (built.as_dyn(), opened.index.as_dyn());
+        for (i, row) in [3, 90, 801, 3].into_iter().enumerate() {
+            for index in [built, opened] {
+                index.knn(data.row(row), 5 + i).unwrap();
+                index.range_search(data.row(row), 0.3).unwrap();
+            }
+            assert_eq!(
+                built.pool_stats(),
+                opened.pool_stats(),
+                "{}",
+                backend.name()
+            );
+            assert_eq!(
+                built.query_stats(),
+                opened.query_stats(),
+                "{}",
+                backend.name()
+            );
+        }
+        let evictions: u64 = built.pool_stats().iter().map(|p| p.evictions()).sum();
+        assert!(evictions > 0, "{}: the pools must evict", backend.name());
+    }
+}
+
 #[test]
 fn range_search_parity_after_reopen() {
     let data = dataset(60, 0.25);
@@ -454,23 +492,24 @@ fn future_version_reports_unsupported_not_checksum() {
 
 #[test]
 fn a_snapshot_of_the_previous_format_is_refused_by_its_version() {
-    // What a v10 writer left (the same sections but 8 bytes a heap
-    // coordinate): version 10 under a superblock CRC that is right for it.
+    // What a v11 writer left (the same sections but a heap's META record
+    // holding its open append page): version 11 under a superblock CRC
+    // that is right for it.
     // There is no second reader; the refusal is typed.
     let mut image = snapshot_bytes();
-    image[8..12].copy_from_slice(&10u32.to_le_bytes());
+    image[8..12].copy_from_slice(&11u32.to_le_bytes());
     image[44..48].fill(0);
     let crc = mmdr_persist::crc32(&image[..80]);
     image[44..48].copy_from_slice(&crc.to_le_bytes());
     for resident in [false, true] {
-        let file = write_image(&image, "v10");
+        let file = write_image(&image, "v11");
         let options = OpenOptions {
             resident,
             ..OpenOptions::default()
         };
         match open_with(&file.0, &options) {
             Err(PersistError::UnsupportedVersion { found, supported }) => {
-                assert_eq!((found, supported), (10, 11));
+                assert_eq!((found, supported), (11, 12));
             }
             other => panic!("expected UnsupportedVersion, got {other:?}"),
         }

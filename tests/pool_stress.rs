@@ -11,7 +11,7 @@
 
 use mmdr::core::{Mmdr, MmdrParams};
 use mmdr::datagen::{generate_correlated, sample_queries, CorrelatedConfig};
-use mmdr::idistance::{build_backend, Backend};
+use mmdr::idistance::{build_index, Backend};
 use mmdr::index::VectorIndex;
 
 const K: usize = 10;
@@ -108,19 +108,21 @@ fn hammer(index: &dyn VectorIndex, queries: &[Vec<f64>], rounds: usize) {
 fn concurrent_mixed_queries_match_serial_for_every_backend() {
     let fx = fixture();
     for backend in Backend::all() {
-        let index = build_backend(backend, &fx.data, &fx.model, 128).expect("build backend");
-        hammer(index.as_ref(), &fx.queries, 3);
+        let index = build_index(backend, &fx.data, &fx.model, 128).expect("build backend");
+        hammer(index.as_dyn(), &fx.queries, 3);
     }
 }
 
 #[test]
 fn concurrent_queries_survive_eviction_pressure() {
     // A 4-page pool cannot hold even one tree level: every thread's fetches
-    // constantly evict the others' frames, exercising the clock sweep, the
-    // frame latches and the stale-writer retry path. Answers must not care.
+    // constantly evict the others' frames, exercising the clock sweep and
+    // the shard locks. Answers must not care.
     let fx = fixture();
     for backend in Backend::all() {
-        let index = build_backend(backend, &fx.data, &fx.model, 4).expect("build backend");
+        let index = build_index(backend, &fx.data, &fx.model, 4)
+            .expect("build backend")
+            .into_boxed();
         let before = index.query_stats();
         hammer(index.as_ref(), &fx.queries[..6], 2);
         assert!(

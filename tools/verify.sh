@@ -39,6 +39,13 @@ fi
 echo "== clippy (all targets) =="
 cargo clippy --workspace --all-targets "${PROFILE[@]}" -- -D warnings
 
+echo "== rustdoc =="
+# Every intra-doc link resolves and no doc comment warns. --lib, because
+# the mmdr library and the mmdr binary would collide on one doc file; the
+# vendored stand-ins are not ours to document.
+RUSTDOCFLAGS="${RUSTDOCFLAGS:-} -D warnings" cargo doc --workspace --exclude proptest \
+    --exclude rand --exclude criterion --no-deps --lib
+
 echo "== test (workspace) =="
 cargo test --workspace "${PROFILE[@]}"
 
@@ -53,14 +60,17 @@ cargo test "${PROFILE[@]}" --test persist_roundtrip
 # made right for the damage, opened and read: each returns Ok or a typed
 # error, never a panic or an unbacked allocation; an id column that does not
 # fit its heap is refused, and so is a heap page whose header (count, width,
-# partition) no page could have, or a PAGES section cut inside a heap page.
+# partition) no page could have, or a PAGES section cut inside a heap page,
+# and a gLDR hybrid-tree node whose header (type, count, split dimension) or
+# child no bulk load writes.
 cargo test "${PROFILE[@]}" -p mmdr-persist --lib -- \
     model_codec::tests::a_damaged_record_decodes_or_is_refused \
     model_codec::tests::a_planted_length_is_refused_or_harmless_at_every_offset \
     snapshot::tests::a_damaged_ids_or_pagedir_opens_or_is_refused \
     snapshot::tests::a_planted_length_in_ids_or_pagedir_is_refused_or_harmless \
     snapshot::tests::an_id_column_that_does_not_fit_its_heap_is_refused \
-    snapshot::tests::a_damaged_heap_page_is_refused
+    snapshot::tests::a_damaged_heap_page_is_refused \
+    snapshot::tests::a_damaged_hybrid_node_is_refused
 cargo test "${PROFILE[@]}" --test serve_parity --test scalable_pipeline
 # The wire protocol's fragmentation property: valid frames split at
 # arbitrary byte boundaries, as any TCP peer receives them, decode exactly
