@@ -44,6 +44,9 @@ mod traits;
 pub use error::{Error, Result};
 pub use filter::{RowFilter, SearchFilter};
 pub use heap::KnnHeap;
+/// The storage layer's byte codec, for the crates above this one that
+/// encode without depending on storage (the query layer's attributes).
+pub use mmdr_storage::codec;
 pub use mutable::{
     DeltaLayer, DeltaRow, DeltaRows, DeltaStats, IngestOp, IngestStats, LiveIndex, PinnedEpoch,
     ReadOnlyLive,

@@ -4,6 +4,7 @@
 //! flipped byte, a wrong magic or a future version must produce one of
 //! these variants — never a panic, and never a silently wrong index.
 
+use mmdr_storage::codec::DecodeError;
 use std::fmt;
 use std::path::PathBuf;
 
@@ -118,6 +119,14 @@ impl PersistError {
             path: path.to_path_buf(),
             source,
         }
+    }
+}
+
+/// A section the byte codec could not read: the section passed its CRC, so
+/// its writer produced a structure that does not decode.
+impl From<DecodeError> for PersistError {
+    fn from(e: DecodeError) -> Self {
+        PersistError::Malformed(e.to_string())
     }
 }
 

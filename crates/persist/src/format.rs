@@ -32,6 +32,7 @@
 //! one is read: there is no second reader.
 
 use crate::error::{PersistError, Result};
+use mmdr_storage::codec::{Reader, Writer};
 use mmdr_storage::crc32;
 
 /// First eight bytes of every snapshot.
@@ -150,15 +151,16 @@ pub(crate) fn section_name(id: u32) -> String {
 pub fn header(backend_tag: u32, sections: &[(u32, u32, u64)]) -> Vec<u8> {
     let table_len = sections.len() * TABLE_ENTRY_LEN;
     let mut offset = (SUPERBLOCK_LEN + table_len) as u64;
-    let mut table = Vec::with_capacity(table_len);
+    let mut w = Writer::new();
     for &(id, crc, len) in sections {
-        table.extend_from_slice(&id.to_le_bytes());
-        table.extend_from_slice(&crc.to_le_bytes());
-        table.extend_from_slice(&offset.to_le_bytes());
-        table.extend_from_slice(&len.to_le_bytes());
-        table.extend_from_slice(&0u64.to_le_bytes());
+        w.put_u32(id);
+        w.put_u32(crc);
+        w.put_u64(offset);
+        w.put_u64(len);
+        w.put_u64(0);
         offset += len;
     }
+    let table = w.into_bytes();
     let file_len = offset;
 
     let mut sb = [0u8; SUPERBLOCK_LEN];
@@ -333,12 +335,10 @@ pub fn parse_table(table: &[u8], sb: &Superblock) -> Result<Vec<SectionEntry>> {
     }
     let mut entries = Vec::with_capacity(sb.section_count);
     let mut expected_offset = (SUPERBLOCK_LEN + table.len()) as u64;
-    for i in 0..sb.section_count {
-        let e = &table[i * TABLE_ENTRY_LEN..(i + 1) * TABLE_ENTRY_LEN];
-        let id = u32_at(e, 0);
-        let crc = u32_at(e, 4);
-        let offset = u64_at(e, 8);
-        let len = u64_at(e, 16);
+    let mut r = Reader::new(table).named("section table");
+    for _ in 0..sb.section_count {
+        let (id, crc) = (r.get_u32()?, r.get_u32()?);
+        let (offset, len, _reserved) = (r.get_u64()?, r.get_u64()?, r.get_u64()?);
         if offset != expected_offset {
             return Err(PersistError::malformed(format!(
                 "{} at offset {offset}, expected {expected_offset}",

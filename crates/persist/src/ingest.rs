@@ -1108,6 +1108,44 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
+    /// An insert whose WAL record would pass the record cap (here through
+    /// a 17 MiB tag) is refused before a byte is logged: the id and the
+    /// attribute row stay unused, and the log opens again.
+    #[test]
+    fn an_insert_past_the_record_cap_is_refused_and_the_log_reopens() {
+        let data = dataset();
+        let model = model_for(&data);
+        let dir = tmp_dir("oversize");
+        let path = dir.join("idx.mmdr");
+        let opts = IngestOptions {
+            merge_threshold: 0,
+            ..Default::default()
+        };
+        let store = AttrStore::new(&[("label", mmdr_query::AttrType::Tag)]).unwrap();
+        let engine = IngestEngine::create_with_attrs(
+            &path,
+            Backend::SeqScan,
+            &data,
+            &model,
+            128,
+            opts.clone(),
+            Some(&store),
+        )
+        .unwrap();
+        let before = engine.ingest_stats();
+        let huge = AttrValue::Tag("x".repeat(crate::MAX_WAL_RECORD as usize + (1 << 20)));
+        let err = engine
+            .insert_with_attrs(&[0.4, 0.12, 0.0, 0.0], &[("label".to_string(), huge)])
+            .unwrap_err();
+        assert!(err.to_string().contains("exceeds"), "{err}");
+        assert_eq!(engine.ingest_stats(), before);
+        engine.with_attrs(|s| assert_eq!(s.get(before.next_id, "label").unwrap(), None));
+        drop(engine);
+        let reopened = IngestEngine::open(&path, opts).unwrap();
+        assert_eq!(reopened.ingest_stats().next_id, before.next_id);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
     #[test]
     fn a_logged_non_finite_insert_fails_the_open_typed() {
         let data = dataset();

@@ -39,7 +39,6 @@
 //! that was saved. The `persist_roundtrip` integration test asserts this
 //! for every backend.
 
-mod codec;
 mod error;
 pub mod format;
 mod ingest;

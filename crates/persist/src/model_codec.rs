@@ -1,28 +1,107 @@
-//! Binary encoding of the reduction model and index metadata structures.
+//! Binary encoding of the reduction model and index metadata structures,
+//! and the fields every snapshot section shares: a length, count or
+//! `usize` is a `u64` whatever the host, an `f64` list is its length and
+//! its values, and an id list is its length and zig-zag delta varints.
 //!
-//! Floats are stored as IEEE-754 bit patterns (see [`crate::codec`]), so
-//! the decoded model is *bit-identical* to the saved one — centroids,
+//! Everything is written and read with the storage layer's byte codec
+//! ([`mmdr_storage::codec`]): floats are stored as IEEE-754 bit patterns,
+//! so the decoded model is *bit-identical* to the saved one — centroids,
 //! rotation matrices, radii and MPE statistics all round-trip exactly,
 //! which is what makes reopened indexes return byte-for-byte the same
-//! distances as freshly built ones.
+//! distances as freshly built ones. Every length is held to the bytes
+//! behind it by the codec's count rule before it sizes anything, and a
+//! codec fault is [`PersistError::Malformed`], naming the section.
 //!
 //! Decoding is fail-closed: structures are revalidated on the way in
 //! (orthonormal bases via [`ReducedSubspace::new`], partition coverage via
 //! [`ReductionResult::is_partition`]), so bytes that checksum correctly but
 //! encode an invalid model are still rejected.
 
-use crate::codec::{ByteReader, ByteWriter};
 use crate::error::{PersistError, Result};
 use mmdr_core::{EllipsoidCluster, ReductionResult, ReductionStats};
 use mmdr_idistance::{Codebook, PartitionInfo};
 use mmdr_linalg::Matrix;
 use mmdr_pca::ReducedSubspace;
+use mmdr_storage::codec::{self, Reader, Writer};
 
-pub fn put_subspace(w: &mut ByteWriter, s: &ReducedSubspace) {
-    w.put_f64_slice(s.centroid());
+/// Reads a `u64` length or count as a `usize`, refusing one the host
+/// cannot address.
+pub fn get_usize(r: &mut Reader<'_>) -> Result<usize> {
+    let v = r.get_u64()?;
+    usize::try_from(v)
+        .map_err(|_| PersistError::malformed(format!("length {v} exceeds the address space")))
+}
+
+/// Reads the `u64` length of a list whose elements take at least `least`
+/// bytes each: believed only once they fit in the bytes behind it.
+pub fn get_len(r: &mut Reader<'_>, least: usize) -> Result<usize> {
+    let n = r.get_u64()?;
+    Ok(r.count(n, least)?)
+}
+
+/// Appends a length-prefixed `f64` list.
+pub fn put_f64s(w: &mut Writer, vs: &[f64]) {
+    w.put_u64(vs.len() as u64);
+    for &v in vs {
+        w.put_f64(v);
+    }
+}
+
+/// Reads a [`put_f64s`] list.
+pub fn get_f64s(r: &mut Reader<'_>) -> Result<Vec<f64>> {
+    let n = get_len(r, 8)?;
+    Ok((0..n).map(|_| r.get_f64()).collect::<codec::Result<_>>()?)
+}
+
+/// Appends a length-prefixed list of ids as zig-zag varints of each id's
+/// difference from the one before it (from 0, wrapping): a byte an id
+/// where the list mostly ascends by small steps, as a cluster's member
+/// list does, and any order and any value round-trip.
+pub fn put_id_list(w: &mut Writer, ids: impl IntoIterator<Item = u64>) {
+    let mut list = Writer::new();
+    let (mut len, mut prev) = (0u64, 0u64);
+    for id in ids {
+        let delta = id.wrapping_sub(prev) as i64;
+        list.put_varint(((delta << 1) ^ (delta >> 63)) as u64);
+        (len, prev) = (len + 1, id);
+    }
+    w.put_u64(len);
+    w.put_raw(&list.into_bytes());
+}
+
+/// Reads the length of a [`put_id_list`] list — a byte an id at least —
+/// and yields its ids, each decoded as it is taken.
+pub fn get_ids<'r, 'a>(
+    r: &'r mut Reader<'a>,
+) -> Result<impl ExactSizeIterator<Item = Result<u64>> + use<'r, 'a>> {
+    let n = get_len(r, 1)?;
+    let mut prev = 0u64;
+    Ok((0..n).map(move |_| {
+        let z = r.get_varint()?;
+        let delta = (z >> 1) as i64 ^ -((z & 1) as i64);
+        prev = prev.wrapping_add(delta as u64);
+        Ok(prev)
+    }))
+}
+
+/// Reads a [`put_id_list`] list.
+pub fn get_id_list(r: &mut Reader<'_>) -> Result<Vec<usize>> {
+    let ids = get_ids(r)?;
+    let mut out = Vec::with_capacity(ids.len());
+    for id in ids {
+        let id = id?;
+        let id = usize::try_from(id)
+            .map_err(|_| PersistError::malformed(format!("id {id} exceeds the address space")))?;
+        out.push(id);
+    }
+    Ok(out)
+}
+
+pub fn put_subspace(w: &mut Writer, s: &ReducedSubspace) {
+    put_f64s(w, s.centroid());
     let basis = s.basis();
-    w.put_usize(basis.rows());
-    w.put_usize(basis.cols());
+    w.put_u64(basis.rows() as u64);
+    w.put_u64(basis.cols() as u64);
     for &v in basis.as_slice() {
         w.put_f64(v);
     }
@@ -30,51 +109,45 @@ pub fn put_subspace(w: &mut ByteWriter, s: &ReducedSubspace) {
 
 /// Decodes a subspace, re-running the orthonormality check — a basis that
 /// checksums fine but is not orthonormal is rejected, not trusted.
-pub fn get_subspace(r: &mut ByteReader<'_>) -> Result<ReducedSubspace> {
-    let centroid = r.get_f64_vec()?;
-    let (rows, cols) = (r.get_usize()?, r.get_usize()?);
-    let n = rows
-        .checked_mul(cols)
-        .ok_or_else(|| PersistError::malformed(format!("basis shape {rows}×{cols} overflows")))?;
-    if n.saturating_mul(8) > r.remaining() {
-        return Err(PersistError::malformed(format!(
-            "basis {rows}×{cols} larger than the bytes backing it"
-        )));
-    }
-    let data = (0..n).map(|_| r.get_f64()).collect::<Result<Vec<f64>>>()?;
+pub fn get_subspace(r: &mut Reader<'_>) -> Result<ReducedSubspace> {
+    let centroid = get_f64s(r)?;
+    let (rows, cols) = (get_usize(r)?, get_usize(r)?);
+    let data = (0..r.count((rows as u64).saturating_mul(cols as u64), 8)?)
+        .map(|_| r.get_f64())
+        .collect::<codec::Result<Vec<f64>>>()?;
     let basis = Matrix::from_vec(rows, cols, data)
         .map_err(|e| PersistError::malformed(format!("basis decode: {e}")))?;
     Ok(ReducedSubspace::new(centroid, basis)?)
 }
 
-pub fn put_model(w: &mut ByteWriter, m: &ReductionResult) {
-    w.put_usize(m.dim);
-    w.put_usize(m.num_points);
-    w.put_usize(m.clusters.len());
+pub fn put_model(w: &mut Writer, m: &ReductionResult) {
+    w.put_u64(m.dim as u64);
+    w.put_u64(m.num_points as u64);
+    w.put_u64(m.clusters.len() as u64);
     for c in &m.clusters {
         put_subspace(w, &c.subspace);
-        w.put_id_list(c.members.iter().map(|&id| id as u64));
+        put_id_list(w, c.members.iter().map(|&id| id as u64));
         w.put_f64(c.mpe);
         w.put_f64(c.radius_eliminated);
         w.put_f64(c.radius_retained);
         w.put_f64(c.nearest_radius);
         w.put_f64(c.ellipticity);
     }
-    w.put_id_list(m.outliers.iter().map(|&id| id as u64));
+    put_id_list(w, m.outliers.iter().map(|&id| id as u64));
     w.put_u64(m.stats.distance_computations);
     w.put_u64(m.stats.ge_invocations);
-    w.put_usize(m.stats.max_s_dim_reached);
+    w.put_u64(m.stats.max_s_dim_reached as u64);
     w.put_u64(m.stats.streams);
 }
 
-pub fn get_model(r: &mut ByteReader<'_>) -> Result<ReductionResult> {
-    let dim = r.get_usize()?;
-    let num_points = r.get_usize()?;
-    let n_clusters = r.get_len(1)?;
+pub fn get_model(r: &mut Reader<'_>) -> Result<ReductionResult> {
+    let dim = get_usize(r)?;
+    let num_points = get_usize(r)?;
+    let n_clusters = get_len(r, 1)?;
     let mut clusters = Vec::with_capacity(n_clusters);
     for _ in 0..n_clusters {
         let subspace = get_subspace(r)?;
-        let members = r.get_id_list()?;
+        let members = get_id_list(r)?;
         let mpe = r.get_f64()?;
         let radius_eliminated = r.get_f64()?;
         let radius_retained = r.get_f64()?;
@@ -96,11 +169,11 @@ pub fn get_model(r: &mut ByteReader<'_>) -> Result<ReductionResult> {
             ellipticity,
         });
     }
-    let outliers = r.get_id_list()?;
+    let outliers = get_id_list(r)?;
     let stats = ReductionStats {
         distance_computations: r.get_u64()?,
         ge_invocations: r.get_u64()?,
-        max_s_dim_reached: r.get_usize()?,
+        max_s_dim_reached: get_usize(r)?,
         streams: r.get_u64()?,
     };
     let model = ReductionResult {
@@ -122,14 +195,14 @@ pub fn get_model(r: &mut ByteReader<'_>) -> Result<ReductionResult> {
 /// codebook its leaf codes index — and, for the outlier home alone, the
 /// reference point its keys are measured from. The subspace and a cluster's
 /// centroid are the model's: MODEL holds them once.
-pub fn put_partition(w: &mut ByteWriter, p: &PartitionInfo) {
+pub fn put_partition(w: &mut Writer, p: &PartitionInfo) {
     w.put_f64(p.min_radius);
     w.put_f64(p.max_radius);
-    w.put_usize(p.count);
+    w.put_u64(p.count as u64);
     match &p.codebook {
         Some(book) => {
             w.put_u8(1);
-            w.put_usize(book.edges().len());
+            w.put_u64(book.edges().len() as u64);
             for &e in book.edges() {
                 w.put_u32(e.to_bits());
             }
@@ -137,27 +210,27 @@ pub fn put_partition(w: &mut ByteWriter, p: &PartitionInfo) {
         None => w.put_u8(0),
     }
     if p.subspace.is_none() {
-        w.put_f64_slice(&p.centroid);
+        put_f64s(w, &p.centroid);
     }
 }
 
 /// Decodes partition `i` of `model`'s layout (cluster `i`, then the outlier
 /// home) and completes it from the model, exactly as a load does.
 pub fn get_partition(
-    r: &mut ByteReader<'_>,
+    r: &mut Reader<'_>,
     model: &ReductionResult,
     i: usize,
 ) -> Result<PartitionInfo> {
     let cluster = model.clusters.get(i);
     let radii = (r.get_f64()?, r.get_f64()?);
-    let count = r.get_usize()?;
+    let count = get_usize(r)?;
     let codebook = match r.get_u8()? {
         0 => None,
         1 => {
-            let n = r.get_len(4)?;
+            let n = get_len(r, 4)?;
             let edges = (0..n)
                 .map(|_| r.get_u32().map(f32::from_bits))
-                .collect::<Result<Vec<f32>>>()?;
+                .collect::<codec::Result<Vec<f32>>>()?;
             // The width the partition's rows are stored at decides how
             // many edges there must be.
             let stored_dim = cluster.map_or(model.dim, |c| c.subspace.reduced_dim());
@@ -171,7 +244,7 @@ pub fn get_partition(
     };
     let reference = match cluster {
         Some(_) => Vec::new(),
-        None => r.get_f64_vec()?,
+        None => get_f64s(r)?,
     };
     Ok(PartitionInfo::new(
         cluster, &reference, radii, count, codebook,
@@ -212,12 +285,12 @@ mod tests {
     }
 
     fn roundtrip(m: &ReductionResult) -> ReductionResult {
-        let mut w = ByteWriter::new();
+        let mut w = Writer::new();
         put_model(&mut w, m);
         let bytes = w.into_bytes();
-        let mut r = ByteReader::new(&bytes, "test model");
+        let mut r = Reader::new(&bytes);
         let out = get_model(&mut r).unwrap();
-        r.expect_end().unwrap();
+        r.finish().unwrap();
         out
     }
 
@@ -248,14 +321,49 @@ mod tests {
         }
     }
 
+    fn id_list_roundtrip(ids: &[usize]) -> usize {
+        let mut w = Writer::new();
+        put_id_list(&mut w, ids.iter().map(|&id| id as u64));
+        let bytes = w.into_bytes();
+        let mut r = Reader::new(&bytes);
+        assert_eq!(get_id_list(&mut r).unwrap(), ids);
+        r.finish().unwrap();
+        bytes.len()
+    }
+
+    #[test]
+    fn an_ascending_id_list_costs_a_byte_a_member() {
+        assert_eq!(id_list_roundtrip(&[]), 8);
+        let ascending: Vec<usize> = (1000..2000).map(|i| i * 3).collect();
+        assert_eq!(id_list_roundtrip(&ascending), 8 + 2 + 999);
+        id_list_roundtrip(&[usize::MAX, 0, usize::MAX, usize::MAX - 1, 1 << 63, 5, 5]);
+    }
+
+    /// A list that claims more ids, or more floats, than its bytes hold is
+    /// refused before anything is sized by the claim.
+    #[test]
+    fn a_length_its_bytes_cannot_back_is_malformed() {
+        let mut w = Writer::new();
+        w.put_u64(9);
+        w.put_varint(3);
+        let bytes = w.into_bytes();
+        let got = get_id_list(&mut Reader::new(&bytes));
+        assert!(matches!(got, Err(PersistError::Malformed(_))));
+        let mut w = Writer::new();
+        w.put_u64(u64::MAX / 2);
+        let bytes = w.into_bytes();
+        let got = get_f64s(&mut Reader::new(&bytes));
+        assert!(matches!(got, Err(PersistError::Malformed(_))));
+    }
+
     #[test]
     fn non_partition_model_rejected() {
         let mut m = toy_model();
         m.outliers = vec![1]; // point 3 now belongs nowhere
-        let mut w = ByteWriter::new();
+        let mut w = Writer::new();
         put_model(&mut w, &m);
         let bytes = w.into_bytes();
-        let mut r = ByteReader::new(&bytes, "bad model");
+        let mut r = Reader::new(&bytes);
         assert!(matches!(get_model(&mut r), Err(PersistError::Malformed(_))));
     }
 
@@ -264,14 +372,14 @@ mod tests {
         // Encode a valid subspace, then double a basis entry in the raw
         // bytes: decode must fail closed via ReducedSubspace::new.
         let m = toy_model();
-        let mut w = ByteWriter::new();
+        let mut w = Writer::new();
         put_subspace(&mut w, &m.clusters[0].subspace);
         let mut bytes = w.into_bytes();
         // Layout: centroid len u64 + 3 f64, basis rows u64 + cols u64, data.
         let first_basis_entry = 8 + 3 * 8 + 8 + 8;
         bytes[first_basis_entry..first_basis_entry + 8]
             .copy_from_slice(&2.0f64.to_bits().to_le_bytes());
-        let mut r = ByteReader::new(&bytes, "bad subspace");
+        let mut r = Reader::new(&bytes);
         assert!(matches!(get_subspace(&mut r), Err(PersistError::Pca(_))));
     }
 
@@ -287,7 +395,7 @@ mod tests {
             Codebook::fit(rows.iter().map(Vec::as_slice)),
         );
         let outlier = PartitionInfo::new(None, &[1.0, 1.0, 1.0], (0.0, 4.0), 2, None);
-        let mut w = ByteWriter::new();
+        let mut w = Writer::new();
         put_partition(&mut w, &part);
         let cluster_bytes = w.into_bytes().len();
         assert_eq!(
@@ -296,12 +404,12 @@ mod tests {
             "radii, count and the codebook: no subspace or centroid"
         );
         for (i, p) in [&part, &outlier].into_iter().enumerate() {
-            let mut w = ByteWriter::new();
+            let mut w = Writer::new();
             put_partition(&mut w, p);
             let bytes = w.into_bytes();
-            let mut r = ByteReader::new(&bytes, "part");
+            let mut r = Reader::new(&bytes);
             let got = get_partition(&mut r, &m, i).unwrap();
-            r.expect_end().unwrap();
+            r.finish().unwrap();
             assert_eq!(got.subspace.is_some(), p.subspace.is_some());
             assert_eq!(got.centroid, p.centroid);
             assert_eq!(got.count, p.count);
@@ -310,10 +418,10 @@ mod tests {
             assert_eq!(got.codebook, p.codebook);
         }
         // A codebook of another width than the partition stores is refused.
-        let mut w = ByteWriter::new();
+        let mut w = Writer::new();
         put_partition(&mut w, &part);
         let bytes = w.into_bytes();
-        let mut r = ByteReader::new(&bytes, "part");
+        let mut r = Reader::new(&bytes);
         assert!(matches!(
             get_partition(&mut r, &m, 1),
             Err(PersistError::Index(_))
@@ -358,13 +466,13 @@ mod tests {
             let data = Matrix::from_rows(&rows).unwrap();
             let model = Mmdr::new(MmdrParams::default()).fit(&data).unwrap();
             let index = IDistanceIndex::build(&data, &model, 16).unwrap();
-            let mut w = ByteWriter::new();
+            let mut w = Writer::new();
             put_model(&mut w, &model);
             let partition_bytes = index
                 .partitions()
                 .iter()
                 .map(|p| {
-                    let mut w = ByteWriter::new();
+                    let mut w = Writer::new();
                     put_partition(&mut w, p);
                     w.into_bytes()
                 })
@@ -381,14 +489,14 @@ mod tests {
     /// partition `which − 1` against the intact model, as a load reads META
     /// after MODEL.
     fn decode(which: usize, bytes: &[u8]) -> Result<()> {
-        let mut r = ByteReader::new(bytes, "damaged");
+        let mut r = Reader::new(bytes);
         if which == 0 {
             let model = get_model(&mut r)?;
             assert!(model.is_partition(), "decoded a model that is no partition");
         } else {
             get_partition(&mut r, &encoded().model, which - 1)?;
         }
-        r.expect_end()
+        Ok(r.finish()?)
     }
 
     #[test]
@@ -441,6 +549,24 @@ mod tests {
                 decode(0, &damaged),
                 Err(PersistError::Malformed(_))
             ));
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// Any list round-trips: unsorted, with repeats, with the extremes.
+        #[test]
+        fn id_lists_roundtrip(
+            ids in proptest::collection::vec(0usize..=usize::MAX, 0..200),
+            near in proptest::collection::vec(0usize..50, 0..200),
+            base in 0usize..=usize::MAX,
+        ) {
+            id_list_roundtrip(&ids);
+            let walk: Vec<usize> = near.iter().map(|&d| base.wrapping_add(d * 7919)).collect();
+            id_list_roundtrip(&walk);
+            let mixed: Vec<usize> = ids.iter().chain(&walk).copied().chain([usize::MAX, 0]).collect();
+            id_list_roundtrip(&mixed);
         }
     }
 

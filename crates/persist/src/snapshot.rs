@@ -27,16 +27,16 @@
 //! return byte-for-byte the same `(distance, id)` answers as the index that
 //! was saved, at any pool capacity.
 
-use crate::codec::{ByteReader, ByteWriter};
 use crate::error::{PersistError, Result};
 use crate::format::{self, section_id, SectionEntry, Superblock};
-use crate::model_codec;
+use crate::model_codec::{self, get_f64s, get_id_list, get_ids, get_len, get_usize, put_id_list};
 use mmdr_core::ReductionResult;
 use mmdr_hybridtree::HybridTree;
 pub use mmdr_idistance::BuiltIndex;
 use mmdr_idistance::{Backend, GlobalLdrIndex, IDistanceIndex, SeqScan, VectorHeap};
 use mmdr_linalg::Matrix;
 use mmdr_query::AttrStore;
+use mmdr_storage::codec::{Reader, Writer};
 use mmdr_storage::{crc32, BufferPool, Crc32, DiskManager, FileSource, PageId, PAGE_SIZE};
 use std::fs::File;
 use std::io::{BufWriter, Write};
@@ -123,25 +123,19 @@ impl Default for OpenOptions {
 /// Decodes the page directory: per-group per-page CRC32s. No count in it
 /// sizes anything the bytes behind it could not fill.
 fn read_pagedir(payload: &[u8]) -> Result<Vec<Vec<u32>>> {
-    let mut r = ByteReader::new(payload, "section pagedir");
-    let n = r.get_u32()? as usize;
+    let mut r = Reader::new(payload).named("section pagedir");
+    let n = r.get_u32()?;
     // A group is at least its 8-byte page count.
-    if n.saturating_mul(8) > r.remaining() {
-        return Err(PersistError::malformed(format!(
-            "section pagedir: {n} groups in {} bytes",
-            r.remaining()
-        )));
-    }
-    let mut dir = Vec::with_capacity(n);
+    let mut dir = Vec::with_capacity(r.count(n.into(), 8)?);
     for _ in 0..n {
-        let count = r.get_len(4)?;
+        let count = get_len(&mut r, 4)?;
         let mut crcs = Vec::with_capacity(count);
         for _ in 0..count {
             crcs.push(r.get_u32()?);
         }
         dir.push(crcs);
     }
-    r.expect_end()?;
+    r.finish()?;
     Ok(dir)
 }
 
@@ -183,8 +177,8 @@ fn restore_pool(
 
 // ---- per-structure metadata ----------------------------------------------
 
-fn put_heap_meta(w: &mut ByteWriter, heap: &VectorHeap) {
-    w.put_usize(heap.pool().capacity());
+fn put_heap_meta(w: &mut Writer, heap: &VectorHeap) {
+    w.put_u64(heap.pool().capacity() as u64);
     w.put_u64(heap.len());
 }
 
@@ -196,11 +190,11 @@ type IdColumn = Vec<Vec<u64>>;
 
 /// The IDS section of `heap`: per heap page its record count, then every
 /// record's point id in record order, each list as zig-zag delta varints
-/// ([`ByteWriter::put_id_list`]) — a byte a page, and about two a row.
+/// (`put_id_list`) — a byte a page, and about two a row.
 fn id_column(heap: &VectorHeap) -> Vec<u8> {
-    let mut w = ByteWriter::new();
-    w.put_id_list(heap.id_pages().iter().map(|ids| ids.len() as u64));
-    w.put_id_list(heap.id_pages().iter().flatten().copied());
+    let mut w = Writer::new();
+    put_id_list(&mut w, heap.id_pages().iter().map(|ids| ids.len() as u64));
+    put_id_list(&mut w, heap.id_pages().iter().flatten().copied());
     w.into_bytes()
 }
 
@@ -208,9 +202,9 @@ fn id_column(heap: &VectorHeap) -> Vec<u8> {
 /// what a page can hold, and the ids to the counts, before either sizes
 /// anything.
 fn get_id_column(payload: &[u8]) -> Result<IdColumn> {
-    let mut r = ByteReader::new(payload, "section ids");
-    let lens = r.get_id_list()?;
-    let mut ids = r.get_ids()?;
+    let mut r = Reader::new(payload).named("section ids");
+    let lens = get_id_list(&mut r)?;
+    let mut ids = get_ids(&mut r)?;
     let malformed = |what| PersistError::malformed(format!("section ids: {what}"));
     if ids.len() as u128 != lens.iter().map(|&n| n as u128).sum::<u128>() {
         return Err(malformed("the ids are not the pages' counts"));
@@ -227,7 +221,7 @@ fn get_id_column(payload: &[u8]) -> Result<IdColumn> {
         pages.push(page);
     }
     drop(ids);
-    r.expect_end()?;
+    r.finish()?;
     Ok(pages)
 }
 
@@ -242,8 +236,8 @@ fn restore_heap(
     Ok(VectorHeap::from_parts(pool, len, pages)?)
 }
 
-fn get_heap_meta(r: &mut ByteReader<'_>) -> Result<HeapMeta> {
-    Ok((r.get_usize()?, r.get_u64()?))
+fn get_heap_meta(r: &mut Reader<'_>) -> Result<HeapMeta> {
+    Ok((get_usize(r)?, r.get_u64()?))
 }
 
 /// Scalar state of one hybrid tree: what
@@ -256,21 +250,21 @@ struct HybridMeta {
     height: usize,
 }
 
-fn put_hybrid_meta(w: &mut ByteWriter, t: &HybridTree) {
-    w.put_usize(t.pool().capacity());
+fn put_hybrid_meta(w: &mut Writer, t: &HybridTree) {
+    w.put_u64(t.pool().capacity() as u64);
     w.put_u64(t.root_page_id());
-    w.put_usize(t.dim());
-    w.put_usize(t.len());
-    w.put_usize(t.height());
+    w.put_u64(t.dim() as u64);
+    w.put_u64(t.len() as u64);
+    w.put_u64(t.height() as u64);
 }
 
-fn get_hybrid_meta(r: &mut ByteReader<'_>) -> Result<HybridMeta> {
+fn get_hybrid_meta(r: &mut Reader<'_>) -> Result<HybridMeta> {
     Ok(HybridMeta {
-        capacity: r.get_usize()?,
+        capacity: get_usize(r)?,
         root: r.get_u64()?,
-        dim: r.get_usize()?,
-        len: r.get_usize()?,
-        height: r.get_usize()?,
+        dim: get_usize(r)?,
+        len: get_usize(r)?,
+        height: get_usize(r)?,
     })
 }
 
@@ -296,7 +290,7 @@ fn meta_and_pools<'a>(
     index: &'a BuiltIndex,
     model: &ReductionResult,
 ) -> Result<(Vec<u8>, Vec<&'a BufferPool>, Option<&'a VectorHeap>)> {
-    let mut meta = ByteWriter::new();
+    let mut meta = Writer::new();
     let mut pools: Vec<&BufferPool> = Vec::new();
     let mut heap = None;
     match index {
@@ -317,9 +311,9 @@ fn meta_and_pools<'a>(
                 )));
             }
             meta.put_f64(idx.c());
-            meta.put_usize(idx.tree().pool().capacity());
-            meta.put_usize(idx.tree().len());
-            meta.put_f64_slice(idx.tree().fences());
+            meta.put_u64(idx.tree().pool().capacity() as u64);
+            meta.put_u64(idx.tree().len() as u64);
+            model_codec::put_f64s(&mut meta, idx.tree().fences());
             put_heap_meta(&mut meta, idx.heap());
             for p in idx.partitions() {
                 model_codec::put_partition(&mut meta, p);
@@ -329,9 +323,9 @@ fn meta_and_pools<'a>(
             heap = Some(idx.heap());
         }
         BuiltIndex::Gldr(gldr) => {
-            meta.put_usize(gldr.dim());
-            meta.put_usize(gldr.len());
-            meta.put_usize(gldr.num_cluster_trees());
+            meta.put_u64(gldr.dim() as u64);
+            meta.put_u64(gldr.len() as u64);
+            meta.put_u64(gldr.num_cluster_trees() as u64);
             for i in 0..gldr.num_cluster_trees() {
                 let (tree, max_radius) = gldr.cluster_tree(i);
                 meta.put_f64(max_radius);
@@ -356,12 +350,12 @@ fn meta_and_pools<'a>(
 /// make, back to back: the first of the writer's two walks over the pages,
 /// each page seen by reference where the pool holds it.
 fn page_directory(pools: &[&BufferPool]) -> Result<(Vec<u8>, u32, u64)> {
-    let mut dir = ByteWriter::new();
+    let mut dir = Writer::new();
     dir.put_u32(pools.len() as u32);
     let mut pages_crc = Crc32::new();
     let mut pages_len = 0u64;
     for pool in pools {
-        dir.put_usize(pool.num_pages());
+        dir.put_u64(pool.num_pages() as u64);
         pool.visit_pages(|page| -> Result<()> {
             dir.put_u32(crc32(page.as_bytes()));
             pages_crc.update(page.as_bytes());
@@ -394,7 +388,7 @@ fn write_snapshot(
     model_epoch: u64,
     attrs: Option<&AttrStore>,
 ) -> Result<()> {
-    let mut model_w = ByteWriter::new();
+    let mut model_w = Writer::new();
     model_codec::put_model(&mut model_w, model);
     if model_epoch > 0 {
         model_w.put_u64(model_epoch);
@@ -505,7 +499,7 @@ pub fn save_with_attrs(
 /// for bit.
 pub fn save_model(path: impl AsRef<Path>, model: &ReductionResult) -> Result<()> {
     let path = path.as_ref();
-    let mut w = ByteWriter::new();
+    let mut w = Writer::new();
     model_codec::put_model(&mut w, model);
     let payload = w.into_bytes();
     let mut image = format::header(
@@ -561,7 +555,7 @@ fn restore(
     column: Option<IdColumn>,
     opts: &OpenOptions,
 ) -> Result<BuiltIndex> {
-    let mut meta = ByteReader::new(meta_bytes, "section meta");
+    let mut meta = Reader::new(meta_bytes).named("section meta");
     let index = match backend {
         Backend::SeqScan => {
             let heap_meta = get_heap_meta(&mut meta)?;
@@ -572,9 +566,9 @@ fn restore(
         }
         Backend::IDistance => {
             let c = meta.get_f64()?;
-            let tree_capacity = meta.get_usize()?;
-            let tree_len = meta.get_usize()?;
-            let tree_fences = meta.get_f64_vec()?;
+            let tree_capacity = get_usize(&mut meta)?;
+            let tree_len = get_usize(&mut meta)?;
+            let tree_fences = get_f64s(&mut meta)?;
             let heap_meta = get_heap_meta(&mut meta)?;
             // One record per cluster of the model, then the outlier home.
             let partitions = (0..=model.clusters.len())
@@ -596,9 +590,9 @@ fn restore(
             if column.is_some() {
                 return Err(PersistError::malformed("section ids beside no heap"));
             }
-            let dim = meta.get_usize()?;
-            let len = meta.get_usize()?;
-            let n_clusters = meta.get_len(1)?;
+            let dim = get_usize(&mut meta)?;
+            let len = get_usize(&mut meta)?;
+            let n_clusters = get_len(&mut meta, 1)?;
             if n_clusters != model.clusters.len() {
                 return Err(PersistError::malformed(format!(
                     "{n_clusters} cluster trees but the model has {} clusters",
@@ -645,7 +639,7 @@ fn restore(
             )?)
         }
     };
-    meta.expect_end()?;
+    meta.finish()?;
     Ok(index)
 }
 
@@ -663,10 +657,10 @@ fn read_model(
     path: &Path,
 ) -> Result<(ReductionResult, u64)> {
     let bytes = read_section(file, &find_entry(entries, section_id::MODEL)?, path)?;
-    let mut r = ByteReader::new(&bytes, "section model");
+    let mut r = Reader::new(&bytes).named("section model");
     let model = model_codec::get_model(&mut r)?;
     let epoch = if r.remaining() >= 8 { r.get_u64()? } else { 0 };
-    r.expect_end()?;
+    r.finish()?;
     Ok((model, epoch))
 }
 
@@ -931,18 +925,18 @@ mod tests {
                 save_with_attrs(&path, &index, &model, epoch, attrs).unwrap();
 
                 // The same sections, each built whole, put together at once.
-                let mut model_w = ByteWriter::new();
+                let mut model_w = Writer::new();
                 model_codec::put_model(&mut model_w, &model);
                 if epoch > 0 {
                     model_w.put_u64(epoch);
                 }
                 let (meta, pools, heap) = meta_and_pools(&index, &model).unwrap();
-                let mut dir_w = ByteWriter::new();
+                let mut dir_w = Writer::new();
                 let mut pages_w = Vec::new();
                 dir_w.put_u32(pools.len() as u32);
                 for pool in pools {
                     let pages = pool.export_pages().unwrap();
-                    dir_w.put_usize(pages.len());
+                    dir_w.put_u64(pages.len() as u64);
                     for page in pages {
                         dir_w.put_u32(crc32(page.as_bytes()));
                         pages_w.extend_from_slice(page.as_bytes());
@@ -955,9 +949,12 @@ mod tests {
                 ];
                 assert_eq!(heap.is_some(), backend != Backend::Gldr);
                 if let Some(heap) = heap {
-                    let mut ids_w = ByteWriter::new();
-                    ids_w.put_id_list(heap.id_pages().iter().map(|ids| ids.len() as u64));
-                    ids_w.put_id_list(heap.id_pages().iter().flatten().copied());
+                    let mut ids_w = Writer::new();
+                    put_id_list(
+                        &mut ids_w,
+                        heap.id_pages().iter().map(|ids| ids.len() as u64),
+                    );
+                    put_id_list(&mut ids_w, heap.id_pages().iter().flatten().copied());
                     sections.push((section_id::IDS, ids_w.into_bytes()));
                 }
                 sections.extend(attrs.map(|store| (section_id::ATTRS, store.to_bytes())));
@@ -984,7 +981,7 @@ mod tests {
         let path = dir.join("model.mmdr");
         save_model(&path, &model).unwrap();
         let encode = |model: &ReductionResult| {
-            let mut w = ByteWriter::new();
+            let mut w = Writer::new();
             model_codec::put_model(&mut w, model);
             w.into_bytes()
         };
@@ -1150,9 +1147,9 @@ mod tests {
 
     /// An IDS section of the given lists, as the writer encodes them.
     fn ids_section(page_lens: &[usize], ids: &[usize]) -> Vec<u8> {
-        let mut w = ByteWriter::new();
-        w.put_id_list(page_lens.iter().map(|&n| n as u64));
-        w.put_id_list(ids.iter().map(|&id| id as u64));
+        let mut w = Writer::new();
+        put_id_list(&mut w, page_lens.iter().map(|&n| n as u64));
+        put_id_list(&mut w, ids.iter().map(|&id| id as u64));
         w.into_bytes()
     }
 

@@ -25,6 +25,11 @@
 //!   tag 3: u64 model epoch (no point id)
 //! ```
 //!
+//! Records go through the storage layer's byte codec
+//! ([`mmdr_storage::codec`]): `dim` and `attr_len` are believed only once
+//! their bytes are present, and a payload over [`MAX_WAL_RECORD`] (the
+//! wire's frame cap too) is refused at append, before a byte is written.
+//!
 //! The model-epoch mark records which model epoch the paired snapshot was
 //! saved under (epoch 0 writes no mark — the pre-mark format,
 //! byte-identical). It is the first record of every rewritten log, so it
@@ -53,6 +58,7 @@
 use crate::error::{PersistError, Result};
 use crate::snapshot::replace_file;
 use mmdr_index::IngestOp;
+use mmdr_storage::codec::{self, frame_len, Reader, Writer};
 use mmdr_storage::crc32;
 use std::fs::{File, OpenOptions};
 use std::io::Write;
@@ -61,9 +67,11 @@ use std::path::{Path, PathBuf};
 /// Frame header length: payload length + payload CRC32.
 const FRAME_HEADER: usize = 8;
 
-/// Hard cap on one record's payload (matches the wire protocol's frame
-/// cap). A complete header promising more is corruption, not a big row.
-pub const MAX_WAL_RECORD: u32 = 16 * 1024 * 1024;
+/// Hard cap on one record's payload: the codec's record cap, which the wire
+/// protocol's frames share. An append of a larger record is refused before
+/// a byte is written, and a complete header promising more is corruption,
+/// not a big row.
+pub use mmdr_storage::codec::MAX_FRAME as MAX_WAL_RECORD;
 
 const TAG_INSERT: u8 = 1;
 const TAG_DELETE: u8 = 2;
@@ -91,48 +99,89 @@ impl From<IngestOp> for WalRecord {
 
 /// Frames a payload: length + CRC + bytes.
 fn frame(payload: &[u8]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(FRAME_HEADER + payload.len());
-    out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    out.extend_from_slice(&crc32(payload).to_le_bytes());
-    out.extend_from_slice(payload);
-    out
+    let mut w = Writer::new();
+    w.put_u32(payload.len() as u32);
+    w.put_u32(crc32(payload));
+    w.put_raw(payload);
+    w.into_bytes()
 }
 
 /// A framed model-epoch mark.
 fn mark_frame(epoch: u64) -> Vec<u8> {
-    let mut payload = vec![TAG_MODEL_EPOCH];
-    payload.extend_from_slice(&epoch.to_le_bytes());
-    frame(&payload)
+    let mut w = Writer::new();
+    w.put_u8(TAG_MODEL_EPOCH);
+    w.put_u64(epoch);
+    frame(&w.into_bytes())
 }
 
 /// Encodes an op and its optional attribute bytes as a record payload (no
 /// frame header) — the one encoder behind [`WalRecord::encode`] and
 /// [`WalWriter::append`].
 fn encode(op: &IngestOp, attrs: Option<&[u8]>) -> Vec<u8> {
-    let mut out = Vec::new();
+    let mut w = Writer::new();
     match op {
         IngestOp::Insert { id, vector } => {
-            out.push(if attrs.is_some() {
+            w.put_u8(if attrs.is_some() {
                 TAG_INSERT_ATTRS
             } else {
                 TAG_INSERT
             });
-            out.extend_from_slice(&id.to_le_bytes());
-            out.extend_from_slice(&(vector.len() as u32).to_le_bytes());
+            w.put_u64(*id);
+            w.put_u32(vector.len() as u32);
             for &x in vector {
-                out.extend_from_slice(&x.to_bits().to_le_bytes());
+                w.put_f64(x);
             }
             if let Some(bytes) = attrs {
-                out.extend_from_slice(&(bytes.len() as u32).to_le_bytes());
-                out.extend_from_slice(bytes);
+                w.put_bytes(bytes);
             }
         }
         IngestOp::Delete { id } => {
-            out.push(TAG_DELETE);
-            out.extend_from_slice(&id.to_le_bytes());
+            w.put_u8(TAG_DELETE);
+            w.put_u64(*id);
         }
     }
-    out
+    w.into_bytes()
+}
+
+/// A decoded record payload: an operation or a model-epoch mark.
+enum Payload {
+    Record(WalRecord),
+    Mark(u64),
+}
+
+/// Reads one payload's fields; `None` for a tag this build does not know.
+/// An insert's `dim` is believed only once its coordinates fit in the
+/// bytes behind it, and its attribute bytes likewise.
+fn read_payload(r: &mut Reader<'_>) -> codec::Result<Option<Payload>> {
+    let tag = r.get_u8()?;
+    Ok(Some(match tag {
+        TAG_INSERT | TAG_INSERT_ATTRS => {
+            let id = r.get_u64()?;
+            let dim = r.get_u32()?;
+            let vector = (0..r.count(dim.into(), 8)?)
+                .map(|_| r.get_f64())
+                .collect::<codec::Result<_>>()?;
+            let attrs = match tag {
+                TAG_INSERT_ATTRS => Some(r.get_bytes()?.to_vec()),
+                _ => None,
+            };
+            let op = IngestOp::Insert { id, vector };
+            Payload::Record(WalRecord { op, attrs })
+        }
+        TAG_DELETE => Payload::Record(IngestOp::Delete { id: r.get_u64()? }.into()),
+        TAG_MODEL_EPOCH => Payload::Mark(r.get_u64()?),
+        _ => return Ok(None),
+    }))
+}
+
+/// Decodes one whole record payload. `offset` is the frame's file
+/// position, used only to type the error.
+fn decode_payload(payload: &[u8], offset: u64) -> Result<Payload> {
+    let corrupt = |detail: String| PersistError::WalCorrupt { offset, detail };
+    let mut r = Reader::new(payload).named("record");
+    let read = read_payload(&mut r).and_then(|p| r.finish().map(|()| p));
+    read.map_err(|e| corrupt(e.to_string()))?
+        .ok_or_else(|| corrupt("unknown record tag".to_string()))
 }
 
 impl WalRecord {
@@ -144,59 +193,12 @@ impl WalRecord {
     /// Decodes one record payload. `offset` is the frame's file position,
     /// used only to type the error.
     pub fn decode(payload: &[u8], offset: u64) -> Result<Self> {
-        let corrupt = |detail: &str| PersistError::WalCorrupt {
-            offset,
-            detail: detail.to_string(),
-        };
-        let Some((&tag, body)) = payload.split_first() else {
-            return Err(corrupt("empty payload"));
-        };
-        match tag {
-            TAG_INSERT | TAG_INSERT_ATTRS => {
-                if body.len() < 12 {
-                    return Err(corrupt("insert record shorter than id + dim"));
-                }
-                let id = u64::from_le_bytes(body[0..8].try_into().expect("8 bytes"));
-                let dim = u32::from_le_bytes(body[8..12].try_into().expect("4 bytes")) as usize;
-                let rest = &body[12..];
-                let coords_len = dim.checked_mul(8).ok_or_else(|| corrupt("dim overflows"))?;
-                if rest.len() < coords_len {
-                    return Err(corrupt("insert record length disagrees with dim"));
-                }
-                let (coords, after) = rest.split_at(coords_len);
-                let vector = coords
-                    .chunks_exact(8)
-                    .map(|c| f64::from_bits(u64::from_le_bytes(c.try_into().expect("8 bytes"))))
-                    .collect();
-                let attrs = if tag == TAG_INSERT_ATTRS {
-                    if after.len() < 4 {
-                        return Err(corrupt("attr record shorter than its length field"));
-                    }
-                    let attr_len =
-                        u32::from_le_bytes(after[0..4].try_into().expect("4 bytes")) as usize;
-                    if after.len() - 4 != attr_len {
-                        return Err(corrupt("attr record length disagrees with attr_len"));
-                    }
-                    Some(after[4..].to_vec())
-                } else {
-                    if !after.is_empty() {
-                        return Err(corrupt("insert record length disagrees with dim"));
-                    }
-                    None
-                };
-                let op = IngestOp::Insert { id, vector };
-                Ok(Self { op, attrs })
-            }
-            TAG_DELETE => {
-                let id = body
-                    .try_into()
-                    .map_err(|_| corrupt("delete record has wrong length"))?;
-                Ok(IngestOp::Delete {
-                    id: u64::from_le_bytes(id),
-                }
-                .into())
-            }
-            _ => Err(corrupt("unknown record tag")),
+        match decode_payload(payload, offset)? {
+            Payload::Record(record) => Ok(record),
+            Payload::Mark(_) => Err(PersistError::WalCorrupt {
+                offset,
+                detail: "a model-epoch mark is no operation".to_string(),
+            }),
         }
     }
 }
@@ -232,41 +234,34 @@ pub fn decode_wal(bytes: &[u8]) -> Result<WalReplay> {
             offset: pos as u64,
             detail,
         };
-        let remaining = bytes.len() - pos;
-        if remaining < FRAME_HEADER {
+        let mut r = Reader::new(&bytes[pos..]);
+        let (Ok(len), Ok(stored_crc)) = (r.get_u32(), r.get_u32()) else {
             replay.torn_tail = true;
             break;
-        }
-        let len = u32::from_le_bytes(bytes[pos..pos + 4].try_into().expect("4 bytes"));
-        let stored_crc = u32::from_le_bytes(bytes[pos + 4..pos + 8].try_into().expect("4 bytes"));
+        };
         if len > MAX_WAL_RECORD {
             return Err(corrupt(format!(
                 "record length {len} exceeds {MAX_WAL_RECORD}"
             )));
         }
-        if remaining - FRAME_HEADER < len as usize {
-            // A prefix of one record at EOF: the torn tail of a crashed
-            // append. Nothing in it was acknowledged.
+        // A prefix of one record at EOF: the torn tail of a crashed
+        // append. Nothing in it was acknowledged.
+        let Ok(payload) = r.get_raw(len as usize) else {
             replay.torn_tail = true;
             break;
-        }
-        let payload = &bytes[pos + FRAME_HEADER..pos + FRAME_HEADER + len as usize];
+        };
         let computed = crc32(payload);
         if computed != stored_crc {
             return Err(corrupt(format!(
                 "payload CRC {computed:#010x} != stored {stored_crc:#010x}"
             )));
         }
-        if payload.first() == Some(&TAG_MODEL_EPOCH) {
+        match decode_payload(payload, pos as u64)? {
+            Payload::Record(record) => replay.records.push(record),
             // Epoch marks are log metadata, not operations.
-            let mark = payload[1..]
-                .try_into()
-                .map_err(|_| corrupt("model-epoch mark has wrong length".to_string()))?;
-            replay.model_epoch = replay.model_epoch.max(u64::from_le_bytes(mark));
-        } else {
-            replay.records.push(WalRecord::decode(payload, pos as u64)?);
+            Payload::Mark(epoch) => replay.model_epoch = replay.model_epoch.max(epoch),
         }
-        pos += FRAME_HEADER + len as usize;
+        pos += FRAME_HEADER + payload.len();
     }
     replay.valid_bytes = pos as u64;
     Ok(replay)
@@ -359,9 +354,13 @@ impl WalWriter {
         self.write_frame(&record.encode())
     }
 
+    /// Writes one framed record and syncs it. A payload over
+    /// [`MAX_WAL_RECORD`] is refused before a byte is written: replay would
+    /// refuse its frame as mid-log corruption, and the log would not open.
     fn write_frame(&mut self, payload: &[u8]) -> Result<()> {
-        let record = frame(payload);
         let io = |e| PersistError::io(&self.path, e);
+        frame_len(payload).map_err(io)?;
+        let record = frame(payload);
         self.file.write_all(&record).map_err(io)?;
         self.file.sync_data().map_err(io)?;
         self.bytes += record.len() as u64;
@@ -377,6 +376,8 @@ impl WalWriter {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mmdr_query::AttrValue;
+    use proptest::prelude::*;
 
     fn ops() -> Vec<IngestOp> {
         vec![
@@ -596,5 +597,99 @@ mod tests {
         assert_eq!((w.bytes(), std::fs::read(&path).unwrap().len()), (0, 0));
         assert_eq!(std::fs::read_dir(&dir).unwrap().count(), 1);
         std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// The payload of an insert carrying an attribute row: the record the
+    /// fuzz tests below damage, with the offsets of its `dim`, its
+    /// `attr_len` and its row's pair count.
+    fn attr_record() -> (Vec<u8>, [usize; 3]) {
+        let row = mmdr_query::encode_row(&[
+            ("tenant".to_string(), AttrValue::I64(-3)),
+            ("region".to_string(), AttrValue::Tag("eu-west".into())),
+            ("price".to_string(), AttrValue::F64(2.5)),
+        ]);
+        let vector = vec![0.5, -1.0, 2.25];
+        let attr_len = 1 + 8 + 4 + 8 * vector.len();
+        let op = IngestOp::Insert { id: 41, vector };
+        (encode(&op, Some(&row)), [9, attr_len, attr_len + 4])
+    }
+
+    /// Replays `payload` framed under a CRC made right for it, then decodes
+    /// the attribute row of what it replayed. Each step returns `Ok` or its
+    /// typed error — a trusted count would have aborted on its allocation
+    /// first — and the answer is whether the record and its row decoded.
+    fn replay_damaged(payload: &[u8]) -> bool {
+        match decode_wal(&frame(payload)) {
+            Ok(replay) => replay.records.iter().all(|record| {
+                let row = mmdr_query::decode_row(record.attrs.as_deref().unwrap_or(&[0; 4]));
+                assert!(
+                    matches!(row, Ok(_) | Err(mmdr_query::Error::Corrupt(_))),
+                    "{row:?}"
+                );
+                row.is_ok()
+            }),
+            Err(e) => {
+                assert!(
+                    matches!(e, PersistError::WalCorrupt { offset: 0, .. }),
+                    "{e}"
+                );
+                false
+            }
+        }
+    }
+
+    /// Lengths no bytes could back, planted as a little-endian `u32` at
+    /// every offset of the record: each replay returns, typed. At the
+    /// record's `dim`, at its `attr_len` and at its row's pair count the lie
+    /// is refused.
+    #[test]
+    fn a_planted_length_is_refused_or_harmless_at_every_offset() {
+        let (intact, counts) = attr_record();
+        assert!(replay_damaged(&intact));
+        for at in 0..intact.len() {
+            for lie in [intact.len() as u32 + 1, 1 << 16, 1 << 31, u32::MAX] {
+                let mut damaged = intact.clone();
+                let end = damaged.len().min(at + 4);
+                damaged[at..end].copy_from_slice(&lie.to_le_bytes()[..end - at]);
+                let decoded = replay_damaged(&damaged);
+                assert!(!(decoded && counts.contains(&at)), "a lie at {at} decoded");
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// A record cut short, with bytes flipped and overwritten, framed
+        /// under a CRC made right for the damage: replay and the row decode
+        /// return `Ok` or a typed error, and none panics. A cut alone is
+        /// always refused.
+        #[test]
+        fn a_damaged_record_decodes_or_is_refused(
+            cut in 0usize..=usize::MAX,
+            flips in proptest::collection::vec((0usize..=usize::MAX, 1u8..=255), 0..4),
+            (overwrites, at, word) in (proptest::bool::ANY, 0usize..=usize::MAX, 0u64..=u64::MAX),
+        ) {
+            let (intact, _) = attr_record();
+            // Whole records as often as cut ones.
+            let cut = if cut % 2 == 0 { intact.len() } else { cut % (intact.len() + 1) };
+            let mut bytes = intact[..cut].to_vec();
+            let damaged = !flips.is_empty() || overwrites;
+            if !bytes.is_empty() {
+                for (at, mask) in &flips {
+                    let at = at % bytes.len();
+                    bytes[at] ^= mask;
+                }
+                if overwrites {
+                    let at = at % bytes.len();
+                    let end = bytes.len().min(at + 8);
+                    bytes[at..end].copy_from_slice(&word.to_le_bytes()[..end - at]);
+                }
+            }
+            let decoded = replay_damaged(&bytes);
+            if bytes.len() < intact.len() && !damaged {
+                prop_assert!(!decoded, "a cut at {} of {} decoded", bytes.len(), intact.len());
+            }
+        }
     }
 }

@@ -7,8 +7,12 @@
 //!
 //! The store serializes to a self-contained byte payload (see
 //! [`AttrStore::to_bytes`]); the snapshot layer wraps those bytes in a
-//! checksummed ATTRS section, so the codec here carries layout validation
-//! only, not integrity checks.
+//! checksummed ATTRS section, so the layout here carries validation only,
+//! not integrity checks. It is written and read with the storage layer's
+//! byte codec ([`mmdr_index::codec`]), as is the row payload a WAL record
+//! carries ([`encode_row`]): every count in either is held to the bytes
+//! behind it by the codec's one count rule before it sizes anything, and a
+//! damaged payload is [`Error::Corrupt`], never a panic.
 //!
 //! # Byte layout
 //!
@@ -23,6 +27,7 @@
 //! ```
 
 use crate::error::{Error, Result};
+use mmdr_index::codec::{self, Reader, Writer};
 
 /// Attribute column types.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -277,106 +282,63 @@ impl AttrStore {
 
     /// Serializes the store (see the module docs for the layout).
     pub fn to_bytes(&self) -> Vec<u8> {
-        let mut out = Vec::new();
-        out.extend_from_slice(b"MATR");
-        put_u32(&mut out, 1);
-        put_u64(&mut out, self.capacity);
-        put_u32(&mut out, self.columns.len() as u32);
-        let cap = self.capacity as usize;
+        let mut w = Writer::new();
+        w.put_raw(MAGIC);
+        w.put_u32(1);
+        w.put_u64(self.capacity);
+        w.put_u32(self.columns.len() as u32);
         for c in &self.columns {
-            put_u32(&mut out, c.name.len() as u32);
-            out.extend_from_slice(c.name.as_bytes());
+            w.put_bytes(c.name.as_bytes());
             match &c.data {
-                ColumnData::I64(v) => {
-                    out.push(0);
-                    put_presence(&mut out, cap, |i| v[i].is_some());
-                    for x in v.iter().flatten() {
-                        put_u64(&mut out, *x as u64);
-                    }
-                }
-                ColumnData::F64(v) => {
-                    out.push(1);
-                    put_presence(&mut out, cap, |i| v[i].is_some());
-                    for x in v.iter().flatten() {
-                        put_u64(&mut out, x.to_bits());
-                    }
-                }
+                ColumnData::I64(v) => put_values(&mut w, 0, v, |x| *x as u64),
+                ColumnData::F64(v) => put_values(&mut w, 1, v, |x| x.to_bits()),
                 ColumnData::Tag { codes, dict } => {
-                    out.push(2);
-                    put_u32(&mut out, dict.len() as u32);
+                    w.put_u8(2);
+                    w.put_u32(dict.len() as u32);
                     for s in dict {
-                        put_u32(&mut out, s.len() as u32);
-                        out.extend_from_slice(s.as_bytes());
+                        w.put_bytes(s.as_bytes());
                     }
                     for code in codes {
-                        put_u32(&mut out, *code);
+                        w.put_u32(*code);
                     }
                 }
             }
         }
-        out
+        w.into_bytes()
     }
 
-    /// Deserializes a store written by [`to_bytes`](Self::to_bytes).
+    /// Deserializes a store written by [`to_bytes`](Self::to_bytes). Every
+    /// count is held to the bytes behind it before it sizes anything: the
+    /// capacity to its presence bitmap (8 bytes per 64 rows, the least a
+    /// column stores), a column to its name length and type byte, a
+    /// dictionary entry to its length, a tag column to 4 bytes a row.
     pub fn from_bytes(bytes: &[u8]) -> Result<Self> {
-        let mut r = Reader { bytes, pos: 0 };
-        if r.take(4)? != b"MATR" {
+        let mut r = Reader::new(bytes);
+        if r.get_raw(4)? != MAGIC {
             return Err(Error::Corrupt("bad attribute magic"));
         }
-        if r.u32()? != 1 {
+        if r.get_u32()? != 1 {
             return Err(Error::Corrupt("unknown attribute payload version"));
         }
-        let capacity = r.u64()?;
-        let cap = usize::try_from(capacity).map_err(|_| Error::Corrupt("capacity overflow"))?;
-        if cap > bytes.len().saturating_mul(64) {
-            return Err(Error::Corrupt("capacity larger than the payload can hold"));
-        }
-        let n_columns = r.u32()? as usize;
-        // A column is at least its name's length and its type tag.
-        if n_columns > (bytes.len() - r.pos) / 5 {
-            return Err(Error::Corrupt("more columns than the payload can hold"));
-        }
+        let capacity = r.get_u64()?;
+        let words = r.count(capacity.div_ceil(64), 8)?;
+        let cap = capacity as usize;
+        let n_columns = r.get_u32()?;
+        let n_columns = r.count(n_columns.into(), 5)?;
         let mut columns = Vec::with_capacity(n_columns);
         for _ in 0..n_columns {
-            let name_len = r.u32()? as usize;
-            let name = std::str::from_utf8(r.take(name_len)?)
-                .map_err(|_| Error::Corrupt("column name is not utf-8"))?
-                .to_string();
-            let data = match r.u8()? {
-                0 => {
-                    let present = r.presence(cap)?;
-                    let mut v = vec![None; cap];
-                    for (i, slot) in v.iter_mut().enumerate() {
-                        if present[i / 64] >> (i % 64) & 1 == 1 {
-                            *slot = Some(r.u64()? as i64);
-                        }
-                    }
-                    ColumnData::I64(v)
-                }
-                1 => {
-                    let present = r.presence(cap)?;
-                    let mut v = vec![None; cap];
-                    for (i, slot) in v.iter_mut().enumerate() {
-                        if present[i / 64] >> (i % 64) & 1 == 1 {
-                            *slot = Some(f64::from_bits(r.u64()?));
-                        }
-                    }
-                    ColumnData::F64(v)
-                }
+            let name = utf8(r.get_bytes()?, "column name is not utf-8")?;
+            let data = match r.get_u8()? {
+                0 => ColumnData::I64(get_values(&mut r, cap, words, |x| x as i64)?),
+                1 => ColumnData::F64(get_values(&mut r, cap, words, f64::from_bits)?),
                 2 => {
-                    let dict_len = r.u32()? as usize;
-                    let mut dict = Vec::with_capacity(dict_len.min(1 << 16));
-                    for _ in 0..dict_len {
-                        let len = r.u32()? as usize;
-                        dict.push(
-                            std::str::from_utf8(r.take(len)?)
-                                .map_err(|_| Error::Corrupt("tag value is not utf-8"))?
-                                .to_string(),
-                        );
-                    }
-                    let mut codes = Vec::with_capacity(cap);
+                    let dict_len = r.get_u32()?;
+                    let dict = (0..r.count(dict_len.into(), 4)?)
+                        .map(|_| utf8(r.get_bytes()?, "tag value is not utf-8"))
+                        .collect::<Result<Vec<String>>>()?;
+                    let mut codes = Vec::with_capacity(r.count(capacity, 4)?);
                     for _ in 0..cap {
-                        let code = r.u32()?;
+                        let code = r.get_u32()?;
                         if code as usize > dict.len() {
                             return Err(Error::Corrupt("tag code out of dictionary range"));
                         }
@@ -391,9 +353,7 @@ impl AttrStore {
             }
             columns.push(Column { name, data });
         }
-        if r.pos != bytes.len() {
-            return Err(Error::Corrupt("trailing bytes after the last column"));
-        }
+        r.finish()?;
         Ok(Self { columns, capacity })
     }
 }
@@ -406,122 +366,88 @@ impl AttrStore {
 /// where the value is 8 little-endian bytes for i64/f64 and
 /// `len u32 | utf-8` for tags.
 pub fn encode_row(values: &[(String, AttrValue)]) -> Vec<u8> {
-    let mut out = Vec::new();
-    put_u32(&mut out, values.len() as u32);
+    let mut w = Writer::new();
+    w.put_u32(values.len() as u32);
     for (name, value) in values {
-        put_u32(&mut out, name.len() as u32);
-        out.extend_from_slice(name.as_bytes());
+        w.put_bytes(name.as_bytes());
         match value {
             AttrValue::I64(x) => {
-                out.push(0);
-                put_u64(&mut out, *x as u64);
+                w.put_u8(0);
+                w.put_u64(*x as u64);
             }
             AttrValue::F64(x) => {
-                out.push(1);
-                put_u64(&mut out, x.to_bits());
+                w.put_u8(1);
+                w.put_f64(*x);
             }
             AttrValue::Tag(s) => {
-                out.push(2);
-                put_u32(&mut out, s.len() as u32);
-                out.extend_from_slice(s.as_bytes());
+                w.put_u8(2);
+                w.put_bytes(s.as_bytes());
             }
         }
     }
-    out
+    w.into_bytes()
 }
 
-/// Deserializes a row payload written by [`encode_row`].
+/// Deserializes a row payload written by [`encode_row`]. A pair is at
+/// least 9 bytes (a name length, a type byte and a tag's length), and the
+/// pair count is held to that before it sizes anything.
 pub fn decode_row(bytes: &[u8]) -> Result<Vec<(String, AttrValue)>> {
-    let mut r = Reader { bytes, pos: 0 };
-    let n = r.u32()? as usize;
-    if n > bytes.len() {
-        return Err(Error::Corrupt("row pair count larger than the payload"));
-    }
+    let mut r = Reader::new(bytes);
+    let n = r.get_u32()?;
+    let n = r.count(n.into(), 9)?;
     let mut out = Vec::with_capacity(n);
     for _ in 0..n {
-        let name_len = r.u32()? as usize;
-        let name = std::str::from_utf8(r.take(name_len)?)
-            .map_err(|_| Error::Corrupt("row column name is not utf-8"))?
-            .to_string();
-        let value = match r.u8()? {
-            0 => AttrValue::I64(r.u64()? as i64),
-            1 => AttrValue::F64(f64::from_bits(r.u64()?)),
-            2 => {
-                let len = r.u32()? as usize;
-                AttrValue::Tag(
-                    std::str::from_utf8(r.take(len)?)
-                        .map_err(|_| Error::Corrupt("row tag value is not utf-8"))?
-                        .to_string(),
-                )
-            }
+        let name = utf8(r.get_bytes()?, "row column name is not utf-8")?;
+        let value = match r.get_u8()? {
+            0 => AttrValue::I64(r.get_u64()? as i64),
+            1 => AttrValue::F64(r.get_f64()?),
+            2 => AttrValue::Tag(utf8(r.get_bytes()?, "row tag value is not utf-8")?),
             _ => return Err(Error::Corrupt("unknown row value type tag")),
         };
         out.push((name, value));
     }
-    if r.pos != bytes.len() {
-        return Err(Error::Corrupt("trailing bytes after the last row value"));
-    }
+    r.finish()?;
     Ok(out)
 }
 
-fn put_u32(out: &mut Vec<u8>, x: u32) {
-    out.extend_from_slice(&x.to_le_bytes());
+/// The ATTRS payload's first four bytes.
+const MAGIC: &[u8; 4] = b"MATR";
+
+fn utf8(bytes: &[u8], what: &'static str) -> Result<String> {
+    String::from_utf8(bytes.to_vec()).map_err(|_| Error::Corrupt(what))
 }
 
-fn put_u64(out: &mut Vec<u8>, x: u64) {
-    out.extend_from_slice(&x.to_le_bytes());
-}
-
-fn put_presence(out: &mut Vec<u8>, cap: usize, present: impl Fn(usize) -> bool) {
-    let words = cap.div_ceil(64);
-    for w in 0..words {
-        let mut word = 0u64;
-        for b in 0..64 {
-            let i = w * 64 + b;
-            if i < cap && present(i) {
-                word |= 1 << b;
-            }
+/// Reads an i64 or f64 column's body: its presence bitmap of `words`
+/// words, then one value for each row the bitmap marks present.
+fn get_values<T: Clone>(
+    r: &mut Reader<'_>,
+    cap: usize,
+    words: usize,
+    value: impl Fn(u64) -> T,
+) -> codec::Result<Vec<Option<T>>> {
+    r.count(words as u64, 8)?;
+    let present = (0..words)
+        .map(|_| r.get_u64())
+        .collect::<codec::Result<Vec<u64>>>()?;
+    let mut values = vec![None; cap];
+    for (i, slot) in values.iter_mut().enumerate() {
+        if present[i / 64] >> (i % 64) & 1 == 1 {
+            *slot = Some(value(r.get_u64()?));
         }
-        put_u64(out, word);
     }
+    Ok(values)
 }
 
-struct Reader<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Reader<'a> {
-    fn take(&mut self, n: usize) -> Result<&'a [u8]> {
-        let end = self
-            .pos
-            .checked_add(n)
-            .filter(|&e| e <= self.bytes.len())
-            .ok_or(Error::Corrupt("payload truncated"))?;
-        let s = &self.bytes[self.pos..end];
-        self.pos = end;
-        Ok(s)
+/// Writes an i64 or f64 column's type byte and body: its presence bitmap,
+/// then one value for each present row.
+fn put_values<T>(w: &mut Writer, ty: u8, values: &[Option<T>], bits: impl Fn(&T) -> u64) {
+    w.put_u8(ty);
+    for word in values.chunks(64) {
+        let present = word.iter().enumerate().filter(|(_, v)| v.is_some());
+        w.put_u64(present.fold(0, |acc, (b, _)| acc | 1 << b));
     }
-
-    fn u8(&mut self) -> Result<u8> {
-        Ok(self.take(1)?[0])
-    }
-
-    fn u32(&mut self) -> Result<u32> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().expect("4")))
-    }
-
-    fn u64(&mut self) -> Result<u64> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().expect("8")))
-    }
-
-    fn presence(&mut self, cap: usize) -> Result<Vec<u64>> {
-        let words = cap.div_ceil(64);
-        let mut out = Vec::with_capacity(words);
-        for _ in 0..words {
-            out.push(self.u64()?);
-        }
-        Ok(out)
+    for x in values.iter().flatten() {
+        w.put_u64(bits(x));
     }
 }
 
@@ -628,6 +554,66 @@ mod tests {
             AttrStore::from_bytes(&greedy),
             Err(Error::Corrupt(_))
         ));
+    }
+
+    /// Plants counts no bytes could back, as a little-endian `u32` and
+    /// `u64`, at every offset of `bytes` (cut at the end): each decode
+    /// returns `Ok` or `Corrupt` — a trusted count would have aborted on its
+    /// allocation first — and at the offsets in `counts` the lie is refused.
+    fn plant_counts(bytes: &[u8], counts: &[usize], decode: impl Fn(&[u8]) -> Result<()>) {
+        decode(bytes).unwrap();
+        let n = bytes.len() as u64;
+        let lies32 = [n as u32 + 1, 1 << 16, 1 << 31, u32::MAX].map(u32::to_le_bytes);
+        let lies64 = [n + 1, 1 << 40, 1 << 62, u64::MAX].map(u64::to_le_bytes);
+        let lies = lies32
+            .iter()
+            .map(|l| &l[..])
+            .chain(lies64.iter().map(|l| &l[..]));
+        for lie in lies {
+            for at in 0..bytes.len() {
+                let mut damaged = bytes.to_vec();
+                let end = damaged.len().min(at + lie.len());
+                damaged[at..end].copy_from_slice(&lie[..end - at]);
+                let got = decode(&damaged);
+                assert!(matches!(got, Ok(()) | Err(Error::Corrupt(_))), "{got:?}");
+                assert!(
+                    !(counts.contains(&at) && got.is_ok()),
+                    "a lie at {at} decoded"
+                );
+            }
+        }
+    }
+
+    /// An ATTRS payload's capacity, column count and dictionary length, and
+    /// a row's pair count, are each held to the bytes behind them.
+    #[test]
+    fn a_planted_count_is_refused_or_harmless_at_every_offset() {
+        let mut s = AttrStore::new(&[
+            ("region", AttrType::Tag),
+            ("tenant", AttrType::I64),
+            ("price", AttrType::F64),
+        ])
+        .unwrap();
+        for id in 0..70u64 {
+            s.set(id, "region", &AttrValue::Tag(format!("r{}", id % 3)))
+                .unwrap();
+            if id % 4 != 0 {
+                s.set(id, "tenant", &AttrValue::I64(id as i64)).unwrap();
+                s.set(id, "price", &AttrValue::F64(id as f64 / 4.0))
+                    .unwrap();
+            }
+        }
+        // Magic and version, then the capacity at 8 and the column count at
+        // 16; the first column's name ("region") and type byte, then its
+        // dictionary length at 31.
+        plant_counts(&s.to_bytes(), &[8, 16, 31], |b| {
+            AttrStore::from_bytes(b).map(drop)
+        });
+        let row = encode_row(&[
+            ("tenant".to_string(), AttrValue::I64(-7)),
+            ("region".to_string(), AttrValue::Tag("eu-west".into())),
+        ]);
+        plant_counts(&row, &[0], |b| decode_row(b).map(drop));
     }
 
     #[test]

@@ -1,5 +1,6 @@
 //! Error type for the query-processing layer.
 
+use mmdr_index::codec::{DecodeError, Fault};
 use std::fmt;
 
 /// Errors from attribute storage, predicate parsing, and planning.
@@ -36,6 +37,19 @@ impl fmt::Display for Error {
 }
 
 impl std::error::Error for Error {}
+
+/// A payload the byte codec could not read: every such fault is
+/// [`Error::Corrupt`].
+impl From<DecodeError> for Error {
+    fn from(e: DecodeError) -> Self {
+        Error::Corrupt(match e.fault {
+            Fault::Truncated { .. } => "payload truncated",
+            Fault::Count { .. } => "a count larger than the payload can hold",
+            Fault::Varint => "a varint past 64 bits",
+            Fault::Trailing(_) => "trailing bytes after the payload",
+        })
+    }
+}
 
 impl From<Error> for mmdr_index::Error {
     fn from(e: Error) -> Self {

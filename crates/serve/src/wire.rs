@@ -37,15 +37,19 @@
 //! directions are generated from that one list (`Wire` is implemented once
 //! per building block), so an encoder and its decoder cannot disagree.
 //!
-//! All integers are little-endian; floats are IEEE-754 bit patterns, so a
+//! The bytes are written and read with the storage layer's byte codec
+//! ([`mmdr_storage::codec`]), which the snapshot and the WAL use too: all
+//! integers are little-endian; floats are IEEE-754 bit patterns, so a
 //! round trip is bit-exact — the parity gate compares served distances to
 //! in-process answers with `f64::to_bits`. Decoding is defensive: every
-//! count is validated against the bytes that actually remain in the frame
-//! before anything is allocated, so a hostile length field cannot cause an
-//! oversized allocation, and every malformed input surfaces as a typed
-//! [`WireError`], never a panic.
+//! count passes the codec's one count rule against the bytes that actually
+//! remain in the frame before anything is allocated, so a hostile length
+//! field cannot cause an oversized allocation, and every malformed input
+//! surfaces as a typed [`WireError`] (too few bytes are `Truncated`, any
+//! other codec fault `Malformed`), never a panic.
 
 use mmdr_index::{IngestStats, QueryStats};
+use mmdr_storage::codec::{frame_len, DecodeError, Fault, Reader, Writer};
 use mmdr_storage::{PoolStats, ShardCounters};
 use std::fmt;
 use std::io::{self, Read, Write};
@@ -75,10 +79,10 @@ pub const MAGIC: u32 = 0x4D4D_4452;
 /// `model_epoch` and `refits` stay; explicit re-fits still bump them.
 pub const PROTOCOL_VERSION: u16 = 8;
 
-/// Hard cap on one frame's payload (16 MiB). Anything larger is rejected
-/// before allocation — the admission-control seatbelt against garbage or
-/// hostile length prefixes.
-pub const MAX_FRAME: u32 = 16 * 1024 * 1024;
+/// Hard cap on one frame's payload (16 MiB), the codec's record cap, which
+/// a WAL record shares. Anything larger is rejected before allocation — the
+/// admission-control seatbelt against garbage or hostile length prefixes.
+pub use mmdr_storage::codec::MAX_FRAME;
 
 /// Fixed payload header length: magic + version + request id + opcode +
 /// status.
@@ -310,40 +314,15 @@ pub struct ServerCounters {
 
 // ---- the building blocks --------------------------------------------------
 
-/// Append-only byte sink for one frame payload.
-#[derive(Default)]
-struct Enc(Vec<u8>);
-
-/// Bounds-checked reader over one frame payload.
-struct Dec<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Dec<'a> {
-    fn new(buf: &'a [u8]) -> Self {
-        Self { buf, pos: 0 }
-    }
-
-    fn remaining(&self) -> usize {
-        self.buf.len() - self.pos
-    }
-
-    fn take<const N: usize>(&mut self) -> Result<[u8; N], WireError> {
-        let end = self.pos + N;
-        let bytes = self.buf.get(self.pos..end).ok_or(WireError::Truncated)?;
-        self.pos = end;
-        Ok(bytes.try_into().expect("the slice is N bytes long"))
-    }
-
-    fn expect_end(&self) -> Result<(), WireError> {
-        if self.remaining() != 0 {
-            return Err(WireError::Malformed(format!(
-                "{} trailing bytes",
-                self.remaining()
-            )));
+/// A field the codec could not read: too few bytes is
+/// [`WireError::Truncated`], anything else (a count the frame cannot back,
+/// trailing bytes) [`WireError::Malformed`].
+impl From<DecodeError> for WireError {
+    fn from(e: DecodeError) -> Self {
+        match e.fault {
+            Fault::Truncated { .. } => WireError::Truncated,
+            _ => WireError::Malformed(e.to_string()),
         }
-        Ok(())
     }
 }
 
@@ -354,41 +333,37 @@ trait Wire: Sized {
     /// The fewest bytes one encoded value occupies — what a `vec` count is
     /// checked against before anything is read.
     const MIN_BYTES: usize;
-    fn put(&self, e: &mut Enc);
-    fn get(d: &mut Dec<'_>) -> Result<Self, WireError>;
+    fn put(&self, e: &mut Writer);
+    fn get(d: &mut Reader<'_>) -> Result<Self, WireError>;
 }
 
-macro_rules! wire_int {
-    ($($int:ty),+) => {$(
-        impl Wire for $int {
-            const MIN_BYTES: usize = std::mem::size_of::<$int>();
-            fn put(&self, e: &mut Enc) {
-                e.0.extend_from_slice(&self.to_le_bytes());
+macro_rules! wire_scalar {
+    ($($ty:ty: $put:ident, $get:ident;)+) => {$(
+        impl Wire for $ty {
+            const MIN_BYTES: usize = std::mem::size_of::<$ty>();
+            fn put(&self, e: &mut Writer) {
+                e.$put(*self);
             }
-            fn get(d: &mut Dec<'_>) -> Result<Self, WireError> {
-                Ok(<$int>::from_le_bytes(d.take()?))
+            fn get(d: &mut Reader<'_>) -> Result<Self, WireError> {
+                Ok(d.$get()?)
             }
         }
     )+};
 }
-wire_int!(u8, u16, u32, u64);
-
-impl Wire for f64 {
-    const MIN_BYTES: usize = 8;
-    fn put(&self, e: &mut Enc) {
-        self.to_bits().put(e);
-    }
-    fn get(d: &mut Dec<'_>) -> Result<Self, WireError> {
-        Ok(f64::from_bits(u64::get(d)?))
-    }
+wire_scalar! {
+    u8: put_u8, get_u8;
+    u16: put_u16, get_u16;
+    u32: put_u32, get_u32;
+    u64: put_u64, get_u64;
+    f64: put_f64, get_f64;
 }
 
 impl Wire for bool {
     const MIN_BYTES: usize = 1;
-    fn put(&self, e: &mut Enc) {
+    fn put(&self, e: &mut Writer) {
         (*self as u8).put(e);
     }
-    fn get(d: &mut Dec<'_>) -> Result<Self, WireError> {
+    fn get(d: &mut Reader<'_>) -> Result<Self, WireError> {
         match u8::get(d)? {
             0 => Ok(false),
             1 => Ok(true),
@@ -402,50 +377,42 @@ impl Wire for bool {
 /// One answer row: `(distance, point id)`.
 impl Wire for (f64, u64) {
     const MIN_BYTES: usize = 16;
-    fn put(&self, e: &mut Enc) {
+    fn put(&self, e: &mut Writer) {
         self.0.put(e);
         self.1.put(e);
     }
-    fn get(d: &mut Dec<'_>) -> Result<Self, WireError> {
+    fn get(d: &mut Reader<'_>) -> Result<Self, WireError> {
         Ok((f64::get(d)?, u64::get(d)?))
     }
 }
 
-/// `vec<T>`. The one place a count from the wire is believed: only after
-/// `count × T::MIN_BYTES` is shown to fit in the bytes actually present, so
-/// a hostile count can never drive work or allocation past the (already
-/// capped) frame size.
+/// `vec<T>`: its count is believed only once `count × T::MIN_BYTES` fits
+/// in the bytes actually present (the codec's count rule), so a hostile
+/// count can never drive work or allocation past the (already capped)
+/// frame size.
 impl<T: Wire> Wire for Vec<T> {
     const MIN_BYTES: usize = 4;
-    fn put(&self, e: &mut Enc) {
+    fn put(&self, e: &mut Writer) {
         (self.len() as u32).put(e);
         for item in self {
             item.put(e);
         }
     }
-    fn get(d: &mut Dec<'_>) -> Result<Self, WireError> {
-        let n = u32::get(d)? as usize;
-        if n.checked_mul(T::MIN_BYTES.max(1))
-            .is_none_or(|need| need > d.remaining())
-        {
-            return Err(WireError::Malformed(format!(
-                "count {n} × {}B exceeds the {} bytes present",
-                T::MIN_BYTES,
-                d.remaining()
-            )));
-        }
-        (0..n).map(|_| T::get(d)).collect()
+    fn get(d: &mut Reader<'_>) -> Result<Self, WireError> {
+        let n = u32::get(d)?;
+        (0..d.count(n.into(), T::MIN_BYTES)?)
+            .map(|_| T::get(d))
+            .collect()
     }
 }
 
 impl Wire for String {
     const MIN_BYTES: usize = 4;
-    fn put(&self, e: &mut Enc) {
-        (self.len() as u32).put(e);
-        e.0.extend_from_slice(self.as_bytes());
+    fn put(&self, e: &mut Writer) {
+        e.put_bytes(self.as_bytes());
     }
-    fn get(d: &mut Dec<'_>) -> Result<Self, WireError> {
-        String::from_utf8(Vec::get(d)?)
+    fn get(d: &mut Reader<'_>) -> Result<Self, WireError> {
+        String::from_utf8(d.get_bytes()?.to_vec())
             .map_err(|_| WireError::Malformed("a string is not UTF-8".into()))
     }
 }
@@ -456,10 +423,10 @@ macro_rules! wire_struct {
     ($ty:ty { $($field:ident: $fty:ty),+ $(,)? }) => {
         impl Wire for $ty {
             const MIN_BYTES: usize = 0 $(+ <$fty as Wire>::MIN_BYTES)+;
-            fn put(&self, e: &mut Enc) {
+            fn put(&self, e: &mut Writer) {
                 $(self.$field.put(e);)+
             }
-            fn get(d: &mut Dec<'_>) -> Result<Self, WireError> {
+            fn get(d: &mut Reader<'_>) -> Result<Self, WireError> {
                 Ok(Self { $($field: <$fty as Wire>::get(d)?),+ })
             }
         }
@@ -527,7 +494,7 @@ wire_struct!(RemoteStats {
 struct Rect;
 
 impl Rect {
-    fn put(rows: &[Vec<f64>], e: &mut Enc) {
+    fn put(rows: &[Vec<f64>], e: &mut Writer) {
         (rows.len() as u32).put(e);
         (rows.first().map_or(0, Vec::len) as u32).put(e);
         for x in rows.iter().flatten() {
@@ -535,8 +502,8 @@ impl Rect {
         }
     }
 
-    fn get(d: &mut Dec<'_>) -> Result<Vec<Vec<f64>>, WireError> {
-        let nq = u32::get(d)? as usize;
+    fn get(d: &mut Reader<'_>) -> Result<Vec<Vec<f64>>, WireError> {
+        let nq = u32::get(d)?;
         let dim = u32::get(d)? as usize;
         // A zero-width query can match no index, and its rows would occupy
         // no bytes: nothing present would bound `nq`.
@@ -545,13 +512,8 @@ impl Rect {
                 "batch of {nq} zero-width queries"
             )));
         }
-        let need = nq.checked_mul(dim).and_then(|c| c.checked_mul(8));
-        if need.is_none_or(|need| need > d.remaining()) {
-            return Err(WireError::Malformed(format!(
-                "batch of {nq}×{dim} floats exceeds the {} bytes present",
-                d.remaining()
-            )));
-        }
+        // A row is `dim` floats.
+        let nq = d.count(nq.into(), dim.saturating_mul(8))?;
         let mut rows = Vec::with_capacity(nq);
         for _ in 0..nq {
             let mut row = Vec::with_capacity(dim);
@@ -582,7 +544,7 @@ macro_rules! request_bodies {
                 }
             }
 
-            fn put_body(&self, e: &mut Enc) {
+            fn put_body(&self, e: &mut Writer) {
                 match self {
                     $(Request::$variant $({ $($field),+ })? => {
                         $($(request_bodies!(@put e, $field $(as $codec)?);)+)?
@@ -590,7 +552,7 @@ macro_rules! request_bodies {
                 }
             }
 
-            fn get_body(op: u8, d: &mut Dec<'_>) -> Result<Self, WireError> {
+            fn get_body(op: u8, d: &mut Reader<'_>) -> Result<Self, WireError> {
                 Ok(match op {
                     $(opcode::$op => Request::$variant $({
                         $($field: request_bodies!(@get d $(as $codec)?)),+
@@ -616,7 +578,7 @@ request_bodies! {
     FILTERED_RANGE => FilteredRange { radius, filter, query };
 }
 
-fn put_header(e: &mut Enc, request_id: u64, op: u8, status_byte: u8) {
+fn put_header(e: &mut Writer, request_id: u64, op: u8, status_byte: u8) {
     MAGIC.put(e);
     PROTOCOL_VERSION.put(e);
     request_id.put(e);
@@ -631,7 +593,7 @@ struct Header {
     status: u8,
 }
 
-fn get_header(d: &mut Dec<'_>) -> Result<Header, WireError> {
+fn get_header(d: &mut Reader<'_>) -> Result<Header, WireError> {
     let magic = u32::get(d)?;
     if magic != MAGIC {
         return Err(WireError::BadMagic(magic));
@@ -649,17 +611,17 @@ fn get_header(d: &mut Dec<'_>) -> Result<Header, WireError> {
 
 /// Encodes a request frame payload (no length prefix).
 pub fn encode_request(request_id: u64, req: &Request) -> Vec<u8> {
-    let mut e = Enc::default();
+    let mut e = Writer::new();
     put_header(&mut e, request_id, req.opcode(), status::REQUEST);
     req.put_body(&mut e);
-    e.0
+    e.into_bytes()
 }
 
 /// Decodes a request frame payload. On failure the request id is still
 /// reported when the header parsed far enough to contain one, so the
 /// server's error response can echo it.
 pub fn decode_request(payload: &[u8]) -> Result<(u64, Request), (Option<u64>, WireError)> {
-    let mut d = Dec::new(payload);
+    let mut d = Reader::new(payload);
     let h = get_header(&mut d).map_err(|e| (None, e))?;
     let id = h.request_id;
     if h.status != status::REQUEST {
@@ -667,7 +629,7 @@ pub fn decode_request(payload: &[u8]) -> Result<(u64, Request), (Option<u64>, Wi
     }
     let fail = |e: WireError| (Some(id), e);
     let req = Request::get_body(h.op, &mut d).map_err(fail)?;
-    d.expect_end().map_err(fail)?;
+    d.finish().map_err(|e| fail(e.into()))?;
     Ok((id, req))
 }
 
@@ -676,7 +638,7 @@ pub fn decode_request(payload: &[u8]) -> Result<(u64, Request), (Option<u64>, Wi
 /// Encodes a response frame payload (no length prefix). `op` echoes the
 /// request's opcode so the response is self-describing.
 pub fn encode_response(request_id: u64, op: u8, resp: &Response) -> Vec<u8> {
-    let mut e = Enc::default();
+    let mut e = Writer::new();
     let status_byte = match resp {
         Response::Overloaded => status::OVERLOADED,
         Response::Error(_) => status::ERROR,
@@ -694,12 +656,12 @@ pub fn encode_response(request_id: u64, op: u8, resp: &Response) -> Vec<u8> {
         Response::Stats(stats) => stats.put(&mut e),
         Response::Error(msg) => msg.put(&mut e),
     }
-    e.0
+    e.into_bytes()
 }
 
 /// Decodes a response frame payload into `(request_id, Response)`.
 pub fn decode_response(payload: &[u8]) -> Result<(u64, Response), WireError> {
-    let mut d = Dec::new(payload);
+    let mut d = Reader::new(payload);
     let h = get_header(&mut d)?;
     let d = &mut d;
     let resp = match h.status {
@@ -720,7 +682,7 @@ pub fn decode_response(payload: &[u8]) -> Result<(u64, Response), WireError> {
         },
         other => return Err(WireError::BadStatus(other)),
     };
-    d.expect_end()?;
+    d.finish()?;
     Ok((h.request_id, resp))
 }
 
@@ -731,13 +693,7 @@ pub fn decode_response(payload: &[u8]) -> Result<(u64, Response), WireError> {
 /// byte is written: the peer's [`read_frame`] would reject its length
 /// prefix and the stream could not be re-synchronized.
 pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> io::Result<()> {
-    if payload.len() > MAX_FRAME as usize {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidInput,
-            format!("payload of {} bytes exceeds {MAX_FRAME}", payload.len()),
-        ));
-    }
-    w.write_all(&(payload.len() as u32).to_le_bytes())?;
+    w.write_all(&frame_len(payload)?.to_le_bytes())?;
     w.write_all(payload)?;
     w.flush()
 }
@@ -884,11 +840,11 @@ mod tests {
         assert_eq!(id, Some(9));
         assert!(matches!(err, WireError::BadOpcode(0xAB)));
         // Hostile element count cannot over-allocate.
-        let mut e = Enc::default();
+        let mut e = Writer::new();
         put_header(&mut e, 3, opcode::KNN, status::REQUEST);
         5u32.put(&mut e); // k
         u32::MAX.put(&mut e); // claimed query length
-        let (id, err) = decode_request(&e.0).unwrap_err();
+        let (id, err) = decode_request(&e.into_bytes()).unwrap_err();
         assert_eq!(id, Some(3));
         assert!(matches!(err, WireError::Malformed(_)));
         // Trailing garbage after a valid body.
@@ -905,13 +861,14 @@ mod tests {
     /// outright rather than allocated for.
     #[test]
     fn a_zero_width_batch_cannot_name_its_own_row_count() {
-        let mut e = Enc::default();
+        let mut e = Writer::new();
         put_header(&mut e, 3, opcode::BATCH_KNN, status::REQUEST);
         5u32.put(&mut e); // k
         (1u32 << 22).put(&mut e); // nq
         0u32.put(&mut e); // dim
-        assert_eq!(e.0.len(), 28);
-        let (id, err) = decode_request(&e.0).unwrap_err();
+        let bytes = e.into_bytes();
+        assert_eq!(bytes.len(), 28);
+        let (id, err) = decode_request(&bytes).unwrap_err();
         assert_eq!(id, Some(3));
         assert!(matches!(err, WireError::Malformed(_)), "{err:?}");
         // The empty batch is still a frame, and a count the bytes present
@@ -921,12 +878,12 @@ mod tests {
             k: 5,
         };
         assert_eq!(decode_request(&encode_request(3, &empty)), Ok((3, empty)));
-        let mut e = Enc::default();
+        let mut e = Writer::new();
         put_header(&mut e, 3, opcode::BATCH_KNN, status::REQUEST);
         for word in [5u32, u32::MAX, 1] {
             word.put(&mut e);
         }
-        let err = decode_request(&e.0).unwrap_err().1;
+        let err = decode_request(&e.into_bytes()).unwrap_err().1;
         assert!(matches!(err, WireError::Malformed(_)), "{err:?}");
     }
 

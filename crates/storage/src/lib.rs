@@ -26,6 +26,11 @@
 //!   held once: disk and frame share one image.
 //! - [`PageSet`] — the page images one reader has pinned, by id, so a page
 //!   it comes back to costs no second fetch.
+//! - [`codec`] — the one little-endian byte codec ([`codec::Writer`] and
+//!   the bounded [`codec::Reader`]) every format beyond a page image is
+//!   written and read with: a snapshot's sections, the ATTRS payload, WAL
+//!   records and wire frames. A count read from bytes is believed only
+//!   once its elements fit in the bytes present.
 //!
 //! I/O numbers produced this way are *logical* page accesses — the same
 //! unit the paper plots — and are deterministic across runs. Each is
@@ -35,6 +40,7 @@
 //! wants one phase's cost diffs two readings ([`PoolStats::since`]).
 
 mod buffer_pool;
+pub mod codec;
 mod crc32;
 mod disk;
 mod error;

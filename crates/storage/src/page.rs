@@ -86,19 +86,6 @@ impl Page {
         Ok(&self.data[offset..end])
     }
 
-    /// Writes raw bytes at `offset`.
-    pub fn put_bytes(&mut self, offset: usize, bytes: &[u8]) -> Result<()> {
-        let end = offset
-            .checked_add(bytes.len())
-            .filter(|&e| e <= PAGE_SIZE)
-            .ok_or(Error::OutOfBounds {
-                offset,
-                len: bytes.len(),
-            })?;
-        self.data[offset..end].copy_from_slice(bytes);
-        Ok(())
-    }
-
     /// The page's full raw image — the unit snapshot files store. Byte
     /// order inside the image is whatever the typed accessors wrote
     /// (little-endian), so images are portable across hosts.
@@ -149,18 +136,10 @@ mod tests {
         assert!(p.put_u32(PAGE_SIZE - 3, 1).is_err());
         assert!(p.get_u8(PAGE_SIZE).is_err());
         assert!(p.bytes(PAGE_SIZE - 1, 2).is_err());
-        assert!(p.put_bytes(PAGE_SIZE - 1, &[1, 2]).is_err());
         assert!(
             p.get_u8(usize::MAX).is_err(),
             "offset overflow must not wrap"
         );
-    }
-
-    #[test]
-    fn raw_bytes_roundtrip() {
-        let mut p = Page::new();
-        p.put_bytes(100, b"hello").unwrap();
-        assert_eq!(p.bytes(100, 5).unwrap(), b"hello");
     }
 
     #[test]

@@ -55,6 +55,10 @@ echo "== determinism + recall + conformance + persistence gates =="
 cargo test "${PROFILE[@]}" --test par_determinism --test fit_bits --test golden_recall \
     --test backend_conformance
 cargo test "${PROFILE[@]}" --test persist_roundtrip
+# The stored formats pinned: each section's length and CRC32 of a tiny
+# snapshot of every backend (with ATTRS) and of a model file, and a WAL
+# image byte for byte. A failure names the section that moved.
+cargo test "${PROFILE[@]}" -p mmdr-persist --test golden_sections
 # MODEL and META records cut, flipped and overwritten, decoded without the CRC,
 # and IDS, PAGEDIR and META of a heap backend's snapshot so damaged under CRCs
 # made right for the damage, opened and read: each returns Ok or a typed
@@ -70,7 +74,19 @@ cargo test "${PROFILE[@]}" -p mmdr-persist --lib -- \
     snapshot::tests::a_planted_length_in_ids_or_pagedir_is_refused_or_harmless \
     snapshot::tests::an_id_column_that_does_not_fit_its_heap_is_refused \
     snapshot::tests::a_damaged_heap_page_is_refused \
-    snapshot::tests::a_damaged_hybrid_node_is_refused
+    snapshot::tests::a_damaged_hybrid_node_is_refused \
+    wal::tests::a_planted_length_is_refused_or_harmless_at_every_offset \
+    wal::tests::a_damaged_record_decodes_or_is_refused \
+    ingest::tests::an_insert_past_the_record_cap_is_refused_and_the_log_reopens
+# WAL records and ATTRS payloads the same way: an insert record carrying an
+# attribute row with lengths planted at every offset (its dim, attr_len and
+# row pair count refused), and cut, flipped and overwritten under a CRC made
+# right for the damage, replayed and its row decoded; an ATTRS payload's
+# capacity, column count and dictionary length, and a row's pair count,
+# planted at every offset. A record past the 16 MiB cap is refused at
+# append, so the log it would have broken reopens.
+cargo test "${PROFILE[@]}" -p mmdr-query --lib -- \
+    attrs::tests::a_planted_count_is_refused_or_harmless_at_every_offset
 cargo test "${PROFILE[@]}" --test serve_parity --test scalable_pipeline
 # The wire protocol's fragmentation property: valid frames split at
 # arbitrary byte boundaries, as any TCP peer receives them, decode exactly
