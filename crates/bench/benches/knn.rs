@@ -92,7 +92,8 @@ fn bench_candidate_path(c: &mut Criterion) {
         }
     }
     let book = info.codebook.as_ref().expect("the partition has rows");
-    // The partition's placement table, learned as the search's open does.
+    // The partition's placement table, known before the groups run: a
+    // build keeps it, and a reopened index would learn it here.
     index.record_id(first).unwrap();
     let mut group = c.benchmark_group("candidate_path");
     group.sample_size(200);

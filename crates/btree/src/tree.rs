@@ -119,19 +119,23 @@ impl BPlusTree {
     }
 
     /// A cursor on `leaf`, page `page`, in the gap before `slot` — refused
-    /// if the leaf holds more than a leaf can or its positions run past
-    /// [`len`](Self::len), so every position a cursor returns names one of
-    /// the tree's entries; or if its first key is not its fence, or its
-    /// last key is below its first or not finite — the two keys are all a
-    /// walk knows of its entries' keys, and a wrong one would end a walk
-    /// early without a word.
+    /// if the leaf's positions are not the ones [`bulk_load`](Self::bulk_load)
+    /// packs on its page (from `page · LEAF_CAPACITY`, a full leaf's worth
+    /// but on the last page, which ends at [`len`](Self::len)), so every
+    /// position a cursor returns names one of the tree's entries and a step
+    /// never leaves the tree's pages; or if its first key is not its fence,
+    /// or its last key is below its first or not finite — the two keys are
+    /// all a walk knows of its entries' keys, and a wrong one would end a
+    /// walk early without a word.
     #[inline]
     fn pin(&self, page: PageId, leaf: Arc<Page>, slot: usize) -> Result<Cursor> {
         let cursor = Cursor::pinned(page, leaf, slot);
-        if cursor.count > LEAF_CAPACITY
-            || cursor.first.saturating_add(cursor.count as u64) > self.len as u64
-        {
-            return Err(Error::Corrupt("leaf positions run past the tree"));
+        let packed = page * LEAF_CAPACITY as u64;
+        let count = (self.len as u64)
+            .saturating_sub(packed)
+            .min(LEAF_CAPACITY as u64);
+        if cursor.first != packed || cursor.count as u64 != count {
+            return Err(Error::Corrupt("a leaf's positions are not where they pack"));
         }
         // The fences are finite (`from_parts`), so a first key equal to its
         // fence is too; `!(lo <= hi)` also refuses a NaN last key.

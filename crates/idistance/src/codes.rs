@@ -1,8 +1,9 @@
 //! Cell codes: a 64-bit quantised image of a stored row, the whole of its
 //! B⁺-tree leaf entry, so a scan can bound the row's distance from below
 //! before it follows the entry's position to the heap; and, read as a
-//! point on a Hilbert curve ([`Codebook::hilbert`]), the order a leaf's
-//! rows are laid out in.
+//! point on a Hilbert curve ([`Codebook::hilbert`]) or as its cell's
+//! midpoint, where a partition's heap records are laid out
+//! (`crate::grouping`).
 //!
 //! A partition's [`Codebook`] cuts every coordinate's axis into equi-depth
 //! cells — `2^bits` of them, the 64 bits shared out over the coordinates —
@@ -123,6 +124,11 @@ impl Codebook {
         Ok(book)
     }
 
+    /// The number of coded axes: the width, at most 64.
+    pub(crate) fn coded_axes(&self) -> usize {
+        self.shape.0 + self.shape.2
+    }
+
     /// The inner edges, axis after axis.
     pub fn edges(&self) -> &[f32] {
         &self.edges
@@ -156,9 +162,9 @@ impl Codebook {
     /// axes: Skilling's transpose (AIP Conf. Proc. 707, 2004) over each
     /// axis's cell index, left-aligned to the widest axis's bits, read off
     /// most significant bit first, axis 0 first. Cells next to one another
-    /// on the curve are next to one another on one axis, so rows laid out
-    /// in this order that are near one another in the partition's subspace
-    /// tend to share a heap page. The index has `axes × widest` bits: at
+    /// on the curve are next to one another on one axis, so the curve cut
+    /// into page-sized runs is where a load's heap grouping starts
+    /// (`grouping`). The index has `axes × widest` bits: at
     /// most 8 axes of 8 bits, or axes whose widths sum to 64 and differ by
     /// at most one — never past 128.
     pub fn hilbert(&self, mut code: u64) -> u128 {
@@ -203,6 +209,42 @@ impl Codebook {
                 .fold(0u64, |plane, &xi| plane << 1 | u64::from((xi ^ t) >> b & 1));
             index << axes | u128::from(plane)
         })
+    }
+
+    /// Each coded axis's cell midpoints, axis after axis, cell by cell (a
+    /// table laid out as [`gaps_into`](Self::gaps_into)'s): halfway between
+    /// the cell's two faces, or an outer cell's one inner face, every face
+    /// clamped to `±f32::MAX` — so every midpoint is finite, an edge past
+    /// `f32`'s range too (no edge is NaN: [`fit`](Self::fit) cuts them
+    /// from finite rows, and [`from_edges`](Self::from_edges) refuses one).
+    /// The points a load groups records onto heap pages by
+    /// ([`crate::grouping`]).
+    pub(crate) fn midpoints(&self) -> Vec<f32> {
+        let face = |e: f32| e.clamp(-f32::MAX, f32::MAX);
+        let mut table = Vec::with_capacity(self.edges.len() + self.coded_axes());
+        for axis in self.axes() {
+            let inner = axis
+                .windows(2)
+                .map(|pair| 0.5 * face(pair[0]) + 0.5 * face(pair[1]));
+            table.push(face(axis[0]));
+            table.extend(inner);
+            table.push(face(axis[axis.len() - 1]));
+        }
+        table
+    }
+
+    /// Writes `table`'s entry for `code`'s cell on each coded axis to
+    /// `point`, `j` ascending (`table` one of [`midpoints`](Self::midpoints);
+    /// `point` [`coded_axes`](Self::coded_axes) long).
+    pub(crate) fn cells_into(&self, table: &[f32], mut code: u64, point: &mut [f32]) {
+        let (wide, width, _) = self.shape;
+        let mut cells = table;
+        for (j, p) in point.iter_mut().enumerate() {
+            let bits = width + u32::from(j < wide);
+            let (axis, rest) = cells.split_at(1 << bits);
+            *p = axis[code as usize & ((1 << bits) - 1)];
+            (cells, code) = (rest, code >> bits);
+        }
     }
 
     /// Appends to `near` one query's gap table against this codebook:

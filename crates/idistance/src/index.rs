@@ -2,6 +2,7 @@
 
 use crate::codes::Codebook;
 use crate::error::{Error, Result};
+use crate::grouping::page_groups;
 use crate::layout::{data_rows, partition_ids, stored_values, BaseCodes, KeySpace, PartitionRows};
 use crate::vector_heap::{HeapWriter, VectorHeap};
 use mmdr_btree::BPlusTree;
@@ -33,7 +34,8 @@ pub struct PartitionInfo {
     pub codebook: Option<Codebook>,
     /// Where its rows lie, worked out by [`IDistanceIndex::from_parts`].
     pub(crate) run: Run,
-    /// Its placement table, learned by the first search that opens it.
+    /// Its placement table: kept by the load that wrote its records, or
+    /// learned by the first search that opens it after an open.
     pub(crate) placement: OnceLock<Box<[u32]>>,
 }
 
@@ -68,8 +70,8 @@ impl PartitionInfo {
 /// Where one partition's rows lie. A load lays them out once, twice over:
 /// as consecutive leaf entries in key order from position `first`, and as
 /// records on a heap page run of its own from page `page`, `per_page` to a
-/// page, in [`heap_order`] — so rows near one another in the subspace share
-/// heap pages. A position names its record through the partition's
+/// page, each page a group of rows near one another in the subspace
+/// ([`page_groups`]). A position names its record through the partition's
 /// placement table ([`IDistanceIndex::placement`]): `page offset << SLOT |
 /// slot` in 32 bits.
 #[derive(Debug, Clone, Copy, Default)]
@@ -84,13 +86,20 @@ pub(crate) struct Run {
 /// coordinate each).
 const SLOT: u32 = 10;
 
-/// The order of a partition's heap records, which the load writes and a
-/// placement table is learned in: the key-order ranks of their codes'
-/// Hilbert indices `hilbert`, sorted by `(index, rank)`.
-fn heap_order(hilbert: &[u128]) -> Vec<u32> {
-    let mut ranks: Vec<u32> = (0..hilbert.len() as u32).collect();
-    ranks.sort_unstable_by_key(|&rank| (hilbert[rank as usize], rank));
-    ranks
+/// The placement table of a partition whose rows stand in `groups` (one a
+/// key-order rank, as [`page_groups`] gives them), a group a page, each
+/// page's records in key order: the groups turned, in place, into `page
+/// offset << SLOT | slot`. In place, for the table a build keeps then takes
+/// the block the grouping took first: a table allocated after the
+/// grouping's buffers held `serve_knn`'s `peak_rss_mb` 2 MiB higher.
+fn placement_table(mut groups: Vec<u32>, per_page: usize) -> Box<[u32]> {
+    let mut filled = vec![0u32; groups.len().div_ceil(per_page)];
+    for placed in &mut groups {
+        let slot = &mut filled[*placed as usize];
+        *placed = *placed << SLOT | *slot;
+        *slot += 1;
+    }
+    groups.into()
 }
 
 /// Resolves tree positions to heap record ids through the placement table
@@ -107,8 +116,9 @@ pub struct RecordIds<'a> {
 impl<'a> RecordIds<'a> {
     /// The rid of the record at `position`, one of `index`'s tree
     /// positions — any a cursor returns, of a partition whose table is
-    /// learned: a search has opened it, or [`IDistanceIndex::record_id`]
-    /// has resolved one of its positions. Always inlined, and infallible
+    /// known: a build kept it, a search has opened the partition, or
+    /// [`IDistanceIndex::record_id`] has resolved one of its positions.
+    /// Always inlined, and infallible
     /// for that: a filtered scan asks it of every leaf entry, and as a
     /// call, or with an error path, it cost `filtered_knn` 7 % of its
     /// queries.
@@ -181,8 +191,10 @@ impl IDistanceIndex {
     /// too (see [`crate::codes`]).
     ///
     /// The rows go to leaves in key order, packed full, and to heap records
-    /// in [`Codebook::hilbert`] order of their codes across the partition,
-    /// ties in key order (see [`Run`]).
+    /// page by page, a page a group of rows near one another by their codes
+    /// ([`page_groups`]), in key order (see [`Run`]); the partition keeps
+    /// the placement table that gives, so a built index never reads its
+    /// leaves to learn it.
     pub(crate) fn load(
         model: &ReductionResult,
         buffer_pages: usize,
@@ -234,24 +246,33 @@ impl IDistanceIndex {
                 (Some(nearest), Some(farthest)) => (nearest.0, farthest.0),
                 _ => (0.0, 0.0),
             };
-            let mut hilbert = Vec::with_capacity(rows.len());
-            if let Some(book) = &codebook {
-                for &(dist, at) in &order {
-                    hilbert.push(book.hilbert(codes[at]));
-                    staged.push((dist, codes[at]));
-                }
+            let keyed: Vec<u64> = order.iter().map(|&(_, at)| codes[at]).collect();
+            staged.extend(
+                order
+                    .iter()
+                    .zip(&keyed)
+                    .map(|(&(dist, _), &code)| (dist, code)),
+            );
+            let width = cluster.map_or(model.dim, |c| c.subspace.reduced_dim());
+            let per_page = VectorHeap::page_capacity(width).max(1);
+            let groups = codebook
+                .as_ref()
+                .map_or_else(Vec::new, |book| page_groups(book, &keyed, per_page));
+            let table = placement_table(groups, per_page);
+            // The records page after page, each page's in key order: every
+            // page but the last is full, so a record's place is its page's
+            // offset times `per_page`, plus its slot.
+            let mut placed = vec![0u32; table.len()];
+            for (rank, &at) in (0..).zip(&table[..]) {
+                placed[(at >> SLOT) as usize * per_page + (at & ((1 << SLOT) - 1)) as usize] = rank;
             }
-            for rank in heap_order(&hilbert) {
+            for rank in placed {
                 let (id, coords) = &rows[order[rank as usize].1];
                 heap.append(i as u32, *id, coords)?;
             }
-            partitions.push(PartitionInfo::new(
-                cluster,
-                &reference,
-                radii,
-                rows.len(),
-                codebook,
-            ));
+            let mut info = PartitionInfo::new(cluster, &reference, radii, rows.len(), codebook);
+            info.placement = OnceLock::from(table);
+            partitions.push(info);
         }
 
         // Range-partitioning constant: strictly larger than any in-partition
@@ -276,10 +297,11 @@ impl IDistanceIndex {
     /// [`VectorHeap::from_parts`]), the partition metadata, and the scalar
     /// state [`build`](Self::build) computed. Where each partition's rows
     /// lie follows from the counts and widths alone, so it is worked out
-    /// here and never stored; which record each position names is learned
-    /// from the leaves by the first search that opens the partition. Reads
-    /// no page. The index counts through the two pools it is given, like a
-    /// built one.
+    /// here and never stored; which record each position names is the
+    /// partition's placement table — kept by a load, or learned from the
+    /// leaves by the first search that opens the partition. Reads no page.
+    /// The index counts through the two pools it is given, like a built
+    /// one.
     pub fn from_parts(
         tree: BPlusTree,
         heap: VectorHeap,
@@ -372,8 +394,8 @@ impl IDistanceIndex {
     }
 
     /// The rid of the heap record the tree's entry at `position` names (a
-    /// one-off [`RecordIds::get`], learning its partition's table if no
-    /// search has); [`Error::BadRecordId`] past the tree.
+    /// one-off [`RecordIds::get`], learning its partition's table if it is
+    /// not known yet); [`Error::BadRecordId`] past the tree.
     pub fn record_id(&self, position: u64) -> Result<u64> {
         if position >= self.tree.len() as u64 {
             return Err(Error::BadRecordId(position));
@@ -391,11 +413,11 @@ impl IDistanceIndex {
 
     /// Partition `part`'s placement table: per position, in order, where its
     /// record lies, `page offset << SLOT | slot` on the partition's page run
-    /// (a page holds at most 1 022 records). The records' order is a function
-    /// of the codes the leaves hold, so the first call reads the
-    /// partition's leaves, each once, through the tree's pool and counted
-    /// as any fetch — one path, whether the index was built or opened, and
-    /// an open reads no page — and sorts their codes as the load did.
+    /// (a page holds at most 1 022 records). A built index keeps the table
+    /// its load worked out. The records' order is a function of the codes
+    /// the leaves hold, so after an open (which reads no page) the first
+    /// call reads the partition's leaves, each once, through the tree's pool
+    /// and counted as any fetch, and groups their codes as the load did.
     pub(crate) fn placement(&self, part: usize) -> Result<&[u32]> {
         let info = &self.partitions[part];
         if let Some(table) = info.placement.get() {
@@ -406,19 +428,18 @@ impl IDistanceIndex {
             return Ok(table);
         }
         let run = info.run;
-        let mut hilbert = Vec::with_capacity(run.count as usize);
+        let mut groups = Vec::new();
         if let Some(book) = &info.codebook {
+            let mut codes = Vec::with_capacity(run.count as usize);
             let mut cursor = self.tree.cursor_at(run.first)?;
             for _ in 0..run.count {
                 self.tree.cursor_next(&mut cursor)?;
-                hilbert.push(book.hilbert(cursor.code()));
+                codes.push(cursor.code());
             }
+            groups = page_groups(book, &codes, run.per_page as usize);
         }
-        let mut table = vec![0; run.count as usize];
-        for (at, rank) in (0u64..).zip(heap_order(&hilbert)) {
-            table[rank as usize] = (((at / run.per_page) << SLOT) | (at % run.per_page)) as u32;
-        }
-        Ok(info.placement.get_or_init(|| table.into()))
+        let table = placement_table(groups, run.per_page.max(1) as usize);
+        Ok(info.placement.get_or_init(|| table))
     }
 
     /// Each partition's codebook and the code each of its base rows holds,
@@ -476,6 +497,52 @@ impl IDistanceIndex {
     /// comparison is normalized against.
     pub fn total_pages(&self) -> usize {
         self.tree.num_pages() + self.heap.num_pages()
+    }
+}
+
+#[cfg(test)]
+impl IDistanceIndex {
+    /// The index as an open of its snapshot leaves it: its page images in
+    /// fresh pools, no counts, no delta and no placement table learned.
+    pub(crate) fn reopened(self) -> Self {
+        self.reopened_with(|_| {}).unwrap()
+    }
+
+    /// [`reopened`](Self::reopened), with `edit` done to the tree's page
+    /// images first.
+    pub(crate) fn reopened_with(
+        self,
+        edit: impl FnOnce(&mut Vec<std::sync::Arc<mmdr_storage::Page>>),
+    ) -> Result<Self> {
+        use mmdr_storage::{BufferPool, DiskManager};
+        let images = |pool: &BufferPool| pool.export_pages().unwrap();
+        let pool = |images, pool: &BufferPool| {
+            BufferPool::new(DiskManager::from_pages(images), pool.capacity()).unwrap()
+        };
+        let Self {
+            tree,
+            heap,
+            mut partitions,
+            c,
+            dim,
+            ..
+        } = self;
+        let mut leaves = images(tree.pool());
+        edit(&mut leaves);
+        let tree = BPlusTree::from_parts(
+            pool(leaves, tree.pool()),
+            tree.fences().to_vec(),
+            tree.len(),
+        )?;
+        let heap = VectorHeap::from_parts(
+            pool(images(heap.pool()), heap.pool()),
+            heap.len(),
+            heap.id_pages().to_vec(),
+        )?;
+        for p in &mut partitions {
+            p.placement = OnceLock::new();
+        }
+        Self::from_parts(tree, heap, partitions, c, dim)
     }
 }
 
@@ -610,28 +677,46 @@ mod tests {
             .sum()
     }
 
+    /// Three flats of 700 rows in 5-d, fitted: several leaves and heap
+    /// pages a partition.
+    fn flats() -> &'static (Matrix, ReductionResult) {
+        static FLATS: OnceLock<(Matrix, ReductionResult)> = OnceLock::new();
+        FLATS.get_or_init(|| {
+            let rows: Vec<Vec<f64>> = (0..2100)
+                .map(|i| {
+                    let (f, t) = ((i % 3) as f64, (i / 3) as f64 / 700.0);
+                    let s = (i as f64 * 0.618_033_988).fract();
+                    let jit = ((i as f64 * 0.414_213_56).fract() - 0.5) * 0.01;
+                    vec![9.0 * f + t, 9.0 * f + s, 9.0 * f + 0.5 * t, jit, -jit]
+                })
+                .collect();
+            let data = Matrix::from_rows(&rows).unwrap();
+            let model = Mmdr::new(MmdrParams::default()).fit(&data).unwrap();
+            (data, model)
+        })
+    }
+
     #[test]
-    fn the_first_search_to_open_a_partition_learns_where_its_records_lie() {
-        // Three flats of 700 rows in 5-d: several leaves and heap pages each.
-        let rows: Vec<Vec<f64>> = (0..2100)
-            .map(|i| {
-                let (f, t) = ((i % 3) as f64, (i / 3) as f64 / 700.0);
-                let s = (i as f64 * 0.618_033_988).fract();
-                let jit = ((i as f64 * 0.414_213_56).fract() - 0.5) * 0.01;
-                vec![9.0 * f + t, 9.0 * f + s, 9.0 * f + 0.5 * t, jit, -jit]
-            })
-            .collect();
-        let data = Matrix::from_rows(&rows).unwrap();
-        let model = Mmdr::new(MmdrParams::default()).fit(&data).unwrap();
-        let index = IDistanceIndex::build(&data, &model, 256).unwrap();
-        let parts = 0..index.partitions.len();
-        assert!(leaves(&index, parts.clone()) > 3, "several leaves");
-        assert!(index.partitions.iter().all(|p| p.placement.get().is_none()));
+    fn a_build_keeps_its_tables_and_the_first_search_after_an_open_learns_them() {
+        let (data, model) = flats();
+        let built = IDistanceIndex::build(data, model, 256).unwrap();
+        let parts = 0..built.partitions.len();
+        assert!(leaves(&built, parts.clone()) > 3, "several leaves");
         let fetches = |index: &IDistanceIndex, f: &dyn Fn()| {
             let before = index.query_stats();
             f();
             index.query_stats().since(&before).pages_touched
         };
+        // A build keeps every table its load worked out: resolving a
+        // position reads no page.
+        assert!(built.partitions.iter().all(|p| p.placement.get().is_some()));
+        assert_eq!(fetches(&built, &|| assert!(built.record_id(0).is_ok())), 0);
+        let kept: Vec<Vec<u32>> = parts
+            .clone()
+            .map(|p| built.placement(p).unwrap().to_vec())
+            .collect();
+        let index = built.reopened();
+        assert!(index.partitions.iter().all(|p| p.placement.get().is_none()));
         // One position resolved: its partition's leaves are read, no more.
         let home = index.partition_of(0);
         let one = fetches(&index, &|| {
@@ -641,15 +726,20 @@ mod tests {
         // A k-NN over every row opens every partition: asked once, it reads
         // the other tables; asked again, none.
         let (q, n) = (data.row(5), data.rows());
-        let rest = leaves(&index, parts.filter(|&p| p != home));
+        let rest = leaves(&index, parts.clone().filter(|&p| p != home));
         assert!(rest > 0, "more than one partition with rows");
         let first = fetches(&index, &|| drop(index.knn(q, n).unwrap()));
         let second = fetches(&index, &|| drop(index.knn(q, n).unwrap()));
         assert_eq!(first, second + rest);
-        // Eight threads asking it at once of a fresh build read each table
+        // What they learned is what the build kept, to the bit.
+        let learned: Vec<Vec<u32>> = parts
+            .map(|p| index.placement(p).unwrap().to_vec())
+            .collect();
+        assert_eq!(learned, kept);
+        // Eight threads asking it at once of a fresh open read each table
         // once between them.
         let want = index.knn(q, n).unwrap();
-        let fresh = IDistanceIndex::build(&data, &model, 256).unwrap();
+        let fresh = IDistanceIndex::build(data, model, 256).unwrap().reopened();
         let start = std::sync::Barrier::new(8);
         let eight = fetches(&fresh, &|| {
             std::thread::scope(|s| {
@@ -662,6 +752,181 @@ mod tests {
             })
         });
         assert_eq!(eight, 8 * second + rest + one);
+    }
+
+    /// `n` rows of `dim` in the outlier home of an index: drawn from
+    /// `distinct` rows, repeated in turn (so codes repeat), or all distinct
+    /// for `distinct == 0`.
+    fn outlier_home(dim: usize, n: usize, distinct: usize, mut state: u64) -> IDistanceIndex {
+        let mut draw = || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            (state % 10_007) as f64 / 10_007.0
+        };
+        let drawn: Vec<Vec<f64>> = (0..if distinct == 0 { n } else { distinct })
+            .map(|_| (0..dim).map(|_| draw()).collect())
+            .collect();
+        let rows: Vec<Vec<f64>> = (0..n).map(|i| drawn[i % drawn.len()].clone()).collect();
+        let model = ReductionResult {
+            dim,
+            num_points: n,
+            clusters: Vec::new(),
+            outliers: (0..n).collect(),
+            stats: Default::default(),
+        };
+        IDistanceIndex::build(&Matrix::from_rows(&rows).unwrap(), &model, 64).unwrap()
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(48))]
+
+        /// A build keeps, bit for bit, the placement table an open learns
+        /// from the leaves — for a partition of one row, of a page, of a
+        /// page and one and of many pages; with codes repeated or not; at 6
+        /// coordinates and at 70, wider than a code covers — and its
+        /// records fill the run page by page, each once, every page full
+        /// but the last.
+        #[test]
+        fn a_kept_table_is_the_table_an_open_learns(
+            wide in proptest::bool::ANY,
+            size in 0usize..4,
+            distinct in 0usize..40,
+            seed in 1u64..u64::MAX,
+        ) {
+            let dim = if wide { 70 } else { 6 };
+            let per_page = VectorHeap::page_capacity(dim);
+            let n = [1, per_page, per_page + 1, 30 * per_page + 5][size];
+            let built = outlier_home(dim, n, distinct, seed);
+            let part = built.partitions.len() - 1;
+            let kept = built.placement(part).unwrap().to_vec();
+            let opened = built.reopened();
+            proptest::prop_assert!(opened.partitions[part].placement.get().is_none());
+            proptest::prop_assert_eq!(opened.placement(part).unwrap(), &kept[..]);
+            let mut placed: Vec<(u32, u32)> =
+                kept.iter().map(|&p| (p >> SLOT, p & ((1 << SLOT) - 1))).collect();
+            placed.sort_unstable();
+            let want: Vec<(u32, u32)> = (0..n as u32)
+                .map(|at| (at / per_page as u32, at % per_page as u32))
+                .collect();
+            proptest::prop_assert_eq!(placed, want);
+        }
+    }
+
+    /// Where `mmdr_btree` keeps a leaf's header fields and its codes: the
+    /// count (`u16`), the first position (`u64`), the first and the last
+    /// key (`f64`s).
+    const COUNT: usize = 0;
+    const FIRST: usize = 2;
+    const LO: usize = 10;
+    const HI: usize = 18;
+    const CODES: usize = 26;
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(160))]
+
+        /// A leaf image with its count past a leaf's capacity or short of
+        /// its packing, its first position off where it packs, a first key
+        /// that is not its fence (or NaN), a last key below it (or NaN), or
+        /// codes overwritten at random is read or refused `Corrupt` by
+        /// every reader — the tree's check, both cursor directions, a
+        /// cursor put at a position, a placement table learned from the
+        /// leaves, a position resolved, k-NN and range searches — and
+        /// never panics.
+        #[test]
+        fn a_damaged_leaf_is_read_or_refused_corrupt(
+            kind in 0usize..7,
+            leaf in 0usize..64,
+            word in 0u64..u64::MAX,
+            at in 0usize..mmdr_btree::LEAF_CAPACITY,
+        ) {
+            use mmdr_btree::LEAF_CAPACITY as CAP;
+            let (data, model) = flats();
+            let index = IDistanceIndex::build(data, model, 8).unwrap();
+            let leaf = leaf % index.tree.num_pages();
+            let (packed, fence) = ((leaf * CAP) as u64, index.tree.fences()[leaf]);
+            let damage = |page: &mut Page| {
+                let pick = |n: u64| word % n;
+                match kind {
+                    0 => page.put_u16(COUNT, (CAP as u64 + 1 + pick(u64::from(u16::MAX) - CAP as u64)) as u16),
+                    1 => page.put_u16(COUNT, pick(CAP as u64 + 1) as u16),
+                    2 => page.put_u64(FIRST, [word, packed + 1, packed.wrapping_sub(1), packed + CAP as u64][pick(4) as usize]),
+                    3 => page.put_f64(LO, [f64::NAN, f64::from_bits(word), fence.next_up(), fence - 1.0][pick(4) as usize]),
+                    4 => page.put_f64(HI, [f64::NAN, f64::from_bits(word), fence - 1.0, f64::INFINITY][pick(4) as usize]),
+                    5 => page.put_u64(CODES + 8 * at, word),
+                    _ => (0..CAP).try_for_each(|i| {
+                        page.put_u64(CODES + 8 * i, word.rotate_left(i as u32).wrapping_mul(i as u64 | 1))
+                    }),
+                }
+                .unwrap()
+            };
+            let corrupt = |e: &Error| matches!(e, Error::BTree(mmdr_btree::Error::Corrupt(_)));
+            // The fences are the build's, so the parts go together: the
+            // damage is met only where a leaf is read.
+            let index = index
+                .reopened_with(|images| {
+                    let mut page = (*images[leaf]).clone();
+                    damage(&mut page);
+                    images[leaf] = Arc::new(page);
+                })
+                .unwrap();
+            let tree = &index.tree;
+            if let Err(e) = tree.check_invariants() {
+                proptest::prop_assert!(matches!(e, mmdr_btree::Error::Corrupt(_)), "{e}");
+            }
+            let n = tree.len() as u64;
+            for backward in [false, true] {
+                let start = if backward { f64::MAX } else { f64::MIN };
+                let mut cursor = match tree.seek(start) {
+                    Ok(cursor) => cursor,
+                    Err(e) => {
+                        proptest::prop_assert!(matches!(e, mmdr_btree::Error::Corrupt(_)), "{e}");
+                        continue;
+                    }
+                };
+                for _ in 0..=n {
+                    let step = if backward { tree.cursor_prev(&mut cursor) } else { tree.cursor_next(&mut cursor) };
+                    match step {
+                        Ok(Some((_, position))) => {
+                            proptest::prop_assert!(position < n);
+                            cursor.code();
+                        }
+                        Ok(None) => break,
+                        Err(e) => {
+                            proptest::prop_assert!(matches!(e, mmdr_btree::Error::Corrupt(_)), "{e}");
+                            break;
+                        }
+                    }
+                }
+            }
+            for position in [0, packed, packed + at as u64, n] {
+                if let Err(e) = tree.cursor_at(position.min(n)) {
+                    proptest::prop_assert!(matches!(e, mmdr_btree::Error::Corrupt(_)), "{e}");
+                }
+            }
+            for part in 0..index.partitions.len() {
+                if let Err(e) = index.placement(part) {
+                    proptest::prop_assert!(corrupt(&e), "{e}");
+                }
+            }
+            for position in (0..n).step_by(97) {
+                if let Err(e) = index.record_id(position) {
+                    proptest::prop_assert!(corrupt(&e), "{e}");
+                }
+            }
+            for probe in [0, 700, 1401, 2099] {
+                let q = data.row(probe);
+                for result in [index.knn(q, 7), index.range_search(q, 0.3)] {
+                    if let Err(e) = result {
+                        let inner = match &e {
+                            mmdr_index::Error::Backend(inner) => inner.downcast_ref::<Error>(),
+                            _ => None,
+                        };
+                        proptest::prop_assert!(inner.is_some_and(corrupt), "{e}");
+                    }
+                }
+            }
+        }
     }
 
     #[test]

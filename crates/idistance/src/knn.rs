@@ -1047,12 +1047,9 @@ mod tests {
             let mut ids = heap.id_pages().to_vec();
             ids.push(Vec::new());
             let heap = VectorHeap::from_parts(pool, heap.len(), ids).unwrap();
+            // The build's placement tables come along: a walk's tree
+            // fetches are its own, whichever walk comes first.
             let index = IDistanceIndex::from_parts(tree, heap, partitions, c, dim).unwrap();
-            // Every placement table learned up front: a walk's tree fetches
-            // are its own, whichever walk comes first.
-            for part in 0..index.partitions.len() {
-                index.placement(part).unwrap();
-            }
             Self { index, log, spare }
         }
 
@@ -1560,10 +1557,10 @@ mod tests {
         let build = || IDistanceIndex::build(data, model, 256).unwrap();
         let serial = all(&build());
 
-        // All eight leave the barrier with no placement table learned and
-        // ask the same queries in the same order: they meet at the same
-        // partitions.
-        let index = build();
+        // All eight leave the barrier with no placement table learned (as
+        // after an open) and ask the same queries in the same order: they
+        // meet at the same partitions.
+        let index = build().reopened();
         let barrier = Barrier::new(8);
         std::thread::scope(|scope| {
             let workers: Vec<_> = (0..8)
@@ -1952,12 +1949,8 @@ mod tests {
                         // The same query on a fresh base, with and without
                         // the inserts: a delta row within a frontier has been
                         // refined before it, so the reach is never wider.
-                        // Each asked once unmeasured first, so neither count
-                        // holds the leaves its placement tables were learned
-                        // from.
                         let fetches = |built: &BuiltIndex| {
                             let index = built.as_dyn();
-                            index.search(&query, &mut Scratch::default()).unwrap();
                             let before = index.query_stats();
                             index.search(&query, &mut Scratch::default()).unwrap();
                             index.query_stats().since(&before).pages_touched

@@ -44,6 +44,7 @@ mod backend;
 mod codes;
 mod error;
 mod gldr;
+mod grouping;
 mod index;
 mod knn;
 mod layout;

@@ -94,7 +94,15 @@ pub const MAGIC: [u8; 8] = *b"MMDRSNP\x01";
 /// heap is written once, by its load, and nothing appends to it after a
 /// reopen, so the record is its pool capacity and its row count. Every
 /// other byte is v11's.
-pub const FORMAT_VERSION: u32 = 12;
+///
+/// Version 13 has v12's bytes in another order, as v8 had v7's: each
+/// partition's heap records stand page by page in groups — a Hilbert cut
+/// of their codes regrouped by balanced Lloyd rounds, so a page holds rows
+/// near one another on every axis — rather than in Hilbert order. The
+/// order is still a function of the leaves' codes, learned by the first
+/// search that opens the partition; under it a v12 heap would name the
+/// wrong records, so v12 is refused like any other version.
+pub const FORMAT_VERSION: u32 = 13;
 /// Little-endian sentinel; a byte-swapped writer would store 0x4D3C2B1A.
 pub const ENDIAN_TAG: u32 = 0x1A2B_3C4D;
 /// Superblock size; the section table starts here.

@@ -1,5 +1,6 @@
 //! The stored formats, pinned section by section: a tiny snapshot of each
-//! backend with an ATTRS section, a model file and a WAL image, with the
+//! backend with an ATTRS section, an iDistance snapshot of one partition
+//! over many heap pages, a model file and a WAL image, with the
 //! length and CRC32 of every section (and of the whole file) as this build
 //! writes them. A round trip cannot see a field-order swap made on both
 //! sides at once; these pins can, and a failure names the section that
@@ -159,6 +160,51 @@ fn a_model_files_sections_are_the_pinned_bytes() {
     assert_pins("model file", &sections(&path), GOLDEN_MODEL_FILE);
 }
 
+/// 6 000 rows in 12-d drawn round 40 clumps, every one an outlier of a
+/// model written by hand: one partition of 71 heap pages, more than the
+/// window a row's candidate pages are drawn from, so the records' order on
+/// them is the page grouping's, Hilbert seed and Lloyd rounds alike, and
+/// nothing of a fit.
+fn clumps() -> (Matrix, ReductionResult) {
+    let (n, dim) = (6000, 12);
+    let mut state = 0x9e37_79b9_7f4a_7c15u64;
+    let mut draw = || {
+        state ^= state << 13;
+        state ^= state >> 7;
+        state ^= state << 17;
+        (state >> 11) as f64 / (1u64 << 53) as f64
+    };
+    let centres: Vec<Vec<f64>> = (0..40)
+        .map(|_| (0..dim).map(|_| draw() * 10.0).collect())
+        .collect();
+    let rows: Vec<Vec<f64>> = (0..n)
+        .map(|i| centres[i % 40].iter().map(|c| c + draw() - 0.5).collect())
+        .collect();
+    let model = ReductionResult {
+        dim,
+        num_points: n,
+        clusters: Vec::new(),
+        outliers: (0..n).collect(),
+        stats: ReductionStats::default(),
+    };
+    (Matrix::from_rows(&rows).unwrap(), model)
+}
+
+/// The page grouping is part of the format: an open learns which record
+/// each leaf entry names by grouping the leaves' codes again, as the load
+/// did, and stores nothing of it. A change to its seed, its rounds, its
+/// candidates or its arithmetic moves the `ids` and `pages` pins here, and
+/// must bump `FORMAT_VERSION`, or every older snapshot names wrong records.
+#[test]
+fn an_idistance_partition_of_many_pages_is_the_pinned_bytes() {
+    let dir = TempDir::new("grouped");
+    let (data, model) = clumps();
+    let index = build_index(Backend::IDistance, &data, &model, 16).unwrap();
+    let path = dir.0.join("grouped.mmdr");
+    save_with_attrs(&path, &index, &model, 2, None).unwrap();
+    assert_pins("grouped iDistance", &sections(&path), GOLDEN_GROUPED);
+}
+
 fn hex(bytes: &[u8]) -> String {
     bytes.iter().map(|b| format!("{b:02x}")).collect()
 }
@@ -206,6 +252,9 @@ fn a_wal_image_is_the_pinned_bytes() {
     );
 }
 
+// v13: every `file` pin moved with the version its superblock holds, and
+// iDistance's `pagedir`, `ids` and `pages` with its heap records' order
+// (page by page a group, each page's records in key order).
 const GOLDEN_SEQSCAN: &[(&str, u64, u32)] = &[
     ("model", 226, 0x5d1ae93c),
     ("meta", 16, 0x9b5c6903),
@@ -213,16 +262,16 @@ const GOLDEN_SEQSCAN: &[(&str, u64, u32)] = &[
     ("ids", 28, 0x90c15454),
     ("attrs", 252, 0x8da1616a),
     ("pages", 8192, 0xfdfcf8f7),
-    ("file", 9006, 0xc4fecdc9),
+    ("file", 9006, 0xde009eb1),
 ];
 const GOLDEN_IDISTANCE: &[(&str, u64, u32)] = &[
     ("model", 226, 0x5d1ae93c),
     ("meta", 5254, 0x83d8478d),
-    ("pagedir", 32, 0x2d40bab0),
-    ("ids", 28, 0x72daa6d5),
+    ("pagedir", 32, 0x4757518d),
+    ("ids", 28, 0xbb11ce28),
     ("attrs", 252, 0x8da1616a),
-    ("pages", 12288, 0x66a8ef39),
-    ("file", 18352, 0xb07da768),
+    ("pages", 12288, 0x252fc507),
+    ("file", 18352, 0x09028a30),
 ];
 const GOLDEN_GLDR: &[(&str, u64, u32)] = &[
     ("model", 226, 0x5d1ae93c),
@@ -230,9 +279,17 @@ const GOLDEN_GLDR: &[(&str, u64, u32)] = &[
     ("pagedir", 28, 0x02ffee8f),
     ("attrs", 252, 0x8da1616a),
     ("pages", 8192, 0x344f3fb8),
-    ("file", 9051, 0x2afc39de),
+    ("file", 9051, 0x8f3f8cab),
+];
+const GOLDEN_GROUPED: &[(&str, u64, u32)] = &[
+    ("model", 6072, 0x3f17952f),
+    ("meta", 2281, 0x42136ef5),
+    ("pagedir", 352, 0x966223db),
+    ("ids", 12008, 0x6607d6fb),
+    ("pages", 339968, 0xb4db0b17),
+    ("file", 360921, 0x2e52919d),
 ];
 const GOLDEN_MODEL_FILE: &[(&str, u64, u32)] =
-    &[("model", 218, 0xfe3e7120), ("file", 330, 0xab2f9149)];
+    &[("model", 218, 0xfe3e7120), ("file", 330, 0x2cd39112)];
 const GOLDEN_WAL: &str = "09000000882f0b510303000000000000002500000064f6a755010a0000000000000003000000000000000000e03f000000000000f4bf000000000000100063000000f82a3f97040b00000000000000030000000000000000000080000000000000004000000000000012403a000000030000000600000074656e616e7400f9ffffffffffffff050000007072696365010000000000000a4006000000726567696f6e0202000000657509000000553bda8a020200000000000000";
 const GOLDEN_WAL_LEN_CRC: (usize, u32) = (186, 0x68e5b03b);

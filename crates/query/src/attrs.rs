@@ -165,47 +165,31 @@ impl AttrStore {
             .ok_or_else(|| Error::UnknownColumn(name.to_string()))
     }
 
-    /// Sets `column` of row `id`. The id space grows to cover `id`.
+    /// Sets `column` of row `id`. The id space grows to cover `id` once
+    /// the column is found and the value checked against it, so a refused
+    /// value leaves the store as it was.
     pub fn set(&mut self, id: u64, column: &str, value: &AttrValue) -> Result<()> {
-        let capacity = self.capacity.max(id + 1);
-        if capacity > self.capacity {
-            self.capacity = capacity;
+        let at = self.check(column, value)?;
+        if id >= self.capacity {
+            self.capacity = id + 1;
             for c in &mut self.columns {
-                c.data.grow(capacity as usize);
+                c.data.grow(self.capacity as usize);
             }
         }
-        let col = self
-            .columns
-            .iter_mut()
-            .find(|c| c.name == column)
-            .ok_or_else(|| Error::UnknownColumn(column.to_string()))?;
-        match (&mut col.data, value) {
-            (ColumnData::I64(v), AttrValue::I64(x)) => v[id as usize] = Some(*x),
-            (ColumnData::F64(v), AttrValue::F64(x)) => {
-                if !x.is_finite() {
-                    return Err(Error::TypeMismatch {
-                        column: column.to_string(),
-                        detail: "f64 attribute values must be finite",
-                    });
-                }
-                v[id as usize] = Some(*x);
-            }
+        let slot = id as usize;
+        match (&mut self.columns[at].data, value) {
+            (ColumnData::I64(v), AttrValue::I64(x)) => v[slot] = Some(*x),
+            (ColumnData::F64(v), AttrValue::F64(x)) => v[slot] = Some(*x),
             (ColumnData::Tag { codes, dict }, AttrValue::Tag(s)) => {
-                let code = match dict.iter().position(|d| d == s) {
+                codes[slot] = match dict.iter().position(|d| d == s) {
                     Some(i) => i as u32 + 1,
                     None => {
                         dict.push(s.clone());
                         dict.len() as u32
                     }
                 };
-                codes[id as usize] = code;
             }
-            _ => {
-                return Err(Error::TypeMismatch {
-                    column: column.to_string(),
-                    detail: "value type does not match the column type",
-                })
-            }
+            _ => unreachable!("`check` matched the value to the column"),
         }
         Ok(())
     }
@@ -224,29 +208,30 @@ impl AttrStore {
     /// cannot fail halfway through applying it.
     pub fn validate_row(&self, values: &[(String, AttrValue)]) -> Result<()> {
         for (name, value) in values {
-            let col = self.column(name)?;
-            let ok = match (&col.data, value) {
-                (ColumnData::I64(_), AttrValue::I64(_)) => true,
-                (ColumnData::F64(_), AttrValue::F64(x)) => {
-                    if !x.is_finite() {
-                        return Err(Error::TypeMismatch {
-                            column: name.clone(),
-                            detail: "f64 attribute values must be finite",
-                        });
-                    }
-                    true
-                }
-                (ColumnData::Tag { .. }, AttrValue::Tag(_)) => true,
-                _ => false,
-            };
-            if !ok {
-                return Err(Error::TypeMismatch {
-                    column: name.clone(),
-                    detail: "value type does not match the column type",
-                });
-            }
+            self.check(name, value)?;
         }
         Ok(())
+    }
+
+    /// The index of `column`, once `value` is found to fit it: its type,
+    /// and a finite `f64`.
+    fn check(&self, column: &str, value: &AttrValue) -> Result<usize> {
+        let at = (self.columns.iter())
+            .position(|c| c.name == column)
+            .ok_or_else(|| Error::UnknownColumn(column.to_string()))?;
+        let detail = match (&self.columns[at].data, value) {
+            (ColumnData::F64(_), AttrValue::F64(x)) if !x.is_finite() => {
+                "f64 attribute values must be finite"
+            }
+            (ColumnData::I64(_), AttrValue::I64(_))
+            | (ColumnData::F64(_), AttrValue::F64(_))
+            | (ColumnData::Tag { .. }, AttrValue::Tag(_)) => return Ok(at),
+            _ => "value type does not match the column type",
+        };
+        Err(Error::TypeMismatch {
+            column: column.to_string(),
+            detail,
+        })
     }
 
     /// Reads `column` of row `id`; NULL (or out-of-range id) is `None`.
@@ -506,6 +491,37 @@ mod tests {
         assert!(s.set(0, "tenant", &AttrValue::F64(1.0)).is_err());
         assert!(s.set(0, "price", &AttrValue::F64(f64::NAN)).is_err());
         assert!(s.set(0, "region", &AttrValue::I64(3)).is_err());
+    }
+
+    #[test]
+    fn a_refused_set_leaves_the_store_as_it_was() {
+        let mut s = store();
+        let (capacity, bytes) = (s.capacity(), s.to_bytes());
+        // An unknown column, far past the id space: refused, not grown.
+        assert!(matches!(
+            s.set(999_999, "nope", &AttrValue::I64(1)),
+            Err(Error::UnknownColumn(_))
+        ));
+        assert_eq!(s.capacity(), capacity);
+        // A value the column refuses, far past it: the same, to the byte.
+        for (column, value) in [
+            ("price", AttrValue::F64(f64::NAN)),
+            ("tenant", AttrValue::Tag("x".into())),
+        ] {
+            assert!(matches!(
+                s.set(4_999_999, column, &value),
+                Err(Error::TypeMismatch { .. })
+            ));
+            assert_eq!(s.capacity(), capacity);
+            assert_eq!(s.to_bytes(), bytes);
+        }
+        // A value that fits grows it.
+        s.set(4_999_999, "price", &AttrValue::F64(2.5)).unwrap();
+        assert_eq!(s.capacity(), 5_000_000);
+        assert_eq!(
+            s.get(4_999_999, "price").unwrap(),
+            Some(AttrValue::F64(2.5))
+        );
     }
 
     #[test]

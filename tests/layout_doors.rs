@@ -13,9 +13,9 @@
 //! and for iDistance, whose leaf entries name their records by position,
 //! (d) entry `n` of the tree, walked from its first leaf, holds the row key
 //!     order lays out there and resolves to its record, and each
-//!     partition's records fill a page run of their own in Hilbert order of
-//!     their codes — through every door, built and reopened, to the same
-//!     record ids.
+//!     partition's records fill a page run of their own, every page full
+//!     but the last, a page holding one group of rows in key order —
+//!     through every door, built and reopened, to the same record ids.
 
 use mmdr_core::{Mmdr, MmdrParams, ReductionResult};
 use mmdr_idistance::{
@@ -211,7 +211,8 @@ struct Shapes {
 /// exact key in its leaf's range `[lo, hi]`; and its rid, resolved by
 /// `record_id` and again through a [`RecordIds`], reads that row. Each
 /// partition's records, in slot order, start a heap page of their own and
-/// fill its run page after page, in ascending `(hilbert(code), position)`.
+/// fill its run page after page, every page full but the last; a page
+/// holds one group of the partition's rows, in ascending position.
 /// Returns every position's rid.
 fn assert_positions_name_their_rows(
     index: &BuiltIndex,
@@ -225,7 +226,7 @@ fn assert_positions_name_their_rows(
     let mut cursor = tree.seek(f64::MIN).unwrap();
     let mut ids = RecordIds::default();
     let mut rids = Vec::with_capacity(want.len());
-    // Per partition: (rid, Hilbert index, position) of each of its entries.
+    // Per partition: (rid, position) of each of its entries.
     let mut records = vec![Vec::new(); idx.partitions().len()];
     while let Some((lo, position)) = tree.cursor_next(&mut cursor).unwrap() {
         let n = rids.len();
@@ -244,8 +245,7 @@ fn assert_positions_name_their_rows(
             lo <= key && key <= hi,
             "{tag}: entry {n}, {key} not in [{lo}, {hi}]"
         );
-        let book = idx.partitions()[want_part].codebook.as_ref().unwrap();
-        records[want_part].push((rid, book.hilbert(cursor.code()), position));
+        records[want_part].push((rid, position));
         rids.push(rid);
     }
     assert_eq!(rids.len(), want.len(), "{tag}");
@@ -267,12 +267,11 @@ fn assert_positions_name_their_rows(
             let slot = ((start + k / per_page) << 16) | (k % per_page);
             assert_eq!(pair.0, slot, "{tag}: partition {part}, record {k}");
         }
-        for pair in records.windows(2) {
+        for page in records.chunks(per_page as usize) {
             assert!(
-                (pair[0].1, pair[0].2) < (pair[1].1, pair[1].2),
-                "{tag}: partition {part}, positions {} and {} out of Hilbert order",
-                pair[0].2,
-                pair[1].2
+                page.windows(2).all(|pair| pair[0].1 < pair[1].1),
+                "{tag}: partition {part}, page {}: positions out of key order",
+                page[0].0 >> 16
             );
         }
         pages_before = start + (records.len() as u64).div_ceil(per_page);

@@ -5,7 +5,7 @@
 //! [`PersistError`], never a panic or a silently wrong index.
 
 use mmdr_core::{Mmdr, MmdrParams, ReductionResult};
-use mmdr_idistance::Backend;
+use mmdr_idistance::{Backend, IDistanceIndex};
 use mmdr_index::{LiveIndex, QueryStats, VectorIndex};
 use mmdr_linalg::Matrix;
 use mmdr_persist::{
@@ -14,6 +14,7 @@ use mmdr_persist::{
     PersistError,
 };
 use mmdr_query::{AttrStore, AttrType, AttrValue};
+use mmdr_storage::PoolStats;
 use proptest::prelude::*;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -203,38 +204,82 @@ fn query_stats_and_pool_stats_count_each_fetch_once() {
     }
 }
 
+/// The leaves an iDistance open reads to learn every placement table: each
+/// partition with rows reads the leaves its positions span, once.
+fn partition_leaves(index: &IDistanceIndex) -> u64 {
+    let cap = mmdr_btree::LEAF_CAPACITY as u64;
+    let mut first = 0;
+    (index.partitions().iter())
+        .map(|p| {
+            let (from, count) = (first, p.count as u64);
+            first += count;
+            match count {
+                0 => 0,
+                _ => (from + count - 1) / cap - from / cap + 1,
+            }
+        })
+        .sum()
+}
+
 /// A built index and its resident reopen are put together by one path and
 /// their pools start alike, with no page in a frame: the same queries
 /// leave every shard's hits, misses and evictions, and every count
-/// `query_stats()` reports, equal field for field — on pools small enough
-/// to evict.
+/// `query_stats()` reports, equal field for field from a cold start — on
+/// pools small enough to evict. An iDistance reopen differs by what it
+/// learns: the first query to open a partition reads its leaves for the
+/// placement table a build kept. So an iDistance pair is first asked a
+/// k-NN over every row, which costs the reopen exactly every partition's
+/// leaves more tree fetches and the build none, and is compared from there.
 #[test]
 fn a_built_index_counts_like_its_reopen() {
     let data = dataset(600, 0.0);
     let model = fit(&data);
+    type Counts = (Vec<PoolStats>, QueryStats);
+    let counts = |index: &dyn VectorIndex| (index.pool_stats(), index.query_stats());
+    let since = |index: &dyn VectorIndex, (pools, query): &Counts| {
+        let now = index.pool_stats();
+        let pools: Vec<PoolStats> = (now.iter().zip(pools))
+            .map(|(now, then)| now.since(then))
+            .collect();
+        (pools, index.query_stats().since(query))
+    };
     for backend in Backend::all() {
         let file = TempFile::new("counts-alike");
         let built = build_index(backend, &data, &model, 2).unwrap();
         save(&file.0, &built, &model).unwrap();
         let opened = open_resident(&file.0).unwrap();
+        let learned = match &built {
+            BuiltIndex::IDistance(index) => Some(partition_leaves(index)),
+            _ => None,
+        };
         let (built, opened) = (built.as_dyn(), opened.index.as_dyn());
+        assert_eq!(counts(built), counts(opened), "{}", backend.name());
+        let from: Option<[Counts; 2]> = learned.map(|leaves| {
+            let start = [built, opened].map(counts);
+            let [b, o] = [(built, &start[0]), (opened, &start[1])].map(|(index, start)| {
+                index.knn(data.row(0), data.rows()).unwrap();
+                since(index, start)
+            });
+            // Fetches by pool: the tree's, then the heap's.
+            let fetched = |(pools, _): &Counts| -> Vec<u64> {
+                pools.iter().map(PoolStats::pages_touched).collect()
+            };
+            let (b_pools, o_pools) = (fetched(&b), fetched(&o));
+            assert!(leaves > 1, "several leaves");
+            assert_eq!(o_pools, [b_pools[0] + leaves, b_pools[1]]);
+            assert_eq!(o.1.pages_touched, b.1.pages_touched + leaves);
+            [built, opened].map(counts)
+        });
         for (i, row) in [3, 90, 801, 3].into_iter().enumerate() {
             for index in [built, opened] {
                 index.knn(data.row(row), 5 + i).unwrap();
                 index.range_search(data.row(row), 0.3).unwrap();
             }
-            assert_eq!(
-                built.pool_stats(),
-                opened.pool_stats(),
-                "{}",
-                backend.name()
-            );
-            assert_eq!(
-                built.query_stats(),
-                opened.query_stats(),
-                "{}",
-                backend.name()
-            );
+            let [built_counts, opened_counts] = match &from {
+                None => [built, opened].map(counts),
+                Some([b, o]) => [since(built, b), since(opened, o)],
+            };
+            assert_eq!(built_counts, opened_counts, "{}", backend.name());
         }
         let evictions: u64 = built.pool_stats().iter().map(|p| p.evictions()).sum();
         assert!(evictions > 0, "{}: the pools must evict", backend.name());
@@ -492,24 +537,24 @@ fn future_version_reports_unsupported_not_checksum() {
 
 #[test]
 fn a_snapshot_of_the_previous_format_is_refused_by_its_version() {
-    // What a v11 writer left (the same sections but a heap's META record
-    // holding its open append page): version 11 under a superblock CRC
-    // that is right for it.
+    // What a v12 writer left (the same sections, but each partition's heap
+    // records in Hilbert order, which v13's placement would misread):
+    // version 12 under a superblock CRC that is right for it.
     // There is no second reader; the refusal is typed.
     let mut image = snapshot_bytes();
-    image[8..12].copy_from_slice(&11u32.to_le_bytes());
+    image[8..12].copy_from_slice(&12u32.to_le_bytes());
     image[44..48].fill(0);
     let crc = mmdr_persist::crc32(&image[..80]);
     image[44..48].copy_from_slice(&crc.to_le_bytes());
     for resident in [false, true] {
-        let file = write_image(&image, "v11");
+        let file = write_image(&image, "v12");
         let options = OpenOptions {
             resident,
             ..OpenOptions::default()
         };
         match open_with(&file.0, &options) {
             Err(PersistError::UnsupportedVersion { found, supported }) => {
-                assert_eq!((found, supported), (11, 12));
+                assert_eq!((found, supported), (12, 13));
             }
             other => panic!("expected UnsupportedVersion, got {other:?}"),
         }

@@ -108,13 +108,17 @@ cargo test "${PROFILE[@]}" -p mmdr-idistance --lib \
     knn::tests::delta_rows_in_bound_order_answer_as_the_scan_and_fetch_no_more_pages -- --exact
 cargo test "${PROFILE[@]}" -p mmdr-idistance --lib \
     knn::tests::degenerate_k_and_ties_answer_as_the_scan -- --exact
-# Where records lie: each partition's heap records in Hilbert order of
-# their codes across the partition, from a page of their own, a position
-# naming its record through a placement table the first search that opens
-# the partition learns from its leaves — each leaf read once, however many
-# threads ask, and to the same record on every door and every open.
+# Where records lie: each partition's heap records from a page of their
+# own, a page a group of rows near one another (the Hilbert cut regrouped
+# by balanced Lloyd rounds), a position naming its record through a
+# placement table a build keeps and, after an open, the first search that
+# opens the partition learns from its leaves — each leaf read once, however
+# many threads ask, to the table the build kept, bit for bit, and to the
+# same record on every door and every open.
 cargo test "${PROFILE[@]}" -p mmdr-idistance --lib \
-    index::tests::the_first_search_to_open_a_partition_learns_where_its_records_lie -- --exact
+    index::tests::a_build_keeps_its_tables_and_the_first_search_after_an_open_learns_them -- --exact
+cargo test "${PROFILE[@]}" -p mmdr-idistance --lib \
+    index::tests::a_kept_table_is_the_table_an_open_learns -- --exact
 cargo test "${PROFILE[@]}" --test layout_doors \
     every_leaf_position_resolves_to_the_row_laid_out_there -- --exact
 
